@@ -5,8 +5,8 @@
 //! nothing. Addition of shares is componentwise — the homomorphism PRISM
 //! leans on in Equations 3, 13, and 17–19.
 
-use crate::arith::{add_mod, sub_mod};
-use crate::prg::Prg;
+use crate::arith::{add_mod, by_modulus, sub_mod, Reducer};
+use crate::prg::{rejection_zone, Prg};
 use serde::{Deserialize, Serialize};
 
 /// One additive share, tagged with the modulus it lives under.
@@ -94,40 +94,39 @@ pub fn reconstruct2(s1: u64, s2: u64, modulus: u64) -> u64 {
 
 /// Bulk two-server reconstruction: `out[i] = (a[i] + b[i]) mod modulus`.
 ///
-/// Hot-path-only API: the loop reduces each operand once and finishes with a
-/// branchless conditional subtract instead of a `u128` division, so rustc
-/// autovectorizes it. Results are bit-identical to [`reconstruct2`] per cell.
+/// Hot-path-only API: the modulus' reducer is chosen once for the pass and
+/// the loop does not divide. The operands need not be reduced — they come
+/// from servers — but reduced ones cost a compare each. Results are
+/// bit-identical to [`reconstruct2`] per cell.
 #[inline]
 pub fn reconstruct2_into(a: &[u64], b: &[u64], modulus: u64, out: &mut [u64]) {
     assert!(modulus >= 2, "modulus must be at least 2");
     assert_eq!(a.len(), b.len(), "share vectors must have equal length");
     assert_eq!(a.len(), out.len(), "output length must match share length");
-    if modulus > 1u64 << 63 {
-        // Two reduced operands can overflow u64; take the widening path.
-        // PRISM moduli (δ, Mersenne-61) never land here.
+    by_modulus!(modulus, |r| {
         for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-            *o = add_mod(x, y, modulus);
+            *o = r.add(r.reduce_rare(x), r.reduce_rare(y));
         }
-        return;
-    }
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        let t = (x % modulus) + (y % modulus);
-        *o = if t >= modulus { t - modulus } else { t };
-    }
+    })
 }
 
 /// Share an entire vector two ways; returns parallel share vectors.
 ///
 /// This is the bulk path the owners use to outsource a χ table: one uniform
-/// draw and one subtraction per cell.
+/// draw and one subtraction per cell, with the modulus' reducer and
+/// rejection zone hoisted (the draws are those of [`share2`] per secret).
 pub fn share_vector2(secrets: &[u64], modulus: u64, prg: &mut Prg) -> (Vec<u64>, Vec<u64>) {
+    assert!(modulus > 0, "modulus must be positive");
     let mut a = Vec::with_capacity(secrets.len());
     let mut b = Vec::with_capacity(secrets.len());
-    for &s in secrets {
-        let (s1, s2) = share2(s, modulus, prg);
-        a.push(s1);
-        b.push(s2);
-    }
+    let zone = rejection_zone(modulus);
+    by_modulus!(modulus, |r| {
+        for &s in secrets {
+            let s1 = prg.draw(r, zone);
+            a.push(s1);
+            b.push(r.sub(r.reduce_rare(s), s1));
+        }
+    });
     (a, b)
 }
 
@@ -232,6 +231,16 @@ mod tests {
         }
     }
 
+    #[test]
+    fn share_vector2_golden_stream() {
+        // Pinned at the commit before the hoisted reducer: same draws, same
+        // shares, including unreduced secrets.
+        let mut prg = Prg::from_seed(42);
+        let (a, b) = share_vector2(&[0, 1, 1, 0, 112, 113, u64::MAX], 113, &mut prg);
+        assert_eq!(a, [13, 56, 68, 21, 108, 14, 77]);
+        assert_eq!(b, [100, 58, 46, 92, 4, 99, 65]);
+    }
+
     proptest! {
         #[test]
         fn prop_reconstruct2_into_parity(
@@ -244,6 +253,24 @@ mod tests {
             reconstruct2_into(&a, &b, modulus, &mut out);
             for i in 0..pairs.len() {
                 prop_assert_eq!(out[i], reconstruct2(a[i], b[i], modulus));
+            }
+        }
+
+        #[test]
+        fn prop_share_vector2_is_share2_per_secret(
+            seed: u64,
+            secrets in proptest::collection::vec(0u64..u64::MAX, 0..64),
+            modulus in 1u64..u64::MAX,
+            shift in 0u32..64,
+        ) {
+            for modulus in [modulus, 113, 1 << shift, crate::MERSENNE_61] {
+                let mut bulk_prg = Prg::from_seed(seed);
+                let mut scalar_prg = Prg::from_seed(seed);
+                let (a, b) = share_vector2(&secrets, modulus, &mut bulk_prg);
+                for (i, &s) in secrets.iter().enumerate() {
+                    prop_assert_eq!((a[i], b[i]), share2(s, modulus, &mut scalar_prg));
+                }
+                prop_assert_eq!(bulk_prg.next_u64(), scalar_prg.next_u64());
             }
         }
 

@@ -1,27 +1,43 @@
 //! Modular arithmetic over `u64` operands.
 //!
 //! Every PRISM protocol reduces to a handful of modular operations executed
-//! billions of times per query, so these primitives are written to stay in
-//! registers: multiplication widens through `u128`, exponentiation is a
-//! square-and-multiply ladder, and primality is a deterministic Miller–Rabin
-//! variant that is exact for all `u64` inputs.
+//! billions of times per query, so the query-path loops do not divide:
+//!
+//! * The scalar functions ([`add_mod`], [`sub_mod`], [`mul_mod`]) accept
+//!   arbitrary operands and take a compare-and-subtract path when the
+//!   operands are already reduced, a shift-add fold when the modulus is
+//!   [`MERSENNE_61`], and a 64-bit remainder when a product fits; the
+//!   `u128 %` forms survive only as the fallback for what is left (and, in
+//!   the tests, as the oracle every fast path is compared against).
+//! * Loops pick a reducer **once per call** (`by_modulus!`) and are
+//!   monomorphised over it: `M61` folds, `Generic` multiplies by a
+//!   precomputed reciprocal. The slice kernels the protocol crate needs
+//!   ([`sum_columns_mod`], [`mul_assign_mod`]) are exported as plain
+//!   functions; the reducers themselves stay private to this crate.
+//! * Sums are reduced lazily: canonical addends are accumulated in a `u64`
+//!   for as long as they provably fit (`Reducer::lazy_addends`) and
+//!   reduced once per group.
+//!
+//! Exponentiation is a square-and-multiply ladder, and primality is a
+//! deterministic Miller–Rabin variant that is exact for all `u64` inputs.
 
-/// Modular addition: `(a + b) mod n`.
-///
-/// `a` and `b` need not be reduced; the sum is computed in `u128` so the
-/// operation never overflows.
+/// `(a + b) mod n` for `a, b < n`: one compare-and-subtract, correct even
+/// when `a + b` overflows `u64` (`n > 2^63`).
 #[inline]
-pub fn add_mod(a: u64, b: u64, n: u64) -> u64 {
-    debug_assert!(n > 0);
-    ((a as u128 + b as u128) % n as u128) as u64
+fn add_reduced(a: u64, b: u64, n: u64) -> u64 {
+    debug_assert!(a < n && b < n);
+    let (s, carry) = a.overflowing_add(b);
+    if carry || s >= n {
+        s.wrapping_sub(n)
+    } else {
+        s
+    }
 }
 
-/// Modular subtraction: `(a - b) mod n`, always in `[0, n)`.
+/// `(a - b) mod n` for `a, b < n`.
 #[inline]
-pub fn sub_mod(a: u64, b: u64, n: u64) -> u64 {
-    debug_assert!(n > 0);
-    let a = a % n;
-    let b = b % n;
+fn sub_reduced(a: u64, b: u64, n: u64) -> u64 {
+    debug_assert!(a < n && b < n);
     if a >= b {
         a - b
     } else {
@@ -29,11 +45,282 @@ pub fn sub_mod(a: u64, b: u64, n: u64) -> u64 {
     }
 }
 
-/// Modular multiplication: `(a * b) mod n` via `u128` widening.
+/// Modular addition: `(a + b) mod n`.
+///
+/// `a` and `b` need not be reduced; reduced operands (every caller on a
+/// query path) cost one compare-and-subtract.
+#[inline]
+pub fn add_mod(a: u64, b: u64, n: u64) -> u64 {
+    debug_assert!(n > 0);
+    if a < n && b < n {
+        add_reduced(a, b, n)
+    } else {
+        ((a as u128 + b as u128) % n as u128) as u64
+    }
+}
+
+/// Modular subtraction: `(a - b) mod n`, always in `[0, n)`.
+#[inline]
+pub fn sub_mod(a: u64, b: u64, n: u64) -> u64 {
+    debug_assert!(n > 0);
+    if a < n && b < n {
+        sub_reduced(a, b, n)
+    } else {
+        sub_reduced(a % n, b % n, n)
+    }
+}
+
+/// Modular multiplication: `(a * b) mod n` for arbitrary operands.
 #[inline]
 pub fn mul_mod(a: u64, b: u64, n: u64) -> u64 {
     debug_assert!(n > 0);
-    ((a as u128 * b as u128) % n as u128) as u64
+    if n == MERSENNE_61 {
+        return M61.mul(a, b);
+    }
+    match a.checked_mul(b) {
+        Some(x) => x % n,
+        None => ((a as u128 * b as u128) % n as u128) as u64,
+    }
+}
+
+/// How a loop reduces modulo one fixed modulus. Chosen once per kernel
+/// call by [`by_modulus!`]; the loops are generic over it, so the choice
+/// costs nothing per element.
+///
+/// `reduce`, `reduce_wide` and `mul` accept **any** operand; `add`, `sub`
+/// and the lazy bounds are for canonical (`< n`) values.
+pub(crate) trait Reducer: Copy {
+    /// The modulus `n`.
+    fn modulus(self) -> u64;
+
+    /// `x mod n`.
+    fn reduce(self, x: u64) -> u64;
+
+    /// `x mod n`.
+    fn reduce_wide(self, x: u128) -> u64;
+
+    /// How many canonical addends fit in a `u64` on top of a canonical
+    /// accumulator; 0 when not even one does (`n > 2^63`).
+    fn lazy_addends(self) -> usize;
+
+    /// How many products of canonical factors fit in a `u128`.
+    fn lazy_products(self) -> usize;
+
+    /// `x mod n` for an `x` that is canonical unless its sender misbehaves
+    /// (a share, a server's output): a compare in place of a reduction.
+    #[inline]
+    fn reduce_rare(self, x: u64) -> u64 {
+        if x < self.modulus() {
+            x
+        } else {
+            self.reduce(x)
+        }
+    }
+
+    /// `(a + b) mod n` for canonical operands.
+    #[inline]
+    fn add(self, a: u64, b: u64) -> u64 {
+        add_reduced(a, b, self.modulus())
+    }
+
+    /// `(a - b) mod n` for canonical operands.
+    #[inline]
+    fn sub(self, a: u64, b: u64) -> u64 {
+        sub_reduced(a, b, self.modulus())
+    }
+
+    /// `(a * b) mod n`.
+    #[inline]
+    fn mul(self, a: u64, b: u64) -> u64 {
+        self.reduce_wide(a as u128 * b as u128)
+    }
+}
+
+/// `p = 2^61 − 1`: `2^61 ≡ 1`, so a value reduces by adding its high bits
+/// to its low 61 — shifts, masks and adds only.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct M61;
+
+impl M61 {
+    /// `s mod p` for `s < 2p`, branch-free: `(s + 1) >> 61` is 1 exactly
+    /// when `s ≥ p`, and adding it before masking subtracts `p`.
+    #[inline]
+    fn canonical(s: u64) -> u64 {
+        debug_assert!(s < 2 * MERSENNE_61);
+        (s + ((s + 1) >> 61)) & MERSENNE_61
+    }
+}
+
+impl Reducer for M61 {
+    #[inline]
+    fn modulus(self) -> u64 {
+        MERSENNE_61
+    }
+
+    #[inline]
+    fn reduce(self, x: u64) -> u64 {
+        // x = hi·2^61 + lo ≡ hi + lo, and hi ≤ 7.
+        M61::canonical((x & MERSENNE_61) + (x >> 61))
+    }
+
+    #[inline]
+    fn reduce_wide(self, x: u128) -> u64 {
+        const MASK: u128 = MERSENNE_61 as u128;
+        // First fold: < 2^61 + 2^67. Second: < 2^61 + 2^7.
+        let s = (x & MASK) + (x >> 61);
+        M61::canonical((s & MASK) as u64 + (s >> 61) as u64)
+    }
+
+    #[inline]
+    fn lazy_addends(self) -> usize {
+        // 8 · (2^61 − 2) < 2^64: the accumulator plus seven addends.
+        7
+    }
+
+    #[inline]
+    fn lazy_products(self) -> usize {
+        // 32 · (2^61 − 2)² < 2^127.
+        32
+    }
+}
+
+/// Any other modulus: `x mod n` for a 64-bit `x` by two multiplications
+/// with the precomputed `⌈2^128 / n⌉` (Lemire, Kaser, Kurz: "Faster
+/// remainder by direct computation", exact for all 64-bit `x` and `n`).
+/// Building one costs a `u128` division, so this is for loops only.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Generic {
+    n: u64,
+    magic: u128,
+}
+
+impl Generic {
+    #[inline]
+    pub(crate) fn new(n: u64) -> Generic {
+        debug_assert!(n > 0);
+        Generic {
+            n,
+            // Wraps to 0 for n = 1, which reduces everything to 0.
+            magic: (u128::MAX / n as u128).wrapping_add(1),
+        }
+    }
+}
+
+impl Reducer for Generic {
+    #[inline]
+    fn modulus(self) -> u64 {
+        self.n
+    }
+
+    #[inline]
+    fn reduce(self, x: u64) -> u64 {
+        // The fractional part of x / n in 128 bits, scaled back by n:
+        // ⌊frac · n / 2^128⌋, computed from the two 64-bit halves of frac.
+        let frac = self.magic.wrapping_mul(x as u128);
+        let n = self.n as u128;
+        let low = ((frac as u64) as u128 * n) >> 64;
+        let high = (frac >> 64) * n;
+        ((low + high) >> 64) as u64
+    }
+
+    #[inline]
+    fn reduce_wide(self, x: u128) -> u64 {
+        match u64::try_from(x) {
+            Ok(x) => self.reduce(x),
+            Err(_) => (x % self.n as u128) as u64,
+        }
+    }
+
+    #[inline]
+    fn lazy_addends(self) -> usize {
+        // (k + 1)(n − 1) ≤ u64::MAX whenever k + 1 ≤ ⌊u64::MAX / n⌋.
+        usize::try_from(u64::MAX / self.n - 1).unwrap_or(usize::MAX)
+    }
+
+    #[inline]
+    fn lazy_products(self) -> usize {
+        1
+    }
+}
+
+/// Run `$body` with `$r` bound to the [`Reducer`] for modulus `$n`: [`M61`]
+/// for the Shamir field every deployment uses, [`Generic`] otherwise. The
+/// body is compiled once per reducer.
+macro_rules! by_modulus {
+    ($n:expr, |$r:ident| $body:expr) => {{
+        let n: u64 = $n;
+        if n == $crate::arith::MERSENNE_61 {
+            let $r = $crate::arith::M61;
+            $body
+        } else {
+            let $r = $crate::arith::Generic::new(n);
+            $body
+        }
+    }};
+}
+pub(crate) use by_modulus;
+
+/// Cells per pass of [`sum_columns_mod`]: the accumulator tile stays in L1
+/// while the columns stream through it.
+const SUM_TILE: usize = 1024;
+
+fn sum_columns<R: Reducer>(r: R, columns: &[&[u64]], start: usize, out: &mut [u64]) {
+    debug_assert!(columns
+        .iter()
+        .all(|c| c[start..start + out.len()].iter().all(|&s| s < r.modulus())));
+    let group = r.lazy_addends();
+    if group == 0 {
+        // n > 2^63: two canonical values can overflow, so reduce per add.
+        out.fill(0);
+        let end = start + out.len();
+        for col in columns {
+            for (a, &s) in out.iter_mut().zip(&col[start..end]) {
+                *a = r.add(*a, s);
+            }
+        }
+        return;
+    }
+    let mut offset = start;
+    for tile in out.chunks_mut(SUM_TILE) {
+        tile.fill(0);
+        let end = offset + tile.len();
+        for cols in columns.chunks(group) {
+            for col in cols {
+                for (a, &s) in tile.iter_mut().zip(&col[offset..end]) {
+                    *a += s;
+                }
+            }
+            for a in tile.iter_mut() {
+                *a = r.reduce(*a);
+            }
+        }
+        offset = end;
+    }
+}
+
+/// Per-cell sum across share columns:
+/// `out[i] = Σ_j columns[j][start + i] mod n`.
+///
+/// The columns must be canonical (every value `< n` — what the servers'
+/// ingest guarantees for stored shares; `debug_assert!`ed): the loop adds
+/// without reducing for as many columns as provably fit a `u64` (seven for
+/// [`MERSENNE_61`], any realistic owner count for a small δ) and reduces
+/// once per group. Panics if a column is shorter than `start + out.len()`.
+pub fn sum_columns_mod(columns: &[&[u64]], start: usize, n: u64, out: &mut [u64]) {
+    assert!(n > 0, "modulus must be positive");
+    by_modulus!(n, |r| sum_columns(r, columns, start, out))
+}
+
+/// In-place pointwise product: `out[i] = out[i] · rhs[i] mod n`, for
+/// arbitrary (also unreduced) operands. Panics on a length mismatch.
+pub fn mul_assign_mod(out: &mut [u64], rhs: &[u64], n: u64) {
+    assert!(n > 0, "modulus must be positive");
+    assert_eq!(out.len(), rhs.len(), "operand lengths must match");
+    by_modulus!(n, |r| {
+        for (o, &x) in out.iter_mut().zip(rhs) {
+            *o = r.mul(*o, x);
+        }
+    })
 }
 
 /// Modular exponentiation: `base^exp mod n` by square-and-multiply.
@@ -285,6 +572,174 @@ mod tests {
         assert_eq!((227 - 1) % 113, 0);
         // Example 6.3.1 uses η = 5003.
         assert!(is_prime(5003));
+    }
+
+    // ---- Differential tests: every fast path against the `u128` forms ----
+
+    /// 1, 2, the paper's δ and η (113, 227; Example 6.3.1's 5003), the
+    /// Shamir field, and the largest `u64` prime (sums of two reduced
+    /// operands overflow `u64`).
+    const MODULI: [u64; 7] = [1, 2, 113, 227, 5003, MERSENNE_61, u64::MAX - 58];
+
+    fn add_ref(a: u64, b: u64, n: u64) -> u64 {
+        ((a as u128 + b as u128) % n as u128) as u64
+    }
+
+    fn sub_ref(a: u64, b: u64, n: u64) -> u64 {
+        ((a as i128 - b as i128).rem_euclid(n as i128)) as u64
+    }
+
+    fn mul_ref(a: u64, b: u64, n: u64) -> u64 {
+        ((a as u128 * b as u128) % n as u128) as u64
+    }
+
+    /// Operands around every boundary a fast path tests for.
+    fn edges(n: u64) -> Vec<u64> {
+        let mut v = vec![0, 1, 2, n / 2, n - 1, n, u64::MAX - 1, u64::MAX];
+        v.extend([n.wrapping_add(1), n.wrapping_mul(2), 1 << 32, (1 << 32) - 1]);
+        v.extend([
+            MERSENNE_61 - 1,
+            MERSENNE_61,
+            MERSENNE_61 + 1,
+            1 << 61,
+            1 << 63,
+        ]);
+        v
+    }
+
+    fn check_scalars(a: u64, b: u64, n: u64) {
+        assert_eq!(add_mod(a, b, n), add_ref(a, b, n), "{a} + {b} mod {n}");
+        assert_eq!(sub_mod(a, b, n), sub_ref(a, b, n), "{a} - {b} mod {n}");
+        assert_eq!(mul_mod(a, b, n), mul_ref(a, b, n), "{a} * {b} mod {n}");
+    }
+
+    fn check_reducer<R: Reducer>(r: R, a: u64, b: u64, wide: u128) {
+        let n = r.modulus();
+        assert_eq!(r.reduce(a), a % n, "reduce {a} mod {n}");
+        assert_eq!(r.reduce_rare(a), a % n, "reduce_rare {a} mod {n}");
+        assert_eq!(
+            r.reduce_wide(wide),
+            (wide % n as u128) as u64,
+            "{wide} mod {n}"
+        );
+        assert_eq!(r.mul(a, b), mul_ref(a, b, n), "{a} * {b} mod {n}");
+        let (ca, cb) = (a % n, b % n);
+        assert_eq!(r.add(ca, cb), add_ref(ca, cb, n), "{ca} + {cb} mod {n}");
+        assert_eq!(r.sub(ca, cb), sub_ref(ca, cb, n), "{ca} - {cb} mod {n}");
+    }
+
+    /// Both reducers for `n`: the one `by_modulus!` picks and, for the
+    /// Mersenne field, the generic one it passes over.
+    fn check_reducers(n: u64, a: u64, b: u64, wide: u128) {
+        by_modulus!(n, |r| check_reducer(r, a, b, wide));
+        check_reducer(Generic::new(n), a, b, wide);
+    }
+
+    #[test]
+    fn fast_paths_match_reference_on_edge_operands() {
+        for n in MODULI {
+            for a in edges(n) {
+                for b in edges(n) {
+                    check_scalars(a, b, n);
+                    let wide = (a as u128) << 64 | b as u128;
+                    check_reducers(n, a, b, wide);
+                    check_reducers(n, a, b, a as u128 * b as u128);
+                }
+            }
+            check_reducers(n, 0, 0, u128::MAX);
+        }
+    }
+
+    #[test]
+    fn lazy_bounds_cannot_overflow() {
+        fn check<R: Reducer>(r: R) {
+            let top = r.modulus() - 1;
+            // A canonical accumulator plus `lazy_addends` canonical addends.
+            let addends = r.lazy_addends() as u128 + 1;
+            assert!(addends * top as u128 <= u64::MAX as u128, "n={}", top + 1);
+            let products = r.lazy_products() as u128;
+            assert!((top as u128 * top as u128).checked_mul(products).is_some());
+        }
+        for n in MODULI {
+            by_modulus!(n, |r| check(r));
+        }
+        assert_eq!(Generic::new(u64::MAX - 58).lazy_addends(), 0);
+        assert!(Generic::new(113).lazy_addends() > 1 << 50);
+    }
+
+    /// Column `j` of a kernel fixture: canonical values that reach `n − 1`.
+    fn column(j: usize, len: usize, n: u64) -> Vec<u64> {
+        let mut prg = crate::Prg::from_seed((j as u64 * 977).wrapping_add(n));
+        let mut col: Vec<u64> = (0..len).map(|_| prg.below(n)).collect();
+        if let Some(first) = col.first_mut() {
+            *first = n - 1;
+        }
+        col
+    }
+
+    #[test]
+    fn sum_columns_matches_per_element_reference() {
+        // Column counts straddle the Mersenne group of 7; lengths straddle
+        // the accumulator tile.
+        for n in MODULI {
+            for m in [0usize, 1, 7, 8, 15] {
+                for len in [0usize, 1, 7, 8, 9, 1023, SUM_TILE + 1] {
+                    for start in [0usize, 3] {
+                        let cols: Vec<Vec<u64>> =
+                            (0..m).map(|j| column(j, start + len, n)).collect();
+                        let refs: Vec<&[u64]> = cols.iter().map(|c| c.as_slice()).collect();
+                        let mut out = vec![u64::MAX; len];
+                        sum_columns_mod(&refs, start, n, &mut out);
+                        for (i, &got) in out.iter().enumerate() {
+                            let want = cols.iter().fold(0, |acc, c| add_ref(acc, c[start + i], n));
+                            assert_eq!(got, want, "n={n} m={m} len={len} start={start} i={i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mul_assign_matches_reference_on_unreduced_operands() {
+        for n in MODULI {
+            let lhs = edges(n);
+            for &b in &edges(n) {
+                let mut out = lhs.clone();
+                mul_assign_mod(&mut out, &vec![b; lhs.len()], n);
+                for (&a, &got) in lhs.iter().zip(&out) {
+                    assert_eq!(got, mul_ref(a, b, n), "{a} * {b} mod {n}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn prop_fast_paths_match_reference(a: u64, b: u64, hi: u64, pick in 0usize..MODULI.len(), any_n in 1u64..u64::MAX) {
+            for n in [MODULI[pick], any_n] {
+                check_scalars(a, b, n);
+                check_scalars(a % n, b % n, n);
+                check_reducers(n, a, b, (hi as u128) << 64 | a as u128);
+            }
+        }
+
+        #[test]
+        fn prop_sum_columns_matches_reference(
+            seed: u64,
+            m in 0usize..20,
+            len in 0usize..40,
+            pick in 0usize..MODULI.len(),
+        ) {
+            let n = MODULI[pick];
+            let cols: Vec<Vec<u64>> = (0..m).map(|j| column(j + seed as usize % 1000, len, n)).collect();
+            let refs: Vec<&[u64]> = cols.iter().map(|c| c.as_slice()).collect();
+            let mut out = vec![0u64; len];
+            sum_columns_mod(&refs, 0, n, &mut out);
+            for (i, &got) in out.iter().enumerate() {
+                prop_assert_eq!(got, cols.iter().fold(0, |acc, c| add_ref(acc, c[i], n)));
+            }
+        }
     }
 
     proptest! {

@@ -7,7 +7,18 @@
 //! splitmix64 (for seeding) and xoshiro256** (for the stream) — both public
 //! domain reference algorithms — and layer rejection sampling on top.
 
+use crate::arith::{by_modulus, Reducer};
 use serde::{Deserialize, Serialize};
+
+/// The largest raw draw rejection sampling below `bound` accepts: the `u64`
+/// range minus its final partial block of `bound` values.
+#[inline]
+pub(crate) fn rejection_zone(bound: u64) -> u64 {
+    // u64::MAX − (u64::MAX % bound + 1) % bound, with the second remainder
+    // replaced by a compare (the first is already < bound).
+    let r = u64::MAX % bound;
+    u64::MAX - if r + 1 == bound { 0 } else { r + 1 }
+}
 
 /// splitmix64 step: advances `state` and returns the next output.
 ///
@@ -67,12 +78,24 @@ impl Prg {
         if bound.is_power_of_two() {
             return self.next_u64() & (bound - 1);
         }
-        // Reject the final partial block of the u64 range.
-        let zone = u64::MAX - (u64::MAX % bound + 1) % bound;
+        let zone = rejection_zone(bound);
         loop {
             let v = self.next_u64();
             if v <= zone {
                 return v % bound;
+            }
+        }
+    }
+
+    /// [`Prg::below`] for loops: the caller hoists the reducer for `bound`
+    /// and its [`rejection_zone`]. Same draws, same rejections, same
+    /// values (a power-of-two bound has the whole range as its zone).
+    #[inline]
+    pub(crate) fn draw<R: Reducer>(&mut self, r: R, zone: u64) -> u64 {
+        loop {
+            let v = self.next_u64();
+            if v <= zone {
+                return r.reduce(v);
             }
         }
     }
@@ -98,9 +121,15 @@ impl Prg {
     /// across rounds.
     pub fn blinding_into(&mut self, out: &mut [u64], delta: u64) {
         assert!(delta >= 2, "delta must be at least 2");
-        for v in out.iter_mut() {
-            *v = self.range(1, delta);
-        }
+        // `range(1, delta)` per cell, with the bound's reducer and zone
+        // hoisted out of the loop.
+        let bound = delta - 1;
+        let zone = rejection_zone(bound);
+        by_modulus!(bound, |r| {
+            for v in out.iter_mut() {
+                *v = 1 + self.draw(r, zone);
+            }
+        })
     }
 
     /// Uniform `f64` in `[0, 1)` (53-bit mantissa precision).
@@ -112,6 +141,7 @@ impl Prg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MERSENNE_61;
     use proptest::prelude::*;
 
     #[test]
@@ -176,6 +206,30 @@ mod tests {
     }
 
     #[test]
+    fn below_mersenne_golden_stream() {
+        // Pinned at the commit before the zone and the reducer were
+        // hoisted out of the sharing loops: shares are reproducible across
+        // versions only if these never move.
+        let mut prg = Prg::from_seed(42);
+        let draws: Vec<u64> = (0..6).map(|_| prg.below(MERSENNE_61)).collect();
+        assert_eq!(
+            draws,
+            [
+                1546998764402558742,
+                73422665323461249,
+                1015371716180089254,
+                916673044686266536,
+                2154651913569459819,
+                364128774783586878
+            ]
+        );
+        assert_eq!(
+            Prg::from_seed(42).blinding_vector(8, 113),
+            [87, 79, 34, 82, 5, 9, 3, 8]
+        );
+    }
+
+    #[test]
     fn unit_f64_in_range() {
         let mut prg = Prg::from_seed(3);
         for _ in 0..1000 {
@@ -230,6 +284,37 @@ mod tests {
             rhs.blinding_into(&mut via_into, delta);
             prop_assert_eq!(via_vec, via_into);
             prop_assert_eq!(lhs.next_u64(), rhs.next_u64());
+        }
+
+        #[test]
+        fn prop_hoisted_draw_is_below(seed: u64, bound in 1u64..u64::MAX, small in 1u64..5000, shift in 0u32..64) {
+            // The loop form (hoisted zone + reducer) and the scalar form,
+            // rejection for rejection: arbitrary, small (δ-sized) and
+            // power-of-two bounds, and the Mersenne field.
+            for bound in [bound, small, 1 << shift, MERSENNE_61] {
+                prop_assert_eq!(
+                    rejection_zone(bound),
+                    u64::MAX - (u64::MAX % bound + 1) % bound
+                );
+                let mut scalar = Prg::from_seed(seed);
+                let mut hoisted = Prg::from_seed(seed);
+                let zone = rejection_zone(bound);
+                for _ in 0..8 {
+                    let want = scalar.below(bound);
+                    prop_assert_eq!(by_modulus!(bound, |r| hoisted.draw(r, zone)), want);
+                }
+                prop_assert_eq!(scalar.next_u64(), hoisted.next_u64());
+            }
+        }
+
+        #[test]
+        fn prop_blinding_is_range_per_cell(seed: u64, b in 0usize..64, delta in 2u64..100_000) {
+            let mut bulk = Prg::from_seed(seed);
+            let mut scalar = Prg::from_seed(seed);
+            let blinding = bulk.blinding_vector(b, delta);
+            let per_cell: Vec<u64> = (0..b).map(|_| scalar.range(1, delta)).collect();
+            prop_assert_eq!(blinding, per_cell);
+            prop_assert_eq!(bulk.next_u64(), scalar.next_u64());
         }
 
         #[test]

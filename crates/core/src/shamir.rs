@@ -7,8 +7,8 @@
 //! its evaluation point so interpolation never mis-pairs shares, and the
 //! default field is the Mersenne prime `2^61 − 1`.
 
-use crate::arith::{add_mod, inv_mod, mul_mod, sub_mod, MERSENNE_61};
-use crate::prg::Prg;
+use crate::arith::{add_mod, by_modulus, inv_mod, mul_mod, sub_mod, Reducer, MERSENNE_61};
+use crate::prg::{rejection_zone, Prg};
 use serde::{Deserialize, Serialize};
 
 /// A Shamir share: the evaluation `f(x)` of the sharing polynomial at a
@@ -139,26 +139,44 @@ impl ShamirCtx {
     /// values (the x is implied by the server index, saving 8 bytes/cell on
     /// the wire and in storage).
     ///
-    /// One coefficient buffer is reused across all secrets, so the loop
-    /// performs no per-cell allocation; the PRG draw order is identical to
-    /// calling [`ShamirCtx::share`] per secret.
+    /// The PRG draw order is identical to calling [`ShamirCtx::share`] per
+    /// secret, so the shares are too. The field's reducer and the rejection
+    /// zone are hoisted out of the loop, the outputs are sized up front, and
+    /// degree 1 — PRISM's — walks the evaluation points by addition
+    /// (`f(k) = f(k − 1) + a₁`) instead of evaluating Horner per point.
     pub fn share_vector(&self, secrets: &[u64], count: usize, prg: &mut Prg) -> Vec<Vec<u64>> {
         assert!(
             count > self.degree,
             "need more shares ({count}) than the degree ({})",
             self.degree
         );
-        let mut out = vec![Vec::with_capacity(secrets.len()); count];
-        let mut coeffs = vec![0u64; self.degree + 1];
-        for &s in secrets {
-            coeffs[0] = s % self.p;
-            for c in coeffs.iter_mut().skip(1) {
-                *c = prg.below(self.p);
+        // One zeroed allocation per column (`vec![column; count]` would copy
+        // the first into the rest).
+        let mut out: Vec<Vec<u64>> = (0..count).map(|_| vec![0u64; secrets.len()]).collect();
+        let zone = rejection_zone(self.p);
+        by_modulus!(self.p, |r| {
+            if self.degree == 1 {
+                for (i, &s) in secrets.iter().enumerate() {
+                    let a = prg.draw(r, zone);
+                    let mut y = r.reduce_rare(s);
+                    for col in out.iter_mut() {
+                        y = r.add(y, a);
+                        col[i] = y;
+                    }
+                }
+            } else {
+                let mut coeffs = vec![0u64; self.degree + 1];
+                for (i, &s) in secrets.iter().enumerate() {
+                    coeffs[0] = r.reduce(s);
+                    for c in coeffs.iter_mut().skip(1) {
+                        *c = prg.draw(r, zone);
+                    }
+                    for (k, col) in out.iter_mut().enumerate() {
+                        col[i] = self.eval_poly(&coeffs, (k + 1) as u64);
+                    }
+                }
             }
-            for (k, col) in out.iter_mut().enumerate() {
-                col.push(self.eval_poly(&coeffs, (k + 1) as u64));
-            }
-        }
+        });
         out
     }
 
@@ -186,18 +204,35 @@ impl ShamirCtx {
     }
 
     /// Flat reconstruction from raw per-server values `ys[k]` (points `k+1`)
-    /// using precomputed [`ShamirCtx::lagrange_at_zero`] weights: a single
-    /// multiply-accumulate pass, no allocation, no inversions. Hot-path-only
-    /// API — results are bit-identical to [`ShamirCtx::reconstruct_raw`].
+    /// using precomputed [`ShamirCtx::lagrange_at_zero`] weights: the
+    /// products are accumulated unreduced in a `u128` and reduced once, no
+    /// allocation, no inversions. Operands need not be reduced (the `ys`
+    /// come from servers). Hot-path-only API — results are bit-identical to
+    /// [`ShamirCtx::reconstruct_raw`].
     #[inline]
     pub fn reconstruct_raw_with(&self, ys: &[u64], lambda: &[u64]) -> u64 {
         assert_eq!(ys.len(), lambda.len(), "weights must match share count");
-        let p = self.p;
-        let mut secret = 0u64;
-        for (&y, &l) in ys.iter().zip(lambda) {
-            secret = add_mod(secret, mul_mod(y, l, p), p);
-        }
-        secret
+        by_modulus!(self.p, |r| dot(r, ys, lambda))
+    }
+
+    /// [`ShamirCtx::reconstruct_raw_with`] over whole columns:
+    /// `out[i] = Σ_k columns[k][i] · lambda[k]`, with the field's reducer
+    /// chosen once for the pass and the share count known at compile time
+    /// (so the per-cell sum is straight-line code). This is the owners'
+    /// finalize loop. Panics unless the columns have equal lengths.
+    pub fn reconstruct_columns_with<const K: usize>(
+        &self,
+        columns: [&[u64]; K],
+        lambda: &[u64; K],
+    ) -> Vec<u64> {
+        let cells = columns.first().map_or(0, |c| c.len());
+        assert!(
+            columns.iter().all(|c| c.len() == cells),
+            "share columns must have equal length"
+        );
+        by_modulus!(self.p, |r| (0..cells)
+            .map(|i| dot(r, &columns.map(|c| c[i]), lambda))
+            .collect())
     }
 
     /// Reconstruct from raw per-server values `ys[k]` sampled at
@@ -213,6 +248,22 @@ impl ShamirCtx {
             .collect();
         self.reconstruct(&shares)
     }
+}
+
+/// `Σ ys[k] · weights[k] mod n` for arbitrary operands: as many products as
+/// fit are summed unreduced in a `u128`, then reduced once.
+#[inline]
+fn dot<R: Reducer>(r: R, ys: &[u64], weights: &[u64]) -> u64 {
+    let group = r.lazy_products();
+    let mut total = 0u64;
+    for (ys, ws) in ys.chunks(group).zip(weights.chunks(group)) {
+        let mut acc = 0u128;
+        for (&y, &w) in ys.iter().zip(ws) {
+            acc += r.reduce_rare(y) as u128 * r.reduce_rare(w) as u128;
+        }
+        total = r.add(total, r.reduce_wide(acc));
+    }
+    total
 }
 
 #[cfg(test)]
@@ -350,6 +401,121 @@ mod tests {
                 let ys: Vec<u64> = shares.iter().map(|s| s.y).collect();
                 assert_eq!(c.reconstruct_raw_with(&ys, &lambda), c.reconstruct_raw(&ys));
                 assert_eq!(c.reconstruct_raw_with(&ys, &lambda), secret);
+            }
+        }
+    }
+
+    /// The Shamir field, the paper's small primes, and the largest `u64`
+    /// prime (where reduced sums overflow `u64`).
+    const FIELDS: [u64; 5] = [113, 227, 5003, MERSENNE_61, u64::MAX - 58];
+
+    #[test]
+    fn share_vector_golden_stream() {
+        // Pinned at the commit before the degree-1 fast path: same draws,
+        // same shares, including unreduced secrets.
+        let mut prg = Prg::from_seed(42);
+        let secrets = [0, 1, 2000, MERSENNE_61 - 1, u64::MAX];
+        assert_eq!(
+            ctx().share_vector(&secrets, 3, &mut prg),
+            [
+                [
+                    1546998764402558742,
+                    73422665323461250,
+                    1015371716180091254,
+                    916673044686266535,
+                    2154651913569459826
+                ],
+                [
+                    788154519591423533,
+                    146845330646922499,
+                    2030743432360180508,
+                    1833346089372533071,
+                    2003460817925225694
+                ],
+                [
+                    29310274780288324,
+                    220267995970383748,
+                    740272139326575811,
+                    444176124845105656,
+                    1852269722280991562
+                ]
+            ]
+        );
+    }
+
+    #[test]
+    fn share_vector_is_share_per_secret_in_every_field() {
+        let secrets = [0, 1, 112, 113, 5003, MERSENNE_61, u64::MAX - 58, u64::MAX];
+        for p in FIELDS {
+            for degree in 1..=3 {
+                for count in degree + 1..=5 {
+                    let c = ShamirCtx::new(p, degree);
+                    let mut bulk_prg = Prg::from_seed(p ^ count as u64);
+                    let mut scalar_prg = bulk_prg.clone();
+                    let vecs = c.share_vector(&secrets, count, &mut bulk_prg);
+                    for (i, &s) in secrets.iter().enumerate() {
+                        let shares = c.share(s, count, &mut scalar_prg);
+                        for k in 0..count {
+                            assert_eq!(vecs[k][i], shares[k].y, "p={p} d={degree} k={k} i={i}");
+                        }
+                    }
+                    assert_eq!(bulk_prg.next_u64(), scalar_prg.next_u64());
+                }
+            }
+        }
+    }
+
+    /// `Σ ys[k]·ws[k] mod p` one `u128` division at a time.
+    fn dot_ref(ys: &[u64], ws: &[u64], p: u64) -> u64 {
+        ys.iter().zip(ws).fold(0u64, |acc, (&y, &w)| {
+            let term = (y as u128 * w as u128) % p as u128;
+            ((acc as u128 + term) % p as u128) as u64
+        })
+    }
+
+    #[test]
+    fn flat_reconstruction_matches_reference_on_unreduced_operands() {
+        // 40 terms: past the 32 products the Mersenne path sums unreduced.
+        let mut prg = Prg::from_seed(9);
+        for p in FIELDS {
+            let c = ShamirCtx { p, degree: 1 };
+            for len in [1usize, 3, 32, 33, 40] {
+                let mut ys: Vec<u64> = (0..len).map(|_| prg.next_u64()).collect();
+                let mut ws: Vec<u64> = (0..len).map(|_| prg.below(p)).collect();
+                ys[0] = u64::MAX;
+                ws[0] = p - 1;
+                assert_eq!(
+                    c.reconstruct_raw_with(&ys, &ws),
+                    dot_ref(&ys, &ws, p),
+                    "p={p}"
+                );
+                ws[0] = u64::MAX;
+                assert_eq!(
+                    c.reconstruct_raw_with(&ys, &ws),
+                    dot_ref(&ys, &ws, p),
+                    "p={p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn column_reconstruction_is_flat_reconstruction_per_cell() {
+        let mut prg = Prg::from_seed(10);
+        for p in FIELDS {
+            let c = ShamirCtx { p, degree: 1 };
+            let lambda: [u64; 3] = c.lagrange_at_zero(3).try_into().unwrap();
+            for len in [0usize, 1, 7, 8, 9, 1023] {
+                let cols: Vec<Vec<u64>> = (0..3)
+                    .map(|_| (0..len).map(|_| prg.next_u64()).collect())
+                    .collect();
+                let out = c.reconstruct_columns_with([&cols[0], &cols[1], &cols[2]], &lambda);
+                assert_eq!(out.len(), len);
+                for (i, &got) in out.iter().enumerate() {
+                    let ys = [cols[0][i], cols[1][i], cols[2][i]];
+                    assert_eq!(got, dot_ref(&ys, &lambda, p), "p={p} i={i}");
+                    assert_eq!(got, c.reconstruct_raw_with(&ys, &lambda));
+                }
             }
         }
     }

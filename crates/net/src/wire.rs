@@ -199,10 +199,21 @@ fn decode_tamper(buf: &mut &[u8]) -> Result<Tamper, WireError> {
     })
 }
 
+/// Values converted per `put_slice` in [`put_vec`]: a 4 KiB stack block.
+const PUT_VEC_BLOCK: usize = 512;
+
 fn put_vec(buf: &mut BytesMut, data: &[u64]) {
+    buf.reserve(8 + data.len() * 8);
     buf.put_u64_le(data.len() as u64);
-    for &v in data {
-        buf.put_u64_le(v);
+    // Convert a block of values on the stack, then append it whole: one
+    // capacity check and one copy per block instead of per value.
+    let mut block = [0u8; PUT_VEC_BLOCK * 8];
+    for values in data.chunks(PUT_VEC_BLOCK) {
+        let bytes = &mut block[..values.len() * 8];
+        for (dst, v) in bytes.chunks_exact_mut(8).zip(values) {
+            dst.copy_from_slice(&v.to_le_bytes());
+        }
+        buf.put_slice(bytes);
     }
 }
 

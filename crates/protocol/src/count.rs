@@ -104,21 +104,20 @@ pub fn owner_verify_count_bound(
     complement: (&[u64], &[u64]),
     op: &OwnerParams,
 ) -> Result<usize> {
-    use prism_core::arith::mul_mod;
+    use prism_core::arith::mul_assign_mod;
     if complement.0.len() != op.b || complement.1.len() != op.b {
         return Err(ProtocolError::ParameterMismatch(
             "complement vectors have wrong length".into(),
         ));
     }
-    let fop_a = psi::owner_combine(copy_a.0, copy_a.1, op)?;
-    for i in 0..op.b {
-        let v = mul_mod(complement.0[i] % op.eta, complement.1[i] % op.eta, op.eta);
-        if mul_mod(fop_a[i] % op.eta, v, op.eta) != 1 {
-            return Err(ProtocolError::VerificationFailed {
-                operation: "psi-count (complement binding)",
-                cell: i,
-            });
-        }
+    let mut check = psi::owner_combine(copy_a.0, copy_a.1, op)?;
+    mul_assign_mod(&mut check, complement.0, op.eta);
+    mul_assign_mod(&mut check, complement.1, op.eta);
+    if let Some(cell) = check.iter().position(|&c| c != 1) {
+        return Err(ProtocolError::VerificationFailed {
+            operation: "psi-count (complement binding)",
+            cell,
+        });
     }
     owner_verify_count(copy_a, copy_b, op)
 }

@@ -1018,6 +1018,17 @@ mod tests {
             }
             other => panic!("expected counts, got {other:?}"),
         }
+        // Repeated aggregates: a column moves into its last taker only, so
+        // the earlier takers (and the average between them) still see it.
+        let repeats = QueryBatch::new()
+            .count_tuples()
+            .sum(0)
+            .avg(0)
+            .sum(0)
+            .count_tuples();
+        let (again, _) = c.psi_query_batch(&repeats).unwrap();
+        let expected = [3, 0, 1, 0, 3].map(|i: usize| results[i].clone());
+        assert_eq!(again, expected);
     }
 
     #[test]

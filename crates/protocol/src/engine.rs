@@ -433,8 +433,15 @@ pub type RangeVersion = (u64, u64, u64);
 
 /// Per-owner share columns stored at one server (the owner uploads these
 /// in Phase 1; Table 11's layout).
-#[derive(Debug, Default)]
+///
+/// **Stored shares are canonical**: every write reduces the incoming
+/// values into their column's ring (`Z_δ` for the additive indicator
+/// columns, `F_p` for the Shamir ones), once, so the scan kernels add them
+/// without reducing ([`prism_core::arith::sum_columns_mod`]).
+#[derive(Debug)]
 pub struct ColumnStore {
+    delta: u64,
+    p: u64,
     ok: Vec<Vec<u64>>,
     v_ok: Vec<Vec<u64>>,
     ok_db1: Vec<Vec<u64>>,
@@ -453,6 +460,36 @@ pub struct ColumnStore {
 }
 
 impl ColumnStore {
+    /// An empty store for a server with these parameters.
+    pub fn new(sp: &ServerParams) -> ColumnStore {
+        ColumnStore {
+            delta: sp.delta,
+            p: sp.field.p,
+            ok: Vec::new(),
+            v_ok: Vec::new(),
+            ok_db1: Vec::new(),
+            ok_db2: Vec::new(),
+            a_ok: Vec::new(),
+            agg: Vec::new(),
+            v_agg: Vec::new(),
+            epochs: Vec::new(),
+        }
+    }
+
+    /// Reduce incoming shares into `column`'s ring. Honest uploads already
+    /// are, so the remainder runs only for values that are not.
+    fn canonicalise(&self, column: Column, data: &mut [u64]) {
+        let n = match column {
+            Column::Ok | Column::VOk | Column::OkDb1 | Column::OkDb2 => self.delta,
+            Column::Agg(_) | Column::VAgg(_) | Column::AOk => self.p,
+        };
+        for v in data.iter_mut() {
+            if *v >= n {
+                *v %= n;
+            }
+        }
+    }
+
     fn slot(&mut self, column: Column) -> &mut Vec<Vec<u64>> {
         fn attr_slot(cols: &mut Vec<Vec<Vec<u64>>>, a: u8) -> &mut Vec<Vec<u64>> {
             if cols.len() <= a as usize {
@@ -474,7 +511,8 @@ impl ColumnStore {
     /// Store one owner's share vector for `column`, bumping the store
     /// version (every epoch's stamp — a full-column write dirties the
     /// whole store).
-    pub fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
+    pub fn store(&mut self, owner: usize, column: Column, mut data: Vec<u64>) {
+        self.canonicalise(column, &mut data);
         let len = data.len() as u64;
         let slot = self.slot(column);
         if slot.len() <= owner {
@@ -496,7 +534,8 @@ impl ColumnStore {
     /// stamps; the caller bumps exactly once per owner-delta via
     /// [`ColumnStore::bump_range`] after appending every column it
     /// carries.
-    pub fn append(&mut self, owner: usize, column: Column, data: Vec<u64>, start: usize) {
+    pub fn append(&mut self, owner: usize, column: Column, mut data: Vec<u64>, start: usize) {
+        self.canonicalise(column, &mut data);
         let slot = self.slot(column);
         if slot.len() <= owner {
             slot.resize(owner + 1, Vec::new());
@@ -622,8 +661,8 @@ impl ServerNode {
     /// A node with empty storage and honest behaviour.
     pub fn new(params: ServerParams) -> ServerNode {
         ServerNode {
+            store: ColumnStore::new(&params),
             params,
-            store: ColumnStore::default(),
             tamper: Tamper::Honest,
             psu_rand: std::sync::OnceLock::new(),
             power_table: std::sync::OnceLock::new(),
@@ -1371,13 +1410,14 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
     }
 
     /// Issue the same batch of stored-column items to each listed server
-    /// (with per-server auxiliary vectors from `zs_for`) in one round;
-    /// returns, per server, the per-item outputs.
+    /// (with per-server auxiliary vectors from `zs_for`, called once per
+    /// server so it can hand over owned vectors) in one round; returns,
+    /// per server, the per-item outputs.
     pub fn query(
         &mut self,
         servers: &[usize],
         items: &[BatchItem],
-        zs_for: impl Fn(usize) -> Vec<Vec<u64>>,
+        mut zs_for: impl FnMut(usize) -> Vec<Vec<u64>>,
     ) -> Result<Vec<Vec<Vec<u64>>>> {
         let threads = self.threads as u32;
         let range = self.range;

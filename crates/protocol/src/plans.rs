@@ -28,6 +28,7 @@ use crate::sum;
 use crate::tables::share_payload;
 use prism_core::wide::WideVec;
 use prism_core::{PolyTable, Prg, ProductDomain};
+use std::mem::take;
 
 /// The two additive servers (round-1 ops).
 const ADDITIVE: [usize; 2] = [0, 1];
@@ -193,6 +194,10 @@ impl Operation for CountVerified {
 /// Round 1 + z preparation shared by every §6 aggregation: run PSI, turn
 /// `fop` into the 0/1 `z` vector, and Shamir-share it (one share vector
 /// per server, derived from `seed`).
+///
+/// Every plan sends each server its z-share exactly once, so the round-2
+/// `zs_for` closures *move* the vectors out (`mem::take`) instead of
+/// copying 8·b bytes per server on the owner thread.
 fn psi_then_z<X: ServerExec>(
     ctx: &mut Ctx<'_, X>,
     seed: u64,
@@ -228,9 +233,9 @@ impl Operation for Sum {
     type Output = Vec<u64>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<u64>> {
-        let (_, zs) = psi_then_z(ctx, self.seed)?;
+        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
         let items = [BatchItem::with_z(QueryOp::Sum(self.attr), 0)];
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| vec![take(&mut zs[k])])?;
         let op = ctx.params();
         ctx.try_owner_step(|| finalize_col(&outs, 0, op))
     }
@@ -250,13 +255,13 @@ impl Operation for SumMulti {
     type Output = Vec<Vec<u64>>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<Vec<u64>>> {
-        let (_, zs) = psi_then_z(ctx, self.seed)?;
+        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
         let items: Vec<BatchItem> = self
             .attrs
             .iter()
             .map(|&a| BatchItem::with_z(QueryOp::Sum(a), 0))
             .collect();
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| vec![take(&mut zs[k])])?;
         let op = ctx.params();
         ctx.try_owner_step(|| {
             (0..self.attrs.len())
@@ -282,7 +287,7 @@ impl Operation for SumVerified {
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<u64>> {
         let outcome = Psi.execute(ctx)?;
         let op = ctx.params();
-        let (zs, zps) = ctx.owner_step(|| {
+        let (mut zs, mut zps) = ctx.owner_step(|| {
             let z = sum::owner_build_z(&outcome.fop);
             let mut prg = Prg::from_seed(self.seed);
             let z_shares = share_payload(&z, &op.field, &mut prg).shares;
@@ -295,7 +300,9 @@ impl Operation for SumVerified {
             BatchItem::with_z(QueryOp::Sum(self.attr), 0),
             BatchItem::with_z(QueryOp::SumVerify(self.attr), 1),
         ];
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone(), zps[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| {
+            vec![take(&mut zs[k]), take(&mut zps[k])]
+        })?;
         ctx.try_owner_step(|| {
             let primary = finalize_col(&outs, 0, op)?;
             let verification = finalize_col(&outs, 1, op)?;
@@ -318,12 +325,12 @@ impl Operation for Average {
     type Output = Vec<AvgCell>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<AvgCell>> {
-        let (_, zs) = psi_then_z(ctx, self.seed)?;
+        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
         let items = [
             BatchItem::with_z(QueryOp::Sum(self.attr), 0),
             BatchItem::with_z(QueryOp::SumCounts, 0),
         ];
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| vec![take(&mut zs[k])])?;
         let op = ctx.params();
         ctx.try_owner_step(|| {
             let sums = finalize_col(&outs, 0, op)?;
@@ -407,7 +414,7 @@ impl Operation for Batch<'_> {
     type Output = Vec<AggResult>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<AggResult>> {
-        let (_, zs) = psi_then_z(ctx, self.seed)?;
+        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
         // Dedup the server passes: one Sum(attr) item per distinct
         // attribute, at most one SumCounts item, whatever the aggs ask.
         let mut items: Vec<BatchItem> = Vec::new();
@@ -428,32 +435,47 @@ impl Operation for Batch<'_> {
         if items.is_empty() {
             return Ok(Vec::new());
         }
-        let outs = ctx.query(&SHAMIR, &items, |k| vec![zs[k].clone()])?;
+        let outs = ctx.query(&SHAMIR, &items, |k| vec![take(&mut zs[k])])?;
         let op = ctx.params();
         ctx.try_owner_step(|| {
-            let finalized: Vec<Vec<u64>> = (0..items.len())
+            let mut finalized: Vec<Vec<u64>> = (0..items.len())
                 .map(|col| finalize_col(&outs, col, op))
                 .collect::<Result<_>>()?;
-            let sum_of = |a: u8| -> &Vec<u64> {
-                let (_, col) = sum_col.iter().find(|&&(attr, _)| attr == a).unwrap();
-                &finalized[*col]
+            // The finalized column an aggregate hands out as-is (averages
+            // derive fresh cells and only read).
+            let col_of = |agg: &Aggregate| match *agg {
+                Aggregate::Sum(a) => sum_col.iter().find(|&&(attr, _)| attr == a).map(|c| c.1),
+                Aggregate::CountTuples => counts_col,
+                Aggregate::Avg(_) => None,
             };
-            self.batch
-                .aggs
+            let aggs = &self.batch.aggs;
+            // Averages first, while every column is still in place ...
+            let mut results: Vec<Option<AggResult>> = aggs
                 .iter()
-                .map(|agg| {
-                    Ok(match *agg {
-                        Aggregate::Sum(a) => AggResult::Sums(sum_of(a).clone()),
-                        Aggregate::Avg(a) => {
-                            let counts = &finalized[counts_col.unwrap()];
-                            AggResult::Avg(average::cells_from(sum_of(a), counts))
-                        }
-                        Aggregate::CountTuples => {
-                            AggResult::Counts(finalized[counts_col.unwrap()].clone())
-                        }
-                    })
+                .map(|agg| match *agg {
+                    Aggregate::Avg(a) => {
+                        let sums = &finalized[col_of(&Aggregate::Sum(a)).unwrap()];
+                        let counts = &finalized[counts_col.unwrap()];
+                        Some(AggResult::Avg(average::cells_from(sums, counts)))
+                    }
+                    _ => None,
                 })
-                .collect()
+                .collect();
+            // ... then each column moves into its last taker; only an
+            // aggregate repeated later in the batch still copies.
+            for (i, agg) in aggs.iter().enumerate() {
+                let Some(col) = col_of(agg) else { continue };
+                let values = if aggs[i + 1..].iter().any(|later| col_of(later) == Some(col)) {
+                    finalized[col].clone()
+                } else {
+                    take(&mut finalized[col])
+                };
+                results[i] = Some(match agg {
+                    Aggregate::CountTuples => AggResult::Counts(values),
+                    _ => AggResult::Sums(values),
+                });
+            }
+            Ok(results.into_iter().flatten().collect())
         })
     }
 }

@@ -21,7 +21,7 @@
 use crate::chunk::fill_chunks;
 use crate::error::{ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams};
-use prism_core::arith::{mul_mod, sub_mod};
+use prism_core::arith::{mul_assign_mod, sub_mod, sum_columns_mod};
 
 /// Validate that `m` owner share vectors of length `b` arrived.
 fn check_shape(owner_shares: &[&[u64]], m: usize, b: usize) -> Result<()> {
@@ -40,23 +40,6 @@ fn check_shape(owner_shares: &[&[u64]], m: usize, b: usize) -> Result<()> {
         }
     }
     Ok(())
-}
-
-/// Per-cell share-sum across owners, reduced mod δ — the `⊕_j` of
-/// Equation 3, chunk-parallel. Shares are already reduced, so the running
-/// sum fits u64 for any realistic m (m · δ ≪ 2^64); we reduce once per add
-/// with a branch-free conditional subtract when possible.
-fn sum_shares_mod(owner_shares: &[&[u64]], delta: u64, threads: usize, out: &mut [u64]) {
-    fill_chunks(out, threads, |start, chunk| {
-        chunk.fill(0);
-        for shares in owner_shares {
-            let src = &shares[start..start + chunk.len()];
-            for (a, &s) in chunk.iter_mut().zip(src) {
-                let t = *a + (s % delta);
-                *a = if t >= delta { t - delta } else { t };
-            }
-        }
-    });
 }
 
 /// Validate the caller-supplied power table and output buffer for the
@@ -107,8 +90,10 @@ pub fn server_psi_round_into(
 ) -> Result<()> {
     check_shape(owner_shares, sp.m, sp.b)?;
     check_buffers(table, out, sp)?;
-    sum_shares_mod(owner_shares, sp.delta, threads, out);
-    fill_chunks(out, threads, |_, chunk| {
+    fill_chunks(out, threads, |start, chunk| {
+        // ⊕_j over the (canonical) owner shares, then ⊖ A(m)^φ and the
+        // table lookup while the chunk is still in cache.
+        sum_columns_mod(owner_shares, start, sp.delta, chunk);
         for v in chunk.iter_mut() {
             *v = table[sub_mod(*v, sp.m_share, sp.delta) as usize];
         }
@@ -140,8 +125,8 @@ pub fn server_psi_verify_round_into(
 ) -> Result<()> {
     check_shape(complement_shares, sp.m, sp.b)?;
     check_buffers(table, out, sp)?;
-    sum_shares_mod(complement_shares, sp.delta, threads, out);
-    fill_chunks(out, threads, |_, chunk| {
+    fill_chunks(out, threads, |start, chunk| {
+        sum_columns_mod(complement_shares, start, sp.delta, chunk);
         for v in chunk.iter_mut() {
             *v = table[*v as usize];
         }
@@ -160,11 +145,9 @@ pub fn owner_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec
             op.b
         )));
     }
-    Ok(out1
-        .iter()
-        .zip(out2)
-        .map(|(&a, &b)| mul_mod(a % op.eta, b % op.eta, op.eta))
-        .collect())
+    let mut fop = out1.to_vec();
+    mul_assign_mod(&mut fop, out2, op.eta);
+    Ok(fop)
 }
 
 /// Decode membership from `fop`: common ⟺ value 1.
@@ -194,19 +177,16 @@ pub fn owner_verify(fop: &[u64], vout1: &[u64], vout2: &[u64], op: &OwnerParams)
     // Un-permute: owners permuted χ̄ with PF_db1 before sharing, so the
     // server outputs arrive in permuted order (pvout ← PF_db1⁻¹(vout)).
     let inv = op.pf_db1.inverse();
-    let pv1 = inv.apply(vout1);
-    let pv2 = inv.apply(vout2);
-    for i in 0..op.b {
-        let r2 = mul_mod(pv1[i] % op.eta, pv2[i] % op.eta, op.eta);
-        let check = mul_mod(fop[i] % op.eta, r2, op.eta);
-        if check != 1 {
-            return Err(ProtocolError::VerificationFailed {
-                operation: "psi",
-                cell: i,
-            });
-        }
+    let mut check = inv.apply(vout1);
+    mul_assign_mod(&mut check, &inv.apply(vout2), op.eta);
+    mul_assign_mod(&mut check, fop, op.eta);
+    match check.iter().position(|&c| c != 1) {
+        Some(cell) => Err(ProtocolError::VerificationFailed {
+            operation: "psi",
+            cell,
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 use crate::chunk::fill_chunks;
 use crate::error::{ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams};
-use prism_core::arith::{add_mod, mul_mod};
+use prism_core::arith::{mul_assign_mod, sum_columns_mod};
 use prism_core::Prg;
 
 /// This server's slice of the shared blinding stream: `rand[]` must be
@@ -109,17 +109,8 @@ pub fn server_psu_round_into(
         )));
     }
     fill_chunks(out, threads, |start, chunk| {
-        chunk.fill(0);
-        for shares in owner_shares {
-            let src = &shares[start..start + chunk.len()];
-            for (a, &s) in chunk.iter_mut().zip(src) {
-                let t = *a + (s % sp.delta);
-                *a = if t >= sp.delta { t - sp.delta } else { t };
-            }
-        }
-        for (off, v) in chunk.iter_mut().enumerate() {
-            *v = mul_mod(*v, rand[start + off], sp.delta);
-        }
+        sum_columns_mod(owner_shares, start, sp.delta, chunk);
+        mul_assign_mod(chunk, &rand[start..start + chunk.len()], sp.delta);
     });
     Ok(())
 }
@@ -132,11 +123,9 @@ pub fn owner_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec
             "PSU outputs have wrong length".into(),
         ));
     }
-    Ok(out1
-        .iter()
-        .zip(out2)
-        .map(|(&a, &b)| add_mod(a, b, op.delta))
-        .collect())
+    let mut combined = vec![0u64; op.b];
+    prism_core::reconstruct2_into(out1, out2, op.delta, &mut combined);
+    Ok(combined)
 }
 
 /// Decode union membership: present ⟺ non-zero.

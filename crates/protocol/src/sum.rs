@@ -33,7 +33,7 @@
 use crate::chunk::fill_chunks;
 use crate::error::{ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams, SHAMIR_SERVERS};
-use prism_core::arith::{add_mod, mul_mod};
+use prism_core::arith::{mul_assign_mod, sum_columns_mod};
 
 /// Round-2 computation at server φ (Equation 11).
 ///
@@ -93,17 +93,9 @@ pub fn server_sum_round_into(
     }
     let p = sp.field.p;
     fill_chunks(out, threads, |start, chunk| {
-        chunk.fill(0);
         // Per-cell sum of owner payload shares, then one multiply by z.
-        for shares in payload_shares {
-            let src = &shares[start..start + chunk.len()];
-            for (a, &s) in chunk.iter_mut().zip(src) {
-                *a = add_mod(*a, s, p);
-            }
-        }
-        for (off, v) in chunk.iter_mut().enumerate() {
-            *v = mul_mod(*v, z_shares[start + off], p);
-        }
+        sum_columns_mod(payload_shares, start, p, chunk);
+        mul_assign_mod(chunk, &z_shares[start..start + chunk.len()], p);
     });
     Ok(())
 }
@@ -128,15 +120,12 @@ pub fn owner_finalize(outputs: [&[u64]; SHAMIR_SERVERS], op: &OwnerParams) -> Re
     // inverses once and reduce each cell to a flat multiply-accumulate
     // (bit-identical to per-cell `reconstruct_raw`, which recomputed the
     // weights — inversions included — for every cell).
-    let lambda = op.field.lagrange_at_zero(SHAMIR_SERVERS);
-    let mut sums = Vec::with_capacity(b);
-    for i in 0..b {
-        sums.push(
-            op.field
-                .reconstruct_raw_with(&[outputs[0][i], outputs[1][i], outputs[2][i]], &lambda),
-        );
-    }
-    Ok(sums)
+    let lambda: [u64; SHAMIR_SERVERS] = op
+        .field
+        .lagrange_at_zero(SHAMIR_SERVERS)
+        .try_into()
+        .expect("one weight per server");
+    Ok(op.field.reconstruct_columns_with(outputs, &lambda))
 }
 
 /// Owner-side verification: the verification vector (still in `PF_db1`

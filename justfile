@@ -2,7 +2,7 @@
 # Everything works fully offline: external deps are vendored under vendor/.
 
 # Run the standard verification suite (what CI runs).
-ci: fmt-check clippy build test doc bench-check
+ci: fmt-check clippy build test test-release doc bench-check
 
 # Build every workspace target in release mode.
 build:
@@ -11,6 +11,12 @@ build:
 # Run unit tests, integration suites, and doctests.
 test:
     cargo test -q --workspace
+
+# The arithmetic suites again, optimised: the division-free fast paths
+# rest on `debug_assert!`ed invariants (checked by `test`) and on wrapping
+# overflow (how the shipped build behaves), so both profiles must pass.
+test-release:
+    cargo test --release -q -p prism_core -p prism_protocol
 
 # Formatting gate.
 fmt-check:
