@@ -6,17 +6,17 @@
 //! no-server-communication property of §3.2 holds by construction, and
 //! the per-link meters show exactly what crossed each edge.
 //!
-//! Since PR 3 a domain is **sharded**: behind the owner-facing link sits a
-//! domain router thread that owns `k ≥ 1` row-range shard workers, each a
-//! plain engine [`ServerNode`] over its own metered link (so a worker can
-//! move to another process or machine without touching protocol code).
-//! The router splits Phase-1 uploads and every [`Message::RunBatch`] by
-//! rows ([`ShardPlan`]), fans the sub-batches out as shard-tagged
-//! [`Message::ShardRun`] envelopes, and merges the shard rows back with
-//! [`prism_protocol::shard::merge_shard_outputs`] — applying the domain's
-//! tampering behaviour and finish permutations *server-side*, where
-//! `PF_s1`/`PF_s2` are allowed to live. The owner side never sees shard
-//! granularity in replies; it only meters it ([`NetReport`]).
+//! A domain is **sharded**: behind the owner-facing link sits a domain
+//! router thread (`crate::router`) that owns `k > 1` row-range shard
+//! workers, each a plain engine `ServerNode` over its own metered link
+//! (so a worker can move to another process or machine without touching
+//! protocol code). The constructors here wire that topology statically —
+//! a fixed-membership, unreplicated routing state handed to the same
+//! router and node loops the attachable deployment
+//! ([`crate::registry::ClusterListener`]) runs; with `k = 1` there is no
+//! router at all and the one node loop sits directly behind the owner
+//! link. The owner side never sees shard granularity in replies; it only
+//! meters it ([`NetReport`]).
 //!
 //! Since PR 4 the **announcer is a fourth networked node**: a thread
 //! holding only [`AnnouncerParams`],
@@ -36,613 +36,27 @@
 //! tamper × operation verification matrix (server *and* announcer
 //! tampers).
 
-use crate::mux::{Admission, MuxLink, Pending, QueryId};
+use crate::mux::{Admission, MuxLink, QueryId};
+use crate::registry::NodeRegistry;
+use crate::router::{domain_loop, node_loop, reply, DomainState, WorkerSlot};
 use crate::transport::{channel_pair, Link, LinkStats, NetError, TcpLink};
-use crate::wire::{recycle_vecs, Column, Message};
+use crate::wire::{Column, Message};
 use parking_lot::RwLock;
 use prism_core::Permutation;
 use prism_protocol::cache::{CachedExec, PsiRoundCache};
 use prism_protocol::engine::{
-    Announcer, AnnouncerCmd, AnnouncerReply, BatchQuery, Engine, ExecMeters, Operation, QueryStats,
-    RoundOutcome, ServerCmd, ServerExec, ServerNode, ServerReply,
+    Announcer, AnnouncerCmd, AnnouncerReply, Engine, ExecMeters, Operation, QueryStats,
+    RoundOutcome, ServerCmd, ServerExec, ServerReply,
 };
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
 use prism_protocol::max::MaxCell;
 use prism_protocol::median::MedianCell;
-use prism_protocol::params::{
-    AnnouncerParams, ServerParams, Setup, ADDITIVE_SERVERS, SHAMIR_SERVERS,
-};
-use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan};
+use prism_protocol::params::{AnnouncerParams, Setup, ADDITIVE_SERVERS, SHAMIR_SERVERS};
 use prism_protocol::{average, plans, ProtocolError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
 use std::thread::JoinHandle;
-
-/// Answer the owner side: tagged when the request carried a query
-/// envelope (the reply must route back through the owner's multiplexer to
-/// that query's slot), plain otherwise.
-pub(crate) fn reply(link: &dyn Link, tag: Option<u64>, msg: Message) -> Result<(), NetError> {
-    let msg = match tag {
-        Some(t) => msg.tagged(t),
-        None => msg,
-    };
-    link.send(&msg)
-}
-
-/// Execute one wide command (max/median round) on `node` and answer the
-/// owner: a combined matrix goes to the announcer over the dedicated
-/// server→announcer link and the owner gets the shape receipt; an fpos
-/// table goes back on the owner link directly (claim shares are owner
-/// data). Any failure — node error, or a wide round at a server with no
-/// announcer edge — is reported as the zero receipt / empty table, which
-/// the plans' shape checks turn into a protocol error at the owner
-/// (servers are malicious in this threat model; they must not panic or
-/// hang the owner).
-///
-/// Ordering matters under concurrency: the `WideUpload` is sent *before*
-/// the owner's receipt, so by the time any owner can quote `seq` in an
-/// `AnnounceRun`, that round's uploads are already in flight on the
-/// server→announcer edges — the announcer's drain can never wait on an
-/// upload that was not yet sent. The upload itself stays untagged: its
-/// `seq` (not a `QueryId`) is what pairs it at the announcer.
-pub(crate) fn run_wide(
-    node: &ServerNode,
-    cmd: ServerCmd,
-    seq: u64,
-    tag: Option<u64>,
-    owner_link: &dyn Link,
-    announcer: Option<&dyn Link>,
-) -> Result<(), NetError> {
-    if matches!(cmd, ServerCmd::AssembleFpos { .. }) {
-        let outs = match node.execute(&cmd) {
-            Ok(ServerReply::Fpos(f)) => f,
-            _ => Vec::new(),
-        };
-        return reply(owner_link, tag, Message::Fpos(outs));
-    }
-    match (node.execute(&cmd), announcer) {
-        (Ok(ServerReply::Wide(w)), Some(ann)) => {
-            let (rows, width) = (w.rows() as u64, w.width as u32);
-            ann.send(&Message::WideUpload {
-                server: node.params().server_id as u32,
-                seq,
-                shares: w,
-            })?;
-            reply(owner_link, tag, Message::WideForwarded { rows, width, seq })
-        }
-        _ => reply(
-            owner_link,
-            tag,
-            Message::WideForwarded {
-                rows: 0,
-                width: 0,
-                seq,
-            },
-        ),
-    }
-}
-
-/// Run a stored-column batch on a node, flattening failures to the empty
-/// output list (the engine's reply-shape check rejects it as a
-/// `MalformedResponse` at the owner — servers are malicious in this
-/// threat model and must not panic or hang the owner).
-pub(crate) fn run_batch_on(node: &ServerNode, batch: BatchQuery) -> Vec<Vec<u64>> {
-    let cmd = ServerCmd::Run(batch);
-    let outs = match node.execute(&cmd) {
-        Ok(ServerReply::Vectors(outs)) => outs,
-        _ => Vec::new(),
-    };
-    // The decoded z buffers are dead once the kernels ran; hand them back
-    // to the wire pool so the next round's decode allocates nothing.
-    if let ServerCmd::Run(batch) = cmd {
-        recycle_vecs(batch.zs);
-    }
-    outs
-}
-
-/// Decode a delta upload's permutation extensions: empty maps mean
-/// identity blocks (`None`); malformed maps poison the delta, which the
-/// node then rejects (`Some` of an impossible zero-length pair would be
-/// wrong — instead the caller skips the apply).
-pub(crate) fn decode_perm_ext(
-    pf_s1_ext: Vec<u32>,
-    pf_s2_ext: Vec<u32>,
-) -> Result<Option<(Permutation, Permutation)>, ()> {
-    if pf_s1_ext.is_empty() && pf_s2_ext.is_empty() {
-        return Ok(None);
-    }
-    match (
-        Permutation::from_map(pf_s1_ext),
-        Permutation::from_map(pf_s2_ext),
-    ) {
-        (Some(e1), Some(e2)) => Ok(Some((e1, e2))),
-        _ => Err(()),
-    }
-}
-
-/// Run one shard worker's message loop until `Shutdown`: an engine
-/// [`ServerNode`] answering wire commands. Workers answer both the plain
-/// [`Message::RunBatch`] and the shard-tagged [`Message::ShardRun`]
-/// envelope (echoing the shard index so the router can detect crossed
-/// links). An additive server domain additionally holds the
-/// server→announcer `announcer` link for the wide (max/median) rounds;
-/// shard workers behind a router hold `None` — their router fronts the
-/// announcer edge for the whole domain.
-///
-/// **Concurrency.** Query rounds (`RunBatch`, `ShardRun`, the wide
-/// commands) are served on spawned worker threads holding a read lock on
-/// the node, so N queries multiplexed over this link compute in
-/// parallel; each reply carries the request's query tag, and the owner's
-/// per-link pump routes it to the right query. Store mutations (uploads,
-/// tamper control) take the write lock inline on the serving thread —
-/// the link's receive order is the linearization point, exactly as it
-/// was when the whole loop was sequential.
-pub(crate) fn server_loop(
-    params: ServerParams,
-    link: Box<dyn Link>,
-    announcer: Option<Box<dyn Link>>,
-) -> Result<(), NetError> {
-    let link: Arc<dyn Link> = Arc::from(link);
-    let announcer: Option<Arc<dyn Link>> = announcer.map(Arc::from);
-    let node = Arc::new(RwLock::new(ServerNode::new(params)));
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let (tag, msg) = link.recv()?.untag();
-        match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                node.write().store(owner as usize, column, data);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::BulkUpload { owner, columns } => {
-                let mut node = node.write();
-                for (column, data) in columns {
-                    node.store(owner as usize, column, data);
-                }
-                drop(node);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::DeltaUpload {
-                owner,
-                start,
-                columns,
-                pf_s1_ext,
-                pf_s2_ext,
-            } => {
-                // A malformed delta (bad maps, non-contiguous range) is
-                // simply not applied — the server stays on its previous
-                // store state, which verification then catches, exactly
-                // like any other misbehaving-server shape.
-                if let Ok(ext) = decode_perm_ext(pf_s1_ext, pf_s2_ext) {
-                    let _ = node.write().delta_upload(
-                        owner as usize,
-                        start as usize,
-                        columns,
-                        ext.as_ref().map(|(e1, e2)| (e1, e2)),
-                    );
-                }
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::SetTamper(t) => {
-                node.write().set_tamper(t);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::VersionProbe => {
-                let v = node.read().version();
-                reply(link.as_ref(), tag, Message::Version(v))?;
-            }
-            Message::RangeVersionProbe => {
-                let v = node.read().range_versions();
-                reply(link.as_ref(), tag, Message::Versions(v))?;
-            }
-            Message::Ping { seq } => {
-                // Statically wired nodes have no assignment generation;
-                // echo 0 so a registry-driven prober still sees life.
-                reply(link.as_ref(), tag, Message::Pong { seq, generation: 0 })?;
-            }
-            Message::RunBatch(batch) => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                workers.push(std::thread::spawn(move || {
-                    let outs = run_batch_on(&node.read(), batch);
-                    let _ = reply(link.as_ref(), tag, Message::Outputs(outs));
-                }));
-            }
-            Message::ShardRun { shard, batch } => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                workers.push(std::thread::spawn(move || {
-                    let outputs = run_batch_on(&node.read(), batch);
-                    let _ = reply(link.as_ref(), tag, Message::ShardOutputs { shard, outputs });
-                }));
-            }
-            Message::MaxCombine {
-                uploads,
-                threads,
-                seq,
-            } => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                let ann = announcer.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = run_wide(
-                        &node.read(),
-                        ServerCmd::MaxCombine { uploads, threads },
-                        seq,
-                        tag,
-                        link.as_ref(),
-                        ann.as_deref(),
-                    );
-                }));
-            }
-            Message::AssembleFpos { claims, threads } => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                let ann = announcer.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = run_wide(
-                        &node.read(),
-                        ServerCmd::AssembleFpos { claims, threads },
-                        0,
-                        tag,
-                        link.as_ref(),
-                        ann.as_deref(),
-                    );
-                }));
-            }
-            Message::Shutdown => {
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                return Ok(());
-            }
-            _ => {
-                // Reply-direction messages; ignore defensively.
-            }
-        }
-        workers.retain(|h| !h.is_finished());
-    }
-}
-
-/// Collect one `Ack` per pending shard round-trip.
-pub(crate) fn collect_acks(pendings: Vec<Pending>) -> Result<(), NetError> {
-    for p in pendings {
-        match p.recv()? {
-            Message::Ack => {}
-            _ => return Err(NetError::Disconnected),
-        }
-    }
-    Ok(())
-}
-
-/// Fan one batch out across the shard links and merge the rows back,
-/// correlating the round-trips with the router-local id `corr`. Any
-/// shard-side failure funnels to `None`; the router reports it as an
-/// empty output list, which the engine's reply-shape check turns into a
-/// `MalformedResponse` at the owner (servers are malicious in this threat
-/// model — a broken shard must not panic the owner).
-pub(crate) fn route_batch(
-    plan: &ShardPlan,
-    params: &ServerParams,
-    tamper: &Tamper,
-    batch: &BatchQuery,
-    shard_links: &[Arc<MuxLink>],
-    corr: u64,
-) -> Option<Vec<Vec<u64>>> {
-    let subs = plan.split_batch(batch).ok()?;
-    let mut pendings = Vec::with_capacity(shard_links.len());
-    for (i, (sub, link)) in subs.into_iter().zip(shard_links).enumerate() {
-        let pending = link.begin(corr).ok()?;
-        link.send(
-            corr,
-            Message::ShardRun {
-                shard: i as u32,
-                batch: sub,
-            },
-        )
-        .ok()?;
-        pendings.push(pending);
-    }
-    let mut per_shard = Vec::with_capacity(shard_links.len());
-    for (i, pending) in pendings.into_iter().enumerate() {
-        match pending.recv().ok()? {
-            Message::ShardOutputs { shard, outputs } if shard as usize == i => {
-                per_shard.push(outputs);
-            }
-            _ => return None, // crossed or malformed shard reply
-        }
-    }
-    merge_shard_outputs(&per_shard, batch, params, tamper).ok()
-}
-
-/// Run one domain's router loop until `Shutdown`: split uploads and
-/// batches by row range, forward to the shard workers, merge replies, and
-/// hold the domain-level tampering behaviour. Forwards `Shutdown` to the
-/// workers before exiting.
-///
-/// Wide (max/median) rounds never fan out: they are parameter-only — the
-/// owner-slot permutation `PF` and the wide width are identical on every
-/// shard and touch no stored columns — so the router answers them itself
-/// through `wide_node` (a storage-less [`ServerNode`] holding the *full*
-/// domain parameters) and fronts the domain's server→announcer edge,
-/// mirroring [`ShardedNode`](prism_protocol::shard::ShardedNode)'s
-/// in-process behaviour of answering wide commands at the domain level.
-///
-/// **Concurrency.** The router's shard links are themselves multiplexed
-/// ([`MuxLink`]): every shard round-trip — a fanned batch, a fanned
-/// version probe, a split upload — is correlated by a **router-local**
-/// id (high bit set, so it can never collide with an owner-minted
-/// `QueryId`), and tagged query rounds are served on spawned route tasks
-/// so N queries fan out over the same worker links concurrently. Uploads
-/// and tamper control stay inline on the serving thread: the owner
-/// link's receive order is their linearization point. The domain tamper
-/// is snapshotted at dispatch for the same reason.
-fn domain_loop(
-    params: ServerParams,
-    owner_link: Box<dyn Link>,
-    shard_links: Vec<Arc<MuxLink>>,
-    announcer: Option<Box<dyn Link>>,
-) -> Result<(), NetError> {
-    let owner_link: Arc<dyn Link> = Arc::from(owner_link);
-    let announcer: Option<Arc<dyn Link>> = announcer.map(Arc::from);
-    // Plan, parameter view, and the storage-less wide node all grow on a
-    // delta upload, so they live behind locks; round dispatch snapshots
-    // them (cheap `Arc` clones), keeping the owner link's receive order
-    // as the linearization point between growth and queries.
-    let plan = RwLock::new(ShardPlan::new(params.b, shard_links.len()));
-    let wide_node = RwLock::new(Arc::new(ServerNode::new(params.clone())));
-    let params = RwLock::new(Arc::new(params));
-    let shard_links = Arc::new(shard_links);
-    let tamper = RwLock::new(Tamper::Honest);
-    let corr = AtomicU64::new(1 << 63);
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let (tag, msg) = owner_link.recv()?.untag();
-        match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                let plan = plan.read().clone();
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                let mut pendings = Vec::with_capacity(shard_links.len());
-                for (part, link) in plan.split_rows(&data).into_iter().zip(shard_links.iter()) {
-                    pendings.push(link.begin(id)?);
-                    link.send(
-                        id,
-                        Message::Upload {
-                            owner,
-                            column,
-                            data: part.to_vec(),
-                        },
-                    )?;
-                }
-                collect_acks(pendings)?;
-                reply(owner_link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::BulkUpload { owner, columns } => {
-                let plan = plan.read().clone();
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                let mut pendings = Vec::with_capacity(shard_links.len());
-                for (spec, link) in plan.specs().iter().zip(shard_links.iter()) {
-                    let sliced: Vec<(Column, Vec<u64>)> = columns
-                        .iter()
-                        .map(|(c, data)| {
-                            let parts = plan.split_rows(data);
-                            (*c, parts[spec.index].to_vec())
-                        })
-                        .collect();
-                    pendings.push(link.begin(id)?);
-                    link.send(
-                        id,
-                        Message::BulkUpload {
-                            owner,
-                            columns: sliced,
-                        },
-                    )?;
-                }
-                collect_acks(pendings)?;
-                reply(owner_link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::DeltaUpload {
-                owner,
-                start,
-                columns,
-                pf_s1_ext,
-                pf_s2_ext,
-            } => {
-                let start = start as usize;
-                let added = columns.first().map(|(_, d)| d.len()).unwrap_or(0);
-                let target = if added == 0 {
-                    None
-                } else {
-                    let mut p = params.write();
-                    let mut plan_w = plan.write();
-                    let grown = if start == p.b {
-                        // Growth: the router holds the domain's real
-                        // finish permutations, so the extension blocks
-                        // concatenate here; the fixed worker set means
-                        // the last shard's range always extends.
-                        match decode_perm_ext(pf_s1_ext, pf_s2_ext) {
-                            Ok(ext) => {
-                                let (e1, e2) = match ext {
-                                    Some(pair) => pair,
-                                    None => {
-                                        (Permutation::identity(added), Permutation::identity(added))
-                                    }
-                                };
-                                if e1.len() == added && e2.len() == added {
-                                    let mut np = ServerParams::clone(&p);
-                                    np.pf_s1 = np.pf_s1.concat(&e1);
-                                    np.pf_s2 = np.pf_s2.concat(&e2);
-                                    np.b += added;
-                                    *plan_w = plan_w.append(added, false);
-                                    *wide_node.write() = Arc::new(ServerNode::new(np.clone()));
-                                    *p = Arc::new(np);
-                                    true
-                                } else {
-                                    false
-                                }
-                            }
-                            Err(()) => false,
-                        }
-                    } else {
-                        // Latest-epoch re-touch: no growth, the range must
-                        // already end at the domain boundary.
-                        start + added == p.b
-                    };
-                    grown
-                        .then(|| plan_w.specs().last().copied())
-                        .flatten()
-                        .filter(|spec| spec.start <= start)
-                        .map(|spec| (spec, columns))
-                };
-                if let Some((spec, columns)) = target {
-                    let id = corr.fetch_add(1, Ordering::Relaxed);
-                    let link = &shard_links[spec.index];
-                    let pending = link.begin(id)?;
-                    link.send(
-                        id,
-                        Message::DeltaUpload {
-                            owner,
-                            start: (start - spec.start) as u64,
-                            columns,
-                            pf_s1_ext: Vec::new(),
-                            pf_s2_ext: Vec::new(),
-                        },
-                    )?;
-                    collect_acks(vec![pending])?;
-                }
-                reply(owner_link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::SetTamper(t) => {
-                *tamper.write() = t;
-                reply(owner_link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::RunBatch(batch) => {
-                let plan = plan.read().clone();
-                let params = Arc::clone(&params.read());
-                let tamper_now = *tamper.read();
-                let shard_links = Arc::clone(&shard_links);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    let outs = route_batch(&plan, &params, &tamper_now, &batch, &shard_links, id)
-                        .unwrap_or_default();
-                    let _ = reply(owner_link.as_ref(), tag, Message::Outputs(outs));
-                }));
-            }
-            Message::RangeVersionProbe => {
-                // Concatenate the workers' range stamps in shard order —
-                // each worker reports in global row coordinates already
-                // (its `row_offset` is folded in), matching the
-                // in-process `ShardedNode` by construction.
-                let shard_links = Arc::clone(&shard_links);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    let probe = || -> Result<(), NetError> {
-                        let mut pendings = Vec::with_capacity(shard_links.len());
-                        for link in shard_links.iter() {
-                            pendings.push(link.begin(id)?);
-                            link.send(id, Message::RangeVersionProbe)?;
-                        }
-                        let mut stamps = Vec::new();
-                        for pending in pendings {
-                            match pending.recv()? {
-                                Message::Versions(v) => stamps.extend(v),
-                                _ => return Err(NetError::Disconnected),
-                            }
-                        }
-                        reply(owner_link.as_ref(), tag, Message::Versions(stamps))
-                    };
-                    let _ = probe();
-                }));
-            }
-            Message::VersionProbe => {
-                // The domain's version is the sum of its shard workers' —
-                // the same rule as the in-process `ShardedNode::version`,
-                // so the two sharded deployments agree by construction.
-                let shard_links = Arc::clone(&shard_links);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    let probe = || -> Result<(), NetError> {
-                        let mut pendings = Vec::with_capacity(shard_links.len());
-                        for link in shard_links.iter() {
-                            pendings.push(link.begin(id)?);
-                            link.send(id, Message::VersionProbe)?;
-                        }
-                        let mut version = 0u64;
-                        for pending in pendings {
-                            match pending.recv()? {
-                                Message::Version(v) => version += v,
-                                _ => return Err(NetError::Disconnected),
-                            }
-                        }
-                        reply(owner_link.as_ref(), tag, Message::Version(version))
-                    };
-                    let _ = probe();
-                }));
-            }
-            Message::MaxCombine {
-                uploads,
-                threads,
-                seq,
-            } => {
-                let wide_node = Arc::clone(&wide_node.read());
-                let owner_link = Arc::clone(&owner_link);
-                let ann = announcer.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = run_wide(
-                        &wide_node,
-                        ServerCmd::MaxCombine { uploads, threads },
-                        seq,
-                        tag,
-                        owner_link.as_ref(),
-                        ann.as_deref(),
-                    );
-                }));
-            }
-            Message::AssembleFpos { claims, threads } => {
-                let wide_node = Arc::clone(&wide_node.read());
-                let owner_link = Arc::clone(&owner_link);
-                let ann = announcer.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = run_wide(
-                        &wide_node,
-                        ServerCmd::AssembleFpos { claims, threads },
-                        0,
-                        tag,
-                        owner_link.as_ref(),
-                        ann.as_deref(),
-                    );
-                }));
-            }
-            Message::Shutdown => {
-                // Route tasks still in flight need their shard replies;
-                // join them before telling the workers to exit.
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                for link in shard_links.iter() {
-                    link.send_raw(&Message::Shutdown)?;
-                }
-                return Ok(());
-            }
-            _ => {
-                // Reply-direction messages; ignore defensively.
-            }
-        }
-        workers.retain(|h| !h.is_finished());
-    }
-}
+use std::time::{Duration, Instant};
 
 /// Run the announcer node's loop until `Shutdown`: an engine
 /// [`Announcer`] behind three links — the owner-side control link plus
@@ -665,7 +79,7 @@ fn domain_loop(
 /// carries the request's query tag.
 pub(crate) fn announcer_loop(
     params: AnnouncerParams,
-    owner_link: Box<dyn Link>,
+    owner_link: Arc<dyn Link>,
     server_links: Vec<Box<dyn Link>>,
 ) -> Result<(), NetError> {
     let mut announcer = Announcer::new(params);
@@ -785,19 +199,11 @@ impl NetReport {
     /// `(bytes, messages)` server `k`'s router exchanged with shard `s`,
     /// as `(to_shard, from_shard)`.
     pub fn shard_link(&self, k: usize, s: usize) -> ((u64, u64), (u64, u64)) {
-        let to = self
-            .to_shards
-            .get(k)
-            .and_then(|v| v.get(s))
-            .copied()
-            .unwrap_or_default();
-        let from = self
-            .from_shards
-            .get(k)
-            .and_then(|v| v.get(s))
-            .copied()
-            .unwrap_or_default();
-        (to, from)
+        let pick = |meters: &Vec<Vec<(u64, u64)>>| {
+            let link = meters.get(k).and_then(|v| v.get(s));
+            link.copied().unwrap_or_default()
+        };
+        (pick(&self.to_shards), pick(&self.from_shards))
     }
 
     /// `(bytes, messages)` additive server `k` sent to the announcer.
@@ -893,47 +299,58 @@ impl std::fmt::Display for NetReport {
     }
 }
 
+/// Send-side meters of the edges whose sending end the owner side does
+/// not hold (its own ends are metered through `links`/`announcer_link`);
+/// each field feeds the [`NetReport`] field of the same name. The shard
+/// meters stay empty for a router-less domain, and on elastic clusters,
+/// whose worker-edge meters live in the worker processes — their report
+/// exposes node health instead.
+#[derive(Default)]
+pub(crate) struct EdgeMeters {
+    pub(crate) from_servers: Vec<Arc<LinkStats>>,
+    pub(crate) to_shards: Vec<Vec<Arc<LinkStats>>>,
+    pub(crate) from_shards: Vec<Vec<Arc<LinkStats>>>,
+    pub(crate) from_announcer: Arc<LinkStats>,
+    pub(crate) server_to_announcer: Vec<Arc<LinkStats>>,
+}
+
 /// Owner-side handle to a running cluster.
 pub struct NetCluster {
-    pub(crate) setup: Setup,
-    pub(crate) links: Vec<Arc<MuxLink>>,
-    pub(crate) announcer_link: Arc<MuxLink>,
-    pub(crate) handles: Vec<JoinHandle<Result<(), NetError>>>,
-    pub(crate) server_stats: Vec<Arc<LinkStats>>,
-    pub(crate) to_shard_stats: Vec<Vec<Arc<LinkStats>>>,
-    pub(crate) from_shard_stats: Vec<Vec<Arc<LinkStats>>>,
-    pub(crate) from_announcer_stats: Arc<LinkStats>,
-    pub(crate) server_to_announcer_stats: Vec<Arc<LinkStats>>,
-    pub(crate) shards: usize,
-    pub(crate) threads: u32,
-    pub(crate) dispatches: AtomicU64,
+    setup: Setup,
+    links: Vec<Arc<MuxLink>>,
+    announcer_link: Arc<MuxLink>,
+    handles: Vec<JoinHandle<Result<(), NetError>>>,
+    meters: EdgeMeters,
+    shards: usize,
+    threads: u32,
+    dispatches: AtomicU64,
     /// Wide-round sequence counter: one fresh number per round that
     /// carries a `MaxCombine`, echoed by servers and quoted at announce
     /// time so the announcer can reject stale or crossed uploads.
-    pub(crate) wide_seq: AtomicU64,
+    wide_seq: AtomicU64,
     /// Query-id counter: one fresh id per query (and per ad-hoc facade
     /// round-trip), tagging all of that query's wire traffic so the
     /// per-link pumps can route interleaved replies.
-    pub(crate) query_seq: AtomicU64,
+    query_seq: AtomicU64,
     /// Admission layer: bounded in-flight window + per-owner fair
     /// queueing over [`NetCluster::execute_as`].
-    pub(crate) admission: Admission,
+    admission: Admission,
     /// Cross-query PSI-round cache (see [`prism_protocol::cache`]),
     /// enabled by [`NetCluster::enable_cache`]: `execute` wraps the
     /// cluster's own `ServerExec` in a `CachedExec` bound to this state,
     /// and the upload/tamper facades keep it honest. Shared (`Arc`) so an
     /// elastic cluster's registry can dirty a healed domain's entries
     /// from the prober thread.
-    pub(crate) cache: Option<Arc<PsiRoundCache>>,
+    cache: Option<Arc<PsiRoundCache>>,
     /// The control plane, present on elastic clusters built through
     /// [`crate::registry::ClusterListener`]: node health, keep-alive
     /// probing, and shard failover.
-    pub(crate) registry: Option<crate::registry::NodeRegistry>,
+    registry: Option<NodeRegistry>,
     /// Cumulative failover count already attributed to some round's
     /// [`ExecMeters`] — `tagged_round` swaps this against the registry's
     /// live counter so each failover lands in exactly one round's meters
     /// even when queries interleave.
-    pub(crate) failover_mark: AtomicU64,
+    failover_mark: AtomicU64,
 }
 
 pub(crate) fn transport_err(e: NetError) -> ProtocolError {
@@ -1078,7 +495,6 @@ impl NetCluster {
                 ServerCmd::AssembleFpos { claims, threads } => {
                     Message::AssembleFpos { claims, threads }
                 }
-                ServerCmd::Version => Message::VersionProbe,
                 ServerCmd::RangeVersions => Message::RangeVersionProbe,
             };
             let link = &self.links[s];
@@ -1094,7 +510,6 @@ impl NetCluster {
         for (s, pending) in &pendings {
             match pending.recv().map_err(transport_err)? {
                 Message::Outputs(outs) => replies.push(ServerReply::Vectors(outs)),
-                Message::Version(v) => replies.push(ServerReply::Version(v)),
                 Message::Versions(v) => replies.push(ServerReply::Versions(v)),
                 Message::WideForwarded { rows, width, seq } => {
                     // The receipt must belong to the round we just issued
@@ -1174,13 +589,16 @@ impl NetCluster {
         }
     }
 
-    /// Shared topology builder: per server domain, one owner↔router link
-    /// plus `shards` router↔worker links from `mk_pair`, a router thread
-    /// running [`domain_loop`] and one [`server_loop`] worker per shard.
-    /// An unsharded domain (`shards == 1`) skips the router entirely —
-    /// the worker node (holding the full domain parameters) sits directly
-    /// behind the owner link, exactly the pre-sharding topology, with no
-    /// extra hop or re-encode.
+    /// Shared topology builder: per server domain, one owner↔domain link
+    /// from `mk_pair`; for a sharded domain, `shards` router↔worker links
+    /// wrapped into a fixed-membership [`DomainState`] (`rf = 1`, one
+    /// [`WorkerSlot`] per link, generation 0, no registry, no prober), a
+    /// router thread running [`domain_loop`] over it and one
+    /// [`node_loop`] per worker — the very loops an attached deployment
+    /// runs. An unsharded domain (`shards == 1`) has no router: its one
+    /// node loop (holding the full domain parameters and the announcer
+    /// edge) sits directly behind the owner link, exactly the
+    /// pre-sharding topology, with no extra hop or re-encode.
     ///
     /// The announcer is the fourth node: its thread runs
     /// [`announcer_loop`] behind one owner↔announcer control link plus
@@ -1195,89 +613,106 @@ impl NetCluster {
     ) -> std::io::Result<NetCluster> {
         let mut links: Vec<Arc<MuxLink>> = Vec::new();
         let mut handles = Vec::new();
-        let mut server_stats = Vec::new();
-        let mut to_shard_stats = Vec::new();
-        let mut from_shard_stats = Vec::new();
+        let mut meters = EdgeMeters::default();
         let mut actual_shards = 1;
 
         // Server→announcer edges, one per additive server.
-        let mut server_ann_ends: Vec<Option<Box<dyn Link>>> = Vec::new();
+        let mut server_ann_ends: Vec<Option<Arc<dyn Link>>> = Vec::new();
         let mut announcer_server_ends: Vec<Box<dyn Link>> = Vec::new();
-        let mut server_to_announcer_stats = Vec::new();
         for _ in 0..ADDITIVE_SERVERS {
             let (server_end, announcer_end) = mk_pair()?;
-            server_to_announcer_stats.push(server_end.stats());
-            server_ann_ends.push(Some(server_end));
+            meters.server_to_announcer.push(server_end.stats());
+            server_ann_ends.push(Some(Arc::from(server_end)));
             announcer_server_ends.push(announcer_end);
         }
 
         for k in 0..SHAMIR_SERVERS {
             let params = setup.servers[k].clone();
-            let plan = ShardPlan::new(params.b, shards);
-            actual_shards = plan.shard_count();
+            let mut domain = DomainState::new(params.clone(), shards, 1);
+            actual_shards = domain.plan.shard_count();
             let (owner_end, server_end) = mk_pair()?;
-            server_stats.push(server_end.stats());
+            meters.from_servers.push(server_end.stats());
+            let server_end: Arc<dyn Link> = Arc::from(server_end);
             let ann_link = server_ann_ends.get_mut(k).and_then(Option::take);
+            links.push(MuxLink::new(Arc::from(owner_end)));
 
-            if plan.shard_count() == 1 {
-                handles.push(std::thread::spawn(move || {
-                    server_loop(params, server_end, ann_link)
-                }));
-                to_shard_stats.push(Vec::new());
-                from_shard_stats.push(Vec::new());
-                links.push(MuxLink::new(Arc::from(owner_end)));
-                continue;
-            }
-
-            let mut router_shard_links: Vec<Arc<MuxLink>> = Vec::new();
             let mut to_stats = Vec::new();
             let mut from_stats = Vec::new();
-            for spec in plan.specs() {
-                let (router_side, worker_side) = mk_pair()?;
-                to_stats.push(router_side.stats());
-                from_stats.push(worker_side.stats());
-                let wp = shard_server_params(&params, spec);
+            if actual_shards == 1 {
                 handles.push(std::thread::spawn(move || {
-                    server_loop(wp, worker_side, None)
+                    node_loop(params, server_end, None, 0, Tamper::Honest, ann_link)
                 }));
-                router_shard_links.push(MuxLink::new(Arc::from(router_side)));
+            } else {
+                for spec in domain.plan.specs().to_vec() {
+                    let (router_side, worker_side) = mk_pair()?;
+                    to_stats.push(router_side.stats());
+                    from_stats.push(worker_side.stats());
+                    let params = params.clone();
+                    handles.push(std::thread::spawn(move || {
+                        let link = Arc::from(worker_side);
+                        node_loop(params, link, Some(spec), 0, Tamper::Honest, None)
+                    }));
+                    let (i, label) = (spec.index, format!("d{k}/w{}", spec.index));
+                    let slot = WorkerSlot::new(i as u64, label, Arc::from(router_side), i);
+                    domain.workers.push(slot);
+                }
+                let shared = Arc::new(RwLock::new(domain));
+                handles.push(std::thread::spawn(move || {
+                    domain_loop(server_end, shared, ann_link)
+                }));
             }
-            to_shard_stats.push(to_stats);
-            from_shard_stats.push(from_stats);
-            handles.push(std::thread::spawn(move || {
-                domain_loop(params, server_end, router_shard_links, ann_link)
-            }));
-            links.push(MuxLink::new(Arc::from(owner_end)));
+            meters.to_shards.push(to_stats);
+            meters.from_shards.push(from_stats);
         }
 
         // The announcer node.
         let (announcer_link, announcer_end) = mk_pair()?;
-        let from_announcer_stats = announcer_end.stats();
+        meters.from_announcer = announcer_end.stats();
         let ap = setup.announcer.clone();
         handles.push(std::thread::spawn(move || {
-            announcer_loop(ap, announcer_end, announcer_server_ends)
+            announcer_loop(ap, Arc::from(announcer_end), announcer_server_ends)
         }));
 
-        Ok(NetCluster {
+        let announcer_link = MuxLink::new(Arc::from(announcer_link));
+        Ok(NetCluster::assemble(
             setup,
             links,
-            announcer_link: MuxLink::new(Arc::from(announcer_link)),
+            announcer_link,
             handles,
-            server_stats,
-            to_shard_stats,
-            from_shard_stats,
-            from_announcer_stats,
-            server_to_announcer_stats,
-            shards: actual_shards,
+            meters,
+            actual_shards,
+            None,
+        ))
+    }
+
+    /// The one place a [`NetCluster`] is put together, whichever way its
+    /// nodes were brought up: fresh counters, the default admission
+    /// window, cache off.
+    pub(crate) fn assemble(
+        setup: Setup,
+        links: Vec<Arc<MuxLink>>,
+        announcer_link: Arc<MuxLink>,
+        handles: Vec<JoinHandle<Result<(), NetError>>>,
+        meters: EdgeMeters,
+        shards: usize,
+        registry: Option<NodeRegistry>,
+    ) -> NetCluster {
+        NetCluster {
+            setup,
+            links,
+            announcer_link,
+            handles,
+            meters,
+            shards,
             threads: 1,
             dispatches: AtomicU64::new(0),
             wide_seq: AtomicU64::new(0),
             query_seq: AtomicU64::new(0),
             admission: Admission::new(Self::DEFAULT_ADMISSION_WINDOW),
             cache: None,
-            registry: None,
+            registry,
             failover_mark: AtomicU64::new(0),
-        })
+        }
     }
 
     /// Enable the cross-query PSI-round cache: every subsequent
@@ -1306,7 +741,7 @@ impl NetCluster {
     /// The cluster control plane (node health, keep-alive, failover) —
     /// present only on elastic clusters built through
     /// [`crate::registry::ClusterListener`].
-    pub fn registry(&self) -> Option<&crate::registry::NodeRegistry> {
+    pub fn registry(&self) -> Option<&NodeRegistry> {
         self.registry.as_ref()
     }
 
@@ -1500,6 +935,18 @@ impl NetCluster {
         owner: u32,
         plan: &P,
     ) -> Result<(P::Output, QueryStats), ClusterError> {
+        self.run(owner, None, plan)
+    }
+
+    /// One admitted, query-tagged session: `plan` over this cluster's
+    /// links (through the cache decorator, when enabled), optionally
+    /// scoped to a global row `range`.
+    fn run<P: Operation>(
+        &self,
+        owner: u32,
+        range: Option<(u64, u64)>,
+        plan: &P,
+    ) -> Result<(P::Output, QueryStats), ClusterError> {
         let _permit = self.admission.acquire(owner);
         let view = QueryView {
             net: self,
@@ -1510,10 +957,11 @@ impl NetCluster {
             Some(c) => c,
             None => &view,
         };
-        Engine::new(&exec, &self.setup.owner)
-            .with_threads(self.threads as usize)
-            .run(plan)
-            .map_err(ClusterError::Protocol)
+        let mut engine = Engine::new(&exec, &self.setup.owner).with_threads(self.threads as usize);
+        if let Some((start, len)) = range {
+            engine = engine.with_range(start, len);
+        }
+        engine.run(plan).map_err(ClusterError::Protocol)
     }
 
     /// PSI over the uploaded OK columns.
@@ -1623,21 +1071,7 @@ impl NetCluster {
         seed: u64,
         range: (u64, u64),
     ) -> Result<(Vec<plans::AggResult>, QueryStats), ClusterError> {
-        let _permit = self.admission.acquire(0);
-        let view = QueryView {
-            net: self,
-            id: self.fresh_query_id(),
-        };
-        let cached = self.cache.as_deref().map(|c| CachedExec::new(&view, c));
-        let exec: &dyn ServerExec = match &cached {
-            Some(c) => c,
-            None => &view,
-        };
-        Engine::new(&exec, &self.setup.owner)
-            .with_threads(self.threads as usize)
-            .with_range(range.0, range.1)
-            .run(&plans::Batch { batch, seed })
-            .map_err(ClusterError::Protocol)
+        self.run(0, Some(range), &plans::Batch { batch, seed })
     }
 
     /// Snapshot of bytes/messages sent in each direction, including the
@@ -1648,12 +1082,12 @@ impl NetCluster {
         };
         NetReport {
             to_servers: self.links.iter().map(|l| l.stats().snapshot()).collect(),
-            from_servers: snap(&self.server_stats),
-            to_shards: self.to_shard_stats.iter().map(|s| snap(s)).collect(),
-            from_shards: self.from_shard_stats.iter().map(|s| snap(s)).collect(),
+            from_servers: snap(&self.meters.from_servers),
+            to_shards: self.meters.to_shards.iter().map(|s| snap(s)).collect(),
+            from_shards: self.meters.from_shards.iter().map(|s| snap(s)).collect(),
             to_announcer: self.announcer_link.stats().snapshot(),
-            from_announcer: self.from_announcer_stats.snapshot(),
-            server_to_announcer: snap(&self.server_to_announcer_stats),
+            from_announcer: self.meters.from_announcer.snapshot(),
+            server_to_announcer: snap(&self.meters.server_to_announcer),
             cache_hits: self.cache.as_deref().map_or(0, PsiRoundCache::hits),
             cache_misses: self.cache.as_deref().map_or(0, PsiRoundCache::misses),
             cache_invalidations: self

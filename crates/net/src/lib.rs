@@ -8,7 +8,10 @@
 //! party) is a real node too: one owner-side control link plus a
 //! dedicated upload link from each additive server, so the blinded
 //! wide-share matrices flow server→announcer without ever crossing an
-//! owner link.
+//! owner link. One domain router and one node serving loop (the private
+//! `router` module) sit behind both bring-up paths: [`NetCluster`]'s
+//! constructors wire a fixed membership, [`ClusterListener`] an elastic
+//! one.
 //!
 //! All protocol logic lives in `prism_protocol`: server threads run the
 //! engine's `ServerNode`, the announcer thread runs the engine's
@@ -23,6 +26,7 @@
 pub mod cluster;
 pub mod mux;
 pub mod registry;
+mod router;
 pub mod transport;
 pub mod wire;
 

@@ -364,22 +364,27 @@ mod tests {
     use super::*;
     use crate::transport::channel_pair;
 
+    /// A small reply payload distinguishable by `seq`.
+    fn pong(seq: u64) -> Message {
+        Message::Pong { seq, generation: 0 }
+    }
+
     #[test]
     fn replies_route_to_their_own_query() {
         let (owner, peer) = channel_pair();
         let mux = MuxLink::new(Arc::new(owner));
         let p7 = mux.begin(7).unwrap();
         let p9 = mux.begin(9).unwrap();
-        mux.send(7, Message::VersionProbe).unwrap();
-        mux.send(9, Message::VersionProbe).unwrap();
+        mux.send(7, Message::RangeVersionProbe).unwrap();
+        mux.send(9, Message::RangeVersionProbe).unwrap();
         // Peer answers out of order; each reply still lands in its slot.
         let (q1, _) = peer.recv().unwrap().untag();
         let (q2, _) = peer.recv().unwrap().untag();
         assert_eq!((q1, q2), (Some(7), Some(9)));
-        peer.send(&Message::Version(99).tagged(9)).unwrap();
-        peer.send(&Message::Version(77).tagged(7)).unwrap();
-        assert_eq!(p7.recv().unwrap(), Message::Version(77));
-        assert_eq!(p9.recv().unwrap(), Message::Version(99));
+        peer.send(&pong(99).tagged(9)).unwrap();
+        peer.send(&pong(77).tagged(7)).unwrap();
+        assert_eq!(p7.recv().unwrap(), pong(77));
+        assert_eq!(p9.recv().unwrap(), pong(99));
         assert_eq!(mux.rejected(), 0);
     }
 
@@ -389,10 +394,10 @@ mod tests {
         let mux = MuxLink::new(Arc::new(owner));
         let pending = mux.begin(1).unwrap();
         // Wrong QueryId, then untagged, then the real reply.
-        peer.send(&Message::Version(5).tagged(999)).unwrap();
+        peer.send(&pong(5).tagged(999)).unwrap();
         peer.send(&Message::Ack).unwrap();
-        peer.send(&Message::Version(42).tagged(1)).unwrap();
-        assert_eq!(pending.recv().unwrap(), Message::Version(42));
+        peer.send(&pong(42).tagged(1)).unwrap();
+        assert_eq!(pending.recv().unwrap(), pong(42));
         assert_eq!(mux.rejected(), 2);
     }
 
@@ -403,10 +408,10 @@ mod tests {
         drop(mux.begin(3).unwrap());
         // A late reply for the aborted query is rejected; a later query
         // with a fresh id is unaffected.
-        peer.send(&Message::Version(1).tagged(3)).unwrap();
+        peer.send(&pong(1).tagged(3)).unwrap();
         let p4 = mux.begin(4).unwrap();
-        peer.send(&Message::Version(2).tagged(4)).unwrap();
-        assert_eq!(p4.recv().unwrap(), Message::Version(2));
+        peer.send(&pong(2).tagged(4)).unwrap();
+        assert_eq!(p4.recv().unwrap(), pong(2));
         assert_eq!(mux.rejected(), 1);
         // The id itself can be re-registered after the drop.
         let _p3 = mux.begin(3).unwrap();
@@ -477,12 +482,12 @@ mod tests {
             Err(NetError::Timeout)
         ));
         // The slot survives a timeout: a late reply still lands.
-        peer.send(&Message::Version(11).tagged(6)).unwrap();
+        peer.send(&pong(11).tagged(6)).unwrap();
         assert_eq!(
             pending
                 .recv_timeout(std::time::Duration::from_secs(10))
                 .unwrap(),
-            Message::Version(11)
+            pong(11)
         );
     }
 

@@ -3,7 +3,9 @@
 //!
 //! The statically wired [`NetCluster`] constructors need every shard
 //! worker alive at build time and treat a dead worker as a permanent
-//! query failure. This module turns that topology **elastic**:
+//! (typed) query failure. This module makes the routing state those
+//! constructors freeze — `crate::router`'s `DomainState` — **elastic**,
+//! under the very same router and node loops:
 //!
 //! * **Remote attach.** [`ClusterListener`] accepts TCP connections that
 //!   open with a [`Message::Register`] naming their role
@@ -13,9 +15,9 @@
 //!   ([`AnnouncerNode::connect`]). [`ClusterListener::start`] blocks
 //!   until the topology is complete, then builds an ordinary
 //!   [`NetCluster`] whose domain routers read their shard fan-out from
-//!   the registry instead of a fixed link list. Workers may keep
-//!   attaching afterwards — an under-strength domain (post-failover)
-//!   absorbs them with a re-plan.
+//!   state this registry keeps re-planning. Workers may keep attaching
+//!   afterwards — an under-strength domain (post-failover) absorbs them
+//!   with a re-plan.
 //! * **Health.** A [`NodeRegistry`] prober thread sends
 //!   [`Message::Ping`] to every registered node each
 //!   [`RegistryConfig::probe_interval`], matching [`Message::Pong`]s by
@@ -63,17 +65,16 @@
 //! to a transient) and re-sends its assignment — the keep-alive loop
 //! doubles as the assignment anti-entropy loop.
 
-use crate::cluster::{announcer_loop, reply, run_batch_on, run_wide, NetCluster};
-use crate::mux::{Admission, MuxLink, Pending};
+use crate::cluster::{announcer_loop, EdgeMeters, NetCluster};
+use crate::mux::MuxLink;
+use crate::router::{domain_loop, node_loop, DomainState, WorkerSlot};
 use crate::transport::{channel_pair, Link, LinkStats, NetError, TcpLink};
 use crate::wire::{Column, Message, NodeRole};
 use parking_lot::{Mutex, RwLock};
-use prism_core::Permutation;
 use prism_protocol::cache::PsiRoundCache;
-use prism_protocol::engine::{BatchQuery, ServerCmd, ServerNode};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{AnnouncerParams, ServerParams, Setup, ADDITIVE_SERVERS};
-use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan, ShardSpec};
+use prism_protocol::shard::{ShardPlan, ShardSpec};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -178,72 +179,6 @@ impl std::fmt::Display for NodeHealth {
     }
 }
 
-/// One attached shard worker, as the registry tracks it.
-struct WorkerSlot {
-    node: u64,
-    label: String,
-    link: Arc<MuxLink>,
-    last_seen: Instant,
-    misses: u32,
-    liveness: Liveness,
-    /// Generation of the assignment this worker last acked.
-    generation: u64,
-    /// Index into the domain plan's specs of the row range this worker
-    /// holds. Several workers share a range under replication; holder
-    /// order within [`DomainState::workers`] breaks the tie — the first
-    /// holder of a range is its primary.
-    range: usize,
-}
-
-/// Mutable per-domain control state, shared between the elastic router
-/// (reader), the attach dispatcher, and the prober (writers). The lock
-/// is the heal barrier: a route task holds `read` for its whole
-/// fan-out, a heal holds `write` across assign + replay, so every query
-/// runs entirely before or entirely after a heal — never against a
-/// half-replayed store.
-struct DomainState {
-    params: ServerParams,
-    /// Configured worker ceiling (`ranges × rf`); attaches beyond it
-    /// are rejected.
-    target: usize,
-    /// Replication factor each row range is stored at (when enough
-    /// workers are attached).
-    rf: usize,
-    generation: u64,
-    plan: ShardPlan,
-    workers: Vec<WorkerSlot>,
-}
-
-impl DomainState {
-    /// Worker indices holding plan range `r`, in attach order — the
-    /// first is the range's primary.
-    fn holders_of(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
-        self.workers
-            .iter()
-            .enumerate()
-            .filter(move |(_, w)| w.range == r)
-            .map(|(i, _)| i)
-    }
-
-    /// True iff every range of the current plan still has at least one
-    /// holder — the promotion precondition: no row range was lost.
-    fn covered(&self) -> bool {
-        (0..self.plan.shard_count()).all(|r| self.holders_of(r).next().is_some())
-    }
-
-    /// Per-range holder *links*, primary first — the fan-out a route
-    /// task snapshots under the read lock.
-    fn holder_links(&self) -> Vec<Vec<Arc<MuxLink>>> {
-        (0..self.plan.shard_count())
-            .map(|r| {
-                self.holders_of(r)
-                    .map(|i| Arc::clone(&self.workers[i].link))
-                    .collect()
-            })
-            .collect()
-    }
-}
-
 /// One recorded owner upload (the replay log for failover
 /// re-outsourcing). Records are replayed in arrival order; stores are
 /// overwrite-idempotent, so replaying a superseded record is harmless.
@@ -254,11 +189,46 @@ struct UploadRecord {
     columns: Vec<(Column, Vec<u64>)>,
 }
 
+/// One node's keep-alive bookkeeping, as the prober folds ping outcomes
+/// into it.
+pub(crate) struct Health {
+    pub(crate) last_seen: Instant,
+    misses: u32,
+    pub(crate) liveness: Liveness,
+}
+
+impl Health {
+    pub(crate) fn alive() -> Health {
+        Health {
+            last_seen: Instant::now(),
+            misses: 0,
+            liveness: Liveness::Alive,
+        }
+    }
+
+    /// Fold one ping outcome in: an answer resets the node to alive; a
+    /// miss makes it suspect or — once it
+    /// [confirms death](RegistryConfig::confirms_death) — dead. Returns
+    /// whether this outcome confirmed the death.
+    fn observe(&mut self, answered: bool, cfg: &RegistryConfig, hard_dead: bool) -> bool {
+        if answered {
+            *self = Health::alive();
+            return false;
+        }
+        self.misses += 1;
+        let dead = cfg.confirms_death(self.misses, hard_dead);
+        self.liveness = if dead {
+            Liveness::Dead
+        } else {
+            Liveness::Suspect
+        };
+        dead
+    }
+}
+
 struct AnnouncerHealth {
     node: u64,
-    last_seen: Instant,
-    misses: u32,
-    liveness: Liveness,
+    health: Health,
 }
 
 /// Shared control-plane state.
@@ -431,23 +401,15 @@ impl NodeRegistry {
         let mut out = Vec::new();
         for domain in &self.inner.domains {
             let st = domain.read();
-            for w in &st.workers {
-                out.push(NodeHealth {
-                    node: w.node,
-                    label: w.label.clone(),
-                    liveness: w.liveness,
-                    last_seen: w.last_seen.elapsed(),
-                    generation: w.generation,
-                });
-            }
+            out.extend(st.workers.iter().map(worker_health));
         }
         out.extend(self.inner.graveyard.lock().iter().cloned());
         if let Some(a) = self.inner.announcer_health.lock().as_ref() {
             out.push(NodeHealth {
                 node: a.node,
                 label: "announcer".into(),
-                liveness: a.liveness,
-                last_seen: a.last_seen.elapsed(),
+                liveness: a.health.liveness,
+                last_seen: a.health.last_seen.elapsed(),
                 generation: 0,
             });
         }
@@ -575,18 +537,7 @@ impl ClusterListener {
         let domains = setup
             .servers
             .iter()
-            .map(|params| {
-                let b = params.b;
-                let ranges = shards.clamp(1, b.max(1));
-                Arc::new(RwLock::new(DomainState {
-                    params: params.clone(),
-                    target: ranges * rf,
-                    rf,
-                    generation: 0,
-                    plan: ShardPlan::new(b, ranges),
-                    workers: Vec::new(),
-                }))
-            })
+            .map(|params| Arc::new(RwLock::new(DomainState::new(params.clone(), shards, rf))))
             .collect();
         let inner = Arc::new(RegistryInner {
             cfg,
@@ -658,8 +609,11 @@ impl ClusterListener {
 
         let mut links = Vec::new();
         let mut handles = Vec::new();
-        let mut server_stats = Vec::new();
-        let mut server_to_announcer_stats = Vec::new();
+        let mut meters = EdgeMeters {
+            to_shards: vec![Vec::new(); self.inner.domains.len()],
+            from_shards: vec![Vec::new(); self.inner.domains.len()],
+            ..EdgeMeters::default()
+        };
         // Every announcer edge goes behind a SwapLink: when the prober
         // confirms the announcer dead and a replacement dials in, the
         // dispatcher swaps the fresh edges in place and the routers (and
@@ -672,20 +626,17 @@ impl ClusterListener {
                 .collect()
         };
         for end in upload_ends.iter() {
-            server_to_announcer_stats.push(Link::stats(end.as_ref()));
+            meters.server_to_announcer.push(Link::stats(end.as_ref()));
         }
         for (k, shared) in self.inner.domains.iter().enumerate() {
-            let params = shared.read().params.clone();
             let (owner_end, server_end) = channel_pair();
-            server_stats.push(Link::stats(&server_end));
+            meters.from_servers.push(Link::stats(&server_end));
             let shared = Arc::clone(shared);
-            let announcer: Option<Arc<dyn Link>> = if k < ADDITIVE_SERVERS {
-                Some(Arc::clone(&upload_ends[k]) as Arc<dyn Link>)
-            } else {
-                None
-            };
+            let announcer = upload_ends
+                .get(k)
+                .map(|end| Arc::clone(end) as Arc<dyn Link>);
             handles.push(std::thread::spawn(move || {
-                elastic_domain_loop(params, Box::new(server_end), shared, announcer)
+                domain_loop(Arc::new(server_end), shared, announcer)
             }));
             links.push(MuxLink::new(Arc::new(owner_end) as Arc<dyn Link>));
         }
@@ -714,28 +665,15 @@ impl ClusterListener {
             dispatcher: Mutex::new(Some(self.dispatcher)),
         };
 
-        Ok(NetCluster {
-            setup: self.setup,
+        Ok(NetCluster::assemble(
+            self.setup,
             links,
             announcer_link,
             handles,
-            server_stats,
-            // Worker-edge receive meters live in the worker processes;
-            // the elastic report exposes node health instead.
-            to_shard_stats: vec![Vec::new(); self.inner.domains.len()],
-            from_shard_stats: vec![Vec::new(); self.inner.domains.len()],
-            from_announcer_stats: Arc::new(LinkStats::default()),
-            server_to_announcer_stats,
-            shards: self.shards,
-            threads: 1,
-            dispatches: AtomicU64::new(0),
-            wide_seq: AtomicU64::new(0),
-            query_seq: AtomicU64::new(0),
-            admission: Admission::new(NetCluster::DEFAULT_ADMISSION_WINDOW),
-            cache: None,
-            registry: Some(registry),
-            failover_mark: AtomicU64::new(0),
-        })
+            meters,
+            self.shards,
+            Some(registry),
+        ))
     }
 }
 
@@ -764,14 +702,22 @@ fn dispatcher_loop(inner: Arc<RegistryInner>, listener: TcpListener) {
     }
 }
 
-fn reject(link: &TcpLink) {
-    let _ = link.send(&Message::RegisterAck {
-        accepted: false,
-        node: 0,
+/// Answer a registration: `Some(node)` accepts it under that id (with a
+/// provisional row range of `len` rows from 0 for a shard worker, empty
+/// otherwise), `None` rejects it. Returns whether the ack went out.
+fn register_ack(link: &TcpLink, node: Option<u64>, len: usize) -> bool {
+    let ack = Message::RegisterAck {
+        accepted: node.is_some(),
+        node: node.unwrap_or(0),
         generation: 0,
         start: 0,
-        len: 0,
-    });
+        len: len as u64,
+    };
+    link.send(&ack).is_ok()
+}
+
+fn reject(link: &TcpLink) {
+    register_ack(link, None, 0);
 }
 
 fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
@@ -787,56 +733,38 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
         return;
     };
     let d = domain as usize;
+    let fresh_node = || inner.next_node.fetch_add(1, Ordering::Relaxed);
     match role {
         NodeRole::ShardWorker => {
             let Some(shared) = inner.domains.get(d) else {
-                reject(&link);
-                return;
+                return reject(&link);
             };
             // Claim a slot (or reject a full domain) and ack with a
             // provisional whole-domain range; the re-fan below assigns
             // the real one before any query can route here.
-            let (node, b) = {
+            let b = {
                 let st = shared.read();
                 if st.workers.len() >= st.target {
                     drop(st);
-                    reject(&link);
-                    return;
+                    return reject(&link);
                 }
-                (inner.next_node.fetch_add(1, Ordering::Relaxed), st.params.b)
+                st.params.b
             };
-            let label = format!("d{d}/w{node}");
-            if link
-                .send(&Message::RegisterAck {
-                    accepted: true,
-                    node,
-                    generation: 0,
-                    start: 0,
-                    len: b as u64,
-                })
-                .is_err()
-            {
+            let node = fresh_node();
+            if !register_ack(&link, Some(node), b) {
                 return;
             }
-            let mux = MuxLink::new_labeled(Arc::clone(&link) as Arc<dyn Link>, label.clone());
+            let label = format!("d{d}/w{node}");
+            // The range is provisional too; the re-fan below computes the
+            // real round-robin range before any query can route here.
+            let slot = WorkerSlot::new(node, label.clone(), Arc::clone(&link) as _, 0);
             {
                 let mut st = shared.write();
                 if st.workers.len() >= st.target {
                     // Lost the race to a concurrent attach.
                     return;
                 }
-                st.workers.push(WorkerSlot {
-                    node,
-                    label: label.clone(),
-                    link: mux,
-                    last_seen: Instant::now(),
-                    misses: 0,
-                    liveness: Liveness::Alive,
-                    generation: 0,
-                    // Provisional; the re-fan below computes the real
-                    // round-robin range before any query can route here.
-                    range: 0,
-                });
+                st.workers.push(slot);
             }
             let survivors = refan(inner, d);
             inner.heal_log.lock().push(format!(
@@ -857,29 +785,15 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
                     .announcer_health
                     .lock()
                     .as_ref()
-                    .is_some_and(|a| a.liveness == Liveness::Dead);
+                    .is_some_and(|a| a.health.liveness == Liveness::Dead);
                 if !dead {
-                    reject(&link);
-                    return;
+                    return reject(&link);
                 }
-                let node = inner.next_node.fetch_add(1, Ordering::Relaxed);
-                if link
-                    .send(&Message::RegisterAck {
-                        accepted: true,
-                        node,
-                        generation: 0,
-                        start: 0,
-                        len: 0,
-                    })
-                    .is_ok()
-                {
+                let node = fresh_node();
+                if register_ack(&link, Some(node), 0) {
                     ctl_swap.swap(link);
-                    *inner.announcer_health.lock() = Some(AnnouncerHealth {
-                        node,
-                        last_seen: Instant::now(),
-                        misses: 0,
-                        liveness: Liveness::Alive,
-                    });
+                    let health = Health::alive();
+                    *inner.announcer_health.lock() = Some(AnnouncerHealth { node, health });
                     inner.heal_log.lock().push(format!(
                         "announcer: control edge reconnected as node {node}; wide rounds resumed"
                     ));
@@ -889,27 +803,13 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
             let mut slot = inner.announcer_ctl.lock();
             if slot.is_some() {
                 drop(slot);
-                reject(&link);
-                return;
+                return reject(&link);
             }
-            let node = inner.next_node.fetch_add(1, Ordering::Relaxed);
-            if link
-                .send(&Message::RegisterAck {
-                    accepted: true,
-                    node,
-                    generation: 0,
-                    start: 0,
-                    len: 0,
-                })
-                .is_ok()
-            {
+            let node = fresh_node();
+            if register_ack(&link, Some(node), 0) {
                 *slot = Some(link);
-                *inner.announcer_health.lock() = Some(AnnouncerHealth {
-                    node,
-                    last_seen: Instant::now(),
-                    misses: 0,
-                    liveness: Liveness::Alive,
-                });
+                let health = Health::alive();
+                *inner.announcer_health.lock() = Some(AnnouncerHealth { node, health });
             }
         }
         NodeRole::AnnouncerUpload => {
@@ -923,17 +823,7 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
                 .as_ref()
                 .and_then(|(_, ups)| ups.get(d).map(Arc::clone));
             if let Some(up_swap) = swap {
-                let node = inner.next_node.fetch_add(1, Ordering::Relaxed);
-                if link
-                    .send(&Message::RegisterAck {
-                        accepted: true,
-                        node,
-                        generation: 0,
-                        start: 0,
-                        len: 0,
-                    })
-                    .is_ok()
-                {
+                if register_ack(&link, Some(fresh_node()), 0) {
                     up_swap.swap(link);
                     inner
                         .heal_log
@@ -945,17 +835,7 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
             let mut slots = inner.announcer_uploads.lock();
             match slots.get_mut(d) {
                 Some(slot @ None) => {
-                    let node = inner.next_node.fetch_add(1, Ordering::Relaxed);
-                    if link
-                        .send(&Message::RegisterAck {
-                            accepted: true,
-                            node,
-                            generation: 0,
-                            start: 0,
-                            len: 0,
-                        })
-                        .is_ok()
-                    {
+                    if register_ack(&link, Some(fresh_node()), 0) {
                         *slot = Some(link);
                     }
                 }
@@ -1062,30 +942,44 @@ fn promote(inner: &Arc<RegistryInner>, d: usize) -> bool {
     true
 }
 
-/// Push every worker the range it currently holds (acked, generation
-/// `st.generation`). Assigning the unchanged range is deliberately a
-/// pure generation bump on the worker side — no store wipe, no replay.
+/// Send every worker one heal message cut for the range it holds and
+/// collect the acks, each within [`RegistryConfig::heal_timeout`].
 /// `Err(i)` names the worker index that failed.
-fn assign_current(inner: &Arc<RegistryInner>, st: &mut DomainState) -> Result<(), usize> {
-    let gen = st.generation;
+fn heal_fan(
+    inner: &Arc<RegistryInner>,
+    st: &DomainState,
+    mk: impl Fn(&ShardSpec) -> Message,
+) -> Result<(), usize> {
     let corr = inner.fresh_corr();
     let mut pendings = Vec::with_capacity(st.workers.len());
     for (i, slot) in st.workers.iter().enumerate() {
-        let spec = st.plan.specs()[slot.range];
-        let msg = Message::Assign {
-            generation: gen,
-            start: spec.start as u64,
-            len: spec.len as u64,
-        };
+        let msg = mk(&st.plan.specs()[slot.range]);
         let p = slot.link.begin(corr).map_err(|_| i)?;
         slot.link.send(corr, msg).map_err(|_| i)?;
         pendings.push((i, p));
     }
     for (i, p) in pendings {
         match p.recv_timeout(inner.cfg.heal_timeout) {
-            Ok(Message::Ack) => st.workers[i].generation = gen,
+            Ok(Message::Ack) => {}
             _ => return Err(i),
         }
+    }
+    Ok(())
+}
+
+/// Push every worker the range it currently holds (acked, generation
+/// `st.generation`). Assigning the unchanged range is deliberately a
+/// pure generation bump on the worker side — no store wipe, no replay.
+/// `Err(i)` names the worker index that failed.
+fn assign_current(inner: &Arc<RegistryInner>, st: &mut DomainState) -> Result<(), usize> {
+    let generation = st.generation;
+    heal_fan(inner, st, |spec| Message::Assign {
+        generation,
+        start: spec.start as u64,
+        len: spec.len as u64,
+    })?;
+    for w in st.workers.iter_mut() {
+        w.generation = generation;
     }
     Ok(())
 }
@@ -1108,11 +1002,9 @@ fn assign_and_replay(
         .cloned()
         .collect();
     for rec in &records {
-        let corr = inner.fresh_corr();
-        let mut pendings = Vec::with_capacity(st.workers.len());
-        for (i, slot) in st.workers.iter().enumerate() {
-            let spec = st.plan.specs()[slot.range];
-            let sliced: Vec<(Column, Vec<u64>)> = rec
+        heal_fan(inner, st, |spec| Message::BulkUpload {
+            owner: rec.owner,
+            columns: rec
                 .columns
                 .iter()
                 .map(|(c, data)| {
@@ -1125,25 +1017,8 @@ fn assign_and_replay(
                     part.resize(spec.len, 0);
                     (*c, part)
                 })
-                .collect();
-            let p = slot.link.begin(corr).map_err(|_| i)?;
-            slot.link
-                .send(
-                    corr,
-                    Message::BulkUpload {
-                        owner: rec.owner,
-                        columns: sliced,
-                    },
-                )
-                .map_err(|_| i)?;
-            pendings.push((i, p));
-        }
-        for (i, p) in pendings {
-            match p.recv_timeout(inner.cfg.heal_timeout) {
-                Ok(Message::Ack) => {}
-                _ => return Err(i),
-            }
-        }
+                .collect(),
+        })?;
     }
     inner
         .replayed
@@ -1151,13 +1026,20 @@ fn assign_and_replay(
     Ok(())
 }
 
+fn worker_health(w: &WorkerSlot) -> NodeHealth {
+    NodeHealth {
+        node: w.node,
+        label: w.label.clone(),
+        liveness: w.health.liveness,
+        last_seen: w.health.last_seen.elapsed(),
+        generation: w.generation,
+    }
+}
+
 fn bury(inner: &Arc<RegistryInner>, casualty: &WorkerSlot) {
     inner.graveyard.lock().push(NodeHealth {
-        node: casualty.node,
-        label: casualty.label.clone(),
         liveness: Liveness::Dead,
-        last_seen: casualty.last_seen.elapsed(),
-        generation: casualty.generation,
+        ..worker_health(casualty)
     });
 }
 
@@ -1219,50 +1101,32 @@ fn prober_loop(inner: Arc<RegistryInner>) {
                 if inner.stop.load(Ordering::SeqCst) {
                     return;
                 }
-                match ping(&inner, &link) {
-                    Ok(worker_gen) => {
-                        {
-                            let mut st = inner.domains[d].write();
-                            if let Some(w) = st.workers.iter_mut().find(|w| w.node == node) {
-                                w.last_seen = Instant::now();
-                                w.misses = 0;
-                                w.liveness = Liveness::Alive;
-                            }
-                        }
+                let outcome = ping(&inner, &link);
+                let confirmed_dead = {
+                    let mut st = inner.domains[d].write();
+                    let slot = st.workers.iter_mut().find(|w| w.node == node);
+                    let (answered, hard_dead) = (outcome.is_ok(), link.is_dead());
+                    slot.is_some_and(|w| w.health.observe(answered, &inner.cfg, hard_dead))
+                };
+                match outcome {
+                    Ok(worker_gen)
                         if worker_gen != expected_gen
-                            && worker_gen != inner.domains[d].read().generation
-                        {
-                            // The worker genuinely missed a re-plan (not
-                            // just a stale snapshot of a concurrent
-                            // heal): re-fan the whole domain — the
-                            // keep-alive doubles as anti-entropy, and a
-                            // full heal is the only resync that also
-                            // restores the worker's store.
-                            inner.heal_log.lock().push(format!(
-                                "domain {d}: node {node} reports stale generation \
-                                 {worker_gen}; re-fanning"
-                            ));
-                            refan(&inner, d);
-                        }
+                            && worker_gen != inner.domains[d].read().generation =>
+                    {
+                        // The worker genuinely missed a re-plan (not
+                        // just a stale snapshot of a concurrent heal):
+                        // re-fan the whole domain — the keep-alive
+                        // doubles as anti-entropy, and a full heal is
+                        // the only resync that also restores the
+                        // worker's store.
+                        inner.heal_log.lock().push(format!(
+                            "domain {d}: node {node} reports stale generation \
+                             {worker_gen}; re-fanning"
+                        ));
+                        refan(&inner, d);
                     }
-                    Err(_) => {
-                        let hard_dead = link.is_dead();
-                        let mut confirmed = false;
-                        {
-                            let mut st = inner.domains[d].write();
-                            if let Some(w) = st.workers.iter_mut().find(|w| w.node == node) {
-                                w.misses += 1;
-                                w.liveness = Liveness::Suspect;
-                                if inner.cfg.confirms_death(w.misses, hard_dead) {
-                                    w.liveness = Liveness::Dead;
-                                    confirmed = true;
-                                }
-                            }
-                        }
-                        if confirmed {
-                            failover(&inner, d, node);
-                        }
-                    }
+                    Err(_) if confirmed_dead => failover(&inner, d, node),
+                    _ => {}
                 }
             }
         }
@@ -1288,487 +1152,11 @@ fn probe_announcer(inner: &Arc<RegistryInner>) {
     let Some(link) = inner.announcer_mux.lock().clone() else {
         return;
     };
-    let outcome = ping(inner, &link);
-    let mut health = inner.announcer_health.lock();
-    let Some(a) = health.as_mut() else { return };
-    match outcome {
-        Ok(_) => {
-            a.last_seen = Instant::now();
-            a.misses = 0;
-            a.liveness = Liveness::Alive;
-        }
-        Err(_) => {
-            a.misses += 1;
-            a.liveness = if inner.cfg.confirms_death(a.misses, link.is_dead()) {
-                // No failover target exists for the announcer — it holds
-                // no outsourced rows; wide queries fail loudly until it
-                // returns.
-                Liveness::Dead
-            } else {
-                Liveness::Suspect
-            };
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Elastic domain router
-// ---------------------------------------------------------------------
-
-/// Fan an acked control message (upload slices) to **every holder** of
-/// every range, each sliced for the range it holds. The fan is tolerant
-/// per range: a holder whose link fails mid-upload is survivable as
-/// long as *some* holder of that range acked — link death is sticky, so
-/// the lagging holder can never serve a query again and the prober will
-/// reap it. `Err(shard)` (reported as [`Message::NodeDown`]) means some
-/// range got no ack at all.
-fn fan_acked(st: &DomainState, corr: u64, mk: impl Fn(&ShardSpec) -> Message) -> Result<(), u64> {
-    let mut pendings = Vec::with_capacity(st.workers.len());
-    let mut failed: Option<u64> = None;
-    for (i, slot) in st.workers.iter().enumerate() {
-        let spec = st.plan.specs()[slot.range];
-        let sent = slot
-            .link
-            .begin(corr)
-            .and_then(|p| slot.link.send(corr, mk(&spec)).map(|()| p));
-        match sent {
-            Ok(p) => pendings.push((i, p)),
-            Err(_) => failed = Some(i as u64),
-        }
-    }
-    let mut acked = vec![0usize; st.plan.shard_count()];
-    for (i, p) in pendings {
-        match p.recv() {
-            Ok(Message::Ack) => acked[st.workers[i].range] += 1,
-            _ => failed = Some(i as u64),
-        }
-    }
-    if acked.iter().all(|&n| n > 0) {
-        Ok(())
-    } else {
-        Err(failed.unwrap_or(u64::MAX))
-    }
-}
-
-/// Outcome of a replicated route: a link-level loss of every holder of
-/// one range (`Down`, reported as [`Message::NodeDown`] — crash, not
-/// tamper), or a reply that arrived but was malformed (`Malformed`,
-/// reported as an empty output list — tamper-shaped, **never** retried
-/// on a replica: a standby must not be able to mask what verification
-/// would catch).
-enum RouteFail {
-    Down(u64),
-    Malformed,
-}
-
-/// Fan one batched round over the replicated holder sets: each range's
-/// sub-batch ships to its primary (first holder) concurrently; a
-/// *link-level* failure — begin/send refused or the pump dead — retries
-/// the next replica of that range in holder order. A well-formed reply
-/// is final, right or wrong.
-fn route_batch_replicated(
-    plan: &ShardPlan,
-    params: &ServerParams,
-    tamper: &Tamper,
-    batch: &BatchQuery,
-    holders: &[Vec<Arc<MuxLink>>],
-    corr: u64,
-) -> Result<Vec<Vec<u64>>, RouteFail> {
-    let subs = plan.split_batch(batch).map_err(|_| RouteFail::Malformed)?;
-    let ship = |r: usize, h: usize| -> Option<Pending> {
-        let link = holders[r].get(h)?;
-        let p = link.begin(corr).ok()?;
-        link.send(
-            corr,
-            Message::ShardRun {
-                shard: r as u32,
-                batch: subs[r].clone(),
-            },
-        )
-        .ok()?;
-        Some(p)
-    };
-    // Primary fan-out first — the failure-free fast path keeps every
-    // range's round-trip concurrent.
-    let firsts: Vec<Option<Pending>> = (0..subs.len()).map(|r| ship(r, 0)).collect();
-    let mut per_shard = Vec::with_capacity(subs.len());
-    for (r, first) in firsts.into_iter().enumerate() {
-        let mut outcome = Err(RouteFail::Down(r as u64));
-        let mut pending = first;
-        let mut next_holder = 1;
-        loop {
-            if let Some(p) = pending {
-                match p.recv() {
-                    Ok(Message::ShardOutputs { shard, outputs }) if shard as usize == r => {
-                        outcome = Ok(outputs);
-                        break;
-                    }
-                    // Crossed or malformed reply from a live holder:
-                    // final, tamper-shaped.
-                    Ok(_) => {
-                        outcome = Err(RouteFail::Malformed);
-                        break;
-                    }
-                    // Link died mid-round: fall through to the next
-                    // replica of this range.
-                    Err(_) => {}
-                }
-            }
-            if next_holder >= holders[r].len() {
-                break; // every holder of this range is down
-            }
-            pending = ship(r, next_holder);
-            next_holder += 1;
-        }
-        per_shard.push(outcome?);
-    }
-    merge_shard_outputs(&per_shard, batch, params, tamper).map_err(|_| RouteFail::Malformed)
-}
-
-/// One request/reply round-trip against the first live holder of a
-/// range: holders are tried in primary order, moving on only on a
-/// link-level failure. `None` means every holder is down.
-fn ask_range(holders: &[Arc<MuxLink>], corr: u64, msg: &Message) -> Option<Message> {
-    for link in holders {
-        let attempt = || -> Result<Message, NetError> {
-            let p = link.begin(corr)?;
-            link.send(corr, msg.clone())?;
-            p.recv()
-        };
-        if let Ok(reply) = attempt() {
-            return Some(reply);
-        }
-    }
-    None
-}
-
-/// The registry-backed sibling of `domain_loop`: one server domain's
-/// router, reading its shard fan-out (plan + worker links) from the
-/// registry's [`DomainState`] on every message instead of a fixed list.
-/// A worker-link failure answers the owner with [`Message::NodeDown`]
-/// (crash, not tamper) and keeps the router alive — the next round
-/// after a heal routes over the survivors.
-fn elastic_domain_loop(
-    params: ServerParams,
-    owner_link: Box<dyn Link>,
-    shared: Arc<RwLock<DomainState>>,
-    announcer: Option<Arc<dyn Link>>,
-) -> Result<(), NetError> {
-    let owner_link: Arc<dyn Link> = Arc::from(owner_link);
-    // The wide node tracks the domain's (growable) parameters; routing
-    // state (plan + params) lives in the registry's DomainState, so this
-    // loop reads it fresh on every message rather than capturing it.
-    let wide_node = RwLock::new(Arc::new(ServerNode::new(params.clone())));
-    let tamper = Arc::new(RwLock::new(Tamper::Honest));
-    let corr = AtomicU64::new(1 << 63);
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    // A domain with zero surviving workers is *offline*, not empty: every
-    // data-path message answers NodeDown with this sentinel until a
-    // replacement worker attaches and the registry re-fans.
-    const NO_WORKERS: u64 = u64::MAX;
-    loop {
-        let (tag, msg) = owner_link.recv()?.untag();
-        match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                let st = shared.read();
-                let outcome = if st.workers.is_empty() {
-                    Err(NO_WORKERS)
-                } else {
-                    fan_acked(&st, id, |spec| Message::Upload {
-                        owner,
-                        column,
-                        data: data[spec.start..spec.start + spec.len].to_vec(),
-                    })
-                };
-                drop(st);
-                match outcome {
-                    Ok(()) => reply(owner_link.as_ref(), tag, Message::Ack)?,
-                    Err(node) => reply(owner_link.as_ref(), tag, Message::NodeDown { node })?,
-                }
-            }
-            Message::BulkUpload { owner, columns } => {
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                let st = shared.read();
-                let outcome = if st.workers.is_empty() {
-                    Err(NO_WORKERS)
-                } else {
-                    fan_acked(&st, id, |spec| {
-                        let sliced: Vec<(Column, Vec<u64>)> = columns
-                            .iter()
-                            .map(|(c, data)| (*c, data[spec.start..spec.start + spec.len].to_vec()))
-                            .collect();
-                        Message::BulkUpload {
-                            owner,
-                            columns: sliced,
-                        }
-                    })
-                };
-                drop(st);
-                match outcome {
-                    Ok(()) => reply(owner_link.as_ref(), tag, Message::Ack)?,
-                    Err(node) => reply(owner_link.as_ref(), tag, Message::NodeDown { node })?,
-                }
-            }
-            Message::DeltaUpload {
-                owner,
-                start,
-                columns,
-                pf_s1_ext,
-                pf_s2_ext,
-            } => {
-                let start = start as usize;
-                let added = columns.first().map(|(_, d)| d.len()).unwrap_or(0);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                // Write lock: growth mutates the shared plan/params the
-                // heal and every route read.
-                let mut st = shared.write();
-                let outcome: Result<(), u64> = if st.workers.is_empty() {
-                    Err(NO_WORKERS)
-                } else if added == 0 {
-                    Ok(())
-                } else {
-                    let valid = if start == st.params.b {
-                        match crate::cluster::decode_perm_ext(pf_s1_ext, pf_s2_ext) {
-                            Ok(ext) => {
-                                let (e1, e2) = ext.unwrap_or_else(|| {
-                                    (Permutation::identity(added), Permutation::identity(added))
-                                });
-                                if e1.len() == added && e2.len() == added {
-                                    st.params.pf_s1 = st.params.pf_s1.concat(&e1);
-                                    st.params.pf_s2 = st.params.pf_s2.concat(&e2);
-                                    st.params.b += added;
-                                    st.plan = st.plan.append(added, false);
-                                    *wide_node.write() =
-                                        Arc::new(ServerNode::new(st.params.clone()));
-                                    true
-                                } else {
-                                    false
-                                }
-                            }
-                            Err(()) => false,
-                        }
-                    } else {
-                        start + added == st.params.b
-                    };
-                    match valid
-                        .then(|| st.plan.specs().last().copied())
-                        .flatten()
-                        .filter(|spec| spec.start <= start)
-                    {
-                        // Malformed delta: ack without applying —
-                        // verification catches the divergence, exactly as
-                        // for a tampering server.
-                        None => Ok(()),
-                        Some(spec) => {
-                            // Every holder of the tail range applies the
-                            // delta; like the bulk fan, one surviving ack
-                            // suffices (a holder whose link failed is
-                            // sticky-dead and will be reaped, never
-                            // promoted into serving stale rows).
-                            let mut acked = 0usize;
-                            let mut failed = u64::MAX;
-                            for i in st.holders_of(spec.index).collect::<Vec<_>>() {
-                                let slot = &st.workers[i];
-                                let fwd = || -> Result<(), NetError> {
-                                    let p = slot.link.begin(id)?;
-                                    slot.link.send(
-                                        id,
-                                        Message::DeltaUpload {
-                                            owner,
-                                            start: (start - spec.start) as u64,
-                                            columns: columns.clone(),
-                                            pf_s1_ext: Vec::new(),
-                                            pf_s2_ext: Vec::new(),
-                                        },
-                                    )?;
-                                    match p.recv()? {
-                                        Message::Ack => Ok(()),
-                                        _ => Err(NetError::Disconnected),
-                                    }
-                                };
-                                match fwd() {
-                                    Ok(()) => acked += 1,
-                                    Err(_) => failed = i as u64,
-                                }
-                            }
-                            if acked > 0 {
-                                Ok(())
-                            } else {
-                                Err(failed)
-                            }
-                        }
-                    }
-                };
-                drop(st);
-                match outcome {
-                    Ok(()) => reply(owner_link.as_ref(), tag, Message::Ack)?,
-                    Err(node) => reply(owner_link.as_ref(), tag, Message::NodeDown { node })?,
-                }
-            }
-            Message::SetTamper(t) => {
-                *tamper.write() = t;
-                reply(owner_link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::RunBatch(batch) => {
-                let shared = Arc::clone(&shared);
-                let tamper = Arc::clone(&tamper);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    // Hold the read side for the whole fan-out: the heal
-                    // barrier. A heal (write) waits for this round; this
-                    // round can never see a half-replayed store.
-                    let st = shared.read();
-                    let holders = st.holder_links();
-                    let tamper_now = *tamper.read();
-                    let msg = if st.workers.is_empty() {
-                        Message::NodeDown { node: NO_WORKERS }
-                    } else {
-                        match route_batch_replicated(
-                            &st.plan,
-                            &st.params,
-                            &tamper_now,
-                            &batch,
-                            &holders,
-                            id,
-                        ) {
-                            Ok(outs) => Message::Outputs(outs),
-                            // Crash: every holder of some range is gone.
-                            Err(RouteFail::Down(node)) => Message::NodeDown { node },
-                            // Malformed-but-alive shard: shaped like
-                            // tamper, reported like tamper.
-                            Err(RouteFail::Malformed) => Message::Outputs(Vec::new()),
-                        }
-                    };
-                    drop(st);
-                    let _ = reply(owner_link.as_ref(), tag, msg);
-                }));
-            }
-            Message::VersionProbe => {
-                let shared = Arc::clone(&shared);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    let st = shared.read();
-                    // Primary-per-range probe (replica fallback on link
-                    // failure only): versions are a per-holder notion —
-                    // summing every replica would double-count ranges.
-                    let probe = || -> Result<u64, u64> {
-                        if st.workers.is_empty() {
-                            return Err(NO_WORKERS);
-                        }
-                        let holders = st.holder_links();
-                        let mut version = 0u64;
-                        for (r, hs) in holders.iter().enumerate() {
-                            match ask_range(hs, id, &Message::VersionProbe) {
-                                Some(Message::Version(v)) => version += v,
-                                _ => return Err(r as u64),
-                            }
-                        }
-                        Ok(version)
-                    };
-                    let msg = match probe() {
-                        Ok(v) => Message::Version(v),
-                        Err(node) => Message::NodeDown { node },
-                    };
-                    drop(st);
-                    let _ = reply(owner_link.as_ref(), tag, msg);
-                }));
-            }
-            Message::RangeVersionProbe => {
-                let shared = Arc::clone(&shared);
-                let owner_link = Arc::clone(&owner_link);
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(std::thread::spawn(move || {
-                    let st = shared.read();
-                    // Stamps come from each range's primary (replica
-                    // fallback on link failure only); range order is
-                    // global row order, exactly as with one holder per
-                    // range. Replica stamps may differ (their rebuild
-                    // histories fold different `version_base`s), which is
-                    // safe: a promotion dirties the domain and entries
-                    // cut against the old primary re-probe — they only
-                    // revive if the new primary agrees.
-                    let probe = || -> Result<Vec<(u64, u64, u64)>, u64> {
-                        if st.workers.is_empty() {
-                            return Err(NO_WORKERS);
-                        }
-                        let holders = st.holder_links();
-                        let mut stamps = Vec::new();
-                        for (r, hs) in holders.iter().enumerate() {
-                            match ask_range(hs, id, &Message::RangeVersionProbe) {
-                                Some(Message::Versions(v)) => stamps.extend(v),
-                                _ => return Err(r as u64),
-                            }
-                        }
-                        Ok(stamps)
-                    };
-                    let msg = match probe() {
-                        Ok(v) => Message::Versions(v),
-                        Err(node) => Message::NodeDown { node },
-                    };
-                    drop(st);
-                    let _ = reply(owner_link.as_ref(), tag, msg);
-                }));
-            }
-            Message::MaxCombine {
-                uploads,
-                threads,
-                seq,
-            } => {
-                let wide_node = Arc::clone(&wide_node.read());
-                let owner_link = Arc::clone(&owner_link);
-                let ann = announcer.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = run_wide(
-                        &wide_node,
-                        ServerCmd::MaxCombine { uploads, threads },
-                        seq,
-                        tag,
-                        owner_link.as_ref(),
-                        ann.as_deref(),
-                    );
-                }));
-            }
-            Message::AssembleFpos { claims, threads } => {
-                let wide_node = Arc::clone(&wide_node.read());
-                let owner_link = Arc::clone(&owner_link);
-                let ann = announcer.clone();
-                workers.push(std::thread::spawn(move || {
-                    let _ = run_wide(
-                        &wide_node,
-                        ServerCmd::AssembleFpos { claims, threads },
-                        0,
-                        tag,
-                        owner_link.as_ref(),
-                        ann.as_deref(),
-                    );
-                }));
-            }
-            Message::Ping { seq } => {
-                let generation = shared.read().generation;
-                reply(owner_link.as_ref(), tag, Message::Pong { seq, generation })?;
-            }
-            Message::Shutdown => {
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                let st = shared.read();
-                for w in st.workers.iter() {
-                    let _ = w.link.send_raw(&Message::Shutdown);
-                }
-                return Ok(());
-            }
-            _ => {
-                // Reply-direction messages; ignore defensively.
-            }
-        }
-        workers.retain(|h| !h.is_finished());
+    let answered = ping(inner, &link).is_ok();
+    if let Some(a) = inner.announcer_health.lock().as_mut() {
+        // No failover target exists for a dead announcer — it holds no
+        // outsourced rows; wide queries fail loudly until it returns.
+        a.health.observe(answered, &inner.cfg, link.is_dead());
     }
 }
 
@@ -1793,14 +1181,14 @@ impl ShardWorker {
     /// a background thread. `params` is the **full domain's**
     /// [`ServerParams`] — the initiator provisions whole-domain views
     /// and the worker derives its shard view locally on every
-    /// assignment ([`shard_server_params`]).
+    /// assignment (`shard_server_params`).
     pub fn connect(
         params: ServerParams,
         domain: usize,
         addr: SocketAddr,
         timeout: Duration,
     ) -> Result<ShardWorker, NetError> {
-        ShardWorker::connect_inner(params, domain, addr, timeout, Tamper::Honest)
+        ShardWorker::connect_tampered(params, domain, addr, timeout, Tamper::Honest)
     }
 
     /// [`ShardWorker::connect`] with a tampering behaviour pre-installed
@@ -1816,55 +1204,18 @@ impl ShardWorker {
         timeout: Duration,
         tamper: Tamper,
     ) -> Result<ShardWorker, NetError> {
-        ShardWorker::connect_inner(params, domain, addr, timeout, tamper)
-    }
-
-    fn connect_inner(
-        params: ServerParams,
-        domain: usize,
-        addr: SocketAddr,
-        timeout: Duration,
-        tamper: Tamper,
-    ) -> Result<ShardWorker, NetError> {
-        let link = Arc::new(TcpLink::connect_retry(
-            addr,
-            timeout,
-            Duration::from_millis(10),
-        )?);
-        link.send(&Message::Register {
-            role: NodeRole::ShardWorker,
-            domain: domain as u32,
-            capacity: params.b as u64,
-            generation: 0,
-        })?;
-        match link.recv()? {
-            Message::RegisterAck {
-                accepted: true,
-                node,
-                generation,
-                start,
-                len,
-            } => {
-                let spec = ShardSpec {
-                    index: 0,
-                    start: start as usize,
-                    len: len as usize,
-                };
-                let serve_link = Arc::clone(&link);
-                let handle = std::thread::spawn(move || {
-                    worker_loop(params, serve_link, spec, generation, tamper)
-                });
-                Ok(ShardWorker {
-                    link,
-                    handle: Some(handle),
-                    node,
-                })
-            }
-            Message::RegisterAck {
-                accepted: false, ..
-            } => Err(NetError::Mux("registration rejected")),
-            _ => Err(NetError::Disconnected),
-        }
+        let backoff = Duration::from_millis(10);
+        let link = Arc::new(TcpLink::connect_retry(addr, timeout, backoff)?);
+        let (node, generation, spec) = register(&link, NodeRole::ShardWorker, domain, params.b)?;
+        let serve_link = Arc::clone(&link) as Arc<dyn Link>;
+        let handle = std::thread::spawn(move || {
+            node_loop(params, serve_link, Some(spec), generation, tamper, None)
+        });
+        Ok(ShardWorker {
+            link,
+            handle: Some(handle),
+            node,
+        })
     }
 
     /// Registry-assigned node id.
@@ -1888,166 +1239,6 @@ impl ShardWorker {
     }
 }
 
-/// The worker-side serving loop: an engine [`ServerNode`] over the
-/// assigned row range, answering the same wire commands as the
-/// statically wired `server_loop` plus the control plane's `Ping` and
-/// `Assign`.
-///
-/// `version_base` makes the domain's store version strictly increase
-/// across re-assignments: each `Assign` folds the old node's version
-/// (plus one) into the base before rebuilding, and probes answer
-/// `base + node.version()` — so a heal can never leave a domain's
-/// summed version where it was, and every stale cache entry dies.
-fn worker_loop(
-    domain_params: ServerParams,
-    link: Arc<TcpLink>,
-    spec0: ShardSpec,
-    generation0: u64,
-    tamper0: Tamper,
-) -> Result<(), NetError> {
-    let link: Arc<dyn Link> = link;
-    let fresh_node = |spec: &ShardSpec| {
-        let mut n = ServerNode::new(shard_server_params(&domain_params, spec));
-        // A worker born tampered (chaos testing) stays tampered across
-        // rebuilds; honest workers get the identity.
-        n.set_tamper(tamper0);
-        n
-    };
-    let node = Arc::new(RwLock::new(fresh_node(&spec0)));
-    let mut cur_spec = spec0;
-    let mut cur_gen = generation0;
-    let mut version_base = 0u64;
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        let (tag, msg) = link.recv()?.untag();
-        match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                node.write().store(owner as usize, column, data);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::BulkUpload { owner, columns } => {
-                let mut node = node.write();
-                for (column, data) in columns {
-                    node.store(owner as usize, column, data);
-                }
-                drop(node);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::SetTamper(t) => {
-                node.write().set_tamper(t);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::DeltaUpload {
-                owner,
-                start,
-                columns,
-                ..
-            } => {
-                // Local (shard) coordinates; the finish permutations live
-                // at the router, so the shard node extends by identity
-                // (the wire extensions are ignored here). Best-effort: a
-                // malformed delta is simply not applied — verification
-                // catches the divergence.
-                let start = start as usize;
-                let added = columns.first().map(|(_, d)| d.len()).unwrap_or(0);
-                let grew = start == cur_spec.len && added > 0;
-                let applied = node
-                    .write()
-                    .delta_upload(owner as usize, start, columns, None)
-                    .is_ok();
-                if applied && grew {
-                    cur_spec.len += added;
-                }
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::VersionProbe => {
-                let v = version_base + node.read().version();
-                reply(link.as_ref(), tag, Message::Version(v))?;
-            }
-            Message::RangeVersionProbe => {
-                // Fold the re-assignment base into every stamp: a healed
-                // (rebuilt + replayed) node must never report the same
-                // per-range versions as its predecessor, or a stale cache
-                // entry could validate across the heal.
-                let v: Vec<(u64, u64, u64)> = node
-                    .read()
-                    .range_versions()
-                    .into_iter()
-                    .map(|(s, l, ver)| (s, l, ver + version_base))
-                    .collect();
-                reply(link.as_ref(), tag, Message::Versions(v))?;
-            }
-            Message::Ping { seq } => {
-                reply(
-                    link.as_ref(),
-                    tag,
-                    Message::Pong {
-                        seq,
-                        generation: cur_gen,
-                    },
-                )?;
-            }
-            Message::Assign {
-                generation: gen,
-                start,
-                len,
-            } => {
-                let spec = ShardSpec {
-                    index: 0,
-                    start: start as usize,
-                    len: len as usize,
-                };
-                // An assignment to the range already held is a pure
-                // generation bump (the replay that follows overwrites
-                // the same slices); only a *moved* range rebuilds the
-                // node. Rebuilding on a no-op re-assign would wipe the
-                // store with nothing scheduled to restore it.
-                if spec.start != cur_spec.start || spec.len != cur_spec.len {
-                    // The write lock drains in-flight query readers
-                    // before the rebuild — no round computes across it.
-                    let mut node = node.write();
-                    version_base += node.version() + 1;
-                    *node = fresh_node(&spec);
-                    cur_spec = spec;
-                }
-                cur_gen = gen;
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
-            Message::RunBatch(batch) => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                workers.push(std::thread::spawn(move || {
-                    let outs = run_batch_on(&node.read(), batch);
-                    let _ = reply(link.as_ref(), tag, Message::Outputs(outs));
-                }));
-            }
-            Message::ShardRun { shard, batch } => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                workers.push(std::thread::spawn(move || {
-                    let outputs = run_batch_on(&node.read(), batch);
-                    let _ = reply(link.as_ref(), tag, Message::ShardOutputs { shard, outputs });
-                }));
-            }
-            Message::Shutdown => {
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                return Ok(());
-            }
-            _ => {
-                // Wide rounds are answered at the domain router, never
-                // at a worker; ignore stray traffic defensively.
-            }
-        }
-        workers.retain(|h| !h.is_finished());
-    }
-}
-
 /// The announcer attached to a registry by address: dials three
 /// connections — the owner↔announcer control edge plus one upload edge
 /// per additive server — registers each, and serves the ordinary
@@ -2066,17 +1257,15 @@ impl AnnouncerNode {
     ) -> Result<AnnouncerNode, NetError> {
         let backoff = Duration::from_millis(10);
         let ctl = Arc::new(TcpLink::connect_retry(addr, timeout, backoff)?);
-        register(&ctl, NodeRole::AnnouncerCtl, 0)?;
+        register(&ctl, NodeRole::AnnouncerCtl, 0, 0)?;
         let mut uploads: Vec<Box<dyn Link>> = Vec::with_capacity(ADDITIVE_SERVERS);
         for k in 0..ADDITIVE_SERVERS {
             let l = TcpLink::connect_retry(addr, timeout, backoff)?;
-            register(&l, NodeRole::AnnouncerUpload, k)?;
+            register(&l, NodeRole::AnnouncerUpload, k, 0)?;
             uploads.push(Box::new(l));
         }
-        let serve_ctl = Arc::clone(&ctl);
-        let handle = std::thread::spawn(move || {
-            announcer_loop(params, Box::new(ArcLink(serve_ctl)), uploads)
-        });
+        let serve_ctl = Arc::clone(&ctl) as Arc<dyn Link>;
+        let handle = std::thread::spawn(move || announcer_loop(params, serve_ctl, uploads));
         Ok(AnnouncerNode {
             link: ctl,
             handle: Some(handle),
@@ -2097,35 +1286,39 @@ impl AnnouncerNode {
     }
 }
 
-fn register(link: &TcpLink, role: NodeRole, domain: usize) -> Result<(), NetError> {
+/// Register one dialed edge under `role` and return what the registry
+/// granted: `(node id, assignment generation, provisional row range)`.
+fn register(
+    link: &TcpLink,
+    role: NodeRole,
+    domain: usize,
+    capacity: usize,
+) -> Result<(u64, u64, ShardSpec), NetError> {
     link.send(&Message::Register {
         role,
         domain: domain as u32,
-        capacity: 0,
+        capacity: capacity as u64,
         generation: 0,
     })?;
     match link.recv()? {
-        Message::RegisterAck { accepted: true, .. } => Ok(()),
+        Message::RegisterAck {
+            accepted: true,
+            node,
+            generation,
+            start,
+            len,
+        } => {
+            let spec = ShardSpec {
+                index: 0,
+                start: start as usize,
+                len: len as usize,
+            };
+            Ok((node, generation, spec))
+        }
         Message::RegisterAck {
             accepted: false, ..
         } => Err(NetError::Mux("registration rejected")),
         _ => Err(NetError::Disconnected),
-    }
-}
-
-/// A [`Link`] adaptor over a shared [`TcpLink`] (the announcer's control
-/// edge is held both by the serving loop and by the kill handle).
-struct ArcLink(Arc<TcpLink>);
-
-impl Link for ArcLink {
-    fn send(&self, msg: &Message) -> Result<(), NetError> {
-        self.0.send(msg)
-    }
-    fn recv(&self) -> Result<Message, NetError> {
-        self.0.recv()
-    }
-    fn stats(&self) -> Arc<LinkStats> {
-        self.0.stats()
     }
 }
 

@@ -37,6 +37,12 @@ pub enum NetError {
     },
     /// A bounded wait (keep-alive probe, registry attach) expired.
     Timeout,
+    /// A peer announced a frame longer than [`TcpLink`] accepts; nothing
+    /// was allocated or read for it.
+    FrameTooLarge {
+        /// The announced body length.
+        len: usize,
+    },
 }
 
 impl From<io::Error> for NetError {
@@ -60,6 +66,10 @@ impl std::fmt::Display for NetError {
             NetError::Mux(why) => write!(f, "multiplexer error: {why}"),
             NetError::NodeDown { node } => write!(f, "node down: {node}"),
             NetError::Timeout => write!(f, "timed out"),
+            NetError::FrameTooLarge { len } => write!(
+                f,
+                "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+            ),
         }
     }
 }
@@ -150,6 +160,18 @@ impl Link for ChannelLink {
     }
 }
 
+/// Largest frame body a [`TcpLink`] will receive. The length prefix comes
+/// from the peer — on the attach port, from anyone who can dial it — so it
+/// is checked before a byte is allocated for the body. The largest frame
+/// anything in this repository puts on a socket is the benchmark's
+/// `tcp_wide_serial` Phase-1 `BulkUpload` (3 columns × 100 000 cells × 8 B
+/// ≈ 2.4 MB; its round-2 `RunBatch` is the same size, replies are 800 KB;
+/// every test, example and `exp_harness` TCP config is ≤ 4 096 cells per
+/// frame). 64 MiB is ~27× that — one 8 M-cell column, or a full
+/// seven-column upload of a 1 M-cell domain — and 1/64 of what the
+/// prefix could otherwise demand.
+const MAX_FRAME_BYTES: usize = 64 << 20;
+
 /// TCP link endpoint: 4-byte little-endian length prefix per frame.
 ///
 /// The stream is split into independently locked reader and writer halves
@@ -236,6 +258,9 @@ impl Link for TcpLink {
         let mut len_buf = [0u8; 4];
         stream.read_exact(&mut len_buf)?;
         let len = (&len_buf[..]).get_u32_le() as usize;
+        if len > MAX_FRAME_BYTES {
+            return Err(NetError::FrameTooLarge { len });
+        }
         let mut body = vec![0u8; len];
         stream.read_exact(&mut body)?;
         Ok(Message::decode(&body)?)
@@ -313,6 +338,26 @@ mod tests {
     }
 
     #[test]
+    fn tcp_oversized_length_prefix_is_refused_before_the_body() {
+        // Any dialer can write four bytes. A hostile prefix must fail
+        // typed, at once — the peer stays connected and sends no body, so
+        // a recv that tried to read (or allocate) one would hang — and
+        // must leave the bytes after the prefix unread.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let link = TcpLink::new(listener.accept().unwrap().0).unwrap();
+        raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
+        raw.write_all(b"xyz").unwrap();
+        match link.recv().unwrap_err() {
+            NetError::FrameTooLarge { len } => assert_eq!(len, u32::MAX as usize),
+            other => panic!("expected FrameTooLarge, got {other:?}"),
+        }
+        let mut rest = [0u8; 3];
+        link.reader.lock().read_exact(&mut rest).unwrap();
+        assert_eq!(&rest, b"xyz", "body bytes were consumed");
+    }
+
+    #[test]
     fn tcp_send_proceeds_while_recv_blocks() {
         // Full duplex: a parked recv (the multiplexer pump's steady
         // state) must not hold the lock a concurrent send needs.
@@ -325,10 +370,14 @@ mod tests {
         // Give the pump time to park inside read_exact, then send from
         // the same endpoint; b echoes so the pump can finish.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        a.send(&Message::VersionProbe).unwrap();
-        assert_eq!(b.recv().unwrap(), Message::VersionProbe);
-        b.send(&Message::Version(3)).unwrap();
-        assert_eq!(pump.join().unwrap(), Message::Version(3));
+        let pong = Message::Pong {
+            seq: 3,
+            generation: 0,
+        };
+        a.send(&Message::Ping { seq: 3 }).unwrap();
+        assert_eq!(b.recv().unwrap(), Message::Ping { seq: 3 });
+        b.send(&pong).unwrap();
+        assert_eq!(pump.join().unwrap(), pong);
     }
 
     #[test]

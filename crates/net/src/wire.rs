@@ -697,15 +697,6 @@ pub enum Message {
     /// Attach a tampering behaviour to the announcer (tests), over the
     /// owner↔announcer control link.
     SetAnnouncerTamper(AnnouncerTamper),
-    /// Owner → server: probe the store version
-    /// ([`ServerCmd::Version`](prism_protocol::engine::ServerCmd)
-    /// verbatim) — the parameter-free O(1) request the PSI-round cache
-    /// validates its entries with. A sharded domain's router fans the
-    /// probe to its workers and sums their replies.
-    VersionProbe,
-    /// Server → owner: the store's monotonic version, answering a
-    /// [`Message::VersionProbe`].
-    Version(u64),
     /// Query-tagged envelope: any message, stamped with the query it
     /// belongs to. The multiplexer (`crate::mux`) wraps every request of
     /// a concurrent query in one of these; the serving loop echoes the
@@ -830,7 +821,7 @@ impl Message {
             Message::RunBatch(batch) => 1 + batch_len(batch),
             Message::Outputs(outs) => 1 + vecs_len(outs),
             Message::SetTamper(t) => 1 + tamper_len(t),
-            Message::Ack | Message::Shutdown | Message::VersionProbe => 1,
+            Message::Ack | Message::Shutdown => 1,
             Message::BulkUpload { columns, .. } => {
                 1 + 4
                     + 4
@@ -857,7 +848,6 @@ impl Message {
             Message::AnnounceRun { .. } => 1 + 1 + 8 + 4,
             Message::AnnounceReply(reply) => 1 + announcer_reply_len(reply),
             Message::SetAnnouncerTamper(t) => 1 + announcer_tamper_len(t),
-            Message::Version(_) => 1 + 8,
             Message::Tagged { inner, .. } => 1 + 8 + inner.encoded_len(),
             Message::Register { .. } => 1 + 1 + 4 + 8 + 8,
             Message::RegisterAck { .. } => 1 + 1 + 8 + 8 + 8 + 8,
@@ -1003,11 +993,6 @@ impl Message {
             Message::SetAnnouncerTamper(t) => {
                 buf.put_u8(16);
                 encode_announcer_tamper(t, buf);
-            }
-            Message::VersionProbe => buf.put_u8(17),
-            Message::Version(v) => {
-                buf.put_u8(18);
-                buf.put_u64_le(*v);
             }
             Message::Tagged { query, inner } => {
                 debug_assert!(
@@ -1190,8 +1175,9 @@ impl Message {
             }
             15 => Message::AnnounceReply(decode_announcer_reply(buf)?),
             16 => Message::SetAnnouncerTamper(decode_announcer_tamper(buf)?),
-            17 => Message::VersionProbe,
-            18 => Message::Version(need_u64(buf)?),
+            // 17/18 carried the retired whole-store `VersionProbe`/`Version`
+            // pair (subsumed by 27/28). Reserved: never reassigned, so an
+            // old peer's probe is a `BadTag`, not a misread.
             19 => {
                 let query = need_u64(buf)?;
                 if buf.first() == Some(&19) {
@@ -1445,10 +1431,15 @@ mod tests {
     }
 
     #[test]
-    fn version_messages_roundtrip() {
-        roundtrip(Message::VersionProbe);
-        roundtrip(Message::Version(0));
-        roundtrip(Message::Version(u64::MAX));
+    fn retired_version_tags_stay_reserved() {
+        // Tags 17 (`VersionProbe`) and 18 (`Version(u64)`) are retired,
+        // not free: whatever follows them, decoding is an error.
+        for tag in [17u8, 18] {
+            let mut body = vec![tag];
+            assert_eq!(Message::decode(&body).unwrap_err(), WireError::BadTag(tag));
+            body.extend_from_slice(&7u64.to_le_bytes());
+            assert_eq!(Message::decode(&body).unwrap_err(), WireError::BadTag(tag));
+        }
     }
 
     #[test]
@@ -1494,8 +1485,14 @@ mod tests {
 
     #[test]
     fn tagged_envelopes_roundtrip() {
-        roundtrip(Message::VersionProbe.tagged(0));
-        roundtrip(Message::Version(7).tagged(u64::MAX));
+        roundtrip(Message::RangeVersionProbe.tagged(0));
+        roundtrip(
+            Message::Pong {
+                seq: 7,
+                generation: 1,
+            }
+            .tagged(u64::MAX),
+        );
         roundtrip(
             Message::RunBatch(BatchQuery {
                 zs: vec![vec![5; 16]],
@@ -1544,7 +1541,11 @@ mod tests {
 
     #[test]
     fn truncated_tagged_envelopes_error() {
-        let enc = Message::Version(12).tagged(77).encode();
+        let pong = Message::Pong {
+            seq: 12,
+            generation: 3,
+        };
+        let enc = pong.tagged(77).encode();
         for cut in 0..enc.len() {
             assert!(Message::decode(&enc[..cut]).is_err(), "cut={cut}");
         }

@@ -4,10 +4,12 @@
 //! per owner per server; per-shard traffic is metered; and the tamper
 //! matrix behaves identically whatever the shard count.
 
-use prism_core::Prg;
-use prism_net::{Column, NetCluster};
+use prism_core::{Permutation, Prg};
+use prism_net::{AnnouncerNode, ClusterListener, Column, NetCluster, RegistryConfig, ShardWorker};
+use prism_protocol::engine::Operation;
 use prism_protocol::malicious::Tamper;
-use prism_protocol::params::{Initiator, Setup, SystemConfig};
+use prism_protocol::params::{Initiator, OwnerParams, Setup, SystemConfig};
+use prism_protocol::plans::{self, QueryBatch};
 use prism_protocol::tables::{share_indicator, share_payload};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -23,24 +25,42 @@ fn make_setup(seed: u64) -> Setup {
 /// Build one owner's full per-server column sets from their rows.
 fn owner_columns(setup: &Setup, owner: usize, rows: &[(u64, u64)]) -> Vec<Vec<(Column, Vec<u64>)>> {
     let op = &setup.owner;
-    let b = op.b;
-    let mut indicator = vec![0u64; b];
-    let mut sums = vec![0u64; b];
-    let mut counts = vec![0u64; b];
+    let seed = 4000 + owner as u64;
+    segment_columns(op, &op.pf_db1, &op.pf_db2, 0, op.b, seed, rows)
+}
+
+/// One owner's per-server column sets over the cell segment
+/// `[start, start + len)`, the verification copies permuted by
+/// `db1`/`db2` — the owner's whole permutations for a Phase-1 upload, or
+/// the appended *blocks* for a delta (block-diagonal growth means the
+/// full permuted column's appended segment is the block applied to the
+/// segment).
+fn segment_columns(
+    op: &OwnerParams,
+    db1: &Permutation,
+    db2: &Permutation,
+    start: usize,
+    len: usize,
+    seed: u64,
+    rows: &[(u64, u64)],
+) -> Vec<Vec<(Column, Vec<u64>)>> {
+    let mut indicator = vec![0u64; len];
+    let mut sums = vec![0u64; len];
+    let mut counts = vec![0u64; len];
     for &(c, x) in rows {
-        let cell = (c - 1) as usize;
+        let cell = (c - 1) as usize - start;
         indicator[cell] = 1;
         sums[cell] += x;
         counts[cell] += 1;
     }
-    let mut prg = Prg::from_seed(4000 + owner as u64);
+    let mut prg = Prg::from_seed(seed);
     let ind = share_indicator(&indicator, op.delta, &mut prg);
     let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-    let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-    let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-    let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
+    let v = share_indicator(&db1.apply(&complement), op.delta, &mut prg);
+    let c1 = share_indicator(&db1.apply(&indicator), op.delta, &mut prg);
+    let c2 = share_indicator(&db2.apply(&indicator), op.delta, &mut prg);
     let p = share_payload(&sums, &op.field, &mut prg);
-    let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
+    let vp = share_payload(&db1.apply(&sums), &op.field, &mut prg);
     let cnt = share_payload(&counts, &op.field, &mut prg);
 
     (0..3)
@@ -97,12 +117,12 @@ struct AllResults {
 
 /// Per-owner per-cell maxima and sums (attribute 0) — the owner-side
 /// value columns the max/median plans consume.
-fn owner_values(rows: &[Vec<(u64, u64)>]) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
+fn owner_values(rows: &[Vec<(u64, u64)>], b: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
     let mut maxima = Vec::new();
     let mut sums = Vec::new();
     for owner_rows in rows {
-        let mut mx = vec![0u64; DOMAIN];
-        let mut sm = vec![0u64; DOMAIN];
+        let mut mx = vec![0u64; b];
+        let mut sm = vec![0u64; b];
         for &(c, x) in owner_rows {
             let cell = (c - 1) as usize;
             mx[cell] = mx[cell].max(x);
@@ -133,7 +153,7 @@ fn run_all(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) -> AllResults {
         .execute(&prism_protocol::plans::CountVerified)
         .unwrap();
     tracked(s);
-    let (maxima, sums) = owner_values(rows);
+    let (maxima, sums) = owner_values(rows, DOMAIN);
     let (max_out, s) = cluster
         .execute(&prism_protocol::plans::Max {
             values: maxima.iter().map(Vec::as_slice).collect(),
@@ -212,6 +232,128 @@ fn tcp_sharded_domain_matches_channel() {
     upload_all(&c, &rows());
     assert_eq!(run_all(&c, &rows()), channel);
     c.shutdown().unwrap();
+}
+
+/// The whole facade surface — the 12 operations — as one comparable
+/// record per operation: `(answer, rounds, shard dispatches)`.
+fn surface(c: &NetCluster, rows: &[Vec<(u64, u64)>], b: usize) -> Vec<(String, usize, u64)> {
+    fn op<P: Operation>(c: &NetCluster, plan: P) -> (String, usize, u64)
+    where
+        P::Output: std::fmt::Debug,
+    {
+        let (out, stats) = c.execute(&plan).unwrap();
+        (format!("{out:?}"), stats.rounds(), stats.shard_dispatches())
+    }
+    let (maxima, sums) = owner_values(rows, b);
+    fn values(v: &[Vec<u64>]) -> Vec<&[u64]> {
+        v.iter().map(Vec::as_slice).collect()
+    }
+    let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
+    vec![
+        op(c, plans::Psi),
+        op(c, plans::PsiVerified),
+        op(c, plans::Psu),
+        op(c, plans::PsuVerified),
+        op(c, plans::Count),
+        op(c, plans::CountVerified),
+        op(c, plans::Sum { attr: 0, seed: 9 }),
+        op(c, plans::SumVerified { attr: 0, seed: 10 }),
+        op(c, plans::Average { attr: 0, seed: 11 }),
+        op(
+            c,
+            plans::Batch {
+                batch: &batch,
+                seed: 14,
+            },
+        ),
+        op(
+            c,
+            plans::Max {
+                values: values(&maxima),
+                table: None,
+                seed: 12,
+                cell_chunk: 1 << 16,
+            },
+        ),
+        op(
+            c,
+            plans::Median {
+                values: values(&sums),
+                table: None,
+                seed: 13,
+                cell_chunk: 1 << 16,
+            },
+        ),
+    ]
+}
+
+/// One router reached two ways: the statically wired constructor and the
+/// attach listener (rf = 1, same two row ranges), fed identical uploads
+/// and one delta append, answer every operation bit-identically, in the
+/// same number of rounds and shard dispatches — before and after the
+/// append.
+#[test]
+fn static_and_attached_topologies_agree() {
+    const ADDED: usize = 4;
+    let setup = make_setup(85);
+    let fixed = NetCluster::start_tcp_sharded(setup.clone(), 2).unwrap();
+    let listener = ClusterListener::bind(setup.clone(), 2, RegistryConfig::default()).unwrap();
+    let dial = std::time::Duration::from_secs(10);
+    let mut workers = Vec::new();
+    for (k, params) in setup.servers.iter().enumerate() {
+        for _ in 0..2 {
+            workers.push(ShardWorker::connect(params.clone(), k, listener.addr(), dial).unwrap());
+        }
+    }
+    let announcer = AnnouncerNode::connect(setup.announcer.clone(), listener.addr(), dial).unwrap();
+    let attached = listener.start().unwrap();
+    let mut clusters = [fixed, attached];
+    assert_eq!(clusters[0].shards(), clusters[1].shards());
+
+    let mut all_rows = rows();
+    for c in &clusters {
+        upload_all(c, &all_rows);
+    }
+    assert_eq!(
+        surface(&clusters[0], &all_rows, DOMAIN),
+        surface(&clusters[1], &all_rows, DOMAIN)
+    );
+
+    let grown = setup.grow(ADDED, 1, 85).unwrap();
+    let (db1, db2) = (
+        grown.family.pf_db1.tail_block(DOMAIN).unwrap(),
+        grown.family.pf_db2.tail_block(DOMAIN).unwrap(),
+    );
+    let delta: Vec<Vec<(u64, u64)>> = vec![
+        vec![(25, 40), (26, 7), (28, 3)],
+        vec![(25, 10), (27, 2), (28, 5)],
+        vec![(25, 60), (28, 1)],
+    ];
+    for c in clusters.iter_mut() {
+        c.adopt_setup(grown.clone());
+        for (j, owner_rows) in delta.iter().enumerate() {
+            let seed = 5000 + j as u64;
+            let per_server =
+                segment_columns(&grown.owner, &db1, &db2, DOMAIN, ADDED, seed, owner_rows);
+            for (k, cols) in per_server.into_iter().enumerate() {
+                c.delta_upload(k, j, DOMAIN, cols).unwrap();
+            }
+        }
+    }
+    for (all, new) in all_rows.iter_mut().zip(delta) {
+        all.extend(new);
+    }
+    let after = surface(&clusters[0], &all_rows, DOMAIN + ADDED);
+    assert_eq!(after, surface(&clusters[1], &all_rows, DOMAIN + ADDED));
+    assert!(after.iter().all(|(_, rounds, _)| *rounds > 0));
+
+    for c in clusters {
+        c.shutdown().unwrap();
+    }
+    for w in workers {
+        w.join().unwrap();
+    }
+    announcer.join().unwrap();
 }
 
 #[test]

@@ -118,7 +118,7 @@ fn build_message(
         // Exercise both the full-domain and the window-scoped encoding.
         range: (t_sel % 2 == 1).then_some((tx, ty)),
     };
-    match sel % 22 {
+    match sel % 20 {
         0 => Message::Upload {
             owner,
             column: arb_column(col_sel, attr),
@@ -189,9 +189,7 @@ fn build_message(
             })
         }),
         15 => Message::SetAnnouncerTamper(arb_announcer_tamper(t_sel, tx)),
-        16 => Message::VersionProbe,
-        17 => Message::Version(tx),
-        18 => Message::DeltaUpload {
+        16 => Message::DeltaUpload {
             owner,
             start: tx,
             columns: zs
@@ -208,8 +206,8 @@ fn build_message(
                 data.iter().map(|&x| (x >> 32) as u32).collect()
             },
         },
-        19 => Message::RangeVersionProbe,
-        20 => Message::Versions(data.chunks_exact(3).map(|c| (c[0], c[1], c[2])).collect()),
+        17 => Message::RangeVersionProbe,
+        18 => Message::Versions(data.chunks_exact(3).map(|c| (c[0], c[1], c[2])).collect()),
         _ => Message::Shutdown,
     }
 }

@@ -512,7 +512,6 @@ mod tests {
         assert!(eligible_key(&run_cmd(vec![BatchItem::with_z(QueryOp::Sum(0), 0)])).is_none());
         // Empty batches and non-Run commands pass through.
         assert!(eligible_key(&run_cmd(Vec::new())).is_none());
-        assert!(eligible_key(&ServerCmd::Version).is_none());
         assert!(eligible_key(&ServerCmd::RangeVersions).is_none());
     }
 

@@ -142,7 +142,7 @@ impl BatchItem {
 ///
 /// This is what makes e.g. sum+count+average over several attributes cost
 /// a single round 2 instead of one per aggregation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchQuery {
     /// Auxiliary Shamir-shared vectors (this server's share of each).
     pub zs: Vec<Vec<u64>>,
@@ -179,15 +179,12 @@ pub enum ServerCmd {
         /// Worker threads the server should use.
         threads: u32,
     },
-    /// Probe the server's store version (see [`ColumnStore::version`]) —
-    /// a parameter-free, O(1) command the PSI-round cache
-    /// ([`crate::cache`]) uses to validate its entries without rerunning
-    /// any stored-column work.
-    Version,
     /// Probe the server's per-range version stamps (see
-    /// [`ColumnStore::range_versions`]) — the delta-upload-aware sibling
-    /// of [`ServerCmd::Version`], O(#epochs), reported in **global** row
-    /// coordinates so sharded backends can concatenate worker replies.
+    /// [`ColumnStore::range_versions`]) — a parameter-free, O(#epochs)
+    /// command the PSI-round cache ([`crate::cache`]) uses to validate
+    /// its entries without rerunning any stored-column work. Stamps are
+    /// reported in **global** row coordinates so sharded backends can
+    /// concatenate worker replies.
     RangeVersions,
 }
 
@@ -222,13 +219,10 @@ pub enum ServerReply {
     },
     /// Output of a [`ServerCmd::AssembleFpos`].
     Fpos(Vec<Vec<u64>>),
-    /// Reply to [`ServerCmd::Version`]: the store's current monotonic
-    /// version. Never reaches a plan — only the caching decorator
-    /// ([`crate::cache::CachedExec`]) issues version probes.
-    Version(u64),
     /// Reply to [`ServerCmd::RangeVersions`]: the store's per-range
     /// version stamps `(start, len, version)` in global row coordinates,
-    /// ordered by start. Never reaches a plan.
+    /// ordered by start. Never reaches a plan — only the caching
+    /// decorator ([`crate::cache::CachedExec`]) issues version probes.
     Versions(Vec<RangeVersion>),
 }
 
@@ -1037,7 +1031,6 @@ impl ServerNode {
                     (*threads).max(1) as usize,
                 )?))
             }
-            ServerCmd::Version => Ok(ServerReply::Version(self.version())),
             ServerCmd::RangeVersions => Ok(ServerReply::Versions(self.range_versions())),
         }
     }

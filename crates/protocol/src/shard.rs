@@ -374,15 +374,6 @@ impl ShardedNode {
         self.dispatches.load(Ordering::Relaxed)
     }
 
-    /// The domain's monotonic store version: the sum of its shard nodes'
-    /// versions (a domain-level store writes one row slice to every
-    /// shard, so any write moves the sum). `prism_net`'s domain router
-    /// answers version probes with the identical sum over its shard
-    /// workers, so the two sharded deployments agree by construction.
-    pub fn version(&self) -> u64 {
-        self.shards.iter().map(ServerNode::version).sum()
-    }
-
     /// Attach a domain-level tampering behaviour (tests). Applied to every
     /// merged stored-column output, pre-permutation — the same corruption
     /// point as the monolithic node.
@@ -496,9 +487,6 @@ impl ShardedNode {
             ServerCmd::MaxCombine { .. } | ServerCmd::AssembleFpos { .. } => {
                 self.shards[0].execute(cmd)
             }
-            // Version probes are answered at the domain level: the cache
-            // keys on whole-domain store state, not shard granularity.
-            ServerCmd::Version => Ok(ServerReply::Version(self.version())),
             // Range probes concatenate the shard epochs — each shard
             // reports in global row coordinates already (its `row_offset`
             // is folded in), and shard order is global row order.

@@ -15,8 +15,10 @@ test:
 # The arithmetic suites again, optimised: the division-free fast paths
 # rest on `debug_assert!`ed invariants (checked by `test`) and on wrapping
 # overflow (how the shipped build behaves), so both profiles must pass.
+# `prism_net` too: the benchmark and every deployment run release builds,
+# and its chaos-timing and mux-interleaving suites are timing-sensitive.
 test-release:
-    cargo test --release -q -p prism_core -p prism_protocol
+    cargo test --release -q -p prism_core -p prism_protocol -p prism_net
 
 # Formatting gate.
 fmt-check:
