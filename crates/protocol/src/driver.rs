@@ -1221,6 +1221,65 @@ mod tests {
         );
     }
 
+    /// FNV-1a over every stored share column of every shard of every
+    /// server domain, in a fixed `(server, shard, column, owner)` order.
+    fn share_digest(c: &Cluster) -> u64 {
+        const COLUMNS: [Column; 9] = [
+            Column::Ok,
+            Column::VOk,
+            Column::OkDb1,
+            Column::OkDb2,
+            Column::Agg(0),
+            Column::VAgg(0),
+            Column::Agg(1),
+            Column::VAgg(1),
+            Column::AOk,
+        ];
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
+        for node in &c.nodes {
+            for shard in node.shard_nodes() {
+                for column in COLUMNS {
+                    for shares in shard.stored(column) {
+                        eat(shares.len() as u64);
+                        shares.iter().copied().for_each(&mut eat);
+                    }
+                }
+            }
+        }
+        h
+    }
+
+    /// Phase 1 is pinned bit for bit: `build → update_owner → append`
+    /// over one fixed `(inputs, cfg)` leaves exactly these shares in the
+    /// stores, whatever code path produced them.
+    #[test]
+    fn outsourced_shares_match_the_golden_digest() {
+        let owner_rows = |j: u64, cells: std::ops::RangeInclusive<u64>| OwnerInput {
+            rows: cells
+                .filter(|v| v % (j + 2) != 0)
+                .flat_map(|v| [(v, vec![v * 10 + j, v + 3]), (v, vec![j + 1, 2 * v])])
+                .collect(),
+        };
+        for (shards, golden) in [(1, 0xb46b_960b_bb11_635bu64), (3, 0xd974_8663_8eb6_6f41)] {
+            let inputs: Vec<OwnerInput> = (0..3).map(|j| owner_rows(j, 1..=12)).collect();
+            let mut cfg = ClusterConfig::new(12).with_shards(shards);
+            cfg.seed = 0x60_1DE7;
+            cfg.agg_domain_max = 2000;
+            let mut c = Cluster::build(&inputs, cfg).unwrap();
+            c.update_owner(1, &owner_rows(5, 2..=11)).unwrap();
+            let delta: Vec<OwnerInput> = (0..3).map(|j| owner_rows(j, 13..=16)).collect();
+            c.append(4, &delta).unwrap();
+            assert_eq!(c.attributes(), 2);
+            assert_eq!(
+                share_digest(&c),
+                golden,
+                "shards = {shards}: got {:#x}",
+                share_digest(&c)
+            );
+        }
+    }
+
     #[test]
     fn product_domain_tuples_decode() {
         use prism_core::{DenseIntDomain, DomainMap, ProductDomain};

@@ -689,6 +689,13 @@ impl ServerNode {
         self.store.store(owner, column, data);
     }
 
+    /// Every owner's stored shares of `column` (the golden share-digest
+    /// test reads the stores back through this).
+    #[cfg(test)]
+    pub(crate) fn stored(&self, column: Column) -> &[Vec<u64>] {
+        self.store.col(column)
+    }
+
     /// Append one owner's delta segment (all its columns share one
     /// appended row range) starting at **local** row `start`.
     ///

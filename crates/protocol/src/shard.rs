@@ -368,6 +368,13 @@ impl ShardedNode {
         self.shards.len()
     }
 
+    /// The shard nodes, in row order (the golden share-digest test reads
+    /// their stores back through this).
+    #[cfg(test)]
+    pub(crate) fn shard_nodes(&self) -> &[ServerNode] {
+        &self.shards
+    }
+
     /// Shard sub-commands fanned out so far (0 until a multi-shard round
     /// actually splits).
     pub fn dispatches(&self) -> u64 {

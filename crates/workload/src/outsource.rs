@@ -343,6 +343,29 @@ mod tests {
             .all(|(c, _)| !matches!(c, Column::Ok | Column::VOk)));
     }
 
+    /// The share stream is pinned bit for bit: one fixed `(rows, op,
+    /// seed)` yields exactly these per-server tables, whatever code path
+    /// produced them (FNV-1a over every column in Table-11 order).
+    #[test]
+    fn outsourced_tables_match_the_golden_digest() {
+        let rows = LineItemConfig::full(48, 9).generate_owner(1);
+        let op = owner_params(3, 48);
+        let out = outsource_owner(&rows, &op, 4, true, 0x60_1DE7);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |v: u64| h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
+        for t in &out.tables {
+            let columns = [&t.ok, &t.v_ok, &t.a_ok]
+                .into_iter()
+                .chain(&t.agg)
+                .chain(&t.v_agg);
+            for column in columns {
+                eat(column.len() as u64);
+                column.iter().copied().for_each(&mut eat);
+            }
+        }
+        assert_eq!(h, 0x595a_084d_5e46_f7d3, "got {h:#x}");
+    }
+
     #[test]
     fn attrs_zero_skips_agg_columns() {
         let cfg = LineItemConfig::full(8, 4);
