@@ -22,11 +22,9 @@
 //! bench-smoke` and CI publish; the smoke greps it for `"failovers": 1`
 //! and for the `"heal": "promotion"` row.
 
+use crate::build::{net_setup, structured_tables, upload_tables, BATCH_COLUMNS};
 use crate::report::{print_table, secs};
-use prism_core::Prg;
-use prism_net::{AnnouncerNode, ClusterListener, Column, NetCluster, RegistryConfig, ShardWorker};
-use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_net::{AnnouncerNode, ClusterListener, NetCluster, RegistryConfig, ShardWorker};
 use prism_protocol::QueryBatch;
 use std::time::{Duration, Instant};
 
@@ -68,51 +66,6 @@ pub struct FailoverSweep {
     pub heal_log: Vec<String>,
 }
 
-const AGG_MAX: u64 = 2_000;
-
-fn setup(domain: u64, owners: usize, seed: u64) -> Setup {
-    Initiator::new(
-        SystemConfig::new(owners, domain as usize)
-            .with_seed(seed)
-            .with_agg_domain_max(AGG_MAX),
-    )
-    .setup()
-    .unwrap()
-}
-
-/// Owner j holds cell v iff `v % (j + 2) != 0` — a dense, structured
-/// overlap with per-owner values below the blinding bound (the same
-/// workload shape as the `netmax` smoke).
-fn upload(cluster: &NetCluster, domain: u64, owners: usize, seed: u64) {
-    let op = cluster.setup().owner.clone();
-    for j in 0..owners {
-        let mut indicator = vec![0u64; domain as usize];
-        let mut sums = vec![0u64; domain as usize];
-        let mut counts = vec![0u64; domain as usize];
-        for v in 1..=domain {
-            if v % (j as u64 + 2) != 0 {
-                let cell = (v - 1) as usize;
-                indicator[cell] = 1;
-                sums[cell] = (v * 7 + j as u64) % (AGG_MAX - 1) + 1;
-                counts[cell] = 1;
-            }
-        }
-        let mut prg = Prg::from_seed(seed ^ (3_000 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        for k in 0..3 {
-            let mut columns = Vec::new();
-            if k < 2 {
-                columns.push((Column::Ok, ind.shares[k].clone()));
-            }
-            columns.push((Column::Agg(0), p.shares[k].clone()));
-            columns.push((Column::AOk, cnt.shares[k].clone()));
-            cluster.bulk_upload(k, j, columns).expect("upload");
-        }
-    }
-}
-
 /// Run the failover experiment at one replication factor: bring up an
 /// elastic cluster (`shards × rf` workers per server domain over TCP),
 /// measure pre-kill cold/warm passes, hard-kill one worker, measure the
@@ -121,7 +74,7 @@ fn upload(cluster: &NetCluster, domain: u64, owners: usize, seed: u64) {
 /// 1, or the heal took the wrong path for the replication factor
 /// (rf=1 must replay, rf≥2 must promote with zero replay).
 pub fn run(domain: u64, owners: usize, shards: usize, rf: usize, seed: u64) -> FailoverSweep {
-    let setup = setup(domain, owners, seed);
+    let setup = net_setup(domain, owners, seed);
     let cfg = RegistryConfig {
         probe_interval: Duration::from_millis(20),
         probe_timeout: Duration::from_secs(2),
@@ -142,7 +95,12 @@ pub fn run(domain: u64, owners: usize, shards: usize, rf: usize, seed: u64) -> F
     let announcer = AnnouncerNode::connect(setup.announcer.clone(), addr, dial).expect("announcer");
     let mut cluster = listener.start().expect("start");
     cluster.enable_cache();
-    upload(&cluster, domain, owners, seed);
+    upload_tables(
+        &cluster,
+        &structured_tables(domain, owners),
+        BATCH_COLUMNS,
+        seed,
+    );
 
     let batch = QueryBatch::new().sum(0).count_tuples();
     let mut rows = Vec::new();

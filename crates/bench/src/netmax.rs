@@ -11,11 +11,10 @@
 //! `just bench-smoke` and CI publish, so the networked announcer path's
 //! perf trajectory is recorded per commit alongside `BENCH_shard.json`.
 
+use crate::build::{net_setup, structured_tables, upload_tables};
 use crate::report::{print_table, secs};
-use prism_core::Prg;
-use prism_net::{Column, NetCluster};
-use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::share_indicator;
+use prism_net::NetCluster;
+use prism_protocol::tables::ColumnSet;
 use prism_protocol::{plans, QueryStats};
 use std::time::Duration;
 
@@ -38,64 +37,26 @@ pub struct NetMaxRow {
     pub announcer_bytes: u64,
 }
 
-const AGG_MAX: u64 = 2_000;
-
-fn setup(domain: u64, owners: usize, seed: u64) -> Setup {
-    Initiator::new(
-        SystemConfig::new(owners, domain as usize)
-            .with_seed(seed)
-            .with_agg_domain_max(AGG_MAX),
-    )
-    .setup()
-    .unwrap()
-}
-
-/// Owner j holds cell v iff `v % (j + 2) != 0` — a dense, structured
-/// overlap (~20% of the domain in the 4-owner intersection) with
-/// per-owner values below the blinding bound.
-fn owner_data(domain: u64, owners: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let mut indicators = Vec::new();
-    let mut values = Vec::new();
-    for j in 0..owners as u64 {
-        let mut ind = vec![0u64; domain as usize];
-        let mut val = vec![0u64; domain as usize];
-        for v in 1..=domain {
-            if v % (j + 2) != 0 {
-                ind[(v - 1) as usize] = 1;
-                val[(v - 1) as usize] = (v * 7 + j) % (AGG_MAX - 1) + 1;
-            }
-        }
-        indicators.push(ind);
-        values.push(val);
-    }
-    (indicators, values)
-}
-
-fn upload(cluster: &NetCluster, indicators: &[Vec<u64>], seed: u64) {
-    let op = &cluster.setup().owner;
-    for (j, indicator) in indicators.iter().enumerate() {
-        let mut prg = Prg::from_seed(seed ^ (3_000 + j as u64));
-        let ind = share_indicator(indicator, op.delta, &mut prg);
-        for k in 0..2 {
-            cluster
-                .bulk_upload(k, j, vec![(Column::Ok, ind.shares[k].clone())])
-                .expect("upload");
-        }
-    }
-}
+/// Max/median read only the indicator column from the stores.
+const COLUMNS: ColumnSet = ColumnSet {
+    verification: false,
+    two_copy: false,
+    aggregation: None,
+};
 
 /// Run max + median on both transports; best-of-`reps` timings.
 pub fn run(domain: u64, owners: usize, reps: usize, seed: u64) -> Vec<NetMaxRow> {
     let reps = reps.max(1);
-    let (indicators, values) = owner_data(domain, owners);
-    let refs: Vec<&[u64]> = values.iter().map(Vec::as_slice).collect();
+    let tables = structured_tables(domain, owners);
+    // One value per held cell, so the per-cell maxima are the values.
+    let refs: Vec<&[u64]> = tables.iter().map(|t| t.maxima[0].as_slice()).collect();
     let mut rows = Vec::new();
     for transport in ["channel", "tcp"] {
         let cluster = match transport {
-            "channel" => NetCluster::start_local(setup(domain, owners, seed)),
-            _ => NetCluster::start_tcp(setup(domain, owners, seed)).expect("tcp cluster"),
+            "channel" => NetCluster::start_local(net_setup(domain, owners, seed)),
+            _ => NetCluster::start_tcp(net_setup(domain, owners, seed)).expect("tcp cluster"),
         };
-        upload(&cluster, &indicators, seed);
+        upload_tables(&cluster, &tables, COLUMNS, seed);
         let max_plan = plans::Max {
             values: refs.clone(),
             table: None,

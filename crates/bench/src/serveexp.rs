@@ -18,12 +18,10 @@
 //! broken multiplexer, not a measurement. `write_json` emits the
 //! `BENCH_serve.json` artifact `just bench-smoke` and CI publish.
 
+use crate::build::{net_setup, structured_tables, upload_tables, BATCH_COLUMNS};
 use crate::report::{print_table, secs};
-use prism_core::Prg;
-use prism_net::{Column, NetCluster};
-use prism_protocol::params::{Initiator, Setup, SystemConfig};
+use prism_net::NetCluster;
 use prism_protocol::plans::{self, QueryBatch};
-use prism_protocol::tables::{share_indicator, share_payload};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -44,60 +42,6 @@ pub struct ServeRow {
     pub qps: f64,
 }
 
-const AGG_MAX: u64 = 2_000;
-
-fn setup(domain: u64, owners: usize, seed: u64) -> Setup {
-    Initiator::new(
-        SystemConfig::new(owners, domain as usize)
-            .with_seed(seed)
-            .with_agg_domain_max(AGG_MAX),
-    )
-    .setup()
-    .unwrap()
-}
-
-/// Owner j holds cell v iff `v % (j + 2) != 0` — a dense, structured
-/// overlap with per-owner values below the blinding bound (the same
-/// shape as the netmax bench, so artifacts stay comparable).
-fn owner_data(domain: u64, owners: usize) -> Vec<(Vec<u64>, Vec<u64>)> {
-    (0..owners as u64)
-        .map(|j| {
-            let mut ind = vec![0u64; domain as usize];
-            let mut val = vec![0u64; domain as usize];
-            for v in 1..=domain {
-                if v % (j + 2) != 0 {
-                    ind[(v - 1) as usize] = 1;
-                    val[(v - 1) as usize] = (v * 7 + j) % (AGG_MAX - 1) + 1;
-                }
-            }
-            (ind, val)
-        })
-        .collect()
-}
-
-/// Upload the columns the batched aggregation mix touches: indicator
-/// shares to the additive servers, aggregation and count payloads to all
-/// three.
-fn upload(cluster: &NetCluster, data: &[(Vec<u64>, Vec<u64>)], seed: u64) {
-    let op = &cluster.setup().owner;
-    for (j, (indicator, values)) in data.iter().enumerate() {
-        let mut prg = Prg::from_seed(seed ^ (7_000 + j as u64));
-        let ind = share_indicator(indicator, op.delta, &mut prg);
-        let sums = share_payload(values, &op.field, &mut prg);
-        let counts = share_payload(indicator, &op.field, &mut prg);
-        for k in 0..3 {
-            let mut columns = vec![
-                (Column::Agg(0), sums.shares[k].clone()),
-                (Column::AOk, counts.shares[k].clone()),
-            ];
-            if k < 2 {
-                columns.push((Column::Ok, ind.shares[k].clone()));
-            }
-            cluster.bulk_upload(k, j, columns).expect("upload");
-        }
-    }
-}
-
 /// The fixed query every stream issues: several aggregations over one
 /// PSI in a single batched round 2.
 fn batch() -> QueryBatch {
@@ -115,8 +59,13 @@ pub fn run(
     total_queries: usize,
     seed: u64,
 ) -> Vec<ServeRow> {
-    let cluster = NetCluster::start_local(setup(domain, owners, seed));
-    upload(&cluster, &owner_data(domain, owners), seed);
+    let cluster = NetCluster::start_local(net_setup(domain, owners, seed));
+    upload_tables(
+        &cluster,
+        &structured_tables(domain, owners),
+        BATCH_COLUMNS,
+        seed,
+    );
     let q = batch();
     let reference = format!(
         "{:?}",

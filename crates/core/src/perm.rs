@@ -146,11 +146,13 @@ impl Permutation {
     ///
     /// Inverse of [`Permutation::concat`]: requires that no entry of
     /// `[start, len)` maps below `start` (i.e. `self` really is block-diagonal
-    /// at `start`); returns `None` otherwise.
+    /// at `start`); returns `None` otherwise, and for a `start` past the
+    /// end.
     pub fn tail_block(&self, start: usize) -> Option<Permutation> {
+        let tail = self.map.get(start..)?;
         let base = start as u32;
-        let mut map = Vec::with_capacity(self.map.len() - start);
-        for &d in &self.map[start..] {
+        let mut map = Vec::with_capacity(tail.len());
+        for &d in tail {
             if d < base {
                 return None;
             }
@@ -328,6 +330,8 @@ mod tests {
         // A non-block-diagonal permutation has no tail block.
         let swap = Permutation::from_map(vec![1, 0]).unwrap();
         assert!(swap.tail_block(1).is_none());
+        // Nor does a start past the end (it used to panic slicing).
+        assert!(grown.tail_block(9).is_none());
     }
 
     #[test]

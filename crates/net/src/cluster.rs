@@ -795,13 +795,26 @@ impl NetCluster {
         &self.setup
     }
 
-    /// Upload one owner's column to one server.
+    /// Upload one owner's column to one server: a one-column
+    /// [`NetCluster::bulk_upload`].
     pub fn upload(
         &self,
         server: usize,
         owner: usize,
         column: Column,
         data: Vec<u64>,
+    ) -> Result<(), NetError> {
+        self.bulk_upload(server, owner, vec![(column, data)])
+    }
+
+    /// Upload every column of one owner's per-server table in a single
+    /// round-trip (the Phase-1 mirror of the batched round 2): one
+    /// [`Message::BulkUpload`] frame, however many columns.
+    pub fn bulk_upload(
+        &self,
+        server: usize,
+        owner: usize,
+        columns: Vec<(Column, Vec<u64>)>,
     ) -> Result<(), NetError> {
         // Dirty the cache before awaiting the ack: the server may apply
         // the store even when the reply is lost, and note_upload's
@@ -813,34 +826,6 @@ impl NetCluster {
         // domain; record before sending so a crash mid-upload can only
         // replay too much (stores are overwrite-idempotent), never too
         // little.
-        if let Some(registry) = &self.registry {
-            registry.record_upload(server, owner, &[(column, data.clone())]);
-        }
-        self.acked(
-            &self.links[server],
-            Message::Upload {
-                owner: owner as u32,
-                column,
-                data,
-            },
-        )
-    }
-
-    /// Upload every column of one owner's per-server table in a single
-    /// round-trip (the Phase-1 mirror of the batched round 2) — one
-    /// [`Message::BulkUpload`] instead of one message per column.
-    pub fn bulk_upload(
-        &self,
-        server: usize,
-        owner: usize,
-        columns: Vec<(Column, Vec<u64>)>,
-    ) -> Result<(), NetError> {
-        // As in `upload`: mark the server dirty before awaiting the ack,
-        // so a lost reply can never leave the cache trusting a store the
-        // server may already have mutated.
-        if let Some(cache) = &self.cache {
-            cache.note_upload(server);
-        }
         if let Some(registry) = &self.registry {
             registry.record_upload(server, owner, &columns);
         }
@@ -866,6 +851,9 @@ impl NetCluster {
     /// size, a latest-epoch re-touch otherwise. Ships the adopted
     /// setup's finish-permutation extension blocks alongside the rows;
     /// the server ignores them on a re-touch, so they are always sent.
+    /// Rows outside the adopted setup's domain are refused with
+    /// [`NetError::DeltaOutsideDomain`] before anything is recorded or
+    /// sent.
     pub fn delta_upload(
         &self,
         server: usize,
@@ -873,7 +861,19 @@ impl NetCluster {
         start: usize,
         columns: Vec<(Column, Vec<u64>)>,
     ) -> Result<(), NetError> {
-        // Same ordering discipline as `upload`: dirty the cache and
+        // The extension blocks below are cut from the adopted setup: a
+        // range past it has none, and the domain would silently extend
+        // its finish permutations by identity.
+        let added = columns.first().map_or(0, |(_, d)| d.len());
+        let domain = self.setup.owner.b;
+        if start.checked_add(added).map_or(true, |end| end > domain) {
+            return Err(NetError::DeltaOutsideDomain {
+                start,
+                added,
+                domain,
+            });
+        }
+        // Same ordering discipline as `bulk_upload`: dirty the cache and
         // record the delta in the registry before awaiting the ack.
         if let Some(cache) = &self.cache {
             cache.note_upload(server);
@@ -1011,10 +1011,6 @@ impl NetCluster {
         Ok(self.execute(&plans::Average { attr, seed })?.0)
     }
 
-    /// Cells per max/median pipeline chunk (mirrors the in-memory
-    /// driver's bound, so round counts and results match it exactly).
-    const CELL_CHUNK: usize = 1 << 16;
-
     /// PSI maximum (§6.3, all three rounds, announcer node included) with
     /// built-in verification. `values[j]` is owner j's per-cell maxima
     /// column — owner-side data that never left the owners, so the caller
@@ -1028,7 +1024,7 @@ impl NetCluster {
             values: values.to_vec(),
             table: None,
             seed,
-            cell_chunk: Self::CELL_CHUNK,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
         };
         Ok(self.execute(&plan)?.0)
     }
@@ -1045,7 +1041,7 @@ impl NetCluster {
             values: values.to_vec(),
             table: None,
             seed,
-            cell_chunk: Self::CELL_CHUNK,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
         };
         Ok(self.execute(&plan)?.0)
     }

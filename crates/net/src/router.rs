@@ -206,14 +206,6 @@ pub(crate) fn node_loop(
     loop {
         let (tag, msg) = link.recv()?.untag();
         match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                node.write().store(owner as usize, column, data);
-                reply(link.as_ref(), tag, Message::Ack)?;
-            }
             Message::BulkUpload { owner, columns } => {
                 let mut node = node.write();
                 for (column, data) in columns {
@@ -709,22 +701,6 @@ pub(crate) fn domain_loop(
     loop {
         let (tag, msg) = owner_link.recv()?.untag();
         match msg {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                let id = corr.fetch_add(1, Ordering::Relaxed);
-                let st = shared.read();
-                let parts = st.plan.split_rows(&data);
-                let outcome = fan_acked(&st, id, |spec| Message::Upload {
-                    owner,
-                    column,
-                    data: parts[spec.index].to_vec(),
-                });
-                drop(st);
-                acked(tag, outcome)?;
-            }
             Message::BulkUpload { owner, columns } => {
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 let st = shared.read();

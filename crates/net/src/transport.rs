@@ -43,6 +43,17 @@ pub enum NetError {
         /// The announced body length.
         len: usize,
     },
+    /// A delta upload's rows `[start, start + added)` do not lie inside
+    /// the adopted setup's domain (adopt the grown setup first); nothing
+    /// was recorded or sent.
+    DeltaOutsideDomain {
+        /// First global row of the delta.
+        start: usize,
+        /// Rows the delta carries.
+        added: usize,
+        /// The adopted setup's domain size.
+        domain: usize,
+    },
 }
 
 impl From<io::Error> for NetError {
@@ -69,6 +80,14 @@ impl std::fmt::Display for NetError {
             NetError::FrameTooLarge { len } => write!(
                 f,
                 "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
+            ),
+            NetError::DeltaOutsideDomain {
+                start,
+                added,
+                domain,
+            } => write!(
+                f,
+                "delta rows [{start}, {start} + {added}) lie outside the adopted {domain}-row domain"
             ),
         }
     }
@@ -278,10 +297,9 @@ mod tests {
 
     fn exercise(a: &dyn Link, b: &dyn Link) {
         let msgs = vec![
-            Message::Upload {
+            Message::BulkUpload {
                 owner: 1,
-                column: Column::Ok,
-                data: vec![1, 2, 3],
+                columns: vec![(Column::Ok, vec![1, 2, 3])],
             },
             Message::RunBatch(prism_protocol::engine::BatchQuery {
                 zs: vec![],

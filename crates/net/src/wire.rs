@@ -587,18 +587,10 @@ fn batch_len(batch: &BatchQuery) -> usize {
 /// Every message that can cross a PRISM link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// Phase 1: an owner uploads one share column.
-    Upload {
-        /// Owner index.
-        owner: u32,
-        /// Target column.
-        column: Column,
-        /// Share values.
-        data: Vec<u64>,
-    },
-    /// Phase 1, batched: every column of one owner's per-server table in
-    /// a single round-trip (the upload-side mirror of
-    /// [`Message::RunBatch`]), replacing the one-message-per-column loop.
+    /// Phase 1: any number of one owner's share columns for one server
+    /// in a single round-trip (the upload-side mirror of
+    /// [`Message::RunBatch`]) — usually the owner's whole per-server
+    /// table.
     BulkUpload {
         /// Owner index.
         owner: u32,
@@ -817,7 +809,6 @@ impl Message {
     /// straight into the target buffer.
     pub fn encoded_len(&self) -> usize {
         match self {
-            Message::Upload { column, data, .. } => 1 + 4 + column_len(column) + vec_len(data),
             Message::RunBatch(batch) => 1 + batch_len(batch),
             Message::Outputs(outs) => 1 + vecs_len(outs),
             Message::SetTamper(t) => 1 + tamper_len(t),
@@ -896,16 +887,6 @@ impl Message {
 
     fn write_to(&self, buf: &mut BytesMut) {
         match self {
-            Message::Upload {
-                owner,
-                column,
-                data,
-            } => {
-                buf.put_u8(0);
-                buf.put_u32_le(*owner);
-                encode_column(column, buf);
-                put_vec(buf, data);
-            }
             Message::RunBatch(batch) => {
                 buf.put_u8(1);
                 encode_batch(batch, buf);
@@ -1093,16 +1074,8 @@ impl Message {
     pub fn decode(mut buf: &[u8]) -> Result<Message, WireError> {
         let buf = &mut buf;
         Ok(match need(buf)? {
-            0 => {
-                let owner = need_u32(buf)?;
-                let column = decode_column(buf)?;
-                let data = get_vec(buf)?;
-                Message::Upload {
-                    owner,
-                    column,
-                    data,
-                }
-            }
+            // 0 carried the retired single-column `Upload` (a one-column
+            // `BulkUpload` says the same). Reserved like 17/18 below.
             1 => Message::RunBatch(decode_batch(buf)?),
             2 => Message::Outputs(get_vecs(buf)?),
             3 => Message::SetTamper(decode_tamper(buf)?),
@@ -1298,20 +1271,9 @@ mod tests {
 
     #[test]
     fn all_messages_roundtrip() {
-        roundtrip(Message::Upload {
-            owner: 3,
-            column: Column::Ok,
-            data: vec![1, 2, 3],
-        });
-        roundtrip(Message::Upload {
-            owner: 0,
-            column: Column::Agg(2),
-            data: vec![],
-        });
-        roundtrip(Message::Upload {
+        roundtrip(Message::BulkUpload {
             owner: 9,
-            column: Column::VAgg(3),
-            data: vec![u64::MAX],
+            columns: vec![(Column::VAgg(3), vec![u64::MAX])],
         });
         roundtrip(Message::RunBatch(BatchQuery {
             zs: vec![],
@@ -1431,10 +1393,11 @@ mod tests {
     }
 
     #[test]
-    fn retired_version_tags_stay_reserved() {
-        // Tags 17 (`VersionProbe`) and 18 (`Version(u64)`) are retired,
-        // not free: whatever follows them, decoding is an error.
-        for tag in [17u8, 18] {
+    fn retired_tags_stay_reserved() {
+        // Tags 0 (`Upload`), 17 (`VersionProbe`) and 18 (`Version(u64)`)
+        // are retired, not free: whatever follows them, decoding is an
+        // error.
+        for tag in [0u8, 17, 18] {
             let mut body = vec![tag];
             assert_eq!(Message::decode(&body).unwrap_err(), WireError::BadTag(tag));
             body.extend_from_slice(&7u64.to_le_bytes());

@@ -9,9 +9,9 @@
 //! count bit-identically.
 
 use prism_core::Prg;
-use prism_net::{Column, NetCluster};
-use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_net::{Column, NetCluster, NetError};
+use prism_protocol::params::{Initiator, OwnerParams, Setup, SystemConfig};
+use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use prism_protocol::QueryBatch;
 
 const DOMAIN: usize = 10;
@@ -30,30 +30,34 @@ fn make_setup() -> Setup {
         .unwrap()
 }
 
-/// Bulk-upload owner `j`'s full column set (share randomness from
-/// `seed`, so re-uploading with the same seed reproduces the store).
+/// The unverified column set the cached plans read: `OK`, `Agg(0)`, `aOK`.
+const LEAN: ColumnSet = ColumnSet {
+    verification: false,
+    two_copy: false,
+    aggregation: Some(1),
+};
+
+/// One owner's per-server `LEAN` columns over the row window
+/// `[start, start + len)`.
+fn owner_columns(
+    op: &OwnerParams,
+    (start, len): (usize, usize),
+    rows: &[(u64, u64)],
+    seed: u64,
+) -> Vec<Vec<(Column, Vec<u64>)>> {
+    let cells = rows.iter().map(|&(c, x)| (c, [x]));
+    let table = OwnerTable::window(cells, 1, start, len).unwrap();
+    // No permuted copy is materialised, so the permutations go unused.
+    let perms = (&op.pf_db1, &op.pf_db2);
+    owner_uploads(&table, op, perms, LEAN, &mut Prg::from_seed(seed))
+}
+
+/// Bulk-upload owner `j`'s column set (share randomness from `seed`, so
+/// re-uploading with the same seed reproduces the store).
 fn upload_owner(cluster: &NetCluster, j: usize, owner_rows: &[(u64, u64)], seed: u64) {
-    let op = cluster.setup().owner.clone();
-    let mut indicator = vec![0u64; DOMAIN];
-    let mut sums = vec![0u64; DOMAIN];
-    let mut counts = vec![0u64; DOMAIN];
-    for &(c, x) in owner_rows {
-        let cell = (c - 1) as usize;
-        indicator[cell] = 1;
-        sums[cell] += x;
-        counts[cell] += 1;
-    }
-    let mut prg = Prg::from_seed(seed ^ (3000 + j as u64));
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    let p = share_payload(&sums, &op.field, &mut prg);
-    let cnt = share_payload(&counts, &op.field, &mut prg);
-    for k in 0..3 {
-        let mut columns = Vec::new();
-        if k < 2 {
-            columns.push((Column::Ok, ind.shares[k].clone()));
-        }
-        columns.push((Column::Agg(0), p.shares[k].clone()));
-        columns.push((Column::AOk, cnt.shares[k].clone()));
+    let op = &cluster.setup().owner;
+    let uploads = owner_columns(op, (0, DOMAIN), owner_rows, seed ^ (3000 + j as u64));
+    for (k, columns) in uploads.into_iter().enumerate() {
         cluster.bulk_upload(k, j, columns).unwrap();
     }
 }
@@ -160,38 +164,12 @@ fn delta_upload_keeps_untouched_window_warm_over_the_wire() {
     let grown = cluster.setup().grow(added, 1, 91).unwrap();
     let delta_rows: Vec<Vec<(u64, u64)>> =
         vec![vec![(11, 40)], vec![(11, 10), (12, 5)], vec![(11, 60)]];
-    let op = grown.owner.clone();
     // owner → server → delta column set.
-    type DeltaColumns = Vec<(Column, Vec<u64>)>;
-    let mut per_owner: Vec<Vec<DeltaColumns>> = Vec::new();
-    for (j, rows) in delta_rows.iter().enumerate() {
-        let mut indicator = vec![0u64; added];
-        let mut sums = vec![0u64; added];
-        let mut counts = vec![0u64; added];
-        for &(c, x) in rows {
-            let i = (c - 1) as usize - DOMAIN;
-            indicator[i] = 1;
-            sums[i] += x;
-            counts[i] += 1;
-        }
-        let mut prg = Prg::from_seed(91 ^ (7700 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        per_owner.push(
-            (0..3)
-                .map(|k| {
-                    let mut columns = Vec::new();
-                    if k < 2 {
-                        columns.push((Column::Ok, ind.shares[k].clone()));
-                    }
-                    columns.push((Column::Agg(0), p.shares[k].clone()));
-                    columns.push((Column::AOk, cnt.shares[k].clone()));
-                    columns
-                })
-                .collect(),
-        );
-    }
+    let per_owner: Vec<_> = delta_rows
+        .iter()
+        .enumerate()
+        .map(|(j, rows)| owner_columns(&grown.owner, (DOMAIN, added), rows, 91 ^ (7700 + j as u64)))
+        .collect();
     cluster.adopt_setup(grown.clone());
     oracle.adopt_setup(grown);
     for (j, per_server) in per_owner.iter().enumerate() {
@@ -265,5 +243,40 @@ fn distinct_queries_share_the_cached_psi_round() {
     assert_eq!((s.rounds, s.cache_hits), (1, 0));
     let (_, s) = cluster.execute(&prism_protocol::plans::Count).unwrap();
     assert_eq!((s.rounds, s.cache_hits), (0, 1));
+    cluster.shutdown().unwrap();
+}
+
+/// A delta whose rows lie outside the adopted setup's domain — growth
+/// sent without `adopt_setup`, or a start past the end (which used to
+/// panic cutting the extension blocks) — is refused with a typed error
+/// before anything moves: no frame on any link, and the cache not
+/// dirtied (a dirtied cache would re-probe the range versions).
+#[test]
+fn delta_outside_the_adopted_domain_is_refused_before_anything_moves() {
+    let mut cluster = NetCluster::start_local_sharded(make_setup(), 2);
+    cluster.enable_cache();
+    upload_all(&cluster, 7);
+    let batch = QueryBatch::new().sum(0).avg(0);
+    let (cold, _) = cluster.psi_query_batch(&batch, 42).unwrap();
+
+    let before = cluster.report();
+    for start in [DOMAIN, DOMAIN + 5] {
+        let delta = owner_columns(&cluster.setup().owner, (start, 2), &[], 1);
+        for (k, columns) in delta.into_iter().enumerate() {
+            let err = cluster.delta_upload(k, 0, start, columns).unwrap_err();
+            assert!(
+                matches!(err, NetError::DeltaOutsideDomain { domain: DOMAIN, .. }),
+                "start {start}, server {k}: {err}"
+            );
+        }
+    }
+    let (warm, s) = cluster.psi_query_batch(&batch, 42).unwrap();
+    assert_eq!(warm, cold);
+    assert_eq!((s.rounds, s.cache_hits), (0, 2));
+    assert_eq!(
+        msg_deltas(&before, &cluster.report()),
+        vec![0, 0, 0],
+        "a refused delta must leave every link silent and the cache clean"
+    );
     cluster.shutdown().unwrap();
 }

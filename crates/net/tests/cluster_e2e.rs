@@ -3,70 +3,25 @@
 //! threads.
 
 use prism_core::Prg;
-use prism_net::{Column, NetCluster};
+use prism_net::NetCluster;
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
+
+/// One owner's plaintext table (one aggregation attribute) over `1..=b`.
+fn owner_table(rows: &[(u64, u64)], b: usize) -> OwnerTable {
+    OwnerTable::window(rows.iter().map(|&(c, x)| (c, [x])), 1, 0, b).unwrap()
+}
 
 /// Three owners over a 10-cell domain with one aggregation attribute.
 fn setup_and_upload(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
     let op = &cluster.setup().owner;
+    let perms = (&op.pf_db1, &op.pf_db2);
     for (j, owner_rows) in rows.iter().enumerate() {
-        let b = op.b;
-        let mut indicator = vec![0u64; b];
-        let mut sums = vec![0u64; b];
-        let mut counts = vec![0u64; b];
-        for &(c, x) in owner_rows {
-            let cell = (c - 1) as usize;
-            indicator[cell] = 1;
-            sums[cell] += x;
-            counts[cell] += 1;
-        }
+        let table = owner_table(owner_rows, op.b);
         let mut prg = Prg::from_seed(1000 + j as u64);
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        cluster
-            .upload(0, j, Column::Ok, ind.shares[0].clone())
-            .unwrap();
-        cluster
-            .upload(1, j, Column::Ok, ind.shares[1].clone())
-            .unwrap();
-
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        cluster
-            .upload(0, j, Column::VOk, v.shares[0].clone())
-            .unwrap();
-        cluster
-            .upload(1, j, Column::VOk, v.shares[1].clone())
-            .unwrap();
-
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        cluster
-            .upload(0, j, Column::OkDb1, c1.shares[0].clone())
-            .unwrap();
-        cluster
-            .upload(1, j, Column::OkDb1, c1.shares[1].clone())
-            .unwrap();
-        cluster
-            .upload(0, j, Column::OkDb2, c2.shares[0].clone())
-            .unwrap();
-        cluster
-            .upload(1, j, Column::OkDb2, c2.shares[1].clone())
-            .unwrap();
-
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        for k in 0..3 {
-            cluster
-                .upload(k, j, Column::Agg(0), p.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::VAgg(0), vp.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::AOk, cnt.shares[k].clone())
-                .unwrap();
+        let uploads = owner_uploads(&table, op, perms, ColumnSet::full(1), &mut prg);
+        for (k, columns) in uploads.into_iter().enumerate() {
+            cluster.bulk_upload(k, j, columns).unwrap();
         }
     }
 }
@@ -171,20 +126,12 @@ fn exercise(cluster: &NetCluster) {
 
 /// Per-owner per-cell maxima and sums over aggregation attribute 0.
 fn owner_values(rows: &[Vec<(u64, u64)>], b: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let mut maxima = Vec::new();
-    let mut sums = Vec::new();
-    for owner_rows in rows {
-        let mut mx = vec![0u64; b];
-        let mut sm = vec![0u64; b];
-        for &(c, x) in owner_rows {
-            let cell = (c - 1) as usize;
-            mx[cell] = mx[cell].max(x);
-            sm[cell] += x;
-        }
-        maxima.push(mx);
-        sums.push(sm);
-    }
-    (maxima, sums)
+    rows.iter()
+        .map(|owner_rows| {
+            let mut t = owner_table(owner_rows, b);
+            (t.maxima.remove(0), t.sums.remove(0))
+        })
+        .unzip()
 }
 
 #[test]

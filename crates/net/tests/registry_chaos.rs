@@ -9,11 +9,12 @@
 
 use prism_core::Prg;
 use prism_net::{
-    AnnouncerNode, ClusterListener, Column, Liveness, NetCluster, RegistryConfig, ShardWorker,
+    AnnouncerNode, ClusterListener, Column, Liveness, NetCluster, NetError, RegistryConfig,
+    ShardWorker,
 };
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
 use prism_protocol::plans::QueryBatch;
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use std::time::{Duration, Instant};
 
 const DOMAIN: usize = 10;
@@ -36,41 +37,21 @@ fn rows() -> Vec<Vec<(u64, u64)>> {
 /// Full column set per owner (verified copies included), deterministic
 /// shares so the elastic cluster and the oracle hold identical stores.
 fn setup_and_upload(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
-    let op = cluster.setup().owner.clone();
+    let op = &cluster.setup().owner;
+    let perms = (&op.pf_db1, &op.pf_db2);
     for (j, owner_rows) in rows.iter().enumerate() {
-        let b = op.b;
-        let mut indicator = vec![0u64; b];
-        let mut sums = vec![0u64; b];
-        let mut counts = vec![0u64; b];
-        for &(c, x) in owner_rows {
-            let cell = (c - 1) as usize;
-            indicator[cell] = 1;
-            sums[cell] += x;
-            counts[cell] += 1;
-        }
         let mut prg = Prg::from_seed(1000 + j as u64);
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        for k in 0..3 {
-            let mut columns = Vec::new();
-            if k < 2 {
-                columns.push((Column::Ok, ind.shares[k].clone()));
-                columns.push((Column::VOk, v.shares[k].clone()));
-                columns.push((Column::OkDb1, c1.shares[k].clone()));
-                columns.push((Column::OkDb2, c2.shares[k].clone()));
-            }
-            columns.push((Column::Agg(0), p.shares[k].clone()));
-            columns.push((Column::VAgg(0), vp.shares[k].clone()));
-            columns.push((Column::AOk, cnt.shares[k].clone()));
+        let table = owner_table(owner_rows);
+        let uploads = owner_uploads(&table, op, perms, ColumnSet::full(1), &mut prg);
+        for (k, columns) in uploads.into_iter().enumerate() {
             cluster.bulk_upload(k, j, columns).unwrap();
         }
     }
+}
+
+/// One owner's plaintext table (one aggregation attribute).
+fn owner_table(rows: &[(u64, u64)]) -> OwnerTable {
+    OwnerTable::window(rows.iter().map(|&(c, x)| (c, [x])), 1, 0, DOMAIN).unwrap()
 }
 
 /// Fast probing, generous timeouts: a killed worker is confirmed via
@@ -158,14 +139,7 @@ fn suite(c: &NetCluster) -> (Vec<u64>, Vec<bool>, usize, Vec<u64>, String) {
 /// Per-owner per-cell maxima columns for the max query.
 fn maxima(rows: &[Vec<(u64, u64)>]) -> Vec<Vec<u64>> {
     rows.iter()
-        .map(|owner_rows| {
-            let mut m = vec![0u64; DOMAIN];
-            for &(c, x) in owner_rows {
-                let cell = (c - 1) as usize;
-                m[cell] = m[cell].max(x);
-            }
-            m
-        })
+        .map(|owner_rows| owner_table(owner_rows).maxima.remove(0))
         .collect()
 }
 
@@ -191,6 +165,15 @@ fn failover_heals_reshards_and_matches_the_oracle() {
         oracle_max,
         "pre-kill max"
     );
+
+    // A delta outside the adopted domain is refused before it reaches
+    // the upload log: recorded, it would overwrite owner 0's logged rows
+    // 5.. and the replay below would re-outsource them.
+    let stray = vec![(Column::Ok, vec![1; DOMAIN])];
+    assert!(matches!(
+        cluster.delta_upload(0, 0, 5, stray),
+        Err(NetError::DeltaOutsideDomain { .. })
+    ));
 
     // Kill one of server 0's workers mid-run: both socket halves slam
     // shut. The prober must confirm the death and heal the domain.

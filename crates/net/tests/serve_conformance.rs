@@ -15,13 +15,13 @@
 //! cross-paired — any crossing would corrupt at least one result).
 
 use prism_core::Prg;
-use prism_net::{Column, NetCluster};
+use prism_net::NetCluster;
 use prism_protocol::driver::{Cluster, OwnerInput};
 use prism_protocol::engine::{QueryStats, ServerExec};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
 use prism_protocol::plans::{self, QueryBatch};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -44,67 +44,27 @@ fn rows() -> Vec<Vec<(u64, u64)>> {
     ]
 }
 
+/// One owner's plaintext table (one aggregation attribute).
+fn owner_table(rows: &[(u64, u64)]) -> OwnerTable {
+    OwnerTable::window(rows.iter().map(|&(c, x)| (c, [x])), 1, 0, DOMAIN).unwrap()
+}
+
 /// Share and upload one owner's relation (every column the full query
 /// mix needs), overwriting whatever the owner stored before — the wire
 /// mirror of the driver's `update_owner`.
 fn upload_owner(cluster: &NetCluster, j: usize, owner_rows: &[(u64, u64)], prg_seed: u64) {
     let op = &cluster.setup().owner;
-    let b = op.b;
-    let mut indicator = vec![0u64; b];
-    let mut sums = vec![0u64; b];
-    let mut counts = vec![0u64; b];
-    for &(c, x) in owner_rows {
-        let cell = (c - 1) as usize;
-        indicator[cell] = 1;
-        sums[cell] += x;
-        counts[cell] += 1;
-    }
+    let perms = (&op.pf_db1, &op.pf_db2);
     let mut prg = Prg::from_seed(prg_seed);
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    cluster
-        .upload(0, j, Column::Ok, ind.shares[0].clone())
-        .unwrap();
-    cluster
-        .upload(1, j, Column::Ok, ind.shares[1].clone())
-        .unwrap();
-
-    let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-    let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-    cluster
-        .upload(0, j, Column::VOk, v.shares[0].clone())
-        .unwrap();
-    cluster
-        .upload(1, j, Column::VOk, v.shares[1].clone())
-        .unwrap();
-
-    let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-    let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-    cluster
-        .upload(0, j, Column::OkDb1, c1.shares[0].clone())
-        .unwrap();
-    cluster
-        .upload(1, j, Column::OkDb1, c1.shares[1].clone())
-        .unwrap();
-    cluster
-        .upload(0, j, Column::OkDb2, c2.shares[0].clone())
-        .unwrap();
-    cluster
-        .upload(1, j, Column::OkDb2, c2.shares[1].clone())
-        .unwrap();
-
-    let p = share_payload(&sums, &op.field, &mut prg);
-    let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
-    let cnt = share_payload(&counts, &op.field, &mut prg);
-    for k in 0..3 {
-        cluster
-            .upload(k, j, Column::Agg(0), p.shares[k].clone())
-            .unwrap();
-        cluster
-            .upload(k, j, Column::VAgg(0), vp.shares[k].clone())
-            .unwrap();
-        cluster
-            .upload(k, j, Column::AOk, cnt.shares[k].clone())
-            .unwrap();
+    let uploads = owner_uploads(
+        &owner_table(owner_rows),
+        op,
+        perms,
+        ColumnSet::full(1),
+        &mut prg,
+    );
+    for (k, columns) in uploads.into_iter().enumerate() {
+        cluster.bulk_upload(k, j, columns).unwrap();
     }
 }
 
@@ -122,19 +82,13 @@ struct OwnerVals {
 }
 
 fn owner_vals() -> OwnerVals {
-    let mut maxima = Vec::new();
-    let mut sums = Vec::new();
-    for owner_rows in rows() {
-        let mut mx = vec![0u64; DOMAIN];
-        let mut sm = vec![0u64; DOMAIN];
-        for &(c, x) in &owner_rows {
-            let cell = (c - 1) as usize;
-            mx[cell] = mx[cell].max(x);
-            sm[cell] += x;
-        }
-        maxima.push(mx);
-        sums.push(sm);
-    }
+    let (maxima, sums) = rows()
+        .iter()
+        .map(|owner_rows| {
+            let mut t = owner_table(owner_rows);
+            (t.maxima.remove(0), t.sums.remove(0))
+        })
+        .unzip();
     OwnerVals { maxima, sums }
 }
 

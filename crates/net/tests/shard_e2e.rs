@@ -10,7 +10,7 @@ use prism_protocol::engine::Operation;
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{Initiator, OwnerParams, Setup, SystemConfig};
 use prism_protocol::plans::{self, QueryBatch};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -32,9 +32,7 @@ fn owner_columns(setup: &Setup, owner: usize, rows: &[(u64, u64)]) -> Vec<Vec<(C
 /// One owner's per-server column sets over the cell segment
 /// `[start, start + len)`, the verification copies permuted by
 /// `db1`/`db2` — the owner's whole permutations for a Phase-1 upload, or
-/// the appended *blocks* for a delta (block-diagonal growth means the
-/// full permuted column's appended segment is the block applied to the
-/// segment).
+/// the appended *blocks* for a delta.
 fn segment_columns(
     op: &OwnerParams,
     db1: &Permutation,
@@ -44,40 +42,10 @@ fn segment_columns(
     seed: u64,
     rows: &[(u64, u64)],
 ) -> Vec<Vec<(Column, Vec<u64>)>> {
-    let mut indicator = vec![0u64; len];
-    let mut sums = vec![0u64; len];
-    let mut counts = vec![0u64; len];
-    for &(c, x) in rows {
-        let cell = (c - 1) as usize - start;
-        indicator[cell] = 1;
-        sums[cell] += x;
-        counts[cell] += 1;
-    }
+    let cells = rows.iter().map(|&(c, x)| (c, [x]));
+    let table = OwnerTable::window(cells, 1, start, len).unwrap();
     let mut prg = Prg::from_seed(seed);
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-    let v = share_indicator(&db1.apply(&complement), op.delta, &mut prg);
-    let c1 = share_indicator(&db1.apply(&indicator), op.delta, &mut prg);
-    let c2 = share_indicator(&db2.apply(&indicator), op.delta, &mut prg);
-    let p = share_payload(&sums, &op.field, &mut prg);
-    let vp = share_payload(&db1.apply(&sums), &op.field, &mut prg);
-    let cnt = share_payload(&counts, &op.field, &mut prg);
-
-    (0..3)
-        .map(|k| {
-            let mut cols = Vec::new();
-            if k < 2 {
-                cols.push((Column::Ok, ind.shares[k].clone()));
-                cols.push((Column::VOk, v.shares[k].clone()));
-                cols.push((Column::OkDb1, c1.shares[k].clone()));
-                cols.push((Column::OkDb2, c2.shares[k].clone()));
-            }
-            cols.push((Column::Agg(0), p.shares[k].clone()));
-            cols.push((Column::VAgg(0), vp.shares[k].clone()));
-            cols.push((Column::AOk, cnt.shares[k].clone()));
-            cols
-        })
-        .collect()
+    owner_uploads(&table, op, (db1, db2), ColumnSet::full(1), &mut prg)
 }
 
 fn upload_all(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
@@ -118,20 +86,13 @@ struct AllResults {
 /// Per-owner per-cell maxima and sums (attribute 0) — the owner-side
 /// value columns the max/median plans consume.
 fn owner_values(rows: &[Vec<(u64, u64)>], b: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let mut maxima = Vec::new();
-    let mut sums = Vec::new();
-    for owner_rows in rows {
-        let mut mx = vec![0u64; b];
-        let mut sm = vec![0u64; b];
-        for &(c, x) in owner_rows {
-            let cell = (c - 1) as usize;
-            mx[cell] = mx[cell].max(x);
-            sm[cell] += x;
-        }
-        maxima.push(mx);
-        sums.push(sm);
-    }
-    (maxima, sums)
+    rows.iter()
+        .map(|owner_rows| {
+            let cells = owner_rows.iter().map(|&(c, x)| (c, [x]));
+            let mut t = OwnerTable::window(cells, 1, 0, b).unwrap();
+            (t.maxima.remove(0), t.sums.remove(0))
+        })
+        .unzip()
 }
 
 fn run_all(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) -> AllResults {

@@ -119,10 +119,9 @@ fn build_message(
         range: (t_sel % 2 == 1).then_some((tx, ty)),
     };
     match sel % 20 {
-        0 => Message::Upload {
+        0 => Message::BulkUpload {
             owner,
-            column: arb_column(col_sel, attr),
-            data,
+            columns: vec![(arb_column(col_sel, attr), data)],
         },
         1 => Message::RunBatch(batch(zs)),
         2 => Message::Outputs(zs),

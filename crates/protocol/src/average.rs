@@ -119,7 +119,7 @@ mod tests {
             .enumerate()
             .map(|(j, t)| {
                 let mut prg = Prg::from_seed(seed + 200 + j as u64);
-                share_payload(&t.sums, &op.field, &mut prg)
+                share_payload(&t.sums[0], &op.field, &mut prg)
             })
             .collect();
         let counts_p: Vec<PayloadShares> = tables

@@ -26,7 +26,7 @@ use crate::params::OwnerParams;
 use crate::params::{Initiator, Setup, SystemConfig};
 use crate::plans;
 use crate::shard::{ShardedExec, ShardedNode};
-use crate::tables::{share_indicator, share_payload};
+use crate::tables::{owner_uploads, share_owner, ColumnSet, OwnerTable};
 use prism_core::{Permutation, Prg};
 
 pub use crate::engine::QueryStats;
@@ -151,86 +151,6 @@ pub struct Cluster {
 /// F-table (above this, the per-cell Horner path is used instead).
 const POLY_TABLE_LIMIT: u64 = 1 << 22;
 
-/// Build owner `j`'s plaintext tables from `input`, share every column
-/// the configuration asks for into the server nodes, and return the
-/// owner-side state the post-build rounds need. Shared by Phase-1
-/// outsourcing ([`Cluster::build`]) and post-build re-uploads
-/// ([`Cluster::update_owner`]); `prg_seed` derives all of the owner's
-/// share randomness, so identical `(input, seed)` pairs produce
-/// identical shares whatever path stored them.
-fn outsource_owner(
-    nodes: &mut [ShardedNode],
-    op: &OwnerParams,
-    cfg: &ClusterConfig,
-    n_attrs: usize,
-    j: usize,
-    input: &OwnerInput,
-    prg_seed: u64,
-) -> Result<OwnerState> {
-    let b = op.b;
-    let mut indicator = vec![0u64; b];
-    let mut counts = vec![0u64; b];
-    let mut st = OwnerState {
-        sums: vec![vec![0; b]; n_attrs],
-        maxima: vec![vec![0; b]; n_attrs],
-    };
-    for (set_v, aggs) in &input.rows {
-        let cell = set_v
-            .checked_sub(1)
-            .filter(|&i| (i as usize) < b)
-            .ok_or_else(|| ProtocolError::OutOfDomain {
-                value: format!("owner {j}: {set_v}"),
-            })? as usize;
-        indicator[cell] = 1;
-        counts[cell] += 1;
-        for (a, &v) in aggs.iter().enumerate() {
-            st.sums[a][cell] = st.sums[a][cell].wrapping_add(v);
-            st.maxima[a][cell] = st.maxima[a][cell].max(v);
-        }
-    }
-
-    let mut prg = Prg::from_seed(prg_seed);
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    let [s0, s1] = ind.shares;
-    nodes[0].store(j, Column::Ok, s0);
-    nodes[1].store(j, Column::Ok, s1);
-    if cfg.with_verification {
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let vperm = op.pf_db1.apply(&complement);
-        let v = share_indicator(&vperm, op.delta, &mut prg);
-        let [v0, v1] = v.shares;
-        nodes[0].store(j, Column::VOk, v0);
-        nodes[1].store(j, Column::VOk, v1);
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        let [a0, a1] = c1.shares;
-        let [b0, b1] = c2.shares;
-        nodes[0].store(j, Column::OkDb1, a0);
-        nodes[1].store(j, Column::OkDb1, a1);
-        nodes[0].store(j, Column::OkDb2, b0);
-        nodes[1].store(j, Column::OkDb2, b1);
-    }
-    if cfg.with_aggregation {
-        for a in 0..n_attrs {
-            let p = share_payload(&st.sums[a], &op.field, &mut prg);
-            for (k, sh) in p.shares.into_iter().enumerate() {
-                nodes[k].store(j, Column::Agg(a as u8), sh);
-            }
-            if cfg.with_verification {
-                let vp = share_payload(&op.pf_db1.apply(&st.sums[a]), &op.field, &mut prg);
-                for (k, sh) in vp.shares.into_iter().enumerate() {
-                    nodes[k].store(j, Column::VAgg(a as u8), sh);
-                }
-            }
-        }
-        let c = share_payload(&counts, &op.field, &mut prg);
-        for (k, sh) in c.shares.into_iter().enumerate() {
-            nodes[k].store(j, Column::AOk, sh);
-        }
-    }
-    Ok(st)
-}
-
 /// The appended-block permutations one growth epoch shares across every
 /// owner's delta: the tails of the grown family's four permutations,
 /// which [`crate::params::Setup::grow`] guarantees are block-diagonal at
@@ -260,100 +180,73 @@ impl DeltaBlocks {
     }
 }
 
-/// Build owner `j`'s plaintext tables for the appended segment
-/// `[start, start + added)`, share them into the server nodes as a delta
-/// upload, and return the owner-side state for the segment. The column
-/// set and share-draw order mirror [`outsource_owner`] exactly, but over
-/// `added` cells; the verification copies are permuted by the appended
-/// *block* of each owner permutation (block-diagonal growth means the
-/// full permuted column's appended segment is exactly the block applied
-/// to the segment).
+/// Every row of owner `j`'s input must carry exactly `n_attrs`
+/// aggregation values.
+fn check_attrs(j: usize, input: &OwnerInput, n_attrs: usize) -> Result<()> {
+    if input.rows.iter().any(|(_, aggs)| aggs.len() != n_attrs) {
+        return Err(ProtocolError::ParameterMismatch(format!(
+            "owner {j} has rows without exactly {n_attrs} aggregation values"
+        )));
+    }
+    Ok(())
+}
+
+/// Phase 1 for owner `j` over the row window `[start, start + len)`:
+/// build the owner's plaintext table from `input`, share every column
+/// the configuration asks for into the server nodes
+/// ([`crate::tables::share_owner`]), and return the owner-side state the
+/// post-build rounds need. [`Cluster::build`] and
+/// [`Cluster::update_owner`] are the whole-domain window `(0, b)`, stored
+/// column by column; [`Cluster::append`] is the window `(b, added)`,
+/// permuted by the appended `blocks` and stored as one delta upload per
+/// server. `prg_seed` derives all of the owner's share randomness, so
+/// identical `(input, seed)` pairs produce identical shares.
 #[allow(clippy::too_many_arguments)]
-fn outsource_owner_delta(
+fn outsource_owner(
     nodes: &mut [ShardedNode],
     op: &OwnerParams,
     cfg: &ClusterConfig,
     n_attrs: usize,
     j: usize,
-    start: usize,
-    added: usize,
     input: &OwnerInput,
     prg_seed: u64,
-    blocks: &DeltaBlocks,
+    (start, len): (usize, usize),
+    blocks: Option<&DeltaBlocks>,
 ) -> Result<OwnerState> {
-    let mut indicator = vec![0u64; added];
-    let mut counts = vec![0u64; added];
-    let mut st = OwnerState {
-        sums: vec![vec![0; added]; n_attrs],
-        maxima: vec![vec![0; added]; n_attrs],
+    let rows = input.rows.iter().map(|(set_v, aggs)| (*set_v, aggs));
+    let table = OwnerTable::window(rows, n_attrs, start, len).map_err(|e| match e {
+        ProtocolError::OutOfDomain { value } => ProtocolError::OutOfDomain {
+            value: format!("owner {j}: {value}"),
+        },
+        other => other,
+    })?;
+    let set = ColumnSet {
+        verification: cfg.with_verification,
+        two_copy: cfg.with_verification,
+        aggregation: cfg.with_aggregation.then_some(n_attrs),
     };
-    for (set_v, aggs) in &input.rows {
-        let cell = set_v
-            .checked_sub(1)
-            .map(|c| c as usize)
-            .filter(|&c| c >= start && c < start + added)
-            .ok_or_else(|| ProtocolError::OutOfDomain {
-                value: format!(
-                    "owner {j} delta: {set_v} (appended cells are {}..={})",
-                    start + 1,
-                    start + added
-                ),
-            })?;
-        let i = cell - start;
-        indicator[i] = 1;
-        counts[i] += 1;
-        for (a, &v) in aggs.iter().enumerate() {
-            st.sums[a][i] = st.sums[a][i].wrapping_add(v);
-            st.maxima[a][i] = st.maxima[a][i].max(v);
-        }
-    }
-
     let mut prg = Prg::from_seed(prg_seed);
-    let mut cols: Vec<Vec<(Column, Vec<u64>)>> = vec![Vec::new(); nodes.len()];
-    let ind = share_indicator(&indicator, op.delta, &mut prg);
-    let [s0, s1] = ind.shares;
-    cols[0].push((Column::Ok, s0));
-    cols[1].push((Column::Ok, s1));
-    if cfg.with_verification {
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&blocks.db1.apply(&complement), op.delta, &mut prg);
-        let [v0, v1] = v.shares;
-        cols[0].push((Column::VOk, v0));
-        cols[1].push((Column::VOk, v1));
-        let c1 = share_indicator(&blocks.db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&blocks.db2.apply(&indicator), op.delta, &mut prg);
-        let [a0, a1] = c1.shares;
-        let [b0, b1] = c2.shares;
-        cols[0].push((Column::OkDb1, a0));
-        cols[1].push((Column::OkDb1, a1));
-        cols[0].push((Column::OkDb2, b0));
-        cols[1].push((Column::OkDb2, b1));
-    }
-    if cfg.with_aggregation {
-        for a in 0..n_attrs {
-            let p = share_payload(&st.sums[a], &op.field, &mut prg);
-            for (k, sh) in p.shares.into_iter().enumerate() {
-                cols[k].push((Column::Agg(a as u8), sh));
-            }
-            if cfg.with_verification {
-                let vp = share_payload(&blocks.db1.apply(&st.sums[a]), &op.field, &mut prg);
-                for (k, sh) in vp.shares.into_iter().enumerate() {
-                    cols[k].push((Column::VAgg(a as u8), sh));
+    match blocks {
+        None => {
+            let perms = (&op.pf_db1, &op.pf_db2);
+            share_owner(&table, op, perms, set, &mut prg, |k, column, shares| {
+                nodes[k].store(j, column, shares)
+            });
+        }
+        Some(blocks) => {
+            let perms = (&blocks.db1, &blocks.db2);
+            let uploads = owner_uploads(&table, op, perms, set, &mut prg);
+            for (node, columns) in nodes.iter_mut().zip(uploads) {
+                if !columns.is_empty() {
+                    node.delta_upload(j, start, columns, Some((&blocks.s1, &blocks.s2)))?;
                 }
             }
         }
-        let c = share_payload(&counts, &op.field, &mut prg);
-        for (k, sh) in c.shares.into_iter().enumerate() {
-            cols[k].push((Column::AOk, sh));
-        }
     }
-    for (k, columns) in cols.into_iter().enumerate() {
-        if columns.is_empty() {
-            continue;
-        }
-        nodes[k].delta_upload(j, start, columns, Some((&blocks.s1, &blocks.s2)))?;
-    }
-    Ok(st)
+    Ok(OwnerState {
+        sums: table.sums,
+        maxima: table.maxima,
+    })
 }
 
 impl Cluster {
@@ -368,11 +261,7 @@ impl Cluster {
             .next()
             .unwrap_or(0);
         for (j, input) in inputs.iter().enumerate() {
-            if input.rows.iter().any(|(_, aggs)| aggs.len() != n_attrs) {
-                return Err(ProtocolError::ParameterMismatch(format!(
-                    "owner {j} has rows with inconsistent attribute counts"
-                )));
-            }
+            check_attrs(j, input, n_attrs)?;
         }
         if n_attrs > u8::MAX as usize {
             return Err(ProtocolError::ParameterMismatch(format!(
@@ -401,7 +290,15 @@ impl Cluster {
         for (j, input) in inputs.iter().enumerate() {
             let prg_seed = cfg.seed ^ (0xA11CE + j as u64).wrapping_mul(0x9E3779B97F4A7C15);
             owners.push(outsource_owner(
-                &mut nodes, op, &cfg, n_attrs, j, input, prg_seed,
+                &mut nodes,
+                op,
+                &cfg,
+                n_attrs,
+                j,
+                input,
+                prg_seed,
+                (0, op.b),
+                None,
             )?);
         }
 
@@ -489,17 +386,7 @@ impl Cluster {
                 self.owners.len()
             )));
         }
-        if input
-            .rows
-            .iter()
-            .any(|(_, aggs)| aggs.len() != self.n_attrs)
-        {
-            return Err(ProtocolError::ParameterMismatch(format!(
-                "owner {owner} update has rows with the wrong attribute count \
-                 (cluster has {} attributes)",
-                self.n_attrs
-            )));
-        }
+        check_attrs(owner, input, self.n_attrs)?;
         self.updates += 1;
         let prg_seed = self.cfg.seed
             ^ (0xD1CE + owner as u64 + (self.updates << 20)).wrapping_mul(0x9E3779B97F4A7C15);
@@ -511,13 +398,11 @@ impl Cluster {
             owner,
             input,
             prg_seed,
+            (0, self.setup.owner.b),
+            None,
         )?;
         self.owners[owner] = st;
-        if let Some(cache) = &self.cache {
-            for server in 0..self.nodes.len() {
-                cache.note_upload(server);
-            }
-        }
+        self.note_uploads();
         Ok(())
     }
 
@@ -538,17 +423,7 @@ impl Cluster {
             )));
         }
         for (j, input) in inputs.iter().enumerate() {
-            if input
-                .rows
-                .iter()
-                .any(|(_, aggs)| aggs.len() != self.n_attrs)
-            {
-                return Err(ProtocolError::ParameterMismatch(format!(
-                    "owner {j} delta has rows with the wrong attribute count \
-                     (cluster has {} attributes)",
-                    self.n_attrs
-                )));
-            }
+            check_attrs(j, input, self.n_attrs)?;
         }
         let start = self.setup.owner.b;
         self.updates += 1;
@@ -557,17 +432,16 @@ impl Cluster {
         for (j, input) in inputs.iter().enumerate() {
             let prg_seed = self.cfg.seed
                 ^ (0xDE17A + j as u64 + (self.updates << 20)).wrapping_mul(0x9E3779B97F4A7C15);
-            let st = outsource_owner_delta(
+            let st = outsource_owner(
                 &mut self.nodes,
                 &grown.owner,
                 &self.cfg,
                 self.n_attrs,
                 j,
-                start,
-                added,
                 input,
                 prg_seed,
-                &blocks,
+                (start, added),
+                Some(&blocks),
             )?;
             for a in 0..self.n_attrs {
                 self.owners[j].sums[a].extend_from_slice(&st.sums[a]);
@@ -575,12 +449,15 @@ impl Cluster {
             }
         }
         self.setup = grown;
-        if let Some(cache) = &self.cache {
-            for server in 0..self.nodes.len() {
-                cache.note_upload(server);
-            }
-        }
+        self.note_uploads();
         Ok(())
+    }
+
+    /// Every server domain's store moved: dirty the PSI-round cache.
+    fn note_uploads(&self) {
+        if let Some(cache) = &self.cache {
+            (0..self.nodes.len()).for_each(|server| cache.note_upload(server));
+        }
     }
 
     /// Store one raw share column at one server (the low-level sibling of
@@ -614,15 +491,27 @@ impl Cluster {
     /// [`ClusterConfig::cache`] set, the backend is wrapped in the
     /// PSI-round [`CachedExec`] decorator (state persists across calls).
     pub fn execute<P: Operation>(&self, plan: &P) -> Result<(P::Output, QueryStats)> {
+        self.run(None, plan)
+    }
+
+    /// `plan` over the sharded backend (through the cache decorator, when
+    /// enabled), optionally scoped to a global row `range`.
+    fn run<P: Operation>(
+        &self,
+        range: Option<(u64, u64)>,
+        plan: &P,
+    ) -> Result<(P::Output, QueryStats)> {
         let sharded = ShardedExec::new(&self.nodes, &self.announcer);
         let cached = self.cache.as_ref().map(|c| CachedExec::new(&sharded, c));
         let exec: &dyn ServerExec = match &cached {
             Some(c) => c,
             None => &sharded,
         };
-        Engine::new(&exec, &self.setup.owner)
-            .with_threads(self.cfg.threads)
-            .run(plan)
+        let mut engine = Engine::new(&exec, &self.setup.owner).with_threads(self.cfg.threads);
+        if let Some((start, len)) = range {
+            engine = engine.with_range(start, len);
+        }
+        engine.run(plan)
     }
 
     fn require_verification(&self) -> Result<()> {
@@ -734,16 +623,7 @@ impl Cluster {
     /// (see [`QueryBatch`]); results are identical to the corresponding
     /// sequential queries.
     pub fn psi_query_batch(&self, batch: &QueryBatch) -> Result<(Vec<AggResult>, QueryStats)> {
-        for agg in &batch.aggs {
-            match *agg {
-                Aggregate::Sum(a) | Aggregate::Avg(a) => self.require_agg(a as usize)?,
-                Aggregate::CountTuples => self.require_agg(0)?,
-            }
-        }
-        self.execute(&plans::Batch {
-            batch,
-            seed: self.z_seed(),
-        })
+        self.batch(None, batch)
     }
 
     /// [`Cluster::psi_query_batch`] restricted to the row window
@@ -756,25 +636,24 @@ impl Cluster {
         batch: &QueryBatch,
         range: (u64, u64),
     ) -> Result<(Vec<AggResult>, QueryStats)> {
+        self.batch(Some(range), batch)
+    }
+
+    /// Validate `batch`'s aggregates against the outsourced column set
+    /// and run it, whole-domain or windowed.
+    fn batch(
+        &self,
+        range: Option<(u64, u64)>,
+        batch: &QueryBatch,
+    ) -> Result<(Vec<AggResult>, QueryStats)> {
         for agg in &batch.aggs {
             match *agg {
                 Aggregate::Sum(a) | Aggregate::Avg(a) => self.require_agg(a as usize)?,
                 Aggregate::CountTuples => self.require_agg(0)?,
             }
         }
-        let sharded = ShardedExec::new(&self.nodes, &self.announcer);
-        let cached = self.cache.as_ref().map(|c| CachedExec::new(&sharded, c));
-        let exec: &dyn ServerExec = match &cached {
-            Some(c) => c,
-            None => &sharded,
-        };
-        Engine::new(&exec, &self.setup.owner)
-            .with_threads(self.cfg.threads)
-            .with_range(range.0, range.1)
-            .run(&plans::Batch {
-                batch,
-                seed: self.z_seed(),
-            })
+        let seed = self.z_seed();
+        self.run(range, &plans::Batch { batch, seed })
     }
 
     /// PSI maximum with the identity round (§6.3, all three rounds) and
@@ -793,17 +672,11 @@ impl Cluster {
                 .collect(),
             table: self.poly_table(),
             seed: self.cfg.seed,
-            cell_chunk: Self::CELL_CHUNK,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
         };
         let ((cells, holders), stats) = self.execute(&plan)?;
         Ok((cells, holders, stats))
     }
-
-    /// Chunk size for the max/median per-cell pipelines (the shared
-    /// engine default — `NetCluster` uses the same constant, which is
-    /// what keeps round counts and chunk-seeded blinding identical
-    /// across harnesses).
-    const CELL_CHUNK: usize = plans::DEFAULT_CELL_CHUNK;
 
     /// PSI maximum over several attributes (Table 12).
     pub fn psi_max_multi(&self, attrs: &[usize]) -> Result<(Vec<Vec<MaxCell>>, QueryStats)> {
@@ -811,10 +684,7 @@ impl Cluster {
         let mut total = QueryStats::default();
         for &a in attrs {
             let (cells, _, stats) = self.psi_max(a)?;
-            total.server_time += stats.server_time;
-            total.owner_time += stats.owner_time;
-            total.announcer_time += stats.announcer_time;
-            total.rounds = stats.rounds;
+            total.merge(&stats);
             all.push(cells);
         }
         Ok((all, total))
@@ -833,7 +703,7 @@ impl Cluster {
                 .collect(),
             table: self.poly_table(),
             seed: self.cfg.seed,
-            cell_chunk: Self::CELL_CHUNK,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
         };
         self.execute(&plan)
     }
@@ -990,6 +860,22 @@ mod tests {
         let (maxes, _) = c.psi_max_multi(&[0, 1]).unwrap();
         assert_eq!(maxes[0][0].max, 700); // max cost for Cancer
         assert_eq!(maxes[1][0].max, 8); // max age
+    }
+
+    #[test]
+    fn max_multi_accumulates_every_stat_across_attributes() {
+        let mut cfg = ClusterConfig::new(3).with_shards(2);
+        cfg.agg_domain_max = 2000;
+        let c = Cluster::build(&hospitals(), cfg).unwrap();
+        let singles = [c.psi_max(0).unwrap().2, c.psi_max(1).unwrap().2];
+        let (_, total) = c.psi_max_multi(&[0, 1]).unwrap();
+        assert_eq!(singles[0].rounds, 3);
+        assert_eq!(total.rounds, 2 * singles[0].rounds);
+        assert!(singles[0].shard_dispatches > 0, "shards = 2 must fan out");
+        assert_eq!(
+            total.shard_dispatches,
+            singles[0].shard_dispatches + singles[1].shard_dispatches
+        );
     }
 
     #[test]

@@ -284,6 +284,32 @@ pub struct QueryStats {
 }
 
 impl QueryStats {
+    /// Accumulate another query's accounting into this one — every field
+    /// adds, so a facade that answers one call with several plans
+    /// reports their total.
+    pub fn merge(&mut self, other: &QueryStats) {
+        let QueryStats {
+            server_time,
+            owner_time,
+            announcer_time,
+            rounds,
+            shard_dispatches,
+            cache_hits,
+            cache_misses,
+            cache_invalidations,
+            failovers,
+        } = *other;
+        self.server_time += server_time;
+        self.owner_time += owner_time;
+        self.announcer_time += announcer_time;
+        self.rounds += rounds;
+        self.shard_dispatches += shard_dispatches;
+        self.cache_hits += cache_hits;
+        self.cache_misses += cache_misses;
+        self.cache_invalidations += cache_invalidations;
+        self.failovers += failovers;
+    }
+
     /// Owner↔server communication rounds used.
     pub fn rounds(&self) -> usize {
         self.rounds

@@ -15,25 +15,15 @@ use prism_core::{DomainMap, ProductDomain};
 /// Build an owner's indicator table over a product domain from tuple rows.
 /// Each row is `(tuple coordinates, aggregation value)`.
 pub fn build_tuple_table(rows: &[(Vec<u64>, u64)], domain: &ProductDomain) -> Result<OwnerTable> {
-    let b = DomainMap::<[u64]>::size(domain);
-    let mut t = OwnerTable {
-        indicator: vec![0; b],
-        sums: vec![0; b],
-        counts: vec![0; b],
-        maxima: vec![0; b],
-    };
-    for (tuple, agg) in rows {
+    let cells = rows.iter().map(|(tuple, agg)| {
         let i = domain.index_of_tuple(tuple).ok_or_else(|| {
             crate::error::ProtocolError::OutOfDomain {
                 value: format!("{tuple:?}"),
             }
         })?;
-        t.indicator[i] = 1;
-        t.sums[i] = t.sums[i].wrapping_add(*agg);
-        t.counts[i] += 1;
-        t.maxima[i] = t.maxima[i].max(*agg);
-    }
-    Ok(t)
+        Ok((i, [*agg]))
+    });
+    OwnerTable::fold(DomainMap::<[u64]>::size(domain), 1, cells)
 }
 
 /// Decode the common cells of a product-domain PSI back into tuples.
@@ -66,9 +56,9 @@ mod tests {
         assert_eq!(t.indicator.iter().sum::<u64>(), 2);
         assert_eq!(t.indicator[0], 1);
         assert_eq!(t.indicator[15], 1);
-        assert_eq!(t.sums[0], 8);
+        assert_eq!(t.sums[0][0], 8);
         assert_eq!(t.counts[0], 2);
-        assert_eq!(t.maxima[0], 5);
+        assert_eq!(t.maxima[0][0], 5);
     }
 
     #[test]

@@ -204,7 +204,7 @@ mod tests {
             .enumerate()
             .map(|(j, t)| {
                 let mut prg = Prg::from_seed(20 + j as u64);
-                share_payload(&t.sums, &op.field, &mut prg)
+                share_payload(&t.sums[0], &op.field, &mut prg)
             })
             .collect();
         let mut outs = Vec::new();
@@ -284,7 +284,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(j, t)| {
-                let permuted = op.pf_db1.apply(&t.sums);
+                let permuted = op.pf_db1.apply(&t.sums[0]);
                 let mut prg = Prg::from_seed(30 + j as u64);
                 share_payload(&permuted, &op.field, &mut prg)
             })
@@ -316,7 +316,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(j, t)| {
-                let permuted = op.pf_db1.apply(&t.sums);
+                let permuted = op.pf_db1.apply(&t.sums[0]);
                 let mut prg = Prg::from_seed(40 + j as u64);
                 share_payload(&permuted, &op.field, &mut prg)
             })
@@ -348,7 +348,7 @@ mod tests {
             .enumerate()
             .map(|(j, t)| {
                 let mut prg = Prg::from_seed(50 + j as u64);
-                share_payload(&t.sums, &f.setup.owner.field, &mut prg)
+                share_payload(&t.sums[0], &f.setup.owner.field, &mut prg)
             })
             .collect();
         let pj: Vec<&[u64]> = payload.iter().map(|p| p.shares[0].as_slice()).collect();

@@ -31,7 +31,7 @@ use prism_protocol::max::MaxCell;
 use prism_protocol::params::{Initiator, OwnerParams, Setup, SystemConfig};
 use prism_protocol::plans;
 use prism_protocol::shard::{ShardedExec, ShardedNode};
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use prism_protocol::{AggResult, QueryBatch};
 
 const DOMAIN: usize = 24;
@@ -72,45 +72,19 @@ fn fixture() -> Fixture {
     let mut maxima = Vec::new();
     let mut sums = Vec::new();
     for (j, owner_rows) in rows().iter().enumerate() {
-        let mut indicator = vec![0u64; DOMAIN];
-        let mut sum = vec![0u64; DOMAIN];
-        let mut max = vec![0u64; DOMAIN];
-        let mut counts = vec![0u64; DOMAIN];
-        for &(c, x) in owner_rows {
-            let cell = (c - 1) as usize;
-            indicator[cell] = 1;
-            sum[cell] += x;
-            max[cell] = max[cell].max(x);
-            counts[cell] += 1;
-        }
+        let cells = owner_rows.iter().map(|&(c, x)| (c, [x]));
+        let mut table = OwnerTable::window(cells, 1, 0, DOMAIN).unwrap();
         let mut prg = Prg::from_seed(SEED ^ (900 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        let p = share_payload(&sum, &op.field, &mut prg);
-        let vp = share_payload(&op.pf_db1.apply(&sum), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        columns.push(
-            (0..3)
-                .map(|k| {
-                    let mut cols = Vec::new();
-                    if k < 2 {
-                        cols.push((Column::Ok, ind.shares[k].clone()));
-                        cols.push((Column::VOk, v.shares[k].clone()));
-                        cols.push((Column::OkDb1, c1.shares[k].clone()));
-                        cols.push((Column::OkDb2, c2.shares[k].clone()));
-                    }
-                    cols.push((Column::Agg(0), p.shares[k].clone()));
-                    cols.push((Column::VAgg(0), vp.shares[k].clone()));
-                    cols.push((Column::AOk, cnt.shares[k].clone()));
-                    cols
-                })
-                .collect(),
-        );
-        maxima.push(max);
-        sums.push(sum);
+        let perms = (&op.pf_db1, &op.pf_db2);
+        columns.push(owner_uploads(
+            &table,
+            op,
+            perms,
+            ColumnSet::full(1),
+            &mut prg,
+        ));
+        maxima.push(table.maxima.remove(0));
+        sums.push(table.sums.remove(0));
     }
     Fixture {
         setup,
@@ -139,6 +113,19 @@ fn all_backends() -> Vec<Backend> {
     all
 }
 
+/// `(owner, server, columns)` over a `columns[owner][server]` fixture.
+#[allow(clippy::type_complexity)]
+fn per_server(
+    columns: &[Vec<Vec<(Column, Vec<u64>)>>],
+) -> impl Iterator<Item = (usize, usize, &Vec<(Column, Vec<u64>)>)> {
+    columns.iter().enumerate().flat_map(|(j, servers)| {
+        servers
+            .iter()
+            .enumerate()
+            .map(move |(k, cols)| (j, k, cols))
+    })
+}
+
 impl Backend {
     /// Build this backend (with the given failure injections attached),
     /// hand its executor to `f`, and tear it down.
@@ -149,61 +136,71 @@ impl Backend {
         ann_tamper: AnnouncerTamper,
         f: impl FnOnce(&dyn ServerExec) -> R,
     ) -> R {
+        self.run_with(fx, None, server_tampers, ann_tamper, f)
+    }
+
+    /// [`Backend::run`], applying `delta`'s uploads after Phase 1: the
+    /// in-process backends through `delta_upload` with the explicit
+    /// permutation-extension blocks, the networked ones through the
+    /// `NetCluster::delta_upload` facade (which ships the adopted grown
+    /// setup's extension blocks over the wire).
+    fn run_with<R>(
+        self,
+        fx: &Fixture,
+        delta: Option<&DeltaFixture>,
+        server_tampers: &[(usize, Tamper)],
+        ann_tamper: AnnouncerTamper,
+        f: impl FnOnce(&dyn ServerExec) -> R,
+    ) -> R {
+        let mut announcer = Announcer::new(fx.setup.announcer.clone());
+        announcer.set_tamper(ann_tamper);
+        // The in-process node types share no trait, only method names.
+        macro_rules! outsource {
+            ($nodes:ident) => {
+                for (j, k, cols) in per_server(&fx.columns) {
+                    for (col, data) in cols {
+                        $nodes[k].store(j, *col, data.clone());
+                    }
+                }
+                if let Some(dfx) = delta {
+                    for (j, k, cols) in per_server(&dfx.grown.columns) {
+                        $nodes[k]
+                            .delta_upload(j, dfx.start, cols.clone(), Some((&dfx.e1, &dfx.e2)))
+                            .unwrap();
+                    }
+                }
+                for &(s, t) in server_tampers {
+                    $nodes[s].set_tamper(t);
+                }
+            };
+        }
+        let servers = fx.setup.servers.iter().cloned();
         match self {
             Backend::InMemory => {
-                let mut nodes: Vec<ServerNode> = fx
-                    .setup
-                    .servers
-                    .iter()
-                    .map(|sp| ServerNode::new(sp.clone()))
-                    .collect();
-                for (j, per_server) in fx.columns.iter().enumerate() {
-                    for (k, cols) in per_server.iter().enumerate() {
-                        for (col, data) in cols {
-                            nodes[k].store(j, *col, data.clone());
-                        }
-                    }
-                }
-                for &(s, t) in server_tampers {
-                    nodes[s].set_tamper(t);
-                }
-                let mut announcer = Announcer::new(fx.setup.announcer.clone());
-                announcer.set_tamper(ann_tamper);
-                let exec = InMemoryExec::new(&nodes, &announcer);
-                f(&exec)
+                let mut nodes: Vec<ServerNode> = servers.map(ServerNode::new).collect();
+                outsource!(nodes);
+                f(&InMemoryExec::new(&nodes, &announcer))
             }
             Backend::Sharded(shards) => {
-                let mut nodes: Vec<ShardedNode> = fx
-                    .setup
-                    .servers
-                    .iter()
-                    .map(|sp| ShardedNode::new(sp.clone(), shards))
-                    .collect();
-                for (j, per_server) in fx.columns.iter().enumerate() {
-                    for (k, cols) in per_server.iter().enumerate() {
-                        for (col, data) in cols {
-                            nodes[k].store(j, *col, data.clone());
-                        }
-                    }
-                }
-                for &(s, t) in server_tampers {
-                    nodes[s].set_tamper(t);
-                }
-                let mut announcer = Announcer::new(fx.setup.announcer.clone());
-                announcer.set_tamper(ann_tamper);
-                let exec = ShardedExec::new(&nodes, &announcer);
-                f(&exec)
+                let mut nodes: Vec<ShardedNode> =
+                    servers.map(|sp| ShardedNode::new(sp, shards)).collect();
+                outsource!(nodes);
+                f(&ShardedExec::new(&nodes, &announcer))
             }
             Backend::Channel(shards) | Backend::Tcp(shards) => {
-                let cluster = match self {
+                let mut cluster = match self {
                     Backend::Channel(_) => {
                         NetCluster::start_local_sharded(fx.setup.clone(), shards)
                     }
                     _ => NetCluster::start_tcp_sharded(fx.setup.clone(), shards).unwrap(),
                 };
-                for (j, per_server) in fx.columns.iter().enumerate() {
-                    for (k, cols) in per_server.iter().enumerate() {
-                        cluster.bulk_upload(k, j, cols.clone()).unwrap();
+                for (j, k, cols) in per_server(&fx.columns) {
+                    cluster.bulk_upload(k, j, cols.clone()).unwrap();
+                }
+                if let Some(dfx) = delta {
+                    cluster.adopt_setup(dfx.grown.setup.clone());
+                    for (j, k, cols) in per_server(&dfx.grown.columns) {
+                        cluster.delta_upload(k, j, dfx.start, cols.clone()).unwrap();
                     }
                 }
                 for &(s, t) in server_tampers {
@@ -474,20 +471,15 @@ fn cached_surface(exec: &dyn ServerExec, fx: &Fixture) -> (Surface, Vec<usize>) 
     )
 }
 
-/// Everything the delta path shares across backends: the grown role
-/// views, every owner's delta share columns per server (built once, like
-/// [`Fixture::columns`]), the `pf_s1`/`pf_s2` extension blocks for the
-/// in-process backends, and the grown owner-side value columns.
+/// Everything the delta path shares across backends: the grown
+/// [`Fixture`] (grown role views, every owner's *delta* share columns per
+/// server, the grown owner-side value columns) and the `pf_s1`/`pf_s2`
+/// extension blocks for the in-process backends.
 struct DeltaFixture {
-    grown: Setup,
+    grown: Fixture,
     start: usize,
-    /// `columns[owner][server]` → the appended-segment column set.
-    #[allow(clippy::type_complexity)]
-    columns: Vec<Vec<Vec<(Column, Vec<u64>)>>>,
     e1: prism_core::Permutation,
     e2: prism_core::Permutation,
-    maxima: Vec<Vec<u64>>,
-    sums: Vec<Vec<u64>>,
 }
 
 /// Appended-segment rows per owner, as (global cell, value): four new
@@ -504,6 +496,8 @@ fn delta_fixture(fx: &Fixture) -> DeltaFixture {
     const ADDED: usize = 4;
     let start = DOMAIN;
     let grown = fx.setup.grow(ADDED, 1, SEED).unwrap();
+    // The verification copies are permuted by the appended *block*
+    // (block-diagonal growth).
     let bdb1 = grown.family.pf_db1.tail_block(start).unwrap();
     let bdb2 = grown.family.pf_db2.tail_block(start).unwrap();
     let e1 = grown.family.pf_s1.tail_block(start).unwrap();
@@ -513,214 +507,49 @@ fn delta_fixture(fx: &Fixture) -> DeltaFixture {
     let mut maxima = fx.maxima.clone();
     let mut sums = fx.sums.clone();
     for (j, owner_rows) in delta_rows().iter().enumerate() {
-        let mut indicator = vec![0u64; ADDED];
-        let mut sum = vec![0u64; ADDED];
-        let mut max = vec![0u64; ADDED];
-        let mut counts = vec![0u64; ADDED];
-        for &(c, x) in owner_rows {
-            let i = (c - 1) as usize - start;
-            indicator[i] = 1;
-            sum[i] += x;
-            max[i] = max[i].max(x);
-            counts[i] += 1;
-        }
-        // Same column set and share-draw order as the Phase-1 fixture,
-        // over the appended segment; the verification copies are permuted
-        // by the appended *block* (block-diagonal growth).
+        let cells = owner_rows.iter().map(|&(c, x)| (c, [x]));
+        let table = OwnerTable::window(cells, 1, start, ADDED).unwrap();
         let mut prg = Prg::from_seed(SEED ^ (1700 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&bdb1.apply(&complement), op.delta, &mut prg);
-        let c1 = share_indicator(&bdb1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&bdb2.apply(&indicator), op.delta, &mut prg);
-        let p = share_payload(&sum, &op.field, &mut prg);
-        let vp = share_payload(&bdb1.apply(&sum), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        columns.push(
-            (0..3)
-                .map(|k| {
-                    let mut cols = Vec::new();
-                    if k < 2 {
-                        cols.push((Column::Ok, ind.shares[k].clone()));
-                        cols.push((Column::VOk, v.shares[k].clone()));
-                        cols.push((Column::OkDb1, c1.shares[k].clone()));
-                        cols.push((Column::OkDb2, c2.shares[k].clone()));
-                    }
-                    cols.push((Column::Agg(0), p.shares[k].clone()));
-                    cols.push((Column::VAgg(0), vp.shares[k].clone()));
-                    cols.push((Column::AOk, cnt.shares[k].clone()));
-                    cols
-                })
-                .collect(),
-        );
-        maxima[j].extend_from_slice(&max);
-        sums[j].extend_from_slice(&sum);
+        let blocks = (&bdb1, &bdb2);
+        columns.push(owner_uploads(
+            &table,
+            op,
+            blocks,
+            ColumnSet::full(1),
+            &mut prg,
+        ));
+        maxima[j].extend_from_slice(&table.maxima[0]);
+        sums[j].extend_from_slice(&table.sums[0]);
     }
+    let grown = Fixture {
+        setup: grown,
+        columns,
+        maxima,
+        sums,
+    };
     DeltaFixture {
         grown,
         start,
-        columns,
         e1,
         e2,
-        maxima,
-        sums,
     }
 }
 
-/// Like [`Backend::run`], but applies the delta uploads after Phase 1:
-/// the in-process backends through `delta_upload` with the explicit
-/// permutation-extension blocks, the networked ones through the
-/// `NetCluster::delta_upload` facade (which ships the adopted grown
-/// setup's extension blocks over the wire).
+/// [`Backend::run`] on honest nodes with `dfx`'s delta uploads applied
+/// after Phase 1.
 fn run_delta<R>(
     backend: Backend,
     fx: &Fixture,
     dfx: &DeltaFixture,
     f: impl FnOnce(&dyn ServerExec) -> R,
 ) -> R {
-    match backend {
-        Backend::InMemory => {
-            let mut nodes: Vec<ServerNode> = fx
-                .setup
-                .servers
-                .iter()
-                .map(|sp| ServerNode::new(sp.clone()))
-                .collect();
-            for (j, per_server) in fx.columns.iter().enumerate() {
-                for (k, cols) in per_server.iter().enumerate() {
-                    for (col, data) in cols {
-                        nodes[k].store(j, *col, data.clone());
-                    }
-                }
-            }
-            for (j, per_server) in dfx.columns.iter().enumerate() {
-                for (k, cols) in per_server.iter().enumerate() {
-                    nodes[k]
-                        .delta_upload(j, dfx.start, cols.clone(), Some((&dfx.e1, &dfx.e2)))
-                        .unwrap();
-                }
-            }
-            let announcer = Announcer::new(fx.setup.announcer.clone());
-            let exec = InMemoryExec::new(&nodes, &announcer);
-            f(&exec)
-        }
-        Backend::Sharded(shards) => {
-            let mut nodes: Vec<ShardedNode> = fx
-                .setup
-                .servers
-                .iter()
-                .map(|sp| ShardedNode::new(sp.clone(), shards))
-                .collect();
-            for (j, per_server) in fx.columns.iter().enumerate() {
-                for (k, cols) in per_server.iter().enumerate() {
-                    for (col, data) in cols {
-                        nodes[k].store(j, *col, data.clone());
-                    }
-                }
-            }
-            for (j, per_server) in dfx.columns.iter().enumerate() {
-                for (k, cols) in per_server.iter().enumerate() {
-                    nodes[k]
-                        .delta_upload(j, dfx.start, cols.clone(), Some((&dfx.e1, &dfx.e2)))
-                        .unwrap();
-                }
-            }
-            let announcer = Announcer::new(fx.setup.announcer.clone());
-            let exec = ShardedExec::new(&nodes, &announcer);
-            f(&exec)
-        }
-        Backend::Channel(shards) | Backend::Tcp(shards) => {
-            let mut cluster = match backend {
-                Backend::Channel(_) => NetCluster::start_local_sharded(fx.setup.clone(), shards),
-                _ => NetCluster::start_tcp_sharded(fx.setup.clone(), shards).unwrap(),
-            };
-            for (j, per_server) in fx.columns.iter().enumerate() {
-                for (k, cols) in per_server.iter().enumerate() {
-                    cluster.bulk_upload(k, j, cols.clone()).unwrap();
-                }
-            }
-            cluster.adopt_setup(dfx.grown.clone());
-            for (j, per_server) in dfx.columns.iter().enumerate() {
-                for (k, cols) in per_server.iter().enumerate() {
-                    cluster.delta_upload(k, j, dfx.start, cols.clone()).unwrap();
-                }
-            }
-            let out = f(&cluster);
-            cluster.shutdown().unwrap();
-            out
-        }
-    }
+    backend.run_with(fx, Some(dfx), &[], AnnouncerTamper::Honest, f)
 }
 
 /// [`surface`] over the grown domain: same operations, grown owner
 /// params, grown owner-side value columns.
 fn delta_surface(exec: &dyn ServerExec, dfx: &DeltaFixture) -> Surface {
-    let op = &dfx.grown.owner;
-    let mut rounds = Vec::new();
-    let psi = run_plan(exec, op, &plans::Psi, &mut rounds).fop;
-    let psi_verified = run_plan(exec, op, &plans::PsiVerified, &mut rounds).fop;
-    let psu = run_plan(exec, op, &plans::Psu, &mut rounds);
-    let psu_verified = run_plan(exec, op, &plans::PsuVerified, &mut rounds);
-    let count = run_plan(exec, op, &plans::Count, &mut rounds);
-    let count_verified = run_plan(exec, op, &plans::CountVerified, &mut rounds);
-    let sum = run_plan(exec, op, &plans::Sum { attr: 0, seed: 11 }, &mut rounds);
-    let sum_verified = run_plan(
-        exec,
-        op,
-        &plans::SumVerified { attr: 0, seed: 12 },
-        &mut rounds,
-    );
-    let avg = run_plan(exec, op, &plans::Average { attr: 0, seed: 13 }, &mut rounds)
-        .iter()
-        .map(|c| (c.sum, c.count))
-        .collect();
-    let qb = QueryBatch::new().sum(0).avg(0).count_tuples();
-    let batch = run_plan(
-        exec,
-        op,
-        &plans::Batch {
-            batch: &qb,
-            seed: 14,
-        },
-        &mut rounds,
-    );
-    let max = run_plan(
-        exec,
-        op,
-        &plans::Max {
-            values: dfx.maxima.iter().map(Vec::as_slice).collect(),
-            table: None,
-            seed: 21,
-            cell_chunk: 1 << 16,
-        },
-        &mut rounds,
-    );
-    let median = median_rows(run_plan(
-        exec,
-        op,
-        &plans::Median {
-            values: dfx.sums.iter().map(Vec::as_slice).collect(),
-            table: None,
-            seed: 22,
-            cell_chunk: 1 << 16,
-        },
-        &mut rounds,
-    ));
-    Surface {
-        psi,
-        psi_verified,
-        psu,
-        psu_verified,
-        count,
-        count_verified,
-        sum,
-        sum_verified,
-        avg,
-        batch,
-        max,
-        median,
-        rounds,
-    }
+    surface(exec, &dfx.grown)
 }
 
 /// Delta uploads preserve the central invariant: after appending four

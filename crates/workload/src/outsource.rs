@@ -18,8 +18,7 @@ use crate::lineitem::LineItemRow;
 use prism_core::Prg;
 use prism_protocol::engine::Column;
 use prism_protocol::params::{OwnerParams, SHAMIR_SERVERS};
-use prism_protocol::shard::ShardPlan;
-use prism_protocol::tables::{share_indicator, share_payload};
+use prism_protocol::tables::{share_owner, ColumnSet, OwnerTable};
 use prism_storage::SharedTable;
 use std::time::{Duration, Instant};
 
@@ -33,34 +32,18 @@ pub struct OutsourcedOwner {
     pub elapsed: Duration,
 }
 
-/// Group rows by OK and build the plaintext 11-column source columns.
-pub struct GroupedColumns {
-    /// Indicator per cell.
-    pub indicator: Vec<u64>,
-    /// Per-attribute sums (PK, LN, SK, DT).
-    pub sums: [Vec<u64>; 4],
-    /// Tuple counts (`aOK` source).
-    pub counts: Vec<u64>,
+/// Aggregate a LineItem relation by OK over the dense domain `1..=b`:
+/// the plaintext source columns of Table 11, with `sums[0..4]` the
+/// per-cell sums of PK, LN, SK, DT. Panics on an OK value outside the
+/// domain.
+pub fn group_by_ok(rows: &[LineItemRow], b: usize) -> OwnerTable {
+    group_attrs(rows, 4, b)
 }
 
-/// Aggregate a LineItem relation by OK over the dense domain `1..=b`.
-pub fn group_by_ok(rows: &[LineItemRow], b: usize) -> GroupedColumns {
-    let mut g = GroupedColumns {
-        indicator: vec![0; b],
-        sums: [vec![0; b], vec![0; b], vec![0; b], vec![0; b]],
-        counts: vec![0; b],
-    };
-    for r in rows {
-        let cell = (r.ok - 1) as usize;
-        assert!(cell < b, "OK value {} outside domain 1..={b}", r.ok);
-        g.indicator[cell] = 1;
-        g.counts[cell] += 1;
-        g.sums[0][cell] += r.pk;
-        g.sums[1][cell] += r.ln;
-        g.sums[2][cell] += r.sk;
-        g.sums[3][cell] += r.dt;
-    }
-    g
+/// [`group_by_ok`] over the first `attrs` of PK, LN, SK, DT only.
+fn group_attrs(rows: &[LineItemRow], attrs: usize, b: usize) -> OwnerTable {
+    let rows = rows.iter().map(|r| (r.ok, [r.pk, r.ln, r.sk, r.dt]));
+    OwnerTable::window(rows, attrs, 0, b).unwrap_or_else(|e| panic!("LineItem OK value: {e}"))
 }
 
 /// Outsource one owner's relation into per-server `SharedTable`s.
@@ -76,77 +59,27 @@ pub fn outsource_owner(
 ) -> OutsourcedOwner {
     assert!(attrs <= 4, "at most 4 aggregation attributes (PK LN SK DT)");
     let t0 = Instant::now();
-    let g = group_by_ok(rows, op.b);
+    let g = group_attrs(rows, attrs, op.b);
+    let set = ColumnSet {
+        verification: with_verification,
+        two_copy: false,
+        aggregation: Some(attrs),
+    };
+    let mut tables = vec![SharedTable::default(); SHAMIR_SERVERS];
+    let perms = (&op.pf_db1, &op.pf_db2);
     let mut prg = Prg::from_seed(seed);
-    let mut tables: Vec<SharedTable> = (0..SHAMIR_SERVERS)
-        .map(|_| SharedTable::default())
-        .collect();
-
-    // OK: additive shares to servers 1 and 2.
-    let ind = share_indicator(&g.indicator, op.delta, &mut prg);
-    tables[0].ok = ind.shares[0].clone();
-    tables[1].ok = ind.shares[1].clone();
-
-    if with_verification {
-        let complement: Vec<u64> = g.indicator.iter().map(|&x| 1 - x).collect();
-        let vperm = op.pf_db1.apply(&complement);
-        let v = share_indicator(&vperm, op.delta, &mut prg);
-        tables[0].v_ok = v.shares[0].clone();
-        tables[1].v_ok = v.shares[1].clone();
-    }
-
-    // PK…DT and aOK: Shamir shares to all three servers.
-    for a in 0..attrs {
-        let p = share_payload(&g.sums[a], &op.field, &mut prg);
-        for (k, t) in tables.iter_mut().enumerate() {
-            t.agg.push(p.shares[k].clone());
+    share_owner(&g, op, perms, set, &mut prg, |k, column, shares| {
+        let t = &mut tables[k];
+        match column {
+            Column::Ok => t.ok = shares,
+            Column::VOk => t.v_ok = shares,
+            Column::Agg(_) => t.agg.push(shares),
+            Column::VAgg(_) => t.v_agg.push(shares),
+            Column::AOk => t.a_ok = shares,
+            Column::OkDb1 | Column::OkDb2 => unreachable!("Table 11 has no two-copy columns"),
         }
-        if with_verification {
-            let vp = share_payload(&op.pf_db1.apply(&g.sums[a]), &op.field, &mut prg);
-            for (k, t) in tables.iter_mut().enumerate() {
-                t.v_agg.push(vp.shares[k].clone());
-            }
-        }
-    }
-    let c = share_payload(&g.counts, &op.field, &mut prg);
-    for (k, t) in tables.iter_mut().enumerate() {
-        t.a_ok = c.shares[k].clone();
-    }
-
+    });
     OutsourcedOwner {
-        tables,
-        elapsed: t0.elapsed(),
-    }
-}
-
-/// Result of outsourcing one owner into a **sharded** deployment:
-/// `tables[φ][s]` is the row-range shard `s` of server φ's table.
-pub struct OutsourcedShards {
-    /// Per-server, per-shard tables.
-    pub tables: Vec<Vec<SharedTable>>,
-    /// Share-generation + row-split time.
-    pub elapsed: Duration,
-}
-
-/// Outsource one owner's relation into per-server, per-shard
-/// `SharedTable`s — the Phase-1 pipeline for a domain backed by
-/// row-range shards. Shares are generated exactly as in
-/// [`outsource_owner`] (the split happens *after* sharing, so shard
-/// layouts reconstruct the identical columns), then each server's table
-/// is partitioned along `plan`'s row ranges.
-pub fn outsource_owner_sharded(
-    rows: &[LineItemRow],
-    op: &OwnerParams,
-    attrs: usize,
-    with_verification: bool,
-    seed: u64,
-    plan: &ShardPlan,
-) -> OutsourcedShards {
-    let t0 = Instant::now();
-    let whole = outsource_owner(rows, op, attrs, with_verification, seed);
-    let ranges: Vec<(usize, usize)> = plan.specs().iter().map(|s| (s.start, s.len)).collect();
-    let tables = whole.tables.iter().map(|t| t.split_rows(&ranges)).collect();
-    OutsourcedShards {
         tables,
         elapsed: t0.elapsed(),
     }
@@ -284,44 +217,6 @@ mod tests {
             })
             .collect();
         assert_eq!(op.pf_db1.inverse().apply(&recon), g.sums[0]);
-    }
-
-    #[test]
-    fn sharded_outsourcing_reconstructs_source_columns() {
-        let cfg = LineItemConfig::full(40, 5);
-        let rows = cfg.generate_owner(0);
-        let op = owner_params(2, 40);
-        let g = group_by_ok(&rows, 40);
-        let plan = ShardPlan::new(40, 4);
-        let out = outsource_owner_sharded(&rows, &op, 2, true, 21, &plan);
-        assert_eq!(out.tables.len(), 3);
-        for per_server in &out.tables {
-            assert_eq!(per_server.len(), 4);
-            for shard in per_server {
-                shard.check().unwrap();
-            }
-        }
-        // Rejoin each server's shards by rows and reconstruct: the shard
-        // layout must hide nothing.
-        for i in 0..40 {
-            let spec_idx = plan
-                .specs()
-                .iter()
-                .position(|s| i >= s.start && i < s.start + s.len)
-                .unwrap();
-            let local = i - plan.specs()[spec_idx].start;
-            let a = out.tables[0][spec_idx].ok[local];
-            let b = out.tables[1][spec_idx].ok[local];
-            assert_eq!(prism_core::reconstruct2(a, b, op.delta), g.indicator[i]);
-            let ys: Vec<u64> = (0..3)
-                .map(|k| out.tables[k][spec_idx].agg[0][local])
-                .collect();
-            assert_eq!(op.field.reconstruct_raw(&ys), g.sums[0][i]);
-        }
-        // The sharded split matches the unsharded table row-for-row.
-        let whole = outsource_owner(&rows, &op, 2, true, 21);
-        let rejoined: Vec<u64> = out.tables[0].iter().flat_map(|t| t.ok.clone()).collect();
-        assert_eq!(rejoined, whole.tables[0].ok);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! Run with: `cargo run --example distributed_deployment`
 
 use prism::core::Prg;
-use prism::net::{AnnouncerNode, ClusterListener, Column, NetCluster, RegistryConfig, ShardWorker};
+use prism::net::{AnnouncerNode, ClusterListener, NetCluster, RegistryConfig, ShardWorker};
 use prism::protocol::params::{Initiator, SystemConfig};
-use prism::protocol::tables::{share_indicator, share_payload};
+use prism::protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use std::time::{Duration, Instant};
 
 const DOMAIN: usize = 1_000;
@@ -147,39 +147,24 @@ fn main() {
     // every column of an owner's per-server table in ONE round-trip. The
     // per-cell maxima/sums stay owner-side: the max/median rounds consume
     // them directly (they never leave the owners unblinded).
+    let columns = ColumnSet {
+        verification: true,
+        two_copy: false,
+        aggregation: Some(1),
+    };
     let mut owner_maxima: Vec<Vec<u64>> = Vec::new();
     let mut owner_sums: Vec<Vec<u64>> = Vec::new();
     for (j, rows) in suppliers.iter().enumerate() {
-        let mut indicator = vec![0u64; DOMAIN];
-        let mut sums = vec![0u64; DOMAIN];
-        let mut maxima = vec![0u64; DOMAIN];
-        let mut counts = vec![0u64; DOMAIN];
-        for &(part, stock) in rows {
-            let cell = (part - 1) as usize;
-            indicator[cell] = 1;
-            sums[cell] += stock;
-            maxima[cell] = maxima[cell].max(stock);
-            counts[cell] += 1;
-        }
+        let cells = rows.iter().map(|&(part, stock)| (part, [stock]));
+        let mut table = OwnerTable::window(cells, 1, 0, DOMAIN).expect("parts lie in 1..=DOMAIN");
         let mut prg = Prg::from_seed(500 + j as u64);
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let c = share_payload(&counts, &op.field, &mut prg);
-
-        for k in 0..3 {
-            let mut columns = Vec::new();
-            if k < 2 {
-                columns.push((Column::Ok, ind.shares[k].clone()));
-                columns.push((Column::VOk, v.shares[k].clone()));
-            }
-            columns.push((Column::Agg(0), p.shares[k].clone()));
-            columns.push((Column::AOk, c.shares[k].clone()));
+        let perms = (&op.pf_db1, &op.pf_db2);
+        let uploads = owner_uploads(&table, &op, perms, columns, &mut prg);
+        for (k, columns) in uploads.into_iter().enumerate() {
             cluster.bulk_upload(k, j, columns).expect("bulk upload");
         }
-        owner_maxima.push(maxima);
-        owner_sums.push(sums);
+        owner_maxima.push(table.maxima.remove(0));
+        owner_sums.push(table.sums.remove(0));
     }
 
     // Phase 2–4: queries over the wire.

@@ -2,7 +2,7 @@
 # Everything works fully offline: external deps are vendored under vendor/.
 
 # Run the standard verification suite (what CI runs).
-ci: fmt-check clippy build test test-release doc bench-check
+ci: fmt-check clippy phase1-once build test test-release doc bench-check
 
 # Build every workspace target in release mode.
 build:
@@ -32,6 +32,34 @@ fmt:
 # Cargo.toml [workspace.lints.clippy] block (see DESIGN.md "Lint policy").
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
+
+# Phase 1 is single-sourced: only `prism_protocol::tables` may permute a
+# plaintext column with PF_db1/PF_db2 on its way to the servers. Fails if
+# a harness (test, example, bench, workload, or the in-memory driver)
+# grows its own copy of the outsourcing routine again.
+phase1-once:
+    ! git grep -nE 'db[12]\.apply\(' -- 'crates/*/tests' tests examples crates/bench crates/workload crates/protocol/src/driver.rs ':!examples/benchmark'
+
+# Non-test vs test Rust line counts per crate (vendor/ and
+# examples/benchmark/ excluded), the one table simplicity PRs quote. In a
+# file outside tests/ and benches/, everything from the first top-level
+# `#[cfg(test)]` on counts as test code.
+loc:
+    #!/usr/bin/env sh
+    git ls-files -z '*.rs' ':!vendor' ':!examples/benchmark' | xargs -0 awk '
+        FNR == 1 {
+            crate = "prism (root)"
+            if (split(FILENAME, p, "/") > 2 && p[1] == "crates") crate = p[2]
+            test = FILENAME ~ /(^|\/)(tests|benches)\//
+        }
+        /^#\[cfg\(test\)\]/ { test = 1 }
+        { n[crate, test]++; seen[crate] = 1 }
+        END { for (c in seen) printf "%-14s %8d %8d\n", c, n[c, 0], n[c, 1] }
+    ' | sort | awk '
+        BEGIN { printf "%-14s %8s %8s\n", "crate", "non-test", "test" }
+        { print; a += $(NF - 1); b += $NF }
+        END { printf "%-14s %8d %8d  (all: %d)\n", "total", a, b, a + b }
+    '
 
 # API docs must build without warnings (broken intra-doc links fail CI).
 doc:

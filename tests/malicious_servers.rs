@@ -214,61 +214,29 @@ fn max_verification_catches_suppressed_maximum() {
 // transport must not weaken verification.
 // ---------------------------------------------------------------------
 
+/// One fixture owner's plaintext table (one aggregation attribute).
+fn owner_table(rows: &[(u64, u64)]) -> prism::protocol::tables::OwnerTable {
+    let cells = rows.iter().map(|&(c, x)| (c, [x]));
+    prism::protocol::tables::OwnerTable::window(cells, 1, 0, DOMAIN).unwrap()
+}
+
 /// Build a channel-transport cluster with every column the verified
 /// operations need uploaded through the wire.
 fn net_cluster(seed: u64) -> NetCluster {
     use prism::core::Prg;
-    use prism::net::Column;
-    use prism::protocol::tables::{share_indicator, share_payload};
+    use prism::protocol::tables::{owner_uploads, ColumnSet};
 
     let setup = Initiator::new(SystemConfig::new(4, DOMAIN).with_seed(seed))
         .setup()
         .unwrap();
     let cluster = NetCluster::start_local(setup);
-    let op = cluster.setup().owner.clone();
+    let op = &cluster.setup().owner;
+    let perms = (&op.pf_db1, &op.pf_db2);
     for (j, rows) in fixture_rows().iter().enumerate() {
-        let mut indicator = vec![0u64; DOMAIN];
-        let mut sums = vec![0u64; DOMAIN];
-        let mut counts = vec![0u64; DOMAIN];
-        for &(c, x) in rows {
-            let cell = (c - 1) as usize;
-            indicator[cell] = 1;
-            sums[cell] += x;
-            counts[cell] += 1;
-        }
         let mut prg = Prg::from_seed(seed ^ (7000 + j as u64));
-        let ind = share_indicator(&indicator, op.delta, &mut prg);
-        let complement: Vec<u64> = indicator.iter().map(|&x| 1 - x).collect();
-        let v = share_indicator(&op.pf_db1.apply(&complement), op.delta, &mut prg);
-        let c1 = share_indicator(&op.pf_db1.apply(&indicator), op.delta, &mut prg);
-        let c2 = share_indicator(&op.pf_db2.apply(&indicator), op.delta, &mut prg);
-        for k in 0..2 {
-            cluster
-                .upload(k, j, Column::Ok, ind.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::VOk, v.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::OkDb1, c1.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::OkDb2, c2.shares[k].clone())
-                .unwrap();
-        }
-        let p = share_payload(&sums, &op.field, &mut prg);
-        let vp = share_payload(&op.pf_db1.apply(&sums), &op.field, &mut prg);
-        let cnt = share_payload(&counts, &op.field, &mut prg);
-        for k in 0..3 {
-            cluster
-                .upload(k, j, Column::Agg(0), p.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::VAgg(0), vp.shares[k].clone())
-                .unwrap();
-            cluster
-                .upload(k, j, Column::AOk, cnt.shares[k].clone())
-                .unwrap();
+        let uploads = owner_uploads(&owner_table(rows), op, perms, ColumnSet::full(1), &mut prg);
+        for (k, columns) in uploads.into_iter().enumerate() {
+            cluster.bulk_upload(k, j, columns).unwrap();
         }
     }
     cluster
@@ -345,20 +313,13 @@ fn net_verified_queries_reject_or_match_honest_results() {
 
 /// Per-owner per-cell maxima and sums (attribute 0) from the fixture.
 fn fixture_values() -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    let mut maxima = Vec::new();
-    let mut sums = Vec::new();
-    for rows in fixture_rows() {
-        let mut mx = vec![0u64; DOMAIN];
-        let mut sm = vec![0u64; DOMAIN];
-        for (c, x) in rows {
-            let cell = (c - 1) as usize;
-            mx[cell] = mx[cell].max(x);
-            sm[cell] += x;
-        }
-        maxima.push(mx);
-        sums.push(sm);
-    }
-    (maxima, sums)
+    fixture_rows()
+        .iter()
+        .map(|rows| {
+            let mut t = owner_table(rows);
+            (t.maxima.remove(0), t.sums.remove(0))
+        })
+        .unzip()
 }
 
 #[test]
