@@ -323,6 +323,65 @@ pub fn mul_assign_mod(out: &mut [u64], rhs: &[u64], n: u64) {
     })
 }
 
+/// Pointwise product into a third buffer: `out[i] = a[i] · b[i] mod n`, for
+/// arbitrary (also unreduced) operands — [`mul_assign_mod`] for a left
+/// operand that must survive. Panics on a length mismatch.
+pub fn mul_into_mod(a: &[u64], b: &[u64], n: u64, out: &mut [u64]) {
+    assert!(n > 0, "modulus must be positive");
+    assert!(
+        a.len() == out.len() && b.len() == out.len(),
+        "operand lengths must match"
+    );
+    by_modulus!(n, |r| {
+        for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+            *o = r.mul(x, y);
+        }
+    })
+}
+
+/// The ingest fold: reduce `data` into `[0, n)` in place — honest shares
+/// already are, so the remainder runs only for values that are not — and
+/// add it into the **canonical** running sum: `acc[i] = acc[i] + data[i]
+/// mod n`, one pass over both. Panics on a length mismatch.
+///
+/// Shares are uniformly random, so a compare-and-branch reduction of the
+/// sum mispredicts every other cell; for `n ≤ 2^63` (no carry) the reduced
+/// value is the smaller of `s` and the wrapped `s − n`, picked without one.
+pub fn fold_canonical_mod(acc: &mut [u64], data: &mut [u64], n: u64) {
+    assert!(n > 0, "modulus must be positive");
+    assert_eq!(acc.len(), data.len(), "operand lengths must match");
+    let carry_free = n <= 1 << 63;
+    for (a, x) in acc.iter_mut().zip(data) {
+        debug_assert!(*a < n);
+        if *x >= n {
+            *x %= n;
+        }
+        *a = if carry_free {
+            let s = *a + *x;
+            s.min(s.wrapping_sub(n))
+        } else {
+            add_reduced(*a, *x, n)
+        };
+    }
+}
+
+/// In-place pointwise difference of **canonical** operands:
+/// `acc[i] = acc[i] − rhs[i] mod n`, branch-free like [`fold_canonical_mod`].
+/// Panics on a length mismatch.
+pub fn sub_assign_mod(acc: &mut [u64], rhs: &[u64], n: u64) {
+    assert_eq!(acc.len(), rhs.len(), "operand lengths must match");
+    let carry_free = n <= 1 << 63;
+    for (a, &x) in acc.iter_mut().zip(rhs) {
+        debug_assert!(*a < n && x < n);
+        *a = if carry_free {
+            let d = a.wrapping_sub(x);
+            d.min(d.wrapping_add(n))
+        } else {
+            sub_reduced(*a, x, n)
+        };
+    }
+}
+
 /// Modular exponentiation: `base^exp mod n` by square-and-multiply.
 ///
 /// Returns 0 when `n == 1` (the only residue mod 1).
@@ -705,10 +764,37 @@ mod tests {
         for n in MODULI {
             let lhs = edges(n);
             for &b in &edges(n) {
+                let rhs = vec![b; lhs.len()];
                 let mut out = lhs.clone();
-                mul_assign_mod(&mut out, &vec![b; lhs.len()], n);
+                mul_assign_mod(&mut out, &rhs, n);
+                let mut into = vec![u64::MAX; lhs.len()];
+                mul_into_mod(&lhs, &rhs, n, &mut into);
+                assert_eq!(into, out, "mul_into_mod vs mul_assign_mod, n={n}");
                 for (&a, &got) in lhs.iter().zip(&out) {
                     assert_eq!(got, mul_ref(a, b, n), "{a} * {b} mod {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_and_sub_assign_match_reference() {
+        // The running sum is canonical; what is folded in need not be.
+        for n in MODULI {
+            let lhs: Vec<u64> = edges(n).iter().map(|&a| a % n).collect();
+            for b in edges(n) {
+                let mut data = vec![b; lhs.len()];
+                let mut sum = lhs.clone();
+                fold_canonical_mod(&mut sum, &mut data, n);
+                assert!(data.iter().all(|&x| x == b % n), "{b} reduced mod {n}");
+                for (&a, &got) in lhs.iter().zip(&sum) {
+                    assert_eq!(got, add_ref(a, b, n), "{a} + {b} mod {n}");
+                }
+                sub_assign_mod(&mut sum, &data, n);
+                assert_eq!(sum, lhs, "fold then sub of {b} mod {n}");
+                for (&a, got) in lhs.iter().zip(&mut sum) {
+                    sub_assign_mod(std::slice::from_mut(got), &[b % n], n);
+                    assert_eq!(*got, sub_ref(a, b % n, n), "{a} - {b} mod {n}");
                 }
             }
         }

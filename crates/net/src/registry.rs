@@ -740,32 +740,30 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
                 return reject(&link);
             };
             // Claim a slot (or reject a full domain) and ack with a
-            // provisional whole-domain range; the re-fan below assigns
-            // the real one before any query can route here.
-            let b = {
-                let st = shared.read();
+            // provisional whole-domain range, all under one write lock:
+            // concurrent dials cannot both take the last slot, slot order
+            // is ack order, and nothing (re-fan, prober, router) can reach
+            // the new link before its ack is on the wire. The re-fan below
+            // assigns the real range before any query can route here.
+            let label = {
+                let mut st = shared.write();
                 if st.workers.len() >= st.target {
                     drop(st);
                     return reject(&link);
                 }
-                st.params.b
-            };
-            let node = fresh_node();
-            if !register_ack(&link, Some(node), b) {
-                return;
-            }
-            let label = format!("d{d}/w{node}");
-            // The range is provisional too; the re-fan below computes the
-            // real round-robin range before any query can route here.
-            let slot = WorkerSlot::new(node, label.clone(), Arc::clone(&link) as _, 0);
-            {
-                let mut st = shared.write();
-                if st.workers.len() >= st.target {
-                    // Lost the race to a concurrent attach.
+                let node = fresh_node();
+                if !register_ack(&link, Some(node), st.params.b) {
                     return;
                 }
-                st.workers.push(slot);
-            }
+                let label = format!("d{d}/w{node}");
+                st.workers.push(WorkerSlot::new(
+                    node,
+                    label.clone(),
+                    Arc::clone(&link) as _,
+                    0,
+                ));
+                label
+            };
             let survivors = refan(inner, d);
             inner.heal_log.lock().push(format!(
                 "domain {d}: worker {label} attached; re-fanned over {survivors} worker(s)"
@@ -1342,5 +1340,80 @@ mod tests {
         // A hard link death (EOF) skips the budget entirely.
         assert!(cfg.confirms_death(0, true));
         assert!(cfg.confirms_death(1, true));
+    }
+
+    /// A bound attach endpoint whose domains take `shards × rf` workers
+    /// each, and the domain parameters its dialers need.
+    fn listener(shards: usize, rf: usize) -> (ClusterListener, ServerParams) {
+        use prism_protocol::params::{Initiator, SystemConfig};
+        let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(1))
+            .setup()
+            .expect("setup");
+        let params = setup.servers[0].clone();
+        let cfg = RegistryConfig {
+            replication: rf,
+            ..RegistryConfig::default()
+        };
+        (
+            ClusterListener::bind(setup, shards, cfg).expect("bind"),
+            params,
+        )
+    }
+
+    /// Stop the dispatcher and the attached workers' serving threads.
+    fn teardown(listener: ClusterListener, workers: Vec<ShardWorker>) {
+        listener.inner.stop.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(listener.inner.addr);
+        listener.dispatcher.join().expect("dispatcher exits");
+        for w in workers {
+            w.kill();
+            let _ = w.join();
+        }
+    }
+
+    fn slot_nodes(listener: &ClusterListener) -> Vec<u64> {
+        let st = listener.inner.domains[0].read();
+        st.workers.iter().map(|w| w.node).collect()
+    }
+
+    #[test]
+    fn simultaneous_dials_for_the_last_slot_ack_exactly_one() {
+        // Acking before claiming let both dialers of a `target = 1`
+        // domain through the check; the loser was acked and never routed.
+        for _ in 0..8 {
+            let (listener, params) = listener(1, 1);
+            let addr = listener.addr();
+            let gate = std::sync::Barrier::new(2);
+            let dials: Vec<_> = std::thread::scope(|scope| {
+                let dial = || {
+                    gate.wait();
+                    ShardWorker::connect(params.clone(), 0, addr, Duration::from_secs(5))
+                };
+                let handles = [scope.spawn(dial), scope.spawn(dial)];
+                handles.map(|h| h.join().expect("dialer")).into()
+            });
+            let acked: Vec<ShardWorker> = dials.into_iter().filter_map(Result::ok).collect();
+            assert_eq!(acked.len(), 1, "exactly one dial is accepted");
+            assert_eq!(slot_nodes(&listener), [acked[0].node_id()]);
+            teardown(listener, acked);
+        }
+    }
+
+    #[test]
+    fn slot_order_is_ack_order() {
+        // Each dial returns on its ack; the slot must already be claimed
+        // by then, or the next dial's handshake thread can overtake it.
+        for _ in 0..4 {
+            let (listener, params) = listener(2, 2);
+            let workers: Vec<ShardWorker> = (0..4)
+                .map(|_| {
+                    ShardWorker::connect(params.clone(), 0, listener.addr(), Duration::from_secs(5))
+                        .expect("a slot is free")
+                })
+                .collect();
+            let acked: Vec<u64> = workers.iter().map(ShardWorker::node_id).collect();
+            assert_eq!(slot_nodes(&listener), acked);
+            teardown(listener, workers);
+        }
     }
 }

@@ -29,13 +29,14 @@ use crate::max::{self, BlindedMaxUpload, MaxAnnouncement};
 use crate::median::{self, MedianAnnouncement};
 use crate::params::{AnnouncerParams, OwnerParams, ServerParams};
 use crate::{psi, psu, sum};
+use prism_core::arith::{fold_canonical_mod, sub_assign_mod};
 use prism_core::wide::WideVec;
 use prism_core::Permutation;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which stored column an upload targets (Table-11 naming).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Column {
     /// Additive indicator (OK).
     Ok,
@@ -88,6 +89,24 @@ pub enum QueryOp {
 }
 
 impl QueryOp {
+    /// The stored column this operation scans.
+    pub fn column(&self) -> Result<Column> {
+        Ok(match *self {
+            QueryOp::Psi | QueryOp::Psu | QueryOp::Count => Column::Ok,
+            QueryOp::PsiVerify | QueryOp::CountVerifyComplement => Column::VOk,
+            QueryOp::PsuVerify(1) | QueryOp::CountVerify(1) => Column::OkDb1,
+            QueryOp::PsuVerify(2) | QueryOp::CountVerify(2) => Column::OkDb2,
+            QueryOp::PsuVerify(which) | QueryOp::CountVerify(which) => {
+                return Err(ProtocolError::ParameterMismatch(format!(
+                    "copy selector must be 1 or 2, got {which}"
+                )))
+            }
+            QueryOp::Sum(a) => Column::Agg(a),
+            QueryOp::SumVerify(a) => Column::VAgg(a),
+            QueryOp::SumCounts => Column::AOk,
+        })
+    }
+
     /// The server-side output permutation this operation's reply ships in,
     /// if any: `PF_s1`/`PF_s2` for the count/copy rounds, nothing for the
     /// raw rounds. Selection lives here rather than inside [`ServerNode`]
@@ -451,24 +470,35 @@ impl RoundOutcome {
 /// keeps matching its stamps and stays warm.
 pub type RangeVersion = (u64, u64, u64);
 
+/// One stored column kind: every owner's shares of it, and their per-cell
+/// sum — the only part a query reads.
+#[derive(Debug, Default)]
+struct Stored {
+    owners: Vec<Vec<u64>>,
+    /// `summed[i] = Σ_j owners[j][i]` in the column's ring, over the owners
+    /// whose column reaches row `i`. Never shorter than any owner column.
+    summed: Vec<u64>,
+}
+
 /// Per-owner share columns stored at one server (the owner uploads these
 /// in Phase 1; Table 11's layout).
 ///
-/// **Stored shares are canonical**: every write reduces the incoming
-/// values into their column's ring (`Z_δ` for the additive indicator
-/// columns, `F_p` for the Shamir ones), once, so the scan kernels add them
-/// without reducing ([`prism_core::arith::sum_columns_mod`]).
+/// **Stored shares are canonical and pre-summed**: every write reduces the
+/// incoming values into their column's ring (`Z_δ` for the additive
+/// indicator columns, `F_p` for the Shamir ones), once, and folds them into
+/// that column's owner sum, so a query scans one canonical column whatever
+/// the owner count. Writes take `&mut self`; nothing else touches the sums.
 #[derive(Debug)]
 pub struct ColumnStore {
     delta: u64,
     p: u64,
-    ok: Vec<Vec<u64>>,
-    v_ok: Vec<Vec<u64>>,
-    ok_db1: Vec<Vec<u64>>,
-    ok_db2: Vec<Vec<u64>>,
-    a_ok: Vec<Vec<u64>>,
-    agg: Vec<Vec<Vec<u64>>>,
-    v_agg: Vec<Vec<Vec<u64>>>,
+    ok: Stored,
+    v_ok: Stored,
+    ok_db1: Stored,
+    ok_db2: Stored,
+    a_ok: Stored,
+    agg: Vec<Stored>,
+    v_agg: Vec<Stored>,
     /// Per-range version stamps, ordered by `start`. Every
     /// [`ColumnStore::store`] bumps *all* epochs (a full-column write
     /// dirties the whole store); [`ColumnStore::bump_range`] bumps (or
@@ -485,35 +515,21 @@ impl ColumnStore {
         ColumnStore {
             delta: sp.delta,
             p: sp.field.p,
-            ok: Vec::new(),
-            v_ok: Vec::new(),
-            ok_db1: Vec::new(),
-            ok_db2: Vec::new(),
-            a_ok: Vec::new(),
+            ok: Stored::default(),
+            v_ok: Stored::default(),
+            ok_db1: Stored::default(),
+            ok_db2: Stored::default(),
+            a_ok: Stored::default(),
             agg: Vec::new(),
             v_agg: Vec::new(),
             epochs: Vec::new(),
         }
     }
 
-    /// Reduce incoming shares into `column`'s ring. Honest uploads already
-    /// are, so the remainder runs only for values that are not.
-    fn canonicalise(&self, column: Column, data: &mut [u64]) {
-        let n = match column {
-            Column::Ok | Column::VOk | Column::OkDb1 | Column::OkDb2 => self.delta,
-            Column::Agg(_) | Column::VAgg(_) | Column::AOk => self.p,
-        };
-        for v in data.iter_mut() {
-            if *v >= n {
-                *v %= n;
-            }
-        }
-    }
-
-    fn slot(&mut self, column: Column) -> &mut Vec<Vec<u64>> {
-        fn attr_slot(cols: &mut Vec<Vec<Vec<u64>>>, a: u8) -> &mut Vec<Vec<u64>> {
+    fn slot(&mut self, column: Column) -> &mut Stored {
+        fn attr_slot(cols: &mut Vec<Stored>, a: u8) -> &mut Stored {
             if cols.len() <= a as usize {
-                cols.resize(a as usize + 1, Vec::new());
+                cols.resize_with(a as usize + 1, Stored::default);
             }
             &mut cols[a as usize]
         }
@@ -528,17 +544,42 @@ impl ColumnStore {
         }
     }
 
+    /// The one ingest path: replace `owner`'s rows of `column` from `start`
+    /// on with `data` (zero-padding up to `start`), reduced into the
+    /// column's ring, and keep the owner sum in step by retiring the
+    /// replaced rows and folding in the new ones.
+    fn write(&mut self, owner: usize, column: Column, start: usize, mut data: Vec<u64>) {
+        let n = match column {
+            Column::Ok | Column::VOk | Column::OkDb1 | Column::OkDb2 => self.delta,
+            Column::Agg(_) | Column::VAgg(_) | Column::AOk => self.p,
+        };
+        let Stored { owners, summed } = self.slot(column);
+        if owners.len() <= owner {
+            owners.resize(owner + 1, Vec::new());
+        }
+        let col = &mut owners[owner];
+        if let Some(replaced) = col.get(start..) {
+            sub_assign_mod(&mut summed[start..start + replaced.len()], replaced, n);
+        }
+        let end = start + data.len();
+        if summed.len() < end {
+            summed.resize(end, 0);
+        }
+        fold_canonical_mod(&mut summed[start..end], &mut data, n);
+        if start == 0 {
+            *col = data;
+        } else {
+            col.resize(start, 0);
+            col.extend_from_slice(&data);
+        }
+    }
+
     /// Store one owner's share vector for `column`, bumping the store
     /// version (every epoch's stamp — a full-column write dirties the
     /// whole store).
-    pub fn store(&mut self, owner: usize, column: Column, mut data: Vec<u64>) {
-        self.canonicalise(column, &mut data);
+    pub fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
         let len = data.len() as u64;
-        let slot = self.slot(column);
-        if slot.len() <= owner {
-            slot.resize(owner + 1, Vec::new());
-        }
-        slot[owner] = data;
+        self.write(owner, column, 0, data);
         if self.epochs.is_empty() {
             self.epochs.push((0, len, 0));
         }
@@ -554,15 +595,8 @@ impl ColumnStore {
     /// stamps; the caller bumps exactly once per owner-delta via
     /// [`ColumnStore::bump_range`] after appending every column it
     /// carries.
-    pub fn append(&mut self, owner: usize, column: Column, mut data: Vec<u64>, start: usize) {
-        self.canonicalise(column, &mut data);
-        let slot = self.slot(column);
-        if slot.len() <= owner {
-            slot.resize(owner + 1, Vec::new());
-        }
-        let col = &mut slot[owner];
-        col.resize(start, 0);
-        col.extend_from_slice(&data);
+    pub fn append(&mut self, owner: usize, column: Column, data: Vec<u64>, start: usize) {
+        self.write(owner, column, start, data);
     }
 
     /// Bump the version stamp of the range `[start, start+len)`, creating
@@ -586,9 +620,12 @@ impl ColumnStore {
         &self.epochs
     }
 
-    fn col(&self, column: Column) -> &[Vec<u64>] {
-        static EMPTY: Vec<Vec<u64>> = Vec::new();
-        fn attr(cols: &[Vec<Vec<u64>>], a: u8) -> &Vec<Vec<u64>> {
+    fn col(&self, column: Column) -> &Stored {
+        static EMPTY: Stored = Stored {
+            owners: Vec::new(),
+            summed: Vec::new(),
+        };
+        fn attr(cols: &[Stored], a: u8) -> &Stored {
             cols.get(a as usize).unwrap_or(&EMPTY)
         }
         match column {
@@ -601,10 +638,42 @@ impl ColumnStore {
             Column::VAgg(a) => attr(&self.v_agg, a),
         }
     }
-}
 
-fn refs(cols: &[Vec<u64>]) -> Vec<&[u64]> {
-    cols.iter().map(|v| v.as_slice()).collect()
+    /// `Σ_j` of the `m` owners' shares of `column`, over the local rows
+    /// `rows = (start, len)` or the whole `b`-row column. Complete or
+    /// nothing: unless exactly `m` owners each store those rows (for the
+    /// whole column: exactly `b` rows), the answer is an error, never a
+    /// partial sum.
+    fn summed(
+        &self,
+        column: Column,
+        rows: Option<(usize, usize)>,
+        m: usize,
+        b: usize,
+    ) -> Result<&[u64]> {
+        let Stored { owners, summed } = self.col(column);
+        if owners.len() != m {
+            return Err(ProtocolError::ParameterMismatch(format!(
+                "expected {column:?} shares from {m} owners, got {}",
+                owners.len()
+            )));
+        }
+        let (start, len) = rows.unwrap_or((0, b));
+        let covers = |stored: usize| match rows {
+            None => stored == len,
+            Some(_) => stored >= start + len,
+        };
+        if let Some(j) = owners.iter().position(|col| !covers(col.len())) {
+            return Err(ProtocolError::ParameterMismatch(format!(
+                "owner {j} stores {} cells of {column:?}, expected {}",
+                owners[j].len(),
+                start + len
+            )));
+        }
+        summed
+            .get(start..start + len)
+            .ok_or_else(|| ProtocolError::ParameterMismatch(format!("no {column:?} shares stored")))
+    }
 }
 
 /// How many scratch buffers a node keeps around between queries. Two is
@@ -719,7 +788,7 @@ impl ServerNode {
     /// test reads the stores back through this).
     #[cfg(test)]
     pub(crate) fn stored(&self, column: Column) -> &[Vec<u64>] {
-        self.store.col(column)
+        &self.store.col(column).owners
     }
 
     /// Append one owner's delta segment (all its columns share one
@@ -815,16 +884,6 @@ impl ServerNode {
             .collect()
     }
 
-    fn copy_column(&self, which: u8) -> Result<Column> {
-        match which {
-            1 => Ok(Column::OkDb1),
-            2 => Ok(Column::OkDb2),
-            _ => Err(ProtocolError::ParameterMismatch(format!(
-                "copy selector must be 1 or 2, got {which}"
-            ))),
-        }
-    }
-
     /// Parameters for evaluating a sub-range `[local, local+len)` of this
     /// node's rows: domain size shrinks to the range, `row_offset` shifts
     /// so positional streams (the PSU blinding PRG) stay globally aligned,
@@ -847,21 +906,6 @@ impl ServerNode {
             psu_prg_seed: sp.psu_prg_seed,
             wide_width: sp.wide_width,
             row_offset: sp.row_offset + local,
-        }
-    }
-
-    /// Per-owner column slices for the optional local sub-range. A column
-    /// shorter than the requested slice yields an empty slice, which the
-    /// step kernels reject with the same shape error a wrong-length full
-    /// column produces.
-    fn col_refs(&self, column: Column, slice: Option<(usize, usize)>) -> Vec<&[u64]> {
-        let cols = self.store.col(column);
-        match slice {
-            None => refs(cols),
-            Some((s, l)) => cols
-                .iter()
-                .map(|v| v.get(s..s + l).unwrap_or(&[]))
-                .collect(),
         }
     }
 
@@ -916,98 +960,42 @@ impl ServerNode {
                 (&sub_sp, Some((local, glen)))
             }
         };
-        let need_z = || -> Result<&[u64]> {
-            z.ok_or_else(|| {
-                ProtocolError::ParameterMismatch("aggregation op ran without a z vector".into())
-            })
-        };
         fn sliced(all: &[u64], slice: Option<(usize, usize)>) -> &[u64] {
             match slice {
                 None => all,
                 Some((s, l)) => all.get(s..s + l).unwrap_or(&[]),
             }
         }
-        // All compute kernels write into an arena buffer in place; the
-        // power table and PSU blinding slice are session-cached, so the
-        // warm path performs no per-row allocation at all.
+        // Every kernel reads the one pre-summed column and writes into an
+        // arena buffer in place; the power table and PSU blinding slice are
+        // session-cached, so the warm path performs no allocation at all.
+        let summed = self.store.summed(op.column()?, slice, sp.m, sp.b)?;
         let mut out = self.arena.take(sp.b);
         let step = match op {
-            QueryOp::Psi => psi::server_psi_round_into(
-                &self.col_refs(Column::Ok, slice),
+            QueryOp::Psi | QueryOp::Count | QueryOp::CountVerify(_) => psi::summed_round_into(
+                summed,
+                sp.m_share,
                 sp,
                 self.power_table(),
                 &mut out,
                 threads,
             ),
-            QueryOp::PsiVerify => psi::server_psi_verify_round_into(
-                &self.col_refs(Column::VOk, slice),
-                sp,
-                self.power_table(),
-                &mut out,
-                threads,
-            ),
-            QueryOp::Psu => psu::server_psu_round_into(
-                &self.col_refs(Column::Ok, slice),
+            QueryOp::PsiVerify | QueryOp::CountVerifyComplement => {
+                psi::summed_round_into(summed, 0, sp, self.power_table(), &mut out, threads)
+            }
+            QueryOp::Psu | QueryOp::PsuVerify(_) => psu::summed_round_into(
+                summed,
                 sliced(self.psu_rand(), slice),
                 sp,
                 &mut out,
                 threads,
             ),
-            QueryOp::PsuVerify(which) => {
-                let col = self.copy_column(which)?;
-                psu::server_psu_round_into(
-                    &self.col_refs(col, slice),
-                    sliced(self.psu_rand(), slice),
-                    sp,
-                    &mut out,
-                    threads,
-                )
+            QueryOp::Sum(_) | QueryOp::SumVerify(_) | QueryOp::SumCounts => {
+                let z = z.ok_or_else(|| {
+                    ProtocolError::ParameterMismatch("aggregation op ran without a z vector".into())
+                })?;
+                sum::summed_round_into(summed, z, sp, &mut out, threads)
             }
-            QueryOp::Count => psi::server_psi_round_into(
-                &self.col_refs(Column::Ok, slice),
-                sp,
-                self.power_table(),
-                &mut out,
-                threads,
-            ),
-            QueryOp::CountVerify(which) => {
-                let col = self.copy_column(which)?;
-                psi::server_psi_round_into(
-                    &self.col_refs(col, slice),
-                    sp,
-                    self.power_table(),
-                    &mut out,
-                    threads,
-                )
-            }
-            QueryOp::Sum(a) => sum::server_sum_round_into(
-                &self.col_refs(Column::Agg(a), slice),
-                need_z()?,
-                sp,
-                &mut out,
-                threads,
-            ),
-            QueryOp::SumVerify(a) => sum::server_sum_round_into(
-                &self.col_refs(Column::VAgg(a), slice),
-                need_z()?,
-                sp,
-                &mut out,
-                threads,
-            ),
-            QueryOp::SumCounts => sum::server_sum_round_into(
-                &self.col_refs(Column::AOk, slice),
-                need_z()?,
-                sp,
-                &mut out,
-                threads,
-            ),
-            QueryOp::CountVerifyComplement => psi::server_psi_verify_round_into(
-                &self.col_refs(Column::VOk, slice),
-                sp,
-                self.power_table(),
-                &mut out,
-                threads,
-            ),
         };
         if let Err(e) = step {
             self.arena.put(out);

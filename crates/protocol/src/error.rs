@@ -57,3 +57,14 @@ impl std::error::Error for ProtocolError {}
 
 /// Convenience alias used across the crate.
 pub type Result<T> = std::result::Result<T, ProtocolError>;
+
+/// `Ok` iff `what` holds the `want` cells the parameters call for.
+pub(crate) fn check_cells(what: &str, got: usize, want: usize) -> Result<()> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(ProtocolError::ParameterMismatch(format!(
+            "{what} holds {got} cells, expected {want}"
+        )))
+    }
+}

@@ -19,12 +19,12 @@
 //! by the engine over any transport.
 
 use crate::chunk::fill_chunks;
-use crate::error::{ProtocolError, Result};
+use crate::error::{check_cells, ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams};
 use prism_core::arith::{mul_assign_mod, sub_mod, sum_columns_mod};
 
 /// Validate that `m` owner share vectors of length `b` arrived.
-fn check_shape(owner_shares: &[&[u64]], m: usize, b: usize) -> Result<()> {
+pub(crate) fn check_shape(owner_shares: &[&[u64]], m: usize, b: usize) -> Result<()> {
     if owner_shares.len() != m {
         return Err(ProtocolError::ParameterMismatch(format!(
             "expected shares from {m} owners, got {}",
@@ -45,21 +45,8 @@ fn check_shape(owner_shares: &[&[u64]], m: usize, b: usize) -> Result<()> {
 /// Validate the caller-supplied power table and output buffer for the
 /// `_into` step variants.
 fn check_buffers(table: &[u64], out: &[u64], sp: &ServerParams) -> Result<()> {
-    if table.len() != sp.delta as usize {
-        return Err(ProtocolError::ParameterMismatch(format!(
-            "power table has {} entries, expected delta = {}",
-            table.len(),
-            sp.delta
-        )));
-    }
-    if out.len() != sp.b {
-        return Err(ProtocolError::ParameterMismatch(format!(
-            "output buffer holds {} cells, expected b = {}",
-            out.len(),
-            sp.b
-        )));
-    }
-    Ok(())
+    check_cells("power table", table.len(), sp.delta as usize)?;
+    check_cells("output buffer", out.len(), sp.b)
 }
 
 /// Step 2 at server φ (Equation 3): returns the length-`b` output vector.
@@ -95,7 +82,38 @@ pub fn server_psi_round_into(
         // table lookup while the chunk is still in cache.
         sum_columns_mod(owner_shares, start, sp.delta, chunk);
         for v in chunk.iter_mut() {
-            *v = table[sub_mod(*v, sp.m_share, sp.delta) as usize];
+            *v = power(*v, sp.m_share, sp, table);
+        }
+    });
+    Ok(())
+}
+
+/// `g^((sum ⊖ minus) mod δ) mod η′` by table lookup, for one cell's share
+/// sum: Equation 3 with `minus = A(m)^φ`, Equation 7 with `minus = 0`.
+#[inline]
+fn power(sum: u64, minus: u64, sp: &ServerParams, table: &[u64]) -> u64 {
+    table[sub_mod(sum, minus, sp.delta) as usize]
+}
+
+/// Equations 3 and 7 over a column that already holds `⊕_j` of the owners'
+/// (canonical) shares — what a [`crate::engine::ServerNode`] keeps per
+/// stored column, so its rounds scan one column whatever the owner count.
+/// Bit-identical to [`server_psi_round_into`] with `minus = sp.m_share` and
+/// to [`server_psi_verify_round_into`] with `minus = 0`, which sum the
+/// per-owner columns first and then do exactly this.
+pub fn summed_round_into(
+    summed: &[u64],
+    minus: u64,
+    sp: &ServerParams,
+    table: &[u64],
+    out: &mut [u64],
+    threads: usize,
+) -> Result<()> {
+    check_cells("summed column", summed.len(), sp.b)?;
+    check_buffers(table, out, sp)?;
+    fill_chunks(out, threads, |start, chunk| {
+        for (o, &s) in chunk.iter_mut().zip(&summed[start..]) {
+            *o = power(s, minus, sp, table);
         }
     });
     Ok(())
@@ -128,7 +146,7 @@ pub fn server_psi_verify_round_into(
     fill_chunks(out, threads, |start, chunk| {
         sum_columns_mod(complement_shares, start, sp.delta, chunk);
         for v in chunk.iter_mut() {
-            *v = table[*v as usize];
+            *v = power(*v, 0, sp, table);
         }
     });
     Ok(())

@@ -17,9 +17,10 @@
 //! [`crate::plans::PsuVerified`] round plans.
 
 use crate::chunk::fill_chunks;
-use crate::error::{ProtocolError, Result};
+use crate::error::{check_cells, ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams};
-use prism_core::arith::{mul_assign_mod, sum_columns_mod};
+use crate::psi::check_shape;
+use prism_core::arith::{mul_assign_mod, mul_into_mod, sum_columns_mod};
 use prism_core::Prg;
 
 /// This server's slice of the shared blinding stream: `rand[]` must be
@@ -78,39 +79,33 @@ pub fn server_psu_round_into(
     out: &mut [u64],
     threads: usize,
 ) -> Result<()> {
-    if owner_shares.len() != sp.m {
-        return Err(ProtocolError::ParameterMismatch(format!(
-            "expected shares from {} owners, got {}",
-            sp.m,
-            owner_shares.len()
-        )));
-    }
-    for (j, s) in owner_shares.iter().enumerate() {
-        if s.len() != sp.b {
-            return Err(ProtocolError::ParameterMismatch(format!(
-                "owner {j} uploaded {} cells, expected {}",
-                s.len(),
-                sp.b
-            )));
-        }
-    }
-    if rand.len() != sp.b {
-        return Err(ProtocolError::ParameterMismatch(format!(
-            "blinding slice has {} cells, expected {}",
-            rand.len(),
-            sp.b
-        )));
-    }
-    if out.len() != sp.b {
-        return Err(ProtocolError::ParameterMismatch(format!(
-            "output buffer holds {} cells, expected {}",
-            out.len(),
-            sp.b
-        )));
-    }
+    check_shape(owner_shares, sp.m, sp.b)?;
+    check_cells("blinding slice", rand.len(), sp.b)?;
+    check_cells("output buffer", out.len(), sp.b)?;
     fill_chunks(out, threads, |start, chunk| {
         sum_columns_mod(owner_shares, start, sp.delta, chunk);
         mul_assign_mod(chunk, &rand[start..start + chunk.len()], sp.delta);
+    });
+    Ok(())
+}
+
+/// Equation 18 over a column that already holds `Σ_j` of the owners'
+/// (canonical) shares — what a [`crate::engine::ServerNode`] keeps per
+/// stored column. Bit-identical to [`server_psu_round_into`], which sums
+/// the per-owner columns first and then multiplies by the same `rand`.
+pub fn summed_round_into(
+    summed: &[u64],
+    rand: &[u64],
+    sp: &ServerParams,
+    out: &mut [u64],
+    threads: usize,
+) -> Result<()> {
+    check_cells("summed column", summed.len(), sp.b)?;
+    check_cells("blinding slice", rand.len(), sp.b)?;
+    check_cells("output buffer", out.len(), sp.b)?;
+    fill_chunks(out, threads, |start, chunk| {
+        let end = start + chunk.len();
+        mul_into_mod(&summed[start..end], &rand[start..end], sp.delta, chunk);
     });
     Ok(())
 }

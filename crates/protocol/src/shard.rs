@@ -396,7 +396,10 @@ impl ShardedNode {
     /// shard's worth of rows, else extending the last shard — without
     /// moving any existing shard's `row_offset`. A re-touch of the
     /// latest epoch (`start + added == b`) routes straight to the owning
-    /// shard. Either way only the touched shard's range version moves.
+    /// shard. Either way only the touched shard's range version moves —
+    /// and only that shard's owner sums: the shard node extends each
+    /// carried column's `Σ_j` by the appended tail (retiring the old tail
+    /// first on a re-touch); every other shard's sums stay as they are.
     pub fn delta_upload(
         &mut self,
         owner: usize,
@@ -461,7 +464,10 @@ impl ShardedNode {
     }
 
     /// Phase 1: store one owner's share column, split across the shards by
-    /// row range.
+    /// row range. Every shard node folds its rows into its own owner sum
+    /// of `column` (retiring the rows of a column this replaces), so the
+    /// domain's `Σ_j` is the concatenation of the shards' and no query
+    /// ever adds across owners.
     pub fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
         let parts: Vec<Vec<u64>> = self
             .plan

@@ -31,9 +31,10 @@
 //! batches the primary and verification passes into one round-trip).
 
 use crate::chunk::fill_chunks;
-use crate::error::{ProtocolError, Result};
+use crate::error::{check_cells, ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams, SHAMIR_SERVERS};
-use prism_core::arith::{mul_assign_mod, sum_columns_mod};
+use crate::psi::check_shape;
+use prism_core::arith::{mul_assign_mod, mul_into_mod, sum_columns_mod};
 
 /// Round-2 computation at server φ (Equation 11).
 ///
@@ -61,41 +62,40 @@ pub fn server_sum_round_into(
     out: &mut [u64],
     threads: usize,
 ) -> Result<()> {
-    if payload_shares.len() != sp.m {
-        return Err(ProtocolError::ParameterMismatch(format!(
-            "expected payload shares from {} owners, got {}",
-            sp.m,
-            payload_shares.len()
-        )));
-    }
-    for (j, s) in payload_shares.iter().enumerate() {
-        if s.len() != sp.b {
-            return Err(ProtocolError::ParameterMismatch(format!(
-                "owner {j} payload has {} cells, expected {}",
-                s.len(),
-                sp.b
-            )));
-        }
-    }
-    if z_shares.len() != sp.b {
-        return Err(ProtocolError::ParameterMismatch(format!(
-            "z vector has {} cells, expected {}",
-            z_shares.len(),
-            sp.b
-        )));
-    }
-    if out.len() != sp.b {
-        return Err(ProtocolError::ParameterMismatch(format!(
-            "output buffer holds {} cells, expected {}",
-            out.len(),
-            sp.b
-        )));
-    }
+    check_shape(payload_shares, sp.m, sp.b)?;
+    check_cells("z vector", z_shares.len(), sp.b)?;
+    check_cells("output buffer", out.len(), sp.b)?;
     let p = sp.field.p;
     fill_chunks(out, threads, |start, chunk| {
         // Per-cell sum of owner payload shares, then one multiply by z.
         sum_columns_mod(payload_shares, start, p, chunk);
         mul_assign_mod(chunk, &z_shares[start..start + chunk.len()], p);
+    });
+    Ok(())
+}
+
+/// Equation 11 over a column that already holds `Σ_j` of the owners'
+/// (canonical) payload shares — what a [`crate::engine::ServerNode`] keeps
+/// per stored column. Bit-identical to [`server_sum_round_into`], which
+/// sums the per-owner columns first and then multiplies by the same `z`.
+pub fn summed_round_into(
+    summed: &[u64],
+    z_shares: &[u64],
+    sp: &ServerParams,
+    out: &mut [u64],
+    threads: usize,
+) -> Result<()> {
+    check_cells("summed column", summed.len(), sp.b)?;
+    check_cells("z vector", z_shares.len(), sp.b)?;
+    check_cells("output buffer", out.len(), sp.b)?;
+    fill_chunks(out, threads, |start, chunk| {
+        let end = start + chunk.len();
+        mul_into_mod(
+            &summed[start..end],
+            &z_shares[start..end],
+            sp.field.p,
+            chunk,
+        );
     });
     Ok(())
 }

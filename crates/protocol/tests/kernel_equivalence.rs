@@ -2,8 +2,9 @@
 //!
 //! The `_into` kernels add stored shares without reducing them and reduce
 //! once per group of columns (seven in the Mersenne field), over tiles of
-//! the output. These tests pin them — and the Vec-returning forms kept as
-//! the conformance reference — to the protocol's equations evaluated one
+//! the output. These tests pin them — the Vec-returning forms kept as the
+//! conformance reference and the one-column `summed_round_into` forms a
+//! node runs too — to the protocol's equations evaluated one
 //! cell at a time with plain `u128 %` arithmetic, at lengths and owner
 //! counts on both sides of every such boundary, and pin the ingest
 //! invariant the kernels rely on: a server reduces shares once, when it
@@ -87,6 +88,7 @@ fn additive_kernels_match_the_per_cell_equations() {
             let psu_ref: Vec<u64> = (0..b)
                 .map(|i| mul_ref(cell_sum(&owned, i, delta), rand[i], delta))
                 .collect();
+            let summed: Vec<u64> = (0..b).map(|i| cell_sum(&owned, i, delta)).collect();
 
             assert_eq!(psi::server_psi_round(&shares, &sp, 1).unwrap(), psi_ref);
             assert_eq!(
@@ -105,6 +107,18 @@ fn additive_kernels_match_the_per_cell_equations() {
                 out.fill(u64::MAX);
                 psu::server_psu_round_into(&shares, &rand, &sp, &mut out, threads).unwrap();
                 assert_eq!(out, psu_ref, "psu {ctx}");
+                // The one-column kernels a node runs over its pre-summed
+                // column: the same equations from `Σ_j` on.
+                out.fill(u64::MAX);
+                psi::summed_round_into(&summed, sp.m_share, &sp, &table, &mut out, threads)
+                    .unwrap();
+                assert_eq!(out, psi_ref, "summed psi {ctx}");
+                out.fill(u64::MAX);
+                psi::summed_round_into(&summed, 0, &sp, &table, &mut out, threads).unwrap();
+                assert_eq!(out, verify_ref, "summed psi verify {ctx}");
+                out.fill(u64::MAX);
+                psu::summed_round_into(&summed, &rand, &sp, &mut out, threads).unwrap();
+                assert_eq!(out, psu_ref, "summed psu {ctx}");
             }
         }
     }
@@ -127,12 +141,16 @@ fn sum_kernel_matches_the_per_cell_equation() {
             let sum_ref: Vec<u64> = (0..b)
                 .map(|i| mul_ref(cell_sum(&payload, i, p), z[i], p))
                 .collect();
+            let summed: Vec<u64> = (0..b).map(|i| cell_sum(&payload, i, p)).collect();
             let shares = refs(&payload);
             assert_eq!(sum::server_sum_round(&shares, &z, &sp, 1).unwrap(), sum_ref);
             for threads in [1usize, 3] {
                 let mut out = vec![u64::MAX; b];
                 sum::server_sum_round_into(&shares, &z, &sp, &mut out, threads).unwrap();
                 assert_eq!(out, sum_ref, "m={m} b={b} threads={threads}");
+                out.fill(u64::MAX);
+                sum::summed_round_into(&summed, &z, &sp, &mut out, threads).unwrap();
+                assert_eq!(out, sum_ref, "summed m={m} b={b} threads={threads}");
             }
         }
     }

@@ -101,6 +101,13 @@ bench-smoke: bench-check
     grep -q '"failovers": 1' BENCH_failover.json
     grep -q '"heal": "promotion"' BENCH_failover.json
 
+# Compare the working tree with its parent commit on one BENCHMARK.json
+# workload: alternating pairs at --seed 42 --seconds 20 --trace 0 plus one
+# pair on a held-out seed; prints medians, quartiles and pairs won for the
+# six end-to-end metrics (see scripts/bench-pair.sh for the parent choice).
+bench-pair workload pairs="10":
+    scripts/bench-pair.sh {{workload}} {{pairs}}
+
 # Run the full criterion bench suite (small fixed sizes, minutes).
 bench:
     cargo bench
