@@ -1,11 +1,8 @@
 //! Cluster builders shared by the experiment harness and the Criterion
 //! benches.
 
-use prism_core::Prg;
-use prism_net::NetCluster;
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use prism_workload::LineItemConfig;
 
 /// Upper bound for aggregation values in LineItem workloads (PK ≤ 200k,
@@ -56,11 +53,12 @@ pub fn lean_cluster(domain: u64, owners: usize, threads: usize, seed: u64) -> Cl
     lineitem_cluster(domain, owners, 0, false, false, threads, seed)
 }
 
-/// Aggregation bound of the networked experiments' structured workload.
+/// Aggregation bound of [`net_setup`]'s role views.
 const NET_AGG_MAX: u64 = 2_000;
 
-/// Role views for the networked experiments (`netmax`, `serve`,
-/// `failover`).
+/// Role views for a `domain`-cell, `owners`-owner deployment, without a
+/// cluster around them (Exp 2's owner-scaling kernels take the server
+/// view).
 pub fn net_setup(domain: u64, owners: usize, seed: u64) -> Setup {
     Initiator::new(
         SystemConfig::new(owners, domain as usize)
@@ -69,45 +67,6 @@ pub fn net_setup(domain: u64, owners: usize, seed: u64) -> Setup {
     )
     .setup()
     .expect("setup")
-}
-
-/// The networked experiments' workload: owner j holds cell v iff
-/// `v % (j + 2) != 0` — a dense, structured overlap (~20% of the domain
-/// in a 4-owner intersection) — with one value per held cell, below the
-/// blinding bound.
-pub fn structured_tables(domain: u64, owners: usize) -> Vec<OwnerTable> {
-    (0..owners as u64)
-        .map(|j| {
-            let rows = (1..=domain)
-                .filter(|v| v % (j + 2) != 0)
-                .map(|v| (v, [(v * 7 + j) % (NET_AGG_MAX - 1) + 1]));
-            OwnerTable::window(rows, 1, 0, domain as usize).expect("rows lie in 1..=domain")
-        })
-        .collect()
-}
-
-/// The unverified columns a batched aggregation reads: indicator shares
-/// at the additive servers, aggregation and count payloads at all three.
-pub const BATCH_COLUMNS: ColumnSet = ColumnSet {
-    verification: false,
-    two_copy: false,
-    aggregation: Some(1),
-};
-
-/// Phase 1 over the wire: share every owner's table and bulk-upload each
-/// server's column list in one round-trip.
-pub fn upload_tables(cluster: &NetCluster, tables: &[OwnerTable], set: ColumnSet, seed: u64) {
-    let op = &cluster.setup().owner;
-    let perms = (&op.pf_db1, &op.pf_db2);
-    for (j, table) in tables.iter().enumerate() {
-        let mut prg = Prg::from_seed(seed ^ (3_000 + j as u64));
-        let uploads = owner_uploads(table, op, perms, set, &mut prg);
-        for (k, columns) in uploads.into_iter().enumerate() {
-            if !columns.is_empty() {
-                cluster.bulk_upload(k, j, columns).expect("upload");
-            }
-        }
-    }
 }
 
 #[cfg(test)]

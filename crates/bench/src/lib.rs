@@ -11,32 +11,22 @@
 //! | [`exp4`] | Figure 5 (bucketization) |
 //! | [`table13`] | Table 13 (baseline comparison) |
 //! | [`sharegen`] | §8.1 share-generation times |
-//! | [`shardexp`] | sharded-domain scaling (PSI/sum vs shard count, `BENCH_shard.json`) |
-//! | [`hotpathexp`] | hot-path kernel pairs, flat vs Vec baselines (`BENCH_hotpath.json`) |
-//! | [`cacheexp`] | cross-query PSI-round cache sweep (repeat-query latency, `BENCH_cache.json`) |
-//! | [`streamexp`] | streaming appends vs warm windowed re-checks (`BENCH_stream.json`) |
-//! | [`serveexp`] | concurrent serving through the session multiplexer (latency/throughput, `BENCH_serve.json`) |
-//! | [`failoverexp`] | control-plane self-healing: kill a shard worker, time the heal (`BENCH_failover.json`) |
 //!
 //! The `exp_harness` binary drives them at `--scale small|medium|full`;
 //! the Criterion benches under `benches/` track the same code paths at
-//! fixed small sizes for regression detection.
+//! fixed small sizes for regression detection. Everything beyond the
+//! paper's evaluation (sharding, caching, streaming appends, concurrent
+//! serving, failover, per-layer kernels) is measured by the repository
+//! benchmark instead: `BENCHMARK.json` and `examples/benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod build;
-pub mod cacheexp;
 pub mod exp1;
 pub mod exp2;
 pub mod exp3;
 pub mod exp4;
-pub mod failoverexp;
-pub mod hotpathexp;
-pub mod netmax;
 pub mod report;
-pub mod serveexp;
-pub mod shardexp;
 pub mod sharegen;
-pub mod streamexp;
 pub mod table13;

@@ -660,6 +660,84 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
     }
 }
 
+/// Without replicas one kill is still exactly one failover, and the heal
+/// has only one way to go: no promotion, the upload log replayed.
+#[test]
+fn rf1_kill_is_one_failover_healed_by_replay() {
+    let (cluster, workers, announcer) = spawn_elastic(make_setup(), fast_cfg());
+    setup_and_upload(&cluster, &rows());
+    let before = suite(&cluster);
+
+    workers[0].kill();
+    let registry = cluster.registry().unwrap();
+    wait_for("failover", Duration::from_secs(10), || {
+        registry.failovers() >= 1
+    });
+    assert_eq!(suite(&cluster), before, "post-heal answers");
+    assert_eq!((registry.failovers(), registry.promotions()), (1, 0));
+    assert!(
+        registry.replayed_records() > 0,
+        "an rf=1 heal must re-outsource the upload log"
+    );
+
+    cluster.shutdown().unwrap();
+    let _ = announcer.join();
+    for (i, w) in workers.into_iter().enumerate() {
+        let joined = w.join();
+        assert!(i == 0 || joined.is_ok(), "worker {i} must exit cleanly");
+    }
+}
+
+/// A promotion replays nothing, so it moves no range version: the heal
+/// dirties the domain, the first cached re-query re-probes the promoted
+/// primary, finds the stamps its entries were cut against, and replays
+/// both rounds from the cache — where the rf=1 replay heal
+/// (`failover_invalidates_only_the_healed_domain`) must go cold.
+#[test]
+fn rf2_promotion_keeps_cached_rounds_warm() {
+    let (mut cluster, workers, announcer) = spawn_elastic_rf2(make_setup());
+    cluster.enable_cache();
+    setup_and_upload(&cluster, &rows());
+    let batch = QueryBatch::new().sum(0).count_tuples();
+
+    let (cold, cold_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    assert_eq!((cold_stats.rounds, cold_stats.cache_misses), (2, 2));
+    let (warm, warm_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    assert_eq!(warm, cold);
+    assert_eq!((warm_stats.rounds, warm_stats.cache_hits), (0, 2));
+
+    // Range 0's primary in domain 0 dies; its replica is promoted.
+    workers[0].kill();
+    let registry = cluster.registry().unwrap();
+    wait_for("failover", Duration::from_secs(10), || {
+        registry.failovers() >= 1
+    });
+
+    let (healed, healed_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    assert_eq!(healed, cold, "promoted replica answered differently");
+    assert_eq!(
+        (healed_stats.rounds, healed_stats.cache_hits),
+        (0, 2),
+        "a promotion moved no rows, so the first re-query must stay warm: {healed_stats}"
+    );
+    assert_eq!(
+        (
+            registry.failovers(),
+            registry.promotions(),
+            registry.replayed_records()
+        ),
+        (1, 1, 0),
+        "one kill at rf=2 is one failover, healed by one promotion, replaying nothing"
+    );
+
+    cluster.shutdown().unwrap();
+    let _ = announcer.join();
+    for (i, w) in workers.into_iter().enumerate() {
+        let joined = w.join();
+        assert!(i == 0 || joined.is_ok(), "worker {i} must exit cleanly");
+    }
+}
+
 /// Crash ≠ tamper: a replica only ever stands in for a *dead* link. A
 /// tampered primary answers with well-formed wrong replies, so the
 /// router must NOT retry its honest replica — verification has to

@@ -132,6 +132,25 @@ fn fanout_is_observable_and_absent_when_monolithic() {
     assert_eq!(c4.psi_sum(0).unwrap().1.shard_dispatches(), 20);
 }
 
+/// The one-line `QueryStats` rendering that harnesses print names the
+/// fan-out and cache meters by key, cold and warm.
+#[test]
+fn stats_line_names_the_fanout_and_cache_meters() {
+    let mut cfg = ClusterConfig::new(DOMAIN).with_shards(4).with_cache(true);
+    cfg.seed = 13;
+    cfg.agg_domain_max = 2000;
+    let c = Cluster::build(&inputs_from_sets(&fixed_sets()), cfg).unwrap();
+    let batch = QueryBatch::new().sum(0).avg(0);
+    let cold = c.psi_query_batch(&batch).unwrap().1.to_string();
+    for key in ["rounds=2 ", "shard_dispatches=20 ", "cache_misses=2 "] {
+        assert!(cold.contains(key), "cold line lacks {key:?}: {cold}");
+    }
+    let warm = c.psi_query_batch(&batch).unwrap().1.to_string();
+    for key in ["rounds=0 ", "shard_dispatches=0 ", "cache_hits=2 "] {
+        assert!(warm.contains(key), "warm line lacks {key:?}: {warm}");
+    }
+}
+
 #[test]
 fn non_dividing_shard_counts_are_invariant_too() {
     // 32 % 5 and 32 % 7 are non-zero: the remainder-spreading split must

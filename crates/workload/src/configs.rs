@@ -114,74 +114,6 @@ pub fn table12_attrs() -> Vec<usize> {
     vec![1, 2, 3, 4]
 }
 
-/// Sharded-domain scaling bench: the fixed `(domain, owners, reps)`
-/// config — 1M OK cells regardless of scale, so `BENCH_shard.json`
-/// stays comparable across runs and machines.
-pub fn shard_bench() -> (u64, usize, usize) {
-    (1_000_000, 4, 3)
-}
-
-/// Shard counts the scaling bench (and the invariance suites) sweep.
-pub fn shard_counts() -> Vec<usize> {
-    vec![1, 2, 4, 8]
-}
-
-/// PSI-round cache sweep: the fixed `(domain, owners, warm_reps)`
-/// config — 1M OK cells regardless of scale, so `BENCH_cache.json`
-/// stays comparable across runs and machines (the warm/cold ratio is
-/// the tracked number, and it only means anything at a domain size
-/// where round 1 actually costs something).
-pub fn cache_bench() -> (u64, usize, usize) {
-    (1_000_000, 4, 3)
-}
-
-/// Streaming-append sweep: the fixed `(domain, added_per_hour, hours,
-/// owners)` config — 200K original OK cells plus 50K appended per
-/// streamed hour regardless of scale, so `BENCH_stream.json` stays
-/// comparable across runs and machines (the tracked numbers are the
-/// append cost and the warm-window/cold ratio, both of which only mean
-/// anything when the window is large enough for round 1 to cost
-/// something).
-pub fn stream_bench() -> (u64, usize, usize, usize) {
-    (200_000, 50_000, 3, 3)
-}
-
-/// Hot-path kernel microbench: the fixed `(cells, owners, reps)` config —
-/// 64Ki domain cells regardless of scale, so `BENCH_hotpath.json` stays
-/// comparable across runs and machines (the flat-over-baseline speedups
-/// are the tracked numbers, and best-of-8 keeps them stable against
-/// scheduler noise at sub-millisecond kernel times).
-pub fn hotpath_bench() -> (usize, usize, usize) {
-    (65_536, 4, 8)
-}
-
-/// Networked max/median smoke bench: the fixed `(domain, owners)` config
-/// driving the announcer-as-a-fourth-node deployment on both transports —
-/// sized so `just bench-smoke` stays in seconds while still pushing a few
-/// hundred common cells through the wide-share pipeline.
-pub fn netmax_bench() -> (u64, usize) {
-    (4_096, 4)
-}
-
-/// Concurrent-serving bench: the fixed `(domain, owners, stream_counts,
-/// total_queries)` config for the closed-loop load generator — every
-/// stream count answers the same `total_queries` batched queries over
-/// one cluster, so the N = 1 row is the serial baseline the wider rows
-/// are compared against in `BENCH_serve.json`.
-pub fn serve_bench() -> (u64, usize, Vec<usize>, usize) {
-    (100_000, 4, vec![1, 4, 16], 16)
-}
-
-/// Shard-failover bench: the fixed `(domain, owners, shards)` config for
-/// the control-plane heal measurement — small enough that the elastic
-/// TCP bring-up, kill, and re-outsource finish in seconds, large enough
-/// that the replayed rows are a real store and a lost shard would be
-/// visible as wrong answers (`BENCH_failover.json` asserts they never
-/// are; the heal time is the tracked number).
-pub fn failover_bench() -> (u64, usize, usize) {
-    (4_096, 3, 3)
-}
-
 /// Table 13: dataset sizes for the two-owner comparison.
 pub fn table13_sizes(scale: Scale) -> Vec<u64> {
     match scale {
