@@ -3,17 +3,23 @@
 //! §8.1 Exp 1: "identical computations are executed on each row of the
 //! table, \[so\] we exploit multiple CPU cores by … dividing rows into
 //! multiple blocks with each thread processing a single block". This module
-//! is that division: an output vector is split into `threads` contiguous
-//! blocks, each filled by its own scoped thread. No unsafe, no work
+//! is that division, and the **only** place in the crate that spawns
+//! threads: `run_blocks` runs the first block on the calling thread and
+//! each further block on its own scoped worker, so `threads` blocks cost
+//! `threads − 1` spawns and a single block costs none. No unsafe, no work
 //! stealing — the workload is perfectly uniform, so static partitioning is
 //! both the fastest and the simplest correct choice.
 //!
-//! Every server step in the engine ([`crate::engine`]) funnels through
-//! these helpers, so `ClusterConfig::threads` accelerates *every*
-//! operation uniformly. The [`parallel_dispatches`] counter makes that
-//! observable: tests assert that running a query with `threads > 1`
-//! actually took the parallel path (and produced identical results).
+//! A stored-column round ([`crate::engine`]) divides **once**: the rows of
+//! every shard are cut into `threads` blocks (`block_len`) and worker `w`
+//! evaluates block `w` of every batch item, so a server `Run` is one
+//! `run_blocks` call whatever its item and shard counts. The
+//! `fill_*`/[`map_indexed`] helpers are the same division for a single
+//! output vector (the multi-column reference kernels, the wide max/median
+//! steps). The [`parallel_dispatches`] counter makes the division
+//! observable: it counts one per call that actually spawned.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Count of parallel dispatches (calls that actually split work across
@@ -26,8 +32,64 @@ pub fn parallel_dispatches() -> u64 {
     PARALLEL_DISPATCHES.load(Ordering::Relaxed)
 }
 
-fn note_parallel_dispatch() {
+/// Run `f` over every block — the first on the calling thread, each
+/// further one on its own scoped worker — and collect the results in block
+/// order. A block that panicked (on a worker *or* on the caller) surfaces
+/// as `Err` with its payload once every block has finished, so one bad
+/// block never takes the calling thread down with it.
+pub(crate) fn run_blocks<B, R, F>(
+    blocks: impl IntoIterator<Item = B>,
+    f: F,
+) -> std::thread::Result<Vec<R>>
+where
+    B: Send,
+    R: Send,
+    F: Fn(B) -> R + Sync,
+{
+    let mut blocks = blocks.into_iter();
+    let Some(first) = blocks.next() else {
+        return Ok(Vec::new());
+    };
+    let f = &f;
+    let mine = || catch_unwind(AssertUnwindSafe(|| f(first)));
+    // A single block never enters a scope (which allocates).
+    let Some(second) = blocks.next() else {
+        return mine().map(|r| vec![r]);
+    };
     PARALLEL_DISPATCHES.fetch_add(1, Ordering::Relaxed);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = std::iter::once(second)
+            .chain(blocks)
+            .map(|b| scope.spawn(move || f(b)))
+            .collect();
+        let mine = mine();
+        // Join every worker before looking at any result: an unjoined
+        // panicked worker would re-panic out of the scope.
+        let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
+        std::iter::once(mine).chain(joined).collect()
+    })
+}
+
+/// Rows per block when `n` rows are cut for `threads` workers: the whole
+/// range when it is not worth dividing (`threads == 1` or fewer than two
+/// rows per worker), else `ceil(n / threads)`.
+pub(crate) fn block_len(n: usize, threads: usize) -> usize {
+    if threads <= 1 || n < 2 * threads {
+        n
+    } else {
+        n.div_ceil(threads)
+    }
+}
+
+/// `run_blocks` for callers with no use for a caught panic: a block's
+/// panic resumes on the caller, as it would have without threads.
+pub(crate) fn map_blocks<B, R, F>(blocks: impl IntoIterator<Item = B>, f: F) -> Vec<R>
+where
+    B: Send,
+    R: Send,
+    F: Fn(B) -> R + Sync,
+{
+    run_blocks(blocks, f).unwrap_or_else(|panic| resume_unwind(panic))
 }
 
 /// Fill `out` by running `f(global_start_index, chunk)` on `threads`
@@ -37,23 +99,7 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let threads = threads.max(1);
-    let n = out.len();
-    if n == 0 {
-        return;
-    }
-    if threads == 1 || n < 2 * threads {
-        f(0, out);
-        return;
-    }
-    note_parallel_dispatch();
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (k, slice) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(k * chunk, slice));
-        }
-    });
+    fill_rows(out, 1, threads, f)
 }
 
 /// Row-aligned variant of [`fill_chunks`] for flat row-major buffers
@@ -66,24 +112,16 @@ where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
 {
-    let threads = threads.max(1);
     if out.is_empty() {
         return;
     }
     debug_assert!(stride > 0 && out.len() % stride == 0);
-    let rows = out.len() / stride.max(1);
-    if threads == 1 || stride == 0 || rows < 2 * threads {
-        f(0, out);
-        return;
-    }
-    note_parallel_dispatch();
-    let chunk_rows = rows.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (k, slice) in out.chunks_mut(chunk_rows * stride).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(k * chunk_rows, slice));
-        }
-    });
+    let stride = stride.max(1);
+    let chunk_rows = block_len(out.len() / stride, threads).max(1);
+    map_blocks(
+        out.chunks_mut(chunk_rows * stride).enumerate(),
+        |(k, slice)| f(k * chunk_rows, slice),
+    );
 }
 
 /// Map an index range to a freshly allocated vector in parallel:
@@ -166,6 +204,50 @@ mod tests {
                 assert!(row.iter().all(|&v| v == r as u64), "threads={threads}");
             }
         }
+    }
+
+    #[test]
+    fn first_block_runs_on_the_caller_and_the_rest_on_workers() {
+        let me = std::thread::current().id();
+        let ran_on = run_blocks(0..4, |k| (k, std::thread::current().id())).unwrap();
+        assert_eq!(ran_on[0], (0, me));
+        for (k, (block, id)) in ran_on.iter().enumerate().skip(1) {
+            assert_eq!(*block, k, "results come back in block order");
+            assert_ne!(*id, me, "block {k} ran on the caller");
+        }
+        // A single block never leaves the calling thread; none is a no-op.
+        assert_eq!(
+            run_blocks([7], |k| (k, std::thread::current().id())).unwrap(),
+            [(7, me)]
+        );
+        assert!(run_blocks(0..0, |k| k).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_panicking_block_is_an_error_not_a_dead_caller() {
+        // Block 0 runs on the caller, block 2 on a worker: either way the
+        // call returns, every other block has finished, and the next call
+        // works.
+        for bad in [0usize, 2] {
+            let finished = AtomicU64::new(0);
+            let outcome = run_blocks(0..4usize, |k| {
+                assert_ne!(k, bad, "block {k} fails");
+                finished.fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(outcome.is_err(), "bad block {bad}");
+            assert_eq!(finished.load(Ordering::Relaxed), 3, "bad block {bad}");
+        }
+        assert_eq!(run_blocks(0..3, |k| k * 2).unwrap(), [0, 2, 4]);
+    }
+
+    #[test]
+    fn block_len_divides_only_when_every_worker_gets_two_rows() {
+        assert_eq!(block_len(100, 1), 100);
+        assert_eq!(block_len(100, 0), 100);
+        assert_eq!(block_len(7, 4), 7);
+        assert_eq!(block_len(8, 4), 2);
+        assert_eq!(block_len(10, 4), 3);
+        assert_eq!(block_len(0, 4), 0);
     }
 
     #[test]

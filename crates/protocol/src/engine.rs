@@ -28,7 +28,7 @@ use crate::malicious::Tamper;
 use crate::max::{self, BlindedMaxUpload, MaxAnnouncement};
 use crate::median::{self, MedianAnnouncement};
 use crate::params::{AnnouncerParams, OwnerParams, ServerParams};
-use crate::{psi, psu, sum};
+use crate::{chunk, psi, psu, sum};
 use prism_core::arith::{fold_canonical_mod, sub_assign_mod};
 use prism_core::wide::WideVec;
 use prism_core::Permutation;
@@ -639,17 +639,16 @@ impl ColumnStore {
         }
     }
 
-    /// `Σ_j` of the `m` owners' shares of `column`, over the local rows
-    /// `rows = (start, len)` or the whole `b`-row column. Complete or
-    /// nothing: unless exactly `m` owners each store those rows (for the
-    /// whole column: exactly `b` rows), the answer is an error, never a
-    /// partial sum.
+    /// `Σ_j` of the `m` owners' shares of `column` over the local rows
+    /// `rows`. Complete or nothing: unless exactly `m` owners each store
+    /// those rows — for a whole-domain round (`whole = Some(b)`), exactly
+    /// `b` rows each — the answer is an error, never a partial sum.
     fn summed(
         &self,
         column: Column,
-        rows: Option<(usize, usize)>,
+        rows: std::ops::Range<usize>,
+        whole: Option<usize>,
         m: usize,
-        b: usize,
     ) -> Result<&[u64]> {
         let Stored { owners, summed } = self.col(column);
         if owners.len() != m {
@@ -658,20 +657,19 @@ impl ColumnStore {
                 owners.len()
             )));
         }
-        let (start, len) = rows.unwrap_or((0, b));
-        let covers = |stored: usize| match rows {
-            None => stored == len,
-            Some(_) => stored >= start + len,
+        let covers = |stored: usize| match whole {
+            Some(b) => stored == b,
+            None => stored >= rows.end,
         };
         if let Some(j) = owners.iter().position(|col| !covers(col.len())) {
             return Err(ProtocolError::ParameterMismatch(format!(
                 "owner {j} stores {} cells of {column:?}, expected {}",
                 owners[j].len(),
-                start + len
+                whole.unwrap_or(rows.end)
             )));
         }
         summed
-            .get(start..start + len)
+            .get(rows)
             .ok_or_else(|| ProtocolError::ParameterMismatch(format!("no {column:?} shares stored")))
     }
 }
@@ -884,164 +882,60 @@ impl ServerNode {
             .collect()
     }
 
-    /// Parameters for evaluating a sub-range `[local, local+len)` of this
-    /// node's rows: domain size shrinks to the range, `row_offset` shifts
-    /// so positional streams (the PSU blinding PRG) stay globally aligned,
-    /// and the output permutations are empty — only operations without a
-    /// finishing permutation may be range-scoped, so they are never read.
-    fn range_params(&self, local: usize, len: usize) -> ServerParams {
-        let sp = &self.params;
-        ServerParams {
-            server_id: sp.server_id,
-            m: sp.m,
-            b: len,
-            delta: sp.delta,
-            g: sp.g,
-            eta_prime: sp.eta_prime,
-            m_share: sp.m_share,
-            field: sp.field,
-            pf_s1: Permutation::identity(0),
-            pf_s2: Permutation::identity(0),
-            pf_owners: sp.pf_owners.clone(),
-            psu_prg_seed: sp.psu_prg_seed,
-            wide_width: sp.wide_width,
-            row_offset: sp.row_offset + local,
-        }
-    }
-
-    /// Evaluate one stored-column operation, optionally scoped to the
-    /// global row range `range = (start, len)`.
-    ///
-    /// The node stages the evaluation as *compute → tamper → output
-    /// permutation*: §5.2's threats (skipping work, replaying or
-    /// replacing cells, injecting values) are compute-phase cheats, and
-    /// the two-copy verifications rely on the copies being in *different*
-    /// orders at the point of corruption — a cheat applied after the
-    /// `PF_sk` permutation would sit in the composed `PF_i` order, which
-    /// the security argument does not (and need not) cover, since a
-    /// server gains nothing by corrupting the cheap final permutation of
-    /// work it already performed honestly.
-    ///
-    /// Range-scoping composes only for the permutation-free operations
-    /// (`finish_perm` → `None`): the permuted rounds shuffle the whole
-    /// domain, so a sub-range of their output is meaningless and rejected.
-    fn query(
+    /// The row-block step every stored-column round is made of: evaluate
+    /// `op` over this node's local rows `[lo, lo + out.len())` into `out`,
+    /// on the calling thread. `z` is the matching rows of the item's
+    /// auxiliary vector; the PSU blinding slice is session-cached and cut at
+    /// the same offset, so positional streams stay globally aligned. The
+    /// complete-or-nothing check runs against the whole stored column when
+    /// the round is whole-domain (`whole`), else against the rows read.
+    /// Applies neither tamper nor permutation — both are domain-level and
+    /// belong to [`run_round`].
+    fn eval_rows(
         &self,
         op: QueryOp,
         z: Option<&[u64]>,
-        threads: usize,
-        range: Option<(u64, u64)>,
-    ) -> Result<Vec<u64>> {
-        let full_sp = &self.params;
-        // Resolve the optional global range to local coordinates and
-        // range-shaped parameters.
-        let sub_sp;
-        let (sp, slice): (&ServerParams, Option<(usize, usize)>) = match range {
-            None => (full_sp, None),
-            Some((gs, glen)) => {
-                if op.finish_perm(full_sp)?.is_some() {
-                    return Err(ProtocolError::ParameterMismatch(format!(
-                        "{op:?} carries a whole-domain output permutation and cannot be \
-                         range-scoped"
-                    )));
-                }
-                let (gs, glen) = (gs as usize, glen as usize);
-                let local = gs
-                    .checked_sub(full_sp.row_offset)
-                    .filter(|l| l + glen <= full_sp.b)
-                    .ok_or_else(|| {
-                        ProtocolError::ParameterMismatch(format!(
-                            "range [{gs}, +{glen}) lies outside this node's rows \
-                             [{}, +{})",
-                            full_sp.row_offset, full_sp.b
-                        ))
-                    })?;
-                sub_sp = self.range_params(local, glen);
-                (&sub_sp, Some((local, glen)))
+        lo: usize,
+        whole: bool,
+        out: &mut [u64],
+    ) -> Result<()> {
+        let sp = &self.params;
+        let rows = lo..lo + out.len();
+        let summed = self
+            .store
+            .summed(op.column()?, rows.clone(), whole.then_some(sp.b), sp.m)?;
+        match op {
+            QueryOp::Psi | QueryOp::Count | QueryOp::CountVerify(_) => {
+                psi::summed_round_into(summed, sp.m_share, sp, self.power_table(), out)
             }
-        };
-        fn sliced(all: &[u64], slice: Option<(usize, usize)>) -> &[u64] {
-            match slice {
-                None => all,
-                Some((s, l)) => all.get(s..s + l).unwrap_or(&[]),
-            }
-        }
-        // Every kernel reads the one pre-summed column and writes into an
-        // arena buffer in place; the power table and PSU blinding slice are
-        // session-cached, so the warm path performs no allocation at all.
-        let summed = self.store.summed(op.column()?, slice, sp.m, sp.b)?;
-        let mut out = self.arena.take(sp.b);
-        let step = match op {
-            QueryOp::Psi | QueryOp::Count | QueryOp::CountVerify(_) => psi::summed_round_into(
-                summed,
-                sp.m_share,
-                sp,
-                self.power_table(),
-                &mut out,
-                threads,
-            ),
             QueryOp::PsiVerify | QueryOp::CountVerifyComplement => {
-                psi::summed_round_into(summed, 0, sp, self.power_table(), &mut out, threads)
+                psi::summed_round_into(summed, 0, sp, self.power_table(), out)
             }
-            QueryOp::Psu | QueryOp::PsuVerify(_) => psu::summed_round_into(
-                summed,
-                sliced(self.psu_rand(), slice),
-                sp,
-                &mut out,
-                threads,
-            ),
+            QueryOp::Psu | QueryOp::PsuVerify(_) => {
+                let rand = self.psu_rand().get(rows).unwrap_or(&[]);
+                psu::summed_round_into(summed, rand, sp, out)
+            }
             QueryOp::Sum(_) | QueryOp::SumVerify(_) | QueryOp::SumCounts => {
                 let z = z.ok_or_else(|| {
                     ProtocolError::ParameterMismatch("aggregation op ran without a z vector".into())
                 })?;
-                sum::summed_round_into(summed, z, sp, &mut out, threads)
+                sum::summed_round_into(summed, z, sp, out)
             }
-        };
-        if let Err(e) = step {
-            self.arena.put(out);
-            return Err(e);
         }
-        self.tamper.apply(&mut out);
-        Ok(match op.finish_perm(sp)? {
-            Some(p) => {
-                let mut permuted = self.arena.take(out.len());
-                p.apply_into(&out, &mut permuted);
-                self.arena.put(out);
-                permuted
-            }
-            None => out,
-        })
     }
 
-    /// Execute one command. `Run` batches evaluate item-by-item; wide
-    /// commands delegate to the max-round step functions. Tampering
+    /// Execute one command. `Run` batches are one `run_round` over this
+    /// node's rows; wide commands delegate to the max-round step functions. Tampering
     /// applies to every stored-column output (wide rounds model honest
     /// relaying; tampering there is exercised at the announcer instead).
     pub fn execute(&self, cmd: &ServerCmd) -> Result<ServerReply> {
         match cmd {
-            ServerCmd::Run(batch) => {
-                let threads = batch.threads.max(1) as usize;
-                let mut outs = Vec::with_capacity(batch.items.len());
-                for item in &batch.items {
-                    let z = match item.z {
-                        None => None,
-                        Some(i) => Some(
-                            batch
-                                .zs
-                                .get(i as usize)
-                                .ok_or_else(|| {
-                                    ProtocolError::ParameterMismatch(format!(
-                                        "batch z index {i} out of range ({} vectors)",
-                                        batch.zs.len()
-                                    ))
-                                })?
-                                .as_slice(),
-                        ),
-                    };
-                    outs.push(self.query(item.op, z, threads, batch.range)?);
-                }
-                Ok(ServerReply::Vectors(outs))
-            }
+            ServerCmd::Run(batch) => Ok(ServerReply::Vectors(run_round(
+                std::slice::from_ref(self),
+                &self.params,
+                &self.tamper,
+                batch,
+            )?)),
             ServerCmd::MaxCombine { uploads, threads } => Ok(ServerReply::Wide(
                 max::server_max_round_threads(uploads, &self.params, (*threads).max(1) as usize)?,
             )),
@@ -1055,6 +949,166 @@ impl ServerNode {
             ServerCmd::RangeVersions => Ok(ServerReply::Versions(self.range_versions())),
         }
     }
+}
+
+/// One row block of a round: local rows `[lo, lo + len)` of `nodes[node]`,
+/// which sit `at` rows into the round's output, with that run of every
+/// item's reply buffer.
+struct Block<'o> {
+    node: usize,
+    lo: usize,
+    at: usize,
+    outs: Vec<&'o mut [u64]>,
+}
+
+/// Evaluate one [`ServerCmd::Run`] batch over a server domain held by
+/// `nodes` — its row-range shards in row order, or the one monolithic node
+/// — as **one** parallel division: every shard's rows (its overlap with
+/// the batch's range, if scoped) are cut into `batch.threads` blocks, and
+/// worker `w` evaluates block `w` of every shard for **every item**
+/// ([`ServerNode::eval_rows`]) straight into the reply buffers, streaming
+/// the items over the same rows while the summed column and `z` are hot.
+/// A shard outside the range keeps one empty block, so it still refuses an
+/// incomplete store as its empty sub-batch always has.
+///
+/// The domain then stages each reply as *compute → tamper → output
+/// permutation*, exactly once and over the whole row order: §5.2's threats
+/// (skipping work, replaying or replacing cells, injecting values) are
+/// compute-phase cheats, and the two-copy verifications rely on the copies
+/// being in *different* orders at the point of corruption — a cheat
+/// applied after the `PF_sk` permutation would sit in the composed `PF_i`
+/// order, which the security argument does not (and need not) cover, since
+/// a server gains nothing by corrupting the cheap final permutation of
+/// work it already performed honestly.
+///
+/// Range-scoping composes only for the permutation-free operations
+/// (`finish_perm` → `None`): the permuted rounds shuffle the whole domain,
+/// so a sub-range of their output is meaningless and rejected.
+pub(crate) fn run_round(
+    nodes: &[ServerNode],
+    domain: &ServerParams,
+    tamper: &Tamper,
+    batch: &BatchQuery,
+) -> Result<Vec<Vec<u64>>> {
+    let mismatch = |what: String| Err(ProtocolError::ParameterMismatch(what));
+    let (start, len) = match batch.range {
+        None => (domain.row_offset, domain.b),
+        Some((gs, glen)) => {
+            for item in &batch.items {
+                if item.op.finish_perm(domain)?.is_some() {
+                    return mismatch(format!(
+                        "{:?} carries a whole-domain output permutation and cannot be \
+                         range-scoped",
+                        item.op
+                    ));
+                }
+            }
+            let (gs, glen) = (gs as usize, glen as usize);
+            let inside = gs
+                .checked_sub(domain.row_offset)
+                .and_then(|local| local.checked_add(glen))
+                .is_some_and(|end| end <= domain.b);
+            if !inside {
+                return mismatch(format!(
+                    "range [{gs}, +{glen}) lies outside this node's rows [{}, +{})",
+                    domain.row_offset, domain.b
+                ));
+            }
+            (gs, glen)
+        }
+    };
+    for (i, z) in batch.zs.iter().enumerate() {
+        if z.len() != len {
+            return mismatch(format!(
+                "batch z vector {i} has {} cells, expected {len}",
+                z.len()
+            ));
+        }
+    }
+    if let Some(i) = batch.items.iter().filter_map(|item| item.z).max() {
+        if i as usize >= batch.zs.len() {
+            return mismatch(format!(
+                "batch z index {i} out of range ({} vectors)",
+                batch.zs.len()
+            ));
+        }
+    }
+
+    let threads = batch.threads.max(1) as usize;
+    let arena = &nodes[0].arena;
+    let mut outs: Vec<Vec<u64>> = batch.items.iter().map(|_| arena.take(len)).collect();
+    // `work[w]` is worker w's blocks: block w of every shard.
+    let mut work: Vec<Vec<Block>> = Vec::new();
+    let mut rest: Vec<&mut [u64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut at = 0;
+    for (node, held) in nodes.iter().enumerate() {
+        let np = &held.params;
+        let lo = start.max(np.row_offset);
+        let hi = (start + len).min(np.row_offset + np.b);
+        let (lo, n) = if lo < hi {
+            (lo - np.row_offset, hi - lo)
+        } else {
+            (0, 0)
+        };
+        let step = chunk::block_len(n, threads).max(1);
+        for (w, done) in (0..n.max(1)).step_by(step).enumerate() {
+            let rows = step.min(n - done);
+            let outs = rest
+                .iter_mut()
+                .map(|r| {
+                    let (head, tail) = std::mem::take(r).split_at_mut(rows);
+                    *r = tail;
+                    head
+                })
+                .collect();
+            if work.len() == w {
+                work.push(Vec::new());
+            }
+            work[w].push(Block {
+                node,
+                lo: lo + done,
+                at: at + done,
+                outs,
+            });
+        }
+        at += n;
+    }
+    debug_assert_eq!(at, len, "the nodes' rows tile the domain");
+
+    let whole = batch.range.is_none();
+    let blocks_done = chunk::run_blocks(work, |blocks| -> Result<()> {
+        for block in blocks {
+            for (item, out) in batch.items.iter().zip(block.outs) {
+                let z = item
+                    .z
+                    .map(|i| &batch.zs[i as usize][block.at..block.at + out.len()]);
+                nodes[block.node].eval_rows(item.op, z, block.lo, whole, out)?;
+            }
+        }
+        Ok(())
+    });
+    if let Err(e) = join_blocks(blocks_done) {
+        outs.into_iter().for_each(|out| arena.put(out));
+        return Err(e);
+    }
+    for (item, out) in batch.items.iter().zip(&mut outs) {
+        tamper.apply(out);
+        if let Some(p) = item.op.finish_perm(domain)? {
+            let mut permuted = arena.take(len);
+            p.apply_into(out, &mut permuted);
+            arena.put(std::mem::replace(out, permuted));
+        }
+    }
+    Ok(outs)
+}
+
+/// The outcome of a round's blocks: the first block error in block order,
+/// and a block that panicked as a [`ProtocolError::Transport`] — a bad
+/// block fails its query, never the process serving the others.
+fn join_blocks(done: std::thread::Result<Vec<Result<()>>>) -> Result<()> {
+    done.map_err(|_| ProtocolError::Transport("row-block worker panicked".into()))?
+        .into_iter()
+        .collect()
 }
 
 /// A pluggable backend that can deliver one round of commands to the
@@ -1692,6 +1746,30 @@ mod tests {
         // ...and B's announce still succeeds (the mismatch left the
         // inbox untouched).
         assert!(ann.announce(AnnouncerCmd::FindMedian, seq_b, 1).is_ok());
+    }
+
+    #[test]
+    fn a_panicking_row_block_fails_its_round_as_a_transport_error() {
+        // Worker block, then the caller's own block.
+        for bad in [1usize, 0] {
+            let done = chunk::run_blocks(0..3usize, |k| {
+                assert_ne!(k, bad, "block {k} fails");
+                Ok(())
+            });
+            assert!(matches!(
+                join_blocks(done),
+                Err(ProtocolError::Transport(_))
+            ));
+        }
+        // Without a panic, the first block error in block order wins.
+        let done = chunk::run_blocks(0..3usize, |k| match k {
+            0 => Ok(()),
+            _ => Err(ProtocolError::ParameterMismatch(format!("block {k}"))),
+        });
+        assert_eq!(
+            join_blocks(done),
+            Err(ProtocolError::ParameterMismatch("block 1".into()))
+        );
     }
 
     #[test]

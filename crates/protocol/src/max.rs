@@ -31,6 +31,7 @@
 //! Driven end-to-end by the [`crate::plans::Max`] round plan (chunked
 //! per-cell pipeline over the engine's wide-share commands).
 
+use crate::chunk::map_blocks;
 use crate::error::{ProtocolError, Result};
 use crate::params::{AnnouncerParams, OwnerParams, ServerParams};
 use prism_core::prg::splitmix64;
@@ -168,52 +169,43 @@ pub fn announcer_find_max_threads(
     let mut max_shares_1 = WideVec::zeroed(cells, w);
     let mut max_shares_2 = WideVec::zeroed(cells, w);
     let mut index_shares = vec![(0u64, 0u64); cells];
-    let threads = threads.max(1);
-    std::thread::scope(|scope| {
-        let chunk = cells.div_ceil(threads).max(1);
-        let mut ms1_rest = max_shares_1.data.as_mut_slice();
-        let mut ms2_rest = max_shares_2.data.as_mut_slice();
-        let mut idx_rest = index_shares.as_mut_slice();
-        let mut start = 0usize;
-        while start < cells {
-            let take = ((cells - start).min(chunk)).max(1);
-            let (ms1_c, r1) = ms1_rest.split_at_mut(take * w);
-            let (ms2_c, r2) = ms2_rest.split_at_mut(take * w);
-            let (idx_c, r3) = idx_rest.split_at_mut(take);
-            ms1_rest = r1;
-            ms2_rest = r2;
-            idx_rest = r3;
-            let my_seed = {
-                let mut s = ap.seed ^ (start as u64).wrapping_mul(0xA24BAED4963EE407);
-                splitmix64(&mut s)
-            };
-            scope.spawn(move || {
-                let mut prg = Prg::from_seed(my_seed);
-                let mut cur = vec![0u64; w];
-                let mut best = vec![0u64; w];
-                for k in 0..take {
-                    let c = start + k;
-                    let mut best_slot = 0usize;
-                    for slot in 0..ap.m {
-                        let r = c * ap.m + slot;
-                        wide::add_wrap(from_s1.row(r), from_s2.row(r), &mut cur);
-                        if slot == 0 || wide::cmp(&cur, &best) == std::cmp::Ordering::Greater {
-                            best.copy_from_slice(&cur);
-                            best_slot = slot;
-                        }
-                    }
-                    // Re-share the winner: value over Z_{2^{64w}}, slot
-                    // over Z_δ.
-                    wide::share2_into(
-                        &best,
-                        &mut prg,
-                        &mut ms1_c[k * w..(k + 1) * w],
-                        &mut ms2_c[k * w..(k + 1) * w],
-                    );
-                    idx_c[k] = share2(best_slot as u64, ap.delta, &mut prg);
+    // One block of `ceil(cells / threads)` cells per worker, each with a
+    // PRG seeded from its first cell.
+    let chunk = cells.div_ceil(threads.max(1)).max(1);
+    // (`w` is the servers' word: a zero-width, zero-row matrix decodes.)
+    let wide_chunk = (chunk * w).max(1);
+    let blocks = (max_shares_1.data.chunks_mut(wide_chunk))
+        .zip(max_shares_2.data.chunks_mut(wide_chunk))
+        .zip(index_shares.chunks_mut(chunk))
+        .enumerate();
+    map_blocks(blocks, |(block, ((ms1_c, ms2_c), idx_c))| {
+        let start = block * chunk;
+        let mut prg = Prg::from_seed({
+            let mut s = ap.seed ^ (start as u64).wrapping_mul(0xA24BAED4963EE407);
+            splitmix64(&mut s)
+        });
+        let mut cur = vec![0u64; w];
+        let mut best = vec![0u64; w];
+        for (k, idx) in idx_c.iter_mut().enumerate() {
+            let c = start + k;
+            let mut best_slot = 0usize;
+            for slot in 0..ap.m {
+                let r = c * ap.m + slot;
+                wide::add_wrap(from_s1.row(r), from_s2.row(r), &mut cur);
+                if slot == 0 || wide::cmp(&cur, &best) == std::cmp::Ordering::Greater {
+                    best.copy_from_slice(&cur);
+                    best_slot = slot;
                 }
-            });
-            start += take;
+            }
+            // Re-share the winner: value over Z_{2^{64w}}, slot
+            // over Z_δ.
+            wide::share2_into(
+                &best,
+                &mut prg,
+                &mut ms1_c[k * w..(k + 1) * w],
+                &mut ms2_c[k * w..(k + 1) * w],
+            );
+            *idx = share2(best_slot as u64, ap.delta, &mut prg);
         }
     });
     Ok(MaxAnnouncement {
@@ -341,55 +333,32 @@ pub fn owner_blind_maxima_tab(
     let mut s1 = WideVec::zeroed(n, w);
     let mut s2 = WideVec::zeroed(n, w);
     let mut own = WideVec::zeroed(n, w);
-    let threads = threads.max(1);
     // Fixed chunk granularity so the PRG assignment (and thus the shares)
-    // does not depend on the thread count.
-    let chunk_cells = PAR_CHUNK_CELLS;
-    std::thread::scope(|scope| {
-        let mut remaining = (
-            common,
-            maxima,
-            s1.data.as_mut_slice(),
-            s2.data.as_mut_slice(),
-            own.data.as_mut_slice(),
-        );
-        let mut handles = Vec::new();
-        let mut chunk_no = 0u64;
-        loop {
-            let take = remaining.0.len().min(chunk_cells);
-            if take == 0 {
-                break;
-            }
-            let (cells, rest_cells) = remaining.0.split_at(take);
-            let (s1c, rest_s1) = remaining.2.split_at_mut(take * w);
-            let (s2c, rest_s2) = remaining.3.split_at_mut(take * w);
-            let (ownc, rest_own) = remaining.4.split_at_mut(take * w);
-            let maxima_ref = remaining.1;
-            let my_seed = {
+    // does not depend on the thread count; worker `t` takes chunks
+    // `t, t + threads, …`.
+    let wide_chunk = PAR_CHUNK_CELLS * w;
+    let chunks = (common.chunks(PAR_CHUNK_CELLS))
+        .zip(s1.data.chunks_mut(wide_chunk))
+        .zip(s2.data.chunks_mut(wide_chunk))
+        .zip(own.data.chunks_mut(wide_chunk))
+        .enumerate();
+    let workers = threads.clamp(1, n.div_ceil(PAR_CHUNK_CELLS).max(1));
+    let mut work: Vec<Vec<_>> = (0..workers).map(|_| Vec::new()).collect();
+    for (chunk_no, chunk) in chunks {
+        work[chunk_no % workers].push((chunk_no as u64, chunk));
+    }
+    map_blocks(work, |chunks| {
+        for (chunk_no, (((cells, s1c), s2c), ownc)) in chunks {
+            let mut prg = Prg::from_seed({
                 let mut s = seed ^ chunk_no.wrapping_mul(0x9E3779B97F4A7C15);
-                prism_core::prg::splitmix64(&mut s)
-            };
-            let mut work = move || {
-                let mut prg = Prg::from_seed(my_seed);
-                let mut scratch = vec![0u64; w];
-                for (k, &cell) in cells.iter().enumerate() {
-                    let r = k * w..(k + 1) * w;
-                    table.blind_into(
-                        maxima_ref[cell],
-                        &mut prg,
-                        &mut ownc[r.clone()],
-                        &mut scratch,
-                    );
-                    wide::share2_into(&ownc[r.clone()], &mut prg, &mut s1c[r.clone()], &mut s2c[r]);
-                }
-            };
-            if handles.len() + 1 < threads && !rest_cells.is_empty() {
-                handles.push(scope.spawn(work));
-            } else {
-                work();
+                splitmix64(&mut s)
+            });
+            let mut scratch = vec![0u64; w];
+            for (k, &cell) in cells.iter().enumerate() {
+                let r = k * w..(k + 1) * w;
+                table.blind_into(maxima[cell], &mut prg, &mut ownc[r.clone()], &mut scratch);
+                wide::share2_into(&ownc[r.clone()], &mut prg, &mut s1c[r.clone()], &mut s2c[r]);
             }
-            remaining = (rest_cells, maxima_ref, rest_s1, rest_s2, rest_own);
-            chunk_no += 1;
         }
     });
     (
@@ -428,60 +397,30 @@ pub fn owner_decode_max_tab(
         };
         n
     ];
-    let mut failed = vec![false; threads.max(1).min(n.max(1))];
-    let threads = threads.max(1);
-    std::thread::scope(|scope| {
-        let chunk = n.div_ceil(threads).max(1);
-        let mut dec_rest = decoded.as_mut_slice();
-        let mut blind_rest = blinded.data.as_mut_slice();
-        let mut start = 0usize;
-        for flag in failed.iter_mut() {
-            let take = dec_rest.len().min(chunk);
-            if take == 0 {
-                break;
+    let chunk = n.div_ceil(threads.max(1)).max(1);
+    let blocks = (decoded.chunks_mut(chunk))
+        .zip(blinded.data.chunks_mut(chunk * w))
+        .enumerate();
+    let rpf = &rpf;
+    map_blocks(blocks, |(block, (dec_c, blind_c))| {
+        for (k, (dec, blind)) in (block * chunk..).zip(dec_c.iter_mut().zip(blind_c.chunks_mut(w)))
+        {
+            wide::add_wrap(ann.max_shares_1.row(k), ann.max_shares_2.row(k), blind);
+            let permuted_slot =
+                reconstruct2(ann.index_shares[k].0, ann.index_shares[k].1, op.delta) as usize;
+            if permuted_slot >= op.m {
+                return Err(ProtocolError::InversionFailed);
             }
-            let (dec_c, r1) = dec_rest.split_at_mut(take);
-            let (blind_c, r2) = blind_rest.split_at_mut(take * w);
-            dec_rest = r1;
-            blind_rest = r2;
-            let rpf = &rpf;
-            scope.spawn(move || {
-                for k in 0..take {
-                    let g = start + k;
-                    wide::add_wrap(
-                        ann.max_shares_1.row(g),
-                        ann.max_shares_2.row(g),
-                        &mut blind_c[k * w..(k + 1) * w],
-                    );
-                    let permuted_slot =
-                        reconstruct2(ann.index_shares[g].0, ann.index_shares[g].1, op.delta)
-                            as usize;
-                    if permuted_slot >= op.m {
-                        *flag = true;
-                        return;
-                    }
-                    let holder = rpf.apply_index(permuted_slot);
-                    match table.invert(&blind_c[k * w..(k + 1) * w]) {
-                        Some(max) => {
-                            dec_c[k] = MaxCell {
-                                cell: common[g],
-                                max,
-                                holder,
-                            }
-                        }
-                        None => {
-                            *flag = true;
-                            return;
-                        }
-                    }
-                }
-            });
-            start += take;
+            *dec = MaxCell {
+                cell: common[k],
+                max: table.invert(blind).ok_or(ProtocolError::InversionFailed)?,
+                holder: rpf.apply_index(permuted_slot),
+            };
         }
-    });
-    if failed.iter().any(|&f| f) {
-        return Err(ProtocolError::InversionFailed);
-    }
+        Ok(())
+    })
+    .into_iter()
+    .collect::<Result<()>>()?;
     Ok((decoded, blinded))
 }
 

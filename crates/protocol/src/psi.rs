@@ -95,11 +95,14 @@ fn power(sum: u64, minus: u64, sp: &ServerParams, table: &[u64]) -> u64 {
     table[sub_mod(sum, minus, sp.delta) as usize]
 }
 
-/// Equations 3 and 7 over a column that already holds `⊕_j` of the owners'
-/// (canonical) shares — what a [`crate::engine::ServerNode`] keeps per
-/// stored column, so its rounds scan one column whatever the owner count.
-/// Bit-identical to [`server_psi_round_into`] with `minus = sp.m_share` and
-/// to [`server_psi_verify_round_into`] with `minus = 0`, which sum the
+/// Equations 3 and 7 over a run of rows of a column that already holds
+/// `⊕_j` of the owners' (canonical) shares — what a
+/// [`crate::engine::ServerNode`] keeps per stored column, so its rounds
+/// scan one column whatever the owner count. `summed` and `out` are the
+/// same rows: a whole column or one row block of it (the caller divides
+/// the rows; this runs on its thread). Bit-identical, cell for cell, to
+/// [`server_psi_round_into`] with `minus = sp.m_share` and to
+/// [`server_psi_verify_round_into`] with `minus = 0`, which sum the
 /// per-owner columns first and then do exactly this.
 pub fn summed_round_into(
     summed: &[u64],
@@ -107,15 +110,12 @@ pub fn summed_round_into(
     sp: &ServerParams,
     table: &[u64],
     out: &mut [u64],
-    threads: usize,
 ) -> Result<()> {
-    check_cells("summed column", summed.len(), sp.b)?;
-    check_buffers(table, out, sp)?;
-    fill_chunks(out, threads, |start, chunk| {
-        for (o, &s) in chunk.iter_mut().zip(&summed[start..]) {
-            *o = power(s, minus, sp, table);
-        }
-    });
+    check_cells("power table", table.len(), sp.delta as usize)?;
+    check_cells("summed column", summed.len(), out.len())?;
+    for (o, &s) in out.iter_mut().zip(summed) {
+        *o = power(s, minus, sp, table);
+    }
     Ok(())
 }
 

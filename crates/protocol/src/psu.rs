@@ -89,24 +89,22 @@ pub fn server_psu_round_into(
     Ok(())
 }
 
-/// Equation 18 over a column that already holds `Σ_j` of the owners'
-/// (canonical) shares — what a [`crate::engine::ServerNode`] keeps per
-/// stored column. Bit-identical to [`server_psu_round_into`], which sums
-/// the per-owner columns first and then multiplies by the same `rand`.
+/// Equation 18 over a run of rows of a column that already holds `Σ_j` of
+/// the owners' (canonical) shares — what a [`crate::engine::ServerNode`]
+/// keeps per stored column. `summed`, `rand` and `out` are the same rows: a
+/// whole column or one row block of it, with the blinding slice cut at the
+/// same offset. Bit-identical, cell for cell, to [`server_psu_round_into`],
+/// which sums the per-owner columns first and then multiplies by the same
+/// `rand`.
 pub fn summed_round_into(
     summed: &[u64],
     rand: &[u64],
     sp: &ServerParams,
     out: &mut [u64],
-    threads: usize,
 ) -> Result<()> {
-    check_cells("summed column", summed.len(), sp.b)?;
-    check_cells("blinding slice", rand.len(), sp.b)?;
-    check_cells("output buffer", out.len(), sp.b)?;
-    fill_chunks(out, threads, |start, chunk| {
-        let end = start + chunk.len();
-        mul_into_mod(&summed[start..end], &rand[start..end], sp.delta, chunk);
-    });
+    check_cells("summed column", summed.len(), out.len())?;
+    check_cells("blinding slice", rand.len(), out.len())?;
+    mul_into_mod(summed, rand, sp.delta, out);
     Ok(())
 }
 

@@ -1,12 +1,10 @@
-//! Sharded-domain execution: row-range shards fanned out behind one
-//! [`ServerExec`].
+//! Sharded-domain execution: row-range shards behind one [`ServerExec`].
 //!
 //! PRISM's evaluation scales each server's domain to 5M–20M cells (§8),
 //! but a monolithic [`ColumnStore`](crate::engine::ColumnStore) bounds
 //! every round by one node's memory bandwidth. This module splits a domain into **row-range
 //! shards** — shard `i` owns global rows `[start_i, start_i + len_i)` of
-//! every stored column — each held by its own [`ServerNode`], and routes
-//! every engine round across them in parallel:
+//! every stored column — each held by its own [`ServerNode`]:
 //!
 //! * [`ShardPlan`] is the row partition: contiguous ranges covering
 //!   `0..b`, the same for every column and every owner, so a global row
@@ -17,26 +15,34 @@
 //!   and the finish permutations become identities — **a shard never
 //!   permutes**, because `PF_s1`/`PF_s2` are defined over the whole
 //!   domain.
-//! * [`ShardedNode`] is the domain front-end: it splits Phase-1 uploads
-//!   and per-round batches by rows, fans [`ServerCmd::Run`] out across
-//!   its shard nodes on scoped threads, and merges shard rows back into
-//!   the single full-length reply the plans expect — applying the
-//!   domain-level [`Tamper`] and finish permutation *after* the merge,
-//!   exactly where the monolithic [`ServerNode`] applies them. Results
-//!   are therefore bit-identical for every shard count.
+//! * [`ShardedNode`] is the domain front-end: it splits Phase-1 uploads by
+//!   rows and answers [`ServerCmd::Run`] with the **same round function**
+//!   as a monolithic [`ServerNode`] (`engine::run_round`), handed its
+//!   shard nodes in row order. In-process the shards are therefore not
+//!   sub-queries but the row ranges of one division: every shard's rows
+//!   are cut into `threads` blocks (never across a shard boundary), worker
+//!   `w` evaluates block `w` of every shard for every batch item straight
+//!   into the domain-length reply buffers, `z` vectors are borrowed, not
+//!   copied per shard, and the domain-level [`Tamper`] and finish
+//!   permutation are applied once, exactly where the monolithic node
+//!   applies them. Results are therefore bit-identical for every shard
+//!   count.
 //! * [`ShardedExec`] implements [`ServerExec`] over sharded nodes, so
 //!   every existing plan runs unchanged on 1..k shards; its
-//!   [`ExecMeters`] expose the fan-out as `shard_dispatches`, which
+//!   [`ExecMeters`] expose how many shards a round's rows were cut across
+//!   as `shard_dispatches`, which
 //!   [`QueryStats`](crate::engine::QueryStats) picks up per query.
 //!
-//! The networked deployment reuses the same row math: `prism_net`'s
-//! domain router calls [`ShardPlan::split_batch`] /
-//! [`merge_shard_outputs`] around its per-shard links, so in-process and
-//! wire sharding cannot drift.
+//! The networked deployment's shards are remote, so its domain router
+//! (`prism_net::router`) is the one caller of [`ShardPlan::split_batch`]
+//! (one sub-batch per shard link, `z` row-sliced) and
+//! [`merge_shard_outputs`] (reassemble → tamper → permute): the same row
+//! math and the same staging, so in-process and wire sharding cannot
+//! drift.
 
 use crate::engine::{
-    forward_wide, Announcer, AnnouncerCmd, AnnouncerReply, BatchQuery, Column, ExecMeters,
-    RoundOutcome, ServerCmd, ServerExec, ServerNode, ServerReply,
+    forward_wide, run_round, Announcer, AnnouncerCmd, AnnouncerReply, BatchQuery, Column,
+    ExecMeters, RoundOutcome, ServerCmd, ServerExec, ServerNode, ServerReply,
 };
 use crate::error::{ProtocolError, Result};
 use crate::malicious::Tamper;
@@ -173,8 +179,10 @@ impl ShardPlan {
         holders
     }
 
-    /// Split a batched query into one sub-batch per shard: items are
-    /// identical, auxiliary `z` vectors are row-sliced. Errors if any `z`
+    /// Split a batched query into one sub-batch per (remote) shard — what
+    /// `prism_net::router` ships down its shard links; in-process domains
+    /// borrow `z` per row block instead. Items are identical, auxiliary
+    /// `z` vectors are row-sliced. Errors if any `z`
     /// does not cover the domain — or, for a range-scoped batch, the
     /// range (the monolithic node rejects the same request with the same
     /// error class). A range-scoped batch yields one sub-batch per shard
@@ -267,7 +275,8 @@ pub fn shard_server_params(sp: &ServerParams, spec: &ShardSpec) -> ServerParams 
     s
 }
 
-/// Merge per-shard batch outputs into the single per-server reply the
+/// Merge remote shards' batch outputs (the router's half of
+/// [`ShardPlan::split_batch`]) into the single per-server reply the
 /// plans expect: concatenate each item's shard rows back into global row
 /// order, apply the domain-level tampering behaviour, then the
 /// operation's domain-level finish permutation — the same
@@ -307,7 +316,11 @@ pub fn merge_shard_outputs(
         }
         tamper.apply(&mut full);
         merged.push(match item.op.finish_perm(domain)? {
-            Some(p) => p.apply(&full),
+            Some(p) => {
+                let mut permuted = vec![0; expect];
+                p.apply_into(&full, &mut permuted);
+                permuted
+            }
             None => full,
         });
     }
@@ -317,12 +330,12 @@ pub fn merge_shard_outputs(
 /// One server *domain* backed by row-range shard nodes.
 ///
 /// This is the drop-in replacement for a monolithic [`ServerNode`] on the
-/// server side of the wall: Phase-1 uploads are split by rows, stored-
-/// column rounds fan out across the shard nodes on scoped threads, and
-/// the domain-level tampering behaviour plus finish permutations are
-/// applied to the merged output (shard nodes are always honest and
-/// identity-permuted — a malicious *server* controls its domain front-end,
-/// which is exactly where [`Tamper`] attaches).
+/// server side of the wall: Phase-1 uploads are split by rows, a stored-
+/// column round is one row-block division over all the shard nodes'
+/// rows, and the domain-level tampering behaviour plus finish
+/// permutations are applied to the domain-length output (shard nodes are
+/// always honest and never permute — a malicious *server* controls its
+/// domain front-end, which is exactly where [`Tamper`] attaches).
 ///
 /// Wide-share commands (max/median rounds) are parameter-only — they touch
 /// no stored columns — and run on shard 0's node verbatim.
@@ -375,8 +388,8 @@ impl ShardedNode {
         &self.shards
     }
 
-    /// Shard sub-commands fanned out so far (0 until a multi-shard round
-    /// actually splits).
+    /// Shards that stored-column rounds' rows were cut across so far (0
+    /// on a one-shard domain).
     pub fn dispatches(&self) -> u64 {
         self.dispatches.load(Ordering::Relaxed)
     }
@@ -480,18 +493,20 @@ impl ShardedNode {
         }
     }
 
-    /// Execute one command against the domain, fanning stored-column
-    /// batches across the shard nodes in parallel.
+    /// Execute one command against the domain; a stored-column batch is
+    /// one round over every shard node's rows.
     pub fn execute(&self, cmd: &ServerCmd) -> Result<ServerReply> {
         match cmd {
             ServerCmd::Run(batch) => {
-                let subs = self.plan.split_batch(batch)?;
-                let per_shard = self.run_fanout(subs)?;
-                Ok(ServerReply::Vectors(merge_shard_outputs(
-                    &per_shard,
-                    batch,
+                if self.shards.len() > 1 {
+                    self.dispatches
+                        .fetch_add(self.shards.len() as u64, Ordering::Relaxed);
+                }
+                Ok(ServerReply::Vectors(run_round(
+                    &self.shards,
                     &self.params,
                     &self.tamper,
+                    batch,
                 )?))
             }
             // Wide rounds read only parameters (pf_owners, wide_width) —
@@ -510,44 +525,6 @@ impl ShardedNode {
                     .collect(),
             )),
         }
-    }
-
-    /// Run one sub-batch per shard, in parallel when there is more than
-    /// one shard, collecting each shard's per-item outputs in shard order.
-    fn run_fanout(&self, subs: Vec<BatchQuery>) -> Result<Vec<Vec<Vec<u64>>>> {
-        let expect_vectors = |reply: Result<ServerReply>| -> Result<Vec<Vec<u64>>> {
-            match reply? {
-                ServerReply::Vectors(v) => Ok(v),
-                _ => Err(ProtocolError::MalformedResponse(
-                    "expected vector outputs from a shard batch",
-                )),
-            }
-        };
-        if self.shards.len() == 1 {
-            let sub = subs.into_iter().next().expect("plan has one shard");
-            return Ok(vec![expect_vectors(
-                self.shards[0].execute(&ServerCmd::Run(sub)),
-            )?]);
-        }
-        self.dispatches
-            .fetch_add(self.shards.len() as u64, Ordering::Relaxed);
-        let results: Vec<Result<ServerReply>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .zip(subs)
-                .map(|(node, sub)| scope.spawn(move || node.execute(&ServerCmd::Run(sub))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(ProtocolError::Transport("shard worker panicked".into()))
-                    })
-                })
-                .collect()
-        });
-        results.into_iter().map(expect_vectors).collect()
     }
 }
 

@@ -74,29 +74,21 @@ pub fn server_sum_round_into(
     Ok(())
 }
 
-/// Equation 11 over a column that already holds `Σ_j` of the owners'
-/// (canonical) payload shares — what a [`crate::engine::ServerNode`] keeps
-/// per stored column. Bit-identical to [`server_sum_round_into`], which
+/// Equation 11 over a run of rows of a column that already holds `Σ_j` of
+/// the owners' (canonical) payload shares — what a
+/// [`crate::engine::ServerNode`] keeps per stored column. `summed`,
+/// `z_shares` and `out` are the same rows: a whole column or one row block
+/// of it. Bit-identical, cell for cell, to [`server_sum_round_into`], which
 /// sums the per-owner columns first and then multiplies by the same `z`.
 pub fn summed_round_into(
     summed: &[u64],
     z_shares: &[u64],
     sp: &ServerParams,
     out: &mut [u64],
-    threads: usize,
 ) -> Result<()> {
-    check_cells("summed column", summed.len(), sp.b)?;
-    check_cells("z vector", z_shares.len(), sp.b)?;
-    check_cells("output buffer", out.len(), sp.b)?;
-    fill_chunks(out, threads, |start, chunk| {
-        let end = start + chunk.len();
-        mul_into_mod(
-            &summed[start..end],
-            &z_shares[start..end],
-            sp.field.p,
-            chunk,
-        );
-    });
+    check_cells("summed column", summed.len(), out.len())?;
+    check_cells("z vector", z_shares.len(), out.len())?;
+    mul_into_mod(summed, z_shares, sp.field.p, out);
     Ok(())
 }
 

@@ -18,6 +18,7 @@ use prism_core::Prg;
 use prism_protocol::engine::{BatchItem, BatchQuery, Column, QueryOp, ServerCmd, ServerNode};
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
 use prism_protocol::psi;
+use prism_protocol::ShardedNode;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -133,6 +134,37 @@ fn warm_hot_paths_stay_allocation_free() {
         assert!(
             count_allocs <= 8,
             "warm Count execute allocated {count_allocs} times per query"
+        );
+    }
+
+    // --- The sharded domain: shards are row ranges of one round, not
+    // sub-queries — a warm three-item `z`-carrying batch over two shards
+    // allocates its three reply vectors plus the same small constant: no
+    // per-shard `z` copies, no per-shard output vectors.
+    {
+        let mut node = ShardedNode::new(setup.servers[2].clone(), 2);
+        let p = setup.servers[2].field.p;
+        for column in [Column::Agg(0), Column::VAgg(0), Column::AOk] {
+            for (owner, data) in owner_shares(p, CELLS).into_iter().enumerate() {
+                node.store(owner, column, data);
+            }
+        }
+        let batch = ServerCmd::Run(BatchQuery {
+            zs: owner_shares(p, CELLS),
+            items: vec![
+                BatchItem::with_z(QueryOp::Sum(0), 0),
+                BatchItem::with_z(QueryOp::SumVerify(0), 1),
+                BatchItem::with_z(QueryOp::SumCounts, 2),
+            ],
+            threads: 1,
+            range: None,
+        });
+        let sharded_allocs = min_allocs_of(5, || {
+            node.execute(&batch).expect("sharded execute");
+        });
+        assert!(
+            sharded_allocs <= 8 + 3,
+            "warm two-shard execute of three items allocated {sharded_allocs} times per query"
         );
     }
 }

@@ -110,14 +110,13 @@ fn additive_kernels_match_the_per_cell_equations() {
                 // The one-column kernels a node runs over its pre-summed
                 // column: the same equations from `Σ_j` on.
                 out.fill(u64::MAX);
-                psi::summed_round_into(&summed, sp.m_share, &sp, &table, &mut out, threads)
-                    .unwrap();
+                psi::summed_round_into(&summed, sp.m_share, &sp, &table, &mut out).unwrap();
                 assert_eq!(out, psi_ref, "summed psi {ctx}");
                 out.fill(u64::MAX);
-                psi::summed_round_into(&summed, 0, &sp, &table, &mut out, threads).unwrap();
+                psi::summed_round_into(&summed, 0, &sp, &table, &mut out).unwrap();
                 assert_eq!(out, verify_ref, "summed psi verify {ctx}");
                 out.fill(u64::MAX);
-                psu::summed_round_into(&summed, &rand, &sp, &mut out, threads).unwrap();
+                psu::summed_round_into(&summed, &rand, &sp, &mut out).unwrap();
                 assert_eq!(out, psu_ref, "summed psu {ctx}");
             }
         }
@@ -149,7 +148,7 @@ fn sum_kernel_matches_the_per_cell_equation() {
                 sum::server_sum_round_into(&shares, &z, &sp, &mut out, threads).unwrap();
                 assert_eq!(out, sum_ref, "m={m} b={b} threads={threads}");
                 out.fill(u64::MAX);
-                sum::summed_round_into(&summed, &z, &sp, &mut out, threads).unwrap();
+                sum::summed_round_into(&summed, &z, &sp, &mut out).unwrap();
                 assert_eq!(out, sum_ref, "summed m={m} b={b} threads={threads}");
             }
         }

@@ -4,10 +4,11 @@
 //! chunked parallel path (`chunk::parallel_dispatches` counts only calls
 //! that actually split work across scoped threads).
 //!
-//! Historically several operations ignored the thread count because their
-//! server steps bypassed the chunk helpers; since the engine refactor all
-//! server steps funnel through `chunk::fill_chunks` / `fill_rows` /
-//! `map_indexed`, which is exactly what this test pins down.
+//! It must not be wasteful either: a stored-column round divides its rows
+//! **once**, so a server `Run` is exactly one parallel dispatch whatever
+//! its item and shard counts, and `threads = 1` never spawns at all.
+//!
+//! The counter is process-global, so everything lives in one `#[test]`.
 
 use prism_protocol::chunk;
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput, QueryBatch};
@@ -16,6 +17,10 @@ const DOMAIN: usize = 96;
 const THREADS: usize = 4;
 
 fn build(threads: usize) -> Cluster {
+    build_sharded(threads, 1)
+}
+
+fn build_sharded(threads: usize, shards: usize) -> Cluster {
     // 3 owners, two aggregation attributes, plenty of overlap so max /
     // median have common cells to pipeline.
     let inputs: Vec<OwnerInput> = (0..3u64)
@@ -26,25 +31,30 @@ fn build(threads: usize) -> Cluster {
                 .collect(),
         })
         .collect();
-    let mut cfg = ClusterConfig::new(DOMAIN);
+    let mut cfg = ClusterConfig::new(DOMAIN).with_shards(shards);
     cfg.seed = 0xD15;
     cfg.agg_domain_max = 4000;
     cfg.threads = threads;
     Cluster::build(&inputs, cfg).unwrap()
 }
 
-/// Run `op` on a single-threaded and a multi-threaded cluster; assert the
-/// outputs agree and that the multi-threaded run dispatched in parallel.
-fn check<T: PartialEq + std::fmt::Debug>(name: &str, op: impl Fn(&Cluster) -> T) {
-    let serial = build(1);
-    let parallel = build(THREADS);
-    let reference = op(&serial);
+/// Parallel dispatches `op` makes on `c`.
+fn dispatches_of<T>(c: &Cluster, op: impl Fn(&Cluster) -> T) -> (T, u64) {
     let before = chunk::parallel_dispatches();
-    let result = op(&parallel);
-    let dispatches = chunk::parallel_dispatches() - before;
+    let result = op(c);
+    (result, chunk::parallel_dispatches() - before)
+}
+
+/// Run `op` on a single-threaded and a multi-threaded cluster; assert the
+/// outputs agree, that the multi-threaded run dispatched in parallel and
+/// that the single-threaded one never did.
+fn check<T: PartialEq + std::fmt::Debug>(name: &str, op: impl Fn(&Cluster) -> T) {
+    let (reference, serial) = dispatches_of(&build(1), &op);
+    let (result, parallel) = dispatches_of(&build(THREADS), &op);
     assert_eq!(result, reference, "{name}: threads changed the result");
+    assert_eq!(serial, 0, "{name}: threads=1 spawned");
     assert!(
-        dispatches > 0,
+        parallel > 0,
         "{name}: threads={THREADS} never took the parallel chunk path"
     );
 }
@@ -83,8 +93,20 @@ fn every_operation_parallelizes_and_matches_serial() {
             .map(|m| (m.cell, m.values.clone()))
             .collect::<Vec<_>>()
     });
-    check("query_batch", |c| {
-        let batch = QueryBatch::new().sum(0).avg(1).count_tuples();
-        c.psi_query_batch(&batch).unwrap().0
-    });
+    let batch = QueryBatch::new().sum(0).avg(1).count_tuples();
+    check("query_batch", |c| c.psi_query_batch(&batch).unwrap().0);
+
+    // One division per server `Run`, whatever the item and shard counts:
+    // PSI is one round on the two additive servers, the batch adds one
+    // three-item round on the three Shamir servers.
+    for shards in [1usize, 3] {
+        let c = build_sharded(THREADS, shards);
+        let (_, psi) = dispatches_of(&c, |c| c.psi().unwrap());
+        assert_eq!(psi, 2, "psi, shards={shards}");
+        let (_, batched) = dispatches_of(&c, |c| c.psi_query_batch(&batch).unwrap());
+        assert_eq!(batched, 2 + 3, "query_batch, shards={shards}");
+        let serial = build_sharded(1, shards);
+        let (_, none) = dispatches_of(&serial, |c| c.psi_query_batch(&batch).unwrap());
+        assert_eq!(none, 0, "query_batch at threads=1, shards={shards}");
+    }
 }

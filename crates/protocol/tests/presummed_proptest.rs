@@ -12,7 +12,9 @@
 //! `ParameterMismatch`. An ingest path that forgets the sum fails here.
 
 use prism_core::Prg;
-use prism_protocol::engine::{BatchItem, BatchQuery, Column, QueryOp, ServerCmd, ServerReply};
+use prism_protocol::engine::{
+    BatchItem, BatchQuery, Column, QueryOp, ServerCmd, ServerNode, ServerReply,
+};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{Initiator, ServerParams, SystemConfig};
 use prism_protocol::shard::{merge_shard_outputs, shard_server_params};
@@ -351,4 +353,140 @@ fn a_repaired_column_answers_again() {
         10,
         2,
     );
+}
+
+/// Every owner's every column stored: a complete `shards`-way domain (and
+/// its mirrors) over server 0's parameters.
+fn complete(shards: usize, seed: u64) -> (Pair, Prg) {
+    let setup = Initiator::new(SystemConfig::new(OWNERS, DOMAIN).with_seed(seed))
+        .setup()
+        .expect("setup");
+    let sp = &setup.servers[0];
+    let mut prg = Prg::from_seed(seed ^ 0xB10C);
+    let mut pair = Pair::new(sp, shards);
+    for owner in 0..OWNERS {
+        for column in COLUMNS {
+            pair.store(owner, column, shares(DOMAIN, modulus(column, sp), &mut prg));
+        }
+    }
+    (pair, prg)
+}
+
+/// Every `(shards, threads)` division the rounds are checked under.
+fn divisions() -> impl Iterator<Item = (usize, u32)> {
+    [1, 2, 3, 7]
+        .into_iter()
+        .flat_map(|shards| [1, 2, 3, 5].map(|threads| (shards, threads)))
+}
+
+/// A round is one division of the rows: `threads` blocks per shard, never
+/// across a shard boundary, every block evaluating every item. The 20-row
+/// domain divides by neither 3 nor 7 and is shorter than 5·7, so the grid
+/// covers uneven blocks, shards too short to cut, and — over **every**
+/// window — ranges that start and end inside a block, span several shards
+/// and skip whole ones. Every operation (PSU's blinding offset on each
+/// block boundary included) must equal the multi-column reference kernels;
+/// then the domain grows (possibly by a shard) and is checked again.
+#[test]
+fn every_division_equals_the_reference_over_every_window() {
+    for (shards, threads) in divisions() {
+        let (pair, mut prg) = complete(shards, 31);
+        for start in 0..DOMAIN {
+            for len in 1..=DOMAIN - start {
+                let ctx = format!("shards={shards} threads={threads}");
+                pair.check((start as u64, len as u64), threads, &mut prg, &ctx);
+            }
+        }
+        run(
+            shards,
+            &[(3, 0, 0, 6), (5, 1, 0, 0), (4, 0, 0, 8), (0, 2, 1, 3)],
+            33,
+            threads,
+        );
+    }
+}
+
+/// The refusals a round makes before (short `z`, bad `z` index, permuted
+/// op under a range, range outside the domain) and inside its blocks
+/// (aggregation without `z`, a missing owner) are the same typed errors at
+/// every division, through a sharded domain and through a bare node.
+#[test]
+fn malformed_batches_are_refused_alike_at_every_division() {
+    fn refused(reply: Result<ServerReply, ProtocolError>, needle: &str, ctx: &str) {
+        match reply {
+            Err(ProtocolError::ParameterMismatch(msg)) if msg.contains(needle) => {}
+            other => panic!("{ctx}: expected a mismatch naming {needle:?}, got {other:?}"),
+        }
+    }
+    let sum = |z| BatchItem::with_z(QueryOp::Sum(0), z);
+    for (shards, threads) in divisions() {
+        let (pair, mut prg) = complete(shards, 32);
+        let sp = pair.node.params().clone();
+        let mut bare = ServerNode::new(sp.clone());
+        let mut short = ServerNode::new(sp.clone());
+        let mut short_pair = Pair::new(&sp, shards);
+        for owner in 0..OWNERS {
+            for column in COLUMNS {
+                let data = shares(DOMAIN, modulus(column, &sp), &mut prg);
+                bare.store(owner, column, data.clone());
+                if owner + 1 < OWNERS {
+                    short.store(owner, column, data.clone());
+                    short_pair.store(owner, column, data);
+                }
+            }
+        }
+        let batch = |zs: Vec<Vec<u64>>, items: Vec<BatchItem>, range| {
+            ServerCmd::Run(BatchQuery {
+                zs,
+                items,
+                threads,
+                range,
+            })
+        };
+        let z = |cells: usize| vec![vec![1u64; cells]];
+        let cases = [
+            (batch(z(DOMAIN - 1), vec![sum(0)], None), "z vector"),
+            (batch(z(4), vec![sum(0)], Some((3, 5))), "z vector"),
+            (batch(z(DOMAIN), vec![sum(0), sum(1)], None), "z index 1"),
+            (
+                batch(vec![], vec![BatchItem::plain(QueryOp::Sum(0))], None),
+                "without a z vector",
+            ),
+            (
+                batch(
+                    vec![],
+                    vec![
+                        BatchItem::plain(QueryOp::Psi),
+                        BatchItem::plain(QueryOp::Count),
+                    ],
+                    Some((2, 6)),
+                ),
+                "cannot be range-scoped",
+            ),
+            (
+                batch(vec![], vec![BatchItem::plain(QueryOp::Psi)], Some((15, 6))),
+                "lies outside",
+            ),
+            (
+                batch(
+                    vec![],
+                    vec![BatchItem::plain(QueryOp::Psi)],
+                    Some((u64::MAX, 2)),
+                ),
+                "lies outside",
+            ),
+        ];
+        for (cmd, needle) in &cases {
+            let ctx = format!("shards={shards} threads={threads} {needle}");
+            refused(pair.node.execute(cmd), needle, &ctx);
+            refused(bare.execute(cmd), needle, &format!("bare node, {ctx}"));
+        }
+        // One owner never uploaded: whole-domain and scoped alike.
+        for range in [None, Some((6, 9))] {
+            let cmd = batch(vec![], vec![BatchItem::plain(QueryOp::Psu)], range);
+            let ctx = format!("shards={shards} threads={threads} missing owner {range:?}");
+            refused(short_pair.node.execute(&cmd), "owners, got 2", &ctx);
+            refused(short.execute(&cmd), "owners, got 2", &ctx);
+        }
+    }
 }

@@ -120,6 +120,24 @@ fn sharding_composes_with_threads() {
     assert_eq!(surface(&c), reference);
 }
 
+/// A round divides once, by rows: `threads` blocks per shard, never
+/// across a shard boundary. 32 rows divide by neither 3 nor 7, a 7-way
+/// shard (4–5 rows) is too short to cut for 3 or 5 threads and long
+/// enough for 2, and PSU's blinding stream must stay aligned on every
+/// block boundary.
+#[test]
+fn every_threads_by_shards_division_is_invariant() {
+    let sets = fixed_sets();
+    let reference = surface(&build(&sets, 1, 17));
+    for shards in [1usize, 2, 3, 7] {
+        for threads in [1usize, 2, 3, 5] {
+            let mut c = build(&sets, shards, 17);
+            c.set_threads(threads);
+            assert_eq!(surface(&c), reference, "shards={shards} threads={threads}");
+        }
+    }
+}
+
 #[test]
 fn fanout_is_observable_and_absent_when_monolithic() {
     let sets = fixed_sets();

@@ -2,7 +2,7 @@
 # Everything works fully offline: external deps are vendored under vendor/.
 
 # Run the standard verification suite (what CI runs).
-ci: fmt-check clippy phase1-once build test test-release doc bench-check
+ci: fmt-check clippy phase1-once one-fanout build test test-release doc bench-check
 
 # Build every workspace target in release mode.
 build:
@@ -39,6 +39,13 @@ clippy:
 # grows its own copy of the outsourcing routine again.
 phase1-once:
     ! git grep -nE 'db[12]\.apply\(' -- 'crates/*/tests' tests examples crates/bench crates/workload crates/protocol/src/driver.rs ':!examples/benchmark'
+
+# A server round divides its rows once: `chunk` is the only module of
+# `prism_protocol` that spawns threads. Fails if another module grows its
+# own spawn site (a per-shard or per-item fan-out nested in the round)
+# again.
+one-fanout:
+    ! git grep -n 'thread::scope\|thread::spawn' -- crates/protocol/src ':!crates/protocol/src/chunk.rs'
 
 # Non-test vs test Rust line counts per crate (vendor/ and
 # examples/benchmark/ excluded), the one table simplicity PRs quote. In a
