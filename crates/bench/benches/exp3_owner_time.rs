@@ -12,7 +12,7 @@ const OWNERS: usize = 10;
 fn bench_owner_paths(c: &mut Criterion) {
     // Precompute server outputs once; benchmark only the owner side.
     let cluster = lean_cluster(DOMAIN, OWNERS, 4, 1);
-    let op = cluster.setup.owner.clone();
+    let op = cluster.setup().owner.clone();
 
     // PSI outputs: rebuild the raw server vectors through a plain query.
     let (psi_out, _) = cluster.psi().unwrap();
@@ -20,7 +20,7 @@ fn bench_owner_paths(c: &mut Criterion) {
 
     let agg = lineitem_cluster(DOMAIN / 4, OWNERS, 1, false, true, 4, 2);
     let (sums_ref, _) = agg.psi_sum(0).unwrap();
-    let agg_op = agg.setup.owner.clone();
+    let agg_op = agg.setup().owner.clone();
 
     let mut group = c.benchmark_group("exp3/owner_result_construction");
     group.sample_size(10);

@@ -29,12 +29,14 @@
 //! exactly what §4's knowledge table forbids owners from seeing. The
 //! announcer traffic is metered like every other edge ([`NetReport`]).
 //!
-//! Protocol logic lives entirely in `prism_protocol`: [`NetCluster`]
-//! implements [`ServerExec`] so the *same* round plans the in-memory
-//! driver executes run here over channels or TCP — every operation,
-//! max/median included, with batched round-2 queries and the full
-//! tamper × operation verification matrix (server *and* announcer
-//! tampers).
+//! [`NetCluster`] is a transport, not a facade: it implements the engine's
+//! [`ServerExec`], so the *same* round plans the in-process deployment
+//! executes run here over channels or TCP, and `driver::Deployment`, so
+//! the one owner-side facade (`prism_protocol::driver::Cluster::over`)
+//! outsources and queries through it. What it names itself is what only
+//! a transport has: uploads, tamper controls, reports, the registry,
+//! [`NetCluster::execute_as`] — plus the two batch shims the repo
+//! benchmark pins.
 
 use crate::mux::{Admission, MuxLink, QueryId};
 use crate::registry::NodeRegistry;
@@ -44,15 +46,16 @@ use crate::wire::{Column, Message};
 use parking_lot::RwLock;
 use prism_core::Permutation;
 use prism_protocol::cache::{CachedExec, PsiRoundCache};
+use prism_protocol::driver::Deployment;
 use prism_protocol::engine::{
     Announcer, AnnouncerCmd, AnnouncerReply, Engine, ExecMeters, Operation, QueryStats,
     RoundOutcome, ServerCmd, ServerExec, ServerReply,
 };
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
-use prism_protocol::max::MaxCell;
-use prism_protocol::median::MedianCell;
-use prism_protocol::params::{AnnouncerParams, Setup, ADDITIVE_SERVERS, SHAMIR_SERVERS};
-use prism_protocol::{average, plans, ProtocolError};
+use prism_protocol::params::{
+    AnnouncerParams, OwnerParams, Setup, ADDITIVE_SERVERS, SHAMIR_SERVERS,
+};
+use prism_protocol::{plans, ProtocolError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -795,18 +798,6 @@ impl NetCluster {
         &self.setup
     }
 
-    /// Upload one owner's column to one server: a one-column
-    /// [`NetCluster::bulk_upload`].
-    pub fn upload(
-        &self,
-        server: usize,
-        owner: usize,
-        column: Column,
-        data: Vec<u64>,
-    ) -> Result<(), NetError> {
-        self.bulk_upload(server, owner, vec![(column, data)])
-    }
-
     /// Upload every column of one owner's per-server table in a single
     /// round-trip (the Phase-1 mirror of the batched round 2): one
     /// [`Message::BulkUpload`] frame, however many columns.
@@ -921,7 +912,10 @@ impl NetCluster {
     /// for admission purposes. Safe to call from many threads at once:
     /// each call is one admitted, query-tagged session over the shared
     /// links.
-    pub fn execute<P: Operation>(&self, plan: &P) -> Result<(P::Output, QueryStats), ClusterError> {
+    pub fn execute<P: Operation>(
+        &self,
+        plan: &P,
+    ) -> prism_protocol::Result<(P::Output, QueryStats)> {
         self.execute_as(0, plan)
     }
 
@@ -934,7 +928,7 @@ impl NetCluster {
         &self,
         owner: u32,
         plan: &P,
-    ) -> Result<(P::Output, QueryStats), ClusterError> {
+    ) -> prism_protocol::Result<(P::Output, QueryStats)> {
         self.run(owner, None, plan)
     }
 
@@ -946,7 +940,7 @@ impl NetCluster {
         owner: u32,
         range: Option<(u64, u64)>,
         plan: &P,
-    ) -> Result<(P::Output, QueryStats), ClusterError> {
+    ) -> prism_protocol::Result<(P::Output, QueryStats)> {
         let _permit = self.admission.acquire(owner);
         let view = QueryView {
             net: self,
@@ -961,112 +955,28 @@ impl NetCluster {
         if let Some((start, len)) = range {
             engine = engine.with_range(start, len);
         }
-        engine.run(plan).map_err(ClusterError::Protocol)
+        engine.run(plan)
     }
 
-    /// PSI over the uploaded OK columns.
-    pub fn psi(&self) -> Result<Vec<u64>, ClusterError> {
-        Ok(self.execute(&plans::Psi)?.0.fop)
-    }
-
-    /// PSI with verification.
-    pub fn psi_verified(&self) -> Result<Vec<u64>, ClusterError> {
-        Ok(self.execute(&plans::PsiVerified)?.0.fop)
-    }
-
-    /// PSU membership.
-    pub fn psu(&self) -> Result<Vec<bool>, ClusterError> {
-        Ok(self.execute(&plans::Psu)?.0)
-    }
-
-    /// PSU with two-copy verification; returns the union size (positions
-    /// live in the composed `PF_i` order and are not mapped back).
-    pub fn psu_verified(&self) -> Result<usize, ClusterError> {
-        let (members, _) = self.execute(&plans::PsuVerified)?;
-        Ok(members.iter().filter(|&&m| m).count())
-    }
-
-    /// PSI cardinality.
-    pub fn psi_count(&self) -> Result<usize, ClusterError> {
-        Ok(self.execute(&plans::Count)?.0)
-    }
-
-    /// PSI cardinality with two-copy verification.
-    pub fn psi_count_verified(&self) -> Result<usize, ClusterError> {
-        Ok(self.execute(&plans::CountVerified)?.0)
-    }
-
-    /// PSI sum over aggregation attribute `attr`.
-    pub fn psi_sum(&self, attr: u8, seed: u64) -> Result<Vec<u64>, ClusterError> {
-        Ok(self.execute(&plans::Sum { attr, seed })?.0)
-    }
-
-    /// PSI sum with permuted-copy verification.
-    pub fn psi_sum_verified(&self, attr: u8, seed: u64) -> Result<Vec<u64>, ClusterError> {
-        Ok(self.execute(&plans::SumVerified { attr, seed })?.0)
-    }
-
-    /// PSI average over attribute `attr`.
-    pub fn psi_avg(&self, attr: u8, seed: u64) -> Result<Vec<average::AvgCell>, ClusterError> {
-        Ok(self.execute(&plans::Average { attr, seed })?.0)
-    }
-
-    /// PSI maximum (§6.3, all three rounds, announcer node included) with
-    /// built-in verification. `values[j]` is owner j's per-cell maxima
-    /// column — owner-side data that never left the owners, so the caller
-    /// supplies it (the Phase-1 uploads carry only shares).
-    pub fn psi_max(
-        &self,
-        values: &[&[u64]],
-        seed: u64,
-    ) -> Result<(Vec<MaxCell>, Vec<Vec<bool>>), ClusterError> {
-        let plan = plans::Max {
-            values: values.to_vec(),
-            table: None,
-            seed,
-            cell_chunk: plans::DEFAULT_CELL_CHUNK,
-        };
-        Ok(self.execute(&plan)?.0)
-    }
-
-    /// PSI median (§6.4) over the announcer node. `values[j]` is owner
-    /// j's per-cell *sums* column (§6.4 aggregates each owner's summed
-    /// contribution).
-    pub fn psi_median(
-        &self,
-        values: &[&[u64]],
-        seed: u64,
-    ) -> Result<Vec<MedianCell>, ClusterError> {
-        let plan = plans::Median {
-            values: values.to_vec(),
-            table: None,
-            seed,
-            cell_chunk: plans::DEFAULT_CELL_CHUNK,
-        };
-        Ok(self.execute(&plan)?.0)
-    }
-
-    /// Several aggregations over one PSI in a single round-2 round-trip
-    /// (one `RunBatch` message per server); results are identical to the
-    /// corresponding sequential queries.
+    /// [`plans::Batch`] under a caller-chosen z `seed`: a shim the repo
+    /// benchmark pins (`examples/benchmark/README.md`, "Pinned API
+    /// surface"); everything else queries through `driver::Cluster::over`.
     pub fn psi_query_batch(
         &self,
         batch: &plans::QueryBatch,
         seed: u64,
-    ) -> Result<(Vec<plans::AggResult>, QueryStats), ClusterError> {
-        self.execute(&plans::Batch { batch, seed })
+    ) -> prism_protocol::Result<(Vec<plans::AggResult>, QueryStats)> {
+        self.run(0, None, &plans::Batch { batch, seed })
     }
 
     /// [`NetCluster::psi_query_batch`] scoped to the global row range
-    /// `[start, start+len)` — rounds ship only that slice and the cache
-    /// keys on the range, so queries over untouched ranges stay warm
-    /// across delta uploads elsewhere in the domain.
+    /// `[start, start+len)` — the benchmark's other pinned shim.
     pub fn psi_query_batch_range(
         &self,
         batch: &plans::QueryBatch,
         seed: u64,
         range: (u64, u64),
-    ) -> Result<(Vec<plans::AggResult>, QueryStats), ClusterError> {
+    ) -> prism_protocol::Result<(Vec<plans::AggResult>, QueryStats)> {
         self.run(0, Some(range), &plans::Batch { batch, seed })
     }
 
@@ -1118,36 +1028,54 @@ impl NetCluster {
     }
 }
 
-/// Errors from cluster queries.
-#[derive(Debug)]
-pub enum ClusterError {
-    /// Transport failure.
-    Net(NetError),
-    /// Protocol failure (including verification failures and transport
-    /// errors surfaced through the engine as
-    /// [`ProtocolError::Transport`]).
-    Protocol(ProtocolError),
-}
-
-impl From<NetError> for ClusterError {
-    fn from(e: NetError) -> Self {
-        ClusterError::Net(e)
+/// The wire deployment under `prism_protocol::driver::Cluster::over`: the
+/// facade's stores and queries ride this cluster's own upload and query
+/// paths.
+impl Deployment for NetCluster {
+    fn setup(&self) -> &Setup {
+        &self.setup
     }
-}
 
-impl From<ProtocolError> for ClusterError {
-    fn from(e: ProtocolError) -> Self {
-        ClusterError::Protocol(e)
+    fn adopt_setup(&mut self, grown: Setup) {
+        NetCluster::adopt_setup(self, grown);
     }
-}
 
-impl std::fmt::Display for ClusterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClusterError::Net(e) => write!(f, "network: {e}"),
-            ClusterError::Protocol(e) => write!(f, "protocol: {e}"),
+    /// One [`Message::BulkUpload`] frame per server, however many
+    /// columns the owner shares.
+    fn store(
+        &mut self,
+        owner: usize,
+        share: impl FnOnce(&OwnerParams, &mut dyn FnMut(usize, Column, Vec<u64>)),
+    ) -> prism_protocol::Result<()> {
+        let mut uploads = vec![Vec::new(); SHAMIR_SERVERS];
+        share(&self.setup.owner, &mut |k, column, shares| {
+            uploads[k].push((column, shares))
+        });
+        for (server, columns) in uploads.into_iter().enumerate() {
+            if !columns.is_empty() {
+                self.bulk_upload(server, owner, columns)
+                    .map_err(transport_err)?;
+            }
         }
+        Ok(())
+    }
+
+    fn delta_store(
+        &mut self,
+        server: usize,
+        owner: usize,
+        start: usize,
+        columns: Vec<(Column, Vec<u64>)>,
+    ) -> prism_protocol::Result<()> {
+        self.delta_upload(server, owner, start, columns)
+            .map_err(transport_err)
+    }
+
+    fn run<P: Operation>(
+        &self,
+        range: Option<(u64, u64)>,
+        plan: &P,
+    ) -> prism_protocol::Result<(P::Output, QueryStats)> {
+        NetCluster::run(self, 0, range, plan)
     }
 }
-
-impl std::error::Error for ClusterError {}

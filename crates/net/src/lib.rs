@@ -16,9 +16,10 @@
 //! All protocol logic lives in `prism_protocol`: server threads run the
 //! engine's `ServerNode`, the announcer thread runs the engine's
 //! `Announcer`, and [`NetCluster`] implements the engine's `ServerExec`
-//! so every query — max/median included — is the same round plan the
-//! in-memory driver executes; this crate only moves the engine's
-//! messages as bytes and meters them.
+//! and the driver's `Deployment`, so the owners of a wire deployment are
+//! the same `driver::Cluster` facade running the same round plans as
+//! in-process; this crate only moves the engine's messages as bytes and
+//! meters them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +31,7 @@ mod router;
 pub mod transport;
 pub mod wire;
 
-pub use cluster::{ClusterError, NetCluster, NetReport};
+pub use cluster::{NetCluster, NetReport};
 pub use mux::{Admission, MuxLink, Pending, Permit, QueryId};
 pub use registry::{
     AnnouncerNode, ClusterListener, Liveness, NodeHealth, NodeRegistry, RegistryConfig, ShardWorker,

@@ -7,51 +7,44 @@
 //! domains stay warm), and a query in flight against the dying node
 //! errors loudly — it never hangs and never returns a wrong answer.
 
-use prism_core::Prg;
 use prism_net::{
     AnnouncerNode, ClusterListener, Column, Liveness, NetCluster, NetError, RegistryConfig,
     ShardWorker,
 };
-use prism_protocol::params::{Initiator, Setup, SystemConfig};
+use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
+use prism_protocol::params::Setup;
 use prism_protocol::plans::QueryBatch;
-use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use std::time::{Duration, Instant};
 
 const DOMAIN: usize = 10;
 const SHARDS: usize = 3;
 
-fn make_setup() -> Setup {
-    Initiator::new(SystemConfig::new(3, DOMAIN).with_seed(77))
-        .setup()
-        .unwrap()
+fn cfg() -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(DOMAIN);
+    cfg.seed = 77;
+    cfg
 }
 
-fn rows() -> Vec<Vec<(u64, u64)>> {
+fn make_setup() -> Setup {
+    cfg().setup(3).unwrap()
+}
+
+fn inputs() -> Vec<OwnerInput> {
     vec![
-        vec![(1, 100), (1, 200), (3, 300), (7, 10)],
-        vec![(1, 100), (2, 70), (7, 20)],
-        vec![(1, 300), (1, 700), (3, 500), (7, 30)],
+        OwnerInput::from_pairs([(1, 100), (1, 200), (3, 300), (7, 10)]),
+        OwnerInput::from_pairs([(1, 100), (2, 70), (7, 20)]),
+        OwnerInput::from_pairs([(1, 300), (1, 700), (3, 500), (7, 30)]),
     ]
 }
 
-/// Full column set per owner (verified copies included), deterministic
-/// shares so the elastic cluster and the oracle hold identical stores.
-fn setup_and_upload(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
-    let op = &cluster.setup().owner;
-    let perms = (&op.pf_db1, &op.pf_db2);
-    for (j, owner_rows) in rows.iter().enumerate() {
-        let mut prg = Prg::from_seed(1000 + j as u64);
-        let table = owner_table(owner_rows);
-        let uploads = owner_uploads(&table, op, perms, ColumnSet::full(1), &mut prg);
-        for (k, columns) in uploads.into_iter().enumerate() {
-            cluster.bulk_upload(k, j, columns).unwrap();
-        }
+/// Phase 1 through the wire: full column set per owner (verified copies
+/// included), share seeds derived from `cfg()` alone so the elastic
+/// cluster and the oracle hold identical stores.
+fn outsource(mut net: NetCluster, cache: bool) -> Cluster<NetCluster> {
+    if cache {
+        net.enable_cache();
     }
-}
-
-/// One owner's plaintext table (one aggregation attribute).
-fn owner_table(rows: &[(u64, u64)]) -> OwnerTable {
-    OwnerTable::window(rows.iter().map(|&(c, x)| (c, [x])), 1, 0, DOMAIN).unwrap()
+    Cluster::over(net, &inputs(), cfg()).unwrap()
 }
 
 /// Fast probing, generous timeouts: a killed worker is confirmed via
@@ -125,22 +118,21 @@ fn wait_for(what: &str, deadline: Duration, mut ok: impl FnMut() -> bool) {
 }
 
 /// The query suite both clusters run; every element must match exactly.
-fn suite(c: &NetCluster) -> (Vec<u64>, Vec<bool>, usize, Vec<u64>, String) {
+fn suite(c: &Cluster<NetCluster>) -> (Vec<u64>, Vec<bool>, usize, Vec<u64>, String) {
     let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
     (
-        c.psi_verified().unwrap(),
-        c.psu().unwrap(),
-        c.psi_count().unwrap(),
-        c.psi_sum_verified(0, 5).unwrap(),
-        format!("{:?}", c.psi_query_batch(&batch, 42).unwrap().0),
+        c.psi_verified().unwrap().0.fop,
+        c.psu().unwrap().0,
+        c.psi_count().unwrap().0,
+        c.psi_sum_verified(0).unwrap().0,
+        format!("{:?}", c.psi_query_batch(&batch).unwrap().0),
     )
 }
 
-/// Per-owner per-cell maxima columns for the max query.
-fn maxima(rows: &[Vec<(u64, u64)>]) -> Vec<Vec<u64>> {
-    rows.iter()
-        .map(|owner_rows| owner_table(owner_rows).maxima.remove(0))
-        .collect()
+/// The max query's answer (cells and holders), comparable across clusters.
+fn max_answer(c: &Cluster<NetCluster>) -> String {
+    let (cells, holders, _) = c.psi_max(0).unwrap();
+    format!("{:?}", (cells, holders))
 }
 
 #[test]
@@ -149,36 +141,30 @@ fn failover_heals_reshards_and_matches_the_oracle() {
 
     // Never-failed oracle: the statically wired local cluster over an
     // identical store.
-    let oracle_cluster = NetCluster::start_local(make_setup());
-    setup_and_upload(&oracle_cluster, &rows());
+    let oracle_cluster = outsource(NetCluster::start_local(make_setup()), false);
     let oracle = suite(&oracle_cluster);
-    let m = maxima(&rows());
-    let m_refs: Vec<&[u64]> = m.iter().map(Vec::as_slice).collect();
-    let oracle_max = format!("{:?}", oracle_cluster.psi_max(&m_refs, 60).unwrap());
-    oracle_cluster.shutdown().unwrap();
+    let oracle_max = max_answer(&oracle_cluster);
+    oracle_cluster.into_deployment().shutdown().unwrap();
 
-    let (cluster, workers, announcer) = spawn_elastic(setup, fast_cfg());
-    setup_and_upload(&cluster, &rows());
+    let (net, workers, announcer) = spawn_elastic(setup, fast_cfg());
+    let cluster = outsource(net, false);
+    let net = cluster.deployment();
     assert_eq!(suite(&cluster), oracle, "pre-kill elastic answers");
-    assert_eq!(
-        format!("{:?}", cluster.psi_max(&m_refs, 60).unwrap()),
-        oracle_max,
-        "pre-kill max"
-    );
+    assert_eq!(max_answer(&cluster), oracle_max, "pre-kill max");
 
     // A delta outside the adopted domain is refused before it reaches
     // the upload log: recorded, it would overwrite owner 0's logged rows
     // 5.. and the replay below would re-outsource them.
     let stray = vec![(Column::Ok, vec![1; DOMAIN])];
     assert!(matches!(
-        cluster.delta_upload(0, 0, 5, stray),
+        net.delta_upload(0, 0, 5, stray),
         Err(NetError::DeltaOutsideDomain { .. })
     ));
 
     // Kill one of server 0's workers mid-run: both socket halves slam
     // shut. The prober must confirm the death and heal the domain.
     workers[1].kill();
-    let registry = cluster.registry().unwrap();
+    let registry = net.registry().unwrap();
     wait_for("failover", Duration::from_secs(10), || {
         registry.failovers() >= 1
     });
@@ -186,29 +172,23 @@ fn failover_heals_reshards_and_matches_the_oracle() {
     // Healed cluster answers the whole suite identically — the lost row
     // range was re-outsourced to the survivors.
     assert_eq!(suite(&cluster), oracle, "post-heal elastic answers");
-    assert_eq!(
-        format!("{:?}", cluster.psi_max(&m_refs, 60).unwrap()),
-        oracle_max,
-        "post-heal max"
-    );
+    assert_eq!(max_answer(&cluster), oracle_max, "post-heal max");
 
     // Tamper detection survives the re-shard: a dishonest healed domain
     // is still caught, and honesty restores the suite.
-    cluster
-        .set_tamper(0, prism_protocol::malicious::Tamper::SkipReplay { src: 0 })
+    net.set_tamper(0, prism_protocol::malicious::Tamper::SkipReplay { src: 0 })
         .unwrap();
     assert!(
         cluster.psi_verified().is_err(),
         "tamper after heal must still be detected"
     );
-    cluster
-        .set_tamper(0, prism_protocol::malicious::Tamper::Honest)
+    net.set_tamper(0, prism_protocol::malicious::Tamper::Honest)
         .unwrap();
     assert_eq!(suite(&cluster), oracle, "honest-again answers");
 
     // The control plane's paper trail: a dead node in the health rows, a
     // heal-log entry, and the failover counter in the report.
-    let report = cluster.report();
+    let report = cluster.deployment().report();
     assert!(report.failovers >= 1, "report must count the failover");
     assert!(
         report
@@ -241,7 +221,7 @@ fn failover_heals_reshards_and_matches_the_oracle() {
         "NetReport Display must print the control-plane section"
     );
 
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     for (i, w) in workers.into_iter().enumerate() {
         // The killed worker's loop exits with an error; the rest clean.
@@ -254,33 +234,32 @@ fn failover_heals_reshards_and_matches_the_oracle() {
 
 #[test]
 fn failover_invalidates_only_the_healed_domain() {
-    let (mut cluster, workers, announcer) = spawn_elastic(make_setup(), fast_cfg());
-    cluster.enable_cache();
-    setup_and_upload(&cluster, &rows());
+    let (net, workers, announcer) = spawn_elastic(make_setup(), fast_cfg());
+    let cluster = outsource(net, true);
     let batch = QueryBatch::new().sum(0).count_tuples();
 
-    let (cold, cold_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    let (cold, cold_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(cold_stats.cache_misses, 2);
-    let (warm, warm_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    let (warm, warm_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(warm, cold);
     assert_eq!(warm_stats.cache_hits, 2);
-    let warm_entries_d1 = cluster.cache().unwrap().server_entries(1);
+    let warm_entries_d1 = cluster.deployment().cache().unwrap().server_entries(1);
     assert!(warm_entries_d1 > 0, "domain 1 must hold warm entries");
 
     // Kill a server-0 worker and let the control plane heal.
     workers[2].kill();
     wait_for("failover", Duration::from_secs(10), || {
-        cluster.registry().unwrap().failovers() >= 1
+        cluster.deployment().registry().unwrap().failovers() >= 1
     });
 
     // Pinning: the heal re-outsourced domain 0, so *its* entries are
     // stale — but domain 1's warm entries must survive untouched.
     assert_eq!(
-        cluster.cache().unwrap().server_entries(1),
+        cluster.deployment().cache().unwrap().server_entries(1),
         warm_entries_d1,
         "failover in domain 0 must not evict domain 1's warm entries"
     );
-    let (healed, healed_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    let (healed, healed_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(healed, cold, "healed answers must match pre-kill answers");
     assert_eq!(
         healed_stats.cache_hits, 0,
@@ -290,18 +269,18 @@ fn failover_invalidates_only_the_healed_domain() {
         healed_stats.failovers >= 1,
         "the heal must be attributed to this query's meters: {healed_stats}"
     );
-    let report = cluster.report();
+    let report = cluster.deployment().report();
     assert!(
         report.cache_invalidations >= 1,
         "the heal must show as an invalidation"
     );
 
     // And the cache re-warms over the healed topology.
-    let (rewarm, rewarm_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    let (rewarm, rewarm_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(rewarm, cold);
     assert_eq!(rewarm_stats.cache_hits, 2, "healed domain must re-warm");
 
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     for w in workers {
         let _ = w.join();
@@ -316,8 +295,8 @@ fn inflight_queries_error_loudly_never_hang_and_heal_recovers() {
         probe_interval: Duration::from_millis(300),
         ..fast_cfg()
     };
-    let (cluster, workers, announcer) = spawn_elastic(make_setup(), cfg);
-    setup_and_upload(&cluster, &rows());
+    let (net, workers, announcer) = spawn_elastic(make_setup(), cfg);
+    let cluster = outsource(net, false);
     let oracle = suite(&cluster);
 
     // Hammer queries from a second thread, then kill a worker under
@@ -331,7 +310,7 @@ fn inflight_queries_error_loudly_never_hang_and_heal_recovers() {
         std::thread::spawn(move || {
             for _ in 0..1000 {
                 match cluster.psi_verified() {
-                    Ok(fop) => assert_eq!(fop, oracle_psi, "a survivor round misrouted"),
+                    Ok((psi, _)) => assert_eq!(psi.fop, oracle_psi, "a survivor round misrouted"),
                     Err(e) => {
                         tx.send(e.to_string()).unwrap();
                         return;
@@ -354,12 +333,12 @@ fn inflight_queries_error_loudly_never_hang_and_heal_recovers() {
 
     // After the heal, a fresh query succeeds and matches the oracle.
     wait_for("failover", Duration::from_secs(10), || {
-        cluster.registry().unwrap().failovers() >= 1
+        cluster.deployment().registry().unwrap().failovers() >= 1
     });
     assert_eq!(suite(&cluster), oracle, "post-heal answers");
 
     let cluster = std::sync::Arc::into_inner(cluster).unwrap();
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     for w in workers {
         let _ = w.join();
@@ -374,10 +353,10 @@ fn inflight_queries_error_loudly_never_hang_and_heal_recovers() {
 #[test]
 fn last_worker_death_holds_the_domain_down_until_a_replacement() {
     let setup = make_setup();
-    let (cluster, workers, announcer) = spawn_elastic(setup.clone(), fast_cfg());
-    setup_and_upload(&cluster, &rows());
+    let (net, workers, announcer) = spawn_elastic(setup.clone(), fast_cfg());
+    let mut cluster = outsource(net, false);
     let oracle = suite(&cluster);
-    let registry = cluster.registry().unwrap();
+    let registry = cluster.deployment().registry().unwrap();
 
     // Kill every one of domain 0's workers (spawn order: d0 first).
     for w in &workers[..SHARDS] {
@@ -385,6 +364,7 @@ fn last_worker_death_holds_the_domain_down_until_a_replacement() {
     }
     wait_for("all of d0 confirmed dead", Duration::from_secs(15), || {
         cluster
+            .deployment()
             .report()
             .nodes
             .iter()
@@ -400,6 +380,7 @@ fn last_worker_death_holds_the_domain_down_until_a_replacement() {
         "query against a downed domain must surface node-down, got {err:?}"
     );
     let err = cluster
+        .deployment()
         .bulk_upload(0, 0, vec![(Column::Ok, vec![0; DOMAIN])])
         .unwrap_err()
         .to_string();
@@ -422,8 +403,11 @@ fn last_worker_death_holds_the_domain_down_until_a_replacement() {
     wait_for("domain back up", Duration::from_secs(15), || {
         cluster.psi_count().is_ok()
     });
-    setup_and_upload(&cluster, &rows());
+    for (j, input) in inputs().iter().enumerate() {
+        cluster.update_owner(j, input).unwrap();
+    }
     assert_eq!(suite(&cluster), oracle, "post-revival answers");
+    let registry = cluster.deployment().registry().unwrap();
     assert!(
         registry
             .heal_log()
@@ -433,7 +417,7 @@ fn last_worker_death_holds_the_domain_down_until_a_replacement() {
         registry.heal_log()
     );
 
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     let _ = replacement.join();
     for w in workers {
@@ -449,17 +433,16 @@ fn last_worker_death_holds_the_domain_down_until_a_replacement() {
 #[test]
 fn announcer_reconnects_and_wide_rounds_resume() {
     let setup = make_setup();
-    let (cluster, workers, announcer) = spawn_elastic(setup.clone(), fast_cfg());
-    setup_and_upload(&cluster, &rows());
+    let (net, workers, announcer) = spawn_elastic(setup.clone(), fast_cfg());
+    let cluster = outsource(net, false);
     let oracle = suite(&cluster);
-    let m = maxima(&rows());
-    let m_refs: Vec<&[u64]> = m.iter().map(Vec::as_slice).collect();
-    let oracle_max = format!("{:?}", cluster.psi_max(&m_refs, 60).unwrap());
-    let registry = cluster.registry().unwrap();
+    let oracle_max = max_answer(&cluster);
+    let registry = cluster.deployment().registry().unwrap();
 
     announcer.kill();
     wait_for("announcer confirmed dead", Duration::from_secs(15), || {
         cluster
+            .deployment()
             .report()
             .nodes
             .iter()
@@ -468,7 +451,7 @@ fn announcer_reconnects_and_wide_rounds_resume() {
 
     // Vector rounds never touch the announcer: still served while down.
     assert_eq!(
-        cluster.psi_verified().unwrap(),
+        cluster.psi_verified().unwrap().0.fop,
         oracle.0,
         "PSI must survive an announcer outage"
     );
@@ -492,6 +475,7 @@ fn announcer_reconnects_and_wide_rounds_resume() {
     );
     wait_for("announcer alive on roster", Duration::from_secs(10), || {
         cluster
+            .deployment()
             .report()
             .nodes
             .iter()
@@ -499,14 +483,10 @@ fn announcer_reconnects_and_wide_rounds_resume() {
     });
 
     // Wide rounds resume bit-identically; the whole suite holds.
-    assert_eq!(
-        format!("{:?}", cluster.psi_max(&m_refs, 60).unwrap()),
-        oracle_max,
-        "post-reconnect max"
-    );
+    assert_eq!(max_answer(&cluster), oracle_max, "post-reconnect max");
     assert_eq!(suite(&cluster), oracle, "post-reconnect answers");
 
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     let _ = replacement.join();
     for w in workers {
@@ -519,12 +499,12 @@ fn announcer_reconnects_and_wide_rounds_resume() {
 #[test]
 fn post_failover_reattach_rejoins_the_domain() {
     let setup = make_setup();
-    let (cluster, workers, announcer) = spawn_elastic(setup.clone(), fast_cfg());
-    setup_and_upload(&cluster, &rows());
+    let (net, workers, announcer) = spawn_elastic(setup.clone(), fast_cfg());
+    let cluster = outsource(net, false);
     let oracle = suite(&cluster);
 
     workers[0].kill();
-    let registry = cluster.registry().unwrap();
+    let registry = cluster.deployment().registry().unwrap();
     wait_for("failover", Duration::from_secs(10), || {
         registry.failovers() >= 1
     });
@@ -547,7 +527,7 @@ fn post_failover_reattach_rejoins_the_domain() {
     });
     assert_eq!(suite(&cluster), oracle, "post-reattach answers");
 
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     let _ = replacement.join();
     for w in workers {
@@ -565,13 +545,12 @@ fn post_failover_reattach_rejoins_the_domain() {
 fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
     let setup = make_setup();
 
-    let oracle_cluster = NetCluster::start_local(make_setup());
-    setup_and_upload(&oracle_cluster, &rows());
+    let oracle_cluster = outsource(NetCluster::start_local(make_setup()), false);
     let oracle = suite(&oracle_cluster);
-    oracle_cluster.shutdown().unwrap();
+    oracle_cluster.into_deployment().shutdown().unwrap();
 
-    let (cluster, workers, announcer) = spawn_elastic_rf2(setup);
-    setup_and_upload(&cluster, &rows());
+    let (net, workers, announcer) = spawn_elastic_rf2(setup);
+    let cluster = outsource(net, false);
     assert_eq!(suite(&cluster), oracle, "pre-kill answers");
 
     // Hammer queries from a second thread while range 0's primary dies.
@@ -587,7 +566,7 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
             let mut errors = Vec::new();
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 match cluster.psi_verified() {
-                    Ok(fop) => assert_eq!(fop, oracle_psi, "a replicated round misrouted"),
+                    Ok((psi, _)) => assert_eq!(psi.fop, oracle_psi, "a replicated round misrouted"),
                     Err(e) => errors.push(e.to_string()),
                 }
             }
@@ -600,7 +579,7 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
     // is range 0's primary, workers[2] its replica.
     workers[0].kill();
     wait_for("promotion", Duration::from_secs(10), || {
-        cluster.registry().unwrap().promotions() >= 1
+        cluster.deployment().registry().unwrap().promotions() >= 1
     });
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let errors = hammer.join().unwrap();
@@ -609,12 +588,12 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
         "queries across a replicated primary's death must not error: {errors:?}"
     );
     assert_eq!(
-        cluster.registry().unwrap().replayed_records(),
+        cluster.deployment().registry().unwrap().replayed_records(),
         0,
         "a promotion heal must not replay the upload log"
     );
     assert_eq!(suite(&cluster), oracle, "post-promotion answers");
-    let heal_log = cluster.registry().unwrap().heal_log();
+    let heal_log = cluster.deployment().registry().unwrap().heal_log();
     assert!(
         heal_log
             .iter()
@@ -626,10 +605,10 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
     // the heal must fall back to re-fanning the upload log.
     workers[2].kill();
     wait_for("replay failover", Duration::from_secs(10), || {
-        cluster.registry().unwrap().failovers() >= 2
+        cluster.deployment().registry().unwrap().failovers() >= 2
     });
     assert!(
-        cluster.registry().unwrap().replayed_records() > 0,
+        cluster.deployment().registry().unwrap().replayed_records() > 0,
         "losing a range's last holder must replay the upload log"
     );
     assert_eq!(suite(&cluster), oracle, "post-replay answers");
@@ -639,6 +618,7 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
     workers[3].kill();
     wait_for("all of d0 confirmed dead", Duration::from_secs(15), || {
         cluster
+            .deployment()
             .report()
             .nodes
             .iter()
@@ -653,7 +633,7 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
     );
 
     let cluster = std::sync::Arc::into_inner(cluster).unwrap();
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     for w in workers {
         let _ = w.join();
@@ -664,12 +644,12 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
 /// has only one way to go: no promotion, the upload log replayed.
 #[test]
 fn rf1_kill_is_one_failover_healed_by_replay() {
-    let (cluster, workers, announcer) = spawn_elastic(make_setup(), fast_cfg());
-    setup_and_upload(&cluster, &rows());
+    let (net, workers, announcer) = spawn_elastic(make_setup(), fast_cfg());
+    let cluster = outsource(net, false);
     let before = suite(&cluster);
 
     workers[0].kill();
-    let registry = cluster.registry().unwrap();
+    let registry = cluster.deployment().registry().unwrap();
     wait_for("failover", Duration::from_secs(10), || {
         registry.failovers() >= 1
     });
@@ -680,7 +660,7 @@ fn rf1_kill_is_one_failover_healed_by_replay() {
         "an rf=1 heal must re-outsource the upload log"
     );
 
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     for (i, w) in workers.into_iter().enumerate() {
         let joined = w.join();
@@ -695,25 +675,24 @@ fn rf1_kill_is_one_failover_healed_by_replay() {
 /// (`failover_invalidates_only_the_healed_domain`) must go cold.
 #[test]
 fn rf2_promotion_keeps_cached_rounds_warm() {
-    let (mut cluster, workers, announcer) = spawn_elastic_rf2(make_setup());
-    cluster.enable_cache();
-    setup_and_upload(&cluster, &rows());
+    let (net, workers, announcer) = spawn_elastic_rf2(make_setup());
+    let cluster = outsource(net, true);
     let batch = QueryBatch::new().sum(0).count_tuples();
 
-    let (cold, cold_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    let (cold, cold_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!((cold_stats.rounds, cold_stats.cache_misses), (2, 2));
-    let (warm, warm_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    let (warm, warm_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(warm, cold);
     assert_eq!((warm_stats.rounds, warm_stats.cache_hits), (0, 2));
 
     // Range 0's primary in domain 0 dies; its replica is promoted.
     workers[0].kill();
-    let registry = cluster.registry().unwrap();
+    let registry = cluster.deployment().registry().unwrap();
     wait_for("failover", Duration::from_secs(10), || {
         registry.failovers() >= 1
     });
 
-    let (healed, healed_stats) = cluster.psi_query_batch(&batch, 42).unwrap();
+    let (healed, healed_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(healed, cold, "promoted replica answered differently");
     assert_eq!(
         (healed_stats.rounds, healed_stats.cache_hits),
@@ -730,7 +709,7 @@ fn rf2_promotion_keeps_cached_rounds_warm() {
         "one kill at rf=2 is one failover, healed by one promotion, replaying nothing"
     );
 
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     for (i, w) in workers.into_iter().enumerate() {
         let joined = w.join();
@@ -748,10 +727,9 @@ fn rf2_promotion_keeps_cached_rounds_warm() {
 fn rf2_tampered_primary_is_detected_never_retried_around() {
     let setup = make_setup();
 
-    let oracle_cluster = NetCluster::start_local(make_setup());
-    setup_and_upload(&oracle_cluster, &rows());
+    let oracle_cluster = outsource(NetCluster::start_local(make_setup()), false);
     let oracle = suite(&oracle_cluster);
-    oracle_cluster.shutdown().unwrap();
+    oracle_cluster.into_deployment().shutdown().unwrap();
 
     // Same topology as `spawn_elastic_rf2`, but d0's first worker — the
     // primary of range 0 — cheats on every run; its replica is honest.
@@ -776,8 +754,7 @@ fn rf2_tampered_primary_is_detected_never_retried_around() {
         }
     }
     let announcer = AnnouncerNode::connect(setup.announcer.clone(), addr, dial).unwrap();
-    let cluster = listener.start().unwrap();
-    setup_and_upload(&cluster, &rows());
+    let cluster = outsource(listener.start().unwrap(), false);
 
     let err = cluster.psi_verified().unwrap_err().to_string();
     assert!(
@@ -787,7 +764,7 @@ fn rf2_tampered_primary_is_detected_never_retried_around() {
     );
 
     workers[0].kill();
-    let registry = cluster.registry().unwrap();
+    let registry = cluster.deployment().registry().unwrap();
     wait_for("promotion", Duration::from_secs(10), || {
         registry.promotions() >= 1
     });
@@ -798,7 +775,7 @@ fn rf2_tampered_primary_is_detected_never_retried_around() {
     );
     assert_eq!(suite(&cluster), oracle, "post-promotion answers");
 
-    cluster.shutdown().unwrap();
+    cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     for (i, w) in workers.into_iter().enumerate() {
         let joined = w.join();

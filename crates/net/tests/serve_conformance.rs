@@ -14,14 +14,12 @@
 //! stale), and no query may receive another query's reply (never
 //! cross-paired — any crossing would corrupt at least one result).
 
-use prism_core::Prg;
 use prism_net::NetCluster;
-use prism_protocol::driver::{Cluster, OwnerInput};
+use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
 use prism_protocol::engine::{QueryStats, ServerExec};
 use prism_protocol::malicious::Tamper;
-use prism_protocol::params::{Initiator, Setup, SystemConfig};
+use prism_protocol::params::Setup;
 use prism_protocol::plans::{self, QueryBatch};
-use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -30,66 +28,31 @@ const DOMAIN: usize = 10;
 /// Concurrent query streams in the interleaved phase.
 const K: usize = 3;
 
-fn make_setup() -> Setup {
-    Initiator::new(SystemConfig::new(3, DOMAIN).with_seed(77))
-        .setup()
-        .unwrap()
+fn cfg() -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(DOMAIN);
+    cfg.seed = 77;
+    cfg
 }
 
-fn rows() -> Vec<Vec<(u64, u64)>> {
+fn make_setup() -> Setup {
+    cfg().setup(3).unwrap()
+}
+
+fn inputs() -> Vec<OwnerInput> {
     vec![
-        vec![(1, 100), (1, 200), (3, 300), (7, 10)],
-        vec![(1, 100), (2, 70), (7, 20)],
-        vec![(1, 300), (1, 700), (3, 500), (7, 30)],
+        OwnerInput::from_pairs([(1, 100), (1, 200), (3, 300), (7, 10)]),
+        OwnerInput::from_pairs([(1, 100), (2, 70), (7, 20)]),
+        OwnerInput::from_pairs([(1, 300), (1, 700), (3, 500), (7, 30)]),
     ]
 }
 
-/// One owner's plaintext table (one aggregation attribute).
-fn owner_table(rows: &[(u64, u64)]) -> OwnerTable {
-    OwnerTable::window(rows.iter().map(|&(c, x)| (c, [x])), 1, 0, DOMAIN).unwrap()
-}
-
-/// Share and upload one owner's relation (every column the full query
-/// mix needs), overwriting whatever the owner stored before — the wire
-/// mirror of the driver's `update_owner`.
-fn upload_owner(cluster: &NetCluster, j: usize, owner_rows: &[(u64, u64)], prg_seed: u64) {
-    let op = &cluster.setup().owner;
-    let perms = (&op.pf_db1, &op.pf_db2);
-    let mut prg = Prg::from_seed(prg_seed);
-    let uploads = owner_uploads(
-        &owner_table(owner_rows),
-        op,
-        perms,
-        ColumnSet::full(1),
-        &mut prg,
-    );
-    for (k, columns) in uploads.into_iter().enumerate() {
-        cluster.bulk_upload(k, j, columns).unwrap();
+/// Phase 1 through the wire (every column the full query mix needs), the
+/// PSI-round cache on or off.
+fn outsource(mut net: NetCluster, cache: bool) -> Cluster<NetCluster> {
+    if cache {
+        net.enable_cache();
     }
-}
-
-fn setup_and_upload(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
-    for (j, owner_rows) in rows.iter().enumerate() {
-        upload_owner(cluster, j, owner_rows, 1000 + j as u64);
-    }
-}
-
-/// Owner-side per-cell maxima and sums (attribute 0) that the max and
-/// median plans need from the caller.
-struct OwnerVals {
-    maxima: Vec<Vec<u64>>,
-    sums: Vec<Vec<u64>>,
-}
-
-fn owner_vals() -> OwnerVals {
-    let (maxima, sums) = rows()
-        .iter()
-        .map(|owner_rows| {
-            let mut t = owner_table(owner_rows);
-            (t.maxima.remove(0), t.sums.remove(0))
-        })
-        .unzip();
-    OwnerVals { maxima, sums }
+    Cluster::over(net, &inputs(), cfg()).unwrap()
 }
 
 /// Every operation the protocol serves, including the announcer-backed
@@ -128,31 +91,27 @@ const QS: [Q; 12] = [
 /// Run one query as `owner` and flatten its typed output to a debug
 /// string, so results of different operations compare uniformly —
 /// bit-identical outputs produce identical strings.
-fn run_query(
-    c: &NetCluster,
-    owner: u32,
-    q: Q,
-    vals: &OwnerVals,
-) -> Result<(String, QueryStats), String> {
+fn run_query(c: &Cluster<NetCluster>, owner: u32, q: Q) -> Result<(String, QueryStats), String> {
     fn fmt<T: std::fmt::Debug>(
-        r: Result<(T, QueryStats), prism_net::ClusterError>,
+        r: prism_protocol::Result<(T, QueryStats)>,
     ) -> Result<(String, QueryStats), String> {
         r.map(|(out, stats)| (format!("{out:?}"), stats))
             .map_err(|e| e.to_string())
     }
+    let net = c.deployment();
     match q {
-        Q::Psi => fmt(c.execute_as(owner, &plans::Psi)),
-        Q::PsiVerified => fmt(c.execute_as(owner, &plans::PsiVerified)),
-        Q::Psu => fmt(c.execute_as(owner, &plans::Psu)),
-        Q::PsuVerified => fmt(c.execute_as(owner, &plans::PsuVerified)),
-        Q::Count => fmt(c.execute_as(owner, &plans::Count)),
-        Q::CountVerified => fmt(c.execute_as(owner, &plans::CountVerified)),
-        Q::Sum => fmt(c.execute_as(owner, &plans::Sum { attr: 0, seed: 9 })),
-        Q::SumVerified => fmt(c.execute_as(owner, &plans::SumVerified { attr: 0, seed: 10 })),
-        Q::Avg => fmt(c.execute_as(owner, &plans::Average { attr: 0, seed: 11 })),
+        Q::Psi => fmt(net.execute_as(owner, &plans::Psi)),
+        Q::PsiVerified => fmt(net.execute_as(owner, &plans::PsiVerified)),
+        Q::Psu => fmt(net.execute_as(owner, &plans::Psu)),
+        Q::PsuVerified => fmt(net.execute_as(owner, &plans::PsuVerified)),
+        Q::Count => fmt(net.execute_as(owner, &plans::Count)),
+        Q::CountVerified => fmt(net.execute_as(owner, &plans::CountVerified)),
+        Q::Sum => fmt(net.execute_as(owner, &plans::Sum { attr: 0, seed: 9 })),
+        Q::SumVerified => fmt(net.execute_as(owner, &plans::SumVerified { attr: 0, seed: 10 })),
+        Q::Avg => fmt(net.execute_as(owner, &plans::Average { attr: 0, seed: 11 })),
         Q::Batch => {
             let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
-            fmt(c.execute_as(
+            fmt(net.execute_as(
                 owner,
                 &plans::Batch {
                     batch: &batch,
@@ -160,30 +119,8 @@ fn run_query(
                 },
             ))
         }
-        Q::Max => {
-            let values: Vec<&[u64]> = vals.maxima.iter().map(Vec::as_slice).collect();
-            fmt(c.execute_as(
-                owner,
-                &plans::Max {
-                    values,
-                    table: None,
-                    seed: 50,
-                    cell_chunk: 1 << 16,
-                },
-            ))
-        }
-        Q::Median => {
-            let values: Vec<&[u64]> = vals.sums.iter().map(Vec::as_slice).collect();
-            fmt(c.execute_as(
-                owner,
-                &plans::Median {
-                    values,
-                    table: None,
-                    seed: 51,
-                    cell_chunk: 1 << 16,
-                },
-            ))
-        }
+        Q::Max => fmt(net.execute_as(owner, &c.max_plan(0).unwrap())),
+        Q::Median => fmt(net.execute_as(owner, &c.median_plan(0).unwrap())),
     }
 }
 
@@ -191,32 +128,31 @@ fn run_query(
 /// query returns the same (deterministically corrupted) result and every
 /// interleaved verified query fails — verdicts never cross between
 /// concurrent queries. Honesty restored afterwards.
-fn tamper_phase(cluster: &NetCluster, vals: &OwnerVals) {
-    cluster
-        .set_tamper(0, Tamper::SkipReplay { src: 0 })
-        .unwrap();
-    let tampered_psi = run_query(cluster, 0, Q::Psi, vals).unwrap().0;
-    assert!(run_query(cluster, 0, Q::PsiVerified, vals).is_err());
+fn tamper_phase(cluster: &Cluster<NetCluster>) {
+    let net = cluster.deployment();
+    net.set_tamper(0, Tamper::SkipReplay { src: 0 }).unwrap();
+    let tampered_psi = run_query(cluster, 0, Q::Psi).unwrap().0;
+    assert!(run_query(cluster, 0, Q::PsiVerified).is_err());
     std::thread::scope(|s| {
         for i in 0..K as u32 {
             let tampered_psi = &tampered_psi;
             s.spawn(move || {
                 for _ in 0..2 {
                     assert_eq!(
-                        &run_query(cluster, i, Q::Psi, vals).unwrap().0,
+                        &run_query(cluster, i, Q::Psi).unwrap().0,
                         tampered_psi,
                         "tampered plain result must match the serial tampered run"
                     );
                     assert!(
-                        run_query(cluster, i, Q::PsiVerified, vals).is_err(),
+                        run_query(cluster, i, Q::PsiVerified).is_err(),
                         "every interleaved verified query must catch the tamper"
                     );
                 }
             });
         }
     });
-    cluster.set_tamper(0, Tamper::Honest).unwrap();
-    assert!(run_query(cluster, 0, Q::PsiVerified, vals).is_ok());
+    net.set_tamper(0, Tamper::Honest).unwrap();
+    assert!(run_query(cluster, 0, Q::PsiVerified).is_ok());
 }
 
 /// The headline harness: serial reference for every operation, then K
@@ -224,43 +160,39 @@ fn tamper_phase(cluster: &NetCluster, vals: &OwnerVals) {
 /// query-by-query — results, rounds, and (with the cache on) per-query
 /// hit/miss counts. Ends with the tamper sub-phase and the link-health
 /// pins.
-fn conformance(mut cluster: NetCluster, cache_on: bool) {
-    if cache_on {
-        cluster.enable_cache();
-    }
-    setup_and_upload(&cluster, &rows());
-    let vals = owner_vals();
+fn conformance(net: NetCluster, cache_on: bool) {
+    let cluster = outsource(net, cache_on);
+    let net = cluster.deployment();
 
     // With the cache on, warm it first: two concurrent *cold* identical
     // queries legitimately both miss, so the deterministic comparison is
     // interleaved-warm vs serial-warm.
     if cache_on {
         for q in QS {
-            run_query(&cluster, 0, q, &vals).unwrap();
+            run_query(&cluster, 0, q).unwrap();
         }
     }
     let reference: Vec<(Q, String, QueryStats)> = QS
         .iter()
         .map(|&q| {
-            let (out, stats) = run_query(&cluster, 0, q, &vals).unwrap();
+            let (out, stats) = run_query(&cluster, 0, q).unwrap();
             (q, out, stats)
         })
         .collect();
 
-    let before = cluster.report();
-    let before_dispatches = cluster.meters().shard_dispatches;
+    let before = net.report();
+    let before_dispatches = net.meters().shard_dispatches;
     let interleaved: Vec<Vec<(Q, String, QueryStats)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..K)
             .map(|i| {
                 let cluster = &cluster;
-                let vals = &vals;
                 s.spawn(move || {
                     // Rotate the mix per stream so different operations
                     // collide on the links at the same time.
                     (0..QS.len())
                         .map(|k| {
                             let q = QS[(k + 4 * i) % QS.len()];
-                            let (out, stats) = run_query(cluster, i as u32, q, vals).unwrap();
+                            let (out, stats) = run_query(cluster, i as u32, q).unwrap();
                             (q, out, stats)
                         })
                         .collect()
@@ -269,8 +201,8 @@ fn conformance(mut cluster: NetCluster, cache_on: bool) {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let after = cluster.report();
-    let after_dispatches = cluster.meters().shard_dispatches;
+    let after = net.report();
+    let after_dispatches = net.meters().shard_dispatches;
 
     let mut sum = QueryStats::default();
     for stream in &interleaved {
@@ -309,15 +241,15 @@ fn conformance(mut cluster: NetCluster, cache_on: bool) {
     );
     assert_eq!(after_dispatches - before_dispatches, sum.shard_dispatches);
 
-    tamper_phase(&cluster, &vals);
+    tamper_phase(&cluster);
 
     assert_eq!(
-        cluster.rejected_replies(),
+        net.rejected_replies(),
         0,
         "no pump may ever drop a reply in a healthy cluster"
     );
-    assert_eq!(cluster.queries_in_flight(), 0);
-    cluster.shutdown().unwrap();
+    assert_eq!(net.queries_in_flight(), 0);
+    cluster.into_deployment().shutdown().unwrap();
 }
 
 #[test]
@@ -368,27 +300,22 @@ fn tcp_sharded_cached_interleaved_matches_serial() {
 
 #[test]
 fn small_admission_window_still_serves_every_query() {
-    let mut cluster = NetCluster::start_local(make_setup());
-    cluster.set_admission_window(2);
-    setup_and_upload(&cluster, &rows());
-    let vals = owner_vals();
-    let reference = run_query(&cluster, 0, Q::Psi, &vals).unwrap().0;
+    let mut net = NetCluster::start_local(make_setup());
+    net.set_admission_window(2);
+    let cluster = outsource(net, false);
+    let reference = run_query(&cluster, 0, Q::Psi).unwrap().0;
     std::thread::scope(|s| {
         for i in 0..6u32 {
             let cluster = &cluster;
-            let vals = &vals;
             let reference = &reference;
             s.spawn(move || {
-                assert_eq!(
-                    &run_query(cluster, i % 3, Q::Psi, vals).unwrap().0,
-                    reference
-                );
+                assert_eq!(&run_query(cluster, i % 3, Q::Psi).unwrap().0, reference);
             });
         }
     });
-    assert_eq!(cluster.queries_in_flight(), 0);
-    assert_eq!(cluster.rejected_replies(), 0);
-    cluster.shutdown().unwrap();
+    assert_eq!(cluster.deployment().queries_in_flight(), 0);
+    assert_eq!(cluster.deployment().rejected_replies(), 0);
+    cluster.into_deployment().shutdown().unwrap();
 }
 
 #[test]
@@ -397,25 +324,24 @@ fn aborted_query_interleaved_with_honest_ones_does_not_poison_links() {
     use prism_protocol::engine::ServerCmd;
     use prism_protocol::max::BlindedMaxUpload;
 
-    let cluster = NetCluster::start_local(make_setup());
-    setup_and_upload(&cluster, &rows());
-    let vals = owner_vals();
-    let reference = run_query(&cluster, 0, Q::Psi, &vals).unwrap().0;
+    let cluster = outsource(NetCluster::start_local(make_setup()), false);
+    let reference = run_query(&cluster, 0, Q::Psi).unwrap().0;
 
     // One stream issues a doomed wide round (server 1 gets the wrong
     // owner count and reports the zero receipt — the mid-flight abort
     // shape) while honest PSI streams share the same links.
-    let op = cluster.setup().owner.clone();
+    let wide_width = cluster.setup().owner.wide_width;
     let uploads = |n: usize| -> Vec<BlindedMaxUpload> {
         (0..n)
             .map(|_| BlindedMaxUpload {
-                shares: WideVec::zeroed(2, op.wide_width),
+                shares: WideVec::zeroed(2, wide_width),
             })
             .collect()
     };
     std::thread::scope(|s| {
         s.spawn(|| {
             let replies = cluster
+                .deployment()
                 .round(vec![
                     (
                         0,
@@ -438,21 +364,20 @@ fn aborted_query_interleaved_with_honest_ones_does_not_poison_links() {
         });
         for i in 0..K as u32 {
             let cluster = &cluster;
-            let vals = &vals;
             let reference = &reference;
             s.spawn(move || {
-                assert_eq!(&run_query(cluster, i, Q::Psi, vals).unwrap().0, reference);
+                assert_eq!(&run_query(cluster, i, Q::Psi).unwrap().0, reference);
             });
         }
     });
 
     // A later full max query must pair only its own round's uploads —
     // the announcer discards the aborted round's stale matrix by seq.
-    let (max_out, _) = run_query(&cluster, 0, Q::Max, &vals).unwrap();
-    let serial_max = run_query(&cluster, 0, Q::Max, &vals).unwrap().0;
+    let (max_out, _) = run_query(&cluster, 0, Q::Max).unwrap();
+    let serial_max = run_query(&cluster, 0, Q::Max).unwrap().0;
     assert_eq!(max_out, serial_max);
-    assert_eq!(cluster.rejected_replies(), 0);
-    cluster.shutdown().unwrap();
+    assert_eq!(cluster.deployment().rejected_replies(), 0);
+    cluster.into_deployment().shutdown().unwrap();
 }
 
 // ---------------------------------------------------------------------
@@ -545,31 +470,24 @@ proptest! {
         cache in any::<bool>(),
         shards in 1usize..=2,
     ) {
-        let mut net = NetCluster::start_local_sharded(make_setup(), shards);
-        if cache {
-            net.enable_cache();
-        }
-        setup_and_upload(&net, &rows());
-        let mut oracle = Cluster::from_rows(&rows(), DOMAIN, 77).unwrap();
-        let mut upload_seed = 0xBEEFu64;
+        let mut wire = outsource(NetCluster::start_local_sharded(make_setup(), shards), cache);
+        let mut oracle = Cluster::build(&inputs(), cfg()).unwrap();
 
         for step in steps {
             match step {
                 Step::Upload { owner, rows } => {
-                    oracle
-                        .update_owner(owner, &OwnerInput::from_pairs(rows.iter().copied()))
-                        .unwrap();
-                    upload_seed += 1;
-                    upload_owner(&net, owner, &rows, upload_seed);
+                    let input = OwnerInput::from_pairs(rows);
+                    oracle.update_owner(owner, &input).unwrap();
+                    wire.update_owner(owner, &input).unwrap();
                 }
                 Step::Burst(kinds) => {
+                    let net = wire.deployment();
                     let before = net.report();
                     let results: Vec<(u8, String, QueryStats)> = std::thread::scope(|s| {
                         let handles: Vec<_> = kinds
                             .iter()
                             .enumerate()
                             .map(|(i, &kind)| {
-                                let net = &net;
                                 s.spawn(move || {
                                     let (out, stats) = net_answer(net, i as u32, kind);
                                     (kind, out, stats)
@@ -602,7 +520,7 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(net.queries_in_flight(), 0);
-        net.shutdown().unwrap();
+        prop_assert_eq!(wire.deployment().queries_in_flight(), 0);
+        wire.into_deployment().shutdown().unwrap();
     }
 }

@@ -4,57 +4,28 @@
 //! per owner per server; per-shard traffic is metered; and the tamper
 //! matrix behaves identically whatever the shard count.
 
-use prism_core::{Permutation, Prg};
+use prism_core::Prg;
 use prism_net::{AnnouncerNode, ClusterListener, Column, NetCluster, RegistryConfig, ShardWorker};
-use prism_protocol::engine::Operation;
+use prism_protocol::driver::{Cluster, ClusterConfig, Deployment, OwnerInput, QueryStats};
 use prism_protocol::malicious::Tamper;
-use prism_protocol::params::{Initiator, OwnerParams, Setup, SystemConfig};
-use prism_protocol::plans::{self, QueryBatch};
+use prism_protocol::params::Setup;
+use prism_protocol::plans::QueryBatch;
 use prism_protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::fmt::Debug;
 
 const DOMAIN: usize = 24;
 
+fn cfg(seed: u64) -> ClusterConfig {
+    let mut cfg = ClusterConfig::new(DOMAIN);
+    cfg.seed = seed;
+    cfg.agg_domain_max = 2000;
+    cfg
+}
+
 fn make_setup(seed: u64) -> Setup {
-    Initiator::new(SystemConfig::new(3, DOMAIN).with_seed(seed))
-        .setup()
-        .unwrap()
-}
-
-/// Build one owner's full per-server column sets from their rows.
-fn owner_columns(setup: &Setup, owner: usize, rows: &[(u64, u64)]) -> Vec<Vec<(Column, Vec<u64>)>> {
-    let op = &setup.owner;
-    let seed = 4000 + owner as u64;
-    segment_columns(op, &op.pf_db1, &op.pf_db2, 0, op.b, seed, rows)
-}
-
-/// One owner's per-server column sets over the cell segment
-/// `[start, start + len)`, the verification copies permuted by
-/// `db1`/`db2` — the owner's whole permutations for a Phase-1 upload, or
-/// the appended *blocks* for a delta.
-fn segment_columns(
-    op: &OwnerParams,
-    db1: &Permutation,
-    db2: &Permutation,
-    start: usize,
-    len: usize,
-    seed: u64,
-    rows: &[(u64, u64)],
-) -> Vec<Vec<(Column, Vec<u64>)>> {
-    let cells = rows.iter().map(|&(c, x)| (c, [x]));
-    let table = OwnerTable::window(cells, 1, start, len).unwrap();
-    let mut prg = Prg::from_seed(seed);
-    owner_uploads(&table, op, (db1, db2), ColumnSet::full(1), &mut prg)
-}
-
-fn upload_all(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) {
-    for (j, owner_rows) in rows.iter().enumerate() {
-        let per_server = owner_columns(cluster.setup(), j, owner_rows);
-        for (k, cols) in per_server.into_iter().enumerate() {
-            cluster.bulk_upload(k, j, cols).unwrap();
-        }
-    }
+    cfg(seed).setup(3).unwrap()
 }
 
 fn rows() -> Vec<Vec<(u64, u64)>> {
@@ -65,194 +36,134 @@ fn rows() -> Vec<Vec<(u64, u64)>> {
     ]
 }
 
-/// Everything the wire deployment can answer — max/median over the
-/// networked announcer included — as one comparable tuple.
-#[derive(Debug, PartialEq)]
-struct AllResults {
-    psi: Vec<u64>,
-    psi_verified: Vec<u64>,
-    psu: Vec<bool>,
-    psu_verified: usize,
-    count: usize,
-    count_verified: usize,
-    sum: Vec<u64>,
-    sum_verified: Vec<u64>,
-    avg_sums: Vec<u64>,
-    max: Vec<(usize, u64, Vec<bool>)>,
-    median: Vec<(usize, Vec<u64>, Vec<usize>)>,
-    rounds: Vec<usize>,
+fn inputs(rows: &[Vec<(u64, u64)>]) -> Vec<OwnerInput> {
+    let input = |r: &Vec<(u64, u64)>| OwnerInput::from_pairs(r.iter().copied());
+    rows.iter().map(input).collect()
 }
 
-/// Per-owner per-cell maxima and sums (attribute 0) — the owner-side
-/// value columns the max/median plans consume.
-fn owner_values(rows: &[Vec<(u64, u64)>], b: usize) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    rows.iter()
-        .map(|owner_rows| {
-            let cells = owner_rows.iter().map(|&(c, x)| (c, [x]));
-            let mut t = OwnerTable::window(cells, 1, 0, b).unwrap();
-            (t.maxima.remove(0), t.sums.remove(0))
-        })
-        .unzip()
+/// Phase 1 through the wire: the owners of `rows` over `net`, whose nodes
+/// run under `cfg(seed)`'s setup.
+fn outsource(net: NetCluster, rows: &[Vec<(u64, u64)>], seed: u64) -> Cluster<NetCluster> {
+    Cluster::over(net, &inputs(rows), cfg(seed)).unwrap()
 }
 
-fn run_all(cluster: &NetCluster, rows: &[Vec<(u64, u64)>]) -> AllResults {
-    let mut rounds = Vec::new();
-    let mut tracked = |r: prism_protocol::QueryStats| {
-        rounds.push(r.rounds());
-    };
-    let (psi, s) = cluster.execute(&prism_protocol::plans::Psi).unwrap();
-    tracked(s);
-    let (psiv, s) = cluster
-        .execute(&prism_protocol::plans::PsiVerified)
-        .unwrap();
-    tracked(s);
-    let (psu, s) = cluster.execute(&prism_protocol::plans::Psu).unwrap();
-    tracked(s);
-    let (cnt, s) = cluster.execute(&prism_protocol::plans::Count).unwrap();
-    tracked(s);
-    let (cntv, s) = cluster
-        .execute(&prism_protocol::plans::CountVerified)
-        .unwrap();
-    tracked(s);
-    let (maxima, sums) = owner_values(rows, DOMAIN);
-    let (max_out, s) = cluster
-        .execute(&prism_protocol::plans::Max {
-            values: maxima.iter().map(Vec::as_slice).collect(),
-            table: None,
-            seed: 12,
-            cell_chunk: 1 << 16,
-        })
-        .unwrap();
-    tracked(s);
-    let (median_out, s) = cluster
-        .execute(&prism_protocol::plans::Median {
-            values: sums.iter().map(Vec::as_slice).collect(),
-            table: None,
-            seed: 13,
-            cell_chunk: 1 << 16,
-        })
-        .unwrap();
-    tracked(s);
-    let (max_cells, holders) = max_out;
-    AllResults {
-        psi: psi.fop,
-        psi_verified: psiv.fop,
-        psu,
-        psu_verified: cluster.psu_verified().unwrap(),
-        count: cnt,
-        count_verified: cntv,
-        sum: cluster.psi_sum(0, 9).unwrap(),
-        sum_verified: cluster.psi_sum_verified(0, 10).unwrap(),
-        avg_sums: cluster
-            .psi_avg(0, 11)
-            .unwrap()
-            .iter()
-            .map(|c| c.sum)
-            .collect(),
-        max: max_cells
-            .iter()
-            .zip(holders)
-            .map(|(m, h)| (m.cell, m.max, h))
-            .collect(),
-        median: median_out
-            .into_iter()
-            .map(|c| (c.cell, c.values, c.holders))
-            .collect(),
-        rounds,
+/// Nodes on channel links, `shards` workers per domain, `rows` outsourced
+/// through the wire.
+fn local(seed: u64, shards: usize, rows: &[Vec<(u64, u64)>]) -> Cluster<NetCluster> {
+    let net = NetCluster::start_local_sharded(make_setup(seed), shards);
+    outsource(net, rows, seed)
+}
+
+fn shut_down(c: Cluster<NetCluster>) {
+    c.into_deployment().shutdown().unwrap();
+}
+
+/// The whole named facade surface — the 12 operations plus the two
+/// multi-attribute forms — as one comparable record per operation:
+/// `(answer, rounds, shard dispatches)`. Answers are the outputs' debug
+/// print, so equal records are bit-identical results.
+fn surface<D: Deployment>(c: &Cluster<D>) -> Vec<(String, usize, u64)> {
+    fn op<T: Debug, E: Debug>(answer: Result<(T, QueryStats), E>) -> (String, usize, u64) {
+        let (out, stats) = answer.unwrap();
+        (format!("{out:?}"), stats.rounds(), stats.shard_dispatches())
     }
+    let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
+    let max = c
+        .psi_max(0)
+        .map(|(cells, holders, stats)| ((cells, holders), stats));
+    vec![
+        op(c.psi()),
+        op(c.psi_verified()),
+        op(c.psu()),
+        op(c.psu_verified()),
+        op(c.psi_count()),
+        op(c.psi_count_verified()),
+        op(c.psi_sum(0)),
+        op(c.psi_sum_verified(0)),
+        op(c.psi_avg(0)),
+        op(c.psi_query_batch(&batch)),
+        op(max),
+        op(c.psi_median(0)),
+        op(c.psi_sum_multi(&[0])),
+        op(c.psi_max_multi(&[0])),
+    ]
+}
+
+/// [`surface`] without the dispatch counts: what every deployment of the
+/// same `(inputs, cfg)` must agree on whatever its fan-out.
+fn run_all<D: Deployment>(c: &Cluster<D>) -> Vec<(String, usize)> {
+    let answers = surface(c).into_iter();
+    answers.map(|(out, rounds, _)| (out, rounds)).collect()
 }
 
 #[test]
 fn all_operations_invariant_across_shard_counts_channel() {
     let reference = {
-        let c = NetCluster::start_local_sharded(make_setup(77), 1);
-        upload_all(&c, &rows());
-        let r = run_all(&c, &rows());
-        c.shutdown().unwrap();
+        let c = local(77, 1, &rows());
+        let r = run_all(&c);
+        shut_down(c);
         r
     };
     for shards in [2usize, 4, 8] {
-        let c = NetCluster::start_local_sharded(make_setup(77), shards);
-        assert_eq!(c.shards(), shards);
-        upload_all(&c, &rows());
-        assert_eq!(run_all(&c, &rows()), reference, "shards={shards}");
-        c.shutdown().unwrap();
+        let c = local(77, shards, &rows());
+        assert_eq!(c.deployment().shards(), shards);
+        assert_eq!(run_all(&c), reference, "shards={shards}");
+        shut_down(c);
     }
 }
 
 #[test]
 fn tcp_sharded_domain_matches_channel() {
     let channel = {
-        let c = NetCluster::start_local_sharded(make_setup(78), 4);
-        upload_all(&c, &rows());
-        let r = run_all(&c, &rows());
-        c.shutdown().unwrap();
+        let c = local(78, 4, &rows());
+        let r = run_all(&c);
+        shut_down(c);
         r
     };
-    let c = NetCluster::start_tcp_sharded(make_setup(78), 4).unwrap();
-    upload_all(&c, &rows());
-    assert_eq!(run_all(&c, &rows()), channel);
-    c.shutdown().unwrap();
+    let net = NetCluster::start_tcp_sharded(make_setup(78), 4).unwrap();
+    let c = outsource(net, &rows(), 78);
+    assert_eq!(run_all(&c), channel);
+    shut_down(c);
 }
 
-/// The whole facade surface — the 12 operations — as one comparable
-/// record per operation: `(answer, rounds, shard dispatches)`.
-fn surface(c: &NetCluster, rows: &[Vec<(u64, u64)>], b: usize) -> Vec<(String, usize, u64)> {
-    fn op<P: Operation>(c: &NetCluster, plan: P) -> (String, usize, u64)
-    where
-        P::Output: std::fmt::Debug,
-    {
-        let (out, stats) = c.execute(&plan).unwrap();
-        (format!("{out:?}"), stats.rounds(), stats.shard_dispatches())
+/// One facade, same bytes: from one `(inputs, cfg)`, `Cluster::build` and
+/// `Cluster::over` on channel links (3 shards) and on TCP (2 shards)
+/// answer the whole named surface bit-identically, in the same number of
+/// rounds — after `build`, after `update_owner` and after `append`. The
+/// facade derives every share seed from `cfg` alone, so the stores of a
+/// wire deployment hold exactly the shares the driver's golden digests
+/// pin for the in-process one.
+#[test]
+fn one_facade_answers_identically_on_every_deployment() {
+    fn history<D: Deployment>(mut c: Cluster<D>) -> (Vec<Vec<(String, usize)>>, Cluster<D>) {
+        let mut seen = vec![run_all(&c)];
+        let update = OwnerInput::from_pairs([(1, 40), (7, 2), (9, 9), (24, 1)]);
+        c.update_owner(1, &update).unwrap();
+        seen.push(run_all(&c));
+        let delta = vec![
+            vec![(25, 40), (26, 7), (28, 3)],
+            vec![(25, 10), (27, 2), (28, 5)],
+            vec![(25, 60), (28, 1)],
+        ];
+        c.append(4, &inputs(&delta)).unwrap();
+        seen.push(run_all(&c));
+        (seen, c)
     }
-    let (maxima, sums) = owner_values(rows, b);
-    fn values(v: &[Vec<u64>]) -> Vec<&[u64]> {
-        v.iter().map(Vec::as_slice).collect()
+    let (reference, _) = history(Cluster::build(&inputs(&rows()), cfg(86)).unwrap());
+    assert!(reference.iter().flatten().all(|(_, rounds)| *rounds > 0));
+    let tcp = NetCluster::start_tcp_sharded(make_setup(86), 2).unwrap();
+    for wire in [local(86, 3, &rows()), outsource(tcp, &rows(), 86)] {
+        let (seen, c) = history(wire);
+        assert_eq!(seen, reference);
+        shut_down(c);
     }
-    let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
-    vec![
-        op(c, plans::Psi),
-        op(c, plans::PsiVerified),
-        op(c, plans::Psu),
-        op(c, plans::PsuVerified),
-        op(c, plans::Count),
-        op(c, plans::CountVerified),
-        op(c, plans::Sum { attr: 0, seed: 9 }),
-        op(c, plans::SumVerified { attr: 0, seed: 10 }),
-        op(c, plans::Average { attr: 0, seed: 11 }),
-        op(
-            c,
-            plans::Batch {
-                batch: &batch,
-                seed: 14,
-            },
-        ),
-        op(
-            c,
-            plans::Max {
-                values: values(&maxima),
-                table: None,
-                seed: 12,
-                cell_chunk: 1 << 16,
-            },
-        ),
-        op(
-            c,
-            plans::Median {
-                values: values(&sums),
-                table: None,
-                seed: 13,
-                cell_chunk: 1 << 16,
-            },
-        ),
-    ]
 }
 
 /// One router reached two ways: the statically wired constructor and the
-/// attach listener (rf = 1, same two row ranges), fed identical uploads
-/// and one delta append, answer every operation bit-identically, in the
-/// same number of rounds and shard dispatches — before and after the
-/// append.
+/// attach listener (rf = 1, same two row ranges), outsourced to
+/// identically and grown by one append, answer every operation
+/// bit-identically, in the same number of rounds and shard dispatches —
+/// before and after the append.
 #[test]
 fn static_and_attached_topologies_agree() {
     const ADDED: usize = 4;
@@ -268,49 +179,23 @@ fn static_and_attached_topologies_agree() {
     }
     let announcer = AnnouncerNode::connect(setup.announcer.clone(), listener.addr(), dial).unwrap();
     let attached = listener.start().unwrap();
-    let mut clusters = [fixed, attached];
-    assert_eq!(clusters[0].shards(), clusters[1].shards());
+    assert_eq!(fixed.shards(), attached.shards());
+    let mut clusters = [fixed, attached].map(|net| outsource(net, &rows(), 85));
+    assert_eq!(surface(&clusters[0]), surface(&clusters[1]));
 
-    let mut all_rows = rows();
-    for c in &clusters {
-        upload_all(c, &all_rows);
-    }
-    assert_eq!(
-        surface(&clusters[0], &all_rows, DOMAIN),
-        surface(&clusters[1], &all_rows, DOMAIN)
-    );
-
-    let grown = setup.grow(ADDED, 1, 85).unwrap();
-    let (db1, db2) = (
-        grown.family.pf_db1.tail_block(DOMAIN).unwrap(),
-        grown.family.pf_db2.tail_block(DOMAIN).unwrap(),
-    );
-    let delta: Vec<Vec<(u64, u64)>> = vec![
+    let delta = vec![
         vec![(25, 40), (26, 7), (28, 3)],
         vec![(25, 10), (27, 2), (28, 5)],
         vec![(25, 60), (28, 1)],
     ];
     for c in clusters.iter_mut() {
-        c.adopt_setup(grown.clone());
-        for (j, owner_rows) in delta.iter().enumerate() {
-            let seed = 5000 + j as u64;
-            let per_server =
-                segment_columns(&grown.owner, &db1, &db2, DOMAIN, ADDED, seed, owner_rows);
-            for (k, cols) in per_server.into_iter().enumerate() {
-                c.delta_upload(k, j, DOMAIN, cols).unwrap();
-            }
-        }
+        c.append(ADDED, &inputs(&delta)).unwrap();
     }
-    for (all, new) in all_rows.iter_mut().zip(delta) {
-        all.extend(new);
-    }
-    let after = surface(&clusters[0], &all_rows, DOMAIN + ADDED);
-    assert_eq!(after, surface(&clusters[1], &all_rows, DOMAIN + ADDED));
+    let after = surface(&clusters[0]);
+    assert_eq!(after, surface(&clusters[1]));
     assert!(after.iter().all(|(_, rounds, _)| *rounds > 0));
 
-    for c in clusters {
-        c.shutdown().unwrap();
-    }
+    clusters.into_iter().for_each(shut_down);
     for w in workers {
         w.join().unwrap();
     }
@@ -319,34 +204,29 @@ fn static_and_attached_topologies_agree() {
 
 #[test]
 fn shard_dispatches_metered_per_query() {
-    let c = NetCluster::start_local_sharded(make_setup(79), 4);
-    upload_all(&c, &rows());
-    let (_, stats) = c.execute(&prism_protocol::plans::Psi).unwrap();
+    let c = local(79, 4, &rows());
+    let (_, stats) = c.psi().unwrap();
     // One round, two additive servers, four shards each.
     assert_eq!(stats.shard_dispatches(), 8);
-    let (_, stats) = c
-        .execute(&prism_protocol::plans::Sum { attr: 0, seed: 3 })
-        .unwrap();
+    let (_, stats) = c.psi_sum(0).unwrap();
     // PSI round (2 servers) + aggregation round (3 servers), 4 shards each.
     assert_eq!(stats.shard_dispatches(), 20);
-    c.shutdown().unwrap();
+    shut_down(c);
 }
 
 #[test]
 fn unsharded_domains_report_zero_dispatches() {
-    let c = NetCluster::start_local(make_setup(80));
-    upload_all(&c, &rows());
-    let (_, stats) = c.execute(&prism_protocol::plans::Psi).unwrap();
+    let c = local(80, 1, &rows());
+    let (_, stats) = c.psi().unwrap();
     assert_eq!(stats.shard_dispatches(), 0);
-    c.shutdown().unwrap();
+    shut_down(c);
 }
 
 #[test]
 fn per_shard_traffic_is_metered() {
-    let c = NetCluster::start_local_sharded(make_setup(81), 3);
-    upload_all(&c, &rows());
+    let c = local(81, 3, &rows());
     c.psi().unwrap();
-    let report = c.report();
+    let report = c.deployment().report();
     assert_eq!(report.shards_per_server(), 3);
     for k in 0..3 {
         for s in 0..3 {
@@ -362,7 +242,19 @@ fn per_shard_traffic_is_metered() {
     let rendered = format!("{report}");
     assert!(rendered.contains("server 2"));
     assert!(rendered.contains("shard 2"));
-    c.shutdown().unwrap();
+    shut_down(c);
+}
+
+/// One owner's full per-server column sets as raw `(column, shares)`
+/// lists — for the two wire-level cases below that compare *how* columns
+/// are shipped; everything else outsources through `Cluster::over`.
+fn owner_columns(setup: &Setup, owner: usize, rows: &[(u64, u64)]) -> Vec<Vec<(Column, Vec<u64>)>> {
+    let op = &setup.owner;
+    let cells = rows.iter().map(|&(c, x)| (c, [x]));
+    let table = OwnerTable::window(cells, 1, 0, op.b).unwrap();
+    let mut prg = Prg::from_seed(4000 + owner as u64);
+    let perms = (&op.pf_db1, &op.pf_db2);
+    owner_uploads(&table, op, perms, ColumnSet::full(1), &mut prg)
 }
 
 #[test]
@@ -374,7 +266,7 @@ fn bulk_upload_cuts_phase1_to_one_round_trip_per_owner() {
         let cols = owner_columns(c.setup(), 0, &rows()[0]);
         let before = c.report().owner_to_server(0).1;
         for (col, data) in cols[0].clone() {
-            c.upload(0, 0, col, data).unwrap();
+            c.bulk_upload(0, 0, vec![(col, data)]).unwrap();
         }
         let sent = c.report().owner_to_server(0).1 - before;
         c.shutdown().unwrap();
@@ -396,10 +288,16 @@ fn bulk_upload_cuts_phase1_to_one_round_trip_per_owner() {
 
 #[test]
 fn bulk_and_per_column_uploads_store_identically() {
+    let verified_sum = prism_protocol::plans::SumVerified { attr: 0, seed: 5 };
     let bulk = {
         let c = NetCluster::start_local_sharded(make_setup(83), 2);
-        upload_all(&c, &rows());
-        let r = c.psi_sum_verified(0, 5).unwrap();
+        for (j, owner_rows) in rows().iter().enumerate() {
+            let per_server = owner_columns(c.setup(), j, owner_rows);
+            for (k, cols) in per_server.into_iter().enumerate() {
+                c.bulk_upload(k, j, cols).unwrap();
+            }
+        }
+        let r = c.execute(&verified_sum).unwrap().0;
         c.shutdown().unwrap();
         r
     };
@@ -409,11 +307,11 @@ fn bulk_and_per_column_uploads_store_identically() {
             let per_server = owner_columns(c.setup(), j, owner_rows);
             for (k, cols) in per_server.into_iter().enumerate() {
                 for (col, data) in cols {
-                    c.upload(k, j, col, data).unwrap();
+                    c.bulk_upload(k, j, vec![(col, data)]).unwrap();
                 }
             }
         }
-        let r = c.psi_sum_verified(0, 5).unwrap();
+        let r = c.execute(&verified_sum).unwrap().0;
         c.shutdown().unwrap();
         r
     };
@@ -429,21 +327,20 @@ fn tamper_matrix_invariant_across_shard_counts() {
         Tamper::TruncateFrom { from: 3 },
     ] {
         for shards in [1usize, 2, 4, 8] {
-            let c = NetCluster::start_local_sharded(make_setup(84), shards);
-            upload_all(&c, &rows());
-            c.set_tamper(0, tamper).unwrap();
+            let c = local(84, shards, &rows());
+            c.deployment().set_tamper(0, tamper).unwrap();
             assert!(
                 c.psi_verified().is_err(),
                 "{tamper:?} undetected at {shards} shards"
             );
             assert!(
-                c.psi_sum_verified(0, 6).is_err(),
+                c.psi_sum_verified(0).is_err(),
                 "{tamper:?} undetected by sum at {shards} shards"
             );
             // Honesty restored: the domain recovers whatever the fan-out.
-            c.set_tamper(0, Tamper::Honest).unwrap();
+            c.deployment().set_tamper(0, Tamper::Honest).unwrap();
             assert!(c.psi_verified().is_ok());
-            c.shutdown().unwrap();
+            shut_down(c);
         }
     }
 }
@@ -451,9 +348,9 @@ fn tamper_matrix_invariant_across_shard_counts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random relations, every shard count, channel transport: the three
-    /// set operations and the verified sum return identical results and
-    /// round counts whatever the fan-out.
+    /// Random relations, every shard count, channel transport: every
+    /// named operation returns identical results and round counts
+    /// whatever the fan-out.
     #[test]
     fn random_relations_shard_invariant(
         seed in 1u64..1000,
@@ -465,10 +362,9 @@ proptest! {
             .collect();
         let mut reference = None;
         for shards in [1usize, 2, 4, 8] {
-            let c = NetCluster::start_local_sharded(make_setup(seed), shards);
-            upload_all(&c, &rows);
-            let got = run_all(&c, &rows);
-            c.shutdown().unwrap();
+            let c = local(seed, shards, &rows);
+            let got = run_all(&c);
+            shut_down(c);
             match &reference {
                 None => reference = Some(got),
                 Some(want) => prop_assert_eq!(&got, want, "shards={}", shards),

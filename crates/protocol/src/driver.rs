@@ -1,19 +1,24 @@
-//! In-memory orchestration of a full PRISM deployment.
+//! The owner side of a PRISM deployment: one facade over any place the
+//! servers live.
 //!
-//! [`Cluster`] wires m owners, the additive/Shamir server domains, and
-//! the announcer together in one process — but it orchestrates **nothing**
-//! itself: every query constructs a round plan from [`crate::plans`] and
-//! hands it to the [`Engine`] over a [`ShardedExec`] backend (each server
-//! domain is a [`ShardedNode`]; [`ClusterConfig::shards`] = 1 keeps it
-//! monolithic, and results are bit-identical for every shard count). The
-//! networked cluster in `prism-net` runs the *same* plans over its
-//! channel/TCP links, so protocol logic exists in exactly one place.
-//! Tests can attach a [`Tamper`] to any node to exercise the
-//! verification paths, and [`Cluster::execute`] runs custom
-//! [`Operation`]s for queries this facade does not name.
+//! In the paper a DB owner is one role — outsource in Phase 1, then query
+//! (§3–§4) — whatever machines the servers run on. [`Cluster`] is that
+//! role, written once over the [`Deployment`] seam: cluster-level Phase 1
+//! (share seeds, column set, owner-side sums and maxima), `update_owner`,
+//! `append`, the verification/aggregation preflight and the 16 named
+//! queries. A deployment only stores shares and runs round plans:
+//! [`InProcess`] keeps the server domains in this process (each a
+//! [`ShardedNode`]; results are bit-identical for every shard count),
+//! `prism_net::NetCluster` reaches them over channel or TCP links. The
+//! facade orchestrates **nothing** itself: every query constructs a round
+//! plan from [`crate::plans`] and hands it to [`Deployment::run`], so
+//! protocol logic exists in exactly one place.
 //!
-//! This is the crate's primary public API: examples, integration tests and
-//! the benchmark harness all drive queries through it.
+//! [`Cluster::build`] is the in-process constructor; a wire deployment is
+//! [`ClusterConfig::setup`] → start the nodes → [`Cluster::over`].
+//! Tests attach a [`Tamper`] to any node to exercise the verification
+//! paths, and [`Cluster::execute`] runs custom [`Operation`]s for queries
+//! this facade does not name.
 
 use crate::average::AvgCell;
 use crate::cache::{CachedExec, PsiRoundCache};
@@ -22,8 +27,7 @@ use crate::error::{ProtocolError, Result};
 use crate::malicious::{AnnouncerTamper, Tamper};
 use crate::max::MaxCell;
 use crate::median::MedianCell;
-use crate::params::OwnerParams;
-use crate::params::{Initiator, Setup, SystemConfig};
+use crate::params::{Initiator, OwnerParams, ServerParams, Setup, SystemConfig};
 use crate::plans;
 use crate::shard::{ShardedExec, ShardedNode};
 use crate::tables::{owner_uploads, share_owner, ColumnSet, OwnerTable};
@@ -112,6 +116,139 @@ impl ClusterConfig {
         self.cache = cache;
         self
     }
+
+    /// Phase 0 under this configuration: the setup [`Cluster::build`]
+    /// runs its servers under, and a wire deployment's nodes are started
+    /// with before [`Cluster::over`].
+    pub fn setup(&self, owners: usize) -> Result<Setup> {
+        let mut sys = SystemConfig::new(owners, self.domain_size)
+            .with_seed(self.seed)
+            .with_agg_domain_max(self.agg_domain_max);
+        if let Some(d) = self.delta {
+            sys = sys.with_delta(d);
+        }
+        Initiator::new(sys).setup()
+    }
+}
+
+/// Where a cluster's servers live — what [`Cluster`] needs from them.
+/// Implemented by [`InProcess`] and by `prism_net::NetCluster`.
+pub trait Deployment {
+    /// The initiator's setup the servers run under.
+    fn setup(&self) -> &Setup;
+
+    /// Adopt a grown setup ([`Setup::grow`]) ahead of the
+    /// [`Deployment::delta_store`]s that extend the servers to it.
+    fn adopt_setup(&mut self, grown: Setup);
+
+    /// Store `owner`'s whole-domain shares over what they stored before.
+    /// `share` is handed the owner view and a sink for each `(server,
+    /// column, shares)` [`share_owner`] emits: taken one column at a time
+    /// in-process, batched into one frame per server on a wire.
+    fn store(
+        &mut self,
+        owner: usize,
+        share: impl FnOnce(&OwnerParams, &mut dyn FnMut(usize, Column, Vec<u64>)),
+    ) -> Result<()>;
+
+    /// Append rows from `start` on to `owner`'s `columns` at `server`,
+    /// extending its finish permutations by the adopted setup's blocks.
+    fn delta_store(
+        &mut self,
+        server: usize,
+        owner: usize,
+        start: usize,
+        columns: Vec<(Column, Vec<u64>)>,
+    ) -> Result<()>;
+
+    /// Run `plan` (through the PSI-round cache, when enabled), optionally
+    /// scoped to the global row window `[range.0, range.0 + range.1)`.
+    fn run<P: Operation>(
+        &self,
+        range: Option<(u64, u64)>,
+        plan: &P,
+    ) -> Result<(P::Output, QueryStats)>;
+}
+
+/// The in-process deployment: every server domain a [`ShardedNode`], the
+/// announcer an engine [`Announcer`].
+pub struct InProcess {
+    setup: Setup,
+    nodes: Vec<ShardedNode>,
+    announcer: Announcer,
+    threads: usize,
+    /// The cross-query PSI-round cache ([`ClusterConfig::cache`]).
+    cache: Option<PsiRoundCache>,
+}
+
+impl InProcess {
+    /// `servers`' stores moved: dirty the PSI-round cache.
+    fn note_uploads(&self, servers: std::ops::Range<usize>) {
+        if let Some(cache) = &self.cache {
+            servers.for_each(|server| cache.note_upload(server));
+        }
+    }
+}
+
+impl Deployment for InProcess {
+    fn setup(&self) -> &Setup {
+        &self.setup
+    }
+
+    fn adopt_setup(&mut self, grown: Setup) {
+        self.setup = grown;
+    }
+
+    fn store(
+        &mut self,
+        owner: usize,
+        share: impl FnOnce(&OwnerParams, &mut dyn FnMut(usize, Column, Vec<u64>)),
+    ) -> Result<()> {
+        let nodes = &mut self.nodes;
+        share(&self.setup.owner, &mut |k, column, shares| {
+            nodes[k].store(owner, column, shares)
+        });
+        self.note_uploads(0..self.nodes.len());
+        Ok(())
+    }
+
+    fn delta_store(
+        &mut self,
+        server: usize,
+        owner: usize,
+        start: usize,
+        columns: Vec<(Column, Vec<u64>)>,
+    ) -> Result<()> {
+        let sp = &self.setup.servers[server];
+        let ext = (tail_block(&sp.pf_s1, start), tail_block(&sp.pf_s2, start));
+        self.nodes[server].delta_upload(owner, start, columns, Some((&ext.0, &ext.1)))?;
+        self.note_uploads(server..server + 1);
+        Ok(())
+    }
+
+    fn run<P: Operation>(
+        &self,
+        range: Option<(u64, u64)>,
+        plan: &P,
+    ) -> Result<(P::Output, QueryStats)> {
+        let sharded = ShardedExec::new(&self.nodes, &self.announcer);
+        let cached = self.cache.as_ref().map(|c| CachedExec::new(&sharded, c));
+        let exec: &dyn ServerExec = match &cached {
+            Some(c) => c,
+            None => &sharded,
+        };
+        let mut engine = Engine::new(&exec, &self.setup.owner).with_threads(self.threads);
+        if let Some((start, len)) = range {
+            engine = engine.with_range(start, len);
+        }
+        engine.run(plan)
+    }
+}
+
+/// The block `p` gained at `start` when its setup grew.
+fn tail_block(p: &Permutation, start: usize) -> Permutation {
+    p.tail_block(start)
+        .expect("Setup::grow extends every permutation block-diagonally")
 }
 
 /// Per-owner state the cluster keeps on the owner side of the wall.
@@ -126,18 +263,12 @@ struct OwnerState {
     maxima: Vec<Vec<u64>>,
 }
 
-/// The in-memory deployment.
-pub struct Cluster {
-    /// Initiator output (role views).
-    pub setup: Setup,
+/// The owners of one PRISM deployment `D`.
+pub struct Cluster<D = InProcess> {
+    deployment: D,
     cfg: ClusterConfig,
     owners: Vec<OwnerState>,
-    nodes: Vec<ShardedNode>,
-    announcer: Announcer,
     n_attrs: usize,
-    /// The cross-query PSI-round cache, when [`ClusterConfig::cache`] is
-    /// set: shared by every query this cluster executes.
-    cache: Option<PsiRoundCache>,
     /// Post-build owner updates performed so far (salts the re-sharing
     /// randomness so successive updates never reuse share streams).
     updates: u64,
@@ -151,35 +282,6 @@ pub struct Cluster {
 /// F-table (above this, the per-cell Horner path is used instead).
 const POLY_TABLE_LIMIT: u64 = 1 << 22;
 
-/// The appended-block permutations one growth epoch shares across every
-/// owner's delta: the tails of the grown family's four permutations,
-/// which [`crate::params::Setup::grow`] guarantees are block-diagonal at
-/// the append point.
-struct DeltaBlocks {
-    db1: Permutation,
-    db2: Permutation,
-    s1: Permutation,
-    s2: Permutation,
-}
-
-impl DeltaBlocks {
-    fn of(grown: &Setup, start: usize) -> Result<DeltaBlocks> {
-        let tail = |p: &Permutation| {
-            p.tail_block(start).ok_or_else(|| {
-                ProtocolError::ParameterMismatch(
-                    "grown permutation family is not block-diagonal at the append point".into(),
-                )
-            })
-        };
-        Ok(DeltaBlocks {
-            db1: tail(&grown.family.pf_db1)?,
-            db2: tail(&grown.family.pf_db2)?,
-            s1: tail(&grown.family.pf_s1)?,
-            s2: tail(&grown.family.pf_s2)?,
-        })
-    }
-}
-
 /// Every row of owner `j`'s input must carry exactly `n_attrs`
 /// aggregation values.
 fn check_attrs(j: usize, input: &OwnerInput, n_attrs: usize) -> Result<()> {
@@ -191,128 +293,53 @@ fn check_attrs(j: usize, input: &OwnerInput, n_attrs: usize) -> Result<()> {
     Ok(())
 }
 
-/// Phase 1 for owner `j` over the row window `[start, start + len)`:
-/// build the owner's plaintext table from `input`, share every column
-/// the configuration asks for into the server nodes
-/// ([`crate::tables::share_owner`]), and return the owner-side state the
-/// post-build rounds need. [`Cluster::build`] and
-/// [`Cluster::update_owner`] are the whole-domain window `(0, b)`, stored
-/// column by column; [`Cluster::append`] is the window `(b, added)`,
-/// permuted by the appended `blocks` and stored as one delta upload per
-/// server. `prg_seed` derives all of the owner's share randomness, so
-/// identical `(input, seed)` pairs produce identical shares.
-#[allow(clippy::too_many_arguments)]
-fn outsource_owner(
-    nodes: &mut [ShardedNode],
-    op: &OwnerParams,
-    cfg: &ClusterConfig,
-    n_attrs: usize,
+/// The aggregation attributes every row of every owner carries.
+fn attribute_count(inputs: &[OwnerInput]) -> Result<usize> {
+    let first = inputs.iter().flat_map(|i| i.rows.first()).next();
+    let n_attrs = first.map_or(0, |(_, aggs)| aggs.len());
+    for (j, input) in inputs.iter().enumerate() {
+        check_attrs(j, input, n_attrs)?;
+    }
+    if n_attrs > u8::MAX as usize {
+        return Err(ProtocolError::ParameterMismatch(format!(
+            "at most {} aggregation attributes supported, got {n_attrs}",
+            u8::MAX
+        )));
+    }
+    Ok(n_attrs)
+}
+
+/// Owner `j`'s plaintext table over the row window `[start, start + len)`
+/// — all of Phase 1's input validation.
+fn window_table(
     j: usize,
     input: &OwnerInput,
-    prg_seed: u64,
+    n_attrs: usize,
     (start, len): (usize, usize),
-    blocks: Option<&DeltaBlocks>,
-) -> Result<OwnerState> {
+) -> Result<OwnerTable> {
     let rows = input.rows.iter().map(|(set_v, aggs)| (*set_v, aggs));
-    let table = OwnerTable::window(rows, n_attrs, start, len).map_err(|e| match e {
+    OwnerTable::window(rows, n_attrs, start, len).map_err(|e| match e {
         ProtocolError::OutOfDomain { value } => ProtocolError::OutOfDomain {
             value: format!("owner {j}: {value}"),
         },
         other => other,
-    })?;
-    let set = ColumnSet {
-        verification: cfg.with_verification,
-        two_copy: cfg.with_verification,
-        aggregation: cfg.with_aggregation.then_some(n_attrs),
-    };
-    let mut prg = Prg::from_seed(prg_seed);
-    match blocks {
-        None => {
-            let perms = (&op.pf_db1, &op.pf_db2);
-            share_owner(&table, op, perms, set, &mut prg, |k, column, shares| {
-                nodes[k].store(j, column, shares)
-            });
-        }
-        Some(blocks) => {
-            let perms = (&blocks.db1, &blocks.db2);
-            let uploads = owner_uploads(&table, op, perms, set, &mut prg);
-            for (node, columns) in nodes.iter_mut().zip(uploads) {
-                if !columns.is_empty() {
-                    node.delta_upload(j, start, columns, Some((&blocks.s1, &blocks.s2)))?;
-                }
-            }
-        }
-    }
-    Ok(OwnerState {
-        sums: table.sums,
-        maxima: table.maxima,
     })
 }
 
 impl Cluster {
-    /// Phase 0 + Phase 1: set up parameters and outsource every owner's
-    /// data as shares into the server nodes.
+    /// Phase 0 + Phase 1 in one process: set up parameters and outsource
+    /// every owner's data as shares into [`InProcess`] server nodes.
     pub fn build(inputs: &[OwnerInput], cfg: ClusterConfig) -> Result<Cluster> {
-        let m = inputs.len();
-        let n_attrs = inputs
-            .iter()
-            .flat_map(|i| i.rows.first())
-            .map(|(_, aggs)| aggs.len())
-            .next()
-            .unwrap_or(0);
-        for (j, input) in inputs.iter().enumerate() {
-            check_attrs(j, input, n_attrs)?;
-        }
-        if n_attrs > u8::MAX as usize {
-            return Err(ProtocolError::ParameterMismatch(format!(
-                "at most {} aggregation attributes supported, got {n_attrs}",
-                u8::MAX
-            )));
-        }
-        let mut sys = SystemConfig::new(m, cfg.domain_size)
-            .with_seed(cfg.seed)
-            .with_agg_domain_max(cfg.agg_domain_max);
-        if let Some(d) = cfg.delta {
-            sys = sys.with_delta(d);
-        }
-        let setup = Initiator::new(sys).setup()?;
-        let op = &setup.owner;
-
-        // Owner-side tables + Phase 1 uploads, one owner at a time so the
-        // transient plaintext columns are dropped before the next owner's
-        // are built.
-        let mut owners = Vec::with_capacity(m);
-        let mut nodes: Vec<ShardedNode> = setup
-            .servers
-            .iter()
-            .map(|sp| ShardedNode::new(sp.clone(), cfg.shards))
-            .collect();
-        for (j, input) in inputs.iter().enumerate() {
-            let prg_seed = cfg.seed ^ (0xA11CE + j as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            owners.push(outsource_owner(
-                &mut nodes,
-                op,
-                &cfg,
-                n_attrs,
-                j,
-                input,
-                prg_seed,
-                (0, op.b),
-                None,
-            )?);
-        }
-
-        Ok(Cluster {
+        let setup = cfg.setup(inputs.len())?;
+        let node = |sp: &ServerParams| ShardedNode::new(sp.clone(), cfg.shards);
+        let servers = InProcess {
+            nodes: setup.servers.iter().map(node).collect(),
             announcer: Announcer::new(setup.announcer.clone()),
-            cache: cfg.cache.then(PsiRoundCache::new),
             setup,
-            cfg,
-            owners,
-            nodes,
-            n_attrs,
-            updates: 0,
-            poly_table: std::sync::OnceLock::new(),
-        })
+            threads: cfg.threads,
+            cache: cfg.cache.then(PsiRoundCache::new),
+        };
+        Cluster::over(servers, inputs, cfg)
     }
 
     /// Convenience constructor: single-attribute rows, default config.
@@ -335,21 +362,82 @@ impl Cluster {
     /// dropped), so failure injection behaves identically with the cache
     /// on or off.
     pub fn set_tamper(&mut self, server: usize, t: Tamper) {
-        if let Some(cache) = &self.cache {
+        if let Some(cache) = &self.deployment.cache {
             cache.note_tamper(server, t.is_honest());
         }
-        self.nodes[server].set_tamper(t);
+        self.deployment.nodes[server].set_tamper(t);
     }
 
     /// Attach a tampering behaviour to the announcer (tests): applied to
     /// every subsequent max/median announcement.
     pub fn set_announcer_tamper(&mut self, t: AnnouncerTamper) {
-        self.announcer.set_tamper(t);
+        self.deployment.announcer.set_tamper(t);
     }
 
     /// Set per-server thread count.
     pub fn set_threads(&mut self, threads: usize) {
-        self.cfg.threads = threads;
+        self.deployment.threads = threads;
+    }
+
+    /// Row-range shards per server domain.
+    pub fn shards(&self) -> usize {
+        let nodes = &self.deployment.nodes;
+        nodes.first().map_or(1, ShardedNode::shard_count)
+    }
+
+    /// The cross-query PSI-round cache, when enabled (tests observe
+    /// hit/miss/invalidation counters and entry granularity through it).
+    pub fn cache(&self) -> Option<&PsiRoundCache> {
+        self.deployment.cache.as_ref()
+    }
+}
+
+impl<D: Deployment> Cluster<D> {
+    /// Phase 1 over a deployment whose nodes run under
+    /// [`ClusterConfig::setup`]: outsource every owner's data as shares to
+    /// its servers and keep the owner side here. A wire deployment is
+    /// started with `cfg.shards` and given `cache` / `threads` through its
+    /// own setters before it is handed over.
+    pub fn over(deployment: D, inputs: &[OwnerInput], cfg: ClusterConfig) -> Result<Cluster<D>> {
+        let n_attrs = attribute_count(inputs)?;
+        let op = &deployment.setup().owner;
+        if (op.m, op.b) != (inputs.len(), cfg.domain_size) {
+            return Err(ProtocolError::ParameterMismatch(format!(
+                "deployment is set up for {} owners over {} cells",
+                op.m, op.b
+            )));
+        }
+        let mut cluster = Cluster {
+            deployment,
+            cfg,
+            owners: Vec::with_capacity(inputs.len()),
+            n_attrs,
+            updates: 0,
+            poly_table: std::sync::OnceLock::new(),
+        };
+        // One owner at a time, so the transient plaintext columns are
+        // dropped before the next owner's are built.
+        for (j, input) in inputs.iter().enumerate() {
+            let state = cluster.outsource(j, input, 0xA11CE)?;
+            cluster.owners.push(state);
+        }
+        Ok(cluster)
+    }
+
+    /// The deployment underneath, for what only a transport has (reports,
+    /// the control plane, tamper controls, `execute_as`).
+    pub fn deployment(&self) -> &D {
+        &self.deployment
+    }
+
+    /// Give the deployment back (to shut a wire deployment down).
+    pub fn into_deployment(self) -> D {
+        self.deployment
+    }
+
+    /// The initiator's setup (role views) the deployment runs under.
+    pub fn setup(&self) -> &Setup {
+        self.deployment.setup()
     }
 
     /// Number of owners.
@@ -357,28 +445,50 @@ impl Cluster {
         self.owners.len()
     }
 
-    /// Row-range shards per server domain.
-    pub fn shards(&self) -> usize {
-        self.nodes.first().map_or(1, ShardedNode::shard_count)
-    }
-
     /// Number of aggregation attributes.
     pub fn attributes(&self) -> usize {
         self.n_attrs
     }
 
-    /// The cross-query PSI-round cache, when enabled (tests observe
-    /// hit/miss/invalidation counters and entry granularity through it).
-    pub fn cache(&self) -> Option<&PsiRoundCache> {
-        self.cache.as_ref()
+    /// The Table-11 columns this configuration outsources.
+    fn column_set(&self) -> ColumnSet {
+        ColumnSet {
+            verification: self.cfg.with_verification,
+            two_copy: self.cfg.with_verification,
+            aggregation: self.cfg.with_aggregation.then_some(self.n_attrs),
+        }
+    }
+
+    /// Seed of owner `j`'s share randomness for one outsourcing step
+    /// (`tag` names the step, the update count salts repeats): identical
+    /// `(inputs, cfg)` histories store identical shares on any deployment.
+    fn share_seed(&self, tag: u64, j: usize) -> u64 {
+        self.cfg.seed ^ (tag + j as u64 + (self.updates << 20)).wrapping_mul(0x9E3779B97F4A7C15)
+    }
+
+    /// Phase 1 for owner `j` over the whole domain: validate and fold the
+    /// rows, share every configured column into the deployment, and
+    /// return the owner-side state the post-build rounds need.
+    fn outsource(&mut self, j: usize, input: &OwnerInput, tag: u64) -> Result<OwnerState> {
+        let b = self.setup().owner.b;
+        let table = window_table(j, input, self.n_attrs, (0, b))?;
+        let set = self.column_set();
+        let mut prg = Prg::from_seed(self.share_seed(tag, j));
+        self.deployment.store(j, |op, sink| {
+            share_owner(&table, op, (&op.pf_db1, &op.pf_db2), set, &mut prg, sink)
+        })?;
+        Ok(OwnerState {
+            sums: table.sums,
+            maxima: table.maxima,
+        })
     }
 
     /// Re-outsource one owner's entire relation (the owner updated their
     /// database after Phase 1): rebuild the owner's plaintext tables,
-    /// re-share every configured column into the server nodes, and
-    /// refresh the owner-side state. Every server domain's store version
-    /// moves, so the PSI-round cache re-probes and drops the now-stale
-    /// entries before the next query — a stale PSI can never be served.
+    /// re-share every configured column into the servers, and refresh the
+    /// owner-side state. Every server domain's store version moves, so
+    /// the PSI-round cache re-probes and drops the now-stale entries
+    /// before the next query — a stale PSI can never be served.
     pub fn update_owner(&mut self, owner: usize, input: &OwnerInput) -> Result<()> {
         if owner >= self.owners.len() {
             return Err(ProtocolError::ParameterMismatch(format!(
@@ -388,21 +498,7 @@ impl Cluster {
         }
         check_attrs(owner, input, self.n_attrs)?;
         self.updates += 1;
-        let prg_seed = self.cfg.seed
-            ^ (0xD1CE + owner as u64 + (self.updates << 20)).wrapping_mul(0x9E3779B97F4A7C15);
-        let st = outsource_owner(
-            &mut self.nodes,
-            &self.setup.owner,
-            &self.cfg,
-            self.n_attrs,
-            owner,
-            input,
-            prg_seed,
-            (0, self.setup.owner.b),
-            None,
-        )?;
-        self.owners[owner] = st;
-        self.note_uploads();
+        self.owners[owner] = self.outsource(owner, input, 0xD1CE)?;
         Ok(())
     }
 
@@ -414,6 +510,9 @@ impl Cluster {
     /// PSI-round cache *keeps* its entries for untouched ranges (they
     /// revalidate by version probe) instead of dropping everything the
     /// way a full [`Cluster::update_owner`] re-outsourcing does.
+    ///
+    /// Every owner's rows are validated before the first store moves: a
+    /// rejected append leaves the deployment exactly as it was.
     pub fn append(&mut self, added: usize, inputs: &[OwnerInput]) -> Result<()> {
         if inputs.len() != self.owners.len() {
             return Err(ProtocolError::ParameterMismatch(format!(
@@ -422,60 +521,42 @@ impl Cluster {
                 self.owners.len()
             )));
         }
+        let start = self.setup().owner.b;
+        let mut tables = Vec::with_capacity(inputs.len());
         for (j, input) in inputs.iter().enumerate() {
             check_attrs(j, input, self.n_attrs)?;
+            tables.push(window_table(j, input, self.n_attrs, (start, added))?);
         }
-        let start = self.setup.owner.b;
+        let grown = self.setup().grow(added, self.updates + 1, self.cfg.seed)?;
+        // The appended segment of a permuted copy is the grown
+        // permutation's tail block applied to the segment.
+        let db1 = tail_block(&grown.owner.pf_db1, start);
+        let db2 = tail_block(&grown.owner.pf_db2, start);
         self.updates += 1;
-        let grown = self.setup.grow(added, self.updates, self.cfg.seed)?;
-        let blocks = DeltaBlocks::of(&grown, start)?;
-        for (j, input) in inputs.iter().enumerate() {
-            let prg_seed = self.cfg.seed
-                ^ (0xDE17A + j as u64 + (self.updates << 20)).wrapping_mul(0x9E3779B97F4A7C15);
-            let st = outsource_owner(
-                &mut self.nodes,
-                &grown.owner,
-                &self.cfg,
-                self.n_attrs,
-                j,
-                input,
-                prg_seed,
-                (start, added),
-                Some(&blocks),
-            )?;
-            for a in 0..self.n_attrs {
-                self.owners[j].sums[a].extend_from_slice(&st.sums[a]);
-                self.owners[j].maxima[a].extend_from_slice(&st.maxima[a]);
+        self.deployment.adopt_setup(grown);
+        let set = self.column_set();
+        for (j, table) in tables.into_iter().enumerate() {
+            let mut prg = Prg::from_seed(self.share_seed(0xDE17A, j));
+            let op = &self.deployment.setup().owner;
+            let uploads = owner_uploads(&table, op, (&db1, &db2), set, &mut prg);
+            for (server, columns) in uploads.into_iter().enumerate() {
+                if !columns.is_empty() {
+                    self.deployment.delta_store(server, j, start, columns)?;
+                }
+            }
+            let state = &mut self.owners[j];
+            for (a, (sums, maxima)) in table.sums.iter().zip(&table.maxima).enumerate() {
+                state.sums[a].extend_from_slice(sums);
+                state.maxima[a].extend_from_slice(maxima);
             }
         }
-        self.setup = grown;
-        self.note_uploads();
         Ok(())
-    }
-
-    /// Every server domain's store moved: dirty the PSI-round cache.
-    fn note_uploads(&self) {
-        if let Some(cache) = &self.cache {
-            (0..self.nodes.len()).for_each(|server| cache.note_upload(server));
-        }
-    }
-
-    /// Store one raw share column at one server (the low-level sibling of
-    /// [`Cluster::update_owner`], mirroring `NetCluster::upload`). Only
-    /// the touched server's cache entries are at stake: an upload to the
-    /// Shamir-only server leaves the additive servers' cached PSI rounds
-    /// valid.
-    pub fn store_column(&mut self, server: usize, owner: usize, column: Column, data: Vec<u64>) {
-        self.nodes[server].store(owner, column, data);
-        if let Some(cache) = &self.cache {
-            cache.note_upload(server);
-        }
     }
 
     /// The shared F-table, if the aggregation domain is small enough to
     /// precompute.
     fn poly_table(&self) -> Option<&prism_core::PolyTable> {
-        let op = &self.setup.owner;
+        let op = &self.setup().owner;
         if op.agg_domain_max > POLY_TABLE_LIMIT {
             return None;
         }
@@ -491,27 +572,7 @@ impl Cluster {
     /// [`ClusterConfig::cache`] set, the backend is wrapped in the
     /// PSI-round [`CachedExec`] decorator (state persists across calls).
     pub fn execute<P: Operation>(&self, plan: &P) -> Result<(P::Output, QueryStats)> {
-        self.run(None, plan)
-    }
-
-    /// `plan` over the sharded backend (through the cache decorator, when
-    /// enabled), optionally scoped to a global row `range`.
-    fn run<P: Operation>(
-        &self,
-        range: Option<(u64, u64)>,
-        plan: &P,
-    ) -> Result<(P::Output, QueryStats)> {
-        let sharded = ShardedExec::new(&self.nodes, &self.announcer);
-        let cached = self.cache.as_ref().map(|c| CachedExec::new(&sharded, c));
-        let exec: &dyn ServerExec = match &cached {
-            Some(c) => c,
-            None => &sharded,
-        };
-        let mut engine = Engine::new(&exec, &self.setup.owner).with_threads(self.cfg.threads);
-        if let Some((start, len)) = range {
-            engine = engine.with_range(start, len);
-        }
-        engine.run(plan)
+        self.deployment.run(None, plan)
     }
 
     fn require_verification(&self) -> Result<()> {
@@ -653,7 +714,41 @@ impl Cluster {
             }
         }
         let seed = self.z_seed();
-        self.run(range, &plans::Batch { batch, seed })
+        self.deployment.run(range, &plans::Batch { batch, seed })
+    }
+
+    /// The §6.3 round plan [`Cluster::psi_max`] executes, over every
+    /// owner's per-cell maxima of `attr` (a wire deployment's `execute_as`
+    /// runs it on a named owner's behalf).
+    pub fn max_plan(&self, attr: usize) -> Result<plans::Max<'_>> {
+        self.require_agg(attr)?;
+        Ok(plans::Max {
+            values: self
+                .owners
+                .iter()
+                .map(|o| o.maxima[attr].as_slice())
+                .collect(),
+            table: self.poly_table(),
+            seed: self.cfg.seed,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
+        })
+    }
+
+    /// The §6.4 round plan [`Cluster::psi_median`] executes, over every
+    /// owner's per-cell *sums* (§6.4: "we first added the cost of
+    /// treatment per disease at each DB owner").
+    pub fn median_plan(&self, attr: usize) -> Result<plans::Median<'_>> {
+        self.require_agg(attr)?;
+        Ok(plans::Median {
+            values: self
+                .owners
+                .iter()
+                .map(|o| o.sums[attr].as_slice())
+                .collect(),
+            table: self.poly_table(),
+            seed: self.cfg.seed,
+            cell_chunk: plans::DEFAULT_CELL_CHUNK,
+        })
     }
 
     /// PSI maximum with the identity round (§6.3, all three rounds) and
@@ -663,18 +758,7 @@ impl Cluster {
     /// claim) runs in bounded chunks so memory stays flat even when
     /// millions of cells are common.
     pub fn psi_max(&self, attr: usize) -> Result<(Vec<MaxCell>, Vec<Vec<bool>>, QueryStats)> {
-        self.require_agg(attr)?;
-        let plan = plans::Max {
-            values: self
-                .owners
-                .iter()
-                .map(|o| o.maxima[attr].as_slice())
-                .collect(),
-            table: self.poly_table(),
-            seed: self.cfg.seed,
-            cell_chunk: plans::DEFAULT_CELL_CHUNK,
-        };
-        let ((cells, holders), stats) = self.execute(&plan)?;
+        let ((cells, holders), stats) = self.execute(&self.max_plan(attr)?)?;
         Ok((cells, holders, stats))
     }
 
@@ -690,22 +774,9 @@ impl Cluster {
         Ok((all, total))
     }
 
-    /// PSI median (§6.4), chunked like [`Self::psi_max`]. Median
-    /// aggregates the per-owner *sums* (§6.4: "we first added the cost of
-    /// treatment per disease at each DB owner").
+    /// PSI median (§6.4), chunked like [`Self::psi_max`].
     pub fn psi_median(&self, attr: usize) -> Result<(Vec<MedianCell>, QueryStats)> {
-        self.require_agg(attr)?;
-        let plan = plans::Median {
-            values: self
-                .owners
-                .iter()
-                .map(|o| o.sums[attr].as_slice())
-                .collect(),
-            table: self.poly_table(),
-            seed: self.cfg.seed,
-            cell_chunk: plans::DEFAULT_CELL_CHUNK,
-        };
-        self.execute(&plan)
+        self.execute(&self.median_plan(attr)?)
     }
 
     /// PSI over a product domain (§6.6): decode the common cells of this
@@ -714,11 +785,11 @@ impl Cluster {
         &self,
         domain: &prism_core::ProductDomain,
     ) -> Result<(Vec<Vec<u64>>, QueryStats)> {
-        if prism_core::DomainMap::<[u64]>::size(domain) != self.setup.owner.b {
+        let cells = prism_core::DomainMap::<[u64]>::size(domain);
+        if cells != self.setup().owner.b {
             return Err(ProtocolError::ParameterMismatch(format!(
-                "product domain flattens to {} cells, cluster has {}",
-                prism_core::DomainMap::<[u64]>::size(domain),
-                self.setup.owner.b
+                "product domain flattens to {cells} cells, cluster has {}",
+                self.setup().owner.b
             )));
         }
         self.execute(&plans::PsiTuples { domain })
@@ -1054,7 +1125,7 @@ mod tests {
         ];
         cached.append(2, &delta).unwrap();
         oracle.append(2, &delta).unwrap();
-        assert_eq!(cached.setup.owner.b, 5);
+        assert_eq!(cached.setup().owner.b, 5);
         // The untouched window replays both rounds from the cache: zero
         // server round-trips even though the append moved the stores.
         let (got, stats) = cached.psi_query_batch_range(&batch, (0, 3)).unwrap();
@@ -1099,7 +1170,8 @@ mod tests {
         let _ = c.psi().unwrap();
         // Touch only server 2 (never part of a PSI round).
         let data = vec![1u64, 2, 3];
-        c.store_column(2, 0, Column::VAgg(0), data);
+        c.deployment.nodes[2].store(0, Column::VAgg(0), data);
+        c.deployment.note_uploads(2..3);
         let (_, stats) = c.psi().unwrap();
         assert_eq!(
             stats.cache_hits, 1,
@@ -1123,7 +1195,7 @@ mod tests {
         ];
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |v: u64| h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
-        for node in &c.nodes {
+        for node in &c.deployment.nodes {
             for shard in node.shard_nodes() {
                 for column in COLUMNS {
                     for shares in shard.stored(column) {

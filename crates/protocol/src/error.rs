@@ -56,7 +56,7 @@ impl std::fmt::Display for ProtocolError {
 impl std::error::Error for ProtocolError {}
 
 /// Convenience alias used across the crate.
-pub type Result<T> = std::result::Result<T, ProtocolError>;
+pub type Result<T, E = ProtocolError> = std::result::Result<T, E>;
 
 /// `Ok` iff `what` holds the `want` cells the parameters call for.
 pub(crate) fn check_cells(what: &str, got: usize, want: usize) -> Result<()> {

@@ -14,9 +14,9 @@
 //!   [`engine::Operation`] round plans in [`plans`] that compose the step
 //!   functions — written once, run over any [`engine::ServerExec`]
 //!   backend;
-//! * harness facades: the in-memory [`driver::Cluster`] here and the
-//!   channel/TCP `NetCluster` in `prism-net`, both thin wrappers that
-//!   construct plans and hand them to the engine.
+//! * one owner-side facade, [`driver::Cluster`], that constructs plans
+//!   and hands them to a [`driver::Deployment`]: the in-process one here,
+//!   or the channel/TCP `NetCluster` in `prism-net`.
 //!
 //! The [`shard`] module scales the server side *out*: a domain's columns
 //! split into row-range shards, each its own [`engine::ServerNode`], with

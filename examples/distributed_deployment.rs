@@ -5,8 +5,9 @@
 //! [`ClusterListener`] binds first, then every **row-range shard
 //! worker** and the **announcer** (the fourth node behind max/median)
 //! dial in by address and register — nothing has to be alive at start,
-//! nodes attach. The example uploads every owner's table in one
-//! `BulkUpload` round-trip per server, executes PSI / PSU / count /
+//! nodes attach. The owners then outsource through the same
+//! `driver::Cluster` facade an in-process run uses (`Cluster::over`: one
+//! `BulkUpload` round-trip per owner per server), execute PSI / PSU / count /
 //! sum / average / max / median remotely, then **kills a shard worker
 //! mid-run**: the registry's keep-alive prober confirms the death,
 //! re-shards the domain over the survivors, re-outsources the lost row
@@ -19,9 +20,8 @@
 //! Run with: `cargo run --example distributed_deployment`
 
 use prism::core::Prg;
+use prism::driver::{Cluster, ClusterConfig, OwnerInput};
 use prism::net::{AnnouncerNode, ClusterListener, NetCluster, RegistryConfig, ShardWorker};
-use prism::protocol::params::{Initiator, SystemConfig};
-use prism::protocol::tables::{owner_uploads, ColumnSet, OwnerTable};
 use std::time::{Duration, Instant};
 
 const DOMAIN: usize = 1_000;
@@ -29,36 +29,26 @@ const SHARDS: usize = 4;
 
 /// The remote query suite; returns everything it printed so the
 /// post-heal run can be compared answer-for-answer.
-fn run_queries(
-    cluster: &NetCluster,
-    owner_maxima: &[Vec<u64>],
-    owner_sums: &[Vec<u64>],
-) -> (Vec<u64>, usize, u64, String, String) {
-    let fop = cluster.psi_verified().expect("verified PSI");
-    let common: Vec<usize> = fop
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &v)| (v == 1).then_some(i))
-        .collect();
+fn run_queries(cluster: &Cluster<NetCluster>) -> (Vec<u64>, usize, u64, String, String) {
+    let (psi, _) = cluster.psi_verified().expect("verified PSI");
+    let common = psi.common;
     println!("Parts stocked by all suppliers: {}", common.len());
 
-    let union = cluster.psu().expect("PSU");
+    let (union, _) = cluster.psu().expect("PSU");
     println!(
         "Parts stocked by any supplier:  {}",
         union.iter().filter(|&&m| m).count()
     );
 
-    let count = cluster.psi_count().expect("count");
+    let (count, _) = cluster.psi_count().expect("count");
     assert_eq!(count, common.len());
 
-    let (sums, stats) = cluster
-        .execute(&prism::protocol::plans::Sum { attr: 0, seed: 42 })
-        .expect("sum");
+    let (sums, stats) = cluster.psi_sum(0).expect("sum");
     let total: u64 = sums.iter().sum();
     println!("Total stock across common parts: {total}");
     println!("Sum query: {stats}");
 
-    let avgs = cluster.psi_avg(0, 43).expect("avg");
+    let (avgs, _) = cluster.psi_avg(0).expect("avg");
     let first_common = common.first().copied().unwrap_or(0);
     println!(
         "Example: part {} has average stock {:.1} over {} listings",
@@ -69,9 +59,9 @@ fn run_queries(
 
     // Max/median run over the announcer node: the servers push their
     // blinded wide matrices straight to it over dedicated links — the
-    // owner side only ever sees receipts and the final announcement.
-    let max_refs: Vec<&[u64]> = owner_maxima.iter().map(|v| v.as_slice()).collect();
-    let (maxes, holders) = cluster.psi_max(&max_refs, 44).expect("max");
+    // owner side only ever sees receipts and the final announcement. The
+    // per-cell maxima/sums they consume never left the owners.
+    let (maxes, holders, _) = cluster.psi_max(0).expect("max");
     let max_digest = format!("{maxes:?} {holders:?}");
     if let (Some(top), Some(h)) = (maxes.first(), holders.first()) {
         let winners: Vec<usize> = h
@@ -86,8 +76,7 @@ fn run_queries(
             winners
         );
     }
-    let sum_refs: Vec<&[u64]> = owner_sums.iter().map(|v| v.as_slice()).collect();
-    let medians = cluster.psi_median(&sum_refs, 45).expect("median");
+    let (medians, _) = cluster.psi_median(0).expect("median");
     let median_digest = format!("{medians:?}");
     if let Some(mid) = medians.first() {
         println!(
@@ -97,15 +86,14 @@ fn run_queries(
         );
     }
 
-    (fop, count, total, max_digest, median_digest)
+    (psi.fop, count, total, max_digest, median_digest)
 }
 
 fn main() {
     // Phase 0: the initiator derives all parameters and role views.
-    let setup = Initiator::new(SystemConfig::new(3, DOMAIN).with_seed(1234))
-        .setup()
-        .expect("setup");
-    let op = setup.owner.clone();
+    let mut cfg = ClusterConfig::new(DOMAIN);
+    cfg.seed = 1234;
+    let setup = cfg.setup(3).expect("setup");
 
     // Bind the control plane, then attach every node by address — three
     // server domains × four row-range shard workers plus the announcer,
@@ -125,11 +113,11 @@ fn main() {
         }
     }
     let announcer = AnnouncerNode::connect(setup.announcer.clone(), addr, dial).expect("announcer");
-    let cluster = listener.start().expect("cluster");
+    let net = listener.start().expect("cluster");
     println!("deployed 3 server domains × {SHARDS} shard workers over TCP (registry at {addr})");
 
     // Three suppliers with overlapping part catalogs; attribute = stock.
-    let suppliers: Vec<Vec<(u64, u64)>> = (0..3)
+    let suppliers: Vec<OwnerInput> = (0..3)
         .map(|j| {
             let mut prg = Prg::from_seed(100 + j);
             let mut rows = Vec::new();
@@ -139,36 +127,17 @@ fn main() {
                     rows.push((part, stock));
                 }
             }
-            rows
+            OwnerInput::from_pairs(rows)
         })
         .collect();
 
-    // Phase 1: owners build χ tables and upload shares over the wire —
-    // every column of an owner's per-server table in ONE round-trip. The
-    // per-cell maxima/sums stay owner-side: the max/median rounds consume
-    // them directly (they never leave the owners unblinded).
-    let columns = ColumnSet {
-        verification: true,
-        two_copy: false,
-        aggregation: Some(1),
-    };
-    let mut owner_maxima: Vec<Vec<u64>> = Vec::new();
-    let mut owner_sums: Vec<Vec<u64>> = Vec::new();
-    for (j, rows) in suppliers.iter().enumerate() {
-        let cells = rows.iter().map(|&(part, stock)| (part, [stock]));
-        let mut table = OwnerTable::window(cells, 1, 0, DOMAIN).expect("parts lie in 1..=DOMAIN");
-        let mut prg = Prg::from_seed(500 + j as u64);
-        let perms = (&op.pf_db1, &op.pf_db2);
-        let uploads = owner_uploads(&table, &op, perms, columns, &mut prg);
-        for (k, columns) in uploads.into_iter().enumerate() {
-            cluster.bulk_upload(k, j, columns).expect("bulk upload");
-        }
-        owner_maxima.push(table.maxima.remove(0));
-        owner_sums.push(table.sums.remove(0));
-    }
+    // Phase 1: the owners build χ tables and upload shares over the wire
+    // — every column of an owner's per-server table in ONE round-trip —
+    // through the same facade an in-process deployment uses.
+    let cluster = Cluster::over(net, &suppliers, cfg).expect("outsource");
 
     // Phase 2–4: queries over the wire.
-    let before = run_queries(&cluster, &owner_maxima, &owner_sums);
+    let before = run_queries(&cluster);
 
     // Chaos: hard-kill one of server 0's shard workers. The keep-alive
     // prober notices the dead link, the registry re-shards domain 0 over
@@ -176,7 +145,8 @@ fn main() {
     // upload log — no owner involvement, no restart.
     println!("\n--- killing shard worker d0/w0 ---");
     workers[0].kill();
-    let registry = cluster.registry().expect("elastic cluster has a registry");
+    let net = cluster.deployment();
+    let registry = net.registry().expect("elastic cluster has a registry");
     let t0 = Instant::now();
     while registry.failovers() < 1 {
         assert!(
@@ -193,19 +163,19 @@ fn main() {
     // The whole suite again, on the healed cluster — every answer must
     // match the pre-kill run exactly.
     println!("\n--- re-running the query suite on the healed cluster ---");
-    let after = run_queries(&cluster, &owner_maxima, &owner_sums);
+    let after = run_queries(&cluster);
     assert_eq!(after, before, "healed cluster answered differently");
     println!("all answers identical to the pre-kill run");
 
     // Communication report, per owner↔server link, per shard edge, the
     // three announcer edges — and the node health roster, including the
     // worker the prober buried.
-    let report = cluster.report();
+    let report = net.report();
     println!("\nPer-link traffic (owner↔domain, router↔shard, announcer):");
     print!("{report}");
     println!("server <-> server: 0 bytes (no such links exist, by construction)");
 
-    cluster.shutdown().expect("shutdown");
+    cluster.into_deployment().shutdown().expect("shutdown");
     let _ = announcer.join();
     for (i, w) in workers.into_iter().enumerate() {
         // The killed worker exits with a broken link; survivors must be clean.

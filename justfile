@@ -2,7 +2,7 @@
 # Everything works fully offline: external deps are vendored under vendor/.
 
 # Run the standard verification suite (what CI runs).
-ci: fmt-check clippy phase1-once one-fanout build test test-release doc bench-check
+ci: fmt-check clippy phase1-once one-fanout one-facade build test test-release doc bench-check
 
 # Build every workspace target in release mode.
 build:
@@ -46,6 +46,19 @@ phase1-once:
 # again.
 one-fanout:
     ! git grep -n 'thread::scope\|thread::spawn' -- crates/protocol/src ':!crates/protocol/src/chunk.rs'
+
+# One owner-side facade, `driver::Cluster`, over any deployment. Fails if
+# `crates/net/src` names a query again (a `pub fn psi*`/`psu*` other than
+# the two batch shims the repo benchmark pins), or if a test or example
+# goes back to sharing and uploading raw columns by hand instead of
+# `Cluster::over`. Allow-list: the one `owner_columns` helper of
+# `crates/net/tests/shard_e2e.rs`, for its two wire-level cases that
+# compare *how* columns are shipped (`bulk_upload_cuts_phase1_…`,
+# `bulk_and_per_column_uploads_store_identically`).
+one-facade:
+    ! git grep -nE 'pub fn ps[iu]' -- crates/net/src | grep -vE 'pub fn psi_query_batch(_range)?\('
+    ! git grep -nE '(owner_uploads|share_owner)\(' -- crates/net/tests tests examples ':!examples/benchmark' | grep -v '^crates/net/tests/shard_e2e.rs:'
+    test "$(git grep -cE '(owner_uploads|share_owner)\(' -- crates/net/tests/shard_e2e.rs | cut -d: -f2)" = 1
 
 # Non-test vs test Rust line counts per crate (vendor/ and
 # examples/benchmark/ excluded), the one table simplicity PRs quote. In a

@@ -1,52 +1,135 @@
 //! Failure-injection integration tests: every tampering behaviour from
 //! §5.2's threat list must be caught by the corresponding verification,
-//! on every server, across operations — and across *transports*. The
+//! on every server, across operations — and across *deployments*. The
 //! engine applies a node's [`Tamper`] to every output it computes
 //! (compute-phase cheating, before the server-side output permutation),
-//! so the same matrix runs against the in-memory cluster and against
-//! `NetCluster` over its channel transport: the wire cannot weaken
-//! verification because both harnesses execute the identical plans
-//! against the identical `ServerNode`.
+//! and one owner-side facade (`driver::Cluster`) drives every deployment,
+//! so each row of the tamper × operation matrix is **one** body, run on
+//! the in-process deployment and on `NetCluster` over channel links: the
+//! wire cannot weaken verification because both execute the identical
+//! plans against the identical `ServerNode`.
 //!
 //! Detection is statistical (§5.2 argues a forged cell survives the
 //! two-copy checks with probability ~1/b²), so the fixture uses a domain
 //! large enough that coincidental agreement is negligible.
 
-use prism::driver::{Cluster, ClusterConfig, OwnerInput};
+use prism::driver::{Cluster, ClusterConfig, Deployment, InProcess, OwnerInput};
 use prism::net::NetCluster;
-use prism::protocol::malicious::Tamper;
-use prism::protocol::params::{Initiator, SystemConfig};
+use prism::protocol::malicious::{AnnouncerTamper, Tamper};
+use prism::protocol::PsiRoundCache;
 
 const DOMAIN: usize = 48;
 
 /// 4 owners over a 48-cell domain, intersection {2, 7, 11, 23, 31, 40}.
-fn fixture_rows() -> Vec<Vec<(u64, u64)>> {
-    let mut rows: Vec<Vec<(u64, u64)>> = Vec::new();
-    for j in 0..4u64 {
-        let mut r: Vec<(u64, u64)> = [2u64, 7, 11, 23, 31, 40]
-            .iter()
-            .map(|&v| (v, 10 * v + j))
-            .collect();
-        // Private extras per owner.
-        for v in (1..=DOMAIN as u64).filter(|v| v % (j + 3) == 0) {
-            if !r.iter().any(|&(c, _)| c == v) {
-                r.push((v, 5 + v));
+/// The common cells' values 10·v + j are strictly increasing in the
+/// owner index j.
+fn fixture_inputs() -> Vec<OwnerInput> {
+    (0..4u64)
+        .map(|j| {
+            let mut r: Vec<(u64, u64)> = [2u64, 7, 11, 23, 31, 40]
+                .iter()
+                .map(|&v| (v, 10 * v + j))
+                .collect();
+            // Private extras per owner.
+            for v in (1..=DOMAIN as u64).filter(|v| v % (j + 3) == 0) {
+                if !r.iter().any(|&(c, _)| c == v) {
+                    r.push((v, 5 + v));
+                }
             }
-        }
-        rows.push(r);
-    }
-    rows
+            OwnerInput::from_pairs(r)
+        })
+        .collect()
 }
 
-fn cluster(seed: u64) -> Cluster {
-    let inputs: Vec<OwnerInput> = fixture_rows()
-        .iter()
-        .map(|r| OwnerInput::from_pairs(r.iter().copied()))
-        .collect();
+/// A deployment the matrix runs on: how to bring one up with the fixture
+/// outsourced, reach its failure-injection controls, and tear it down.
+trait Harness: Deployment + Sized {
+    /// Prefix of this deployment's assertion messages.
+    const LABEL: &'static str;
+    /// Seeds `honest_runs_never_flagged` sweeps.
+    const HONEST_RUNS: u64;
+
+    fn start(cfg: ClusterConfig) -> Cluster<Self>;
+    fn tamper(c: &mut Cluster<Self>, server: usize, t: Tamper);
+    fn announcer_tamper(c: &mut Cluster<Self>, t: AnnouncerTamper);
+    fn cache(c: &Cluster<Self>) -> &PsiRoundCache;
+    fn stop(c: Cluster<Self>);
+}
+
+impl Harness for InProcess {
+    const LABEL: &'static str = "";
+    const HONEST_RUNS: u64 = 10;
+
+    fn start(cfg: ClusterConfig) -> Cluster {
+        Cluster::build(&fixture_inputs(), cfg).unwrap()
+    }
+    fn tamper(c: &mut Cluster, server: usize, t: Tamper) {
+        c.set_tamper(server, t);
+    }
+    fn announcer_tamper(c: &mut Cluster, t: AnnouncerTamper) {
+        c.set_announcer_tamper(t);
+    }
+    fn cache(c: &Cluster) -> &PsiRoundCache {
+        c.cache().unwrap()
+    }
+    fn stop(_: Cluster) {}
+}
+
+/// Channel links, every column uploaded through the wire.
+impl Harness for NetCluster {
+    const LABEL: &'static str = "net: ";
+    const HONEST_RUNS: u64 = 3;
+
+    fn start(cfg: ClusterConfig) -> Cluster<NetCluster> {
+        let mut net = NetCluster::start_local(cfg.setup(4).unwrap());
+        if cfg.cache {
+            net.enable_cache();
+        }
+        Cluster::over(net, &fixture_inputs(), cfg).unwrap()
+    }
+    fn tamper(c: &mut Cluster<NetCluster>, server: usize, t: Tamper) {
+        c.deployment().set_tamper(server, t).unwrap();
+    }
+    fn announcer_tamper(c: &mut Cluster<NetCluster>, t: AnnouncerTamper) {
+        c.deployment().set_announcer_tamper(t).unwrap();
+    }
+    fn cache(c: &Cluster<NetCluster>) -> &PsiRoundCache {
+        c.deployment().cache().unwrap()
+    }
+    fn stop(c: Cluster<NetCluster>) {
+        c.into_deployment().shutdown().unwrap();
+    }
+}
+
+fn fixture_cfg(seed: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::new(DOMAIN);
     cfg.seed = seed;
     cfg.agg_domain_max = 2000;
-    Cluster::build(&inputs, cfg).unwrap()
+    cfg
+}
+
+fn deploy<H: Harness>(seed: u64) -> Cluster<H> {
+    H::start(fixture_cfg(seed))
+}
+
+fn cluster(seed: u64) -> Cluster {
+    deploy(seed)
+}
+
+/// One body, both deployments: `$body::<InProcess>` under the in-process
+/// test name and `$body::<NetCluster>` under the wire one, each from its
+/// own base seed.
+macro_rules! on_both {
+    ($body:ident: $local:ident($local_seed:expr), $wire:ident($wire_seed:expr)) => {
+        #[test]
+        fn $local() {
+            $body::<InProcess>($local_seed)
+        }
+        #[test]
+        fn $wire() {
+            $body::<NetCluster>($wire_seed)
+        }
+    };
 }
 
 fn all_tampers() -> Vec<Tamper> {
@@ -61,19 +144,23 @@ fn all_tampers() -> Vec<Tamper> {
     ]
 }
 
-#[test]
-fn psi_verification_catches_every_tamper_on_either_server() {
+fn psi_verification_catches_every_tamper<H: Harness>(seed: u64) {
     for server in 0..2 {
         for (i, t) in all_tampers().into_iter().enumerate() {
-            let mut c = cluster(100 + i as u64);
-            c.set_tamper(server, t);
+            let mut c = deploy::<H>(seed + i as u64);
+            H::tamper(&mut c, server, t);
             assert!(
                 c.psi_verified().is_err(),
-                "server {server} tamper {t:?} escaped PSI verification"
+                "{}server {server} tamper {t:?} escaped PSI verification",
+                H::LABEL
             );
+            H::stop(c);
         }
     }
 }
+on_both!(psi_verification_catches_every_tamper:
+    psi_verification_catches_every_tamper_on_either_server(100),
+    net_psi_verification_catches_every_tamper_on_either_server(800));
 
 #[test]
 fn count_verification_never_accepts_a_wrong_count() {
@@ -129,16 +216,23 @@ fn sum_verification_catches_round2_tampering() {
     }
 }
 
-#[test]
-fn honest_runs_never_flagged() {
-    for seed in 0..10 {
-        let c = cluster(400 + seed);
-        assert!(c.psi_verified().is_ok(), "false positive at seed {seed}");
+fn honest_runs_are_never_flagged<H: Harness>(seed: u64) {
+    for run in 0..H::HONEST_RUNS {
+        let c = deploy::<H>(seed + run);
+        assert!(
+            c.psi_verified().is_ok(),
+            "{}false positive at seed {run}",
+            H::LABEL
+        );
         assert!(c.psi_count_verified().is_ok());
         assert!(c.psi_sum_verified(0).is_ok());
         assert!(c.psu_verified().is_ok());
+        H::stop(c);
     }
 }
+on_both!(honest_runs_are_never_flagged:
+    honest_runs_never_flagged(400),
+    net_honest_runs_never_flagged(950));
 
 #[test]
 fn psu_verification_rejects_cell_targeted_forgeries() {
@@ -209,100 +303,55 @@ fn max_verification_catches_suppressed_maximum() {
     } // Err(_) means the tampering was detected.
 }
 
-// ---------------------------------------------------------------------
-// The same matrix through the engine via NetCluster (channel transport):
-// transport must not weaken verification.
-// ---------------------------------------------------------------------
-
-/// One fixture owner's plaintext table (one aggregation attribute).
-fn owner_table(rows: &[(u64, u64)]) -> prism::protocol::tables::OwnerTable {
-    let cells = rows.iter().map(|&(c, x)| (c, [x]));
-    prism::protocol::tables::OwnerTable::window(cells, 1, 0, DOMAIN).unwrap()
-}
-
-/// Build a channel-transport cluster with every column the verified
-/// operations need uploaded through the wire.
-fn net_cluster(seed: u64) -> NetCluster {
-    use prism::core::Prg;
-    use prism::protocol::tables::{owner_uploads, ColumnSet};
-
-    let setup = Initiator::new(SystemConfig::new(4, DOMAIN).with_seed(seed))
-        .setup()
-        .unwrap();
-    let cluster = NetCluster::start_local(setup);
-    let op = &cluster.setup().owner;
-    let perms = (&op.pf_db1, &op.pf_db2);
-    for (j, rows) in fixture_rows().iter().enumerate() {
-        let mut prg = Prg::from_seed(seed ^ (7000 + j as u64));
-        let uploads = owner_uploads(&owner_table(rows), op, perms, ColumnSet::full(1), &mut prg);
-        for (k, columns) in uploads.into_iter().enumerate() {
-            cluster.bulk_upload(k, j, columns).unwrap();
-        }
-    }
-    cluster
-}
-
-#[test]
-fn net_psi_verification_catches_every_tamper_on_either_server() {
-    for server in 0..2 {
-        for (i, t) in all_tampers().into_iter().enumerate() {
-            let c = net_cluster(800 + i as u64);
-            c.set_tamper(server, t).unwrap();
-            assert!(
-                c.psi_verified().is_err(),
-                "net: server {server} tamper {t:?} escaped PSI verification"
-            );
-            c.shutdown().unwrap();
-        }
-    }
-}
-
-#[test]
-fn net_verified_queries_reject_or_match_honest_results() {
-    // The full tamper × operation matrix over the channel transport. As
-    // in-process: a verified query under tampering must either error or
-    // return the honest answer.
-    let honest = net_cluster(900);
-    let honest_count = honest.psi_count().unwrap();
-    let honest_sum = honest.psi_sum(0, 42).unwrap();
-    let honest_union = honest.psu().unwrap().iter().filter(|&&m| m).count();
-    honest.shutdown().unwrap();
+fn verified_queries_reject_or_match_honest<H: Harness>(seed: u64) {
+    // The full tamper × operation matrix: a verified query under
+    // tampering must either error or return the honest answer.
+    let honest = deploy::<H>(seed);
+    let honest_count = honest.psi_count().unwrap().0;
+    let honest_sum = honest.psi_sum(0).unwrap().0;
+    let honest_union = honest.psu().unwrap().0.iter().filter(|&&m| m).count();
+    H::stop(honest);
 
     let mut detected = 0usize;
     let mut runs = 0usize;
     for server in 0..3 {
         for (i, t) in all_tampers().into_iter().enumerate() {
-            let c = net_cluster(900 + i as u64);
-            c.set_tamper(server, t).unwrap();
+            let mut c = deploy::<H>(seed + i as u64);
+            H::tamper(&mut c, server, t);
             if server < 2 {
                 match c.psi_count_verified() {
                     Err(_) => detected += 1,
-                    Ok(n) => assert_eq!(
-                        n, honest_count,
-                        "net: server {server} tamper {t:?} passed count verification wrongly"
+                    Ok((n, _)) => assert_eq!(
+                        n,
+                        honest_count,
+                        "{}server {server} tamper {t:?} passed count verification wrongly",
+                        H::LABEL
                     ),
                 }
                 match c.psu_verified() {
                     Err(_) => detected += 1,
-                    // Same documented limitation as in-process: constant
-                    // fill can only inflate towards the full domain.
-                    Ok(n) => assert!(
+                    // The documented PSU limitation: constant fill can
+                    // only inflate towards the full domain.
+                    Ok((n, _)) => assert!(
                         n == honest_union || n >= DOMAIN - 1,
-                        "net: server {server} tamper {t:?} passed PSU \
-                         verification with a crafted union of {n}"
+                        "{}server {server} tamper {t:?} passed PSU \
+                         verification with a crafted union of {n}",
+                        H::LABEL
                     ),
                 }
                 runs += 2;
             }
-            match c.psi_sum_verified(0, 42) {
+            match c.psi_sum_verified(0) {
                 Err(_) => detected += 1,
-                Ok(sums) => assert_eq!(
-                    sums, honest_sum,
-                    "net: server {server} tamper {t:?} passed sum verification wrongly"
+                Ok((sums, _)) => assert_eq!(
+                    sums,
+                    honest_sum,
+                    "{}server {server} tamper {t:?} passed sum verification wrongly",
+                    H::LABEL
                 ),
             }
             runs += 1;
-            c.shutdown().unwrap();
+            H::stop(c);
         }
     }
     assert!(
@@ -310,53 +359,39 @@ fn net_verified_queries_reject_or_match_honest_results() {
         "most tampers should be detected, got {detected}/{runs}"
     );
 }
+on_both!(verified_queries_reject_or_match_honest:
+    verified_queries_reject_or_match_honest_results(900),
+    net_verified_queries_reject_or_match_honest_results(900));
 
-/// Per-owner per-cell maxima and sums (attribute 0) from the fixture.
-fn fixture_values() -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
-    fixture_rows()
-        .iter()
-        .map(|rows| {
-            let mut t = owner_table(rows);
-            (t.maxima.remove(0), t.sums.remove(0))
-        })
-        .unzip()
-}
-
-#[test]
-fn net_announcer_fake_values_always_detected() {
-    use prism::protocol::malicious::AnnouncerTamper;
-
+fn announcer_fake_values_always_detected<H: Harness>(seed: u64) {
     // A fabricated announcement cannot invert through F (and nobody
-    // claims it): max and median must error, on both transports, and the
-    // announcer must recover when honesty is restored.
-    let (maxima, sums) = fixture_values();
-    let max_refs: Vec<&[u64]> = maxima.iter().map(Vec::as_slice).collect();
-    let sum_refs: Vec<&[u64]> = sums.iter().map(Vec::as_slice).collect();
-    let c = net_cluster(1000);
-    let honest_max = c.psi_max(&max_refs, 5).unwrap();
-    let honest_median = c.psi_median(&sum_refs, 6).unwrap();
-    for seed in [1u64, 77, 4096] {
-        c.set_announcer_tamper(AnnouncerTamper::FakeValue { seed })
-            .unwrap();
+    // claims it): max and median must error, on every deployment — the
+    // announcer lives in the engine, so the verdict cannot depend on the
+    // transport — and the announcer must recover when honesty is restored.
+    let mut c = deploy::<H>(seed);
+    let honest_max = c.psi_max(0).unwrap().0;
+    let honest_median = c.psi_median(0).unwrap().0;
+    for seed in [1u64, 3, 77, 4096] {
+        H::announcer_tamper(&mut c, AnnouncerTamper::FakeValue { seed });
         assert!(
-            c.psi_max(&max_refs, 5).is_err(),
+            c.psi_max(0).is_err(),
             "fake announcement (seed {seed}) escaped max verification"
         );
         assert!(
-            c.psi_median(&sum_refs, 6).is_err(),
+            c.psi_median(0).is_err(),
             "fake announcement (seed {seed}) escaped median decode"
         );
     }
-    c.set_announcer_tamper(AnnouncerTamper::Honest).unwrap();
-    assert_eq!(c.psi_max(&max_refs, 5).unwrap(), honest_max);
-    assert_eq!(c.psi_median(&sum_refs, 6).unwrap(), honest_median);
-    c.shutdown().unwrap();
+    H::announcer_tamper(&mut c, AnnouncerTamper::Honest);
+    assert_eq!(c.psi_max(0).unwrap().0, honest_max);
+    assert_eq!(c.psi_median(0).unwrap().0, honest_median);
+    H::stop(c);
 }
+on_both!(announcer_fake_values_always_detected:
+    inmemory_announcer_tampers_detected_like_the_wire(1300),
+    net_announcer_fake_values_always_detected(1000));
 
-#[test]
-fn net_announcer_slot_lies_rejected_or_harmless() {
-    use prism::protocol::malicious::AnnouncerTamper;
-
+fn announcer_slot_lies_are_rejected_or_harmless<H: Harness>(seed: u64) {
     // An announcer always crediting permuted slot s understates the max
     // whenever that slot's owner does not hold it; the owner holding the
     // larger value flags it (paper's §6.3 verification). The fixture's
@@ -364,16 +399,14 @@ fn net_announcer_slot_lies_rejected_or_harmless() {
     // one of the m slots is the true holder — every other slot must be
     // rejected, and that slot (if announced) must reproduce the honest
     // result bit-for-bit.
-    let (maxima, _) = fixture_values();
-    let max_refs: Vec<&[u64]> = maxima.iter().map(Vec::as_slice).collect();
-    let c = net_cluster(1100);
-    let honest = c.psi_max(&max_refs, 7).unwrap();
-    let m = maxima.len();
+    let mut c = deploy::<H>(seed);
+    let max = |c: &Cluster<H>| c.psi_max(0).map(|(cells, holders, _)| (cells, holders));
+    let honest = max(&c).unwrap();
+    let m = c.owners();
     let mut detected = 0;
     for slot in 0..m {
-        c.set_announcer_tamper(AnnouncerTamper::AnnounceSlot(slot))
-            .unwrap();
-        match c.psi_max(&max_refs, 7) {
+        H::announcer_tamper(&mut c, AnnouncerTamper::AnnounceSlot(slot));
+        match max(&c) {
             Err(_) => detected += 1,
             Ok(got) => assert_eq!(
                 got, honest,
@@ -386,11 +419,13 @@ fn net_announcer_slot_lies_rejected_or_harmless() {
         m - 1,
         "every slot but the true holder's must be rejected"
     );
-    c.shutdown().unwrap();
+    H::stop(c);
 }
+on_both!(announcer_slot_lies_are_rejected_or_harmless:
+    announcer_slot_lies_rejected_or_harmless(1100),
+    net_announcer_slot_lies_rejected_or_harmless(1100));
 
-#[test]
-fn net_max_median_server_tampers_never_forge_a_value() {
+fn max_median_server_tampers_never_forge<H: Harness>(seed: u64) {
     // Server-side tampering under max/median hits the (unverified) PSI
     // round — the wide rounds model honest relaying — so all a lazy
     // server can do is distort *which* cells get queried. What the
@@ -399,31 +434,29 @@ fn net_max_median_server_tampers_never_forge_a_value() {
     // reports agrees with the honest answer for that cell.
     use std::collections::HashMap;
 
-    let (maxima, sums) = fixture_values();
-    let max_refs: Vec<&[u64]> = maxima.iter().map(Vec::as_slice).collect();
-    let sum_refs: Vec<&[u64]> = sums.iter().map(Vec::as_slice).collect();
-    let honest_c = net_cluster(1200);
-    let (hm, hh) = honest_c.psi_max(&max_refs, 8).unwrap();
+    let honest_c = deploy::<H>(seed);
+    let (hm, hh, _) = honest_c.psi_max(0).unwrap();
     let honest_max: HashMap<usize, (u64, Vec<bool>)> = hm
         .iter()
         .zip(hh)
         .map(|(cell, holders)| (cell.cell, (cell.max, holders)))
         .collect();
     let honest_median: HashMap<usize, (Vec<u64>, Vec<usize>)> = honest_c
-        .psi_median(&sum_refs, 9)
+        .psi_median(0)
         .unwrap()
+        .0
         .into_iter()
         .map(|c| (c.cell, (c.values, c.holders)))
         .collect();
-    honest_c.shutdown().unwrap();
+    H::stop(honest_c);
     for server in 0..2 {
         for t in [
             Tamper::SkipReplay { src: 0 },
             Tamper::InjectFake { cell: 3, seed: 4 },
         ] {
-            let c = net_cluster(1200);
-            c.set_tamper(server, t).unwrap();
-            if let Ok((cells, holders)) = c.psi_max(&max_refs, 8) {
+            let mut c = deploy::<H>(seed);
+            H::tamper(&mut c, server, t);
+            if let Ok((cells, holders, _)) = c.psi_max(0) {
                 for (cell, h) in cells.iter().zip(&holders) {
                     assert_eq!(
                         honest_max.get(&cell.cell),
@@ -433,7 +466,7 @@ fn net_max_median_server_tampers_never_forge_a_value() {
                     );
                 }
             }
-            if let Ok(cells) = c.psi_median(&sum_refs, 9) {
+            if let Ok((cells, _)) = c.psi_median(0) {
                 for cell in cells {
                     assert_eq!(
                         honest_median.get(&cell.cell),
@@ -443,27 +476,13 @@ fn net_max_median_server_tampers_never_forge_a_value() {
                     );
                 }
             }
-            c.shutdown().unwrap();
+            H::stop(c);
         }
     }
 }
-
-#[test]
-fn inmemory_announcer_tampers_detected_like_the_wire() {
-    use prism::protocol::malicious::AnnouncerTamper;
-
-    // The same announcer failure injection through the in-memory driver:
-    // Announcer lives in the engine, so the verdict cannot depend on the
-    // transport (the conformance suite pins full equality; this pins the
-    // driver facade).
-    let mut c = cluster(1300);
-    let honest = c.psi_max(0).unwrap().0;
-    c.set_announcer_tamper(AnnouncerTamper::FakeValue { seed: 3 });
-    assert!(c.psi_max(0).is_err());
-    assert!(c.psi_median(0).is_err());
-    c.set_announcer_tamper(AnnouncerTamper::Honest);
-    assert_eq!(c.psi_max(0).unwrap().0, honest);
-}
+on_both!(max_median_server_tampers_never_forge:
+    max_median_server_tampers_never_forge_a_value(1200),
+    net_max_median_server_tampers_never_forge_a_value(1200));
 
 // ---------------------------------------------------------------------
 // Cache × tamper interaction: the cross-query PSI-round cache must not
@@ -472,26 +491,19 @@ fn inmemory_announcer_tampers_detected_like_the_wire() {
 // restored honesty never replays tampered data).
 // ---------------------------------------------------------------------
 
-fn cached_cluster(seed: u64) -> Cluster {
-    let inputs: Vec<OwnerInput> = fixture_rows()
-        .iter()
-        .map(|r| OwnerInput::from_pairs(r.iter().copied()))
-        .collect();
-    let mut cfg = ClusterConfig::new(DOMAIN).with_cache(true);
-    cfg.seed = seed;
-    cfg.agg_domain_max = 2000;
-    Cluster::build(&inputs, cfg).unwrap()
-}
-
-#[test]
-fn tamper_after_warmup_still_detected_with_cache() {
-    let mut c = cached_cluster(1400);
+fn tamper_after_warmup_is_still_detected<H: Harness>(seed: u64) {
+    let mut c = H::start(fixture_cfg(seed).with_cache(true));
     // Warm the cache thoroughly: the plain PSI round is now cached.
     let honest = c.psi().unwrap().0;
-    assert_eq!(c.psi().unwrap().1.cache_hits, 1, "cache not warm");
+    let (warm, stats) = c.psi().unwrap();
+    assert_eq!(stats.cache_hits, 1, "cache not warm");
+    assert_eq!(warm, honest, "warm repeat diverged");
     assert!(c.psi_verified().is_ok());
-    for t in all_tampers() {
-        c.set_tamper(0, t);
+    // An injected fake changes the combined vector at its cell, so this
+    // one must also change the plain answer.
+    let biting = Tamper::InjectFake { cell: 3, seed: 4 };
+    for t in all_tampers().into_iter().chain([biting]) {
+        H::tamper(&mut c, 0, t);
         // Verified paths bypass the cache, so the tamper must bite
         // exactly as it does uncached.
         assert!(
@@ -505,57 +517,35 @@ fn tamper_after_warmup_still_detected_with_cache() {
             stats.cache_hits, 0,
             "{t:?}: tampered round served from cache"
         );
-        let mut oracle = cluster(1400);
-        oracle.set_tamper(0, t);
+        let mut oracle = deploy::<H>(seed);
+        H::tamper(&mut oracle, 0, t);
         assert_eq!(
             tampered.fop,
             oracle.psi().unwrap().0.fop,
             "{t:?}: cache masked the tamper on the unverified path"
         );
-        c.set_tamper(0, Tamper::Honest);
+        H::stop(oracle);
+        if t == biting {
+            assert_ne!(tampered, honest, "tamper did not bite the plain path");
+        }
+        H::tamper(&mut c, 0, Tamper::Honest);
     }
     // Honesty restored: the cache must not replay any tampered round.
     let (restored, stats) = c.psi().unwrap();
     assert_eq!(stats.cache_hits, 0, "tampered-era round was cached");
-    assert_eq!(restored.fop, honest.fop);
-    // And the next repeat is a hit again.
-    assert_eq!(c.psi().unwrap().1.cache_hits, 1);
-}
-
-#[test]
-fn net_tamper_after_warmup_still_detected_with_cache() {
-    let mut c = net_cluster(1500);
-    c.enable_cache();
-    let honest = c.psi().unwrap();
-    assert_eq!(c.psi().unwrap(), honest, "warm repeat diverged");
-    let t = Tamper::InjectFake { cell: 3, seed: 4 };
-    c.set_tamper(0, t).unwrap();
-    assert!(
-        c.psi_verified().is_err(),
-        "tamper escaped verification behind a warm net cache"
-    );
-    let tampered = c.psi().unwrap();
-    assert_ne!(tampered, honest, "tamper did not bite the plain path");
-    c.set_tamper(0, Tamper::Honest).unwrap();
     assert_eq!(
-        c.psi().unwrap(),
-        honest,
+        restored.fop, honest.fop,
         "tampered round outlived the tamper"
     );
-    let report = c.report();
-    assert!(report.cache_hits >= 1, "repeat queries never hit");
-    assert!(report.cache_invalidations >= 1, "tamper never invalidated");
-    c.shutdown().unwrap();
+    // And the next repeat is a hit again.
+    assert_eq!(c.psi().unwrap().1.cache_hits, 1);
+    assert!(H::cache(&c).hits() >= 1, "repeat queries never hit");
+    assert!(
+        H::cache(&c).invalidations() >= 1,
+        "tamper never invalidated"
+    );
+    H::stop(c);
 }
-
-#[test]
-fn net_honest_runs_never_flagged() {
-    for seed in 0..3 {
-        let c = net_cluster(950 + seed);
-        assert!(c.psi_verified().is_ok(), "net false positive, seed {seed}");
-        assert!(c.psi_count_verified().is_ok());
-        assert!(c.psi_sum_verified(0, 9).is_ok());
-        assert!(c.psu_verified().is_ok());
-        c.shutdown().unwrap();
-    }
-}
+on_both!(tamper_after_warmup_is_still_detected:
+    tamper_after_warmup_still_detected_with_cache(1400),
+    net_tamper_after_warmup_still_detected_with_cache(1500));
