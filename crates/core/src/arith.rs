@@ -13,7 +13,9 @@
 //!   monomorphised over it: `M61` folds, `Generic` multiplies by a
 //!   precomputed reciprocal. The slice kernels the protocol crate needs
 //!   ([`sum_columns_mod`], [`mul_assign_mod`]) are exported as plain
-//!   functions; the reducers themselves stay private to this crate.
+//!   functions; the reducers themselves stay private to this crate, except
+//!   as [`Modulus`] — the reciprocal reducer behind a two-method value, for
+//!   per-cell expressions a caller fuses into its own single pass.
 //! * Sums are reduced lazily: canonical addends are accumulated in a `u64`
 //!   for as long as they provably fit (`Reducer::lazy_addends`) and
 //!   reduced once per group.
@@ -259,6 +261,39 @@ macro_rules! by_modulus {
     }};
 }
 pub(crate) use by_modulus;
+
+/// A modulus prepared for a caller's own loop.
+///
+/// The owner steps of the protocol crate evaluate one expression per cell
+/// over several reply vectors — a product of two to four factors, a
+/// comparison, a count — and keep none of the intermediate vectors, so no
+/// slice kernel fits them. They build one of these per step (a `u128`
+/// division) and then multiply and add without dividing. Results are the
+/// canonical residues, so they equal [`mul_mod`] / [`add_mod`] and every
+/// slice kernel of this module bit for bit, whatever the operands.
+#[derive(Debug, Clone, Copy)]
+pub struct Modulus(Generic);
+
+impl Modulus {
+    /// Prepare `n`. Panics if `n` is zero.
+    pub fn new(n: u64) -> Modulus {
+        assert!(n > 0, "modulus must be positive");
+        Modulus(Generic::new(n))
+    }
+
+    /// `(a * b) mod n` for arbitrary (also unreduced) operands.
+    #[inline]
+    pub fn mul(self, a: u64, b: u64) -> u64 {
+        self.0.mul(a, b)
+    }
+
+    /// `(a + b) mod n` for arbitrary operands; reduced ones cost a compare
+    /// each.
+    #[inline]
+    pub fn add(self, a: u64, b: u64) -> u64 {
+        self.0.add(self.0.reduce_rare(a), self.0.reduce_rare(b))
+    }
+}
 
 /// Cells per pass of [`sum_columns_mod`]: the accumulator tile stays in L1
 /// while the columns stream through it.
@@ -670,6 +705,9 @@ mod tests {
         assert_eq!(add_mod(a, b, n), add_ref(a, b, n), "{a} + {b} mod {n}");
         assert_eq!(sub_mod(a, b, n), sub_ref(a, b, n), "{a} - {b} mod {n}");
         assert_eq!(mul_mod(a, b, n), mul_ref(a, b, n), "{a} * {b} mod {n}");
+        let prepared = Modulus::new(n);
+        assert_eq!(prepared.add(a, b), add_ref(a, b, n), "{a} + {b} mod {n}");
+        assert_eq!(prepared.mul(a, b), mul_ref(a, b, n), "{a} * {b} mod {n}");
     }
 
     fn check_reducer<R: Reducer>(r: R, a: u64, b: u64, wide: u128) {

@@ -82,11 +82,13 @@ impl Permutation {
     /// Apply to a slice: `output[dest(i)] = input[i]`.
     pub fn apply<T: Clone>(&self, input: &[T]) -> Vec<T> {
         assert_eq!(input.len(), self.map.len(), "length mismatch in apply");
-        let mut out: Vec<Option<T>> = vec![None; input.len()];
-        for (i, item) in input.iter().enumerate() {
-            out[self.map[i] as usize] = Some(item.clone());
+        // One plain buffer: the copy only provides initialised slots, and
+        // the map is a bijection, so the scatter overwrites every one.
+        let mut out = input.to_vec();
+        for (item, &dest) in input.iter().zip(&self.map) {
+            out[dest as usize] = item.clone();
         }
-        out.into_iter().map(|o| o.expect("bijection")).collect()
+        out
     }
 
     /// Apply into a caller-owned buffer: `out[dest(i)] = input[i]`.

@@ -137,42 +137,66 @@ impl ShamirCtx {
 
     /// Bulk share of a vector: returns `count` parallel vectors of raw `y`
     /// values (the x is implied by the server index, saving 8 bytes/cell on
-    /// the wire and in storage).
+    /// the wire and in storage). [`ShamirCtx::share_blocks`] over a slice.
+    pub fn share_vector(&self, secrets: &[u64], count: usize, prg: &mut Prg) -> Vec<Vec<u64>> {
+        self.share_blocks(secrets.len(), count, prg, |start, block| {
+            block.copy_from_slice(&secrets[start..start + block.len()])
+        })
+    }
+
+    /// Bulk share of `cells` secrets the caller produces a block at a time:
+    /// `secrets(start, block)` writes secrets `start..start + block.len()`
+    /// into `block` (a few KiB on the stack), so a secret vector the caller
+    /// only needs as shares — the `z` of §6.1 Step 3 — is never
+    /// materialised, and each share is written once: the columns are sized
+    /// up front and appended to, never zero-filled.
     ///
     /// The PRG draw order is identical to calling [`ShamirCtx::share`] per
     /// secret, so the shares are too. The field's reducer and the rejection
-    /// zone are hoisted out of the loop, the outputs are sized up front, and
-    /// degree 1 — PRISM's — walks the evaluation points by addition
-    /// (`f(k) = f(k − 1) + a₁`) instead of evaluating Horner per point.
-    pub fn share_vector(&self, secrets: &[u64], count: usize, prg: &mut Prg) -> Vec<Vec<u64>> {
+    /// zone are hoisted out of the loops, and degree 1 — PRISM's — walks the
+    /// evaluation points by addition (`f(k) = f(k − 1) + a₁`) instead of
+    /// evaluating Horner per point: per block, one pass of draws, then per
+    /// column one pass of additions and one append.
+    pub fn share_blocks(
+        &self,
+        cells: usize,
+        count: usize,
+        prg: &mut Prg,
+        mut secrets: impl FnMut(usize, &mut [u64]),
+    ) -> Vec<Vec<u64>> {
         assert!(
             count > self.degree,
             "need more shares ({count}) than the degree ({})",
             self.degree
         );
-        // One zeroed allocation per column (`vec![column; count]` would copy
-        // the first into the rest).
-        let mut out: Vec<Vec<u64>> = (0..count).map(|_| vec![0u64; secrets.len()]).collect();
+        let mut out: Vec<Vec<u64>> = (0..count).map(|_| Vec::with_capacity(cells)).collect();
         let zone = rejection_zone(self.p);
+        let (mut ys, mut slopes) = ([0u64; SHARE_BLOCK], [0u64; SHARE_BLOCK]);
+        let mut coeffs = vec![0u64; self.degree + 1];
         by_modulus!(self.p, |r| {
-            if self.degree == 1 {
-                for (i, &s) in secrets.iter().enumerate() {
-                    let a = prg.draw(r, zone);
-                    let mut y = r.reduce_rare(s);
+            for start in (0..cells).step_by(SHARE_BLOCK) {
+                let ys = &mut ys[..SHARE_BLOCK.min(cells - start)];
+                secrets(start, ys);
+                if self.degree == 1 {
+                    let slopes = &mut slopes[..ys.len()];
+                    for (y, a) in ys.iter_mut().zip(slopes.iter_mut()) {
+                        (*y, *a) = (r.reduce_rare(*y), prg.draw(r, zone));
+                    }
                     for col in out.iter_mut() {
-                        y = r.add(y, a);
-                        col[i] = y;
+                        for (y, &a) in ys.iter_mut().zip(slopes.iter()) {
+                            *y = r.add(*y, a);
+                        }
+                        col.extend_from_slice(ys);
                     }
-                }
-            } else {
-                let mut coeffs = vec![0u64; self.degree + 1];
-                for (i, &s) in secrets.iter().enumerate() {
-                    coeffs[0] = r.reduce(s);
-                    for c in coeffs.iter_mut().skip(1) {
-                        *c = prg.draw(r, zone);
-                    }
-                    for (k, col) in out.iter_mut().enumerate() {
-                        col[i] = self.eval_poly(&coeffs, (k + 1) as u64);
+                } else {
+                    for &s in ys.iter() {
+                        coeffs[0] = r.reduce(s);
+                        for c in coeffs.iter_mut().skip(1) {
+                            *c = prg.draw(r, zone);
+                        }
+                        for (k, col) in out.iter_mut().enumerate() {
+                            col.push(self.eval_poly(&coeffs, (k + 1) as u64));
+                        }
                     }
                 }
             }
@@ -225,14 +249,31 @@ impl ShamirCtx {
         columns: [&[u64]; K],
         lambda: &[u64; K],
     ) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.reconstruct_columns_extend(columns, lambda, &mut out);
+        out
+    }
+
+    /// [`ShamirCtx::reconstruct_columns_with`] appended to `out`: a caller
+    /// that finalizes several columns in row blocks (to use each block
+    /// while it is in cache) reserves each result once and extends it block
+    /// by block. Panics unless the columns have equal lengths.
+    pub fn reconstruct_columns_extend<const K: usize>(
+        &self,
+        columns: [&[u64]; K],
+        lambda: &[u64; K],
+        out: &mut Vec<u64>,
+    ) {
         let cells = columns.first().map_or(0, |c| c.len());
         assert!(
             columns.iter().all(|c| c.len() == cells),
             "share columns must have equal length"
         );
-        by_modulus!(self.p, |r| (0..cells)
-            .map(|i| dot(r, &columns.map(|c| c[i]), lambda))
-            .collect())
+        by_modulus!(self.p, |r| out.extend((0..cells).map(|i| dot(
+            r,
+            &columns.map(|c| c[i]),
+            lambda
+        ))))
     }
 
     /// Reconstruct from raw per-server values `ys[k]` sampled at
@@ -249,6 +290,10 @@ impl ShamirCtx {
         self.reconstruct(&shares)
     }
 }
+
+/// Secrets per block of [`ShamirCtx::share_blocks`]: 4 KiB of secrets (and,
+/// at degree 1, 4 KiB of slopes) on the stack.
+const SHARE_BLOCK: usize = 512;
 
 /// `Σ ys[k] · weights[k] mod n` for arbitrary operands: as many products as
 /// fit are summed unreduced in a `u128`, then reduced once.
@@ -518,6 +563,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn column_reconstruction_in_blocks_equals_the_whole() {
+        let mut prg = Prg::from_seed(11);
+        for p in FIELDS {
+            let c = ShamirCtx { p, degree: 1 };
+            let lambda: [u64; 3] = c.lagrange_at_zero(3).try_into().unwrap();
+            let cols: Vec<Vec<u64>> = (0..3)
+                .map(|_| (0..100).map(|_| prg.next_u64()).collect())
+                .collect();
+            let whole = c.reconstruct_columns_with([&cols[0], &cols[1], &cols[2]], &lambda);
+            for block in [1usize, 7, 64, 100, 1000] {
+                let mut out = Vec::with_capacity(100);
+                for lo in (0..100).step_by(block) {
+                    let hi = (lo + block).min(100);
+                    let rows = [&cols[0][lo..hi], &cols[1][lo..hi], &cols[2][lo..hi]];
+                    c.reconstruct_columns_extend(rows, &lambda, &mut out);
+                }
+                assert_eq!(out, whole, "p={p} block={block}");
+            }
+        }
+    }
+
+    #[test]
+    fn share_blocks_reads_computed_secrets_like_the_vector_they_would_make() {
+        // Same draws, same shares, same PRG position — whether the secrets
+        // exist as a vector or only as an expression.
+        // Longer than two blocks, and not a multiple of one.
+        let bits: Vec<u64> = (0..2 * SHARE_BLOCK as u64 + 77)
+            .map(|i| [3, 1, 0, 1, 1, 7, u64::MAX, 1][(i % 8) as usize])
+            .collect();
+        let z: Vec<u64> = bits.iter().map(|&v| u64::from(v == 1)).collect();
+        for p in FIELDS {
+            for degree in 1..=2 {
+                let c = ShamirCtx::new(p, degree);
+                let (mut block_prg, mut vector_prg) = (Prg::from_seed(p), Prg::from_seed(p));
+                let mut next = 0;
+                let shared = c.share_blocks(bits.len(), 3, &mut block_prg, |start, block| {
+                    assert_eq!(start, next, "blocks arrive in order");
+                    next += block.len();
+                    for (s, &v) in block.iter_mut().zip(&bits[start..]) {
+                        *s = u64::from(v == 1);
+                    }
+                });
+                assert_eq!(next, bits.len());
+                assert_eq!(shared, c.share_vector(&z, 3, &mut vector_prg), "p={p}");
+                assert_eq!(block_prg.next_u64(), vector_prg.next_u64());
+                assert!(shared.iter().all(|col| col.capacity() == bits.len()));
+            }
+        }
+        let none = ctx().share_blocks(0, 3, &mut Prg::from_seed(1), |_, _| panic!("no block"));
+        assert_eq!(none, vec![Vec::<u64>::new(); 3]);
     }
 
     #[test]

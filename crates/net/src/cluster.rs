@@ -42,7 +42,7 @@ use crate::mux::{Admission, MuxLink, QueryId};
 use crate::registry::NodeRegistry;
 use crate::router::{domain_loop, node_loop, reply, DomainState, WorkerSlot};
 use crate::transport::{channel_pair, Link, LinkStats, NetError, TcpLink};
-use crate::wire::{Column, Message};
+use crate::wire::{recycle_vecs, Column, Message};
 use parking_lot::RwLock;
 use prism_core::Permutation;
 use prism_protocol::cache::{CachedExec, PsiRoundCache};
@@ -387,6 +387,10 @@ impl ServerExec for QueryView<'_> {
     fn meters(&self) -> ExecMeters {
         self.net.meters()
     }
+
+    fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
+        self.net.reclaim(server, outputs)
+    }
 }
 
 impl ServerExec for NetCluster {
@@ -413,6 +417,12 @@ impl ServerExec for NetCluster {
             failovers: self.registry.as_ref().map_or(0, |r| r.failovers()),
             ..ExecMeters::default()
         }
+    }
+
+    /// Reply vectors were decoded into buffers from the wire pool; that is
+    /// where they return, whichever server sent them.
+    fn reclaim(&self, _server: usize, outputs: Vec<Vec<u64>>) {
+        recycle_vecs(outputs);
     }
 }
 

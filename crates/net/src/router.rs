@@ -34,11 +34,15 @@ use std::thread::JoinHandle;
 /// envelope (the reply must route back through the owner's multiplexer to
 /// that query's slot), plain otherwise.
 pub(crate) fn reply(link: &dyn Link, tag: Option<u64>, msg: Message) -> Result<(), NetError> {
-    let msg = match tag {
+    link.send(&enveloped(tag, msg))
+}
+
+/// `msg` as [`reply`] puts it on the link.
+fn enveloped(tag: Option<u64>, msg: Message) -> Message {
+    match tag {
         Some(t) => msg.tagged(t),
         None => msg,
-    };
-    link.send(&msg)
+    }
 }
 
 /// Execute one wide command (max/median round) on `node` and answer the
@@ -125,6 +129,32 @@ fn run_batch_on(node: &ServerNode, batch: BatchQuery) -> Vec<Vec<u64>> {
         recycle_vecs(batch.zs);
     }
     outs
+}
+
+/// Serve one stored-column batch on its own thread, against a read lock
+/// on `node`: run it, answer the owner with `wrap(outputs)`, and — the
+/// frame being encoded by then — return the reply vectors to the node's
+/// arena, where its next round of that length writes into them. The lock
+/// is held to the end, so a store mutation queued behind this round (they
+/// take the write lock) also finds its buffers home.
+fn spawn_batch(
+    node: &Arc<RwLock<ServerNode>>,
+    batch: BatchQuery,
+    tag: Option<u64>,
+    link: &Arc<dyn Link>,
+    wrap: impl FnOnce(Vec<Vec<u64>>) -> Message + Send + 'static,
+) -> JoinHandle<()> {
+    let (node, link) = (Arc::clone(node), Arc::clone(link));
+    std::thread::spawn(move || {
+        let node = node.read();
+        let msg = enveloped(tag, wrap(run_batch_on(&node, batch)));
+        let _ = link.send(&msg);
+        if let (_, Message::Outputs(outs) | Message::ShardOutputs { outputs: outs, .. }) =
+            msg.untag()
+        {
+            node.reclaim(outs);
+        }
+    })
 }
 
 /// Decode a delta upload's permutation extensions: empty maps mean
@@ -284,22 +314,13 @@ pub(crate) fn node_loop(
                 reply(link.as_ref(), tag, Message::Ack)?;
             }
             Message::RunBatch(batch) => {
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                workers.push(std::thread::spawn(move || {
-                    let outs = run_batch_on(&node.read(), batch);
-                    let _ = reply(link.as_ref(), tag, Message::Outputs(outs));
-                }));
+                workers.push(spawn_batch(&node, batch, tag, &link, Message::Outputs));
             }
             Message::ShardRun { shard, batch } => {
                 // Echo the shard index so the router can detect crossed
                 // links.
-                let node = Arc::clone(&node);
-                let link = Arc::clone(&link);
-                workers.push(std::thread::spawn(move || {
-                    let outputs = run_batch_on(&node.read(), batch);
-                    let _ = reply(link.as_ref(), tag, Message::ShardOutputs { shard, outputs });
-                }));
+                let wrap = move |outputs| Message::ShardOutputs { shard, outputs };
+                workers.push(spawn_batch(&node, batch, tag, &link, wrap));
             }
             Message::MaxCombine {
                 uploads,
@@ -535,7 +556,11 @@ fn route_batch(
         }
         per_shard.push(outcome?);
     }
-    merge_shard_outputs(&per_shard, batch, params, tamper).map_err(|_| RouteFail::Malformed)
+    let merged = merge_shard_outputs(&per_shard, batch, params, tamper);
+    // The shard rows were copied into the merged reply; their decode
+    // buffers go back to the wire pool.
+    recycle_vecs(per_shard.into_iter().flatten());
+    merged.map_err(|_| RouteFail::Malformed)
 }
 
 /// One request/reply round-trip against the first live holder of a

@@ -9,24 +9,43 @@
 //! an accidental per-row allocation on the hot path fails CI instead of
 //! silently costing throughput.
 //!
+//! The serving side has the same wall for what it *computes*: a node's
+//! reply vectors return to its arena once the reply frame is encoded, and
+//! the owner's decoded copies return to the pool once the owner step has
+//! read them, so a warm round asks the allocator for no `ROWS`-long `u64`
+//! buffer anywhere in the process.
+//!
 //! Everything is asserted inside one `#[test]` so no sibling test thread
 //! can allocate mid-measurement; each measurement takes the minimum over
 //! several reps to shrug off stray harness allocations.
 
 use prism_net::wire::recycle_vecs;
-use prism_net::{Column, Message};
+use prism_net::{Column, Message, NetCluster};
+use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
+use prism_protocol::malicious::Tamper;
+use prism_protocol::plans;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Requests shaped like one row vector: `ROWS` `u64`s, exactly. Frames are
+/// byte buffers a header longer, so they never match.
+static ROW_BUFFERS: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates verbatim to `System`; the counter bump has no effect
+fn note(size: usize, align: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if size == ROWS * 8 && align == 8 {
+        ROW_BUFFERS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: delegates verbatim to `System`; the counter bumps have no effect
 // on allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note(layout.size(), layout.align());
         System.alloc(layout)
     }
 
@@ -35,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        note(new_size, layout.align());
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -113,6 +132,45 @@ fn warm_decode_draws_row_buffers_from_the_pool() {
             "warm BulkUpload decode allocated {warm} times for three {ROWS}-row \
              columns; expected O(1) bookkeeping, not O(columns × rows)"
         );
+    }
+
+    // --- A served round: `Count` over a channel cluster — at each
+    // additive node one output buffer and one permutation staging buffer,
+    // at the owner two decoded replies and a number for a result. The
+    // first query allocates them; after it every one is back where the
+    // next query looks for it.
+    {
+        let inputs: Vec<OwnerInput> = (0..2u64)
+            .map(|j| OwnerInput::from_set((1..=ROWS as u64).filter(|v| v % (j + 2) != 0)))
+            .collect();
+        let mut cfg = ClusterConfig::new(ROWS);
+        (cfg.with_verification, cfg.with_aggregation) = (false, false);
+        let net = NetCluster::start_local(cfg.setup(inputs.len()).expect("setup"));
+        let cluster = Cluster::over(net, &inputs, cfg).expect("outsource");
+        let count = || cluster.execute(&plans::Count).expect("count").0;
+        // A node hands its buffers back after answering, under the read
+        // lock the round ran under; an (honest) tamper update takes the
+        // write lock, so once it is acked they are home.
+        let settle = || {
+            for server in 0..2 {
+                let net = cluster.deployment();
+                net.set_tamper(server, Tamper::Honest).expect("barrier");
+            }
+        };
+        let expected = count();
+        settle();
+        for _ in 0..3 {
+            let before = ROW_BUFFERS.load(Ordering::Relaxed);
+            assert_eq!(count(), expected);
+            settle();
+            let fresh = ROW_BUFFERS.load(Ordering::Relaxed) - before;
+            assert_eq!(
+                fresh, 0,
+                "a warm served round allocated {fresh} row buffers: reply vectors \
+                 must return to the node's arena and the owner's decode pool"
+            );
+        }
+        cluster.into_deployment().shutdown().expect("shutdown");
     }
 
     // --- Pool byte caps: the pool is bounded in *bytes*, not just in

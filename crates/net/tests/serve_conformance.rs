@@ -298,6 +298,39 @@ fn tcp_sharded_cached_interleaved_matches_serial() {
     );
 }
 
+/// Two queries in flight on the same nodes draw their reply buffers from
+/// the same arenas and the same decode pool, as they are, and hand them
+/// back while the other query is still being served. Pairs of different
+/// operations with equally long replies, a hundred times each side by
+/// side: every answer is the one the query gets alone.
+#[test]
+fn interleaved_queries_never_see_each_others_cells() {
+    let tcp = NetCluster::start_tcp(make_setup()).unwrap();
+    for net in [NetCluster::start_local_sharded(make_setup(), 2), tcp] {
+        let cluster = outsource(net, false);
+        for pair in [
+            [Q::Psi, Q::Psu],
+            [Q::PsiVerified, Q::CountVerified],
+            [Q::Batch, Q::Sum],
+        ] {
+            let alone = pair.map(|q| run_query(&cluster, 0, q).unwrap().0);
+            std::thread::scope(|s| {
+                for (owner, (q, alone)) in pair.into_iter().zip(&alone).enumerate() {
+                    let cluster = &cluster;
+                    s.spawn(move || {
+                        for round in 0..100 {
+                            let (got, _) = run_query(cluster, owner as u32, q).unwrap();
+                            assert_eq!(&got, alone, "{q:?} beside {pair:?}, round {round}");
+                        }
+                    });
+                }
+            });
+        }
+        assert_eq!(cluster.deployment().rejected_replies(), 0);
+        cluster.into_deployment().shutdown().unwrap();
+    }
+}
+
 #[test]
 fn small_admission_window_still_serves_every_query() {
     let mut net = NetCluster::start_local(make_setup());

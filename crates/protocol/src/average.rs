@@ -59,18 +59,24 @@ pub fn owner_finalize(
 /// division step on its own — used by the batched round-2 plan, which
 /// reconstructs columns once and reuses them across aggregations).
 pub fn cells_from(sums: &[u64], counts: &[u64]) -> Vec<AvgCell> {
-    sums.iter()
-        .zip(counts)
-        .map(|(&sum, &count)| AvgCell {
-            sum,
-            count,
-            average: if count == 0 {
-                0.0
-            } else {
-                sum as f64 / count as f64
-            },
-        })
-        .collect()
+    cells_of(sums, counts).collect()
+}
+
+/// [`cells_from`] as the stream of cells, for a caller that extends its
+/// result block by block.
+pub(crate) fn cells_of<'a>(
+    sums: &'a [u64],
+    counts: &'a [u64],
+) -> impl Iterator<Item = AvgCell> + 'a {
+    sums.iter().zip(counts).map(|(&sum, &count)| AvgCell {
+        sum,
+        count,
+        average: if count == 0 {
+            0.0
+        } else {
+            sum as f64 / count as f64
+        },
+    })
 }
 
 #[cfg(test)]

@@ -131,6 +131,9 @@ pub struct PsiRoundCache {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
+    /// Copies of cached vectors that served rounds handed to plans and
+    /// that [`ServerExec::reclaim`] has not yet seen come back.
+    copies_out: AtomicU64,
 }
 
 impl PsiRoundCache {
@@ -378,6 +381,16 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
                 .collect();
             if let Some(replies) = served {
                 self.cache.hits.fetch_add(1, Ordering::Relaxed);
+                let copies: usize = replies
+                    .iter()
+                    .map(|r| match r {
+                        ServerReply::Vectors(outs) => outs.len(),
+                        _ => 0,
+                    })
+                    .sum();
+                self.cache
+                    .copies_out
+                    .fetch_add(copies as u64, Ordering::Relaxed);
                 let mut meters = probe_meters;
                 meters.cache_hits += 1;
                 return Ok(RoundOutcome {
@@ -444,6 +457,25 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
         m.cache_misses += self.cache.misses();
         m.cache_invalidations += self.cache.invalidations();
         m
+    }
+
+    /// An executed round hands the plan the inner backend's own vectors, a
+    /// served one fresh copies of the cached ones. A backend's pools must
+    /// get back what they gave out and no more — copies returned on top
+    /// would grow them by a round's worth per hit — and buffers are
+    /// interchangeable, so one vector is dropped here for every copy
+    /// handed out and the rest go back to the inner backend.
+    fn reclaim(&self, server: usize, mut outputs: Vec<Vec<u64>>) {
+        let returned = outputs.len() as u64;
+        let copies_out = self
+            .cache
+            .copies_out
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |out| {
+                Some(out.saturating_sub(returned))
+            })
+            .unwrap_or(0);
+        outputs.truncate((returned - copies_out.min(returned)) as usize);
+        self.inner.reclaim(server, outputs)
     }
 }
 
@@ -513,6 +545,70 @@ mod tests {
         // Empty batches and non-Run commands pass through.
         assert!(eligible_key(&run_cmd(Vec::new())).is_none());
         assert!(eligible_key(&ServerCmd::RangeVersions).is_none());
+    }
+
+    /// Two servers that answer every batch with one four-cell vector and
+    /// count what comes back.
+    #[derive(Default)]
+    struct Counting {
+        reclaimed: AtomicU64,
+    }
+
+    impl ServerExec for Counting {
+        fn round(&self, cmds: Vec<(usize, ServerCmd)>) -> Result<RoundOutcome> {
+            let replies = cmds
+                .iter()
+                .map(|(_, cmd)| match cmd {
+                    ServerCmd::RangeVersions => ServerReply::Versions(vec![(0, 4, 1)]),
+                    _ => ServerReply::Vectors(vec![vec![7; 4]]),
+                })
+                .collect();
+            Ok(RoundOutcome::plain(replies, Duration::ZERO))
+        }
+
+        fn announce(
+            &self,
+            _: AnnouncerCmd,
+            _: u64,
+            _: usize,
+        ) -> Result<(AnnouncerReply, Duration)> {
+            Err(ProtocolError::MalformedResponse("no announcer"))
+        }
+
+        fn reclaim(&self, _server: usize, outputs: Vec<Vec<u64>>) {
+            self.reclaimed
+                .fetch_add(outputs.len() as u64, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn the_inner_backend_gets_back_what_it_gave_out_and_no_copies() {
+        let (cache, inner) = (PsiRoundCache::new(), Counting::default());
+        let exec = CachedExec::new(&inner, &cache);
+        let psi = || run_cmd(vec![BatchItem::plain(QueryOp::Psi)]);
+        let round = || exec.round(vec![(0, psi()), (1, psi())]).unwrap();
+        let give_back = |outcome: RoundOutcome| {
+            for (server, reply) in outcome.replies.into_iter().enumerate() {
+                match reply {
+                    ServerReply::Vectors(outs) => exec.reclaim(server, outs),
+                    other => panic!("unexpected reply {other:?}"),
+                }
+            }
+        };
+        let reclaimed = || inner.reclaimed.load(Ordering::Relaxed);
+        // Executed: both vectors are the inner backend's.
+        give_back(round());
+        assert_eq!((cache.misses(), reclaimed()), (1, 2));
+        // Served, twice: four copies, none of them the inner backend's.
+        let (first, second) = (round(), round());
+        assert_eq!(cache.hits(), 2);
+        give_back(first);
+        give_back(second);
+        assert_eq!(reclaimed(), 2);
+        // A pass-through round's vectors go back again.
+        let verified = run_cmd(vec![BatchItem::plain(QueryOp::PsiVerify)]);
+        give_back(exec.round(vec![(0, verified)]).unwrap());
+        assert_eq!(reclaimed(), 3);
     }
 
     #[test]

@@ -27,6 +27,7 @@
 use crate::error::{ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams};
 use crate::psi;
+use prism_core::arith::Modulus;
 
 /// Step 2 at server φ: PSI round then `PF_s1` on the output.
 pub fn server_count_round(
@@ -40,10 +41,15 @@ pub fn server_count_round(
 
 /// Step 3 at an owner: combine and count 1s. Returns the cardinality of
 /// the intersection (the permuted fop vector is intentionally *not*
-/// exposed beyond the count).
+/// exposed beyond the count — it is not even built).
 pub fn owner_count(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<usize> {
-    let fop = psi::owner_combine(out1, out2, op)?;
-    Ok(fop.iter().filter(|&&v| v == 1).count())
+    psi::check_outputs(out1, out2, op)?;
+    let eta = Modulus::new(op.eta);
+    Ok(out1
+        .iter()
+        .zip(out2)
+        .filter(|(&x, &y)| eta.mul(x, y) == 1)
+        .count())
 }
 
 /// Verification round at server φ: run the PSI round on a copy that owners
@@ -72,17 +78,21 @@ pub fn owner_verify_count(
     copy_b: (&[u64], &[u64]),
     op: &OwnerParams,
 ) -> Result<usize> {
-    let fop_a = psi::owner_combine(copy_a.0, copy_a.1, op)?;
-    let fop_b = psi::owner_combine(copy_b.0, copy_b.1, op)?;
+    psi::check_outputs(copy_a.0, copy_a.1, op)?;
+    psi::check_outputs(copy_b.0, copy_b.1, op)?;
+    let eta = Modulus::new(op.eta);
+    let mut count = 0;
     for i in 0..op.b {
-        if (fop_a[i] == 1) != (fop_b[i] == 1) {
+        let in_a = eta.mul(copy_a.0[i], copy_a.1[i]) == 1;
+        if in_a != (eta.mul(copy_b.0[i], copy_b.1[i]) == 1) {
             return Err(ProtocolError::VerificationFailed {
                 operation: "psi-count",
                 cell: i,
             });
         }
+        count += usize::from(in_a);
     }
-    Ok(fop_a.iter().filter(|&&v| v == 1).count())
+    Ok(count)
 }
 
 /// Full owner-side count verification: two-copy agreement **plus** the
@@ -98,28 +108,53 @@ pub fn owner_verify_count(
 /// at every permuted position, exactly Equations 8–10 carried out in
 /// permuted space — so positions stay hidden and the count keeps PSI
 /// verification's strength.
+///
+/// All six reply vectors are in the same composed order, so both checks
+/// are one pass over them. The complement binding is judged first over the
+/// whole domain: a broken binding anywhere is reported (at its first cell)
+/// in preference to a disagreement, wherever that is.
 pub fn owner_verify_count_bound(
     copy_a: (&[u64], &[u64]),
     copy_b: (&[u64], &[u64]),
     complement: (&[u64], &[u64]),
     op: &OwnerParams,
 ) -> Result<usize> {
-    use prism_core::arith::mul_assign_mod;
     if complement.0.len() != op.b || complement.1.len() != op.b {
         return Err(ProtocolError::ParameterMismatch(
             "complement vectors have wrong length".into(),
         ));
     }
-    let mut check = psi::owner_combine(copy_a.0, copy_a.1, op)?;
-    mul_assign_mod(&mut check, complement.0, op.eta);
-    mul_assign_mod(&mut check, complement.1, op.eta);
-    if let Some(cell) = check.iter().position(|&c| c != 1) {
-        return Err(ProtocolError::VerificationFailed {
-            operation: "psi-count (complement binding)",
-            cell,
-        });
+    psi::check_outputs(copy_a.0, copy_a.1, op)?;
+    // A mis-sized copy B is only reported once the binding held everywhere.
+    let shape_b = psi::check_outputs(copy_b.0, copy_b.1, op);
+    let eta = Modulus::new(op.eta);
+    let mut count = 0;
+    let mut disagreement = None;
+    for i in 0..op.b {
+        let fop_a = eta.mul(copy_a.0[i], copy_a.1[i]);
+        if eta.mul(eta.mul(fop_a, complement.0[i]), complement.1[i]) != 1 {
+            return Err(ProtocolError::VerificationFailed {
+                operation: "psi-count (complement binding)",
+                cell: i,
+            });
+        }
+        let in_a = fop_a == 1;
+        count += usize::from(in_a);
+        if shape_b.is_ok()
+            && disagreement.is_none()
+            && in_a != (eta.mul(copy_b.0[i], copy_b.1[i]) == 1)
+        {
+            disagreement = Some(i);
+        }
     }
-    owner_verify_count(copy_a, copy_b, op)
+    shape_b?;
+    match disagreement {
+        Some(cell) => Err(ProtocolError::VerificationFailed {
+            operation: "psi-count",
+            cell,
+        }),
+        None => Ok(count),
+    }
 }
 
 #[cfg(test)]

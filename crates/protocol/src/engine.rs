@@ -674,45 +674,59 @@ impl ColumnStore {
     }
 }
 
-/// How many scratch buffers a node keeps around between queries. Two is
-/// enough for the compute + permutation staging of one query; a little
-/// slack covers concurrent queries through the multiplexer without letting
-/// an N-stream burst pin N× the domain size forever.
+/// How many row buffers a node keeps around between rounds: the reply
+/// vectors of a batch of a few items that came home, or the compute +
+/// permutation staging of one query; a little slack covers concurrent
+/// queries through the multiplexer without letting an N-stream burst pin N×
+/// the domain size forever.
 const MAX_POOLED_BUFFERS: usize = 4;
 
 /// A per-node pool of flat `u64` row buffers — the "per-query arena".
 ///
-/// Every stored-column evaluation needs one length-`b` output buffer (and a
-/// second one when a finishing permutation applies). Instead of allocating
-/// per query, the node checks a buffer out of this pool, the `_into` step
-/// kernels write into it in place, and permutation staging buffers are
-/// returned once their contents are moved. Queries run concurrently under
-/// the session multiplexer, so the pool is behind a `Mutex` — the lock is
-/// held only for a pop/push, never during row work.
+/// Every stored-column evaluation needs one output buffer per batch item
+/// (and a second one when a finishing permutation applies). Instead of
+/// allocating per query, the node checks buffers out of this pool, the
+/// `_into` step kernels write into them in place, permutation staging
+/// buffers return once their contents are moved, and the reply vectors
+/// return once the owner step that read them has ended
+/// ([`ServerNode::reclaim`]). Queries run concurrently under the session
+/// multiplexer, so the pool is behind a `Mutex` — the lock is held only for
+/// a pop/push, never during row work.
+///
+/// **A pooled buffer is handed out as it is, stale contents included.**
+/// That is sound because a round writes every cell of every buffer it
+/// takes, exactly once, before anything reads it ([`run_round`] refuses a
+/// division that does not tile the output), and a buffer only ever returns
+/// to the node that filled it. The pool holds buffers of one length — the
+/// last one returned; a buffer of any other length is dropped, never
+/// resized, so a grown domain or a range-scoped round cannot pin memory of
+/// a shape nobody asks for any more.
 #[derive(Debug, Default)]
 struct BufferArena {
     pool: std::sync::Mutex<Vec<Vec<u64>>>,
 }
 
 impl BufferArena {
-    /// Check out a zeroed buffer of length `n`, reusing a pooled
-    /// allocation when one is available.
+    /// Check out a buffer of length `n` whose contents are unspecified: a
+    /// pooled one of exactly that length, untouched, else a fresh one.
     fn take(&self, n: usize) -> Vec<u64> {
-        let recycled = self.pool.lock().map(|mut p| p.pop()).unwrap_or(None);
-        match recycled {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(n, 0);
-                buf
-            }
-            None => vec![0u64; n],
-        }
+        let recycled = self.pool.lock().ok().and_then(|mut p| match p.last() {
+            Some(buf) if buf.len() == n => p.pop(),
+            _ => None,
+        });
+        recycled.unwrap_or_else(|| vec![0u64; n])
     }
 
-    /// Return a buffer to the pool (dropped if the pool is full or its
-    /// lock was poisoned — never blocks correctness on the pool).
-    fn put(&self, buf: Vec<u64>) {
+    /// Return a buffer to the pool, evicting buffers of any other length
+    /// (dropped if the pool is full or its lock was poisoned — never blocks
+    /// correctness on the pool). Test and debug builds poison it first, so a
+    /// cell a later round failed to write could not pass for an answer.
+    fn put(&self, mut buf: Vec<u64>) {
+        if cfg!(any(test, debug_assertions)) {
+            buf.fill(u64::MAX);
+        }
         if let Ok(mut p) = self.pool.lock() {
+            p.retain(|pooled| pooled.len() == buf.len());
             if p.len() < MAX_POOLED_BUFFERS {
                 p.push(buf);
             }
@@ -949,6 +963,15 @@ impl ServerNode {
             ServerCmd::RangeVersions => Ok(ServerReply::Versions(self.range_versions())),
         }
     }
+
+    /// Take back the vectors of a [`ServerReply::Vectors`] this node
+    /// answered, once nothing reads them any more (in-process: the owner
+    /// step ended; on a wire: the reply frame is encoded). The next round
+    /// of the same length writes its outputs into them instead of into
+    /// fresh memory.
+    pub fn reclaim(&self, outputs: Vec<Vec<u64>>) {
+        outputs.into_iter().for_each(|out| self.arena.put(out));
+    }
 }
 
 /// One row block of a round: local rows `[lo, lo + len)` of `nodes[node]`,
@@ -1073,7 +1096,14 @@ pub(crate) fn run_round(
         }
         at += n;
     }
-    debug_assert_eq!(at, len, "the nodes' rows tile the domain");
+    if at != len {
+        // Reply buffers arrive with stale contents, so a cell no block
+        // covers must fail the round rather than leave it.
+        outs.into_iter().for_each(|out| arena.put(out));
+        return mismatch(format!(
+            "the nodes' rows cover {at} of the round's {len} cells"
+        ));
+    }
 
     let whole = batch.range.is_none();
     let blocks_done = chunk::run_blocks(work, |blocks| -> Result<()> {
@@ -1145,6 +1175,18 @@ pub trait ServerExec {
     fn meters(&self) -> ExecMeters {
         ExecMeters::default()
     }
+
+    /// Take back the vectors of a [`ServerReply::Vectors`] that `server`
+    /// answered in an earlier [`ServerExec::round`], now that the owner
+    /// step reading them has ended ([`Ctx::finish`] calls this). A backend
+    /// that can write its next reply into them does: in-process they return
+    /// to that server's own node ([`ServerNode::reclaim`]) — never to
+    /// another server's, so no server ever sees a peer's cells — and over a
+    /// wire to the decode pool they were drawn from. The default drops
+    /// them.
+    fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
+        let _ = (server, outputs);
+    }
 }
 
 /// References also execute (lets harnesses run plans against a
@@ -1166,6 +1208,10 @@ impl<T: ServerExec + ?Sized> ServerExec for &T {
 
     fn meters(&self) -> ExecMeters {
         (**self).meters()
+    }
+
+    fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
+        (**self).reclaim(server, outputs)
     }
 }
 
@@ -1399,6 +1445,22 @@ impl ServerExec for InMemoryExec<'_> {
     ) -> Result<(AnnouncerReply, Duration)> {
         self.announcer.announce(cmd, seq, threads)
     }
+
+    fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
+        if let Some(node) = self.nodes.get(server) {
+            node.reclaim(outputs);
+        }
+    }
+}
+
+/// One batch round's replies as [`Ctx::query`] returns them — per listed
+/// server, the per-item output vectors — together with which server
+/// answered each, so that [`Ctx::finish`], the one place they are read, can
+/// hand every buffer back to the backend that produced it.
+#[derive(Debug)]
+pub struct Replies {
+    servers: Vec<usize>,
+    outputs: Vec<Vec<Vec<u64>>>,
 }
 
 /// Execution context handed to a running [`Operation`]. Owns the round
@@ -1480,13 +1542,14 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
     /// Issue the same batch of stored-column items to each listed server
     /// (with per-server auxiliary vectors from `zs_for`, called once per
     /// server so it can hand over owned vectors) in one round; returns,
-    /// per server, the per-item outputs.
+    /// per server, the per-item outputs. Read them in a [`Ctx::finish`]
+    /// step, which returns the buffers to the backend afterwards.
     pub fn query(
         &mut self,
         servers: &[usize],
         items: &[BatchItem],
         mut zs_for: impl FnMut(usize) -> Vec<Vec<u64>>,
-    ) -> Result<Vec<Vec<Vec<u64>>>> {
+    ) -> Result<Replies> {
         let threads = self.threads as u32;
         let range = self.range;
         let cmds = servers
@@ -1503,7 +1566,8 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
                 )
             })
             .collect();
-        self.round(cmds)?
+        let outputs = self
+            .round(cmds)?
             .into_iter()
             .map(|r| match r {
                 // Shape-check here, once, so no plan can index a short
@@ -1519,7 +1583,11 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
                     "expected vector outputs from batch round",
                 )),
             })
-            .collect()
+            .collect::<Result<_>>()?;
+        Ok(Replies {
+            servers: servers.to_vec(),
+            outputs,
+        })
     }
 
     /// Run (and time) an owner-side step.
@@ -1536,6 +1604,23 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
         let t0 = Instant::now();
         let out = f();
         self.stats.owner_time += t0.elapsed();
+        out
+    }
+
+    /// Run (and time, as [`Ctx::try_owner_step`] does) the owner step that
+    /// reads a round's replies; when it ends the reply buffers go home —
+    /// each to the backend, and there the server, that produced it
+    /// ([`ServerExec::reclaim`]) — so the step must copy out whatever the
+    /// plan keeps.
+    pub fn finish<T>(
+        &mut self,
+        replies: Replies,
+        f: impl FnOnce(&[Vec<Vec<u64>>]) -> Result<T>,
+    ) -> Result<T> {
+        let out = self.try_owner_step(|| f(&replies.outputs));
+        for (server, outputs) in replies.servers.into_iter().zip(replies.outputs) {
+            self.exec.reclaim(server, outputs);
+        }
         out
     }
 

@@ -22,10 +22,10 @@ use crate::error::{ProtocolError, Result};
 use crate::max::{self, MaxCell};
 use crate::median::{self, MedianCell};
 use crate::multiattr;
+use crate::params::{OwnerParams, SHAMIR_SERVERS};
 use crate::psi;
 use crate::psu;
 use crate::sum;
-use crate::tables::share_payload;
 use prism_core::wide::WideVec;
 use prism_core::{PolyTable, Prg, ProductDomain};
 use std::mem::take;
@@ -54,14 +54,14 @@ pub struct PsiOutcome {
 }
 
 impl PsiOutcome {
-    fn from_fop(fop: Vec<u64>) -> PsiOutcome {
-        let members = psi::membership(&fop);
-        let common = psi::common_cells(&fop);
-        PsiOutcome {
+    /// §5.1 Step 3 on the two servers' Equation-3 outputs.
+    fn decode(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<PsiOutcome> {
+        let (fop, members, common) = psi::owner_decode(out1, out2, op)?;
+        Ok(PsiOutcome {
             fop,
             members,
             common,
-        }
+        })
     }
 }
 
@@ -75,9 +75,8 @@ impl Operation for Psi {
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<PsiOutcome> {
         let outs = ctx.query(&ADDITIVE, &[BatchItem::plain(QueryOp::Psi)], |_| Vec::new())?;
         let op = ctx.params();
-        ctx.try_owner_step(|| {
-            let fop = psi::owner_combine(&outs[0][0], &outs[1][0], op)?;
-            Ok(PsiOutcome::from_fop(fop))
+        ctx.finish(outs, |outs| {
+            PsiOutcome::decode(&outs[0][0], &outs[1][0], op)
         })
     }
 }
@@ -98,10 +97,10 @@ impl Operation for PsiVerified {
         ];
         let outs = ctx.query(&ADDITIVE, &items, |_| Vec::new())?;
         let op = ctx.params();
-        ctx.try_owner_step(|| {
-            let fop = psi::owner_combine(&outs[0][0], &outs[1][0], op)?;
-            psi::owner_verify(&fop, &outs[0][1], &outs[1][1], op)?;
-            Ok(PsiOutcome::from_fop(fop))
+        ctx.finish(outs, |outs| {
+            let outcome = PsiOutcome::decode(&outs[0][0], &outs[1][0], op)?;
+            psi::owner_verify(&outcome.fop, &outs[0][1], &outs[1][1], op)?;
+            Ok(outcome)
         })
     }
 }
@@ -116,9 +115,8 @@ impl Operation for Psu {
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<bool>> {
         let outs = ctx.query(&ADDITIVE, &[BatchItem::plain(QueryOp::Psu)], |_| Vec::new())?;
         let op = ctx.params();
-        ctx.try_owner_step(|| {
-            let combined = psu::owner_combine(&outs[0][0], &outs[1][0], op)?;
-            Ok(psu::membership(&combined))
+        ctx.finish(outs, |outs| {
+            psu::owner_membership(&outs[0][0], &outs[1][0], op)
         })
     }
 }
@@ -139,7 +137,7 @@ impl Operation for PsuVerified {
         ];
         let outs = ctx.query(&ADDITIVE, &items, |_| Vec::new())?;
         let op = ctx.params();
-        ctx.try_owner_step(|| {
+        ctx.finish(outs, |outs| {
             psu::owner_verify_union((&outs[0][0], &outs[1][0]), (&outs[0][1], &outs[1][1]), op)
         })
     }
@@ -158,7 +156,9 @@ impl Operation for Count {
             Vec::new()
         })?;
         let op = ctx.params();
-        ctx.try_owner_step(|| count::owner_count(&outs[0][0], &outs[1][0], op))
+        ctx.finish(outs, |outs| {
+            count::owner_count(&outs[0][0], &outs[1][0], op)
+        })
     }
 }
 
@@ -180,7 +180,7 @@ impl Operation for CountVerified {
         ];
         let outs = ctx.query(&ADDITIVE, &items, |_| Vec::new())?;
         let op = ctx.params();
-        ctx.try_owner_step(|| {
+        ctx.finish(outs, |outs| {
             count::owner_verify_count_bound(
                 (&outs[0][0], &outs[1][0]),
                 (&outs[0][1], &outs[1][1]),
@@ -191,32 +191,23 @@ impl Operation for CountVerified {
     }
 }
 
-/// Round 1 + z preparation shared by every §6 aggregation: run PSI, turn
-/// `fop` into the 0/1 `z` vector, and Shamir-share it (one share vector
-/// per server, derived from `seed`).
+/// Round 1 + z preparation shared by every §6 aggregation that needs
+/// nothing else of the PSI result: run the PSI round and turn its two
+/// replies straight into the Shamir shares of the 0/1 `z` vector (one share
+/// vector per server, derived from `seed`).
 ///
 /// Every plan sends each server its z-share exactly once, so the round-2
 /// `zs_for` closures *move* the vectors out (`mem::take`) instead of
 /// copying 8·b bytes per server on the owner thread.
-fn psi_then_z<X: ServerExec>(
-    ctx: &mut Ctx<'_, X>,
-    seed: u64,
-) -> Result<(PsiOutcome, Vec<Vec<u64>>)> {
-    let outcome = Psi.execute(ctx)?;
+fn psi_then_z<X: ServerExec>(ctx: &mut Ctx<'_, X>, seed: u64) -> Result<Vec<Vec<u64>>> {
+    let outs = ctx.query(&ADDITIVE, &[BatchItem::plain(QueryOp::Psi)], |_| Vec::new())?;
     let op = ctx.params();
-    let shares = ctx.owner_step(|| {
-        let z = sum::owner_build_z(&outcome.fop);
-        let mut prg = Prg::from_seed(seed);
-        share_payload(&z, &op.field, &mut prg).shares
-    });
-    Ok((outcome, shares))
+    ctx.finish(outs, |outs| {
+        sum::owner_share_z(&outs[0][0], &outs[1][0], op, &mut Prg::from_seed(seed))
+    })
 }
 
-fn finalize_col(
-    outs: &[Vec<Vec<u64>>],
-    col: usize,
-    op: &crate::params::OwnerParams,
-) -> Result<Vec<u64>> {
+fn finalize_col(outs: &[Vec<Vec<u64>>], col: usize, op: &OwnerParams) -> Result<Vec<u64>> {
     sum::owner_finalize([&outs[0][col], &outs[1][col], &outs[2][col]], op)
 }
 
@@ -233,11 +224,11 @@ impl Operation for Sum {
     type Output = Vec<u64>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<u64>> {
-        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
+        let mut zs = psi_then_z(ctx, self.seed)?;
         let items = [BatchItem::with_z(QueryOp::Sum(self.attr), 0)];
         let outs = ctx.query(&SHAMIR, &items, |k| vec![take(&mut zs[k])])?;
         let op = ctx.params();
-        ctx.try_owner_step(|| finalize_col(&outs, 0, op))
+        ctx.finish(outs, |outs| finalize_col(outs, 0, op))
     }
 }
 
@@ -255,7 +246,7 @@ impl Operation for SumMulti {
     type Output = Vec<Vec<u64>>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<Vec<u64>>> {
-        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
+        let mut zs = psi_then_z(ctx, self.seed)?;
         let items: Vec<BatchItem> = self
             .attrs
             .iter()
@@ -263,9 +254,9 @@ impl Operation for SumMulti {
             .collect();
         let outs = ctx.query(&SHAMIR, &items, |k| vec![take(&mut zs[k])])?;
         let op = ctx.params();
-        ctx.try_owner_step(|| {
+        ctx.finish(outs, |outs| {
             (0..self.attrs.len())
-                .map(|col| finalize_col(&outs, col, op))
+                .map(|col| finalize_col(outs, col, op))
                 .collect()
         })
     }
@@ -288,12 +279,20 @@ impl Operation for SumVerified {
         let outcome = Psi.execute(ctx)?;
         let op = ctx.params();
         let (mut zs, mut zps) = ctx.owner_step(|| {
-            let z = sum::owner_build_z(&outcome.fop);
-            let mut prg = Prg::from_seed(self.seed);
-            let z_shares = share_payload(&z, &op.field, &mut prg).shares;
-            let zp = op.pf_db1.apply(&z);
-            let mut vprg = Prg::from_seed(self.seed ^ 0x7EE1);
-            let zp_shares = share_payload(&zp, &op.field, &mut vprg).shares;
+            // z is `members` as 0/1: shared as it is read, and permuted as
+            // the one-byte-per-cell vector it already is.
+            let share = |members: &[bool], seed| {
+                let z = |start: usize, block: &mut [u64]| {
+                    for (z, &common) in block.iter_mut().zip(&members[start..]) {
+                        *z = u64::from(common);
+                    }
+                };
+                let mut prg = Prg::from_seed(seed);
+                op.field.share_blocks(op.b, SHAMIR_SERVERS, &mut prg, z)
+            };
+            let z_shares = share(&outcome.members, self.seed);
+            let zp = op.pf_db1.apply(&outcome.members);
+            let zp_shares = share(&zp, self.seed ^ 0x7EE1);
             (z_shares, zp_shares)
         });
         let items = [
@@ -303,9 +302,9 @@ impl Operation for SumVerified {
         let outs = ctx.query(&SHAMIR, &items, |k| {
             vec![take(&mut zs[k]), take(&mut zps[k])]
         })?;
-        ctx.try_owner_step(|| {
-            let primary = finalize_col(&outs, 0, op)?;
-            let verification = finalize_col(&outs, 1, op)?;
+        ctx.finish(outs, |outs| {
+            let primary = finalize_col(outs, 0, op)?;
+            let verification = finalize_col(outs, 1, op)?;
             sum::owner_verify(&primary, &verification, op)?;
             Ok(primary)
         })
@@ -325,17 +324,19 @@ impl Operation for Average {
     type Output = Vec<AvgCell>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<AvgCell>> {
-        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
+        let mut zs = psi_then_z(ctx, self.seed)?;
         let items = [
             BatchItem::with_z(QueryOp::Sum(self.attr), 0),
             BatchItem::with_z(QueryOp::SumCounts, 0),
         ];
         let outs = ctx.query(&SHAMIR, &items, |k| vec![take(&mut zs[k])])?;
         let op = ctx.params();
-        ctx.try_owner_step(|| {
-            let sums = finalize_col(&outs, 0, op)?;
-            let counts = finalize_col(&outs, 1, op)?;
-            Ok(average::cells_from(&sums, &counts))
+        ctx.finish(outs, |outs| {
+            let mut cells = Vec::with_capacity(op.b);
+            sum::owner_finalize_columns(outs, items.len(), op, |cols, rows| {
+                cells.extend(average::cells_of(&cols[0][rows.clone()], &cols[1][rows]));
+            })?;
+            Ok(cells)
         })
     }
 }
@@ -414,7 +415,7 @@ impl Operation for Batch<'_> {
     type Output = Vec<AggResult>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<AggResult>> {
-        let (_, mut zs) = psi_then_z(ctx, self.seed)?;
+        let mut zs = psi_then_z(ctx, self.seed)?;
         // Dedup the server passes: one Sum(attr) item per distinct
         // attribute, at most one SumCounts item, whatever the aggs ask.
         let mut items: Vec<BatchItem> = Vec::new();
@@ -437,10 +438,7 @@ impl Operation for Batch<'_> {
         }
         let outs = ctx.query(&SHAMIR, &items, |k| vec![take(&mut zs[k])])?;
         let op = ctx.params();
-        ctx.try_owner_step(|| {
-            let mut finalized: Vec<Vec<u64>> = (0..items.len())
-                .map(|col| finalize_col(&outs, col, op))
-                .collect::<Result<_>>()?;
+        ctx.finish(outs, |outs| {
             // The finalized column an aggregate hands out as-is (averages
             // derive fresh cells and only read).
             let col_of = |agg: &Aggregate| match *agg {
@@ -449,18 +447,33 @@ impl Operation for Batch<'_> {
                 Aggregate::Avg(_) => None,
             };
             let aggs = &self.batch.aggs;
-            // Averages first, while every column is still in place ...
-            let mut results: Vec<Option<AggResult>> = aggs
+            // Averages are derived block by block as their two columns are
+            // finalized, while those rows are still in cache ...
+            let mut avgs: Vec<(usize, usize, Vec<AvgCell>)> = aggs
                 .iter()
-                .map(|agg| match *agg {
+                .enumerate()
+                .filter_map(|(i, agg)| match *agg {
                     Aggregate::Avg(a) => {
-                        let sums = &finalized[col_of(&Aggregate::Sum(a)).unwrap()];
-                        let counts = &finalized[counts_col.unwrap()];
-                        Some(AggResult::Avg(average::cells_from(sums, counts)))
+                        let sums = col_of(&Aggregate::Sum(a)).expect("Avg added its Sum item");
+                        Some((i, sums, Vec::with_capacity(op.b)))
                     }
                     _ => None,
                 })
                 .collect();
+            let mut finalized =
+                sum::owner_finalize_columns(outs, items.len(), op, |cols, rows| {
+                    for (_, sums, cells) in &mut avgs {
+                        let counts = &cols[counts_col.expect("Avg added the counts item")];
+                        cells.extend(average::cells_of(
+                            &cols[*sums][rows.clone()],
+                            &counts[rows.clone()],
+                        ));
+                    }
+                })?;
+            let mut results: Vec<Option<AggResult>> = aggs.iter().map(|_| None).collect();
+            for (i, _, cells) in avgs {
+                results[i] = Some(AggResult::Avg(cells));
+            }
             // ... then each column moves into its last taker; only an
             // aggregate repeated later in the batch still copies.
             for (i, agg) in aggs.iter().enumerate() {

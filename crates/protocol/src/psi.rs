@@ -21,7 +21,7 @@
 use crate::chunk::fill_chunks;
 use crate::error::{check_cells, ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams};
-use prism_core::arith::{mul_assign_mod, sub_mod, sum_columns_mod};
+use prism_core::arith::{sub_mod, sum_columns_mod, Modulus};
 
 /// Validate that `m` owner share vectors of length `b` arrived.
 pub(crate) fn check_shape(owner_shares: &[&[u64]], m: usize, b: usize) -> Result<()> {
@@ -152,9 +152,8 @@ pub fn server_psi_verify_round_into(
     Ok(())
 }
 
-/// Step 3 at an owner (Equation 4): combine the two server outputs into
-/// the final vector `fop`. `fop[i] == 1` ⟺ cell i is common to all owners.
-pub fn owner_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<u64>> {
+/// Both servers' outputs must cover the owner's domain.
+pub(crate) fn check_outputs(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<()> {
     if out1.len() != op.b || out2.len() != op.b {
         return Err(ProtocolError::ParameterMismatch(format!(
             "server outputs have lengths {} / {}, expected {}",
@@ -163,9 +162,19 @@ pub fn owner_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec
             op.b
         )));
     }
-    let mut fop = out1.to_vec();
-    mul_assign_mod(&mut fop, out2, op.eta);
-    Ok(fop)
+    Ok(())
+}
+
+/// Step 3 at an owner (Equation 4): combine the two server outputs into
+/// the final vector `fop`. `fop[i] == 1` ⟺ cell i is common to all owners.
+pub fn owner_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<u64>> {
+    check_outputs(out1, out2, op)?;
+    let eta = Modulus::new(op.eta);
+    Ok(out1
+        .iter()
+        .zip(out2)
+        .map(|(&x, &y)| eta.mul(x, y))
+        .collect())
 }
 
 /// Decode membership from `fop`: common ⟺ value 1.
@@ -181,30 +190,88 @@ pub fn common_cells(fop: &[u64]) -> Vec<usize> {
         .collect()
 }
 
+/// Step 3 whole, as the plans run it: `(fop, members, common)` —
+/// [`owner_combine`], [`membership`] and [`common_cells`] — from one pass
+/// over the two replies. Each reply cell is read once and `fop` and
+/// `members` are written once, as they are computed; `common` is sized
+/// from, and filled from, the one-byte-per-cell `members`.
+pub fn owner_decode(
+    out1: &[u64],
+    out2: &[u64],
+    op: &OwnerParams,
+) -> Result<(Vec<u64>, Vec<bool>, Vec<usize>)> {
+    check_outputs(out1, out2, op)?;
+    let eta = Modulus::new(op.eta);
+    let mut members = Vec::with_capacity(op.b);
+    let fop: Vec<u64> = out1
+        .iter()
+        .zip(out2)
+        .map(|(&x, &y)| {
+            let v = eta.mul(x, y);
+            members.push(v == 1);
+            v
+        })
+        .collect();
+    let mut common = Vec::with_capacity(members.iter().filter(|&&m| m).count());
+    common.extend(
+        members
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &member)| member.then_some(i)),
+    );
+    Ok((fop, members, common))
+}
+
 /// Verification Step 3 at an owner (Equations 8–10).
 ///
 /// `fop` is the already-combined PSI output; `vout1`/`vout2` are the two
 /// servers' Equation-7 outputs, still in `PF_db1` order. Returns `Ok(())`
 /// iff every cell satisfies `fop_i · v_i ≡ 1 (mod η)`.
+///
+/// Owners permuted χ̄ with `PF_db1` before sharing, so cell i's `v` sits at
+/// position `PF_db1(i)` of the outputs. The two outputs are multiplied in
+/// the order they arrive — one sequential pass — into a table of residues
+/// mod η, which is four bytes a cell whenever η < 2³² and then small enough
+/// to stay in cache for the one scattered read per cell that follows.
 pub fn owner_verify(fop: &[u64], vout1: &[u64], vout2: &[u64], op: &OwnerParams) -> Result<()> {
     if vout1.len() != op.b || vout2.len() != op.b || fop.len() != op.b {
         return Err(ProtocolError::ParameterMismatch(
             "verification vectors have wrong length".into(),
         ));
     }
-    // Un-permute: owners permuted χ̄ with PF_db1 before sharing, so the
-    // server outputs arrive in permuted order (pvout ← PF_db1⁻¹(vout)).
-    let inv = op.pf_db1.inverse();
-    let mut check = inv.apply(vout1);
-    mul_assign_mod(&mut check, &inv.apply(vout2), op.eta);
-    mul_assign_mod(&mut check, fop, op.eta);
-    match check.iter().position(|&c| c != 1) {
+    let failed = if op.eta <= u64::from(u32::MAX) {
+        // A residue mod η fits: the cast cannot truncate.
+        first_unbound_cell(fop, vout1, vout2, op, |residue| residue as u32)
+    } else {
+        first_unbound_cell(fop, vout1, vout2, op, |residue| residue)
+    };
+    match failed {
         Some(cell) => Err(ProtocolError::VerificationFailed {
             operation: "psi",
             cell,
         }),
         None => Ok(()),
     }
+}
+
+/// The first cell with `fop_i · vout1[PF_db1(i)] · vout2[PF_db1(i)] ≢ 1`,
+/// through a table of the products' residues stored as `narrow` makes them.
+fn first_unbound_cell<V: Copy + Into<u64>>(
+    fop: &[u64],
+    vout1: &[u64],
+    vout2: &[u64],
+    op: &OwnerParams,
+    narrow: impl Fn(u64) -> V,
+) -> Option<usize> {
+    let eta = Modulus::new(op.eta);
+    let v: Vec<V> = vout1
+        .iter()
+        .zip(vout2)
+        .map(|(&x, &y)| narrow(eta.mul(x, y)))
+        .collect();
+    fop.iter()
+        .enumerate()
+        .position(|(i, &f)| eta.mul(f, v[op.pf_db1.dest(i)].into()) != 1)
 }
 
 #[cfg(test)]

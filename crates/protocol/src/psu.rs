@@ -20,7 +20,7 @@ use crate::chunk::fill_chunks;
 use crate::error::{check_cells, ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams};
 use crate::psi::check_shape;
-use prism_core::arith::{mul_assign_mod, mul_into_mod, sum_columns_mod};
+use prism_core::arith::{mul_assign_mod, mul_into_mod, sum_columns_mod, Modulus};
 use prism_core::Prg;
 
 /// This server's slice of the shared blinding stream: `rand[]` must be
@@ -108,17 +108,38 @@ pub fn summed_round_into(
     Ok(())
 }
 
-/// Step 3 at an owner (Equation 19): 0 ⇒ absent everywhere, ≠0 ⇒ present
-/// somewhere. Returns the raw combined vector.
-pub fn owner_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<u64>> {
+/// Both servers' outputs must cover the owner's domain.
+fn check_outputs(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<()> {
     if out1.len() != op.b || out2.len() != op.b {
         return Err(ProtocolError::ParameterMismatch(
             "PSU outputs have wrong length".into(),
         ));
     }
-    let mut combined = vec![0u64; op.b];
-    prism_core::reconstruct2_into(out1, out2, op.delta, &mut combined);
-    Ok(combined)
+    Ok(())
+}
+
+/// Step 3 at an owner (Equation 19): 0 ⇒ absent everywhere, ≠0 ⇒ present
+/// somewhere. Returns the raw combined vector.
+pub fn owner_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<u64>> {
+    check_outputs(out1, out2, op)?;
+    let delta = Modulus::new(op.delta);
+    Ok(out1
+        .iter()
+        .zip(out2)
+        .map(|(&x, &y)| delta.add(x, y))
+        .collect())
+}
+
+/// Step 3 whole, as the plan runs it: [`membership`] of [`owner_combine`]
+/// in one pass over the two replies, without the combined vector between.
+pub fn owner_membership(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<bool>> {
+    check_outputs(out1, out2, op)?;
+    let delta = Modulus::new(op.delta);
+    Ok(out1
+        .iter()
+        .zip(out2)
+        .map(|(&x, &y)| delta.add(x, y) != 0)
+        .collect())
 }
 
 /// Decode union membership: present ⟺ non-zero.
@@ -176,17 +197,21 @@ pub fn owner_verify_union(
     copy_b: (&[u64], &[u64]),
     op: &OwnerParams,
 ) -> Result<Vec<bool>> {
-    let a = owner_combine(copy_a.0, copy_a.1, op)?;
-    let b = owner_combine(copy_b.0, copy_b.1, op)?;
+    check_outputs(copy_a.0, copy_a.1, op)?;
+    check_outputs(copy_b.0, copy_b.1, op)?;
+    let delta = Modulus::new(op.delta);
+    let mut members = Vec::with_capacity(op.b);
     for i in 0..op.b {
-        if (a[i] != 0) != (b[i] != 0) {
+        let in_a = delta.add(copy_a.0[i], copy_a.1[i]) != 0;
+        if in_a != (delta.add(copy_b.0[i], copy_b.1[i]) != 0) {
             return Err(ProtocolError::VerificationFailed {
                 operation: "psu",
                 cell: i,
             });
         }
+        members.push(in_a);
     }
-    Ok(membership(&a))
+    Ok(members)
 }
 
 #[cfg(test)]

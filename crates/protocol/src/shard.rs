@@ -526,6 +526,14 @@ impl ShardedNode {
             )),
         }
     }
+
+    /// Take back the vectors of a [`ServerReply::Vectors`] this domain
+    /// answered (see [`ServerNode::reclaim`]): they return to the shard
+    /// node whose arena the domain's rounds draw their domain-length reply
+    /// buffers from.
+    pub fn reclaim(&self, outputs: Vec<Vec<u64>>) {
+        self.shards[0].reclaim(outputs);
+    }
 }
 
 /// [`ServerExec`] over sharded domains living in this process: the
@@ -592,6 +600,12 @@ impl ServerExec for ShardedExec<'_> {
         ExecMeters {
             shard_dispatches: self.nodes.iter().map(ShardedNode::dispatches).sum(),
             ..ExecMeters::default()
+        }
+    }
+
+    fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
+        if let Some(node) = self.nodes.get(server) {
+            node.reclaim(outputs);
         }
     }
 }

@@ -33,8 +33,9 @@
 use crate::chunk::fill_chunks;
 use crate::error::{check_cells, ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams, SHAMIR_SERVERS};
-use crate::psi::check_shape;
-use prism_core::arith::{mul_assign_mod, mul_into_mod, sum_columns_mod};
+use crate::psi::{self, check_shape};
+use prism_core::arith::{mul_assign_mod, mul_into_mod, sum_columns_mod, Modulus};
+use prism_core::Prg;
 
 /// Round-2 computation at server φ (Equation 11).
 ///
@@ -99,45 +100,112 @@ pub fn owner_build_z(fop: &[u64]) -> Vec<u64> {
     fop.iter().map(|&v| u64::from(v == 1)).collect()
 }
 
-/// Owner finalize (Step 5): per-cell Lagrange interpolation of the three
-/// server outputs. Cells outside the intersection reconstruct to 0.
-pub fn owner_finalize(outputs: [&[u64]; SHAMIR_SERVERS], op: &OwnerParams) -> Result<Vec<u64>> {
-    let b = op.b;
-    if outputs.iter().any(|o| o.len() != b) {
+/// Steps 3–4 whole, as the aggregation plans run them: the three servers'
+/// Shamir shares of `z`, straight from the two PSI replies —
+/// `share_payload(owner_build_z(psi::owner_combine(out1, out2)))` in one
+/// pass in which neither `fop` nor `z` ever exists as a vector. Same draws
+/// from `prg`, so the same shares.
+pub fn owner_share_z(
+    out1: &[u64],
+    out2: &[u64],
+    op: &OwnerParams,
+    prg: &mut Prg,
+) -> Result<Vec<Vec<u64>>> {
+    psi::check_outputs(out1, out2, op)?;
+    let eta = Modulus::new(op.eta);
+    let z = |start: usize, block: &mut [u64]| {
+        let replies = out1[start..].iter().zip(&out2[start..]);
+        for (z, (&x, &y)) in block.iter_mut().zip(replies) {
+            *z = u64::from(eta.mul(x, y) == 1);
+        }
+    };
+    Ok(op.field.share_blocks(op.b, SHAMIR_SERVERS, prg, z))
+}
+
+/// All three servers' outputs for one item must cover the owner's domain.
+fn check_outputs(outputs: &[&[u64]; SHAMIR_SERVERS], op: &OwnerParams) -> Result<()> {
+    if outputs.iter().any(|o| o.len() != op.b) {
         return Err(ProtocolError::ParameterMismatch(
             "aggregation outputs have wrong length".into(),
         ));
     }
+    Ok(())
+}
+
+/// The fixed Lagrange weights of the three servers' evaluation points.
+fn lambda(op: &OwnerParams) -> [u64; SHAMIR_SERVERS] {
+    op.field
+        .lagrange_at_zero(SHAMIR_SERVERS)
+        .try_into()
+        .expect("one weight per server")
+}
+
+/// Owner finalize (Step 5): per-cell Lagrange interpolation of the three
+/// server outputs. Cells outside the intersection reconstruct to 0.
+pub fn owner_finalize(outputs: [&[u64]; SHAMIR_SERVERS], op: &OwnerParams) -> Result<Vec<u64>> {
+    check_outputs(&outputs, op)?;
     // Fixed evaluation points ⇒ fixed Lagrange weights: derive the field
     // inverses once and reduce each cell to a flat multiply-accumulate
     // (bit-identical to per-cell `reconstruct_raw`, which recomputed the
     // weights — inversions included — for every cell).
-    let lambda: [u64; SHAMIR_SERVERS] = op
-        .field
-        .lagrange_at_zero(SHAMIR_SERVERS)
-        .try_into()
-        .expect("one weight per server");
-    Ok(op.field.reconstruct_columns_with(outputs, &lambda))
+    Ok(op.field.reconstruct_columns_with(outputs, &lambda(op)))
+}
+
+/// Rows per block of [`owner_finalize_columns`]: a block of two finalized
+/// columns, the six reply runs they came from and the cells derived from
+/// them stay in a core's cache.
+const FINALIZE_BLOCK: usize = 4096;
+
+/// Owner finalize of a whole round-2 reply — `outs[server][item]`, its
+/// first `columns` items — for plans that derive more from the finalized
+/// columns than the columns themselves: [`owner_finalize`] of every item,
+/// advanced together in row blocks, with `each_block(finalized, rows)`
+/// called after every block, while `finalized[item][rows]` has just been
+/// written. Returns the finalized columns.
+pub fn owner_finalize_columns(
+    outs: &[Vec<Vec<u64>>],
+    columns: usize,
+    op: &OwnerParams,
+    mut each_block: impl FnMut(&[Vec<u64>], std::ops::Range<usize>),
+) -> Result<Vec<Vec<u64>>> {
+    let shares_of = |col: usize| -> Result<[&[u64]; SHAMIR_SERVERS]> {
+        let shares = [&outs[0][col][..], &outs[1][col][..], &outs[2][col][..]];
+        check_outputs(&shares, op).map(|()| shares)
+    };
+    let shares: Vec<_> = (0..columns).map(shares_of).collect::<Result<_>>()?;
+    let lambda = lambda(op);
+    let mut finalized: Vec<Vec<u64>> = (0..columns).map(|_| Vec::with_capacity(op.b)).collect();
+    for lo in (0..op.b).step_by(FINALIZE_BLOCK) {
+        let rows = lo..(lo + FINALIZE_BLOCK).min(op.b);
+        for (shares, out) in shares.iter().zip(&mut finalized) {
+            let block = shares.map(|s| &s[rows.clone()]);
+            op.field.reconstruct_columns_extend(block, &lambda, out);
+        }
+        each_block(&finalized, rows);
+    }
+    Ok(finalized)
 }
 
 /// Owner-side verification: the verification vector (still in `PF_db1`
-/// order) must be the permuted image of the primary vector.
+/// order) must be the permuted image of the primary vector — cell i of the
+/// primary is position `PF_db1(i)` of the verification vector.
 pub fn owner_verify(primary: &[u64], verification: &[u64], op: &OwnerParams) -> Result<()> {
     if primary.len() != op.b || verification.len() != op.b {
         return Err(ProtocolError::ParameterMismatch(
             "verification vectors have wrong length".into(),
         ));
     }
-    let unpermuted = op.pf_db1.inverse().apply(verification);
-    for i in 0..op.b {
-        if primary[i] != unpermuted[i] {
-            return Err(ProtocolError::VerificationFailed {
-                operation: "psi-sum",
-                cell: i,
-            });
-        }
+    let mismatch = primary
+        .iter()
+        .enumerate()
+        .position(|(i, &v)| v != verification[op.pf_db1.dest(i)]);
+    match mismatch {
+        Some(cell) => Err(ProtocolError::VerificationFailed {
+            operation: "psi-sum",
+            cell,
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -9,28 +9,41 @@
 //! allocator pins both properties so an accidental per-row `Vec` in a
 //! kernel loop fails CI instead of silently costing throughput.
 //!
+//! The same allocator counts **bytes**, and the warm in-process queries
+//! are pinned by them: a whole query may request what it returns (plus,
+//! for the aggregations, the three `z`-share columns it sends, and for
+//! verified PSI one narrow table) and a few KB of bookkeeping — the reply
+//! vectors come out of the nodes' arenas and go back. A `to_vec`, a
+//! zero-fill-then-overwrite or an intermediate vector reintroduced on the
+//! owner side is at least one more domain-length buffer, and fails here.
+//!
 //! Everything is asserted inside one `#[test]` so no sibling test thread
 //! can allocate mid-measurement; each measurement additionally takes the
 //! minimum over several reps to shrug off any stray allocation from the
 //! harness itself.
 
 use prism_core::Prg;
+use prism_protocol::average::AvgCell;
+use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput, QueryBatch};
 use prism_protocol::engine::{BatchItem, BatchQuery, Column, QueryOp, ServerCmd, ServerNode};
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
-use prism_protocol::psi;
 use prism_protocol::ShardedNode;
+use prism_protocol::{plans, psi};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
-// SAFETY: delegates verbatim to `System`; the counter bump has no effect
+// SAFETY: delegates verbatim to `System`; the counter bumps have no effect
 // on allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -40,6 +53,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -49,6 +63,18 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocs() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes requested by one call of `f`, minimized over `reps` warm calls.
+fn min_bytes_of<F: FnMut()>(reps: usize, mut f: F) -> usize {
+    f(); // warm: the reply buffers exist and are home
+    let mut min = u64::MAX;
+    for _ in 0..reps {
+        let before = BYTES.load(Ordering::Relaxed);
+        f();
+        min = min.min(BYTES.load(Ordering::Relaxed) - before);
+    }
+    min as usize
 }
 
 /// Allocation count of one call of `f`, minimized over `reps` warm calls.
@@ -165,6 +191,70 @@ fn warm_hot_paths_stay_allocation_free() {
         assert!(
             sharded_allocs <= 8 + 3,
             "warm two-shard execute of three items allocated {sharded_allocs} times per query"
+        );
+    }
+
+    // --- Whole warm queries through the engine, in bytes. Every owner
+    // holds every cell, so `common` is as long as it gets.
+    {
+        const B: usize = 8_192;
+        /// Commands, item lists, per-server reply lists, stats: O(1).
+        const BOOKKEEPING: usize = 4_096;
+        let inputs: Vec<OwnerInput> = (0..OWNERS as u64)
+            .map(|j| OwnerInput::from_pairs((1..=B as u64).map(|v| (v, v % 50 + j))))
+            .collect();
+        let cluster = Cluster::build(&inputs, ClusterConfig::new(B)).expect("cluster");
+        let word = size_of::<u64>();
+
+        // PSI returns fop, members and common — and requests nothing else.
+        let psi_result = B * word + B * size_of::<bool>() + B * size_of::<usize>();
+        let psi_bytes = min_bytes_of(5, || {
+            let (outcome, _) = cluster.execute(&plans::Psi).expect("psi");
+            assert_eq!(outcome.common.len(), B);
+        });
+        assert!(
+            psi_bytes <= psi_result + BOOKKEEPING,
+            "warm PSI requested {psi_bytes} B for a {psi_result} B result"
+        );
+
+        // Verified PSI adds the table of residues mod η, four bytes a cell.
+        let verified_bytes = min_bytes_of(5, || {
+            cluster.execute(&plans::PsiVerified).expect("psi verified");
+        });
+        assert!(
+            verified_bytes <= psi_result + B * size_of::<u32>() + BOOKKEEPING,
+            "warm verified PSI requested {verified_bytes} B for a {psi_result} B result"
+        );
+
+        // PSU returns one byte a cell; count returns a number.
+        let psu_bytes = min_bytes_of(5, || {
+            cluster.execute(&plans::Psu).expect("psu");
+        });
+        assert!(
+            psu_bytes <= B + BOOKKEEPING,
+            "warm PSU requested {psu_bytes} B"
+        );
+        let count_bytes = min_bytes_of(5, || {
+            let (count, _) = cluster.execute(&plans::Count).expect("count");
+            assert_eq!(count, B);
+        });
+        assert!(
+            count_bytes <= BOOKKEEPING,
+            "warm count requested {count_bytes} B"
+        );
+
+        // The benchmark's batch: sums, averages and counts out, the three
+        // z-share columns in; neither fop nor z nor a copied column.
+        let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
+        let batch_result = B * (2 * word + size_of::<AvgCell>());
+        let batch_bytes = min_bytes_of(5, || {
+            cluster.psi_query_batch(&batch).expect("batch");
+        });
+        assert!(
+            batch_bytes <= batch_result + 3 * B * word + BOOKKEEPING,
+            "warm Batch{{sum,avg,count}} requested {batch_bytes} B for a {batch_result} B \
+             result and three {} B z-share columns",
+            B * word
         );
     }
 }

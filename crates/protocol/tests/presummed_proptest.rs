@@ -233,7 +233,13 @@ impl Pair {
                     .and_then(|per| merge_shard_outputs(&per, &batch, domain, &Tamper::Honest))
                     .map(|mut v| v.remove(0));
                 match (got, want) {
-                    (Ok(g), Ok(w)) => assert_eq!(g, w, "{op:?} {scope:?} {ctx}"),
+                    (Ok(g), Ok(w)) => {
+                        assert_eq!(g, w, "{op:?} {scope:?} {ctx}");
+                        // The reply goes home, so the next round — another
+                        // operation, the other scope — writes into it as
+                        // it is (poisoned, in a debug build).
+                        self.node.reclaim(vec![g]);
+                    }
                     (
                         Err(ProtocolError::ParameterMismatch(_)),
                         Err(ProtocolError::ParameterMismatch(_)),
@@ -402,6 +408,74 @@ fn every_division_equals_the_reference_over_every_window() {
             &[(3, 0, 0, 6), (5, 1, 0, 0), (4, 0, 0, 8), (0, 2, 1, 3)],
             33,
             threads,
+        );
+    }
+}
+
+/// Reply buffers return to the node and are handed out again as they are,
+/// so a cell a round did not write would show the previous round's (in a
+/// debug build: the poison). At every division: a round that fails midway
+/// (its first items already written) then good ones, whole-domain and
+/// range-scoped rounds alternating (`check` does both per operation, so
+/// same-length buffers are reused and other lengths dropped), a
+/// three-item batch twice over its own returned buffers, and an append
+/// between two queries (the old-length buffers must not be resized into
+/// the grown domain).
+#[test]
+fn reply_buffers_that_came_home_never_show_through() {
+    let plain = BatchItem::plain;
+    for (shards, threads) in divisions() {
+        let ctx = format!("shards={shards} threads={threads}");
+        let (mut pair, mut prg) = complete(shards, 34);
+        let run = |pair: &Pair, items: Vec<BatchItem>| {
+            let cmd = ServerCmd::Run(BatchQuery {
+                zs: vec![],
+                items,
+                threads,
+                range: None,
+            });
+            pair.node.execute(&cmd).map(|r| match r {
+                ServerReply::Vectors(v) => v,
+                other => panic!("unexpected reply {other:?}"),
+            })
+        };
+        let midway = |pair: &Pair| {
+            let items = [QueryOp::Psi, QueryOp::Count, QueryOp::Sum(0)].map(plain);
+            match run(pair, items.to_vec()) {
+                Err(ProtocolError::ParameterMismatch(msg)) if msg.contains("without a z") => {}
+                other => panic!("{ctx}: expected the z-less Sum to fail the round, got {other:?}"),
+            }
+        };
+        let trio = [QueryOp::Psi, QueryOp::Psu, QueryOp::CountVerify(2)].map(plain);
+        let (untouched, _) = complete(shards, 34);
+        let want: Vec<Vec<u64>> = trio
+            .iter()
+            .map(|&item| run(&untouched, vec![item]).expect("one item").remove(0))
+            .collect();
+
+        midway(&pair);
+        pair.check(
+            (3, 11),
+            threads,
+            &mut prg,
+            &format!("{ctx}, after a failed round"),
+        );
+        for pass in 0..3 {
+            let got = run(&pair, trio.to_vec()).expect("three items");
+            assert_eq!(got, want, "{ctx}, pass {pass} over returned buffers");
+            pair.node.reclaim(got);
+        }
+        pair.check((0, DOMAIN as u64), threads, &mut prg, &ctx);
+
+        for owner in 0..OWNERS {
+            pair.delta(owner, DOMAIN, 5, &mut prg);
+        }
+        midway(&pair);
+        pair.check(
+            (DOMAIN as u64, 5),
+            threads,
+            &mut prg,
+            &format!("{ctx}, grown"),
         );
     }
 }

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Parent-versus-change comparison of one BENCHMARK.json workload, the way
 # choosing-metrics §8 asks for it: alternating pairs, medians, quartiles,
-# pairs won, and one pair on a held-out seed.
+# pairs won, one pair on a held-out seed, and one traced pair whose exact
+# counts and per-layer timings say where a difference sits.
 #
 #   scripts/bench-pair.sh <workload> [pairs=10] [parent]
 #
@@ -47,12 +48,12 @@ for side in "$parent_dir" "$root"; do
         --manifest-path examples/benchmark/Cargo.toml)
 done
 
-# run <seed> <tag> <first> <second>: one pair, each side's result line
-# (the last stdout line) kept as <tag>.<side>.json.
+# run <seed> <tag> <first> <second> [trace=0]: one pair, each side's result
+# line (the last stdout line) kept as <tag>.<side>.json.
 run() {
     for side in "$3" "$4"; do
         if [ "$side" = parent ]; then dir=$parent_dir; else dir=$root; fi
-        bench "$dir" --workload "$workload" --seed "$1" --seconds 20 --trace 0 \
+        bench "$dir" --workload "$workload" --seed "$1" --seconds 20 --trace "${5:-0}" \
             2>/dev/null | tail -n 1 >"$out/$2.$side.json"
     done
 }
@@ -65,6 +66,8 @@ while [ "$i" -le "$pairs" ]; do
 done
 echo "held-out pair (seed 7)" >&2
 run 7 heldout change parent
+echo "traced pair (seed 42, --trace 1)" >&2
+run 42 traced parent change 1
 
 # value <file> <metric>, to four significant digits
 value() {
@@ -105,6 +108,19 @@ for metric in setup_s query_p50_ms queries_per_s cpu_ms_per_query peak_rss_mb ro
         "$(quartiles <"$out/parent.$metric")" "$(quartiles <"$out/change.$metric")" \
         "$won" "$pairs" "$tied" \
         "$(value "$out/heldout.parent.json" "$metric")" "$(value "$out/heldout.change.json" "$metric")"
+done
+
+echo
+echo "one traced pair at --seed 42 --seconds 20 --trace 1 (counts repeat exactly; timings are one run each)"
+printf '%-50s %-14s %s\n' metric parent change
+for metric in proc.alloc_mb_per_query proc.allocs_per_query \
+    protocol.chunk.parallel_dispatches_per_query protocol.shard.dispatches_per_query \
+    protocol.kernels.allocs_per_call wire_bytes_per_query \
+    protocol.engine.owner_ms_per_query protocol.engine.server_ms_per_query \
+    protocol.plans.psi_p50_ms protocol.plans.psu_p50_ms protocol.plans.count_p50_ms \
+    protocol.plans.batch_p50_ms protocol.plans.psi_verified_p50_ms; do
+    printf '%-50s %-14s %s\n' "$metric" \
+        "$(value "$out/traced.parent.json" "$metric")" "$(value "$out/traced.change.json" "$metric")"
 done
 failed=$(cat "$out"/*.change.json | grep -c '"failed": [1-9]' || true)
 echo "change runs with failed operations: $failed (every result line is kept under target/bench-pair/)"
