@@ -1,48 +1,119 @@
-//! Criterion bench for Exp 3 / Table 14: owner-side result construction.
-//! Isolates the Equation-4 combine (PSI), the Equation-19 add (PSU) and
-//! the 3-point Lagrange interpolation (sum) on fixed server outputs.
+//! Criterion bench for Exp 3 / Table 14: owner-side result construction,
+//! on the replies a real round returns.
+//!
+//! A server's output is a uniformly random residue (mod η′ for the PSI
+//! family, mod δ for PSU) whatever the data, and that is what sets the cost
+//! of an owner loop: a compare on `x + y ≥ δ` is a coin flip on such
+//! operands and free on patterned ones. So the operands here are the raw
+//! reply vectors of one PSI / PSI-verify / count / PSU round and one
+//! aggregation round, taken off a cluster at the benchmark workloads' domain
+//! — never a vector of ones standing in for them.
+//!
+//! Two groups: the steps the plans run (`psi::owner_decode`,
+//! `psi::owner_verify`, `count::owner_count`, `psu::owner_membership`,
+//! `sum::owner_share_z`, `sum::owner_finalize`), and the per-equation
+//! references they are compared against in `tests/owner_reference.rs`
+//! (Equation 4, its decode, Equation 19, the `z` vector).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use prism_bench::build::{lean_cluster, lineitem_cluster};
-use prism_protocol::{psi, psu, sum};
+use prism_bench::build::lineitem_cluster;
+use prism_core::Prg;
+use prism_protocol::engine::{BatchItem, Ctx, Operation, QueryOp, ServerExec};
+use prism_protocol::{count, plans, psi, psu, sum, Result};
 
-const DOMAIN: u64 = 200_000;
+const DOMAIN: u64 = 100_000;
 const OWNERS: usize = 10;
 
+/// One batch round whose output is the replies themselves:
+/// `replies[server][item]`.
+struct Replies<'a> {
+    servers: &'a [usize],
+    items: &'a [BatchItem],
+    zs: &'a [Vec<u64>],
+}
+
+impl Operation for Replies<'_> {
+    type Output = Vec<Vec<Vec<u64>>>;
+
+    fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Self::Output> {
+        let outs = ctx.query(self.servers, self.items, |k| {
+            self.zs.get(k).map(|z| vec![z.clone()]).unwrap_or_default()
+        })?;
+        ctx.finish(outs, |outs| Ok(outs.to_vec()))
+    }
+}
+
 fn bench_owner_paths(c: &mut Criterion) {
-    // Precompute server outputs once; benchmark only the owner side.
-    let cluster = lean_cluster(DOMAIN, OWNERS, 4, 1);
+    let cluster = lineitem_cluster(DOMAIN, OWNERS, 1, true, true, 1, 1);
     let op = cluster.setup().owner.clone();
+    let additive = [
+        BatchItem::plain(QueryOp::Psi),
+        BatchItem::plain(QueryOp::PsiVerify),
+        BatchItem::plain(QueryOp::Count),
+        BatchItem::plain(QueryOp::Psu),
+    ];
+    let (round1, _) = cluster
+        .execute(&Replies {
+            servers: &[0, 1],
+            items: &additive,
+            zs: &[],
+        })
+        .unwrap();
+    let [psi1, vpsi1, count1, psu1] = &round1[0][..] else {
+        panic!("four items per server")
+    };
+    let [psi2, vpsi2, count2, psu2] = &round1[1][..] else {
+        panic!("four items per server")
+    };
+    let fop = psi::owner_combine(psi1, psi2, &op).unwrap();
+    let zs = sum::owner_share_z(psi1, psi2, &op, &mut Prg::from_seed(7)).unwrap();
+    let (sums, _) = cluster
+        .execute(&Replies {
+            servers: &[0, 1, 2],
+            items: &[BatchItem::with_z(QueryOp::Sum(0), 0)],
+            zs: &zs,
+        })
+        .unwrap();
+    // The vectors above are what the plans decode; check that once.
+    let (expected, _) = cluster.execute(&plans::PsiVerified).unwrap();
+    assert_eq!(fop, expected.fop);
 
-    // PSI outputs: rebuild the raw server vectors through a plain query.
-    let (psi_out, _) = cluster.psi().unwrap();
-    let fop = psi_out.fop;
+    let mut group = c.benchmark_group("exp3/plan_steps");
+    group.sample_size(30);
+    group.bench_function("psi_decode", |b| {
+        b.iter(|| psi::owner_decode(psi1, psi2, &op).unwrap())
+    });
+    group.bench_function("psi_verify", |b| {
+        b.iter(|| psi::owner_verify(&fop, vpsi1, vpsi2, &op).unwrap())
+    });
+    group.bench_function("count", |b| {
+        b.iter(|| count::owner_count(count1, count2, &op).unwrap())
+    });
+    group.bench_function("psu_membership", |b| {
+        b.iter(|| psu::owner_membership(psu1, psu2, &op).unwrap())
+    });
+    group.bench_function("sum_share_z", |b| {
+        let mut prg = Prg::from_seed(7);
+        b.iter(|| sum::owner_share_z(psi1, psi2, &op, &mut prg).unwrap())
+    });
+    group.bench_function("sum_finalize", |b| {
+        b.iter(|| sum::owner_finalize([&sums[0][0], &sums[1][0], &sums[2][0]], &op).unwrap())
+    });
+    group.finish();
 
-    let agg = lineitem_cluster(DOMAIN / 4, OWNERS, 1, false, true, 4, 2);
-    let (sums_ref, _) = agg.psi_sum(0).unwrap();
-    let agg_op = agg.setup().owner.clone();
-
-    let mut group = c.benchmark_group("exp3/owner_result_construction");
-    group.sample_size(10);
-
-    // Equation 4: b modular multiplications. Use the fop itself as both
-    // inputs (same cost profile as real outputs).
+    let mut group = c.benchmark_group("exp3/per_equation");
+    group.sample_size(30);
+    // Equation 4: b modular multiplications.
     group.bench_function("psi_combine", |b| {
-        b.iter(|| psi::owner_combine(&fop, &fop, &op).unwrap())
+        b.iter(|| psi::owner_combine(psi1, psi2, &op).unwrap())
     });
-    group.bench_function("psi_membership_decode", |b| {
-        b.iter(|| psi::membership(&fop))
-    });
+    group.bench_function("psi_membership", |b| b.iter(|| psi::membership(&fop)));
+    // Equation 19: b modular additions.
     group.bench_function("psu_combine", |b| {
-        b.iter(|| psu::owner_combine(&fop, &fop, &op).unwrap())
+        b.iter(|| psu::owner_combine(psu1, psu2, &op).unwrap())
     });
     // z-vector construction for round 2.
     group.bench_function("sum_build_z", |b| b.iter(|| sum::owner_build_z(&fop)));
-    // Lagrange interpolation across 3 share vectors.
-    let outs = [sums_ref.clone(), sums_ref.clone(), sums_ref.clone()];
-    group.bench_function("sum_interpolate", |b| {
-        b.iter(|| sum::owner_finalize([&outs[0], &outs[1], &outs[2]], &agg_op).unwrap())
-    });
     group.finish();
 }
 

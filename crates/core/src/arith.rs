@@ -11,11 +11,11 @@
 //!   the tests, as the oracle every fast path is compared against).
 //! * Loops pick a reducer **once per call** (`by_modulus!`) and are
 //!   monomorphised over it: `M61` folds, `Generic` multiplies by a
-//!   precomputed reciprocal. The slice kernels the protocol crate needs
-//!   ([`sum_columns_mod`], [`mul_assign_mod`]) are exported as plain
-//!   functions; the reducers themselves stay private to this crate, except
-//!   as [`Modulus`] — the reciprocal reducer behind a two-method value, for
-//!   per-cell expressions a caller fuses into its own single pass.
+//!   precomputed 64-bit reciprocal (a Barrett step). The slice kernels
+//!   the protocol crate needs ([`sum_columns_mod`], [`mul_assign_mod`]) are
+//!   exported as plain functions; the reducers stay private to this crate,
+//!   except as [`Modulus`] — the reciprocal reducer behind a two-method
+//!   value, for per-cell expressions a caller fuses into its own single pass.
 //! * Sums are reduced lazily: canonical addends are accumulated in a `u64`
 //!   for as long as they provably fit (`Reducer::lazy_addends`) and
 //!   reduced once per group.
@@ -186,14 +186,17 @@ impl Reducer for M61 {
     }
 }
 
-/// Any other modulus: `x mod n` for a 64-bit `x` by two multiplications
-/// with the precomputed `⌈2^128 / n⌉` (Lemire, Kaser, Kurz: "Faster
-/// remainder by direct computation", exact for all 64-bit `x` and `n`).
-/// Building one costs a `u128` division, so this is for loops only.
+/// Any other modulus: `x mod n` for a 64-bit `x` by a Barrett step — the
+/// high half of `x · ⌊(2^64 − 1) / n⌋` is `⌊x / n⌋` or one less, so two
+/// multiplications, a subtraction and one branch-free correction give the
+/// canonical residue, exactly, for every `u64` operand and every modulus.
+/// Building one costs a 64-bit division, so this is for loops only.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Generic {
     n: u64,
-    magic: u128,
+    /// `⌊(2^64 − 1) / n⌋`: `⌊2^64 / n⌋` unless `n` is a power of two, where
+    /// it is one less (and still fits a `u64` at `n = 1`).
+    recip: u64,
 }
 
 impl Generic {
@@ -202,8 +205,7 @@ impl Generic {
         debug_assert!(n > 0);
         Generic {
             n,
-            // Wraps to 0 for n = 1, which reduces everything to 0.
-            magic: (u128::MAX / n as u128).wrapping_add(1),
+            recip: u64::MAX / n,
         }
     }
 }
@@ -216,13 +218,13 @@ impl Reducer for Generic {
 
     #[inline]
     fn reduce(self, x: u64) -> u64 {
-        // The fractional part of x / n in 128 bits, scaled back by n:
-        // ⌊frac · n / 2^128⌋, computed from the two 64-bit halves of frac.
-        let frac = self.magic.wrapping_mul(x as u128);
-        let n = self.n as u128;
-        let low = ((frac as u64) as u128 * n) >> 64;
-        let high = (frac >> 64) * n;
-        ((low + high) >> 64) as u64
+        // 2^64/n − 1 ≤ recip ≤ 2^64/n, so x/n − 1 < x·recip/2^64 ≤ x/n: the
+        // quotient estimate q is ⌊x/n⌋ or one less, and r = x − q·n lies in
+        // [0, 2n) — at most x, so it cannot wrap even when 2n does.
+        let q = ((x as u128 * self.recip as u128) >> 64) as u64;
+        let r = x.wrapping_sub(q.wrapping_mul(self.n));
+        // r − n wraps above r exactly when r < n: the smaller one is r mod n.
+        r.min(r.wrapping_sub(self.n))
     }
 
     #[inline]
@@ -230,6 +232,16 @@ impl Reducer for Generic {
         match u64::try_from(x) {
             Ok(x) => self.reduce(x),
             Err(_) => (x % self.n as u128) as u64,
+        }
+    }
+
+    #[inline]
+    fn mul(self, a: u64, b: u64) -> u64 {
+        // A product that fits (every δ- and η-sized pair) goes to `reduce`
+        // as the `u64` it is, not as a `u128` whose high half is zero.
+        match a.checked_mul(b) {
+            Some(x) => self.reduce(x),
+            None => self.reduce_wide(a as u128 * b as u128),
         }
     }
 
@@ -267,7 +279,7 @@ pub(crate) use by_modulus;
 /// The owner steps of the protocol crate evaluate one expression per cell
 /// over several reply vectors — a product of two to four factors, a
 /// comparison, a count — and keep none of the intermediate vectors, so no
-/// slice kernel fits them. They build one of these per step (a `u128`
+/// slice kernel fits them. They build one of these per step (one
 /// division) and then multiply and add without dividing. Results are the
 /// canonical residues, so they equal [`mul_mod`] / [`add_mod`] and every
 /// slice kernel of this module bit for bit, whatever the operands.
@@ -288,10 +300,21 @@ impl Modulus {
     }
 
     /// `(a + b) mod n` for arbitrary operands; reduced ones cost a compare
-    /// each.
+    /// each. The sum itself is reduced without a branch on its value: the
+    /// operands a caller has are uniformly random residues, on which
+    /// `a + b ≥ n` is a coin flip no predictor wins.
     #[inline]
     pub fn add(self, a: u64, b: u64) -> u64 {
-        self.0.add(self.0.reduce_rare(a), self.0.reduce_rare(b))
+        let (a, b) = (self.0.reduce_rare(a), self.0.reduce_rare(b));
+        let (s, carry) = a.overflowing_add(b);
+        // s − n wraps above s exactly when s < n; a carry (n > 2^63 only)
+        // means the true sum is past n whatever s looks like.
+        let t = s.wrapping_sub(self.0.n);
+        if carry {
+            t
+        } else {
+            s.min(t)
+        }
     }
 }
 
@@ -748,6 +771,37 @@ mod tests {
     }
 
     #[test]
+    fn generic_reducer_matches_the_u128_remainder() {
+        // Small, the benchmark's and the paper's δ / η, a 32-bit modulus, the
+        // Shamir field through the reducer `by_modulus!` passes over, and
+        // both sides of 2^63, where 2n no longer fits — against operands at
+        // every boundary of the quotient estimate and its correction.
+        const GRID: [u64; 11] = [
+            1,
+            2,
+            3,
+            79,
+            113,
+            227,
+            5003,
+            (1 << 32) - 5,
+            MERSENNE_61,
+            (1 << 63) + 9,
+            u64::MAX - 58,
+        ];
+        for n in GRID {
+            let r = Generic::new(n);
+            let operands = [0, 1, n - 1, n, n.wrapping_add(1), 1 << 63, u64::MAX];
+            for x in operands {
+                assert_eq!(r.reduce(x), (x as u128 % n as u128) as u64, "{x} mod {n}");
+                for y in operands {
+                    assert_eq!(r.mul(x, y), mul_ref(x, y, n), "{x} * {y} mod {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn lazy_bounds_cannot_overflow() {
         fn check<R: Reducer>(r: R) {
             let top = r.modulus() - 1;
@@ -846,6 +900,13 @@ mod tests {
                 check_scalars(a % n, b % n, n);
                 check_reducers(n, a, b, (hi as u128) << 64 | a as u128);
             }
+        }
+
+        #[test]
+        fn prop_generic_reduce_matches_remainder(n in 1u64..=u64::MAX, x: u64, y: u64) {
+            let r = Generic::new(n);
+            prop_assert_eq!(r.reduce(x), x % n);
+            prop_assert_eq!(r.mul(x, y), mul_ref(x, y, n));
         }
 
         #[test]

@@ -11,24 +11,48 @@
 //! used so that two independently-permuted result paths land in the *same*
 //! final order without either side knowing the full composition.
 //! Permutations are represented in one-line notation: `map[i]` is where
-//! position `i` is sent.
+//! position `i` is sent. That forward map is what defines a permutation —
+//! equality, [`Permutation::as_map`] and the wire encoding read nothing
+//! else — while *applying* one reads through its inverse, built the first
+//! time the permutation is applied and kept: `out[j] = in[src[j]]` writes
+//! the output in order and scatters only the reads, which a cache serves
+//! far better than scattered writes.
 
 use crate::prg::Prg;
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// A permutation of `0..n` in one-line notation.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Permutation {
     /// `map[i]` = destination index of source position `i`.
     map: Vec<u32>,
+    /// `src[j]` = source position of destination index `j`: the inverse
+    /// map, derived from `map` on the first [`Permutation::apply`] /
+    /// [`Permutation::apply_into`] and never again (a clone carries it).
+    src: OnceLock<Vec<u32>>,
 }
 
+impl PartialEq for Permutation {
+    fn eq(&self, other: &Permutation) -> bool {
+        self.map == other.map
+    }
+}
+
+impl Eq for Permutation {}
+
 impl Permutation {
+    /// Wrap a forward map the caller has made a bijection of `0..len`.
+    fn of(map: Vec<u32>) -> Self {
+        Permutation {
+            map,
+            src: OnceLock::new(),
+        }
+    }
+
     /// The identity on `0..n`.
     pub fn identity(n: usize) -> Self {
-        Permutation {
-            map: (0..n as u32).collect(),
-        }
+        Permutation::of((0..n as u32).collect())
     }
 
     /// A uniformly random permutation of `0..n` (Fisher–Yates, seeded).
@@ -39,7 +63,7 @@ impl Permutation {
             let j = prg.below((i + 1) as u64) as usize;
             map.swap(i, j);
         }
-        Permutation { map }
+        Permutation::of(map)
     }
 
     /// Build from an explicit one-line map. Returns `None` if `map` is not
@@ -54,7 +78,7 @@ impl Permutation {
             }
             seen[d] = true;
         }
-        Some(Permutation { map })
+        Some(Permutation::of(map))
     }
 
     /// The raw one-line destination map (what a wire encoding carries;
@@ -79,39 +103,46 @@ impl Permutation {
         self.map[i] as usize
     }
 
+    /// The inverse map, built on first use: `sources()[j]` is the position
+    /// whose element lands at `j`.
+    fn sources(&self) -> &[u32] {
+        self.src.get_or_init(|| {
+            let mut src = vec![0u32; self.map.len()];
+            for (i, &d) in self.map.iter().enumerate() {
+                src[d as usize] = i as u32;
+            }
+            src
+        })
+    }
+
+    /// The permuted order of `input`, element `j` being the one sent to
+    /// `j`: the one routine both `apply` forms collect from.
+    fn gather<'a, T>(&'a self, input: &'a [T]) -> impl Iterator<Item = &'a T> {
+        assert_eq!(input.len(), self.map.len(), "length mismatch in apply");
+        self.sources().iter().map(move |&i| &input[i as usize])
+    }
+
     /// Apply to a slice: `output[dest(i)] = input[i]`.
     pub fn apply<T: Clone>(&self, input: &[T]) -> Vec<T> {
-        assert_eq!(input.len(), self.map.len(), "length mismatch in apply");
-        // One plain buffer: the copy only provides initialised slots, and
-        // the map is a bijection, so the scatter overwrites every one.
-        let mut out = input.to_vec();
-        for (item, &dest) in input.iter().zip(&self.map) {
-            out[dest as usize] = item.clone();
-        }
-        out
+        self.gather(input).cloned().collect()
     }
 
     /// Apply into a caller-owned buffer: `out[dest(i)] = input[i]`.
     ///
     /// Hot-path-only variant of [`Permutation::apply`] for `Copy` payloads:
-    /// no `Option` scaffolding, no allocation — every output slot is written
-    /// exactly once because the map is a bijection. `input` and `out` must
-    /// both match the domain size.
+    /// no allocation, and every output slot is written exactly once, in
+    /// order — whatever `out` held is gone. `input` and `out` must both
+    /// match the domain size.
     pub fn apply_into<T: Copy>(&self, input: &[T], out: &mut [T]) {
-        assert_eq!(input.len(), self.map.len(), "length mismatch in apply");
         assert_eq!(out.len(), self.map.len(), "length mismatch in apply");
-        for (i, &item) in input.iter().enumerate() {
-            out[self.map[i] as usize] = item;
+        for (slot, &item) in out.iter_mut().zip(self.gather(input)) {
+            *slot = item;
         }
     }
 
     /// The inverse permutation (`RPF` in §6.3 Step 5a).
     pub fn inverse(&self) -> Permutation {
-        let mut inv = vec![0u32; self.map.len()];
-        for (i, &d) in self.map.iter().enumerate() {
-            inv[d as usize] = i as u32;
-        }
-        Permutation { map: inv }
+        Permutation::of(self.sources().to_vec())
     }
 
     /// Composition `other ∘ self`: first apply `self`, then `other`
@@ -121,7 +152,7 @@ impl Permutation {
         let map = (0..self.map.len())
             .map(|i| other.map[self.map[i] as usize])
             .collect();
-        Permutation { map }
+        Permutation::of(map)
     }
 
     /// Apply to a single index.
@@ -141,7 +172,7 @@ impl Permutation {
         let mut map = Vec::with_capacity(self.map.len() + block.map.len());
         map.extend_from_slice(&self.map);
         map.extend(block.map.iter().map(|&d| d + base));
-        Permutation { map }
+        Permutation::of(map)
     }
 
     /// The trailing block of a block-diagonal permutation, rebased to `0`.
@@ -375,6 +406,32 @@ mod tests {
             let p = Permutation::random(n, &mut prg);
             prop_assert_eq!(p.then(&p.inverse()), Permutation::identity(n));
             prop_assert_eq!(p.inverse().then(&p), Permutation::identity(n));
+        }
+
+        #[test]
+        fn prop_gather_is_the_scatter_definition(seed: u64, v in proptest::collection::vec(any::<u64>(), 0..100), identity: bool) {
+            // `out[dest(i)] == in[i]`, whichever of the two forms applies
+            // it, for a clone taken before the inverse exists and for one
+            // taken after (lengths 0 and 1 included by the generator).
+            let p = if identity {
+                Permutation::identity(v.len())
+            } else {
+                Permutation::random(v.len(), &mut Prg::from_seed(seed))
+            };
+            let cold = p.clone();
+            let out = p.apply(&v);
+            let warm = p.clone();
+            for q in [&p, &cold, &warm] {
+                let mut into = vec![u64::MAX; v.len()];
+                q.apply_into(&v, &mut into);
+                prop_assert_eq!(&into, &out);
+                prop_assert_eq!(q, &p);
+            }
+            for (i, item) in v.iter().enumerate() {
+                prop_assert_eq!(out[p.dest(i)], *item);
+            }
+            prop_assert_eq!(p.inverse().inverse(), p.clone());
+            prop_assert_eq!(p.inverse().apply(&out), v);
         }
 
         #[test]

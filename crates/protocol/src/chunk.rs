@@ -10,14 +10,19 @@
 //! stealing — the workload is perfectly uniform, so static partitioning is
 //! both the fastest and the simplest correct choice.
 //!
-//! A stored-column round ([`crate::engine`]) divides **once**: the rows of
-//! every shard are cut into `threads` blocks (`block_len`) and worker `w`
-//! evaluates block `w` of every batch item, so a server `Run` is one
-//! `run_blocks` call whatever its item and shard counts. The
-//! `fill_*`/[`map_indexed`] helpers are the same division for a single
-//! output vector (the multi-column reference kernels, the wide max/median
-//! steps). The [`parallel_dispatches`] counter makes the division
-//! observable: it counts one per call that actually spawned.
+//! A stored-column round ([`crate::engine`]) divides **once**, and only
+//! when dividing pays: `threads` is the caller's upper bound, and
+//! `workers_for` lowers it to what the round's cell·items are worth
+//! (one worker — no spawn at all — below `CELLS_PER_WORKER`). The rows of
+//! every shard are then cut into that many blocks (`block_len`) and worker
+//! `w` evaluates block `w` of every batch item, so a server `Run` is at most
+//! one `run_blocks` call whatever its item and shard counts. The
+//! `fill_*`/[`map_indexed`] helpers are the plain division — `threads`
+//! blocks whenever every block gets two rows — for a single output vector
+//! (the multi-column reference kernels, the wide max/median steps, whose
+//! per-row work is hundreds of multiplications, not one). The
+//! [`parallel_dispatches`] counter makes the division observable: it counts
+//! one per call that actually spawned.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,6 +73,29 @@ where
         let joined: Vec<_> = workers.into_iter().map(|w| w.join()).collect();
         std::iter::once(mine).chain(joined).collect()
     })
+}
+
+/// Cell·items (output cells × batch items) a stored-column round must have
+/// per row-block worker before a further worker is worth its spawn.
+///
+/// The per-cell kernels run at about 1 ns per cell·item (0.7 the Equation-3
+/// lookup, 1.4 the Equation-11 / 18 multiply: `benches/arith.rs`), so a
+/// second worker takes at most `work / 2` ns off the round. What it costs is
+/// not the bare spawn + join (15–25 µs on an idle 2-thread host) but that
+/// plus the worker's wake-up on a core whose caches hold none of the
+/// columns, the shared-cache traffic of two cores on one 800 KB column and
+/// the join's futex round trip: 70–150 µs as the round sees it, measured as
+/// the difference between `threads = 2` and `threads = 1` on the same round
+/// (EXPERIMENTS.md "Per-cell loops at machine speed"). `work / 2` ns passes
+/// 130 µs at `work` = 2^18 cell·items, so that is where the second worker
+/// starts, and every further one needs as much again.
+pub(crate) const CELLS_PER_WORKER: usize = 1 << 18;
+
+/// The when-to-divide rule of a stored-column round: how many row-block
+/// workers `work` cell·items are divided among, `threads` being the most the
+/// caller allows — `min(threads, ⌈work / CELLS_PER_WORKER⌉)`, at least one.
+pub(crate) fn workers_for(threads: usize, work: usize) -> usize {
+    threads.min(work.div_ceil(CELLS_PER_WORKER)).max(1)
 }
 
 /// Rows per block when `n` rows are cut for `threads` workers: the whole
@@ -248,6 +276,19 @@ mod tests {
         assert_eq!(block_len(8, 4), 2);
         assert_eq!(block_len(10, 4), 3);
         assert_eq!(block_len(0, 4), 0);
+    }
+
+    #[test]
+    fn workers_follow_the_work_up_to_the_callers_bound() {
+        const C: usize = CELLS_PER_WORKER;
+        assert_eq!(workers_for(4, 0), 1);
+        assert_eq!(workers_for(4, C), 1);
+        assert_eq!(workers_for(4, C + 1), 2);
+        assert_eq!(workers_for(4, 2 * C), 2);
+        assert_eq!(workers_for(4, 3 * C + 1), 4);
+        assert_eq!(workers_for(4, 100 * C), 4);
+        assert_eq!(workers_for(1, 100 * C), 1);
+        assert_eq!(workers_for(0, 100 * C), 1);
     }
 
     #[test]

@@ -67,7 +67,8 @@ pub struct ClusterConfig {
     pub domain_size: usize,
     /// Master seed.
     pub seed: u64,
-    /// Threads per server for vector passes.
+    /// The most threads a server may use on one round's vector passes (an
+    /// upper bound — see [`Engine::with_threads`]).
     pub threads: usize,
     /// Materialize verification columns (complement + permuted copies).
     pub with_verification: bool,

@@ -167,7 +167,9 @@ pub struct BatchQuery {
     pub zs: Vec<Vec<u64>>,
     /// The operations to evaluate, in reply order.
     pub items: Vec<BatchItem>,
-    /// Worker threads the server should use.
+    /// The most worker threads the server may use. A round divides its
+    /// rows among as many as its cell·items are worth, which below a few
+    /// hundred thousand is one (`chunk`'s when-to-divide rule).
     pub threads: u32,
     /// Restrict evaluation to the global row range `(start, len)`; `None`
     /// evaluates the whole domain. Only operations without a finishing
@@ -987,7 +989,10 @@ struct Block<'o> {
 /// Evaluate one [`ServerCmd::Run`] batch over a server domain held by
 /// `nodes` — its row-range shards in row order, or the one monolithic node
 /// — as **one** parallel division: every shard's rows (its overlap with
-/// the batch's range, if scoped) are cut into `batch.threads` blocks, and
+/// the batch's range, if scoped) are cut into as many blocks as the round's
+/// cell·items are worth workers ([`chunk::workers_for`]: `batch.threads` at
+/// most, one — the calling thread, no spawn — for a round a spawn would cost
+/// more than it saves), and
 /// worker `w` evaluates block `w` of every shard for **every item**
 /// ([`ServerNode::eval_rows`]) straight into the reply buffers, streaming
 /// the items over the same rows while the summed column and `z` are hot.
@@ -1057,7 +1062,7 @@ pub(crate) fn run_round(
         }
     }
 
-    let threads = batch.threads.max(1) as usize;
+    let workers = chunk::workers_for(batch.threads as usize, len * batch.items.len());
     let arena = &nodes[0].arena;
     let mut outs: Vec<Vec<u64>> = batch.items.iter().map(|_| arena.take(len)).collect();
     // `work[w]` is worker w's blocks: block w of every shard.
@@ -1073,7 +1078,7 @@ pub(crate) fn run_round(
         } else {
             (0, 0)
         };
-        let step = chunk::block_len(n, threads).max(1);
+        let step = chunk::block_len(n, workers).max(1);
         for (w, done) in (0..n.max(1)).step_by(step).enumerate() {
             let rows = step.min(n - done);
             let outs = rest
@@ -1739,7 +1744,11 @@ impl<'e, X: ServerExec> Engine<'e, X> {
         }
     }
 
-    /// Set the per-server worker thread count.
+    /// Set the most worker threads a server may use on one round. It is an
+    /// upper bound, not a promise: a stored-column round is divided only
+    /// when its cell·items are worth a spawn (`chunk`'s when-to-divide
+    /// rule), the wide max / median rounds whenever `threads > 1`. Results
+    /// are bit-identical at every value.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self

@@ -191,27 +191,19 @@ pub fn common_cells(fop: &[u64]) -> Vec<usize> {
 }
 
 /// Step 3 whole, as the plans run it: `(fop, members, common)` —
-/// [`owner_combine`], [`membership`] and [`common_cells`] — from one pass
-/// over the two replies. Each reply cell is read once and `fop` and
-/// `members` are written once, as they are computed; `common` is sized
-/// from, and filled from, the one-byte-per-cell `members`.
+/// [`owner_combine`], [`membership`] and [`common_cells`], each reply cell
+/// read once. `fop` is collected from the replies by a loop that does
+/// nothing else (a push into a second vector from inside it costs that loop
+/// its shape), `members` is one compare per cell over the `fop` just
+/// written, while a cache still holds it, and `common` is sized from, and
+/// filled from, the one-byte-per-cell `members`.
 pub fn owner_decode(
     out1: &[u64],
     out2: &[u64],
     op: &OwnerParams,
 ) -> Result<(Vec<u64>, Vec<bool>, Vec<usize>)> {
-    check_outputs(out1, out2, op)?;
-    let eta = Modulus::new(op.eta);
-    let mut members = Vec::with_capacity(op.b);
-    let fop: Vec<u64> = out1
-        .iter()
-        .zip(out2)
-        .map(|(&x, &y)| {
-            let v = eta.mul(x, y);
-            members.push(v == 1);
-            v
-        })
-        .collect();
+    let fop = owner_combine(out1, out2, op)?;
+    let members = membership(&fop);
     let mut common = Vec::with_capacity(members.iter().filter(|&&m| m).count());
     common.extend(
         members

@@ -130,15 +130,52 @@ pub fn owner_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec
         .collect())
 }
 
+/// Decides, from the two replies for a cell, whether the combined vector is
+/// non-zero there: `(x + y) mod δ ≠ 0`.
+///
+/// Replies are uniformly random residues, so the compare `x + y ≥ δ` that a
+/// modular addition reduces by is a coin flip per cell — a mispredicted
+/// branch every other cell costs more than the addition. For canonical
+/// replies the sum is below `2δ`, so it is a multiple of δ exactly when it is
+/// 0 or δ: two compares and an `&`, nothing to predict. Anything else — a
+/// hostile reply `≥ δ`, or a δ so large the sum could wrap — answers through
+/// [`Modulus::add`], bit for bit what [`owner_combine`] would have decoded;
+/// that branch is never taken on honest replies, so it predicts.
+#[derive(Clone, Copy)]
+struct Presence {
+    delta: Modulus,
+    /// δ when δ ≤ 2^63 and 0 otherwise, so that one test finds every
+    /// operand the short form cannot take.
+    small: u64,
+}
+
+impl Presence {
+    fn of(op: &OwnerParams) -> Presence {
+        Presence {
+            delta: Modulus::new(op.delta),
+            small: if op.delta <= 1 << 63 { op.delta } else { 0 },
+        }
+    }
+
+    #[inline]
+    fn holds(self, x: u64, y: u64) -> bool {
+        if (x >= self.small) | (y >= self.small) {
+            return self.delta.add(x, y) != 0;
+        }
+        let s = x + y;
+        (s != 0) & (s != self.small)
+    }
+}
+
 /// Step 3 whole, as the plan runs it: [`membership`] of [`owner_combine`]
 /// in one pass over the two replies, without the combined vector between.
 pub fn owner_membership(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<bool>> {
     check_outputs(out1, out2, op)?;
-    let delta = Modulus::new(op.delta);
+    let present = Presence::of(op);
     Ok(out1
         .iter()
         .zip(out2)
-        .map(|(&x, &y)| delta.add(x, y) != 0)
+        .map(|(&x, &y)| present.holds(x, y))
         .collect())
 }
 
@@ -199,11 +236,11 @@ pub fn owner_verify_union(
 ) -> Result<Vec<bool>> {
     check_outputs(copy_a.0, copy_a.1, op)?;
     check_outputs(copy_b.0, copy_b.1, op)?;
-    let delta = Modulus::new(op.delta);
+    let present = Presence::of(op);
     let mut members = Vec::with_capacity(op.b);
     for i in 0..op.b {
-        let in_a = delta.add(copy_a.0[i], copy_a.1[i]) != 0;
-        if in_a != (delta.add(copy_b.0[i], copy_b.1[i]) != 0) {
+        let in_a = present.holds(copy_a.0[i], copy_a.1[i]);
+        if in_a != present.holds(copy_b.0[i], copy_b.1[i]) {
             return Err(ProtocolError::VerificationFailed {
                 operation: "psu",
                 cell: i,

@@ -20,7 +20,8 @@
 //!   as a monolithic [`ServerNode`] (`engine::run_round`), handed its
 //!   shard nodes in row order. In-process the shards are therefore not
 //!   sub-queries but the row ranges of one division: every shard's rows
-//!   are cut into `threads` blocks (never across a shard boundary), worker
+//!   are cut into one block per worker the round is worth (`threads` at
+//!   most, never across a shard boundary; `chunk::workers_for`), worker
 //!   `w` evaluates block `w` of every shard for every batch item straight
 //!   into the domain-length reply buffers, `z` vectors are borrowed, not
 //!   copied per shard, and the domain-level [`Tamper`] and finish

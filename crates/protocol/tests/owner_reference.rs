@@ -493,6 +493,66 @@ fn a_tampered_cell_at_every_position_is_named_like_the_reference() {
     }
 }
 
+/// What honest servers send is uniformly random and canonical — the case a
+/// branch on `x + y ≥ δ` cannot predict and a branch-free decode is written
+/// for — and what a hostile one may send is a single cell at or past the
+/// modulus, anywhere. Over both, the PSU and PSI decodes give the
+/// reference's members, verdict and named cell.
+#[test]
+fn uniform_canonical_replies_with_a_stray_cell_anywhere_decode_like_the_reference() {
+    let b = 33;
+    // The benchmark workloads' δ beside the differential moduli.
+    for n in MODULI.into_iter().chain([79]).filter(|&n| n >= 2) {
+        let op = owner(b, n, MERSENNE_61, n ^ 0xC0DE);
+        let mut prg = Prg::from_seed(n);
+        let mut v: Vec<Vec<u64>> = (0..4)
+            .map(|_| (0..b).map(|_| prg.below(n)).collect())
+            .collect();
+        let check = |v: &[Vec<u64>], what: &str| {
+            let (a, bb) = ((&v[0][..], &v[1][..]), (&v[2][..], &v[3][..]));
+            let combined = multi_pass::psu_combine(a.0, a.1, &op).unwrap();
+            assert_eq!(
+                psu::owner_membership(a.0, a.1, &op).unwrap(),
+                psu::membership(&combined),
+                "psu members, n={n} {what}"
+            );
+            assert_eq!(psu::owner_combine(a.0, a.1, &op).unwrap(), combined);
+            for (x, y) in [(a, bb), (a, a), (bb, a)] {
+                assert_eq!(
+                    psu::owner_verify_union(x, y, &op),
+                    multi_pass::verify_union(x, y, &op),
+                    "psu verdict, n={n} {what}"
+                );
+            }
+            let fop = multi_pass::psi_combine(a.0, a.1, &op).unwrap();
+            let (f, members, common) = psi::owner_decode(a.0, a.1, &op).unwrap();
+            assert_eq!(f, fop, "fop, n={n} {what}");
+            assert_eq!(members, psi::membership(&fop));
+            assert_eq!(common, psi::common_cells(&fop));
+            assert_eq!(common.capacity(), common.len(), "common is sized up front");
+            assert_eq!(
+                count::owner_count(a.0, a.1, &op),
+                multi_pass::count(a.0, a.1, &op)
+            );
+            assert_eq!(
+                psi::owner_verify(&fop, bb.0, bb.1, &op),
+                multi_pass::psi_verify(&fop, bb.0, bb.1, &op),
+                "psi verdict, n={n} {what}"
+            );
+        };
+        check(&v, "canonical");
+        for which in 0..4 {
+            for cell in 0..b {
+                for stray in [n, n.wrapping_add(1), n.wrapping_add(prg.below(n)), u64::MAX] {
+                    let honest = std::mem::replace(&mut v[which][cell], stray);
+                    check(&v, &format!("vector {which} cell {cell} = {stray}"));
+                    v[which][cell] = honest;
+                }
+            }
+        }
+    }
+}
+
 /// η past 2³² (a test field — deployments use η < 2²⁷) stores the
 /// verification table as `u64` and still agrees with the reference.
 #[test]

@@ -14,7 +14,10 @@ test:
 
 # The arithmetic suites again, optimised: the division-free fast paths
 # rest on `debug_assert!`ed invariants (checked by `test`) and on wrapping
-# overflow (how the shipped build behaves), so both profiles must pass.
+# overflow (how the shipped build behaves — the Barrett reducer's quotient
+# estimate and correction wrap by design), so both profiles must pass: the
+# `arith` / `perm` oracle proptests and `parallel_dispatch` (which divides
+# a 2^19-cell round and compares it with the serial one) run here too.
 # `prism_net` too: the benchmark and every deployment run release builds,
 # and its chaos-timing and mux-interleaving suites are timing-sensitive.
 test-release:

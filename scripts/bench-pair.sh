@@ -1,8 +1,9 @@
 #!/usr/bin/env sh
 # Parent-versus-change comparison of one BENCHMARK.json workload, the way
 # choosing-metrics §8 asks for it: alternating pairs, medians, quartiles,
-# pairs won, one pair on a held-out seed, and one traced pair whose exact
-# counts and per-layer timings say where a difference sits.
+# pairs won and the median gap over the parent's inter-quartile range (the
+# two halves of the claim rule), one pair on a held-out seed, and one traced
+# pair whose exact counts and per-layer timings say where a difference sits.
 #
 #   scripts/bench-pair.sh <workload> [pairs=10] [parent]
 #
@@ -104,9 +105,14 @@ for metric in setup_s query_p50_ms queries_per_s cpu_ms_per_query peak_rss_mb ro
         esac
         i=$((i + 1))
     done
-    printf '%-18s %-30s %-30s %s/%s (%s tied); held-out seed 7: %s -> %s\n' "$metric" \
-        "$(quartiles <"$out/parent.$metric")" "$(quartiles <"$out/change.$metric")" \
-        "$won" "$pairs" "$tied" \
+    pq=$(quartiles <"$out/parent.$metric")
+    cq=$(quartiles <"$out/change.$metric")
+    # The claim rule's second half: the medians' gap over the parent's IQR.
+    gap=$(echo "$pq $cq" | awk '{ iqr = $3 - $1; d = $5 - $2; if (d < 0) d = -d
+        if (iqr > 0) printf "%.1f", d / iqr; else print (d > 0 ? "inf" : "0") }')
+    printf '%-18s %-30s %-30s %s/%s (%s tied), gap %s x parent IQR; held-out seed 7: %s -> %s\n' "$metric" \
+        "$pq" "$cq" \
+        "$won" "$pairs" "$tied" "$gap" \
         "$(value "$out/heldout.parent.json" "$metric")" "$(value "$out/heldout.change.json" "$metric")"
 done
 
