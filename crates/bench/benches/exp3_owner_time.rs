@@ -39,7 +39,7 @@ impl Operation for Replies<'_> {
         let outs = ctx.query(self.servers, self.items, |k| {
             self.zs.get(k).map(|z| vec![z.clone()]).unwrap_or_default()
         })?;
-        ctx.finish(outs, |outs| Ok(outs.to_vec()))
+        ctx.finish(outs, |outs| Ok(outs.iter().map(|o| o.to_vec()).collect()))
     }
 }
 

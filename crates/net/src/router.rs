@@ -133,10 +133,11 @@ fn run_batch_on(node: &ServerNode, batch: BatchQuery) -> Vec<Vec<u64>> {
 
 /// Serve one stored-column batch on its own thread, against a read lock
 /// on `node`: run it, answer the owner with `wrap(outputs)`, and — the
-/// frame being encoded by then — return the reply vectors to the node's
-/// arena, where its next round of that length writes into them. The lock
-/// is held to the end, so a store mutation queued behind this round (they
-/// take the write lock) also finds its buffers home.
+/// link having encoded or copied the reply by then — return the reply
+/// vectors to the node's arena, where its next round of that length
+/// writes into them. The lock is held to the end, so a store mutation
+/// queued behind this round (they take the write lock) also finds its
+/// buffers home.
 fn spawn_batch(
     node: &Arc<RwLock<ServerNode>>,
     batch: BatchQuery,

@@ -130,10 +130,15 @@ pub trait Link: Send + Sync {
     fn stats(&self) -> Arc<LinkStats>;
 }
 
-/// In-process channel link endpoint.
+/// In-process channel link endpoint. It models the topology, not the
+/// bytes: a hop carries the [`Message`] itself, and the receiver gets what
+/// decoding the sender's encoding would have given it — an equal message in
+/// wire-pool buffers, or the decoder's error — while the meters count the
+/// exact bytes that encoding would have had. The codec itself runs only on
+/// [`TcpLink`]s.
 pub struct ChannelLink {
-    tx: Sender<Vec<u8>>,
-    rx: Receiver<Vec<u8>>,
+    tx: Sender<Result<Message, WireError>>,
+    rx: Receiver<Result<Message, WireError>>,
     stats: Arc<LinkStats>,
 }
 
@@ -157,21 +162,20 @@ pub fn channel_pair() -> (ChannelLink, ChannelLink) {
 
 impl Link for ChannelLink {
     fn send(&self, msg: &Message) -> Result<(), NetError> {
-        // encode() sizes its buffer exactly; the buffer is moved into the
-        // channel without a copy.
-        let bytes = msg.encode();
+        // One copy per hop, into the buffers the receiver's decode would
+        // have drawn; a shape the decoder refuses fails at `recv`, as it
+        // would over TCP.
+        let delivered = msg.received_copy();
         self.stats
             .bytes_sent
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            .fetch_add(msg.encoded_len() as u64, Ordering::Relaxed);
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.tx
-            .send(Vec::from(bytes))
-            .map_err(|_| NetError::Disconnected)
+        self.tx.send(delivered).map_err(|_| NetError::Disconnected)
     }
 
     fn recv(&self) -> Result<Message, NetError> {
-        let bytes = self.rx.recv().map_err(|_| NetError::Disconnected)?;
-        Ok(Message::decode(&bytes)?)
+        let delivered = self.rx.recv().map_err(|_| NetError::Disconnected)?;
+        Ok(delivered?)
     }
 
     fn stats(&self) -> Arc<LinkStats> {

@@ -320,6 +320,22 @@ fn get_vec(buf: &mut &[u8]) -> Result<Vec<u64>, WireError> {
     Ok(out)
 }
 
+/// What [`get_vec`] decodes from `data`'s encoding, without the bytes: a
+/// copy in a buffer drawn from the same pool.
+fn pooled_copy(data: &[u64]) -> Vec<u64> {
+    let mut out = pooled_vec(data.len());
+    out.extend_from_slice(data);
+    out
+}
+
+fn pooled_copies(data: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    data.iter().map(|v| pooled_copy(v)).collect()
+}
+
+fn pooled_columns(columns: &[(Column, Vec<u64>)]) -> Vec<(Column, Vec<u64>)> {
+    columns.iter().map(|(c, d)| (*c, pooled_copy(d))).collect()
+}
+
 fn put_vecs(buf: &mut BytesMut, data: &[Vec<u64>]) {
     buf.put_u32_le(data.len() as u32);
     for v in data {
@@ -347,15 +363,39 @@ fn put_widevec(buf: &mut BytesMut, wv: &WideVec) {
 fn get_widevec(buf: &mut &[u8]) -> Result<WideVec, WireError> {
     let width = need_u32(buf)? as usize;
     let data = get_vec(buf)?;
-    if width == 0 && !data.is_empty() {
+    check_widevec(width, data.len())?;
+    Ok(WideVec { width, data })
+}
+
+/// The wide-matrix length invariant the decoder enforces.
+fn check_widevec(width: usize, limbs: usize) -> Result<(), WireError> {
+    if width == 0 && limbs != 0 {
         return Err(WireError::Malformed("wide matrix with zero width"));
     }
-    if width != 0 && data.len() % width != 0 {
+    if width != 0 && limbs % width != 0 {
         return Err(WireError::Malformed(
             "wide matrix limb count not a multiple of its width",
         ));
     }
-    Ok(WideVec { width, data })
+    Ok(())
+}
+
+/// [`get_widevec`] of `wv`'s encoding, without the bytes.
+fn pooled_widevec(wv: &WideVec) -> Result<WideVec, WireError> {
+    check_widevec(wv.width, wv.data.len())?;
+    Ok(WideVec {
+        width: wv.width,
+        data: pooled_copy(&wv.data),
+    })
+}
+
+/// [`get_announcement`] of `a`'s encoding, without the bytes.
+fn pooled_announcement(a: &MaxAnnouncement) -> Result<MaxAnnouncement, WireError> {
+    Ok(MaxAnnouncement {
+        max_shares_1: pooled_widevec(&a.max_shares_1)?,
+        max_shares_2: pooled_widevec(&a.max_shares_2)?,
+        index_shares: a.index_shares.clone(),
+    })
 }
 
 fn put_announcement(buf: &mut BytesMut, a: &MaxAnnouncement) {
@@ -481,6 +521,16 @@ fn encode_batch(batch: &BatchQuery, buf: &mut BytesMut) {
                 buf.put_u8(i);
             }
         }
+    }
+}
+
+/// [`decode_batch`] of `batch`'s encoding, without the bytes.
+fn pooled_batch(batch: &BatchQuery) -> BatchQuery {
+    BatchQuery {
+        zs: pooled_copies(&batch.zs),
+        items: batch.items.clone(),
+        threads: batch.threads,
+        range: batch.range,
     }
 }
 
@@ -1228,6 +1278,102 @@ impl Message {
                 Message::Versions(stamps)
             }
             t => return Err(WireError::BadTag(t)),
+        })
+    }
+
+    /// What [`Message::decode`] returns for [`Message::encode`]'s bytes,
+    /// built without them: an equal message whose every row vector sits in
+    /// a wire-pool buffer exactly where the decoder draws one (so buffer
+    /// flows through the pool are the same), or the decoder's error for a
+    /// shape it refuses (a nested envelope, a wide matrix that is not a
+    /// whole number of rows). In-process links hand the receiver this copy
+    /// instead of encoding and decoding every frame.
+    pub(crate) fn received_copy(&self) -> Result<Message, WireError> {
+        Ok(match self {
+            Message::BulkUpload { owner, columns } => Message::BulkUpload {
+                owner: *owner,
+                columns: pooled_columns(columns),
+            },
+            Message::RunBatch(batch) => Message::RunBatch(pooled_batch(batch)),
+            Message::Outputs(outs) => Message::Outputs(pooled_copies(outs)),
+            Message::ShardRun { shard, batch } => Message::ShardRun {
+                shard: *shard,
+                batch: pooled_batch(batch),
+            },
+            Message::ShardOutputs { shard, outputs } => Message::ShardOutputs {
+                shard: *shard,
+                outputs: pooled_copies(outputs),
+            },
+            Message::MaxCombine {
+                uploads,
+                threads,
+                seq,
+            } => Message::MaxCombine {
+                uploads: uploads
+                    .iter()
+                    .map(|u| pooled_widevec(&u.shares).map(|shares| BlindedMaxUpload { shares }))
+                    .collect::<Result<_, _>>()?,
+                threads: *threads,
+                seq: *seq,
+            },
+            Message::AssembleFpos { claims, threads } => Message::AssembleFpos {
+                claims: pooled_copies(claims),
+                threads: *threads,
+            },
+            Message::Fpos(rows) => Message::Fpos(pooled_copies(rows)),
+            Message::WideUpload {
+                server,
+                seq,
+                shares,
+            } => Message::WideUpload {
+                server: *server,
+                seq: *seq,
+                shares: pooled_widevec(shares)?,
+            },
+            Message::AnnounceReply(AnnouncerReply::Max(a)) => {
+                Message::AnnounceReply(AnnouncerReply::Max(pooled_announcement(a)?))
+            }
+            Message::AnnounceReply(AnnouncerReply::Median(m)) => {
+                let middles = m.middles.iter().map(pooled_announcement);
+                Message::AnnounceReply(AnnouncerReply::Median(MedianAnnouncement {
+                    middles: middles.collect::<Result<_, _>>()?,
+                }))
+            }
+            Message::Tagged { inner, .. } if matches!(**inner, Message::Tagged { .. }) => {
+                return Err(WireError::Malformed("nested query-tagged envelope"))
+            }
+            Message::Tagged { query, inner } => Message::Tagged {
+                query: *query,
+                inner: Box::new(inner.received_copy()?),
+            },
+            Message::DeltaUpload {
+                owner,
+                start,
+                columns,
+                pf_s1_ext,
+                pf_s2_ext,
+            } => Message::DeltaUpload {
+                owner: *owner,
+                start: *start,
+                columns: pooled_columns(columns),
+                pf_s1_ext: pf_s1_ext.clone(),
+                pf_s2_ext: pf_s2_ext.clone(),
+            },
+            // No row vectors: the decoder builds these from fresh fields.
+            Message::SetTamper(_)
+            | Message::Ack
+            | Message::Shutdown
+            | Message::WideForwarded { .. }
+            | Message::AnnounceRun { .. }
+            | Message::SetAnnouncerTamper(_)
+            | Message::Register { .. }
+            | Message::RegisterAck { .. }
+            | Message::Ping { .. }
+            | Message::Pong { .. }
+            | Message::Assign { .. }
+            | Message::NodeDown { .. }
+            | Message::RangeVersionProbe
+            | Message::Versions(_) => self.clone(),
         })
     }
 

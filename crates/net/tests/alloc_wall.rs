@@ -13,7 +13,9 @@
 //! reply vectors return to its arena once the reply frame is encoded, and
 //! the owner's decoded copies return to the pool once the owner step has
 //! read them, so a warm round asks the allocator for no `ROWS`-long `u64`
-//! buffer anywhere in the process.
+//! buffer anywhere in the process. A round the PSI-round cache serves
+//! shares the cached vectors, so a fully warm query allocates no reply
+//! buffer at all — only the row vectors its plan builds itself.
 //!
 //! Everything is asserted inside one `#[test]` so no sibling test thread
 //! can allocate mid-measurement; each measurement takes the minimum over
@@ -23,7 +25,7 @@ use prism_net::wire::recycle_vecs;
 use prism_net::{Column, Message, NetCluster};
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
 use prism_protocol::malicious::Tamper;
-use prism_protocol::plans;
+use prism_protocol::plans::{self, QueryBatch};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -168,6 +170,42 @@ fn warm_decode_draws_row_buffers_from_the_pool() {
                 fresh, 0,
                 "a warm served round allocated {fresh} row buffers: reply vectors \
                  must return to the node's arena and the owner's decode pool"
+            );
+        }
+        cluster.into_deployment().shutdown().expect("shutdown");
+    }
+
+    // --- A fully warm cached query: `psi_query_batch` (sum, average and
+    // tuple counts) on a cached channel cluster, both rounds served from
+    // the cache. Served rounds share the cached vectors, so the only row
+    // buffers are the plan's own: round 2's three z-shares and the two
+    // finalized columns (sums and tuple counts) — five, no reply copies.
+    {
+        let inputs: Vec<OwnerInput> = (0..3u64)
+            .map(|j| {
+                let rows = (1..=ROWS as u64).filter(|v| v % (j + 2) != 0);
+                OwnerInput::from_pairs(rows.map(|v| (v, v % 97 + j)))
+            })
+            .collect();
+        let mut cfg = ClusterConfig::new(ROWS);
+        cfg.with_verification = false;
+        let mut net = NetCluster::start_local(cfg.setup(inputs.len()).expect("setup"));
+        net.enable_cache();
+        let cluster = Cluster::over(net, &inputs, cfg).expect("outsource");
+        let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
+        let (expected, cold) = cluster.psi_query_batch(&batch).expect("cold batch");
+        assert_eq!(cold.rounds, 2);
+        for _ in 0..3 {
+            let before = ROW_BUFFERS.load(Ordering::Relaxed);
+            let (answer, warm) = cluster.psi_query_batch(&batch).expect("warm batch");
+            let fresh = ROW_BUFFERS.load(Ordering::Relaxed) - before;
+            assert_eq!((warm.rounds, warm.cache_hits), (0, 2));
+            assert_eq!(answer, expected);
+            assert_eq!(
+                fresh, 5,
+                "a fully warm batch allocated {fresh} row buffers; the plan's own \
+                 are three z-shares and two finalized columns, and a served round \
+                 must hand out the cached vectors, not copies"
             );
         }
         cluster.into_deployment().shutdown().expect("shutdown");

@@ -197,6 +197,60 @@ fn distinct_queries_share_the_cached_psi_round() {
     cluster.into_deployment().shutdown().unwrap();
 }
 
+/// Callers that pass a fresh z-seed per query never hit round 2, and must
+/// not grow the cache either: every fresh seed is one more `z` variant of
+/// the same three round-2 keys, and a key keeps at most eight. So across
+/// 40 fresh-seed queries the cache never holds more than the two round-1
+/// entries plus 3 × 8 round-2 variants — and a pinned-seed query still
+/// goes warm on its repeat, and stays warm beside further fresh seeds.
+#[test]
+fn fresh_z_seeds_cannot_grow_the_cache_without_bound() {
+    const CELLS: usize = 4096;
+    const BOUND: usize = 2 + 3 * 8;
+    let inputs: Vec<OwnerInput> = (0..3u64)
+        .map(|j| {
+            OwnerInput::from_pairs(
+                (1..=CELLS as u64)
+                    .filter(|v| v % (j + 2) != 0)
+                    .map(|v| (v, v + j)),
+            )
+        })
+        .collect();
+    let mut cfg = ClusterConfig::new(CELLS);
+    cfg.with_verification = false;
+    let mut net = NetCluster::start_local(cfg.setup(inputs.len()).unwrap());
+    net.enable_cache();
+    let cluster = Cluster::over(net, &inputs, cfg).unwrap();
+    let net = cluster.deployment();
+    let cache = net.cache().unwrap();
+    let batch = QueryBatch::new().sum(0).avg(0);
+
+    let (first, _) = net.psi_query_batch(&batch, 0).unwrap();
+    for seed in 1..40 {
+        let (answer, s) = net.psi_query_batch(&batch, seed).unwrap();
+        assert_eq!(answer, first, "seed {seed} changed the answer");
+        assert_eq!((s.cache_hits, s.rounds), (1, 1), "seed {seed}: round 2 hit");
+        assert!(
+            cache.len() <= BOUND,
+            "{} entries after seed {seed}",
+            cache.len()
+        );
+    }
+    assert_eq!(cache.len(), BOUND);
+
+    // Pinned seed: cold once, then warm — and still warm after more fresh
+    // seeds than a key holds variants minus one.
+    let (pinned, s) = cluster.psi_query_batch(&batch).unwrap();
+    assert_eq!((pinned, s.cache_hits), (first.clone(), 1));
+    for seed in 100..107 {
+        net.psi_query_batch(&batch, seed).unwrap();
+        let (again, s) = cluster.psi_query_batch(&batch).unwrap();
+        assert_eq!((again, s.rounds, s.cache_hits), (first.clone(), 0, 2));
+    }
+    assert_eq!(cache.len(), BOUND);
+    cluster.into_deployment().shutdown().unwrap();
+}
+
 /// A delta whose rows lie outside the adopted setup's domain — growth
 /// sent without `adopt_setup`, or a start past the end (which used to
 /// panic cutting the extension blocks) — is refused with a typed error

@@ -5,7 +5,9 @@
 //! matrix behaves identically whatever the shard count.
 
 use prism_core::Prg;
-use prism_net::{AnnouncerNode, ClusterListener, Column, NetCluster, RegistryConfig, ShardWorker};
+use prism_net::{
+    AnnouncerNode, ClusterListener, Column, NetCluster, NetReport, RegistryConfig, ShardWorker,
+};
 use prism_protocol::driver::{Cluster, ClusterConfig, Deployment, OwnerInput, QueryStats};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::Setup;
@@ -132,9 +134,19 @@ fn tcp_sharded_domain_matches_channel() {
 /// rounds — after `build`, after `update_owner` and after `append`. The
 /// facade derives every share seed from `cfg` alone, so the stores of a
 /// wire deployment hold exactly the shares the driver's golden digests
-/// pin for the in-process one.
+/// pin for the in-process one. The two wire deployments also meter the
+/// same traffic on every owner↔server and announcer edge: the same
+/// messages, and the same bytes but for TCP's 4-byte frame prefix — a
+/// channel hop carries no bytes, yet counts the ones the wire would.
 #[test]
 fn one_facade_answers_identically_on_every_deployment() {
+    /// `(bytes, messages)` per owner↔server direction and announcer edge.
+    fn edges(r: &NetReport) -> Vec<(u64, u64)> {
+        let servers = (0..r.servers()).flat_map(|k| [r.owner_to_server(k), r.server_to_owner(k)]);
+        let wide = (0..2).map(|k| r.server_to_announcer(k));
+        let announcer = [r.to_announcer, r.from_announcer];
+        servers.chain(wide).chain(announcer).collect()
+    }
     fn history<D: Deployment>(mut c: Cluster<D>) -> (Vec<Vec<(String, usize)>>, Cluster<D>) {
         let mut seen = vec![run_all(&c)];
         let update = OwnerInput::from_pairs([(1, 40), (7, 2), (9, 9), (24, 1)]);
@@ -152,11 +164,26 @@ fn one_facade_answers_identically_on_every_deployment() {
     let (reference, _) = history(Cluster::build(&inputs(&rows()), cfg(86)).unwrap());
     assert!(reference.iter().flatten().all(|(_, rounds)| *rounds > 0));
     let tcp = NetCluster::start_tcp_sharded(make_setup(86), 2).unwrap();
+    let mut traffic = Vec::new();
     for wire in [local(86, 3, &rows()), outsource(tcp, &rows(), 86)] {
+        let before = edges(&wire.deployment().report());
         let (seen, c) = history(wire);
         assert_eq!(seen, reference);
+        let after = edges(&c.deployment().report());
+        let delta = after.iter().zip(&before);
+        traffic.push(
+            delta
+                .map(|(a, b)| (a.0 - b.0, a.1 - b.1))
+                .collect::<Vec<_>>(),
+        );
         shut_down(c);
     }
+    let (channel, tcp) = (&traffic[0], &traffic[1]);
+    assert!(channel.iter().all(|&(bytes, msgs)| bytes > 0 && msgs > 0));
+    let framed = channel
+        .iter()
+        .map(|&(bytes, msgs)| (bytes + 4 * msgs, msgs));
+    assert_eq!(framed.collect::<Vec<_>>(), *tcp);
 }
 
 /// One router reached two ways: the statically wired constructor and the

@@ -7,10 +7,13 @@
 //! unchanged, every strict prefix of an encoding is rejected (all fields
 //! are length-prefixed or fixed-width, so truncation can never decode
 //! successfully), and arbitrary byte soup either fails to decode or
-//! decodes canonically (re-encoding reproduces the consumed prefix).
+//! decodes canonically (re-encoding reproduces the consumed prefix). A
+//! channel link, which hands messages over without the codec, delivers
+//! exactly what the codec would have.
 
 use prism_core::wide::WideVec;
-use prism_net::wire::{Column, Message, Op};
+use prism_net::wire::{Column, Message, Op, WireError};
+use prism_net::{channel_pair, Link, NetError};
 use prism_protocol::engine::{AnnouncerCmd, AnnouncerReply, BatchItem, BatchQuery};
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
 use prism_protocol::max::{BlindedMaxUpload, MaxAnnouncement};
@@ -316,5 +319,48 @@ proptest! {
         nested.extend_from_slice(&outer_query.to_le_bytes());
         nested.extend_from_slice(&enc);
         prop_assert!(Message::decode(&nested).is_err());
+    }
+
+    /// An in-process hop delivers what the wire would: over a channel
+    /// link, every message shape, bare and in a query envelope, arrives
+    /// equal to `decode(encode(msg))`, the link meters exactly
+    /// `encoded_len()` bytes and one message for it, and a nested envelope
+    /// fails at `recv` with the decoder's error.
+    #[test]
+    fn channel_hops_deliver_what_the_wire_would(
+        sel in any::<u8>(),
+        owner in any::<u32>(),
+        col_sel in any::<u8>(),
+        attr in any::<u8>(),
+        data in vec(any::<u64>(), 0..40),
+        zs in vec(vec(any::<u64>(), 0..24), 0..4),
+        items_raw in vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..6),
+        threads in any::<u32>(),
+        t_sel in any::<u8>(),
+        tx in any::<u64>(),
+        ty in any::<u64>(),
+        query in any::<u64>(),
+    ) {
+        let (a, b) = channel_pair();
+        let inner = build_message(
+            sel, owner, col_sel, attr, data, zs, items_raw, threads, t_sel, tx, ty,
+        );
+        let tagged = inner.clone().tagged(query);
+        for msg in [inner, tagged.clone()] {
+            let (bytes, msgs) = a.stats().snapshot();
+            a.send(&msg).unwrap();
+            let wire = Message::decode(&msg.encode()).unwrap();
+            prop_assert_eq!(b.recv().unwrap(), wire);
+            let (sent_bytes, sent_msgs) = a.stats().snapshot();
+            prop_assert_eq!(
+                (sent_bytes - bytes, sent_msgs - msgs),
+                (msg.encoded_len() as u64, 1)
+            );
+        }
+        a.send(&tagged.tagged(query ^ 1)).unwrap();
+        prop_assert!(matches!(
+            b.recv(),
+            Err(NetError::Wire(WireError::Malformed(_)))
+        ));
     }
 }

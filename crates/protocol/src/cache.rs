@@ -8,10 +8,11 @@
 //! extends the sharing *across* queries:
 //!
 //! * [`PsiRoundCache`] is the persistent state: per-server reply entries
-//!   keyed on the round's [`BatchItem`] list, its auxiliary `z` vectors,
-//!   and its row range, and stamped with the **per-range version
-//!   stamps** of the store ranges the round read (the
-//!   [`RangeVersion`] epochs every
+//!   keyed on the server, the round's [`BatchItem`] list and its row
+//!   range, each key holding a short list of variants told apart by the
+//!   round's auxiliary `z` vectors (compared by value), every variant
+//!   stamped with the **per-range version stamps** of the store ranges
+//!   the round read (the [`RangeVersion`] epochs every
 //!   [`ColumnStore`](crate::engine::ColumnStore) write moves), plus
 //!   hit/miss/invalidation meters.
 //! * [`CachedExec`] wraps any backend. A *cache-eligible* round — every
@@ -33,7 +34,18 @@
 //! `(query, store-version)` instead of fresh per call — so a repeated
 //! aggregation replays its Shamir round without a fresh z exchange.
 //! Callers that pass a fresh seed per call simply never hit, which is the
-//! pre-pinning behaviour.
+//! pre-pinning behaviour; a key keeps at most eight `z` variants
+//! (`Z_VARIANTS`) and evicts the oldest, so such callers cannot grow the
+//! cache without bound.
+//!
+//! **Shared, not copied.** A miss moves the inner backend's reply vectors
+//! into an `Arc`-held entry, and every round the entry answers — the miss
+//! itself included — hands the plan a [`ServerReply::Shared`] view of
+//! them. Plans only read replies, so nothing is cloned on either path; a
+//! lookup compares `z` by value and neither hashes nor copies it. Shared
+//! outputs never reach [`ServerExec::reclaim`]: a cached round's buffers
+//! live in the cache until their entry is invalidated or evicted, and only
+//! pass-through rounds give buffers back to the inner backend.
 //!
 //! **Invalidation rule (per-range version vectors).** The cache never
 //! trusts its own clock: an entry is valid only while the owning
@@ -73,18 +85,35 @@ use crate::engine::{
 use crate::error::{ProtocolError, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// What identifies a cached per-server round: the server, the round's
-/// item list, its auxiliary `z` vectors (empty for round 1), and its row
-/// range (`None` = whole domain).
-type Key = (usize, Vec<BatchItem>, Vec<Vec<u64>>, Option<(u64, u64)>);
+/// The most `z` variants one [`Key`] holds; a miss past it evicts the
+/// oldest. The suites need two (an average and a batch share one item
+/// list under different seeds in `serve_conformance`); eight keeps a few
+/// concurrent pinned-seed callers warm while bounding a fresh-seed stream
+/// at eight rounds' replies per key.
+pub(crate) const Z_VARIANTS: usize = 8;
 
-/// One cached per-server round: the store range stamps it was computed
-/// against (restricted to the ranges the round's row range overlaps),
-/// and the per-item output vectors.
-type Entry = (Vec<RangeVersion>, Vec<Vec<u64>>);
+/// What identifies a cached per-server round shape: the server, the
+/// round's item list, and its row range (`None` = whole domain).
+type Key = (usize, Vec<BatchItem>, Option<(u64, u64)>);
+
+/// One cached per-server round of a [`Key`]: its auxiliary `z` vectors
+/// (empty for round 1), the store range stamps it was computed against
+/// (restricted to the ranges the round's row range overlaps), and the
+/// per-item output vectors, shared with every plan it answers.
+#[derive(Debug)]
+struct Entry {
+    zs: Vec<Vec<u64>>,
+    stamps: Vec<RangeVersion>,
+    outs: Arc<Vec<Vec<u64>>>,
+}
+
+/// A missed per-server round waiting for its reply: its key, its `z`
+/// vectors and the stamps confirmed before it ran (`None`: unknown, so
+/// the reply is not cached).
+type Missed = (Key, Vec<Vec<u64>>, Option<Vec<RangeVersion>>);
 
 /// The range stamps a round over `range` depends on: every store epoch
 /// whose rows intersect it (all of them for a whole-domain round). A
@@ -108,9 +137,8 @@ struct CacheState {
     /// Servers with a non-honest tamper attached (test injection); their
     /// rounds bypass the cache entirely.
     tampered: Vec<bool>,
-    /// Round key → cached reply stamped with the overlapping range
-    /// versions it was computed against.
-    entries: HashMap<Key, Entry>,
+    /// Round key → its cached `z` variants, oldest first.
+    entries: HashMap<Key, Vec<Entry>>,
 }
 
 impl CacheState {
@@ -119,6 +147,34 @@ impl CacheState {
             v.resize(server + 1, T::default());
         }
         &mut v[server]
+    }
+
+    /// The outputs cached for `server`'s round `(items, zs, range)`, if
+    /// its `z` variant is held and stamped with the server's confirmed
+    /// range stamps over `range`.
+    fn lookup(&self, server: usize, (items, zs, range): KeyView<'_>) -> Option<ServerReply> {
+        let confirmed = self.versions.get(server)?.as_deref()?;
+        let variants = self.entries.get(&(server, items.to_vec(), range))?;
+        let entry = variants.iter().find(|e| e.zs == zs)?;
+        (overlapping(confirmed, range) == entry.stamps)
+            .then(|| ServerReply::Shared(Arc::clone(&entry.outs)))
+    }
+
+    /// Hold `entry` under `key`: it replaces the variant with the same
+    /// `z`, if any, as the newest, and the oldest variant past
+    /// [`Z_VARIANTS`] is evicted.
+    fn insert(&mut self, key: Key, entry: Entry) {
+        let variants = self.entries.entry(key).or_default();
+        variants.retain(|held| held.zs != entry.zs);
+        if variants.len() == Z_VARIANTS {
+            variants.remove(0);
+        }
+        variants.push(entry);
+    }
+
+    /// Variants held, over every key.
+    fn len(&self) -> usize {
+        self.entries.values().map(Vec::len).sum()
     }
 }
 
@@ -131,9 +187,6 @@ pub struct PsiRoundCache {
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
-    /// Copies of cached vectors that served rounds handed to plans and
-    /// that [`ServerExec::reclaim`] has not yet seen come back.
-    copies_out: AtomicU64,
 }
 
 impl PsiRoundCache {
@@ -181,7 +234,7 @@ impl PsiRoundCache {
     /// Drop every entry (all servers), counting invalidations.
     pub fn invalidate_all(&self) {
         if let Ok(mut st) = self.state() {
-            let dropped = st.entries.len() as u64;
+            let dropped = st.len() as u64;
             st.entries.clear();
             st.versions.clear();
             self.invalidations.fetch_add(dropped, Ordering::Relaxed);
@@ -200,11 +253,15 @@ impl PsiRoundCache {
         server: usize,
         confirmed: Option<&[RangeVersion]>,
     ) -> u64 {
-        let before = st.entries.len();
-        st.entries.retain(|(s, _, _, range), (stamps, _)| {
-            *s != server || confirmed.is_some_and(|now| overlapping(now, *range) == *stamps)
+        let before = st.len();
+        st.entries.retain(|(s, _, range), variants| {
+            if *s == server {
+                let now = confirmed.map(|now| overlapping(now, *range));
+                variants.retain(|e| now.as_ref() == Some(&e.stamps));
+            }
+            !variants.is_empty()
         });
-        let dropped = (before - st.entries.len()) as u64;
+        let dropped = (before - st.len()) as u64;
         self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         dropped
     }
@@ -224,17 +281,17 @@ impl PsiRoundCache {
         self.invalidations.load(Ordering::Relaxed)
     }
 
-    /// Live entries held for `server` (tests observe invalidation
-    /// granularity through this).
+    /// Live entries (`z` variants) held for `server` (tests observe
+    /// invalidation granularity through this).
     pub fn server_entries(&self, server: usize) -> usize {
-        self.state()
-            .map(|st| st.entries.keys().filter(|(s, ..)| *s == server).count())
-            .unwrap_or(0)
+        let Ok(st) = self.state() else { return 0 };
+        let of_server = st.entries.iter().filter(|((s, ..), _)| *s == server);
+        of_server.map(|(_, variants)| variants.len()).sum()
     }
 
-    /// Total live entries.
+    /// Total live entries (`z` variants, over every key).
     pub fn len(&self) -> usize {
-        self.state().map(|st| st.entries.len()).unwrap_or(0)
+        self.state().map(|st| st.len()).unwrap_or(0)
     }
 
     /// True when the cache holds no entries.
@@ -243,6 +300,10 @@ impl PsiRoundCache {
     }
 }
 
+/// Borrowed view of a round's cache key and variant: its item list, its
+/// auxiliary `z` vectors, and its row range (`None` = whole domain).
+type KeyView<'c> = (&'c [BatchItem], &'c [Vec<u64>], Option<(u64, u64)>);
+
 /// Is this command a cache-eligible batch? Only rounds whose reply is a
 /// pure function of the stored columns and the round's own inputs
 /// qualify: round 1 (plain PSI, PSU, and the count round, no auxiliary
@@ -250,10 +311,6 @@ impl PsiRoundCache {
 /// whose replies are deterministic in the stored shares and the `z`
 /// vectors carried by the batch). Anything with verification semantics
 /// passes through to the servers untouched.
-/// Borrowed view of a round's cache key: its item list, its auxiliary
-/// `z` vectors, and its row range (`None` = whole domain).
-type KeyView<'c> = (&'c [BatchItem], &'c [Vec<u64>], Option<(u64, u64)>);
-
 fn eligible_key(cmd: &ServerCmd) -> Option<KeyView<'_>> {
     let ServerCmd::Run(batch) = cmd else {
         return None;
@@ -365,61 +422,49 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
         };
         let (probe_cost, probe_meters) = self.refresh_versions(&unknown)?;
 
-        // Serve the whole round iff every participant has a live entry
-        // whose stamps match the confirmed state over the entry's range.
-        {
+        // Serve the whole round iff every participant holds the round's `z`
+        // variant stamped with the confirmed state over the entry's range.
+        let (served, stamps) = {
             let st = self.cache.state()?;
-            let served: Option<Vec<ServerReply>> = keys
-                .iter()
-                .map(|&(s, (items, zs, range))| {
-                    let confirmed = st.versions.get(s)?.as_deref()?;
-                    st.entries
-                        .get(&(s, items.to_vec(), zs.to_vec(), range))
-                        .filter(|(stamps, _)| overlapping(confirmed, range) == *stamps)
-                        .map(|(_, outs)| ServerReply::Vectors(outs.clone()))
-                })
-                .collect();
-            if let Some(replies) = served {
-                self.cache.hits.fetch_add(1, Ordering::Relaxed);
-                let copies: usize = replies
+            let served: Option<Vec<ServerReply>> =
+                keys.iter().map(|&(s, key)| st.lookup(s, key)).collect();
+            // On a miss, the range versions confirmed *before* the round
+            // runs: if an upload races in between, the stamps are
+            // conservatively old and the entry dies at the next probe
+            // instead of ever serving stale rows.
+            let stamps: Vec<Option<Vec<RangeVersion>>> = match served {
+                Some(_) => Vec::new(),
+                None => keys
                     .iter()
-                    .map(|r| match r {
-                        ServerReply::Vectors(outs) => outs.len(),
-                        _ => 0,
+                    .map(|&(s, (_, _, range))| {
+                        let confirmed = st.versions.get(s).and_then(|v| v.as_deref());
+                        confirmed.map(|v| overlapping(v, range))
                     })
-                    .sum();
-                self.cache
-                    .copies_out
-                    .fetch_add(copies as u64, Ordering::Relaxed);
-                let mut meters = probe_meters;
-                meters.cache_hits += 1;
-                return Ok(RoundOutcome {
-                    replies,
-                    cost: probe_cost,
-                    meters,
-                });
-            }
+                    .collect(),
+            };
+            (served, stamps)
+        };
+        if let Some(replies) = served {
+            self.cache.hits.fetch_add(1, Ordering::Relaxed);
+            let mut meters = probe_meters;
+            meters.cache_hits += 1;
+            return Ok(RoundOutcome {
+                replies,
+                cost: probe_cost,
+                meters,
+            });
         }
 
-        // Miss: execute for real, then stamp the replies with the range
-        // versions confirmed *before* the round ran — if an upload races
-        // in between, the stamps are conservatively old and the entry
-        // dies at the next probe instead of ever serving stale rows.
-        let stamps: Vec<Option<Vec<RangeVersion>>> = {
-            let st = self.cache.state()?;
-            keys.iter()
-                .map(|&(s, (_, _, range))| {
-                    st.versions
-                        .get(s)
-                        .and_then(|v| v.as_deref())
-                        .map(|v| overlapping(v, range))
-                })
-                .collect()
-        };
-        let owned_keys: Vec<Key> = keys
+        // Miss: execute for real, then move every stamped reply into its
+        // entry and hand the plan the entry's shared view.
+        let pending: Vec<Missed> = keys
             .iter()
-            .map(|&(s, (items, zs, range))| (s, items.to_vec(), zs.to_vec(), range))
+            .zip(stamps)
+            .map(|(&(s, (items, zs, range)), stamps)| {
+                ((s, items.to_vec(), range), zs.to_vec(), stamps)
+            })
             .collect();
+        let mut pending = pending.into_iter();
         let RoundOutcome {
             replies,
             cost,
@@ -427,11 +472,22 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
         } = self.inner.round(cmds)?;
         self.cache.misses.fetch_add(1, Ordering::Relaxed);
         let mut st = self.cache.state()?;
-        for ((key, stamp), reply) in owned_keys.into_iter().zip(stamps).zip(&replies) {
-            if let (Some(stamp), ServerReply::Vectors(outs)) = (stamp, reply) {
-                st.entries.insert(key, (stamp, outs.clone()));
-            }
-        }
+        let replies = replies
+            .into_iter()
+            .map(|reply| match (pending.next(), reply) {
+                (Some((key, zs, Some(stamps))), ServerReply::Vectors(outs)) => {
+                    let outs = Arc::new(outs);
+                    let entry = Entry {
+                        zs,
+                        stamps,
+                        outs: Arc::clone(&outs),
+                    };
+                    st.insert(key, entry);
+                    ServerReply::Shared(outs)
+                }
+                (_, reply) => reply,
+            })
+            .collect();
         drop(st);
         let mut meters = probe_meters.add(inner_meters);
         meters.cache_misses += 1;
@@ -459,22 +515,10 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
         m
     }
 
-    /// An executed round hands the plan the inner backend's own vectors, a
-    /// served one fresh copies of the cached ones. A backend's pools must
-    /// get back what they gave out and no more — copies returned on top
-    /// would grow them by a round's worth per hit — and buffers are
-    /// interchangeable, so one vector is dropped here for every copy
-    /// handed out and the rest go back to the inner backend.
-    fn reclaim(&self, server: usize, mut outputs: Vec<Vec<u64>>) {
-        let returned = outputs.len() as u64;
-        let copies_out = self
-            .cache
-            .copies_out
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |out| {
-                Some(out.saturating_sub(returned))
-            })
-            .unwrap_or(0);
-        outputs.truncate((returned - copies_out.min(returned)) as usize);
+    /// Only pass-through rounds hand out owned vectors — served and cached
+    /// rounds answer with [`ServerReply::Shared`], which nothing reclaims —
+    /// so whatever comes back is the inner backend's own.
+    fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
         self.inner.reclaim(server, outputs)
     }
 }
@@ -482,7 +526,8 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{BatchQuery, ServerCmd};
+    use crate::engine::{BatchQuery, Ctx, Engine, Operation, ServerCmd};
+    use crate::params::{Initiator, SystemConfig};
 
     fn run_cmd(items: Vec<BatchItem>) -> ServerCmd {
         ServerCmd::Run(BatchQuery {
@@ -503,7 +548,16 @@ mod tests {
     }
 
     fn key(items: Vec<BatchItem>) -> Key {
-        (0, items, Vec::new(), None)
+        (0, items, None)
+    }
+
+    /// A round-1 entry (no `z`) stamped `stamps`, holding `outs`.
+    fn entry(stamps: Vec<RangeVersion>, outs: Vec<Vec<u64>>) -> Entry {
+        Entry {
+            zs: Vec::new(),
+            stamps,
+            outs: Arc::new(outs),
+        }
     }
 
     #[test]
@@ -581,34 +635,61 @@ mod tests {
         }
     }
 
+    /// One single-item batch round over the two additive servers, read
+    /// through [`Ctx::finish`] as every plan reads one.
+    struct FirstCells(QueryOp);
+
+    impl Operation for FirstCells {
+        type Output = Vec<u64>;
+
+        fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<u64>> {
+            let outs = ctx.query(&[0, 1], &[BatchItem::plain(self.0)], |_| Vec::new())?;
+            ctx.finish(outs, |outs| Ok(outs.iter().map(|o| o[0][0]).collect()))
+        }
+    }
+
     #[test]
     fn the_inner_backend_gets_back_what_it_gave_out_and_no_copies() {
         let (cache, inner) = (PsiRoundCache::new(), Counting::default());
         let exec = CachedExec::new(&inner, &cache);
-        let psi = || run_cmd(vec![BatchItem::plain(QueryOp::Psi)]);
-        let round = || exec.round(vec![(0, psi()), (1, psi())]).unwrap();
-        let give_back = |outcome: RoundOutcome| {
-            for (server, reply) in outcome.replies.into_iter().enumerate() {
-                match reply {
-                    ServerReply::Vectors(outs) => exec.reclaim(server, outs),
-                    other => panic!("unexpected reply {other:?}"),
-                }
-            }
+        let setup = Initiator::new(SystemConfig::new(2, 4).with_seed(7))
+            .setup()
+            .unwrap();
+        let run = |op| {
+            Engine::new(&exec, &setup.owner)
+                .run(&FirstCells(op))
+                .unwrap()
         };
         let reclaimed = || inner.reclaimed.load(Ordering::Relaxed);
-        // Executed: both vectors are the inner backend's.
-        give_back(round());
-        assert_eq!((cache.misses(), reclaimed()), (1, 2));
-        // Served, twice: four copies, none of them the inner backend's.
-        let (first, second) = (round(), round());
-        assert_eq!(cache.hits(), 2);
-        give_back(first);
-        give_back(second);
+        // Executed: both vectors move into the cache, none goes back.
+        assert_eq!(run(QueryOp::Psi).0, vec![7, 7]);
+        assert_eq!((cache.misses(), reclaimed()), (1, 0));
+        // Served, twice: the cached vectors themselves, never reclaimed.
+        for _ in 0..2 {
+            let (cells, stats) = run(QueryOp::Psi);
+            assert_eq!(
+                (cells, stats.rounds(), stats.cache_hits()),
+                (vec![7, 7], 0, 1)
+            );
+        }
+        assert_eq!((cache.hits(), reclaimed()), (2, 0));
+        // A pass-through round's vectors go back, one per server.
+        assert_eq!(run(QueryOp::PsiVerify).0, vec![7, 7]);
         assert_eq!(reclaimed(), 2);
-        // A pass-through round's vectors go back again.
-        let verified = run_cmd(vec![BatchItem::plain(QueryOp::PsiVerify)]);
-        give_back(exec.round(vec![(0, verified)]).unwrap());
-        assert_eq!(reclaimed(), 3);
+        // No copies: every served round hands out the entry's own vectors.
+        let psi = || run_cmd(vec![BatchItem::plain(QueryOp::Psi)]);
+        let shared = |outcome: RoundOutcome| -> Vec<Arc<Vec<Vec<u64>>>> {
+            let replies = outcome.replies.into_iter();
+            replies
+                .map(|reply| match reply {
+                    ServerReply::Shared(outs) => outs,
+                    other => panic!("a cached round answered {other:?}"),
+                })
+                .collect()
+        };
+        let round = || shared(exec.round(vec![(0, psi()), (1, psi())]).unwrap());
+        let (first, second) = (round(), round());
+        assert!(first.iter().zip(&second).all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]
@@ -631,13 +712,13 @@ mod tests {
         {
             let mut st = cache.state().unwrap();
             *CacheState::slot(&mut st.versions, 0) = Some(vec![(0, 8, 5)]);
-            st.entries.insert(
+            st.insert(
                 key(vec![BatchItem::plain(QueryOp::Psi)]),
-                (vec![(0, 8, 5)], vec![vec![7]]),
+                entry(vec![(0, 8, 5)], vec![vec![7]]),
             );
-            st.entries.insert(
-                (1, vec![BatchItem::plain(QueryOp::Count)], Vec::new(), None),
-                (vec![(0, 8, 3)], vec![vec![8]]),
+            st.insert(
+                (1, vec![BatchItem::plain(QueryOp::Count)], None),
+                entry(vec![(0, 8, 3)], vec![vec![8]]),
             );
         }
         cache.invalidate_all();
@@ -655,13 +736,13 @@ mod tests {
         let cache = PsiRoundCache::new();
         {
             let mut st = cache.state().unwrap();
-            st.entries.insert(
+            st.insert(
                 key(vec![BatchItem::plain(QueryOp::Psi)]),
-                (vec![(0, 8, 1)], vec![vec![7]]),
+                entry(vec![(0, 8, 1)], vec![vec![7]]),
             );
-            st.entries.insert(
-                (1, vec![BatchItem::plain(QueryOp::Psi)], Vec::new(), None),
-                (vec![(0, 8, 1)], vec![vec![8]]),
+            st.insert(
+                (1, vec![BatchItem::plain(QueryOp::Psi)], None),
+                entry(vec![(0, 8, 1)], vec![vec![8]]),
             );
         }
         cache.note_tamper(0, false);
@@ -677,18 +758,13 @@ mod tests {
             let mut st = cache.state().unwrap();
             // Whole-domain entry over stamps [(0,8,1)], plus a
             // range-scoped entry over rows [0,4).
-            st.entries.insert(
+            st.insert(
                 key(vec![BatchItem::plain(QueryOp::Psi)]),
-                (vec![(0, 8, 1)], vec![vec![7]]),
+                entry(vec![(0, 8, 1)], vec![vec![7]]),
             );
-            st.entries.insert(
-                (
-                    0,
-                    vec![BatchItem::plain(QueryOp::Psi)],
-                    Vec::new(),
-                    Some((0, 4)),
-                ),
-                (vec![(0, 8, 1)], vec![vec![7, 7, 7, 7]]),
+            st.insert(
+                (0, vec![BatchItem::plain(QueryOp::Psi)], Some((0, 4))),
+                entry(vec![(0, 8, 1)], vec![vec![7, 7, 7, 7]]),
             );
         }
         // A delta appended rows [8,12): the confirmed stamps gain a new
@@ -721,5 +797,37 @@ mod tests {
         );
         assert_eq!(overlapping(&stamps, Some((8, 4))), vec![(8, 4, 1)]);
         assert!(overlapping(&stamps, Some((4, 0))).is_empty());
+    }
+
+    #[test]
+    fn z_variants_share_a_key_up_to_the_cap_oldest_evicted_first() {
+        let mut st = CacheState::default();
+        *CacheState::slot(&mut st.versions, 0) = Some(vec![(0, 8, 1)]);
+        let items = vec![BatchItem::with_z(QueryOp::Sum(0), 0)];
+        let zs = |z: u64| vec![vec![z; 8]];
+        let variant = |z: u64| Entry {
+            zs: zs(z),
+            stamps: vec![(0, 8, 1)],
+            outs: Arc::new(vec![vec![z; 8]]),
+        };
+        let served = |st: &CacheState, z: u64| match st.lookup(0, (&items, &zs(z), None)) {
+            Some(ServerReply::Shared(outs)) => Some(outs[0][0]),
+            _ => None,
+        };
+        let last = Z_VARIANTS as u64 + 2;
+        for z in 0..=last {
+            st.insert(key(items.clone()), variant(z));
+        }
+        assert_eq!(st.len(), Z_VARIANTS);
+        // The three oldest are gone; every newer `z` is served its own.
+        for z in 0..=last {
+            let held = z + Z_VARIANTS as u64 > last;
+            assert_eq!(served(&st, z), held.then_some(z), "z = {z}");
+        }
+        // Re-caching a held `z` replaces it as the newest: nothing is
+        // evicted, so the oldest survivor stays.
+        st.insert(key(items.clone()), variant(last - 4));
+        assert_eq!(st.len(), Z_VARIANTS);
+        assert_eq!(served(&st, 3), Some(3));
     }
 }

@@ -27,12 +27,13 @@ use crate::error::{ProtocolError, Result};
 use crate::malicious::Tamper;
 use crate::max::{self, BlindedMaxUpload, MaxAnnouncement};
 use crate::median::{self, MedianAnnouncement};
-use crate::params::{AnnouncerParams, OwnerParams, ServerParams};
+use crate::params::{AnnouncerParams, OwnerParams, ServerParams, SHAMIR_SERVERS};
 use crate::{chunk, psi, psu, sum};
 use prism_core::arith::{fold_canonical_mod, sub_assign_mod};
 use prism_core::wide::WideVec;
 use prism_core::Permutation;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Which stored column an upload targets (Table-11 naming).
@@ -214,6 +215,12 @@ pub enum ServerCmd {
 pub enum ServerReply {
     /// Outputs of a [`ServerCmd::Run`] batch, in item order.
     Vectors(Vec<Vec<u64>>),
+    /// Outputs of a [`ServerCmd::Run`] batch held by the PSI-round cache
+    /// ([`crate::cache::CachedExec`], the only producer): the cached
+    /// vectors themselves, shared read-only. A plan reads them exactly like
+    /// [`ServerReply::Vectors`]; nothing hands them to
+    /// [`ServerExec::reclaim`], since they belong to the cache.
+    Shared(Arc<Vec<Vec<u64>>>),
     /// Output of a [`ServerCmd::MaxCombine`] as produced by the
     /// [`ServerNode`] itself. This variant never reaches a plan: the
     /// matrix is *server→announcer* traffic (owners must not see the
@@ -1461,11 +1468,29 @@ impl ServerExec for InMemoryExec<'_> {
 /// One batch round's replies as [`Ctx::query`] returns them — per listed
 /// server, the per-item output vectors — together with which server
 /// answered each, so that [`Ctx::finish`], the one place they are read, can
-/// hand every buffer back to the backend that produced it.
+/// hand every buffer the backend gave away back to it.
 #[derive(Debug)]
 pub struct Replies {
     servers: Vec<usize>,
-    outputs: Vec<Vec<Vec<u64>>>,
+    outputs: Vec<Outputs>,
+}
+
+/// One server's per-item outputs of a batch round: the backend's own
+/// vectors, lent to the owner step and then reclaimed, or a cached round's,
+/// which stay with the cache.
+#[derive(Debug)]
+enum Outputs {
+    Owned(Vec<Vec<u64>>),
+    Shared(Arc<Vec<Vec<u64>>>),
+}
+
+impl Outputs {
+    fn items(&self) -> &[Vec<u64>] {
+        match self {
+            Outputs::Owned(v) => v,
+            Outputs::Shared(v) => v,
+        }
+    }
 }
 
 /// Execution context handed to a running [`Operation`]. Owns the round
@@ -1545,16 +1570,23 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
     }
 
     /// Issue the same batch of stored-column items to each listed server
-    /// (with per-server auxiliary vectors from `zs_for`, called once per
-    /// server so it can hand over owned vectors) in one round; returns,
-    /// per server, the per-item outputs. Read them in a [`Ctx::finish`]
-    /// step, which returns the buffers to the backend afterwards.
+    /// (at most the [`SHAMIR_SERVERS`], with per-server auxiliary vectors
+    /// from `zs_for`, called once per server so it can hand over owned
+    /// vectors) in one round; returns, per server, the per-item outputs.
+    /// Read them in a [`Ctx::finish`] step, which returns the buffers to the
+    /// backend afterwards.
     pub fn query(
         &mut self,
         servers: &[usize],
         items: &[BatchItem],
         mut zs_for: impl FnMut(usize) -> Vec<Vec<u64>>,
     ) -> Result<Replies> {
+        if servers.len() > SHAMIR_SERVERS {
+            return Err(ProtocolError::ParameterMismatch(format!(
+                "a batch round reaches at most {SHAMIR_SERVERS} servers, got {}",
+                servers.len()
+            )));
+        }
         let threads = self.threads as u32;
         let range = self.range;
         let cmds = servers
@@ -1580,10 +1612,13 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
                 // items with fewer than N vectors is a protocol error,
                 // not an owner-side panic — servers are malicious in this
                 // threat model.
-                ServerReply::Vectors(v) if v.len() == items.len() => Ok(v),
-                ServerReply::Vectors(_) => Err(ProtocolError::MalformedResponse(
-                    "server replied with the wrong number of batch outputs",
-                )),
+                ServerReply::Vectors(v) if v.len() == items.len() => Ok(Outputs::Owned(v)),
+                ServerReply::Shared(v) if v.len() == items.len() => Ok(Outputs::Shared(v)),
+                ServerReply::Vectors(_) | ServerReply::Shared(_) => {
+                    Err(ProtocolError::MalformedResponse(
+                        "server replied with the wrong number of batch outputs",
+                    ))
+                }
                 _ => Err(ProtocolError::MalformedResponse(
                     "expected vector outputs from batch round",
                 )),
@@ -1613,18 +1648,26 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
     }
 
     /// Run (and time, as [`Ctx::try_owner_step`] does) the owner step that
-    /// reads a round's replies; when it ends the reply buffers go home —
+    /// reads a round's replies — `outs[server][item]`, a read-only view per
+    /// listed server — and when it ends send the backend's buffers home:
     /// each to the backend, and there the server, that produced it
-    /// ([`ServerExec::reclaim`]) — so the step must copy out whatever the
-    /// plan keeps.
+    /// ([`ServerExec::reclaim`]). A cached round's shared outputs stay with
+    /// the cache. Either way the step must copy out whatever the plan keeps.
     pub fn finish<T>(
         &mut self,
         replies: Replies,
-        f: impl FnOnce(&[Vec<Vec<u64>>]) -> Result<T>,
+        f: impl FnOnce(&[&[Vec<u64>]]) -> Result<T>,
     ) -> Result<T> {
-        let out = self.try_owner_step(|| f(&replies.outputs));
+        let out = {
+            let outputs = &replies.outputs;
+            let views: [&[Vec<u64>]; SHAMIR_SERVERS] =
+                std::array::from_fn(|k| outputs.get(k).map_or(&[][..], Outputs::items));
+            self.try_owner_step(|| f(&views[..outputs.len()]))
+        };
         for (server, outputs) in replies.servers.into_iter().zip(replies.outputs) {
-            self.exec.reclaim(server, outputs);
+            if let Outputs::Owned(outputs) = outputs {
+                self.exec.reclaim(server, outputs);
+            }
         }
         out
     }

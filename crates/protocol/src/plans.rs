@@ -207,7 +207,7 @@ fn psi_then_z<X: ServerExec>(ctx: &mut Ctx<'_, X>, seed: u64) -> Result<Vec<Vec<
     })
 }
 
-fn finalize_col(outs: &[Vec<Vec<u64>>], col: usize, op: &OwnerParams) -> Result<Vec<u64>> {
+fn finalize_col(outs: &[&[Vec<u64>]], col: usize, op: &OwnerParams) -> Result<Vec<u64>> {
     sum::owner_finalize([&outs[0][col], &outs[1][col], &outs[2][col]], op)
 }
 

@@ -157,19 +157,20 @@ pub fn owner_finalize(outputs: [&[u64]; SHAMIR_SERVERS], op: &OwnerParams) -> Re
 const FINALIZE_BLOCK: usize = 4096;
 
 /// Owner finalize of a whole round-2 reply — `outs[server][item]`, its
-/// first `columns` items — for plans that derive more from the finalized
-/// columns than the columns themselves: [`owner_finalize`] of every item,
-/// advanced together in row blocks, with `each_block(finalized, rows)`
-/// called after every block, while `finalized[item][rows]` has just been
-/// written. Returns the finalized columns.
-pub fn owner_finalize_columns(
-    outs: &[Vec<Vec<u64>>],
+/// first `columns` items, as the owner step's views or as owned vectors —
+/// for plans that derive more from the finalized columns than the columns
+/// themselves: [`owner_finalize`] of every item, advanced together in row
+/// blocks, with `each_block(finalized, rows)` called after every block,
+/// while `finalized[item][rows]` has just been written. Returns the
+/// finalized columns.
+pub fn owner_finalize_columns<O: AsRef<[Vec<u64>]>>(
+    outs: &[O],
     columns: usize,
     op: &OwnerParams,
     mut each_block: impl FnMut(&[Vec<u64>], std::ops::Range<usize>),
 ) -> Result<Vec<Vec<u64>>> {
     let shares_of = |col: usize| -> Result<[&[u64]; SHAMIR_SERVERS]> {
-        let shares = [&outs[0][col][..], &outs[1][col][..], &outs[2][col][..]];
+        let shares: [&[u64]; SHAMIR_SERVERS] = std::array::from_fn(|k| &outs[k].as_ref()[col][..]);
         check_outputs(&shares, op).map(|()| shares)
     };
     let shares: Vec<_> = (0..columns).map(shares_of).collect::<Result<_>>()?;

@@ -124,7 +124,10 @@ for metric in proc.alloc_mb_per_query proc.allocs_per_query \
     protocol.kernels.allocs_per_call wire_bytes_per_query \
     protocol.engine.owner_ms_per_query protocol.engine.server_ms_per_query \
     protocol.plans.psi_p50_ms protocol.plans.psu_p50_ms protocol.plans.count_p50_ms \
-    protocol.plans.batch_p50_ms protocol.plans.psi_verified_p50_ms; do
+    protocol.plans.batch_p50_ms protocol.plans.psi_verified_p50_ms \
+    protocol.cache.warm_query_p50_ms protocol.cache.cold_query_p50_ms \
+    protocol.cache.hit_share append_p50_ms net.cluster.msgs_per_query \
+    net.transport.channel_large_mb_s; do
     printf '%-50s %-14s %s\n' "$metric" \
         "$(value "$out/traced.parent.json" "$metric")" "$(value "$out/traced.change.json" "$metric")"
 done
