@@ -14,12 +14,19 @@
 //! `sum::owner_share_z`, `sum::owner_finalize`), and the per-equation
 //! references they are compared against in `tests/owner_reference.rs`
 //! (Equation 4, its decode, Equation 19, the `z` vector).
+//!
+//! A third, `exp3/max_steps`, times the max / median owner steps (§6.3,
+//! §6.4) both ways — `F` read from the owner view's table, which the plans
+//! run, and evaluated per cell (Horner), the reference — on one owner's
+//! blinding and on the decode of a real announcement, at
+//! `elastic_small_mix`'s shape: four owners, values up to 2 000.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prism_bench::build::lineitem_cluster;
 use prism_core::Prg;
 use prism_protocol::engine::{BatchItem, Ctx, Operation, QueryOp, ServerExec};
-use prism_protocol::{count, plans, psi, psu, sum, Result};
+use prism_protocol::params::{Initiator, SystemConfig};
+use prism_protocol::{count, max, median, plans, psi, psu, sum, Result};
 
 const DOMAIN: u64 = 100_000;
 const OWNERS: usize = 10;
@@ -117,5 +124,61 @@ fn bench_owner_paths(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_owner_paths);
+/// Common cells of the max / median steps (µs / 4.096 is ns per cell).
+const MAX_CELLS: usize = 4_096;
+
+fn bench_max_steps(c: &mut Criterion) {
+    let owners = 4;
+    let setup = Initiator::new(SystemConfig::new(owners, MAX_CELLS).with_agg_domain_max(2_000))
+        .setup()
+        .unwrap();
+    let op = &setup.owner;
+    let table = op.poly_table().expect("a 2 000-value domain is tabled");
+    let mut prg = Prg::from_seed(3);
+    let values: Vec<Vec<u64>> = (0..owners)
+        .map(|_| (0..MAX_CELLS).map(|_| prg.below(2_001)).collect())
+        .collect();
+    let common: Vec<usize> = (0..MAX_CELLS).collect();
+    let (up1, up2): (Vec<_>, Vec<_>) = values
+        .iter()
+        .enumerate()
+        .map(|(j, v)| {
+            let (a, b, _) = max::owner_blind_maxima_tab(v, &common, table, op, j as u64, 1);
+            (a, b)
+        })
+        .unzip();
+    let to_ann_1 = max::server_max_round(&up1, &setup.servers[0]).unwrap();
+    let to_ann_2 = max::server_max_round(&up2, &setup.servers[1]).unwrap();
+    let ann = max::announcer_find_max(&to_ann_1, &to_ann_2, &setup.announcer).unwrap();
+    let middles = median::announcer_find_median(&to_ann_1, &to_ann_2, &setup.announcer).unwrap();
+
+    let mut group = c.benchmark_group("exp3/max_steps");
+    group.sample_size(30);
+    // What the first max or median of a parameter set pays once.
+    group.bench_function("table_build", |b| {
+        b.iter(|| op.poly.table(op.agg_domain_max, op.wide_width))
+    });
+    group.bench_function("blind_table", |b| {
+        b.iter(|| max::owner_blind_maxima_tab(&values[0], &common, table, op, 9, 1))
+    });
+    group.bench_function("blind_horner", |b| {
+        let mut prg = Prg::from_seed(9);
+        b.iter(|| max::owner_blind_maxima(&values[0], &common, op, &mut prg))
+    });
+    group.bench_function("max_decode_table", |b| {
+        b.iter(|| max::owner_decode_max_tab(&common, &ann, table, op, 1).unwrap())
+    });
+    group.bench_function("max_decode_horner", |b| {
+        b.iter(|| max::owner_decode_max(&common, &ann, op).unwrap())
+    });
+    group.bench_function("median_decode_table", |b| {
+        b.iter(|| median::owner_decode_median_tab(&common, &middles, table, op).unwrap())
+    });
+    group.bench_function("median_decode_horner", |b| {
+        b.iter(|| median::owner_decode_median(&common, &middles, op).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_owner_paths, bench_max_steps);
 criterion_main!(benches);

@@ -505,9 +505,7 @@ impl NetCluster {
                         seq,
                     }
                 }
-                ServerCmd::AssembleFpos { claims, threads } => {
-                    Message::AssembleFpos { claims, threads }
-                }
+                ServerCmd::AssembleFpos { claims } => Message::AssembleFpos { claims },
                 ServerCmd::RangeVersions => Message::RangeVersionProbe,
             };
             let link = &self.links[s];

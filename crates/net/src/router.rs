@@ -331,8 +331,8 @@ pub(crate) fn node_loop(
                 let cmd = ServerCmd::MaxCombine { uploads, threads };
                 workers.push(spawn_wide(&node, cmd, seq, tag, &link, &announcer));
             }
-            Message::AssembleFpos { claims, threads } => {
-                let cmd = ServerCmd::AssembleFpos { claims, threads };
+            Message::AssembleFpos { claims } => {
+                let cmd = ServerCmd::AssembleFpos { claims };
                 workers.push(spawn_wide(&node, cmd, 0, tag, &link, &announcer));
             }
             Message::Shutdown => {
@@ -825,8 +825,8 @@ pub(crate) fn domain_loop(
                     &announcer,
                 ));
             }
-            Message::AssembleFpos { claims, threads } => {
-                let cmd = ServerCmd::AssembleFpos { claims, threads };
+            Message::AssembleFpos { claims } => {
+                let cmd = ServerCmd::AssembleFpos { claims };
                 workers.push(spawn_wide(&wide_node, cmd, 0, tag, &owner_link, &announcer));
             }
             Message::Ping { seq } => {

@@ -698,10 +698,10 @@ pub enum Message {
     AssembleFpos {
         /// One claim vector per owner, in owner order.
         claims: Vec<Vec<u64>>,
-        /// Worker threads the server should use.
-        threads: u32,
     },
-    /// Reply to [`Message::AssembleFpos`]: the per-cell claim-share table.
+    /// Reply to [`Message::AssembleFpos`]: the claim-share table relayed
+    /// owner-major — one column of `cells` shares per owner, in owner
+    /// order.
     Fpos(Vec<Vec<u64>>),
     /// Reply to [`Message::MaxCombine`]: the shape of the matrix the
     /// server forwarded to the announcer (`rows == 0` marks failure).
@@ -882,7 +882,7 @@ impl Message {
                         .map(|u| widevec_len(&u.shares))
                         .sum::<usize>()
             }
-            Message::AssembleFpos { claims, .. } => 1 + 4 + vecs_len(claims),
+            Message::AssembleFpos { claims } => 1 + vecs_len(claims),
             Message::Fpos(rows) => 1 + vecs_len(rows),
             Message::WideForwarded { .. } => 1 + 8 + 4 + 8,
             Message::WideUpload { shares, .. } => 1 + 4 + 8 + widevec_len(shares),
@@ -983,9 +983,8 @@ impl Message {
                     put_widevec(buf, &u.shares);
                 }
             }
-            Message::AssembleFpos { claims, threads } => {
+            Message::AssembleFpos { claims } => {
                 buf.put_u8(10);
-                buf.put_u32_le(*threads);
                 put_vecs(buf, claims);
             }
             Message::Fpos(rows) => {
@@ -1166,13 +1165,9 @@ impl Message {
                     seq,
                 }
             }
-            10 => {
-                let threads = need_u32(buf)?;
-                Message::AssembleFpos {
-                    claims: get_vecs(buf)?,
-                    threads,
-                }
-            }
+            10 => Message::AssembleFpos {
+                claims: get_vecs(buf)?,
+            },
             11 => Message::Fpos(get_vecs(buf)?),
             12 => Message::WideForwarded {
                 rows: need_u64(buf)?,
@@ -1316,9 +1311,8 @@ impl Message {
                 threads: *threads,
                 seq: *seq,
             },
-            Message::AssembleFpos { claims, threads } => Message::AssembleFpos {
+            Message::AssembleFpos { claims } => Message::AssembleFpos {
                 claims: pooled_copies(claims),
-                threads: *threads,
             },
             Message::Fpos(rows) => Message::Fpos(pooled_copies(rows)),
             Message::WideUpload {
@@ -1490,9 +1484,10 @@ mod tests {
         });
         roundtrip(Message::AssembleFpos {
             claims: vec![vec![1, 0, 1], vec![0, 0, 1]],
-            threads: 2,
         });
-        roundtrip(Message::Fpos(vec![vec![1, 2], vec![3, 4], vec![]]));
+        // Owner-major: three owners' columns over two cells, and no cells.
+        roundtrip(Message::Fpos(vec![vec![1, 2], vec![3, 4], vec![5, 6]]));
+        roundtrip(Message::Fpos(vec![vec![], vec![], vec![]]));
         roundtrip(Message::WideForwarded {
             rows: 12,
             width: 3,

@@ -157,11 +157,13 @@ fn build_message(
             threads,
             seq: ty,
         },
-        9 => Message::AssembleFpos {
-            claims: zs,
-            threads,
-        },
-        10 => Message::Fpos(zs),
+        9 => Message::AssembleFpos { claims: zs },
+        // Owner-major, as servers relay it: one column of cells per owner.
+        10 => Message::Fpos(
+            (0..zs.len() as u32)
+                .map(|j| data.iter().map(|x| x.rotate_left(j)).collect())
+                .collect(),
+        ),
         11 => Message::WideForwarded {
             rows: tx,
             width: owner,

@@ -273,15 +273,7 @@ pub struct Cluster<D = InProcess> {
     /// Post-build owner updates performed so far (salts the re-sharing
     /// randomness so successive updates never reuse share streams).
     updates: u64,
-    /// Lazily built F-evaluation table shared by max/median queries
-    /// (owners can all derive it from the public F, so sharing one copy
-    /// models m identical owner-side tables).
-    poly_table: std::sync::OnceLock<prism_core::PolyTable>,
 }
-
-/// Largest aggregation domain for which the owners precompute the full
-/// F-table (above this, the per-cell Horner path is used instead).
-const POLY_TABLE_LIMIT: u64 = 1 << 22;
 
 /// Every row of owner `j`'s input must carry exactly `n_attrs`
 /// aggregation values.
@@ -414,7 +406,6 @@ impl<D: Deployment> Cluster<D> {
             owners: Vec::with_capacity(inputs.len()),
             n_attrs,
             updates: 0,
-            poly_table: std::sync::OnceLock::new(),
         };
         // One owner at a time, so the transient plaintext columns are
         // dropped before the next owner's are built.
@@ -552,19 +543,6 @@ impl<D: Deployment> Cluster<D> {
             }
         }
         Ok(())
-    }
-
-    /// The shared F-table, if the aggregation domain is small enough to
-    /// precompute.
-    fn poly_table(&self) -> Option<&prism_core::PolyTable> {
-        let op = &self.setup().owner;
-        if op.agg_domain_max > POLY_TABLE_LIMIT {
-            return None;
-        }
-        Some(
-            self.poly_table
-                .get_or_init(|| op.poly.table(op.agg_domain_max, op.wide_width)),
-        )
     }
 
     /// Execute any round plan against this deployment. This is the
@@ -729,7 +707,7 @@ impl<D: Deployment> Cluster<D> {
                 .iter()
                 .map(|o| o.maxima[attr].as_slice())
                 .collect(),
-            table: self.poly_table(),
+            table: None,
             seed: self.cfg.seed,
             cell_chunk: plans::DEFAULT_CELL_CHUNK,
         })
@@ -746,7 +724,7 @@ impl<D: Deployment> Cluster<D> {
                 .iter()
                 .map(|o| o.sums[attr].as_slice())
                 .collect(),
-            table: self.poly_table(),
+            table: None,
             seed: self.cfg.seed,
             cell_chunk: plans::DEFAULT_CELL_CHUNK,
         })
@@ -1030,6 +1008,65 @@ mod tests {
         ];
         let cfg = ClusterConfig::new(3);
         assert!(Cluster::build(&inputs, cfg).is_err());
+    }
+
+    #[test]
+    fn max_and_median_refuse_values_above_the_aggregation_domain() {
+        use crate::params::POLY_TABLE_LIMIT;
+        // Hospital 1's second Cancer cost lies past the domain, on the
+        // table path (2 000) and on the Horner path (past the limit).
+        for (agg_domain_max, cost) in [
+            (2000, 5000),
+            (2000, u64::MAX / 2),
+            (POLY_TABLE_LIMIT + 1, POLY_TABLE_LIMIT + 2),
+        ] {
+            let mut inputs = hospitals();
+            inputs[0].rows[1].1[0] = cost;
+            let mut cfg = ClusterConfig::new(3);
+            cfg.agg_domain_max = agg_domain_max;
+            let c = Cluster::build(&inputs, cfg).unwrap();
+            // Max blinds the cost itself, median the owner's cost sum.
+            let out_of_domain = |e: ProtocolError| match e {
+                ProtocolError::OutOfDomain { value } => {
+                    assert!(value.starts_with("owner 0: "), "{value}")
+                }
+                other => panic!("cost {cost}: expected OutOfDomain, got {other:?}"),
+            };
+            out_of_domain(c.psi_max(0).unwrap_err());
+            out_of_domain(c.psi_median(0).unwrap_err());
+            let plan = plans::Max {
+                table: None,
+                ..c.max_plan(0).unwrap()
+            };
+            out_of_domain(c.execute(&plan).unwrap_err());
+            // The bound is max / median's alone: sum and average still
+            // answer.
+            assert!(c.psi_sum(0).is_ok() && c.psi_avg(0).is_ok());
+            // So is every in-domain attribute.
+            assert_eq!(c.psi_max(1).unwrap().0[0].max, 8);
+        }
+    }
+
+    #[test]
+    fn horner_branch_answers_as_the_table_branch() {
+        use crate::params::POLY_TABLE_LIMIT;
+        // Cancer's per-owner costs are distinct (max 200 / 100 / 700, sums
+        // 300 / 100 / 1000), so the credited holders are determined too.
+        let answers = |agg_domain_max| {
+            let mut cfg = ClusterConfig::new(3);
+            cfg.agg_domain_max = agg_domain_max;
+            let c = Cluster::build(&hospitals(), cfg).unwrap();
+            let tabled = c.setup().owner.poly_table().is_some();
+            let (max, holders, _) = c.psi_max(0).unwrap();
+            (tabled, max, holders, c.psi_median(0).unwrap().0)
+        };
+        let (tabled, max, holders, median) = answers(2000);
+        let horner = answers(POLY_TABLE_LIMIT + 1);
+        assert!(tabled && !horner.0, "the limit picks the branch");
+        assert_eq!((&max, &holders, &median), (&horner.1, &horner.2, &horner.3));
+        assert_eq!((max[0].max, max[0].holder), (700, 2));
+        assert_eq!(holders[0], vec![false, false, true]);
+        assert_eq!((median[0].values[0], median[0].holders[0]), (300, 0));
     }
 
     #[test]

@@ -198,8 +198,6 @@ pub enum ServerCmd {
     AssembleFpos {
         /// One claim vector per owner, in owner order.
         claims: Vec<Vec<u64>>,
-        /// Worker threads the server should use.
-        threads: u32,
     },
     /// Probe the server's per-range version stamps (see
     /// [`ColumnStore::range_versions`]) — a parameter-free, O(#epochs)
@@ -245,7 +243,9 @@ pub enum ServerReply {
         /// Wide-round sequence number the upload is tagged with.
         seq: u64,
     },
-    /// Output of a [`ServerCmd::AssembleFpos`].
+    /// Output of a [`ServerCmd::AssembleFpos`]: the claim shares relayed
+    /// owner-major, one column of `cells` per owner in owner order
+    /// ([`max::server_assemble_fpos`]).
     Fpos(Vec<Vec<u64>>),
     /// Reply to [`ServerCmd::RangeVersions`]: the store's per-range
     /// version stamps `(start, len, version)` in global row coordinates,
@@ -962,13 +962,10 @@ impl ServerNode {
             ServerCmd::MaxCombine { uploads, threads } => Ok(ServerReply::Wide(
                 max::server_max_round_threads(uploads, &self.params, (*threads).max(1) as usize)?,
             )),
-            ServerCmd::AssembleFpos { claims, threads } => {
-                Ok(ServerReply::Fpos(max::server_assemble_fpos_threads(
-                    claims,
-                    &self.params,
-                    (*threads).max(1) as usize,
-                )?))
-            }
+            ServerCmd::AssembleFpos { claims } => Ok(ServerReply::Fpos(max::server_assemble_fpos(
+                claims,
+                &self.params,
+            )?)),
             ServerCmd::RangeVersions => Ok(ServerReply::Versions(self.range_versions())),
         }
     }

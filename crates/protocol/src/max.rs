@@ -17,12 +17,21 @@
 //!   `F(z) ≤ max < F(z+1)` (binary search).
 //! * **Steps 5b–7 (optional round 3)**: owners claim/deny holding the max
 //!   via shared bits; the assembled `fpos` vector tells everyone *which*
-//!   owners hold it (ties included).
+//!   owners hold it (ties included). Servers relay the claim shares in
+//!   owner order, one column per owner, as the owners sent them.
 //!
 //! All per-cell wide values live in flat [`WideVec`] buffers — the
 //! pipeline performs no per-cell allocation, which is what keeps PSI-Max
 //! within a small factor of plain PSI even over millions of common cells
 //! (the Figure 3 shape).
+//!
+//! Two forms of every `F` step: the `_tab` functions read `F` from the
+//! owner view's cached [`prism_core::PolyTable`]
+//! ([`OwnerParams::poly_table`]), which the plans use whenever the
+//! aggregation domain allows one; the others evaluate `F` per cell
+//! (Horner) — the plans' path past
+//! [`POLY_TABLE_LIMIT`](crate::params::POLY_TABLE_LIMIT), and the reference
+//! the tests hold the table path to.
 //!
 //! Verification (reconstruction; DESIGN.md §3.9): each owner checks the
 //! announced max is ≥ its own blinded contribution, that F-inversion
@@ -45,6 +54,20 @@ use serde::{Deserialize, Serialize};
 pub struct BlindedMaxUpload {
     /// Share rows, one per common cell (in the agreed common-cell order).
     pub shares: WideVec,
+}
+
+/// Owner Step 3's precondition: every value `owner` blinds — its values
+/// at the common cells — lies in `[0, hi]`, the domain `F` and the wide
+/// group were sized for. A larger value would overflow the table or the
+/// group, and the owners would then blame the servers for their own
+/// input; it is refused here as [`ProtocolError::OutOfDomain`].
+pub fn owner_check_domain(owner: usize, values: &[u64], common: &[usize], hi: u64) -> Result<()> {
+    match common.iter().map(|&cell| values[cell]).find(|&v| v > hi) {
+        Some(v) => Err(ProtocolError::OutOfDomain {
+            value: format!("owner {owner}: {v} (max / median values end at {hi})"),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Owner Step 3: blind the maxima of the given (common) cells and split
@@ -409,7 +432,9 @@ pub fn owner_decode_max_tab(
             let permuted_slot =
                 reconstruct2(ann.index_shares[k].0, ann.index_shares[k].1, op.delta) as usize;
             if permuted_slot >= op.m {
-                return Err(ProtocolError::InversionFailed);
+                return Err(ProtocolError::MalformedResponse(
+                    "announced slot out of range",
+                ));
             }
             *dec = MaxCell {
                 cell: common[k],
@@ -443,19 +468,11 @@ pub fn owner_claim_bits(
     (s1, s2)
 }
 
-/// Server Step 6: assemble the fpos vector — per cell, the m owners' claim
-/// shares in owner order (no permutation; identities are the point).
+/// Server Step 6: assemble the fpos table — the m owners' claim shares in
+/// owner order (no permutation; identities are the point), relayed
+/// owner-major: one column of `cells` shares per owner, as the owners sent
+/// them. Cell `c`'s fpos row is entry `c` of every column.
 pub fn server_assemble_fpos(owner_claims: &[Vec<u64>], sp: &ServerParams) -> Result<Vec<Vec<u64>>> {
-    server_assemble_fpos_threads(owner_claims, sp, 1)
-}
-
-/// [`server_assemble_fpos`] with an explicit worker count (chunk-parallel
-/// over cells).
-pub fn server_assemble_fpos_threads(
-    owner_claims: &[Vec<u64>],
-    sp: &ServerParams,
-    threads: usize,
-) -> Result<Vec<Vec<u64>>> {
     if owner_claims.len() != sp.m {
         return Err(ProtocolError::ParameterMismatch(format!(
             "expected {} claim vectors, got {}",
@@ -469,34 +486,38 @@ pub fn server_assemble_fpos_threads(
             "owners disagree on claim-vector length".into(),
         ));
     }
-    Ok(crate::chunk::map_indexed(cells, threads, |c| {
-        owner_claims.iter().map(|v| v[c]).collect()
-    }))
+    Ok(owner_claims.to_vec())
 }
 
-/// Owner Step 7: add the two fpos share tables → per-cell holder bitmaps.
+/// Owner Step 7: add the two servers' owner-major fpos tables (m columns
+/// of one length each) → per-cell holder bitmaps, one `bool` per owner.
 pub fn owner_decode_fpos(
     fpos1: &[Vec<u64>],
     fpos2: &[Vec<u64>],
     op: &OwnerParams,
 ) -> Result<Vec<Vec<bool>>> {
-    if fpos1.len() != fpos2.len() {
-        return Err(ProtocolError::MalformedResponse("fpos length mismatch"));
+    if fpos1.len() != op.m || fpos2.len() != op.m {
+        return Err(ProtocolError::MalformedResponse(
+            "fpos table does not have one column per owner",
+        ));
     }
-    fpos1
+    let cells = fpos1[0].len();
+    if fpos1
         .iter()
-        .zip(fpos2)
-        .map(|(r1, r2)| {
-            if r1.len() != op.m || r2.len() != op.m {
-                return Err(ProtocolError::MalformedResponse("fpos row width mismatch"));
-            }
-            Ok(r1
-                .iter()
-                .zip(r2)
-                .map(|(&a, &b)| reconstruct2(a, b, op.delta) == 1)
-                .collect())
+        .chain(fpos2)
+        .any(|column| column.len() != cells)
+    {
+        return Err(ProtocolError::MalformedResponse(
+            "fpos columns differ in length",
+        ));
+    }
+    Ok((0..cells)
+        .map(|c| {
+            (fpos1.iter().zip(fpos2))
+                .map(|(a, b)| reconstruct2(a[c], b[c], op.delta) == 1)
+                .collect()
         })
-        .collect()
+        .collect())
 }
 
 /// Owner-side max verification (reconstruction; DESIGN.md §3.9):
@@ -538,8 +559,11 @@ pub fn owner_verify_max(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::median::{announcer_find_median, owner_decode_median, owner_decode_median_tab};
     use crate::params::{Initiator, Setup, SystemConfig};
     use prism_core::{BigUint, OrderPolynomial};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn setup(m: usize, b: usize, agg_max: u64, seed: u64) -> Setup {
         Initiator::new(
@@ -809,6 +833,123 @@ mod tests {
                 let m = maxima[j][c];
                 assert!(big >= op.poly.eval(m) && big < op.poly.eval(m + 1));
             }
+        }
+    }
+
+    #[test]
+    fn fpos_relay_is_owner_major_and_shape_checked() {
+        use crate::error::ProtocolError::MalformedResponse;
+        let setup = setup(3, 4, 100, 55);
+        let op = &setup.owner;
+        // Owner j claims the cells c with c % 3 == j.
+        let mut prg = Prg::from_seed(56);
+        let (mut claims1, mut claims2) = (Vec::new(), Vec::new());
+        for j in 0..3u64 {
+            let (a, b): (Vec<u64>, Vec<u64>) = (0..4u64)
+                .map(|c| share2(u64::from(c % 3 == j), op.delta, &mut prg))
+                .unzip();
+            claims1.push(a);
+            claims2.push(b);
+        }
+        let fpos1 = server_assemble_fpos(&claims1, &setup.servers[0]).unwrap();
+        let fpos2 = server_assemble_fpos(&claims2, &setup.servers[1]).unwrap();
+        assert_eq!(fpos1, claims1, "the relay is the owners' columns, in order");
+        let holders = owner_decode_fpos(&fpos1, &fpos2, op).unwrap();
+        let want: Vec<Vec<bool>> = (0..4)
+            .map(|c| (0..3).map(|j| c % 3 == j).collect())
+            .collect();
+        assert_eq!(holders, want);
+
+        // A ragged claim set is refused at the server ...
+        let mut ragged = claims1.clone();
+        ragged[1].pop();
+        assert!(matches!(
+            server_assemble_fpos(&ragged, &setup.servers[0]),
+            Err(ProtocolError::ParameterMismatch(_))
+        ));
+        // ... and at the owner, from either server, as is a table without
+        // one column per owner.
+        let unequal = Err(MalformedResponse("fpos columns differ in length"));
+        assert_eq!(owner_decode_fpos(&ragged, &fpos2, op), unequal);
+        assert_eq!(owner_decode_fpos(&fpos1, &ragged, op), unequal);
+        let columns = Err(MalformedResponse(
+            "fpos table does not have one column per owner",
+        ));
+        assert_eq!(owner_decode_fpos(&fpos1[..2], &fpos2[..2], op), columns);
+        assert_eq!(owner_decode_fpos(&fpos1, &fpos2[..2], op), columns);
+        assert_eq!(owner_decode_fpos(&[], &[], op), columns);
+    }
+
+    #[test]
+    fn values_past_the_domain_are_the_owners_error() {
+        let values = [5u64, 100, 101, 0];
+        assert!(owner_check_domain(1, &values, &[0, 1, 3], 100).is_ok());
+        assert_eq!(
+            owner_check_domain(1, &values, &[0, 2], 100),
+            Err(ProtocolError::OutOfDomain {
+                value: "owner 1: 101 (max / median values end at 100)".into()
+            })
+        );
+    }
+
+    /// Largest value of the table ≡ Horner property.
+    const HI: u64 = 300;
+
+    /// A value in `[0, HI]`, both ends drawn often.
+    fn in_domain() -> impl Strategy<Value = u64> {
+        (0u8..4, 0..=HI).prop_map(|(end, v)| match end {
+            0 => 0,
+            1 => HI,
+            _ => v,
+        })
+    }
+
+    /// m ∈ {2, 3, 4, 5} owners' values over 1–9 common cells.
+    fn owner_values() -> impl Strategy<Value = Vec<Vec<u64>>> {
+        (2usize..6, 1usize..10).prop_flat_map(|(m, cells)| vec(vec(in_domain(), cells), m))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The two forms of every `F` step agree: both blindings of a value
+        /// land in `[F(M), F(M+1))`, and the table and Horner decodes of
+        /// one announcement give the same max and median cells.
+        #[test]
+        fn table_and_horner_steps_agree(values in owner_values(), seed: u64) {
+            let (m, cells) = (values.len(), values[0].len());
+            let setup = setup(m, cells, HI, seed);
+            let op = &setup.owner;
+            let table = op.poly_table().expect("a 300-value domain is tabled");
+            let common: Vec<usize> = (0..cells).collect();
+            let (mut up1, mut up2) = (Vec::new(), Vec::new());
+            for (j, vals) in values.iter().enumerate() {
+                let sj = seed ^ j as u64;
+                let horner = owner_blind_maxima(vals, &common, op, &mut Prg::from_seed(sj)).2;
+                let (a, b, tabled) = owner_blind_maxima_tab(vals, &common, table, op, sj, 1);
+                for (k, &v) in vals.iter().enumerate() {
+                    for own in [&horner, &tabled] {
+                        let big = BigUint::from_limbs(own.row(k).to_vec());
+                        prop_assert!(big >= op.poly.eval(v) && big < op.poly.eval(v + 1));
+                    }
+                }
+                up1.push(a);
+                up2.push(b);
+            }
+            let to_ann_1 = server_max_round(&up1, &setup.servers[0]).unwrap();
+            let to_ann_2 = server_max_round(&up2, &setup.servers[1]).unwrap();
+            let ann = announcer_find_max(&to_ann_1, &to_ann_2, &setup.announcer).unwrap();
+            let by_horner = owner_decode_max(&common, &ann, op).unwrap();
+            let by_table = owner_decode_max_tab(&common, &ann, table, op, 1).unwrap();
+            prop_assert_eq!(&by_table, &by_horner);
+            for (k, cell) in by_horner.0.iter().enumerate() {
+                prop_assert_eq!(Some(cell.max), values.iter().map(|v| v[k]).max());
+            }
+            let ann = announcer_find_median(&to_ann_1, &to_ann_2, &setup.announcer).unwrap();
+            prop_assert_eq!(
+                owner_decode_median_tab(&common, &ann, table, op).unwrap(),
+                owner_decode_median(&common, &ann, op).unwrap()
+            );
         }
     }
 }

@@ -110,82 +110,60 @@ impl MedianCell {
     }
 }
 
-/// Owner: reconstruct and decode the announcement(s).
+/// Owner: reconstruct and decode the announcement(s), evaluating `F` per
+/// step of each inversion (Horner; the reference form of
+/// [`owner_decode_median_tab`]).
 pub fn owner_decode_median(
     common: &[usize],
     ann: &MedianAnnouncement,
     op: &OwnerParams,
 ) -> Result<Vec<MedianCell>> {
-    let expected = if op.m % 2 == 1 { 1 } else { 2 };
-    if ann.middles.len() != expected {
-        return Err(ProtocolError::MalformedResponse(
-            "wrong number of middle elements",
-        ));
-    }
-    let w = op.wide_width;
-    let rpf = op.pf_owners.inverse();
-    let mut out = Vec::with_capacity(common.len());
-    let mut v = vec![0u64; w];
-    let mut scratch = vec![0u64; w];
-    for (k, &cell) in common.iter().enumerate() {
-        let mut values = Vec::with_capacity(expected);
-        let mut holders = Vec::with_capacity(expected);
-        for mid in &ann.middles {
-            if mid.max_shares_1.rows() != common.len() {
-                return Err(ProtocolError::MalformedResponse(
-                    "announcement cell count mismatch",
-                ));
-            }
-            wide::add_wrap(mid.max_shares_1.row(k), mid.max_shares_2.row(k), &mut v);
-            let permuted_slot =
-                reconstruct2(mid.index_shares[k].0, mid.index_shares[k].1, op.delta) as usize;
-            if permuted_slot >= op.m {
-                return Err(ProtocolError::MalformedResponse(
-                    "announced slot out of range",
-                ));
-            }
-            let value = op
-                .poly
-                .invert_row(&v, op.agg_domain_max, &mut scratch)
-                .ok_or(ProtocolError::InversionFailed)?;
-            values.push(value);
-            holders.push(rpf.apply_index(permuted_slot));
-        }
-        out.push(MedianCell {
-            cell,
-            values,
-            holders,
-        });
-    }
-    Ok(out)
+    let mut scratch = vec![0u64; op.wide_width];
+    decode_median(common, ann, op, |v| {
+        op.poly.invert_row(v, op.agg_domain_max, &mut scratch)
+    })
 }
 
-/// Table-accelerated variant of [`owner_decode_median`].
+/// Table-accelerated variant of [`owner_decode_median`]: each inversion
+/// is a comparison-only search over `table`.
 pub fn owner_decode_median_tab(
     common: &[usize],
     ann: &MedianAnnouncement,
     table: &prism_core::PolyTable,
     op: &OwnerParams,
 ) -> Result<Vec<MedianCell>> {
+    decode_median(common, ann, op, |v| table.invert(v))
+}
+
+/// Both median decodes, shape checks up front; `invert` maps a blinded
+/// value to its `z`.
+fn decode_median(
+    common: &[usize],
+    ann: &MedianAnnouncement,
+    op: &OwnerParams,
+    mut invert: impl FnMut(&[u64]) -> Option<u64>,
+) -> Result<Vec<MedianCell>> {
     let expected = if op.m % 2 == 1 { 1 } else { 2 };
     if ann.middles.len() != expected {
         return Err(ProtocolError::MalformedResponse(
             "wrong number of middle elements",
         ));
     }
-    let w = op.wide_width;
+    let n = common.len();
+    if ann.middles.iter().any(|mid| {
+        mid.max_shares_1.rows() != n || mid.max_shares_2.rows() != n || mid.index_shares.len() != n
+    }) {
+        return Err(ProtocolError::MalformedResponse(
+            "announcement cell count mismatch",
+        ));
+    }
     let rpf = op.pf_owners.inverse();
-    let mut out = Vec::with_capacity(common.len());
-    let mut v = vec![0u64; w];
+    let mut v = vec![0u64; op.wide_width];
+    let mut out = Vec::with_capacity(n);
     for (k, &cell) in common.iter().enumerate() {
         let mut values = Vec::with_capacity(expected);
         let mut holders = Vec::with_capacity(expected);
         for mid in &ann.middles {
-            if mid.max_shares_1.rows() != common.len() {
-                return Err(ProtocolError::MalformedResponse(
-                    "announcement cell count mismatch",
-                ));
-            }
             wide::add_wrap(mid.max_shares_1.row(k), mid.max_shares_2.row(k), &mut v);
             let permuted_slot =
                 reconstruct2(mid.index_shares[k].0, mid.index_shares[k].1, op.delta) as usize;
@@ -194,8 +172,7 @@ pub fn owner_decode_median_tab(
                     "announced slot out of range",
                 ));
             }
-            let value = table.invert(&v).ok_or(ProtocolError::InversionFailed)?;
-            values.push(value);
+            values.push(invert(&v).ok_or(ProtocolError::InversionFailed)?);
             holders.push(rpf.apply_index(permuted_slot));
         }
         out.push(MedianCell {

@@ -20,15 +20,29 @@
 
 use crate::error::{ProtocolError, Result};
 use prism_core::{
-    choose_delta, share2, GroupParams, OrderPolynomial, Permutation, PermutationFamily, Prg,
-    ShamirCtx, MERSENNE_61,
+    choose_delta, share2, GroupParams, OrderPolynomial, Permutation, PermutationFamily, PolyTable,
+    Prg, ShamirCtx, MERSENNE_61,
 };
 use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Number of servers holding additive shares (PSI/PSU path).
 pub const ADDITIVE_SERVERS: usize = 2;
 /// Number of servers holding Shamir shares (aggregation path).
 pub const SHAMIR_SERVERS: usize = 3;
+
+/// Largest aggregation domain for which owners precompute the F-table
+/// ([`OwnerParams::poly_table`]): `(hi + 2) × width` limbs, 32 KB at
+/// `hi` = 2 000 and width 2, but tens of MB past 2²². Above it the
+/// max / median steps evaluate `F` per cell (Horner).
+pub const POLY_TABLE_LIMIT: u64 = 1 << 22;
+
+/// The F-table behind [`OwnerParams::poly_table`]: empty until the first
+/// max / median needs it, then kept — like a `Permutation`'s inverse map —
+/// and shared by every clone of the view. Build a view with
+/// `PolyTableCache::default()`.
+#[derive(Debug, Clone, Default)]
+pub struct PolyTableCache(OnceLock<Arc<PolyTable>>);
 
 /// Everything the initiator needs to be told before it can run Phase 0.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -110,6 +124,31 @@ pub struct OwnerParams {
     /// Upper bound of the aggregation attribute (binary-search range for
     /// inverting `F`).
     pub agg_domain_max: u64,
+    /// `F(0..=agg_domain_max + 1)`, built on first use (derived from the
+    /// three fields above; never part of the view an initiator hands out).
+    #[serde(skip)]
+    pub poly_cache: PolyTableCache,
+}
+
+impl OwnerParams {
+    /// The F-table every max / median owner step runs from, built the
+    /// first time it is asked for and kept: blinding reads `F(M)` and
+    /// `F(M+1)` from it and inversion binary-searches it, where the Horner
+    /// path evaluates `F` at every step. `None` when `agg_domain_max`
+    /// exceeds [`POLY_TABLE_LIMIT`], or when `agg_domain_max` /
+    /// `wide_width` were edited after the table was built — the steps then
+    /// evaluate `F` per cell.
+    pub fn poly_table(&self) -> Option<&PolyTable> {
+        if self.agg_domain_max > POLY_TABLE_LIMIT {
+            return None;
+        }
+        let table = self
+            .poly_cache
+            .0
+            .get_or_init(|| Arc::new(self.poly.table(self.agg_domain_max, self.wide_width)));
+        (table.hi() == self.agg_domain_max && table.width() == self.wide_width)
+            .then_some(table.as_ref())
+    }
 }
 
 /// One server's parameter view (§4 "Parameters known to servers").
@@ -316,6 +355,7 @@ impl Initiator {
             poly: poly.clone(),
             wide_width,
             agg_domain_max: cfg.agg_domain_max,
+            poly_cache: PolyTableCache::default(),
         };
 
         let servers = (0..SHAMIR_SERVERS)

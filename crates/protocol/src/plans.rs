@@ -514,9 +514,13 @@ fn expect_forwarded(reply: ServerReply, cells: usize, m: usize) -> Result<()> {
     }
 }
 
-fn expect_fpos(reply: ServerReply, cells: usize) -> Result<Vec<Vec<u64>>> {
+/// Check a claim round's reply: the owner-major fpos table, one column of
+/// `cells` claim shares per owner.
+fn expect_fpos(reply: ServerReply, cells: usize, m: usize) -> Result<Vec<Vec<u64>>> {
     match reply {
-        ServerReply::Fpos(f) if f.len() == cells => Ok(f),
+        ServerReply::Fpos(f) if f.len() == m && f.iter().all(|column| column.len() == cells) => {
+            Ok(f)
+        }
         ServerReply::Fpos(_) => Err(ProtocolError::MalformedResponse(
             "fpos table does not cover the announced cells",
         )),
@@ -526,18 +530,78 @@ fn expect_fpos(reply: ServerReply, cells: usize) -> Result<Vec<Vec<u64>>> {
     }
 }
 
+/// Round 2 of max and median over one chunk of common cells: each owner
+/// checks its values lie in the aggregation domain and blinds them
+/// through `F` — read from `table` when there is one, evaluated per cell
+/// otherwise — then both additive servers combine the blinded shares for
+/// the announcer. Returns every owner's own blinded values (max verifies
+/// against them); `seed(j)` seeds owner `j`'s blinding.
+fn blind_and_combine<X: ServerExec>(
+    ctx: &mut Ctx<'_, X>,
+    values: &[&[u64]],
+    common: &[usize],
+    table: Option<&PolyTable>,
+    seed: impl Fn(usize) -> u64,
+) -> Result<Vec<WideVec>> {
+    let op = ctx.params();
+    let threads = ctx.threads;
+    let m = values.len();
+    // What the blinding can represent: the table's rows, within the
+    // domain the wide group was sized for.
+    let hi = table.map_or(op.agg_domain_max, |t| t.hi().min(op.agg_domain_max));
+    let mut up1 = Vec::with_capacity(m);
+    let mut up2 = Vec::with_capacity(m);
+    let own_blinded = ctx.each_owner(m, |j| {
+        max::owner_check_domain(j, values[j], common, hi)?;
+        let (a, b, own) = match table {
+            Some(t) => max::owner_blind_maxima_tab(values[j], common, t, op, seed(j), threads),
+            None => max::owner_blind_maxima(values[j], common, op, &mut Prg::from_seed(seed(j))),
+        };
+        up1.push(a);
+        up2.push(b);
+        Ok(own)
+    })?;
+    let threads = threads as u32;
+    let mut replies = ctx.round(vec![
+        (
+            0,
+            ServerCmd::MaxCombine {
+                uploads: up1,
+                threads,
+            },
+        ),
+        (
+            1,
+            ServerCmd::MaxCombine {
+                uploads: up2,
+                threads,
+            },
+        ),
+    ])?;
+    expect_forwarded(replies.pop().unwrap(), common.len(), m)?;
+    expect_forwarded(replies.pop().unwrap(), common.len(), m)?;
+    Ok(own_blinded)
+}
+
 /// PSI maximum (§6.3, all three rounds) with built-in verification.
 ///
 /// `values[j]` is owner j's per-cell maxima column — owner-side data that
 /// never left the owners, so the constructing harness must supply it. The
 /// per-common-cell pipeline (blind → permute → announce → decode → claim)
 /// runs in bounded chunks of `cell_chunk` cells so memory stays flat even
-/// when millions of cells are common.
+/// when millions of cells are common. A value above the aggregation
+/// domain at a common cell is the owner's input error,
+/// [`ProtocolError::OutOfDomain`], found before anything is blinded.
 #[derive(Debug)]
 pub struct Max<'a> {
     /// Per-owner per-cell maxima (owner order).
     pub values: Vec<&'a [u64]>,
-    /// Precomputed F-table, if the aggregation domain is small enough.
+    /// An F-table to run from instead of the owner view's own
+    /// ([`OwnerParams::poly_table`]). `None` — what every caller in this
+    /// repository passes — uses the view's table, which is built once per
+    /// parameter set, or evaluates `F` per cell past
+    /// [`POLY_TABLE_LIMIT`](crate::params::POLY_TABLE_LIMIT). Kept only
+    /// because the repo benchmark names the field.
     pub table: Option<&'a PolyTable>,
     /// Base seed for the owners' blinding randomness.
     pub seed: u64,
@@ -552,53 +616,17 @@ impl Operation for Max<'_> {
         let m = self.values.len();
         let outcome = Psi.execute(ctx)?;
         let op = ctx.params();
+        let table = self.table.or(op.poly_table());
         let threads = ctx.threads;
         let chunk_size = self.cell_chunk.max(1);
 
         let mut decoded_all = Vec::with_capacity(outcome.common.len());
         let mut holders_all = Vec::with_capacity(outcome.common.len());
         for (chunk_no, common) in outcome.common.chunks(chunk_size).enumerate() {
-            // Round 2, owner step: blind the maxima (per-owner max time).
-            let mut up1 = Vec::with_capacity(m);
-            let mut up2 = Vec::with_capacity(m);
-            let mut own_blinded: Vec<WideVec> = Vec::with_capacity(m);
-            ctx.each_owner(m, |j| {
-                let sj = self.seed ^ (j as u64 + 0xB11D) ^ ((chunk_no as u64) << 24);
-                let (a, b, own) = match self.table {
-                    Some(t) => {
-                        max::owner_blind_maxima_tab(self.values[j], common, t, op, sj, threads)
-                    }
-                    None => {
-                        let mut prg = Prg::from_seed(sj);
-                        max::owner_blind_maxima(self.values[j], common, op, &mut prg)
-                    }
-                };
-                up1.push(a);
-                up2.push(b);
-                own_blinded.push(own);
-                Ok(())
+            // Round 2: blind (per-owner max time), combine, announce.
+            let own_blinded = blind_and_combine(ctx, &self.values, common, table, |j| {
+                self.seed ^ (j as u64 + 0xB11D) ^ ((chunk_no as u64) << 24)
             })?;
-
-            // Round 2, server + announcer steps.
-            let threads32 = threads as u32;
-            let mut replies = ctx.round(vec![
-                (
-                    0,
-                    ServerCmd::MaxCombine {
-                        uploads: up1,
-                        threads: threads32,
-                    },
-                ),
-                (
-                    1,
-                    ServerCmd::MaxCombine {
-                        uploads: up2,
-                        threads: threads32,
-                    },
-                ),
-            ])?;
-            expect_forwarded(replies.pop().unwrap(), common.len(), m)?;
-            expect_forwarded(replies.pop().unwrap(), common.len(), m)?;
             let ann = match ctx.announce(AnnouncerCmd::FindMax)? {
                 AnnouncerReply::Max(a) => a,
                 AnnouncerReply::Median(_) => {
@@ -608,7 +636,7 @@ impl Operation for Max<'_> {
                 }
             };
 
-            let (decoded, announced) = ctx.try_owner_step(|| match self.table {
+            let (decoded, announced) = ctx.try_owner_step(|| match table {
                 Some(t) => max::owner_decode_max_tab(common, &ann, t, op, threads),
                 None => max::owner_decode_max(common, &ann, op),
             })?;
@@ -625,23 +653,11 @@ impl Operation for Max<'_> {
                 Ok(())
             })?;
             let mut replies = ctx.round(vec![
-                (
-                    0,
-                    ServerCmd::AssembleFpos {
-                        claims: claims1,
-                        threads: threads32,
-                    },
-                ),
-                (
-                    1,
-                    ServerCmd::AssembleFpos {
-                        claims: claims2,
-                        threads: threads32,
-                    },
-                ),
+                (0, ServerCmd::AssembleFpos { claims: claims1 }),
+                (1, ServerCmd::AssembleFpos { claims: claims2 }),
             ])?;
-            let fpos2 = expect_fpos(replies.pop().unwrap(), decoded.len())?;
-            let fpos1 = expect_fpos(replies.pop().unwrap(), decoded.len())?;
+            let fpos2 = expect_fpos(replies.pop().unwrap(), decoded.len(), m)?;
+            let fpos1 = expect_fpos(replies.pop().unwrap(), decoded.len(), m)?;
             let holders = ctx.try_owner_step(|| max::owner_decode_fpos(&fpos1, &fpos2, op))?;
 
             // Every owner verifies against its own contribution.
@@ -660,12 +676,16 @@ impl Operation for Max<'_> {
 /// announcer returning the middle element(s) and no claim round.
 ///
 /// `values[j]` is owner j's per-cell *sums* column (§6.4 aggregates each
-/// owner's summed contribution).
+/// owner's summed contribution). As for [`Max`], a sum above the
+/// aggregation domain at a common cell is [`ProtocolError::OutOfDomain`]
+/// here, though sum and average accept it.
 #[derive(Debug)]
 pub struct Median<'a> {
     /// Per-owner per-cell summed values (owner order).
     pub values: Vec<&'a [u64]>,
-    /// Precomputed F-table, if the aggregation domain is small enough.
+    /// An F-table to run from instead of the owner view's own; `None`
+    /// uses the view's (see [`Max::table`]). Kept only because the repo
+    /// benchmark names the field.
     pub table: Option<&'a PolyTable>,
     /// Base seed for the owners' blinding randomness.
     pub seed: u64,
@@ -677,51 +697,16 @@ impl Operation for Median<'_> {
     type Output = Vec<MedianCell>;
 
     fn execute<X: ServerExec>(&self, ctx: &mut Ctx<'_, X>) -> Result<Vec<MedianCell>> {
-        let m = self.values.len();
         let outcome = Psi.execute(ctx)?;
         let op = ctx.params();
-        let threads = ctx.threads;
+        let table = self.table.or(op.poly_table());
         let chunk_size = self.cell_chunk.max(1);
 
         let mut cells_all = Vec::with_capacity(outcome.common.len());
         for (chunk_no, common) in outcome.common.chunks(chunk_size).enumerate() {
-            let mut up1 = Vec::with_capacity(m);
-            let mut up2 = Vec::with_capacity(m);
-            ctx.each_owner(m, |j| {
-                let sj = self.seed ^ (j as u64 + 0xED1A) ^ ((chunk_no as u64) << 24);
-                let (a, b, _) = match self.table {
-                    Some(t) => {
-                        max::owner_blind_maxima_tab(self.values[j], common, t, op, sj, threads)
-                    }
-                    None => {
-                        let mut prg = Prg::from_seed(sj);
-                        max::owner_blind_maxima(self.values[j], common, op, &mut prg)
-                    }
-                };
-                up1.push(a);
-                up2.push(b);
-                Ok(())
+            blind_and_combine(ctx, &self.values, common, table, |j| {
+                self.seed ^ (j as u64 + 0xED1A) ^ ((chunk_no as u64) << 24)
             })?;
-
-            let threads32 = threads as u32;
-            let mut replies = ctx.round(vec![
-                (
-                    0,
-                    ServerCmd::MaxCombine {
-                        uploads: up1,
-                        threads: threads32,
-                    },
-                ),
-                (
-                    1,
-                    ServerCmd::MaxCombine {
-                        uploads: up2,
-                        threads: threads32,
-                    },
-                ),
-            ])?;
-            expect_forwarded(replies.pop().unwrap(), common.len(), m)?;
-            expect_forwarded(replies.pop().unwrap(), common.len(), m)?;
             let ann = match ctx.announce(AnnouncerCmd::FindMedian)? {
                 AnnouncerReply::Median(a) => a,
                 AnnouncerReply::Max(_) => {
@@ -731,7 +716,7 @@ impl Operation for Median<'_> {
                 }
             };
 
-            let decoded = ctx.try_owner_step(|| match self.table {
+            let decoded = ctx.try_owner_step(|| match table {
                 Some(t) => median::owner_decode_median_tab(common, &ann, t, op),
                 None => median::owner_decode_median(common, &ann, op),
             })?;

@@ -291,6 +291,7 @@ mod tests {
             poly: prism_core::OrderPolynomial::paper_example(),
             wide_width: 2,
             agg_domain_max: 100,
+            poly_cache: Default::default(),
         };
         let mk_server = |id: usize, m_share: u64| ServerParams {
             server_id: id,

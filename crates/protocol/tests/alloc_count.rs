@@ -17,6 +17,11 @@
 //! zero-fill-then-overwrite or an intermediate vector reintroduced on the
 //! owner side is at least one more domain-length buffer, and fails here.
 //!
+//! Max and median are pinned on their two once-only rules: a served claim
+//! relay allocates one vector per owner, not per cell, and the owners'
+//! F-table is built by the first max of a parameter set and by no later
+//! max or median.
+//!
 //! Everything is asserted inside one `#[test]` so no sibling test thread
 //! can allocate mid-measurement; each measurement additionally takes the
 //! minimum over several reps to shrug off any stray allocation from the
@@ -191,6 +196,55 @@ fn warm_hot_paths_stay_allocation_free() {
         assert!(
             sharded_allocs <= 8 + 3,
             "warm two-shard execute of three items allocated {sharded_allocs} times per query"
+        );
+    }
+
+    // --- The claim relay: a served `AssembleFpos` hands the owners'
+    // claim columns back in owner order — the list and m row vectors,
+    // never one vector per cell.
+    {
+        let node = ServerNode::new(sp.clone());
+        let relay = ServerCmd::AssembleFpos {
+            claims: owner_shares(sp.delta, CELLS),
+        };
+        let relay_allocs = min_allocs_of(5, || {
+            node.execute(&relay).expect("assemble fpos");
+        });
+        assert!(
+            relay_allocs <= OWNERS as u64 + 1,
+            "a served AssembleFpos over {CELLS} cells allocated {relay_allocs} times"
+        );
+    }
+
+    // --- One F-table per parameter set: the first max builds it, and no
+    // later max or median on the same parameters builds another.
+    {
+        const B: usize = 64;
+        const HI: u64 = 1 << 16;
+        let inputs: Vec<OwnerInput> = (0..OWNERS as u64)
+            .map(|j| OwnerInput::from_pairs((1..=B as u64).map(|v| (v, v * 7 % 1000 + j))))
+            .collect();
+        let mut cfg = ClusterConfig::new(B);
+        cfg.agg_domain_max = HI;
+        let cluster = Cluster::build(&inputs, cfg).expect("cluster");
+        let table_bytes = (HI as usize + 2) * cluster.setup().owner.wide_width * size_of::<u64>();
+        let before = BYTES.load(Ordering::Relaxed);
+        cluster.psi_max(0).expect("first max");
+        let first_bytes = BYTES.load(Ordering::Relaxed) - before;
+        assert!(
+            first_bytes as usize >= table_bytes,
+            "the first max requested {first_bytes} B, less than its {table_bytes} B F-table"
+        );
+        let max_bytes = min_bytes_of(3, || {
+            cluster.psi_max(0).expect("max");
+        });
+        let median_bytes = min_bytes_of(3, || {
+            cluster.psi_median(0).expect("median");
+        });
+        assert!(
+            max_bytes < table_bytes && median_bytes < table_bytes,
+            "a repeat max requested {max_bytes} B and a median {median_bytes} B: \
+             one rebuilt the {table_bytes} B F-table"
         );
     }
 

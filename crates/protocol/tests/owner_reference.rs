@@ -164,6 +164,7 @@ fn owner(b: usize, n: u64, p: u64, seed: u64) -> OwnerParams {
         poly: OrderPolynomial::paper_example(),
         wide_width: 2,
         agg_domain_max: 100,
+        poly_cache: Default::default(),
     }
 }
 

@@ -2,7 +2,7 @@
 # Everything works fully offline: external deps are vendored under vendor/.
 
 # Run the standard verification suite (what CI runs).
-ci: fmt-check clippy phase1-once one-fanout one-facade build test test-release doc bench-check
+ci: fmt-check clippy phase1-once one-fanout one-facade poly-table-once build test test-release doc bench-check
 
 # Build every workspace target in release mode.
 build:
@@ -41,7 +41,7 @@ clippy:
 # a harness (test, example, bench, workload, or the in-memory driver)
 # grows its own copy of the outsourcing routine again.
 phase1-once:
-    ! git grep -nE 'db[12]\.apply\(' -- 'crates/*/tests' tests examples crates/bench crates/workload crates/protocol/src/driver.rs ':!examples/benchmark'
+    ! git grep -nE 'db[12]\.apply\(' -- 'crates/*/tests/**' tests examples crates/bench crates/workload crates/protocol/src/driver.rs ':!examples/benchmark'
 
 # A server round divides its rows once: `chunk` is the only module of
 # `prism_protocol` that spawns threads. Fails if another module grows its
@@ -62,6 +62,13 @@ one-facade:
     ! git grep -nE 'pub fn ps[iu]' -- crates/net/src | grep -vE 'pub fn psi_query_batch(_range)?\('
     ! git grep -nE '(owner_uploads|share_owner)\(' -- crates/net/tests tests examples ':!examples/benchmark' | grep -v '^crates/net/tests/shard_e2e.rs:'
     test "$(git grep -cE '(owner_uploads|share_owner)\(' -- crates/net/tests/shard_e2e.rs | cut -d: -f2)" = 1
+
+# One F-table per parameter set: outside tests and benches, only the owner
+# view's cache (`OwnerParams::poly_table` in `params.rs`) calls
+# `OrderPolynomial::table` (`polynomial.rs` defines it and tests it).
+# Fails if a facade, plan or harness builds its own table again.
+poly-table-once:
+    ! git grep -nE '\.table\(' -- 'crates/*/src/**' src examples ':!examples/benchmark' ':!crates/protocol/src/params.rs' ':!crates/core/src/polynomial.rs'
 
 # Non-test vs test Rust line counts per crate (vendor/ and
 # examples/benchmark/ excluded), the one table simplicity PRs quote. In a

@@ -123,8 +123,12 @@ for metric in proc.alloc_mb_per_query proc.allocs_per_query \
     protocol.chunk.parallel_dispatches_per_query protocol.shard.dispatches_per_query \
     protocol.kernels.allocs_per_call wire_bytes_per_query \
     protocol.engine.owner_ms_per_query protocol.engine.server_ms_per_query \
+    protocol.engine.announcer_ms_per_query \
     protocol.plans.psi_p50_ms protocol.plans.psu_p50_ms protocol.plans.count_p50_ms \
     protocol.plans.batch_p50_ms protocol.plans.psi_verified_p50_ms \
+    protocol.plans.psu_verified_p50_ms protocol.plans.count_verified_p50_ms \
+    protocol.plans.sum_verified_p50_ms protocol.plans.max_p50_ms protocol.plans.median_p50_ms \
+    net.cluster.announcer_bytes_per_query \
     protocol.cache.warm_query_p50_ms protocol.cache.cold_query_p50_ms \
     protocol.cache.hit_share append_p50_ms net.cluster.msgs_per_query \
     net.transport.channel_large_mb_s; do
