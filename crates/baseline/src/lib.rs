@@ -4,7 +4,7 @@
 //!
 //! * [`plaintext`] — the exact, insecure oracle every secure result is
 //!   tested against;
-//! * [`mpc_circuit`] — a real two-server GMW/Beaver circuit evaluator with
+//! * [`GmwPsi`] — a real two-server GMW/Beaver circuit evaluator with
 //!   metered server↔server communication, standing in for Jana/Sharemind/
 //!   SMCQL (closed or unavailable systems);
 //! * [`pairwise`] — a concrete two-party delegated PSI extended pairwise
@@ -14,10 +14,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod mpc_circuit;
+pub(crate) mod mpc_circuit;
 pub mod pairwise;
 pub mod plaintext;
 
 pub use mpc_circuit::{CircuitCost, GmwPsi};
-pub use pairwise::{multiparty_psi_by_pairwise, two_party_psi, PairwiseCost};
+pub use pairwise::{multiparty_psi_by_pairwise, PairwiseCost};
 pub use plaintext::PlainDataset;

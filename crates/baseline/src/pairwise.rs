@@ -35,7 +35,12 @@ fn prf(key: u64, value: u64) -> u64 {
 /// Two-party delegated PSI: both owners PRF their sets under a shared key
 /// and ship the hashes to a cloud server, which intersects blindly.
 /// Returns the intersection (of original values) and the metered cost.
-pub fn two_party_psi(set_a: &[u64], set_b: &[u64], key: u64, cost: &mut PairwiseCost) -> Vec<u64> {
+pub(crate) fn two_party_psi(
+    set_a: &[u64],
+    set_b: &[u64],
+    key: u64,
+    cost: &mut PairwiseCost,
+) -> Vec<u64> {
     let hashed_a: HashSet<u64> = set_a.iter().map(|&v| prf(key, v)).collect();
     let hashed_b: HashSet<u64> = set_b.iter().map(|&v| prf(key, v)).collect();
     cost.pairwise_runs += 1;
@@ -90,13 +95,6 @@ pub fn multiparty_psi_by_pairwise(sets: &[Vec<u64>], key: u64) -> (Vec<u64>, Pai
     (acc, cost)
 }
 
-/// Closed-form communication estimate (hash count) for the naive m-owner
-/// extension of a two-owner protocol with n elements each: `(n·m)²`
-/// scaled to hashes — used for the Table-13 complexity column.
-pub fn quadratic_comm_estimate(n: u64, m: u64) -> u64 {
-    (n.saturating_mul(m)).saturating_mul(n.saturating_mul(m))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,14 +138,6 @@ mod tests {
             c4.bytes,
             c16.bytes
         );
-    }
-
-    #[test]
-    fn quadratic_estimate_shape() {
-        assert_eq!(quadratic_comm_estimate(10, 2), 400);
-        assert_eq!(quadratic_comm_estimate(10, 4), 1600);
-        // Saturates instead of overflowing.
-        assert_eq!(quadratic_comm_estimate(u64::MAX, 2), u64::MAX);
     }
 
     #[test]

@@ -443,7 +443,7 @@ pub fn sub_assign_mod(acc: &mut [u64], rhs: &[u64], n: u64) {
 /// Modular exponentiation: `base^exp mod n` by square-and-multiply.
 ///
 /// Returns 0 when `n == 1` (the only residue mod 1).
-pub fn pow_mod(mut base: u64, mut exp: u64, n: u64) -> u64 {
+pub(crate) fn pow_mod(mut base: u64, mut exp: u64, n: u64) -> u64 {
     debug_assert!(n > 0);
     if n == 1 {
         return 0;
@@ -460,19 +460,9 @@ pub fn pow_mod(mut base: u64, mut exp: u64, n: u64) -> u64 {
     acc
 }
 
-/// Greatest common divisor (binary-free Euclid; inputs are arbitrary).
-pub fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
-
 /// Extended Euclid on signed 128-bit intermediates.
 /// Returns `(g, x, y)` with `a*x + b*y = g = gcd(a, b)`.
-pub fn ext_gcd(a: u64, b: u64) -> (u64, i128, i128) {
+pub(crate) fn ext_gcd(a: u64, b: u64) -> (u64, i128, i128) {
     let (mut old_r, mut r) = (a as i128, b as i128);
     let (mut old_s, mut s) = (1i128, 0i128);
     let (mut old_t, mut t) = (0i128, 1i128);
@@ -503,7 +493,7 @@ pub fn inv_mod(a: u64, n: u64) -> Option<u64> {
 /// `is_prime` trial-divides by a prefix of these before Miller–Rabin, and
 /// callers that need small primes (tests, parameter searches) read the table
 /// instead of re-sieving by trial division on every call.
-pub const SMALL_PRIMES: [u64; 46] = [
+pub(crate) const SMALL_PRIMES: [u64; 46] = [
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97,
     101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173, 179, 181, 191, 193,
     197, 199,
@@ -550,7 +540,7 @@ pub fn is_prime(n: u64) -> bool {
 
 /// Smallest prime `>= n` (panics only if the search exceeds `u64::MAX`,
 /// which cannot happen for the parameter ranges PRISM uses).
-pub fn next_prime(mut n: u64) -> u64 {
+pub(crate) fn next_prime(mut n: u64) -> u64 {
     if n <= 2 {
         return 2;
     }
@@ -627,17 +617,22 @@ mod tests {
 
     #[test]
     fn gcd_basics() {
-        assert_eq!(gcd(0, 5), 5);
-        assert_eq!(gcd(5, 0), 5);
-        assert_eq!(gcd(12, 18), 6);
-        assert_eq!(gcd(17, 31), 1);
+        for (a, b, g) in [(0u64, 5u64, 5u64), (5, 0, 5), (12, 18, 6), (17, 31, 1)] {
+            let (got, x, y) = ext_gcd(a, b);
+            assert_eq!(got, g, "gcd({a}, {b})");
+            assert_eq!(
+                a as i128 * x + b as i128 * y,
+                g as i128,
+                "Bézout for ({a}, {b})"
+            );
+        }
     }
 
     #[test]
     fn inv_mod_roundtrip() {
         for n in [5u64, 113, 227, MERSENNE_61] {
             for a in 1..50u64 {
-                if gcd(a, n) == 1 {
+                if ext_gcd(a, n).0 == 1 {
                     let inv = inv_mod(a, n).unwrap();
                     assert_eq!(mul_mod(a, inv, n), 1, "a={a} n={n}");
                 }
@@ -948,7 +943,7 @@ mod tests {
 
         #[test]
         fn prop_inverse_is_inverse(a in 1u64..u64::MAX, n in 2u64..u64::MAX) {
-            if gcd(a % n, n) == 1 && a % n != 0 {
+            if ext_gcd(a % n, n).0 == 1 && a % n != 0 {
                 let inv = inv_mod(a, n).unwrap();
                 prop_assert_eq!(mul_mod(a, inv, n), 1);
             }

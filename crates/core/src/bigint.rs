@@ -4,9 +4,10 @@
 //! `m + 1`. For 50 owners and realistic attribute values, `v` far exceeds
 //! `u128`, and — crucially — the announcer must compare the reconstructed
 //! values as *integers* (order-preservation breaks under any modular
-//! reduction). So we carry them in a little-endian `u64`-limb big integer
-//! and secret-share them additively over `Z_{2^(64·w)}`, where wrapping
-//! addition over a fixed limb width `w` is a perfectly valid abelian group.
+//! reduction). So we carry them in a little-endian `u64`-limb big integer,
+//! and the protocol secret-shares them additively over `Z_{2^(64·w)}`
+//! ([`crate::wide`]), where wrapping addition over a fixed limb width `w` is
+//! a perfectly valid abelian group.
 //!
 //! Only the handful of operations the protocol needs are implemented: this
 //! is deliberately not a general bignum library.
@@ -43,17 +44,6 @@ impl BigUint {
         }
     }
 
-    /// From a `u128`.
-    pub fn from_u128(v: u128) -> Self {
-        let lo = v as u64;
-        let hi = (v >> 64) as u64;
-        let mut n = BigUint {
-            limbs: vec![lo, hi],
-        };
-        n.normalize();
-        n
-    }
-
     /// Raw limbs, least significant first (no trailing zeros).
     pub fn limbs(&self) -> &[u64] {
         &self.limbs
@@ -67,7 +57,7 @@ impl BigUint {
     }
 
     /// True iff zero.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.limbs.is_empty()
     }
 
@@ -162,7 +152,7 @@ impl BigUint {
     }
 
     /// `self * v` for a `u64` multiplier.
-    pub fn mul_u64(&self, v: u64) -> BigUint {
+    pub(crate) fn mul_u64(&self, v: u64) -> BigUint {
         if v == 0 || self.is_zero() {
             return BigUint::zero();
         }
@@ -180,7 +170,7 @@ impl BigUint {
     }
 
     /// Total order comparison.
-    pub fn cmp_big(&self, other: &BigUint) -> Ordering {
+    pub(crate) fn cmp_big(&self, other: &BigUint) -> Ordering {
         if self.limbs.len() != other.limbs.len() {
             return self.limbs.len().cmp(&other.limbs.len());
         }
@@ -194,7 +184,7 @@ impl BigUint {
     }
 
     /// Divide by a `u64`, returning `(quotient, remainder)`.
-    pub fn div_rem_u64(&self, d: u64) -> (BigUint, u64) {
+    pub(crate) fn div_rem_u64(&self, d: u64) -> (BigUint, u64) {
         assert!(d != 0, "division by zero");
         let mut out = vec![0u64; self.limbs.len()];
         let mut rem = 0u128;
@@ -207,7 +197,7 @@ impl BigUint {
     }
 
     /// Uniform value in `[0, bound)` (rejection sampling on the top limb).
-    pub fn random_below(bound: &BigUint, prg: &mut Prg) -> BigUint {
+    pub(crate) fn random_below(bound: &BigUint, prg: &mut Prg) -> BigUint {
         assert!(!bound.is_zero(), "random_below requires a positive bound");
         let nlimbs = bound.limbs.len();
         loop {
@@ -226,7 +216,7 @@ impl BigUint {
     }
 
     /// Decimal string (tests / display).
-    pub fn to_decimal(&self) -> String {
+    pub(crate) fn to_decimal(&self) -> String {
         if self.is_zero() {
             return "0".to_string();
         }
@@ -239,24 +229,6 @@ impl BigUint {
         }
         digits.reverse();
         String::from_utf8(digits).expect("ascii digits")
-    }
-
-    /// Parse a decimal string (tests only; panics on non-digits).
-    pub fn from_decimal(s: &str) -> BigUint {
-        let mut acc = BigUint::zero();
-        for ch in s.bytes() {
-            assert!(ch.is_ascii_digit(), "invalid decimal digit");
-            acc = acc.mul_u64(10).add_u64((ch - b'0') as u64);
-        }
-        acc
-    }
-
-    /// Lossy conversion to u128 (asserts it fits).
-    pub fn to_u128(&self) -> u128 {
-        assert!(self.limbs.len() <= 2, "value does not fit in u128");
-        let lo = self.limbs.first().copied().unwrap_or(0) as u128;
-        let hi = self.limbs.get(1).copied().unwrap_or(0) as u128;
-        (hi << 64) | lo
     }
 }
 
@@ -284,73 +256,30 @@ impl From<u64> for BigUint {
     }
 }
 
-/// A fixed-width additive share over `Z_{2^(64·width)}`.
-///
-/// Exactly `width` limbs, including high zeros — the width *is* the group.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
-pub struct WideShare {
-    /// Share limbs, little-endian, length == width.
-    pub limbs: Vec<u64>,
-}
-
-impl WideShare {
-    /// The group width in limbs.
-    pub fn width(&self) -> usize {
-        self.limbs.len()
-    }
-}
-
-/// Split `secret` into two additive shares over `Z_{2^(64·width)}`.
-///
-/// Panics if `secret` needs more than `width` limbs (the initiator must
-/// size the group above `F(domain_max) + r_max`).
-pub fn share_wide2(secret: &BigUint, width: usize, prg: &mut Prg) -> (WideShare, WideShare) {
-    assert!(
-        secret.limb_len() <= width,
-        "secret ({} limbs) exceeds group width ({width} limbs)",
-        secret.limb_len()
-    );
-    let r: Vec<u64> = (0..width).map(|_| prg.next_u64()).collect();
-    // share2 = secret - r (mod 2^(64·width)), via wrapping subtraction.
-    let mut s2 = Vec::with_capacity(width);
-    let mut borrow = 0u64;
-    for i in 0..width {
-        let a = secret.limbs().get(i).copied().unwrap_or(0);
-        let (d1, u1) = a.overflowing_sub(r[i]);
-        let (d2, u2) = d1.overflowing_sub(borrow);
-        s2.push(d2);
-        borrow = (u1 as u64) + (u2 as u64);
-    }
-    (WideShare { limbs: r }, WideShare { limbs: s2 })
-}
-
-/// Reconstruct by wrapping addition over `Z_{2^(64·width)}`.
-pub fn reconstruct_wide2(a: &WideShare, b: &WideShare) -> BigUint {
-    assert_eq!(a.width(), b.width(), "width mismatch in wide reconstruct");
-    let mut out = Vec::with_capacity(a.width());
-    let mut carry = 0u64;
-    for i in 0..a.width() {
-        let (s1, c1) = a.limbs[i].overflowing_add(b.limbs[i]);
-        let (s2, c2) = s1.overflowing_add(carry);
-        out.push(s2);
-        carry = (c1 as u64) + (c2 as u64);
-    }
-    // Carry out of the top limb is discarded: arithmetic is mod 2^(64·w).
-    BigUint::from_limbs(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    fn big(v: u128) -> BigUint {
+        BigUint::from_limbs(vec![v as u64, (v >> 64) as u64])
+    }
+
+    /// Decimal parse, the inverse of `to_decimal`; panics on non-digits.
+    fn dec(s: &str) -> BigUint {
+        s.bytes().fold(BigUint::zero(), |acc, ch| {
+            assert!(ch.is_ascii_digit(), "invalid decimal digit");
+            acc.mul_u64(10).add_u64((ch - b'0') as u64)
+        })
+    }
 
     #[test]
     fn construction_and_normalization() {
         assert!(BigUint::zero().is_zero());
         assert_eq!(BigUint::from_limbs(vec![0, 0, 0]), BigUint::zero());
         assert_eq!(BigUint::from_u64(7).limbs(), &[7]);
-        assert_eq!(BigUint::from_u128(u128::MAX).limb_len(), 2);
-        assert_eq!(BigUint::from_u128(5).limb_len(), 1);
+        assert_eq!(big(u128::MAX).limb_len(), 2);
+        assert_eq!(big(5).limb_len(), 1);
     }
 
     #[test]
@@ -365,19 +294,18 @@ mod tests {
 
     #[test]
     fn mul_known_values() {
-        let a = BigUint::from_u128(u128::MAX);
+        let a = big(u128::MAX);
         let sq = a.mul(&a);
         // (2^128 - 1)^2 = 2^256 - 2^129 + 1
-        let expected = BigUint::from_decimal(
-            "115792089237316195423570985008687907852589419931798687112530834793049593217025",
-        );
+        let expected =
+            dec("115792089237316195423570985008687907852589419931798687112530834793049593217025");
         assert_eq!(sq, expected);
         assert_eq!(BigUint::zero().mul(&a), BigUint::zero());
     }
 
     #[test]
     fn mul_u64_matches_mul() {
-        let a = BigUint::from_decimal("123456789012345678901234567890");
+        let a = dec("123456789012345678901234567890");
         assert_eq!(a.mul_u64(999), a.mul(&BigUint::from_u64(999)));
         assert_eq!(a.mul_u64(0), BigUint::zero());
     }
@@ -385,7 +313,7 @@ mod tests {
     #[test]
     fn ordering() {
         let a = BigUint::from_u64(5);
-        let b = BigUint::from_u128(1u128 << 100);
+        let b = big(1u128 << 100);
         assert!(a < b);
         assert!(b > a);
         assert_eq!(a.cmp_big(&BigUint::from_u64(5)), Ordering::Equal);
@@ -400,13 +328,13 @@ mod tests {
             "18446744073709551616",
             "340282366920938463463374607431768211456",
         ] {
-            assert_eq!(BigUint::from_decimal(s).to_decimal(), s);
+            assert_eq!(dec(s).to_decimal(), s);
         }
     }
 
     #[test]
     fn div_rem_u64_basics() {
-        let a = BigUint::from_decimal("1000000000000000000000000000000000007");
+        let a = dec("1000000000000000000000000000000000007");
         let (q, r) = a.div_rem_u64(10);
         assert_eq!(r, 7);
         assert_eq!(q.to_decimal(), "100000000000000000000000000000000000");
@@ -417,46 +345,17 @@ mod tests {
         assert_eq!(BigUint::zero().bits(), 0);
         assert_eq!(BigUint::from_u64(1).bits(), 1);
         assert_eq!(BigUint::from_u64(255).bits(), 8);
-        assert_eq!(BigUint::from_u128(1u128 << 64).bits(), 65);
+        assert_eq!(big(1u128 << 64).bits(), 65);
     }
 
     #[test]
     fn random_below_stays_below() {
         let mut prg = Prg::from_seed(1);
-        let bound = BigUint::from_decimal("987654321098765432109876543210");
+        let bound = dec("987654321098765432109876543210");
         for _ in 0..200 {
             let r = BigUint::random_below(&bound, &mut prg);
             assert!(r < bound);
         }
-    }
-
-    #[test]
-    fn wide_share_roundtrip() {
-        let mut prg = Prg::from_seed(2);
-        let secret = BigUint::from_decimal("123456789012345678901234567890123456789");
-        let (s1, s2) = share_wide2(&secret, 4, &mut prg);
-        assert_eq!(reconstruct_wide2(&s1, &s2), secret);
-    }
-
-    #[test]
-    fn wide_share_zero_and_max() {
-        let mut prg = Prg::from_seed(3);
-        let zero = BigUint::zero();
-        let (a, b) = share_wide2(&zero, 2, &mut prg);
-        assert_eq!(reconstruct_wide2(&a, &b), zero);
-
-        // Largest 2-limb value.
-        let max = BigUint::from_limbs(vec![u64::MAX, u64::MAX]);
-        let (a, b) = share_wide2(&max, 2, &mut prg);
-        assert_eq!(reconstruct_wide2(&a, &b), max);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds group width")]
-    fn wide_share_rejects_oversized_secret() {
-        let mut prg = Prg::from_seed(4);
-        let secret = BigUint::from_limbs(vec![1, 1, 1]);
-        share_wide2(&secret, 2, &mut prg);
     }
 
     #[test]
@@ -468,50 +367,42 @@ mod tests {
     proptest! {
         #[test]
         fn prop_add_commutes(a in 0u128..u128::MAX, b in 0u128..u128::MAX) {
-            let x = BigUint::from_u128(a);
-            let y = BigUint::from_u128(b);
+            let x = big(a);
+            let y = big(b);
             prop_assert_eq!(x.add(&y), y.add(&x));
         }
 
         #[test]
         fn prop_add_matches_u128(a in 0u128..(1u128<<126), b in 0u128..(1u128<<126)) {
-            let sum = BigUint::from_u128(a).add(&BigUint::from_u128(b));
-            prop_assert_eq!(sum, BigUint::from_u128(a + b));
+            let sum = big(a).add(&big(b));
+            prop_assert_eq!(sum, big(a + b));
         }
 
         #[test]
         fn prop_mul_matches_u128(a in 0u64..u64::MAX, b in 0u64..u64::MAX) {
             let prod = BigUint::from_u64(a).mul(&BigUint::from_u64(b));
-            prop_assert_eq!(prod, BigUint::from_u128(a as u128 * b as u128));
+            prop_assert_eq!(prod, big(a as u128 * b as u128));
         }
 
         #[test]
         fn prop_sub_inverts_add(a in 0u128..u128::MAX, b in 0u128..u128::MAX) {
-            let x = BigUint::from_u128(a);
-            let y = BigUint::from_u128(b);
+            let x = big(a);
+            let y = big(b);
             prop_assert_eq!(x.add(&y).sub(&y), x);
         }
 
         #[test]
         fn prop_cmp_matches_u128(a in 0u128..u128::MAX, b in 0u128..u128::MAX) {
             prop_assert_eq!(
-                BigUint::from_u128(a).cmp_big(&BigUint::from_u128(b)),
+                big(a).cmp_big(&big(b)),
                 a.cmp(&b)
             );
         }
 
         #[test]
-        fn prop_wide_share_roundtrip(seed: u64, lo: u64, hi: u64, width in 2usize..6) {
-            let mut prg = Prg::from_seed(seed);
-            let secret = BigUint::from_limbs(vec![lo, hi]);
-            let (a, b) = share_wide2(&secret, width, &mut prg);
-            prop_assert_eq!(reconstruct_wide2(&a, &b), secret);
-        }
-
-        #[test]
         fn prop_decimal_roundtrip(lo: u64, hi: u64) {
             let v = BigUint::from_limbs(vec![lo, hi]);
-            prop_assert_eq!(BigUint::from_decimal(&v.to_decimal()), v);
+            prop_assert_eq!(dec(&v.to_decimal()), v);
         }
     }
 }

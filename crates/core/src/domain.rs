@@ -9,13 +9,9 @@
 //!   experiments): the map is a subtraction.
 //! * [`EnumeratedDomain`] — arbitrary categorical domains (the `disease`
 //!   column of the running example): sorted order gives the index.
-//! * [`SeededHashDomain`] — a seed-searched injective multiplicative hash
-//!   into a table of configurable size, for when owners prefer not to
-//!   materialize the sorted domain.
 //! * [`ProductDomain`] — row-major composition for multi-attribute PSI
 //!   (§6.6: `b = |Π Dom(A_i)|`).
 
-use crate::prg::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// A value → cell-index map over a fixed domain of size `size()`.
@@ -106,71 +102,6 @@ impl<T: Ord + Clone> DomainMap<T> for EnumeratedDomain<T> {
     }
 }
 
-/// A seed-searched injective hash map from a known `u64` domain into a table
-/// of `table_size ≥ |domain|` cells.
-///
-/// Construction retries seeds until the multiplicative hash is collision-free
-/// over the given domain — the initiator does this once and publishes
-/// `(seed, table_size)` as "the hash function". By the birthday bound a
-/// random seed is injective with probability ≈ exp(−n²/2b), so this
-/// construction is practical only when `table_size ≳ |domain|²`; for dense
-/// or enumerable domains prefer [`DenseIntDomain`] / [`EnumeratedDomain`],
-/// which are perfect by construction (and are what the paper's experiments
-/// amount to, since the OK domain is `1..N`).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
-pub struct SeededHashDomain {
-    /// Published hash seed.
-    pub seed: u64,
-    /// Number of cells.
-    pub table_size: usize,
-}
-
-impl SeededHashDomain {
-    /// Search for an injective seed over `domain`. Returns `None` after
-    /// `max_attempts` failed seeds (caller should grow the table).
-    pub fn search(domain: &[u64], table_size: usize, max_attempts: u64) -> Option<Self> {
-        assert!(table_size >= domain.len(), "table smaller than domain");
-        'seed: for attempt in 0..max_attempts {
-            let seed = {
-                let mut s = attempt ^ 0xA076_1D64_78BD_642F;
-                splitmix64(&mut s)
-            };
-            let mut used = vec![false; table_size];
-            for &v in domain {
-                let idx = Self::hash_with(seed, v, table_size);
-                if used[idx] {
-                    continue 'seed;
-                }
-                used[idx] = true;
-            }
-            return Some(SeededHashDomain { seed, table_size });
-        }
-        None
-    }
-
-    #[inline]
-    fn hash_with(seed: u64, v: u64, table_size: usize) -> usize {
-        let mut s = seed ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (splitmix64(&mut s) % table_size as u64) as usize
-    }
-
-    /// Hash a value (defined on all of `u64`; only injective on the domain
-    /// it was searched over).
-    pub fn hash(&self, v: u64) -> usize {
-        Self::hash_with(self.seed, v, self.table_size)
-    }
-}
-
-impl DomainMap<u64> for SeededHashDomain {
-    fn size(&self) -> usize {
-        self.table_size
-    }
-
-    fn index_of(&self, value: &u64) -> Option<usize> {
-        Some(self.hash(*value))
-    }
-}
-
 /// Multi-attribute product domain (§6.6): cell index is the row-major
 /// combination of per-attribute indices, `b = Π bᵢ`.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
@@ -188,11 +119,6 @@ impl ProductDomain {
                 .expect("product domain size overflows usize")
         });
         ProductDomain { dims, size }
-    }
-
-    /// Number of attributes.
-    pub fn arity(&self) -> usize {
-        self.dims.len()
     }
 
     /// Row-major index of a tuple, or `None` if any coordinate is outside
@@ -258,50 +184,6 @@ mod tests {
         assert_eq!(d.index_of(&"Fever"), Some(1));
         assert_eq!(d.index_of(&"Heart"), Some(2));
         assert_eq!(d.index_of(&"Flu"), None);
-    }
-
-    #[test]
-    fn seeded_hash_is_injective_on_domain() {
-        // Seed search succeeds w.h.p. when table_size ≳ |domain|² (birthday
-        // bound): 50 values into 2048 cells ⇒ ~54% per attempt.
-        let domain: Vec<u64> = (0..50).map(|i| i * 31 + 7).collect();
-        let h = SeededHashDomain::search(&domain, 2048, 256).expect("seed found");
-        let mut seen = vec![false; 2048];
-        for &v in &domain {
-            let idx = h.index_of(&v).unwrap();
-            assert!(!seen[idx], "collision at {idx}");
-            seen[idx] = true;
-        }
-    }
-
-    #[test]
-    fn seeded_hash_same_seed_same_cells() {
-        let domain: Vec<u64> = (1..=64).collect();
-        let h = SeededHashDomain::search(&domain, 4096, 256).unwrap();
-        let h2 = SeededHashDomain {
-            seed: h.seed,
-            table_size: h.table_size,
-        };
-        for &v in &domain {
-            assert_eq!(h.hash(v), h2.hash(v));
-        }
-    }
-
-    #[test]
-    fn seeded_hash_fails_gracefully_when_table_tight() {
-        // Table exactly = domain requires a perfect hash — usually needs
-        // more attempts than we allow here; must return None, not panic.
-        let domain: Vec<u64> = (0..2000).collect();
-        let r = SeededHashDomain::search(&domain, 2000, 2);
-        // Either it got lucky (fine) or returned None (expected).
-        if let Some(h) = r {
-            let mut seen = vec![false; 2000];
-            for &v in &domain {
-                let i = h.hash(v);
-                assert!(!seen[i]);
-                seen[i] = true;
-            }
-        }
     }
 
     #[test]

@@ -136,30 +136,6 @@ impl GroupParams {
         }
         table
     }
-
-    /// All δ elements of the cyclic subgroup, reduced mod η (test helper
-    /// and documentation aid; not used on the hot path).
-    pub fn subgroup_elements(&self) -> Vec<u64> {
-        let mut elems = Vec::with_capacity(self.delta as usize);
-        let mut acc = 1u64;
-        for _ in 0..self.delta {
-            elems.push(acc);
-            acc = mul_mod(acc, self.g, self.eta);
-        }
-        elems
-    }
-
-    /// Multiplicative order of `x` in `Z_η^*` (brute force; tests only).
-    pub fn order_of(&self, x: u64) -> u64 {
-        let mut acc = x % self.eta;
-        let mut order = 1u64;
-        while acc != 1 {
-            acc = mul_mod(acc, x, self.eta);
-            order += 1;
-            assert!(order <= self.eta, "element has no order — η not prime?");
-        }
-        order
-    }
 }
 
 /// Pick a prime δ strictly greater than `m` (the number of DB owners),
@@ -229,10 +205,22 @@ mod tests {
         GroupParams::from_parts(5, 11, 13, 3).unwrap()
     }
 
+    /// Multiplicative order of `x` in `Z_η^*`, by brute force.
+    fn order_of(gp: &GroupParams, x: u64) -> u64 {
+        let mut acc = x % gp.eta;
+        let mut order = 1u64;
+        while acc != 1 {
+            acc = mul_mod(acc, x, gp.eta);
+            order += 1;
+            assert!(order <= gp.eta, "element has no order — η not prime?");
+        }
+        order
+    }
+
     #[test]
     fn paper_example_subgroup_matches_text() {
         let gp = paper_example();
-        let mut sub = gp.subgroup_elements();
+        let mut sub: Vec<u64> = gp.power_table().iter().map(|t| t % gp.eta).collect();
         sub.sort_unstable();
         // "the cyclic (sub)group (with g = 3) ... contains {1, 3, 4, 5, 9}"
         assert_eq!(sub, vec![1, 3, 4, 5, 9]);
@@ -255,7 +243,7 @@ mod tests {
             g
         })
         .unwrap();
-        assert_eq!(gp.order_of(gp.g), 113);
+        assert_eq!(order_of(&gp, gp.g), 113);
     }
 
     #[test]
@@ -268,7 +256,7 @@ mod tests {
             assert_eq!(gp.eta_prime, gp.alpha * gp.eta);
             assert_eq!(pow_mod(gp.g, gp.delta, gp.eta), 1);
             assert_ne!(gp.g % gp.eta, 1);
-            assert_eq!(gp.order_of(gp.g), gp.delta);
+            assert_eq!(order_of(&gp, gp.g), gp.delta);
         }
     }
 
@@ -346,7 +334,7 @@ mod tests {
         #[test]
         fn prop_generated_subgroup_has_order_delta(seed: u64) {
             let gp = GroupParams::generate(113, seed).unwrap();
-            prop_assert_eq!(gp.order_of(gp.g), 113);
+            prop_assert_eq!(order_of(&gp, gp.g), 113);
         }
 
         #[test]

@@ -15,7 +15,7 @@
 
 pub mod additive;
 pub mod arith;
-pub mod bigint;
+pub(crate) mod bigint;
 pub mod domain;
 pub mod group;
 pub mod perm;
@@ -24,13 +24,13 @@ pub mod prg;
 pub mod shamir;
 pub mod wide;
 
-pub use additive::{reconstruct2, reconstruct2_into, share2, share_vector2, AdditiveShare};
+pub use additive::{reconstruct2, reconstruct2_into, share2, share_vector2};
 pub use arith::MERSENNE_61;
-pub use bigint::{reconstruct_wide2, share_wide2, BigUint, WideShare};
-pub use domain::{DenseIntDomain, DomainMap, EnumeratedDomain, ProductDomain, SeededHashDomain};
+pub use bigint::BigUint;
+pub use domain::{DenseIntDomain, DomainMap, EnumeratedDomain, ProductDomain};
 pub use group::{choose_delta, GroupError, GroupParams};
 pub use perm::{Permutation, PermutationFamily};
 pub use polynomial::{OrderPolynomial, PolyTable};
 pub use prg::Prg;
-pub use shamir::{ShamirCtx, ShamirShare};
+pub use shamir::ShamirCtx;
 pub use wide::WideVec;

@@ -35,7 +35,7 @@ impl OrderPolynomial {
     /// Build from explicit coefficients (constant term first). Panics if
     /// any coefficient is zero — zero coefficients break strict growth of
     /// the difference bound.
-    pub fn from_coeffs(coeffs: Vec<u64>) -> Self {
+    pub(crate) fn from_coeffs(coeffs: Vec<u64>) -> Self {
         assert!(!coeffs.is_empty(), "polynomial needs at least one term");
         assert!(
             coeffs.iter().all(|&c| c >= 1),
@@ -105,12 +105,6 @@ impl OrderPolynomial {
     /// plus one limb of headroom.
     pub fn share_width(&self, domain_max: u64) -> usize {
         self.eval(domain_max + 1).limb_len() + 1
-    }
-
-    /// Raw coefficients (constant term first) — for the flat-buffer
-    /// evaluation path in [`crate::wide`].
-    pub fn coeffs(&self) -> &[u64] {
-        &self.coeffs
     }
 
     /// Allocation-free evaluation into a fixed-width row.

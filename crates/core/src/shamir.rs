@@ -104,37 +104,6 @@ impl ShamirCtx {
         secret
     }
 
-    /// Homomorphic addition of two shares at the same point.
-    #[inline]
-    pub fn add_shares(&self, a: ShamirShare, b: ShamirShare) -> ShamirShare {
-        assert_eq!(a.x, b.x, "cannot add shares at different points");
-        ShamirShare {
-            x: a.x,
-            y: add_mod(a.y, b.y, self.p),
-        }
-    }
-
-    /// Pointwise product of two shares — the degree of the underlying
-    /// polynomial doubles (§3.2: "that increases the degree of the
-    /// polynomial to two").
-    #[inline]
-    pub fn mul_shares(&self, a: ShamirShare, b: ShamirShare) -> ShamirShare {
-        assert_eq!(a.x, b.x, "cannot multiply shares at different points");
-        ShamirShare {
-            x: a.x,
-            y: mul_mod(a.y, b.y, self.p),
-        }
-    }
-
-    /// Multiply a share by a public scalar.
-    #[inline]
-    pub fn scale_share(&self, a: ShamirShare, k: u64) -> ShamirShare {
-        ShamirShare {
-            x: a.x,
-            y: mul_mod(a.y, k % self.p, self.p),
-        }
-    }
-
     /// Bulk share of a vector: returns `count` parallel vectors of raw `y`
     /// values (the x is implied by the server index, saving 8 bytes/cell on
     /// the wire and in storage). [`ShamirCtx::share_blocks`] over a slice.
@@ -320,6 +289,25 @@ mod tests {
         ShamirCtx::default()
     }
 
+    /// What a server does per cell to two shares it holds at the same point
+    /// (Equation 11): add or multiply the `y` values mod p. Multiplying
+    /// doubles the degree (§3.2).
+    fn add_shares(a: ShamirShare, b: ShamirShare) -> ShamirShare {
+        assert_eq!(a.x, b.x, "cannot add shares at different points");
+        ShamirShare {
+            x: a.x,
+            y: add_mod(a.y, b.y, MERSENNE_61),
+        }
+    }
+
+    fn mul_shares(a: ShamirShare, b: ShamirShare) -> ShamirShare {
+        assert_eq!(a.x, b.x, "cannot multiply shares at different points");
+        ShamirShare {
+            x: a.x,
+            y: mul_mod(a.y, b.y, MERSENNE_61),
+        }
+    }
+
     #[test]
     fn roundtrip_degree_one_three_servers() {
         let mut prg = Prg::from_seed(1);
@@ -340,7 +328,7 @@ mod tests {
         let c = ctx();
         let a = c.share(100, 3, &mut prg);
         let b = c.share(23, 3, &mut prg);
-        let sum: Vec<ShamirShare> = (0..3).map(|i| c.add_shares(a[i], b[i])).collect();
+        let sum: Vec<ShamirShare> = (0..3).map(|i| add_shares(a[i], b[i])).collect();
         assert_eq!(c.reconstruct(&sum), 123);
     }
 
@@ -352,7 +340,7 @@ mod tests {
         let c = ctx();
         let a = c.share(6, 3, &mut prg);
         let b = c.share(7, 3, &mut prg);
-        let prod: Vec<ShamirShare> = (0..3).map(|i| c.mul_shares(a[i], b[i])).collect();
+        let prod: Vec<ShamirShare> = (0..3).map(|i| mul_shares(a[i], b[i])).collect();
         assert_eq!(c.reconstruct(&prod), 42);
         // Reconstruction from only 2 points of a degree-2 polynomial is a
         // different (wrong) value except on a measure-zero set; assert the
@@ -363,7 +351,7 @@ mod tests {
             let mut prg = Prg::from_seed(1000 + seed);
             let a = c.share(6, 3, &mut prg);
             let b = c.share(7, 3, &mut prg);
-            let prod: Vec<ShamirShare> = (0..3).map(|i| c.mul_shares(a[i], b[i])).collect();
+            let prod: Vec<ShamirShare> = (0..3).map(|i| mul_shares(a[i], b[i])).collect();
             if c.reconstruct(&prod[..2]) != 42 {
                 any_mismatch = true;
             }
@@ -392,7 +380,7 @@ mod tests {
                     y: 0,
                 };
                 for ds in &data_shares {
-                    acc = c.add_shares(acc, c.mul_shares(ds[k], z_shares[k]));
+                    acc = add_shares(acc, mul_shares(ds[k], z_shares[k]));
                 }
                 acc
             })
@@ -407,7 +395,7 @@ mod tests {
         let z_shares = c.share(0, 3, &mut prg);
         let d_shares = c.share(987654, 3, &mut prg);
         let out: Vec<ShamirShare> = (0..3)
-            .map(|k| c.mul_shares(d_shares[k], z_shares[k]))
+            .map(|k| mul_shares(d_shares[k], z_shares[k]))
             .collect();
         assert_eq!(c.reconstruct(&out), 0);
     }
@@ -417,7 +405,13 @@ mod tests {
         let mut prg = Prg::from_seed(6);
         let c = ctx();
         let shares = c.share(21, 3, &mut prg);
-        let scaled: Vec<ShamirShare> = shares.iter().map(|&s| c.scale_share(s, 2)).collect();
+        let scaled: Vec<ShamirShare> = shares
+            .iter()
+            .map(|&s| ShamirShare {
+                x: s.x,
+                y: mul_mod(s.y, 2, c.p),
+            })
+            .collect();
         assert_eq!(c.reconstruct(&scaled), 42);
     }
 
@@ -648,7 +642,7 @@ mod tests {
             let c = ctx();
             let sa = c.share(a, 3, &mut prg);
             let sb = c.share(b, 3, &mut prg);
-            let prod: Vec<ShamirShare> = (0..3).map(|i| c.mul_shares(sa[i], sb[i])).collect();
+            let prod: Vec<ShamirShare> = (0..3).map(|i| mul_shares(sa[i], sb[i])).collect();
             prop_assert_eq!(c.reconstruct(&prod), mul_mod(a, b, MERSENNE_61));
         }
 

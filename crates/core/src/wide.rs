@@ -48,11 +48,6 @@ impl WideVec {
     pub fn row_mut(&mut self, i: usize) -> &mut [u64] {
         &mut self.data[i * self.width..(i + 1) * self.width]
     }
-
-    /// Convert a row to a [`crate::bigint::BigUint`] (interop/tests).
-    pub fn row_to_biguint(&self, i: usize) -> crate::bigint::BigUint {
-        crate::bigint::BigUint::from_limbs(self.row(i).to_vec())
-    }
 }
 
 /// `out = a + b` over `Z_{2^{64w}}` (wrapping).
@@ -70,7 +65,7 @@ pub fn add_wrap(a: &[u64], b: &[u64], out: &mut [u64]) {
 
 /// `acc += b` over `Z_{2^{64w}}` (wrapping, in place).
 #[inline]
-pub fn add_assign_wrap(acc: &mut [u64], b: &[u64]) {
+pub(crate) fn add_assign_wrap(acc: &mut [u64], b: &[u64]) {
     debug_assert_eq!(acc.len(), b.len());
     let mut carry = 0u64;
     for i in 0..acc.len() {
@@ -83,7 +78,7 @@ pub fn add_assign_wrap(acc: &mut [u64], b: &[u64]) {
 
 /// `out = a - b` over `Z_{2^{64w}}` (wrapping).
 #[inline]
-pub fn sub_wrap(a: &[u64], b: &[u64], out: &mut [u64]) {
+pub(crate) fn sub_wrap(a: &[u64], b: &[u64], out: &mut [u64]) {
     debug_assert!(a.len() == b.len() && a.len() == out.len());
     let mut borrow = 0u64;
     for i in 0..a.len() {
@@ -109,7 +104,7 @@ pub fn cmp(a: &[u64], b: &[u64]) -> Ordering {
 
 /// True iff every limb is zero.
 #[inline]
-pub fn is_zero(a: &[u64]) -> bool {
+pub(crate) fn is_zero(a: &[u64]) -> bool {
     a.iter().all(|&x| x == 0)
 }
 
@@ -118,7 +113,7 @@ pub fn is_zero(a: &[u64]) -> bool {
 /// a carry out of the top limb indicates a protocol violation — checked in
 /// debug builds only for speed.
 #[inline]
-pub fn mul_small_add(acc: &mut [u64], x: u64, add: u64) {
+pub(crate) fn mul_small_add(acc: &mut [u64], x: u64, add: u64) {
     let mut carry = add as u128;
     for limb in acc.iter_mut() {
         let cur = *limb as u128 * x as u128 + carry;
@@ -130,7 +125,7 @@ pub fn mul_small_add(acc: &mut [u64], x: u64, add: u64) {
 
 /// Horner evaluation of a positive-coefficient polynomial into `out`
 /// (constant term first in `coeffs`). No allocation.
-pub fn eval_poly_into(coeffs: &[u64], x: u64, out: &mut [u64]) {
+pub(crate) fn eval_poly_into(coeffs: &[u64], x: u64, out: &mut [u64]) {
     out.fill(0);
     for &c in coeffs.iter().rev() {
         mul_small_add(out, x, c);
@@ -139,7 +134,7 @@ pub fn eval_poly_into(coeffs: &[u64], x: u64, out: &mut [u64]) {
 
 /// Uniform sample in `[0, bound)` written into `out` (rejection with a
 /// top-limb mask, expected < 2 draws). `bound` must be non-zero.
-pub fn random_below_into(bound: &[u64], prg: &mut Prg, out: &mut [u64]) {
+pub(crate) fn random_below_into(bound: &[u64], prg: &mut Prg, out: &mut [u64]) {
     debug_assert!(!is_zero(bound), "random_below_into needs positive bound");
     // Highest non-zero limb of the bound.
     let top = bound.iter().rposition(|&x| x != 0).expect("non-zero bound");
@@ -177,13 +172,6 @@ pub fn random_full_into(prg: &mut Prg, out: &mut [u64]) {
 pub fn share2_into(secret: &[u64], prg: &mut Prg, s1: &mut [u64], s2: &mut [u64]) {
     random_full_into(prg, s1);
     sub_wrap(secret, s1, s2);
-}
-
-/// Write a `u64` into a wide row.
-#[inline]
-pub fn set_u64(out: &mut [u64], v: u64) {
-    out.fill(0);
-    out[0] = v;
 }
 
 #[cfg(test)]
@@ -251,23 +239,25 @@ mod tests {
     #[test]
     fn share2_reconstructs() {
         let mut prg = Prg::from_seed(2);
-        let secret = [12345u64, 678, 9, 0];
-        let mut s1 = [0u64; 4];
-        let mut s2 = [0u64; 4];
-        share2_into(&secret, &mut prg, &mut s1, &mut s2);
-        let mut back = [0u64; 4];
-        add_wrap(&s1, &s2, &mut back);
-        assert_eq!(back, secret);
+        // A mid-range value and both ends of Z_{2^256}.
+        for secret in [[12345u64, 678, 9, 0], [0; 4], [u64::MAX; 4]] {
+            let mut s1 = [0u64; 4];
+            let mut s2 = [0u64; 4];
+            share2_into(&secret, &mut prg, &mut s1, &mut s2);
+            let mut back = [0u64; 4];
+            add_wrap(&s1, &s2, &mut back);
+            assert_eq!(back, secret);
+        }
     }
 
     #[test]
     fn widevec_rows() {
         let mut wv = WideVec::zeroed(3, 2);
-        set_u64(wv.row_mut(1), 42);
+        wv.row_mut(1)[0] = 42;
         assert_eq!(wv.rows(), 3);
         assert_eq!(wv.row(0), &[0, 0]);
         assert_eq!(wv.row(1), &[42, 0]);
-        assert_eq!(wv.row_to_biguint(1), BigUint::from_u64(42));
+        assert_eq!(to_big(wv.row(1)), BigUint::from_u64(42));
     }
 
     proptest! {

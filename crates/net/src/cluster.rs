@@ -464,7 +464,7 @@ impl NetCluster {
 
     /// Default bound on queries in flight at once (see
     /// [`NetCluster::set_admission_window`]).
-    pub const DEFAULT_ADMISSION_WINDOW: usize = 16;
+    pub(crate) const DEFAULT_ADMISSION_WINDOW: usize = 16;
 
     /// Mint a fresh query id (unique for this cluster's lifetime).
     fn fresh_query_id(&self) -> QueryId {
@@ -761,10 +761,9 @@ impl NetCluster {
         self.threads = threads as u32;
     }
 
-    /// Bound the number of queries in flight at once (default
-    /// [`NetCluster::DEFAULT_ADMISSION_WINDOW`]); waiting queries queue
-    /// FIFO per owner and owners are drained round-robin. Takes effect
-    /// for queries admitted after the call.
+    /// Bound the number of queries in flight at once (default 16); waiting
+    /// queries queue FIFO per owner and owners are drained round-robin.
+    /// Takes effect for queries admitted after the call.
     pub fn set_admission_window(&mut self, window: usize) {
         self.admission = Admission::new(window);
     }

@@ -32,9 +32,7 @@ pub mod transport;
 pub mod wire;
 
 pub use cluster::{NetCluster, NetReport};
-pub use mux::{Admission, MuxLink, Pending, Permit, QueryId};
-pub use registry::{
-    AnnouncerNode, ClusterListener, Liveness, NodeHealth, NodeRegistry, RegistryConfig, ShardWorker,
-};
-pub use transport::{channel_pair, ChannelLink, Link, LinkStats, NetError, TcpLink};
-pub use wire::{Column, Message, NodeRole, Op, WireError};
+pub use mux::{Admission, MuxLink};
+pub use registry::{AnnouncerNode, ClusterListener, Liveness, RegistryConfig, ShardWorker};
+pub use transport::{channel_pair, Link, NetError, TcpLink};
+pub use wire::{Column, Message, Op, WireError};

@@ -101,7 +101,7 @@ impl MuxLink {
     /// Like [`MuxLink::new`], but names the remote node: pump death on a
     /// labeled link surfaces to waiters as [`NetError::NodeDown`] instead
     /// of a generic disconnect.
-    pub fn new_labeled(link: Arc<dyn Link>, label: impl Into<String>) -> Arc<MuxLink> {
+    pub(crate) fn new_labeled(link: Arc<dyn Link>, label: impl Into<String>) -> Arc<MuxLink> {
         MuxLink::build(link, Some(label.into()))
     }
 
@@ -191,7 +191,7 @@ impl MuxLink {
     /// Send an *untagged* message on the shared link (session-scoped
     /// traffic: uploads, tamper injection, shutdown — anything answered
     /// inline or not at all).
-    pub fn send_raw(&self, msg: &Message) -> Result<(), NetError> {
+    pub(crate) fn send_raw(&self, msg: &Message) -> Result<(), NetError> {
         self.link.send(msg)
     }
 
@@ -205,7 +205,7 @@ impl MuxLink {
     }
 
     /// Whether the pump has died (the peer hung up or its link broke).
-    pub fn is_dead(&self) -> bool {
+    pub(crate) fn is_dead(&self) -> bool {
         self.dead.load(Ordering::SeqCst)
     }
 
@@ -216,7 +216,7 @@ impl MuxLink {
 
     /// The error a dead link surfaces: [`NetError::NodeDown`] naming the
     /// node when labeled, plain [`NetError::Disconnected`] otherwise.
-    pub fn dead_error(&self) -> NetError {
+    pub(crate) fn dead_error(&self) -> NetError {
         match &self.label {
             Some(node) => NetError::NodeDown { node: node.clone() },
             None => NetError::Disconnected,
@@ -354,7 +354,7 @@ impl Admission {
     }
 
     /// Queries currently holding a permit.
-    pub fn in_flight(&self) -> usize {
+    pub(crate) fn in_flight(&self) -> usize {
         self.lock().in_flight
     }
 }

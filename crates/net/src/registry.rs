@@ -127,7 +127,7 @@ impl RegistryConfig {
     /// has accrued `miss_budget` consecutive misses — the budget is the
     /// miss count that kills, not one less (the historical `>` here let
     /// every node linger one probe interval past its documented budget).
-    pub fn confirms_death(&self, misses: u32, hard_dead: bool) -> bool {
+    pub(crate) fn confirms_death(&self, misses: u32, hard_dead: bool) -> bool {
         hard_dead || misses >= self.miss_budget
     }
 }
@@ -180,8 +180,9 @@ impl std::fmt::Display for NodeHealth {
 }
 
 /// One recorded owner upload (the replay log for failover
-/// re-outsourcing). Records are replayed in arrival order; stores are
-/// overwrite-idempotent, so replaying a superseded record is harmless.
+/// re-outsourcing). Records are replayed in arrival order and stores are
+/// per-column overwrites, so only a column's latest upload matters: the log
+/// holds each (server, owner, [`Column`]) in at most one record.
 #[derive(Clone)]
 struct UploadRecord {
     server: usize,
@@ -397,7 +398,7 @@ impl NodeRegistry {
 
     /// Per-node liveness snapshot (live workers, dead nodes kept for the
     /// record, and the announcer).
-    pub fn node_health(&self) -> Vec<NodeHealth> {
+    pub(crate) fn node_health(&self) -> Vec<NodeHealth> {
         let mut out = Vec::new();
         for domain in &self.inner.domains {
             let st = domain.read();
@@ -418,15 +419,27 @@ impl NodeRegistry {
 
     /// Append one owner upload to the replay log (called by the cluster
     /// facades before each send, so a heal can re-outsource the domain).
+    /// The upload supersedes its columns in this owner's older records, and
+    /// a record left with no column is dropped, so a replacing upload
+    /// (`update_owner`) does not grow the log.
     pub(crate) fn record_upload(
         &self,
         server: usize,
         owner: usize,
         columns: &[(Column, Vec<u64>)],
     ) {
-        self.inner.uploads.lock().push(UploadRecord {
+        let owner = owner as u32;
+        let mut log = self.inner.uploads.lock();
+        log.retain_mut(|r| {
+            if (r.server, r.owner) == (server, owner) {
+                r.columns
+                    .retain(|(c, _)| columns.iter().all(|(n, _)| n != c));
+            }
+            !r.columns.is_empty()
+        });
+        log.push(UploadRecord {
             server,
-            owner: owner as u32,
+            owner,
             columns: columns.to_vec(),
         });
     }
@@ -725,10 +738,21 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
         Ok(l) => Arc::new(l),
         Err(_) => return,
     };
+    // The Register frame is due within one probe timeout, so a dialer that
+    // connects and stays silent cannot pin this thread. The deadline is
+    // lifted before the link can reach a worker slot or an announcer pump,
+    // which block on it by design.
+    let deadline = inner.cfg.probe_timeout;
+    if link.set_read_timeout(Some(deadline)).is_err() {
+        return;
+    }
     let msg = match link.recv() {
         Ok(m) => m,
         Err(_) => return, // includes the stop()-wake dummy dial
     };
+    if link.set_read_timeout(None).is_err() {
+        return;
+    }
     let Message::Register { role, domain, .. } = msg else {
         return;
     };
@@ -1415,5 +1439,98 @@ mod tests {
             assert_eq!(slot_nodes(&listener), acked);
             teardown(listener, workers);
         }
+    }
+
+    #[test]
+    fn a_replacing_upload_supersedes_its_columns_in_the_replay_log() {
+        let (listener, _) = listener(1, 1);
+        let registry = NodeRegistry {
+            inner: Arc::clone(&listener.inner),
+            prober: Mutex::new(None),
+            dispatcher: Mutex::new(None),
+        };
+        type Columns = Vec<(Column, Vec<u64>)>;
+        let cols =
+            |v: u64, cs: &[Column]| -> Columns { cs.iter().map(|&c| (c, vec![v; 8])).collect() };
+        // The log as (server, owner, columns) rows.
+        let log = || -> Vec<(usize, u32, Columns)> {
+            let log = registry.inner.uploads.lock();
+            log.iter()
+                .map(|r| (r.server, r.owner, r.columns.clone()))
+                .collect()
+        };
+        let column_count = || log().iter().map(|r| r.2.len()).sum::<usize>();
+        registry.record_upload(0, 0, &cols(1, &[Column::Ok, Column::VOk]));
+        registry.record_upload(0, 1, &cols(2, &[Column::Ok]));
+        registry.record_upload(1, 0, &cols(3, &[Column::Ok]));
+        assert_eq!(column_count(), 4);
+        for k in 0..5 {
+            registry.record_upload(0, 0, &cols(10 + k, &[Column::Ok, Column::VOk]));
+            assert_eq!(column_count(), 4, "after {} replacing uploads", k + 1);
+        }
+        // A partial upload takes its column out of the older record; a
+        // record left with no column is dropped. Other owners and servers
+        // keep theirs.
+        registry.record_upload(0, 0, &cols(20, &[Column::Ok]));
+        registry.record_upload(0, 0, &cols(21, &[Column::VOk]));
+        assert_eq!(
+            log(),
+            [
+                (0, 1, cols(2, &[Column::Ok])),
+                (1, 0, cols(3, &[Column::Ok])),
+                (0, 0, cols(20, &[Column::Ok])),
+                (0, 0, cols(21, &[Column::VOk])),
+            ]
+        );
+        // A delta still extends the one record that holds its column.
+        registry.record_delta(0, 0, 8, &cols(7, &[Column::Ok]));
+        let mut grown = vec![20; 8];
+        grown.extend([7; 8]);
+        assert_eq!(log()[2], (0, 0, vec![(Column::Ok, grown)]));
+        assert_eq!(column_count(), 4);
+        teardown(listener, Vec::new());
+    }
+
+    #[test]
+    fn a_silent_dialer_is_dropped_after_the_probe_timeout() {
+        let (listener, params) = listener(1, 1);
+        let bound = listener.inner.cfg.probe_timeout * 4;
+        let side = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let attach = |stream: TcpStream| {
+            let (done, finished) = std::sync::mpsc::channel();
+            let inner = Arc::clone(&listener.inner);
+            std::thread::spawn(move || {
+                handle_attach(&inner, stream);
+                let _ = done.send(());
+            });
+            finished
+        };
+
+        // Connects, then says nothing.
+        let _silent = TcpStream::connect(side.local_addr().expect("addr")).expect("dial");
+        let (accepted, _) = side.accept().expect("accept");
+        let finished = attach(accepted);
+        assert!(
+            finished.recv_timeout(bound).is_ok(),
+            "handle_attach still waits on a dialer that never registered"
+        );
+        assert!(slot_nodes(&listener).is_empty());
+
+        // A dialer that registers gets a link with the deadline lifted (the
+        // timeout is the socket's, so a clone of the accepted end sees it).
+        let client = TcpStream::connect(side.local_addr().expect("addr")).expect("dial");
+        let (accepted, _) = side.accept().expect("accept");
+        let server_end = accepted.try_clone().expect("clone");
+        let finished = attach(accepted);
+        let client = TcpLink::new(client).expect("link");
+        register(&client, NodeRole::AnnouncerUpload, 0, 0).expect("registered");
+        finished.recv_timeout(bound).expect("handshake done");
+        assert_eq!(server_end.read_timeout().expect("timeout"), None);
+
+        // And a real worker still attaches through the dispatcher.
+        let worker = ShardWorker::connect(params, 0, listener.addr(), Duration::from_secs(5))
+            .expect("a slot is free");
+        assert_eq!(slot_nodes(&listener), [worker.node_id()]);
+        teardown(listener, vec![worker]);
     }
 }

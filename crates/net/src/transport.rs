@@ -224,7 +224,7 @@ impl TcpLink {
     /// elapsed. Cluster bring-up is racy by nature — a worker may start a
     /// beat before the registry listener is bound — so every attach path
     /// dials through this instead of a bare `TcpStream::connect`.
-    pub fn connect_retry(
+    pub(crate) fn connect_retry(
         addr: std::net::SocketAddr,
         timeout: std::time::Duration,
         backoff: std::time::Duration,
@@ -239,6 +239,12 @@ impl TcpLink {
                 Err(e) => return Err(NetError::Io(e)),
             }
         }
+    }
+
+    /// Bound how long `recv` blocks (`None`: forever). The timeout belongs
+    /// to the socket, so it holds for every later `recv` until changed.
+    pub(crate) fn set_read_timeout(&self, timeout: Option<std::time::Duration>) -> io::Result<()> {
+        self.reader.lock().set_read_timeout(timeout)
     }
 
     /// Shut down both socket halves. Any peer blocked in `recv` observes
@@ -267,12 +273,13 @@ impl Link for TcpLink {
         frame.put_u32_le(body_len as u32);
         msg.encode_into(&mut frame);
         debug_assert_eq!(frame.len(), 4 + body_len);
-        let mut stream = self.writer.lock();
-        stream.write_all(&frame)?;
+        // Counted before the write, as `ChannelLink` counts before its
+        // hand-over: once the peer holds the frame, no snapshot may lack it.
         self.stats
             .bytes_sent
             .fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
+        self.writer.lock().write_all(&frame)?;
         Ok(())
     }
 

@@ -930,7 +930,7 @@ impl Message {
     /// exact encoded length, then a single append pass — the zero-copy
     /// path the links use to build framed messages without an
     /// intermediate allocation.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
+    pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
         buf.reserve(self.encoded_len());
         self.write_to(buf);
     }

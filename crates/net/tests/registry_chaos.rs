@@ -641,11 +641,16 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
 }
 
 /// Without replicas one kill is still exactly one failover, and the heal
-/// has only one way to go: no promotion, the upload log replayed.
+/// has only one way to go: no promotion, the upload log replayed. The log
+/// holds one record per owner and server: owner 1's replacing upload
+/// superseded its Phase-1 record instead of joining it, and the heal
+/// re-outsources the replacement.
 #[test]
 fn rf1_kill_is_one_failover_healed_by_replay() {
     let (net, workers, announcer) = spawn_elastic(make_setup(), fast_cfg());
-    let cluster = outsource(net, false);
+    let mut cluster = outsource(net, false);
+    let replacement = OwnerInput::from_pairs([(1, 100), (3, 40), (7, 20)]);
+    cluster.update_owner(1, &replacement).unwrap();
     let before = suite(&cluster);
 
     workers[0].kill();
@@ -655,9 +660,10 @@ fn rf1_kill_is_one_failover_healed_by_replay() {
     });
     assert_eq!(suite(&cluster), before, "post-heal answers");
     assert_eq!((registry.failovers(), registry.promotions()), (1, 0));
-    assert!(
-        registry.replayed_records() > 0,
-        "an rf=1 heal must re-outsource the upload log"
+    assert_eq!(
+        registry.replayed_records(),
+        inputs().len() as u64,
+        "an rf=1 heal re-outsources the upload log, one record per owner"
     );
 
     cluster.into_deployment().shutdown().unwrap();

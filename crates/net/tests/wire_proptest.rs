@@ -9,17 +9,32 @@
 //! successfully), and arbitrary byte soup either fails to decode or
 //! decodes canonically (re-encoding reproduces the consumed prefix). A
 //! channel link, which hands messages over without the codec, delivers
-//! exactly what the codec would have.
+//! exactly what the codec would have, and a TCP link fed hostile frame
+//! lengths answers with the decoded message or a typed error.
 
 use prism_core::wide::WideVec;
 use prism_net::wire::{Column, Message, Op, WireError};
-use prism_net::{channel_pair, Link, NetError};
+use prism_net::{channel_pair, Link, NetError, TcpLink};
 use prism_protocol::engine::{AnnouncerCmd, AnnouncerReply, BatchItem, BatchQuery};
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
 use prism_protocol::max::{BlindedMaxUpload, MaxAnnouncement};
 use prism_protocol::median::MedianAnnouncement;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
+
+/// The largest frame body a `TcpLink` accepts (64 MiB).
+const MAX_FRAME_BYTES: u32 = 64 << 20;
+
+/// A raw socket into a `TcpLink`'s peer: what any dialer of a listening
+/// port holds.
+fn raw_pair() -> (TcpStream, TcpLink) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let raw = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (peer, _) = listener.accept().unwrap();
+    (raw, TcpLink::new(peer).unwrap())
+}
 
 fn arb_column(sel: u8, attr: u8) -> Column {
     match sel % 7 {
@@ -364,5 +379,44 @@ proptest! {
             b.recv(),
             Err(NetError::Wire(WireError::Malformed(_)))
         ));
+    }
+
+    /// One frame written raw into a TCP link's socket, then EOF: a length
+    /// prefix past the link's limit, a prefix promising more bytes than
+    /// follow, or an honest prefix over garbage (alone or after a valid
+    /// encoding). `recv` answers with what `Message::decode` makes of the
+    /// body or with a typed error — `FrameTooLarge` before a byte of the
+    /// body is read, `Io` on the short read, `Wire` on a bad body — and
+    /// never panics.
+    #[test]
+    fn framed_streams_with_adversarial_lengths_decode_or_error(
+        shape in 0u8..3,
+        lead in 0u8..3,
+        soup in vec(any::<u8>(), 0..256),
+        excess in 1u32..(1 << 20),
+        huge in (MAX_FRAME_BYTES + 1)..=u32::MAX,
+    ) {
+        let mut body = match lead {
+            0 => Vec::new(),
+            1 => Message::Ack.encode().to_vec(),
+            _ => Message::RangeVersionProbe.encode().to_vec(),
+        };
+        body.extend_from_slice(&soup);
+        let prefix = match shape {
+            0 => huge,
+            1 => body.len() as u32 + excess,
+            _ => body.len() as u32,
+        };
+        let (mut raw, link) = raw_pair();
+        raw.write_all(&prefix.to_le_bytes()).unwrap();
+        raw.write_all(&body).unwrap();
+        raw.shutdown(Shutdown::Write).unwrap();
+        match (shape, link.recv()) {
+            (0, Err(NetError::FrameTooLarge { len })) => prop_assert_eq!(len, huge as usize),
+            (1, Err(NetError::Io(e))) => prop_assert_eq!(e.kind(), ErrorKind::UnexpectedEof),
+            (2, Ok(msg)) => prop_assert_eq!(Ok(msg), Message::decode(&body)),
+            (2, Err(NetError::Wire(e))) => prop_assert_eq!(Err(e), Message::decode(&body)),
+            (shape, other) => prop_assert!(false, "shape {}: {:?}", shape, other),
+        }
     }
 }

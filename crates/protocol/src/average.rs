@@ -11,22 +11,8 @@
 //! batched aggregations).
 
 use crate::error::{ProtocolError, Result};
-use crate::params::{OwnerParams, ServerParams, SHAMIR_SERVERS};
+use crate::params::{OwnerParams, SHAMIR_SERVERS};
 use crate::sum;
-
-/// Round-2 at server φ: Equation 11 over both the sums column and the
-/// counts column, sharing the z multiplication.
-pub fn server_avg_round(
-    sum_shares: &[&[u64]],
-    count_shares: &[&[u64]],
-    z_shares: &[u64],
-    sp: &ServerParams,
-    threads: usize,
-) -> Result<(Vec<u64>, Vec<u64>)> {
-    let sums = sum::server_sum_round(sum_shares, z_shares, sp, threads)?;
-    let counts = sum::server_sum_round(count_shares, z_shares, sp, threads)?;
-    Ok((sums, counts))
-}
 
 /// One decoded average cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,7 +105,7 @@ mod tests {
         let mut prg = Prg::from_seed(seed + 500);
         let z_shares = share_payload(&z, &op.field, &mut prg);
 
-        // Round 2: sums and counts columns.
+        // Round 2: Equation 11 over the sums and the counts column.
         let sums_p: Vec<PayloadShares> = tables
             .iter()
             .enumerate()
@@ -142,10 +128,9 @@ mod tests {
         for k in 0..3 {
             let sj: Vec<&[u64]> = sums_p.iter().map(|p| p.shares[k].as_slice()).collect();
             let cj: Vec<&[u64]> = counts_p.iter().map(|p| p.shares[k].as_slice()).collect();
-            let (s, c) =
-                server_avg_round(&sj, &cj, &z_shares.shares[k], &setup.servers[k], 1).unwrap();
-            sum_outs.push(s);
-            count_outs.push(c);
+            let (z, sp) = (&z_shares.shares[k], &setup.servers[k]);
+            sum_outs.push(sum::server_sum_round(&sj, z, sp, 1).unwrap());
+            count_outs.push(sum::server_sum_round(&cj, z, sp, 1).unwrap());
         }
         owner_finalize(
             [&sum_outs[0], &sum_outs[1], &sum_outs[2]],

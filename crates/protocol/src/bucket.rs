@@ -56,7 +56,7 @@ impl BucketTree {
     }
 
     /// Number of node slots at 1-based level ℓ.
-    pub fn level_width(&self, level: usize) -> usize {
+    pub(crate) fn level_width(&self, level: usize) -> usize {
         assert!((1..=self.height).contains(&level));
         self.fanout.pow((level - 1) as u32)
     }

@@ -12,9 +12,8 @@
 //!   range, each key holding a short list of variants told apart by the
 //!   round's auxiliary `z` vectors (compared by value), every variant
 //!   stamped with the **per-range version stamps** of the store ranges
-//!   the round read (the [`RangeVersion`] epochs every
-//!   [`ColumnStore`](crate::engine::ColumnStore) write moves), plus
-//!   hit/miss/invalidation meters.
+//!   the round read (the `RangeVersion` epochs every `ColumnStore` write
+//!   moves), plus hit/miss/invalidation meters.
 //! * [`CachedExec`] wraps any backend. A *cache-eligible* round — every
 //!   command a [`ServerCmd::Run`] whose items are either all
 //!   store-deterministic round-1 operations ([`QueryOp::Psi`] /
@@ -228,16 +227,6 @@ impl PsiRoundCache {
         if let Ok(mut st) = self.state() {
             *CacheState::slot(&mut st.tampered, server) = !honest;
             self.drop_entries(&mut st, server, None);
-        }
-    }
-
-    /// Drop every entry (all servers), counting invalidations.
-    pub fn invalidate_all(&self) {
-        if let Ok(mut st) = self.state() {
-            let dropped = st.len() as u64;
-            st.entries.clear();
-            st.versions.clear();
-            self.invalidations.fetch_add(dropped, Ordering::Relaxed);
         }
     }
 
@@ -704,31 +693,6 @@ mod tests {
         let st = cache.state().unwrap();
         assert_eq!(st.versions[0], None);
         assert_eq!(st.versions[1], Some(vec![(0, 8, 4)]));
-    }
-
-    #[test]
-    fn invalidate_all_drops_everything_and_forces_reprobing() {
-        let cache = PsiRoundCache::new();
-        {
-            let mut st = cache.state().unwrap();
-            *CacheState::slot(&mut st.versions, 0) = Some(vec![(0, 8, 5)]);
-            st.insert(
-                key(vec![BatchItem::plain(QueryOp::Psi)]),
-                entry(vec![(0, 8, 5)], vec![vec![7]]),
-            );
-            st.insert(
-                (1, vec![BatchItem::plain(QueryOp::Count)], None),
-                entry(vec![(0, 8, 3)], vec![vec![8]]),
-            );
-        }
-        cache.invalidate_all();
-        assert!(cache.is_empty());
-        assert_eq!(cache.invalidations(), 2);
-        let st = cache.state().unwrap();
-        assert!(
-            st.versions.is_empty(),
-            "versions must become unknown so the next round re-probes"
-        );
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! (one worker — no spawn at all — below `CELLS_PER_WORKER`). The rows of
 //! every shard are then cut into that many blocks (`block_len`) and worker
 //! `w` evaluates block `w` of every batch item, so a server `Run` is at most
-//! one `run_blocks` call whatever its item and shard counts. The
-//! `fill_*`/[`map_indexed`] helpers are the plain division — `threads`
-//! blocks whenever every block gets two rows — for a single output vector
-//! (the multi-column reference kernels, the wide max/median steps, whose
-//! per-row work is hundreds of multiplications, not one). The
+//! one `run_blocks` call whatever its item and shard counts. The `fill_*`
+//! helpers are the plain division — `threads` blocks whenever every block
+//! gets two rows — for a single output vector (the multi-column reference
+//! kernels, the wide max/median steps, whose per-row work is hundreds of
+//! multiplications, not one). The
 //! [`parallel_dispatches`] counter makes the division observable: it counts
 //! one per call that actually spawned.
 
@@ -122,7 +122,7 @@ where
 
 /// Fill `out` by running `f(global_start_index, chunk)` on `threads`
 /// contiguous chunks in parallel. `threads == 0` is treated as 1.
-pub fn fill_chunks<T, F>(out: &mut [T], threads: usize, f: F)
+pub(crate) fn fill_chunks<T, F>(out: &mut [T], threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -135,7 +135,7 @@ where
 /// multiples of `stride`, and `f(first_row, chunk)` fills each chunk.
 /// Used by the wide-share server steps (max/median round 2), whose unit of
 /// work is a row, not a scalar.
-pub fn fill_rows<T, F>(out: &mut [T], stride: usize, threads: usize, f: F)
+pub(crate) fn fill_rows<T, F>(out: &mut [T], stride: usize, threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,
@@ -152,25 +152,24 @@ where
     );
 }
 
-/// Map an index range to a freshly allocated vector in parallel:
-/// `out[i] = f(i)`.
-pub fn map_indexed<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = vec![T::default(); len];
-    fill_chunks(&mut out, threads, |start, chunk| {
-        for (off, slot) in chunk.iter_mut().enumerate() {
-            *slot = f(start + off);
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `out[i] = f(i)` over a fresh vector, through [`fill_chunks`].
+    fn map_indexed<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
+    where
+        T: Send + Default + Clone,
+        F: Fn(usize) -> T + Sync,
+    {
+        let mut out = vec![T::default(); len];
+        fill_chunks(&mut out, threads, |start, chunk| {
+            for (off, slot) in chunk.iter_mut().enumerate() {
+                *slot = f(start + off);
+            }
+        });
+        out
+    }
 
     #[test]
     fn single_thread_matches_direct() {

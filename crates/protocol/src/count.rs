@@ -25,19 +25,9 @@
 //! [`crate::plans::CountVerified`] round plans.
 
 use crate::error::{ProtocolError, Result};
-use crate::params::{OwnerParams, ServerParams};
+use crate::params::OwnerParams;
 use crate::psi;
 use prism_core::arith::Modulus;
-
-/// Step 2 at server φ: PSI round then `PF_s1` on the output.
-pub fn server_count_round(
-    owner_shares: &[&[u64]],
-    sp: &ServerParams,
-    threads: usize,
-) -> Result<Vec<u64>> {
-    let out = psi::server_psi_round(owner_shares, sp, threads)?;
-    Ok(sp.pf_s1.apply(&out))
-}
 
 /// Step 3 at an owner: combine and count 1s. Returns the cardinality of
 /// the intersection (the permuted fop vector is intentionally *not*
@@ -50,25 +40,6 @@ pub fn owner_count(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<usize
         .zip(out2)
         .filter(|(&x, &y)| eta.mul(x, y) == 1)
         .count())
-}
-
-/// Verification round at server φ: run the PSI round on a copy that owners
-/// permuted with `PF_dbk`, then apply this server's `PF_sk` — `which_copy`
-/// selects (1 ⇒ PF_s1, 2 ⇒ PF_s2).
-pub fn server_count_verify_round(
-    permuted_shares: &[&[u64]],
-    sp: &ServerParams,
-    which_copy: u8,
-    threads: usize,
-) -> Result<Vec<u64>> {
-    let out = psi::server_psi_round(permuted_shares, sp, threads)?;
-    match which_copy {
-        1 => Ok(sp.pf_s1.apply(&out)),
-        2 => Ok(sp.pf_s2.apply(&out)),
-        _ => Err(ProtocolError::ParameterMismatch(format!(
-            "copy selector must be 1 or 2, got {which_copy}"
-        ))),
-    }
 }
 
 /// Owner-side verification: decode both PF_i-ordered copies and require
@@ -160,7 +131,7 @@ pub fn owner_verify_count_bound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{Initiator, Setup, SystemConfig};
+    use crate::params::{Initiator, ServerParams, Setup, SystemConfig};
     use crate::tables::{share_indicator, IndicatorShares, OwnerTable};
     use prism_core::{DenseIntDomain, Permutation, Prg};
 
@@ -193,6 +164,13 @@ mod tests {
             .collect()
     }
 
+    /// Step 2 at a server, as the count plans run it: the PSI round, then
+    /// the server's permutation (`PF_s1` on the plain and on copy A, `PF_s2`
+    /// on copy B).
+    fn server_round(shares: &[&[u64]], sp: &ServerParams, pf: &Permutation) -> Vec<u64> {
+        pf.apply(&psi::server_psi_round(shares, sp, 1).unwrap())
+    }
+
     fn upload_permuted(f: &Fix, perm: &Permutation, seed: u64) -> Vec<IndicatorShares> {
         f.tables
             .iter()
@@ -216,8 +194,8 @@ mod tests {
         let uploads = upload_plain(&f, 100);
         let s1: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
         let s2: Vec<&[u64]> = uploads.iter().map(|u| u.shares[1].as_slice()).collect();
-        let o1 = server_count_round(&s1, &f.setup.servers[0], 1).unwrap();
-        let o2 = server_count_round(&s2, &f.setup.servers[1], 1).unwrap();
+        let o1 = server_round(&s1, &f.setup.servers[0], &f.setup.servers[0].pf_s1);
+        let o2 = server_round(&s2, &f.setup.servers[1], &f.setup.servers[1].pf_s1);
         let count = owner_count(&o1, &o2, &f.setup.owner).unwrap();
         assert_eq!(count, 3); // {2, 5, 9}
     }
@@ -231,8 +209,8 @@ mod tests {
         let uploads = upload_plain(&f, 200);
         let s1: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
         let s2: Vec<&[u64]> = uploads.iter().map(|u| u.shares[1].as_slice()).collect();
-        let o1 = server_count_round(&s1, &f.setup.servers[0], 1).unwrap();
-        let o2 = server_count_round(&s2, &f.setup.servers[1], 1).unwrap();
+        let o1 = server_round(&s1, &f.setup.servers[0], &f.setup.servers[0].pf_s1);
+        let o2 = server_round(&s2, &f.setup.servers[1], &f.setup.servers[1].pf_s1);
         let fop = psi::owner_combine(&o1, &o2, &f.setup.owner).unwrap();
         let positions: Vec<usize> = fop
             .iter()
@@ -259,10 +237,10 @@ mod tests {
         let b1: Vec<&[u64]> = up_b.iter().map(|u| u.shares[0].as_slice()).collect();
         let b2: Vec<&[u64]> = up_b.iter().map(|u| u.shares[1].as_slice()).collect();
 
-        let oa1 = server_count_verify_round(&a1, &f.setup.servers[0], 1, 1).unwrap();
-        let oa2 = server_count_verify_round(&a2, &f.setup.servers[1], 1, 1).unwrap();
-        let ob1 = server_count_verify_round(&b1, &f.setup.servers[0], 2, 1).unwrap();
-        let ob2 = server_count_verify_round(&b2, &f.setup.servers[1], 2, 1).unwrap();
+        let oa1 = server_round(&a1, &f.setup.servers[0], &f.setup.servers[0].pf_s1);
+        let oa2 = server_round(&a2, &f.setup.servers[1], &f.setup.servers[1].pf_s1);
+        let ob1 = server_round(&b1, &f.setup.servers[0], &f.setup.servers[0].pf_s2);
+        let ob2 = server_round(&b2, &f.setup.servers[1], &f.setup.servers[1].pf_s2);
 
         let count = owner_verify_count((&oa1, &oa2), (&ob1, &ob2), op).unwrap();
         assert_eq!(count, 2); // {3, 9}
@@ -281,24 +259,16 @@ mod tests {
         let b2: Vec<&[u64]> = up_b.iter().map(|u| u.shares[1].as_slice()).collect();
 
         // Malicious S1 replays cell 0 over copy A only.
-        let mut oa1 = server_count_verify_round(&a1, &f.setup.servers[0], 1, 1).unwrap();
+        let mut oa1 = server_round(&a1, &f.setup.servers[0], &f.setup.servers[0].pf_s1);
         let r = oa1[0];
         for v in oa1.iter_mut() {
             *v = r;
         }
-        let oa2 = server_count_verify_round(&a2, &f.setup.servers[1], 1, 1).unwrap();
-        let ob1 = server_count_verify_round(&b1, &f.setup.servers[0], 2, 1).unwrap();
-        let ob2 = server_count_verify_round(&b2, &f.setup.servers[1], 2, 1).unwrap();
+        let oa2 = server_round(&a2, &f.setup.servers[1], &f.setup.servers[1].pf_s1);
+        let ob1 = server_round(&b1, &f.setup.servers[0], &f.setup.servers[0].pf_s2);
+        let ob2 = server_round(&b2, &f.setup.servers[1], &f.setup.servers[1].pf_s2);
 
         assert!(owner_verify_count((&oa1, &oa2), (&ob1, &ob2), op).is_err());
-    }
-
-    #[test]
-    fn copy_selector_validated() {
-        let f = fixture(&[vec![1u64], vec![1u64]], 2, 5);
-        let up = upload_plain(&f, 700);
-        let s1: Vec<&[u64]> = up.iter().map(|u| u.shares[0].as_slice()).collect();
-        assert!(server_count_verify_round(&s1, &f.setup.servers[0], 3, 1).is_err());
     }
 
     #[test]
@@ -308,8 +278,8 @@ mod tests {
         let uploads = upload_plain(&f, 800);
         let s1: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
         let s2: Vec<&[u64]> = uploads.iter().map(|u| u.shares[1].as_slice()).collect();
-        let o1 = server_count_round(&s1, &f.setup.servers[0], 1).unwrap();
-        let o2 = server_count_round(&s2, &f.setup.servers[1], 1).unwrap();
+        let o1 = server_round(&s1, &f.setup.servers[0], &f.setup.servers[0].pf_s1);
+        let o2 = server_round(&s2, &f.setup.servers[1], &f.setup.servers[1].pf_s1);
         assert_eq!(owner_count(&o1, &o2, &f.setup.owner).unwrap(), 0);
     }
 }

@@ -6,7 +6,7 @@
 //! is the single place that shape is executed:
 //!
 //! * [`ServerNode`] is the server side of the wall: it stores the
-//!   Phase-1 share columns ([`ColumnStore`]), evaluates [`ServerCmd`]s
+//!   Phase-1 share columns (`ColumnStore`), evaluates [`ServerCmd`]s
 //!   against them with the step functions from the operation modules, and
 //!   applies its (test-injected) [`Tamper`] to every output — so failure
 //!   injection behaves identically in-process and over the wire.
@@ -200,7 +200,7 @@ pub enum ServerCmd {
         claims: Vec<Vec<u64>>,
     },
     /// Probe the server's per-range version stamps (see
-    /// [`ColumnStore::range_versions`]) — a parameter-free, O(#epochs)
+    /// `ColumnStore::range_versions`) — a parameter-free, O(#epochs)
     /// command the PSI-round cache ([`crate::cache`]) uses to validate
     /// its entries without rerunning any stored-column work. Stamps are
     /// reported in **global** row coordinates so sharded backends can
@@ -223,7 +223,7 @@ pub enum ServerReply {
     /// [`ServerNode`] itself. This variant never reaches a plan: the
     /// matrix is *server→announcer* traffic (owners must not see the
     /// per-slot blinded values), so every backend forwards it to its
-    /// [`Announcer`] — via [`forward_wide`] in-process, over dedicated
+    /// [`Announcer`] — via `forward_wide` in-process, over dedicated
     /// links in `prism_net` — and hands the plan a
     /// [`ServerReply::WideForwarded`] receipt instead.
     Wide(WideVec),
@@ -245,7 +245,7 @@ pub enum ServerReply {
     },
     /// Output of a [`ServerCmd::AssembleFpos`]: the claim shares relayed
     /// owner-major, one column of `cells` per owner in owner order
-    /// ([`max::server_assemble_fpos`]).
+    /// (`max::server_assemble_fpos`).
     Fpos(Vec<Vec<u64>>),
     /// Reply to [`ServerCmd::RangeVersions`]: the store's per-range
     /// version stamps `(start, len, version)` in global row coordinates,
@@ -477,7 +477,7 @@ impl RoundOutcome {
 /// one more. The version stamps are the cache's invalidation signal at
 /// range granularity: an entry scoped to rows an upload never touched
 /// keeps matching its stamps and stays warm.
-pub type RangeVersion = (u64, u64, u64);
+pub(crate) type RangeVersion = (u64, u64, u64);
 
 /// One stored column kind: every owner's shares of it, and their per-cell
 /// sum — the only part a query reads.
@@ -498,7 +498,7 @@ struct Stored {
 /// that column's owner sum, so a query scans one canonical column whatever
 /// the owner count. Writes take `&mut self`; nothing else touches the sums.
 #[derive(Debug)]
-pub struct ColumnStore {
+pub(crate) struct ColumnStore {
     delta: u64,
     p: u64,
     ok: Stored,
@@ -520,7 +520,7 @@ pub struct ColumnStore {
 
 impl ColumnStore {
     /// An empty store for a server with these parameters.
-    pub fn new(sp: &ServerParams) -> ColumnStore {
+    pub(crate) fn new(sp: &ServerParams) -> ColumnStore {
         ColumnStore {
             delta: sp.delta,
             p: sp.field.p,
@@ -586,7 +586,7 @@ impl ColumnStore {
     /// Store one owner's share vector for `column`, bumping the store
     /// version (every epoch's stamp — a full-column write dirties the
     /// whole store).
-    pub fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
+    pub(crate) fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
         let len = data.len() as u64;
         self.write(owner, column, 0, data);
         if self.epochs.is_empty() {
@@ -604,13 +604,13 @@ impl ColumnStore {
     /// stamps; the caller bumps exactly once per owner-delta via
     /// [`ColumnStore::bump_range`] after appending every column it
     /// carries.
-    pub fn append(&mut self, owner: usize, column: Column, data: Vec<u64>, start: usize) {
+    pub(crate) fn append(&mut self, owner: usize, column: Column, data: Vec<u64>, start: usize) {
         self.write(owner, column, start, data);
     }
 
     /// Bump the version stamp of the range `[start, start+len)`, creating
     /// the epoch if this is the first delta touching it.
-    pub fn bump_range(&mut self, start: u64, len: u64) {
+    pub(crate) fn bump_range(&mut self, start: u64, len: u64) {
         match self.epochs.iter_mut().find(|e| e.0 == start && e.1 == len) {
             Some(e) => e.2 += 1,
             None => self.epochs.push((start, len, 1)),
@@ -619,13 +619,13 @@ impl ColumnStore {
 
     /// The store's monotonic version (0 = nothing ever stored): the sum
     /// of the per-range stamps.
-    pub fn version(&self) -> u64 {
+    pub(crate) fn version(&self) -> u64 {
         self.epochs.iter().map(|e| e.2).sum()
     }
 
     /// The per-range version stamps, ordered by range start (local row
     /// coordinates; empty = nothing ever stored).
-    pub fn range_versions(&self) -> &[RangeVersion] {
+    pub(crate) fn range_versions(&self) -> &[RangeVersion] {
         &self.epochs
     }
 
@@ -889,7 +889,7 @@ impl ServerNode {
         Ok(())
     }
 
-    /// The node's monotonic store version (see [`ColumnStore::version`]).
+    /// The node's monotonic store version (see `ColumnStore::version`).
     pub fn version(&self) -> u64 {
         self.store.version()
     }
@@ -1230,11 +1230,11 @@ impl<T: ServerExec + ?Sized> ServerExec for &T {
 /// announcer-side sibling of [`ServerNode`].
 ///
 /// Every backend funnels max/median through one of these: the in-process
-/// executors own a reference and [`forward_wide`] deposits into it
+/// executors own a reference and `forward_wide` deposits into it
 /// directly; `prism_net` runs one on the announcer node's thread and
 /// deposits from its server→announcer links. Every deposit is tagged
 /// with a **wide-round sequence number** (minted per combine round via
-/// [`Announcer::next_seq`] in-process, assigned by the owner side over
+/// `Announcer::next_seq` in-process, assigned by the owner side over
 /// the wire), and [`Announcer::announce`] only acts on a pair from the
 /// exact round it is asked about — so a stale upload left by an aborted
 /// query, or an interleaved query's upload, surfaces as a protocol error
@@ -1244,7 +1244,7 @@ impl<T: ServerExec + ?Sized> ServerExec for &T {
 ///
 /// The inbox stages uploads **per round**: concurrent queries each run
 /// their own wide round, and the announcer keeps every in-flight round's
-/// pair separate (bounded by [`Announcer::STAGED_ROUNDS_CAP`]; beyond
+/// pair separate (bounded by `Announcer::STAGED_ROUNDS_CAP`; beyond
 /// that the oldest staged round — necessarily an abandoned one under the
 /// cap — is evicted).
 #[derive(Debug)]
@@ -1264,7 +1264,7 @@ impl Announcer {
     /// actually announces is consumed promptly, so only rounds abandoned
     /// mid-flight accumulate; past the cap the oldest staged round is
     /// evicted on deposit.
-    pub const STAGED_ROUNDS_CAP: usize = 32;
+    pub(crate) const STAGED_ROUNDS_CAP: usize = 32;
 
     /// An honest announcer with an empty inbox.
     pub fn new(params: AnnouncerParams) -> Announcer {
@@ -1290,7 +1290,7 @@ impl Announcer {
 
     /// Mint the sequence number for a new wide round (in-process backends
     /// call this once per round that carries a `MaxCombine`).
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.seq.fetch_add(1, Ordering::Relaxed) + 1
     }
 
@@ -1303,7 +1303,7 @@ impl Announcer {
     /// Stage additive server `server`'s wide upload for round `seq`
     /// (`server` must be 0 or 1). Rounds stage independently, so
     /// interleaved queries' uploads never overwrite each other; if more
-    /// than [`Announcer::STAGED_ROUNDS_CAP`] rounds are staged, the
+    /// than `Announcer::STAGED_ROUNDS_CAP` rounds are staged, the
     /// oldest (an abandoned round — live ones announce and are consumed)
     /// is evicted.
     pub fn deposit(&self, server: usize, seq: u64, shares: WideVec) -> Result<()> {
@@ -1396,7 +1396,7 @@ impl Announcer {
 /// by every in-process backend. `round_seq` is the round's sequence
 /// cache: the first wide reply in a round mints it, later ones reuse it —
 /// pass a fresh `None` per [`ServerExec::round`] call.
-pub fn forward_wide(
+pub(crate) fn forward_wide(
     announcer: &Announcer,
     server: usize,
     reply: ServerReply,
@@ -1637,14 +1637,14 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
 
     /// Fallible variant of [`Ctx::owner_step`] (time is charged whether or
     /// not the step succeeds).
-    pub fn try_owner_step<T>(&mut self, f: impl FnOnce() -> Result<T>) -> Result<T> {
+    pub(crate) fn try_owner_step<T>(&mut self, f: impl FnOnce() -> Result<T>) -> Result<T> {
         let t0 = Instant::now();
         let out = f();
         self.stats.owner_time += t0.elapsed();
         out
     }
 
-    /// Run (and time, as [`Ctx::try_owner_step`] does) the owner step that
+    /// Run (and time, as `Ctx::try_owner_step` does) the owner step that
     /// reads a round's replies — `outs[server][item]`, a read-only view per
     /// listed server — and when it ends send the backend's buffers home:
     /// each to the backend, and there the server, that produced it
@@ -1671,7 +1671,7 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
 
     /// Run a step at each of `n` owners, charging the *slowest* owner's
     /// time (owners run on their own machines in deployment).
-    pub fn each_owner<T>(
+    pub(crate) fn each_owner<T>(
         &mut self,
         n: usize,
         mut f: impl FnMut(usize) -> Result<T>,

@@ -38,7 +38,7 @@ pub mod error;
 pub mod malicious;
 pub mod max;
 pub mod median;
-pub mod multiattr;
+pub(crate) mod multiattr;
 pub mod params;
 pub mod plans;
 pub mod psi;

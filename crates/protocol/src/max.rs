@@ -29,8 +29,7 @@
 //! owner view's cached [`prism_core::PolyTable`]
 //! ([`OwnerParams::poly_table`]), which the plans use whenever the
 //! aggregation domain allows one; the others evaluate `F` per cell
-//! (Horner) — the plans' path past
-//! [`POLY_TABLE_LIMIT`](crate::params::POLY_TABLE_LIMIT), and the reference
+//! (Horner) — the plans' path past `POLY_TABLE_LIMIT`, and the reference
 //! the tests hold the table path to.
 //!
 //! Verification (reconstruction; DESIGN.md §3.9): each owner checks the
@@ -61,7 +60,12 @@ pub struct BlindedMaxUpload {
 /// group were sized for. A larger value would overflow the table or the
 /// group, and the owners would then blame the servers for their own
 /// input; it is refused here as [`ProtocolError::OutOfDomain`].
-pub fn owner_check_domain(owner: usize, values: &[u64], common: &[usize], hi: u64) -> Result<()> {
+pub(crate) fn owner_check_domain(
+    owner: usize,
+    values: &[u64],
+    common: &[usize],
+    hi: u64,
+) -> Result<()> {
     match common.iter().map(|&cell| values[cell]).find(|&v| v > hi) {
         Some(v) => Err(ProtocolError::OutOfDomain {
             value: format!("owner {owner}: {v} (max / median values end at {hi})"),
@@ -108,7 +112,7 @@ pub fn server_max_round(owner_uploads: &[BlindedMaxUpload], sp: &ServerParams) -
 }
 
 /// [`server_max_round`] with an explicit worker count.
-pub fn server_max_round_threads(
+pub(crate) fn server_max_round_threads(
     owner_uploads: &[BlindedMaxUpload],
     sp: &ServerParams,
     threads: usize,
@@ -171,7 +175,7 @@ pub fn announcer_find_max(
 }
 
 /// [`announcer_find_max`] with an explicit worker count.
-pub fn announcer_find_max_threads(
+pub(crate) fn announcer_find_max_threads(
     from_s1: &WideVec,
     from_s2: &WideVec,
     ap: &AnnouncerParams,
@@ -245,7 +249,7 @@ pub fn announcer_find_max_threads(
 /// are the server matrices the announcement was computed from
 /// (`cells × m` rows); the tampered announcement stays shape-valid, so
 /// detection is the *owners'* job (exactly the paper's threat model).
-pub fn tamper_announcement(
+pub(crate) fn tamper_announcement(
     ann: &mut MaxAnnouncement,
     from_s1: &WideVec,
     from_s2: &WideVec,
@@ -451,7 +455,7 @@ pub fn owner_decode_max_tab(
 
 /// Owner Step 5b: decide, per common cell, whether this owner holds the
 /// announced max, and share the claim bits additively.
-pub fn owner_claim_bits(
+pub(crate) fn owner_claim_bits(
     maxima: &[u64],
     decoded: &[MaxCell],
     op: &OwnerParams,
@@ -472,7 +476,10 @@ pub fn owner_claim_bits(
 /// owner order (no permutation; identities are the point), relayed
 /// owner-major: one column of `cells` shares per owner, as the owners sent
 /// them. Cell `c`'s fpos row is entry `c` of every column.
-pub fn server_assemble_fpos(owner_claims: &[Vec<u64>], sp: &ServerParams) -> Result<Vec<Vec<u64>>> {
+pub(crate) fn server_assemble_fpos(
+    owner_claims: &[Vec<u64>],
+    sp: &ServerParams,
+) -> Result<Vec<Vec<u64>>> {
     if owner_claims.len() != sp.m {
         return Err(ProtocolError::ParameterMismatch(format!(
             "expected {} claim vectors, got {}",
@@ -491,7 +498,7 @@ pub fn server_assemble_fpos(owner_claims: &[Vec<u64>], sp: &ServerParams) -> Res
 
 /// Owner Step 7: add the two servers' owner-major fpos tables (m columns
 /// of one length each) → per-cell holder bitmaps, one `bool` per owner.
-pub fn owner_decode_fpos(
+pub(crate) fn owner_decode_fpos(
     fpos1: &[Vec<u64>],
     fpos2: &[Vec<u64>],
     op: &OwnerParams,
@@ -526,7 +533,7 @@ pub fn owner_decode_fpos(
 /// 2. F-inversion must have succeeded (checked in `owner_decode_max`);
 /// 3. at least one owner must claim each cell's max in fpos, and the
 ///    credited holder must be among the claimants.
-pub fn owner_verify_max(
+pub(crate) fn owner_verify_max(
     own_blinded: &WideVec,
     announced_blinded: &WideVec,
     decoded: &[MaxCell],

@@ -35,7 +35,7 @@ pub const SHAMIR_SERVERS: usize = 3;
 /// ([`OwnerParams::poly_table`]): `(hi + 2) × width` limbs, 32 KB at
 /// `hi` = 2 000 and width 2, but tens of MB past 2²². Above it the
 /// max / median steps evaluate `F` per cell (Horner).
-pub const POLY_TABLE_LIMIT: u64 = 1 << 22;
+pub(crate) const POLY_TABLE_LIMIT: u64 = 1 << 22;
 
 /// The F-table behind [`OwnerParams::poly_table`]: empty until the first
 /// max / median needs it, then kept — like a `Permutation`'s inverse map —
@@ -84,7 +84,7 @@ impl SystemConfig {
     }
 
     /// Override δ (must be prime and > owners).
-    pub fn with_delta(mut self, delta: u64) -> Self {
+    pub(crate) fn with_delta(mut self, delta: u64) -> Self {
         self.delta = Some(delta);
         self
     }
@@ -135,7 +135,7 @@ impl OwnerParams {
     /// first time it is asked for and kept: blinding reads `F(M)` and
     /// `F(M+1)` from it and inversion binary-searches it, where the Horner
     /// path evaluates `F` at every step. `None` when `agg_domain_max`
-    /// exceeds [`POLY_TABLE_LIMIT`], or when `agg_domain_max` /
+    /// exceeds `POLY_TABLE_LIMIT`, or when `agg_domain_max` /
     /// `wide_width` were edited after the table was built — the steps then
     /// evaluate `F` per cell.
     pub fn poly_table(&self) -> Option<&PolyTable> {

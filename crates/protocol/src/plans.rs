@@ -235,7 +235,7 @@ impl Operation for Sum {
 /// PSI sum over several attributes (Table 12's workload): the attributes
 /// share one PSI and one batched round 2.
 #[derive(Debug, Clone)]
-pub struct SumMulti {
+pub(crate) struct SumMulti {
     /// Aggregation attribute indices.
     pub attrs: Vec<u8>,
     /// Seed for the z-share randomness.
@@ -599,9 +599,8 @@ pub struct Max<'a> {
     /// An F-table to run from instead of the owner view's own
     /// ([`OwnerParams::poly_table`]). `None` — what every caller in this
     /// repository passes — uses the view's table, which is built once per
-    /// parameter set, or evaluates `F` per cell past
-    /// [`POLY_TABLE_LIMIT`](crate::params::POLY_TABLE_LIMIT). Kept only
-    /// because the repo benchmark names the field.
+    /// parameter set, or evaluates `F` per cell past `POLY_TABLE_LIMIT`.
+    /// Kept only because the repo benchmark names the field.
     pub table: Option<&'a PolyTable>,
     /// Base seed for the owners' blinding randomness.
     pub seed: u64,
@@ -729,7 +728,7 @@ impl Operation for Median<'_> {
 /// PSI over a product domain (§6.6): plain PSI plus owner-side decoding of
 /// common cells back into attribute tuples.
 #[derive(Debug)]
-pub struct PsiTuples<'a> {
+pub(crate) struct PsiTuples<'a> {
     /// The product domain the cluster's cells were laid out over.
     pub domain: &'a ProductDomain,
 }

@@ -46,32 +46,22 @@ pub fn blinding_for(sp: &ServerParams) -> Vec<u64> {
 /// `sp.psu_prg_seed`; neither communicates with the other. Regenerates
 /// the blinding slice on every call — callers holding a node open across
 /// rounds should pass a cached [`blinding_for`] slice to
-/// [`server_psu_round_with_rand`] instead.
+/// [`server_psu_round_into`] instead.
 pub fn server_psu_round(
     owner_shares: &[&[u64]],
     sp: &ServerParams,
     threads: usize,
 ) -> Result<Vec<u64>> {
-    server_psu_round_with_rand(owner_shares, &blinding_for(sp), sp, threads)
-}
-
-/// [`server_psu_round`] with a caller-supplied blinding slice (must be
-/// [`blinding_for`]`(sp)` — the protocol depends on both servers using
-/// the identical stream).
-pub fn server_psu_round_with_rand(
-    owner_shares: &[&[u64]],
-    rand: &[u64],
-    sp: &ServerParams,
-    threads: usize,
-) -> Result<Vec<u64>> {
     let mut out = vec![0u64; sp.b];
-    server_psu_round_into(owner_shares, rand, sp, &mut out, threads)?;
+    server_psu_round_into(owner_shares, &blinding_for(sp), sp, &mut out, threads)?;
     Ok(out)
 }
 
-/// In-place Step 2 (Equation 18): writes into a caller-owned buffer — the
+/// In-place Step 2 (Equation 18) with a caller-supplied blinding slice
+/// (must be [`blinding_for`]`(sp)` — the protocol depends on both servers
+/// using the identical stream): writes into a caller-owned buffer — the
 /// arena path the engine reuses across rounds, performing zero heap
-/// allocations per call. Bit-identical to [`server_psu_round_with_rand`].
+/// allocations per call. Bit-identical to [`server_psu_round`].
 pub fn server_psu_round_into(
     owner_shares: &[&[u64]],
     rand: &[u64],
@@ -184,36 +174,6 @@ pub fn membership(combined: &[u64]) -> Vec<bool> {
     combined.iter().map(|&v| v != 0).collect()
 }
 
-/// Cell indices present in the union.
-pub fn union_cells(combined: &[u64]) -> Vec<usize> {
-    combined
-        .iter()
-        .enumerate()
-        .filter_map(|(i, &v)| (v != 0).then_some(i))
-        .collect()
-}
-
-/// PSU verification round at server φ (reconstruction; DESIGN.md §3.9 —
-/// the paper's full version covers per-operation verification, and PSU
-/// fits the same two-copy pattern as count): run the PSU round over a
-/// copy of χ the owners permuted with `PF_dbk`, then apply this server's
-/// `PF_sk` so both copies land in `PF_i` order.
-pub fn server_psu_verify_round(
-    permuted_shares: &[&[u64]],
-    sp: &ServerParams,
-    which_copy: u8,
-    threads: usize,
-) -> Result<Vec<u64>> {
-    let out = server_psu_round(permuted_shares, sp, threads)?;
-    match which_copy {
-        1 => Ok(sp.pf_s1.apply(&out)),
-        2 => Ok(sp.pf_s2.apply(&out)),
-        _ => Err(ProtocolError::ParameterMismatch(format!(
-            "copy selector must be 1 or 2, got {which_copy}"
-        ))),
-    }
-}
-
 /// Owner-side PSU verification: the two `PF_i`-ordered copies must agree
 /// on membership (zero vs non-zero) cell-for-cell. The blinding factors
 /// differ between copies (each copy's PRG stream binds to its permuted
@@ -256,7 +216,7 @@ mod tests {
     use super::*;
     use crate::params::{Initiator, Setup, SystemConfig};
     use crate::tables::{share_indicator, IndicatorShares, OwnerTable};
-    use prism_core::{DenseIntDomain, Prg};
+    use prism_core::{DenseIntDomain, Permutation, Prg};
 
     fn fixture(owner_sets: &[Vec<u64>], domain: u64, seed: u64) -> (Setup, Vec<IndicatorShares>) {
         let m = owner_sets.len();
@@ -308,7 +268,6 @@ mod tests {
         let (setup, uploads) = fixture(&sets, 3, 33);
         let combined = run_psu(&setup, &uploads, 1);
         assert_eq!(membership(&combined), vec![true, true, true]);
-        assert_eq!(union_cells(&combined), vec![0, 1, 2]);
     }
 
     #[test]
@@ -370,7 +329,7 @@ mod tests {
         let sp = &setup.servers[0];
         let refs: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
         let rand = blinding_for(sp);
-        let reference = server_psu_round_with_rand(&refs, &rand, sp, 1).unwrap();
+        let reference = server_psu_round(&refs, sp, 1).unwrap();
         let mut out = vec![u64::MAX; sp.b];
         server_psu_round_into(&refs, &rand, sp, &mut out, 1).unwrap();
         assert_eq!(out, reference);
@@ -390,11 +349,19 @@ mod tests {
         assert!(server_psu_round(&[&bad, &uploads[1].shares[0]], &setup.servers[0], 1).is_err());
     }
 
+    /// The verification round at a server (reconstruction; DESIGN.md §3.9 —
+    /// PSU fits the same two-copy pattern as count): the PSU round over a
+    /// copy the owners permuted with `PF_dbk`, then this server's `PF_sk`, so
+    /// both copies land in `PF_i` order.
+    fn verify_round(shares: &[&[u64]], sp: &ServerParams, pf: &Permutation) -> Vec<u64> {
+        pf.apply(&server_psu_round(shares, sp, 1).unwrap())
+    }
+
     fn permuted_uploads(
         setup: &Setup,
         owner_sets: &[Vec<u64>],
         domain: u64,
-        perm: &prism_core::Permutation,
+        perm: &Permutation,
         seed: u64,
     ) -> Vec<IndicatorShares> {
         let dmap = DenseIntDomain::one_to(domain);
@@ -419,16 +386,17 @@ mod tests {
         let op = &setup.owner;
         let up_a = permuted_uploads(&setup, &sets, 6, &op.pf_db1, 100);
         let up_b = permuted_uploads(&setup, &sets, 6, &op.pf_db2, 200);
-        let run = |ups: &[IndicatorShares], which: u8| -> Vec<Vec<u64>> {
+        let run = |ups: &[IndicatorShares], copy_b: bool| -> Vec<Vec<u64>> {
             (0..2)
                 .map(|s| {
                     let refs: Vec<&[u64]> = ups.iter().map(|u| u.shares[s].as_slice()).collect();
-                    server_psu_verify_round(&refs, &setup.servers[s], which, 1).unwrap()
+                    let sp = &setup.servers[s];
+                    verify_round(&refs, sp, if copy_b { &sp.pf_s2 } else { &sp.pf_s1 })
                 })
                 .collect()
         };
-        let a = run(&up_a, 1);
-        let b = run(&up_b, 2);
+        let a = run(&up_a, false);
+        let b = run(&up_b, true);
         let members =
             owner_verify_union((&a[0], &a[1]), (&b[0], &b[1]), op).expect("honest verifies");
         // Membership is reported in PF_i order; the *count* matches the
@@ -450,18 +418,11 @@ mod tests {
         let refs_b1: Vec<&[u64]> = up_b.iter().map(|u| u.shares[0].as_slice()).collect();
         let refs_b2: Vec<&[u64]> = up_b.iter().map(|u| u.shares[1].as_slice()).collect();
         // S1 zeroes part of copy A only (drops union members).
-        let mut a1 = server_psu_verify_round(&refs_a1, &setup.servers[0], 1, 1).unwrap();
+        let mut a1 = verify_round(&refs_a1, &setup.servers[0], &setup.servers[0].pf_s1);
         a1.fill(0);
-        let a2 = server_psu_verify_round(&refs_a2, &setup.servers[1], 1, 1).unwrap();
-        let b1 = server_psu_verify_round(&refs_b1, &setup.servers[0], 2, 1).unwrap();
-        let b2 = server_psu_verify_round(&refs_b2, &setup.servers[1], 2, 1).unwrap();
+        let a2 = verify_round(&refs_a2, &setup.servers[1], &setup.servers[1].pf_s1);
+        let b1 = verify_round(&refs_b1, &setup.servers[0], &setup.servers[0].pf_s2);
+        let b2 = verify_round(&refs_b2, &setup.servers[1], &setup.servers[1].pf_s2);
         assert!(owner_verify_union((&a1, &a2), (&b1, &b2), &setup.owner).is_err());
-    }
-
-    #[test]
-    fn psu_verify_copy_selector_validated() {
-        let (setup, uploads) = fixture(&[vec![1u64], vec![1u64]], 2, 93);
-        let refs: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
-        assert!(server_psu_verify_round(&refs, &setup.servers[0], 0, 1).is_err());
     }
 }

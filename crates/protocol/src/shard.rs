@@ -1,10 +1,10 @@
 //! Sharded-domain execution: row-range shards behind one [`ServerExec`].
 //!
 //! PRISM's evaluation scales each server's domain to 5M–20M cells (§8),
-//! but a monolithic [`ColumnStore`](crate::engine::ColumnStore) bounds
-//! every round by one node's memory bandwidth. This module splits a domain into **row-range
-//! shards** — shard `i` owns global rows `[start_i, start_i + len_i)` of
-//! every stored column — each held by its own [`ServerNode`]:
+//! but a monolithic `ColumnStore` bounds every round by one node's memory
+//! bandwidth. This module splits a domain into **row-range shards** — shard
+//! `i` owns global rows `[start_i, start_i + len_i)` of every stored column
+//! — each held by its own [`ServerNode`]:
 //!
 //! * [`ShardPlan`] is the row partition: contiguous ranges covering
 //!   `0..b`, the same for every column and every owner, so a global row
@@ -242,12 +242,6 @@ impl ShardPlan {
                 }
             })
             .collect())
-    }
-
-    /// The row range shard `dead` owned — what a failover must
-    /// re-outsource. `None` if the plan has no such shard.
-    pub fn lost_range(&self, dead: usize) -> Option<ShardSpec> {
-        self.specs.get(dead).copied()
     }
 
     /// Re-plan the same domain over one fewer shard: the balanced
@@ -654,8 +648,6 @@ mod tests {
             for k in 2usize..=8 {
                 let plan = ShardPlan::new(b, k);
                 for dead in 0..plan.shard_count() {
-                    let lost = plan.lost_range(dead).unwrap();
-                    assert_eq!(lost.index, dead);
                     let healed = plan.without(dead);
                     assert_eq!(healed.domain(), b);
                     assert_eq!(
@@ -669,7 +661,6 @@ mod tests {
                 }
             }
         }
-        assert!(ShardPlan::new(8, 2).lost_range(5).is_none());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! primary vector — a server cannot tamper consistently with a permutation
 //! it does not know.
 //!
-//! Driven end-to-end by the [`crate::plans::Sum`], [`crate::plans::SumMulti`]
+//! Driven end-to-end by the [`crate::plans::Sum`], `plans::SumMulti`
 //! and [`crate::plans::SumVerified`] round plans (the verified variant
 //! batches the primary and verification passes into one round-trip).
 

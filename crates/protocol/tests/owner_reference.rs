@@ -16,7 +16,7 @@ use proptest::prelude::*;
 mod multi_pass {
     use super::*;
 
-    pub fn psi_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<u64>> {
+    pub(crate) fn psi_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<u64>> {
         if out1.len() != op.b || out2.len() != op.b {
             return Err(ProtocolError::ParameterMismatch(format!(
                 "server outputs have lengths {} / {}, expected {}",
@@ -30,7 +30,12 @@ mod multi_pass {
         Ok(fop)
     }
 
-    pub fn psi_verify(fop: &[u64], vout1: &[u64], vout2: &[u64], op: &OwnerParams) -> Result<()> {
+    pub(crate) fn psi_verify(
+        fop: &[u64],
+        vout1: &[u64],
+        vout2: &[u64],
+        op: &OwnerParams,
+    ) -> Result<()> {
         if vout1.len() != op.b || vout2.len() != op.b || fop.len() != op.b {
             return Err(ProtocolError::ParameterMismatch(
                 "verification vectors have wrong length".into(),
@@ -49,12 +54,12 @@ mod multi_pass {
         }
     }
 
-    pub fn count(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<usize> {
+    pub(crate) fn count(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<usize> {
         let fop = psi_combine(out1, out2, op)?;
         Ok(fop.iter().filter(|&&v| v == 1).count())
     }
 
-    pub fn verify_count(
+    pub(crate) fn verify_count(
         copy_a: (&[u64], &[u64]),
         copy_b: (&[u64], &[u64]),
         op: &OwnerParams,
@@ -72,7 +77,7 @@ mod multi_pass {
         Ok(fop_a.iter().filter(|&&v| v == 1).count())
     }
 
-    pub fn verify_count_bound(
+    pub(crate) fn verify_count_bound(
         copy_a: (&[u64], &[u64]),
         copy_b: (&[u64], &[u64]),
         complement: (&[u64], &[u64]),
@@ -95,7 +100,7 @@ mod multi_pass {
         verify_count(copy_a, copy_b, op)
     }
 
-    pub fn psu_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<u64>> {
+    pub(crate) fn psu_combine(out1: &[u64], out2: &[u64], op: &OwnerParams) -> Result<Vec<u64>> {
         if out1.len() != op.b || out2.len() != op.b {
             return Err(ProtocolError::ParameterMismatch(
                 "PSU outputs have wrong length".into(),
@@ -106,7 +111,7 @@ mod multi_pass {
         Ok(combined)
     }
 
-    pub fn verify_union(
+    pub(crate) fn verify_union(
         copy_a: (&[u64], &[u64]),
         copy_b: (&[u64], &[u64]),
         op: &OwnerParams,
@@ -124,7 +129,11 @@ mod multi_pass {
         Ok(psu::membership(&a))
     }
 
-    pub fn sum_verify(primary: &[u64], verification: &[u64], op: &OwnerParams) -> Result<()> {
+    pub(crate) fn sum_verify(
+        primary: &[u64],
+        verification: &[u64],
+        op: &OwnerParams,
+    ) -> Result<()> {
         if primary.len() != op.b || verification.len() != op.b {
             return Err(ProtocolError::ParameterMismatch(
                 "verification vectors have wrong length".into(),

@@ -15,4 +15,4 @@ pub mod table11;
 
 pub use codec::{decode_column, encode_column, CodecError};
 pub use store::{ServerStore, StoreError};
-pub use table11::{SharedTable, AGG_COLUMNS};
+pub use table11::SharedTable;

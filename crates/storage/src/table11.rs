@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Names of the four aggregation columns, in Table-11 order.
-pub const AGG_COLUMNS: [&str; 4] = ["PK", "LN", "SK", "DT"];
+pub(crate) const AGG_COLUMNS: [&str; 4] = ["PK", "LN", "SK", "DT"];
 
 /// One owner's upload to one server.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq, Default)]

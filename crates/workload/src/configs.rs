@@ -30,7 +30,7 @@ impl Scale {
     }
 
     /// Scale a paper-sized quantity down.
-    pub fn shrink(&self, paper_value: u64) -> u64 {
+    pub(crate) fn shrink(&self, paper_value: u64) -> u64 {
         match self {
             Scale::Full => paper_value,
             Scale::Medium => (paper_value / 10).max(1),

@@ -21,7 +21,7 @@ pub struct Patient {
 }
 
 /// Table 1 — Hospital 1.
-pub fn hospital_1() -> Vec<Patient> {
+pub(crate) fn hospital_1() -> Vec<Patient> {
     vec![
         Patient {
             name: "John",
@@ -45,7 +45,7 @@ pub fn hospital_1() -> Vec<Patient> {
 }
 
 /// Table 2 — Hospital 2.
-pub fn hospital_2() -> Vec<Patient> {
+pub(crate) fn hospital_2() -> Vec<Patient> {
     vec![
         Patient {
             name: "John",
@@ -69,7 +69,7 @@ pub fn hospital_2() -> Vec<Patient> {
 }
 
 /// Table 3 — Hospital 3.
-pub fn hospital_3() -> Vec<Patient> {
+pub(crate) fn hospital_3() -> Vec<Patient> {
     vec![
         Patient {
             name: "Carl",
@@ -99,7 +99,7 @@ pub fn all_hospitals() -> Vec<Vec<Patient>> {
 
 /// The public disease domain all hospitals agree on (§4: owners know the
 /// domain of the set attribute).
-pub fn disease_domain() -> EnumeratedDomain<&'static str> {
+pub(crate) fn disease_domain() -> EnumeratedDomain<&'static str> {
     EnumeratedDomain::new(["Cancer", "Fever", "Heart"])
 }
 

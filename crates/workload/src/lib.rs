@@ -15,4 +15,4 @@ pub mod outsource;
 
 pub use configs::Scale;
 pub use lineitem::{LineItemConfig, LineItemRow};
-pub use outsource::{group_by_ok, outsource_owner, OutsourcedOwner};
+pub use outsource::{group_by_ok, outsource_owner};

@@ -132,13 +132,6 @@ impl LineItemConfig {
     }
 }
 
-/// Scale a fixed-precision decimal into the integer encoding of §4:
-/// `scale_decimal(8.02, 2) == 802`.
-pub fn scale_decimal(value: f64, digits: u32) -> u64 {
-    let factor = 10u64.pow(digits) as f64;
-    (value * factor).round() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,14 +191,6 @@ mod tests {
             dt: 5,
         };
         assert_eq!(r.agg_values(), vec![2, 3, 4, 5]);
-    }
-
-    #[test]
-    fn decimal_scaling_example_from_section_4() {
-        // "maximum over {0.5, 8.2, 8.02} by computing over {50, 820, 802}"
-        assert_eq!(scale_decimal(0.5, 2), 50);
-        assert_eq!(scale_decimal(8.2, 2), 820);
-        assert_eq!(scale_decimal(8.02, 2), 802);
     }
 
     #[test]

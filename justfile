@@ -36,39 +36,19 @@ fmt:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
-# Phase 1 is single-sourced: only `prism_protocol::tables` may permute a
-# plaintext column with PF_db1/PF_db2 on its way to the servers. Fails if
-# a harness (test, example, bench, workload, or the in-memory driver)
-# grows its own copy of the outsourcing routine again.
+# The "exists once" guards (Phase 1, the server-round fan-out, the owner
+# facade, the F-table); scripts/guards.sh says what each one keeps single.
 phase1-once:
-    ! git grep -nE 'db[12]\.apply\(' -- 'crates/*/tests/**' tests examples crates/bench crates/workload crates/protocol/src/driver.rs ':!examples/benchmark'
+    scripts/guards.sh phase1-once
 
-# A server round divides its rows once: `chunk` is the only module of
-# `prism_protocol` that spawns threads. Fails if another module grows its
-# own spawn site (a per-shard or per-item fan-out nested in the round)
-# again.
 one-fanout:
-    ! git grep -n 'thread::scope\|thread::spawn' -- crates/protocol/src ':!crates/protocol/src/chunk.rs'
+    scripts/guards.sh one-fanout
 
-# One owner-side facade, `driver::Cluster`, over any deployment. Fails if
-# `crates/net/src` names a query again (a `pub fn psi*`/`psu*` other than
-# the two batch shims the repo benchmark pins), or if a test or example
-# goes back to sharing and uploading raw columns by hand instead of
-# `Cluster::over`. Allow-list: the one `owner_columns` helper of
-# `crates/net/tests/shard_e2e.rs`, for its two wire-level cases that
-# compare *how* columns are shipped (`bulk_upload_cuts_phase1_…`,
-# `bulk_and_per_column_uploads_store_identically`).
 one-facade:
-    ! git grep -nE 'pub fn ps[iu]' -- crates/net/src | grep -vE 'pub fn psi_query_batch(_range)?\('
-    ! git grep -nE '(owner_uploads|share_owner)\(' -- crates/net/tests tests examples ':!examples/benchmark' | grep -v '^crates/net/tests/shard_e2e.rs:'
-    test "$(git grep -cE '(owner_uploads|share_owner)\(' -- crates/net/tests/shard_e2e.rs | cut -d: -f2)" = 1
+    scripts/guards.sh one-facade
 
-# One F-table per parameter set: outside tests and benches, only the owner
-# view's cache (`OwnerParams::poly_table` in `params.rs`) calls
-# `OrderPolynomial::table` (`polynomial.rs` defines it and tests it).
-# Fails if a facade, plan or harness builds its own table again.
 poly-table-once:
-    ! git grep -nE '\.table\(' -- 'crates/*/src/**' src examples ':!examples/benchmark' ':!crates/protocol/src/params.rs' ':!crates/core/src/polynomial.rs'
+    scripts/guards.sh poly-table-once
 
 # Non-test vs test Rust line counts per crate (vendor/ and
 # examples/benchmark/ excluded), the one table simplicity PRs quote. In a
