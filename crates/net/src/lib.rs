@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 pub mod cluster;
+mod executor;
 pub mod mux;
 pub mod registry;
 mod router;

@@ -76,7 +76,7 @@ use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{AnnouncerParams, ServerParams, Setup, ADDITIVE_SERVERS};
 use prism_protocol::shard::{ShardPlan, ShardSpec};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -258,6 +258,8 @@ struct RegistryInner {
     /// worker links' multiplexers.
     corr: AtomicU64,
     stop: AtomicBool,
+    /// Attach handshakes in flight ([`Handshake`]).
+    handshakes: AtomicUsize,
     // Announcer attach state (filled by the dispatcher, consumed by
     // `start`, probed afterwards).
     announcer_ctl: Mutex<Option<Arc<TcpLink>>>,
@@ -566,6 +568,7 @@ impl ClusterListener {
             next_node: AtomicU64::new(0),
             corr: AtomicU64::new(1 << 62),
             stop: AtomicBool::new(false),
+            handshakes: AtomicUsize::new(0),
             announcer_ctl: Mutex::new(None),
             announcer_uploads: Mutex::new(vec![None; ADDITIVE_SERVERS]),
             announcer_mux: Mutex::new(None),
@@ -709,9 +712,38 @@ fn dispatcher_loop(inner: Arc<RegistryInner>, listener: TcpListener) {
             return;
         }
         // Handshakes run on their own threads so one stalled dialer
-        // cannot block every other attach.
+        // cannot block every other attach — at most `MAX_HANDSHAKES` of
+        // them: past the cap, `stream` drops here and the dial is closed
+        // unanswered.
+        let Some(place) = Handshake::begin(&inner) else {
+            continue;
+        };
         let inner = Arc::clone(&inner);
-        std::thread::spawn(move || handle_attach(&inner, stream));
+        std::thread::spawn(move || handle_attach(&inner, stream, place));
+    }
+}
+
+/// Attach handshakes in flight at once. A flood of dials that never
+/// register pins at most this many threads, each for at most
+/// `probe_timeout`.
+const MAX_HANDSHAKES: usize = 16;
+
+/// One attach handshake's place under [`MAX_HANDSHAKES`], given back when
+/// dropped.
+struct Handshake(Arc<RegistryInner>);
+
+impl Handshake {
+    /// A place for one more handshake, or `None` at the cap.
+    fn begin(inner: &Arc<RegistryInner>) -> Option<Handshake> {
+        let before = inner.handshakes.fetch_add(1, Ordering::AcqRel);
+        let place = Handshake(Arc::clone(inner));
+        (before < MAX_HANDSHAKES).then_some(place)
+    }
+}
+
+impl Drop for Handshake {
+    fn drop(&mut self) {
+        self.0.handshakes.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -733,11 +765,14 @@ fn reject(link: &TcpLink) {
     register_ack(link, None, 0);
 }
 
-fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream) {
+fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake) {
     let link = match TcpLink::new(stream) {
         Ok(l) => Arc::new(l),
         Err(_) => return,
     };
+    // Declared after `link`, so it drops first: the place is free again
+    // before a dialer sent away sees its socket close.
+    let _place = place;
     // The Register frame is due within one probe timeout, so a dialer that
     // connects and stays silent cannot pin this thread. The deadline is
     // lifted before the link can reach a worker slot or an announcer pump,
@@ -1499,8 +1534,9 @@ mod tests {
         let attach = |stream: TcpStream| {
             let (done, finished) = std::sync::mpsc::channel();
             let inner = Arc::clone(&listener.inner);
+            let place = Handshake::begin(&inner).expect("under the cap");
             std::thread::spawn(move || {
-                handle_attach(&inner, stream);
+                handle_attach(&inner, stream, place);
                 let _ = done.send(());
             });
             finished
@@ -1530,6 +1566,38 @@ mod tests {
         // And a real worker still attaches through the dispatcher.
         let worker = ShardWorker::connect(params, 0, listener.addr(), Duration::from_secs(5))
             .expect("a slot is free");
+        assert_eq!(slot_nodes(&listener), [worker.node_id()]);
+        teardown(listener, vec![worker]);
+    }
+
+    #[test]
+    fn dials_past_the_handshake_cap_are_closed_at_once() {
+        use std::io::Read;
+        let (listener, params) = listener(1, 1);
+        let probe_timeout = listener.inner.cfg.probe_timeout;
+        let dial = || TcpStream::connect(listener.addr()).expect("dial");
+        let closed_within = |stream: &TcpStream, wait: Duration| {
+            stream.set_read_timeout(Some(wait)).expect("timeout");
+            matches!((&*stream).read(&mut [0u8; 1]), Ok(0))
+        };
+
+        // Silent dials take every place (the dispatcher accepts in dial
+        // order); the ones past the cap are closed without a handshake.
+        let silent: Vec<TcpStream> = (0..MAX_HANDSHAKES).map(|_| dial()).collect();
+        let extra: Vec<TcpStream> = (0..3).map(|_| dial()).collect();
+        for stream in &extra {
+            assert!(
+                closed_within(stream, probe_timeout / 2),
+                "a dial past the cap was not closed at once"
+            );
+        }
+        // The silent ones are dropped at their Register deadline, which
+        // frees their places first; then a real worker attaches.
+        for stream in &silent {
+            assert!(closed_within(stream, probe_timeout * 4));
+        }
+        let worker = ShardWorker::connect(params, 0, listener.addr(), Duration::from_secs(5))
+            .expect("a place and a slot are free");
         assert_eq!(slot_nodes(&listener), [worker.node_id()]);
         teardown(listener, vec![worker]);
     }

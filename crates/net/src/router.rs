@@ -16,6 +16,7 @@
 //! one [`WorkerSlot`] per link, generation 0 — and nobody else ever takes
 //! the write side. Same router, same node loop, two ways to reach them.
 
+use crate::executor::RoundExecutor;
 use crate::mux::{MuxLink, Pending};
 use crate::registry::Health;
 use crate::transport::{Link, NetError};
@@ -28,7 +29,6 @@ use prism_protocol::params::ServerParams;
 use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan, ShardSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Answer the owner side: tagged when the request carried a query
 /// envelope (the reply must route back through the owner's multiplexer to
@@ -90,18 +90,19 @@ fn run_wide(
     reply(owner_link, tag, Message::WideForwarded { rows, width, seq })
 }
 
-/// Serve one wide command on its own thread, against a read lock on
+/// Serve one wide command on a worker of `rounds`, against a read lock on
 /// `node` (see [`run_wide`]).
-fn spawn_wide(
+fn serve_wide(
+    rounds: &RoundExecutor,
     node: &Arc<RwLock<ServerNode>>,
     cmd: ServerCmd,
     seq: u64,
     tag: Option<u64>,
     owner_link: &Arc<dyn Link>,
     announcer: &Option<Arc<dyn Link>>,
-) -> JoinHandle<()> {
+) {
     let (node, owner_link, ann) = (Arc::clone(node), Arc::clone(owner_link), announcer.clone());
-    std::thread::spawn(move || {
+    rounds.execute(move || {
         let _ = run_wide(
             &node.read(),
             cmd,
@@ -110,7 +111,7 @@ fn spawn_wide(
             owner_link.as_ref(),
             ann.as_deref(),
         );
-    })
+    });
 }
 
 /// Run a stored-column batch on a node, flattening failures to the empty
@@ -131,22 +132,23 @@ fn run_batch_on(node: &ServerNode, batch: BatchQuery) -> Vec<Vec<u64>> {
     outs
 }
 
-/// Serve one stored-column batch on its own thread, against a read lock
-/// on `node`: run it, answer the owner with `wrap(outputs)`, and — the
-/// link having encoded or copied the reply by then — return the reply
-/// vectors to the node's arena, where its next round of that length
-/// writes into them. The lock is held to the end, so a store mutation
-/// queued behind this round (they take the write lock) also finds its
-/// buffers home.
-fn spawn_batch(
+/// Serve one stored-column batch on a worker of `rounds`, against a read
+/// lock on `node`: run it, answer the owner with `wrap(outputs)`, and —
+/// the link having encoded or copied the reply by then — return the
+/// reply vectors to the node's arena, where its next round of that
+/// length writes into them. The lock is held to the end, so a store
+/// mutation queued behind this round (they take the write lock) also
+/// finds its buffers home.
+fn serve_batch(
+    rounds: &RoundExecutor,
     node: &Arc<RwLock<ServerNode>>,
     batch: BatchQuery,
     tag: Option<u64>,
     link: &Arc<dyn Link>,
     wrap: impl FnOnce(Vec<Vec<u64>>) -> Message + Send + 'static,
-) -> JoinHandle<()> {
+) {
     let (node, link) = (Arc::clone(node), Arc::clone(link));
-    std::thread::spawn(move || {
+    rounds.execute(move || {
         let node = node.read();
         let msg = enveloped(tag, wrap(run_batch_on(&node, batch)));
         let _ = link.send(&msg);
@@ -155,7 +157,7 @@ fn spawn_batch(
         {
             node.reclaim(outs);
         }
-    })
+    });
 }
 
 /// Decode a delta upload's permutation extensions: empty maps mean
@@ -198,11 +200,13 @@ fn decode_perm_ext(
 /// entry dies.
 ///
 /// **Concurrency.** Query rounds (`RunBatch`, `ShardRun`, the wide
-/// commands) are served on spawned threads holding a read lock on the
-/// node, so N queries multiplexed over this link compute in parallel;
-/// each reply carries the request's query tag. Store mutations (uploads,
-/// tamper control, assignments) take the write lock inline on the
-/// serving thread — the link's receive order is the linearization point.
+/// commands) are served on the loop's [`RoundExecutor`] — a parked worker,
+/// or a new one when none is parked — holding a read lock on the node, so
+/// N queries multiplexed over this link compute in parallel; each reply
+/// carries the request's query tag. Store mutations (uploads, tamper
+/// control, assignments) take the write lock inline on the serving
+/// thread — the link's receive order is the linearization point.
+/// `Shutdown` waits for every round in flight, then retires the workers.
 pub(crate) fn node_loop(
     domain_params: ServerParams,
     link: Arc<dyn Link>,
@@ -233,7 +237,7 @@ pub(crate) fn node_loop(
         },
     })));
     let mut version_base = 0u64;
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
+    let rounds = RoundExecutor::new();
     loop {
         let (tag, msg) = link.recv()?.untag();
         match msg {
@@ -315,13 +319,13 @@ pub(crate) fn node_loop(
                 reply(link.as_ref(), tag, Message::Ack)?;
             }
             Message::RunBatch(batch) => {
-                workers.push(spawn_batch(&node, batch, tag, &link, Message::Outputs));
+                serve_batch(&rounds, &node, batch, tag, &link, Message::Outputs);
             }
             Message::ShardRun { shard, batch } => {
                 // Echo the shard index so the router can detect crossed
                 // links.
                 let wrap = move |outputs| Message::ShardOutputs { shard, outputs };
-                workers.push(spawn_batch(&node, batch, tag, &link, wrap));
+                serve_batch(&rounds, &node, batch, tag, &link, wrap);
             }
             Message::MaxCombine {
                 uploads,
@@ -329,23 +333,20 @@ pub(crate) fn node_loop(
                 seq,
             } => {
                 let cmd = ServerCmd::MaxCombine { uploads, threads };
-                workers.push(spawn_wide(&node, cmd, seq, tag, &link, &announcer));
+                serve_wide(&rounds, &node, cmd, seq, tag, &link, &announcer);
             }
             Message::AssembleFpos { claims } => {
                 let cmd = ServerCmd::AssembleFpos { claims };
-                workers.push(spawn_wide(&node, cmd, 0, tag, &link, &announcer));
+                serve_wide(&rounds, &node, cmd, 0, tag, &link, &announcer);
             }
             Message::Shutdown => {
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
+                rounds.shutdown();
                 return Ok(());
             }
             _ => {
                 // Reply-direction messages; ignore defensively.
             }
         }
-        workers.retain(|h| !h.is_finished());
     }
 }
 
@@ -495,11 +496,51 @@ enum RouteFail {
     Malformed,
 }
 
-/// Fan one batched round over the holder sets: each range's sub-batch
-/// ships to its primary (first holder) concurrently; a *link-level*
-/// failure — begin/send refused or the pump dead — retries the next
-/// replica of that range in holder order. A well-formed reply is final,
-/// right or wrong. A sub-batch is cloned only while a standby remains to
+/// One request per row range over the holder sets, `request(r, last)`
+/// building range `r`'s (`last`: no standby is left to retry it on). Every
+/// range's request ships to its primary (first holder) at once, so the
+/// failure-free path keeps every range's round-trip concurrent; a
+/// *link-level* failure — begin/send refused or the pump dead — retries
+/// the next replica of that range in holder order. A reply from a live
+/// holder is final, right or wrong: `accept(r, reply)` judges it, in range
+/// order, and the first range that fails ends the round.
+fn fan_ranges<T>(
+    holders: &[Vec<Arc<MuxLink>>],
+    corr: u64,
+    mut request: impl FnMut(usize, bool) -> Message,
+    mut accept: impl FnMut(usize, Message) -> Result<T, RouteFail>,
+) -> Result<Vec<T>, RouteFail> {
+    let mut ship = |r: usize, h: usize| -> Option<Pending> {
+        let link = holders[r].get(h)?;
+        let p = link.begin(corr).ok()?;
+        link.send(corr, request(r, h + 1 == holders[r].len()))
+            .ok()?;
+        Some(p)
+    };
+    let firsts: Vec<Option<Pending>> = (0..holders.len()).map(|r| ship(r, 0)).collect();
+    let mut replies = Vec::with_capacity(holders.len());
+    for (r, first) in firsts.into_iter().enumerate() {
+        let mut pending = first;
+        let mut next_holder = 1;
+        let reply = loop {
+            if let Some(Ok(reply)) = pending.map(|p| p.recv()) {
+                break reply;
+            }
+            // Link died mid-round: move to the next replica of this
+            // range, unless every holder of it is down.
+            if next_holder >= holders[r].len() {
+                return Err(RouteFail::Down(r as u64));
+            }
+            pending = ship(r, next_holder);
+            next_holder += 1;
+        };
+        replies.push(accept(r, reply)?);
+    }
+    Ok(replies)
+}
+
+/// Fan one batched round over the holder sets ([`fan_ranges`]) and merge
+/// the shard rows. A sub-batch is cloned only while a standby remains to
 /// retry it on; the last (at `rf = 1`, the only) holder gets it moved.
 fn route_batch(
     plan: &ShardPlan,
@@ -510,75 +551,25 @@ fn route_batch(
     corr: u64,
 ) -> Result<Vec<Vec<u64>>, RouteFail> {
     let mut subs = plan.split_batch(batch).map_err(|_| RouteFail::Malformed)?;
-    let ranges = subs.len();
-    let mut ship = |r: usize, h: usize| -> Option<Pending> {
-        let link = holders[r].get(h)?;
-        let p = link.begin(corr).ok()?;
-        let batch = if h + 1 < holders[r].len() {
-            subs[r].clone()
-        } else {
+    let sub_batch = |r: usize, last: bool| {
+        let batch = if last {
             std::mem::take(&mut subs[r])
+        } else {
+            subs[r].clone()
         };
         let shard = r as u32;
-        link.send(corr, Message::ShardRun { shard, batch }).ok()?;
-        Some(p)
+        Message::ShardRun { shard, batch }
     };
-    // Primary fan-out first — the failure-free fast path keeps every
-    // range's round-trip concurrent.
-    let firsts: Vec<Option<Pending>> = (0..ranges).map(|r| ship(r, 0)).collect();
-    let mut per_shard = Vec::with_capacity(ranges);
-    for (r, first) in firsts.into_iter().enumerate() {
-        let mut outcome = Err(RouteFail::Down(r as u64));
-        let mut pending = first;
-        let mut next_holder = 1;
-        loop {
-            if let Some(p) = pending {
-                match p.recv() {
-                    Ok(Message::ShardOutputs { shard, outputs }) if shard as usize == r => {
-                        outcome = Ok(outputs);
-                        break;
-                    }
-                    // Crossed or malformed reply from a live holder:
-                    // final, tamper-shaped.
-                    Ok(_) => {
-                        outcome = Err(RouteFail::Malformed);
-                        break;
-                    }
-                    // Link died mid-round: fall through to the next
-                    // replica of this range.
-                    Err(_) => {}
-                }
-            }
-            if next_holder >= holders[r].len() {
-                break; // every holder of this range is down
-            }
-            pending = ship(r, next_holder);
-            next_holder += 1;
-        }
-        per_shard.push(outcome?);
-    }
+    let per_shard = fan_ranges(holders, corr, sub_batch, |r, reply| match reply {
+        Message::ShardOutputs { shard, outputs } if shard as usize == r => Ok(outputs),
+        // Crossed or malformed reply from a live holder: tamper-shaped.
+        _ => Err(RouteFail::Malformed),
+    })?;
     let merged = merge_shard_outputs(&per_shard, batch, params, tamper);
     // The shard rows were copied into the merged reply; their decode
     // buffers go back to the wire pool.
     recycle_vecs(per_shard.into_iter().flatten());
     merged.map_err(|_| RouteFail::Malformed)
-}
-
-/// One request/reply round-trip against the first live holder of a
-/// range: holders are tried in primary order, moving on only on a
-/// link-level failure. `None` means every holder is down.
-fn ask_range(holders: &[Arc<MuxLink>], corr: u64, msg: &Message) -> Option<Message> {
-    for link in holders {
-        let attempt = || -> Result<Message, NetError> {
-            let p = link.begin(corr)?;
-            link.send(corr, msg.clone())?;
-            p.recv()
-        };
-        if let Ok(reply) = attempt() {
-            return Some(reply);
-        }
-    }
-    None
 }
 
 /// Validate a delta upload against the domain and, on growth, extend the
@@ -658,29 +649,36 @@ fn fan_delta(
     acked.then_some(()).ok_or(failed)
 }
 
-/// Serve one routed round on its own thread and answer the owner with
-/// its message, or `NodeDown` naming the failed range. The task holds
-/// the read side of the routing state for its whole fan-out — the heal
-/// barrier: a heal (write) waits for this round, and this round can
-/// never see a half-replayed store.
-fn spawn_route(
+/// Serve one routed round on a worker of `rounds` and answer the owner
+/// with its message: `NodeDown` naming the range that lost every holder
+/// (crash, not tamper), or for a malformed round the empty output list
+/// (shaped like tamper, reported like tamper). The task holds the read
+/// side of the routing state for its whole fan-out — the heal barrier: a
+/// heal (write) waits for this round, and this round can never see a
+/// half-replayed store.
+fn serve_route(
+    rounds: &RoundExecutor,
     shared: &Arc<RwLock<DomainState>>,
     owner_link: &Arc<dyn Link>,
     tag: Option<u64>,
-    round: impl FnOnce(&DomainState) -> Result<Message, u64> + Send + 'static,
-) -> JoinHandle<()> {
+    round: impl FnOnce(&DomainState) -> Result<Message, RouteFail> + Send + 'static,
+) {
     let (shared, owner_link) = (Arc::clone(shared), Arc::clone(owner_link));
-    std::thread::spawn(move || {
+    rounds.execute(move || {
         let st = shared.read();
         let outcome = if st.workers.is_empty() {
-            Err(NO_WORKERS)
+            Err(RouteFail::Down(NO_WORKERS))
         } else {
             round(&st)
         };
         drop(st);
-        let msg = outcome.unwrap_or_else(|node| Message::NodeDown { node });
+        let msg = match outcome {
+            Ok(msg) => msg,
+            Err(RouteFail::Down(node)) => Message::NodeDown { node },
+            Err(RouteFail::Malformed) => Message::Outputs(Vec::new()),
+        };
         let _ = reply(owner_link.as_ref(), tag, msg);
-    })
+    });
 }
 
 /// Run one domain's router loop until `Shutdown`: split uploads and
@@ -703,8 +701,9 @@ fn spawn_route(
 /// every worker round-trip — a fanned batch, a probe, a split upload —
 /// is correlated by a **router-local** id (high bit set, so it can never
 /// collide with an owner-minted `QueryId` or a registry control id), and
-/// query rounds are served on spawned route tasks so N queries fan out
-/// over the same worker links concurrently. Uploads and tamper control
+/// query rounds — routed batches, version probes, wide commands — are
+/// served on the loop's [`RoundExecutor`] so N queries fan out over the
+/// same worker links concurrently. Uploads and tamper control
 /// stay inline on the serving thread: the owner link's receive order is
 /// their linearization point. The domain tamper is snapshotted at
 /// dispatch for the same reason.
@@ -716,7 +715,7 @@ pub(crate) fn domain_loop(
     let wide_node = Arc::new(RwLock::new(ServerNode::new(shared.read().params.clone())));
     let tamper = Arc::new(RwLock::new(Tamper::Honest));
     let corr = AtomicU64::new(1 << 63);
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
+    let rounds = RoundExecutor::new();
     let acked = |tag, outcome: Result<(), u64>| {
         let msg = match outcome {
             Ok(()) => Message::Ack,
@@ -777,17 +776,11 @@ pub(crate) fn domain_loop(
             Message::RunBatch(batch) => {
                 let tamper_now = *tamper.read();
                 let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(spawn_route(&shared, &owner_link, tag, move |st| {
+                serve_route(&rounds, &shared, &owner_link, tag, move |st| {
                     let holders = st.holder_links();
-                    match route_batch(&st.plan, &st.params, &tamper_now, &batch, &holders, id) {
-                        Ok(outs) => Ok(Message::Outputs(outs)),
-                        // Crash: every holder of some range is gone.
-                        Err(RouteFail::Down(node)) => Err(node),
-                        // Malformed-but-alive shard: shaped like tamper,
-                        // reported like tamper.
-                        Err(RouteFail::Malformed) => Ok(Message::Outputs(Vec::new())),
-                    }
-                }));
+                    route_batch(&st.plan, &st.params, &tamper_now, &batch, &holders, id)
+                        .map(Message::Outputs)
+                });
             }
             Message::RangeVersionProbe => {
                 // Stamps come from each range's primary (replica fallback
@@ -799,16 +792,17 @@ pub(crate) fn domain_loop(
                 // the domain and entries cut against the old primary
                 // re-probe — they only revive if the new primary agrees.
                 let id = corr.fetch_add(1, Ordering::Relaxed);
-                workers.push(spawn_route(&shared, &owner_link, tag, move |st| {
-                    let mut stamps = Vec::new();
-                    for (r, hs) in st.holder_links().iter().enumerate() {
-                        match ask_range(hs, id, &Message::RangeVersionProbe) {
-                            Some(Message::Versions(v)) => stamps.extend(v),
-                            _ => return Err(r as u64),
-                        }
-                    }
-                    Ok(Message::Versions(stamps))
-                }));
+                serve_route(&rounds, &shared, &owner_link, tag, move |st| {
+                    let probe = |_, _| Message::RangeVersionProbe;
+                    // A holder answering anything but stamps is reported
+                    // like the loss of its range.
+                    let stamps = |r: usize, reply| match reply {
+                        Message::Versions(v) => Ok(v),
+                        _ => Err(RouteFail::Down(r as u64)),
+                    };
+                    let per_range = fan_ranges(&st.holder_links(), id, probe, stamps)?;
+                    Ok(Message::Versions(per_range.concat()))
+                });
             }
             Message::MaxCombine {
                 uploads,
@@ -816,18 +810,11 @@ pub(crate) fn domain_loop(
                 seq,
             } => {
                 let cmd = ServerCmd::MaxCombine { uploads, threads };
-                workers.push(spawn_wide(
-                    &wide_node,
-                    cmd,
-                    seq,
-                    tag,
-                    &owner_link,
-                    &announcer,
-                ));
+                serve_wide(&rounds, &wide_node, cmd, seq, tag, &owner_link, &announcer);
             }
             Message::AssembleFpos { claims } => {
                 let cmd = ServerCmd::AssembleFpos { claims };
-                workers.push(spawn_wide(&wide_node, cmd, 0, tag, &owner_link, &announcer));
+                serve_wide(&rounds, &wide_node, cmd, 0, tag, &owner_link, &announcer);
             }
             Message::Ping { seq } => {
                 let generation = shared.read().generation;
@@ -835,10 +822,8 @@ pub(crate) fn domain_loop(
             }
             Message::Shutdown => {
                 // Route tasks still in flight need their shard replies;
-                // join them before telling the workers to exit.
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
+                // wait for them before telling the workers to exit.
+                rounds.shutdown();
                 for w in shared.read().workers.iter() {
                     let _ = w.link.send_raw(&Message::Shutdown);
                 }
@@ -848,7 +833,6 @@ pub(crate) fn domain_loop(
                 // Reply-direction messages; ignore defensively.
             }
         }
-        workers.retain(|h| !h.is_finished());
     }
 }
 

@@ -298,6 +298,46 @@ fn tcp_sharded_cached_interleaved_matches_serial() {
     );
 }
 
+/// Interleaved streams in the many-streams case: more than a node keeps
+/// parked round workers (two), so every node serves rounds on parked and
+/// freshly started workers side by side.
+const MANY: usize = 8;
+
+/// `MANY` streams each run the full mix, rotated, on every deployment
+/// shape — channel and TCP, one and four shards: every answer and round
+/// count is the one the query gets run serially.
+#[test]
+fn more_streams_than_parked_workers_match_serial() {
+    for net in [
+        NetCluster::start_local(make_setup()),
+        NetCluster::start_local_sharded(make_setup(), 4),
+        NetCluster::start_tcp(make_setup()).unwrap(),
+        NetCluster::start_tcp_sharded(make_setup(), 4).unwrap(),
+    ] {
+        let cluster = outsource(net, false);
+        let serial: Vec<(String, QueryStats)> = QS
+            .iter()
+            .map(|&q| run_query(&cluster, 0, q).unwrap())
+            .collect();
+        std::thread::scope(|s| {
+            for i in 0..MANY {
+                let (cluster, serial) = (&cluster, &serial);
+                s.spawn(move || {
+                    for k in 0..QS.len() {
+                        let j = (k + i) % QS.len();
+                        let (out, stats) = run_query(cluster, (i % 3) as u32, QS[j]).unwrap();
+                        let q = QS[j];
+                        assert_eq!(out, serial[j].0, "{q:?} on stream {i}");
+                        assert_eq!(stats.rounds, serial[j].1.rounds, "{q:?} on stream {i}");
+                    }
+                });
+            }
+        });
+        assert_eq!(cluster.deployment().rejected_replies(), 0);
+        cluster.into_deployment().shutdown().unwrap();
+    }
+}
+
 /// Two queries in flight on the same nodes draw their reply buffers from
 /// the same arenas and the same decode pool, as they are, and hand them
 /// back while the other query is still being served. Pairs of different

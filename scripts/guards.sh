@@ -54,7 +54,14 @@ poly_table_once() {
         ':!crates/protocol/src/params.rs' ':!crates/core/src/polynomial.rs'
 }
 
-GUARDS="phase1-once one-fanout one-facade poly-table-once"
+# Query rounds run on the serving loop's round executor
+# (`crates/net/src/executor.rs`): above its tests, `router.rs` starts no
+# thread. Fails if a node or router loop goes back to a thread per round.
+one_executor() {
+    ! sed '/^#\[cfg(test)\]/q' crates/net/src/router.rs | grep -n 'thread::spawn'
+}
+
+GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor"
 
 run() {
     case "$1" in
@@ -62,6 +69,7 @@ run() {
         one-fanout) one_fanout ;;
         one-facade) one_facade ;;
         poly-table-once) poly_table_once ;;
+        one-executor) one_executor ;;
         *)
             echo "usage: scripts/guards.sh <all | $(echo "$GUARDS" | tr ' ' '|')>" >&2
             exit 2
