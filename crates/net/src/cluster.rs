@@ -357,7 +357,10 @@ pub struct NetCluster {
 }
 
 pub(crate) fn transport_err(e: NetError) -> ProtocolError {
-    ProtocolError::Transport(e.to_string())
+    match e {
+        NetError::UploadRefused(why) => ProtocolError::UploadRefused(why),
+        other => ProtocolError::Transport(other.to_string()),
+    }
 }
 
 /// One query's view of a [`NetCluster`]: the same links, every round
@@ -784,10 +787,12 @@ impl NetCluster {
             .sum()
     }
 
-    /// One acknowledged control round-trip over a multiplexed link.
+    /// One acknowledged control round-trip over a multiplexed link: an
+    /// upload the server refused is [`NetError::UploadRefused`].
     fn acked(&self, link: &Arc<MuxLink>, msg: Message) -> Result<(), NetError> {
         match link.request(self.fresh_query_id(), msg)? {
             Message::Ack => Ok(()),
+            Message::Refused(why) => Err(NetError::UploadRefused(why)),
             Message::NodeDown { node } => Err(NetError::NodeDown {
                 node: format!("shard worker {node}"),
             }),
@@ -805,9 +810,11 @@ impl NetCluster {
         &self.setup
     }
 
-    /// Upload every column of one owner's per-server table in a single
+    /// Put every column of one owner's per-server table in a single
     /// round-trip (the Phase-1 mirror of the batched round 2): one
-    /// [`Message::BulkUpload`] frame, however many columns.
+    /// [`Message::BulkUpload`] frame, however many columns. A server that
+    /// already holds rows of a column refuses the whole frame
+    /// ([`NetError::UploadRefused`]).
     pub fn bulk_upload(
         &self,
         server: usize,
@@ -820,17 +827,34 @@ impl NetCluster {
         if let Some(cache) = &self.cache {
             cache.note_upload(server);
         }
-        // The registry replays recorded uploads when it re-fans a healed
-        // domain; record before sending so a crash mid-upload can only
-        // replay too much (stores are overwrite-idempotent), never too
-        // little.
-        if let Some(registry) = &self.registry {
-            registry.record_upload(server, owner, &columns);
-        }
         self.acked(
             &self.links[server],
             Message::BulkUpload {
                 owner: owner as u32,
+                columns,
+            },
+        )
+    }
+
+    /// Fold one owner's whole-domain difference shares into its columns
+    /// at one server, at `epoch`: one [`Message::FoldUpload`] frame,
+    /// applied whole or refused whole ([`NetError::UploadRefused`] for a
+    /// stale or repeated epoch).
+    pub fn fold_upload(
+        &self,
+        server: usize,
+        owner: usize,
+        epoch: u64,
+        columns: Vec<(Column, Vec<u64>)>,
+    ) -> Result<(), NetError> {
+        if let Some(cache) = &self.cache {
+            cache.note_upload(server);
+        }
+        self.acked(
+            &self.links[server],
+            Message::FoldUpload {
+                owner: owner as u32,
+                epoch,
                 columns,
             },
         )
@@ -871,13 +895,10 @@ impl NetCluster {
                 domain,
             });
         }
-        // Same ordering discipline as `bulk_upload`: dirty the cache and
-        // record the delta in the registry before awaiting the ack.
+        // Same ordering discipline as `bulk_upload`: dirty the cache
+        // before awaiting the ack.
         if let Some(cache) = &self.cache {
             cache.note_upload(server);
-        }
-        if let Some(registry) = &self.registry {
-            registry.record_delta(server, owner, start, &columns);
         }
         let sp = &self.setup.servers[server];
         let ext = |p: &Permutation| {
@@ -1061,6 +1082,26 @@ impl Deployment for NetCluster {
         for (server, columns) in uploads.into_iter().enumerate() {
             if !columns.is_empty() {
                 self.bulk_upload(server, owner, columns)
+                    .map_err(transport_err)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One [`Message::FoldUpload`] frame per server.
+    fn fold(
+        &mut self,
+        owner: usize,
+        epoch: u64,
+        share: impl FnOnce(&OwnerParams, &mut dyn FnMut(usize, Column, Vec<u64>)),
+    ) -> prism_protocol::Result<()> {
+        let mut uploads = vec![Vec::new(); SHAMIR_SERVERS];
+        share(&self.setup.owner, &mut |k, column, shares| {
+            uploads[k].push((column, shares))
+        });
+        for (server, columns) in uploads.into_iter().enumerate() {
+            if !columns.is_empty() {
+                self.fold_upload(server, owner, epoch, columns)
                     .map_err(transport_err)?;
             }
         }

@@ -179,15 +179,124 @@ impl std::fmt::Display for NodeHealth {
     }
 }
 
-/// One recorded owner upload (the replay log for failover
-/// re-outsourcing). Records are replayed in arrival order and stores are
-/// per-column overwrites, so only a column's latest upload matters: the log
-/// holds each (server, owner, [`Column`]) in at most one record.
-#[derive(Clone)]
-struct UploadRecord {
-    server: usize,
+/// A domain's upload log, kept for failover re-outsourcing: what the
+/// domain's workers hold, one record per owner with each column's shares
+/// over the whole domain and its fold epoch. A put extends a column, a
+/// fold adds into it in the column's ring — the log never keeps a column
+/// twice. Its router writes it once the workers acked (see
+/// `DomainState::log`); a heal replays it into rebuilt workers.
+#[derive(Default)]
+pub(crate) struct ReplayLog {
+    records: Vec<OwnerRecord>,
+}
+
+/// One owner's logged columns.
+struct OwnerRecord {
     owner: u32,
-    columns: Vec<(Column, Vec<u64>)>,
+    columns: Vec<Logged>,
+}
+
+/// One logged column: its latest shares and fold epoch.
+struct Logged {
+    column: Column,
+    epoch: u64,
+    shares: Vec<u64>,
+}
+
+impl ReplayLog {
+    fn logged(&mut self, owner: u32, column: Column) -> &mut Logged {
+        let at = match self.records.iter().position(|r| r.owner == owner) {
+            Some(at) => at,
+            None => {
+                self.records.push(OwnerRecord {
+                    owner,
+                    columns: Vec::new(),
+                });
+                self.records.len() - 1
+            }
+        };
+        let columns = &mut self.records[at].columns;
+        match columns.iter().position(|l| l.column == column) {
+            Some(i) => &mut columns[i],
+            None => {
+                columns.push(Logged {
+                    column,
+                    epoch: 0,
+                    shares: Vec::new(),
+                });
+                columns.last_mut().expect("just pushed")
+            }
+        }
+    }
+
+    /// A put the workers took at global row `start`: each column's rows
+    /// extend from there.
+    pub(crate) fn put(&mut self, owner: u32, start: usize, columns: Vec<(Column, Vec<u64>)>) {
+        for (column, data) in columns {
+            let shares = &mut self.logged(owner, column).shares;
+            if shares.is_empty() && start == 0 {
+                *shares = data;
+            } else {
+                shares.resize(start, 0);
+                shares.extend_from_slice(&data);
+            }
+        }
+    }
+
+    /// A fold the workers took at `epoch`: each difference adds into its
+    /// column mod `ring(column)`.
+    pub(crate) fn fold(
+        &mut self,
+        owner: u32,
+        epoch: u64,
+        columns: &[(Column, Vec<u64>)],
+        ring: impl Fn(Column) -> u64,
+    ) {
+        for (column, diff) in columns {
+            let n = ring(*column);
+            let logged = self.logged(owner, *column);
+            for (s, d) in logged.shares.iter_mut().zip(diff) {
+                *s = (*s % n + d % n) % n;
+            }
+            logged.epoch = epoch;
+        }
+    }
+
+    /// Owners with a record.
+    fn owners(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The replay, one message per (owner, epoch) in log order: for each,
+    /// `cut(spec)` builds the [`Message::Replay`] of range `spec`, every
+    /// column cut to the rows it holds there (a column that does not reach
+    /// the range is left out).
+    fn replays(&self) -> Vec<impl Fn(&ShardSpec) -> Message + '_> {
+        let mut groups = Vec::new();
+        for rec in &self.records {
+            let mut epochs: Vec<u64> = rec.columns.iter().map(|l| l.epoch).collect();
+            epochs.sort_unstable();
+            epochs.dedup();
+            for epoch in epochs {
+                let owner = rec.owner;
+                groups.push(move |spec: &ShardSpec| Message::Replay {
+                    owner,
+                    epoch,
+                    columns: rec
+                        .columns
+                        .iter()
+                        .filter(|l| l.epoch == epoch)
+                        .filter_map(|l| {
+                            let end = (spec.start + spec.len).min(l.shares.len());
+                            let part = l.shares.get(spec.start..end)?;
+                            (!part.is_empty()).then(|| (l.column, part.to_vec()))
+                        })
+                        .collect(),
+                });
+            }
+        }
+        groups
+    }
 }
 
 /// One node's keep-alive bookkeeping, as the prober folds ping outcomes
@@ -237,7 +346,6 @@ struct RegistryInner {
     cfg: RegistryConfig,
     addr: SocketAddr,
     domains: Vec<Arc<RwLock<DomainState>>>,
-    uploads: Mutex<Vec<UploadRecord>>,
     /// Set by [`NetCluster::enable_cache`]; failovers dirty the healed
     /// domain here so warm entries cannot survive a re-fan.
     cache: Mutex<Option<Arc<PsiRoundCache>>>,
@@ -419,73 +527,6 @@ impl NodeRegistry {
         out
     }
 
-    /// Append one owner upload to the replay log (called by the cluster
-    /// facades before each send, so a heal can re-outsource the domain).
-    /// The upload supersedes its columns in this owner's older records, and
-    /// a record left with no column is dropped, so a replacing upload
-    /// (`update_owner`) does not grow the log.
-    pub(crate) fn record_upload(
-        &self,
-        server: usize,
-        owner: usize,
-        columns: &[(Column, Vec<u64>)],
-    ) {
-        let owner = owner as u32;
-        let mut log = self.inner.uploads.lock();
-        log.retain_mut(|r| {
-            if (r.server, r.owner) == (server, owner) {
-                r.columns
-                    .retain(|(c, _)| columns.iter().all(|(n, _)| n != c));
-            }
-            !r.columns.is_empty()
-        });
-        log.push(UploadRecord {
-            server,
-            owner,
-            columns: columns.to_vec(),
-        });
-    }
-
-    /// Fold a delta upload into the replay log: each delta column is
-    /// merged into the most recent record holding that column (truncated
-    /// to `start`, then extended), so a heal's replay always re-outsources
-    /// full-length, latest-epoch state — never a stale pre-delta column
-    /// followed by nothing.
-    pub(crate) fn record_delta(
-        &self,
-        server: usize,
-        owner: usize,
-        start: usize,
-        columns: &[(Column, Vec<u64>)],
-    ) {
-        let mut log = self.inner.uploads.lock();
-        for (c, delta) in columns {
-            let merged = log
-                .iter_mut()
-                .rev()
-                .filter(|r| r.server == server && r.owner == owner as u32)
-                .find_map(|r| r.columns.iter_mut().find(|(rc, _)| rc == c));
-            match merged {
-                Some((_, data)) => {
-                    data.resize(start, 0);
-                    data.extend_from_slice(delta);
-                }
-                None => {
-                    // A delta without a prior full upload (first epoch was
-                    // itself a delta): record it zero-padded to `start` so
-                    // the replay slicing stays full-length.
-                    let mut data = vec![0; start];
-                    data.extend_from_slice(delta);
-                    log.push(UploadRecord {
-                        server,
-                        owner: owner as u32,
-                        columns: vec![(*c, data)],
-                    });
-                }
-            }
-        }
-    }
-
     /// Bind the PSI-round cache so failovers can dirty healed domains.
     pub(crate) fn attach_cache(&self, cache: Arc<PsiRoundCache>) {
         *self.inner.cache.lock() = Some(cache);
@@ -552,13 +593,16 @@ impl ClusterListener {
         let domains = setup
             .servers
             .iter()
-            .map(|params| Arc::new(RwLock::new(DomainState::new(params.clone(), shards, rf))))
+            .map(|params| {
+                let mut domain = DomainState::new(params.clone(), shards, rf);
+                domain.log = Some(ReplayLog::default());
+                Arc::new(RwLock::new(domain))
+            })
             .collect();
         let inner = Arc::new(RegistryInner {
             cfg,
             addr,
             domains,
-            uploads: Mutex::new(Vec::new()),
             cache: Mutex::new(None),
             heal_log: Mutex::new(Vec::new()),
             graveyard: Mutex::new(Vec::new()),
@@ -937,7 +981,7 @@ fn refan(inner: &Arc<RegistryInner>, d: usize) -> usize {
                 st.workers[w].range = r;
             }
         }
-        match assign_and_replay(inner, &mut st, d) {
+        match assign_and_replay(inner, &mut st) {
             Ok(()) => break,
             Err(bad) => {
                 let casualty = st.workers.remove(bad);
@@ -976,7 +1020,7 @@ fn promote(inner: &Arc<RegistryInner>, d: usize) -> bool {
             return false;
         }
         st.generation += 1;
-        match assign_current(inner, &mut st) {
+        match assign_current(inner, &mut st, false) {
             Ok(()) => break,
             Err(bad) => {
                 let casualty = st.workers.remove(bad);
@@ -1028,12 +1072,17 @@ fn heal_fan(
 /// `st.generation`). Assigning the unchanged range is deliberately a
 /// pure generation bump on the worker side — no store wipe, no replay.
 /// `Err(i)` names the worker index that failed.
-fn assign_current(inner: &Arc<RegistryInner>, st: &mut DomainState) -> Result<(), usize> {
+fn assign_current(
+    inner: &Arc<RegistryInner>,
+    st: &mut DomainState,
+    fresh: bool,
+) -> Result<(), usize> {
     let generation = st.generation;
     heal_fan(inner, st, |spec| Message::Assign {
         generation,
         start: spec.start as u64,
         len: spec.len as u64,
+        fresh,
     })?;
     for w in st.workers.iter_mut() {
         w.generation = generation;
@@ -1042,44 +1091,22 @@ fn assign_current(inner: &Arc<RegistryInner>, st: &mut DomainState) -> Result<()
 }
 
 /// Push the current plan's ranges to every worker (acked, generation
-/// `st.generation`), then replay the domain's recorded uploads sliced
-/// under the new plan — every holder of a range receives its slice.
+/// `st.generation`), each rebuilding its store, then replay the domain's
+/// upload log sliced under the new plan into the empty stores — every
+/// holder of a range receives its slice, each column at its logged epoch.
 /// `Err(i)` names the worker index that failed.
-fn assign_and_replay(
-    inner: &Arc<RegistryInner>,
-    st: &mut DomainState,
-    d: usize,
-) -> Result<(), usize> {
-    assign_current(inner, st)?;
-    let records: Vec<UploadRecord> = inner
-        .uploads
-        .lock()
-        .iter()
-        .filter(|r| r.server == d)
-        .cloned()
-        .collect();
-    for rec in &records {
-        heal_fan(inner, st, |spec| Message::BulkUpload {
-            owner: rec.owner,
-            columns: rec
-                .columns
-                .iter()
-                .map(|(c, data)| {
-                    // Clamp + zero-pad: a record that predates a domain
-                    // growth (no delta ever merged into it) replays
-                    // zeroes over the appended rows instead of panicking.
-                    let lo = spec.start.min(data.len());
-                    let hi = (spec.start + spec.len).min(data.len());
-                    let mut part = data[lo..hi].to_vec();
-                    part.resize(spec.len, 0);
-                    (*c, part)
-                })
-                .collect(),
-        })?;
+fn assign_and_replay(inner: &Arc<RegistryInner>, st: &mut DomainState) -> Result<(), usize> {
+    assign_current(inner, st, true)?;
+    let st: &DomainState = st;
+    let Some(log) = &st.log else {
+        return Ok(());
+    };
+    for replay in log.replays() {
+        heal_fan(inner, st, replay)?;
     }
     inner
         .replayed
-        .fetch_add(records.len() as u64, Ordering::Relaxed);
+        .fetch_add(log.owners() as u64, Ordering::Relaxed);
     Ok(())
 }
 
@@ -1477,53 +1504,61 @@ mod tests {
     }
 
     #[test]
-    fn a_replacing_upload_supersedes_its_columns_in_the_replay_log() {
-        let (listener, _) = listener(1, 1);
-        let registry = NodeRegistry {
-            inner: Arc::clone(&listener.inner),
-            prober: Mutex::new(None),
-            dispatcher: Mutex::new(None),
-        };
+    fn a_fold_adds_into_its_record_in_the_replay_log() {
+        use Column::{Ok, VOk};
         type Columns = Vec<(Column, Vec<u64>)>;
         let cols =
             |v: u64, cs: &[Column]| -> Columns { cs.iter().map(|&c| (c, vec![v; 8])).collect() };
-        // The log as (server, owner, columns) rows.
-        let log = || -> Vec<(usize, u32, Columns)> {
-            let log = registry.inner.uploads.lock();
-            log.iter()
-                .map(|r| (r.server, r.owner, r.columns.clone()))
-                .collect()
+        let ring = |c: Column| c.ring(11, 13);
+        // The log as (owner, column, epoch, shares) rows.
+        let rows = |log: &ReplayLog| -> Vec<(u32, Column, u64, Vec<u64>)> {
+            let each = |r: &OwnerRecord| -> Vec<_> {
+                let row = |l: &Logged| (r.owner, l.column, l.epoch, l.shares.clone());
+                r.columns.iter().map(row).collect()
+            };
+            log.records.iter().flat_map(each).collect()
         };
-        let column_count = || log().iter().map(|r| r.2.len()).sum::<usize>();
-        registry.record_upload(0, 0, &cols(1, &[Column::Ok, Column::VOk]));
-        registry.record_upload(0, 1, &cols(2, &[Column::Ok]));
-        registry.record_upload(1, 0, &cols(3, &[Column::Ok]));
-        assert_eq!(column_count(), 4);
-        for k in 0..5 {
-            registry.record_upload(0, 0, &cols(10 + k, &[Column::Ok, Column::VOk]));
-            assert_eq!(column_count(), 4, "after {} replacing uploads", k + 1);
+        let mut log = ReplayLog::default();
+        log.put(0, 0, cols(1, &[Ok, VOk]));
+        log.put(1, 0, cols(2, &[Ok]));
+        // Folds add into their columns mod the ring and move the epoch;
+        // they never add a record or a column.
+        for epoch in 1..=5 {
+            log.fold(0, epoch, &cols(5, &[Ok, VOk]), ring);
         }
-        // A partial upload takes its column out of the older record; a
-        // record left with no column is dropped. Other owners and servers
-        // keep theirs.
-        registry.record_upload(0, 0, &cols(20, &[Column::Ok]));
-        registry.record_upload(0, 0, &cols(21, &[Column::VOk]));
+        log.fold(0, 6, &cols(9, &[Ok]), ring);
         assert_eq!(
-            log(),
+            rows(&log),
             [
-                (0, 1, cols(2, &[Column::Ok])),
-                (1, 0, cols(3, &[Column::Ok])),
-                (0, 0, cols(20, &[Column::Ok])),
-                (0, 0, cols(21, &[Column::VOk])),
+                (0, Ok, 6, vec![2; 8]),
+                (0, VOk, 5, vec![4; 8]),
+                (1, Ok, 0, vec![2; 8]),
             ]
         );
-        // A delta still extends the one record that holds its column.
-        registry.record_delta(0, 0, 8, &cols(7, &[Column::Ok]));
-        let mut grown = vec![20; 8];
-        grown.extend([7; 8]);
-        assert_eq!(log()[2], (0, 0, vec![(Column::Ok, grown)]));
-        assert_eq!(column_count(), 4);
-        teardown(listener, Vec::new());
+        // A delta extends the one column it appends to.
+        log.put(0, 8, cols(7, &[Ok]));
+        assert_eq!(log.owners(), 2);
+        // The replay: one message per (owner, epoch), each column cut to
+        // the range.
+        let spec = ShardSpec {
+            index: 1,
+            start: 4,
+            len: 8,
+        };
+        let replays: Vec<Message> = log.replays().iter().map(|r| r(&spec)).collect();
+        let replay = |owner, epoch, columns| Message::Replay {
+            owner,
+            epoch,
+            columns,
+        };
+        assert_eq!(
+            replays,
+            [
+                replay(0, 5, vec![(VOk, vec![4; 4])]),
+                replay(0, 6, vec![(Ok, vec![2, 2, 2, 2, 7, 7, 7, 7])]),
+                replay(1, 0, vec![(Ok, vec![2; 4])]),
+            ]
+        );
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::executor::RoundExecutor;
 use crate::mux::{MuxLink, Pending};
-use crate::registry::Health;
+use crate::registry::{Health, ReplayLog};
 use crate::transport::{Link, NetError};
 use crate::wire::{recycle_vecs, Column, Message};
 use parking_lot::RwLock;
@@ -27,6 +27,7 @@ use prism_protocol::engine::{BatchQuery, ServerCmd, ServerNode, ServerReply};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::ServerParams;
 use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan, ShardSpec};
+use prism_protocol::ProtocolError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -161,12 +162,11 @@ fn serve_batch(
 }
 
 /// Decode a delta upload's permutation extensions: empty maps mean
-/// identity blocks (`None`); malformed maps poison the delta, which the
-/// receiver then does not apply.
+/// identity blocks (`None`); malformed maps refuse the delta.
 fn decode_perm_ext(
     pf_s1_ext: Vec<u32>,
     pf_s2_ext: Vec<u32>,
-) -> Result<Option<(Permutation, Permutation)>, ()> {
+) -> Result<Option<(Permutation, Permutation)>, String> {
     if pf_s1_ext.is_empty() && pf_s2_ext.is_empty() {
         return Ok(None);
     }
@@ -175,7 +175,17 @@ fn decode_perm_ext(
         Permutation::from_map(pf_s2_ext),
     ) {
         (Some(e1), Some(e2)) => Ok(Some((e1, e2))),
-        _ => Err(()),
+        _ => Err("a permutation extension is not a permutation".into()),
+    }
+}
+
+/// An upload's answer: [`Message::Ack`] if it was applied, else
+/// [`Message::Refused`] with the reason.
+fn receipt(done: Result<(), ProtocolError>) -> Message {
+    match done {
+        Ok(()) => Message::Ack,
+        Err(ProtocolError::UploadRefused(why)) => Message::Refused(why),
+        Err(other) => Message::Refused(other.to_string()),
     }
 }
 
@@ -241,13 +251,27 @@ pub(crate) fn node_loop(
     loop {
         let (tag, msg) = link.recv()?.untag();
         match msg {
+            // Every upload is applied whole or refused whole; a refusal
+            // leaves the store as it was and answers with its reason.
             Message::BulkUpload { owner, columns } => {
-                let mut node = node.write();
-                for (column, data) in columns {
-                    node.store(owner as usize, column, data);
-                }
-                drop(node);
-                reply(link.as_ref(), tag, Message::Ack)?;
+                let done = node.write().put(owner as usize, 0, 0, columns);
+                reply(link.as_ref(), tag, receipt(done))?;
+            }
+            Message::Replay {
+                owner,
+                epoch,
+                columns,
+            } => {
+                let done = node.write().put(owner as usize, 0, epoch, columns);
+                reply(link.as_ref(), tag, receipt(done))?;
+            }
+            Message::FoldUpload {
+                owner,
+                epoch,
+                columns,
+            } => {
+                let done = node.write().fold(owner as usize, epoch, columns);
+                reply(link.as_ref(), tag, receipt(done))?;
             }
             Message::DeltaUpload {
                 owner,
@@ -256,21 +280,18 @@ pub(crate) fn node_loop(
                 pf_s1_ext,
                 pf_s2_ext,
             } => {
-                // Node-local coordinates. A malformed delta (bad maps,
-                // non-contiguous range) is simply not applied — the node
-                // stays on its previous store state, which verification
-                // then catches, exactly like any other misbehaving-server
-                // shape. A router forwards empty extensions: its workers
-                // extend by identity.
-                if let Ok(ext) = decode_perm_ext(pf_s1_ext, pf_s2_ext) {
-                    let _ = node.write().delta_upload(
+                // Node-local coordinates. A router forwards empty
+                // extensions: its workers extend by identity.
+                let done = match decode_perm_ext(pf_s1_ext, pf_s2_ext) {
+                    Ok(ext) => node.write().delta_upload(
                         owner as usize,
                         start as usize,
                         columns,
                         ext.as_ref().map(|(e1, e2)| (e1, e2)),
-                    );
-                }
-                reply(link.as_ref(), tag, Message::Ack)?;
+                    ),
+                    Err(why) => Err(ProtocolError::UploadRefused(why)),
+                };
+                reply(link.as_ref(), tag, receipt(done))?;
             }
             Message::SetTamper(t) => {
                 node.write().set_tamper(t);
@@ -292,6 +313,7 @@ pub(crate) fn node_loop(
                 generation: assigned,
                 start,
                 len,
+                fresh,
             } => {
                 let spec = ShardSpec {
                     index: 0,
@@ -300,15 +322,18 @@ pub(crate) fn node_loop(
                 };
                 // An assignment to the range already held (delta growth
                 // included — the node's own `b` tracks it) is a pure
-                // generation bump; only a *moved* range rebuilds the
+                // generation bump unless it is `fresh` and the store
+                // holds something; a *moved* range always rebuilds the
                 // node. Rebuilding on a no-op re-assign would wipe the
-                // store with nothing scheduled to restore it.
-                let held = {
+                // store with nothing scheduled to restore it; a fresh one
+                // precedes the log's replay, which only puts into an
+                // empty store.
+                let (held, stored) = {
                     let n = node.read();
                     let p = n.params();
-                    (p.row_offset - template.row_offset, p.b)
+                    ((p.row_offset - template.row_offset, p.b), n.version() > 0)
                 };
-                if held != (spec.start, spec.len) {
+                if (fresh && stored) || held != (spec.start, spec.len) {
                     // The write lock drains in-flight query readers
                     // before the rebuild — no round computes across it.
                     let mut node = node.write();
@@ -400,6 +425,11 @@ pub(crate) struct DomainState {
     pub(crate) generation: u64,
     pub(crate) plan: ShardPlan,
     pub(crate) workers: Vec<WorkerSlot>,
+    /// What the workers hold, for a heal to replay (elastic domains only:
+    /// a fixed roster never heals). The router writes it under the write
+    /// lock once the workers acked an upload, so a heal — which holds the
+    /// same lock — replays exactly what they applied.
+    pub(crate) log: Option<ReplayLog>,
 }
 
 impl DomainState {
@@ -414,6 +444,7 @@ impl DomainState {
             plan,
             workers: Vec::new(),
             params,
+            log: None,
         }
     }
 
@@ -451,16 +482,49 @@ impl DomainState {
 /// replacement worker attaches and the registry re-fans.
 const NO_WORKERS: u64 = u64::MAX;
 
+/// Why an acked fan failed: every holder of some range is down
+/// (reported as [`Message::NodeDown`] naming a dead worker), or a holder
+/// refused the upload ([`Message::Refused`], with its reason).
+enum AckFail {
+    Down(u64),
+    Refused(String),
+}
+
+impl AckFail {
+    /// The answer the owner gets.
+    fn message(self) -> Message {
+        match self {
+            AckFail::Down(node) => Message::NodeDown { node },
+            AckFail::Refused(why) => Message::Refused(why),
+        }
+    }
+}
+
+/// One holder's answer to an acked message: `Ok(true)` for an ack,
+/// `Ok(false)` for a dead link or anything else, the refusal as an error.
+fn ack_of(reply: Result<Message, NetError>) -> Result<bool, AckFail> {
+    match reply {
+        Ok(Message::Ack) => Ok(true),
+        Ok(Message::Refused(why)) => Err(AckFail::Refused(why)),
+        _ => Ok(false),
+    }
+}
+
 /// Fan an acked control message (upload slices) to **every holder** of
 /// every range, each sliced for the range it holds. The fan is tolerant
 /// per range: a holder whose link fails mid-upload is survivable as
 /// long as *some* holder of that range acked — link death is sticky, so
 /// the lagging holder can never serve a query again and the prober will
-/// reap it. `Err(shard)` (reported as [`Message::NodeDown`]) means some
-/// range got no ack at all.
-fn fan_acked(st: &DomainState, corr: u64, mk: impl Fn(&ShardSpec) -> Message) -> Result<(), u64> {
+/// reap it. [`AckFail::Down`] means some range got no ack at all; a
+/// holder's refusal is [`AckFail::Refused`] whatever the others said
+/// (every holder of a range holds the same rows, so they refuse alike).
+fn fan_acked(
+    st: &DomainState,
+    corr: u64,
+    mk: impl Fn(&ShardSpec) -> Message,
+) -> Result<(), AckFail> {
     if st.workers.is_empty() {
-        return Err(NO_WORKERS);
+        return Err(AckFail::Down(NO_WORKERS));
     }
     let mut pendings = Vec::with_capacity(st.workers.len());
     let mut failed = NO_WORKERS;
@@ -476,13 +540,47 @@ fn fan_acked(st: &DomainState, corr: u64, mk: impl Fn(&ShardSpec) -> Message) ->
         }
     }
     let mut acked = vec![false; st.plan.shard_count()];
+    let mut refused = None;
     for (i, p) in pendings {
-        match p.recv() {
-            Ok(Message::Ack) => acked[st.workers[i].range] = true,
-            _ => failed = i as u64,
+        match ack_of(p.recv()) {
+            Ok(true) => acked[st.workers[i].range] = true,
+            Ok(false) => failed = i as u64,
+            Err(fail) => refused = Some(fail),
         }
     }
-    acked.iter().all(|&a| a).then_some(()).ok_or(failed)
+    if let Some(fail) = refused {
+        return Err(fail);
+    }
+    acked
+        .iter()
+        .all(|&a| a)
+        .then_some(())
+        .ok_or(AckFail::Down(failed))
+}
+
+/// The rows of `columns` (global rows from 0) that range `spec` holds,
+/// leaving out a column that does not reach it.
+fn cut_columns(columns: &[(Column, Vec<u64>)], spec: &ShardSpec) -> Vec<(Column, Vec<u64>)> {
+    columns
+        .iter()
+        .filter_map(|(c, data)| {
+            let part = data.get(spec.start..(spec.start + spec.len).min(data.len()))?;
+            (!part.is_empty()).then(|| (*c, part.to_vec()))
+        })
+        .collect()
+}
+
+/// Refuses a whole-column upload with an empty column or one longer than
+/// the domain: a worker only sees its slice, so the router checks the
+/// rest.
+fn check_columns(columns: &[(Column, Vec<u64>)], b: usize) -> Result<(), AckFail> {
+    match columns.iter().find(|(_, d)| d.is_empty() || d.len() > b) {
+        Some((column, data)) => Err(AckFail::Refused(format!(
+            "{column:?} carries {} rows; the domain has {b}",
+            data.len()
+        ))),
+        None => Ok(()),
+    }
 }
 
 /// Outcome of a failed route: a link-level loss of every holder of one
@@ -572,44 +670,73 @@ fn route_batch(
     merged.map_err(|_| RouteFail::Malformed)
 }
 
+/// What a growing delta replaced in the domain state, to put back if the
+/// workers refuse it.
+struct Ungrow {
+    pf_s1: Permutation,
+    pf_s2: Permutation,
+    plan: ShardPlan,
+}
+
 /// Validate a delta upload against the domain and, on growth, extend the
-/// shared plan, parameters and `wide_node` by it. Returns the tail range
-/// the rows belong to, or `None` for an empty or malformed delta (bad
-/// extension maps, a gap, a re-touch that does not end at the domain
-/// boundary).
+/// shared plan and parameters by it. Returns the tail range the rows
+/// belong to and, after growth, what [`ungrow`] restores; a refusal for an
+/// empty or malformed delta (bad extension maps, a gap, a re-touch that
+/// does not end at the domain boundary).
 fn grow_domain(
     st: &mut DomainState,
-    wide_node: &RwLock<ServerNode>,
     start: usize,
     added: usize,
-    ext: Result<Option<(Permutation, Permutation)>, ()>,
-) -> Option<ShardSpec> {
+    ext: Result<Option<(Permutation, Permutation)>, String>,
+) -> Result<(ShardSpec, Option<Ungrow>), String> {
+    let b = st.params.b;
+    let mut undo = None;
     if added == 0 {
-        return None;
+        return Err("delta upload carries no rows".into());
     }
-    if start == st.params.b {
+    if start == b {
         // Growth: the router holds the domain's real finish
         // permutations, so the extension blocks concatenate here; the
         // worker set is fixed for the duration (write lock), so the last
         // range always extends.
-        let (e1, e2) = ext
-            .ok()?
-            .unwrap_or_else(|| (Permutation::identity(added), Permutation::identity(added)));
+        let (e1, e2) =
+            ext?.unwrap_or_else(|| (Permutation::identity(added), Permutation::identity(added)));
         if e1.len() != added || e2.len() != added {
-            return None;
+            return Err(format!(
+                "permutation extension covers {} rows, delta has {added}",
+                e1.len()
+            ));
         }
-        st.params.pf_s1 = st.params.pf_s1.concat(&e1);
-        st.params.pf_s2 = st.params.pf_s2.concat(&e2);
+        let grown = (st.params.pf_s1.concat(&e1), st.params.pf_s2.concat(&e2));
+        let plan = st.plan.append(added, false);
+        undo = Some(Ungrow {
+            pf_s1: std::mem::replace(&mut st.params.pf_s1, grown.0),
+            pf_s2: std::mem::replace(&mut st.params.pf_s2, grown.1),
+            plan: std::mem::replace(&mut st.plan, plan),
+        });
         st.params.b += added;
-        st.plan = st.plan.append(added, false);
-        *wide_node.write() = ServerNode::new(st.params.clone());
-    } else if start + added != st.params.b {
-        // Latest-epoch re-touch: no growth, the range must already end
-        // at the domain boundary.
-        return None;
+    } else if start + added != b {
+        return Err(format!(
+            "delta rows [{start}, +{added}) neither append at the domain end {b} nor \
+             rewrite its latest epoch"
+        ));
     }
-    let tail = st.plan.specs().last().copied();
-    tail.filter(|spec| spec.start <= start)
+    let tail = *st.plan.specs().last().expect("plans are never empty");
+    if tail.start > start {
+        ungrow(st, undo);
+        return Err(format!(
+            "delta rows from {start} cross into an earlier range"
+        ));
+    }
+    Ok((tail, undo))
+}
+
+/// Put back what [`grow_domain`] grew (nothing for a latest-epoch write).
+fn ungrow(st: &mut DomainState, undo: Option<Ungrow>) {
+    if let Some(Ungrow { pf_s1, pf_s2, plan }) = undo {
+        st.params.b = plan.domain();
+        (st.params.pf_s1, st.params.pf_s2, st.plan) = (pf_s1, pf_s2, plan);
+    }
 }
 
 /// Forward a delta upload (global row `start`) to every holder of the
@@ -625,7 +752,7 @@ fn fan_delta(
     owner: u32,
     start: usize,
     mut columns: Vec<(Column, Vec<u64>)>,
-) -> Result<(), u64> {
+) -> Result<(), AckFail> {
     let holders: Vec<usize> = st.holders_of(spec.index).collect();
     let (mut acked, mut failed) = (false, NO_WORKERS);
     for (n, &i) in holders.iter().enumerate() {
@@ -641,12 +768,12 @@ fn fan_delta(
             pf_s1_ext: Vec::new(),
             pf_s2_ext: Vec::new(),
         };
-        match st.workers[i].link.request(corr, fwd) {
-            Ok(Message::Ack) => acked = true,
-            _ => failed = i as u64,
+        match ack_of(st.workers[i].link.request(corr, fwd))? {
+            true => acked = true,
+            false => failed = i as u64,
         }
     }
-    acked.then_some(()).ok_or(failed)
+    acked.then_some(()).ok_or(AckFail::Down(failed))
 }
 
 /// Serve one routed round on a worker of `rounds` and answer the owner
@@ -716,28 +843,53 @@ pub(crate) fn domain_loop(
     let tamper = Arc::new(RwLock::new(Tamper::Honest));
     let corr = AtomicU64::new(1 << 63);
     let rounds = RoundExecutor::new();
-    let acked = |tag, outcome: Result<(), u64>| {
-        let msg = match outcome {
-            Ok(()) => Message::Ack,
-            Err(node) => Message::NodeDown { node },
-        };
+    let acked = |tag, outcome: Result<(), AckFail>| {
+        let msg = outcome.map_or_else(AckFail::message, |()| Message::Ack);
         reply(owner_link.as_ref(), tag, msg)
     };
+    // Uploads hold the write lock across their fan: a query round never
+    // sees half of one, and the log records only what the workers took.
     loop {
         let (tag, msg) = owner_link.recv()?.untag();
         match msg {
             Message::BulkUpload { owner, columns } => {
                 let id = corr.fetch_add(1, Ordering::Relaxed);
-                let st = shared.read();
-                let parts: Vec<_> = columns.iter().map(|(_, d)| st.plan.split_rows(d)).collect();
-                let outcome = fan_acked(&st, id, |spec| Message::BulkUpload {
-                    owner,
-                    columns: columns
-                        .iter()
-                        .zip(&parts)
-                        .map(|((c, _), p)| (*c, p[spec.index].to_vec()))
-                        .collect(),
+                let mut st = shared.write();
+                let outcome = check_columns(&columns, st.params.b).and_then(|()| {
+                    fan_acked(&st, id, |spec| Message::BulkUpload {
+                        owner,
+                        columns: cut_columns(&columns, spec),
+                    })
                 });
+                if let (Ok(()), Some(log)) = (&outcome, &mut st.log) {
+                    log.put(owner, 0, columns);
+                }
+                drop(st);
+                acked(tag, outcome)?;
+            }
+            Message::FoldUpload {
+                owner,
+                epoch,
+                columns,
+            } => {
+                let id = corr.fetch_add(1, Ordering::Relaxed);
+                let mut st = shared.write();
+                let b = st.params.b;
+                let outcome = match columns.iter().find(|(_, d)| d.len() != b) {
+                    Some((column, d)) => Err(AckFail::Refused(format!(
+                        "a fold of {} rows of {column:?} must cover the {b}-row domain",
+                        d.len()
+                    ))),
+                    None => fan_acked(&st, id, |spec| Message::FoldUpload {
+                        owner,
+                        epoch,
+                        columns: cut_columns(&columns, spec),
+                    }),
+                };
+                let (delta, p) = (st.params.delta, st.params.field.p);
+                if let (Ok(()), Some(log)) = (&outcome, &mut st.log) {
+                    log.fold(owner, epoch, &columns, |c| c.ring(delta, p));
+                }
                 drop(st);
                 acked(tag, outcome)?;
             }
@@ -751,19 +903,32 @@ pub(crate) fn domain_loop(
                 let start = start as usize;
                 let added = columns.first().map(|(_, d)| d.len()).unwrap_or(0);
                 let id = corr.fetch_add(1, Ordering::Relaxed);
-                // Write lock: growth mutates the shared plan/params the
-                // heal and every route read.
+                // Growth mutates the shared plan/params the heal and every
+                // route read; a refused delta puts them back.
                 let mut st = shared.write();
                 let outcome = if st.workers.is_empty() {
-                    Err(NO_WORKERS)
+                    Err(AckFail::Down(NO_WORKERS))
                 } else {
                     let ext = decode_perm_ext(pf_s1_ext, pf_s2_ext);
-                    match grow_domain(&mut st, &wide_node, start, added, ext) {
-                        Some(spec) => fan_delta(&st, id, spec, owner, start, columns),
-                        // Empty or malformed delta: ack without applying
-                        // — verification catches the divergence, exactly
-                        // as for a tampering server.
-                        None => Ok(()),
+                    match grow_domain(&mut st, start, added, ext) {
+                        Err(why) => Err(AckFail::Refused(why)),
+                        Ok((spec, undo)) => {
+                            let logged = st.log.is_some().then(|| columns.clone());
+                            let fanned = fan_delta(&st, id, spec, owner, start, columns);
+                            match (&fanned, undo) {
+                                (Err(_), undo) => ungrow(&mut st, undo),
+                                (Ok(()), Some(_)) => {
+                                    *wide_node.write() = ServerNode::new(st.params.clone())
+                                }
+                                (Ok(()), None) => {}
+                            }
+                            if let (Ok(()), Some(log), Some(columns)) =
+                                (&fanned, &mut st.log, logged)
+                            {
+                                log.put(owner, start, columns);
+                            }
+                            fanned
+                        }
                     }
                 };
                 drop(st);
@@ -889,5 +1054,56 @@ mod tests {
             .join()
             .unwrap()
             .expect("live worker got the Shutdown");
+    }
+
+    /// A delta whose extension map is no permutation is refused — by the
+    /// node behind a router-less owner link and by a router — and leaves
+    /// the domain where it was: the same delta with a good map still grows
+    /// it afterwards.
+    #[test]
+    fn a_malformed_permutation_extension_is_refused() {
+        let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(5)).setup();
+        let params = setup.unwrap().servers[0].clone();
+        let b = params.b;
+        let mut domain = DomainState::new(params.clone(), 1, 1);
+        let (to_w0, w0) = channel_pair();
+        domain.workers = vec![WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_w0), 0)];
+        let spec0 = domain.plan.specs()[0];
+        let p = params.clone();
+        let worker = std::thread::spawn(move || {
+            node_loop(p, Arc::new(w0), Some(spec0), 0, Tamper::Honest, None)
+        });
+        let (routed, router_end) = channel_pair();
+        let shared = Arc::new(RwLock::new(domain));
+        let router = std::thread::spawn(move || domain_loop(Arc::new(router_end), shared, None));
+        let (direct, node_end) = channel_pair();
+        let node = std::thread::spawn(move || {
+            node_loop(params, Arc::new(node_end), None, 0, Tamper::Honest, None)
+        });
+
+        let delta = |pf_s1_ext: Vec<u32>| Message::DeltaUpload {
+            owner: 0,
+            start: b as u64,
+            columns: vec![(Column::Ok, vec![1, 2])],
+            pf_s1_ext,
+            pf_s2_ext: vec![1, 0],
+        };
+        for owner in [&routed, &direct] {
+            owner
+                .send(&Message::BulkUpload {
+                    owner: 0,
+                    columns: vec![(Column::Ok, vec![0; b])],
+                })
+                .unwrap();
+            assert_eq!(owner.recv().unwrap(), Message::Ack);
+            owner.send(&delta(vec![0, 0])).unwrap();
+            assert!(matches!(owner.recv().unwrap(), Message::Refused(_)));
+            owner.send(&delta(vec![0, 1])).unwrap();
+            assert_eq!(owner.recv().unwrap(), Message::Ack, "the domain moved");
+            owner.send(&Message::Shutdown).unwrap();
+        }
+        router.join().unwrap().expect("router exits cleanly");
+        worker.join().unwrap().expect("worker exits cleanly");
+        node.join().unwrap().expect("node exits cleanly");
     }
 }

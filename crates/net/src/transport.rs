@@ -43,6 +43,10 @@ pub enum NetError {
         /// The announced body length.
         len: usize,
     },
+    /// The server did not apply an upload — a second put of rows an owner
+    /// holds, a fold at a stale or repeated epoch, a malformed delta — and
+    /// its store is unchanged. Carries the server's reason.
+    UploadRefused(String),
     /// A delta upload's rows `[start, start + added)` do not lie inside
     /// the adopted setup's domain (adopt the grown setup first); nothing
     /// was recorded or sent.
@@ -77,6 +81,7 @@ impl std::fmt::Display for NetError {
             NetError::Mux(why) => write!(f, "multiplexer error: {why}"),
             NetError::NodeDown { node } => write!(f, "node down: {node}"),
             NetError::Timeout => write!(f, "timed out"),
+            NetError::UploadRefused(why) => write!(f, "upload refused: {why}"),
             NetError::FrameTooLarge { len } => write!(
                 f,
                 "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"

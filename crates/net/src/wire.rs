@@ -500,6 +500,42 @@ fn get_map(buf: &mut &[u8]) -> Result<Vec<u32>, WireError> {
     (0..n).map(|_| need_u32(buf)).collect()
 }
 
+/// An upload's `(column, shares)` list: count, then each column tag and
+/// its length-prefixed values.
+fn put_columns(buf: &mut BytesMut, columns: &[(Column, Vec<u64>)]) {
+    buf.put_u32_le(columns.len() as u32);
+    for (column, data) in columns {
+        encode_column(column, buf);
+        put_vec(buf, data);
+    }
+}
+
+fn get_columns(buf: &mut &[u8]) -> Result<Vec<(Column, Vec<u64>)>, WireError> {
+    let n = need_u32(buf)? as usize;
+    let mut columns = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        let column = decode_column(buf)?;
+        columns.push((column, get_vec(buf)?));
+    }
+    Ok(columns)
+}
+
+/// A refusal's reason: UTF-8 bytes behind a `u32` length.
+fn put_text(buf: &mut BytesMut, text: &str) {
+    buf.put_u32_le(text.len() as u32);
+    buf.put_slice(text.as_bytes());
+}
+
+fn get_text(buf: &mut &[u8]) -> Result<String, WireError> {
+    let n = need_u32(buf)? as usize;
+    let bytes = buf.get(..n).ok_or(WireError::Truncated)?;
+    let text = std::str::from_utf8(bytes)
+        .map_err(|_| WireError::Malformed("refusal reason is not UTF-8"))?
+        .to_owned();
+    buf.advance(n);
+    Ok(text)
+}
+
 fn encode_batch(batch: &BatchQuery, buf: &mut BytesMut) {
     buf.put_u32_le(batch.threads);
     match batch.range {
@@ -623,6 +659,13 @@ fn map_len(map: &[u32]) -> usize {
     4 + 4 * map.len()
 }
 
+fn columns_len(columns: &[(Column, Vec<u64>)]) -> usize {
+    4 + columns
+        .iter()
+        .map(|(c, d)| column_len(c) + vec_len(d))
+        .sum::<usize>()
+}
+
 fn batch_len(batch: &BatchQuery) -> usize {
     4 + (1 + if batch.range.is_some() { 16 } else { 0 })
         + vecs_len(&batch.zs)
@@ -637,16 +680,45 @@ fn batch_len(batch: &BatchQuery) -> usize {
 /// Every message that can cross a PRISM link.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Message {
-    /// Phase 1: any number of one owner's share columns for one server
+    /// Phase 1: put any number of one owner's share columns at one server
     /// in a single round-trip (the upload-side mirror of
     /// [`Message::RunBatch`]) — usually the owner's whole per-server
-    /// table.
+    /// table. Answered with [`Message::Ack`], or [`Message::Refused`]
+    /// when the owner already holds rows of a column.
     BulkUpload {
         /// Owner index.
         owner: u32,
         /// `(column, share values)` pairs, stored in order.
         columns: Vec<(Column, Vec<u64>)>,
     },
+    /// Registry → worker, during a heal: put one owner's logged columns
+    /// into the freshly rebuilt store, at the epoch their log record
+    /// reached — so an update already folded into the record is refused
+    /// if it arrives again.
+    Replay {
+        /// Owner index.
+        owner: u32,
+        /// The record's fold epoch.
+        epoch: u64,
+        /// `(column, share values)` pairs of the worker's row range.
+        columns: Vec<(Column, Vec<u64>)>,
+    },
+    /// Update: add one owner's whole-column difference shares at `epoch`,
+    /// which must be past each column's last. Answered with
+    /// [`Message::Ack`], or [`Message::Refused`] for a stale or repeated
+    /// epoch.
+    FoldUpload {
+        /// Owner index.
+        owner: u32,
+        /// The update's epoch.
+        epoch: u64,
+        /// `(column, difference shares)` pairs, folded all or nothing.
+        columns: Vec<(Column, Vec<u64>)>,
+    },
+    /// A server's answer to an upload it did not apply — its store is
+    /// unchanged — with the reason. The owner surfaces it as
+    /// [`crate::NetError::UploadRefused`].
+    Refused(String),
     /// Phase 2: evaluate a batch of stored-column operations in one
     /// round-trip (the engine's [`BatchQuery`], verbatim).
     RunBatch(BatchQuery),
@@ -802,8 +874,8 @@ pub enum Message {
     },
     /// Registry → worker: (re-)assign the worker's shard row range. Sent
     /// on attach and again after every failover re-plan; the worker
-    /// rebuilds its store view for the new range and answers with
-    /// [`Message::Ack`].
+    /// rebuilds its store for a new range (or when `fresh`) and answers
+    /// with [`Message::Ack`].
     Assign {
         /// The assignment generation this range belongs to.
         generation: u64,
@@ -811,6 +883,10 @@ pub enum Message {
         start: u64,
         /// Row count of the range.
         len: u64,
+        /// Rebuild the store even when the range is the one held: the
+        /// upload log's replay follows, and puts only land in an empty
+        /// store.
+        fresh: bool,
     },
     /// Router → owner: a routed round failed because a shard worker's
     /// link is dead. Distinct from a tamper-shaped wrong answer — the
@@ -863,14 +939,11 @@ impl Message {
             Message::Outputs(outs) => 1 + vecs_len(outs),
             Message::SetTamper(t) => 1 + tamper_len(t),
             Message::Ack | Message::Shutdown => 1,
-            Message::BulkUpload { columns, .. } => {
-                1 + 4
-                    + 4
-                    + columns
-                        .iter()
-                        .map(|(c, d)| column_len(c) + vec_len(d))
-                        .sum::<usize>()
+            Message::BulkUpload { columns, .. } => 1 + 4 + columns_len(columns),
+            Message::Replay { columns, .. } | Message::FoldUpload { columns, .. } => {
+                1 + 4 + 8 + columns_len(columns)
             }
+            Message::Refused(why) => 1 + 4 + why.len(),
             Message::ShardRun { batch, .. } => 1 + 4 + batch_len(batch),
             Message::ShardOutputs { outputs, .. } => 1 + 4 + vecs_len(outputs),
             Message::MaxCombine { uploads, .. } => {
@@ -894,24 +967,14 @@ impl Message {
             Message::RegisterAck { .. } => 1 + 1 + 8 + 8 + 8 + 8,
             Message::Ping { .. } => 1 + 8,
             Message::Pong { .. } => 1 + 8 + 8,
-            Message::Assign { .. } => 1 + 8 + 8 + 8,
+            Message::Assign { .. } => 1 + 8 + 8 + 8 + 1,
             Message::NodeDown { .. } => 1 + 8,
             Message::DeltaUpload {
                 columns,
                 pf_s1_ext,
                 pf_s2_ext,
                 ..
-            } => {
-                1 + 4
-                    + 8
-                    + 4
-                    + columns
-                        .iter()
-                        .map(|(c, d)| column_len(c) + vec_len(d))
-                        .sum::<usize>()
-                    + map_len(pf_s1_ext)
-                    + map_len(pf_s2_ext)
-            }
+            } => 1 + 4 + 8 + columns_len(columns) + map_len(pf_s1_ext) + map_len(pf_s2_ext),
             Message::RangeVersionProbe => 1,
             Message::Versions(stamps) => 1 + 4 + 24 * stamps.len(),
         }
@@ -954,11 +1017,31 @@ impl Message {
             Message::BulkUpload { owner, columns } => {
                 buf.put_u8(6);
                 buf.put_u32_le(*owner);
-                buf.put_u32_le(columns.len() as u32);
-                for (column, data) in columns {
-                    encode_column(column, buf);
-                    put_vec(buf, data);
-                }
+                put_columns(buf, columns);
+            }
+            Message::Replay {
+                owner,
+                epoch,
+                columns,
+            } => {
+                buf.put_u8(31);
+                buf.put_u32_le(*owner);
+                buf.put_u64_le(*epoch);
+                put_columns(buf, columns);
+            }
+            Message::FoldUpload {
+                owner,
+                epoch,
+                columns,
+            } => {
+                buf.put_u8(29);
+                buf.put_u32_le(*owner);
+                buf.put_u64_le(*epoch);
+                put_columns(buf, columns);
+            }
+            Message::Refused(why) => {
+                buf.put_u8(30);
+                put_text(buf, why);
             }
             Message::ShardRun { shard, batch } => {
                 buf.put_u8(7);
@@ -1078,11 +1161,13 @@ impl Message {
                 generation,
                 start,
                 len,
+                fresh,
             } => {
                 buf.put_u8(24);
                 buf.put_u64_le(*generation);
                 buf.put_u64_le(*start);
                 buf.put_u64_le(*len);
+                buf.put_u8(u8::from(*fresh));
             }
             Message::NodeDown { node } => {
                 buf.put_u8(25);
@@ -1098,11 +1183,7 @@ impl Message {
                 buf.put_u8(26);
                 buf.put_u32_le(*owner);
                 buf.put_u64_le(*start);
-                buf.put_u32_le(columns.len() as u32);
-                for (column, data) in columns {
-                    encode_column(column, buf);
-                    put_vec(buf, data);
-                }
+                put_columns(buf, columns);
                 put_map(buf, pf_s1_ext);
                 put_map(buf, pf_s2_ext);
             }
@@ -1130,17 +1211,10 @@ impl Message {
             3 => Message::SetTamper(decode_tamper(buf)?),
             4 => Message::Ack,
             5 => Message::Shutdown,
-            6 => {
-                let owner = need_u32(buf)?;
-                let n = need_u32(buf)? as usize;
-                let mut columns = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let column = decode_column(buf)?;
-                    let data = get_vec(buf)?;
-                    columns.push((column, data));
-                }
-                Message::BulkUpload { owner, columns }
-            }
+            6 => Message::BulkUpload {
+                owner: need_u32(buf)?,
+                columns: get_columns(buf)?,
+            },
             7 => Message::ShardRun {
                 shard: need_u32(buf)?,
                 batch: decode_batch(buf)?,
@@ -1238,28 +1312,18 @@ impl Message {
                 generation: need_u64(buf)?,
                 start: need_u64(buf)?,
                 len: need_u64(buf)?,
+                fresh: need(buf)? != 0,
             },
             25 => Message::NodeDown {
                 node: need_u64(buf)?,
             },
-            26 => {
-                let owner = need_u32(buf)?;
-                let start = need_u64(buf)?;
-                let n = need_u32(buf)? as usize;
-                let mut columns = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    let column = decode_column(buf)?;
-                    let data = get_vec(buf)?;
-                    columns.push((column, data));
-                }
-                Message::DeltaUpload {
-                    owner,
-                    start,
-                    columns,
-                    pf_s1_ext: get_map(buf)?,
-                    pf_s2_ext: get_map(buf)?,
-                }
-            }
+            26 => Message::DeltaUpload {
+                owner: need_u32(buf)?,
+                start: need_u64(buf)?,
+                columns: get_columns(buf)?,
+                pf_s1_ext: get_map(buf)?,
+                pf_s2_ext: get_map(buf)?,
+            },
             27 => Message::RangeVersionProbe,
             28 => {
                 let n = need_u32(buf)? as usize;
@@ -1272,6 +1336,17 @@ impl Message {
                 }
                 Message::Versions(stamps)
             }
+            29 => Message::FoldUpload {
+                owner: need_u32(buf)?,
+                epoch: need_u64(buf)?,
+                columns: get_columns(buf)?,
+            },
+            30 => Message::Refused(get_text(buf)?),
+            31 => Message::Replay {
+                owner: need_u32(buf)?,
+                epoch: need_u64(buf)?,
+                columns: get_columns(buf)?,
+            },
             t => return Err(WireError::BadTag(t)),
         })
     }
@@ -1287,6 +1362,24 @@ impl Message {
         Ok(match self {
             Message::BulkUpload { owner, columns } => Message::BulkUpload {
                 owner: *owner,
+                columns: pooled_columns(columns),
+            },
+            Message::Replay {
+                owner,
+                epoch,
+                columns,
+            } => Message::Replay {
+                owner: *owner,
+                epoch: *epoch,
+                columns: pooled_columns(columns),
+            },
+            Message::FoldUpload {
+                owner,
+                epoch,
+                columns,
+            } => Message::FoldUpload {
+                owner: *owner,
+                epoch: *epoch,
                 columns: pooled_columns(columns),
             },
             Message::RunBatch(batch) => Message::RunBatch(pooled_batch(batch)),
@@ -1366,6 +1459,7 @@ impl Message {
             | Message::Pong { .. }
             | Message::Assign { .. }
             | Message::NodeDown { .. }
+            | Message::Refused(_)
             | Message::RangeVersionProbe
             | Message::Versions(_) => self.clone(),
         })
@@ -1415,6 +1509,20 @@ mod tests {
             owner: 9,
             columns: vec![(Column::VAgg(3), vec![u64::MAX])],
         });
+        roundtrip(Message::Replay {
+            owner: 4,
+            epoch: 3,
+            columns: vec![(Column::VOk, vec![1, 2]), (Column::AOk, vec![u64::MAX])],
+        });
+        roundtrip(Message::FoldUpload {
+            owner: 2,
+            epoch: u64::MAX,
+            columns: vec![(Column::OkDb2, vec![5, 0]), (Column::Agg(7), vec![])],
+        });
+        roundtrip(Message::Refused(String::new()));
+        roundtrip(Message::Refused(
+            "owner 1's Ok is at epoch 3 — ünïcode".into(),
+        ));
         roundtrip(Message::RunBatch(BatchQuery {
             zs: vec![],
             items: vec![BatchItem::plain(Op::Psi), BatchItem::plain(Op::PsiVerify)],
@@ -1579,12 +1687,26 @@ mod tests {
             seq: 41,
             generation: 9,
         });
-        roundtrip(Message::Assign {
-            generation: 4,
-            start: 10,
-            len: 90,
-        });
+        for fresh in [false, true] {
+            roundtrip(Message::Assign {
+                generation: 4,
+                start: 10,
+                len: 90,
+                fresh,
+            });
+        }
         roundtrip(Message::NodeDown { node: 3 });
+    }
+
+    #[test]
+    fn a_refusal_reason_must_be_utf8() {
+        let mut bad = vec![30u8];
+        bad.extend_from_slice(&2u32.to_le_bytes());
+        bad.extend_from_slice(&[0xC3, 0x28]);
+        assert!(matches!(
+            Message::decode(&bad),
+            Err(WireError::Malformed(_))
+        ));
     }
 
     #[test]

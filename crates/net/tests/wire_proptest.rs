@@ -136,7 +136,7 @@ fn build_message(
         // Exercise both the full-domain and the window-scoped encoding.
         range: (t_sel % 2 == 1).then_some((tx, ty)),
     };
-    match sel % 20 {
+    match sel % 24 {
         0 => Message::BulkUpload {
             owner,
             columns: vec![(arb_column(col_sel, attr), data)],
@@ -227,6 +227,38 @@ fn build_message(
         },
         17 => Message::RangeVersionProbe,
         18 => Message::Versions(data.chunks_exact(3).map(|c| (c[0], c[1], c[2])).collect()),
+        19 | 20 => {
+            let columns = zs
+                .into_iter()
+                .enumerate()
+                .map(|(i, d)| (arb_column(col_sel.wrapping_add(i as u8), attr), d))
+                .collect();
+            if sel % 24 == 19 {
+                Message::FoldUpload {
+                    owner,
+                    epoch: tx,
+                    columns,
+                }
+            } else {
+                Message::Replay {
+                    owner,
+                    epoch: tx,
+                    columns,
+                }
+            }
+        }
+        // Any UTF-8, multi-byte characters included.
+        21 => Message::Refused(
+            data.iter()
+                .filter_map(|&x| char::from_u32(x as u32 % 0x11_0000))
+                .collect(),
+        ),
+        22 => Message::Assign {
+            generation: tx,
+            start: ty,
+            len: u64::from(owner),
+            fresh: t_sel % 2 == 1,
+        },
         _ => Message::Shutdown,
     }
 }

@@ -30,7 +30,7 @@ use crate::median::MedianCell;
 use crate::params::{Initiator, OwnerParams, ServerParams, Setup, SystemConfig};
 use crate::plans;
 use crate::shard::{ShardedExec, ShardedNode};
-use crate::tables::{owner_uploads, share_owner, ColumnSet, OwnerTable};
+use crate::tables::{owner_uploads, share_difference, share_owner, ColumnSet, OwnerTable};
 use prism_core::{Permutation, Prg};
 
 pub use crate::engine::QueryStats;
@@ -142,13 +142,24 @@ pub trait Deployment {
     /// [`Deployment::delta_store`]s that extend the servers to it.
     fn adopt_setup(&mut self, grown: Setup);
 
-    /// Store `owner`'s whole-domain shares over what they stored before.
-    /// `share` is handed the owner view and a sink for each `(server,
-    /// column, shares)` [`share_owner`] emits: taken one column at a time
-    /// in-process, batched into one frame per server on a wire.
+    /// Put `owner`'s whole-domain shares (Phase 1). `share` is handed the
+    /// owner view and a sink for each `(server, column, shares)`
+    /// [`share_owner`] emits: taken one column at a time in-process,
+    /// batched into one frame per server on a wire.
     fn store(
         &mut self,
         owner: usize,
+        share: impl FnOnce(&OwnerParams, &mut dyn FnMut(usize, Column, Vec<u64>)),
+    ) -> Result<()>;
+
+    /// Fold `owner`'s whole-domain difference shares into what the servers
+    /// hold, at `epoch` ([`ServerNode::fold`](crate::engine::ServerNode::fold)).
+    /// `share` feeds the sink like [`Deployment::store`]'s; each server
+    /// takes its columns as one all-or-nothing fold.
+    fn fold(
+        &mut self,
+        owner: usize,
+        epoch: u64,
         share: impl FnOnce(&OwnerParams, &mut dyn FnMut(usize, Column, Vec<u64>)),
     ) -> Result<()>;
 
@@ -206,10 +217,30 @@ impl Deployment for InProcess {
         share: impl FnOnce(&OwnerParams, &mut dyn FnMut(usize, Column, Vec<u64>)),
     ) -> Result<()> {
         let nodes = &mut self.nodes;
+        let mut done = Ok(());
         share(&self.setup.owner, &mut |k, column, shares| {
-            nodes[k].store(owner, column, shares)
+            if done.is_ok() {
+                done = nodes[k].put(owner, 0, 0, vec![(column, shares)]);
+            }
         });
         self.note_uploads(0..self.nodes.len());
+        done
+    }
+
+    fn fold(
+        &mut self,
+        owner: usize,
+        epoch: u64,
+        share: impl FnOnce(&OwnerParams, &mut dyn FnMut(usize, Column, Vec<u64>)),
+    ) -> Result<()> {
+        let mut uploads = vec![Vec::new(); self.nodes.len()];
+        share(&self.setup.owner, &mut |k, column, shares| {
+            uploads[k].push((column, shares))
+        });
+        self.note_uploads(0..self.nodes.len());
+        for (node, columns) in self.nodes.iter_mut().zip(uploads) {
+            node.fold(owner, epoch, columns)?;
+        }
         Ok(())
     }
 
@@ -252,23 +283,15 @@ fn tail_block(p: &Permutation, start: usize) -> Permutation {
         .expect("Setup::grow extends every permutation block-diagonally")
 }
 
-/// Per-owner state the cluster keeps on the owner side of the wall.
-///
-/// Only what post-build rounds need: the per-attribute sums (median) and
-/// maxima (max rounds 2–3). Indicators and counts live on as shares at
-/// the servers and are dropped here to keep large-domain runs in memory.
-struct OwnerState {
-    /// Per-attribute per-cell sums.
-    sums: Vec<Vec<u64>>,
-    /// Per-attribute per-cell maxima.
-    maxima: Vec<Vec<u64>>,
-}
-
 /// The owners of one PRISM deployment `D`.
 pub struct Cluster<D = InProcess> {
     deployment: D,
     cfg: ClusterConfig,
-    owners: Vec<OwnerState>,
+    /// Each owner's plaintext table over the whole domain, on the owner
+    /// side of the wall: the sums (median) and maxima (max rounds 2–3) the
+    /// post-build rounds read, and the indicator and counts an update
+    /// takes its difference from.
+    owners: Vec<OwnerTable>,
     n_attrs: usize,
     /// Post-build owner updates performed so far (salts the re-sharing
     /// randomness so successive updates never reuse share streams).
@@ -460,8 +483,8 @@ impl<D: Deployment> Cluster<D> {
 
     /// Phase 1 for owner `j` over the whole domain: validate and fold the
     /// rows, share every configured column into the deployment, and
-    /// return the owner-side state the post-build rounds need.
-    fn outsource(&mut self, j: usize, input: &OwnerInput, tag: u64) -> Result<OwnerState> {
+    /// return the owner's table.
+    fn outsource(&mut self, j: usize, input: &OwnerInput, tag: u64) -> Result<OwnerTable> {
         let b = self.setup().owner.b;
         let table = window_table(j, input, self.n_attrs, (0, b))?;
         let set = self.column_set();
@@ -469,18 +492,17 @@ impl<D: Deployment> Cluster<D> {
         self.deployment.store(j, |op, sink| {
             share_owner(&table, op, (&op.pf_db1, &op.pf_db2), set, &mut prg, sink)
         })?;
-        Ok(OwnerState {
-            sums: table.sums,
-            maxima: table.maxima,
-        })
+        Ok(table)
     }
 
-    /// Re-outsource one owner's entire relation (the owner updated their
-    /// database after Phase 1): rebuild the owner's plaintext tables,
-    /// re-share every configured column into the servers, and refresh the
-    /// owner-side state. Every server domain's store version moves, so
-    /// the PSI-round cache re-probes and drops the now-stale entries
-    /// before the next query — a stale PSI can never be served.
+    /// Replace one owner's entire relation (the owner updated their
+    /// database after Phase 1): rebuild the owner's plaintext table and
+    /// fold a fresh sharing of its difference from the old one into every
+    /// configured column at the servers, at a new epoch — the servers only
+    /// ever add, and a repeated or stale update is refused there. Every
+    /// server domain's store version moves, so the PSI-round cache
+    /// re-probes and drops the now-stale entries before the next query — a
+    /// stale PSI can never be served.
     pub fn update_owner(&mut self, owner: usize, input: &OwnerInput) -> Result<()> {
         if owner >= self.owners.len() {
             return Err(ProtocolError::ParameterMismatch(format!(
@@ -489,8 +511,17 @@ impl<D: Deployment> Cluster<D> {
             )));
         }
         check_attrs(owner, input, self.n_attrs)?;
+        let b = self.setup().owner.b;
+        let table = window_table(owner, input, self.n_attrs, (0, b))?;
         self.updates += 1;
-        self.owners[owner] = self.outsource(owner, input, 0xD1CE)?;
+        let set = self.column_set();
+        let mut prg = Prg::from_seed(self.share_seed(0xD1CE, owner));
+        let old = &self.owners[owner];
+        self.deployment.fold(owner, self.updates, |op, sink| {
+            let perms = (&op.pf_db1, &op.pf_db2);
+            share_difference(old, &table, op, perms, set, &mut prg, sink)
+        })?;
+        self.owners[owner] = table;
         Ok(())
     }
 
@@ -537,6 +568,8 @@ impl<D: Deployment> Cluster<D> {
                 }
             }
             let state = &mut self.owners[j];
+            state.indicator.extend_from_slice(&table.indicator);
+            state.counts.extend_from_slice(&table.counts);
             for (a, (sums, maxima)) in table.sums.iter().zip(&table.maxima).enumerate() {
                 state.sums[a].extend_from_slice(sums);
                 state.maxima[a].extend_from_slice(maxima);
@@ -1136,6 +1169,55 @@ mod tests {
         assert_eq!(vstats.cache_hits, 0);
     }
 
+    /// An update is a fold of `new − old` into the sums, so every column —
+    /// the complement and both permuted copies included — answers as if
+    /// the owner had outsourced the new rows in Phase 1; a second fold of
+    /// the same epoch is refused and changes nothing.
+    #[test]
+    fn an_update_answers_as_a_fresh_build() {
+        let update = OwnerInput {
+            rows: vec![(2, vec![40, 1]), (3, vec![60, 2]), (3, vec![5, 9])],
+        };
+        let mut updated = hospital_cluster(24);
+        updated.update_owner(0, &update).unwrap();
+        let mut inputs = hospitals();
+        inputs[0] = update;
+        let mut cfg = ClusterConfig::new(3);
+        cfg.seed = 24;
+        cfg.agg_domain_max = 2000;
+        let fresh = Cluster::build(&inputs, cfg).unwrap();
+        let answers = |c: &Cluster| {
+            format!(
+                "{:?}",
+                (
+                    c.psi_verified().unwrap().0.common,
+                    c.psu_verified().unwrap().0,
+                    c.psi_count_verified().unwrap().0,
+                    c.psi_sum_verified(1).unwrap().0,
+                    c.psi_avg(0).unwrap().0,
+                )
+            )
+        };
+        assert_eq!(answers(&updated), answers(&fresh));
+        let before = answers(&updated);
+        let epoch = updated.updates;
+        let again = updated.deployment.fold(0, epoch, |op, sink| {
+            let t = &updated.owners[0];
+            let set = ColumnSet::full(2);
+            share_difference(
+                t,
+                t,
+                op,
+                (&op.pf_db1, &op.pf_db2),
+                set,
+                &mut Prg::from_seed(1),
+                sink,
+            )
+        });
+        assert!(matches!(again, Err(ProtocolError::UploadRefused(_))));
+        assert_eq!(answers(&updated), before);
+    }
+
     #[test]
     fn append_keeps_untouched_window_warm_and_matches_the_oracle() {
         let mk = |cache| {
@@ -1208,7 +1290,9 @@ mod tests {
         let _ = c.psi().unwrap();
         // Touch only server 2 (never part of a PSI round).
         let data = vec![1u64, 2, 3];
-        c.deployment.nodes[2].store(0, Column::VAgg(0), data);
+        c.deployment.nodes[2]
+            .fold(0, 1, vec![(Column::VAgg(0), data)])
+            .unwrap();
         c.deployment.note_uploads(2..3);
         let (_, stats) = c.psi().unwrap();
         assert_eq!(
@@ -1217,8 +1301,8 @@ mod tests {
         );
     }
 
-    /// FNV-1a over every stored share column of every shard of every
-    /// server domain, in a fixed `(server, shard, column, owner)` order.
+    /// FNV-1a over every summed share column of every shard of every
+    /// server domain, in a fixed `(server, shard, column)` order.
     fn share_digest(c: &Cluster) -> u64 {
         const COLUMNS: [Column; 9] = [
             Column::Ok,
@@ -1236,10 +1320,9 @@ mod tests {
         for node in &c.deployment.nodes {
             for shard in node.shard_nodes() {
                 for column in COLUMNS {
-                    for shares in shard.stored(column) {
-                        eat(shares.len() as u64);
-                        shares.iter().copied().for_each(&mut eat);
-                    }
+                    let sums = shard.sums(column);
+                    eat(sums.len() as u64);
+                    sums.iter().copied().for_each(&mut eat);
                 }
             }
         }
@@ -1247,8 +1330,8 @@ mod tests {
     }
 
     /// Phase 1 is pinned bit for bit: `build → update_owner → append`
-    /// over one fixed `(inputs, cfg)` leaves exactly these shares in the
-    /// stores, whatever code path produced them.
+    /// over one fixed `(inputs, cfg)` leaves exactly these summed shares
+    /// in the stores, whatever code path produced them.
     #[test]
     fn outsourced_shares_match_the_golden_digest() {
         let owner_rows = |j: u64, cells: std::ops::RangeInclusive<u64>| OwnerInput {

@@ -5,8 +5,8 @@
 //! → owner-finalize*, repeated for one to three rounds — and this module
 //! is the single place that shape is executed:
 //!
-//! * [`ServerNode`] is the server side of the wall: it stores the
-//!   Phase-1 share columns (`ColumnStore`), evaluates [`ServerCmd`]s
+//! * [`ServerNode`] is the server side of the wall: it keeps the owners'
+//!   summed share columns (`ColumnStore`), evaluates [`ServerCmd`]s
 //!   against them with the step functions from the operation modules, and
 //!   applies its (test-injected) [`Tamper`] to every output — so failure
 //!   injection behaves identically in-process and over the wire.
@@ -29,7 +29,7 @@ use crate::max::{self, BlindedMaxUpload, MaxAnnouncement};
 use crate::median::{self, MedianAnnouncement};
 use crate::params::{AnnouncerParams, OwnerParams, ServerParams, SHAMIR_SERVERS};
 use crate::{chunk, psi, psu, sum};
-use prism_core::arith::{fold_canonical_mod, sub_assign_mod};
+use prism_core::arith::fold_canonical_mod;
 use prism_core::wide::WideVec;
 use prism_core::Permutation;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +53,17 @@ pub enum Column {
     VAgg(u8),
     /// Shamir tuple counts (aOK).
     AOk,
+}
+
+impl Column {
+    /// The ring this column's shares live in: `Z_δ` for the additive
+    /// indicator columns, `F_p` for the Shamir ones.
+    pub fn ring(self, delta: u64, p: u64) -> u64 {
+        match self {
+            Column::Ok | Column::VOk | Column::OkDb1 | Column::OkDb2 => delta,
+            Column::Agg(_) | Column::VAgg(_) | Column::AOk => p,
+        }
+    }
 }
 
 /// A stored-column operation a server can evaluate in one step.
@@ -479,28 +490,50 @@ impl RoundOutcome {
 /// keeps matching its stamps and stays warm.
 pub(crate) type RangeVersion = (u64, u64, u64);
 
-/// One stored column kind: every owner's shares of it, and their per-cell
-/// sum — the only part a query reads.
+/// What one owner has contributed to a stored column kind: the rows it put
+/// (always a prefix `[0, rows)`) and the epoch of the last difference
+/// folded into them. Both are public shape; no share value is kept per
+/// owner.
+#[derive(Debug, Default, Clone, Copy)]
+struct Held {
+    rows: usize,
+    epoch: u64,
+}
+
+/// One stored column kind: the per-cell sum of every owner's shares — the
+/// only part a query reads — and each owner's [`Held`] record.
 #[derive(Debug, Default)]
 struct Stored {
-    owners: Vec<Vec<u64>>,
-    /// `summed[i] = Σ_j owners[j][i]` in the column's ring, over the owners
-    /// whose column reaches row `i`. Never shorter than any owner column.
+    owners: Vec<Held>,
+    /// `summed[i]` is `Σ_j` of owner `j`'s shares of row `i` in the
+    /// column's ring, over the owners holding row `i`. As long as the
+    /// longest owner's rows.
     summed: Vec<u64>,
 }
 
-/// Per-owner share columns stored at one server (the owner uploads these
-/// in Phase 1; Table 11's layout).
+/// The share columns stored at one server (Table 11's layout), one column
+/// per kind.
 ///
 /// **Stored shares are canonical and pre-summed**: every write reduces the
-/// incoming values into their column's ring (`Z_δ` for the additive
-/// indicator columns, `F_p` for the Shamir ones), once, and folds them into
-/// that column's owner sum, so a query scans one canonical column whatever
-/// the owner count. Writes take `&mut self`; nothing else touches the sums.
+/// incoming values into their column's ring ([`Column::ring`]), once, and
+/// adds them into that column's owner sum, so a query scans one canonical
+/// column whatever the owner count. There are two writes, and both only
+/// add:
+///
+/// * a **put** extends an owner's rows at the end of what it holds (Phase
+///   1, an append, a replay) and is refused if it overlaps them, leaves a
+///   gap, or runs past the domain;
+/// * a **fold** at epoch `k` adds a difference over a column the owner
+///   holds whole, and is refused unless `k` is past that column's last
+///   epoch — so a duplicated or stale update can never be added twice.
+///
+/// A refused write is a [`ProtocolError::UploadRefused`] and changes
+/// nothing. Writes take `&mut self`; nothing else touches the sums.
 #[derive(Debug)]
 pub(crate) struct ColumnStore {
     delta: u64,
     p: u64,
+    m: usize,
     ok: Stored,
     v_ok: Stored,
     ok_db1: Stored,
@@ -509,8 +542,8 @@ pub(crate) struct ColumnStore {
     agg: Vec<Stored>,
     v_agg: Vec<Stored>,
     /// Per-range version stamps, ordered by `start`. Every
-    /// [`ColumnStore::store`] bumps *all* epochs (a full-column write
-    /// dirties the whole store); [`ColumnStore::bump_range`] bumps (or
+    /// [`ColumnStore::bump_all`] bumps *all* epochs (a put or fold that is
+    /// not an append dirties the whole store); [`ColumnStore::bump_range`] bumps (or
     /// creates) exactly the appended range. The scalar
     /// [`ColumnStore::version`] is the sum of the stamps, so it stays
     /// monotonic: any write moves it, and a cached round stamped with an
@@ -524,6 +557,7 @@ impl ColumnStore {
         ColumnStore {
             delta: sp.delta,
             p: sp.field.p,
+            m: sp.m,
             ok: Stored::default(),
             v_ok: Stored::default(),
             ok_db1: Stored::default(),
@@ -553,59 +587,143 @@ impl ColumnStore {
         }
     }
 
-    /// The one ingest path: replace `owner`'s rows of `column` from `start`
-    /// on with `data` (zero-padding up to `start`), reduced into the
-    /// column's ring, and keep the owner sum in step by retiring the
-    /// replaced rows and folding in the new ones.
-    fn write(&mut self, owner: usize, column: Column, start: usize, mut data: Vec<u64>) {
-        let n = match column {
-            Column::Ok | Column::VOk | Column::OkDb1 | Column::OkDb2 => self.delta,
-            Column::Agg(_) | Column::VAgg(_) | Column::AOk => self.p,
-        };
-        let Stored { owners, summed } = self.slot(column);
-        if owners.len() <= owner {
-            owners.resize(owner + 1, Vec::new());
+    fn held(&self, owner: usize, column: Column) -> Held {
+        let owners = &self.col(column).owners;
+        owners.get(owner).copied().unwrap_or_default()
+    }
+
+    /// The checks every write makes before any column moves: `owner` is
+    /// one of the `m`, and no column appears twice in the upload.
+    fn check_write(&self, owner: usize, columns: &[(Column, Vec<u64>)]) -> Result<()> {
+        if owner >= self.m {
+            return Err(refused(format!(
+                "owner {owner} is not one of the {} owners",
+                self.m
+            )));
         }
-        let col = &mut owners[owner];
-        if let Some(replaced) = col.get(start..) {
-            sub_assign_mod(&mut summed[start..start + replaced.len()], replaced, n);
+        for (i, (column, _)) in columns.iter().enumerate() {
+            if columns[..i].iter().any(|(c, _)| c == column) {
+                return Err(refused(format!("{column:?} appears twice in one upload")));
+            }
         }
-        let end = start + data.len();
-        if summed.len() < end {
-            summed.resize(end, 0);
+        Ok(())
+    }
+
+    /// Refuses a put of `columns` at local row `start` by `owner` into a
+    /// store of `b` rows unless each extends the rows the owner holds of
+    /// that column — starts where they end, carries at least one row and
+    /// ends inside the domain.
+    pub(crate) fn check_put(
+        &self,
+        owner: usize,
+        start: usize,
+        columns: &[(Column, Vec<u64>)],
+        b: usize,
+    ) -> Result<()> {
+        self.check_write(owner, columns)?;
+        for (column, data) in columns {
+            let held = self.held(owner, *column).rows;
+            let end = start.saturating_add(data.len());
+            if data.is_empty() || start != held || end > b {
+                return Err(refused(format!(
+                    "owner {owner} holds rows [0, {held}) of {column:?}: a put of rows \
+                     [{start}, {end}) must extend them inside the {b}-row domain"
+                )));
+            }
         }
-        fold_canonical_mod(&mut summed[start..end], &mut data, n);
-        if start == 0 {
-            *col = data;
-        } else {
-            col.resize(start, 0);
-            col.extend_from_slice(&data);
+        Ok(())
+    }
+
+    /// Refuses a fold of `columns` at `epoch` by `owner` into a store of
+    /// `b` rows unless the owner holds every row of each column, the
+    /// difference covers them all, and `epoch` is past the column's last.
+    pub(crate) fn check_fold(
+        &self,
+        owner: usize,
+        epoch: u64,
+        columns: &[(Column, Vec<u64>)],
+        b: usize,
+    ) -> Result<()> {
+        self.check_write(owner, columns)?;
+        for (column, data) in columns {
+            let held = self.held(owner, *column);
+            if held.rows != b || data.len() != b {
+                return Err(refused(format!(
+                    "a fold of {} rows of {column:?} needs owner {owner} to hold all {b}; \
+                     it holds {}",
+                    data.len(),
+                    held.rows
+                )));
+            }
+            if epoch <= held.epoch {
+                return Err(refused(format!(
+                    "owner {owner}'s {column:?} is at epoch {}: a fold at epoch {epoch} \
+                     is stale or repeated",
+                    held.epoch
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Add `columns` into the sums at local row `start`, reduced into each
+    /// column's ring, and extend `owner`'s rows by them; `epoch` (a
+    /// replay's, else 0) raises the columns' epoch. Only after
+    /// [`ColumnStore::check_put`] passed.
+    pub(crate) fn put(
+        &mut self,
+        owner: usize,
+        start: usize,
+        epoch: u64,
+        columns: Vec<(Column, Vec<u64>)>,
+    ) {
+        let (delta, p) = (self.delta, self.p);
+        for (column, mut data) in columns {
+            let Stored { owners, summed } = self.slot(column);
+            if owners.len() <= owner {
+                owners.resize(owner + 1, Held::default());
+            }
+            let end = start + data.len();
+            if summed.len() < end {
+                summed.resize(end, 0);
+            }
+            fold_canonical_mod(&mut summed[start..end], &mut data, column.ring(delta, p));
+            let held = &mut owners[owner];
+            held.rows = end;
+            held.epoch = held.epoch.max(epoch);
         }
     }
 
-    /// Store one owner's share vector for `column`, bumping the store
-    /// version (every epoch's stamp — a full-column write dirties the
-    /// whole store).
-    pub(crate) fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
-        let len = data.len() as u64;
-        self.write(owner, column, 0, data);
+    /// Add the differences `columns` into the sums and move their epoch to
+    /// `epoch`. Only after [`ColumnStore::check_fold`] passed.
+    pub(crate) fn fold(&mut self, owner: usize, epoch: u64, columns: Vec<(Column, Vec<u64>)>) {
+        let (delta, p) = (self.delta, self.p);
+        for (column, mut data) in columns {
+            let Stored { owners, summed } = self.slot(column);
+            let n = column.ring(delta, p);
+            fold_canonical_mod(&mut summed[..data.len()], &mut data, n);
+            owners[owner].epoch = epoch;
+        }
+    }
+
+    /// Bump every range's version stamp (a write that is not an append
+    /// dirties the whole store), creating the first range, `[0, b)`, on
+    /// the store's first write.
+    pub(crate) fn bump_all(&mut self, b: usize) {
         if self.epochs.is_empty() {
-            self.epochs.push((0, len, 0));
+            self.epochs.push((0, b as u64, 0));
         }
         for e in &mut self.epochs {
             e.2 += 1;
         }
     }
 
-    /// Append one owner's delta segment to `column` starting at local row
-    /// `start` (the column is zero-padded up to `start` if it was never
-    /// stored — servers tolerate partial uploads the same way
-    /// [`ColumnStore::store`] does). Does **not** touch the version
-    /// stamps; the caller bumps exactly once per owner-delta via
-    /// [`ColumnStore::bump_range`] after appending every column it
-    /// carries.
-    pub(crate) fn append(&mut self, owner: usize, column: Column, data: Vec<u64>, start: usize) {
-        self.write(owner, column, start, data);
+    /// Share cells the store holds, over every column kind.
+    #[cfg(test)]
+    fn resident_cells(&self) -> usize {
+        let kinds = [&self.ok, &self.v_ok, &self.ok_db1, &self.ok_db2, &self.a_ok];
+        let attrs = self.agg.iter().chain(&self.v_agg);
+        kinds.into_iter().chain(attrs).map(|s| s.summed.len()).sum()
     }
 
     /// Bump the version stamp of the range `[start, start+len)`, creating
@@ -670,10 +788,10 @@ impl ColumnStore {
             Some(b) => stored == b,
             None => stored >= rows.end,
         };
-        if let Some(j) = owners.iter().position(|col| !covers(col.len())) {
+        if let Some(j) = owners.iter().position(|held| !covers(held.rows)) {
             return Err(ProtocolError::ParameterMismatch(format!(
                 "owner {j} stores {} cells of {column:?}, expected {}",
-                owners[j].len(),
+                owners[j].rows,
                 whole.unwrap_or(rows.end)
             )));
         }
@@ -681,6 +799,11 @@ impl ColumnStore {
             .get(rows)
             .ok_or_else(|| ProtocolError::ParameterMismatch(format!("no {column:?} shares stored")))
     }
+}
+
+/// The refusal of a write the store will not add (see [`ColumnStore`]).
+pub(crate) fn refused(why: String) -> ProtocolError {
+    ProtocolError::UploadRefused(why)
 }
 
 /// How many row buffers a node keeps around between rounds: the reply
@@ -800,20 +923,93 @@ impl ServerNode {
         self.tamper = tamper;
     }
 
-    /// Phase 1: store one owner's share column (bumps the store version).
+    /// Phase 1: put one owner's whole share column (see
+    /// [`ServerNode::put`]).
+    ///
+    /// # Panics
+    ///
+    /// If the put is refused — the owner already holds rows of `column`,
+    /// is not one of the `m`, or `data` is empty or longer than the
+    /// domain. Deployments put through [`ServerNode::put`], which returns
+    /// the refusal.
     pub fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
-        self.store.store(owner, column, data);
+        if let Err(e) = self.put(owner, 0, 0, vec![(column, data)]) {
+            panic!("store of {column:?} for owner {owner}: {e}");
+        }
     }
 
-    /// Every owner's stored shares of `column` (the golden share-digest
-    /// test reads the stores back through this).
+    /// The owners' summed shares of `column` (the golden share-digest test
+    /// reads the stores back through this).
     #[cfg(test)]
-    pub(crate) fn stored(&self, column: Column) -> &[Vec<u64>] {
-        &self.store.col(column).owners
+    pub(crate) fn sums(&self, column: Column) -> &[u64] {
+        &self.store.col(column).summed
+    }
+
+    /// Rows of `column` that `owner` has put here.
+    pub(crate) fn held_rows(&self, owner: usize, column: Column) -> usize {
+        self.store.held(owner, column).rows
+    }
+
+    /// Refuses what [`ServerNode::put`] would refuse, changing nothing.
+    pub(crate) fn check_put(
+        &self,
+        owner: usize,
+        start: usize,
+        columns: &[(Column, Vec<u64>)],
+    ) -> Result<()> {
+        self.store.check_put(owner, start, columns, self.params.b)
+    }
+
+    /// Refuses what [`ServerNode::fold`] would refuse, changing nothing.
+    pub(crate) fn check_fold(
+        &self,
+        owner: usize,
+        epoch: u64,
+        columns: &[(Column, Vec<u64>)],
+    ) -> Result<()> {
+        self.store.check_fold(owner, epoch, columns, self.params.b)
+    }
+
+    /// Put `owner`'s shares of every listed column at local row `start`:
+    /// each must extend the rows the owner holds of that column, inside
+    /// the domain (Phase 1 puts whole columns at row 0; a replay or a
+    /// repair puts what is missing). `epoch` is the columns' fold epoch
+    /// after the put — a replay's, else 0. All or nothing: a refused
+    /// column is a [`ProtocolError::UploadRefused`] and no column moves.
+    /// Bumps every version stamp.
+    pub fn put(
+        &mut self,
+        owner: usize,
+        start: usize,
+        epoch: u64,
+        columns: Vec<(Column, Vec<u64>)>,
+    ) -> Result<()> {
+        self.check_put(owner, start, &columns)?;
+        self.store.put(owner, start, epoch, columns);
+        self.store.bump_all(self.params.b);
+        Ok(())
+    }
+
+    /// Update: add `owner`'s difference shares of every listed column,
+    /// each covering all `b` rows the owner holds, at `epoch` — which must
+    /// be past each column's last. All or nothing, like
+    /// [`ServerNode::put`]; bumps every version stamp.
+    pub fn fold(
+        &mut self,
+        owner: usize,
+        epoch: u64,
+        columns: Vec<(Column, Vec<u64>)>,
+    ) -> Result<()> {
+        self.check_fold(owner, epoch, &columns)?;
+        self.store.fold(owner, epoch, columns);
+        self.store.bump_all(self.params.b);
+        Ok(())
     }
 
     /// Append one owner's delta segment (all its columns share one
-    /// appended row range) starting at **local** row `start`.
+    /// appended row range) starting at **local** row `start` — a put of
+    /// rows `[start, start + len)`, refused (store and domain unchanged)
+    /// unless it extends the rows the owner holds of every column.
     ///
     /// The first delta reaching past the current domain end grows the
     /// node: `b` extends by the segment length and the output permutations
@@ -831,60 +1027,50 @@ impl ServerNode {
         columns: Vec<(Column, Vec<u64>)>,
         perm_ext: Option<(&Permutation, &Permutation)>,
     ) -> Result<()> {
-        let added = match columns.first() {
-            Some((_, data)) => data.len(),
-            None => {
-                return Err(ProtocolError::ParameterMismatch(
-                    "delta upload carries no columns".into(),
-                ))
-            }
-        };
+        let added = columns.first().map_or(0, |(_, data)| data.len());
         if added == 0 || columns.iter().any(|(_, d)| d.len() != added) {
-            return Err(ProtocolError::ParameterMismatch(
+            return Err(refused(
                 "delta upload columns must share one non-empty appended range".into(),
             ));
         }
-        if start + added > self.params.b {
+        let (b, end) = (self.params.b, start.saturating_add(added));
+        let mut grown = None;
+        if end > b {
             // First delta of a new epoch: grow the domain. Appends must be
             // contiguous — a gap would desynchronize the PSU blinding
             // stream's global cell order.
-            if start != self.params.b {
-                return Err(ProtocolError::ParameterMismatch(format!(
-                    "delta upload at rows [{start}, {}) must append at the domain end {}",
-                    start + added,
-                    self.params.b
+            if start != b {
+                return Err(refused(format!(
+                    "delta upload at rows [{start}, {end}) must append at the domain end {b}"
                 )));
             }
-            let (e1, e2) = match perm_ext {
-                Some((e1, e2)) => {
-                    if e1.len() != added || e2.len() != added {
-                        return Err(ProtocolError::ParameterMismatch(format!(
-                            "permutation extension blocks must cover the appended range \
-                             ({added} rows, got {} and {})",
-                            e1.len(),
-                            e2.len()
-                        )));
-                    }
-                    (e1.clone(), e2.clone())
+            grown = Some(match perm_ext {
+                Some((e1, e2)) if e1.len() != added || e2.len() != added => {
+                    return Err(refused(format!(
+                        "permutation extension blocks must cover the appended range \
+                         ({added} rows, got {} and {})",
+                        e1.len(),
+                        e2.len()
+                    )));
                 }
+                Some((e1, e2)) => (e1.clone(), e2.clone()),
                 None => (Permutation::identity(added), Permutation::identity(added)),
-            };
+            });
+        } else if end != b {
+            return Err(refused(format!(
+                "delta upload rows [{start}, {end}) do not match the latest epoch (domain end {b})"
+            )));
+        }
+        self.store.check_put(owner, start, &columns, end)?;
+        if let Some((e1, e2)) = grown {
             self.params.pf_s1 = self.params.pf_s1.concat(&e1);
             self.params.pf_s2 = self.params.pf_s2.concat(&e2);
-            self.params.b = start + added;
+            self.params.b = end;
             // The blinding slice covers [row_offset, row_offset + b) and
             // must be re-drawn at the new length.
             self.psu_rand = std::sync::OnceLock::new();
-        } else if start + added != self.params.b {
-            return Err(ProtocolError::ParameterMismatch(format!(
-                "delta upload rows [{start}, {}) do not match the latest epoch (domain end {})",
-                start + added,
-                self.params.b
-            )));
         }
-        for (column, data) in columns {
-            self.store.append(owner, column, data, start);
-        }
+        self.store.put(owner, start, 0, columns);
         self.store.bump_range(start as u64, added as u64);
         Ok(())
     }
@@ -1904,6 +2090,44 @@ mod tests {
             join_blocks(done),
             Err(ProtocolError::ParameterMismatch("block 1".into()))
         );
+    }
+
+    /// One column per kind, whatever the owner count: full Table-11
+    /// columns from 2 owners and from 10 leave exactly `kinds × b` share
+    /// cells resident at every server.
+    #[test]
+    fn resident_shares_do_not_grow_with_the_owner_count() {
+        use crate::tables::{share_owner, ColumnSet, OwnerTable};
+        let b = 64;
+        for m in [2usize, 10] {
+            let setup = Initiator::new(SystemConfig::new(m, b).with_seed(3))
+                .setup()
+                .unwrap();
+            let op = &setup.owner;
+            let mut nodes: Vec<ServerNode> =
+                setup.servers.iter().cloned().map(ServerNode::new).collect();
+            let mut prg = prism_core::Prg::from_seed(5);
+            for j in 0..m {
+                let rows = (1..=b as u64)
+                    .filter(|v| v % (j as u64 + 2) != 0)
+                    .map(|v| (v, [v, 2 * v]));
+                let table = OwnerTable::window(rows, 2, 0, b).unwrap();
+                let perms = (&op.pf_db1, &op.pf_db2);
+                share_owner(
+                    &table,
+                    op,
+                    perms,
+                    ColumnSet::full(2),
+                    &mut prg,
+                    |k, c, s| nodes[k].store(j, c, s),
+                );
+            }
+            // Four additive kinds at servers 0 and 1; Agg and VAgg per
+            // attribute and aOK at all three.
+            for (node, kinds) in nodes.iter().zip([9, 9, 5]) {
+                assert_eq!(node.store.resident_cells(), kinds * b, "m = {m}");
+            }
+        }
     }
 
     #[test]

@@ -27,6 +27,10 @@ pub enum ProtocolError {
     InversionFailed,
     /// The query needs at least one common element but PSI found none.
     EmptyIntersection,
+    /// A server refused an upload that would add shares twice or out of
+    /// place — a second put of rows an owner holds, a fold at a stale or
+    /// repeated epoch, a malformed delta. Its store is unchanged.
+    UploadRefused(String),
     /// The transport backing an engine round failed, or the backend does
     /// not implement the requested step (e.g. wide-share rounds over a
     /// vector-only wire). Carries the backend's rendered error.
@@ -48,6 +52,7 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "order-polynomial inversion failed (possible tampering)")
             }
             ProtocolError::EmptyIntersection => write!(f, "intersection is empty"),
+            ProtocolError::UploadRefused(why) => write!(f, "upload refused: {why}"),
             ProtocolError::Transport(msg) => write!(f, "transport: {msg}"),
         }
     }

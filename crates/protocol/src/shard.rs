@@ -42,7 +42,7 @@
 //! drift.
 
 use crate::engine::{
-    forward_wide, run_round, Announcer, AnnouncerCmd, AnnouncerReply, BatchQuery, Column,
+    forward_wide, refused, run_round, Announcer, AnnouncerCmd, AnnouncerReply, BatchQuery, Column,
     ExecMeters, RoundOutcome, ServerCmd, ServerExec, ServerNode, ServerReply,
 };
 use crate::error::{ProtocolError, Result};
@@ -51,6 +51,10 @@ use crate::params::ServerParams;
 use prism_core::Permutation;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+/// One shard node's part of an upload: its index, the local row its rows
+/// start at, and its rows of every column that reaches it.
+type ShardPart = (usize, usize, Vec<(Column, Vec<u64>)>);
 
 /// One row-range shard: global rows `[start, start + len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -405,9 +409,10 @@ impl ShardedNode {
     /// moving any existing shard's `row_offset`. A re-touch of the
     /// latest epoch (`start + added == b`) routes straight to the owning
     /// shard. Either way only the touched shard's range version moves —
-    /// and only that shard's owner sums: the shard node extends each
-    /// carried column's `Σ_j` by the appended tail (retiring the old tail
-    /// first on a re-touch); every other shard's sums stay as they are.
+    /// and only that shard's owner sums: the shard node puts the appended
+    /// rows into each carried column's `Σ_j`; every other shard's sums
+    /// stay as they are. A delta the shard refuses (a re-sent epoch, an
+    /// owner whose rows it does not extend) leaves the domain unchanged.
     pub fn delta_upload(
         &mut self,
         owner: usize,
@@ -415,77 +420,183 @@ impl ShardedNode {
         columns: Vec<(Column, Vec<u64>)>,
         perm_ext: Option<(&Permutation, &Permutation)>,
     ) -> Result<()> {
-        let added = match columns.first() {
-            Some((_, data)) if !data.is_empty() => data.len(),
-            _ => {
-                return Err(ProtocolError::ParameterMismatch(
-                    "delta upload carries no rows".into(),
-                ))
-            }
-        };
-        if start + added > self.params.b {
-            if start != self.params.b {
-                return Err(ProtocolError::ParameterMismatch(format!(
-                    "delta upload must append contiguously: start {start}, domain {}",
-                    self.params.b
+        let added = columns.first().map_or(0, |(_, data)| data.len());
+        if added == 0 {
+            return Err(refused("delta upload carries no rows".into()));
+        }
+        self.check_extends(owner, start, &columns)?;
+        let (b, end) = (self.params.b, start.saturating_add(added));
+        if end <= b {
+            if end != b {
+                return Err(refused(format!(
+                    "delta upload may only touch the latest epoch: start {start}, domain {b}"
                 )));
             }
-            let (e1, e2) = match perm_ext {
-                Some((e1, e2)) => (e1.clone(), e2.clone()),
-                None => (Permutation::identity(added), Permutation::identity(added)),
-            };
-            if e1.len() != added || e2.len() != added {
-                return Err(ProtocolError::ParameterMismatch(format!(
-                    "permutation extension covers {} rows, delta has {added}",
-                    e1.len()
-                )));
-            }
-            self.params.pf_s1 = self.params.pf_s1.concat(&e1);
-            self.params.pf_s2 = self.params.pf_s2.concat(&e2);
-            let open_new = added * self.plan.shard_count() >= self.params.b;
-            self.params.b = start + added;
-            let plan = self.plan.append(added, open_new);
-            if open_new {
-                let spec = *plan.specs().last().expect("append added a spec");
-                self.shards
-                    .push(ServerNode::new(shard_server_params(&self.params, &spec)));
-            }
-            self.plan = plan;
-        } else if start + added != self.params.b {
-            return Err(ProtocolError::ParameterMismatch(format!(
-                "delta upload may only touch the latest epoch: start {start}, domain {}",
-                self.params.b
+            let spec = *self
+                .plan
+                .specs()
+                .iter()
+                .find(|s| s.start <= start && end <= s.start + s.len)
+                .ok_or_else(|| {
+                    refused(format!(
+                        "delta range [{start}, {end}) crosses a shard boundary"
+                    ))
+                })?;
+            return self.shards[spec.index].delta_upload(owner, start - spec.start, columns, None);
+        }
+        if start != b {
+            return Err(refused(format!(
+                "delta upload must append contiguously: start {start}, domain {b}"
             )));
         }
-        let spec = *self
-            .plan
-            .specs()
-            .iter()
-            .find(|s| s.start <= start && start + added <= s.start + s.len)
-            .ok_or_else(|| {
-                ProtocolError::ParameterMismatch(format!(
-                    "delta range [{start}, {}) crosses a shard boundary",
-                    start + added
-                ))
-            })?;
-        self.shards[spec.index].delta_upload(owner, start - spec.start, columns, None)
+        let (e1, e2) = match perm_ext {
+            Some((e1, e2)) => (e1.clone(), e2.clone()),
+            None => (Permutation::identity(added), Permutation::identity(added)),
+        };
+        if e1.len() != added || e2.len() != added {
+            return Err(refused(format!(
+                "permutation extension covers {} rows, delta has {added}",
+                e1.len()
+            )));
+        }
+        // The tail shard (or a fresh one) takes the rows first; the domain
+        // grows only once it has.
+        let open_new = added * self.plan.shard_count() >= b;
+        let plan = self.plan.append(added, open_new);
+        let mut params = self.params.clone();
+        params.pf_s1 = params.pf_s1.concat(&e1);
+        params.pf_s2 = params.pf_s2.concat(&e2);
+        params.b = end;
+        let spec = *plan.specs().last().expect("plans are never empty");
+        if open_new {
+            let mut node = ServerNode::new(shard_server_params(&params, &spec));
+            node.delta_upload(owner, 0, columns, None)?;
+            self.shards.push(node);
+        } else {
+            let tail = &mut self.shards[spec.index];
+            tail.delta_upload(owner, start - spec.start, columns, None)?;
+        }
+        self.params = params;
+        self.plan = plan;
+        Ok(())
     }
 
-    /// Phase 1: store one owner's share column, split across the shards by
-    /// row range. Every shard node folds its rows into its own owner sum
-    /// of `column` (retiring the rows of a column this replaces), so the
-    /// domain's `Σ_j` is the concatenation of the shards' and no query
-    /// ever adds across owners.
+    /// Phase 1: put one owner's whole share column (see
+    /// [`ShardedNode::put`]).
+    ///
+    /// # Panics
+    ///
+    /// If the put is refused, as [`ServerNode::store`] does.
     pub fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
-        let parts: Vec<Vec<u64>> = self
-            .plan
-            .split_rows(&data)
-            .into_iter()
-            .map(<[u64]>::to_vec)
-            .collect();
-        for (node, part) in self.shards.iter_mut().zip(parts) {
-            node.store(owner, column, part);
+        if let Err(e) = self.put(owner, 0, 0, vec![(column, data)]) {
+            panic!("store of {column:?} for owner {owner}: {e}");
         }
+    }
+
+    /// Refuses rows of `columns` from global row `start` on unless each
+    /// column's held rows — a prefix, summed over the shards — end there:
+    /// a shard only sees its own rows, so a gap or overlap across a shard
+    /// boundary is the domain's to catch.
+    fn check_extends(
+        &self,
+        owner: usize,
+        start: usize,
+        columns: &[(Column, Vec<u64>)],
+    ) -> Result<()> {
+        for (column, _) in columns {
+            let held: usize = self
+                .shards
+                .iter()
+                .map(|n| n.held_rows(owner, *column))
+                .sum();
+            if held != start {
+                return Err(refused(format!(
+                    "owner {owner} holds rows [0, {held}) of {column:?}: a put at row {start} \
+                     must extend them"
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// `columns` (rows from global row `start` on, each inside the domain)
+    /// cut by the row plan: per shard its local start and its rows of
+    /// every column that reaches it.
+    fn cut(&self, start: usize, columns: Vec<(Column, Vec<u64>)>) -> Result<Vec<ShardPart>> {
+        let b = self.params.b;
+        if let Some((column, data)) = columns
+            .iter()
+            .find(|(_, d)| d.is_empty() || start.saturating_add(d.len()) > b)
+        {
+            return Err(refused(format!(
+                "{column:?} rows [{start}, +{}) are empty or run past the {b}-row domain",
+                data.len()
+            )));
+        }
+        let mut parts: Vec<ShardPart> = Vec::new();
+        for spec in self.plan.specs() {
+            let local = start.max(spec.start);
+            let cols: Vec<(Column, Vec<u64>)> = columns
+                .iter()
+                .filter_map(|(c, d)| {
+                    let hi = (start + d.len()).min(spec.start + spec.len);
+                    (local < hi).then(|| (*c, d[local - start..hi - start].to_vec()))
+                })
+                .collect();
+            if !cols.is_empty() {
+                parts.push((spec.index, local - spec.start, cols));
+            }
+        }
+        Ok(parts)
+    }
+
+    /// Put `owner`'s shares of the listed columns at global row `start`,
+    /// each shard node taking its rows of them into its own owner sum (see
+    /// [`ServerNode::put`]), so the domain's `Σ_j` is the concatenation of
+    /// the shards' and no query ever adds across owners. All or nothing
+    /// over every shard.
+    pub fn put(
+        &mut self,
+        owner: usize,
+        start: usize,
+        epoch: u64,
+        columns: Vec<(Column, Vec<u64>)>,
+    ) -> Result<()> {
+        self.check_extends(owner, start, &columns)?;
+        let parts = self.cut(start, columns)?;
+        for (shard, local, cols) in &parts {
+            self.shards[*shard].check_put(owner, *local, cols)?;
+        }
+        for (shard, local, cols) in parts {
+            self.shards[shard].put(owner, local, epoch, cols)?;
+        }
+        Ok(())
+    }
+
+    /// Update: add `owner`'s whole-domain difference shares of the listed
+    /// columns at `epoch`, each shard node taking its rows (see
+    /// [`ServerNode::fold`]). All or nothing over every shard.
+    pub fn fold(
+        &mut self,
+        owner: usize,
+        epoch: u64,
+        columns: Vec<(Column, Vec<u64>)>,
+    ) -> Result<()> {
+        let b = self.params.b;
+        if let Some((column, data)) = columns.iter().find(|(_, d)| d.len() != b) {
+            return Err(refused(format!(
+                "a fold of {} rows of {column:?} must cover the {b}-row domain",
+                data.len()
+            )));
+        }
+        let parts = self.cut(0, columns)?;
+        for (shard, _, cols) in &parts {
+            self.shards[*shard].check_fold(owner, epoch, cols)?;
+        }
+        for (shard, _, cols) in parts {
+            self.shards[shard].fold(owner, epoch, cols)?;
+        }
+        Ok(())
     }
 
     /// Execute one command against the domain; a stored-column batch is

@@ -189,6 +189,58 @@ pub fn share_owner(
     perms: (&Permutation, &Permutation),
     set: ColumnSet,
     prg: &mut Prg,
+    sink: impl FnMut(usize, Column, Vec<u64>),
+) {
+    share_table(table, || table.complement(), op, perms, set, prg, sink)
+}
+
+/// An update for one owner: share `new − old` column by column, each in
+/// its column's ring, with fresh randomness from `prg` — what a fold adds
+/// to the stored sums so they hold `new`'s shares' worth. Every Table-11
+/// column is affine in the owner table, so the difference of two tables'
+/// columns is the column of their difference; the complement's affine part
+/// cancels, leaving `−(new − old)` (permuted like `vOK`). Emission order is
+/// [`share_owner`]'s; `old` and `new` cover the same window.
+pub fn share_difference(
+    old: &OwnerTable,
+    new: &OwnerTable,
+    op: &OwnerParams,
+    perms: (&Permutation, &Permutation),
+    set: ColumnSet,
+    prg: &mut Prg,
+    sink: impl FnMut(usize, Column, Vec<u64>),
+) {
+    let minus = |a: &[u64], b: &[u64], n: u64| -> Vec<u64> {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| (x % n + n - y % n) % n)
+            .collect()
+    };
+    let (delta, p) = (op.delta, op.field.p);
+    let diff = OwnerTable {
+        indicator: minus(&new.indicator, &old.indicator, delta),
+        counts: minus(&new.counts, &old.counts, p),
+        sums: new
+            .sums
+            .iter()
+            .zip(&old.sums)
+            .map(|(a, b)| minus(a, b, p))
+            .collect(),
+        maxima: Vec::new(),
+    };
+    let complement = || minus(&old.indicator, &new.indicator, delta);
+    share_table(&diff, complement, op, perms, set, prg, sink)
+}
+
+/// [`share_owner`]'s body over a table whose complement column is
+/// `complement()` (drawn only when `set` carries `vOK`).
+fn share_table(
+    table: &OwnerTable,
+    complement: impl FnOnce() -> Vec<u64>,
+    op: &OwnerParams,
+    perms: (&Permutation, &Permutation),
+    set: ColumnSet,
+    prg: &mut Prg,
     mut sink: impl FnMut(usize, Column, Vec<u64>),
 ) {
     let (db1, db2) = perms;
@@ -201,7 +253,7 @@ pub fn share_owner(
     let shamir = |v: &[u64], prg: &mut Prg| share_payload(v, &op.field, prg).shares;
     emit(Column::Ok, additive(&table.indicator, prg));
     if set.verification {
-        emit(Column::VOk, additive(&db1.apply(&table.complement()), prg));
+        emit(Column::VOk, additive(&db1.apply(&complement()), prg));
     }
     if set.two_copy {
         emit(Column::OkDb1, additive(&db1.apply(&table.indicator), prg));
@@ -366,6 +418,45 @@ mod tests {
             .map(|(column, plain)| (column, plain[b..].to_vec()))
             .collect();
         assert_eq!(reconstruct(&delta, op), segment);
+    }
+
+    /// A difference sharing reconstructs to `new − old` in every column's
+    /// ring, so old shares plus it reconstruct to the new table's columns
+    /// — the complement and the permuted copies included.
+    #[test]
+    fn difference_shares_move_the_old_columns_to_the_new() {
+        let setup = setup(12);
+        let op = &setup.owner;
+        let perms = (&op.pf_db1, &op.pf_db2);
+        let set = ColumnSet::full(2);
+        let old = OwnerTable::window(rows(1..=12), 2, 0, 12).unwrap();
+        let moved = rows(2..=11)
+            .into_iter()
+            .map(|(v, [a, x])| (v, [a * 3 + 1, x]));
+        let new = OwnerTable::window(moved, 2, 0, 12).unwrap();
+        let put =
+            |t: &OwnerTable, seed| owner_uploads(t, op, perms, set, &mut Prg::from_seed(seed));
+        let mut diff = vec![Vec::new(); SHAMIR_SERVERS];
+        share_difference(
+            &old,
+            &new,
+            op,
+            perms,
+            set,
+            &mut Prg::from_seed(3),
+            |k, c, s| diff[k].push((c, s)),
+        );
+        let (before, after) = (
+            reconstruct(&put(&old, 1), op),
+            reconstruct(&put(&new, 2), op),
+        );
+        for ((column, a), ((_, d), (_, b))) in
+            before.iter().zip(reconstruct(&diff, op).iter().zip(&after))
+        {
+            let n = column.ring(op.delta, op.field.p);
+            let sum: Vec<u64> = a.iter().zip(d).map(|(&a, &d)| (a + d) % n).collect();
+            assert_eq!(&sum, b, "{column:?}");
+        }
     }
 
     #[test]

@@ -168,6 +168,39 @@ fn warm_hot_paths_stay_allocation_free() {
         );
     }
 
+    // --- Ingest: a put adds the owner's shares into the one summed column
+    // and keeps no row of them. The first owner's put requests that
+    // column; every later put, and a fold, requests no row memory at all —
+    // only the per-owner row count and epoch.
+    {
+        /// The owner record, the version stamps, the column list.
+        const INGEST_BOOKKEEPING: usize = 192;
+        let mut node = ServerNode::new(sp.clone());
+        let mut puts = Vec::new();
+        for (owner, data) in shares.iter().enumerate() {
+            let columns = vec![(Column::Ok, data.clone())];
+            let before = BYTES.load(Ordering::Relaxed);
+            node.put(owner, 0, 0, columns).expect("put");
+            puts.push(BYTES.load(Ordering::Relaxed) - before);
+        }
+        let columns = vec![(Column::Ok, shares[0].clone())];
+        let before = BYTES.load(Ordering::Relaxed);
+        node.fold(0, 1, columns).expect("fold");
+        let fold = BYTES.load(Ordering::Relaxed) - before;
+        let column = sp.b * size_of::<u64>();
+        assert!(
+            puts[0] as usize <= column + INGEST_BOOKKEEPING,
+            "the first put requested {} B beside its {column} B sum column",
+            puts[0]
+        );
+        for (owner, &bytes) in puts.iter().enumerate().skip(1).chain([(0, &fold)]) {
+            assert!(
+                bytes as usize <= INGEST_BOOKKEEPING,
+                "owner {owner}'s write requested {bytes} B: a row copy was kept"
+            );
+        }
+    }
+
     // --- The sharded domain: shards are row ranges of one round, not
     // sub-queries — a warm three-item `z`-carrying batch over two shards
     // allocates its three reply vectors plus the same small constant: no

@@ -1,15 +1,18 @@
 //! The per-column owner sums a node keeps at ingest, against recomputation.
 //!
-//! A node answers every stored-column round from one pre-summed column
-//! that `store`, a replacing `store`, `append` and `delta_upload` maintain.
-//! These properties drive random ingest sequences — honest uploads,
-//! replacements, growth one owner at a time, re-sent epochs, unreduced
-//! values, wrong-length columns, an owner too many — against 1- and
-//! 3-shard domains, and after **every** step compare every `QueryOp`,
-//! whole-domain and range-scoped, with the pinned multi-column `_into`
-//! kernels run over a plain mirror of the per-owner columns: the outputs
-//! must be bit-identical, or both sides must refuse with a
-//! `ParameterMismatch`. An ingest path that forgets the sum fails here.
+//! A node answers every stored-column round from one pre-summed column,
+//! and keeps nothing per owner but row counts and epochs: a put extends an
+//! owner's rows, a fold adds a difference at a new epoch. These properties
+//! drive random ingest sequences — puts, folds, growth one owner at a
+//! time, unreduced values, and the writes a node must refuse: a re-sent
+//! epoch, a duplicated or stale fold, a second or wrong-length put, an
+//! owner too many — against 1- and 3-shard domains. A mirror keeps every
+//! owner's columns, applies the same rules, and must refuse exactly what
+//! the node refuses; after **every** step every `QueryOp`, whole-domain
+//! and range-scoped, is compared with the pinned multi-column `_into`
+//! kernels run over the mirror's columns: the outputs must be
+//! bit-identical, or both sides must refuse with a `ParameterMismatch`.
+//! An ingest path that forgets the sum, or adds one twice, fails here.
 
 use prism_core::Prg;
 use prism_protocol::engine::{
@@ -17,7 +20,7 @@ use prism_protocol::engine::{
 };
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{Initiator, ServerParams, SystemConfig};
-use prism_protocol::shard::{merge_shard_outputs, shard_server_params};
+use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardSpec};
 use prism_protocol::{psi, psu, sum, ProtocolError, ShardedNode};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -52,11 +55,13 @@ const OPS: [QueryOp; 13] = [
     QueryOp::CountVerifyComplement,
 ];
 
-/// One shard's per-owner columns as the pre-accumulator store kept them:
-/// `cols[kind][owner]`, canonical, nothing summed.
+/// The domain's per-owner columns as the pre-accumulator store kept them:
+/// `cols[kind][owner]`, canonical, in global rows, nothing summed — and
+/// each column's fold epoch, under the rules the node applies.
 #[derive(Clone, Default)]
 struct Mirror {
     cols: [Vec<Vec<u64>>; COLUMNS.len()],
+    epochs: [Vec<u64>; COLUMNS.len()],
 }
 
 fn kind(column: Column) -> usize {
@@ -67,28 +72,86 @@ fn kind(column: Column) -> usize {
 }
 
 fn modulus(column: Column, sp: &ServerParams) -> u64 {
-    match column {
-        Column::Agg(_) | Column::VAgg(_) | Column::AOk => sp.field.p,
-        _ => sp.delta,
-    }
+    column.ring(sp.delta, sp.field.p)
 }
 
 impl Mirror {
-    /// Replace `owner`'s rows from `start` on, zero-padding up to `start`.
-    fn write(&mut self, owner: usize, column: Column, start: usize, data: &[u64], n: u64) {
-        let owners = &mut self.cols[kind(column)];
-        if owners.len() <= owner {
-            owners.resize(owner + 1, Vec::new());
+    fn held(&self, owner: usize, column: Column) -> (usize, u64) {
+        let k = kind(column);
+        let rows = self.cols[k].get(owner).map_or(0, Vec::len);
+        (rows, self.epochs[k].get(owner).copied().unwrap_or(0))
+    }
+
+    /// A put of `columns` at `start` into a `b`-row domain: accepted iff
+    /// every column extends its owner's rows inside the domain.
+    fn put(
+        &mut self,
+        owner: usize,
+        start: usize,
+        columns: &[(Column, Vec<u64>)],
+        b: usize,
+        sp: &ServerParams,
+    ) -> bool {
+        let fits = |(c, d): &(Column, Vec<u64>)| {
+            !d.is_empty() && self.held(owner, *c).0 == start && start + d.len() <= b
+        };
+        if owner >= OWNERS || !columns.iter().all(fits) {
+            return false;
         }
-        owners[owner].resize(start, 0);
-        owners[owner].extend(data.iter().map(|v| v % n));
+        for (column, data) in columns {
+            let n = modulus(*column, sp);
+            let k = kind(*column);
+            if self.cols[k].len() <= owner {
+                self.cols[k].resize(owner + 1, Vec::new());
+                self.epochs[k].resize(owner + 1, 0);
+            }
+            self.cols[k][owner].extend(data.iter().map(|v| v % n));
+        }
+        true
+    }
+
+    /// A fold of `columns` at `epoch`: accepted iff the owner holds every
+    /// one of the `b` rows of each column and `epoch` is past its last.
+    fn fold(
+        &mut self,
+        owner: usize,
+        epoch: u64,
+        columns: &[(Column, Vec<u64>)],
+        b: usize,
+        sp: &ServerParams,
+    ) -> bool {
+        let fits = |(c, d): &(Column, Vec<u64>)| {
+            let (rows, last) = self.held(owner, *c);
+            rows == b && d.len() == b && epoch > last
+        };
+        if owner >= OWNERS || !columns.iter().all(fits) {
+            return false;
+        }
+        for (column, data) in columns {
+            let n = modulus(*column, sp);
+            let k = kind(*column);
+            for (v, d) in self.cols[k][owner].iter_mut().zip(data) {
+                *v = (*v + d % n) % n;
+            }
+            self.epochs[k][owner] = epoch;
+        }
+        true
+    }
+
+    /// Every owner's rows of `column` inside the shard `spec`.
+    fn shard(&self, column: Column, spec: &ShardSpec) -> Vec<&[u64]> {
+        let end = spec.start + spec.len;
+        self.cols[kind(column)]
+            .iter()
+            .map(|col| col.get(spec.start..end.min(col.len())).unwrap_or(&[]))
+            .collect()
     }
 }
 
 /// What the engine did before it kept sums: resolve the range, slice every
 /// owner's column, run the multi-column kernel.
 fn shard_reference(
-    mirror: &Mirror,
+    shard: Vec<&[u64]>,
     sp: &ServerParams,
     op: QueryOp,
     z: &[u64],
@@ -109,10 +172,10 @@ fn shard_reference(
         sub.row_offset += local;
         rows = Some(local..local + len as usize);
     }
-    let owners: Vec<&[u64]> = mirror.cols[kind(op.column()?)]
-        .iter()
+    let owners: Vec<&[u64]> = shard
+        .into_iter()
         .map(|col| match &rows {
-            None => col.as_slice(),
+            None => col,
             Some(r) => col.get(r.clone()).unwrap_or(&[]),
         })
         .collect();
@@ -135,61 +198,84 @@ fn shard_reference(
     Ok(out)
 }
 
-/// A sharded domain beside the mirrors of its shards.
+/// A sharded domain beside the mirror of its owners' columns.
 struct Pair {
     node: ShardedNode,
-    mirrors: Vec<Mirror>,
+    mirror: Mirror,
     /// Rows of the latest appended epoch.
     last_added: usize,
+    /// The last fold epoch handed out.
+    epoch: u64,
+}
+
+/// Node and mirror must agree on whether a write is refused, and the node
+/// refuses with the typed error.
+fn agree(node: prism_protocol::Result<()>, mirror: bool, ctx: &str) -> bool {
+    match node {
+        Ok(()) => assert!(mirror, "{ctx}: the node took a write the mirror refuses"),
+        Err(ProtocolError::UploadRefused(_)) => {
+            assert!(!mirror, "{ctx}: the node refused a write the mirror takes")
+        }
+        Err(other) => panic!("{ctx}: expected an UploadRefused, got {other:?}"),
+    }
+    mirror
 }
 
 impl Pair {
     fn new(sp: &ServerParams, shards: usize) -> Pair {
-        let node = ShardedNode::new(sp.clone(), shards);
-        let mirrors = vec![Mirror::default(); node.shard_count()];
         Pair {
-            node,
-            mirrors,
+            node: ShardedNode::new(sp.clone(), shards),
+            mirror: Mirror::default(),
             last_added: 0,
+            epoch: 0,
         }
     }
 
+    /// A put of one column at global row `start`; true iff taken.
+    fn put(&mut self, owner: usize, column: Column, start: usize, data: Vec<u64>) -> bool {
+        let (sp, b) = (self.node.params().clone(), self.node.params().b);
+        let columns = vec![(column, data)];
+        let taken = self.mirror.put(owner, start, &columns, b, &sp);
+        let ctx = format!("put of {column:?} by owner {owner} at {start}");
+        agree(self.node.put(owner, start, 0, columns), taken, &ctx)
+    }
+
+    /// Phase 1: a whole column, which must be taken.
     fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
-        let n = modulus(column, self.node.params());
-        for (mirror, part) in self
-            .mirrors
-            .iter_mut()
-            .zip(self.node.plan().split_rows(&data))
-        {
-            mirror.write(owner, column, 0, part, n);
-        }
-        self.node.store(owner, column, data);
+        assert!(self.put(owner, column, 0, data), "a Phase-1 put");
     }
 
-    /// One owner's delta over every column at `start`; the mirror follows
-    /// the node's plan to the shard that took it.
-    fn delta(&mut self, owner: usize, start: usize, added: usize, prg: &mut Prg) {
+    /// A fold of fresh difference shares into one owner's column at
+    /// `epoch`; true iff taken.
+    fn fold(&mut self, owner: usize, column: Column, epoch: u64, prg: &mut Prg) -> bool {
+        let (sp, b) = (self.node.params().clone(), self.node.params().b);
+        let columns = vec![(column, shares(b, modulus(column, &sp), prg))];
+        let taken = self.mirror.fold(owner, epoch, &columns, b, &sp);
+        let ctx = format!("fold of {column:?} by owner {owner} at epoch {epoch}");
+        agree(self.node.fold(owner, epoch, columns), taken, &ctx)
+    }
+
+    /// One owner's delta over every column at `start`: growth at the
+    /// domain end, else a write to the latest epoch; true iff taken.
+    fn delta(&mut self, owner: usize, start: usize, added: usize, prg: &mut Prg) -> bool {
         let sp = self.node.params().clone();
         let columns: Vec<(Column, Vec<u64>)> = COLUMNS
             .iter()
             .map(|&c| (c, shares(added, modulus(c, &sp), prg)))
             .collect();
-        self.node
-            .delta_upload(owner, start, columns.clone(), None)
-            .expect("a contiguous delta");
-        self.mirrors
-            .resize(self.node.shard_count(), Mirror::default());
-        let spec = *self
-            .node
-            .plan()
-            .specs()
-            .iter()
-            .find(|s| s.start <= start && start + added <= s.start + s.len)
-            .expect("the delta landed in one shard");
-        for (column, data) in &columns {
-            let n = modulus(*column, &sp);
-            self.mirrors[spec.index].write(owner, *column, start - spec.start, data, n);
-        }
+        let end = start + added;
+        let in_epoch = if end > sp.b {
+            start == sp.b
+        } else {
+            end == sp.b
+        };
+        let taken = in_epoch && self.mirror.put(owner, start, &columns, end, &sp);
+        let ctx = format!("delta by owner {owner} at [{start}, {end})");
+        agree(
+            self.node.delta_upload(owner, start, columns, None),
+            taken,
+            &ctx,
+        )
     }
 
     /// Every operation, whole-domain and over `range`, node against mirror.
@@ -223,11 +309,11 @@ impl Pair {
                     .plan()
                     .specs()
                     .iter()
-                    .zip(&self.mirrors)
                     .zip(&subs)
-                    .map(|((spec, mirror), sub)| {
+                    .map(|(spec, sub)| {
                         let sp = shard_server_params(domain, spec);
-                        shard_reference(mirror, &sp, op, &sub.zs[0], sub.range).map(|v| vec![v])
+                        let shard = self.mirror.shard(op.column()?, spec);
+                        shard_reference(shard, &sp, op, &sub.zs[0], sub.range).map(|v| vec![v])
                     })
                     .collect::<Result<Vec<_>, _>>()
                     .and_then(|per| merge_shard_outputs(&per, &batch, domain, &Tamper::Honest))
@@ -290,15 +376,21 @@ fn run(shards: usize, steps: &[Step], seed: u64, threads: u32) {
         let n = modulus(column, sp);
         let owner = owner % OWNERS;
         match what % 8 {
-            // A replacing store of the right length (most steps: keeps the
-            // store complete, so outputs — not errors — are compared).
-            0..=2 => pair.store(owner, column, shares(b, n, &mut prg)),
+            // A fold at a fresh epoch (most steps: the store stays
+            // complete, so outputs — not errors — are compared).
+            0..=2 => {
+                pair.epoch += 1;
+                assert!(
+                    pair.fold(owner, column, pair.epoch, &mut prg),
+                    "a fresh fold"
+                );
+            }
             // Growth: every owner appends the same new epoch, in turn; the
             // store is incomplete until the last one has.
             3 | 4 => {
                 let added = 1 + size % 9;
                 for j in 0..OWNERS {
-                    pair.delta(j, b, added, &mut prg);
+                    assert!(pair.delta(j, b, added, &mut prg), "growth by owner {j}");
                     let range = (b as u64, added as u64);
                     pair.check(
                         range,
@@ -311,15 +403,29 @@ fn run(shards: usize, steps: &[Step], seed: u64, threads: u32) {
             }
             // One owner re-sends the latest epoch with new values.
             5 if pair.last_added > 0 => {
-                pair.delta(owner, b - pair.last_added, pair.last_added, &mut prg);
+                let resent = pair.delta(owner, b - pair.last_added, pair.last_added, &mut prg);
+                assert!(!resent, "a re-sent epoch");
             }
-            // A wrong-length store: short, long or empty.
+            // A second put of a held column — short, long or empty — or
+            // rows past the domain end.
             5 | 6 => {
-                let len = [b - 1 - size % b, b + 1 + size % 5, 0][size % 3];
-                pair.store(owner, column, shares(len, n, &mut prg));
+                let (start, len) = [
+                    (0, b - 1 - size % b),
+                    (0, b + 1 + size % 5),
+                    (0, 0),
+                    (b, 1 + size % 3),
+                ][size % 4];
+                let taken = pair.put(owner, column, start, shares(len, n, &mut prg));
+                assert!(!taken, "a second or wrong-length put");
             }
-            // An owner the deployment does not have.
-            _ => pair.store(OWNERS, column, shares(b, n, &mut prg)),
+            // A duplicated or stale fold, or an owner the deployment does
+            // not have.
+            _ if size % 2 == 0 => {
+                let last = pair.mirror.held(owner, column).1;
+                let stale = last - (size / 2) as u64 % (last + 1);
+                assert!(!pair.fold(owner, column, stale, &mut prg), "a stale fold");
+            }
+            _ => assert!(!pair.put(OWNERS, column, 0, shares(b, n, &mut prg))),
         }
         let b = pair.node.params().b;
         let start = size % b;
@@ -350,15 +456,51 @@ proptest! {
 
 #[test]
 fn a_repaired_column_answers_again() {
-    // short → refused; the replacing store of the right length retires the
-    // short column's rows from the sum and the answers return.
-    run(1, &[(6, 1, 0, 3), (0, 1, 0, 0)], 9, 1);
-    run(
-        3,
-        &[(6, 2, 4, 4), (0, 2, 4, 0), (3, 0, 0, 5), (5, 1, 0, 0)],
-        10,
-        2,
-    );
+    // One owner put a short OK column: rounds over it are refused, and a
+    // put that overlaps the held rows or leaves a gap is refused too;
+    // putting exactly the missing rows completes the column and the
+    // answers return.
+    let psi = BatchQuery {
+        items: vec![BatchItem::plain(QueryOp::Psi)],
+        threads: 1,
+        ..BatchQuery::default()
+    };
+    for (shards, threads) in [(1usize, 1u32), (3, 2)] {
+        let setup = Initiator::new(SystemConfig::new(OWNERS, DOMAIN).with_seed(9))
+            .setup()
+            .expect("setup");
+        let sp = &setup.servers[0];
+        let mut prg = Prg::from_seed(9);
+        let mut pair = Pair::new(sp, shards);
+        let held = 13;
+        let (ok, n) = (Column::Ok, sp.delta);
+        for owner in 0..OWNERS {
+            for column in COLUMNS {
+                let mut data = shares(DOMAIN, modulus(column, sp), &mut prg);
+                if (owner, column) == (1, ok) {
+                    data.truncate(held);
+                }
+                assert!(pair.put(owner, column, 0, data));
+            }
+        }
+        let whole = (0, DOMAIN as u64);
+        pair.check(whole, threads, &mut prg, "short column");
+        assert!(pair.node.execute(&ServerCmd::Run(psi.clone())).is_err());
+        assert!(
+            !pair.put(1, ok, held - 1, shares(2, n, &mut prg)),
+            "overlap"
+        );
+        assert!(!pair.put(1, ok, held + 1, shares(2, n, &mut prg)), "gap");
+        assert!(pair.put(1, ok, held, shares(DOMAIN - held, n, &mut prg)));
+        pair.check(whole, threads, &mut prg, "repaired column");
+        assert!(pair.node.execute(&ServerCmd::Run(psi.clone())).is_ok());
+        run(
+            shards,
+            &[(3, 0, 0, 5), (5, 1, 0, 0), (0, 2, 4, 0)],
+            10,
+            threads,
+        );
+    }
 }
 
 /// Every owner's every column stored: a complete `shards`-way domain (and
@@ -468,7 +610,7 @@ fn reply_buffers_that_came_home_never_show_through() {
         pair.check((0, DOMAIN as u64), threads, &mut prg, &ctx);
 
         for owner in 0..OWNERS {
-            pair.delta(owner, DOMAIN, 5, &mut prg);
+            assert!(pair.delta(owner, DOMAIN, 5, &mut prg));
         }
         midway(&pair);
         pair.check(

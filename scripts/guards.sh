@@ -61,7 +61,18 @@ one_executor() {
     ! sed '/^#\[cfg(test)\]/q' crates/net/src/router.rs | grep -n 'thread::spawn'
 }
 
-GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor"
+# A server keeps one column per kind: `Stored` in `engine.rs` holds the
+# owners' sum beside per-owner row counts and epochs, never an owner's
+# shares, and no write subtracts shares back out of the sum (an update is
+# a fold of a difference). Fails if `Stored` holds a `Vec<Vec<u64>>`
+# again, or if `engine.rs` calls `sub_assign_mod`.
+one_column_per_kind() {
+    ! sed -n '/^struct Stored {/,/^}/p' crates/protocol/src/engine.rs |
+        grep -n 'Vec<Vec<u64>>' || return 1
+    ! grep -n 'sub_assign_mod' crates/protocol/src/engine.rs
+}
+
+GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind"
 
 run() {
     case "$1" in
@@ -70,6 +81,7 @@ run() {
         one-facade) one_facade ;;
         poly-table-once) poly_table_once ;;
         one-executor) one_executor ;;
+        one-column-per-kind) one_column_per_kind ;;
         *)
             echo "usage: scripts/guards.sh <all | $(echo "$GUARDS" | tr ' ' '|')>" >&2
             exit 2
