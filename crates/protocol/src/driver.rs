@@ -1340,7 +1340,7 @@ mod tests {
                 .flat_map(|v| [(v, vec![v * 10 + j, v + 3]), (v, vec![j + 1, 2 * v])])
                 .collect(),
         };
-        for (shards, golden) in [(1, 0xb46b_960b_bb11_635bu64), (3, 0xd974_8663_8eb6_6f41)] {
+        for (shards, golden) in [(1, 0x292d_df29_f6cf_b0eeu64), (3, 0x935e_18af_054b_a1b4)] {
             let inputs: Vec<OwnerInput> = (0..3).map(|j| owner_rows(j, 1..=12)).collect();
             let mut cfg = ClusterConfig::new(12).with_shards(shards);
             cfg.seed = 0x60_1DE7;
