@@ -874,8 +874,9 @@ impl NetCluster {
     /// setup's finish-permutation extension blocks alongside the rows;
     /// the server ignores them on a re-touch, so they are always sent.
     /// Rows outside the adopted setup's domain are refused with
-    /// [`NetError::DeltaOutsideDomain`] before anything is recorded or
-    /// sent.
+    /// [`NetError::DeltaOutsideDomain`] before anything is sent; a delta
+    /// the server does not apply (a re-sent epoch, extension blocks that
+    /// do not fit it) is [`NetError::UploadRefused`].
     pub fn delta_upload(
         &self,
         server: usize,

@@ -44,10 +44,10 @@
 //!   invalidation of exactly the healed domain. Zero upload-log
 //!   replay. Only when a range lost its *last* holder does the registry
 //!   re-plan the domain over the survivors, push each its new row range
-//!   via [`Message::Assign`] (generation-numbered, acked), and
-//!   **re-outsource** the domain by replaying every recorded owner
-//!   upload sliced under the new plan — the same store-version path as
-//!   any owner upload, so each survivor's monotonic version bumps and
+//!   via [`Message::Assign`] (generation-numbered, acked, rebuilding its
+//!   store), and **re-outsource** the domain by replaying its
+//!   upload log sliced under the new plan — the same store-version
+//!   path as any owner upload, so each survivor's monotonic version bumps and
 //!   the PSI-round cache invalidates exactly the re-fanned domain
 //!   (`note_upload`). Tamper detection survives re-sharding unchanged:
 //!   the domain-level tampering behaviour and finish permutations live
@@ -956,7 +956,7 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
 /// Re-fan domain `d` over its current workers: bump the generation,
 /// re-plan (carving [`ShardPlan::ranges_for`] ranges so every range
 /// keeps `rf` holders), push every worker its row range, and replay the
-/// recorded uploads sliced under the new plan. Holds the domain write
+/// domain's upload log sliced under the new plan. Holds the domain write
 /// lock throughout — the heal barrier: no query round can interleave
 /// with a half-replayed store. A worker that fails mid-heal is removed
 /// and the heal restarts over the remainder. Returns the surviving

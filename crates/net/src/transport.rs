@@ -49,7 +49,7 @@ pub enum NetError {
     UploadRefused(String),
     /// A delta upload's rows `[start, start + added)` do not lie inside
     /// the adopted setup's domain (adopt the grown setup first); nothing
-    /// was recorded or sent.
+    /// was sent.
     DeltaOutsideDomain {
         /// First global row of the delta.
         start: usize,

@@ -115,20 +115,6 @@ impl ShardPlan {
         &self.specs
     }
 
-    /// Split a full-length column into per-shard row slices. A vector of
-    /// the wrong length is split best-effort (short shards surface as
-    /// shape errors at query time, mirroring the monolithic store).
-    pub fn split_rows<'d>(&self, data: &'d [u64]) -> Vec<&'d [u64]> {
-        self.specs
-            .iter()
-            .map(|s| {
-                data.get(s.start..s.start + s.len)
-                    .or_else(|| data.get(s.start..))
-                    .unwrap_or(&[])
-            })
-            .collect()
-    }
-
     /// Grow the plan for a delta upload appending `added` rows at the
     /// domain end: either the last shard's range extends (`open_new =
     /// false` — what fixed-worker deployments must do) or a fresh shard
@@ -463,20 +449,18 @@ impl ShardedNode {
         // grows only once it has.
         let open_new = added * self.plan.shard_count() >= b;
         let plan = self.plan.append(added, open_new);
-        let mut params = self.params.clone();
-        params.pf_s1 = params.pf_s1.concat(&e1);
-        params.pf_s2 = params.pf_s2.concat(&e2);
-        params.b = end;
         let spec = *plan.specs().last().expect("plans are never empty");
         if open_new {
-            let mut node = ServerNode::new(shard_server_params(&params, &spec));
+            let mut node = ServerNode::new(shard_server_params(&self.params, &spec));
             node.delta_upload(owner, 0, columns, None)?;
             self.shards.push(node);
         } else {
             let tail = &mut self.shards[spec.index];
             tail.delta_upload(owner, start - spec.start, columns, None)?;
         }
-        self.params = params;
+        self.params.pf_s1 = self.params.pf_s1.concat(&e1);
+        self.params.pf_s2 = self.params.pf_s2.concat(&e2);
+        self.params.b = end;
         self.plan = plan;
         Ok(())
     }
@@ -772,15 +756,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn split_rows_reassembles() {
-        let plan = ShardPlan::new(11, 4);
-        let data: Vec<u64> = (0..11).collect();
-        let parts = plan.split_rows(&data);
-        let rejoined: Vec<u64> = parts.iter().flat_map(|p| p.iter().copied()).collect();
-        assert_eq!(rejoined, data);
     }
 
     #[test]
