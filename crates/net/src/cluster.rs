@@ -10,13 +10,14 @@
 //! router thread (`crate::router`) that owns `k > 1` row-range shard
 //! workers, each a plain engine `ServerNode` over its own metered link
 //! (so a worker can move to another process or machine without touching
-//! protocol code). The constructors here wire that topology statically —
-//! a fixed-membership, unreplicated routing state handed to the same
-//! router and node loops the attachable deployment
-//! ([`crate::registry::ClusterListener`]) runs; with `k = 1` there is no
-//! router at all and the one node loop sits directly behind the owner
-//! link. The owner side never sees shard granularity in replies; it only
-//! meters it ([`NetReport`]).
+//! protocol code). Every cluster is brought up by
+//! [`crate::registry::ClusterListener::start`]; the constructors here are
+//! thin wrappers that have it spawn a *fixed roster* — a fixed-membership,
+//! unreplicated routing state under the same router and node loops an
+//! attached deployment runs. With `k = 1` there is no router at all and
+//! the one node loop sits directly behind the owner link. The owner side
+//! never sees shard granularity in replies; it only meters it
+//! ([`NetReport`]).
 //!
 //! Since PR 4 the **announcer is a fourth networked node**: a thread
 //! holding only [`AnnouncerParams`],
@@ -39,11 +40,10 @@
 //! benchmark pins.
 
 use crate::mux::{Admission, MuxLink, QueryId};
-use crate::registry::NodeRegistry;
-use crate::router::{domain_loop, node_loop, reply, DomainState, WorkerSlot};
-use crate::transport::{channel_pair, Link, LinkStats, NetError, TcpLink};
+use crate::registry::{channel_links, tcp_links, ClusterListener, NodeRegistry};
+use crate::router::reply;
+use crate::transport::{Link, LinkStats, NetError};
 use crate::wire::{recycle_vecs, Column, Message};
-use parking_lot::RwLock;
 use prism_core::Permutation;
 use prism_protocol::cache::{CachedExec, PsiRoundCache};
 use prism_protocol::driver::Deployment;
@@ -52,9 +52,7 @@ use prism_protocol::engine::{
     RoundOutcome, ServerCmd, ServerExec, ServerReply,
 };
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
-use prism_protocol::params::{
-    AnnouncerParams, OwnerParams, Setup, ADDITIVE_SERVERS, SHAMIR_SERVERS,
-};
+use prism_protocol::params::{AnnouncerParams, OwnerParams, Setup, SHAMIR_SERVERS};
 use prism_protocol::{plans, ProtocolError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -168,8 +166,7 @@ pub struct NetReport {
     /// Cache entries dropped as stale (version mismatch or tamper).
     pub cache_invalidations: u64,
     /// Per-node liveness from the control plane's keep-alive prober
-    /// (empty on statically wired clusters — only elastic clusters built
-    /// through [`crate::registry::ClusterListener`] have a registry).
+    /// (empty on a fixed roster, which runs none).
     pub nodes: Vec<crate::registry::NodeHealth>,
     /// Shard-worker failovers the registry has healed so far.
     pub failovers: u64,
@@ -305,7 +302,7 @@ impl std::fmt::Display for NetReport {
 /// Send-side meters of the edges whose sending end the owner side does
 /// not hold (its own ends are metered through `links`/`announcer_link`);
 /// each field feeds the [`NetReport`] field of the same name. The shard
-/// meters stay empty for a router-less domain, and on elastic clusters,
+/// meters stay empty for a router-less domain, and on attached clusters,
 /// whose worker-edge meters live in the worker processes — their report
 /// exposes node health instead.
 #[derive(Default)]
@@ -341,14 +338,13 @@ pub struct NetCluster {
     /// Cross-query PSI-round cache (see [`prism_protocol::cache`]),
     /// enabled by [`NetCluster::enable_cache`]: `execute` wraps the
     /// cluster's own `ServerExec` in a `CachedExec` bound to this state,
-    /// and the upload/tamper facades keep it honest. Shared (`Arc`) so an
-    /// elastic cluster's registry can dirty a healed domain's entries
-    /// from the prober thread.
+    /// and the upload/tamper facades keep it honest. Shared (`Arc`) so the
+    /// registry can dirty a healed domain's entries from the prober
+    /// thread.
     cache: Option<Arc<PsiRoundCache>>,
-    /// The control plane, present on elastic clusters built through
-    /// [`crate::registry::ClusterListener`]: node health, keep-alive
-    /// probing, and shard failover.
-    registry: Option<NodeRegistry>,
+    /// The control plane: node health, keep-alive probing, and shard
+    /// failover behind an attach endpoint; idle on a fixed roster.
+    registry: NodeRegistry,
     /// Cumulative failover count already attributed to some round's
     /// [`ExecMeters`] — `tagged_round` swaps this against the registry's
     /// live counter so each failover lands in exactly one round's meters
@@ -417,7 +413,7 @@ impl ServerExec for NetCluster {
     fn meters(&self) -> ExecMeters {
         ExecMeters {
             shard_dispatches: self.dispatches.load(Ordering::Relaxed),
-            failovers: self.registry.as_ref().map_or(0, |r| r.failovers()),
+            failovers: self.registry.failovers(),
             ..ExecMeters::default()
         }
     }
@@ -429,9 +425,6 @@ impl ServerExec for NetCluster {
     }
 }
 
-/// A factory producing connected link pairs for one topology edge.
-type LinkPair = (Box<dyn Link>, Box<dyn Link>);
-
 impl NetCluster {
     /// Start servers on threads connected by in-process channels
     /// (one shard per domain).
@@ -440,13 +433,12 @@ impl NetCluster {
     }
 
     /// Start servers on threads connected by in-process channels, each
-    /// domain backed by `shards` row-range shard workers.
+    /// domain backed by `shards` row-range shard workers (a fixed roster).
     pub fn start_local_sharded(setup: Setup, shards: usize) -> NetCluster {
-        Self::start_with(setup, shards, || {
-            let (a, b) = channel_pair();
-            Ok((Box::new(a) as Box<dyn Link>, Box::new(b) as Box<dyn Link>))
-        })
-        .expect("channel links cannot fail to connect")
+        ClusterListener::fixed(setup, shards, channel_links)
+            .map_err(NetError::from)
+            .and_then(ClusterListener::start)
+            .expect("channel links cannot fail to connect")
     }
 
     /// Start servers on threads behind loopback TCP sockets (one shard
@@ -457,12 +449,10 @@ impl NetCluster {
 
     /// Start servers behind loopback TCP, each domain backed by `shards`
     /// row-range shard workers — the router↔worker edges are TCP too, so
-    /// this models shards living in separate processes.
+    /// this models shards living in separate processes (a fixed roster).
     pub fn start_tcp_sharded(setup: Setup, shards: usize) -> std::io::Result<NetCluster> {
-        Self::start_with(setup, shards, || {
-            let (a, b) = TcpLink::loopback_pair()?;
-            Ok((Box::new(a) as Box<dyn Link>, Box::new(b) as Box<dyn Link>))
-        })
+        let roster = ClusterListener::fixed(setup, shards, tcp_links)?;
+        roster.start().map_err(std::io::Error::other)
     }
 
     /// Default bound on queries in flight at once (see
@@ -555,14 +545,8 @@ impl NetCluster {
         // Attribute any failovers healed since the last round to this
         // one: swap against the registry's live counter so each failover
         // lands in exactly one round's meters under interleaving.
-        let failovers = match &self.registry {
-            Some(registry) => {
-                let cur = registry.failovers();
-                let prev = self.failover_mark.swap(cur, Ordering::Relaxed);
-                cur.saturating_sub(prev)
-            }
-            None => 0,
-        };
+        let healed = self.registry.failovers();
+        let failovers = healed.saturating_sub(self.failover_mark.swap(healed, Ordering::Relaxed));
         Ok(RoundOutcome {
             replies,
             cost: t0.elapsed(),
@@ -603,105 +587,8 @@ impl NetCluster {
         }
     }
 
-    /// Shared topology builder: per server domain, one owner↔domain link
-    /// from `mk_pair`; for a sharded domain, `shards` router↔worker links
-    /// wrapped into a fixed-membership [`DomainState`] (`rf = 1`, one
-    /// [`WorkerSlot`] per link, generation 0, no registry, no prober), a
-    /// router thread running [`domain_loop`] over it and one
-    /// [`node_loop`] per worker — the very loops an attached deployment
-    /// runs. An unsharded domain (`shards == 1`) has no router: its one
-    /// node loop (holding the full domain parameters and the announcer
-    /// edge) sits directly behind the owner link, exactly the
-    /// pre-sharding topology, with no extra hop or re-encode.
-    ///
-    /// The announcer is the fourth node: its thread runs
-    /// [`announcer_loop`] behind one owner↔announcer control link plus
-    /// one upload link from each *additive* server domain (the Shamir-only
-    /// server never participates in wide rounds and gets none — the
-    /// topology, like the no-server-links property, enforces the role by
-    /// construction).
-    fn start_with(
-        setup: Setup,
-        shards: usize,
-        mk_pair: impl Fn() -> std::io::Result<LinkPair>,
-    ) -> std::io::Result<NetCluster> {
-        let mut links: Vec<Arc<MuxLink>> = Vec::new();
-        let mut handles = Vec::new();
-        let mut meters = EdgeMeters::default();
-        let mut actual_shards = 1;
-
-        // Server→announcer edges, one per additive server.
-        let mut server_ann_ends: Vec<Option<Arc<dyn Link>>> = Vec::new();
-        let mut announcer_server_ends: Vec<Box<dyn Link>> = Vec::new();
-        for _ in 0..ADDITIVE_SERVERS {
-            let (server_end, announcer_end) = mk_pair()?;
-            meters.server_to_announcer.push(server_end.stats());
-            server_ann_ends.push(Some(Arc::from(server_end)));
-            announcer_server_ends.push(announcer_end);
-        }
-
-        for k in 0..SHAMIR_SERVERS {
-            let params = setup.servers[k].clone();
-            let mut domain = DomainState::new(params.clone(), shards, 1);
-            actual_shards = domain.plan.shard_count();
-            let (owner_end, server_end) = mk_pair()?;
-            meters.from_servers.push(server_end.stats());
-            let server_end: Arc<dyn Link> = Arc::from(server_end);
-            let ann_link = server_ann_ends.get_mut(k).and_then(Option::take);
-            links.push(MuxLink::new(Arc::from(owner_end)));
-
-            let mut to_stats = Vec::new();
-            let mut from_stats = Vec::new();
-            if actual_shards == 1 {
-                handles.push(std::thread::spawn(move || {
-                    node_loop(params, server_end, None, 0, Tamper::Honest, ann_link)
-                }));
-            } else {
-                for spec in domain.plan.specs().to_vec() {
-                    let (router_side, worker_side) = mk_pair()?;
-                    to_stats.push(router_side.stats());
-                    from_stats.push(worker_side.stats());
-                    let params = params.clone();
-                    handles.push(std::thread::spawn(move || {
-                        let link = Arc::from(worker_side);
-                        node_loop(params, link, Some(spec), 0, Tamper::Honest, None)
-                    }));
-                    let (i, label) = (spec.index, format!("d{k}/w{}", spec.index));
-                    let slot = WorkerSlot::new(i as u64, label, Arc::from(router_side), i);
-                    domain.workers.push(slot);
-                }
-                let shared = Arc::new(RwLock::new(domain));
-                handles.push(std::thread::spawn(move || {
-                    domain_loop(server_end, shared, ann_link)
-                }));
-            }
-            meters.to_shards.push(to_stats);
-            meters.from_shards.push(from_stats);
-        }
-
-        // The announcer node.
-        let (announcer_link, announcer_end) = mk_pair()?;
-        meters.from_announcer = announcer_end.stats();
-        let ap = setup.announcer.clone();
-        handles.push(std::thread::spawn(move || {
-            announcer_loop(ap, Arc::from(announcer_end), announcer_server_ends)
-        }));
-
-        let announcer_link = MuxLink::new(Arc::from(announcer_link));
-        Ok(NetCluster::assemble(
-            setup,
-            links,
-            announcer_link,
-            handles,
-            meters,
-            actual_shards,
-            None,
-        ))
-    }
-
-    /// The one place a [`NetCluster`] is put together, whichever way its
-    /// nodes were brought up: fresh counters, the default admission
-    /// window, cache off.
+    /// A [`NetCluster`] over what [`ClusterListener::start`] brought up:
+    /// fresh counters, the default admission window, cache off.
     pub(crate) fn assemble(
         setup: Setup,
         links: Vec<Arc<MuxLink>>,
@@ -709,7 +596,7 @@ impl NetCluster {
         handles: Vec<JoinHandle<Result<(), NetError>>>,
         meters: EdgeMeters,
         shards: usize,
-        registry: Option<NodeRegistry>,
+        registry: NodeRegistry,
     ) -> NetCluster {
         NetCluster {
             setup,
@@ -740,11 +627,9 @@ impl NetCluster {
         let cache = self
             .cache
             .get_or_insert_with(|| Arc::new(PsiRoundCache::new()));
-        if let Some(registry) = &self.registry {
-            // Failovers re-outsource rows from the prober thread; the
-            // registry must be able to dirty the healed domain's entries.
-            registry.attach_cache(Arc::clone(cache));
-        }
+        // Failovers re-outsource rows from the prober thread; the
+        // registry must be able to dirty the healed domain's entries.
+        self.registry.attach_cache(Arc::clone(cache));
     }
 
     /// The PSI-round cache, when enabled.
@@ -752,11 +637,10 @@ impl NetCluster {
         self.cache.as_deref()
     }
 
-    /// The cluster control plane (node health, keep-alive, failover) —
-    /// present only on elastic clusters built through
-    /// [`crate::registry::ClusterListener`].
+    /// The cluster control plane (node health, keep-alive, failover).
+    /// Always `Some`: every cluster has one, idle on a fixed roster.
     pub fn registry(&self) -> Option<&NodeRegistry> {
-        self.registry.as_ref()
+        Some(&self.registry)
     }
 
     /// Set the per-server thread count sent with queries.
@@ -1029,13 +913,9 @@ impl NetCluster {
                 .cache
                 .as_deref()
                 .map_or(0, PsiRoundCache::invalidations),
-            nodes: self
-                .registry
-                .as_ref()
-                .map(|r| r.node_health())
-                .unwrap_or_default(),
-            failovers: self.registry.as_ref().map_or(0, |r| r.failovers()),
-            promotions: self.registry.as_ref().map_or(0, |r| r.promotions()),
+            nodes: self.registry.node_health(),
+            failovers: self.registry.failovers(),
+            promotions: self.registry.promotions(),
         }
     }
 
@@ -1043,9 +923,7 @@ impl NetCluster {
     pub fn shutdown(mut self) -> Result<(), NetError> {
         // Stop the keep-alive prober and attach dispatcher first so
         // teardown-closed links are not mistaken for node deaths.
-        if let Some(registry) = self.registry.take() {
-            registry.stop();
-        }
+        self.registry.stop();
         for link in &self.links {
             link.send_raw(&Message::Shutdown)?;
         }

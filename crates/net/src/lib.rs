@@ -9,9 +9,10 @@
 //! dedicated upload link from each additive server, so the blinded
 //! wide-share matrices flow server→announcer without ever crossing an
 //! owner link. One domain router and one node serving loop (the private
-//! `router` module) sit behind both bring-up paths: [`NetCluster`]'s
-//! constructors wire a fixed membership, [`ClusterListener`] an elastic
-//! one.
+//! `router` module) are brought up in one place,
+//! [`ClusterListener::start`]: [`NetCluster`]'s constructors are thin
+//! wrappers over a fixed roster it spawns itself, and attached clusters
+//! keep the same routing state elastic.
 //!
 //! All protocol logic lives in `prism_protocol`: server threads run the
 //! engine's `ServerNode`, the announcer thread runs the engine's

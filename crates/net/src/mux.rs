@@ -209,11 +209,6 @@ impl MuxLink {
         self.dead.load(Ordering::SeqCst)
     }
 
-    /// The node label this link was built with, if any.
-    pub fn label(&self) -> Option<&str> {
-        self.label.as_deref()
-    }
-
     /// The error a dead link surfaces: [`NetError::NodeDown`] naming the
     /// node when labeled, plain [`NetError::Disconnected`] otherwise.
     pub(crate) fn dead_error(&self) -> NetError {

@@ -1,10 +1,14 @@
-//! Cluster control plane: remote attach, keep-alive health, and
+//! Cluster control plane: bring-up, remote attach, keep-alive health, and
 //! self-healing shard failover.
 //!
-//! The statically wired [`NetCluster`] constructors need every shard
-//! worker alive at build time and treat a dead worker as a permanent
-//! (typed) query failure. This module makes the routing state those
-//! constructors freeze — `crate::router`'s `DomainState` — **elastic**,
+//! [`ClusterListener::start`] brings up every [`NetCluster`] once its
+//! slots — each domain's `crate::router` `DomainState` and the
+//! announcer's three edges — are full. A **fixed roster**
+//! ([`NetCluster::start_local_sharded`], [`NetCluster::start_tcp_sharded`])
+//! spawns and slots every node itself, over channel or loopback TCP links.
+//! It opens no attach port, runs no prober and keeps no replay log, so it
+//! never heals, no ping crosses a metered edge, and a dead node stays a
+//! typed query failure. **Attach** makes the same routing state elastic,
 //! under the very same router and node loops:
 //!
 //! * **Remote attach.** [`ClusterListener`] accepts TCP connections that
@@ -12,7 +16,7 @@
 //!   ([`NodeRole`]): shard workers join a server domain
 //!   ([`ShardWorker::connect`]), and the announcer attaches its control
 //!   edge plus one upload edge per additive server
-//!   ([`AnnouncerNode::connect`]). [`ClusterListener::start`] blocks
+//!   ([`AnnouncerNode::connect`]). [`ClusterListener::start`] waits
 //!   until the topology is complete, then builds an ordinary
 //!   [`NetCluster`] whose domain routers read their shard fan-out from
 //!   state this registry keeps re-planning. Workers may keep attaching
@@ -75,6 +79,7 @@ use prism_protocol::cache::PsiRoundCache;
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{AnnouncerParams, ServerParams, Setup, ADDITIVE_SERVERS};
 use prism_protocol::shard::{ShardPlan, ShardSpec};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -368,15 +373,18 @@ struct RegistryInner {
     stop: AtomicBool,
     /// Attach handshakes in flight ([`Handshake`]).
     handshakes: AtomicUsize,
-    // Announcer attach state (filled by the dispatcher, consumed by
+    /// [`ClusterListener::start`] waits on `attached` (a std pair, like
+    /// [`SwapLink`]'s) for the slots to fill; each attach notifies it.
+    attach_lock: std::sync::Mutex<()>,
+    attached: std::sync::Condvar,
+    // Announcer slots (filled by an attach or a fixed roster, consumed by
     // `start`, probed afterwards).
-    announcer_ctl: Mutex<Option<Arc<TcpLink>>>,
-    announcer_uploads: Mutex<Vec<Option<Arc<TcpLink>>>>,
-    announcer_mux: Mutex<Option<Arc<MuxLink>>>,
+    announcer_ctl: Mutex<Option<Arc<dyn Link>>>,
+    announcer_uploads: Mutex<Vec<Option<Arc<dyn Link>>>>,
     announcer_health: Mutex<Option<AnnouncerHealth>>,
-    /// Live announcer edges once the cluster is running: the control
-    /// edge plus one upload edge per additive server, each behind a
-    /// [`SwapLink`] so a reconnecting announcer heals in place.
+    /// Live announcer edges once an attached cluster is running: the
+    /// control edge plus one upload edge per additive server, each behind
+    /// a [`SwapLink`] so a reconnecting announcer heals in place.
     announcer_swaps: Mutex<Option<AnnouncerSwaps>>,
 }
 
@@ -384,22 +392,22 @@ struct RegistryInner {
 /// uploads)`.
 type AnnouncerSwaps = (Arc<SwapLink>, Vec<Arc<SwapLink>>);
 
-/// A [`Link`] whose underlying TCP edge can be swapped for a fresh one
+/// A [`Link`] whose underlying edge can be swapped for a fresh one
 /// mid-life: `recv` on a dead edge *parks* (instead of surfacing the
 /// error) until a replacement is swapped in, then resumes on it — so the
 /// multiplexer pump and the domain routers holding this link never
 /// observe the death, and a reconnected announcer resumes exactly where
-/// the old one left the protocol.
+/// the old one left the protocol. Attached clusters only.
 pub(crate) struct SwapLink {
     /// (swap generation, current edge) — std mutex/condvar pair so a
     /// parked `recv` can wait for the swap.
-    inner: std::sync::Mutex<(u64, Arc<TcpLink>)>,
+    inner: std::sync::Mutex<(u64, Arc<dyn Link>)>,
     swapped: std::sync::Condvar,
     stopped: AtomicBool,
 }
 
 impl SwapLink {
-    fn new(link: Arc<TcpLink>) -> Arc<SwapLink> {
+    fn new(link: Arc<dyn Link>) -> Arc<SwapLink> {
         Arc::new(SwapLink {
             inner: std::sync::Mutex::new((0, link)),
             swapped: std::sync::Condvar::new(),
@@ -407,17 +415,17 @@ impl SwapLink {
         })
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, (u64, Arc<TcpLink>)> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, (u64, Arc<dyn Link>)> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn current(&self) -> (u64, Arc<TcpLink>) {
+    fn current(&self) -> (u64, Arc<dyn Link>) {
         let g = self.lock();
         (g.0, Arc::clone(&g.1))
     }
 
     /// Install a replacement edge and wake every parked `recv`.
-    fn swap(&self, link: Arc<TcpLink>) {
+    fn swap(&self, link: Arc<dyn Link>) {
         let mut g = self.lock();
         g.0 += 1;
         g.1 = link;
@@ -465,10 +473,38 @@ impl RegistryInner {
     fn fresh_corr(&self) -> u64 {
         self.corr.fetch_add(1, Ordering::Relaxed)
     }
+
+    /// Wake a `start` waiting for the slots (called with no lock held).
+    fn note_attach(&self) {
+        let _held = self.attach_lock.lock().unwrap_or_else(|e| e.into_inner());
+        self.attached.notify_all();
+    }
+
+    /// Wait until every domain has its target worker count and the
+    /// announcer's three edges are slotted, or time out at `deadline`.
+    fn await_complete(&self, deadline: Instant) -> Result<(), NetError> {
+        let full = |d: &Arc<RwLock<DomainState>>| {
+            let st = d.read();
+            st.workers.len() >= st.target
+        };
+        let mut waiting = self.attach_lock.lock().unwrap_or_else(|e| e.into_inner());
+        while !(self.domains.iter().all(full)
+            && self.announcer_ctl.lock().is_some()
+            && self.announcer_uploads.lock().iter().all(Option::is_some))
+        {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(NetError::Timeout);
+            }
+            let woken = self.attached.wait_timeout(waiting, left);
+            waiting = woken.unwrap_or_else(|e| e.into_inner()).0;
+        }
+        Ok(())
+    }
 }
 
-/// Public handle to the control plane, carried by elastic
-/// [`NetCluster`]s (see [`NetCluster::registry`]).
+/// Public handle to the control plane, carried by every [`NetCluster`]
+/// (see [`NetCluster::registry`]); idle on a fixed roster.
 pub struct NodeRegistry {
     inner: Arc<RegistryInner>,
     prober: Mutex<Option<JoinHandle<()>>>,
@@ -476,7 +512,8 @@ pub struct NodeRegistry {
 }
 
 impl NodeRegistry {
-    /// Address workers and the announcer dial to attach.
+    /// Address workers and the announcer dial to attach. A fixed roster
+    /// opens no attach port: its address is the unspecified `0.0.0.0:0`.
     pub fn addr(&self) -> SocketAddr {
         self.inner.addr
     }
@@ -507,9 +544,12 @@ impl NodeRegistry {
     }
 
     /// Per-node liveness snapshot (live workers, dead nodes kept for the
-    /// record, and the announcer).
+    /// record, and the announcer); empty where no prober watches them.
     pub(crate) fn node_health(&self) -> Vec<NodeHealth> {
         let mut out = Vec::new();
+        if self.prober.lock().is_none() {
+            return out;
+        }
         for domain in &self.inner.domains {
             let st = domain.read();
             out.extend(st.workers.iter().map(worker_health));
@@ -545,9 +585,9 @@ impl NodeRegistry {
                 u.stop();
             }
         }
-        // Wake the dispatcher out of `accept` with a throwaway dial.
-        let _ = TcpStream::connect(self.inner.addr);
         if let Some(h) = self.dispatcher.lock().take() {
+            // Wake the dispatcher out of `accept` with a throwaway dial.
+            let _ = TcpStream::connect(self.inner.addr);
             let _ = h.join();
         }
         if let Some(h) = self.prober.lock().take() {
@@ -566,43 +606,60 @@ impl std::fmt::Debug for NodeRegistry {
 }
 
 // ---------------------------------------------------------------------
-// Attach listener → elastic cluster
+// Bring-up: attach listener or fixed roster → cluster
 // ---------------------------------------------------------------------
 
-/// The registry's attach endpoint: workers and the announcer dial
-/// [`ClusterListener::addr`] and register; [`ClusterListener::start`]
-/// waits for the full topology and produces the elastic [`NetCluster`].
+/// Makes one connected pair of link ends per topology edge.
+pub(crate) type PairFactory = fn() -> io::Result<(Box<dyn Link>, Box<dyn Link>)>;
+
+/// In-process channel pairs.
+pub(crate) fn channel_links() -> io::Result<(Box<dyn Link>, Box<dyn Link>)> {
+    let (a, b) = channel_pair();
+    Ok((Box::new(a), Box::new(b)))
+}
+
+/// Loopback TCP pairs.
+pub(crate) fn tcp_links() -> io::Result<(Box<dyn Link>, Box<dyn Link>)> {
+    let (a, b) = TcpLink::loopback_pair()?;
+    Ok((Box::new(a), Box::new(b)))
+}
+
+/// A cluster's slots and the one way to start it
+/// ([`ClusterListener::start`]). Bound, workers and the announcer dial
+/// its [`ClusterListener::addr`] to attach; as a fixed roster
+/// (`NetCluster::start_*`) it spawns and slots every node itself.
 pub struct ClusterListener {
     setup: Setup,
-    shards: usize,
     inner: Arc<RegistryInner>,
-    dispatcher: JoinHandle<()>,
+    /// Accepts attach dials; a fixed roster opens no attach port.
+    dispatcher: Option<JoinHandle<()>>,
+    /// Makes the owner↔router links (channels when bound).
+    pair: PairFactory,
+    /// A fixed roster's node threads and node-edge meters.
+    handles: Vec<JoinHandle<Result<(), NetError>>>,
+    meters: EdgeMeters,
 }
 
 impl ClusterListener {
-    /// Bind the attach endpoint on an ephemeral loopback port and start
-    /// accepting registrations immediately (workers may dial before or
-    /// after [`ClusterListener::start`] is called — bring-up is racy by
-    /// nature and both orders must work). `shards` is each domain's
-    /// *row-range* target; the worker target is `shards ×`
-    /// [`RegistryConfig::replication`].
-    pub fn bind(setup: Setup, shards: usize, cfg: RegistryConfig) -> std::io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
+    /// Empty slots: `shards` row ranges per domain, each stored
+    /// [`RegistryConfig::replication`] times.
+    fn empty(
+        setup: Setup,
+        shards: usize,
+        cfg: RegistryConfig,
+        addr: SocketAddr,
+        pair: PairFactory,
+    ) -> ClusterListener {
         let rf = cfg.replication.max(1);
+        let domain = |p: &ServerParams| DomainState::new(p.clone(), shards, rf);
         let domains = setup
             .servers
             .iter()
-            .map(|params| {
-                let mut domain = DomainState::new(params.clone(), shards, rf);
-                domain.log = Some(ReplayLog::default());
-                Arc::new(RwLock::new(domain))
-            })
-            .collect();
-        let inner = Arc::new(RegistryInner {
+            .map(|p| Arc::new(RwLock::new(domain(p))));
+        let inner = RegistryInner {
             cfg,
             addr,
-            domains,
+            domains: domains.collect(),
             cache: Mutex::new(None),
             heal_log: Mutex::new(Vec::new()),
             graveyard: Mutex::new(Vec::new()),
@@ -613,22 +670,95 @@ impl ClusterListener {
             corr: AtomicU64::new(1 << 62),
             stop: AtomicBool::new(false),
             handshakes: AtomicUsize::new(0),
+            attach_lock: std::sync::Mutex::new(()),
+            attached: std::sync::Condvar::new(),
             announcer_ctl: Mutex::new(None),
             announcer_uploads: Mutex::new(vec![None; ADDITIVE_SERVERS]),
-            announcer_mux: Mutex::new(None),
             announcer_health: Mutex::new(None),
             announcer_swaps: Mutex::new(None),
-        });
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || dispatcher_loop(inner, listener))
         };
-        Ok(ClusterListener {
+        let n = inner.domains.len();
+        let meters = EdgeMeters {
+            from_servers: vec![Arc::default(); n],
+            to_shards: vec![Vec::new(); n],
+            from_shards: vec![Vec::new(); n],
+            ..EdgeMeters::default()
+        };
+        ClusterListener {
             setup,
-            shards: shards.max(1),
-            inner,
-            dispatcher,
-        })
+            inner: Arc::new(inner),
+            dispatcher: None,
+            pair,
+            handles: Vec::new(),
+            meters,
+        }
+    }
+
+    /// Bind the attach endpoint on an ephemeral loopback port and start
+    /// accepting registrations immediately (workers may dial before or
+    /// after [`ClusterListener::start`] is called — bring-up is racy by
+    /// nature and both orders must work). `shards` is each domain's
+    /// *row-range* target; the worker target is `shards ×`
+    /// [`RegistryConfig::replication`].
+    pub fn bind(setup: Setup, shards: usize, cfg: RegistryConfig) -> io::Result<Self> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let addr = listener.local_addr()?;
+        let mut this = ClusterListener::empty(setup, shards, cfg, addr, channel_links);
+        for domain in &this.inner.domains {
+            domain.write().log = Some(ReplayLog::default());
+        }
+        let inner = Arc::clone(&this.inner);
+        this.dispatcher = Some(std::thread::spawn(move || dispatcher_loop(inner, listener)));
+        Ok(this)
+    }
+
+    /// A fixed roster of `shards` row ranges per domain at rf 1, every node
+    /// spawned here over links from `pair` and slotted the way an attach
+    /// does. A `DomainState::routerless` domain gets one whole-domain node
+    /// holding the announcer edge (additive domains only have one).
+    pub(crate) fn fixed(setup: Setup, shards: usize, pair: PairFactory) -> io::Result<Self> {
+        let unbound = SocketAddr::from(([0, 0, 0, 0], 0));
+        let mut this =
+            ClusterListener::empty(setup, shards, RegistryConfig::default(), unbound, pair);
+        let inner = Arc::clone(&this.inner);
+        let mut announcer_ends = Vec::with_capacity(ADDITIVE_SERVERS);
+        for slot in inner.announcer_uploads.lock().iter_mut() {
+            let (server_end, announcer_end) = pair()?;
+            *slot = Some(Arc::from(server_end));
+            announcer_ends.push(announcer_end);
+        }
+        for (d, shared) in inner.domains.iter().enumerate() {
+            let (specs, routerless) = {
+                let st = shared.read();
+                (st.plan.specs().to_vec(), st.routerless())
+            };
+            let announcer = inner.announcer_uploads.lock().get(d).cloned().flatten();
+            for spec in specs {
+                let (router_side, worker_side) = pair()?;
+                let meters = &mut this.meters;
+                let (range, front) = if routerless {
+                    // The node's edge is the domain's owner edge.
+                    meters.from_servers[d] = worker_side.stats();
+                    (None, announcer.clone())
+                } else {
+                    meters.to_shards[d].push(router_side.stats());
+                    meters.from_shards[d].push(worker_side.stats());
+                    (Some(spec), None)
+                };
+                let (params, link) = (this.setup.servers[d].clone(), Arc::from(worker_side));
+                let node = spawn_node(params, link, range, 0, Tamper::Honest, front);
+                this.handles.push(node);
+                let slotted = take_slot(&inner, d, Arc::from(router_side), spec.index, |_, _| true);
+                slotted.expect("a fixed roster has a slot for every range");
+            }
+        }
+        let (owner_end, announcer_end) = pair()?;
+        this.meters.from_announcer = announcer_end.stats();
+        *inner.announcer_ctl.lock() = Some(Arc::from(owner_end));
+        let params = this.setup.announcer.clone();
+        let announcer = spawn_announcer(params, Arc::from(announcer_end), announcer_ends);
+        this.handles.push(announcer);
+        Ok(this)
     }
 
     /// The attach address to hand to [`ShardWorker::connect`] and
@@ -637,102 +767,72 @@ impl ClusterListener {
         self.inner.addr
     }
 
-    /// Block until every domain has its target worker count and the
-    /// announcer's three edges are attached (or
-    /// [`RegistryConfig::attach_timeout`] expires), then assemble the
-    /// elastic [`NetCluster`]: one local router thread per domain
-    /// reading its shard fan-out from the registry, the keep-alive
-    /// prober, and the usual owner facades.
-    pub fn start(self) -> Result<NetCluster, NetError> {
-        let deadline = Instant::now() + self.inner.cfg.attach_timeout;
-        loop {
-            let workers_ready = self
-                .inner
-                .domains
-                .iter()
-                .all(|d| d.read().workers.len() >= d.read().target);
-            let ann_ready = self.inner.announcer_ctl.lock().is_some()
-                && self
-                    .inner
-                    .announcer_uploads
-                    .lock()
-                    .iter()
-                    .all(Option::is_some);
-            if workers_ready && ann_ready {
-                break;
-            }
-            if Instant::now() >= deadline {
-                return Err(NetError::Timeout);
-            }
-            std::thread::sleep(Duration::from_millis(5));
+    /// Wait until every slot is full (a fixed roster's are at once), or
+    /// [`RegistryConfig::attach_timeout`] expires; then assemble the
+    /// [`NetCluster`]: per domain a router thread reading its shard fan-out
+    /// from the registry, or the one node of a domain that needs none, and
+    /// when bound the keep-alive prober.
+    pub fn start(mut self) -> Result<NetCluster, NetError> {
+        let inner = Arc::clone(&self.inner);
+        inner.await_complete(Instant::now() + inner.cfg.attach_timeout)?;
+
+        let elastic = self.dispatcher.is_some();
+        let complete = "the slots are complete";
+        let mut ctl = inner.announcer_ctl.lock().take().expect(complete);
+        let mut uploads: Vec<Arc<dyn Link>> = std::mem::take(&mut *inner.announcer_uploads.lock())
+            .into_iter()
+            .map(|s| s.expect(complete))
+            .collect();
+        if elastic {
+            // Every announcer edge goes behind a SwapLink: a replacement
+            // announcer's fresh edges swap in place, and the routers and
+            // the control-link multiplexer resume without reconstruction.
+            let swaps: Vec<Arc<SwapLink>> = uploads.into_iter().map(SwapLink::new).collect();
+            uploads = swaps.iter().map(|s| Arc::clone(s) as _).collect();
+            let ctl_swap = SwapLink::new(ctl);
+            ctl = Arc::clone(&ctl_swap) as _;
+            *inner.announcer_swaps.lock() = Some((ctl_swap, swaps));
         }
+        let meters = &mut self.meters;
+        meters.server_to_announcer = uploads.iter().map(|end| end.stats()).collect();
 
         let mut links = Vec::new();
-        let mut handles = Vec::new();
-        let mut meters = EdgeMeters {
-            to_shards: vec![Vec::new(); self.inner.domains.len()],
-            from_shards: vec![Vec::new(); self.inner.domains.len()],
-            ..EdgeMeters::default()
-        };
-        // Every announcer edge goes behind a SwapLink: when the prober
-        // confirms the announcer dead and a replacement dials in, the
-        // dispatcher swaps the fresh edges in place and the routers (and
-        // the control-link multiplexer) resume without reconstruction.
-        let upload_ends: Vec<Arc<SwapLink>> = {
-            let mut slots = self.inner.announcer_uploads.lock();
-            slots
-                .iter_mut()
-                .map(|s| SwapLink::new(s.take().expect("readiness checked above")))
-                .collect()
-        };
-        for end in upload_ends.iter() {
-            meters.server_to_announcer.push(Link::stats(end.as_ref()));
-        }
-        for (k, shared) in self.inner.domains.iter().enumerate() {
-            let (owner_end, server_end) = channel_pair();
-            meters.from_servers.push(Link::stats(&server_end));
-            let shared = Arc::clone(shared);
-            let announcer = upload_ends
-                .get(k)
-                .map(|end| Arc::clone(end) as Arc<dyn Link>);
-            handles.push(std::thread::spawn(move || {
-                domain_loop(Arc::new(server_end), shared, announcer)
+        for (k, shared) in inner.domains.iter().enumerate() {
+            let st = shared.read();
+            if st.routerless() {
+                links.push(Arc::clone(&st.workers[0].link));
+                continue;
+            }
+            drop(st);
+            let (owner_end, server_end) = (self.pair)()?;
+            meters.from_servers[k] = server_end.stats();
+            let (shared, announcer) = (Arc::clone(shared), uploads.get(k).cloned());
+            self.handles.push(std::thread::spawn(move || {
+                domain_loop(Arc::from(server_end), shared, announcer)
             }));
-            links.push(MuxLink::new(Arc::new(owner_end) as Arc<dyn Link>));
+            links.push(MuxLink::new(Arc::from(owner_end)));
         }
 
-        let ctl = self
-            .inner
-            .announcer_ctl
-            .lock()
-            .take()
-            .expect("readiness checked above");
-        let ctl_swap = SwapLink::new(ctl);
-        *self.inner.announcer_swaps.lock() = Some((
-            Arc::clone(&ctl_swap),
-            upload_ends.iter().map(Arc::clone).collect(),
-        ));
-        let announcer_link = MuxLink::new_labeled(ctl_swap as Arc<dyn Link>, "announcer");
-        *self.inner.announcer_mux.lock() = Some(Arc::clone(&announcer_link));
-
-        let prober = {
-            let inner = Arc::clone(&self.inner);
-            std::thread::spawn(move || prober_loop(inner))
-        };
+        let announcer_link = MuxLink::new_labeled(ctl, "announcer");
+        let prober = elastic.then(|| {
+            let (inner, announcer) = (Arc::clone(&inner), Arc::clone(&announcer_link));
+            std::thread::spawn(move || prober_loop(inner, announcer))
+        });
+        let shards = inner.domains.iter().map(|d| d.read().plan.shard_count());
+        let shards = shards.max().unwrap_or(1);
         let registry = NodeRegistry {
-            inner: Arc::clone(&self.inner),
-            prober: Mutex::new(Some(prober)),
-            dispatcher: Mutex::new(Some(self.dispatcher)),
+            inner,
+            prober: Mutex::new(prober),
+            dispatcher: Mutex::new(self.dispatcher),
         };
-
         Ok(NetCluster::assemble(
             self.setup,
             links,
             announcer_link,
-            handles,
-            meters,
-            self.shards,
-            Some(registry),
+            self.handles,
+            self.meters,
+            shards,
+            registry,
         ))
     }
 }
@@ -809,6 +909,32 @@ fn reject(link: &TcpLink) {
     register_ack(link, None, 0);
 }
 
+/// The one way a shard worker, attached or spawned, enters domain `d`: the
+/// next free slot, holding plan range `range`. Returns its label, or
+/// `None` for a full domain or when `admit(node, state)` (an attach's ack)
+/// fails. One write lock covers both, so concurrent dials cannot both take
+/// the last slot, slot order is ack order, and nothing sees an unacked link.
+fn take_slot(
+    inner: &RegistryInner,
+    d: usize,
+    link: Arc<dyn Link>,
+    range: usize,
+    admit: impl FnOnce(u64, &DomainState) -> bool,
+) -> Option<String> {
+    let mut st = inner.domains.get(d)?.write();
+    if st.workers.len() >= st.target {
+        return None;
+    }
+    let node = inner.next_node.fetch_add(1, Ordering::Relaxed);
+    if !admit(node, &st) {
+        return None;
+    }
+    let label = format!("d{d}/w{node}");
+    st.workers
+        .push(WorkerSlot::new(node, label.clone(), link, range));
+    Some(label)
+}
+
 fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake) {
     let link = match TcpLink::new(stream) {
         Ok(l) => Arc::new(l),
@@ -839,97 +965,64 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
     let fresh_node = || inner.next_node.fetch_add(1, Ordering::Relaxed);
     match role {
         NodeRole::ShardWorker => {
-            let Some(shared) = inner.domains.get(d) else {
+            // Ack with a provisional whole-domain range as the slot is
+            // taken; the re-fan below assigns the real range before any
+            // query can route here.
+            let ack = |node, st: &DomainState| register_ack(&link, Some(node), st.params.b);
+            let Some(label) = take_slot(inner, d, Arc::clone(&link) as _, 0, ack) else {
+                // A full domain (or an ack that could not be sent).
                 return reject(&link);
-            };
-            // Claim a slot (or reject a full domain) and ack with a
-            // provisional whole-domain range, all under one write lock:
-            // concurrent dials cannot both take the last slot, slot order
-            // is ack order, and nothing (re-fan, prober, router) can reach
-            // the new link before its ack is on the wire. The re-fan below
-            // assigns the real range before any query can route here.
-            let label = {
-                let mut st = shared.write();
-                if st.workers.len() >= st.target {
-                    drop(st);
-                    return reject(&link);
-                }
-                let node = fresh_node();
-                if !register_ack(&link, Some(node), st.params.b) {
-                    return;
-                }
-                let label = format!("d{d}/w{node}");
-                st.workers.push(WorkerSlot::new(
-                    node,
-                    label.clone(),
-                    Arc::clone(&link) as _,
-                    0,
-                ));
-                label
             };
             let survivors = refan(inner, d);
             inner.heal_log.lock().push(format!(
                 "domain {d}: worker {label} attached; re-fanned over {survivors} worker(s)"
             ));
+            inner.note_attach();
         }
         NodeRole::AnnouncerCtl => {
-            // Reconnect path: the cluster is already running (swap links
-            // exist). Only a *confirmed-dead* announcer may be replaced —
-            // a live one re-registering is an impostor and is rejected.
-            let swap = inner
-                .announcer_swaps
-                .lock()
-                .as_ref()
-                .map(|(ctl, _)| Arc::clone(ctl));
-            if let Some(ctl_swap) = swap {
-                let dead = inner
-                    .announcer_health
-                    .lock()
-                    .as_ref()
-                    .is_some_and(|a| a.health.liveness == Liveness::Dead);
-                if !dead {
-                    return reject(&link);
-                }
-                let node = fresh_node();
-                if register_ack(&link, Some(node), 0) {
-                    ctl_swap.swap(link);
-                    let health = Health::alive();
-                    *inner.announcer_health.lock() = Some(AnnouncerHealth { node, health });
-                    inner.heal_log.lock().push(format!(
-                        "announcer: control edge reconnected as node {node}; wide rounds resumed"
-                    ));
-                }
-                return;
-            }
+            // Once the cluster runs (swap links exist), only a
+            // *confirmed-dead* announcer may be replaced — a live one
+            // re-registering is an impostor. Before, the slot must be free.
+            let swap = inner.announcer_swaps.lock().clone().map(|s| s.0);
+            let dead = |a: &AnnouncerHealth| a.health.liveness == Liveness::Dead;
             let mut slot = inner.announcer_ctl.lock();
-            if slot.is_some() {
+            let free = match swap {
+                Some(_) => inner.announcer_health.lock().as_ref().is_some_and(dead),
+                None => slot.is_none(),
+            };
+            if !free {
                 drop(slot);
                 return reject(&link);
             }
             let node = fresh_node();
-            if register_ack(&link, Some(node), 0) {
-                *slot = Some(link);
-                let health = Health::alive();
-                *inner.announcer_health.lock() = Some(AnnouncerHealth { node, health });
+            if !register_ack(&link, Some(node), 0) {
+                return;
             }
+            match swap {
+                Some(ctl_swap) => {
+                    ctl_swap.swap(link);
+                    inner.heal_log.lock().push(format!(
+                        "announcer: control edge reconnected as node {node}; wide rounds resumed"
+                    ));
+                }
+                None => *slot = Some(link),
+            }
+            drop(slot);
+            let health = Health::alive();
+            *inner.announcer_health.lock() = Some(AnnouncerHealth { node, health });
+            inner.note_attach();
         }
         NodeRole::AnnouncerUpload => {
             // Reconnect path: a healing announcer re-dials its upload
             // edges right after its control edge (which flipped health
             // back to Alive), so gate on the swap links existing rather
             // than on liveness.
-            let swap = inner
-                .announcer_swaps
-                .lock()
-                .as_ref()
-                .and_then(|(_, ups)| ups.get(d).map(Arc::clone));
-            if let Some(up_swap) = swap {
+            let swaps = inner.announcer_swaps.lock().clone().map(|s| s.1);
+            if let Some(up_swap) = swaps.and_then(|ups| ups.get(d).cloned()) {
                 if register_ack(&link, Some(fresh_node()), 0) {
                     up_swap.swap(link);
-                    inner
-                        .heal_log
-                        .lock()
-                        .push(format!("announcer: upload edge {d} reconnected"));
+                    let reconnected = format!("announcer: upload edge {d} reconnected");
+                    inner.heal_log.lock().push(reconnected);
                 }
                 return;
             }
@@ -938,6 +1031,8 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
                 Some(slot @ None) => {
                     if register_ack(&link, Some(fresh_node()), 0) {
                         *slot = Some(link);
+                        drop(slots);
+                        inner.note_attach();
                     }
                 }
                 _ => {
@@ -1165,7 +1260,9 @@ fn failover(inner: &Arc<RegistryInner>, d: usize, node: u64) {
 // Prober: keep-alive loop
 // ---------------------------------------------------------------------
 
-fn prober_loop(inner: Arc<RegistryInner>) {
+/// Ping every worker and the announcer (over its control link
+/// `announcer`) each probe interval until stopped.
+fn prober_loop(inner: Arc<RegistryInner>, announcer: Arc<MuxLink>) {
     while !inner.stop.load(Ordering::SeqCst) {
         std::thread::sleep(inner.cfg.probe_interval);
         if inner.stop.load(Ordering::SeqCst) {
@@ -1214,7 +1311,12 @@ fn prober_loop(inner: Arc<RegistryInner>) {
                 }
             }
         }
-        probe_announcer(&inner);
+        let answered = ping(&inner, &announcer).is_ok();
+        if let Some(a) = inner.announcer_health.lock().as_mut() {
+            // No failover target exists for a dead announcer — it holds no
+            // outsourced rows; wide queries fail loudly until it returns.
+            a.health.observe(answered, &inner.cfg, announcer.is_dead());
+        }
     }
 }
 
@@ -1232,21 +1334,33 @@ fn ping(inner: &Arc<RegistryInner>, link: &Arc<MuxLink>) -> Result<u64, NetError
     }
 }
 
-fn probe_announcer(inner: &Arc<RegistryInner>) {
-    let Some(link) = inner.announcer_mux.lock().clone() else {
-        return;
-    };
-    let answered = ping(inner, &link).is_ok();
-    if let Some(a) = inner.announcer_health.lock().as_mut() {
-        // No failover target exists for a dead announcer — it holds no
-        // outsourced rows; wide queries fail loudly until it returns.
-        a.health.observe(answered, &inner.cfg, link.is_dead());
-    }
+// ---------------------------------------------------------------------
+// Nodes: shard worker + announcer, spawned locally or dialed in
+// ---------------------------------------------------------------------
+
+/// Serve an engine node (`node_loop`) on a thread of its own: the one
+/// place a node starts, whether a fixed roster spawns it or it dials in
+/// as a [`ShardWorker`].
+fn spawn_node(
+    params: ServerParams,
+    link: Arc<dyn Link>,
+    range: Option<ShardSpec>,
+    generation: u64,
+    tamper: Tamper,
+    announcer: Option<Arc<dyn Link>>,
+) -> JoinHandle<Result<(), NetError>> {
+    std::thread::spawn(move || node_loop(params, link, range, generation, tamper, announcer))
 }
 
-// ---------------------------------------------------------------------
-// Remote nodes: shard worker + announcer
-// ---------------------------------------------------------------------
+/// Serve the announcer (`announcer_loop`) on a thread of its own: the one
+/// place it starts, for a fixed roster and for an [`AnnouncerNode`].
+fn spawn_announcer(
+    params: AnnouncerParams,
+    ctl: Arc<dyn Link>,
+    uploads: Vec<Box<dyn Link>>,
+) -> JoinHandle<Result<(), NetError>> {
+    std::thread::spawn(move || announcer_loop(params, ctl, uploads))
+}
 
 /// A shard worker attached to a registry by address: holds one row
 /// range of a server domain and re-derives it on every
@@ -1292,9 +1406,7 @@ impl ShardWorker {
         let link = Arc::new(TcpLink::connect_retry(addr, timeout, backoff)?);
         let (node, generation, spec) = register(&link, NodeRole::ShardWorker, domain, params.b)?;
         let serve_link = Arc::clone(&link) as Arc<dyn Link>;
-        let handle = std::thread::spawn(move || {
-            node_loop(params, serve_link, Some(spec), generation, tamper, None)
-        });
+        let handle = spawn_node(params, serve_link, Some(spec), generation, tamper, None);
         Ok(ShardWorker {
             link,
             handle: Some(handle),
@@ -1349,7 +1461,7 @@ impl AnnouncerNode {
             uploads.push(Box::new(l));
         }
         let serve_ctl = Arc::clone(&ctl) as Arc<dyn Link>;
-        let handle = std::thread::spawn(move || announcer_loop(params, serve_ctl, uploads));
+        let handle = spawn_announcer(params, serve_ctl, uploads);
         Ok(AnnouncerNode {
             link: ctl,
             handle: Some(handle),
@@ -1450,7 +1562,8 @@ mod tests {
     fn teardown(listener: ClusterListener, workers: Vec<ShardWorker>) {
         listener.inner.stop.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(listener.inner.addr);
-        listener.dispatcher.join().expect("dispatcher exits");
+        let dispatcher = listener.dispatcher.expect("a bound listener dispatches");
+        dispatcher.join().expect("dispatcher exits");
         for w in workers {
             w.kill();
             let _ = w.join();
@@ -1501,6 +1614,51 @@ mod tests {
             assert_eq!(slot_nodes(&listener), acked);
             teardown(listener, workers);
         }
+    }
+
+    #[test]
+    fn a_fixed_roster_never_heals() {
+        use prism_protocol::malicious::AnnouncerTamper;
+        use prism_protocol::params::{Initiator, SystemConfig};
+        let setup = || {
+            let config = SystemConfig::new(2, 8).with_seed(1);
+            Initiator::new(config).setup().expect("setup")
+        };
+        let unlogged = |inner: &RegistryInner| inner.domains.iter().all(|d| d.read().log.is_none());
+
+        // No prober, no dispatcher and no replay log, also after an upload.
+        let net = NetCluster::start_local_sharded(setup(), 2);
+        let registry = net.registry().expect("every cluster has a registry");
+        assert!(registry.prober.lock().is_none());
+        assert!(registry.dispatcher.lock().is_none());
+        assert!(unlogged(&registry.inner));
+        let b = net.setup().owner.b;
+        net.bulk_upload(0, 0, vec![(Column::Ok, vec![0; b])])
+            .expect("the workers store it");
+        assert!(unlogged(&registry.inner));
+        assert!(net.report().nodes.is_empty(), "no prober, no health rows");
+        net.shutdown().expect("clean shutdown");
+
+        // A dead announcer is an error, not a wait for a reconnect that
+        // no fixed roster can receive. Over TCP the request's write to the
+        // closed edge succeeds, so only the receive side can fail it.
+        let roster = ClusterListener::fixed(setup(), 2, tcp_links).expect("roster");
+        let ctl = roster.inner.announcer_ctl.lock().clone();
+        let ctl = ctl.expect("the roster slots its announcer");
+        ctl.send(&Message::Shutdown)
+            .expect("the announcer hears it");
+        let net = roster.start().expect("a fixed roster is complete");
+        let (done, refused) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(net.set_announcer_tamper(AnnouncerTamper::Honest).is_err());
+            let _ = net.shutdown();
+        });
+        let waited = Duration::from_secs(10);
+        assert_eq!(
+            refused.recv_timeout(waited),
+            Ok(true),
+            "the request must fail"
+        );
     }
 
     #[test]

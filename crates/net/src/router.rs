@@ -9,12 +9,13 @@
 //! tampering behaviour and finish permutations *server-side*, where
 //! `PF_s1`/`PF_s2` are allowed to live. Its fan-out — row plan, worker
 //! links, replica sets — is a [`DomainState`] read under a lock on every
-//! message. The elastic deployment ([`crate::registry`]) shares that
-//! state with its attach dispatcher and keep-alive prober, which re-plan
-//! it when workers come and go; the statically wired constructors
-//! ([`crate::cluster::NetCluster`]) build the same state once — `rf = 1`,
-//! one [`WorkerSlot`] per link, generation 0 — and nobody else ever takes
-//! the write side. Same router, same node loop, two ways to reach them.
+//! message. [`crate::registry`] builds that state and starts every
+//! router and node. Behind an attach endpoint it shares the state with
+//! the attach dispatcher and keep-alive prober, which re-plan it when
+//! workers come and go; a fixed roster fills it once — `rf = 1`, one
+//! [`WorkerSlot`] per spawned node, generation 0 — and nobody else ever
+//! takes the write side. One router, one node loop, one way to reach
+//! them.
 
 use crate::executor::RoundExecutor;
 use crate::mux::{MuxLink, Pending};
@@ -456,6 +457,14 @@ impl DomainState {
             .enumerate()
             .filter(move |(_, w)| w.range == r)
             .map(|(i, _)| i)
+    }
+
+    /// Whether the domain needs no router: one row range on one holder
+    /// that never moves, because nothing heals the domain (it keeps no
+    /// replay log). Its one node then holds the whole domain, sits
+    /// straight behind the owner link and fronts the announcer edge.
+    pub(crate) fn routerless(&self) -> bool {
+        self.log.is_none() && self.rf == 1 && self.plan.shard_count() == 1
     }
 
     /// True iff every range of the current plan still has at least one
@@ -1009,7 +1018,7 @@ mod tests {
     use prism_protocol::engine::BatchItem;
     use prism_protocol::params::{Initiator, SystemConfig};
 
-    /// A fixed-membership domain (what the static constructors build)
+    /// A fixed-membership domain (what a fixed roster builds)
     /// whose worker link died answers the owner with the typed
     /// `NodeDown` — not an empty output list, not a dead router — and
     /// keeps serving, `Shutdown` included.

@@ -186,37 +186,57 @@ fn one_facade_answers_identically_on_every_deployment() {
     assert_eq!(framed.collect::<Vec<_>>(), *tcp);
 }
 
-/// One router reached two ways: the statically wired constructor and the
-/// attach listener (rf = 1, same two row ranges), outsourced to
-/// identically and grown by one append, answer every operation
-/// bit-identically, in the same number of rounds and shard dispatches —
-/// before and after the append.
+/// One router reached two ways: a fixed roster and the attach listener
+/// (rf = 1, the same row ranges), outsourced to identically and grown by
+/// one append, answer every operation bit-identically, in the same number
+/// of rounds and shard dispatches — before and after the append. Both
+/// count their shards from the domain plan, which clamps a request for
+/// more ranges than the domain has rows.
 #[test]
 fn static_and_attached_topologies_agree() {
+    let delta = vec![
+        vec![(25, 40), (26, 7), (28, 3)],
+        vec![(25, 10), (27, 2), (28, 5)],
+        vec![(25, 60), (28, 1)],
+    ];
+    topologies_agree(cfg(85), 2, &rows(), &delta);
+    // Two cells asked for four row ranges: two ranges of one row.
+    let mut tiny = cfg(85);
+    tiny.domain_size = 2;
+    let tiny_rows = vec![vec![(1, 100), (2, 5)], vec![(1, 70)], vec![(2, 4), (1, 30)]];
+    let tiny_delta = vec![vec![(3, 40), (6, 7)], vec![(3, 10)], vec![(4, 60), (3, 1)]];
+    topologies_agree(tiny, 4, &tiny_rows, &tiny_delta);
+}
+
+/// [`static_and_attached_topologies_agree`] for one domain: `shards` row
+/// ranges asked of both bring-ups, then `rows` outsourced and `delta`
+/// appended as four new cells.
+fn topologies_agree(
+    cfg: ClusterConfig,
+    shards: usize,
+    rows: &[Vec<(u64, u64)>],
+    delta: &[Vec<(u64, u64)>],
+) {
     const ADDED: usize = 4;
-    let setup = make_setup(85);
-    let fixed = NetCluster::start_tcp_sharded(setup.clone(), 2).unwrap();
-    let listener = ClusterListener::bind(setup.clone(), 2, RegistryConfig::default()).unwrap();
+    let setup = cfg.setup(3).unwrap();
+    let fixed = NetCluster::start_tcp_sharded(setup.clone(), shards).unwrap();
+    let listener = ClusterListener::bind(setup.clone(), shards, RegistryConfig::default()).unwrap();
     let dial = std::time::Duration::from_secs(10);
     let mut workers = Vec::new();
     for (k, params) in setup.servers.iter().enumerate() {
-        for _ in 0..2 {
+        for _ in 0..shards.min(params.b) {
             workers.push(ShardWorker::connect(params.clone(), k, listener.addr(), dial).unwrap());
         }
     }
     let announcer = AnnouncerNode::connect(setup.announcer.clone(), listener.addr(), dial).unwrap();
     let attached = listener.start().unwrap();
     assert_eq!(fixed.shards(), attached.shards());
-    let mut clusters = [fixed, attached].map(|net| outsource(net, &rows(), 85));
+    let over = |net| Cluster::over(net, &inputs(rows), cfg.clone()).unwrap();
+    let mut clusters = [fixed, attached].map(over);
     assert_eq!(surface(&clusters[0]), surface(&clusters[1]));
 
-    let delta = vec![
-        vec![(25, 40), (26, 7), (28, 3)],
-        vec![(25, 10), (27, 2), (28, 5)],
-        vec![(25, 60), (28, 1)],
-    ];
     for c in clusters.iter_mut() {
-        c.append(ADDED, &inputs(&delta)).unwrap();
+        c.append(ADDED, &inputs(delta)).unwrap();
     }
     let after = surface(&clusters[0]);
     assert_eq!(after, surface(&clusters[1]));

@@ -2,7 +2,7 @@
 # Everything works fully offline: external deps are vendored under vendor/.
 
 # Run the standard verification suite (what CI runs).
-ci: fmt-check clippy phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind build test test-release doc bench-check
+ci: fmt-check clippy phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup build test test-release doc bench-check
 
 # Build every workspace target in release mode.
 build:
@@ -37,8 +37,8 @@ clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
 # The "exists once" guards (Phase 1, the server-round fan-out, the owner
-# facade, the F-table, the round executor, one stored column per kind);
-# scripts/guards.sh says what each one keeps single.
+# facade, the F-table, the round executor, one stored column per kind,
+# the bring-up path); scripts/guards.sh says what each one keeps single.
 phase1-once:
     scripts/guards.sh phase1-once
 
@@ -56,6 +56,9 @@ one-executor:
 
 one-column-per-kind:
     scripts/guards.sh one-column-per-kind
+
+one-bringup:
+    scripts/guards.sh one-bringup
 
 # Non-test vs test Rust line counts per crate (vendor/ and
 # examples/benchmark/ excluded), the one table simplicity PRs quote. In a

@@ -72,7 +72,27 @@ one_column_per_kind() {
     ! grep -n 'sub_assign_mod' crates/protocol/src/engine.rs
 }
 
-GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind"
+# One bring-up path: `ClusterListener::start` brings up every cluster,
+# a fixed roster or an attached one. Outside `router.rs` (whose unit tests
+# drive the loops by hand), `node_loop`, `domain_loop` and `announcer_loop`
+# are each called from exactly one place in `crates/net/src`: the spawn
+# helpers and `start` in `registry.rs`. Fails, printing the call lines, if
+# a second constructor wires a loop by hand again.
+one_bringup() {
+    status=0
+    for loop in node_loop domain_loop announcer_loop; do
+        sites=$(git grep -nE "(^|[^[:alnum:]_])$loop\(" -- crates/net/src \
+            ':!crates/net/src/router.rs' |
+            grep -vE "fn $loop\(|^[^:]+:[0-9]+:[[:space:]]*//") || true
+        if [ "$(printf '%s\n' "$sites" | grep -c .)" -ne 1 ]; then
+            printf '%s\n' "$sites"
+            status=1
+        fi
+    done
+    return "$status"
+}
+
+GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup"
 
 run() {
     case "$1" in
@@ -82,6 +102,7 @@ run() {
         poly-table-once) poly_table_once ;;
         one-executor) one_executor ;;
         one-column-per-kind) one_column_per_kind ;;
+        one-bringup) one_bringup ;;
         *)
             echo "usage: scripts/guards.sh <all | $(echo "$GUARDS" | tr ' ' '|')>" >&2
             exit 2
