@@ -49,19 +49,21 @@
 //!   replay. Only when a range lost its *last* holder does the registry
 //!   re-plan the domain over the survivors, push each its new row range
 //!   via [`Message::Assign`] (generation-numbered, acked, rebuilding its
-//!   store), and **re-outsource** the domain by replaying its
-//!   upload log sliced under the new plan — the same store-version
-//!   path as any owner upload, so each survivor's monotonic version bumps and
-//!   the PSI-round cache invalidates exactly the re-fanned domain
-//!   (`note_upload`). Tamper detection survives re-sharding unchanged:
-//!   the domain-level tampering behaviour and finish permutations live
-//!   in the router, which the failover never touches.
+//!   store), and **re-outsource** the domain from its summed upload
+//!   log: each holder gets one [`Message::Replay`] restoring its range
+//!   (the slice of each column's owner sum, every owner's rows and
+//!   epoch). Each survivor's monotonic version bumps and the PSI-round
+//!   cache invalidates exactly the re-fanned domain (`note_upload`).
+//!   Tamper detection survives re-sharding unchanged: the domain-level
+//!   tampering behaviour and finish permutations live in the router,
+//!   which the failover never touches.
 //!
 //! **Topology note.** Registry↔worker edges carry only control traffic
-//! — registration, pings, assignments, and the replayed *shares* owners
-//! already outsourced. No plaintext and no cross-server data ever flows
-//! here, so the no-server-communication property of §3.2 is preserved:
-//! workers of different domains still have no edge to each other.
+//! — registration, pings, assignments, and the replayed *sums* of the
+//! shares owners already outsourced to that domain. No plaintext and no
+//! cross-server data ever flows here, so the no-server-communication
+//! property of §3.2 is preserved: workers of different domains still have
+//! no edge to each other.
 //!
 //! **Generation numbers.** Every re-plan bumps the domain's generation;
 //! `Assign` carries it and `Pong` echoes the worker's current value, so
@@ -73,9 +75,10 @@ use crate::cluster::{announcer_loop, EdgeMeters, NetCluster};
 use crate::mux::MuxLink;
 use crate::router::{domain_loop, node_loop, DomainState, WorkerSlot};
 use crate::transport::{channel_pair, Link, LinkStats, NetError, TcpLink};
-use crate::wire::{Column, Message, NodeRole};
+use crate::wire::{Message, NodeRole};
 use parking_lot::{Mutex, RwLock};
 use prism_protocol::cache::PsiRoundCache;
+use prism_protocol::engine::ReplayLog;
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{AnnouncerParams, ServerParams, Setup, ADDITIVE_SERVERS};
 use prism_protocol::shard::{ShardPlan, ShardSpec};
@@ -184,126 +187,6 @@ impl std::fmt::Display for NodeHealth {
     }
 }
 
-/// A domain's upload log, kept for failover re-outsourcing: what the
-/// domain's workers hold, one record per owner with each column's shares
-/// over the whole domain and its fold epoch. A put extends a column, a
-/// fold adds into it in the column's ring — the log never keeps a column
-/// twice. Its router writes it once the workers acked (see
-/// `DomainState::log`); a heal replays it into rebuilt workers.
-#[derive(Default)]
-pub(crate) struct ReplayLog {
-    records: Vec<OwnerRecord>,
-}
-
-/// One owner's logged columns.
-struct OwnerRecord {
-    owner: u32,
-    columns: Vec<Logged>,
-}
-
-/// One logged column: its latest shares and fold epoch.
-struct Logged {
-    column: Column,
-    epoch: u64,
-    shares: Vec<u64>,
-}
-
-impl ReplayLog {
-    fn logged(&mut self, owner: u32, column: Column) -> &mut Logged {
-        let at = match self.records.iter().position(|r| r.owner == owner) {
-            Some(at) => at,
-            None => {
-                self.records.push(OwnerRecord {
-                    owner,
-                    columns: Vec::new(),
-                });
-                self.records.len() - 1
-            }
-        };
-        let columns = &mut self.records[at].columns;
-        match columns.iter().position(|l| l.column == column) {
-            Some(i) => &mut columns[i],
-            None => {
-                columns.push(Logged {
-                    column,
-                    epoch: 0,
-                    shares: Vec::new(),
-                });
-                columns.last_mut().expect("just pushed")
-            }
-        }
-    }
-
-    /// A put the workers took at global row `start`: each column's rows
-    /// extend from there.
-    pub(crate) fn put(&mut self, owner: u32, start: usize, columns: Vec<(Column, Vec<u64>)>) {
-        for (column, data) in columns {
-            let shares = &mut self.logged(owner, column).shares;
-            if shares.is_empty() && start == 0 {
-                *shares = data;
-            } else {
-                shares.resize(start, 0);
-                shares.extend_from_slice(&data);
-            }
-        }
-    }
-
-    /// A fold the workers took at `epoch`: each difference adds into its
-    /// column mod `ring(column)`.
-    pub(crate) fn fold(
-        &mut self,
-        owner: u32,
-        epoch: u64,
-        columns: &[(Column, Vec<u64>)],
-        ring: impl Fn(Column) -> u64,
-    ) {
-        for (column, diff) in columns {
-            let n = ring(*column);
-            let logged = self.logged(owner, *column);
-            for (s, d) in logged.shares.iter_mut().zip(diff) {
-                *s = (*s % n + d % n) % n;
-            }
-            logged.epoch = epoch;
-        }
-    }
-
-    /// Owners with a record.
-    fn owners(&self) -> usize {
-        self.records.len()
-    }
-
-    /// The replay, one message per (owner, epoch) in log order: for each,
-    /// `cut(spec)` builds the [`Message::Replay`] of range `spec`, every
-    /// column cut to the rows it holds there (a column that does not reach
-    /// the range is left out).
-    fn replays(&self) -> Vec<impl Fn(&ShardSpec) -> Message + '_> {
-        let mut groups = Vec::new();
-        for rec in &self.records {
-            let mut epochs: Vec<u64> = rec.columns.iter().map(|l| l.epoch).collect();
-            epochs.sort_unstable();
-            epochs.dedup();
-            for epoch in epochs {
-                let owner = rec.owner;
-                groups.push(move |spec: &ShardSpec| Message::Replay {
-                    owner,
-                    epoch,
-                    columns: rec
-                        .columns
-                        .iter()
-                        .filter(|l| l.epoch == epoch)
-                        .filter_map(|l| {
-                            let end = (spec.start + spec.len).min(l.shares.len());
-                            let part = l.shares.get(spec.start..end)?;
-                            (!part.is_empty()).then(|| (l.column, part.to_vec()))
-                        })
-                        .collect(),
-                });
-            }
-        }
-        groups
-    }
-}
-
 /// One node's keep-alive bookkeeping, as the prober folds ping outcomes
 /// into it.
 pub(crate) struct Health {
@@ -361,8 +244,8 @@ struct RegistryInner {
     /// Heals that completed as metadata-only replica promotions (a
     /// subset of `failovers`).
     promotions: AtomicU64,
-    /// Upload-log records replayed across all heals — stays at zero as
-    /// long as every heal promotes.
+    /// Summed log records replayed across all heals, one per healed
+    /// domain — stays at zero as long as every heal promotes.
     replayed: AtomicU64,
     next_node: AtomicU64,
     /// Control-plane correlation ids (pings, assigns, replays) live in
@@ -530,9 +413,12 @@ impl NodeRegistry {
         self.inner.promotions.load(Ordering::Relaxed)
     }
 
-    /// Upload-log records replayed across all heals so far. With a
-    /// replication factor ≥ 2 a single worker death heals by promotion
-    /// and this stays exactly where it was.
+    /// Summed upload-log records replayed across all heals so far: the
+    /// log keeps one record per domain (each column's sum and every
+    /// owner's rows and epoch), so each replay heal adds exactly one,
+    /// whatever the owner count. With a replication factor ≥ 2 a single
+    /// worker death heals by promotion and this stays exactly where it
+    /// was.
     pub fn replayed_records(&self) -> u64 {
         self.inner.replayed.load(Ordering::Relaxed)
     }
@@ -705,7 +591,8 @@ impl ClusterListener {
         let addr = listener.local_addr()?;
         let mut this = ClusterListener::empty(setup, shards, cfg, addr, channel_links);
         for domain in &this.inner.domains {
-            domain.write().log = Some(ReplayLog::default());
+            let mut st = domain.write();
+            st.log = Some(ReplayLog::new(&st.params));
         }
         let inner = Arc::clone(&this.inner);
         this.dispatcher = Some(std::thread::spawn(move || dispatcher_loop(inner, listener)));
@@ -1186,22 +1073,22 @@ fn assign_current(
 }
 
 /// Push the current plan's ranges to every worker (acked, generation
-/// `st.generation`), each rebuilding its store, then replay the domain's
-/// upload log sliced under the new plan into the empty stores — every
-/// holder of a range receives its slice, each column at its logged epoch.
-/// `Err(i)` names the worker index that failed.
+/// `st.generation`), each rebuilding its store, then restore the domain's
+/// summed log cut under the new plan into the empty stores: every holder
+/// of a range receives one [`Message::Replay`] carrying its range's slice
+/// of each column's sum and every owner's rows and epoch. `Err(i)` names
+/// the worker index that failed. A log that holds nothing yet (an attach
+/// during bring-up) restores nothing.
 fn assign_and_replay(inner: &Arc<RegistryInner>, st: &mut DomainState) -> Result<(), usize> {
     assign_current(inner, st, true)?;
     let st: &DomainState = st;
-    let Some(log) = &st.log else {
+    let Some(log) = st.log.as_ref().filter(|log| log.resident_cells() > 0) else {
         return Ok(());
     };
-    for replay in log.replays() {
-        heal_fan(inner, st, replay)?;
-    }
-    inner
-        .replayed
-        .fetch_add(log.owners() as u64, Ordering::Relaxed);
+    heal_fan(inner, st, |spec| Message::Replay {
+        columns: log.cut(spec.start, spec.len),
+    })?;
+    inner.replayed.fetch_add(1, Ordering::Relaxed);
     Ok(())
 }
 
@@ -1521,6 +1408,7 @@ fn register(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::Column;
 
     #[test]
     fn miss_budget_confirms_death_at_the_budget_not_one_past() {
@@ -1661,62 +1549,113 @@ mod tests {
         );
     }
 
+    type Columns = Vec<(Column, Vec<u64>)>;
+
+    /// A put the log takes, as the router writes it: checked, then added.
+    fn logged_put(log: &mut ReplayLog, owner: usize, start: usize, columns: Columns, b: usize) {
+        log.check_put(owner, start, &columns, b)
+            .expect("the put extends the owner's rows");
+        log.put(owner, start, columns);
+    }
+
+    /// A fold the log takes over a `b`-row domain, checked, then added.
+    fn logged_fold(log: &mut ReplayLog, owner: usize, epoch: u64, columns: Columns, b: usize) {
+        log.check_fold(owner, epoch, &columns, b)
+            .expect("the fold is at a new epoch");
+        log.fold(owner, epoch, columns);
+    }
+
+    fn log_params(m: usize, b: usize) -> prism_protocol::params::ServerParams {
+        use prism_protocol::params::{Initiator, SystemConfig};
+        let config = SystemConfig::new(m, b).with_seed(3);
+        let setup = Initiator::new(config).setup().expect("setup");
+        setup.servers[0].clone()
+    }
+
     #[test]
     fn a_fold_adds_into_its_record_in_the_replay_log() {
+        use prism_protocol::engine::{ColumnCut, Held};
         use Column::{Ok, VOk};
-        type Columns = Vec<(Column, Vec<u64>)>;
         let cols =
             |v: u64, cs: &[Column]| -> Columns { cs.iter().map(|&c| (c, vec![v; 8])).collect() };
-        let ring = |c: Column| c.ring(11, 13);
-        // The log as (owner, column, epoch, shares) rows.
-        let rows = |log: &ReplayLog| -> Vec<(u32, Column, u64, Vec<u64>)> {
-            let each = |r: &OwnerRecord| -> Vec<_> {
-                let row = |l: &Logged| (r.owner, l.column, l.epoch, l.shares.clone());
-                r.columns.iter().map(row).collect()
-            };
-            log.records.iter().flat_map(each).collect()
-        };
-        let mut log = ReplayLog::default();
-        log.put(0, 0, cols(1, &[Ok, VOk]));
-        log.put(1, 0, cols(2, &[Ok]));
-        // Folds add into their columns mod the ring and move the epoch;
-        // they never add a record or a column.
+        let sp = log_params(2, 8);
+        let n = Ok.ring(sp.delta, sp.field.p);
+        assert_eq!(n, VOk.ring(sp.delta, sp.field.p));
+        let held = |rows, epoch| Held { rows, epoch };
+        let mut log = ReplayLog::new(&sp);
+        logged_put(&mut log, 0, 0, cols(1, &[Ok, VOk]), 8);
+        logged_put(&mut log, 1, 0, cols(2, &[Ok]), 8);
+        // Folds add into the one summed record of their column in its
+        // ring and move the owner's epoch; they never add a record, a
+        // column or a cell.
         for epoch in 1..=5 {
-            log.fold(0, epoch, &cols(5, &[Ok, VOk]), ring);
+            logged_fold(&mut log, 0, epoch, cols(5, &[Ok, VOk]), 8);
         }
-        log.fold(0, 6, &cols(9, &[Ok]), ring);
+        logged_fold(&mut log, 0, 6, cols(9, &[Ok]), 8);
+        let (ok, v_ok) = ((1 + 5 * 5 + 9 + 2) % n, (1 + 5 * 5) % n);
         assert_eq!(
-            rows(&log),
+            log.cut(0, 8),
             [
-                (0, Ok, 6, vec![2; 8]),
-                (0, VOk, 5, vec![4; 8]),
-                (1, Ok, 0, vec![2; 8]),
+                ColumnCut {
+                    column: Ok,
+                    summed: vec![ok; 8],
+                    held: vec![held(8, 6), held(8, 0)],
+                },
+                ColumnCut {
+                    column: VOk,
+                    summed: vec![v_ok; 8],
+                    held: vec![held(8, 5)],
+                },
             ]
         );
-        // A delta extends the one column it appends to.
-        log.put(0, 8, cols(7, &[Ok]));
-        assert_eq!(log.owners(), 2);
-        // The replay: one message per (owner, epoch), each column cut to
-        // the range.
-        let spec = ShardSpec {
-            index: 1,
-            start: 4,
-            len: 8,
-        };
-        let replays: Vec<Message> = log.replays().iter().map(|r| r(&spec)).collect();
-        let replay = |owner, epoch, columns| Message::Replay {
-            owner,
-            epoch,
-            columns,
-        };
+        assert_eq!(log.resident_cells(), 16);
+        // The log refuses what a worker refuses: a repeated fold epoch.
+        assert!(log.check_fold(0, 6, &cols(9, &[Ok]), 8).is_err());
+        // A delta extends the one column it appends to, in a domain grown
+        // to 12 rows.
+        logged_put(&mut log, 0, 8, vec![(Ok, vec![7; 4])], 12);
+        // The restore of range [4, 12): each column's slice of the sum and
+        // every owner's rows clipped to the range, epochs kept.
         assert_eq!(
-            replays,
+            log.cut(4, 8),
             [
-                replay(0, 5, vec![(VOk, vec![4; 4])]),
-                replay(0, 6, vec![(Ok, vec![2, 2, 2, 2, 7, 7, 7, 7])]),
-                replay(1, 0, vec![(Ok, vec![2; 4])]),
+                ColumnCut {
+                    column: Ok,
+                    summed: [[ok; 4], [7; 4]].concat(),
+                    held: vec![held(8, 6), held(4, 0)],
+                },
+                ColumnCut {
+                    column: VOk,
+                    summed: vec![v_ok; 4],
+                    held: vec![held(4, 5)],
+                },
             ]
         );
+    }
+
+    /// One column per kind, whatever the owner count: the same uploads
+    /// from 2 owners and from 10 — every Table-11 kind put whole, folded
+    /// once and appended to — leave exactly `kinds × b` cells in the log,
+    /// as `engine`'s `resident_shares_do_not_grow_with_the_owner_count`
+    /// does at a worker.
+    #[test]
+    fn the_replay_log_keeps_one_column_per_kind() {
+        use Column::*;
+        let (b, added) = (64, 4);
+        let kinds = [Ok, VOk, OkDb1, OkDb2, AOk, Agg(0), VAgg(0), Agg(1), VAgg(1)];
+        let rows =
+            |v: u64, len: usize| -> Columns { kinds.iter().map(|&c| (c, vec![v; len])).collect() };
+        let cells = [2usize, 10].map(|m| {
+            let mut log = ReplayLog::new(&log_params(m, b));
+            for j in 0..m {
+                let v = j as u64 + 1;
+                logged_put(&mut log, j, 0, rows(v, b), b);
+                logged_fold(&mut log, j, 1, rows(v, b), b);
+                logged_put(&mut log, j, b, rows(v, added), b + added);
+            }
+            log.resident_cells()
+        });
+        assert_eq!(cells, [kinds.len() * (b + added); 2]);
     }
 
     #[test]

@@ -19,12 +19,12 @@
 
 use crate::executor::RoundExecutor;
 use crate::mux::{MuxLink, Pending};
-use crate::registry::{Health, ReplayLog};
+use crate::registry::Health;
 use crate::transport::{Link, NetError};
 use crate::wire::{recycle_vecs, Column, Message};
 use parking_lot::RwLock;
 use prism_core::Permutation;
-use prism_protocol::engine::{BatchQuery, ServerCmd, ServerNode, ServerReply};
+use prism_protocol::engine::{BatchQuery, ReplayLog, ServerCmd, ServerNode, ServerReply};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::ServerParams;
 use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan, ShardSpec};
@@ -255,15 +255,11 @@ pub(crate) fn node_loop(
             // Every upload is applied whole or refused whole; a refusal
             // leaves the store as it was and answers with its reason.
             Message::BulkUpload { owner, columns } => {
-                let done = node.write().put(owner as usize, 0, 0, columns);
+                let done = node.write().put(owner as usize, 0, columns);
                 reply(link.as_ref(), tag, receipt(done))?;
             }
-            Message::Replay {
-                owner,
-                epoch,
-                columns,
-            } => {
-                let done = node.write().put(owner as usize, 0, epoch, columns);
+            Message::Replay { columns } => {
+                let done = node.write().restore(columns);
                 reply(link.as_ref(), tag, receipt(done))?;
             }
             Message::FoldUpload {
@@ -426,10 +422,11 @@ pub(crate) struct DomainState {
     pub(crate) generation: u64,
     pub(crate) plan: ShardPlan,
     pub(crate) workers: Vec<WorkerSlot>,
-    /// What the workers hold, for a heal to replay (elastic domains only:
-    /// a fixed roster never heals). The router writes it under the write
-    /// lock once the workers acked an upload, so a heal — which holds the
-    /// same lock — replays exactly what they applied.
+    /// What the workers hold, for a heal to restore (elastic domains
+    /// only: a fixed roster never heals). The router checks each upload
+    /// against it, then writes it under the write lock once the workers
+    /// acked, so a heal — which holds the same lock — restores exactly
+    /// what they applied.
     pub(crate) log: Option<ReplayLog>,
 }
 
@@ -465,6 +462,25 @@ impl DomainState {
     /// straight behind the owner link and fronts the announcer edge.
     pub(crate) fn routerless(&self) -> bool {
         self.log.is_none() && self.rf == 1 && self.plan.shard_count() == 1
+    }
+
+    /// Refuses, as [`AckFail::Refused`], an upload the domain's replay log
+    /// (if it keeps one) would not take over the current `b` rows: the
+    /// log sees the whole domain, so it also catches a gap or overlap
+    /// across a range boundary that no single worker can see. A domain
+    /// with no worker left is down first, as [`fan_acked`] reports it.
+    fn check_log(
+        &self,
+        check: impl FnOnce(&ReplayLog, usize) -> Result<(), ProtocolError>,
+    ) -> Result<(), AckFail> {
+        match &self.log {
+            Some(_) if self.workers.is_empty() => Err(AckFail::Down(NO_WORKERS)),
+            Some(log) => check(log, self.params.b).map_err(|e| match e {
+                ProtocolError::UploadRefused(why) => AckFail::Refused(why),
+                other => AckFail::Refused(other.to_string()),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// True iff every range of the current plan still has at least one
@@ -864,14 +880,18 @@ pub(crate) fn domain_loop(
             Message::BulkUpload { owner, columns } => {
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 let mut st = shared.write();
-                let outcome = check_columns(&columns, st.params.b).and_then(|()| {
-                    fan_acked(&st, id, |spec| Message::BulkUpload {
-                        owner,
-                        columns: cut_columns(&columns, spec),
+                let outcome = check_columns(&columns, st.params.b)
+                    .and_then(|()| {
+                        st.check_log(|log, b| log.check_put(owner as usize, 0, &columns, b))
                     })
-                });
+                    .and_then(|()| {
+                        fan_acked(&st, id, |spec| Message::BulkUpload {
+                            owner,
+                            columns: cut_columns(&columns, spec),
+                        })
+                    });
                 if let (Ok(()), Some(log)) = (&outcome, &mut st.log) {
-                    log.put(owner, 0, columns);
+                    log.put(owner as usize, 0, columns);
                 }
                 drop(st);
                 acked(tag, outcome)?;
@@ -889,15 +909,18 @@ pub(crate) fn domain_loop(
                         "a fold of {} rows of {column:?} must cover the {b}-row domain",
                         d.len()
                     ))),
-                    None => fan_acked(&st, id, |spec| Message::FoldUpload {
-                        owner,
-                        epoch,
-                        columns: cut_columns(&columns, spec),
-                    }),
+                    None => st
+                        .check_log(|log, b| log.check_fold(owner as usize, epoch, &columns, b))
+                        .and_then(|()| {
+                            fan_acked(&st, id, |spec| Message::FoldUpload {
+                                owner,
+                                epoch,
+                                columns: cut_columns(&columns, spec),
+                            })
+                        }),
                 };
-                let (delta, p) = (st.params.delta, st.params.field.p);
                 if let (Ok(()), Some(log)) = (&outcome, &mut st.log) {
-                    log.fold(owner, epoch, &columns, |c| c.ring(delta, p));
+                    log.fold(owner as usize, epoch, columns);
                 }
                 drop(st);
                 acked(tag, outcome)?;
@@ -923,7 +946,11 @@ pub(crate) fn domain_loop(
                         Err(why) => Err(AckFail::Refused(why)),
                         Ok((spec, undo)) => {
                             let logged = st.log.is_some().then(|| columns.clone());
-                            let fanned = fan_delta(&st, id, spec, owner, start, columns);
+                            let fanned = st
+                                .check_log(|log, b| {
+                                    log.check_put(owner as usize, start, &columns, b)
+                                })
+                                .and_then(|()| fan_delta(&st, id, spec, owner, start, columns));
                             match (&fanned, undo) {
                                 (Err(_), undo) => ungrow(&mut st, undo),
                                 (Ok(()), Some(_)) => {
@@ -934,7 +961,7 @@ pub(crate) fn domain_loop(
                             if let (Ok(()), Some(log), Some(columns)) =
                                 (&fanned, &mut st.log, logged)
                             {
-                                log.put(owner, start, columns);
+                                log.put(owner as usize, start, columns);
                             }
                             fanned
                         }
@@ -1113,6 +1140,78 @@ mod tests {
         }
         router.join().unwrap().expect("router exits cleanly");
         worker.join().unwrap().expect("worker exits cleanly");
+        node.join().unwrap().expect("node exits cleanly");
+    }
+
+    /// A heal's restore lands whole in a never-written store or not at
+    /// all: a node answers each restore it will not install with
+    /// `Refused` and its store stays as it was (no version stamp moves),
+    /// so the well-formed restore still lands afterwards — once — and its
+    /// owner epochs are in force.
+    #[test]
+    fn a_node_refuses_each_malformed_or_late_restore_and_keeps_its_store() {
+        use prism_protocol::engine::{ColumnCut, Held};
+        let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(5)).setup();
+        let params = setup.unwrap().servers[0].clone();
+        let ring = Column::Ok.ring(params.delta, params.field.p);
+        let (owner, node_end) = channel_pair();
+        let node = std::thread::spawn(move || {
+            node_loop(params, Arc::new(node_end), None, 0, Tamper::Honest, None)
+        });
+        let ask = |msg: Message| {
+            owner.send(&msg).unwrap();
+            owner.recv().unwrap()
+        };
+        let cut = |summed: Vec<u64>, held: &[(usize, u64)]| ColumnCut {
+            column: Column::Ok,
+            summed,
+            held: held
+                .iter()
+                .map(|&(rows, epoch)| Held { rows, epoch })
+                .collect(),
+        };
+        let good = || vec![cut(vec![1; 8], &[(8, 2), (5, 0)])];
+        let malformed = [
+            ("an owner past the m", vec![cut(vec![1; 8], &[(8, 0); 3])]),
+            ("a column twice", [good(), good()].concat()),
+            (
+                "owner rows past the slice",
+                vec![cut(vec![1; 4], &[(8, 0)])],
+            ),
+            (
+                "a slice past the longest owner",
+                vec![cut(vec![1; 8], &[(4, 0)])],
+            ),
+            ("a slice past the domain", vec![cut(vec![1; 9], &[(9, 0)])]),
+            (
+                "a value outside the ring",
+                vec![cut(vec![ring; 8], &[(8, 0)])],
+            ),
+        ];
+        let unwritten = ask(Message::RangeVersionProbe);
+        assert_eq!(unwritten, Message::Versions(Vec::new()));
+        for (what, columns) in malformed {
+            let answer = ask(Message::Replay { columns });
+            assert!(matches!(answer, Message::Refused(_)), "{what}: {answer:?}");
+            assert_eq!(ask(Message::RangeVersionProbe), unwritten, "{what}");
+        }
+        assert_eq!(ask(Message::Replay { columns: good() }), Message::Ack);
+        let restored = ask(Message::RangeVersionProbe);
+        assert_ne!(restored, unwritten);
+        let late = ask(Message::Replay { columns: good() });
+        assert!(
+            matches!(late, Message::Refused(_)),
+            "a second restore: {late:?}"
+        );
+        assert_eq!(ask(Message::RangeVersionProbe), restored);
+        let fold = |epoch| Message::FoldUpload {
+            owner: 0,
+            epoch,
+            columns: vec![(Column::Ok, vec![1; 8])],
+        };
+        assert!(matches!(ask(fold(2)), Message::Refused(_)));
+        assert_eq!(ask(fold(3)), Message::Ack);
+        owner.send(&Message::Shutdown).unwrap();
         node.join().unwrap().expect("node exits cleanly");
     }
 }

@@ -13,7 +13,9 @@
 
 use bytes::{Buf, BufMut, BytesMut};
 use prism_core::wide::WideVec;
-use prism_protocol::engine::{AnnouncerCmd, AnnouncerReply, BatchItem, BatchQuery};
+use prism_protocol::engine::{
+    AnnouncerCmd, AnnouncerReply, BatchItem, BatchQuery, ColumnCut, Held,
+};
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
 use prism_protocol::max::{BlindedMaxUpload, MaxAnnouncement};
 use prism_protocol::median::MedianAnnouncement;
@@ -336,6 +338,15 @@ fn pooled_columns(columns: &[(Column, Vec<u64>)]) -> Vec<(Column, Vec<u64>)> {
     columns.iter().map(|(c, d)| (*c, pooled_copy(d))).collect()
 }
 
+fn pooled_cuts(cuts: &[ColumnCut]) -> Vec<ColumnCut> {
+    let copy = |c: &ColumnCut| ColumnCut {
+        column: c.column,
+        summed: pooled_copy(&c.summed),
+        held: c.held.clone(),
+    };
+    cuts.iter().map(copy).collect()
+}
+
 fn put_vecs(buf: &mut BytesMut, data: &[Vec<u64>]) {
     buf.put_u32_le(data.len() as u32);
     for v in data {
@@ -520,6 +531,50 @@ fn get_columns(buf: &mut &[u8]) -> Result<Vec<(Column, Vec<u64>)>, WireError> {
     Ok(columns)
 }
 
+/// A restore's column cuts: count, then each column tag, its
+/// length-prefixed slice of the sum, and its `u32`-counted owner records
+/// (`rows`, `epoch`: two `u64`s each).
+fn put_cuts(buf: &mut BytesMut, cuts: &[ColumnCut]) {
+    buf.put_u32_le(cuts.len() as u32);
+    for cut in cuts {
+        encode_column(&cut.column, buf);
+        put_vec(buf, &cut.summed);
+        buf.put_u32_le(cut.held.len() as u32);
+        for held in &cut.held {
+            buf.put_u64_le(held.rows as u64);
+            buf.put_u64_le(held.epoch);
+        }
+    }
+}
+
+fn get_cuts(buf: &mut &[u8]) -> Result<Vec<ColumnCut>, WireError> {
+    let n = need_u32(buf)? as usize;
+    let mut cuts = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        let column = decode_column(buf)?;
+        let summed = get_vec(buf)?;
+        // A count the frame cannot carry is refused before any allocation.
+        let owners = need_u32(buf)? as usize;
+        if buf.remaining() < owners.saturating_mul(16) {
+            return Err(WireError::Truncated);
+        }
+        let mut held = Vec::with_capacity(owners);
+        for _ in 0..owners {
+            let rows = need_u64(buf)? as usize;
+            held.push(Held {
+                rows,
+                epoch: need_u64(buf)?,
+            });
+        }
+        cuts.push(ColumnCut {
+            column,
+            summed,
+            held,
+        });
+    }
+    Ok(cuts)
+}
+
 /// A refusal's reason: UTF-8 bytes behind a `u32` length.
 fn put_text(buf: &mut BytesMut, text: &str) {
     buf.put_u32_le(text.len() as u32);
@@ -666,6 +721,13 @@ fn columns_len(columns: &[(Column, Vec<u64>)]) -> usize {
         .sum::<usize>()
 }
 
+fn cuts_len(cuts: &[ColumnCut]) -> usize {
+    4 + cuts
+        .iter()
+        .map(|c| column_len(&c.column) + vec_len(&c.summed) + 4 + 16 * c.held.len())
+        .sum::<usize>()
+}
+
 fn batch_len(batch: &BatchQuery) -> usize {
     4 + (1 + if batch.range.is_some() { 16 } else { 0 })
         + vecs_len(&batch.zs)
@@ -691,17 +753,16 @@ pub enum Message {
         /// `(column, share values)` pairs, stored in order.
         columns: Vec<(Column, Vec<u64>)>,
     },
-    /// Registry → worker, during a heal: put one owner's logged columns
-    /// into the freshly rebuilt store, at the epoch their log record
-    /// reached — so an update already folded into the record is refused
-    /// if it arrives again.
+    /// Registry → worker, during a heal: restore the worker's whole row
+    /// range into its freshly rebuilt store in one write
+    /// (`ServerNode::restore`) — per column, the range's slice of the
+    /// owners' sum and each owner's rows and fold epoch, so an update
+    /// already folded in is refused if it arrives again. Answered with
+    /// [`Message::Ack`], or [`Message::Refused`] when the store was
+    /// written before or a column is malformed.
     Replay {
-        /// Owner index.
-        owner: u32,
-        /// The record's fold epoch.
-        epoch: u64,
-        /// `(column, share values)` pairs of the worker's row range.
-        columns: Vec<(Column, Vec<u64>)>,
+        /// The range's cut of every stored column kind.
+        columns: Vec<ColumnCut>,
     },
     /// Update: add one owner's whole-column difference shares at `epoch`,
     /// which must be past each column's last. Answered with
@@ -940,9 +1001,8 @@ impl Message {
             Message::SetTamper(t) => 1 + tamper_len(t),
             Message::Ack | Message::Shutdown => 1,
             Message::BulkUpload { columns, .. } => 1 + 4 + columns_len(columns),
-            Message::Replay { columns, .. } | Message::FoldUpload { columns, .. } => {
-                1 + 4 + 8 + columns_len(columns)
-            }
+            Message::Replay { columns } => 1 + cuts_len(columns),
+            Message::FoldUpload { columns, .. } => 1 + 4 + 8 + columns_len(columns),
             Message::Refused(why) => 1 + 4 + why.len(),
             Message::ShardRun { batch, .. } => 1 + 4 + batch_len(batch),
             Message::ShardOutputs { outputs, .. } => 1 + 4 + vecs_len(outputs),
@@ -1019,15 +1079,9 @@ impl Message {
                 buf.put_u32_le(*owner);
                 put_columns(buf, columns);
             }
-            Message::Replay {
-                owner,
-                epoch,
-                columns,
-            } => {
+            Message::Replay { columns } => {
                 buf.put_u8(31);
-                buf.put_u32_le(*owner);
-                buf.put_u64_le(*epoch);
-                put_columns(buf, columns);
+                put_cuts(buf, columns);
             }
             Message::FoldUpload {
                 owner,
@@ -1343,9 +1397,7 @@ impl Message {
             },
             30 => Message::Refused(get_text(buf)?),
             31 => Message::Replay {
-                owner: need_u32(buf)?,
-                epoch: need_u64(buf)?,
-                columns: get_columns(buf)?,
+                columns: get_cuts(buf)?,
             },
             t => return Err(WireError::BadTag(t)),
         })
@@ -1364,14 +1416,8 @@ impl Message {
                 owner: *owner,
                 columns: pooled_columns(columns),
             },
-            Message::Replay {
-                owner,
-                epoch,
-                columns,
-            } => Message::Replay {
-                owner: *owner,
-                epoch: *epoch,
-                columns: pooled_columns(columns),
+            Message::Replay { columns } => Message::Replay {
+                columns: pooled_cuts(columns),
             },
             Message::FoldUpload {
                 owner,
@@ -1510,9 +1556,18 @@ mod tests {
             columns: vec![(Column::VAgg(3), vec![u64::MAX])],
         });
         roundtrip(Message::Replay {
-            owner: 4,
-            epoch: 3,
-            columns: vec![(Column::VOk, vec![1, 2]), (Column::AOk, vec![u64::MAX])],
+            columns: vec![
+                ColumnCut {
+                    column: Column::VOk,
+                    summed: vec![1, 2],
+                    held: vec![Held { rows: 2, epoch: 3 }, Held::default()],
+                },
+                ColumnCut {
+                    column: Column::Agg(4),
+                    summed: vec![],
+                    held: vec![],
+                },
+            ],
         });
         roundtrip(Message::FoldUpload {
             owner: 2,

@@ -641,31 +641,67 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
 }
 
 /// Without replicas one kill is still exactly one failover, and the heal
-/// has only one way to go: no promotion, the upload log replayed. The log
-/// holds one record per owner and server: owner 1's replacing upload
-/// superseded its Phase-1 record instead of joining it, and the heal
-/// re-outsources the replacement.
+/// has only one way to go: no promotion, the domain restored from its
+/// summed upload log — one record per healed domain, whatever the owner
+/// count, sent as one `Replay` per holder. An update and an append before
+/// the kill are in that record: the healed cluster answers like a
+/// never-failed one, refuses the update's epoch if it comes again, and
+/// takes a new update and a new append.
 #[test]
 fn rf1_kill_is_one_failover_healed_by_replay() {
     let (net, workers, announcer) = spawn_elastic(make_setup(), fast_cfg());
     let mut cluster = outsource(net, false);
+    let mut oracle = outsource(NetCluster::start_local(make_setup()), false);
+    let appended = |values: [u64; 2]| {
+        let [x, y] = values;
+        vec![
+            OwnerInput::from_pairs([(x, 4)]),
+            OwnerInput::from_pairs([(x, 6), (y, 1)]),
+            OwnerInput::from_pairs([(y, 2)]),
+        ]
+    };
     let replacement = OwnerInput::from_pairs([(1, 100), (3, 40), (7, 20)]);
-    cluster.update_owner(1, &replacement).unwrap();
+    for c in [&mut cluster, &mut oracle] {
+        c.update_owner(1, &replacement).unwrap();
+        c.append(2, &appended([11, 12])).unwrap();
+    }
     let before = suite(&cluster);
+    assert_eq!(before, suite(&oracle), "pre-kill answers");
 
     workers[0].kill();
-    let registry = cluster.deployment().registry().unwrap();
-    wait_for("failover", Duration::from_secs(10), || {
-        registry.failovers() >= 1
-    });
-    assert_eq!(suite(&cluster), before, "post-heal answers");
-    assert_eq!((registry.failovers(), registry.promotions()), (1, 0));
-    assert_eq!(
-        registry.replayed_records(),
-        inputs().len() as u64,
-        "an rf=1 heal re-outsources the upload log, one record per owner"
-    );
+    {
+        let registry = cluster.deployment().registry().unwrap();
+        wait_for("failover", Duration::from_secs(10), || {
+            registry.failovers() >= 1
+        });
+        assert_eq!(suite(&cluster), before, "post-heal answers");
+        assert_eq!((registry.failovers(), registry.promotions()), (1, 0));
+        assert_eq!(
+            registry.replayed_records(),
+            1,
+            "an rf=1 heal restores its domain from the log's one summed record"
+        );
+    }
 
+    // Owner 1's update folded at epoch 1: sent again after the heal, it
+    // is refused.
+    let b = cluster.deployment().setup().owner.b;
+    let again = cluster
+        .deployment()
+        .fold_upload(0, 1, 1, vec![(Column::Ok, vec![0; b])]);
+    assert!(
+        matches!(again, Err(NetError::UploadRefused(_))),
+        "a repeated fold after the heal: {again:?}"
+    );
+    // A new update and a new append are taken.
+    let later = OwnerInput::from_pairs([(1, 50), (7, 5), (12, 3)]);
+    for c in [&mut cluster, &mut oracle] {
+        c.update_owner(1, &later).unwrap();
+        c.append(2, &appended([13, 14])).unwrap();
+    }
+    assert_eq!(suite(&cluster), suite(&oracle), "post-heal writes");
+
+    oracle.into_deployment().shutdown().unwrap();
     cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
     for (i, w) in workers.into_iter().enumerate() {

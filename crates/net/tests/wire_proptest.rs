@@ -15,7 +15,9 @@
 use prism_core::wide::WideVec;
 use prism_net::wire::{Column, Message, Op, WireError};
 use prism_net::{channel_pair, Link, NetError, TcpLink};
-use prism_protocol::engine::{AnnouncerCmd, AnnouncerReply, BatchItem, BatchQuery};
+use prism_protocol::engine::{
+    AnnouncerCmd, AnnouncerReply, BatchItem, BatchQuery, ColumnCut, Held,
+};
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
 use prism_protocol::max::{BlindedMaxUpload, MaxAnnouncement};
 use prism_protocol::median::MedianAnnouncement;
@@ -227,26 +229,35 @@ fn build_message(
         },
         17 => Message::RangeVersionProbe,
         18 => Message::Versions(data.chunks_exact(3).map(|c| (c[0], c[1], c[2])).collect()),
-        19 | 20 => {
-            let columns = zs
+        19 => Message::FoldUpload {
+            owner,
+            epoch: tx,
+            columns: zs
                 .into_iter()
                 .enumerate()
                 .map(|(i, d)| (arb_column(col_sel.wrapping_add(i as u8), attr), d))
-                .collect();
-            if sel % 24 == 19 {
-                Message::FoldUpload {
-                    owner,
-                    epoch: tx,
-                    columns,
-                }
-            } else {
-                Message::Replay {
-                    owner,
-                    epoch: tx,
-                    columns,
-                }
-            }
-        }
+                .collect(),
+        },
+        // Per column a slice of the sum and a different number of owner
+        // records, none included.
+        20 => Message::Replay {
+            columns: zs
+                .into_iter()
+                .enumerate()
+                .map(|(i, summed)| ColumnCut {
+                    column: arb_column(col_sel.wrapping_add(i as u8), attr),
+                    summed,
+                    held: data
+                        .chunks_exact(2)
+                        .skip(i)
+                        .map(|c| Held {
+                            rows: c[0] as usize,
+                            epoch: c[1],
+                        })
+                        .collect(),
+                })
+                .collect(),
+        },
         // Any UTF-8, multi-byte characters included.
         21 => Message::Refused(
             data.iter()
@@ -311,6 +322,37 @@ proptest! {
                 Message::decode(&enc[..cut])
             );
         }
+    }
+
+    /// A restore's owner count is checked against the bytes the frame
+    /// has left before anything is allocated: a `Replay` whose last
+    /// column claims more owner records than follow — up to `u32::MAX` —
+    /// is `Truncated`, however large the claim.
+    #[test]
+    fn replay_owner_counts_past_the_frame_are_refused(
+        col_sel in any::<u8>(),
+        attr in any::<u8>(),
+        summed in vec(any::<u64>(), 0..8),
+        held in vec((any::<u64>(), any::<u64>()), 0..6),
+        excess in 1u32..=u32::MAX,
+    ) {
+        let owners = held.len();
+        let msg = Message::Replay {
+            columns: vec![ColumnCut {
+                column: arb_column(col_sel, attr),
+                summed,
+                held: held
+                    .into_iter()
+                    .map(|(rows, epoch)| Held { rows: rows as usize, epoch })
+                    .collect(),
+            }],
+        };
+        let mut enc = msg.encode().to_vec();
+        // The owner records close the frame, behind their u32 count.
+        let at = enc.len() - 16 * owners - 4;
+        let claimed = (owners as u32).saturating_add(excess);
+        enc[at..at + 4].copy_from_slice(&claimed.to_le_bytes());
+        prop_assert_eq!(Message::decode(&enc), Err(WireError::Truncated));
     }
 
     /// Arbitrary byte soup never panics the decoder, and anything that

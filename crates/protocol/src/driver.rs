@@ -220,7 +220,7 @@ impl Deployment for InProcess {
         let mut done = Ok(());
         share(&self.setup.owner, &mut |k, column, shares| {
             if done.is_ok() {
-                done = nodes[k].put(owner, 0, 0, vec![(column, shares)]);
+                done = nodes[k].put(owner, 0, vec![(column, shares)]);
             }
         });
         self.note_uploads(0..self.nodes.len());

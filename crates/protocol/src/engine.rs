@@ -494,10 +494,28 @@ pub(crate) type RangeVersion = (u64, u64, u64);
 /// (always a prefix `[0, rows)`) and the epoch of the last difference
 /// folded into them. Both are public shape; no share value is kept per
 /// owner.
-#[derive(Debug, Default, Clone, Copy)]
-struct Held {
-    rows: usize,
-    epoch: u64,
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Held {
+    /// Rows the owner holds, from the store's row 0.
+    pub rows: usize,
+    /// The epoch of the last difference folded into them (0: none).
+    pub epoch: u64,
+}
+
+/// One stored column kind of a row range, as a heal ships it to a
+/// rebuilt worker ([`ServerNode::restore`]): the range's slice of the
+/// owners' sum and every owner's [`Held`] record (owner `j` at index `j`),
+/// its rows clipped to the range and its epoch kept. It carries no
+/// owner's shares, only their sum and public shape.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ColumnCut {
+    /// The column kind.
+    pub column: Column,
+    /// `Σ_j` over the range's rows, canonical in the column's ring; as
+    /// long as the longest owner's rows.
+    pub summed: Vec<u64>,
+    /// Each owner's rows of the range and fold epoch.
+    pub held: Vec<Held>,
 }
 
 /// One stored column kind: the per-cell sum of every owner's shares — the
@@ -521,11 +539,15 @@ struct Stored {
 /// add:
 ///
 /// * a **put** extends an owner's rows at the end of what it holds (Phase
-///   1, an append, a replay) and is refused if it overlaps them, leaves a
-///   gap, or runs past the domain;
+///   1, an append) and is refused if it overlaps them, leaves a gap, or
+///   runs past the domain;
 /// * a **fold** at epoch `k` adds a difference over a column the owner
 ///   holds whole, and is refused unless `k` is past that column's last
 ///   epoch — so a duplicated or stale update can never be added twice.
+///
+/// A heal rebuilds a store in one more write, a **restore** of another
+/// store's range cut ([`ColumnCut`]), taken only by a store nothing was
+/// written to.
 ///
 /// A refused write is a [`ProtocolError::UploadRefused`] and changes
 /// nothing. Writes take `&mut self`; nothing else touches the sums.
@@ -667,16 +689,9 @@ impl ColumnStore {
     }
 
     /// Add `columns` into the sums at local row `start`, reduced into each
-    /// column's ring, and extend `owner`'s rows by them; `epoch` (a
-    /// replay's, else 0) raises the columns' epoch. Only after
+    /// column's ring, and extend `owner`'s rows by them. Only after
     /// [`ColumnStore::check_put`] passed.
-    pub(crate) fn put(
-        &mut self,
-        owner: usize,
-        start: usize,
-        epoch: u64,
-        columns: Vec<(Column, Vec<u64>)>,
-    ) {
+    pub(crate) fn put(&mut self, owner: usize, start: usize, columns: Vec<(Column, Vec<u64>)>) {
         let (delta, p) = (self.delta, self.p);
         for (column, mut data) in columns {
             let Stored { owners, summed } = self.slot(column);
@@ -688,9 +703,7 @@ impl ColumnStore {
                 summed.resize(end, 0);
             }
             fold_canonical_mod(&mut summed[start..end], &mut data, column.ring(delta, p));
-            let held = &mut owners[owner];
-            held.rows = end;
-            held.epoch = held.epoch.max(epoch);
+            owners[owner].rows = end;
         }
     }
 
@@ -718,12 +731,108 @@ impl ColumnStore {
         }
     }
 
+    /// Every column kind with its stored sums, in a fixed order.
+    fn kinds(&self) -> impl Iterator<Item = (Column, &Stored)> {
+        let fixed = [
+            (Column::Ok, &self.ok),
+            (Column::VOk, &self.v_ok),
+            (Column::OkDb1, &self.ok_db1),
+            (Column::OkDb2, &self.ok_db2),
+            (Column::AOk, &self.a_ok),
+        ];
+        let attr = |kind: fn(u8) -> Column| move |(a, s)| (kind(a as u8), s);
+        let agg = self.agg.iter().enumerate().map(attr(Column::Agg));
+        let v_agg = self.v_agg.iter().enumerate().map(attr(Column::VAgg));
+        fixed.into_iter().chain(agg).chain(v_agg)
+    }
+
     /// Share cells the store holds, over every column kind.
-    #[cfg(test)]
     fn resident_cells(&self) -> usize {
-        let kinds = [&self.ok, &self.v_ok, &self.ok_db1, &self.ok_db2, &self.a_ok];
-        let attrs = self.agg.iter().chain(&self.v_agg);
-        kinds.into_iter().chain(attrs).map(|s| s.summed.len()).sum()
+        self.kinds().map(|(_, s)| s.summed.len()).sum()
+    }
+
+    /// The rows `[start, start + len)` of every column kind an owner put:
+    /// their slice of the sums and each owner's [`Held`], rows clipped to
+    /// the range (0 for an owner whose rows end before it) and epoch kept
+    /// — what [`ColumnStore::restore`] installs into a store over exactly
+    /// that range.
+    fn cut(&self, start: usize, len: usize) -> Vec<ColumnCut> {
+        let end = start.saturating_add(len);
+        let clip = |rows: usize| rows.clamp(start, end) - start;
+        let stored = self.kinds().filter(|(_, s)| !s.owners.is_empty());
+        stored
+            .map(|(column, Stored { owners, summed })| ColumnCut {
+                column,
+                summed: summed[start.min(summed.len())..end.min(summed.len())].to_vec(),
+                held: owners
+                    .iter()
+                    .map(|h| Held {
+                        rows: clip(h.rows),
+                        epoch: h.epoch,
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    /// Install `columns` — a range cut ([`ColumnStore::cut`]) — into this
+    /// `b`-row store as one write, all or nothing. Refused unless nothing
+    /// was ever written here and every column is well formed: listed once,
+    /// held by at most the `m` owners, its slice exactly as long as its
+    /// longest owner's rows and inside the domain, and every value
+    /// canonical in the column's ring. Bumps no version stamp.
+    fn restore(&mut self, columns: Vec<ColumnCut>, b: usize) -> Result<()> {
+        if !self.epochs.is_empty() {
+            return Err(refused(
+                "a restore needs a store nothing was written to".into(),
+            ));
+        }
+        for (
+            i,
+            ColumnCut {
+                column,
+                summed,
+                held,
+            },
+        ) in columns.iter().enumerate()
+        {
+            if columns[..i].iter().any(|c| c.column == *column) {
+                return Err(refused(format!("{column:?} appears twice in one restore")));
+            }
+            if held.len() > self.m {
+                return Err(refused(format!(
+                    "{column:?} lists {} owners; there are {}",
+                    held.len(),
+                    self.m
+                )));
+            }
+            let longest = held.iter().map(|h| h.rows).max().unwrap_or(0);
+            if summed.len() != longest || longest > b {
+                return Err(refused(format!(
+                    "a {}-row slice of {column:?} must be as long as its longest owner's \
+                     rows ({longest}) and inside the {b}-row domain",
+                    summed.len()
+                )));
+            }
+            let n = column.ring(self.delta, self.p);
+            if let Some(x) = summed.iter().find(|&&x| x >= n) {
+                return Err(refused(format!(
+                    "{column:?} holds {x}, outside its ring Z_{n}"
+                )));
+            }
+        }
+        for ColumnCut {
+            column,
+            summed,
+            held,
+        } in columns
+        {
+            *self.slot(column) = Stored {
+                owners: held,
+                summed,
+            };
+        }
+        Ok(())
     }
 
     /// Bump the version stamp of the range `[start, start+len)`, creating
@@ -798,6 +907,77 @@ impl ColumnStore {
         summed
             .get(rows)
             .ok_or_else(|| ProtocolError::ParameterMismatch(format!("no {column:?} shares stored")))
+    }
+}
+
+/// A domain's replay log: what its range workers hold, kept over the
+/// domain's global rows so a heal can rebuild any range
+/// ([`ReplayLog::cut`] → [`ServerNode::restore`]).
+///
+/// The log **is** a worker's column store — one summed column per kind
+/// and each owner's [`Held`] — written with the same checks and the same
+/// ingest kernel, so an update folds into the sum and the log never grows
+/// with the owner count. A write is checked first
+/// ([`ReplayLog::check_put`], [`ReplayLog::check_fold`]) and applied only
+/// once every worker took it.
+#[derive(Debug)]
+pub struct ReplayLog {
+    store: ColumnStore,
+}
+
+impl ReplayLog {
+    /// An empty log for a domain with these parameters.
+    pub fn new(params: &ServerParams) -> ReplayLog {
+        ReplayLog {
+            store: ColumnStore::new(params),
+        }
+    }
+
+    /// Refuses what a worker holding the whole `b`-row domain would
+    /// refuse of a put of `columns` at global row `start` by `owner`.
+    pub fn check_put(
+        &self,
+        owner: usize,
+        start: usize,
+        columns: &[(Column, Vec<u64>)],
+        b: usize,
+    ) -> Result<()> {
+        self.store.check_put(owner, start, columns, b)
+    }
+
+    /// Refuses what a worker holding the whole `b`-row domain would
+    /// refuse of a fold of `columns` at `epoch` by `owner`.
+    pub fn check_fold(
+        &self,
+        owner: usize,
+        epoch: u64,
+        columns: &[(Column, Vec<u64>)],
+        b: usize,
+    ) -> Result<()> {
+        self.store.check_fold(owner, epoch, columns, b)
+    }
+
+    /// Add a put the workers took into the sums. Only after
+    /// [`ReplayLog::check_put`] passed.
+    pub fn put(&mut self, owner: usize, start: usize, columns: Vec<(Column, Vec<u64>)>) {
+        self.store.put(owner, start, columns);
+    }
+
+    /// Add a fold the workers took into the sums and move the owner's
+    /// epoch. Only after [`ReplayLog::check_fold`] passed.
+    pub fn fold(&mut self, owner: usize, epoch: u64, columns: Vec<(Column, Vec<u64>)>) {
+        self.store.fold(owner, epoch, columns);
+    }
+
+    /// The global rows `[start, start + len)` as one [`ServerNode::restore`]
+    /// of a node over exactly that range takes them.
+    pub fn cut(&self, start: usize, len: usize) -> Vec<ColumnCut> {
+        self.store.cut(start, len)
+    }
+
+    /// Share cells the log holds, over every column kind.
+    pub fn resident_cells(&self) -> usize {
+        self.store.resident_cells()
     }
 }
 
@@ -933,7 +1113,7 @@ impl ServerNode {
     /// domain. Deployments put through [`ServerNode::put`], which returns
     /// the refusal.
     pub fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
-        if let Err(e) = self.put(owner, 0, 0, vec![(column, data)]) {
+        if let Err(e) = self.put(owner, 0, vec![(column, data)]) {
             panic!("store of {column:?} for owner {owner}: {e}");
         }
     }
@@ -972,20 +1152,18 @@ impl ServerNode {
 
     /// Put `owner`'s shares of every listed column at local row `start`:
     /// each must extend the rows the owner holds of that column, inside
-    /// the domain (Phase 1 puts whole columns at row 0; a replay or a
-    /// repair puts what is missing). `epoch` is the columns' fold epoch
-    /// after the put — a replay's, else 0. All or nothing: a refused
-    /// column is a [`ProtocolError::UploadRefused`] and no column moves.
-    /// Bumps every version stamp.
+    /// the domain (Phase 1 puts whole columns at row 0; a repair puts what
+    /// is missing). All or nothing: a refused column is a
+    /// [`ProtocolError::UploadRefused`] and no column moves. Bumps every
+    /// version stamp.
     pub fn put(
         &mut self,
         owner: usize,
         start: usize,
-        epoch: u64,
         columns: Vec<(Column, Vec<u64>)>,
     ) -> Result<()> {
         self.check_put(owner, start, &columns)?;
-        self.store.put(owner, start, epoch, columns);
+        self.store.put(owner, start, columns);
         self.store.bump_all(self.params.b);
         Ok(())
     }
@@ -1002,6 +1180,20 @@ impl ServerNode {
     ) -> Result<()> {
         self.check_fold(owner, epoch, &columns)?;
         self.store.fold(owner, epoch, columns);
+        self.store.bump_all(self.params.b);
+        Ok(())
+    }
+
+    /// Heal: install a row range's [`ColumnCut`]s — the range's slice of
+    /// every column kind's sum and each owner's rows and epoch — into this
+    /// never-written node as one write. Afterwards every put, fold and
+    /// append is taken or refused exactly as by a node that received the
+    /// owners' uploads itself. Refused as a [`ProtocolError::UploadRefused`],
+    /// changing nothing, if anything was written here before or a column
+    /// is malformed (see `ColumnStore::restore`). Bumps every version
+    /// stamp.
+    pub fn restore(&mut self, columns: Vec<ColumnCut>) -> Result<()> {
+        self.store.restore(columns, self.params.b)?;
         self.store.bump_all(self.params.b);
         Ok(())
     }
@@ -1070,7 +1262,7 @@ impl ServerNode {
             // must be re-drawn at the new length.
             self.psu_rand = std::sync::OnceLock::new();
         }
-        self.store.put(owner, start, 0, columns);
+        self.store.put(owner, start, columns);
         self.store.bump_range(start as u64, added as u64);
         Ok(())
     }
@@ -2126,6 +2318,120 @@ mod tests {
             // attribute and aOK at all three.
             for (node, kinds) in nodes.iter().zip([9, 9, 5]) {
                 assert_eq!(node.store.resident_cells(), kinds * b, "m = {m}");
+            }
+        }
+    }
+
+    /// A heal's restore stands for the uploads it replaces: for every
+    /// range of a 1-, 2- and 4-range plan, a node restored from the cut of
+    /// a log that took puts, an append and two folds holds the sums of the
+    /// range's never-failed node, and takes or refuses every later write
+    /// exactly as that node does.
+    #[test]
+    fn a_restored_range_answers_and_refuses_like_the_original() {
+        use crate::shard::{shard_server_params, ShardPlan};
+        type Columns = Vec<(Column, Vec<u64>)>;
+        let (m, b, added) = (3, 16, 2);
+        let setup = Initiator::new(SystemConfig::new(m, b).with_seed(11))
+            .setup()
+            .unwrap();
+        let sp = &setup.servers[0];
+        let kinds = [Column::Ok, Column::VOk, Column::Agg(0), Column::AOk];
+        // Owner `j`'s rows `rows` of every kind: arbitrary, unreduced words.
+        let cols = |j: u64, salt: u64, rows: std::ops::Range<usize>| -> Columns {
+            let cell =
+                |i: usize| (j + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (salt << 40) ^ i as u64;
+            kinds
+                .map(|c| (c, rows.clone().map(cell).collect()))
+                .to_vec()
+        };
+        let plain = |done: Result<()>| done.map_err(|e| e.to_string());
+        for ranges in [1, 2, 4] {
+            let plan = ShardPlan::new(b, ranges);
+            let mut originals: Vec<ServerNode> = plan
+                .specs()
+                .iter()
+                .map(|spec| ServerNode::new(shard_server_params(sp, spec)))
+                .collect();
+            let mut log = ReplayLog::new(sp);
+            let mut each = |f: &mut dyn FnMut(&mut ServerNode, std::ops::Range<usize>)| {
+                for (node, spec) in originals.iter_mut().zip(plan.specs()) {
+                    f(node, spec.start..spec.start + spec.len);
+                }
+            };
+            // Phase 1: every owner puts every kind whole.
+            for j in 0..m {
+                each(&mut |node, rows| node.put(j, 0, cols(j as u64, 0, rows)).unwrap());
+                log.check_put(j, 0, &cols(j as u64, 0, 0..b), b).unwrap();
+                log.put(j, 0, cols(j as u64, 0, 0..b));
+            }
+            // Two folds by owner 1.
+            for epoch in [1, 2] {
+                each(&mut |node, rows| node.fold(1, epoch, cols(1, epoch, rows)).unwrap());
+                log.check_fold(1, epoch, &cols(1, epoch, 0..b), b).unwrap();
+                log.fold(1, epoch, cols(1, epoch, 0..b));
+            }
+            // Owner 0 appends: the tail range grows.
+            let tail = *plan.specs().last().unwrap();
+            let appended = cols(0, 3, b..b + added);
+            let tail_node = originals.last_mut().unwrap();
+            tail_node
+                .delta_upload(0, b - tail.start, appended.clone(), None)
+                .unwrap();
+            log.check_put(0, b, &appended, b + added).unwrap();
+            log.put(0, b, appended);
+
+            let grown = plan.append(added, false);
+            for (original, spec) in originals.iter_mut().zip(grown.specs()) {
+                let ctx = format!("{ranges} ranges, range {spec:?}");
+                let mut restored = ServerNode::new(shard_server_params(sp, spec));
+                restored.restore(log.cut(spec.start, spec.len)).unwrap();
+                let same = |a: &ServerNode, r: &ServerNode, what: &str| {
+                    for c in kinds {
+                        assert_eq!(a.sums(c), r.sums(c), "{ctx}: {c:?} {what}");
+                        for j in 0..m {
+                            assert_eq!(a.held_rows(j, c), r.held_rows(j, c), "{ctx}: {what}");
+                        }
+                    }
+                };
+                same(original, &restored, "after the restore");
+
+                let n = spec.len;
+                let local = |salt| cols(1, salt, 0..n);
+                // Refused alike: owner 1's epoch again, a re-put, and an
+                // extension that does not fit the appended rows.
+                let misfit = Permutation::identity(added + 1);
+                let ext = Some((&misfit, &misfit));
+                let grow = || vec![(Column::Ok, vec![1; added])];
+                let refused = |node: &mut ServerNode| {
+                    [
+                        plain(node.fold(1, 2, local(7))),
+                        plain(node.put(2, 0, cols(2, 0, 0..n))),
+                        plain(node.delta_upload(0, n, grow(), ext)),
+                    ]
+                };
+                let refusals = refused(original);
+                assert!(refusals.iter().all(Result::is_err), "{ctx}: {refusals:?}");
+                assert_eq!(refused(&mut restored), refusals, "{ctx}");
+                same(original, &restored, "after the refusals");
+
+                // Taken alike: a fresh fold by owner 0, who holds every
+                // row, and an append that fits.
+                let fresh = |node: &mut ServerNode| {
+                    [
+                        plain(node.fold(0, 1, cols(0, 5, 0..n))),
+                        plain(node.delta_upload(0, n, grow(), None)),
+                    ]
+                };
+                assert_eq!(fresh(original), [Ok(()), Ok(())], "{ctx}");
+                assert_eq!(fresh(&mut restored), [Ok(()), Ok(())], "{ctx}");
+                same(original, &restored, "after the fold and the append");
+
+                // A restore lands only in a store nothing was written to.
+                assert!(matches!(
+                    restored.restore(log.cut(spec.start, spec.len)),
+                    Err(ProtocolError::UploadRefused(_))
+                ));
             }
         }
     }

@@ -472,7 +472,7 @@ impl ShardedNode {
     ///
     /// If the put is refused, as [`ServerNode::store`] does.
     pub fn store(&mut self, owner: usize, column: Column, data: Vec<u64>) {
-        if let Err(e) = self.put(owner, 0, 0, vec![(column, data)]) {
+        if let Err(e) = self.put(owner, 0, vec![(column, data)]) {
             panic!("store of {column:?} for owner {owner}: {e}");
         }
     }
@@ -543,7 +543,6 @@ impl ShardedNode {
         &mut self,
         owner: usize,
         start: usize,
-        epoch: u64,
         columns: Vec<(Column, Vec<u64>)>,
     ) -> Result<()> {
         self.check_extends(owner, start, &columns)?;
@@ -552,7 +551,7 @@ impl ShardedNode {
             self.shards[*shard].check_put(owner, *local, cols)?;
         }
         for (shard, local, cols) in parts {
-            self.shards[shard].put(owner, local, epoch, cols)?;
+            self.shards[shard].put(owner, local, cols)?;
         }
         Ok(())
     }

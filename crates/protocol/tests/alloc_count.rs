@@ -180,7 +180,7 @@ fn warm_hot_paths_stay_allocation_free() {
         for (owner, data) in shares.iter().enumerate() {
             let columns = vec![(Column::Ok, data.clone())];
             let before = BYTES.load(Ordering::Relaxed);
-            node.put(owner, 0, 0, columns).expect("put");
+            node.put(owner, 0, columns).expect("put");
             puts.push(BYTES.load(Ordering::Relaxed) - before);
         }
         let columns = vec![(Column::Ok, shares[0].clone())];

@@ -237,7 +237,7 @@ impl Pair {
         let columns = vec![(column, data)];
         let taken = self.mirror.put(owner, start, &columns, b, &sp);
         let ctx = format!("put of {column:?} by owner {owner} at {start}");
-        agree(self.node.put(owner, start, 0, columns), taken, &ctx)
+        agree(self.node.put(owner, start, columns), taken, &ctx)
     }
 
     /// Phase 1: a whole column, which must be taken.

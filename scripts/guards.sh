@@ -64,12 +64,24 @@ one_executor() {
 # A server keeps one column per kind: `Stored` in `engine.rs` holds the
 # owners' sum beside per-owner row counts and epochs, never an owner's
 # shares, and no write subtracts shares back out of the sum (an update is
-# a fold of a difference). Fails if `Stored` holds a `Vec<Vec<u64>>`
-# again, or if `engine.rs` calls `sub_assign_mod`.
+# a fold of a difference). So does each elastic domain's replay log, which
+# is the engine's `ReplayLog` over that store: above its tests, no file of
+# `crates/net/src` may keep shares per owner (an `OwnerRecord`, a
+# `shares: Vec<u64>` field, or `Vec<u64>` keyed by a `u32`/`usize` owner)
+# or add shares in a ring by hand (`%` and `+` on one line, or a core add
+# kernel). Fails if `Stored` holds a `Vec<Vec<u64>>` again, if `engine.rs`
+# calls `sub_assign_mod`, or on any such line in `crates/net/src`.
 one_column_per_kind() {
     ! sed -n '/^struct Stored {/,/^}/p' crates/protocol/src/engine.rs |
         grep -n 'Vec<Vec<u64>>' || return 1
-    ! grep -n 'sub_assign_mod' crates/protocol/src/engine.rs
+    ! grep -n 'sub_assign_mod' crates/protocol/src/engine.rs || return 1
+    status=0
+    for f in $(git ls-files 'crates/net/src/*.rs'); do
+        sed '/^#\[cfg(test)\]/q' "$f" | grep -nE \
+            'OwnerRecord|shares: *Vec<u64>|(u32|usize), *Vec<u64>|%[^;]*\+|\+[^;]*%|(add|fold_canonical)_mod\(' |
+            sed "s|^|$f:|" | grep . && status=1
+    done
+    return "$status"
 }
 
 # One bring-up path: `ClusterListener::start` brings up every cluster,
