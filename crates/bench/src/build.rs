@@ -1,5 +1,4 @@
-//! Cluster builders shared by the experiment harness and the Criterion
-//! benches.
+//! Cluster builders shared by the experiment harness and its tests.
 
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
 use prism_protocol::params::{Initiator, Setup, SystemConfig};
@@ -49,7 +48,7 @@ pub fn lineitem_cluster(
 }
 
 /// A lean PSI/PSU/count-only cluster (indicators only).
-pub fn lean_cluster(domain: u64, owners: usize, threads: usize, seed: u64) -> Cluster {
+pub(crate) fn lean_cluster(domain: u64, owners: usize, threads: usize, seed: u64) -> Cluster {
     lineitem_cluster(domain, owners, 0, false, false, threads, seed)
 }
 
@@ -59,7 +58,7 @@ const NET_AGG_MAX: u64 = 2_000;
 /// Role views for a `domain`-cell, `owners`-owner deployment, without a
 /// cluster around them (Exp 2's owner-scaling kernels take the server
 /// view).
-pub fn net_setup(domain: u64, owners: usize, seed: u64) -> Setup {
+pub(crate) fn net_setup(domain: u64, owners: usize, seed: u64) -> Setup {
     Initiator::new(
         SystemConfig::new(owners, domain as usize)
             .with_seed(seed)

@@ -19,14 +19,14 @@ use std::time::{Duration, Instant};
 /// The `m`-dependent work of a PSI round at one additive server, over
 /// random indicator-share columns.
 #[derive(Debug)]
-pub struct OwnerScaling {
+pub(crate) struct OwnerScaling {
     sp: ServerParams,
     columns: Vec<Vec<u64>>,
 }
 
 impl OwnerScaling {
     /// `owners` canonical share columns of `domain` cells.
-    pub fn new(domain: u64, owners: usize, seed: u64) -> OwnerScaling {
+    pub(crate) fn new(domain: u64, owners: usize, seed: u64) -> OwnerScaling {
         let sp = net_setup(domain, owners, seed).servers[0].clone();
         let mut prg = Prg::from_seed(seed ^ 0xF19);
         let columns = (0..owners)
@@ -38,7 +38,7 @@ impl OwnerScaling {
     /// Phase 1 at the server: store (reduce, fold into the owner sum) every
     /// owner's `OK` column. Returns the node and the time spent in `store`,
     /// summed over owners.
-    pub fn ingest(&self) -> (ServerNode, Duration) {
+    pub(crate) fn ingest(&self) -> (ServerNode, Duration) {
         let mut node = ServerNode::new(self.sp.clone());
         let mut spent = Duration::ZERO;
         for (j, column) in self.columns.iter().enumerate() {
@@ -52,7 +52,7 @@ impl OwnerScaling {
 
     /// Equation 3 recomputed from the per-owner columns, as the paper's
     /// servers do per query (the pinned multi-column kernel).
-    pub fn recompute(&self, threads: usize) -> Duration {
+    pub(crate) fn recompute(&self, threads: usize) -> Duration {
         let refs: Vec<&[u64]> = self.columns.iter().map(Vec::as_slice).collect();
         let table = self.sp.power_table();
         let mut out = vec![0u64; self.sp.b];

@@ -12,12 +12,11 @@
 //! | [`table13`] | Table 13 (baseline comparison) |
 //! | [`sharegen`] | §8.1 share-generation times |
 //!
-//! The `exp_harness` binary drives them at `--scale small|medium|full`;
-//! the Criterion benches under `benches/` track the same code paths at
-//! fixed small sizes for regression detection. Everything beyond the
-//! paper's evaluation (sharding, caching, streaming appends, concurrent
-//! serving, failover, per-layer kernels) is measured by the repository
-//! benchmark instead: `BENCHMARK.json` and `examples/benchmark/`.
+//! The `exp_harness` binary drives them at `--scale small|medium|full`.
+//! Everything beyond the paper's evaluation (sharding, caching, streaming
+//! appends, concurrent serving, failover, per-layer kernels) is measured
+//! by the repository benchmark instead: `BENCHMARK.json` and
+//! `examples/benchmark/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -48,10 +48,11 @@ use prism_core::Permutation;
 use prism_protocol::cache::{CachedExec, PsiRoundCache};
 use prism_protocol::driver::Deployment;
 use prism_protocol::engine::{
-    Announcer, AnnouncerCmd, AnnouncerReply, Engine, ExecMeters, Operation, QueryStats,
-    RoundOutcome, ServerCmd, ServerExec, ServerReply,
+    Announcer, AnnouncerCmd, AnnouncerReply, Engine, Operation, QueryStats, RoundOutcome,
+    ServerCmd, ServerExec, ServerReply,
 };
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
+use prism_protocol::metrics::{Counter, Counts};
 use prism_protocol::params::{AnnouncerParams, OwnerParams, Setup, SHAMIR_SERVERS};
 use prism_protocol::{plans, ProtocolError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,20 +160,12 @@ pub struct NetReport {
     /// owner side must never see — and, by these meters, observably never
     /// carries).
     pub server_to_announcer: Vec<(u64, u64)>,
-    /// Rounds served from the PSI-round cache (0 with the cache off).
-    pub cache_hits: u64,
-    /// Cache-eligible rounds that executed for real.
-    pub cache_misses: u64,
-    /// Cache entries dropped as stale (version mismatch or tamper).
-    pub cache_invalidations: u64,
     /// Per-node liveness from the control plane's keep-alive prober
     /// (empty on a fixed roster, which runs none).
     pub nodes: Vec<crate::registry::NodeHealth>,
-    /// Shard-worker failovers the registry has healed so far.
-    pub failovers: u64,
-    /// Failovers that healed as metadata-only replica promotions (no
-    /// upload-log replay; a subset of `failovers`).
-    pub promotions: u64,
+    /// Snapshot of the deployment's cumulative
+    /// [`Metrics`](prism_protocol::metrics::Metrics).
+    pub counts: Counts,
 }
 
 impl NetReport {
@@ -280,16 +273,20 @@ impl std::fmt::Display for NetReport {
         for (k, &(bytes, msgs)) in self.server_to_announcer.iter().enumerate() {
             writeln!(f, "  server {k} -> announcer: {}/{msgs}", kb(bytes))?;
         }
+        let c = &self.counts;
         writeln!(
             f,
             "cache: hits={} misses={} invalidations={}",
-            self.cache_hits, self.cache_misses, self.cache_invalidations
+            c[Counter::CacheHits],
+            c[Counter::CacheMisses],
+            c[Counter::CacheInvalidations]
         )?;
         if !self.nodes.is_empty() {
             writeln!(
                 f,
                 "control plane: failovers={} promotions={}",
-                self.failovers, self.promotions
+                c[Counter::Failovers],
+                c[Counter::Promotions]
             )?;
             for n in &self.nodes {
                 writeln!(f, "  {n}")?;
@@ -323,7 +320,6 @@ pub struct NetCluster {
     meters: EdgeMeters,
     shards: usize,
     threads: u32,
-    dispatches: AtomicU64,
     /// Wide-round sequence counter: one fresh number per round that
     /// carries a `MaxCombine`, echoed by servers and quoted at announce
     /// time so the announcer can reject stale or crossed uploads.
@@ -343,13 +339,19 @@ pub struct NetCluster {
     /// thread.
     cache: Option<Arc<PsiRoundCache>>,
     /// The control plane: node health, keep-alive probing, and shard
-    /// failover behind an attach endpoint; idle on a fixed roster.
+    /// failover behind an attach endpoint; idle on a fixed roster. Its
+    /// [`NodeRegistry::metrics`] is the deployment's cumulative store.
     registry: NodeRegistry,
-    /// Cumulative failover count already attributed to some round's
-    /// [`ExecMeters`] — `tagged_round` swaps this against the registry's
-    /// live counter so each failover lands in exactly one round's meters
-    /// even when queries interleave.
+    /// Failovers already attributed to some round (see [`unattributed`]).
     failover_mark: AtomicU64,
+}
+
+/// The failovers healed up to `healed` that no round has claimed yet,
+/// claimed for the caller's round. `mark` only moves forward, so a round
+/// that read an older total claims nothing, and each failover lands in
+/// exactly one round's counts however queries interleave.
+fn unattributed(mark: &AtomicU64, healed: u64) -> u64 {
+    healed.saturating_sub(mark.fetch_max(healed, Ordering::Relaxed))
 }
 
 pub(crate) fn transport_err(e: NetError) -> ProtocolError {
@@ -383,10 +385,6 @@ impl ServerExec for QueryView<'_> {
         self.net.tagged_announce(self.id, cmd, seq, threads)
     }
 
-    fn meters(&self) -> ExecMeters {
-        self.net.meters()
-    }
-
     fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
         self.net.reclaim(server, outputs)
     }
@@ -408,14 +406,6 @@ impl ServerExec for NetCluster {
         threads: usize,
     ) -> prism_protocol::Result<(AnnouncerReply, Duration)> {
         self.tagged_announce(self.fresh_query_id(), cmd, seq, threads)
-    }
-
-    fn meters(&self) -> ExecMeters {
-        ExecMeters {
-            shard_dispatches: self.dispatches.load(Ordering::Relaxed),
-            failovers: self.registry.failovers(),
-            ..ExecMeters::default()
-        }
     }
 
     /// Reply vectors were decoded into buffers from the wire pool; that is
@@ -476,13 +466,15 @@ impl NetCluster {
     ) -> prism_protocol::Result<RoundOutcome> {
         let t0 = Instant::now();
         let mut round_seq = None;
-        let mut dispatches = 0u64;
+        let mut counts = Counts::default();
+        let metrics = self.registry.metrics();
         let mut pendings = Vec::with_capacity(cmds.len());
         for (s, cmd) in cmds {
             let msg = match cmd {
                 ServerCmd::Run(batch) => {
                     if self.shards > 1 {
-                        dispatches += self.shards as u64;
+                        let n = self.shards as u64;
+                        metrics.record(Counter::ShardDispatches, n, &mut counts);
                     }
                     Message::RunBatch(batch)
                 }
@@ -506,9 +498,6 @@ impl NetCluster {
             // its own registration.
             pendings.push((s, link.begin(id).map_err(transport_err)?));
             link.send(id, msg).map_err(transport_err)?;
-        }
-        if dispatches > 0 {
-            self.dispatches.fetch_add(dispatches, Ordering::Relaxed);
         }
         let mut replies = Vec::with_capacity(pendings.len());
         for (s, pending) in &pendings {
@@ -542,19 +531,14 @@ impl NetCluster {
                 }
             }
         }
-        // Attribute any failovers healed since the last round to this
-        // one: swap against the registry's live counter so each failover
-        // lands in exactly one round's meters under interleaving.
-        let healed = self.registry.failovers();
-        let failovers = healed.saturating_sub(self.failover_mark.swap(healed, Ordering::Relaxed));
+        // The registry counted any failovers healed since the last round;
+        // this round claims them.
+        let healed = metrics.get(Counter::Failovers);
+        counts[Counter::Failovers] = unattributed(&self.failover_mark, healed);
         Ok(RoundOutcome {
             replies,
             cost: t0.elapsed(),
-            meters: ExecMeters {
-                shard_dispatches: dispatches,
-                failovers,
-                ..ExecMeters::default()
-            },
+            counts,
         })
     }
 
@@ -606,7 +590,6 @@ impl NetCluster {
             meters,
             shards,
             threads: 1,
-            dispatches: AtomicU64::new(0),
             wide_seq: AtomicU64::new(0),
             query_seq: AtomicU64::new(0),
             admission: Admission::new(Self::DEFAULT_ADMISSION_WINDOW),
@@ -624,9 +607,10 @@ impl NetCluster {
     /// Results are bit-identical with the cache on or off; verified
     /// operations always hit the servers.
     pub fn enable_cache(&mut self) {
+        let metrics = Arc::clone(self.registry.metrics());
         let cache = self
             .cache
-            .get_or_insert_with(|| Arc::new(PsiRoundCache::new()));
+            .get_or_insert_with(|| Arc::new(PsiRoundCache::new(metrics)));
         // Failovers re-outsource rows from the prober thread; the
         // registry must be able to dirty the healed domain's entries.
         self.registry.attach_cache(Arc::clone(cache));
@@ -664,11 +648,7 @@ impl NetCluster {
     /// them (unknown or finished `QueryId`, or an untagged reply). Always
     /// 0 in a healthy cluster — conformance tests pin that.
     pub fn rejected_replies(&self) -> u64 {
-        self.links
-            .iter()
-            .map(|l| l.rejected())
-            .chain(std::iter::once(self.announcer_link.rejected()))
-            .sum()
+        self.registry.metrics().get(Counter::RejectedReplies)
     }
 
     /// One acknowledged control round-trip over a multiplexed link: an
@@ -907,15 +887,8 @@ impl NetCluster {
             to_announcer: self.announcer_link.stats().snapshot(),
             from_announcer: self.meters.from_announcer.snapshot(),
             server_to_announcer: snap(&self.meters.server_to_announcer),
-            cache_hits: self.cache.as_deref().map_or(0, PsiRoundCache::hits),
-            cache_misses: self.cache.as_deref().map_or(0, PsiRoundCache::misses),
-            cache_invalidations: self
-                .cache
-                .as_deref()
-                .map_or(0, PsiRoundCache::invalidations),
             nodes: self.registry.node_health(),
-            failovers: self.registry.failovers(),
-            promotions: self.registry.promotions(),
+            counts: self.registry.metrics().snapshot(),
         }
     }
 
@@ -1004,5 +977,20 @@ impl Deployment for NetCluster {
         plan: &P,
     ) -> prism_protocol::Result<(P::Output, QueryStats)> {
         NetCluster::run(self, 0, range, plan)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A round that read an older failover total after another round
+    /// claimed a newer one claims nothing, and the mark does not move
+    /// back: totals 2, 0, 0 for the two failovers between 4 and 6.
+    #[test]
+    fn a_stale_failover_total_claims_nothing() {
+        let mark = AtomicU64::new(4);
+        let claimed = [6, 5, 6].map(|healed| unattributed(&mark, healed));
+        assert_eq!(claimed, [2, 0, 0]);
     }
 }

@@ -35,6 +35,8 @@ pub mod wire;
 
 pub use cluster::{NetCluster, NetReport};
 pub use mux::{Admission, MuxLink};
-pub use registry::{AnnouncerNode, ClusterListener, Liveness, RegistryConfig, ShardWorker};
+pub use registry::{
+    AnnouncerNode, ClusterListener, ControlEvent, Liveness, RegistryConfig, ShardWorker,
+};
 pub use transport::{channel_pair, Link, NetError, TcpLink};
 pub use wire::{Column, Message, Op, WireError};

@@ -21,8 +21,8 @@
 //! is consumed — so `(QueryId, link)` has at most one outstanding
 //! request at any instant and the `QueryId` alone suffices to pair
 //! replies; no per-round counter is needed. Untagged replies arriving at
-//! a `MuxLink` (a protocol bug, or a stray legacy peer) are counted in
-//! [`MuxLink::rejected`] and dropped rather than guessed at.
+//! a `MuxLink` (a protocol bug, or a stray legacy peer) are counted as
+//! [`Counter::RejectedReplies`] and dropped rather than guessed at.
 //!
 //! **Failure containment.** A query that dies mid-flight simply drops
 //! its [`Pending`] slot; a late reply for it bumps the rejected counter
@@ -35,8 +35,9 @@ use crate::transport::{Link, NetError};
 use crate::wire::Message;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use prism_protocol::metrics::{Counter, Metrics};
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Identifies one in-flight query across every link of a cluster.
@@ -47,7 +48,9 @@ pub type QueryId = u64;
 pub struct MuxLink {
     link: Arc<dyn Link>,
     slots: Mutex<HashMap<QueryId, Sender<Message>>>,
-    rejected: AtomicU64,
+    /// Where the pump counts the replies it drops: the deployment's store
+    /// for an owner-side link.
+    metrics: Arc<Metrics>,
     dead: AtomicBool,
     /// Node label for crash diagnostics: when set, pump death surfaces
     /// as [`NetError::NodeDown`] naming this node instead of a generic
@@ -92,24 +95,26 @@ impl Drop for Pending {
 }
 
 impl MuxLink {
-    /// Wrap `link` and start its pump thread. The pump runs until the
-    /// link disconnects or every handle to the `MuxLink` is gone.
+    /// Wrap `link` and start its pump thread, counting dropped replies
+    /// into a store of its own. The pump runs until the link disconnects
+    /// or every handle to the `MuxLink` is gone.
     pub fn new(link: Arc<dyn Link>) -> Arc<MuxLink> {
-        MuxLink::build(link, None)
+        MuxLink::counted(link, None, Arc::default())
     }
 
-    /// Like [`MuxLink::new`], but names the remote node: pump death on a
-    /// labeled link surfaces to waiters as [`NetError::NodeDown`] instead
-    /// of a generic disconnect.
-    pub(crate) fn new_labeled(link: Arc<dyn Link>, label: impl Into<String>) -> Arc<MuxLink> {
-        MuxLink::build(link, Some(label.into()))
-    }
-
-    fn build(link: Arc<dyn Link>, label: Option<String>) -> Arc<MuxLink> {
+    /// Like [`MuxLink::new`], counting dropped replies into `metrics`. A
+    /// `label` names the remote node: pump death on a labeled link
+    /// surfaces to waiters as [`NetError::NodeDown`] instead of a generic
+    /// disconnect.
+    pub(crate) fn counted(
+        link: Arc<dyn Link>,
+        label: Option<String>,
+        metrics: Arc<Metrics>,
+    ) -> Arc<MuxLink> {
         let mux = Arc::new(MuxLink {
             link: Arc::clone(&link),
             slots: Mutex::new(HashMap::new()),
-            rejected: AtomicU64::new(0),
+            metrics,
             dead: AtomicBool::new(false),
             label,
         });
@@ -139,14 +144,10 @@ impl MuxLink {
                         // Pending between the lookup and the delivery —
                         // same outcome as no slot at all.
                         Some(tx) if tx.send(*inner).is_ok() => {}
-                        _ => {
-                            mux.rejected.fetch_add(1, Ordering::Relaxed);
-                        }
+                        _ => mux.metrics.add(Counter::RejectedReplies, 1),
                     }
                 }
-                _ => {
-                    mux.rejected.fetch_add(1, Ordering::Relaxed);
-                }
+                _ => mux.metrics.add(Counter::RejectedReplies, 1),
             }
         });
         mux
@@ -218,12 +219,6 @@ impl MuxLink {
         }
     }
 
-    /// Replies dropped because no query claimed them (unknown/finished
-    /// `QueryId`, or an untagged reply on a multiplexed link).
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
     /// The underlying link's send-side stats.
     pub fn stats(&self) -> Arc<crate::transport::LinkStats> {
         self.link.stats()
@@ -234,7 +229,7 @@ impl std::fmt::Debug for MuxLink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MuxLink")
             .field("open_slots", &self.slots.lock().len())
-            .field("rejected", &self.rejected())
+            .field("rejected", &self.metrics.get(Counter::RejectedReplies))
             .field("dead", &self.dead.load(Ordering::SeqCst))
             .finish()
     }
@@ -380,7 +375,7 @@ mod tests {
         peer.send(&pong(77).tagged(7)).unwrap();
         assert_eq!(p7.recv().unwrap(), pong(77));
         assert_eq!(p9.recv().unwrap(), pong(99));
-        assert_eq!(mux.rejected(), 0);
+        assert_eq!(mux.metrics.get(Counter::RejectedReplies), 0);
     }
 
     #[test]
@@ -393,7 +388,7 @@ mod tests {
         peer.send(&Message::Ack).unwrap();
         peer.send(&pong(42).tagged(1)).unwrap();
         assert_eq!(pending.recv().unwrap(), pong(42));
-        assert_eq!(mux.rejected(), 2);
+        assert_eq!(mux.metrics.get(Counter::RejectedReplies), 2);
     }
 
     #[test]
@@ -407,7 +402,7 @@ mod tests {
         let p4 = mux.begin(4).unwrap();
         peer.send(&pong(2).tagged(4)).unwrap();
         assert_eq!(p4.recv().unwrap(), pong(2));
-        assert_eq!(mux.rejected(), 1);
+        assert_eq!(mux.metrics.get(Counter::RejectedReplies), 1);
         // The id itself can be re-registered after the drop.
         let _p3 = mux.begin(3).unwrap();
     }
@@ -444,7 +439,7 @@ mod tests {
     #[test]
     fn labeled_pump_death_names_the_node() {
         let (owner, peer) = channel_pair();
-        let mux = MuxLink::new_labeled(Arc::new(owner), "d1/s3");
+        let mux = MuxLink::counted(Arc::new(owner), Some("d1/s3".into()), Arc::default());
         let pending = mux.begin(2).unwrap();
         drop(peer);
         match pending.recv().unwrap_err() {

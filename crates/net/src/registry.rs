@@ -80,8 +80,10 @@ use parking_lot::{Mutex, RwLock};
 use prism_protocol::cache::PsiRoundCache;
 use prism_protocol::engine::ReplayLog;
 use prism_protocol::malicious::Tamper;
+use prism_protocol::metrics::{Counter, Metrics};
 use prism_protocol::params::{AnnouncerParams, ServerParams, Setup, ADDITIVE_SERVERS};
 use prism_protocol::shard::{ShardPlan, ShardSpec};
+use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -187,6 +189,86 @@ impl std::fmt::Display for NodeHealth {
     }
 }
 
+/// What the control plane did: one event per attach, heal and heal-time
+/// anomaly, its log line as `Display`. [`NodeRegistry::events`] keeps the
+/// newest [`CONTROL_EVENTS`], each with its sequence number. Worker
+/// `(domain, worker)` is node `worker`, labelled `d{domain}/w{worker}`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ControlEvent {
+    /// `(domain, worker, workers)`: a shard worker attached and its domain
+    /// re-fanned over `workers` workers.
+    Attached(usize, u64, usize),
+    /// `(node)`: a replacement announcer's control edge swapped in.
+    AnnouncerReconnected(u64),
+    /// `(server)`: a replacement announcer's upload edge from additive
+    /// server `server` swapped in.
+    UploadReconnected(usize),
+    /// `(domain)`: a re-fan found no worker left.
+    DomainOffline(usize),
+    /// `(domain, worker, promotion)`: a worker failed during a heal (a
+    /// metadata-only promotion if `promotion`) and was removed.
+    HealCasualty(usize, u64, bool),
+    /// `(domain, worker, promoted, survivors, generation)`: a worker was
+    /// confirmed dead and its domain healed, by promoting replicas if
+    /// `promoted` or else by replay, leaving `survivors` workers at
+    /// `generation`.
+    Failover(usize, u64, bool, usize, u64),
+    /// `(domain, node, generation)`: a node reported a stale assignment
+    /// `generation`, so its domain re-fans.
+    StaleGeneration(usize, u64, u64),
+}
+
+impl std::fmt::Display for ControlEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        use ControlEvent::*;
+        match *self {
+            Attached(d, w, n) => write!(
+                f,
+                "domain {d}: worker d{d}/w{w} attached; re-fanned over {n} worker(s)"
+            ),
+            AnnouncerReconnected(node) => write!(
+                f,
+                "announcer: control edge reconnected as node {node}; wide rounds resumed"
+            ),
+            UploadReconnected(k) => write!(f, "announcer: upload edge {k} reconnected"),
+            DomainOffline(d) => write!(f, "domain {d}: no surviving workers — domain offline"),
+            HealCasualty(d, w, promotion) => {
+                let heal = if promotion { "promotion" } else { "heal" };
+                write!(f, "domain {d}: worker d{d}/w{w} failed mid-{heal}; removed")
+            }
+            Failover(d, w, promoted, n, generation) => {
+                let heal = if promoted {
+                    "promoted surviving replica(s), zero replay"
+                } else {
+                    "re-fanned the upload log"
+                };
+                write!(
+                    f,
+                    "domain {d}: worker d{d}/w{w} confirmed dead; {heal} over {n} survivor(s) \
+                     (generation {generation})"
+                )
+            }
+            StaleGeneration(d, node, generation) => write!(
+                f,
+                "domain {d}: node {node} reports stale generation {generation}; re-fanning"
+            ),
+        }
+    }
+}
+
+/// The most [`ControlEvent`]s a registry keeps; older ones are dropped.
+pub const CONTROL_EVENTS: usize = 256;
+
+/// Log `event` in `ring`, numbered one past the newest, dropping the
+/// oldest past [`CONTROL_EVENTS`].
+fn push_event(ring: &mut VecDeque<(u64, ControlEvent)>, event: ControlEvent) {
+    let seq = ring.back().map_or(0, |(seq, _)| seq + 1);
+    if ring.len() == CONTROL_EVENTS {
+        ring.pop_front();
+    }
+    ring.push_back((seq, event));
+}
+
 /// One node's keep-alive bookkeeping, as the prober folds ping outcomes
 /// into it.
 pub(crate) struct Health {
@@ -237,16 +319,12 @@ struct RegistryInner {
     /// Set by [`NetCluster::enable_cache`]; failovers dirty the healed
     /// domain here so warm entries cannot survive a re-fan.
     cache: Mutex<Option<Arc<PsiRoundCache>>>,
-    heal_log: Mutex<Vec<String>>,
+    events: Mutex<VecDeque<(u64, ControlEvent)>>,
     /// Dead nodes kept for reporting after their slot is removed.
     graveyard: Mutex<Vec<NodeHealth>>,
-    failovers: AtomicU64,
-    /// Heals that completed as metadata-only replica promotions (a
-    /// subset of `failovers`).
-    promotions: AtomicU64,
-    /// Summed log records replayed across all heals, one per healed
-    /// domain — stays at zero as long as every heal promotes.
-    replayed: AtomicU64,
+    /// The deployment's one cumulative store: heals count here, and so do
+    /// the owner-side multiplexers, the cluster's rounds and its cache.
+    metrics: Arc<Metrics>,
     next_node: AtomicU64,
     /// Control-plane correlation ids (pings, assigns, replays) live in
     /// `[2^62, 2^63)`: disjoint from owner query ids (from 0) and
@@ -357,6 +435,10 @@ impl RegistryInner {
         self.corr.fetch_add(1, Ordering::Relaxed)
     }
 
+    fn log(&self, event: ControlEvent) {
+        push_event(&mut self.events.lock(), event);
+    }
+
     /// Wake a `start` waiting for the slots (called with no lock held).
     fn note_attach(&self) {
         let _held = self.attach_lock.lock().unwrap_or_else(|e| e.into_inner());
@@ -401,16 +483,22 @@ impl NodeRegistry {
         self.inner.addr
     }
 
+    /// The deployment's cumulative [`Metrics`]: every [`Counter`] the
+    /// cluster, its cache, its multiplexers and this control plane keep.
+    pub fn metrics(&self) -> &Arc<Metrics> {
+        &self.inner.metrics
+    }
+
     /// Shard-worker failovers healed so far (promotions included).
     pub fn failovers(&self) -> u64 {
-        self.inner.failovers.load(Ordering::Relaxed)
+        self.inner.metrics.get(Counter::Failovers)
     }
 
     /// Heals that completed as metadata-only replica promotions: the
     /// dead worker's every range had a surviving holder, so no upload
     /// was replayed.
     pub fn promotions(&self) -> u64 {
-        self.inner.promotions.load(Ordering::Relaxed)
+        self.inner.metrics.get(Counter::Promotions)
     }
 
     /// Summed upload-log records replayed across all heals so far: the
@@ -420,13 +508,13 @@ impl NodeRegistry {
     /// worker death heals by promotion and this stays exactly where it
     /// was.
     pub fn replayed_records(&self) -> u64 {
-        self.inner.replayed.load(Ordering::Relaxed)
+        self.inner.metrics.get(Counter::ReplayedRecords)
     }
 
-    /// Human-readable heal log: one entry per attach, failover, and
-    /// heal-time anomaly, in order.
-    pub fn heal_log(&self) -> Vec<String> {
-        self.inner.heal_log.lock().clone()
+    /// The newest [`CONTROL_EVENTS`] control events, oldest first, each
+    /// with its sequence number.
+    pub fn events(&self) -> Vec<(u64, ControlEvent)> {
+        self.inner.events.lock().iter().cloned().collect()
     }
 
     /// Per-node liveness snapshot (live workers, dead nodes kept for the
@@ -547,11 +635,9 @@ impl ClusterListener {
             addr,
             domains: domains.collect(),
             cache: Mutex::new(None),
-            heal_log: Mutex::new(Vec::new()),
+            events: Mutex::default(),
             graveyard: Mutex::new(Vec::new()),
-            failovers: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            replayed: AtomicU64::new(0),
+            metrics: Arc::default(),
             next_node: AtomicU64::new(0),
             corr: AtomicU64::new(1 << 62),
             stop: AtomicBool::new(false),
@@ -697,10 +783,12 @@ impl ClusterListener {
             self.handles.push(std::thread::spawn(move || {
                 domain_loop(Arc::from(server_end), shared, announcer)
             }));
-            links.push(MuxLink::new(Arc::from(owner_end)));
+            let metrics = Arc::clone(&inner.metrics);
+            links.push(MuxLink::counted(Arc::from(owner_end), None, metrics));
         }
 
-        let announcer_link = MuxLink::new_labeled(ctl, "announcer");
+        let label = Some("announcer".into());
+        let announcer_link = MuxLink::counted(ctl, label, Arc::clone(&inner.metrics));
         let prober = elastic.then(|| {
             let (inner, announcer) = (Arc::clone(&inner), Arc::clone(&announcer_link));
             std::thread::spawn(move || prober_loop(inner, announcer))
@@ -797,7 +885,7 @@ fn reject(link: &TcpLink) {
 }
 
 /// The one way a shard worker, attached or spawned, enters domain `d`: the
-/// next free slot, holding plan range `range`. Returns its label, or
+/// next free slot, holding plan range `range`. Returns its node id, or
 /// `None` for a full domain or when `admit(node, state)` (an attach's ack)
 /// fails. One write lock covers both, so concurrent dials cannot both take
 /// the last slot, slot order is ack order, and nothing sees an unacked link.
@@ -807,7 +895,7 @@ fn take_slot(
     link: Arc<dyn Link>,
     range: usize,
     admit: impl FnOnce(u64, &DomainState) -> bool,
-) -> Option<String> {
+) -> Option<u64> {
     let mut st = inner.domains.get(d)?.write();
     if st.workers.len() >= st.target {
         return None;
@@ -817,9 +905,11 @@ fn take_slot(
         return None;
     }
     let label = format!("d{d}/w{node}");
+    // A router-less domain's one node link is the owner link.
+    let metrics = st.routerless().then(|| Arc::clone(&inner.metrics));
     st.workers
-        .push(WorkerSlot::new(node, label.clone(), link, range));
-    Some(label)
+        .push(WorkerSlot::new(node, label, link, range, metrics));
+    Some(node)
 }
 
 fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake) {
@@ -856,14 +946,12 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
             // taken; the re-fan below assigns the real range before any
             // query can route here.
             let ack = |node, st: &DomainState| register_ack(&link, Some(node), st.params.b);
-            let Some(label) = take_slot(inner, d, Arc::clone(&link) as _, 0, ack) else {
+            let Some(worker) = take_slot(inner, d, Arc::clone(&link) as _, 0, ack) else {
                 // A full domain (or an ack that could not be sent).
                 return reject(&link);
             };
-            let survivors = refan(inner, d);
-            inner.heal_log.lock().push(format!(
-                "domain {d}: worker {label} attached; re-fanned over {survivors} worker(s)"
-            ));
+            let workers = refan(inner, d);
+            inner.log(ControlEvent::Attached(d, worker, workers));
             inner.note_attach();
         }
         NodeRole::AnnouncerCtl => {
@@ -888,9 +976,7 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
             match swap {
                 Some(ctl_swap) => {
                     ctl_swap.swap(link);
-                    inner.heal_log.lock().push(format!(
-                        "announcer: control edge reconnected as node {node}; wide rounds resumed"
-                    ));
+                    inner.log(ControlEvent::AnnouncerReconnected(node));
                 }
                 None => *slot = Some(link),
             }
@@ -908,8 +994,7 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
             if let Some(up_swap) = swaps.and_then(|ups| ups.get(d).cloned()) {
                 if register_ack(&link, Some(fresh_node()), 0) {
                     up_swap.swap(link);
-                    let reconnected = format!("announcer: upload edge {d} reconnected");
-                    inner.heal_log.lock().push(reconnected);
+                    inner.log(ControlEvent::UploadReconnected(d));
                 }
                 return;
             }
@@ -949,10 +1034,7 @@ fn refan(inner: &Arc<RegistryInner>, d: usize) -> usize {
     loop {
         if st.workers.is_empty() {
             st.generation += 1;
-            inner
-                .heal_log
-                .lock()
-                .push(format!("domain {d}: no surviving workers — domain offline"));
+            inner.log(ControlEvent::DomainOffline(d));
             return 0;
         }
         st.generation += 1;
@@ -968,10 +1050,7 @@ fn refan(inner: &Arc<RegistryInner>, d: usize) -> usize {
             Err(bad) => {
                 let casualty = st.workers.remove(bad);
                 bury(inner, &casualty);
-                inner.heal_log.lock().push(format!(
-                    "domain {d}: worker {} failed mid-heal; removed",
-                    casualty.label
-                ));
+                inner.log(ControlEvent::HealCasualty(d, casualty.node, false));
             }
         }
     }
@@ -1007,10 +1086,7 @@ fn promote(inner: &Arc<RegistryInner>, d: usize) -> bool {
             Err(bad) => {
                 let casualty = st.workers.remove(bad);
                 bury(inner, &casualty);
-                inner.heal_log.lock().push(format!(
-                    "domain {d}: worker {} failed mid-promotion; removed",
-                    casualty.label
-                ));
+                inner.log(ControlEvent::HealCasualty(d, casualty.node, true));
             }
         }
     }
@@ -1021,7 +1097,7 @@ fn promote(inner: &Arc<RegistryInner>, d: usize) -> bool {
     if let Some(cache) = inner.cache.lock().as_ref() {
         cache.note_upload(d);
     }
-    inner.promotions.fetch_add(1, Ordering::Relaxed);
+    inner.metrics.add(Counter::Promotions, 1);
     true
 }
 
@@ -1088,7 +1164,7 @@ fn assign_and_replay(inner: &Arc<RegistryInner>, st: &mut DomainState) -> Result
     heal_fan(inner, st, |spec| Message::Replay {
         columns: log.cut(spec.start, spec.len),
     })?;
-    inner.replayed.fetch_add(1, Ordering::Relaxed);
+    inner.metrics.add(Counter::ReplayedRecords, 1);
     Ok(())
 }
 
@@ -1129,18 +1205,10 @@ fn failover(inner: &Arc<RegistryInner>, d: usize, node: u64) {
     } else {
         refan(inner, d)
     };
-    inner.failovers.fetch_add(1, Ordering::Relaxed);
+    inner.metrics.add(Counter::Failovers, 1);
     let generation = inner.domains[d].read().generation;
-    let heal = if promoted {
-        "promoted surviving replica(s), zero replay"
-    } else {
-        "re-fanned the upload log"
-    };
-    inner.heal_log.lock().push(format!(
-        "domain {d}: worker {} confirmed dead; {heal} over {survivors} survivor(s) \
-         (generation {generation})",
-        casualty.label
-    ));
+    let healed = ControlEvent::Failover(d, casualty.node, promoted, survivors, generation);
+    inner.log(healed);
 }
 
 // ---------------------------------------------------------------------
@@ -1187,10 +1255,7 @@ fn prober_loop(inner: Arc<RegistryInner>, announcer: Arc<MuxLink>) {
                         // doubles as anti-entropy, and a full heal is
                         // the only resync that also restores the
                         // worker's store.
-                        inner.heal_log.lock().push(format!(
-                            "domain {d}: node {node} reports stale generation \
-                             {worker_gen}; re-fanning"
-                        ));
+                        inner.log(ControlEvent::StaleGeneration(d, node, worker_gen));
                         refan(&inner, d);
                     }
                     Err(_) if confirmed_dead => failover(&inner, d, node),
@@ -1409,6 +1474,67 @@ fn register(
 mod tests {
     use super::*;
     use crate::wire::Column;
+
+    #[test]
+    fn a_full_event_ring_keeps_the_newest_with_contiguous_numbers() {
+        let mut ring = VecDeque::new();
+        let total = CONTROL_EVENTS as u64 + 10;
+        for node in 0..total {
+            push_event(&mut ring, ControlEvent::AnnouncerReconnected(node));
+        }
+        assert_eq!(ring.len(), CONTROL_EVENTS);
+        let first = total - CONTROL_EVENTS as u64;
+        for (i, (seq, event)) in ring.iter().enumerate() {
+            let n = first + i as u64;
+            assert_eq!((*seq, event), (n, &ControlEvent::AnnouncerReconnected(n)));
+        }
+    }
+
+    /// Each event prints the line the string heal log pushed for it.
+    #[test]
+    fn control_events_print_the_heal_log_lines() {
+        use ControlEvent::*;
+        let golden = [
+            (
+                Attached(1, 7, 3),
+                "domain 1: worker d1/w7 attached; re-fanned over 3 worker(s)",
+            ),
+            (
+                AnnouncerReconnected(9),
+                "announcer: control edge reconnected as node 9; wide rounds resumed",
+            ),
+            (UploadReconnected(1), "announcer: upload edge 1 reconnected"),
+            (
+                DomainOffline(2),
+                "domain 2: no surviving workers — domain offline",
+            ),
+            (
+                HealCasualty(0, 4, false),
+                "domain 0: worker d0/w4 failed mid-heal; removed",
+            ),
+            (
+                HealCasualty(0, 5, true),
+                "domain 0: worker d0/w5 failed mid-promotion; removed",
+            ),
+            (
+                Failover(0, 0, true, 3, 2),
+                "domain 0: worker d0/w0 confirmed dead; promoted surviving replica(s), \
+                 zero replay over 3 survivor(s) (generation 2)",
+            ),
+            (
+                Failover(2, 8, false, 2, 5),
+                "domain 2: worker d2/w8 confirmed dead; re-fanned the upload log over \
+                 2 survivor(s) (generation 5)",
+            ),
+            (
+                StaleGeneration(1, 6, 3),
+                "domain 1: node 6 reports stale generation 3; re-fanning",
+            ),
+        ];
+        for (event, line) in golden {
+            assert_eq!(event.to_string(), line);
+        }
+    }
 
     #[test]
     fn miss_budget_confirms_death_at_the_budget_not_one_past() {

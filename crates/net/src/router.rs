@@ -26,6 +26,7 @@ use parking_lot::RwLock;
 use prism_core::Permutation;
 use prism_protocol::engine::{BatchQuery, ReplayLog, ServerCmd, ServerNode, ServerReply};
 use prism_protocol::malicious::Tamper;
+use prism_protocol::metrics::Metrics;
 use prism_protocol::params::ServerParams;
 use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan, ShardSpec};
 use prism_protocol::ProtocolError;
@@ -390,12 +391,20 @@ pub(crate) struct WorkerSlot {
 
 impl WorkerSlot {
     /// A live worker reachable over `link`, holding plan range `range`.
-    /// The link goes behind a labeled multiplexer, so its death surfaces
-    /// as [`NetError::NodeDown`] naming the worker.
-    pub(crate) fn new(node: u64, label: String, link: Arc<dyn Link>, range: usize) -> WorkerSlot {
+    /// The link goes behind a labeled multiplexer counting into `metrics`
+    /// (a store of its own if `None`), so its death surfaces as
+    /// [`NetError::NodeDown`] naming the worker.
+    pub(crate) fn new(
+        node: u64,
+        label: String,
+        link: Arc<dyn Link>,
+        range: usize,
+        metrics: Option<Arc<Metrics>>,
+    ) -> WorkerSlot {
+        let metrics = metrics.unwrap_or_default();
         WorkerSlot {
             node,
-            link: MuxLink::new_labeled(link, label.clone()),
+            link: MuxLink::counted(link, Some(label.clone()), metrics),
             label,
             health: Health::alive(),
             generation: 0,
@@ -1058,8 +1067,8 @@ mod tests {
         let (to_w1, w1) = channel_pair();
         drop(w1);
         domain.workers = vec![
-            WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_w0), 0),
-            WorkerSlot::new(1, "d0/w1".into(), Arc::new(to_w1), 1),
+            WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_w0), 0, None),
+            WorkerSlot::new(1, "d0/w1".into(), Arc::new(to_w1), 1, None),
         ];
         let (spec0, b) = (domain.plan.specs()[0], params.b);
         let worker = std::thread::spawn(move || {
@@ -1103,7 +1112,7 @@ mod tests {
         let b = params.b;
         let mut domain = DomainState::new(params.clone(), 1, 1);
         let (to_w0, w0) = channel_pair();
-        domain.workers = vec![WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_w0), 0)];
+        domain.workers = vec![WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_w0), 0, None)];
         let spec0 = domain.plan.specs()[0];
         let p = params.clone();
         let worker = std::thread::spawn(move || {

@@ -199,7 +199,7 @@ fn warm_decode_draws_row_buffers_from_the_pool() {
             let before = ROW_BUFFERS.load(Ordering::Relaxed);
             let (answer, warm) = cluster.psi_query_batch(&batch).expect("warm batch");
             let fresh = ROW_BUFFERS.load(Ordering::Relaxed) - before;
-            assert_eq!((warm.rounds, warm.cache_hits), (0, 2));
+            assert_eq!((warm.rounds, warm.cache_hits()), (0, 2));
             assert_eq!(answer, expected);
             assert_eq!(
                 fresh, 5,

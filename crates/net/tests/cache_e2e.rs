@@ -10,6 +10,7 @@
 
 use prism_net::{Column, NetCluster, NetError};
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
+use prism_protocol::metrics::Counter;
 use prism_protocol::params::Setup;
 use prism_protocol::QueryBatch;
 
@@ -59,7 +60,7 @@ fn exercise(net: NetCluster) {
     // each eligible round records one miss.
     let (cold, cold_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(cold_stats.rounds, 2);
-    assert_eq!(cold_stats.cache_misses, 2);
+    assert_eq!(cold_stats.cache_misses(), 2);
 
     // Warm: zero server round-trips for the whole query — round 1
     // replays the cached PSI outputs, round 2 replays the pinned z-seed
@@ -69,13 +70,16 @@ fn exercise(net: NetCluster) {
     let after = cluster.deployment().report();
     assert_eq!(warm, cold, "cache changed the batch results");
     assert_eq!(warm_stats.rounds, 0, "warm batch must skip both rounds");
-    assert_eq!(warm_stats.cache_hits, 2);
+    assert_eq!(warm_stats.cache_hits(), 2);
     assert_eq!(
         msg_deltas(&before, &after),
         vec![0, 0, 0],
         "a fully warm query sends nothing to any server"
     );
-    assert!(after.cache_hits >= 1, "NetReport must meter the hit");
+    assert!(
+        after.counts[Counter::CacheHits] >= 1,
+        "NetReport must meter the hit"
+    );
 
     // An owner upload in between restores the cold path bit-identically:
     // same round count, and (same data re-uploaded) the same results.
@@ -86,13 +90,14 @@ fn exercise(net: NetCluster) {
         "cold rounds restored"
     );
     assert_eq!(
-        recold_stats.cache_hits, 0,
+        recold_stats.cache_hits(),
+        0,
         "stale entry served after upload"
     );
     assert_eq!(recold, cold, "identical store must reproduce the results");
     let report = cluster.deployment().report();
     assert!(
-        report.cache_invalidations >= 1,
+        report.counts[Counter::CacheInvalidations] >= 1,
         "the upload must invalidate the stale round"
     );
     assert!(
@@ -127,7 +132,7 @@ fn delta_upload_keeps_untouched_window_warm_over_the_wire() {
     let batch = QueryBatch::new().sum(0).avg(0);
     let w = (0u64, DOMAIN as u64);
     let (cold, s) = cluster.psi_query_batch_range(&batch, w).unwrap();
-    assert_eq!((s.rounds, s.cache_misses), (2, 2));
+    assert_eq!((s.rounds, s.cache_misses()), (2, 2));
 
     // Grow by two cells; every owner's delta rows land in 11..=12 only.
     // The facade derives the share seeds from the shared `cfg`, so both
@@ -146,7 +151,7 @@ fn delta_upload_keeps_untouched_window_warm_over_the_wire() {
     let (warm, s) = cluster.psi_query_batch_range(&batch, w).unwrap();
     assert_eq!(warm, cold, "delta upload corrupted the untouched window");
     assert_eq!(
-        (s.rounds, s.cache_hits),
+        (s.rounds, s.cache_hits()),
         (0, 2),
         "window must stay warm across a delta"
     );
@@ -155,7 +160,7 @@ fn delta_upload_keeps_untouched_window_warm_over_the_wire() {
     let (rewarm, s) = cluster.psi_query_batch_range(&batch, w).unwrap();
     let after = cluster.deployment().report();
     assert_eq!(rewarm, cold);
-    assert_eq!((s.rounds, s.cache_hits), (0, 2));
+    assert_eq!((s.rounds, s.cache_hits()), (0, 2));
     assert_eq!(
         msg_deltas(&before, &after),
         vec![0, 0, 0],
@@ -166,7 +171,8 @@ fn delta_upload_keeps_untouched_window_warm_over_the_wire() {
     // bit-identical to the uncached oracle replaying the same delta.
     let (got, s) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(
-        s.cache_hits, 0,
+        s.cache_hits(),
+        0,
         "full-domain query must go cold after the delta"
     );
     let (want, _) = oracle.psi_query_batch(&batch).unwrap();
@@ -181,19 +187,19 @@ fn delta_upload_keeps_untouched_window_warm_over_the_wire() {
 fn distinct_queries_share_the_cached_psi_round() {
     let cluster = outsource(NetCluster::start_local(make_setup()), true);
     let (_, s) = cluster.psi().unwrap();
-    assert_eq!((s.rounds, s.cache_misses), (1, 1));
+    assert_eq!((s.rounds, s.cache_misses()), (1, 1));
     // A first sum reuses the PSI entry (only its round 2 touches the
     // servers); an identical repeat is then fully warm.
     let (sums, _) = cluster.psi_sum(0).unwrap();
     let (again, s) = cluster.psi_sum(0).unwrap();
     assert_eq!(s.rounds, 0, "repeat sum must ride both cached rounds");
-    assert_eq!(s.cache_hits, 2);
+    assert_eq!(s.cache_hits(), 2);
     assert_eq!(again, sums);
     // Count keys its own round: first run misses, second hits.
     let (_, s) = cluster.psi_count().unwrap();
-    assert_eq!((s.rounds, s.cache_hits), (1, 0));
+    assert_eq!((s.rounds, s.cache_hits()), (1, 0));
     let (_, s) = cluster.psi_count().unwrap();
-    assert_eq!((s.rounds, s.cache_hits), (0, 1));
+    assert_eq!((s.rounds, s.cache_hits()), (0, 1));
     cluster.into_deployment().shutdown().unwrap();
 }
 
@@ -229,7 +235,11 @@ fn fresh_z_seeds_cannot_grow_the_cache_without_bound() {
     for seed in 1..40 {
         let (answer, s) = net.psi_query_batch(&batch, seed).unwrap();
         assert_eq!(answer, first, "seed {seed} changed the answer");
-        assert_eq!((s.cache_hits, s.rounds), (1, 1), "seed {seed}: round 2 hit");
+        assert_eq!(
+            (s.cache_hits(), s.rounds),
+            (1, 1),
+            "seed {seed}: round 2 hit"
+        );
         assert!(
             cache.len() <= BOUND,
             "{} entries after seed {seed}",
@@ -241,11 +251,11 @@ fn fresh_z_seeds_cannot_grow_the_cache_without_bound() {
     // Pinned seed: cold once, then warm — and still warm after more fresh
     // seeds than a key holds variants minus one.
     let (pinned, s) = cluster.psi_query_batch(&batch).unwrap();
-    assert_eq!((pinned, s.cache_hits), (first.clone(), 1));
+    assert_eq!((pinned, s.cache_hits()), (first.clone(), 1));
     for seed in 100..107 {
         net.psi_query_batch(&batch, seed).unwrap();
         let (again, s) = cluster.psi_query_batch(&batch).unwrap();
-        assert_eq!((again, s.rounds, s.cache_hits), (first.clone(), 0, 2));
+        assert_eq!((again, s.rounds, s.cache_hits()), (first.clone(), 0, 2));
     }
     assert_eq!(cache.len(), BOUND);
     cluster.into_deployment().shutdown().unwrap();
@@ -276,7 +286,7 @@ fn delta_outside_the_adopted_domain_is_refused_before_anything_moves() {
     }
     let (warm, s) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(warm, cold);
-    assert_eq!((s.rounds, s.cache_hits), (0, 2));
+    assert_eq!((s.rounds, s.cache_hits()), (0, 2));
     assert_eq!(
         msg_deltas(&before, &net.report()),
         vec![0, 0, 0],

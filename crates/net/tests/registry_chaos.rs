@@ -8,10 +8,11 @@
 //! errors loudly — it never hangs and never returns a wrong answer.
 
 use prism_net::{
-    AnnouncerNode, ClusterListener, Column, Liveness, NetCluster, NetError, RegistryConfig,
-    ShardWorker,
+    AnnouncerNode, ClusterListener, Column, ControlEvent, Liveness, NetCluster, NetError,
+    RegistryConfig, ShardWorker,
 };
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
+use prism_protocol::metrics::Counter;
 use prism_protocol::params::Setup;
 use prism_protocol::plans::QueryBatch;
 use std::time::{Duration, Instant};
@@ -189,7 +190,10 @@ fn failover_heals_reshards_and_matches_the_oracle() {
     // The control plane's paper trail: a dead node in the health rows, a
     // heal-log entry, and the failover counter in the report.
     let report = cluster.deployment().report();
-    assert!(report.failovers >= 1, "report must count the failover");
+    assert!(
+        report.counts[Counter::Failovers] >= 1,
+        "report must count the failover"
+    );
     assert!(
         report
             .nodes
@@ -210,11 +214,11 @@ fn failover_heals_reshards_and_matches_the_oracle() {
     );
     assert!(
         registry
-            .heal_log()
+            .events()
             .iter()
-            .any(|l| l.contains("confirmed dead")),
-        "heal log must record the failover: {:?}",
-        registry.heal_log()
+            .any(|(_, e)| matches!(e, ControlEvent::Failover(..))),
+        "control events must record the failover: {:?}",
+        registry.events()
     );
     assert!(
         format!("{report}").contains("failovers="),
@@ -239,10 +243,10 @@ fn failover_invalidates_only_the_healed_domain() {
     let batch = QueryBatch::new().sum(0).count_tuples();
 
     let (cold, cold_stats) = cluster.psi_query_batch(&batch).unwrap();
-    assert_eq!(cold_stats.cache_misses, 2);
+    assert_eq!(cold_stats.cache_misses(), 2);
     let (warm, warm_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(warm, cold);
-    assert_eq!(warm_stats.cache_hits, 2);
+    assert_eq!(warm_stats.cache_hits(), 2);
     let warm_entries_d1 = cluster.deployment().cache().unwrap().server_entries(1);
     assert!(warm_entries_d1 > 0, "domain 1 must hold warm entries");
 
@@ -262,23 +266,24 @@ fn failover_invalidates_only_the_healed_domain() {
     let (healed, healed_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(healed, cold, "healed answers must match pre-kill answers");
     assert_eq!(
-        healed_stats.cache_hits, 0,
+        healed_stats.cache_hits(),
+        0,
         "the healed domain's stale entry must not be served"
     );
     assert!(
-        healed_stats.failovers >= 1,
+        healed_stats.failovers() >= 1,
         "the heal must be attributed to this query's meters: {healed_stats}"
     );
     let report = cluster.deployment().report();
     assert!(
-        report.cache_invalidations >= 1,
+        report.counts[Counter::CacheInvalidations] >= 1,
         "the heal must show as an invalidation"
     );
 
     // And the cache re-warms over the healed topology.
     let (rewarm, rewarm_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(rewarm, cold);
-    assert_eq!(rewarm_stats.cache_hits, 2, "healed domain must re-warm");
+    assert_eq!(rewarm_stats.cache_hits(), 2, "healed domain must re-warm");
 
     cluster.into_deployment().shutdown().unwrap();
     let _ = announcer.join();
@@ -409,12 +414,10 @@ fn last_worker_death_holds_the_domain_down_until_a_replacement() {
     assert_eq!(suite(&cluster), oracle, "post-revival answers");
     let registry = cluster.deployment().registry().unwrap();
     assert!(
-        registry
-            .heal_log()
-            .iter()
-            .any(|l| l.contains(&format!("worker d0/w{} attached", replacement.node_id()))),
-        "heal log must record the revival attach: {:?}",
-        registry.heal_log()
+        registry.events().iter().any(|(_, e)| matches!(e,
+            ControlEvent::Attached(0, worker, _) if *worker == replacement.node_id())),
+        "control events must record the revival attach: {:?}",
+        registry.events()
     );
 
     cluster.into_deployment().shutdown().unwrap();
@@ -468,9 +471,9 @@ fn announcer_reconnects_and_wide_rounds_resume() {
         Duration::from_secs(10),
         || {
             registry
-                .heal_log()
+                .events()
                 .iter()
-                .any(|l| l.contains("control edge reconnected"))
+                .any(|(_, e)| matches!(e, ControlEvent::AnnouncerReconnected(_)))
         },
     );
     wait_for("announcer alive on roster", Duration::from_secs(10), || {
@@ -520,10 +523,10 @@ fn post_failover_reattach_rejoins_the_domain() {
     )
     .unwrap();
     wait_for("reattach", Duration::from_secs(10), || {
-        registry
-            .heal_log()
-            .iter()
-            .any(|l| l.contains(&format!("worker d0/w{} attached", replacement.node_id())))
+        registry.events().iter().any(|(_, e)| {
+            matches!(e,
+            ControlEvent::Attached(0, worker, _) if *worker == replacement.node_id())
+        })
     });
     assert_eq!(suite(&cluster), oracle, "post-reattach answers");
 
@@ -593,12 +596,12 @@ fn rf2_worker_death_heals_by_promotion_with_zero_replay() {
         "a promotion heal must not replay the upload log"
     );
     assert_eq!(suite(&cluster), oracle, "post-promotion answers");
-    let heal_log = cluster.deployment().registry().unwrap().heal_log();
+    let events = cluster.deployment().registry().unwrap().events();
     assert!(
-        heal_log
+        events
             .iter()
-            .any(|l| l.contains("confirmed dead") && l.contains("zero replay")),
-        "heal log must record the promotion: {heal_log:?}"
+            .any(|(_, e)| matches!(e, ControlEvent::Failover(_, _, true, ..))),
+        "control events must record the promotion: {events:?}"
     );
 
     // Kill the promoted holder too: range 0 now has no replica left, so
@@ -722,10 +725,10 @@ fn rf2_promotion_keeps_cached_rounds_warm() {
     let batch = QueryBatch::new().sum(0).count_tuples();
 
     let (cold, cold_stats) = cluster.psi_query_batch(&batch).unwrap();
-    assert_eq!((cold_stats.rounds, cold_stats.cache_misses), (2, 2));
+    assert_eq!((cold_stats.rounds, cold_stats.cache_misses()), (2, 2));
     let (warm, warm_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(warm, cold);
-    assert_eq!((warm_stats.rounds, warm_stats.cache_hits), (0, 2));
+    assert_eq!((warm_stats.rounds, warm_stats.cache_hits()), (0, 2));
 
     // Range 0's primary in domain 0 dies; its replica is promoted.
     workers[0].kill();
@@ -737,7 +740,7 @@ fn rf2_promotion_keeps_cached_rounds_warm() {
     let (healed, healed_stats) = cluster.psi_query_batch(&batch).unwrap();
     assert_eq!(healed, cold, "promoted replica answered differently");
     assert_eq!(
-        (healed_stats.rounds, healed_stats.cache_hits),
+        (healed_stats.rounds, healed_stats.cache_hits()),
         (0, 2),
         "a promotion moved no rows, so the first re-query must stay warm: {healed_stats}"
     );

@@ -3,9 +3,10 @@
 //! to the same queries run serially — results, verification verdicts,
 //! and per-query round counts — across transports (channels, TCP),
 //! shard counts (1, 4), and the PSI-round cache (off, warmed on). The
-//! suite also pins the meter-accounting contract (cluster-level cache
-//! and dispatch meters equal the sum of per-query `QueryStats`) and
-//! that no link pump ever drops a reply (`rejected_replies == 0`).
+//! suite also pins that every event is counted once (the deployment's
+//! `Metrics` move by exactly the sum of the per-query `QueryStats`
+//! counts, across an elastic failover too) and that no link pump ever
+//! drops a reply (`rejected_replies == 0`).
 //!
 //! The property tests at the bottom interleave concurrent query bursts
 //! with owner re-uploads under random schedules and compare every
@@ -14,14 +15,17 @@
 //! stale), and no query may receive another query's reply (never
 //! cross-paired — any crossing would corrupt at least one result).
 
-use prism_net::NetCluster;
+use prism_net::{AnnouncerNode, ClusterListener, NetCluster, RegistryConfig, ShardWorker};
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
 use prism_protocol::engine::{QueryStats, ServerExec};
 use prism_protocol::malicious::Tamper;
+use prism_protocol::metrics::{Counter, Counts};
 use prism_protocol::params::Setup;
 use prism_protocol::plans::{self, QueryBatch};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 const DOMAIN: usize = 10;
 
@@ -180,8 +184,8 @@ fn conformance(net: NetCluster, cache_on: bool) {
         })
         .collect();
 
-    let before = net.report();
-    let before_dispatches = net.meters().shard_dispatches;
+    let metrics = net.registry().unwrap().metrics();
+    let before = metrics.snapshot();
     let interleaved: Vec<Vec<(Q, String, QueryStats)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..K)
             .map(|i| {
@@ -201,10 +205,9 @@ fn conformance(net: NetCluster, cache_on: bool) {
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
-    let after = net.report();
-    let after_dispatches = net.meters().shard_dispatches;
+    let after = metrics.snapshot();
 
-    let mut sum = QueryStats::default();
+    let mut sum = Counts::default();
     for stream in &interleaved {
         for (q, out, stats) in stream {
             let (_, ref_out, ref_stats) = reference.iter().find(|(rq, _, _)| rq == q).unwrap();
@@ -217,29 +220,25 @@ fn conformance(net: NetCluster, cache_on: bool) {
                 "{q:?}: interleaved round count differs from serial"
             );
             if cache_on {
-                assert_eq!(stats.cache_hits, ref_stats.cache_hits, "{q:?}: cache hits");
                 assert_eq!(
-                    stats.cache_misses, ref_stats.cache_misses,
+                    stats.cache_hits(),
+                    ref_stats.cache_hits(),
+                    "{q:?}: cache hits"
+                );
+                assert_eq!(
+                    stats.cache_misses(),
+                    ref_stats.cache_misses(),
                     "{q:?}: cache misses"
                 );
             }
-            sum.cache_hits += stats.cache_hits;
-            sum.cache_misses += stats.cache_misses;
-            sum.cache_invalidations += stats.cache_invalidations;
-            sum.shard_dispatches += stats.shard_dispatches;
+            sum.merge(&stats.counts);
         }
     }
 
-    // Meter audit: the cluster-level meters moved by exactly the sum of
-    // the per-query stats — concurrency never double-counts or loses a
-    // round's accounting.
-    assert_eq!(after.cache_hits - before.cache_hits, sum.cache_hits);
-    assert_eq!(after.cache_misses - before.cache_misses, sum.cache_misses);
-    assert_eq!(
-        after.cache_invalidations - before.cache_invalidations,
-        sum.cache_invalidations
-    );
-    assert_eq!(after_dispatches - before_dispatches, sum.shard_dispatches);
+    // Counted once: every query-driven counter of the deployment's
+    // metrics moved by exactly the sum of the per-query stats —
+    // concurrency never double-counts or loses a round's accounting.
+    counted_once(before, after, sum);
 
     tamper_phase(&cluster);
 
@@ -250,6 +249,93 @@ fn conformance(net: NetCluster, cache_on: bool) {
     );
     assert_eq!(net.queries_in_flight(), 0);
     cluster.into_deployment().shutdown().unwrap();
+}
+
+/// Counted once: between two snapshots of the deployment's metrics,
+/// every query-driven counter moved by exactly `sum`, the per-query
+/// counts of the queries run in between.
+fn counted_once(before: Counts, after: Counts, sum: Counts) {
+    for c in Counter::ALL.into_iter().filter(|c| c.per_query()) {
+        assert_eq!(after[c] - before[c], sum[c], "{c:?}: not counted once");
+    }
+}
+
+/// Counted once across a heal: K streams query an elastic rf-2 cluster,
+/// cache on, while range 0's primary in domain 0 dies. The promotion
+/// heal keeps every query answering, and its one failover lands in
+/// exactly one query's stats beside the cache's probes and misses.
+#[test]
+fn elastic_failover_is_counted_once() {
+    let setup = make_setup();
+    let registry = RegistryConfig {
+        probe_interval: Duration::from_millis(20),
+        probe_timeout: Duration::from_secs(2),
+        miss_budget: 5,
+        attach_timeout: Duration::from_secs(20),
+        heal_timeout: Duration::from_secs(5),
+        replication: 2,
+    };
+    let listener = ClusterListener::bind(setup.clone(), 2, registry).unwrap();
+    let (addr, dial) = (listener.addr(), Duration::from_secs(10));
+    let mut workers = Vec::new();
+    for (k, params) in setup.servers.iter().enumerate() {
+        for _ in 0..4 {
+            workers.push(ShardWorker::connect(params.clone(), k, addr, dial).unwrap());
+        }
+    }
+    let announcer = AnnouncerNode::connect(setup.announcer.clone(), addr, dial).unwrap();
+    let cluster = outsource(listener.start().unwrap(), true);
+    let metrics = cluster.deployment().registry().unwrap().metrics();
+    let before = metrics.snapshot();
+
+    let stop = AtomicBool::new(false);
+    let streams: Vec<Counts> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..K)
+            .map(|i| {
+                let (cluster, stop) = (&cluster, &stop);
+                s.spawn(move || {
+                    let mut sum = Counts::default();
+                    for k in 0.. {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let q = QS[(k + 4 * i) % QS.len()];
+                        let (_, stats) = run_query(cluster, i as u32, q).unwrap();
+                        sum.merge(&stats.counts);
+                    }
+                    sum
+                })
+            })
+            .collect();
+        // Domain 0's workers hold ranges 0, 1, 0, 1 in attach order.
+        workers[0].kill();
+        let start = Instant::now();
+        while metrics.get(Counter::Failovers) < 1 {
+            assert!(start.elapsed() < Duration::from_secs(10), "no failover");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        stop.store(true, Ordering::Relaxed);
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let mut sum = Counts::default();
+    for stream in &streams {
+        sum.merge(stream);
+    }
+    // A verified round always reaches the servers, so it claims the
+    // failover if no stream's round did.
+    sum.merge(&run_query(&cluster, 0, Q::PsiVerified).unwrap().1.counts);
+    let after = metrics.snapshot();
+    counted_once(before, after, sum);
+    assert_eq!(
+        (sum[Counter::Failovers], after[Counter::Promotions]),
+        (1, 1)
+    );
+
+    cluster.into_deployment().shutdown().unwrap();
+    let _ = announcer.join();
+    for w in workers {
+        let _ = w.join();
+    }
 }
 
 #[test]
@@ -555,7 +641,8 @@ proptest! {
                 }
                 Step::Burst(kinds) => {
                     let net = wire.deployment();
-                    let before = net.report();
+                    let metrics = net.registry().unwrap().metrics();
+                    let before = metrics.snapshot();
                     let results: Vec<(u8, String, QueryStats)> = std::thread::scope(|s| {
                         let handles: Vec<_> = kinds
                             .iter()
@@ -569,9 +656,8 @@ proptest! {
                             .collect();
                         handles.into_iter().map(|h| h.join().unwrap()).collect()
                     });
-                    let after = net.report();
-                    let mut hits = 0u64;
-                    let mut misses = 0u64;
+                    let after = metrics.snapshot();
+                    let mut sum = Counts::default();
                     for (kind, out, stats) in &results {
                         // Both sides debug-print the same output types
                         // (`PsiOutcome`, `usize`, `Vec<u64>`,
@@ -584,11 +670,11 @@ proptest! {
                              oracle (stale or cross-paired reply)",
                             kind
                         );
-                        hits += stats.cache_hits;
-                        misses += stats.cache_misses;
+                        sum.merge(&stats.counts);
                     }
-                    prop_assert_eq!(after.cache_hits - before.cache_hits, hits);
-                    prop_assert_eq!(after.cache_misses - before.cache_misses, misses);
+                    for c in [Counter::CacheHits, Counter::CacheMisses] {
+                        prop_assert_eq!(after[c] - before[c], sum[c]);
+                    }
                     prop_assert_eq!(net.rejected_replies(), 0);
                 }
             }

@@ -7,206 +7,15 @@
 //! Sparse data ⇒ most of the domain is never touched; dense data ⇒ the
 //! tree adds overhead (the paper's open problem).
 //!
-//! Two artifacts live here:
-//!
-//! * [`BucketTree`] + [`bucketized_psi`] — the real multi-round protocol
-//!   (used in tests/examples and provably equivalent to flat PSI);
-//! * [`simulate_actual_domain`] — the Figure-5 counting simulation
-//!   ("actual domain size" = total cells PSI executes on, versus the real
-//!   domain size), bitmap-based so the paper-scale tree (fanout 10,
-//!   height 9, 100M leaves) fits in ~14 MB.
+//! [`simulate_actual_domain`] is the Figure-5 counting simulation
+//! ("actual domain size" = total cells PSI executes on, versus the real
+//! domain size), bitmap-based so the paper-scale tree (fanout 10, height
+//! 9, 100M leaves) fits in ~14 MB. The multi-round protocol itself
+//! (`BucketTree`, `bucketized_psi`) has no caller outside this module's
+//! tests, which check it against flat PSI, so it lives there until the
+//! engine runs it over stored levels.
 
-use crate::error::Result;
-use crate::params::{ServerParams, Setup};
-use crate::psi;
-use crate::tables::share_indicator;
 use prism_core::Prg;
-
-/// Shape of a κ-ary bucket tree over `leaves` cells.
-///
-/// Levels are numbered 1 (root) … `height` (leaves); level ℓ has
-/// `κ^(ℓ−1)` node slots (the last level is conceptually padded up to a
-/// power of κ; padding nodes are always 0).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BucketTree {
-    /// Fanout κ ≥ 2.
-    pub fanout: usize,
-    /// Number of levels including root and leaves.
-    pub height: usize,
-    /// True (unpadded) number of leaves.
-    pub leaves: usize,
-}
-
-impl BucketTree {
-    /// Smallest tree with the given fanout covering `leaves` cells.
-    pub fn new(leaves: usize, fanout: usize) -> Self {
-        assert!(fanout >= 2, "fanout must be at least 2");
-        assert!(leaves >= 1, "tree needs at least one leaf");
-        let mut height = 1usize;
-        let mut span = 1usize;
-        while span < leaves {
-            span = span.saturating_mul(fanout);
-            height += 1;
-        }
-        BucketTree {
-            fanout,
-            height,
-            leaves,
-        }
-    }
-
-    /// Number of node slots at 1-based level ℓ.
-    pub(crate) fn level_width(&self, level: usize) -> usize {
-        assert!((1..=self.height).contains(&level));
-        self.fanout.pow((level - 1) as u32)
-    }
-
-    /// Build per-level indicator vectors (root→leaves) from a leaf
-    /// indicator vector: interior node = OR of children.
-    pub fn lift(&self, leaf_indicator: &[u64]) -> Vec<Vec<u64>> {
-        assert_eq!(leaf_indicator.len(), self.leaves, "leaf vector length");
-        let mut levels: Vec<Vec<u64>> = Vec::with_capacity(self.height);
-        // Leaves, padded to κ^(h−1).
-        let mut cur: Vec<u64> = {
-            let mut v = vec![0u64; self.level_width(self.height)];
-            for (i, &x) in leaf_indicator.iter().enumerate() {
-                v[i] = u64::from(x != 0);
-            }
-            v
-        };
-        levels.push(cur.clone());
-        for level in (1..self.height).rev() {
-            let width = self.level_width(level);
-            let mut up = vec![0u64; width];
-            for (parent, slot) in up.iter_mut().enumerate() {
-                let base = parent * self.fanout;
-                *slot = u64::from(cur[base..base + self.fanout].iter().any(|&c| c != 0));
-            }
-            levels.push(up.clone());
-            cur = up;
-        }
-        levels.reverse(); // index 0 = root level
-        levels
-    }
-}
-
-/// Outcome of a bucketized PSI run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BucketPsiOutcome {
-    /// Leaf cells common to all owners (same answer as flat PSI).
-    pub common_cells: Vec<usize>,
-    /// Total number of cells PSI actually executed on across all rounds —
-    /// the "actual domain size" of Figure 5.
-    pub cells_queried: usize,
-    /// Number of owner↔server rounds used (= tree height − start level + 1).
-    pub rounds: usize,
-}
-
-/// Run the full multi-round bucketized PSI over the owners' leaf
-/// indicators. `start_level` is the first level queried (2 = children of
-/// the root, the natural choice; the root level is a single always-queried
-/// node carrying no information).
-pub fn bucketized_psi(
-    leaf_indicators: &[Vec<u64>],
-    tree: &BucketTree,
-    setup: &Setup,
-    start_level: usize,
-    threads: usize,
-    seed: u64,
-) -> Result<BucketPsiOutcome> {
-    let m = leaf_indicators.len();
-    assert!(start_level >= 1 && start_level <= tree.height);
-    // Per-owner level tables.
-    let owner_levels: Vec<Vec<Vec<u64>>> = leaf_indicators
-        .iter()
-        .map(|leafs| tree.lift(leafs))
-        .collect();
-
-    let mut cells_queried = 0usize;
-    let mut rounds = 0usize;
-    // Active node set at the current level (indices into the level array).
-    let mut active: Vec<usize> = (0..tree.level_width(start_level)).collect();
-    let mut common_at_level: Vec<usize> = Vec::new();
-
-    for level in start_level..=tree.height {
-        if level > start_level {
-            // Children of the surviving nodes of the previous level.
-            active = common_at_level
-                .iter()
-                .flat_map(|&p| {
-                    let base = p * tree.fanout;
-                    base..base + tree.fanout
-                })
-                .collect();
-        }
-        if active.is_empty() {
-            // Nothing left to query; deeper levels are all pruned.
-            return Ok(BucketPsiOutcome {
-                common_cells: Vec::new(),
-                cells_queried,
-                rounds,
-            });
-        }
-        rounds += 1;
-        cells_queried += active.len();
-
-        // Owners extract and share the active sub-vectors.
-        let sub_len = active.len();
-        let sub_setup_owner = with_domain_owner(&setup.owner, sub_len);
-        let sub_servers: Vec<ServerParams> = setup
-            .servers
-            .iter()
-            .map(|sp| with_domain_server(sp, sub_len))
-            .collect();
-        let mut uploads = Vec::with_capacity(m);
-        for (j, levels) in owner_levels.iter().enumerate() {
-            let lv = &levels[level - 1];
-            let sub: Vec<u64> = active.iter().map(|&i| lv[i]).collect();
-            let mut prg = Prg::from_seed(seed ^ ((level as u64) << 32) ^ (j as u64 + 1));
-            uploads.push(share_indicator(&sub, setup.owner.delta, &mut prg));
-        }
-        let s1: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
-        let s2: Vec<&[u64]> = uploads.iter().map(|u| u.shares[1].as_slice()).collect();
-        let o1 = psi::server_psi_round(&s1, &sub_servers[0], threads)?;
-        let o2 = psi::server_psi_round(&s2, &sub_servers[1], threads)?;
-        let fop = psi::owner_combine(&o1, &o2, &sub_setup_owner)?;
-        common_at_level = fop
-            .iter()
-            .enumerate()
-            .filter(|&(_, &v)| v == 1)
-            .map(|(k, _)| active[k])
-            .collect();
-    }
-
-    // `common_at_level` now holds leaf slots; trim padding.
-    let common_cells: Vec<usize> = common_at_level
-        .into_iter()
-        .filter(|&i| i < tree.leaves)
-        .collect();
-    Ok(BucketPsiOutcome {
-        common_cells,
-        cells_queried,
-        rounds,
-    })
-}
-
-fn with_domain_owner(op: &crate::params::OwnerParams, b: usize) -> crate::params::OwnerParams {
-    let mut o = op.clone();
-    o.b = b;
-    // The cell-permutations are domain-length-bound; sub-queries use
-    // identity (verification over sub-vectors is run at the leaf level).
-    o.pf_db1 = prism_core::Permutation::identity(b);
-    o.pf_db2 = prism_core::Permutation::identity(b);
-    o
-}
-
-fn with_domain_server(sp: &ServerParams, b: usize) -> ServerParams {
-    let mut s = sp.clone();
-    s.b = b;
-    s.pf_s1 = prism_core::Permutation::identity(b);
-    s.pf_s2 = prism_core::Permutation::identity(b);
-    s
-}
 
 /// A packed bitmap (little-endian u64 blocks).
 struct Bitmap {
@@ -349,8 +158,197 @@ pub fn simulate_actual_domain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{Initiator, SystemConfig};
+    use crate::error::Result;
+    use crate::params::{Initiator, ServerParams, Setup, SystemConfig};
+    use crate::psi;
+    use crate::tables::share_indicator;
     use prism_core::DenseIntDomain;
+
+    /// Shape of a κ-ary bucket tree over `leaves` cells.
+    ///
+    /// Levels are numbered 1 (root) … `height` (leaves); level ℓ has
+    /// `κ^(ℓ−1)` node slots (the last level is conceptually padded up to a
+    /// power of κ; padding nodes are always 0).
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct BucketTree {
+        /// Fanout κ ≥ 2.
+        fanout: usize,
+        /// Number of levels including root and leaves.
+        height: usize,
+        /// True (unpadded) number of leaves.
+        leaves: usize,
+    }
+
+    impl BucketTree {
+        /// Smallest tree with the given fanout covering `leaves` cells.
+        fn new(leaves: usize, fanout: usize) -> Self {
+            assert!(fanout >= 2, "fanout must be at least 2");
+            assert!(leaves >= 1, "tree needs at least one leaf");
+            let mut height = 1usize;
+            let mut span = 1usize;
+            while span < leaves {
+                span = span.saturating_mul(fanout);
+                height += 1;
+            }
+            BucketTree {
+                fanout,
+                height,
+                leaves,
+            }
+        }
+
+        /// Number of node slots at 1-based level ℓ.
+        fn level_width(&self, level: usize) -> usize {
+            assert!((1..=self.height).contains(&level));
+            self.fanout.pow((level - 1) as u32)
+        }
+
+        /// Build per-level indicator vectors (root→leaves) from a leaf
+        /// indicator vector: interior node = OR of children.
+        fn lift(&self, leaf_indicator: &[u64]) -> Vec<Vec<u64>> {
+            assert_eq!(leaf_indicator.len(), self.leaves, "leaf vector length");
+            let mut levels: Vec<Vec<u64>> = Vec::with_capacity(self.height);
+            // Leaves, padded to κ^(h−1).
+            let mut cur: Vec<u64> = {
+                let mut v = vec![0u64; self.level_width(self.height)];
+                for (i, &x) in leaf_indicator.iter().enumerate() {
+                    v[i] = u64::from(x != 0);
+                }
+                v
+            };
+            levels.push(cur.clone());
+            for level in (1..self.height).rev() {
+                let width = self.level_width(level);
+                let mut up = vec![0u64; width];
+                for (parent, slot) in up.iter_mut().enumerate() {
+                    let base = parent * self.fanout;
+                    *slot = u64::from(cur[base..base + self.fanout].iter().any(|&c| c != 0));
+                }
+                levels.push(up.clone());
+                cur = up;
+            }
+            levels.reverse(); // index 0 = root level
+            levels
+        }
+    }
+
+    /// Outcome of a bucketized PSI run.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct BucketPsiOutcome {
+        /// Leaf cells common to all owners (same answer as flat PSI).
+        common_cells: Vec<usize>,
+        /// Total number of cells PSI actually executed on across all rounds —
+        /// the "actual domain size" of Figure 5.
+        cells_queried: usize,
+        /// Number of owner↔server rounds used (= tree height − start level + 1).
+        rounds: usize,
+    }
+
+    /// Run the full multi-round bucketized PSI over the owners' leaf
+    /// indicators. `start_level` is the first level queried (2 = children of
+    /// the root, the natural choice; the root level is a single always-queried
+    /// node carrying no information).
+    fn bucketized_psi(
+        leaf_indicators: &[Vec<u64>],
+        tree: &BucketTree,
+        setup: &Setup,
+        start_level: usize,
+        threads: usize,
+        seed: u64,
+    ) -> Result<BucketPsiOutcome> {
+        let m = leaf_indicators.len();
+        assert!(start_level >= 1 && start_level <= tree.height);
+        // Per-owner level tables.
+        let owner_levels: Vec<Vec<Vec<u64>>> = leaf_indicators
+            .iter()
+            .map(|leafs| tree.lift(leafs))
+            .collect();
+
+        let mut cells_queried = 0usize;
+        let mut rounds = 0usize;
+        // Active node set at the current level (indices into the level array).
+        let mut active: Vec<usize> = (0..tree.level_width(start_level)).collect();
+        let mut common_at_level: Vec<usize> = Vec::new();
+
+        for level in start_level..=tree.height {
+            if level > start_level {
+                // Children of the surviving nodes of the previous level.
+                active = common_at_level
+                    .iter()
+                    .flat_map(|&p| {
+                        let base = p * tree.fanout;
+                        base..base + tree.fanout
+                    })
+                    .collect();
+            }
+            if active.is_empty() {
+                // Nothing left to query; deeper levels are all pruned.
+                return Ok(BucketPsiOutcome {
+                    common_cells: Vec::new(),
+                    cells_queried,
+                    rounds,
+                });
+            }
+            rounds += 1;
+            cells_queried += active.len();
+
+            // Owners extract and share the active sub-vectors.
+            let sub_len = active.len();
+            let sub_setup_owner = with_domain_owner(&setup.owner, sub_len);
+            let sub_servers: Vec<ServerParams> = setup
+                .servers
+                .iter()
+                .map(|sp| with_domain_server(sp, sub_len))
+                .collect();
+            let mut uploads = Vec::with_capacity(m);
+            for (j, levels) in owner_levels.iter().enumerate() {
+                let lv = &levels[level - 1];
+                let sub: Vec<u64> = active.iter().map(|&i| lv[i]).collect();
+                let mut prg = Prg::from_seed(seed ^ ((level as u64) << 32) ^ (j as u64 + 1));
+                uploads.push(share_indicator(&sub, setup.owner.delta, &mut prg));
+            }
+            let s1: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
+            let s2: Vec<&[u64]> = uploads.iter().map(|u| u.shares[1].as_slice()).collect();
+            let o1 = psi::server_psi_round(&s1, &sub_servers[0], threads)?;
+            let o2 = psi::server_psi_round(&s2, &sub_servers[1], threads)?;
+            let fop = psi::owner_combine(&o1, &o2, &sub_setup_owner)?;
+            common_at_level = fop
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v == 1)
+                .map(|(k, _)| active[k])
+                .collect();
+        }
+
+        // `common_at_level` now holds leaf slots; trim padding.
+        let common_cells: Vec<usize> = common_at_level
+            .into_iter()
+            .filter(|&i| i < tree.leaves)
+            .collect();
+        Ok(BucketPsiOutcome {
+            common_cells,
+            cells_queried,
+            rounds,
+        })
+    }
+
+    fn with_domain_owner(op: &crate::params::OwnerParams, b: usize) -> crate::params::OwnerParams {
+        let mut o = op.clone();
+        o.b = b;
+        // The cell-permutations are domain-length-bound; sub-queries use
+        // identity (verification over sub-vectors is run at the leaf level).
+        o.pf_db1 = prism_core::Permutation::identity(b);
+        o.pf_db2 = prism_core::Permutation::identity(b);
+        o
+    }
+
+    fn with_domain_server(sp: &ServerParams, b: usize) -> ServerParams {
+        let mut s = sp.clone();
+        s.b = b;
+        s.pf_s1 = prism_core::Permutation::identity(b);
+        s.pf_s2 = prism_core::Permutation::identity(b);
+        s
+    }
 
     fn leaf_indicator(values: &[u64], domain: u64) -> Vec<u64> {
         let d = DenseIntDomain::one_to(domain);

@@ -13,7 +13,8 @@
 //!   round's auxiliary `z` vectors (compared by value), every variant
 //!   stamped with the **per-range version stamps** of the store ranges
 //!   the round read (the `RangeVersion` epochs every `ColumnStore` write
-//!   moves), plus hit/miss/invalidation meters.
+//!   moves). It counts hits, misses and invalidations into the
+//!   deployment's [`Metrics`].
 //! * [`CachedExec`] wraps any backend. A *cache-eligible* round — every
 //!   command a [`ServerCmd::Run`] whose items are either all
 //!   store-deterministic round-1 operations ([`QueryOp::Psi`] /
@@ -78,12 +79,12 @@
 //! decorator on and off.
 
 use crate::engine::{
-    AnnouncerCmd, AnnouncerReply, BatchItem, ExecMeters, QueryOp, RangeVersion, RoundOutcome,
-    ServerCmd, ServerExec, ServerReply,
+    AnnouncerCmd, AnnouncerReply, BatchItem, QueryOp, RangeVersion, RoundOutcome, ServerCmd,
+    ServerExec, ServerReply,
 };
 use crate::error::{ProtocolError, Result};
+use crate::metrics::{Counter, Counts, Metrics};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -180,18 +181,26 @@ impl CacheState {
 /// The persistent cross-query cache state: share it between queries (the
 /// facades hold one per cluster) and bind it to a backend per query with
 /// [`CachedExec::new`].
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PsiRoundCache {
     state: Mutex<CacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
+    metrics: Arc<Metrics>,
 }
 
 impl PsiRoundCache {
-    /// An empty cache: no entries, every server's version unknown.
-    pub fn new() -> PsiRoundCache {
-        PsiRoundCache::default()
+    /// An empty cache, every server's version unknown, counting into the
+    /// deployment's `metrics`.
+    pub fn new(metrics: Arc<Metrics>) -> PsiRoundCache {
+        PsiRoundCache {
+            state: Mutex::default(),
+            metrics,
+        }
+    }
+
+    /// The store this cache counts its hits, misses and invalidations
+    /// into.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
     }
 
     fn state(&self) -> Result<std::sync::MutexGuard<'_, CacheState>> {
@@ -226,16 +235,15 @@ impl PsiRoundCache {
     pub fn note_tamper(&self, server: usize, honest: bool) {
         if let Ok(mut st) = self.state() {
             *CacheState::slot(&mut st.tampered, server) = !honest;
-            self.drop_entries(&mut st, server, None);
+            let dropped = self.drop_entries(&mut st, server, None);
+            self.metrics.add(Counter::CacheInvalidations, dropped);
         }
     }
 
     /// Drop `server`'s entries — all of them (`confirmed = None`), or
     /// only those whose stamps disagree with the server-confirmed range
-    /// stamps over the entry's own range. Returns how many were dropped
-    /// so callers can attribute the invalidations to the query that
-    /// triggered the probe (the global counter is bumped here either
-    /// way).
+    /// stamps over the entry's own range. Returns how many were dropped,
+    /// for the caller to count.
     fn drop_entries(
         &self,
         st: &mut CacheState,
@@ -250,24 +258,7 @@ impl PsiRoundCache {
             }
             !variants.is_empty()
         });
-        let dropped = (before - st.len()) as u64;
-        self.invalidations.fetch_add(dropped, Ordering::Relaxed);
-        dropped
-    }
-
-    /// Rounds served from the cache since construction.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache-eligible rounds that executed for real.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Entries dropped as stale (version mismatch or tamper).
-    pub fn invalidations(&self) -> u64 {
-        self.invalidations.load(Ordering::Relaxed)
+        (before - st.len()) as u64
     }
 
     /// Live entries (`z` variants) held for `server` (tests observe
@@ -326,7 +317,7 @@ fn eligible_key(cmd: &ServerCmd) -> Option<KeyView<'_>> {
 /// The decorator sits *above* the transport boundary — it wraps
 /// `InMemoryExec`, `ShardedExec`, or a whole `NetCluster` identically —
 /// and *below* the plans, which cannot tell a served round from an
-/// executed one except through the meters.
+/// executed one except through the counts.
 #[derive(Debug)]
 pub struct CachedExec<'c, X: ServerExec> {
     inner: X,
@@ -342,14 +333,13 @@ impl<'c, X: ServerExec> CachedExec<'c, X> {
     /// Probe the store range stamps of `servers` through the inner
     /// backend (one [`ServerCmd::RangeVersions`] round) and record them,
     /// dropping any entry whose overlapping stamps the confirmed state
-    /// proves stale. Returns the probe's server-side cost and per-call
-    /// meters (the inner round's own meters plus the invalidations the
-    /// probe caused) so the caller can charge both to the query that
-    /// triggered it — the probe is a real round-trip, just not a
-    /// plan-visible round.
-    fn refresh_versions(&self, servers: &[usize]) -> Result<(Duration, ExecMeters)> {
+    /// proves stale. Returns the probe's server-side cost and counts
+    /// (the inner round's own plus the invalidations the probe caused) so
+    /// the caller can charge both to the query that triggered it — the
+    /// probe is a real round-trip, just not a plan-visible round.
+    fn refresh_versions(&self, servers: &[usize]) -> Result<(Duration, Counts)> {
         if servers.is_empty() {
-            return Ok((Duration::ZERO, ExecMeters::default()));
+            return Ok((Duration::ZERO, Counts::default()));
         }
         let cmds = servers
             .iter()
@@ -358,7 +348,7 @@ impl<'c, X: ServerExec> CachedExec<'c, X> {
         let RoundOutcome {
             replies,
             cost: probe_cost,
-            mut meters,
+            mut counts,
         } = self.inner.round(cmds)?;
         if replies.len() != servers.len() {
             return Err(ProtocolError::MalformedResponse(
@@ -375,10 +365,12 @@ impl<'c, X: ServerExec> CachedExec<'c, X> {
                     ))
                 }
             };
-            meters.cache_invalidations += self.cache.drop_entries(&mut st, s, Some(&v));
+            let dropped = self.cache.drop_entries(&mut st, s, Some(&v));
+            let metrics = &self.cache.metrics;
+            metrics.record(Counter::CacheInvalidations, dropped, &mut counts);
             *CacheState::slot(&mut st.versions, s) = Some(v);
         }
-        Ok((probe_cost, meters))
+        Ok((probe_cost, counts))
     }
 }
 
@@ -409,7 +401,7 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
                 .filter(|&s| st.versions.get(s).map_or(true, Option::is_none))
                 .collect()
         };
-        let (probe_cost, probe_meters) = self.refresh_versions(&unknown)?;
+        let (probe_cost, mut counts) = self.refresh_versions(&unknown)?;
 
         // Serve the whole round iff every participant holds the round's `z`
         // variant stamped with the confirmed state over the entry's range.
@@ -433,14 +425,13 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
             };
             (served, stamps)
         };
+        let metrics = &self.cache.metrics;
         if let Some(replies) = served {
-            self.cache.hits.fetch_add(1, Ordering::Relaxed);
-            let mut meters = probe_meters;
-            meters.cache_hits += 1;
+            metrics.record(Counter::CacheHits, 1, &mut counts);
             return Ok(RoundOutcome {
                 replies,
                 cost: probe_cost,
-                meters,
+                counts,
             });
         }
 
@@ -457,9 +448,10 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
         let RoundOutcome {
             replies,
             cost,
-            meters: inner_meters,
+            counts: inner,
         } = self.inner.round(cmds)?;
-        self.cache.misses.fetch_add(1, Ordering::Relaxed);
+        counts.merge(&inner);
+        metrics.record(Counter::CacheMisses, 1, &mut counts);
         let mut st = self.cache.state()?;
         let replies = replies
             .into_iter()
@@ -478,12 +470,10 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
             })
             .collect();
         drop(st);
-        let mut meters = probe_meters.add(inner_meters);
-        meters.cache_misses += 1;
         Ok(RoundOutcome {
             replies,
             cost: cost + probe_cost,
-            meters,
+            counts,
         })
     }
 
@@ -494,14 +484,6 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
         threads: usize,
     ) -> Result<(AnnouncerReply, Duration)> {
         self.inner.announce(cmd, seq, threads)
-    }
-
-    fn meters(&self) -> ExecMeters {
-        let mut m = self.inner.meters();
-        m.cache_hits += self.cache.hits();
-        m.cache_misses += self.cache.misses();
-        m.cache_invalidations += self.cache.invalidations();
-        m
     }
 
     /// Only pass-through rounds hand out owned vectors — served and cached
@@ -517,6 +499,7 @@ mod tests {
     use super::*;
     use crate::engine::{BatchQuery, Ctx, Engine, Operation, ServerCmd};
     use crate::params::{Initiator, SystemConfig};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn run_cmd(items: Vec<BatchItem>) -> ServerCmd {
         ServerCmd::Run(BatchQuery {
@@ -639,7 +622,7 @@ mod tests {
 
     #[test]
     fn the_inner_backend_gets_back_what_it_gave_out_and_no_copies() {
-        let (cache, inner) = (PsiRoundCache::new(), Counting::default());
+        let (cache, inner) = (PsiRoundCache::new(Arc::default()), Counting::default());
         let exec = CachedExec::new(&inner, &cache);
         let setup = Initiator::new(SystemConfig::new(2, 4).with_seed(7))
             .setup()
@@ -652,7 +635,10 @@ mod tests {
         let reclaimed = || inner.reclaimed.load(Ordering::Relaxed);
         // Executed: both vectors move into the cache, none goes back.
         assert_eq!(run(QueryOp::Psi).0, vec![7, 7]);
-        assert_eq!((cache.misses(), reclaimed()), (1, 0));
+        assert_eq!(
+            (cache.metrics().get(Counter::CacheMisses), reclaimed()),
+            (1, 0)
+        );
         // Served, twice: the cached vectors themselves, never reclaimed.
         for _ in 0..2 {
             let (cells, stats) = run(QueryOp::Psi);
@@ -661,7 +647,10 @@ mod tests {
                 (vec![7, 7], 0, 1)
             );
         }
-        assert_eq!((cache.hits(), reclaimed()), (2, 0));
+        assert_eq!(
+            (cache.metrics().get(Counter::CacheHits), reclaimed()),
+            (2, 0)
+        );
         // A pass-through round's vectors go back, one per server.
         assert_eq!(run(QueryOp::PsiVerify).0, vec![7, 7]);
         assert_eq!(reclaimed(), 2);
@@ -683,7 +672,7 @@ mod tests {
 
     #[test]
     fn note_upload_marks_only_the_touched_server_unknown() {
-        let cache = PsiRoundCache::new();
+        let cache = PsiRoundCache::new(Arc::default());
         {
             let mut st = cache.state().unwrap();
             *CacheState::slot(&mut st.versions, 0) = Some(vec![(0, 8, 3)]);
@@ -697,7 +686,7 @@ mod tests {
 
     #[test]
     fn tamper_drops_entries_and_counts_invalidations() {
-        let cache = PsiRoundCache::new();
+        let cache = PsiRoundCache::new(Arc::default());
         {
             let mut st = cache.state().unwrap();
             st.insert(
@@ -712,12 +701,12 @@ mod tests {
         cache.note_tamper(0, false);
         assert_eq!(cache.server_entries(0), 0);
         assert_eq!(cache.server_entries(1), 1);
-        assert_eq!(cache.invalidations(), 1);
+        assert_eq!(cache.metrics().get(Counter::CacheInvalidations), 1);
     }
 
     #[test]
     fn delta_bump_invalidates_only_overlapping_entries() {
-        let cache = PsiRoundCache::new();
+        let cache = PsiRoundCache::new(Arc::default());
         {
             let mut st = cache.state().unwrap();
             // Whole-domain entry over stamps [(0,8,1)], plus a

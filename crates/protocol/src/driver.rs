@@ -353,7 +353,7 @@ impl Cluster {
             announcer: Announcer::new(setup.announcer.clone()),
             setup,
             threads: cfg.threads,
-            cache: cfg.cache.then(PsiRoundCache::new),
+            cache: cfg.cache.then(|| PsiRoundCache::new(Default::default())),
         };
         Cluster::over(servers, inputs, cfg)
     }
@@ -402,7 +402,7 @@ impl Cluster {
     }
 
     /// The cross-query PSI-round cache, when enabled (tests observe
-    /// hit/miss/invalidation counters and entry granularity through it).
+    /// its hit/miss/invalidation metrics and entry granularity through it).
     pub fn cache(&self) -> Option<&PsiRoundCache> {
         self.deployment.cache.as_ref()
     }
@@ -954,10 +954,10 @@ mod tests {
         let (_, total) = c.psi_max_multi(&[0, 1]).unwrap();
         assert_eq!(singles[0].rounds, 3);
         assert_eq!(total.rounds, 2 * singles[0].rounds);
-        assert!(singles[0].shard_dispatches > 0, "shards = 2 must fan out");
+        assert!(singles[0].shard_dispatches() > 0, "shards = 2 must fan out");
         assert_eq!(
-            total.shard_dispatches,
-            singles[0].shard_dispatches + singles[1].shard_dispatches
+            total.shard_dispatches(),
+            singles[0].shard_dispatches() + singles[1].shard_dispatches()
         );
     }
 
@@ -1130,16 +1130,16 @@ mod tests {
         let c = Cluster::build(&hospitals(), cfg).unwrap();
         let (cold, s1) = c.psi().unwrap();
         assert_eq!(s1.rounds, 1);
-        assert_eq!(s1.cache_misses, 1);
+        assert_eq!(s1.cache_misses(), 1);
         let (warm, s2) = c.psi().unwrap();
         assert_eq!(warm.fop, cold.fop, "cache changed the PSI result");
         assert_eq!(s2.rounds, 0, "warm PSI must not touch the servers");
-        assert_eq!(s2.cache_hits, 1);
+        assert_eq!(s2.cache_hits(), 1);
         // The batch plan rides the same cached round 1.
         let batch = QueryBatch::new().sum(0).avg(0);
         let (_, s3) = c.psi_query_batch(&batch).unwrap();
         assert_eq!(s3.rounds, 1, "warm batch pays only its round 2");
-        assert_eq!(s3.cache_hits, 1);
+        assert_eq!(s3.cache_hits(), 1);
     }
 
     #[test]
@@ -1162,11 +1162,11 @@ mod tests {
         let (want, oracle_stats) = oracle.psi().unwrap();
         assert_eq!(got.fop, want.fop, "stale PSI served after an update");
         assert_eq!(stats.rounds, oracle_stats.rounds, "cold path round count");
-        assert!(stats.cache_invalidations >= 1, "update must invalidate");
+        assert!(stats.cache_invalidations() >= 1, "update must invalidate");
         // Verified paths still work (and still bypass the cache).
         let (_, vstats) = cached.psi_verified().unwrap();
         assert_eq!(vstats.rounds, 1);
-        assert_eq!(vstats.cache_hits, 0);
+        assert_eq!(vstats.cache_hits(), 0);
     }
 
     /// An update is a fold of `new − old` into the sums, so every column —
@@ -1252,7 +1252,7 @@ mod tests {
         let (want, _) = oracle.psi_query_batch_range(&batch, (0, 3)).unwrap();
         assert_eq!(got, want, "stale window served after an append");
         assert_eq!(stats.rounds, 0, "untouched window must replay from cache");
-        assert_eq!(stats.cache_hits, 2);
+        assert_eq!(stats.cache_hits(), 2);
         // Full-domain results over the grown domain match bit for bit;
         // cell 4 is common to all three owners (sum 10+20+30).
         let (got, _) = cached.psi_query_batch(&batch).unwrap();
@@ -1296,7 +1296,8 @@ mod tests {
         c.deployment.note_uploads(2..3);
         let (_, stats) = c.psi().unwrap();
         assert_eq!(
-            stats.cache_hits, 1,
+            stats.cache_hits(),
+            1,
             "an upload to the Shamir-only server must not evict additive entries"
         );
     }

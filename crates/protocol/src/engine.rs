@@ -27,6 +27,7 @@ use crate::error::{ProtocolError, Result};
 use crate::malicious::Tamper;
 use crate::max::{self, BlindedMaxUpload, MaxAnnouncement};
 use crate::median::{self, MedianAnnouncement};
+use crate::metrics::{Counter, Counts};
 use crate::params::{AnnouncerParams, OwnerParams, ServerParams, SHAMIR_SERVERS};
 use crate::{chunk, psi, psu, sum};
 use prism_core::arith::fold_canonical_mod;
@@ -287,7 +288,7 @@ pub enum AnnouncerReply {
     Median(MedianAnnouncement),
 }
 
-/// Wall-clock accounting for one query.
+/// Wall-clock and event accounting for one query.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct QueryStats {
     /// Per-round maximum over servers of their compute time, summed over
@@ -299,27 +300,13 @@ pub struct QueryStats {
     pub owner_time: Duration,
     /// Announcer compute time (max/median only).
     pub announcer_time: Duration,
-    /// Owner↔server communication rounds used.
+    /// Owner↔server communication rounds used. A round served from the
+    /// PSI-round cache is a [`Counter::CacheHits`], not a round.
     pub rounds: usize,
-    /// Shard sub-commands fanned out by the backend across all rounds —
-    /// 0 on unsharded backends, `shards × server-commands` when a
-    /// sharded backend actually split a round (see [`crate::shard`]).
-    pub shard_dispatches: u64,
-    /// Rounds this query served straight from the PSI-round cache (0
-    /// unless the backend is wrapped in [`crate::cache::CachedExec`]).
-    /// A served round is *not* counted in `rounds` — no owner↔server
-    /// round-trip happened.
-    pub cache_hits: u64,
-    /// Cache-eligible rounds this query had to execute for real (cold
-    /// cache, or an entry invalidated by an upload).
-    pub cache_misses: u64,
-    /// Cache entries dropped during this query because a store-version
-    /// probe or a tamper injection proved them stale.
-    pub cache_invalidations: u64,
-    /// Shard-worker failovers the backend healed while this query ran
-    /// (0 everywhere except the elastic networked cluster — see
-    /// `prism_net`'s registry).
-    pub failovers: u64,
+    /// What the backend counted for this query's rounds: the sum of
+    /// their [`RoundOutcome::counts`] (only the [`Counter::per_query`]
+    /// counters move).
+    pub counts: Counts,
 }
 
 impl QueryStats {
@@ -332,21 +319,13 @@ impl QueryStats {
             owner_time,
             announcer_time,
             rounds,
-            shard_dispatches,
-            cache_hits,
-            cache_misses,
-            cache_invalidations,
-            failovers,
+            counts,
         } = *other;
         self.server_time += server_time;
         self.owner_time += owner_time;
         self.announcer_time += announcer_time;
         self.rounds += rounds;
-        self.shard_dispatches += shard_dispatches;
-        self.cache_hits += cache_hits;
-        self.cache_misses += cache_misses;
-        self.cache_invalidations += cache_invalidations;
-        self.failovers += failovers;
+        self.counts.merge(&counts);
     }
 
     /// Owner↔server communication rounds used.
@@ -372,94 +351,53 @@ impl QueryStats {
 
     /// Shard sub-commands the backend fanned out for this query.
     pub fn shard_dispatches(&self) -> u64 {
-        self.shard_dispatches
+        self.counts[Counter::ShardDispatches]
     }
 
     /// Rounds served straight from the PSI-round cache.
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+        self.counts[Counter::CacheHits]
     }
 
     /// Cache-eligible rounds that executed for real.
     pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
+        self.counts[Counter::CacheMisses]
     }
 
     /// Cache entries invalidated during this query.
     pub fn cache_invalidations(&self) -> u64 {
-        self.cache_invalidations
+        self.counts[Counter::CacheInvalidations]
     }
 
     /// Shard-worker failovers healed while this query ran.
     pub fn failovers(&self) -> u64 {
-        self.failovers
+        self.counts[Counter::Failovers]
     }
 }
 
 impl std::fmt::Display for QueryStats {
     /// One-line human summary, e.g.
     /// `rounds=2 server=1.24ms owner=310.0µs announcer=0ns shard_dispatches=10
-    /// cache_hits=0 cache_misses=1 cache_invalidations=0`.
+    /// cache_hits=0 cache_misses=1 cache_invalidations=0 failovers=0`.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "rounds={} server={:?} owner={:?} announcer={:?} shard_dispatches={} \
-             cache_hits={} cache_misses={} cache_invalidations={} failovers={}",
-            self.rounds,
-            self.server_time,
-            self.owner_time,
-            self.announcer_time,
-            self.shard_dispatches,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_invalidations,
-            self.failovers
-        )
-    }
-}
-
-/// Dispatch meters a [`ServerExec`] backend reports. Two uses: each
-/// [`RoundOutcome`] carries the meters attributable to exactly that
-/// round call (what [`Ctx::round`] adds to [`QueryStats`] — exact even
-/// when many queries interleave on one shared backend), and
-/// [`ServerExec::meters`] exposes the backend's cumulative totals for
-/// reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecMeters {
-    /// Shard sub-commands dispatched since the backend was built.
-    pub shard_dispatches: u64,
-    /// Rounds served from the PSI-round cache since the backend was
-    /// built (only [`crate::cache::CachedExec`] reports these).
-    pub cache_hits: u64,
-    /// Cache-eligible rounds that executed for real.
-    pub cache_misses: u64,
-    /// Cache entries dropped as stale (version mismatch or tamper).
-    pub cache_invalidations: u64,
-    /// Shard-worker failovers healed since the backend was built (only
-    /// the elastic networked cluster reports these).
-    pub failovers: u64,
-}
-
-impl ExecMeters {
-    /// Component-wise sum (used by decorators that layer their own
-    /// meters over an inner backend's).
-    pub fn add(self, other: ExecMeters) -> ExecMeters {
-        ExecMeters {
-            shard_dispatches: self.shard_dispatches + other.shard_dispatches,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            cache_invalidations: self.cache_invalidations + other.cache_invalidations,
-            failovers: self.failovers + other.failovers,
+            "rounds={} server={:?} owner={:?} announcer={:?}",
+            self.rounds, self.server_time, self.owner_time, self.announcer_time
+        )?;
+        for c in Counter::ALL.into_iter().filter(|c| c.per_query()) {
+            write!(f, " {}={}", c.name(), self.counts[c])?;
         }
+        Ok(())
     }
 }
 
 /// Everything one [`ServerExec::round`] call produced: the per-server
 /// replies in command order, the backend's notion of server-side cost,
-/// and the dispatch meters attributable to exactly this call. Carrying
-/// the meters *in* the outcome (instead of sampling cumulative counters
-/// around the call) is what keeps per-query accounting exact when many
-/// queries interleave on one shared backend.
+/// and the events counted for exactly this call. Carrying the counts
+/// *in* the outcome (instead of sampling cumulative counters around the
+/// call) is what keeps per-query accounting exact when many queries
+/// interleave on one shared backend.
 #[derive(Debug)]
 pub struct RoundOutcome {
     /// Per-server replies, in command order.
@@ -467,17 +405,17 @@ pub struct RoundOutcome {
     /// Server-side cost of the round (max compute over servers
     /// in-process; round-trip wall time over a wire).
     pub cost: Duration,
-    /// Dispatch/cache meters for exactly this call.
-    pub meters: ExecMeters,
+    /// Dispatch, cache and failover counts for exactly this call.
+    pub counts: Counts,
 }
 
 impl RoundOutcome {
-    /// An outcome with no dispatch meters (unsharded, uncached backends).
+    /// An outcome that counted nothing (unsharded, uncached backends).
     pub fn plain(replies: Vec<ServerReply>, cost: Duration) -> RoundOutcome {
         RoundOutcome {
             replies,
             cost,
-            meters: ExecMeters::default(),
+            counts: Counts::default(),
         }
     }
 }
@@ -1538,8 +1476,7 @@ pub trait ServerExec {
     /// One call corresponds to one owner↔server communication round; the
     /// outcome carries the backend's notion of server-side cost for the
     /// round (max compute over servers in-process; round-trip wall time
-    /// over a wire) plus the dispatch meters attributable to exactly this
-    /// call. Wide matrices produced by [`ServerCmd::MaxCombine`] must be
+    /// over a wire) plus the events counted for exactly this call. Wide matrices produced by [`ServerCmd::MaxCombine`] must be
     /// delivered to the backend's announcer and replaced by
     /// [`ServerReply::WideForwarded`] receipts.
     fn round(&self, cmds: Vec<(usize, ServerCmd)>) -> Result<RoundOutcome>;
@@ -1555,13 +1492,6 @@ pub trait ServerExec {
         seq: u64,
         threads: usize,
     ) -> Result<(AnnouncerReply, Duration)>;
-
-    /// Cumulative dispatch meters for this backend. Backends without
-    /// fan-out keep the default zeros; sharded backends report how many
-    /// shard sub-commands they have issued so far.
-    fn meters(&self) -> ExecMeters {
-        ExecMeters::default()
-    }
 
     /// Take back the vectors of a [`ServerReply::Vectors`] that `server`
     /// answered in an earlier [`ServerExec::round`], now that the owner
@@ -1591,10 +1521,6 @@ impl<T: ServerExec + ?Sized> ServerExec for &T {
         threads: usize,
     ) -> Result<(AnnouncerReply, Duration)> {
         (**self).announce(cmd, seq, threads)
-    }
-
-    fn meters(&self) -> ExecMeters {
-        (**self).meters()
     }
 
     fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
@@ -1902,28 +1828,22 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
     /// following [`Ctx::announce`]. A round the backend served entirely
     /// from its PSI-round cache (see [`crate::cache::CachedExec`]) is
     /// *not* counted in [`QueryStats::rounds`] — no owner↔server
-    /// round-trip happened — and lands in
-    /// [`QueryStats::cache_hits`] instead.
+    /// round-trip happened — and lands in [`Counter::CacheHits`] instead.
     ///
-    /// The cache and `shard_dispatches` counters come straight out of the
-    /// [`RoundOutcome`] — each backend reports the meters attributable to
-    /// exactly this call — so per-query stats stay exact even when many
-    /// queries interleave on one shared backend.
+    /// The round's [`Counts`] come straight out of the [`RoundOutcome`],
+    /// so per-query stats stay exact even when many queries interleave
+    /// on one shared backend.
     pub fn round(&mut self, cmds: Vec<(usize, ServerCmd)>) -> Result<Vec<ServerReply>> {
         let RoundOutcome {
             replies,
             cost,
-            meters,
+            counts,
         } = self.exec.round(cmds)?;
-        self.stats.cache_hits += meters.cache_hits;
-        self.stats.cache_misses += meters.cache_misses;
-        self.stats.cache_invalidations += meters.cache_invalidations;
-        self.stats.failovers += meters.failovers;
-        if meters.cache_hits == 0 {
+        if counts[Counter::CacheHits] == 0 {
             self.stats.rounds += 1;
         }
         self.stats.server_time += cost;
-        self.stats.shard_dispatches += meters.shard_dispatches;
+        self.stats.counts.merge(&counts);
         let mut round_seq = None;
         for reply in &replies {
             if let ServerReply::WideForwarded { seq, .. } = reply {

@@ -38,6 +38,7 @@ pub mod error;
 pub mod malicious;
 pub mod max;
 pub mod median;
+pub mod metrics;
 pub(crate) mod multiattr;
 pub mod params;
 pub mod plans;
@@ -48,8 +49,9 @@ pub mod sum;
 pub mod tables;
 
 pub use cache::{CachedExec, PsiRoundCache};
-pub use engine::{Engine, ExecMeters, Operation, QueryStats, ServerExec, ServerNode};
+pub use engine::{Engine, Operation, QueryStats, ServerExec, ServerNode};
 pub use error::{ProtocolError, Result};
+pub use metrics::{Counter, Counts, Metrics};
 pub use params::{
     AnnouncerParams, Initiator, OwnerParams, ServerParams, Setup, SystemConfig, ADDITIVE_SERVERS,
     SHAMIR_SERVERS,

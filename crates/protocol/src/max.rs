@@ -106,12 +106,8 @@ pub fn owner_blind_maxima(
 
 /// Server Step 4: per cell, gather the m owners' share rows and apply the
 /// shared owner-slot permutation `PF`. Output rows are laid out
-/// `cell·m + permuted_slot`. Chunk-parallel over cells.
-pub fn server_max_round(owner_uploads: &[BlindedMaxUpload], sp: &ServerParams) -> Result<WideVec> {
-    server_max_round_threads(owner_uploads, sp, 1)
-}
-
-/// [`server_max_round`] with an explicit worker count.
+/// `cell·m + permuted_slot`. Chunk-parallel over cells on `threads`
+/// workers.
 pub(crate) fn server_max_round_threads(
     owner_uploads: &[BlindedMaxUpload],
     sp: &ServerParams,
@@ -165,16 +161,7 @@ pub struct MaxAnnouncement {
 
 /// Announcer (Equations 13–14): add the per-slot shares from the two
 /// servers, find the max and its slot per cell, and re-share both.
-/// Chunk-parallel over cells.
-pub fn announcer_find_max(
-    from_s1: &WideVec,
-    from_s2: &WideVec,
-    ap: &AnnouncerParams,
-) -> Result<MaxAnnouncement> {
-    announcer_find_max_threads(from_s1, from_s2, ap, 1)
-}
-
-/// [`announcer_find_max`] with an explicit worker count.
+/// Chunk-parallel over cells on `threads` workers.
 pub(crate) fn announcer_find_max_threads(
     from_s1: &WideVec,
     from_s2: &WideVec,
@@ -570,6 +557,20 @@ mod tests {
     use crate::params::{Initiator, Setup, SystemConfig};
     use prism_core::{BigUint, OrderPolynomial};
     use proptest::collection::vec;
+
+    /// Server Step 4 on one worker.
+    fn server_max_round(owner_uploads: &[BlindedMaxUpload], sp: &ServerParams) -> Result<WideVec> {
+        server_max_round_threads(owner_uploads, sp, 1)
+    }
+
+    /// Equations 13–14 on one worker.
+    fn announcer_find_max(
+        from_s1: &WideVec,
+        from_s2: &WideVec,
+        ap: &AnnouncerParams,
+    ) -> Result<MaxAnnouncement> {
+        announcer_find_max_threads(from_s1, from_s2, ap, 1)
+    }
     use proptest::prelude::*;
 
     fn setup(m: usize, b: usize, agg_max: u64, seed: u64) -> Setup {

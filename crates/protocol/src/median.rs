@@ -187,7 +187,7 @@ fn decode_median(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::max::{owner_blind_maxima, server_max_round};
+    use crate::max::{owner_blind_maxima, server_max_round_threads};
     use crate::params::{Initiator, Setup, SystemConfig};
 
     fn setup(m: usize, b: usize, agg_max: u64, seed: u64) -> Setup {
@@ -215,8 +215,8 @@ mod tests {
             up1.push(a);
             up2.push(b);
         }
-        let t1 = server_max_round(&up1, &setup.servers[0]).unwrap();
-        let t2 = server_max_round(&up2, &setup.servers[1]).unwrap();
+        let t1 = server_max_round_threads(&up1, &setup.servers[0], 1).unwrap();
+        let t2 = server_max_round_threads(&up2, &setup.servers[1], 1).unwrap();
         let ann = announcer_find_median(&t1, &t2, &setup.announcer).unwrap();
         owner_decode_median(common, &ann, op).unwrap()
     }

@@ -29,9 +29,9 @@
 //!   applies them. Results are therefore bit-identical for every shard
 //!   count.
 //! * [`ShardedExec`] implements [`ServerExec`] over sharded nodes, so
-//!   every existing plan runs unchanged on 1..k shards; its
-//!   [`ExecMeters`] expose how many shards a round's rows were cut across
-//!   as `shard_dispatches`, which
+//!   every existing plan runs unchanged on 1..k shards; each round counts
+//!   how many shards its rows were cut across as
+//!   [`Counter::ShardDispatches`], which
 //!   [`QueryStats`](crate::engine::QueryStats) picks up per query.
 //!
 //! The networked deployment's shards are remote, so its domain router
@@ -43,13 +43,13 @@
 
 use crate::engine::{
     forward_wide, refused, run_round, Announcer, AnnouncerCmd, AnnouncerReply, BatchQuery, Column,
-    ExecMeters, RoundOutcome, ServerCmd, ServerExec, ServerNode, ServerReply,
+    RoundOutcome, ServerCmd, ServerExec, ServerNode, ServerReply,
 };
 use crate::error::{ProtocolError, Result};
 use crate::malicious::Tamper;
+use crate::metrics::{Counter, Counts};
 use crate::params::ServerParams;
 use prism_core::Permutation;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// One shard node's part of an upload: its index, the local row its rows
@@ -330,7 +330,6 @@ pub struct ShardedNode {
     tamper: Tamper,
     plan: ShardPlan,
     shards: Vec<ServerNode>,
-    dispatches: AtomicU64,
 }
 
 impl ShardedNode {
@@ -347,7 +346,6 @@ impl ShardedNode {
             tamper: Tamper::Honest,
             plan,
             shards: nodes,
-            dispatches: AtomicU64::new(0),
         }
     }
 
@@ -371,12 +369,6 @@ impl ShardedNode {
     #[cfg(test)]
     pub(crate) fn shard_nodes(&self) -> &[ServerNode] {
         &self.shards
-    }
-
-    /// Shards that stored-column rounds' rows were cut across so far (0
-    /// on a one-shard domain).
-    pub fn dispatches(&self) -> u64 {
-        self.dispatches.load(Ordering::Relaxed)
     }
 
     /// Attach a domain-level tampering behaviour (tests). Applied to every
@@ -586,18 +578,12 @@ impl ShardedNode {
     /// one round over every shard node's rows.
     pub fn execute(&self, cmd: &ServerCmd) -> Result<ServerReply> {
         match cmd {
-            ServerCmd::Run(batch) => {
-                if self.shards.len() > 1 {
-                    self.dispatches
-                        .fetch_add(self.shards.len() as u64, Ordering::Relaxed);
-                }
-                Ok(ServerReply::Vectors(run_round(
-                    &self.shards,
-                    &self.params,
-                    &self.tamper,
-                    batch,
-                )?))
-            }
+            ServerCmd::Run(batch) => Ok(ServerReply::Vectors(run_round(
+                &self.shards,
+                &self.params,
+                &self.tamper,
+                batch,
+            )?)),
             // Wide rounds read only parameters (pf_owners, wide_width) —
             // identical on every shard — and model honest relaying, so
             // shard 0 answers for the domain.
@@ -648,18 +634,17 @@ impl ServerExec for ShardedExec<'_> {
         let mut worst = Duration::ZERO;
         let mut replies = Vec::with_capacity(cmds.len());
         let mut round_seq = None;
-        // Dispatch attribution is computed from the command shape, not by
-        // sampling the nodes' cumulative counters: a stored-column batch
-        // on a k-sharded node fans out exactly k dispatches, so the delta
-        // for *this* call is known locally and stays exact when other
-        // queries run fan-outs on the same nodes concurrently.
-        let mut dispatches = 0u64;
+        // Dispatches are counted from the command shape: a stored-column
+        // batch on a k-sharded node fans out exactly k, so the count for
+        // *this* call is known locally and stays exact when other queries
+        // run fan-outs on the same nodes concurrently.
+        let mut counts = Counts::default();
         for (s, cmd) in &cmds {
             let node = self.nodes.get(*s).ok_or_else(|| {
                 ProtocolError::ParameterMismatch(format!("no server {s} in this deployment"))
             })?;
             if matches!(cmd, ServerCmd::Run(_)) && node.shards.len() > 1 {
-                dispatches += node.shards.len() as u64;
+                counts[Counter::ShardDispatches] += node.shards.len() as u64;
             }
             let t0 = Instant::now();
             let reply = node.execute(cmd)?;
@@ -669,10 +654,7 @@ impl ServerExec for ShardedExec<'_> {
         Ok(RoundOutcome {
             replies,
             cost: worst,
-            meters: ExecMeters {
-                shard_dispatches: dispatches,
-                ..ExecMeters::default()
-            },
+            counts,
         })
     }
 
@@ -683,13 +665,6 @@ impl ServerExec for ShardedExec<'_> {
         threads: usize,
     ) -> Result<(AnnouncerReply, Duration)> {
         self.announcer.announce(cmd, seq, threads)
-    }
-
-    fn meters(&self) -> ExecMeters {
-        ExecMeters {
-            shard_dispatches: self.nodes.iter().map(ShardedNode::dispatches).sum(),
-            ..ExecMeters::default()
-        }
     }
 
     fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {

@@ -200,13 +200,13 @@ proptest! {
                         Action::Update { .. } | Action::Append { .. } => unreachable!(),
                     };
                     let (stats, oracle_rounds) = step(&cached, &oracle, q);
-                    prop_assert_eq!(stats.cache_hits, hits, "wrong hit count for {:?}", q);
+                    prop_assert_eq!(stats.cache_hits(), hits, "wrong hit count for {:?}", q);
                     prop_assert_eq!(
                         stats.rounds, oracle_rounds - hits as usize,
                         "a warm round must not be counted"
                     );
                     prop_assert_eq!(
-                        stats.cache_misses, eligible - hits,
+                        stats.cache_misses(), eligible - hits,
                         "every cold eligible round records a miss"
                     );
                     match q {

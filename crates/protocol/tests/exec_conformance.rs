@@ -28,6 +28,7 @@ use prism_protocol::engine::{
 };
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
 use prism_protocol::max::MaxCell;
+use prism_protocol::metrics::Counter;
 use prism_protocol::params::{Initiator, OwnerParams, Setup, SystemConfig};
 use prism_protocol::plans;
 use prism_protocol::shard::{ShardedExec, ShardedNode};
@@ -374,7 +375,7 @@ fn run_plan_cached<P: Operation>(
 where
     P::Output: PartialEq + std::fmt::Debug,
 {
-    let cache = PsiRoundCache::new();
+    let cache = PsiRoundCache::new(Default::default());
     for &(s, t) in tampers {
         cache.note_tamper(s, t == Tamper::Honest);
     }
@@ -636,7 +637,7 @@ fn cache_decorator_preserves_tamper_verdicts_on_every_backend() {
     assert!(reference.psi_verified.is_err(), "tamper must bite");
     for backend in all_backends() {
         let got = backend.run(&fx, &tampers, AnnouncerTamper::Honest, |e| {
-            let cache = PsiRoundCache::new();
+            let cache = PsiRoundCache::new(Default::default());
             for &(s, t) in &tampers {
                 cache.note_tamper(s, t == Tamper::Honest);
             }
@@ -644,7 +645,11 @@ fn cache_decorator_preserves_tamper_verdicts_on_every_backend() {
             let cold = verdicts(&cexec, &fx);
             let warm = verdicts(&cexec, &fx);
             assert_eq!(warm, cold, "{backend:?} warm tampered verdicts diverged");
-            assert_eq!(cache.hits(), 0, "{backend:?} served a tampered round");
+            assert_eq!(
+                cache.metrics().get(Counter::CacheHits),
+                0,
+                "{backend:?} served a tampered round"
+            );
             cold
         });
         assert_eq!(got, reference, "{backend:?} cached verdicts diverged");

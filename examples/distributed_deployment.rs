@@ -156,8 +156,8 @@ fn main() {
         std::thread::sleep(Duration::from_millis(5));
     }
     println!("healed in {:?}; control-plane log:", t0.elapsed());
-    for entry in registry.heal_log() {
-        println!("  {entry}");
+    for (seq, event) in registry.events() {
+        println!("  #{seq} {event}");
     }
 
     // The whole suite again, on the healed cluster — every answer must

@@ -84,7 +84,8 @@ fn main() {
     println!(
         "  consensus over hour 0: {flagged} regions, total strength {total} \
          (rounds {}, cache hits {})",
-        stats.rounds, stats.cache_hits
+        stats.rounds,
+        stats.cache_hits()
     );
     assert_eq!(stats.rounds, 2, "first windowed query is cold");
     assert!(flagged >= outbreak.len());
@@ -126,7 +127,7 @@ fn main() {
                 "hour {past} consensus drifted after an append"
             );
             assert_eq!(
-                (stats.rounds, stats.cache_hits),
+                (stats.rounds, stats.cache_hits()),
                 (0, 2),
                 "hour {past} window must stay warm across hour {hour}'s append"
             );

@@ -2,7 +2,7 @@
 # Everything works fully offline: external deps are vendored under vendor/.
 
 # Run the standard verification suite (what CI runs).
-ci: fmt-check clippy phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup build test test-release doc bench-check
+ci: fmt-check clippy phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics build test test-release doc
 
 # Build every workspace target in release mode.
 build:
@@ -38,7 +38,8 @@ clippy:
 
 # The "exists once" guards (Phase 1, the server-round fan-out, the owner
 # facade, the F-table, the round executor, one stored column per kind,
-# the bring-up path); scripts/guards.sh says what each one keeps single.
+# the bring-up path, the counter vocabulary); scripts/guards.sh says what
+# each one keeps single.
 phase1-once:
     scripts/guards.sh phase1-once
 
@@ -60,9 +61,12 @@ one-column-per-kind:
 one-bringup:
     scripts/guards.sh one-bringup
 
+one-metrics:
+    scripts/guards.sh one-metrics
+
 # Non-test vs test Rust line counts per crate (vendor/ and
 # examples/benchmark/ excluded), the one table simplicity PRs quote. In a
-# file outside tests/ and benches/, everything from the first top-level
+# file outside tests/, everything from the first top-level
 # `#[cfg(test)]` on counts as test code.
 loc:
     #!/usr/bin/env sh
@@ -70,7 +74,7 @@ loc:
         FNR == 1 {
             crate = "prism (root)"
             if (split(FILENAME, p, "/") > 2 && p[1] == "crates") crate = p[2]
-            test = FILENAME ~ /(^|\/)(tests|benches)\//
+            test = FILENAME ~ /(^|\/)tests\//
         }
         /^#\[cfg\(test\)\]/ { test = 1 }
         { n[crate, test]++; seen[crate] = 1 }
@@ -85,18 +89,14 @@ loc:
 doc:
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
 
-# Compile the criterion benches without running them.
-bench-check:
-    cargo bench --no-run
-
-# Smoke-test both measurement surfaces: the criterion benches compile,
-# exp_harness regenerates the paper's artifacts on the smallest grid
-# (~3 min; Exp 2's 30-50-owner max/median rows are most of it), and the
-# repo benchmark (BENCHMARK.json; see examples/benchmark/README.md) runs
-# every workload at 1/20 domains with spans on (~6 s) — it exits non-zero
-# on any answer that differs from the plaintext oracle, any dropped reply,
-# and a worker kill that does not heal as exactly one failover.
-bench-smoke: bench-check
+# Smoke-test both measurement surfaces: exp_harness regenerates the
+# paper's artifacts on the smallest grid (~3 min; Exp 2's 30-50-owner
+# max/median rows are most of it), and the repo benchmark (BENCHMARK.json;
+# see examples/benchmark/README.md) runs every workload at 1/20 domains
+# with spans on (~6 s) — it exits non-zero on any answer that differs from
+# the plaintext oracle, any dropped reply, and a worker kill that does not
+# heal as exactly one failover.
+bench-smoke:
     cargo run --release -p prism_bench --bin exp_harness -- all --scale small
     cargo run --release --offline --example benchmark -- all --quick --trace
 
@@ -106,10 +106,6 @@ bench-smoke: bench-check
 # six end-to-end metrics (see scripts/bench-pair.sh for the parent choice).
 bench-pair workload pairs="10":
     scripts/bench-pair.sh {{workload}} {{pairs}}
-
-# Run the full criterion bench suite (small fixed sizes, minutes).
-bench:
-    cargo bench
 
 # Regenerate the paper's tables/figures at small scale (seconds).
 experiments:

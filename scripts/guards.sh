@@ -104,7 +104,33 @@ one_bringup() {
     return "$status"
 }
 
-GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup"
+# One counter vocabulary, counted once: every count the system keeps is a
+# `prism_protocol::metrics::Counter`, tallied per round or query in a
+# `Counts` and cumulatively in the deployment's one `Metrics`; the control
+# plane logs typed `ControlEvent`s in a bounded ring. Fails on a
+# `struct ExecMeters` or a `fn meters(` in any crate, on a
+# `Mutex<Vec<String>>` field in `crates/net/src`, or on an `AtomicU64`
+# field above the tests of a file in `crates/net/src` or
+# `crates/protocol/src` other than `metrics.rs`, unless it is an id or
+# sequence allocator (`query_seq`, `wide_seq`, `corr`, `next_node`, `seq`),
+# the failover attribution mark (`failover_mark`) or one of `LinkStats`'
+# per-edge byte meters (`bytes_sent`, `msgs_sent`), which a `Counter`
+# cannot index.
+one_metrics() {
+    ! git grep -nE 'struct ExecMeters|fn meters\(' -- 'crates/*/src/**' || return 1
+    ! git grep -nE 'Mutex<Vec<String>>' -- crates/net/src || return 1
+    allowed='query_seq|wide_seq|corr|next_node|seq|failover_mark|bytes_sent|msgs_sent'
+    status=0
+    for f in $(git ls-files 'crates/net/src/*.rs' 'crates/protocol/src/*.rs'); do
+        [ "$f" = crates/protocol/src/metrics.rs ] && continue
+        sed '/^#\[cfg(test)\]/q' "$f" | grep -nE '^[[:space:]]*(pub(\([a-z]+\))? )?[a-z_0-9]+: *AtomicU64,' |
+            grep -vE "^[0-9]+:[[:space:]]*(pub(\([a-z]+\))? )?($allowed): *AtomicU64," |
+            sed "s|^|$f:|" | grep . && status=1
+    done
+    return "$status"
+}
+
+GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics"
 
 run() {
     case "$1" in
@@ -115,6 +141,7 @@ run() {
         one-executor) one_executor ;;
         one-column-per-kind) one_column_per_kind ;;
         one-bringup) one_bringup ;;
+        one-metrics) one_metrics ;;
         *)
             echo "usage: scripts/guards.sh <all | $(echo "$GUARDS" | tr ' ' '|')>" >&2
             exit 2

@@ -16,6 +16,7 @@
 use prism::driver::{Cluster, ClusterConfig, Deployment, InProcess, OwnerInput};
 use prism::net::NetCluster;
 use prism::protocol::malicious::{AnnouncerTamper, Tamper};
+use prism::protocol::metrics::Counter;
 use prism::protocol::PsiRoundCache;
 
 const DOMAIN: usize = 48;
@@ -496,7 +497,7 @@ fn tamper_after_warmup_is_still_detected<H: Harness>(seed: u64) {
     // Warm the cache thoroughly: the plain PSI round is now cached.
     let honest = c.psi().unwrap().0;
     let (warm, stats) = c.psi().unwrap();
-    assert_eq!(stats.cache_hits, 1, "cache not warm");
+    assert_eq!(stats.cache_hits(), 1, "cache not warm");
     assert_eq!(warm, honest, "warm repeat diverged");
     assert!(c.psi_verified().is_ok());
     // An injected fake changes the combined vector at its cell, so this
@@ -514,7 +515,8 @@ fn tamper_after_warmup_is_still_detected<H: Harness>(seed: u64) {
         // returning the *tampered* data an uncached cluster would.
         let (tampered, stats) = c.psi().unwrap();
         assert_eq!(
-            stats.cache_hits, 0,
+            stats.cache_hits(),
+            0,
             "{t:?}: tampered round served from cache"
         );
         let mut oracle = deploy::<H>(seed);
@@ -532,16 +534,19 @@ fn tamper_after_warmup_is_still_detected<H: Harness>(seed: u64) {
     }
     // Honesty restored: the cache must not replay any tampered round.
     let (restored, stats) = c.psi().unwrap();
-    assert_eq!(stats.cache_hits, 0, "tampered-era round was cached");
+    assert_eq!(stats.cache_hits(), 0, "tampered-era round was cached");
     assert_eq!(
         restored.fop, honest.fop,
         "tampered round outlived the tamper"
     );
     // And the next repeat is a hit again.
-    assert_eq!(c.psi().unwrap().1.cache_hits, 1);
-    assert!(H::cache(&c).hits() >= 1, "repeat queries never hit");
+    assert_eq!(c.psi().unwrap().1.cache_hits(), 1);
     assert!(
-        H::cache(&c).invalidations() >= 1,
+        H::cache(&c).metrics().get(Counter::CacheHits) >= 1,
+        "repeat queries never hit"
+    );
+    assert!(
+        H::cache(&c).metrics().get(Counter::CacheInvalidations) >= 1,
         "tamper never invalidated"
     );
     H::stop(c);
