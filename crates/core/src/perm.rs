@@ -17,25 +17,37 @@
 //! time the permutation is applied and kept: `out[j] = in[src[j]]` writes
 //! the output in order and scatters only the reads, which a cache serves
 //! far better than scattered writes.
+//!
+//! Both maps sit behind one `Arc`, so a clone costs O(1) and every clone
+//! shares one derived inverse. A delta upload grows a permutation in
+//! place ([`Permutation::extend_block`], amortized O(block)); only a
+//! permutation some other clone still reads is copied first
+//! (copy-on-write).
 
 use crate::prg::Prg;
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A permutation of `0..n` in one-line notation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Permutation {
+    /// The maps, shared by every clone until one of them changes length.
+    maps: Arc<Maps>,
+}
+
+#[derive(Debug)]
+struct Maps {
     /// `map[i]` = destination index of source position `i`.
     map: Vec<u32>,
     /// `src[j]` = source position of destination index `j`: the inverse
     /// map, derived from `map` on the first [`Permutation::apply`] /
-    /// [`Permutation::apply_into`] and never again (a clone carries it).
+    /// [`Permutation::apply_into`] and kept (growth extends it).
     src: OnceLock<Vec<u32>>,
 }
 
 impl PartialEq for Permutation {
     fn eq(&self, other: &Permutation) -> bool {
-        self.map == other.map
+        Arc::ptr_eq(&self.maps, &other.maps) || self.maps.map == other.maps.map
     }
 }
 
@@ -45,8 +57,10 @@ impl Permutation {
     /// Wrap a forward map the caller has made a bijection of `0..len`.
     fn of(map: Vec<u32>) -> Self {
         Permutation {
-            map,
-            src: OnceLock::new(),
+            maps: Arc::new(Maps {
+                map,
+                src: OnceLock::new(),
+            }),
         }
     }
 
@@ -84,31 +98,31 @@ impl Permutation {
     /// The raw one-line destination map (what a wire encoding carries;
     /// [`Permutation::from_map`] is its inverse).
     pub fn as_map(&self) -> &[u32] {
-        &self.map
+        &self.maps.map
     }
 
     /// Domain size.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.maps.map.len()
     }
 
     /// True iff the domain is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.maps.map.is_empty()
     }
 
     /// Where position `i` is sent.
     #[inline]
     pub fn dest(&self, i: usize) -> usize {
-        self.map[i] as usize
+        self.maps.map[i] as usize
     }
 
     /// The inverse map, built on first use: `sources()[j]` is the position
     /// whose element lands at `j`.
     fn sources(&self) -> &[u32] {
-        self.src.get_or_init(|| {
-            let mut src = vec![0u32; self.map.len()];
-            for (i, &d) in self.map.iter().enumerate() {
+        self.maps.src.get_or_init(|| {
+            let mut src = vec![0u32; self.len()];
+            for (i, &d) in self.maps.map.iter().enumerate() {
                 src[d as usize] = i as u32;
             }
             src
@@ -118,7 +132,7 @@ impl Permutation {
     /// The permuted order of `input`, element `j` being the one sent to
     /// `j`: the one routine both `apply` forms collect from.
     fn gather<'a, T>(&'a self, input: &'a [T]) -> impl Iterator<Item = &'a T> {
-        assert_eq!(input.len(), self.map.len(), "length mismatch in apply");
+        assert_eq!(input.len(), self.len(), "length mismatch in apply");
         self.sources().iter().map(move |&i| &input[i as usize])
     }
 
@@ -134,7 +148,7 @@ impl Permutation {
     /// order — whatever `out` held is gone. `input` and `out` must both
     /// match the domain size.
     pub fn apply_into<T: Copy>(&self, input: &[T], out: &mut [T]) {
-        assert_eq!(out.len(), self.map.len(), "length mismatch in apply");
+        assert_eq!(out.len(), self.len(), "length mismatch in apply");
         for (slot, &item) in out.iter_mut().zip(self.gather(input)) {
             *slot = item;
         }
@@ -149,10 +163,8 @@ impl Permutation {
     /// (matches the ⊙ of Equation 1 read right-to-left).
     pub fn then(&self, other: &Permutation) -> Permutation {
         assert_eq!(self.len(), other.len(), "length mismatch in composition");
-        let map = (0..self.map.len())
-            .map(|i| other.map[self.map[i] as usize])
-            .collect();
-        Permutation::of(map)
+        let map = self.maps.map.iter().map(|&d| other.maps.map[d as usize]);
+        Permutation::of(map.collect())
     }
 
     /// Apply to a single index.
@@ -160,29 +172,71 @@ impl Permutation {
         self.dest(i)
     }
 
-    /// Block-diagonal concatenation: `self` acts on `[0, self.len())` and
-    /// `block` acts on the appended range `[self.len(), self.len() + block.len())`.
+    /// Grow block-diagonally: `self` keeps acting on `[0, n)` and `block`
+    /// acts on the appended range `[n, n + block.len())`, `n` being the
+    /// length before the call.
     ///
     /// This is the delta-upload extension rule: a permutation grown this way
     /// never moves rows across the append boundary, so columns that were
-    /// stored *already permuted* under `self` stay valid — the appended
-    /// segment is simply permuted by `block` and concatenated.
-    pub fn concat(&self, block: &Permutation) -> Permutation {
-        let base = self.map.len() as u32;
-        let mut map = Vec::with_capacity(self.map.len() + block.map.len());
-        map.extend_from_slice(&self.map);
-        map.extend(block.map.iter().map(|&d| d + base));
-        Permutation::of(map)
+    /// stored *already permuted* under the old value stay valid — the
+    /// appended segment is simply permuted by `block` and concatenated.
+    ///
+    /// Amortized O(block) when no other clone shares the maps: both grow
+    /// in place, the inverse too if it was derived. A shared permutation
+    /// is copied first (its forward map only — the other clones keep the
+    /// old value, and the inverse is derived again when next applied).
+    pub fn extend_block(&mut self, block: &Permutation) {
+        let base = self.len() as u32;
+        match Arc::get_mut(&mut self.maps) {
+            Some(maps) => {
+                maps.map.extend(shifted(&block.maps.map, base));
+                if let Some(src) = maps.src.get_mut() {
+                    src.extend(shifted(block.sources(), base));
+                }
+            }
+            None => {
+                let mut map = Vec::with_capacity(self.len() + block.len());
+                map.extend_from_slice(&self.maps.map);
+                map.extend(shifted(&block.maps.map, base));
+                *self = Permutation::of(map);
+            }
+        }
+    }
+
+    /// Undo [`Permutation::extend_block`]: keep the leading block on
+    /// `[0, len)`. In place unless another clone shares the maps.
+    ///
+    /// # Panics
+    ///
+    /// If `len` exceeds the domain, or `self` is not block-diagonal at
+    /// `len` (some position of `[len, n)` maps below `len`).
+    pub fn truncate_block(&mut self, len: usize) {
+        let base = len as u32;
+        let tail = self.maps.map.get(len..);
+        assert!(
+            tail.is_some_and(|t| t.iter().all(|&d| d >= base)),
+            "permutation of {} is not block-diagonal at {len}",
+            self.len()
+        );
+        match Arc::get_mut(&mut self.maps) {
+            Some(maps) => {
+                maps.map.truncate(len);
+                if let Some(src) = maps.src.get_mut() {
+                    src.truncate(len);
+                }
+            }
+            None => *self = Permutation::of(self.maps.map[..len].to_vec()),
+        }
     }
 
     /// The trailing block of a block-diagonal permutation, rebased to `0`.
     ///
-    /// Inverse of [`Permutation::concat`]: requires that no entry of
+    /// Inverse of [`Permutation::extend_block`]: requires that no entry of
     /// `[start, len)` maps below `start` (i.e. `self` really is block-diagonal
     /// at `start`); returns `None` otherwise, and for a `start` past the
     /// end.
     pub fn tail_block(&self, start: usize) -> Option<Permutation> {
-        let tail = self.map.get(start..)?;
+        let tail = self.maps.map.get(start..)?;
         let base = start as u32;
         let mut map = Vec::with_capacity(tail.len());
         for &d in tail {
@@ -193,6 +247,11 @@ impl Permutation {
         }
         Permutation::from_map(map)
     }
+}
+
+/// A block's one-line entries moved up by `base`, where it is appended.
+fn shifted(block: &[u32], base: u32) -> impl Iterator<Item = u32> + '_ {
+    block.iter().map(move |&d| d + base)
 }
 
 /// The Equation-1 family: given a target `PF_i`, produce
@@ -218,21 +277,19 @@ pub struct PermutationFamily {
 
 impl PermutationFamily {
     /// Extend every member block-diagonally with the matching member of a
-    /// freshly generated `block` family (see [`Permutation::concat`]).
+    /// freshly generated `block` family (see [`Permutation::extend_block`]).
     ///
-    /// Because concatenation distributes over composition and inversion
-    /// (`concat(a,b).then(concat(c,d)) == concat(a.then(c), b.then(d))`),
-    /// the Equation-1 identity holds for the grown family whenever it holds
-    /// for `self` and for `block` — so delta uploads can grow the domain
+    /// Because block-diagonal growth distributes over composition and
+    /// inversion (`(a ⊕ b).then(c ⊕ d) == a.then(c) ⊕ b.then(d)`), the
+    /// Equation-1 identity holds for the grown family whenever it holds for
+    /// `self` and for `block` — so delta uploads can grow the domain
     /// without re-permuting (or re-uploading) any existing rows.
-    pub fn concat(&self, block: &PermutationFamily) -> PermutationFamily {
-        PermutationFamily {
-            pf_s1: self.pf_s1.concat(&block.pf_s1),
-            pf_s2: self.pf_s2.concat(&block.pf_s2),
-            pf_db1: self.pf_db1.concat(&block.pf_db1),
-            pf_db2: self.pf_db2.concat(&block.pf_db2),
-            pf_i: self.pf_i.concat(&block.pf_i),
-        }
+    pub fn extend_block(&mut self, block: &PermutationFamily) {
+        self.pf_s1.extend_block(&block.pf_s1);
+        self.pf_s2.extend_block(&block.pf_s2);
+        self.pf_db1.extend_block(&block.pf_db1);
+        self.pf_db2.extend_block(&block.pf_db2);
+        self.pf_i.extend_block(&block.pf_i);
     }
 
     /// Generate a family over `0..n`.
@@ -257,6 +314,14 @@ impl PermutationFamily {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// `a` grown by `b` as a new value, built from the maps alone: the
+    /// reference [`Permutation::extend_block`] is tested against.
+    fn concat(a: &Permutation, b: &Permutation) -> Permutation {
+        let mut map = a.as_map().to_vec();
+        map.extend(shifted(b.as_map(), a.len() as u32));
+        Permutation::from_map(map).unwrap()
+    }
 
     #[test]
     fn identity_is_noop() {
@@ -352,7 +417,8 @@ mod tests {
         let mut prg = Prg::from_seed(7);
         let a = Permutation::random(5, &mut prg);
         let b = Permutation::random(3, &mut prg);
-        let grown = a.concat(&b);
+        let mut grown = a.clone();
+        grown.extend_block(&b);
         let head: Vec<u64> = (0..5).collect();
         let tail: Vec<u64> = (100..103).collect();
         let full: Vec<u64> = head.iter().chain(tail.iter()).copied().collect();
@@ -379,10 +445,10 @@ mod tests {
             Permutation::random(9, &mut prg),
         );
         assert_eq!(
-            a.concat(&c).then(&b.concat(&d)),
-            a.then(&b).concat(&c.then(&d))
+            concat(&a, &c).then(&concat(&b, &d)),
+            concat(&a.then(&b), &c.then(&d))
         );
-        assert_eq!(a.concat(&c).inverse(), a.inverse().concat(&c.inverse()));
+        assert_eq!(concat(&a, &c).inverse(), concat(&a.inverse(), &c.inverse()));
     }
 
     #[test]
@@ -390,7 +456,8 @@ mod tests {
         let mut prg = Prg::from_seed(9);
         let base = PermutationFamily::generate(40, &mut prg);
         let block = PermutationFamily::generate(17, &mut prg);
-        let grown = base.concat(&block);
+        let mut grown = base.clone();
+        grown.extend_block(&block);
         assert_eq!(grown.pf_db1.then(&grown.pf_s1), grown.pf_i);
         assert_eq!(grown.pf_db2.then(&grown.pf_s2), grown.pf_i);
         // The grown family's server factors really are block extensions of
@@ -452,6 +519,51 @@ mod tests {
             before.sort_unstable();
             after.sort_unstable();
             prop_assert_eq!(before, after);
+        }
+
+        #[test]
+        fn prop_extend_block_is_concat_and_truncate_undoes_it(
+            seed: u64,
+            base in 0usize..60,
+            blocks in proptest::collection::vec((0usize..24, any::<bool>()), 0..5),
+            derive_first: bool,
+        ) {
+            // Grow a permutation block by block in place, deriving its
+            // inverse before some growths and not others; each step must
+            // equal the `concat` reference in map, `apply` and `inverse`,
+            // and an earlier clone must keep its value throughout.
+            let mut prg = Prg::from_seed(seed);
+            let orig = Permutation::random(base, &mut prg);
+            if derive_first {
+                orig.apply(&vec![0u8; base]);
+            }
+            let mut grown = orig.clone();
+            let mut states = vec![orig.clone()];
+            for (n, derive) in blocks {
+                let block = Permutation::random(n, &mut prg);
+                if derive {
+                    grown.apply(&vec![0u8; grown.len()]);
+                }
+                grown.extend_block(&block);
+                let want = concat(states.last().unwrap(), &block);
+                let v: Vec<u64> = (0..want.len() as u64).map(|i| i * 31 + 7).collect();
+                prop_assert_eq!(grown.as_map(), want.as_map());
+                prop_assert_eq!(grown.apply(&v), want.apply(&v));
+                prop_assert_eq!(grown.inverse(), want.inverse());
+                prop_assert_eq!(grown.tail_block(states.last().unwrap().len()), Some(block));
+                states.push(want);
+            }
+            prop_assert_eq!(&orig, &Permutation::random(base, &mut Prg::from_seed(seed)));
+            // Undo, newest block first: each truncation restores the value
+            // (and the inverse) the matching growth started from.
+            let snapshot = grown.clone();
+            for want in states.iter().rev() {
+                grown.truncate_block(want.len());
+                let v: Vec<u64> = (0..want.len() as u64).collect();
+                prop_assert_eq!(&grown, want);
+                prop_assert_eq!(grown.apply(&v), want.apply(&v));
+            }
+            prop_assert_eq!(&snapshot, states.last().unwrap());
         }
 
         #[test]

@@ -52,7 +52,7 @@ use prism_protocol::engine::{
     ServerCmd, ServerExec, ServerReply,
 };
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
-use prism_protocol::metrics::{Counter, Counts};
+use prism_protocol::metrics::{Counter, Counts, QueryTrace, Stage};
 use prism_protocol::params::{AnnouncerParams, OwnerParams, Setup, SHAMIR_SERVERS};
 use prism_protocol::{plans, ProtocolError};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -458,13 +458,16 @@ impl NetCluster {
     /// completion slot per participating link, ship every command tagged,
     /// then collect every reply from the slots — one round-trip however
     /// many servers take part, interleaving freely with other queries'
-    /// rounds on the same links.
+    /// rounds on the same links. The round's trace records each of its
+    /// three stages once: the sends ([`Stage::Encode`]), the waits on the
+    /// slots ([`Stage::WireWait`]) and the replies' unpacking
+    /// ([`Stage::Decode`]), each summed over the servers.
     fn tagged_round(
         &self,
         id: QueryId,
         cmds: Vec<(usize, ServerCmd)>,
     ) -> prism_protocol::Result<RoundOutcome> {
-        let t0 = Instant::now();
+        let (mut encode, mut wait, mut decode) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
         let mut round_seq = None;
         let mut counts = Counts::default();
         let metrics = self.registry.metrics();
@@ -497,11 +500,17 @@ impl NetCluster {
             // Register the slot before sending: the reply must never race
             // its own registration.
             pendings.push((s, link.begin(id).map_err(transport_err)?));
+            let t0 = Instant::now();
             link.send(id, msg).map_err(transport_err)?;
+            encode += t0.elapsed();
         }
         let mut replies = Vec::with_capacity(pendings.len());
         for (s, pending) in &pendings {
-            match pending.recv().map_err(transport_err)? {
+            let t0 = Instant::now();
+            let reply = pending.recv().map_err(transport_err)?;
+            let t1 = Instant::now();
+            wait += t1 - t0;
+            match reply {
                 Message::Outputs(outs) => replies.push(ServerReply::Vectors(outs)),
                 Message::Versions(v) => replies.push(ServerReply::Versions(v)),
                 Message::WideForwarded { rows, width, seq } => {
@@ -530,15 +539,20 @@ impl NetCluster {
                     ))
                 }
             }
+            decode += t1.elapsed();
         }
         // The registry counted any failovers healed since the last round;
         // this round claims them.
         let healed = metrics.get(Counter::Failovers);
         counts[Counter::Failovers] = unattributed(&self.failover_mark, healed);
+        let mut trace = QueryTrace::default();
+        trace.record(Stage::Encode, encode);
+        trace.record(Stage::WireWait, wait);
+        trace.record(Stage::Decode, decode);
         Ok(RoundOutcome {
             replies,
-            cost: t0.elapsed(),
             counts,
+            trace,
         })
     }
 
@@ -834,7 +848,7 @@ impl NetCluster {
         range: Option<(u64, u64)>,
         plan: &P,
     ) -> prism_protocol::Result<(P::Output, QueryStats)> {
-        let _permit = self.admission.acquire(owner);
+        let permit = self.admission.acquire(owner);
         let view = QueryView {
             net: self,
             id: self.fresh_query_id(),
@@ -848,7 +862,9 @@ impl NetCluster {
         if let Some((start, len)) = range {
             engine = engine.with_range(start, len);
         }
-        engine.run(plan)
+        let (out, mut stats) = engine.run(plan)?;
+        stats.trace.record(Stage::AdmissionWait, permit.waited());
+        Ok((out, stats))
     }
 
     /// [`plans::Batch`] under a caller-chosen z `seed`: a shim the repo

@@ -39,6 +39,7 @@ use prism_protocol::metrics::{Counter, Metrics};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// Identifies one in-flight query across every link of a cluster.
 pub type QueryId = u64;
@@ -276,6 +277,15 @@ impl AdmState {
 /// waiters.
 pub struct Permit<'a> {
     adm: &'a Admission,
+    waited: Duration,
+}
+
+impl Permit<'_> {
+    /// How long [`Admission::acquire`] blocked before granting this permit
+    /// (the query's [`Stage::AdmissionWait`](prism_protocol::Stage)).
+    pub fn waited(&self) -> Duration {
+        self.waited
+    }
 }
 
 impl Drop for Permit<'_> {
@@ -314,6 +324,7 @@ impl Admission {
     /// Block until `owner`'s turn comes up inside the window, then take a
     /// slot. Returns the RAII [`Permit`] releasing it.
     pub fn acquire(&self, owner: u32) -> Permit<'_> {
+        let t0 = Instant::now();
         let mut st = self.lock();
         let ticket = st.next_ticket;
         st.next_ticket += 1;
@@ -334,7 +345,10 @@ impl Admission {
                 // Another owner's head may also be grantable now that the
                 // cursor moved.
                 self.cond.notify_all();
-                return Permit { adm: self };
+                return Permit {
+                    adm: self,
+                    waited: t0.elapsed(),
+                };
             }
             st = match self.cond.wait(st) {
                 Ok(st) => st,

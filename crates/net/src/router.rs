@@ -705,10 +705,9 @@ fn route_batch(
 }
 
 /// What a growing delta replaced in the domain state, to put back if the
-/// workers refuse it.
+/// workers refuse it: the plan before the growth, whose length is the one
+/// the finish permutations are truncated back to.
 struct Ungrow {
-    pf_s1: Permutation,
-    pf_s2: Permutation,
     plan: ShardPlan,
 }
 
@@ -730,24 +729,25 @@ fn grow_domain(
     }
     if start == b {
         // Growth: the router holds the domain's real finish
-        // permutations, so the extension blocks concatenate here; the
-        // worker set is fixed for the duration (write lock), so the last
-        // range always extends.
-        let (e1, e2) =
-            ext?.unwrap_or_else(|| (Permutation::identity(added), Permutation::identity(added)));
+        // permutations, so the extension blocks extend them here, in
+        // place; the worker set is fixed for the duration (write lock),
+        // so the last range always extends.
+        let (e1, e2) = ext?.unwrap_or_else(|| {
+            let identity = Permutation::identity(added);
+            (identity.clone(), identity)
+        });
         if e1.len() != added || e2.len() != added {
             return Err(format!(
                 "permutation extension covers {} rows, delta has {added}",
                 e1.len()
             ));
         }
-        let grown = (st.params.pf_s1.concat(&e1), st.params.pf_s2.concat(&e2));
         let plan = st.plan.append(added, false);
         undo = Some(Ungrow {
-            pf_s1: std::mem::replace(&mut st.params.pf_s1, grown.0),
-            pf_s2: std::mem::replace(&mut st.params.pf_s2, grown.1),
             plan: std::mem::replace(&mut st.plan, plan),
         });
+        st.params.pf_s1.extend_block(&e1);
+        st.params.pf_s2.extend_block(&e2);
         st.params.b += added;
     } else if start + added != b {
         return Err(format!(
@@ -767,9 +767,11 @@ fn grow_domain(
 
 /// Put back what [`grow_domain`] grew (nothing for a latest-epoch write).
 fn ungrow(st: &mut DomainState, undo: Option<Ungrow>) {
-    if let Some(Ungrow { pf_s1, pf_s2, plan }) = undo {
-        st.params.b = plan.domain();
-        (st.params.pf_s1, st.params.pf_s2, st.plan) = (pf_s1, pf_s2, plan);
+    if let Some(Ungrow { plan }) = undo {
+        let b = plan.domain();
+        st.params.pf_s1.truncate_block(b);
+        st.params.pf_s2.truncate_block(b);
+        (st.params.b, st.plan) = (b, plan);
     }
 }
 
@@ -853,9 +855,10 @@ fn serve_route(
 /// Wide (max/median) rounds never fan out: they are parameter-only — the
 /// owner-slot permutation `PF` and the wide width are identical on every
 /// shard and touch no stored columns — so the router answers them itself
-/// through `wide_node` (a storage-less [`ServerNode`] holding the *full*
-/// domain parameters) and fronts the domain's server→announcer edge,
-/// mirroring [`ShardedNode`](prism_protocol::shard::ShardedNode)'s
+/// through `wide_node` (a storage-less [`ServerNode`] over an empty
+/// domain: wide rounds read only `m`, the wide width and the owner-slot
+/// permutation, so delta growth never touches it) and fronts the
+/// domain's server→announcer edge, mirroring [`ShardedNode`](prism_protocol::shard::ShardedNode)'s
 /// in-process behaviour of answering wide commands at the domain level.
 ///
 /// **Concurrency.** The worker links are multiplexed ([`MuxLink`]):
@@ -873,7 +876,12 @@ pub(crate) fn domain_loop(
     shared: Arc<RwLock<DomainState>>,
     announcer: Option<Arc<dyn Link>>,
 ) -> Result<(), NetError> {
-    let wide_node = Arc::new(RwLock::new(ServerNode::new(shared.read().params.clone())));
+    let wide_node = Arc::new(RwLock::new(ServerNode::new(ServerParams {
+        b: 0,
+        pf_s1: Permutation::identity(0),
+        pf_s2: Permutation::identity(0),
+        ..shared.read().params.clone()
+    })));
     let tamper = Arc::new(RwLock::new(Tamper::Honest));
     let corr = AtomicU64::new(1 << 63);
     let rounds = RoundExecutor::new();
@@ -960,12 +968,8 @@ pub(crate) fn domain_loop(
                                     log.check_put(owner as usize, start, &columns, b)
                                 })
                                 .and_then(|()| fan_delta(&st, id, spec, owner, start, columns));
-                            match (&fanned, undo) {
-                                (Err(_), undo) => ungrow(&mut st, undo),
-                                (Ok(()), Some(_)) => {
-                                    *wide_node.write() = ServerNode::new(st.params.clone())
-                                }
-                                (Ok(()), None) => {}
+                            if fanned.is_err() {
+                                ungrow(&mut st, undo);
                             }
                             if let (Ok(()), Some(log), Some(columns)) =
                                 (&fanned, &mut st.log, logged)

@@ -17,6 +17,12 @@
 //! shares the cached vectors, so a fully warm query allocates no reply
 //! buffer at all — only the row vectors its plan builds itself.
 //!
+//! Appends are walled in bytes: over a router-fronted two-shard channel
+//! cluster, an append's nine delta uploads grow the routers' finish
+//! permutations and the workers' rows in place, so what the append
+//! requests beside the five family maps `Setup::grow` copies is the same
+//! at 8 192 and at 65 536 cells.
+//!
 //! Everything is asserted inside one `#[test]` so no sibling test thread
 //! can allocate mid-measurement; each measurement takes the minimum over
 //! several reps to shrug off stray harness allocations.
@@ -32,12 +38,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 /// Requests shaped like one row vector: `ROWS` `u64`s, exactly. Frames are
 /// byte buffers a header longer, so they never match.
 static ROW_BUFFERS: AtomicU64 = AtomicU64::new(0);
 
 fn note(size: usize, align: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(size as u64, Ordering::Relaxed);
     if size == ROWS * 8 && align == 8 {
         ROW_BUFFERS.fetch_add(1, Ordering::Relaxed);
     }
@@ -209,6 +217,54 @@ fn warm_decode_draws_row_buffers_from_the_pool() {
             );
         }
         cluster.into_deployment().shutdown().expect("shutdown");
+    }
+
+    // --- Appends over a router: the minimum over several appends (skipping
+    // the ones where a growing `Vec` doubled) of what one requests beside
+    // the five family maps is the same at both domain sizes.
+    {
+        const OWNERS: u64 = 3;
+        const ADDED: usize = 64;
+        let mut beside_family = Vec::new();
+        for b in [8_192usize, 65_536] {
+            let inputs: Vec<OwnerInput> = (0..OWNERS)
+                .map(|j| OwnerInput::from_pairs((1..=b as u64).map(|v| (v, v % 50 + j))))
+                .collect();
+            let cfg = ClusterConfig::new(b);
+            let net = NetCluster::start_local_sharded(cfg.setup(3).expect("setup"), 2);
+            let mut cluster = Cluster::over(net, &inputs, cfg).expect("outsource");
+            let mut min_beside = usize::MAX;
+            for epoch in 1..=6 {
+                let start = cluster.setup().owner.b;
+                let delta: Vec<OwnerInput> = (0..OWNERS)
+                    .map(|j| {
+                        let rows =
+                            (start as u64 + 1..=(start + ADDED) as u64).step_by(j as usize + 1);
+                        OwnerInput::from_pairs(rows.map(|v| (v, v % 40 + j)))
+                    })
+                    .collect();
+                let before = BYTES.load(Ordering::Relaxed);
+                cluster.append(ADDED, &delta).expect("append");
+                let bytes = (BYTES.load(Ordering::Relaxed) - before) as usize;
+                let family = 5 * (start + ADDED) * 4;
+                if epoch > 1 {
+                    min_beside = min_beside.min(bytes.saturating_sub(family));
+                }
+            }
+            beside_family.push(min_beside);
+            cluster.into_deployment().shutdown().expect("shutdown");
+        }
+        // Link pumps and reply queues on other threads allocate a few
+        // hundred bytes more or less from run to run; a copied map is
+        // 32 KB at the smaller domain.
+        const JITTER: usize = 1_024;
+        assert!(
+            beside_family[0].abs_diff(beside_family[1]) <= JITTER,
+            "an append's nine delta uploads requested {} B beside the family maps at 8 192 \
+             cells and {} B at 65 536: a router or worker grew a domain-sized map by copying it",
+            beside_family[0],
+            beside_family[1]
+        );
     }
 
     // --- Pool byte caps: the pool is bounded in *bytes*, not just in

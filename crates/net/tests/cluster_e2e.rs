@@ -392,3 +392,74 @@ fn rejected_append_leaves_the_cluster_as_it_was_over_channel_links() {
     let c = rejected_append_leaves_the_cluster_as_it_was(outsource(start_local()));
     c.into_deployment().shutdown().unwrap();
 }
+
+/// The owner-side trace of one deployment's queries: every round records
+/// its three wire stages once, the query its admission wait once, the
+/// clocks `QueryStats` reports are views of the trace, and the stages
+/// never add up to more than the wall time around the call — for a
+/// one-round plan, a two-round batch and a bare `ServerExec` round.
+fn trace_accounts_each_round_once(net: NetCluster) {
+    use prism_protocol::engine::{BatchItem, BatchQuery, QueryOp, ServerCmd, ServerExec};
+    use prism_protocol::metrics::Stage;
+    use prism_protocol::{plans, QueryStats, QueryTrace};
+    use std::time::{Duration, Instant};
+
+    let wire_stages = [Stage::Encode, Stage::WireWait, Stage::Decode];
+    let check = |trace: &QueryTrace, rounds: u32, queries: u32, wall: Duration| {
+        for stage in wire_stages {
+            assert_eq!(trace.records(stage), rounds, "{}", stage.name());
+        }
+        assert_eq!(trace.records(Stage::ServerCompute), 0);
+        assert_eq!(trace.records(Stage::AdmissionWait), queries);
+        assert!(
+            trace.total() <= wall,
+            "stages sum to {:?}, past the {wall:?} wall",
+            trace.total()
+        );
+    };
+    let cluster = outsource(net);
+    let timed = |run: &dyn Fn() -> QueryStats| {
+        let t0 = Instant::now();
+        let stats = run();
+        (stats, t0.elapsed())
+    };
+    let batch = plans::QueryBatch::new().sum(0).count_tuples();
+    let runs: [&dyn Fn() -> QueryStats; 2] = [&|| cluster.psi_count().unwrap().1, &|| {
+        cluster.psi_query_batch(&batch).unwrap().1
+    }];
+    for (run, rounds) in runs.into_iter().zip([1, 2]) {
+        let (stats, wall) = timed(run);
+        assert_eq!(stats.rounds(), rounds);
+        check(&stats.trace, rounds as u32, 1, wall);
+        assert!(stats.trace.records(Stage::OwnerStep) >= 1);
+        assert_eq!(stats.server_time(), stats.trace.server_time());
+        assert_eq!(stats.owner_time(), stats.trace.spent(Stage::OwnerStep));
+    }
+
+    let net = cluster.into_deployment();
+    let cmds = (0..2)
+        .map(|s| {
+            let batch = BatchQuery {
+                zs: vec![],
+                items: vec![BatchItem::plain(QueryOp::Psi)],
+                threads: 1,
+                range: None,
+            };
+            (s, ServerCmd::Run(batch))
+        })
+        .collect();
+    let t0 = Instant::now();
+    let outcome = net.round(cmds).unwrap();
+    check(&outcome.trace, 1, 0, t0.elapsed());
+    net.shutdown().unwrap();
+}
+
+#[test]
+fn query_trace_records_each_stage_once_per_round_over_channels() {
+    trace_accounts_each_round_once(start_local());
+}
+
+#[test]
+fn query_trace_records_each_stage_once_per_round_over_tcp() {
+    trace_accounts_each_round_once(NetCluster::start_tcp(cfg(10, 77).setup(3).unwrap()).unwrap());
+}

@@ -3,7 +3,10 @@
 //! fold, a second put, a re-sent append epoch and a delta whose
 //! permutation extension does not fit it each come back as the typed
 //! `UploadRefused` — and the cluster answers every operation afterwards
-//! exactly as one that never received them.
+//! exactly as one that never received them. So does a growing delta
+//! whose columns disagree in length: a router grows its domain for it,
+//! the workers refuse it, and the router truncates its finish
+//! permutations back before the next append grows them again.
 
 use prism_net::{Column, NetCluster, NetError};
 use prism_protocol::driver::{Cluster, ClusterConfig, Deployment, OwnerInput};
@@ -79,8 +82,21 @@ fn refused_uploads_are_typed_errors_and_change_nothing() {
             ),
             ("tcp", NetCluster::start_tcp_sharded(setup, shards).unwrap()),
         ];
-        for (link, net) in wires {
+        for (link, mut net) in wires {
             let ctx = format!("{link}, shards = {shards}");
+            // A ragged growing delta: a router takes the growth from its
+            // first column, and its workers refuse the second.
+            let current = net.setup().clone();
+            net.adopt_setup(current.grow(ADDED, 1, 5).unwrap());
+            let ragged = vec![
+                (Column::Ok, vec![0; ADDED]),
+                (Column::OkDb1, vec![0; ADDED + 1]),
+            ];
+            match net.delta_upload(0, 0, DOMAIN, ragged) {
+                Err(NetError::UploadRefused(why)) => assert!(!why.is_empty()),
+                other => panic!("{ctx}: a ragged growing delta answered {other:?}"),
+            }
+            net.adopt_setup(current);
             // Both clusters take the same update and append.
             let mut oracle = Cluster::build(&phase1, cfg(shards)).unwrap();
             let mut wire = Cluster::over(net, &phase1, cfg(shards)).unwrap();

@@ -83,7 +83,7 @@ use crate::engine::{
     ServerExec, ServerReply,
 };
 use crate::error::{ProtocolError, Result};
-use crate::metrics::{Counter, Counts, Metrics};
+use crate::metrics::{Counter, Counts, Metrics, QueryTrace};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -333,13 +333,13 @@ impl<'c, X: ServerExec> CachedExec<'c, X> {
     /// Probe the store range stamps of `servers` through the inner
     /// backend (one [`ServerCmd::RangeVersions`] round) and record them,
     /// dropping any entry whose overlapping stamps the confirmed state
-    /// proves stale. Returns the probe's server-side cost and counts
-    /// (the inner round's own plus the invalidations the probe caused) so
-    /// the caller can charge both to the query that triggered it — the
-    /// probe is a real round-trip, just not a plan-visible round.
-    fn refresh_versions(&self, servers: &[usize]) -> Result<(Duration, Counts)> {
+    /// proves stale. Returns the probe's trace and counts (the inner
+    /// round's own plus the invalidations the probe caused) so the caller
+    /// can charge both to the query that triggered it — the probe is a
+    /// real round-trip, just not a plan-visible round.
+    fn refresh_versions(&self, servers: &[usize]) -> Result<(QueryTrace, Counts)> {
         if servers.is_empty() {
-            return Ok((Duration::ZERO, Counts::default()));
+            return Ok((QueryTrace::default(), Counts::default()));
         }
         let cmds = servers
             .iter()
@@ -347,8 +347,8 @@ impl<'c, X: ServerExec> CachedExec<'c, X> {
             .collect();
         let RoundOutcome {
             replies,
-            cost: probe_cost,
             mut counts,
+            trace,
         } = self.inner.round(cmds)?;
         if replies.len() != servers.len() {
             return Err(ProtocolError::MalformedResponse(
@@ -370,7 +370,7 @@ impl<'c, X: ServerExec> CachedExec<'c, X> {
             metrics.record(Counter::CacheInvalidations, dropped, &mut counts);
             *CacheState::slot(&mut st.versions, s) = Some(v);
         }
-        Ok((probe_cost, counts))
+        Ok((trace, counts))
     }
 }
 
@@ -401,7 +401,7 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
                 .filter(|&s| st.versions.get(s).map_or(true, Option::is_none))
                 .collect()
         };
-        let (probe_cost, mut counts) = self.refresh_versions(&unknown)?;
+        let (mut trace, mut counts) = self.refresh_versions(&unknown)?;
 
         // Serve the whole round iff every participant holds the round's `z`
         // variant stamped with the confirmed state over the entry's range.
@@ -430,8 +430,8 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
             metrics.record(Counter::CacheHits, 1, &mut counts);
             return Ok(RoundOutcome {
                 replies,
-                cost: probe_cost,
                 counts,
+                trace,
             });
         }
 
@@ -447,10 +447,11 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
         let mut pending = pending.into_iter();
         let RoundOutcome {
             replies,
-            cost,
             counts: inner,
+            trace: ran,
         } = self.inner.round(cmds)?;
         counts.merge(&inner);
+        trace.merge(&ran);
         metrics.record(Counter::CacheMisses, 1, &mut counts);
         let mut st = self.cache.state()?;
         let replies = replies
@@ -472,8 +473,8 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
         drop(st);
         Ok(RoundOutcome {
             replies,
-            cost: cost + probe_cost,
             counts,
+            trace,
         })
     }
 

@@ -27,7 +27,7 @@ use crate::error::{ProtocolError, Result};
 use crate::malicious::Tamper;
 use crate::max::{self, BlindedMaxUpload, MaxAnnouncement};
 use crate::median::{self, MedianAnnouncement};
-use crate::metrics::{Counter, Counts};
+use crate::metrics::{Counter, Counts, QueryTrace, Stage};
 use crate::params::{AnnouncerParams, OwnerParams, ServerParams, SHAMIR_SERVERS};
 use crate::{chunk, psi, psu, sum};
 use prism_core::arith::fold_canonical_mod;
@@ -294,9 +294,11 @@ pub struct QueryStats {
     /// Per-round maximum over servers of their compute time, summed over
     /// rounds (servers run concurrently in deployment and never wait on
     /// each other). Networked backends report round-trip wall time here.
+    /// The server-side stages of [`QueryStats::trace`].
     pub server_time: Duration,
     /// Owner-side result-construction time (Table 14's metric). Steps
     /// that every owner runs independently count the slowest owner.
+    /// The [`Stage::OwnerStep`] time of [`QueryStats::trace`].
     pub owner_time: Duration,
     /// Announcer compute time (max/median only).
     pub announcer_time: Duration,
@@ -307,6 +309,10 @@ pub struct QueryStats {
     /// their [`RoundOutcome::counts`] (only the [`Counter::per_query`]
     /// counters move).
     pub counts: Counts,
+    /// Where the query's time went, per [`Stage`]: its rounds'
+    /// [`RoundOutcome::trace`]s, its owner steps and, on a networked
+    /// deployment, its admission wait.
+    pub trace: QueryTrace,
 }
 
 impl QueryStats {
@@ -320,12 +326,14 @@ impl QueryStats {
             announcer_time,
             rounds,
             counts,
+            trace,
         } = *other;
         self.server_time += server_time;
         self.owner_time += owner_time;
         self.announcer_time += announcer_time;
         self.rounds += rounds;
         self.counts.merge(&counts);
+        self.trace.merge(&trace);
     }
 
     /// Owner↔server communication rounds used.
@@ -393,29 +401,31 @@ impl std::fmt::Display for QueryStats {
 }
 
 /// Everything one [`ServerExec::round`] call produced: the per-server
-/// replies in command order, the backend's notion of server-side cost,
-/// and the events counted for exactly this call. Carrying the counts
-/// *in* the outcome (instead of sampling cumulative counters around the
-/// call) is what keeps per-query accounting exact when many queries
-/// interleave on one shared backend.
+/// replies in command order, where the call spent its time, and the
+/// events counted for exactly this call. Carrying the counts and the
+/// trace *in* the outcome (instead of sampling cumulative counters and
+/// clocks around the call) is what keeps per-query accounting exact when
+/// many queries interleave on one shared backend.
 #[derive(Debug)]
 pub struct RoundOutcome {
     /// Per-server replies, in command order.
     pub replies: Vec<ServerReply>,
-    /// Server-side cost of the round (max compute over servers
-    /// in-process; round-trip wall time over a wire).
-    pub cost: Duration,
     /// Dispatch, cache and failover counts for exactly this call.
     pub counts: Counts,
+    /// The call's server-side stages: [`Stage::ServerCompute`] (the
+    /// slowest server) in-process; [`Stage::Encode`],
+    /// [`Stage::WireWait`] and [`Stage::Decode`] over a wire.
+    pub trace: QueryTrace,
 }
 
 impl RoundOutcome {
-    /// An outcome that counted nothing (unsharded, uncached backends).
-    pub fn plain(replies: Vec<ServerReply>, cost: Duration) -> RoundOutcome {
+    /// An in-process outcome that counted nothing (unsharded, uncached
+    /// backends), its slowest server having computed for `compute`.
+    pub fn plain(replies: Vec<ServerReply>, compute: Duration) -> RoundOutcome {
         RoundOutcome {
             replies,
-            cost,
             counts: Counts::default(),
+            trace: QueryTrace::of(Stage::ServerCompute, compute),
         }
     }
 }
@@ -1143,7 +1153,7 @@ impl ServerNode {
     ///
     /// The first delta reaching past the current domain end grows the
     /// node: `b` extends by the segment length and the output permutations
-    /// extend block-diagonally — with the explicit `perm_ext`
+    /// extend block-diagonally, in place — with the explicit `perm_ext`
     /// `(pf_s1, pf_s2)` blocks when the caller holds the real family
     /// (domain-level nodes), or with identity blocks when it doesn't
     /// (row-range shard workers, whose permutations are identity anyway;
@@ -1184,7 +1194,10 @@ impl ServerNode {
                     )));
                 }
                 Some((e1, e2)) => (e1.clone(), e2.clone()),
-                None => (Permutation::identity(added), Permutation::identity(added)),
+                None => {
+                    let identity = Permutation::identity(added);
+                    (identity.clone(), identity)
+                }
             });
         } else if end != b {
             return Err(refused(format!(
@@ -1193,8 +1206,8 @@ impl ServerNode {
         }
         self.store.check_put(owner, start, &columns, end)?;
         if let Some((e1, e2)) = grown {
-            self.params.pf_s1 = self.params.pf_s1.concat(&e1);
-            self.params.pf_s2 = self.params.pf_s2.concat(&e2);
+            self.params.pf_s1.extend_block(&e1);
+            self.params.pf_s2.extend_block(&e2);
             self.params.b = end;
             // The blinding slice covers [row_offset, row_offset + b) and
             // must be re-drawn at the new length.
@@ -1836,13 +1849,13 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
     pub fn round(&mut self, cmds: Vec<(usize, ServerCmd)>) -> Result<Vec<ServerReply>> {
         let RoundOutcome {
             replies,
-            cost,
             counts,
+            trace,
         } = self.exec.round(cmds)?;
         if counts[Counter::CacheHits] == 0 {
             self.stats.rounds += 1;
         }
-        self.stats.server_time += cost;
+        self.charge(&trace);
         self.stats.counts.merge(&counts);
         let mut round_seq = None;
         for reply in &replies {
@@ -1925,24 +1938,24 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
         })
     }
 
+    /// Add `trace` to the query's, and keep the clocks the stats report
+    /// the views of it they are documented as.
+    fn charge(&mut self, trace: &QueryTrace) {
+        let stats = &mut self.stats;
+        stats.trace.merge(trace);
+        stats.server_time = stats.trace.server_time();
+        stats.owner_time = stats.trace.spent(Stage::OwnerStep);
+    }
+
     /// Run (and time) an owner-side step.
     pub fn owner_step<T>(&mut self, f: impl FnOnce() -> T) -> T {
         let t0 = Instant::now();
         let out = f();
-        self.stats.owner_time += t0.elapsed();
+        self.charge(&QueryTrace::of(Stage::OwnerStep, t0.elapsed()));
         out
     }
 
-    /// Fallible variant of [`Ctx::owner_step`] (time is charged whether or
-    /// not the step succeeds).
-    pub(crate) fn try_owner_step<T>(&mut self, f: impl FnOnce() -> Result<T>) -> Result<T> {
-        let t0 = Instant::now();
-        let out = f();
-        self.stats.owner_time += t0.elapsed();
-        out
-    }
-
-    /// Run (and time, as `Ctx::try_owner_step` does) the owner step that
+    /// Run (and time, as [`Ctx::owner_step`] does) the owner step that
     /// reads a round's replies — `outs[server][item]`, a read-only view per
     /// listed server — and when it ends send the backend's buffers home:
     /// each to the backend, and there the server, that produced it
@@ -1957,7 +1970,7 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
             let outputs = &replies.outputs;
             let views: [&[Vec<u64>]; SHAMIR_SERVERS] =
                 std::array::from_fn(|k| outputs.get(k).map_or(&[][..], Outputs::items));
-            self.try_owner_step(|| f(&views[..outputs.len()]))
+            self.owner_step(|| f(&views[..outputs.len()]))
         };
         for (server, outputs) in replies.servers.into_iter().zip(replies.outputs) {
             if let Outputs::Owned(outputs) = outputs {
@@ -1990,7 +2003,7 @@ impl<'e, X: ServerExec> Ctx<'e, X> {
                 break;
             }
         }
-        self.stats.owner_time += worst;
+        self.charge(&QueryTrace::of(Stage::OwnerStep, worst));
         match failure {
             Some(e) => Err(e),
             None => Ok(outs),

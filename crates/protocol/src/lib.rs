@@ -51,7 +51,7 @@ pub mod tables;
 pub use cache::{CachedExec, PsiRoundCache};
 pub use engine::{Engine, Operation, QueryStats, ServerExec, ServerNode};
 pub use error::{ProtocolError, Result};
-pub use metrics::{Counter, Counts, Metrics};
+pub use metrics::{Counter, Counts, Metrics, QueryTrace, Stage};
 pub use params::{
     AnnouncerParams, Initiator, OwnerParams, ServerParams, Setup, SystemConfig, ADDITIVE_SERVERS,
     SHAMIR_SERVERS,

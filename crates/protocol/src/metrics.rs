@@ -10,11 +10,17 @@
 //! dropped reply, a tamper invalidating the cache) go to the store alone
 //! ([`Metrics::add`]).
 //!
+//! Time has the same shape: [`Stage`] names where an owner's query spends
+//! it, and a [`QueryTrace`] — fixed arrays, no allocation — holds one
+//! round's or one query's time per stage, carried in the `RoundOutcome`
+//! beside its `Counts` and summed into the `QueryStats` the same way.
+//!
 //! [`RoundOutcome`]: crate::engine::RoundOutcome
 //! [`QueryStats`]: crate::engine::QueryStats
 
 use std::ops::{Index, IndexMut};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 /// Every counter the system keeps: the per-query ones first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -125,5 +131,116 @@ impl Metrics {
     /// Every counter's total, each read on its own.
     pub fn snapshot(&self) -> Counts {
         Counts(std::array::from_fn(|i| self.0[i].load(Ordering::Relaxed)))
+    }
+}
+
+/// Where an owner's query spends its time, as the owner side sees it.
+/// Router- and worker-side stages are not split out: they sit inside
+/// [`Stage::WireWait`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Waiting for an admission permit (networked deployments).
+    AdmissionWait,
+    /// Handing a round's commands to the links: framing and writing them
+    /// over TCP, a move over a channel.
+    Encode,
+    /// Blocked on a round's replies: transit, the servers' compute and,
+    /// over TCP, the reply frames' decode on the links' pump threads.
+    WireWait,
+    /// Turning a round's reply messages into engine replies.
+    Decode,
+    /// An in-process round's server compute: its slowest server.
+    ServerCompute,
+    /// Owner-side result construction (Table 14's metric).
+    OwnerStep,
+}
+
+impl Stage {
+    /// Every stage, in query order.
+    pub const ALL: [Stage; 6] = [
+        Stage::AdmissionWait,
+        Stage::Encode,
+        Stage::WireWait,
+        Stage::Decode,
+        Stage::ServerCompute,
+        Stage::OwnerStep,
+    ];
+
+    /// The stage's name in reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::AdmissionWait => "admission_wait",
+            Stage::Encode => "encode",
+            Stage::WireWait => "wire_wait",
+            Stage::Decode => "decode",
+            Stage::ServerCompute => "server_compute",
+            Stage::OwnerStep => "owner_step",
+        }
+    }
+
+    /// Whether the stage is server-side cost (`QueryStats::server_time`):
+    /// a round's wire stages, or its in-process compute.
+    pub fn is_server(self) -> bool {
+        matches!(
+            self,
+            Stage::Encode | Stage::WireWait | Stage::Decode | Stage::ServerCompute
+        )
+    }
+}
+
+const STAGES: usize = Stage::ALL.len();
+
+/// Time spent per [`Stage`], and how many times each was recorded: one
+/// round's (a round records each of its stages once) or one query's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct QueryTrace {
+    spent: [Duration; STAGES],
+    records: [u32; STAGES],
+}
+
+impl QueryTrace {
+    /// A trace holding one record: `d` spent in `stage`.
+    pub fn of(stage: Stage, d: Duration) -> QueryTrace {
+        let mut trace = QueryTrace::default();
+        trace.record(stage, d);
+        trace
+    }
+
+    /// Add one record: `d` spent in `stage`.
+    pub fn record(&mut self, stage: Stage, d: Duration) {
+        self.spent[stage as usize] += d;
+        self.records[stage as usize] += 1;
+    }
+
+    /// Add every stage of `other` into this trace.
+    pub fn merge(&mut self, other: &QueryTrace) {
+        for i in 0..STAGES {
+            self.spent[i] += other.spent[i];
+            self.records[i] += other.records[i];
+        }
+    }
+
+    /// Time spent in `stage`.
+    pub fn spent(&self, stage: Stage) -> Duration {
+        self.spent[stage as usize]
+    }
+
+    /// How many times `stage` was recorded.
+    pub fn records(&self, stage: Stage) -> u32 {
+        self.records[stage as usize]
+    }
+
+    /// Time spent in every stage together.
+    pub fn total(&self) -> Duration {
+        self.spent.iter().sum()
+    }
+
+    /// The server-side stages' time ([`Stage::is_server`]).
+    pub fn server_time(&self) -> Duration {
+        Stage::ALL
+            .into_iter()
+            .filter(|s| s.is_server())
+            .map(|s| self.spent(s))
+            .sum()
     }
 }

@@ -240,15 +240,19 @@ impl Setup {
     ///
     /// A fresh Equation-1 family over the appended block is derived from the
     /// master seed and the epoch number, and every distributed permutation is
-    /// extended block-diagonally ([`PermutationFamily::concat`]). Everything
-    /// else — δ, η/η′, the order polynomial, the PSU blinding seed, `m`
-    /// shares — is domain-size independent and carried over unchanged, so:
+    /// extended block-diagonally ([`PermutationFamily::extend_block`]).
+    /// Everything else — δ, η/η′, the order polynomial, the PSU blinding
+    /// seed, `m` shares — is domain-size independent and carried over
+    /// unchanged, so:
     ///
     /// * columns already outsourced (stored permuted under the old family)
     ///   stay valid byte-for-byte, and
     /// * the PSU blinding stream stays globally aligned: appended rows sit at
     ///   global positions `[b, b+added)` and draw exactly the cells the old
     ///   rows never consumed.
+    ///
+    /// The five family maps are copied once (`self` keeps its own); the
+    /// owner view and every server view share them.
     pub fn grow(&self, added: usize, epoch: u64, master_seed: u64) -> Result<Setup> {
         if added == 0 {
             return Err(ProtocolError::ParameterMismatch(
@@ -259,23 +263,24 @@ impl Setup {
             master_seed ^ 0xDE17_AB10_C0DE_0001u64 ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
         let block = PermutationFamily::generate(added, &mut prg);
-        let family = self.family.concat(&block);
+        let mut family = self.family.clone();
+        family.extend_block(&block);
         let b = self.owner.b + added;
 
-        let mut owner = self.owner.clone();
-        owner.b = b;
-        owner.pf_db1 = family.pf_db1.clone();
-        owner.pf_db2 = family.pf_db2.clone();
-
+        let owner = OwnerParams {
+            b,
+            pf_db1: family.pf_db1.clone(),
+            pf_db2: family.pf_db2.clone(),
+            ..self.owner.clone()
+        };
         let servers = self
             .servers
             .iter()
-            .map(|sv| {
-                let mut sv = sv.clone();
-                sv.b = b;
-                sv.pf_s1 = family.pf_s1.clone();
-                sv.pf_s2 = family.pf_s2.clone();
-                sv
+            .map(|sv| ServerParams {
+                b,
+                pf_s1: family.pf_s1.clone(),
+                pf_s2: family.pf_s2.clone(),
+                ..sv.clone()
             })
             .collect();
 

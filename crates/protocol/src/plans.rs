@@ -635,7 +635,7 @@ impl Operation for Max<'_> {
                 }
             };
 
-            let (decoded, announced) = ctx.try_owner_step(|| match table {
+            let (decoded, announced) = ctx.owner_step(|| match table {
                 Some(t) => max::owner_decode_max_tab(common, &ann, t, op, threads),
                 None => max::owner_decode_max(common, &ann, op),
             })?;
@@ -657,7 +657,7 @@ impl Operation for Max<'_> {
             ])?;
             let fpos2 = expect_fpos(replies.pop().unwrap(), decoded.len(), m)?;
             let fpos1 = expect_fpos(replies.pop().unwrap(), decoded.len(), m)?;
-            let holders = ctx.try_owner_step(|| max::owner_decode_fpos(&fpos1, &fpos2, op))?;
+            let holders = ctx.owner_step(|| max::owner_decode_fpos(&fpos1, &fpos2, op))?;
 
             // Every owner verifies against its own contribution.
             ctx.each_owner(m, |j| {
@@ -715,7 +715,7 @@ impl Operation for Median<'_> {
                 }
             };
 
-            let decoded = ctx.try_owner_step(|| match table {
+            let decoded = ctx.owner_step(|| match table {
                 Some(t) => median::owner_decode_median_tab(common, &ann, t, op),
                 None => median::owner_decode_median(common, &ann, op),
             })?;

@@ -429,7 +429,10 @@ impl ShardedNode {
         }
         let (e1, e2) = match perm_ext {
             Some((e1, e2)) => (e1.clone(), e2.clone()),
-            None => (Permutation::identity(added), Permutation::identity(added)),
+            None => {
+                let identity = Permutation::identity(added);
+                (identity.clone(), identity)
+            }
         };
         if e1.len() != added || e2.len() != added {
             return Err(refused(format!(
@@ -450,8 +453,8 @@ impl ShardedNode {
             let tail = &mut self.shards[spec.index];
             tail.delta_upload(owner, start - spec.start, columns, None)?;
         }
-        self.params.pf_s1 = self.params.pf_s1.concat(&e1);
-        self.params.pf_s2 = self.params.pf_s2.concat(&e2);
+        self.params.pf_s1.extend_block(&e1);
+        self.params.pf_s2.extend_block(&e2);
         self.params.b = end;
         self.plan = plan;
         Ok(())
@@ -652,9 +655,8 @@ impl ServerExec for ShardedExec<'_> {
             replies.push(forward_wide(self.announcer, *s, reply, &mut round_seq)?);
         }
         Ok(RoundOutcome {
-            replies,
-            cost: worst,
             counts,
+            ..RoundOutcome::plain(replies, worst)
         })
     }
 

@@ -22,6 +22,12 @@
 //! F-table is built by the first max of a parameter set and by no later
 //! max or median.
 //!
+//! A streaming append costs what it adds. `Setup::grow` copies the five
+//! Equation-1 family maps (the parent setup stays alive until it is
+//! replaced) and nothing else domain-sized, and the nodes grow their
+//! finish permutations in place: what an append requests beside those
+//! five maps is the same at 8 192 and at 65 536 cells.
+//!
 //! Everything is asserted inside one `#[test]` so no sibling test thread
 //! can allocate mid-measurement; each measurement additionally takes the
 //! minimum over several reps to shrug off any stray allocation from the
@@ -342,6 +348,55 @@ fn warm_hot_paths_stay_allocation_free() {
             "warm Batch{{sum,avg,count}} requested {batch_bytes} B for a {batch_result} B \
              result and three {} B z-share columns",
             B * word
+        );
+    }
+    // --- Streaming appends: `Setup::grow` requests the five family maps
+    // and O(added) besides; the whole append, those maps aside, requests
+    // the same bytes at both domain sizes. The minimum over several
+    // appends skips the ones where a growing `Vec` doubled.
+    {
+        const ADDED: usize = 64;
+        const APPENDS: usize = 6;
+        let mut beside_family = Vec::new();
+        for b in [8_192usize, 65_536] {
+            let inputs: Vec<OwnerInput> = (0..OWNERS as u64)
+                .map(|j| OwnerInput::from_pairs((1..=b as u64).map(|v| (v, v % 50 + j))))
+                .collect();
+            let mut cluster = Cluster::build(&inputs, ClusterConfig::new(b)).expect("cluster");
+            let mut min_beside = usize::MAX;
+            for epoch in 1..=APPENDS as u64 {
+                let start = cluster.setup().owner.b;
+                let family = 5 * (start + ADDED) * size_of::<u32>();
+                let before = BYTES.load(Ordering::Relaxed);
+                let grown = cluster.setup().grow(ADDED, epoch, 9).expect("grow");
+                let grow_bytes = (BYTES.load(Ordering::Relaxed) - before) as usize;
+                drop(grown);
+                assert!(
+                    grow_bytes <= family + 64 * ADDED * size_of::<u32>() + 4_096,
+                    "Setup::grow at b = {start} requested {grow_bytes} B beside the \
+                     {family} B of the five family maps: a view re-copied a map"
+                );
+                let delta: Vec<OwnerInput> = (0..OWNERS as u64)
+                    .map(|j| {
+                        let rows =
+                            (start as u64 + 1..=(start + ADDED) as u64).step_by(j as usize + 1);
+                        OwnerInput::from_pairs(rows.map(|v| (v, v % 40 + j)))
+                    })
+                    .collect();
+                let before = BYTES.load(Ordering::Relaxed);
+                cluster.append(ADDED, &delta).expect("append");
+                let append_bytes = (BYTES.load(Ordering::Relaxed) - before) as usize;
+                if epoch > 1 {
+                    min_beside = min_beside.min(append_bytes.saturating_sub(family));
+                }
+            }
+            beside_family.push(min_beside);
+        }
+        assert_eq!(
+            beside_family[0], beside_family[1],
+            "an append requested {} B beside the family maps at 8 192 cells and {} B at \
+             65 536: some node or view grew a domain-sized map by copying it",
+            beside_family[0], beside_family[1]
         );
     }
 }

@@ -130,7 +130,23 @@ one_metrics() {
     return "$status"
 }
 
-GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics"
+# An append costs what it adds: a delta upload grows every permutation in
+# place (`Permutation::extend_block`, copy-on-write), never by building a
+# domain-sized copy. Fails on a `pf_*.concat(` or `family.concat(` call in
+# `crates/*/src`, on a `fn concat` in `perm.rs` above its tests, or on a
+# `ServerNode::new(` inside a `Message::DeltaUpload` arm of `router.rs`
+# (the storage-less wide node is built once and growth never touches it).
+append_in_place() {
+    ! git grep -nE '(pf_[a-z0-9]+|family)\.concat\(' -- 'crates/*/src/**' || return 1
+    ! sed '/^#\[cfg(test)\]/q' crates/core/src/perm.rs | grep -n 'fn concat' |
+        sed 's|^|crates/core/src/perm.rs:|' | grep . || return 1
+    ! sed '/^#\[cfg(test)\]/q' crates/net/src/router.rs | awk '
+        /^[[:space:]]*Message::DeltaUpload \{$/ { arm = 1 }
+        arm && /Message::SetTamper/ { arm = 0 }
+        arm && /ServerNode::new\(/ { print "crates/net/src/router.rs:" NR ":" $0 }' | grep .
+}
+
+GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place"
 
 run() {
     case "$1" in
@@ -142,6 +158,7 @@ run() {
         one-column-per-kind) one_column_per_kind ;;
         one-bringup) one_bringup ;;
         one-metrics) one_metrics ;;
+        append-in-place) append_in_place ;;
         *)
             echo "usage: scripts/guards.sh <all | $(echo "$GUARDS" | tr ' ' '|')>" >&2
             exit 2
