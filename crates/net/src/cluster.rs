@@ -121,12 +121,7 @@ pub(crate) fn announcer_loop(
                 reply(owner_link.as_ref(), tag, Message::Ack)?;
             }
             Message::Ping { seq } => {
-                // The announcer carries no row assignment; generation 0.
-                reply(
-                    owner_link.as_ref(),
-                    tag,
-                    Message::Pong { seq, generation: 0 },
-                )?;
+                reply(owner_link.as_ref(), tag, Message::Pong { seq })?;
             }
             Message::Shutdown => return Ok(()),
             _ => {

@@ -370,7 +370,7 @@ mod tests {
 
     /// A small reply payload distinguishable by `seq`.
     fn pong(seq: u64) -> Message {
-        Message::Pong { seq, generation: 0 }
+        Message::Pong { seq }
     }
 
     #[test]

@@ -27,9 +27,9 @@
 //!   [`RegistryConfig::probe_interval`], matching [`Message::Pong`]s by
 //!   sequence number. A non-responder turns [`Liveness::Suspect`]; after
 //!   [`RegistryConfig::miss_budget`] consecutive misses (or a hard link
-//!   death) it is confirmed [`Liveness::Dead`]. Per-node liveness,
-//!   last-seen age, and assignment generation are exported through
-//!   [`NetCluster::report`] as [`NodeHealth`] rows.
+//!   death) it is confirmed [`Liveness::Dead`]. Per-node liveness and
+//!   last-seen age are exported through [`NetCluster::report`] as
+//!   [`NodeHealth`] rows.
 //! * **Replication.** [`RegistryConfig::replication`] stores every row
 //!   range on `rf` workers (round-robin over attach order,
 //!   [`ShardPlan::replica_sets`]): the first holder of each range is
@@ -43,14 +43,14 @@
 //!   still have no edge to each other.
 //! * **Failover.** On confirmed death of a shard worker the registry
 //!   first tries **promotion**: if every row range still has a live
-//!   holder, the heal is metadata-only — generation bump, re-`Assign`
-//!   of unchanged ranges (a no-op on the worker stores), and cache
-//!   invalidation of exactly the healed domain. Zero upload-log
-//!   replay. Only when a range lost its *last* holder does the registry
-//!   re-plan the domain over the survivors, push each its new row range
-//!   via [`Message::Assign`] (generation-numbered, acked, rebuilding its
-//!   store), and **re-outsource** the domain from its summed upload
-//!   log: each holder gets one [`Message::Replay`] restoring its range
+//!   holder, the heal is metadata-only — the dead slot goes, the next
+//!   holder in attach order is the range's primary, and exactly the
+//!   healed domain's cache entries are dirtied. It sends no message and
+//!   replays nothing. Only when a range lost its *last* holder does the
+//!   registry re-plan the domain over the survivors, push each its new
+//!   row range via [`Message::Assign`] (acked, resetting its store), and
+//!   **re-outsource** the domain from its summed upload log: each holder
+//!   gets one [`Message::Replay`] restoring its range
 //!   (the slice of each column's owner sum, every owner's rows and
 //!   epoch). Each survivor's monotonic version bumps and the PSI-round
 //!   cache invalidates exactly the re-fanned domain (`note_upload`).
@@ -65,11 +65,15 @@
 //! property of §3.2 is preserved: workers of different domains still have
 //! no edge to each other.
 //!
-//! **Generation numbers.** Every re-plan bumps the domain's generation;
-//! `Assign` carries it and `Pong` echoes the worker's current value, so
-//! the prober detects a worker that missed a re-plan (e.g. an ack lost
-//! to a transient) and re-sends its assignment — the keep-alive loop
-//! doubles as the assignment anti-entropy loop.
+//! **Acked membership.** A domain's slots are the only truth: every heal
+//! message ([`Message::Assign`], [`Message::Replay`]) must be acked within
+//! [`RegistryConfig::heal_timeout`], and a worker that misses one is
+//! removed before the heal completes. So every member holds the current
+//! plan, and nothing is numbered or re-checked afterwards.
+//!
+//! **Events.** Every attach, heal and confirmed death is logged as a
+//! [`ControlEvent`]; [`NodeRegistry::wait_event`] blocks until one
+//! arrives, so a caller waits on the control plane, not on the clock.
 
 use crate::cluster::{announcer_loop, EdgeMeters, NetCluster};
 use crate::mux::MuxLink;
@@ -175,29 +179,31 @@ pub struct NodeHealth {
     pub liveness: Liveness,
     /// Time since the node last answered (registration counts).
     pub last_seen: Duration,
-    /// The node's assignment generation (0 for the announcer).
-    pub generation: u64,
 }
 
 impl std::fmt::Display for NodeHealth {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} (node {}): {} gen={} last_seen={:?} ago",
-            self.label, self.node, self.liveness, self.generation, self.last_seen
+            "{} (node {}): {} last_seen={:?} ago",
+            self.label, self.node, self.liveness, self.last_seen
         )
     }
 }
 
-/// What the control plane did: one event per attach, heal and heal-time
-/// anomaly, its log line as `Display`. [`NodeRegistry::events`] keeps the
-/// newest [`CONTROL_EVENTS`], each with its sequence number. Worker
-/// `(domain, worker)` is node `worker`, labelled `d{domain}/w{worker}`.
+/// What the control plane did: one event per attach, heal, heal-time
+/// casualty and confirmed announcer death, its log line as `Display`.
+/// [`NodeRegistry::events`] keeps the newest [`CONTROL_EVENTS`], each with
+/// its sequence number, and [`NodeRegistry::wait_event`] waits for one.
+/// Worker `(domain, worker)` is node `worker`, labelled `d{domain}/w{worker}`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlEvent {
     /// `(domain, worker, workers)`: a shard worker attached and its domain
     /// re-fanned over `workers` workers.
     Attached(usize, u64, usize),
+    /// `(node)`: the announcer on node `node` was confirmed dead. Nothing
+    /// heals it: wide rounds fail until a replacement reconnects.
+    AnnouncerDown(u64),
     /// `(node)`: a replacement announcer's control edge swapped in.
     AnnouncerReconnected(u64),
     /// `(server)`: a replacement announcer's upload edge from additive
@@ -205,17 +211,13 @@ pub enum ControlEvent {
     UploadReconnected(usize),
     /// `(domain)`: a re-fan found no worker left.
     DomainOffline(usize),
-    /// `(domain, worker, promotion)`: a worker failed during a heal (a
-    /// metadata-only promotion if `promotion`) and was removed.
-    HealCasualty(usize, u64, bool),
-    /// `(domain, worker, promoted, survivors, generation)`: a worker was
-    /// confirmed dead and its domain healed, by promoting replicas if
-    /// `promoted` or else by replay, leaving `survivors` workers at
-    /// `generation`.
-    Failover(usize, u64, bool, usize, u64),
-    /// `(domain, node, generation)`: a node reported a stale assignment
-    /// `generation`, so its domain re-fans.
-    StaleGeneration(usize, u64, u64),
+    /// `(domain, worker)`: a worker failed to ack a heal's message and
+    /// was removed.
+    HealCasualty(usize, u64),
+    /// `(domain, worker, promoted, survivors)`: a worker was confirmed
+    /// dead and its domain healed, by promoting replicas if `promoted` or
+    /// else by replay, leaving `survivors` workers.
+    Failover(usize, u64, bool, usize),
 }
 
 impl std::fmt::Display for ControlEvent {
@@ -226,17 +228,20 @@ impl std::fmt::Display for ControlEvent {
                 f,
                 "domain {d}: worker d{d}/w{w} attached; re-fanned over {n} worker(s)"
             ),
+            AnnouncerDown(node) => write!(
+                f,
+                "announcer: node {node} confirmed dead; wide rounds fail until it reconnects"
+            ),
             AnnouncerReconnected(node) => write!(
                 f,
                 "announcer: control edge reconnected as node {node}; wide rounds resumed"
             ),
             UploadReconnected(k) => write!(f, "announcer: upload edge {k} reconnected"),
             DomainOffline(d) => write!(f, "domain {d}: no surviving workers — domain offline"),
-            HealCasualty(d, w, promotion) => {
-                let heal = if promotion { "promotion" } else { "heal" };
-                write!(f, "domain {d}: worker d{d}/w{w} failed mid-{heal}; removed")
+            HealCasualty(d, w) => {
+                write!(f, "domain {d}: worker d{d}/w{w} failed mid-heal; removed")
             }
-            Failover(d, w, promoted, n, generation) => {
+            Failover(d, w, promoted, n) => {
                 let heal = if promoted {
                     "promoted surviving replica(s), zero replay"
                 } else {
@@ -244,14 +249,9 @@ impl std::fmt::Display for ControlEvent {
                 };
                 write!(
                     f,
-                    "domain {d}: worker d{d}/w{w} confirmed dead; {heal} over {n} survivor(s) \
-                     (generation {generation})"
+                    "domain {d}: worker d{d}/w{w} confirmed dead; {heal} over {n} survivor(s)"
                 )
             }
-            StaleGeneration(d, node, generation) => write!(
-                f,
-                "domain {d}: node {node} reports stale generation {generation}; re-fanning"
-            ),
         }
     }
 }
@@ -319,7 +319,10 @@ struct RegistryInner {
     /// Set by [`NetCluster::enable_cache`]; failovers dirty the healed
     /// domain here so warm entries cannot survive a re-fan.
     cache: Mutex<Option<Arc<PsiRoundCache>>>,
-    events: Mutex<VecDeque<(u64, ControlEvent)>>,
+    /// The event ring, and the condvar every logged event wakes
+    /// ([`NodeRegistry::wait_event`]); a std pair, like `attached`.
+    events: std::sync::Mutex<VecDeque<(u64, ControlEvent)>>,
+    logged: std::sync::Condvar,
     /// Dead nodes kept for reporting after their slot is removed.
     graveyard: Mutex<Vec<NodeHealth>>,
     /// The deployment's one cumulative store: heals count here, and so do
@@ -435,8 +438,13 @@ impl RegistryInner {
         self.corr.fetch_add(1, Ordering::Relaxed)
     }
 
+    fn ring(&self) -> std::sync::MutexGuard<'_, VecDeque<(u64, ControlEvent)>> {
+        self.events.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn log(&self, event: ControlEvent) {
-        push_event(&mut self.events.lock(), event);
+        push_event(&mut self.ring(), event);
+        self.logged.notify_all();
     }
 
     /// Wake a `start` waiting for the slots (called with no lock held).
@@ -514,7 +522,39 @@ impl NodeRegistry {
     /// The newest [`CONTROL_EVENTS`] control events, oldest first, each
     /// with its sequence number.
     pub fn events(&self) -> Vec<(u64, ControlEvent)> {
-        self.inner.events.lock().iter().cloned().collect()
+        self.inner.ring().iter().cloned().collect()
+    }
+
+    /// Block until the ring holds an event `want` accepts and return the
+    /// oldest one, with its sequence number: one already logged, or the
+    /// first logged while waiting (every logged event wakes the wait).
+    /// `None` once `timeout` passes without one.
+    ///
+    /// A heal's counters ([`NodeRegistry::failovers`],
+    /// [`NodeRegistry::promotions`], [`NodeRegistry::replayed_records`])
+    /// and its cache invalidation move before its event is logged, so they
+    /// already count that heal when its event is returned.
+    pub fn wait_event(
+        &self,
+        timeout: Duration,
+        mut want: impl FnMut(&ControlEvent) -> bool,
+    ) -> Option<(u64, ControlEvent)> {
+        let deadline = Instant::now() + timeout;
+        let mut ring = self.inner.ring();
+        // Events numbered below `unseen` were already offered to `want`.
+        let mut unseen = 0;
+        loop {
+            if let Some(hit) = ring.iter().find(|(seq, e)| *seq >= unseen && want(e)) {
+                return Some(hit.clone());
+            }
+            unseen = ring.back().map_or(0, |(seq, _)| seq + 1);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return None;
+            }
+            let woken = self.inner.logged.wait_timeout(ring, left);
+            ring = woken.unwrap_or_else(|e| e.into_inner()).0;
+        }
     }
 
     /// Per-node liveness snapshot (live workers, dead nodes kept for the
@@ -535,7 +575,6 @@ impl NodeRegistry {
                 label: "announcer".into(),
                 liveness: a.health.liveness,
                 last_seen: a.health.last_seen.elapsed(),
-                generation: 0,
             });
         }
         out
@@ -635,7 +674,8 @@ impl ClusterListener {
             addr,
             domains: domains.collect(),
             cache: Mutex::new(None),
-            events: Mutex::default(),
+            events: std::sync::Mutex::default(),
+            logged: std::sync::Condvar::new(),
             graveyard: Mutex::new(Vec::new()),
             metrics: Arc::default(),
             next_node: AtomicU64::new(0),
@@ -719,7 +759,7 @@ impl ClusterListener {
                     (Some(spec), None)
                 };
                 let (params, link) = (this.setup.servers[d].clone(), Arc::from(worker_side));
-                let node = spawn_node(params, link, range, 0, Tamper::Honest, front);
+                let node = spawn_node(params, link, range, Tamper::Honest, front);
                 this.handles.push(node);
                 let slotted = take_slot(&inner, d, Arc::from(router_side), spec.index, |_, _| true);
                 slotted.expect("a fixed roster has a slot for every range");
@@ -873,7 +913,6 @@ fn register_ack(link: &TcpLink, node: Option<u64>, len: usize) -> bool {
     let ack = Message::RegisterAck {
         accepted: node.is_some(),
         node: node.unwrap_or(0),
-        generation: 0,
         start: 0,
         len: len as u64,
     };
@@ -973,16 +1012,19 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
             if !register_ack(&link, Some(node), 0) {
                 return;
             }
+            let reconnected = swap.is_some();
             match swap {
-                Some(ctl_swap) => {
-                    ctl_swap.swap(link);
-                    inner.log(ControlEvent::AnnouncerReconnected(node));
-                }
+                Some(ctl_swap) => ctl_swap.swap(link),
                 None => *slot = Some(link),
             }
-            drop(slot);
+            // Alive before the event is logged, so a caller woken by it
+            // reads the replacement on the roster.
             let health = Health::alive();
             *inner.announcer_health.lock() = Some(AnnouncerHealth { node, health });
+            drop(slot);
+            if reconnected {
+                inner.log(ControlEvent::AnnouncerReconnected(node));
+            }
             inner.note_attach();
         }
         NodeRole::AnnouncerUpload => {
@@ -1020,24 +1062,22 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
 // Heal: re-plan, re-assign, re-outsource
 // ---------------------------------------------------------------------
 
-/// Re-fan domain `d` over its current workers: bump the generation,
-/// re-plan (carving [`ShardPlan::ranges_for`] ranges so every range
-/// keeps `rf` holders), push every worker its row range, and replay the
-/// domain's upload log sliced under the new plan. Holds the domain write
-/// lock throughout — the heal barrier: no query round can interleave
-/// with a half-replayed store. A worker that fails mid-heal is removed
-/// and the heal restarts over the remainder. Returns the surviving
-/// worker count (0 = domain offline).
+/// Re-fan domain `d` over its current workers: re-plan (carving
+/// [`ShardPlan::ranges_for`] ranges so every range keeps `rf` holders),
+/// push every worker its row range, and replay the domain's upload log
+/// sliced under the new plan. Holds the domain write lock throughout —
+/// the heal barrier: no query round can interleave with a half-replayed
+/// store. A worker that fails mid-heal is removed and the heal restarts
+/// over the remainder. Returns the surviving worker count (0 = domain
+/// offline).
 fn refan(inner: &Arc<RegistryInner>, d: usize) -> usize {
     let shared = &inner.domains[d];
     let mut st = shared.write();
     loop {
         if st.workers.is_empty() {
-            st.generation += 1;
             inner.log(ControlEvent::DomainOffline(d));
             return 0;
         }
-        st.generation += 1;
         let ranges = ShardPlan::ranges_for(st.workers.len(), st.rf, st.params.b);
         st.plan = ShardPlan::new(st.params.b, ranges);
         for (r, holders) in st.plan.replica_sets(st.workers.len()).iter().enumerate() {
@@ -1045,12 +1085,12 @@ fn refan(inner: &Arc<RegistryInner>, d: usize) -> usize {
                 st.workers[w].range = r;
             }
         }
-        match assign_and_replay(inner, &mut st) {
+        match assign_and_replay(inner, &st) {
             Ok(()) => break,
             Err(bad) => {
                 let casualty = st.workers.remove(bad);
                 bury(inner, &casualty);
-                inner.log(ControlEvent::HealCasualty(d, casualty.node, false));
+                inner.log(ControlEvent::HealCasualty(d, casualty.node));
             }
         }
     }
@@ -1064,33 +1104,18 @@ fn refan(inner: &Arc<RegistryInner>, d: usize) -> usize {
     survivors
 }
 
-/// Metadata-only heal of domain `d`: every range of the *current* plan
-/// still has a live holder, so no row range was lost with the casualty
-/// — bump the generation and re-`Assign` each survivor the range it
-/// already holds (a pure generation bump on the worker side; stores are
-/// untouched and nothing is replayed), then dirty exactly this domain's
-/// cache entries so warm rounds revalidate against the promoted
-/// primaries. Returns `false` when a range lost its last holder or a
-/// survivor failed its promotion assign — the caller falls back to the
-/// replay heal over whoever remains.
+/// Metadata-only heal of domain `d`, which sends no message: if every
+/// range of the *current* plan still has a live holder, no row range was
+/// lost with the casualty, and the next holder of each range in attach
+/// order is already its primary — the routers read it from the slots.
+/// Dirties exactly this domain's cache entries so warm rounds revalidate
+/// against the promoted primaries, and counts the promotion. Returns
+/// `false` when a range lost its last holder — the caller falls back to
+/// the replay heal.
 fn promote(inner: &Arc<RegistryInner>, d: usize) -> bool {
-    let shared = &inner.domains[d];
-    let mut st = shared.write();
-    loop {
-        if st.workers.is_empty() || !st.covered() {
-            return false;
-        }
-        st.generation += 1;
-        match assign_current(inner, &mut st, false) {
-            Ok(()) => break,
-            Err(bad) => {
-                let casualty = st.workers.remove(bad);
-                bury(inner, &casualty);
-                inner.log(ControlEvent::HealCasualty(d, casualty.node, true));
-            }
-        }
+    if !inner.domains[d].read().covered() {
+        return false;
     }
-    drop(st);
     // Nothing was replayed, but the primary of the healed range changed:
     // dirty the domain so warm entries re-probe (and revive if the
     // promoted holder reports the stamps they were cut against).
@@ -1126,38 +1151,18 @@ fn heal_fan(
     Ok(())
 }
 
-/// Push every worker the range it currently holds (acked, generation
-/// `st.generation`). Assigning the unchanged range is deliberately a
-/// pure generation bump on the worker side — no store wipe, no replay.
-/// `Err(i)` names the worker index that failed.
-fn assign_current(
-    inner: &Arc<RegistryInner>,
-    st: &mut DomainState,
-    fresh: bool,
-) -> Result<(), usize> {
-    let generation = st.generation;
+/// Push the current plan's ranges to every worker (acked), each resetting
+/// its store, then restore the domain's summed log cut under the new plan
+/// into the empty stores: every holder of a range receives one
+/// [`Message::Replay`] carrying its range's slice of each column's sum
+/// and every owner's rows and epoch. `Err(i)` names the worker index that
+/// failed. A log that holds nothing yet (an attach during bring-up)
+/// restores nothing.
+fn assign_and_replay(inner: &Arc<RegistryInner>, st: &DomainState) -> Result<(), usize> {
     heal_fan(inner, st, |spec| Message::Assign {
-        generation,
         start: spec.start as u64,
         len: spec.len as u64,
-        fresh,
     })?;
-    for w in st.workers.iter_mut() {
-        w.generation = generation;
-    }
-    Ok(())
-}
-
-/// Push the current plan's ranges to every worker (acked, generation
-/// `st.generation`), each rebuilding its store, then restore the domain's
-/// summed log cut under the new plan into the empty stores: every holder
-/// of a range receives one [`Message::Replay`] carrying its range's slice
-/// of each column's sum and every owner's rows and epoch. `Err(i)` names
-/// the worker index that failed. A log that holds nothing yet (an attach
-/// during bring-up) restores nothing.
-fn assign_and_replay(inner: &Arc<RegistryInner>, st: &mut DomainState) -> Result<(), usize> {
-    assign_current(inner, st, true)?;
-    let st: &DomainState = st;
     let Some(log) = st.log.as_ref().filter(|log| log.resident_cells() > 0) else {
         return Ok(());
     };
@@ -1174,7 +1179,6 @@ fn worker_health(w: &WorkerSlot) -> NodeHealth {
         label: w.label.clone(),
         liveness: w.health.liveness,
         last_seen: w.health.last_seen.elapsed(),
-        generation: w.generation,
     }
 }
 
@@ -1206,8 +1210,7 @@ fn failover(inner: &Arc<RegistryInner>, d: usize, node: u64) {
         refan(inner, d)
     };
     inner.metrics.add(Counter::Failovers, 1);
-    let generation = inner.domains[d].read().generation;
-    let healed = ControlEvent::Failover(d, casualty.node, promoted, survivors, generation);
+    let healed = ControlEvent::Failover(d, casualty.node, promoted, survivors);
     inner.log(healed);
 }
 
@@ -1216,7 +1219,8 @@ fn failover(inner: &Arc<RegistryInner>, d: usize, node: u64) {
 // ---------------------------------------------------------------------
 
 /// Ping every worker and the announcer (over its control link
-/// `announcer`) each probe interval until stopped.
+/// `announcer`) each probe interval until stopped; fail over every worker
+/// whose death is confirmed.
 fn prober_loop(inner: Arc<RegistryInner>, announcer: Arc<MuxLink>) {
     while !inner.stop.load(Ordering::SeqCst) {
         std::thread::sleep(inner.cfg.probe_interval);
@@ -1226,40 +1230,23 @@ fn prober_loop(inner: Arc<RegistryInner>, announcer: Arc<MuxLink>) {
         for d in 0..inner.domains.len() {
             // Snapshot outside the lock: a probe waits up to
             // probe_timeout and must not block routing or heals.
-            let probes: Vec<(u64, Arc<MuxLink>, u64)> = {
+            let probes: Vec<(u64, Arc<MuxLink>)> = {
                 let st = inner.domains[d].read();
-                st.workers
-                    .iter()
-                    .map(|w| (w.node, Arc::clone(&w.link), st.generation))
-                    .collect()
+                let probe = |w: &WorkerSlot| (w.node, Arc::clone(&w.link));
+                st.workers.iter().map(probe).collect()
             };
-            for (node, link, expected_gen) in probes {
+            for (node, link) in probes {
                 if inner.stop.load(Ordering::SeqCst) {
                     return;
                 }
-                let outcome = ping(&inner, &link);
+                let answered = ping(&inner, &link).is_ok();
                 let confirmed_dead = {
                     let mut st = inner.domains[d].write();
                     let slot = st.workers.iter_mut().find(|w| w.node == node);
-                    let (answered, hard_dead) = (outcome.is_ok(), link.is_dead());
-                    slot.is_some_and(|w| w.health.observe(answered, &inner.cfg, hard_dead))
+                    slot.is_some_and(|w| w.health.observe(answered, &inner.cfg, link.is_dead()))
                 };
-                match outcome {
-                    Ok(worker_gen)
-                        if worker_gen != expected_gen
-                            && worker_gen != inner.domains[d].read().generation =>
-                    {
-                        // The worker genuinely missed a re-plan (not
-                        // just a stale snapshot of a concurrent heal):
-                        // re-fan the whole domain — the keep-alive
-                        // doubles as anti-entropy, and a full heal is
-                        // the only resync that also restores the
-                        // worker's store.
-                        inner.log(ControlEvent::StaleGeneration(d, node, worker_gen));
-                        refan(&inner, d);
-                    }
-                    Err(_) if confirmed_dead => failover(&inner, d, node),
-                    _ => {}
+                if confirmed_dead {
+                    failover(&inner, d, node);
                 }
             }
         }
@@ -1267,21 +1254,21 @@ fn prober_loop(inner: Arc<RegistryInner>, announcer: Arc<MuxLink>) {
         if let Some(a) = inner.announcer_health.lock().as_mut() {
             // No failover target exists for a dead announcer — it holds no
             // outsourced rows; wide queries fail loudly until it returns.
-            a.health.observe(answered, &inner.cfg, announcer.is_dead());
+            let was_dead = a.health.liveness == Liveness::Dead;
+            if a.health.observe(answered, &inner.cfg, announcer.is_dead()) && !was_dead {
+                inner.log(ControlEvent::AnnouncerDown(a.node));
+            }
         }
     }
 }
 
-/// One ping round-trip; returns the node's assignment generation.
-fn ping(inner: &Arc<RegistryInner>, link: &Arc<MuxLink>) -> Result<u64, NetError> {
+/// One ping round-trip, answered within the probe timeout.
+fn ping(inner: &Arc<RegistryInner>, link: &Arc<MuxLink>) -> Result<(), NetError> {
     let seq = inner.fresh_corr();
     let pending = link.begin(seq)?;
     link.send(seq, Message::Ping { seq })?;
     match pending.recv_timeout(inner.cfg.probe_timeout)? {
-        Message::Pong {
-            seq: echoed,
-            generation,
-        } if echoed == seq => Ok(generation),
+        Message::Pong { seq: echoed } if echoed == seq => Ok(()),
         _ => Err(NetError::Mux("mismatched pong")),
     }
 }
@@ -1297,11 +1284,10 @@ fn spawn_node(
     params: ServerParams,
     link: Arc<dyn Link>,
     range: Option<ShardSpec>,
-    generation: u64,
     tamper: Tamper,
     announcer: Option<Arc<dyn Link>>,
 ) -> JoinHandle<Result<(), NetError>> {
-    std::thread::spawn(move || node_loop(params, link, range, generation, tamper, announcer))
+    std::thread::spawn(move || node_loop(params, link, range, tamper, announcer))
 }
 
 /// Serve the announcer (`announcer_loop`) on a thread of its own: the one
@@ -1356,9 +1342,9 @@ impl ShardWorker {
     ) -> Result<ShardWorker, NetError> {
         let backoff = Duration::from_millis(10);
         let link = Arc::new(TcpLink::connect_retry(addr, timeout, backoff)?);
-        let (node, generation, spec) = register(&link, NodeRole::ShardWorker, domain, params.b)?;
+        let (node, spec) = register(&link, NodeRole::ShardWorker, domain)?;
         let serve_link = Arc::clone(&link) as Arc<dyn Link>;
-        let handle = spawn_node(params, serve_link, Some(spec), generation, tamper, None);
+        let handle = spawn_node(params, serve_link, Some(spec), tamper, None);
         Ok(ShardWorker {
             link,
             handle: Some(handle),
@@ -1405,11 +1391,11 @@ impl AnnouncerNode {
     ) -> Result<AnnouncerNode, NetError> {
         let backoff = Duration::from_millis(10);
         let ctl = Arc::new(TcpLink::connect_retry(addr, timeout, backoff)?);
-        register(&ctl, NodeRole::AnnouncerCtl, 0, 0)?;
+        register(&ctl, NodeRole::AnnouncerCtl, 0)?;
         let mut uploads: Vec<Box<dyn Link>> = Vec::with_capacity(ADDITIVE_SERVERS);
         for k in 0..ADDITIVE_SERVERS {
             let l = TcpLink::connect_retry(addr, timeout, backoff)?;
-            register(&l, NodeRole::AnnouncerUpload, k, 0)?;
+            register(&l, NodeRole::AnnouncerUpload, k)?;
             uploads.push(Box::new(l));
         }
         let serve_ctl = Arc::clone(&ctl) as Arc<dyn Link>;
@@ -1435,24 +1421,14 @@ impl AnnouncerNode {
 }
 
 /// Register one dialed edge under `role` and return what the registry
-/// granted: `(node id, assignment generation, provisional row range)`.
-fn register(
-    link: &TcpLink,
-    role: NodeRole,
-    domain: usize,
-    capacity: usize,
-) -> Result<(u64, u64, ShardSpec), NetError> {
-    link.send(&Message::Register {
-        role,
-        domain: domain as u32,
-        capacity: capacity as u64,
-        generation: 0,
-    })?;
+/// granted: `(node id, provisional row range)`.
+fn register(link: &TcpLink, role: NodeRole, domain: usize) -> Result<(u64, ShardSpec), NetError> {
+    let domain = domain as u32;
+    link.send(&Message::Register { role, domain })?;
     match link.recv()? {
         Message::RegisterAck {
             accepted: true,
             node,
-            generation,
             start,
             len,
         } => {
@@ -1461,7 +1437,7 @@ fn register(
                 start: start as usize,
                 len: len as usize,
             };
-            Ok((node, generation, spec))
+            Ok((node, spec))
         }
         Message::RegisterAck {
             accepted: false, ..
@@ -1509,30 +1485,88 @@ mod tests {
                 "domain 2: no surviving workers — domain offline",
             ),
             (
-                HealCasualty(0, 4, false),
+                HealCasualty(0, 4),
                 "domain 0: worker d0/w4 failed mid-heal; removed",
             ),
             (
-                HealCasualty(0, 5, true),
-                "domain 0: worker d0/w5 failed mid-promotion; removed",
-            ),
-            (
-                Failover(0, 0, true, 3, 2),
+                Failover(0, 0, true, 3),
                 "domain 0: worker d0/w0 confirmed dead; promoted surviving replica(s), \
-                 zero replay over 3 survivor(s) (generation 2)",
+                 zero replay over 3 survivor(s)",
             ),
             (
-                Failover(2, 8, false, 2, 5),
+                Failover(2, 8, false, 2),
                 "domain 2: worker d2/w8 confirmed dead; re-fanned the upload log over \
-                 2 survivor(s) (generation 5)",
+                 2 survivor(s)",
             ),
             (
-                StaleGeneration(1, 6, 3),
-                "domain 1: node 6 reports stale generation 3; re-fanning",
+                AnnouncerDown(6),
+                "announcer: node 6 confirmed dead; wide rounds fail until it reconnects",
             ),
         ];
         for (event, line) in golden {
             assert_eq!(event.to_string(), line);
+        }
+    }
+
+    /// A promotion is metadata only: over rf-2 slots whose workers serve
+    /// `node_loop`, it sends the survivors nothing and hears nothing back.
+    #[test]
+    fn a_promotion_sends_no_message() {
+        use prism_protocol::params::{Initiator, SystemConfig};
+        let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(1))
+            .setup()
+            .expect("setup");
+        let params = setup.servers[0].clone();
+        let cfg = RegistryConfig {
+            replication: 2,
+            ..RegistryConfig::default()
+        };
+        let unbound = SocketAddr::from(([0, 0, 0, 0], 0));
+        let roster = ClusterListener::empty(setup, 2, cfg, unbound, channel_links);
+        let inner = &roster.inner;
+        // Slots hold ranges 0, 1, 0, 1: every range has a replica.
+        let (mut nodes, mut meters) = (Vec::new(), Vec::new());
+        for w in 0..4 {
+            let range = w % 2;
+            let spec = inner.domains[0].read().plan.specs()[range];
+            let (router_side, worker_side) = channel_links().expect("a channel pair");
+            meters.push([router_side.stats(), worker_side.stats()]);
+            let link = Arc::from(worker_side);
+            nodes.push(spawn_node(
+                params.clone(),
+                link,
+                Some(spec),
+                Tamper::Honest,
+                None,
+            ));
+            let slotted = take_slot(inner, 0, Arc::from(router_side), range, |_, _| true);
+            slotted.expect("a free slot");
+        }
+        let snapshot = |meters: &[[Arc<LinkStats>; 2]]| -> Vec<[(u64, u64); 2]> {
+            meters
+                .iter()
+                .map(|m| m.clone().map(|s| s.snapshot()))
+                .collect()
+        };
+
+        // Range 0's primary dies; its replica is next in slot order.
+        let dead = inner.domains[0].write().workers.remove(0);
+        let before = snapshot(&meters[1..]);
+        assert!(promote(inner, 0), "range 0 keeps a holder");
+        assert_eq!(
+            snapshot(&meters[1..]),
+            before,
+            "a promotion must send the survivors nothing"
+        );
+        assert_eq!(inner.metrics.get(Counter::Promotions), 1);
+
+        let survivors = inner.domains[0].read();
+        for link in std::iter::once(&dead.link).chain(survivors.workers.iter().map(|w| &w.link)) {
+            link.send_raw(&Message::Shutdown)
+                .expect("the node hears it");
+        }
+        for node in nodes {
+            node.join().expect("node thread").expect("clean exit");
         }
     }
 
@@ -1817,7 +1851,7 @@ mod tests {
         let server_end = accepted.try_clone().expect("clone");
         let finished = attach(accepted);
         let client = TcpLink::new(client).expect("link");
-        register(&client, NodeRole::AnnouncerUpload, 0, 0).expect("registered");
+        register(&client, NodeRole::AnnouncerUpload, 0).expect("registered");
         finished.recv_timeout(bound).expect("handshake done");
         assert_eq!(server_end.read_timeout().expect("timeout"), None);
 

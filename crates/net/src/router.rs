@@ -13,9 +13,8 @@
 //! router and node. Behind an attach endpoint it shares the state with
 //! the attach dispatcher and keep-alive prober, which re-plan it when
 //! workers come and go; a fixed roster fills it once — `rf = 1`, one
-//! [`WorkerSlot`] per spawned node, generation 0 — and nobody else ever
-//! takes the write side. One router, one node loop, one way to reach
-//! them.
+//! [`WorkerSlot`] per spawned node — and nobody else ever takes the
+//! write side. One router, one node loop, one way to reach them.
 
 use crate::executor::RoundExecutor;
 use crate::mux::{MuxLink, Pending};
@@ -223,7 +222,6 @@ pub(crate) fn node_loop(
     domain_params: ServerParams,
     link: Arc<dyn Link>,
     spec0: Option<ShardSpec>,
-    mut generation: u64,
     tamper0: Tamper,
     announcer: Option<Arc<dyn Link>>,
 ) -> Result<(), NetError> {
@@ -305,40 +303,32 @@ pub(crate) fn node_loop(
                 reply(link.as_ref(), tag, Message::Versions(v))?;
             }
             Message::Ping { seq } => {
-                reply(link.as_ref(), tag, Message::Pong { seq, generation })?;
+                reply(link.as_ref(), tag, Message::Pong { seq })?;
             }
-            Message::Assign {
-                generation: assigned,
-                start,
-                len,
-                fresh,
-            } => {
+            Message::Assign { start, len } => {
                 let spec = ShardSpec {
                     index: 0,
                     start: start as usize,
                     len: len as usize,
                 };
-                // An assignment to the range already held (delta growth
-                // included — the node's own `b` tracks it) is a pure
-                // generation bump unless it is `fresh` and the store
-                // holds something; a *moved* range always rebuilds the
-                // node. Rebuilding on a no-op re-assign would wipe the
-                // store with nothing scheduled to restore it; a fresh one
-                // precedes the log's replay, which only puts into an
-                // empty store.
+                // The log's replay follows, and it only puts into an
+                // empty store: rebuild unless the node is already an empty
+                // store over this range (the range held counts delta
+                // growth — the node's own `b` tracks it). Skipping that
+                // no-op keeps a worker's version base a function of the
+                // ranges it held, so replicas of one range stamp alike.
                 let (held, stored) = {
                     let n = node.read();
                     let p = n.params();
                     ((p.row_offset - template.row_offset, p.b), n.version() > 0)
                 };
-                if (fresh && stored) || held != (spec.start, spec.len) {
+                if stored || held != (spec.start, spec.len) {
                     // The write lock drains in-flight query readers
                     // before the rebuild — no round computes across it.
                     let mut node = node.write();
                     version_base += node.version() + 1;
                     *node = build(shard_server_params(&template, &spec));
                 }
-                generation = assigned;
                 reply(link.as_ref(), tag, Message::Ack)?;
             }
             Message::RunBatch(batch) => {
@@ -380,8 +370,6 @@ pub(crate) struct WorkerSlot {
     pub(crate) label: String,
     pub(crate) link: Arc<MuxLink>,
     pub(crate) health: Health,
-    /// Generation of the assignment this worker last acked.
-    pub(crate) generation: u64,
     /// Index into the domain plan's specs of the row range this worker
     /// holds. Several workers share a range under replication; holder
     /// order within [`DomainState::workers`] breaks the tie — the first
@@ -407,7 +395,6 @@ impl WorkerSlot {
             link: MuxLink::counted(link, Some(label.clone()), metrics),
             label,
             health: Health::alive(),
-            generation: 0,
             range,
         }
     }
@@ -428,7 +415,6 @@ pub(crate) struct DomainState {
     /// Replication factor each row range is stored at (when enough
     /// workers are attached).
     pub(crate) rf: usize,
-    pub(crate) generation: u64,
     pub(crate) plan: ShardPlan,
     pub(crate) workers: Vec<WorkerSlot>,
     /// What the workers hold, for a heal to restore (elastic domains
@@ -447,7 +433,6 @@ impl DomainState {
         DomainState {
             target: plan.shard_count() * rf,
             rf,
-            generation: 0,
             plan,
             workers: Vec::new(),
             params,
@@ -1030,10 +1015,6 @@ pub(crate) fn domain_loop(
                 let cmd = ServerCmd::AssembleFpos { claims };
                 serve_wide(&rounds, &wide_node, cmd, 0, tag, &owner_link, &announcer);
             }
-            Message::Ping { seq } => {
-                let generation = shared.read().generation;
-                reply(owner_link.as_ref(), tag, Message::Pong { seq, generation })?;
-            }
             Message::Shutdown => {
                 // Route tasks still in flight need their shard replies;
                 // wait for them before telling the workers to exit.
@@ -1076,7 +1057,7 @@ mod tests {
         ];
         let (spec0, b) = (domain.plan.specs()[0], params.b);
         let worker = std::thread::spawn(move || {
-            node_loop(params, Arc::new(w0), Some(spec0), 0, Tamper::Honest, None)
+            node_loop(params, Arc::new(w0), Some(spec0), Tamper::Honest, None)
         });
         let (owner, server_end) = channel_pair();
         let shared = Arc::new(RwLock::new(domain));
@@ -1120,14 +1101,14 @@ mod tests {
         let spec0 = domain.plan.specs()[0];
         let p = params.clone();
         let worker = std::thread::spawn(move || {
-            node_loop(p, Arc::new(w0), Some(spec0), 0, Tamper::Honest, None)
+            node_loop(p, Arc::new(w0), Some(spec0), Tamper::Honest, None)
         });
         let (routed, router_end) = channel_pair();
         let shared = Arc::new(RwLock::new(domain));
         let router = std::thread::spawn(move || domain_loop(Arc::new(router_end), shared, None));
         let (direct, node_end) = channel_pair();
         let node = std::thread::spawn(move || {
-            node_loop(params, Arc::new(node_end), None, 0, Tamper::Honest, None)
+            node_loop(params, Arc::new(node_end), None, Tamper::Honest, None)
         });
 
         let delta = |pf_s1_ext: Vec<u32>| Message::DeltaUpload {
@@ -1169,7 +1150,7 @@ mod tests {
         let ring = Column::Ok.ring(params.delta, params.field.p);
         let (owner, node_end) = channel_pair();
         let node = std::thread::spawn(move || {
-            node_loop(params, Arc::new(node_end), None, 0, Tamper::Honest, None)
+            node_loop(params, Arc::new(node_end), None, Tamper::Honest, None)
         });
         let ask = |msg: Message| {
             owner.send(&msg).unwrap();

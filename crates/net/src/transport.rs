@@ -404,10 +404,7 @@ mod tests {
         // Give the pump time to park inside read_exact, then send from
         // the same endpoint; b echoes so the pump can finish.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let pong = Message::Pong {
-            seq: 3,
-            generation: 0,
-        };
+        let pong = Message::Pong { seq: 3 };
         a.send(&Message::Ping { seq: 3 }).unwrap();
         assert_eq!(b.recv().unwrap(), Message::Ping { seq: 3 });
         b.send(&pong).unwrap();

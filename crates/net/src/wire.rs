@@ -82,7 +82,7 @@ fn need_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
     Ok(buf.get_u64_le())
 }
 
-fn encode_column(column: &Column, buf: &mut BytesMut) {
+fn encode_column(column: &Column, buf: &mut impl Sink) {
     match column {
         Column::Ok => buf.put_u8(0),
         Column::VOk => buf.put_u8(1),
@@ -113,7 +113,7 @@ fn decode_column(buf: &mut &[u8]) -> Result<Column, WireError> {
     })
 }
 
-fn encode_op(op: &Op, buf: &mut BytesMut) {
+fn encode_op(op: &Op, buf: &mut impl Sink) {
     match op {
         Op::Psi => buf.put_u8(0),
         Op::PsiVerify => buf.put_u8(1),
@@ -156,7 +156,7 @@ fn decode_op(buf: &mut &[u8]) -> Result<Op, WireError> {
     })
 }
 
-fn encode_tamper(t: &Tamper, buf: &mut BytesMut) {
+fn encode_tamper(t: &Tamper, buf: &mut impl Sink) {
     match *t {
         Tamper::Honest => buf.put_u8(0),
         Tamper::SkipReplay { src } => {
@@ -201,22 +201,52 @@ fn decode_tamper(buf: &mut &[u8]) -> Result<Tamper, WireError> {
     })
 }
 
-/// Values converted per `put_slice` in [`put_vec`]: a 4 KiB stack block.
+/// Where the one encoder writes: a frame buffer, or [`Count`], which
+/// only adds up the bytes — how [`Message::encoded_len`] is derived, so
+/// a message's length is spelled once, by the code that writes it.
+trait Sink: BufMut {
+    /// Append `data`'s values little-endian (no length prefix).
+    fn put_u64s(&mut self, data: &[u64]);
+}
+
+/// Values converted per `put_slice` in [`Sink::put_u64s`]: a 4 KiB stack
+/// block.
 const PUT_VEC_BLOCK: usize = 512;
 
-fn put_vec(buf: &mut BytesMut, data: &[u64]) {
-    buf.reserve(8 + data.len() * 8);
-    buf.put_u64_le(data.len() as u64);
-    // Convert a block of values on the stack, then append it whole: one
-    // capacity check and one copy per block instead of per value.
-    let mut block = [0u8; PUT_VEC_BLOCK * 8];
-    for values in data.chunks(PUT_VEC_BLOCK) {
-        let bytes = &mut block[..values.len() * 8];
-        for (dst, v) in bytes.chunks_exact_mut(8).zip(values) {
-            dst.copy_from_slice(&v.to_le_bytes());
+impl Sink for BytesMut {
+    fn put_u64s(&mut self, data: &[u64]) {
+        self.reserve(data.len() * 8);
+        // Convert a block of values on the stack, then append it whole:
+        // one capacity check and one copy per block instead of per value.
+        let mut block = [0u8; PUT_VEC_BLOCK * 8];
+        for values in data.chunks(PUT_VEC_BLOCK) {
+            let bytes = &mut block[..values.len() * 8];
+            for (dst, v) in bytes.chunks_exact_mut(8).zip(values) {
+                dst.copy_from_slice(&v.to_le_bytes());
+            }
+            self.put_slice(bytes);
         }
-        buf.put_slice(bytes);
     }
+}
+
+/// A [`Sink`] that counts the bytes it is given.
+struct Count(usize);
+
+impl BufMut for Count {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
+    }
+}
+
+impl Sink for Count {
+    fn put_u64s(&mut self, data: &[u64]) {
+        self.0 += data.len() * 8;
+    }
+}
+
+fn put_vec(buf: &mut impl Sink, data: &[u64]) {
+    buf.put_u64_le(data.len() as u64);
+    buf.put_u64s(data);
 }
 
 /// Decode-side row-buffer pool: the serving loops decode a fresh
@@ -347,7 +377,7 @@ fn pooled_cuts(cuts: &[ColumnCut]) -> Vec<ColumnCut> {
     cuts.iter().map(copy).collect()
 }
 
-fn put_vecs(buf: &mut BytesMut, data: &[Vec<u64>]) {
+fn put_vecs(buf: &mut impl Sink, data: &[Vec<u64>]) {
     buf.put_u32_le(data.len() as u32);
     for v in data {
         put_vec(buf, v);
@@ -366,7 +396,7 @@ fn get_vecs(buf: &mut &[u8]) -> Result<Vec<Vec<u64>>, WireError> {
 /// Wide matrices ship as `width ‖ limbs`; the row count is implied
 /// (`limbs / width`), so the decoder *checks* divisibility rather than
 /// trusting a redundant field.
-fn put_widevec(buf: &mut BytesMut, wv: &WideVec) {
+fn put_widevec(buf: &mut impl Sink, wv: &WideVec) {
     buf.put_u32_le(wv.width as u32);
     put_vec(buf, &wv.data);
 }
@@ -409,7 +439,7 @@ fn pooled_announcement(a: &MaxAnnouncement) -> Result<MaxAnnouncement, WireError
     })
 }
 
-fn put_announcement(buf: &mut BytesMut, a: &MaxAnnouncement) {
+fn put_announcement(buf: &mut impl Sink, a: &MaxAnnouncement) {
     put_widevec(buf, &a.max_shares_1);
     put_widevec(buf, &a.max_shares_2);
     buf.put_u64_le(a.index_shares.len() as u64);
@@ -437,7 +467,7 @@ fn get_announcement(buf: &mut &[u8]) -> Result<MaxAnnouncement, WireError> {
     })
 }
 
-fn encode_announcer_reply(reply: &AnnouncerReply, buf: &mut BytesMut) {
+fn encode_announcer_reply(reply: &AnnouncerReply, buf: &mut impl Sink) {
     match reply {
         AnnouncerReply::Max(a) => {
             buf.put_u8(0);
@@ -468,7 +498,7 @@ fn decode_announcer_reply(buf: &mut &[u8]) -> Result<AnnouncerReply, WireError> 
     })
 }
 
-fn encode_announcer_tamper(t: &AnnouncerTamper, buf: &mut BytesMut) {
+fn encode_announcer_tamper(t: &AnnouncerTamper, buf: &mut impl Sink) {
     match *t {
         AnnouncerTamper::Honest => buf.put_u8(0),
         AnnouncerTamper::AnnounceSlot(slot) => {
@@ -496,7 +526,7 @@ fn decode_announcer_tamper(buf: &mut &[u8]) -> Result<AnnouncerTamper, WireError
 /// Permutation extensions ship as raw destination maps (`u32` per row,
 /// length-prefixed) — the receiving node validates them through
 /// `Permutation::from_map`, so the wire only carries bytes.
-fn put_map(buf: &mut BytesMut, map: &[u32]) {
+fn put_map(buf: &mut impl Sink, map: &[u32]) {
     buf.put_u32_le(map.len() as u32);
     for &d in map {
         buf.put_u32_le(d);
@@ -513,7 +543,7 @@ fn get_map(buf: &mut &[u8]) -> Result<Vec<u32>, WireError> {
 
 /// An upload's `(column, shares)` list: count, then each column tag and
 /// its length-prefixed values.
-fn put_columns(buf: &mut BytesMut, columns: &[(Column, Vec<u64>)]) {
+fn put_columns(buf: &mut impl Sink, columns: &[(Column, Vec<u64>)]) {
     buf.put_u32_le(columns.len() as u32);
     for (column, data) in columns {
         encode_column(column, buf);
@@ -534,7 +564,7 @@ fn get_columns(buf: &mut &[u8]) -> Result<Vec<(Column, Vec<u64>)>, WireError> {
 /// A restore's column cuts: count, then each column tag, its
 /// length-prefixed slice of the sum, and its `u32`-counted owner records
 /// (`rows`, `epoch`: two `u64`s each).
-fn put_cuts(buf: &mut BytesMut, cuts: &[ColumnCut]) {
+fn put_cuts(buf: &mut impl Sink, cuts: &[ColumnCut]) {
     buf.put_u32_le(cuts.len() as u32);
     for cut in cuts {
         encode_column(&cut.column, buf);
@@ -576,7 +606,7 @@ fn get_cuts(buf: &mut &[u8]) -> Result<Vec<ColumnCut>, WireError> {
 }
 
 /// A refusal's reason: UTF-8 bytes behind a `u32` length.
-fn put_text(buf: &mut BytesMut, text: &str) {
+fn put_text(buf: &mut impl Sink, text: &str) {
     buf.put_u32_le(text.len() as u32);
     buf.put_slice(text.as_bytes());
 }
@@ -591,7 +621,7 @@ fn get_text(buf: &mut &[u8]) -> Result<String, WireError> {
     Ok(text)
 }
 
-fn encode_batch(batch: &BatchQuery, buf: &mut BytesMut) {
+fn encode_batch(batch: &BatchQuery, buf: &mut impl Sink) {
     buf.put_u32_le(batch.threads);
     match batch.range {
         None => buf.put_u8(0),
@@ -650,93 +680,6 @@ fn decode_batch(buf: &mut &[u8]) -> Result<BatchQuery, WireError> {
         threads,
         range,
     })
-}
-
-// --- encoded-length accounting -------------------------------------------
-//
-// One helper per encoder above, each returning exactly the bytes its
-// counterpart writes. `Message::encoded_len` composes them so every encode
-// can reserve its full size up front and never regrow mid-message.
-
-fn column_len(column: &Column) -> usize {
-    match column {
-        Column::Agg(_) | Column::VAgg(_) => 2,
-        _ => 1,
-    }
-}
-
-fn op_len(op: &Op) -> usize {
-    match op {
-        Op::PsuVerify(_) | Op::CountVerify(_) | Op::Sum(_) | Op::SumVerify(_) => 2,
-        _ => 1,
-    }
-}
-
-fn tamper_len(t: &Tamper) -> usize {
-    match t {
-        Tamper::Honest => 1,
-        Tamper::SkipReplay { .. } | Tamper::TruncateFrom { .. } => 1 + 8,
-        Tamper::ReplaceCell { .. } | Tamper::InjectFake { .. } => 1 + 16,
-    }
-}
-
-fn vec_len(data: &[u64]) -> usize {
-    8 + 8 * data.len()
-}
-
-fn vecs_len(data: &[Vec<u64>]) -> usize {
-    4 + data.iter().map(|v| vec_len(v)).sum::<usize>()
-}
-
-fn widevec_len(wv: &WideVec) -> usize {
-    4 + vec_len(&wv.data)
-}
-
-fn announcement_len(a: &MaxAnnouncement) -> usize {
-    widevec_len(&a.max_shares_1) + widevec_len(&a.max_shares_2) + 8 + 16 * a.index_shares.len()
-}
-
-fn announcer_reply_len(reply: &AnnouncerReply) -> usize {
-    match reply {
-        AnnouncerReply::Max(a) => 1 + announcement_len(a),
-        AnnouncerReply::Median(m) => 1 + 4 + m.middles.iter().map(announcement_len).sum::<usize>(),
-    }
-}
-
-fn announcer_tamper_len(t: &AnnouncerTamper) -> usize {
-    match t {
-        AnnouncerTamper::Honest => 1,
-        AnnouncerTamper::AnnounceSlot(_) | AnnouncerTamper::FakeValue { .. } => 1 + 8,
-    }
-}
-
-fn map_len(map: &[u32]) -> usize {
-    4 + 4 * map.len()
-}
-
-fn columns_len(columns: &[(Column, Vec<u64>)]) -> usize {
-    4 + columns
-        .iter()
-        .map(|(c, d)| column_len(c) + vec_len(d))
-        .sum::<usize>()
-}
-
-fn cuts_len(cuts: &[ColumnCut]) -> usize {
-    4 + cuts
-        .iter()
-        .map(|c| column_len(&c.column) + vec_len(&c.summed) + 4 + 16 * c.held.len())
-        .sum::<usize>()
-}
-
-fn batch_len(batch: &BatchQuery) -> usize {
-    4 + (1 + if batch.range.is_some() { 16 } else { 0 })
-        + vecs_len(&batch.zs)
-        + 4
-        + batch
-            .items
-            .iter()
-            .map(|item| op_len(&item.op) + if item.z.is_some() { 2 } else { 1 })
-            .sum::<usize>()
 }
 
 /// Every message that can cross a PRISM link.
@@ -895,14 +838,6 @@ pub enum Message {
         role: NodeRole,
         /// Which server domain (0..3) the node belongs to / uploads from.
         domain: u32,
-        /// Row capacity the node offers (informational; the planner
-        /// currently splits evenly, but the field keeps heterogeneous
-        /// splits wire-compatible).
-        capacity: u64,
-        /// The node's view of the domain's assignment generation (0 on
-        /// first attach; echoed back from a previous `Assign` on
-        /// re-attach).
-        generation: u64,
     },
     /// Registry → node: the verdict on a [`Message::Register`], carrying
     /// the node id the registry will know it by and its initial row-range
@@ -912,8 +847,6 @@ pub enum Message {
         accepted: bool,
         /// Registry-assigned node id (stable for the node's lifetime).
         node: u64,
-        /// The domain's current assignment generation.
-        generation: u64,
         /// First domain row of the assigned shard range.
         start: u64,
         /// Row count of the assigned shard range.
@@ -924,30 +857,19 @@ pub enum Message {
         /// Probe sequence number, echoed in the [`Message::Pong`].
         seq: u64,
     },
-    /// Node → registry: keep-alive answer. `generation` is the node's
-    /// current assignment generation — a stale value tells the prober the
-    /// node missed a re-plan and needs its `Assign` re-sent.
+    /// Node → registry: keep-alive answer.
     Pong {
         /// Echoed probe sequence number.
         seq: u64,
-        /// The node's current assignment generation.
-        generation: u64,
     },
-    /// Registry → worker: (re-)assign the worker's shard row range. Sent
-    /// on attach and again after every failover re-plan; the worker
-    /// rebuilds its store for a new range (or when `fresh`) and answers
-    /// with [`Message::Ack`].
+    /// Registry → worker, during a heal: reset the worker to an empty
+    /// store over this shard row range (the upload log's replay follows)
+    /// and answer with [`Message::Ack`].
     Assign {
-        /// The assignment generation this range belongs to.
-        generation: u64,
         /// First domain row of the range.
         start: u64,
         /// Row count of the range.
         len: u64,
-        /// Rebuild the store even when the range is the one held: the
-        /// upload log's replay follows, and puts only land in an empty
-        /// store.
-        fresh: bool,
     },
     /// Router → owner: a routed round failed because a shard worker's
     /// link is dead. Distinct from a tamper-shaped wrong answer — the
@@ -991,53 +913,13 @@ pub enum Message {
 }
 
 impl Message {
-    /// Exact number of bytes [`Message::encode`] will produce, computed
-    /// without serializing — what lets every encode reserve once and write
-    /// straight into the target buffer.
+    /// Exact number of bytes [`Message::encode`] will produce: the
+    /// encoder run over a byte `Count`, so row vectors cost one
+    /// multiplication each and nothing is serialized.
     pub fn encoded_len(&self) -> usize {
-        match self {
-            Message::RunBatch(batch) => 1 + batch_len(batch),
-            Message::Outputs(outs) => 1 + vecs_len(outs),
-            Message::SetTamper(t) => 1 + tamper_len(t),
-            Message::Ack | Message::Shutdown => 1,
-            Message::BulkUpload { columns, .. } => 1 + 4 + columns_len(columns),
-            Message::Replay { columns } => 1 + cuts_len(columns),
-            Message::FoldUpload { columns, .. } => 1 + 4 + 8 + columns_len(columns),
-            Message::Refused(why) => 1 + 4 + why.len(),
-            Message::ShardRun { batch, .. } => 1 + 4 + batch_len(batch),
-            Message::ShardOutputs { outputs, .. } => 1 + 4 + vecs_len(outputs),
-            Message::MaxCombine { uploads, .. } => {
-                1 + 8
-                    + 4
-                    + 4
-                    + uploads
-                        .iter()
-                        .map(|u| widevec_len(&u.shares))
-                        .sum::<usize>()
-            }
-            Message::AssembleFpos { claims } => 1 + vecs_len(claims),
-            Message::Fpos(rows) => 1 + vecs_len(rows),
-            Message::WideForwarded { .. } => 1 + 8 + 4 + 8,
-            Message::WideUpload { shares, .. } => 1 + 4 + 8 + widevec_len(shares),
-            Message::AnnounceRun { .. } => 1 + 1 + 8 + 4,
-            Message::AnnounceReply(reply) => 1 + announcer_reply_len(reply),
-            Message::SetAnnouncerTamper(t) => 1 + announcer_tamper_len(t),
-            Message::Tagged { inner, .. } => 1 + 8 + inner.encoded_len(),
-            Message::Register { .. } => 1 + 1 + 4 + 8 + 8,
-            Message::RegisterAck { .. } => 1 + 1 + 8 + 8 + 8 + 8,
-            Message::Ping { .. } => 1 + 8,
-            Message::Pong { .. } => 1 + 8 + 8,
-            Message::Assign { .. } => 1 + 8 + 8 + 8 + 1,
-            Message::NodeDown { .. } => 1 + 8,
-            Message::DeltaUpload {
-                columns,
-                pf_s1_ext,
-                pf_s2_ext,
-                ..
-            } => 1 + 4 + 8 + columns_len(columns) + map_len(pf_s1_ext) + map_len(pf_s2_ext),
-            Message::RangeVersionProbe => 1,
-            Message::Versions(stamps) => 1 + 4 + 24 * stamps.len(),
-        }
+        let mut count = Count(0);
+        self.write_to(&mut count);
+        count.0
     }
 
     /// Encode to bytes (no outer length prefix; transports add framing).
@@ -1045,20 +927,22 @@ impl Message {
     /// write never reallocates.
     pub fn encode(&self) -> BytesMut {
         let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.write_to(&mut buf);
+        self.encode_into(&mut buf);
         buf
     }
 
-    /// Encode straight into a caller-owned buffer: one `reserve` of the
-    /// exact encoded length, then a single append pass — the zero-copy
-    /// path the links use to build framed messages without an
-    /// intermediate allocation.
+    /// Append the encoding to a caller-owned buffer in a single pass —
+    /// how the links build a framed message without an intermediate
+    /// allocation. The caller sizes `buf` (with [`Message::encoded_len`]).
     pub(crate) fn encode_into(&self, buf: &mut BytesMut) {
-        buf.reserve(self.encoded_len());
+        debug_assert!(
+            !matches!(self, Message::Tagged { inner, .. } if matches!(**inner, Message::Tagged { .. })),
+            "query envelopes never nest"
+        );
         self.write_to(buf);
     }
 
-    fn write_to(&self, buf: &mut BytesMut) {
+    fn write_to(&self, buf: &mut impl Sink) {
         match self {
             Message::RunBatch(batch) => {
                 buf.put_u8(1);
@@ -1162,22 +1046,13 @@ impl Message {
                 encode_announcer_tamper(t, buf);
             }
             Message::Tagged { query, inner } => {
-                debug_assert!(
-                    !matches!(**inner, Message::Tagged { .. }),
-                    "query envelopes never nest"
-                );
                 buf.put_u8(19);
                 buf.put_u64_le(*query);
                 // The payload writes directly into the envelope's buffer —
                 // no intermediate encode-then-copy.
                 inner.write_to(buf);
             }
-            Message::Register {
-                role,
-                domain,
-                capacity,
-                generation,
-            } => {
+            Message::Register { role, domain } => {
                 buf.put_u8(20);
                 buf.put_u8(match role {
                     NodeRole::ShardWorker => 0,
@@ -1185,20 +1060,16 @@ impl Message {
                     NodeRole::AnnouncerUpload => 2,
                 });
                 buf.put_u32_le(*domain);
-                buf.put_u64_le(*capacity);
-                buf.put_u64_le(*generation);
             }
             Message::RegisterAck {
                 accepted,
                 node,
-                generation,
                 start,
                 len,
             } => {
                 buf.put_u8(21);
                 buf.put_u8(u8::from(*accepted));
                 buf.put_u64_le(*node);
-                buf.put_u64_le(*generation);
                 buf.put_u64_le(*start);
                 buf.put_u64_le(*len);
             }
@@ -1206,22 +1077,14 @@ impl Message {
                 buf.put_u8(22);
                 buf.put_u64_le(*seq);
             }
-            Message::Pong { seq, generation } => {
+            Message::Pong { seq } => {
                 buf.put_u8(23);
                 buf.put_u64_le(*seq);
-                buf.put_u64_le(*generation);
             }
-            Message::Assign {
-                generation,
-                start,
-                len,
-                fresh,
-            } => {
+            Message::Assign { start, len } => {
                 buf.put_u8(24);
-                buf.put_u64_le(*generation);
                 buf.put_u64_le(*start);
                 buf.put_u64_le(*len);
-                buf.put_u8(u8::from(*fresh));
             }
             Message::NodeDown { node } => {
                 buf.put_u8(25);
@@ -1344,14 +1207,11 @@ impl Message {
                 Message::Register {
                     role,
                     domain: need_u32(buf)?,
-                    capacity: need_u64(buf)?,
-                    generation: need_u64(buf)?,
                 }
             }
             21 => Message::RegisterAck {
                 accepted: need(buf)? != 0,
                 node: need_u64(buf)?,
-                generation: need_u64(buf)?,
                 start: need_u64(buf)?,
                 len: need_u64(buf)?,
             },
@@ -1360,13 +1220,10 @@ impl Message {
             },
             23 => Message::Pong {
                 seq: need_u64(buf)?,
-                generation: need_u64(buf)?,
             },
             24 => Message::Assign {
-                generation: need_u64(buf)?,
                 start: need_u64(buf)?,
                 len: need_u64(buf)?,
-                fresh: need(buf)? != 0,
             },
             25 => Message::NodeDown {
                 node: need_u64(buf)?,
@@ -1716,40 +1573,23 @@ mod tests {
             NodeRole::AnnouncerCtl,
             NodeRole::AnnouncerUpload,
         ] {
-            roundtrip(Message::Register {
-                role,
-                domain: 2,
-                capacity: 1 << 40,
-                generation: 7,
-            });
+            roundtrip(Message::Register { role, domain: 2 });
         }
         roundtrip(Message::RegisterAck {
             accepted: true,
             node: 12,
-            generation: 3,
             start: 128,
             len: 64,
         });
         roundtrip(Message::RegisterAck {
             accepted: false,
             node: 0,
-            generation: 0,
             start: 0,
             len: 0,
         });
         roundtrip(Message::Ping { seq: u64::MAX });
-        roundtrip(Message::Pong {
-            seq: 41,
-            generation: 9,
-        });
-        for fresh in [false, true] {
-            roundtrip(Message::Assign {
-                generation: 4,
-                start: 10,
-                len: 90,
-                fresh,
-            });
-        }
+        roundtrip(Message::Pong { seq: 41 });
+        roundtrip(Message::Assign { start: 10, len: 90 });
         roundtrip(Message::NodeDown { node: 3 });
     }
 
@@ -1767,13 +1607,7 @@ mod tests {
     #[test]
     fn tagged_envelopes_roundtrip() {
         roundtrip(Message::RangeVersionProbe.tagged(0));
-        roundtrip(
-            Message::Pong {
-                seq: 7,
-                generation: 1,
-            }
-            .tagged(u64::MAX),
-        );
+        roundtrip(Message::Pong { seq: 7 }.tagged(u64::MAX));
         roundtrip(
             Message::RunBatch(BatchQuery {
                 zs: vec![vec![5; 16]],
@@ -1822,10 +1656,7 @@ mod tests {
 
     #[test]
     fn truncated_tagged_envelopes_error() {
-        let pong = Message::Pong {
-            seq: 12,
-            generation: 3,
-        };
+        let pong = Message::Pong { seq: 12 };
         let enc = pong.tagged(77).encode();
         for cut in 0..enc.len() {
             assert!(Message::decode(&enc[..cut]).is_err(), "cut={cut}");

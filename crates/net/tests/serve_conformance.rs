@@ -15,7 +15,9 @@
 //! stale), and no query may receive another query's reply (never
 //! cross-paired — any crossing would corrupt at least one result).
 
-use prism_net::{AnnouncerNode, ClusterListener, NetCluster, RegistryConfig, ShardWorker};
+use prism_net::{
+    AnnouncerNode, ClusterListener, ControlEvent, NetCluster, RegistryConfig, ShardWorker,
+};
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
 use prism_protocol::engine::{QueryStats, ServerExec};
 use prism_protocol::malicious::Tamper;
@@ -25,7 +27,7 @@ use prism_protocol::plans::{self, QueryBatch};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const DOMAIN: usize = 10;
 
@@ -308,12 +310,14 @@ fn elastic_failover_is_counted_once() {
             })
             .collect();
         // Domain 0's workers hold ranges 0, 1, 0, 1 in attach order.
+        let dead = workers[0].node_id();
         workers[0].kill();
-        let start = Instant::now();
-        while metrics.get(Counter::Failovers) < 1 {
-            assert!(start.elapsed() < Duration::from_secs(10), "no failover");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let registry = cluster.deployment().registry().unwrap();
+        let healed = registry.wait_event(
+            Duration::from_secs(10),
+            |e| matches!(*e, ControlEvent::Failover(_, w, ..) if w == dead),
+        );
+        assert!(healed.is_some(), "no failover");
         stop.store(true, Ordering::Relaxed);
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });

@@ -264,12 +264,7 @@ fn build_message(
                 .filter_map(|&x| char::from_u32(x as u32 % 0x11_0000))
                 .collect(),
         ),
-        22 => Message::Assign {
-            generation: tx,
-            start: ty,
-            len: u64::from(owner),
-            fresh: t_sel % 2 == 1,
-        },
+        22 => Message::Assign { start: tx, len: ty },
         _ => Message::Shutdown,
     }
 }

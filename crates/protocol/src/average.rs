@@ -98,8 +98,8 @@ mod tests {
             .collect();
         let s1: Vec<&[u64]> = ind.iter().map(|u| u.shares[0].as_slice()).collect();
         let s2: Vec<&[u64]> = ind.iter().map(|u| u.shares[1].as_slice()).collect();
-        let o1 = psi::server_psi_round(&s1, &setup.servers[0], 1).unwrap();
-        let o2 = psi::server_psi_round(&s2, &setup.servers[1], 1).unwrap();
+        let o1 = psi::tests::psi_round(&s1, &setup.servers[0], 1).unwrap();
+        let o2 = psi::tests::psi_round(&s2, &setup.servers[1], 1).unwrap();
         let fop = psi::owner_combine(&o1, &o2, op).unwrap();
         let z = owner_build_z(&fop);
         let mut prg = Prg::from_seed(seed + 500);
@@ -129,8 +129,8 @@ mod tests {
             let sj: Vec<&[u64]> = sums_p.iter().map(|p| p.shares[k].as_slice()).collect();
             let cj: Vec<&[u64]> = counts_p.iter().map(|p| p.shares[k].as_slice()).collect();
             let (z, sp) = (&z_shares.shares[k], &setup.servers[k]);
-            sum_outs.push(sum::server_sum_round(&sj, z, sp, 1).unwrap());
-            count_outs.push(sum::server_sum_round(&cj, z, sp, 1).unwrap());
+            sum_outs.push(sum::tests::sum_round(&sj, z, sp, 1).unwrap());
+            count_outs.push(sum::tests::sum_round(&cj, z, sp, 1).unwrap());
         }
         owner_finalize(
             [&sum_outs[0], &sum_outs[1], &sum_outs[2]],

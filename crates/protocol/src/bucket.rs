@@ -309,8 +309,8 @@ mod tests {
             }
             let s1: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
             let s2: Vec<&[u64]> = uploads.iter().map(|u| u.shares[1].as_slice()).collect();
-            let o1 = psi::server_psi_round(&s1, &sub_servers[0], threads)?;
-            let o2 = psi::server_psi_round(&s2, &sub_servers[1], threads)?;
+            let o1 = psi::tests::psi_round(&s1, &sub_servers[0], threads)?;
+            let o2 = psi::tests::psi_round(&s2, &sub_servers[1], threads)?;
             let fop = psi::owner_combine(&o1, &o2, &sub_setup_owner)?;
             common_at_level = fop
                 .iter()

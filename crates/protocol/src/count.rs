@@ -168,7 +168,7 @@ mod tests {
     /// the server's permutation (`PF_s1` on the plain and on copy A, `PF_s2`
     /// on copy B).
     fn server_round(shares: &[&[u64]], sp: &ServerParams, pf: &Permutation) -> Vec<u64> {
-        pf.apply(&psi::server_psi_round(shares, sp, 1).unwrap())
+        pf.apply(&psi::tests::psi_round(shares, sp, 1).unwrap())
     }
 
     fn upload_permuted(f: &Fix, perm: &Permutation, seed: u64) -> Vec<IndicatorShares> {

@@ -60,8 +60,8 @@ mod tests {
             .collect();
         let s1: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
         let s2: Vec<&[u64]> = uploads.iter().map(|u| u.shares[1].as_slice()).collect();
-        let o1 = psi::server_psi_round(&s1, &setup.servers[0], 1).unwrap();
-        let o2 = psi::server_psi_round(&s2, &setup.servers[1], 1).unwrap();
+        let o1 = psi::tests::psi_round(&s1, &setup.servers[0], 1).unwrap();
+        let o2 = psi::tests::psi_round(&s2, &setup.servers[1], 1).unwrap();
         let fop = psi::owner_combine(&o1, &o2, &setup.owner).unwrap();
         let mut tuples = decode_common_tuples(&fop, &d);
         tuples.sort();

@@ -49,25 +49,13 @@ fn check_buffers(table: &[u64], out: &[u64], sp: &ServerParams) -> Result<()> {
     check_cells("output buffer", out.len(), sp.b)
 }
 
-/// Step 2 at server φ (Equation 3): returns the length-`b` output vector.
+/// Step 2 at server φ (Equation 3), into the length-`b` buffer `out`.
 ///
 /// `owner_shares[j]` is owner j's additive share vector held by this
-/// server. The exponentiation is a table lookup (`g^0..g^(δ−1)` mod η′).
-pub fn server_psi_round(
-    owner_shares: &[&[u64]],
-    sp: &ServerParams,
-    threads: usize,
-) -> Result<Vec<u64>> {
-    let table = sp.power_table();
-    let mut out = vec![0u64; sp.b];
-    server_psi_round_into(owner_shares, sp, &table, &mut out, threads)?;
-    Ok(out)
-}
-
-/// In-place Step 2 (Equation 3): writes into a caller-owned buffer using a
-/// caller-cached power table — the arena path the engine reuses across
-/// rounds, performing zero heap allocations per call. Bit-identical to
-/// [`server_psi_round`].
+/// server. The exponentiation is a lookup in the caller-cached power table
+/// `g^0..g^(δ−1)` mod η′ ([`ServerParams::power_table`]) — the arena path
+/// the engine reuses across rounds, performing zero heap allocations per
+/// call.
 pub fn server_psi_round_into(
     owner_shares: &[&[u64]],
     sp: &ServerParams,
@@ -120,19 +108,7 @@ pub fn summed_round_into(
 }
 
 /// Verification Step 2 at server φ (Equation 7): like the PSI round but
-/// over the complement shares and **without** the `m` subtraction.
-pub fn server_psi_verify_round(
-    complement_shares: &[&[u64]],
-    sp: &ServerParams,
-    threads: usize,
-) -> Result<Vec<u64>> {
-    let table = sp.power_table();
-    let mut out = vec![0u64; sp.b];
-    server_psi_verify_round_into(complement_shares, sp, &table, &mut out, threads)?;
-    Ok(out)
-}
-
-/// In-place verification Step 2 (Equation 7); see
+/// over the complement shares and **without** the `m` subtraction; see
 /// [`server_psi_round_into`] for the buffer contract.
 pub fn server_psi_verify_round_into(
     complement_shares: &[&[u64]],
@@ -267,11 +243,28 @@ fn first_unbound_cell<V: Copy + Into<u64>>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::params::{Initiator, Setup, SystemConfig};
     use crate::tables::{share_indicator, OwnerTable};
     use prism_core::{DenseIntDomain, GroupParams, Permutation, Prg};
+
+    /// Step 2 (Equation 3) into a fresh buffer: how the unit tests run one
+    /// PSI round.
+    pub(crate) fn psi_round(
+        shares: &[&[u64]],
+        sp: &ServerParams,
+        threads: usize,
+    ) -> Result<Vec<u64>> {
+        let mut out = vec![0; sp.b];
+        server_psi_round_into(shares, sp, &sp.power_table(), &mut out, threads).map(|()| out)
+    }
+
+    /// Verification Step 2 (Equation 7) into a fresh buffer.
+    fn verify_round(shares: &[&[u64]], sp: &ServerParams, threads: usize) -> Result<Vec<u64>> {
+        let mut out = vec![0; sp.b];
+        server_psi_verify_round_into(shares, sp, &sp.power_table(), &mut out, threads).map(|()| out)
+    }
 
     /// Build the verbatim fixture of Examples 5.1 / 5.2.1: δ=5, η=11,
     /// η′=143, g=3, m=3 shared as (1, 2), identity PF_db1.
@@ -323,13 +316,13 @@ mod tests {
         let db3_s1 = [2u64, 3, 4];
         let db3_s2 = [4u64, 2, 2];
 
-        let out1 = server_psi_round(&[&db1_s1, &db2_s1, &db3_s1], &s1, 1).unwrap();
+        let out1 = psi_round(&[&db1_s1, &db2_s1, &db3_s1], &s1, 1).unwrap();
         assert_eq!(
             out1,
             vec![27, 27, 81],
             "server S1 outputs (paper: 27,27,81)"
         );
-        let out2 = server_psi_round(&[&db1_s2, &db2_s2, &db3_s2], &s2, 1).unwrap();
+        let out2 = psi_round(&[&db1_s2, &db2_s2, &db3_s2], &s2, 1).unwrap();
         assert_eq!(out2, vec![9, 1, 1], "server S2 outputs (paper: 9,1,1)");
 
         let fop = owner_combine(&out1, &out2, &op).unwrap();
@@ -351,9 +344,9 @@ mod tests {
         let db3_v1 = [4u64, 1, 1];
         let db3_v2 = [1u64, 0, 4]; // −4, 0, −1
 
-        let vout1 = server_psi_verify_round(&[&db1_v1, &db2_v1, &db3_v1], &s1, 1).unwrap();
+        let vout1 = verify_round(&[&db1_v1, &db2_v1, &db3_v1], &s1, 1).unwrap();
         assert_eq!(vout1, vec![27, 81, 3], "S1 verification outputs");
-        let vout2 = server_psi_verify_round(&[&db1_v2, &db2_v2, &db3_v2], &s2, 1).unwrap();
+        let vout2 = verify_round(&[&db1_v2, &db2_v2, &db3_v2], &s2, 1).unwrap();
         assert_eq!(vout2, vec![9, 27, 1], "S2 verification outputs");
 
         owner_verify(&fop, &vout1, &vout2, &op).expect("honest run verifies");
@@ -394,8 +387,8 @@ mod tests {
     fn run_psi(f: &Fixture, threads: usize) -> Vec<u64> {
         let s1_in: Vec<&[u64]> = f.uploads.iter().map(|u| u.shares[0].as_slice()).collect();
         let s2_in: Vec<&[u64]> = f.uploads.iter().map(|u| u.shares[1].as_slice()).collect();
-        let out1 = server_psi_round(&s1_in, &f.setup.servers[0], threads).unwrap();
-        let out2 = server_psi_round(&s2_in, &f.setup.servers[1], threads).unwrap();
+        let out1 = psi_round(&s1_in, &f.setup.servers[0], threads).unwrap();
+        let out2 = psi_round(&s2_in, &f.setup.servers[1], threads).unwrap();
         owner_combine(&out1, &out2, &f.setup.owner).unwrap()
     }
 
@@ -455,7 +448,7 @@ mod tests {
         ] {
             let f = fixture(&sets, 50, 5);
             let s1_in: Vec<&[u64]> = f.uploads.iter().map(|u| u.shares[0].as_slice()).collect();
-            let out = server_psi_round(&s1_in, &f.setup.servers[0], 1).unwrap();
+            let out = psi_round(&s1_in, &f.setup.servers[0], 1).unwrap();
             assert_eq!(out.len(), 50);
         }
     }
@@ -476,8 +469,8 @@ mod tests {
         }
         let v1_in: Vec<&[u64]> = vup.iter().map(|u| u.shares[0].as_slice()).collect();
         let v2_in: Vec<&[u64]> = vup.iter().map(|u| u.shares[1].as_slice()).collect();
-        let vout1 = server_psi_verify_round(&v1_in, &f.setup.servers[0], 1).unwrap();
-        let vout2 = server_psi_verify_round(&v2_in, &f.setup.servers[1], 1).unwrap();
+        let vout1 = verify_round(&v1_in, &f.setup.servers[0], 1).unwrap();
+        let vout2 = verify_round(&v2_in, &f.setup.servers[1], 1).unwrap();
         owner_verify(&fop, &vout1, &vout2, op).expect("honest servers verify");
     }
 
@@ -491,12 +484,12 @@ mod tests {
         let s2_in: Vec<&[u64]> = f.uploads.iter().map(|u| u.shares[1].as_slice()).collect();
         // Malicious S1: computes cell 0 and replays it everywhere (the
         // "skip processing" attack of §5.2).
-        let mut out1 = server_psi_round(&s1_in, &f.setup.servers[0], 1).unwrap();
+        let mut out1 = psi_round(&s1_in, &f.setup.servers[0], 1).unwrap();
         let replay = out1[0];
         for v in out1.iter_mut() {
             *v = replay;
         }
-        let out2 = server_psi_round(&s2_in, &f.setup.servers[1], 1).unwrap();
+        let out2 = psi_round(&s2_in, &f.setup.servers[1], 1).unwrap();
         let fop = owner_combine(&out1, &out2, op).unwrap();
 
         // Honest verification path.
@@ -508,8 +501,8 @@ mod tests {
         }
         let v1_in: Vec<&[u64]> = vup.iter().map(|u| u.shares[0].as_slice()).collect();
         let v2_in: Vec<&[u64]> = vup.iter().map(|u| u.shares[1].as_slice()).collect();
-        let vout1 = server_psi_verify_round(&v1_in, &f.setup.servers[0], 1).unwrap();
-        let vout2 = server_psi_verify_round(&v2_in, &f.setup.servers[1], 1).unwrap();
+        let vout1 = verify_round(&v1_in, &f.setup.servers[0], 1).unwrap();
+        let vout2 = verify_round(&v2_in, &f.setup.servers[1], 1).unwrap();
 
         let err = owner_verify(&fop, &vout1, &vout2, op).unwrap_err();
         assert!(matches!(err, ProtocolError::VerificationFailed { .. }));
@@ -536,8 +529,8 @@ mod tests {
         }
         let v1_in: Vec<&[u64]> = vup.iter().map(|u| u.shares[0].as_slice()).collect();
         let v2_in: Vec<&[u64]> = vup.iter().map(|u| u.shares[1].as_slice()).collect();
-        let vout1 = server_psi_verify_round(&v1_in, &f.setup.servers[0], 1).unwrap();
-        let vout2 = server_psi_verify_round(&v2_in, &f.setup.servers[1], 1).unwrap();
+        let vout1 = verify_round(&v1_in, &f.setup.servers[0], 1).unwrap();
+        let vout2 = verify_round(&v2_in, &f.setup.servers[1], 1).unwrap();
 
         assert!(owner_verify(&fop, &vout1, &vout2, op).is_err());
     }
@@ -551,7 +544,7 @@ mod tests {
         let f = fixture(&sets, 200, 29);
         let sp = &f.setup.servers[0];
         let s1_in: Vec<&[u64]> = f.uploads.iter().map(|u| u.shares[0].as_slice()).collect();
-        let reference = server_psi_round(&s1_in, sp, 1).unwrap();
+        let reference = psi_round(&s1_in, sp, 1).unwrap();
         let table = sp.power_table();
         // A reused arena buffer arrives full of stale values; the into
         // variant must overwrite every cell.
@@ -564,7 +557,7 @@ mod tests {
             assert_eq!(out, reference, "threads={threads}");
         }
         // Verification variant, same contract.
-        let vref = server_psi_verify_round(&s1_in, sp, 1).unwrap();
+        let vref = verify_round(&s1_in, sp, 1).unwrap();
         out.fill(u64::MAX);
         server_psi_verify_round_into(&s1_in, sp, &table, &mut out, 1).unwrap();
         assert_eq!(out, vref);
@@ -592,10 +585,10 @@ mod tests {
     fn shape_errors_are_reported() {
         let f = fixture(&[vec![1u64], vec![1u64]], 4, 19);
         let short = vec![0u64; 2];
-        let err = server_psi_round(&[&short, &f.uploads[1].shares[0]], &f.setup.servers[0], 1)
-            .unwrap_err();
+        let err =
+            psi_round(&[&short, &f.uploads[1].shares[0]], &f.setup.servers[0], 1).unwrap_err();
         assert!(matches!(err, ProtocolError::ParameterMismatch(_)));
-        let err = server_psi_round(&[&f.uploads[0].shares[0]], &f.setup.servers[0], 1).unwrap_err();
+        let err = psi_round(&[&f.uploads[0].shares[0]], &f.setup.servers[0], 1).unwrap_err();
         assert!(matches!(err, ProtocolError::ParameterMismatch(_)));
     }
 

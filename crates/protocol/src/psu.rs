@@ -40,28 +40,12 @@ pub fn blinding_for(sp: &ServerParams) -> Vec<u64> {
     prg.blinding_vector(sp.b, sp.delta)
 }
 
-/// Step 2 at server φ (Equation 18).
-///
-/// Both servers derive the identical `rand[]` stream from
-/// `sp.psu_prg_seed`; neither communicates with the other. Regenerates
-/// the blinding slice on every call — callers holding a node open across
-/// rounds should pass a cached [`blinding_for`] slice to
-/// [`server_psu_round_into`] instead.
-pub fn server_psu_round(
-    owner_shares: &[&[u64]],
-    sp: &ServerParams,
-    threads: usize,
-) -> Result<Vec<u64>> {
-    let mut out = vec![0u64; sp.b];
-    server_psu_round_into(owner_shares, &blinding_for(sp), sp, &mut out, threads)?;
-    Ok(out)
-}
-
-/// In-place Step 2 (Equation 18) with a caller-supplied blinding slice
-/// (must be [`blinding_for`]`(sp)` — the protocol depends on both servers
-/// using the identical stream): writes into a caller-owned buffer — the
-/// arena path the engine reuses across rounds, performing zero heap
-/// allocations per call. Bit-identical to [`server_psu_round`].
+/// Step 2 at server φ (Equation 18), with a caller-supplied blinding
+/// slice: both servers derive the identical `rand[]` stream from
+/// `sp.psu_prg_seed` ([`blinding_for`]`(sp)`, which `rand` must be — the
+/// protocol depends on both servers using it) and neither communicates
+/// with the other. Writes into a caller-owned buffer — the arena path the
+/// engine reuses across rounds, performing zero heap allocations per call.
 pub fn server_psu_round_into(
     owner_shares: &[&[u64]],
     rand: &[u64],
@@ -218,6 +202,13 @@ mod tests {
     use crate::tables::{share_indicator, IndicatorShares, OwnerTable};
     use prism_core::{DenseIntDomain, Permutation, Prg};
 
+    /// Step 2 (Equation 18) into a fresh buffer, blinded with the
+    /// servers' shared stream.
+    fn psu_round(shares: &[&[u64]], sp: &ServerParams, threads: usize) -> Result<Vec<u64>> {
+        let mut out = vec![0; sp.b];
+        server_psu_round_into(shares, &blinding_for(sp), sp, &mut out, threads).map(|()| out)
+    }
+
     fn fixture(owner_sets: &[Vec<u64>], domain: u64, seed: u64) -> (Setup, Vec<IndicatorShares>) {
         let m = owner_sets.len();
         let setup = Initiator::new(SystemConfig::new(m, domain as usize).with_seed(seed))
@@ -239,8 +230,8 @@ mod tests {
     fn run_psu(setup: &Setup, uploads: &[IndicatorShares], threads: usize) -> Vec<u64> {
         let s1_in: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
         let s2_in: Vec<&[u64]> = uploads.iter().map(|u| u.shares[1].as_slice()).collect();
-        let o1 = server_psu_round(&s1_in, &setup.servers[0], threads).unwrap();
-        let o2 = server_psu_round(&s2_in, &setup.servers[1], threads).unwrap();
+        let o1 = psu_round(&s1_in, &setup.servers[0], threads).unwrap();
+        let o2 = psu_round(&s2_in, &setup.servers[1], threads).unwrap();
         owner_combine(&o1, &o2, &setup.owner).unwrap()
     }
 
@@ -329,7 +320,7 @@ mod tests {
         let sp = &setup.servers[0];
         let refs: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
         let rand = blinding_for(sp);
-        let reference = server_psu_round(&refs, sp, 1).unwrap();
+        let reference = psu_round(&refs, sp, 1).unwrap();
         let mut out = vec![u64::MAX; sp.b];
         server_psu_round_into(&refs, &rand, sp, &mut out, 1).unwrap();
         assert_eq!(out, reference);
@@ -346,7 +337,7 @@ mod tests {
     fn shape_validation() {
         let (setup, uploads) = fixture(&[vec![1u64], vec![1u64]], 3, 88);
         let bad = vec![0u64; 1];
-        assert!(server_psu_round(&[&bad, &uploads[1].shares[0]], &setup.servers[0], 1).is_err());
+        assert!(psu_round(&[&bad, &uploads[1].shares[0]], &setup.servers[0], 1).is_err());
     }
 
     /// The verification round at a server (reconstruction; DESIGN.md §3.9 —
@@ -354,7 +345,7 @@ mod tests {
     /// copy the owners permuted with `PF_dbk`, then this server's `PF_sk`, so
     /// both copies land in `PF_i` order.
     fn verify_round(shares: &[&[u64]], sp: &ServerParams, pf: &Permutation) -> Vec<u64> {
-        pf.apply(&server_psu_round(shares, sp, 1).unwrap())
+        pf.apply(&psu_round(shares, sp, 1).unwrap())
     }
 
     fn permuted_uploads(

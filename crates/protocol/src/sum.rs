@@ -41,21 +41,9 @@ use prism_core::Prg;
 ///
 /// `payload_shares[j][i]` is owner j's Shamir `y`-value for cell i at this
 /// server's evaluation point; `z_shares[i]` is the indicator share at the
-/// same point. Output: the degree-2 product share per cell.
-pub fn server_sum_round(
-    payload_shares: &[&[u64]],
-    z_shares: &[u64],
-    sp: &ServerParams,
-    threads: usize,
-) -> Result<Vec<u64>> {
-    let mut out = vec![0u64; sp.b];
-    server_sum_round_into(payload_shares, z_shares, sp, &mut out, threads)?;
-    Ok(out)
-}
-
-/// In-place Equation-11 round: writes into a caller-owned buffer — the
-/// arena path the engine reuses across rounds, performing zero heap
-/// allocations per call. Bit-identical to [`server_sum_round`].
+/// same point. Writes the degree-2 product share per cell into the
+/// caller-owned `out` — the arena path the engine reuses across rounds,
+/// performing zero heap allocations per call.
 pub fn server_sum_round_into(
     payload_shares: &[&[u64]],
     z_shares: &[u64],
@@ -210,12 +198,24 @@ pub fn owner_verify(primary: &[u64], verification: &[u64], op: &OwnerParams) -> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::params::{Initiator, Setup, SystemConfig};
-    use crate::psi;
+    use crate::psi::tests::psi_round;
     use crate::tables::{share_indicator, share_payload, OwnerTable, PayloadShares};
     use prism_core::{DenseIntDomain, Prg};
+
+    /// Round 2 (Equation 11) into a fresh buffer: how the unit tests run
+    /// one sum round.
+    pub(crate) fn sum_round(
+        payload_shares: &[&[u64]],
+        z_shares: &[u64],
+        sp: &ServerParams,
+        threads: usize,
+    ) -> Result<Vec<u64>> {
+        let mut out = vec![0; sp.b];
+        server_sum_round_into(payload_shares, z_shares, sp, &mut out, threads).map(|()| out)
+    }
 
     struct Fix {
         setup: Setup,
@@ -251,8 +251,8 @@ mod tests {
             .collect();
         let s1: Vec<&[u64]> = ind.iter().map(|u| u.shares[0].as_slice()).collect();
         let s2: Vec<&[u64]> = ind.iter().map(|u| u.shares[1].as_slice()).collect();
-        let o1 = psi::server_psi_round(&s1, &f.setup.servers[0], threads).unwrap();
-        let o2 = psi::server_psi_round(&s2, &f.setup.servers[1], threads).unwrap();
+        let o1 = psi_round(&s1, &f.setup.servers[0], threads).unwrap();
+        let o2 = psi_round(&s2, &f.setup.servers[1], threads).unwrap();
         let fop = psi::owner_combine(&o1, &o2, op).unwrap();
 
         // Round 2: selected owner shares z; servers compute Equation 11.
@@ -271,9 +271,7 @@ mod tests {
         let mut outs = Vec::new();
         for k in 0..3 {
             let pj: Vec<&[u64]> = payload.iter().map(|p| p.shares[k].as_slice()).collect();
-            outs.push(
-                server_sum_round(&pj, &z_shares.shares[k], &f.setup.servers[k], threads).unwrap(),
-            );
+            outs.push(sum_round(&pj, &z_shares.shares[k], &f.setup.servers[k], threads).unwrap());
         }
         owner_finalize([&outs[0], &outs[1], &outs[2]], op).unwrap()
     }
@@ -353,8 +351,7 @@ mod tests {
         let mut vouts = Vec::new();
         for k in 0..3 {
             let pj: Vec<&[u64]> = vpayload.iter().map(|p| p.shares[k].as_slice()).collect();
-            vouts
-                .push(server_sum_round(&pj, &zp_shares.shares[k], &f.setup.servers[k], 1).unwrap());
+            vouts.push(sum_round(&pj, &zp_shares.shares[k], &f.setup.servers[k], 1).unwrap());
         }
         let verification = owner_finalize([&vouts[0], &vouts[1], &vouts[2]], op).unwrap();
         owner_verify(&primary, &verification, op).expect("honest run verifies");
@@ -385,8 +382,7 @@ mod tests {
         let mut vouts = Vec::new();
         for k in 0..3 {
             let pj: Vec<&[u64]> = vpayload.iter().map(|p| p.shares[k].as_slice()).collect();
-            vouts
-                .push(server_sum_round(&pj, &zp_shares.shares[k], &f.setup.servers[k], 1).unwrap());
+            vouts.push(sum_round(&pj, &zp_shares.shares[k], &f.setup.servers[k], 1).unwrap());
         }
         let verification = owner_finalize([&vouts[0], &vouts[1], &vouts[2]], op).unwrap();
 
@@ -416,7 +412,7 @@ mod tests {
         let z = vec![1u64, 0, 1, 1, 0];
         let mut prg = Prg::from_seed(60);
         let z_shares = share_payload(&z, &f.setup.owner.field, &mut prg);
-        let reference = server_sum_round(&pj, &z_shares.shares[0], sp, 1).unwrap();
+        let reference = sum_round(&pj, &z_shares.shares[0], sp, 1).unwrap();
         let mut out = vec![u64::MAX; sp.b];
         server_sum_round_into(&pj, &z_shares.shares[0], sp, &mut out, 1).unwrap();
         assert_eq!(out, reference);
@@ -434,9 +430,9 @@ mod tests {
         let f = fixture(&[vec![(1u64, 1)], vec![(1u64, 1)]], 2, 6);
         let bad = vec![0u64; 1];
         let good = vec![0u64; 2];
-        assert!(server_sum_round(&[&bad, &good], &good, &f.setup.servers[0], 1).is_err());
-        assert!(server_sum_round(&[&good, &good], &bad, &f.setup.servers[0], 1).is_err());
-        assert!(server_sum_round(&[&good], &good, &f.setup.servers[0], 1).is_err());
+        assert!(sum_round(&[&bad, &good], &good, &f.setup.servers[0], 1).is_err());
+        assert!(sum_round(&[&good, &good], &bad, &f.setup.servers[0], 1).is_err());
+        assert!(sum_round(&[&good], &good, &f.setup.servers[0], 1).is_err());
     }
 
     #[test]

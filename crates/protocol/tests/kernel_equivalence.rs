@@ -2,9 +2,9 @@
 //!
 //! The `_into` kernels add stored shares without reducing them and reduce
 //! once per group of columns (seven in the Mersenne field), over tiles of
-//! the output. These tests pin them — the Vec-returning forms kept as the
-//! conformance reference and the one-column `summed_round_into` forms a
-//! node runs too — to the protocol's equations evaluated one
+//! the output. These tests pin them — on dirty buffers, and the
+//! one-column `summed_round_into` forms a node runs too — to the
+//! protocol's equations evaluated one
 //! cell at a time with plain `u128 %` arithmetic, at lengths and owner
 //! counts on both sides of every such boundary, and pin the ingest
 //! invariant the kernels rely on: a server reduces shares once, when it
@@ -90,12 +90,6 @@ fn additive_kernels_match_the_per_cell_equations() {
                 .collect();
             let summed: Vec<u64> = (0..b).map(|i| cell_sum(&owned, i, delta)).collect();
 
-            assert_eq!(psi::server_psi_round(&shares, &sp, 1).unwrap(), psi_ref);
-            assert_eq!(
-                psi::server_psi_verify_round(&shares, &sp, 1).unwrap(),
-                verify_ref
-            );
-            assert_eq!(psu::server_psu_round(&shares, &sp, 1).unwrap(), psu_ref);
             for threads in [1usize, 3] {
                 let ctx = format!("m={m} b={b} threads={threads}");
                 let mut out = vec![u64::MAX; b];
@@ -142,7 +136,6 @@ fn sum_kernel_matches_the_per_cell_equation() {
                 .collect();
             let summed: Vec<u64> = (0..b).map(|i| cell_sum(&payload, i, p)).collect();
             let shares = refs(&payload);
-            assert_eq!(sum::server_sum_round(&shares, &z, &sp, 1).unwrap(), sum_ref);
             for threads in [1usize, 3] {
                 let mut out = vec![u64::MAX; b];
                 sum::server_sum_round_into(&shares, &z, &sp, &mut out, threads).unwrap();

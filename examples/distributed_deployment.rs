@@ -21,7 +21,9 @@
 
 use prism::core::Prg;
 use prism::driver::{Cluster, ClusterConfig, OwnerInput};
-use prism::net::{AnnouncerNode, ClusterListener, NetCluster, RegistryConfig, ShardWorker};
+use prism::net::{
+    AnnouncerNode, ClusterListener, ControlEvent, NetCluster, RegistryConfig, ShardWorker,
+};
 use std::time::{Duration, Instant};
 
 const DOMAIN: usize = 1_000;
@@ -144,17 +146,16 @@ fn main() {
     // the three survivors and re-outsources the lost row ranges from its
     // upload log — no owner involvement, no restart.
     println!("\n--- killing shard worker d0/w0 ---");
+    let dead = workers[0].node_id();
     workers[0].kill();
     let net = cluster.deployment();
     let registry = net.registry().expect("elastic cluster has a registry");
     let t0 = Instant::now();
-    while registry.failovers() < 1 {
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "failover never confirmed"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let healed = registry.wait_event(
+        Duration::from_secs(30),
+        |e| matches!(*e, ControlEvent::Failover(_, w, ..) if w == dead),
+    );
+    assert!(healed.is_some(), "failover never confirmed");
     println!("healed in {:?}; control-plane log:", t0.elapsed());
     for (seq, event) in registry.events() {
         println!("  #{seq} {event}");

@@ -146,7 +146,15 @@ append_in_place() {
         arm && /ServerNode::new\(/ { print "crates/net/src/router.rs:" NR ":" $0 }' | grep .
 }
 
-GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place"
+# Heals are waited on, not slept through: a test or example that waits
+# for the control plane blocks on its events (`NodeRegistry::wait_event`)
+# or on a query thread's signal, never on the clock. Fails on a `sleep(`
+# under `crates/net/tests` or in `examples/distributed_deployment.rs`.
+sleep_free() {
+    ! git grep -n 'sleep(' -- crates/net/tests examples/distributed_deployment.rs
+}
+
+GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place sleep-free"
 
 run() {
     case "$1" in
@@ -159,6 +167,7 @@ run() {
         one-bringup) one_bringup ;;
         one-metrics) one_metrics ;;
         append-in-place) append_in_place ;;
+        sleep-free) sleep_free ;;
         *)
             echo "usage: scripts/guards.sh <all | $(echo "$GUARDS" | tr ' ' '|')>" >&2
             exit 2

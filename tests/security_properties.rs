@@ -151,7 +151,9 @@ fn server_cannot_decode_results_without_eta() {
         uploads.push(share_indicator(&indicator, setup.owner.delta, &mut prg));
     }
     let refs1: Vec<&[u64]> = uploads.iter().map(|u| u.shares[0].as_slice()).collect();
-    let out1 = psi::server_psi_round(&refs1, &setup.servers[0], 1).unwrap();
+    let sp = &setup.servers[0];
+    let mut out1 = vec![0; sp.b];
+    psi::server_psi_round_into(&refs1, sp, &sp.power_table(), &mut out1, 1).unwrap();
     // The raw server output for the common cell (value 2, index 1) is not
     // 1 — only the owner-side mod-η product reveals membership.
     assert_ne!(out1[1], 1, "server output must not already be decoded");

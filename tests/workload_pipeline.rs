@@ -3,10 +3,17 @@
 //! and answer queries from the fetched shares.
 
 use prism::core::reconstruct2;
-use prism::protocol::params::{Initiator, SystemConfig};
+use prism::protocol::params::{Initiator, ServerParams, SystemConfig};
 use prism::protocol::{psi, sum};
 use prism::storage::ServerStore;
 use prism::workload::{group_by_ok, outsource_owner, LineItemConfig};
+
+/// The PSI round (Equation 3) at server `sp`, into a fresh buffer.
+fn psi_round(shares: &[&[u64]], sp: &ServerParams, threads: usize) -> Vec<u64> {
+    let mut out = vec![0; sp.b];
+    psi::server_psi_round_into(shares, sp, &sp.power_table(), &mut out, threads).unwrap();
+    out
+}
 
 #[test]
 fn outsource_store_fetch_query_roundtrip() {
@@ -41,8 +48,8 @@ fn outsource_store_fetch_query_roundtrip() {
     let t2 = fetch(2);
     let refs0: Vec<&[u64]> = t0.iter().map(|t| t.ok.as_slice()).collect();
     let refs1: Vec<&[u64]> = t1.iter().map(|t| t.ok.as_slice()).collect();
-    let o0 = psi::server_psi_round(&refs0, &setup.servers[0], 2).unwrap();
-    let o1 = psi::server_psi_round(&refs1, &setup.servers[1], 2).unwrap();
+    let o0 = psi_round(&refs0, &setup.servers[0], 2);
+    let o1 = psi_round(&refs1, &setup.servers[1], 2);
     let fop = psi::owner_combine(&o0, &o1, op).unwrap();
     // Full-domain owners: everything common.
     assert!(fop.iter().all(|&v| v == 1));
@@ -59,7 +66,10 @@ fn outsource_store_fetch_query_roundtrip() {
         .into_iter()
         .map(|(cols, k)| {
             let refs: Vec<&[u64]> = cols.iter().map(|v| v.as_slice()).collect();
-            sum::server_sum_round(&refs, &z_shares.shares[k], &setup.servers[k], 2).unwrap()
+            let (z, sp) = (&z_shares.shares[k], &setup.servers[k]);
+            let mut out = vec![0; sp.b];
+            sum::server_sum_round_into(&refs, z, sp, &mut out, 2).unwrap();
+            out
         })
         .collect();
     let sums = sum::owner_finalize([&outs[0], &outs[1], &outs[2]], op).unwrap();
@@ -107,8 +117,8 @@ fn sparse_owners_intersect_correctly() {
     }
     let refs0: Vec<&[u64]> = uploads.iter().map(|t| t[0].ok.as_slice()).collect();
     let refs1: Vec<&[u64]> = uploads.iter().map(|t| t[1].ok.as_slice()).collect();
-    let o0 = psi::server_psi_round(&refs0, &setup.servers[0], 1).unwrap();
-    let o1 = psi::server_psi_round(&refs1, &setup.servers[1], 1).unwrap();
+    let o0 = psi_round(&refs0, &setup.servers[0], 1);
+    let o1 = psi_round(&refs1, &setup.servers[1], 1);
     let fop = psi::owner_combine(&o0, &o1, &setup.owner).unwrap();
 
     // Plaintext expectation.
