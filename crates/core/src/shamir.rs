@@ -108,17 +108,23 @@ impl ShamirCtx {
     /// values (the x is implied by the server index, saving 8 bytes/cell on
     /// the wire and in storage). [`ShamirCtx::share_blocks`] over a slice.
     pub fn share_vector(&self, secrets: &[u64], count: usize, prg: &mut Prg) -> Vec<Vec<u64>> {
-        self.share_blocks(secrets.len(), count, prg, |start, block| {
+        let mut out: Vec<Vec<u64>> = (0..count)
+            .map(|_| Vec::with_capacity(secrets.len()))
+            .collect();
+        self.share_blocks(secrets.len(), &mut out, prg, |start, block| {
             block.copy_from_slice(&secrets[start..start + block.len()])
-        })
+        });
+        out
     }
 
     /// Bulk share of `cells` secrets the caller produces a block at a time:
     /// `secrets(start, block)` writes secrets `start..start + block.len()`
     /// into `block` (a few KiB on the stack), so a secret vector the caller
     /// only needs as shares — the `z` of §6.1 Step 3 — is never
-    /// materialised, and each share is written once: the columns are sized
-    /// up front and appended to, never zero-filled.
+    /// materialised, and each share is written once: share `k` of every
+    /// secret is appended to `out[k]`, never zero-filled, so a caller that
+    /// passes columns with room for `cells` more (pooled ones, say) shares
+    /// without allocating.
     ///
     /// The PRG draw order is identical to calling [`ShamirCtx::share`] per
     /// secret, so the shares are too. The field's reducer and the rejection
@@ -129,16 +135,16 @@ impl ShamirCtx {
     pub fn share_blocks(
         &self,
         cells: usize,
-        count: usize,
+        out: &mut [Vec<u64>],
         prg: &mut Prg,
         mut secrets: impl FnMut(usize, &mut [u64]),
-    ) -> Vec<Vec<u64>> {
+    ) {
         assert!(
-            count > self.degree,
-            "need more shares ({count}) than the degree ({})",
+            out.len() > self.degree,
+            "need more shares ({}) than the degree ({})",
+            out.len(),
             self.degree
         );
-        let mut out: Vec<Vec<u64>> = (0..count).map(|_| Vec::with_capacity(cells)).collect();
         let zone = rejection_zone(self.p);
         let (mut ys, mut slopes) = ([0u64; SHARE_BLOCK], [0u64; SHARE_BLOCK]);
         let mut coeffs = vec![0u64; self.degree + 1];
@@ -170,7 +176,6 @@ impl ShamirCtx {
                 }
             }
         });
-        out
     }
 
     /// Lagrange coefficients at 0 for evaluation points `1..=k` — the fixed
@@ -595,7 +600,17 @@ mod tests {
                 let c = ShamirCtx::new(p, degree);
                 let (mut block_prg, mut vector_prg) = (Prg::from_seed(p), Prg::from_seed(p));
                 let mut next = 0;
-                let shared = c.share_blocks(bits.len(), 3, &mut block_prg, |start, block| {
+                // Shares append after whatever the columns already hold,
+                // into the room they already have.
+                let mut shared: Vec<Vec<u64>> = (0..3)
+                    .map(|k| {
+                        let mut col = Vec::with_capacity(bits.len() + 1);
+                        col.push(k);
+                        col
+                    })
+                    .collect();
+                let room: Vec<*const u64> = shared.iter().map(|col| col.as_ptr()).collect();
+                c.share_blocks(bits.len(), &mut shared, &mut block_prg, |start, block| {
                     assert_eq!(start, next, "blocks arrive in order");
                     next += block.len();
                     for (s, &v) in block.iter_mut().zip(&bits[start..]) {
@@ -603,12 +618,19 @@ mod tests {
                     }
                 });
                 assert_eq!(next, bits.len());
-                assert_eq!(shared, c.share_vector(&z, 3, &mut vector_prg), "p={p}");
+                let by_vector = c.share_vector(&z, 3, &mut vector_prg);
+                for (k, (col, want)) in shared.iter().zip(&by_vector).enumerate() {
+                    assert_eq!((col[0], &col[1..]), (k as u64, &want[..]), "p={p}");
+                    assert_eq!(col.as_ptr(), room[k], "share_blocks reallocated a column");
+                }
                 assert_eq!(block_prg.next_u64(), vector_prg.next_u64());
-                assert!(shared.iter().all(|col| col.capacity() == bits.len()));
+                assert!(by_vector.iter().all(|col| col.capacity() == bits.len()));
             }
         }
-        let none = ctx().share_blocks(0, 3, &mut Prg::from_seed(1), |_, _| panic!("no block"));
+        let mut none = vec![Vec::<u64>::new(); 3];
+        ctx().share_blocks(0, &mut none, &mut Prg::from_seed(1), |_, _| {
+            panic!("no block")
+        });
         assert_eq!(none, vec![Vec::<u64>::new(); 3]);
     }
 

@@ -41,9 +41,9 @@
 
 use crate::mux::{Admission, MuxLink, QueryId};
 use crate::registry::{channel_links, tcp_links, ClusterListener, NodeRegistry};
-use crate::router::reply;
+use crate::router::{refuse_unserved, reply};
 use crate::transport::{Link, LinkStats, NetError};
-use crate::wire::{recycle_vecs, Column, Message};
+use crate::wire::{Column, Message};
 use prism_core::Permutation;
 use prism_protocol::cache::{CachedExec, PsiRoundCache};
 use prism_protocol::driver::Deployment;
@@ -124,9 +124,7 @@ pub(crate) fn announcer_loop(
                 reply(owner_link.as_ref(), tag, Message::Pong { seq })?;
             }
             Message::Shutdown => return Ok(()),
-            _ => {
-                // Reply-direction messages; ignore defensively.
-            }
+            other => refuse_unserved(owner_link.as_ref(), tag, &other)?,
         }
     }
 }
@@ -379,10 +377,6 @@ impl ServerExec for QueryView<'_> {
     ) -> prism_protocol::Result<(AnnouncerReply, Duration)> {
         self.net.tagged_announce(self.id, cmd, seq, threads)
     }
-
-    fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
-        self.net.reclaim(server, outputs)
-    }
 }
 
 impl ServerExec for NetCluster {
@@ -401,12 +395,6 @@ impl ServerExec for NetCluster {
         threads: usize,
     ) -> prism_protocol::Result<(AnnouncerReply, Duration)> {
         self.tagged_announce(self.fresh_query_id(), cmd, seq, threads)
-    }
-
-    /// Reply vectors were decoded into buffers from the wire pool; that is
-    /// where they return, whichever server sent them.
-    fn reclaim(&self, _server: usize, outputs: Vec<Vec<u64>>) {
-        recycle_vecs(outputs);
     }
 }
 
@@ -909,9 +897,9 @@ impl NetCluster {
         // teardown-closed links are not mistaken for node deaths.
         self.registry.stop();
         for link in &self.links {
-            link.send_raw(&Message::Shutdown)?;
+            link.send_raw(Message::Shutdown)?;
         }
-        self.announcer_link.send_raw(&Message::Shutdown)?;
+        self.announcer_link.send_raw(Message::Shutdown)?;
         for h in self.handles.drain(..) {
             h.join().map_err(|_| NetError::Disconnected)??;
         }

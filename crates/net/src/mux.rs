@@ -33,12 +33,11 @@
 
 use crate::transport::{Link, NetError};
 use crate::wire::Message;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use prism_protocol::metrics::{Counter, Metrics};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Identifies one in-flight query across every link of a cluster.
@@ -48,7 +47,7 @@ pub type QueryId = u64;
 /// tagged, a pump thread routes tagged replies into per-query slots.
 pub struct MuxLink {
     link: Arc<dyn Link>,
-    slots: Mutex<HashMap<QueryId, Sender<Message>>>,
+    slots: Mutex<HashMap<QueryId, Arc<Slot>>>,
     /// Where the pump counts the replies it drops: the deployment's store
     /// for an owner-side link.
     metrics: Arc<Metrics>,
@@ -59,6 +58,46 @@ pub struct MuxLink {
     label: Option<String>,
 }
 
+/// One query's replies on one link: the pump pushes them, the query's
+/// thread waits for them. Waiting allocates nothing, so a reply that
+/// arrives before its waiter costs what one that arrives after does.
+struct Slot {
+    /// The replies not yet taken, and whether the slot still takes more:
+    /// it closes when its query drops the [`Pending`] or the pump dies.
+    state: std::sync::Mutex<(VecDeque<Message>, bool)>,
+    ready: Condvar,
+}
+
+impl Slot {
+    fn open() -> Arc<Slot> {
+        Arc::new(Slot {
+            state: std::sync::Mutex::new((VecDeque::with_capacity(1), true)),
+            ready: Condvar::new(),
+        })
+    }
+
+    fn lock(&self) -> MutexGuard<'_, (VecDeque<Message>, bool)> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queue a reply; `false` if the slot has closed.
+    fn push(&self, msg: Message) -> bool {
+        let mut state = self.lock();
+        if !state.1 {
+            return false;
+        }
+        state.0.push_back(msg);
+        self.ready.notify_one();
+        true
+    }
+
+    /// Take no more replies, and wake a waiter to find that out.
+    fn close(&self) {
+        self.lock().1 = false;
+        self.ready.notify_all();
+    }
+}
+
 /// A registered completion slot: the receive side of one query's replies
 /// on one [`MuxLink`]. Dropping it deregisters the query from the link,
 /// so an aborted query's late replies are rejected instead of filling an
@@ -66,7 +105,7 @@ pub struct MuxLink {
 pub struct Pending {
     mux: Arc<MuxLink>,
     id: QueryId,
-    rx: Receiver<Message>,
+    slot: Arc<Slot>,
 }
 
 impl Pending {
@@ -74,23 +113,52 @@ impl Pending {
     /// because the link's pump died, the error names the node (when the
     /// link is labeled) so a crashed worker is not mistaken for tamper.
     pub fn recv(&self) -> Result<Message, NetError> {
-        self.rx.recv().map_err(|_| self.mux.dead_error())
+        self.wait(None)
     }
 
     /// Like [`Pending::recv`] but gives up after `timeout`, returning
     /// [`NetError::Timeout`]. The registry's keep-alive prober uses this
     /// so a wedged (not just dead) node cannot park the probe loop.
     pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Message, NetError> {
-        use crossbeam::channel::RecvTimeoutError;
-        self.rx.recv_timeout(timeout).map_err(|e| match e {
-            RecvTimeoutError::Timeout => NetError::Timeout,
-            RecvTimeoutError::Disconnected => self.mux.dead_error(),
-        })
+        self.wait(Some(Instant::now() + timeout))
+    }
+
+    /// The next reply; replies that arrived before the pump died are
+    /// still delivered.
+    fn wait(&self, deadline: Option<Instant>) -> Result<Message, NetError> {
+        let mut state = self.slot.lock();
+        loop {
+            if let Some(msg) = state.0.pop_front() {
+                return Ok(msg);
+            }
+            if !state.1 {
+                return Err(self.mux.dead_error());
+            }
+            state = match deadline {
+                None => self
+                    .slot
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(at) => {
+                    let left = at.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(NetError::Timeout);
+                    }
+                    self.slot
+                        .ready
+                        .wait_timeout(state, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+        }
     }
 }
 
 impl Drop for Pending {
     fn drop(&mut self) {
+        self.slot.close();
         self.mux.slots.lock().remove(&self.id);
     }
 }
@@ -129,9 +197,9 @@ impl MuxLink {
                 Err(_) => {
                     if let Some(mux) = weak.upgrade() {
                         mux.dead.store(true, Ordering::SeqCst);
-                        // Wake every parked waiter with Disconnected by
-                        // dropping their send sides.
-                        mux.slots.lock().clear();
+                        // Wake every parked waiter with the link's
+                        // error by closing its slot.
+                        mux.slots.lock().drain().for_each(|(_, slot)| slot.close());
                     }
                     return;
                 }
@@ -139,12 +207,12 @@ impl MuxLink {
             let Some(mux) = weak.upgrade() else { return };
             match msg {
                 Message::Tagged { query, inner } => {
-                    let tx = mux.slots.lock().get(&query).cloned();
-                    match tx {
-                        // A send error means the query dropped its
+                    let slot = mux.slots.lock().get(&query).cloned();
+                    match slot {
+                        // A closed slot means the query dropped its
                         // Pending between the lookup and the delivery —
                         // same outcome as no slot at all.
-                        Some(tx) if tx.send(*inner).is_ok() => {}
+                        Some(slot) if slot.push(*inner) => {}
                         _ => mux.metrics.add(Counter::RejectedReplies, 1),
                     }
                 }
@@ -160,19 +228,19 @@ impl MuxLink {
         if self.dead.load(Ordering::SeqCst) {
             return Err(self.dead_error());
         }
-        let (tx, rx) = unbounded();
+        let slot = Slot::open();
         {
             let mut slots = self.slots.lock();
             if slots.contains_key(&id) {
                 return Err(NetError::Mux("duplicate query slot on one link"));
             }
-            slots.insert(id, tx);
+            slots.insert(id, Arc::clone(&slot));
         }
         // The pump may have died between the check and the insert; its
-        // final clear() may have run before the insert landed. Re-check
+        // final drain may have run before the insert landed. Re-check
         // under no lock: if dead, the slot (if still present) is ours to
-        // remove via Pending's Drop, and recv() on a cleared slot
-        // returns Disconnected anyway.
+        // remove, and recv() on a closed slot returns the link's error
+        // anyway.
         if self.dead.load(Ordering::SeqCst) {
             self.slots.lock().remove(&id);
             return Err(self.dead_error());
@@ -180,21 +248,21 @@ impl MuxLink {
         Ok(Pending {
             mux: Arc::clone(self),
             id,
-            rx,
+            slot,
         })
     }
 
     /// Send one request on behalf of query `id` (wrapped in a
     /// [`Message::Tagged`] envelope).
     pub fn send(&self, id: QueryId, msg: Message) -> Result<(), NetError> {
-        self.link.send(&msg.tagged(id))
+        self.link.send_owned(msg.tagged(id))
     }
 
     /// Send an *untagged* message on the shared link (session-scoped
     /// traffic: uploads, tamper injection, shutdown — anything answered
     /// inline or not at all).
-    pub(crate) fn send_raw(&self, msg: &Message) -> Result<(), NetError> {
-        self.link.send(msg)
+    pub(crate) fn send_raw(&self, msg: Message) -> Result<(), NetError> {
+        self.link.send_owned(msg)
     }
 
     /// One full round-trip for query `id`: register, send, await the

@@ -404,8 +404,8 @@ impl SwapLink {
 }
 
 impl Link for SwapLink {
-    fn send(&self, msg: &Message) -> Result<(), NetError> {
-        self.current().1.send(msg)
+    fn send_owned(&self, msg: Message) -> Result<(), NetError> {
+        self.current().1.send_owned(msg)
     }
 
     fn recv(&self) -> Result<Message, NetError> {
@@ -916,7 +916,7 @@ fn register_ack(link: &TcpLink, node: Option<u64>, len: usize) -> bool {
         start: 0,
         len: len as u64,
     };
-    link.send(&ack).is_ok()
+    link.send_owned(ack).is_ok()
 }
 
 fn reject(link: &TcpLink) {
@@ -1424,7 +1424,7 @@ impl AnnouncerNode {
 /// granted: `(node id, provisional row range)`.
 fn register(link: &TcpLink, role: NodeRole, domain: usize) -> Result<(u64, ShardSpec), NetError> {
     let domain = domain as u32;
-    link.send(&Message::Register { role, domain })?;
+    link.send_owned(Message::Register { role, domain })?;
     match link.recv()? {
         Message::RegisterAck {
             accepted: true,
@@ -1562,8 +1562,7 @@ mod tests {
 
         let survivors = inner.domains[0].read();
         for link in std::iter::once(&dead.link).chain(survivors.workers.iter().map(|w| &w.link)) {
-            link.send_raw(&Message::Shutdown)
-                .expect("the node hears it");
+            link.send_raw(Message::Shutdown).expect("the node hears it");
         }
         for node in nodes {
             node.join().expect("node thread").expect("clean exit");

@@ -27,6 +27,7 @@ use prism_protocol::engine::{BatchQuery, ReplayLog, ServerCmd, ServerNode, Serve
 use prism_protocol::malicious::Tamper;
 use prism_protocol::metrics::Metrics;
 use prism_protocol::params::ServerParams;
+use prism_protocol::pool;
 use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan, ShardSpec};
 use prism_protocol::ProtocolError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -36,7 +37,24 @@ use std::sync::Arc;
 /// envelope (the reply must route back through the owner's multiplexer to
 /// that query's slot), plain otherwise.
 pub(crate) fn reply(link: &dyn Link, tag: Option<u64>, msg: Message) -> Result<(), NetError> {
-    link.send(&enveloped(tag, msg))
+    link.send_owned(enveloped(tag, msg))
+}
+
+/// Answer a message this loop does not serve: a tagged request gets
+/// [`Message::Refused`] naming its wire tag, so the query waiting on it
+/// fails instead of waiting forever; an untagged one is dropped.
+pub(crate) fn refuse_unserved(
+    link: &dyn Link,
+    tag: Option<u64>,
+    msg: &Message,
+) -> Result<(), NetError> {
+    match tag {
+        Some(_) => {
+            let why = format!("message tag {} is not served here", msg.wire_tag());
+            reply(link, tag, Message::Refused(why))
+        }
+        None => Ok(()),
+    }
 }
 
 /// `msg` as [`reply`] puts it on the link.
@@ -82,7 +100,7 @@ fn run_wide(
     if let (Ok(ServerReply::Wide(w)), Some(ann)) = (node.execute(&cmd), announcer) {
         receipt = (w.rows() as u64, w.width as u32);
         let server = node.params().server_id as u32;
-        ann.send(&Message::WideUpload {
+        ann.send_owned(Message::WideUpload {
             server,
             seq,
             shares: w,
@@ -126,8 +144,8 @@ fn run_batch_on(node: &ServerNode, batch: BatchQuery) -> Vec<Vec<u64>> {
         Ok(ServerReply::Vectors(outs)) => outs,
         _ => Vec::new(),
     };
-    // The decoded z buffers are dead once the kernels ran; hand them back
-    // to the wire pool so the next round's decode allocates nothing.
+    // The z buffers are dead once the kernels ran; hand them to the pool
+    // the next round's buffers come from.
     if let ServerCmd::Run(batch) = cmd {
         recycle_vecs(batch.zs);
     }
@@ -135,12 +153,10 @@ fn run_batch_on(node: &ServerNode, batch: BatchQuery) -> Vec<Vec<u64>> {
 }
 
 /// Serve one stored-column batch on a worker of `rounds`, against a read
-/// lock on `node`: run it, answer the owner with `wrap(outputs)`, and —
-/// the link having encoded or copied the reply by then — return the
-/// reply vectors to the node's arena, where its next round of that
-/// length writes into them. The lock is held to the end, so a store
-/// mutation queued behind this round (they take the write lock) also
-/// finds its buffers home.
+/// lock on `node`: run it and answer the owner with `wrap(outputs)`, sent
+/// owned — a channel link moves the reply vectors to the owner, a TCP
+/// link hands them to the pool once encoded, and the node's next round
+/// draws them from there.
 fn serve_batch(
     rounds: &RoundExecutor,
     node: &Arc<RwLock<ServerNode>>,
@@ -151,14 +167,8 @@ fn serve_batch(
 ) {
     let (node, link) = (Arc::clone(node), Arc::clone(link));
     rounds.execute(move || {
-        let node = node.read();
-        let msg = enveloped(tag, wrap(run_batch_on(&node, batch)));
-        let _ = link.send(&msg);
-        if let (_, Message::Outputs(outs) | Message::ShardOutputs { outputs: outs, .. }) =
-            msg.untag()
-        {
-            node.reclaim(outs);
-        }
+        let outputs = run_batch_on(&node.read(), batch);
+        let _ = reply(link.as_ref(), tag, wrap(outputs));
     });
 }
 
@@ -356,9 +366,7 @@ pub(crate) fn node_loop(
                 rounds.shutdown();
                 return Ok(());
             }
-            _ => {
-                // Reply-direction messages; ignore defensively.
-            }
+            other => refuse_unserved(link.as_ref(), tag, &other)?,
         }
     }
 }
@@ -529,8 +537,9 @@ fn ack_of(reply: Result<Message, NetError>) -> Result<bool, AckFail> {
     }
 }
 
-/// Fan an acked control message (upload slices) to **every holder** of
-/// every range, each sliced for the range it holds. The fan is tolerant
+/// Fan an acked upload to **every holder** of every range: `wrap` of the
+/// range's cut of the columns ([`cut_columns`]), moved to the range's last
+/// holder and cloned for the ones before it. The fan is tolerant
 /// per range: a holder whose link fails mid-upload is survivable as
 /// long as *some* holder of that range acked — link death is sticky, so
 /// the lagging holder can never serve a query again and the prober will
@@ -540,7 +549,8 @@ fn ack_of(reply: Result<Message, NetError>) -> Result<bool, AckFail> {
 fn fan_acked(
     st: &DomainState,
     corr: u64,
-    mk: impl Fn(&ShardSpec) -> Message,
+    mut cuts: Vec<Vec<(Column, Vec<u64>)>>,
+    wrap: impl Fn(Vec<(Column, Vec<u64>)>) -> Message,
 ) -> Result<(), AckFail> {
     if st.workers.is_empty() {
         return Err(AckFail::Down(NO_WORKERS));
@@ -548,11 +558,15 @@ fn fan_acked(
     let mut pendings = Vec::with_capacity(st.workers.len());
     let mut failed = NO_WORKERS;
     for (i, slot) in st.workers.iter().enumerate() {
-        let spec = st.plan.specs()[slot.range];
+        let cut = if st.workers[i + 1..].iter().any(|w| w.range == slot.range) {
+            cuts[slot.range].clone()
+        } else {
+            std::mem::take(&mut cuts[slot.range])
+        };
         let sent = slot
             .link
             .begin(corr)
-            .and_then(|p| slot.link.send(corr, mk(&spec)).map(|()| p));
+            .and_then(|p| slot.link.send(corr, wrap(cut)).map(|()| p));
         match sent {
             Ok(p) => pendings.push((i, p)),
             Err(_) => failed = i as u64,
@@ -577,16 +591,28 @@ fn fan_acked(
         .ok_or(AckFail::Down(failed))
 }
 
-/// The rows of `columns` (global rows from 0) that range `spec` holds,
-/// leaving out a column that does not reach it.
-fn cut_columns(columns: &[(Column, Vec<u64>)], spec: &ShardSpec) -> Vec<(Column, Vec<u64>)> {
-    columns
-        .iter()
-        .filter_map(|(c, data)| {
-            let part = data.get(spec.start..(spec.start + spec.len).min(data.len()))?;
-            (!part.is_empty()).then(|| (*c, part.to_vec()))
-        })
-        .collect()
+/// Per range of `specs`, the rows of `columns` (global rows from 0) it
+/// holds, leaving out a column that does not reach it. The first range
+/// starts at row 0, so it keeps each column's own buffer, truncated; the
+/// others get pooled copies.
+fn cut_columns(
+    columns: Vec<(Column, Vec<u64>)>,
+    specs: &[ShardSpec],
+) -> Vec<Vec<(Column, Vec<u64>)>> {
+    let mut cuts = vec![Vec::new(); specs.len()];
+    for (c, mut data) in columns {
+        for (cut, spec) in cuts.iter_mut().zip(specs).skip(1) {
+            match data.get(spec.start..(spec.start + spec.len).min(data.len())) {
+                Some(part) if !part.is_empty() => cut.push((c, pool::copy_of(part))),
+                _ => {}
+            }
+        }
+        data.truncate(specs[0].len);
+        if !data.is_empty() {
+            cuts[0].push((c, data));
+        }
+    }
+    cuts
 }
 
 /// Refuses a whole-column upload with an empty column or one longer than
@@ -663,11 +689,13 @@ fn route_batch(
     plan: &ShardPlan,
     params: &ServerParams,
     tamper: &Tamper,
-    batch: &BatchQuery,
+    mut batch: BatchQuery,
     holders: &[Vec<Arc<MuxLink>>],
     corr: u64,
 ) -> Result<Vec<Vec<u64>>, RouteFail> {
-    let mut subs = plan.split_batch(batch).map_err(|_| RouteFail::Malformed)?;
+    let mut subs = plan
+        .split_batch(&mut batch)
+        .map_err(|_| RouteFail::Malformed)?;
     let sub_batch = |r: usize, last: bool| {
         let batch = if last {
             std::mem::take(&mut subs[r])
@@ -682,9 +710,9 @@ fn route_batch(
         // Crossed or malformed reply from a live holder: tamper-shaped.
         _ => Err(RouteFail::Malformed),
     })?;
-    let merged = merge_shard_outputs(&per_shard, batch, params, tamper);
-    // The shard rows were copied into the merged reply; their decode
-    // buffers go back to the wire pool.
+    let merged = merge_shard_outputs(&per_shard, &batch, params, tamper);
+    // The shard rows were copied into the merged reply; their buffers go
+    // back to the pool.
     recycle_vecs(per_shard.into_iter().flatten());
     merged.map_err(|_| RouteFail::Malformed)
 }
@@ -882,17 +910,18 @@ pub(crate) fn domain_loop(
             Message::BulkUpload { owner, columns } => {
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 let mut st = shared.write();
-                let outcome = check_columns(&columns, st.params.b)
-                    .and_then(|()| {
-                        st.check_log(|log, b| log.check_put(owner as usize, 0, &columns, b))
+                let outcome = check_columns(&columns, st.params.b).and_then(|()| {
+                    st.check_log(|log, b| log.check_put(owner as usize, 0, &columns, b))
+                });
+                let logged = st.log.is_some().then(|| columns.clone());
+                let outcome = outcome.and_then(|()| {
+                    let cuts = cut_columns(columns, st.plan.specs());
+                    fan_acked(&st, id, cuts, |columns| Message::BulkUpload {
+                        owner,
+                        columns,
                     })
-                    .and_then(|()| {
-                        fan_acked(&st, id, |spec| Message::BulkUpload {
-                            owner,
-                            columns: cut_columns(&columns, spec),
-                        })
-                    });
-                if let (Ok(()), Some(log)) = (&outcome, &mut st.log) {
+                });
+                if let (Ok(()), Some(log), Some(columns)) = (&outcome, &mut st.log, logged) {
                     log.put(owner as usize, 0, columns);
                 }
                 drop(st);
@@ -911,17 +940,21 @@ pub(crate) fn domain_loop(
                         "a fold of {} rows of {column:?} must cover the {b}-row domain",
                         d.len()
                     ))),
-                    None => st
-                        .check_log(|log, b| log.check_fold(owner as usize, epoch, &columns, b))
-                        .and_then(|()| {
-                            fan_acked(&st, id, |spec| Message::FoldUpload {
-                                owner,
-                                epoch,
-                                columns: cut_columns(&columns, spec),
-                            })
-                        }),
+                    None => {
+                        st.check_log(|log, b| log.check_fold(owner as usize, epoch, &columns, b))
+                    }
                 };
-                if let (Ok(()), Some(log)) = (&outcome, &mut st.log) {
+                let logged = st.log.is_some().then(|| columns.clone());
+                let outcome = outcome.and_then(|()| {
+                    let cuts = cut_columns(columns, st.plan.specs());
+                    let wrap = |columns| Message::FoldUpload {
+                        owner,
+                        epoch,
+                        columns,
+                    };
+                    fan_acked(&st, id, cuts, wrap)
+                });
+                if let (Ok(()), Some(log), Some(columns)) = (&outcome, &mut st.log, logged) {
                     log.fold(owner as usize, epoch, columns);
                 }
                 drop(st);
@@ -977,7 +1010,7 @@ pub(crate) fn domain_loop(
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 serve_route(&rounds, &shared, &owner_link, tag, move |st| {
                     let holders = st.holder_links();
-                    route_batch(&st.plan, &st.params, &tamper_now, &batch, &holders, id)
+                    route_batch(&st.plan, &st.params, &tamper_now, batch, &holders, id)
                         .map(Message::Outputs)
                 });
             }
@@ -1020,13 +1053,11 @@ pub(crate) fn domain_loop(
                 // wait for them before telling the workers to exit.
                 rounds.shutdown();
                 for w in shared.read().workers.iter() {
-                    let _ = w.link.send_raw(&Message::Shutdown);
+                    let _ = w.link.send_raw(Message::Shutdown);
                 }
                 return Ok(());
             }
-            _ => {
-                // Reply-direction messages; ignore defensively.
-            }
+            other => refuse_unserved(owner_link.as_ref(), tag, &other)?,
         }
     }
 }
@@ -1131,6 +1162,56 @@ mod tests {
             owner.send(&delta(vec![0, 1])).unwrap();
             assert_eq!(owner.recv().unwrap(), Message::Ack, "the domain moved");
             owner.send(&Message::Shutdown).unwrap();
+        }
+        router.join().unwrap().expect("router exits cleanly");
+        worker.join().unwrap().expect("worker exits cleanly");
+        node.join().unwrap().expect("node exits cleanly");
+    }
+
+    /// A tagged request of a kind a loop does not serve is refused, naming
+    /// its wire tag, instead of dropped: the query waiting on it fails
+    /// rather than waits forever. An untagged one is still dropped, and
+    /// the loop serves on.
+    #[test]
+    fn a_tagged_request_a_loop_does_not_serve_is_refused() {
+        let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(5)).setup();
+        let params = setup.unwrap().servers[0].clone();
+        let mut domain = DomainState::new(params.clone(), 1, 1);
+        let (to_w0, w0) = channel_pair();
+        domain.workers = vec![WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_w0), 0, None)];
+        let spec0 = domain.plan.specs()[0];
+        let p = params.clone();
+        let worker = std::thread::spawn(move || {
+            node_loop(p, Arc::new(w0), Some(spec0), Tamper::Honest, None)
+        });
+        let (routed, router_end) = channel_pair();
+        let shared = Arc::new(RwLock::new(domain));
+        let router = std::thread::spawn(move || domain_loop(Arc::new(router_end), shared, None));
+        let (direct, node_end) = channel_pair();
+        let node = std::thread::spawn(move || {
+            node_loop(params, Arc::new(node_end), None, Tamper::Honest, None)
+        });
+
+        // An answer takes microseconds; a dropped request never gets one.
+        const DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
+        let (routed, direct): (Arc<dyn Link>, Arc<dyn Link>) = (Arc::new(routed), Arc::new(direct));
+        for (link, unserved, tag) in [
+            (&routed, Message::Ping { seq: 1 }, 22),
+            (&direct, Message::Ack, 4),
+        ] {
+            let mux = MuxLink::new(Arc::clone(link));
+            let pending = mux.begin(7).unwrap();
+            mux.send(7, unserved).unwrap();
+            match pending.recv_timeout(DEADLINE) {
+                Ok(Message::Refused(why)) => assert!(why.contains(&format!("tag {tag} ")), "{why}"),
+                other => {
+                    panic!("expected a refusal naming tag {tag} within {DEADLINE:?}, got {other:?}")
+                }
+            }
+            link.send_owned(Message::Ack).unwrap();
+            let answer = mux.request(8, Message::RangeVersionProbe).unwrap();
+            assert!(matches!(answer, Message::Versions(_)), "{answer:?}");
+            link.send_owned(Message::Shutdown).unwrap();
         }
         router.join().unwrap().expect("router exits cleanly");
         worker.join().unwrap().expect("worker exits cleanly");

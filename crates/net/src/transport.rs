@@ -127,8 +127,15 @@ impl LinkStats {
 /// internally so frames never interleave; concurrent `recv`s are allowed
 /// but deliver each message to exactly one caller.
 pub trait Link: Send + Sync {
-    /// Send one message.
-    fn send(&self, msg: &Message) -> Result<(), NetError>;
+    /// Send one message the caller keeps: by default a clone, sent owned.
+    /// Prefer [`Link::send_owned`] for a message the caller is done with.
+    fn send(&self, msg: &Message) -> Result<(), NetError> {
+        self.send_owned(msg.clone())
+    }
+    /// Send one message the caller is done with: a [`ChannelLink`] moves
+    /// it, row buffers and all, to the receiver; a [`TcpLink`] encodes it
+    /// and hands its row buffers back to the pool.
+    fn send_owned(&self, msg: Message) -> Result<(), NetError>;
     /// Block for the next message.
     fn recv(&self) -> Result<Message, NetError>;
     /// This endpoint's send-side stats.
@@ -136,11 +143,11 @@ pub trait Link: Send + Sync {
 }
 
 /// In-process channel link endpoint. It models the topology, not the
-/// bytes: a hop carries the [`Message`] itself, and the receiver gets what
-/// decoding the sender's encoding would have given it — an equal message in
-/// wire-pool buffers, or the decoder's error — while the meters count the
-/// exact bytes that encoding would have had. The codec itself runs only on
-/// [`TcpLink`]s.
+/// bytes: a hop carries the [`Message`] itself — an owned send moves it,
+/// the sender's row buffers included; a borrowed send moves a clone — and
+/// the receiver gets the decoder's error where decoding the sender's
+/// encoding would have failed, while the meters count the exact bytes that
+/// encoding would have had. The codec itself runs only on [`TcpLink`]s.
 pub struct ChannelLink {
     tx: Sender<Result<Message, WireError>>,
     rx: Receiver<Result<Message, WireError>>,
@@ -166,15 +173,14 @@ pub fn channel_pair() -> (ChannelLink, ChannelLink) {
 }
 
 impl Link for ChannelLink {
-    fn send(&self, msg: &Message) -> Result<(), NetError> {
-        // One copy per hop, into the buffers the receiver's decode would
-        // have drawn; a shape the decoder refuses fails at `recv`, as it
-        // would over TCP.
-        let delivered = msg.received_copy();
+    fn send_owned(&self, msg: Message) -> Result<(), NetError> {
+        // A shape the decoder refuses fails at `recv`, as it would over
+        // TCP.
         self.stats
             .bytes_sent
             .fetch_add(msg.encoded_len() as u64, Ordering::Relaxed);
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
+        let delivered = msg.check_decodable().map(|()| msg);
         self.tx.send(delivered).map_err(|_| NetError::Disconnected)
     }
 
@@ -193,11 +199,11 @@ impl Link for ChannelLink {
 /// is checked before a byte is allocated for the body. The largest frame
 /// anything in this repository puts on a socket is the benchmark's
 /// `tcp_wide_serial` Phase-1 `BulkUpload` (3 columns × 100 000 cells × 8 B
-/// ≈ 2.4 MB; its round-2 `RunBatch` is the same size, replies are 800 KB;
-/// every test, example and `exp_harness` TCP config is ≤ 4 096 cells per
-/// frame). 64 MiB is ~27× that — one 8 M-cell column, or a full
-/// seven-column upload of a 1 M-cell domain — and 1/64 of what the
-/// prefix could otherwise demand.
+/// ≈ 2.4 MB; its round-2 `RunBatch` carries one `z` column, 800 KB per
+/// server, and its reply two columns, 1.6 MB; every test, example and
+/// `exp_harness` TCP config is ≤ 4 096 cells per frame). 64 MiB is ~27×
+/// that — one 8 M-cell column, or a full seven-column upload of a 1 M-cell
+/// domain — and 1/64 of what the prefix could otherwise demand.
 const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// TCP link endpoint: 4-byte little-endian length prefix per frame.
@@ -267,10 +273,9 @@ impl TcpLink {
         let (server, _) = listener.accept()?;
         Ok((TcpLink::new(client)?, TcpLink::new(server)?))
     }
-}
 
-impl Link for TcpLink {
-    fn send(&self, msg: &Message) -> Result<(), NetError> {
+    /// Frame and write `msg`.
+    fn write_frame(&self, msg: &Message) -> Result<(), NetError> {
         // Build prefix and body in one exactly-sized buffer so each send is
         // a single allocation and a single write_all.
         let body_len = msg.encoded_len();
@@ -286,6 +291,19 @@ impl Link for TcpLink {
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
         self.writer.lock().write_all(&frame)?;
         Ok(())
+    }
+}
+
+impl Link for TcpLink {
+    /// Encodes from the borrow: no clone.
+    fn send(&self, msg: &Message) -> Result<(), NetError> {
+        self.write_frame(msg)
+    }
+
+    fn send_owned(&self, msg: Message) -> Result<(), NetError> {
+        let sent = self.write_frame(&msg);
+        msg.recycle();
+        sent
     }
 
     fn recv(&self) -> Result<Message, NetError> {
@@ -447,6 +465,64 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         b.shutdown();
         assert!(h.join().unwrap().is_err());
+    }
+
+    #[test]
+    fn a_channel_owned_send_delivers_the_senders_own_buffers() {
+        let (a, b) = channel_pair();
+        let rows = vec![7u64; 1_000];
+        let at = rows.as_ptr();
+        let m = Message::Outputs(vec![rows]).tagged(4);
+        let len = m.encode().len() as u64;
+        a.send_owned(m).unwrap();
+        match b.recv().unwrap() {
+            Message::Tagged { query: 4, inner } => match *inner {
+                Message::Outputs(got) => assert_eq!(got[0].as_ptr(), at, "the rows were copied"),
+                other => panic!("got {other:?}"),
+            },
+            other => panic!("got {other:?}"),
+        }
+        assert_eq!(a.stats().snapshot(), (len, 1), "meters count the encoding");
+    }
+
+    #[test]
+    fn shapes_the_decoder_refuses_fail_at_recv_on_both_channel_sends() {
+        use prism_core::wide::WideVec;
+        let nested = Message::Ack.tagged(1).tagged(2);
+        let ragged = Message::WideUpload {
+            server: 0,
+            seq: 1,
+            shares: WideVec {
+                width: 3,
+                data: vec![1; 4],
+            },
+        };
+        for bad in [nested, ragged] {
+            let (a, b) = channel_pair();
+            a.send(&bad).unwrap();
+            a.send_owned(bad.clone()).unwrap();
+            for _ in 0..2 {
+                assert!(
+                    matches!(b.recv(), Err(NetError::Wire(WireError::Malformed(_)))),
+                    "{bad:?} reached the receiver"
+                );
+            }
+            let len = bad.encoded_len() as u64;
+            assert_eq!(a.stats().snapshot(), (2 * len, 2));
+        }
+    }
+
+    #[test]
+    fn a_tcp_owned_send_round_trips() {
+        let (a, b) = TcpLink::loopback_pair().unwrap();
+        let m = Message::BulkUpload {
+            owner: 2,
+            columns: vec![(Column::Ok, (0..5_000).collect())],
+        };
+        let h = std::thread::spawn(move || b.recv().unwrap());
+        a.send_owned(m.clone()).unwrap();
+        assert_eq!(h.join().unwrap(), m);
+        assert_eq!(a.stats().snapshot(), (4 + m.encode().len() as u64, 1));
     }
 
     #[test]

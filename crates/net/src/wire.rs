@@ -19,6 +19,7 @@ use prism_protocol::engine::{
 use prism_protocol::malicious::{AnnouncerTamper, Tamper};
 use prism_protocol::max::{BlindedMaxUpload, MaxAnnouncement};
 use prism_protocol::median::MedianAnnouncement;
+use prism_protocol::pool;
 
 pub use prism_protocol::engine::Column;
 pub use prism_protocol::engine::QueryOp as Op;
@@ -201,9 +202,10 @@ fn decode_tamper(buf: &mut &[u8]) -> Result<Tamper, WireError> {
     })
 }
 
-/// Where the one encoder writes: a frame buffer, or [`Count`], which
-/// only adds up the bytes — how [`Message::encoded_len`] is derived, so
-/// a message's length is spelled once, by the code that writes it.
+/// Where the one encoder writes: a frame buffer; [`Count`], which only
+/// adds up the bytes — how [`Message::encoded_len`] is derived, so a
+/// message's length is spelled once, by the code that writes it; or
+/// [`FirstByte`], which keeps only the tag ([`Message::wire_tag`]).
 trait Sink: BufMut {
     /// Append `data`'s values little-endian (no length prefix).
     fn put_u64s(&mut self, data: &[u64]);
@@ -244,91 +246,31 @@ impl Sink for Count {
     }
 }
 
+/// A [`Sink`] that keeps only the first byte it is given.
+struct FirstByte(Option<u8>);
+
+impl BufMut for FirstByte {
+    fn put_slice(&mut self, src: &[u8]) {
+        if self.0.is_none() {
+            self.0 = src.first().copied();
+        }
+    }
+}
+
+impl Sink for FirstByte {
+    fn put_u64s(&mut self, _: &[u64]) {}
+}
+
 fn put_vec(buf: &mut impl Sink, data: &[u64]) {
     buf.put_u64_le(data.len() as u64);
     buf.put_u64s(data);
 }
 
-/// Decode-side row-buffer pool: the serving loops decode a fresh
-/// `Vec<u64>` per row vector on every round, then drop it after the
-/// kernel ran — a steady allocate/free churn on the server hot path.
-/// Instead, [`get_vec`] draws its backing buffer from this pool and the
-/// loops hand buffers back via [`recycle_vec`] once the round's reply is
-/// encoded, so a warmed-up server decodes rounds without touching the
-/// allocator. The pool is a global `Mutex` (not thread-local) because
-/// decode and recycle happen on *different* threads — the mux pump
-/// decodes, the worker recycles — so a thread-local pool would never
-/// refill. Capped on buffer count, per-buffer bytes, *and* total
-/// retained bytes, so a burst of giant rounds cannot pin memory: a
-/// count-only cap would let 64 multi-MB buffers pin hundreds of MB
-/// forever after one large round.
-const VEC_POOL_CAP: usize = 64;
-/// Largest single buffer the pool retains (bytes of backing capacity).
-/// Generous enough to recycle per-shard row vectors at paper scale
-/// (2M rows = 16 MiB); anything bigger is freed on recycle.
-pub const VEC_POOL_MAX_BUFFER_BYTES: usize = 16 << 20;
-/// Ceiling on the total bytes the pool may pin across all retained
-/// buffers. Recycles past this budget drop their buffer instead.
-pub const VEC_POOL_MAX_TOTAL_BYTES: usize = 64 << 20;
-
-struct VecPool {
-    bytes: usize,
-    bufs: Vec<Vec<u64>>,
-}
-
-static VEC_POOL: std::sync::Mutex<VecPool> = std::sync::Mutex::new(VecPool {
-    bytes: 0,
-    bufs: Vec::new(),
-});
-
-fn pooled_vec(len: usize) -> Vec<u64> {
-    let mut v = VEC_POOL
-        .lock()
-        .ok()
-        .and_then(|mut p| {
-            let v = p.bufs.pop();
-            if let Some(v) = &v {
-                p.bytes = p.bytes.saturating_sub(v.capacity().saturating_mul(8));
-            }
-            v
-        })
-        .unwrap_or_default();
-    v.clear();
-    v.reserve(len);
-    v
-}
-
-/// Return a decoded row buffer to the wire pool the decoder draws from.
-/// Cheap and infallible; buffers beyond the count, per-buffer, or
-/// total-byte caps are simply dropped.
-pub fn recycle_vec(mut v: Vec<u64>) {
-    let bytes = v.capacity().saturating_mul(8);
-    if bytes == 0 || bytes > VEC_POOL_MAX_BUFFER_BYTES {
-        return;
-    }
-    if let Ok(mut p) = VEC_POOL.lock() {
-        if p.bufs.len() < VEC_POOL_CAP && p.bytes + bytes <= VEC_POOL_MAX_TOTAL_BYTES {
-            v.clear();
-            p.bytes += bytes;
-            p.bufs.push(v);
-        }
-    }
-}
-
-/// Pool introspection for tests and ops: `(buffers, retained_bytes)`.
-pub fn vec_pool_stats() -> (usize, usize) {
-    VEC_POOL
-        .lock()
-        .map(|p| (p.bufs.len(), p.bytes))
-        .unwrap_or((0, 0))
-}
-
-/// Recycle a whole reply's worth of row buffers at once.
-pub fn recycle_vecs<I: IntoIterator<Item = Vec<u64>>>(vecs: I) {
-    for v in vecs {
-        recycle_vec(v);
-    }
-}
+/// The row-buffer pool the decoder draws from lives in
+/// [`prism_protocol::pool`], shared with every other layer of the process.
+pub use prism_protocol::pool::{
+    recycle_vec, recycle_vecs, vec_pool_stats, VEC_POOL_MAX_BUFFER_BYTES, VEC_POOL_MAX_TOTAL_BYTES,
+};
 
 fn get_vec(buf: &mut &[u8]) -> Result<Vec<u64>, WireError> {
     if buf.remaining() < 8 {
@@ -343,38 +285,13 @@ fn get_vec(buf: &mut &[u8]) -> Result<Vec<u64>, WireError> {
     // borrowed slice and bulk-converted — no per-element cursor stepping,
     // and the target buffer comes from the recycle pool when warm.
     let (rows, rest) = buf.split_at(nbytes);
-    let mut out = pooled_vec(len);
+    let mut out = pool::take_empty(len);
     out.extend(
         rows.chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
     );
     *buf = rest;
     Ok(out)
-}
-
-/// What [`get_vec`] decodes from `data`'s encoding, without the bytes: a
-/// copy in a buffer drawn from the same pool.
-fn pooled_copy(data: &[u64]) -> Vec<u64> {
-    let mut out = pooled_vec(data.len());
-    out.extend_from_slice(data);
-    out
-}
-
-fn pooled_copies(data: &[Vec<u64>]) -> Vec<Vec<u64>> {
-    data.iter().map(|v| pooled_copy(v)).collect()
-}
-
-fn pooled_columns(columns: &[(Column, Vec<u64>)]) -> Vec<(Column, Vec<u64>)> {
-    columns.iter().map(|(c, d)| (*c, pooled_copy(d))).collect()
-}
-
-fn pooled_cuts(cuts: &[ColumnCut]) -> Vec<ColumnCut> {
-    let copy = |c: &ColumnCut| ColumnCut {
-        column: c.column,
-        summed: pooled_copy(&c.summed),
-        held: c.held.clone(),
-    };
-    cuts.iter().map(copy).collect()
 }
 
 fn put_vecs(buf: &mut impl Sink, data: &[Vec<u64>]) {
@@ -421,22 +338,10 @@ fn check_widevec(width: usize, limbs: usize) -> Result<(), WireError> {
     Ok(())
 }
 
-/// [`get_widevec`] of `wv`'s encoding, without the bytes.
-fn pooled_widevec(wv: &WideVec) -> Result<WideVec, WireError> {
-    check_widevec(wv.width, wv.data.len())?;
-    Ok(WideVec {
-        width: wv.width,
-        data: pooled_copy(&wv.data),
-    })
-}
-
-/// [`get_announcement`] of `a`'s encoding, without the bytes.
-fn pooled_announcement(a: &MaxAnnouncement) -> Result<MaxAnnouncement, WireError> {
-    Ok(MaxAnnouncement {
-        max_shares_1: pooled_widevec(&a.max_shares_1)?,
-        max_shares_2: pooled_widevec(&a.max_shares_2)?,
-        index_shares: a.index_shares.clone(),
-    })
+/// [`check_widevec`] over both of an announcement's matrices.
+fn check_announcement(a: &MaxAnnouncement) -> Result<(), WireError> {
+    check_widevec(a.max_shares_1.width, a.max_shares_1.data.len())?;
+    check_widevec(a.max_shares_2.width, a.max_shares_2.data.len())
 }
 
 fn put_announcement(buf: &mut impl Sink, a: &MaxAnnouncement) {
@@ -642,16 +547,6 @@ fn encode_batch(batch: &BatchQuery, buf: &mut impl Sink) {
                 buf.put_u8(i);
             }
         }
-    }
-}
-
-/// [`decode_batch`] of `batch`'s encoding, without the bytes.
-fn pooled_batch(batch: &BatchQuery) -> BatchQuery {
-    BatchQuery {
-        zs: pooled_copies(&batch.zs),
-        items: batch.items.clone(),
-        threads: batch.threads,
-        range: batch.range,
     }
 }
 
@@ -1260,112 +1155,57 @@ impl Message {
         })
     }
 
-    /// What [`Message::decode`] returns for [`Message::encode`]'s bytes,
-    /// built without them: an equal message whose every row vector sits in
-    /// a wire-pool buffer exactly where the decoder draws one (so buffer
-    /// flows through the pool are the same), or the decoder's error for a
-    /// shape it refuses (a nested envelope, a wide matrix that is not a
-    /// whole number of rows). In-process links hand the receiver this copy
-    /// instead of encoding and decoding every frame.
-    pub(crate) fn received_copy(&self) -> Result<Message, WireError> {
-        Ok(match self {
-            Message::BulkUpload { owner, columns } => Message::BulkUpload {
-                owner: *owner,
-                columns: pooled_columns(columns),
-            },
-            Message::Replay { columns } => Message::Replay {
-                columns: pooled_cuts(columns),
-            },
-            Message::FoldUpload {
-                owner,
-                epoch,
-                columns,
-            } => Message::FoldUpload {
-                owner: *owner,
-                epoch: *epoch,
-                columns: pooled_columns(columns),
-            },
-            Message::RunBatch(batch) => Message::RunBatch(pooled_batch(batch)),
-            Message::Outputs(outs) => Message::Outputs(pooled_copies(outs)),
-            Message::ShardRun { shard, batch } => Message::ShardRun {
-                shard: *shard,
-                batch: pooled_batch(batch),
-            },
-            Message::ShardOutputs { shard, outputs } => Message::ShardOutputs {
-                shard: *shard,
-                outputs: pooled_copies(outputs),
-            },
-            Message::MaxCombine {
-                uploads,
-                threads,
-                seq,
-            } => Message::MaxCombine {
-                uploads: uploads
-                    .iter()
-                    .map(|u| pooled_widevec(&u.shares).map(|shares| BlindedMaxUpload { shares }))
-                    .collect::<Result<_, _>>()?,
-                threads: *threads,
-                seq: *seq,
-            },
-            Message::AssembleFpos { claims } => Message::AssembleFpos {
-                claims: pooled_copies(claims),
-            },
-            Message::Fpos(rows) => Message::Fpos(pooled_copies(rows)),
-            Message::WideUpload {
-                server,
-                seq,
-                shares,
-            } => Message::WideUpload {
-                server: *server,
-                seq: *seq,
-                shares: pooled_widevec(shares)?,
-            },
-            Message::AnnounceReply(AnnouncerReply::Max(a)) => {
-                Message::AnnounceReply(AnnouncerReply::Max(pooled_announcement(a)?))
-            }
-            Message::AnnounceReply(AnnouncerReply::Median(m)) => {
-                let middles = m.middles.iter().map(pooled_announcement);
-                Message::AnnounceReply(AnnouncerReply::Median(MedianAnnouncement {
-                    middles: middles.collect::<Result<_, _>>()?,
-                }))
-            }
+    /// The decoder's verdict on this message's encoding, without the
+    /// bytes: the [`Message::decode`] error for the two shapes a value can
+    /// hold but the decoder refuses — a nested envelope, and a wide matrix
+    /// that is not a whole number of rows. In-process links check this in
+    /// place and hand the message itself over.
+    pub(crate) fn check_decodable(&self) -> Result<(), WireError> {
+        match self {
             Message::Tagged { inner, .. } if matches!(**inner, Message::Tagged { .. }) => {
-                return Err(WireError::Malformed("nested query-tagged envelope"))
+                Err(WireError::Malformed("nested query-tagged envelope"))
             }
-            Message::Tagged { query, inner } => Message::Tagged {
-                query: *query,
-                inner: Box::new(inner.received_copy()?),
-            },
-            Message::DeltaUpload {
-                owner,
-                start,
-                columns,
-                pf_s1_ext,
-                pf_s2_ext,
-            } => Message::DeltaUpload {
-                owner: *owner,
-                start: *start,
-                columns: pooled_columns(columns),
-                pf_s1_ext: pf_s1_ext.clone(),
-                pf_s2_ext: pf_s2_ext.clone(),
-            },
-            // No row vectors: the decoder builds these from fresh fields.
-            Message::SetTamper(_)
-            | Message::Ack
-            | Message::Shutdown
-            | Message::WideForwarded { .. }
-            | Message::AnnounceRun { .. }
-            | Message::SetAnnouncerTamper(_)
-            | Message::Register { .. }
-            | Message::RegisterAck { .. }
-            | Message::Ping { .. }
-            | Message::Pong { .. }
-            | Message::Assign { .. }
-            | Message::NodeDown { .. }
-            | Message::Refused(_)
-            | Message::RangeVersionProbe
-            | Message::Versions(_) => self.clone(),
-        })
+            Message::Tagged { inner, .. } => inner.check_decodable(),
+            Message::MaxCombine { uploads, .. } => (uploads.iter())
+                .try_for_each(|u| check_widevec(u.shares.width, u.shares.data.len())),
+            Message::WideUpload { shares, .. } => check_widevec(shares.width, shares.data.len()),
+            Message::AnnounceReply(AnnouncerReply::Max(a)) => check_announcement(a),
+            Message::AnnounceReply(AnnouncerReply::Median(m)) => {
+                m.middles.iter().try_for_each(check_announcement)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Hand the message's row buffers — a batch's `z`s, its outputs, an
+    /// upload's columns — to the pool: what a link does with a message it
+    /// was given to send once the bytes are written. A wide round's
+    /// matrices and claim tables are freed instead: the max and median
+    /// kernels allocate their own, so only a decoder would ever draw them
+    /// back, and pooled they would pile up beside the row buffers.
+    pub(crate) fn recycle(self) {
+        match self {
+            Message::BulkUpload { columns, .. }
+            | Message::FoldUpload { columns, .. }
+            | Message::DeltaUpload { columns, .. } => {
+                recycle_vecs(columns.into_iter().map(|(_, data)| data))
+            }
+            Message::Replay { columns } => recycle_vecs(columns.into_iter().map(|c| c.summed)),
+            Message::RunBatch(batch) | Message::ShardRun { batch, .. } => recycle_vecs(batch.zs),
+            Message::Outputs(rows) | Message::ShardOutputs { outputs: rows, .. } => {
+                recycle_vecs(rows)
+            }
+            Message::Tagged { inner, .. } => inner.recycle(),
+            _ => {}
+        }
+    }
+
+    /// The tag byte that opens the message's encoding, without encoding
+    /// the rest.
+    pub(crate) fn wire_tag(&self) -> u8 {
+        let mut first = FirstByte(None);
+        self.write_to(&mut first);
+        first.0.unwrap_or_default()
     }
 
     /// Wrap `self` in a query envelope (convenience for the serving loops

@@ -10,10 +10,11 @@
 //! silently costing throughput.
 //!
 //! The serving side has the same wall for what it *computes*: a node's
-//! reply vectors return to its arena once the reply frame is encoded, and
-//! the owner's decoded copies return to the pool once the owner step has
-//! read them, so a warm round asks the allocator for no `ROWS`-long `u64`
-//! buffer anywhere in the process. A round the PSI-round cache serves
+//! reply vectors move to the owner over a channel link (over TCP they go
+//! to the pool once the frame is encoded), and return to the pool once
+//! the owner step has read them, where the node's next round draws them,
+//! so a warm round asks the allocator for no `ROWS`-long `u64` buffer
+//! anywhere in the process. A round the PSI-round cache serves
 //! shares the cached vectors, so a fully warm query allocates no reply
 //! buffer at all — only the row vectors its plan builds itself.
 //!
@@ -39,15 +40,25 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
-/// Requests shaped like one row vector: `ROWS` `u64`s, exactly. Frames are
-/// byte buffers a header longer, so they never match.
+/// Requests shaped like one row vector: `ROWS` `u64`s, or the pool's
+/// fresh buffer of that many with its eighth of headroom. Frames are byte
+/// buffers, aligned to 1, so they never match.
 static ROW_BUFFERS: AtomicU64 = AtomicU64::new(0);
+/// Requests of at least [`LARGE_BYTES`], whatever their shape.
+static LARGE: AtomicU64 = AtomicU64::new(0);
+
+/// What counts as a large allocation: 128 KiB, glibc's default mmap
+/// threshold.
+const LARGE_BYTES: usize = 128 << 10;
 
 fn note(size: usize, align: usize) {
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     BYTES.fetch_add(size as u64, Ordering::Relaxed);
-    if size == ROWS * 8 && align == 8 {
+    if (ROWS * 8..=(ROWS + ROWS / 8) * 8).contains(&size) && align == 8 {
         ROW_BUFFERS.fetch_add(1, Ordering::Relaxed);
+    }
+    if size >= LARGE_BYTES {
+        LARGE.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -177,7 +188,7 @@ fn warm_decode_draws_row_buffers_from_the_pool() {
             assert_eq!(
                 fresh, 0,
                 "a warm served round allocated {fresh} row buffers: reply vectors \
-                 must return to the node's arena and the owner's decode pool"
+                 must return to the pool the nodes draw from"
             );
         }
         cluster.into_deployment().shutdown().expect("shutdown");
@@ -185,9 +196,10 @@ fn warm_decode_draws_row_buffers_from_the_pool() {
 
     // --- A fully warm cached query: `psi_query_batch` (sum, average and
     // tuple counts) on a cached channel cluster, both rounds served from
-    // the cache. Served rounds share the cached vectors, so the only row
-    // buffers are the plan's own: round 2's three z-shares and the two
-    // finalized columns (sums and tuple counts) — five, no reply copies.
+    // the cache. Served rounds share the cached vectors, and round 2's
+    // three z-shares come from the pool and go back to it once the cache
+    // answered, so the only fresh row buffers are the two finalized
+    // columns (sums and tuple counts): no reply copies, no z-shares.
     {
         let inputs: Vec<OwnerInput> = (0..3u64)
             .map(|j| {
@@ -203,6 +215,22 @@ fn warm_decode_draws_row_buffers_from_the_pool() {
         let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
         let (expected, cold) = cluster.psi_query_batch(&batch).expect("cold batch");
         assert_eq!(cold.rounds, 2);
+        // The first warm query may find the pool short of z buffers: in
+        // the cold query's second round a node that finished first
+        // recycled its `z`, and a slower node may have drawn it for an
+        // output the cache now holds. So it makes at most the two columns
+        // and three z-shares.
+        let before = ROW_BUFFERS.load(Ordering::Relaxed);
+        let (answer, warm) = cluster.psi_query_batch(&batch).expect("warm batch");
+        let fresh = ROW_BUFFERS.load(Ordering::Relaxed) - before;
+        assert_eq!((warm.rounds, warm.cache_hits()), (0, 2));
+        assert_eq!(answer, expected);
+        assert!(
+            fresh <= 5,
+            "the first warm batch allocated {fresh} row buffers; the plan's own are \
+             three z-shares and two finalized columns, and a served round must hand \
+             out the cached vectors, not copies"
+        );
         for _ in 0..3 {
             let before = ROW_BUFFERS.load(Ordering::Relaxed);
             let (answer, warm) = cluster.psi_query_batch(&batch).expect("warm batch");
@@ -210,12 +238,66 @@ fn warm_decode_draws_row_buffers_from_the_pool() {
             assert_eq!((warm.rounds, warm.cache_hits()), (0, 2));
             assert_eq!(answer, expected);
             assert_eq!(
-                fresh, 5,
+                fresh, 2,
                 "a fully warm batch allocated {fresh} row buffers; the plan's own \
-                 are three z-shares and two finalized columns, and a served round \
-                 must hand out the cached vectors, not copies"
+                 are two finalized columns, its z-shares come from the pool, and a \
+                 served round must hand out the cached vectors, not copies"
             );
         }
+        cluster.into_deployment().shutdown().expect("shutdown");
+    }
+
+    // --- A cold whole-domain batch on a growing domain: on a cached
+    // two-shard channel cluster every cycle appends, then runs the
+    // whole-domain `psi_query_batch` the append invalidated (two rounds).
+    // Messages move across the in-process hops instead of being copied,
+    // and every layer that would allocate a row buffer — the owner's
+    // z-shares, the routers' splits and merges, the workers' outputs, the
+    // cache's copies of `z` — draws it from the one pool and hands it back,
+    // which tolerates the growth; so in steady state the query's only large
+    // allocations are the answer's own three columns (its sums, tuple
+    // counts and per-cell averages).
+    {
+        const OWNERS: u64 = 3;
+        // A column is 256 KiB, a shard's half of it 128 KiB: every row
+        // buffer of the query is a large allocation.
+        const B: usize = 32_768;
+        const ADDED: usize = 64;
+        let inputs: Vec<OwnerInput> = (0..OWNERS)
+            .map(|j| OwnerInput::from_pairs((1..=B as u64).map(|v| (v, v % 50 + j))))
+            .collect();
+        let mut cfg = ClusterConfig::new(B);
+        cfg.with_verification = false;
+        let mut net = NetCluster::start_local_sharded(cfg.setup(3).expect("setup"), 2);
+        net.enable_cache();
+        let mut cluster = Cluster::over(net, &inputs, cfg).expect("outsource");
+        let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
+        let mut fewest = u64::MAX;
+        for epoch in 1..=8 {
+            let start = cluster.setup().owner.b;
+            let delta: Vec<OwnerInput> = (0..OWNERS)
+                .map(|j| {
+                    let rows = (start as u64 + 1..=(start + ADDED) as u64).step_by(j as usize + 1);
+                    OwnerInput::from_pairs(rows.map(|v| (v, v % 40 + j)))
+                })
+                .collect();
+            cluster.append(ADDED, &delta).expect("append");
+            let before = LARGE.load(Ordering::Relaxed);
+            let (_, cold) = cluster.psi_query_batch(&batch).expect("cold batch");
+            let large = LARGE.load(Ordering::Relaxed) - before;
+            assert_eq!(
+                cold.rounds, 2,
+                "the append left the whole-domain rounds cached"
+            );
+            if epoch > 2 {
+                fewest = fewest.min(large);
+            }
+        }
+        assert!(
+            fewest <= 3,
+            "a steady-state cold whole-domain batch made {fewest} allocations of \
+             {LARGE_BYTES} B or more; the answer's own three columns are all it needs"
+        );
         cluster.into_deployment().shutdown().expect("shutdown");
     }
 

@@ -18,7 +18,7 @@
 use prism_net::{
     AnnouncerNode, ClusterListener, ControlEvent, NetCluster, RegistryConfig, ShardWorker,
 };
-use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
+use prism_protocol::driver::{Cluster, ClusterConfig, Deployment, OwnerInput};
 use prism_protocol::engine::{QueryStats, ServerExec};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::metrics::{Counter, Counts};
@@ -127,6 +127,84 @@ fn run_query(c: &Cluster<NetCluster>, owner: u32, q: Q) -> Result<(String, Query
         }
         Q::Max => fmt(net.execute_as(owner, &c.max_plan(0).unwrap())),
         Q::Median => fmt(net.execute_as(owner, &c.median_plan(0).unwrap())),
+    }
+}
+
+/// [`run_query`]'s answer on any deployment, as the default owner.
+fn answer<D: Deployment>(c: &Cluster<D>, q: Q) -> String {
+    let batch = QueryBatch::new().sum(0).avg(0).count_tuples();
+    let out = match q {
+        Q::Psi => c.execute(&plans::Psi).map(|r| format!("{:?}", r.0)),
+        Q::PsiVerified => c.execute(&plans::PsiVerified).map(|r| format!("{:?}", r.0)),
+        Q::Psu => c.execute(&plans::Psu).map(|r| format!("{:?}", r.0)),
+        Q::PsuVerified => c.execute(&plans::PsuVerified).map(|r| format!("{:?}", r.0)),
+        Q::Count => c.execute(&plans::Count).map(|r| format!("{:?}", r.0)),
+        Q::CountVerified => c
+            .execute(&plans::CountVerified)
+            .map(|r| format!("{:?}", r.0)),
+        Q::Sum => c
+            .execute(&plans::Sum { attr: 0, seed: 9 })
+            .map(|r| format!("{:?}", r.0)),
+        Q::SumVerified => {
+            (c.execute(&plans::SumVerified { attr: 0, seed: 10 })).map(|r| format!("{:?}", r.0))
+        }
+        Q::Avg => (c.execute(&plans::Average { attr: 0, seed: 11 })).map(|r| format!("{:?}", r.0)),
+        Q::Batch => (c.execute(&plans::Batch {
+            batch: &batch,
+            seed: 21,
+        }))
+        .map(|r| format!("{:?}", r.0)),
+        Q::Max => c
+            .max_plan(0)
+            .and_then(|p| c.execute(&p))
+            .map(|r| format!("{:?}", r.0)),
+        Q::Median => (c.median_plan(0).and_then(|p| c.execute(&p))).map(|r| format!("{:?}", r.0)),
+    };
+    out.unwrap_or_else(|e| panic!("{q:?}: {e}"))
+}
+
+/// Buffers cross nodes inside one process: the owner's `z` columns move to
+/// the servers, replies move to the owner, and every layer draws row
+/// buffers from the one pool, stale cells included. Every operation, on
+/// channel and TCP links, one and two shards, the cache on, with the
+/// domain grown between passes, answers what the in-memory oracle does —
+/// and in debug builds every recycled buffer is poisoned, so a cell a
+/// round failed to write would show as `u64::MAX` in some answer.
+#[test]
+fn every_plan_matches_the_oracle_as_the_domain_grows() {
+    type Start = fn(Setup, usize) -> NetCluster;
+    let starts: [(&str, Start); 2] = [
+        ("channel", NetCluster::start_local_sharded),
+        ("tcp", |setup, shards| {
+            NetCluster::start_tcp_sharded(setup, shards).unwrap()
+        }),
+    ];
+    let start = |start: Start, shards| {
+        let mut net = start(make_setup(), shards);
+        net.enable_cache();
+        net
+    };
+    for (transport, begin) in starts {
+        for shards in [1, 2] {
+            let mut net = Cluster::over(start(begin, shards), &inputs(), cfg()).unwrap();
+            let mut oracle = Cluster::build(&inputs(), cfg()).unwrap();
+            for pass in 0..3u64 {
+                for q in QS {
+                    let want = answer(&oracle, q);
+                    for _ in 0..2 {
+                        let got = answer(&net, q);
+                        assert_eq!(got, want, "{transport} × {shards}, pass {pass}: {q:?}");
+                    }
+                }
+                let b = oracle.setup().owner.b as u64;
+                let delta: Vec<OwnerInput> = (0..3)
+                    .map(|j| OwnerInput::from_pairs((b + 1..=b + 4).map(|v| (v, v * 7 + j))))
+                    .collect();
+                oracle.append(4, &delta).unwrap();
+                net.append(4, &delta).unwrap();
+            }
+            net.into_deployment().shutdown().unwrap();
+        }
     }
 }
 
@@ -429,8 +507,8 @@ fn more_streams_than_parked_workers_match_serial() {
 }
 
 /// Two queries in flight on the same nodes draw their reply buffers from
-/// the same arenas and the same decode pool, as they are, and hand them
-/// back while the other query is still being served. Pairs of different
+/// the same pool, as they are, and hand them back while the other query
+/// is still being served. Pairs of different
 /// operations with equally long replies, a hundred times each side by
 /// side: every answer is the one the query gets alone.
 #[test]

@@ -79,11 +79,12 @@
 //! decorator on and off.
 
 use crate::engine::{
-    AnnouncerCmd, AnnouncerReply, BatchItem, QueryOp, RangeVersion, RoundOutcome, ServerCmd,
-    ServerExec, ServerReply,
+    recycle_cmds, AnnouncerCmd, AnnouncerReply, BatchItem, QueryOp, RangeVersion, RoundOutcome,
+    ServerCmd, ServerExec, ServerReply,
 };
 use crate::error::{ProtocolError, Result};
 use crate::metrics::{Counter, Counts, Metrics, QueryTrace};
+use crate::pool;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -108,6 +109,17 @@ struct Entry {
     zs: Vec<Vec<u64>>,
     stamps: Vec<RangeVersion>,
     outs: Arc<Vec<Vec<u64>>>,
+}
+
+/// A dropped or evicted entry's row buffers go back to the pool: its `z`
+/// always, its outputs unless a query still shares them.
+impl Drop for Entry {
+    fn drop(&mut self) {
+        pool::recycle_vecs(std::mem::take(&mut self.zs));
+        if let Some(outs) = Arc::get_mut(&mut self.outs) {
+            pool::recycle_vecs(std::mem::take(outs));
+        }
+    }
 }
 
 /// A missed per-server round waiting for its reply: its key, its `z`
@@ -428,6 +440,7 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
         let metrics = &self.cache.metrics;
         if let Some(replies) = served {
             metrics.record(Counter::CacheHits, 1, &mut counts);
+            recycle_cmds(cmds);
             return Ok(RoundOutcome {
                 replies,
                 counts,
@@ -441,7 +454,8 @@ impl<X: ServerExec> ServerExec for CachedExec<'_, X> {
             .iter()
             .zip(stamps)
             .map(|(&(s, (items, zs, range)), stamps)| {
-                ((s, items.to_vec(), range), zs.to_vec(), stamps)
+                let zs = zs.iter().map(|z| pool::copy_of(z)).collect();
+                ((s, items.to_vec(), range), zs, stamps)
             })
             .collect();
         let mut pending = pending.into_iter();

@@ -29,7 +29,7 @@ use crate::max::{self, BlindedMaxUpload, MaxAnnouncement};
 use crate::median::{self, MedianAnnouncement};
 use crate::metrics::{Counter, Counts, QueryTrace, Stage};
 use crate::params::{AnnouncerParams, OwnerParams, ServerParams, SHAMIR_SERVERS};
-use crate::{chunk, psi, psu, sum};
+use crate::{chunk, pool, psi, psu, sum};
 use prism_core::arith::fold_canonical_mod;
 use prism_core::wide::WideVec;
 use prism_core::Permutation;
@@ -934,66 +934,6 @@ pub(crate) fn refused(why: String) -> ProtocolError {
     ProtocolError::UploadRefused(why)
 }
 
-/// How many row buffers a node keeps around between rounds: the reply
-/// vectors of a batch of a few items that came home, or the compute +
-/// permutation staging of one query; a little slack covers concurrent
-/// queries through the multiplexer without letting an N-stream burst pin N×
-/// the domain size forever.
-const MAX_POOLED_BUFFERS: usize = 4;
-
-/// A per-node pool of flat `u64` row buffers — the "per-query arena".
-///
-/// Every stored-column evaluation needs one output buffer per batch item
-/// (and a second one when a finishing permutation applies). Instead of
-/// allocating per query, the node checks buffers out of this pool, the
-/// `_into` step kernels write into them in place, permutation staging
-/// buffers return once their contents are moved, and the reply vectors
-/// return once the owner step that read them has ended
-/// ([`ServerNode::reclaim`]). Queries run concurrently under the session
-/// multiplexer, so the pool is behind a `Mutex` — the lock is held only for
-/// a pop/push, never during row work.
-///
-/// **A pooled buffer is handed out as it is, stale contents included.**
-/// That is sound because a round writes every cell of every buffer it
-/// takes, exactly once, before anything reads it ([`run_round`] refuses a
-/// division that does not tile the output), and a buffer only ever returns
-/// to the node that filled it. The pool holds buffers of one length — the
-/// last one returned; a buffer of any other length is dropped, never
-/// resized, so a grown domain or a range-scoped round cannot pin memory of
-/// a shape nobody asks for any more.
-#[derive(Debug, Default)]
-struct BufferArena {
-    pool: std::sync::Mutex<Vec<Vec<u64>>>,
-}
-
-impl BufferArena {
-    /// Check out a buffer of length `n` whose contents are unspecified: a
-    /// pooled one of exactly that length, untouched, else a fresh one.
-    fn take(&self, n: usize) -> Vec<u64> {
-        let recycled = self.pool.lock().ok().and_then(|mut p| match p.last() {
-            Some(buf) if buf.len() == n => p.pop(),
-            _ => None,
-        });
-        recycled.unwrap_or_else(|| vec![0u64; n])
-    }
-
-    /// Return a buffer to the pool, evicting buffers of any other length
-    /// (dropped if the pool is full or its lock was poisoned — never blocks
-    /// correctness on the pool). Test and debug builds poison it first, so a
-    /// cell a later round failed to write could not pass for an answer.
-    fn put(&self, mut buf: Vec<u64>) {
-        if cfg!(any(test, debug_assertions)) {
-            buf.fill(u64::MAX);
-        }
-        if let Ok(mut p) = self.pool.lock() {
-            p.retain(|pooled| pooled.len() == buf.len());
-            if p.len() < MAX_POOLED_BUFFERS {
-                p.push(buf);
-            }
-        }
-    }
-}
-
 /// One PRISM server: parameters, stored share columns, and an optional
 /// tampering behaviour applied to every output it produces.
 ///
@@ -1014,8 +954,6 @@ pub struct ServerNode {
     /// The `g^0..g^(δ−1) mod η′` lookup table, computed once per session
     /// instead of once per PSI round.
     power_table: std::sync::OnceLock<Vec<u64>>,
-    /// Reusable flat row buffers for query evaluation.
-    arena: BufferArena,
 }
 
 impl ServerNode {
@@ -1027,7 +965,6 @@ impl ServerNode {
             tamper: Tamper::Honest,
             psu_rand: std::sync::OnceLock::new(),
             power_table: std::sync::OnceLock::new(),
-            arena: BufferArena::default(),
         }
     }
 
@@ -1298,15 +1235,6 @@ impl ServerNode {
             ServerCmd::RangeVersions => Ok(ServerReply::Versions(self.range_versions())),
         }
     }
-
-    /// Take back the vectors of a [`ServerReply::Vectors`] this node
-    /// answered, once nothing reads them any more (in-process: the owner
-    /// step ended; on a wire: the reply frame is encoded). The next round
-    /// of the same length writes its outputs into them instead of into
-    /// fresh memory.
-    pub fn reclaim(&self, outputs: Vec<Vec<u64>>) {
-        outputs.into_iter().for_each(|out| self.arena.put(out));
-    }
 }
 
 /// One row block of a round: local rows `[lo, lo + len)` of `nodes[node]`,
@@ -1396,8 +1324,7 @@ pub(crate) fn run_round(
     }
 
     let workers = chunk::workers_for(batch.threads as usize, len * batch.items.len());
-    let arena = &nodes[0].arena;
-    let mut outs: Vec<Vec<u64>> = batch.items.iter().map(|_| arena.take(len)).collect();
+    let mut outs: Vec<Vec<u64>> = batch.items.iter().map(|_| pool::take(len)).collect();
     // `work[w]` is worker w's blocks: block w of every shard.
     let mut work: Vec<Vec<Block>> = Vec::new();
     let mut rest: Vec<&mut [u64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
@@ -1437,7 +1364,7 @@ pub(crate) fn run_round(
     if at != len {
         // Reply buffers arrive with stale contents, so a cell no block
         // covers must fail the round rather than leave it.
-        outs.into_iter().for_each(|out| arena.put(out));
+        pool::recycle_vecs(outs);
         return mismatch(format!(
             "the nodes' rows cover {at} of the round's {len} cells"
         ));
@@ -1456,15 +1383,15 @@ pub(crate) fn run_round(
         Ok(())
     });
     if let Err(e) = join_blocks(blocks_done) {
-        outs.into_iter().for_each(|out| arena.put(out));
+        pool::recycle_vecs(outs);
         return Err(e);
     }
     for (item, out) in batch.items.iter().zip(&mut outs) {
         tamper.apply(out);
         if let Some(p) = item.op.finish_perm(domain)? {
-            let mut permuted = arena.take(len);
+            let mut permuted = pool::take(len);
             p.apply_into(out, &mut permuted);
-            arena.put(std::mem::replace(out, permuted));
+            pool::recycle_vec(std::mem::replace(out, permuted));
         }
     }
     Ok(outs)
@@ -1508,14 +1435,15 @@ pub trait ServerExec {
 
     /// Take back the vectors of a [`ServerReply::Vectors`] that `server`
     /// answered in an earlier [`ServerExec::round`], now that the owner
-    /// step reading them has ended ([`Ctx::finish`] calls this). A backend
-    /// that can write its next reply into them does: in-process they return
-    /// to that server's own node ([`ServerNode::reclaim`]) — never to
-    /// another server's, so no server ever sees a peer's cells — and over a
-    /// wire to the decode pool they were drawn from. The default drops
-    /// them.
+    /// step reading them has ended ([`Ctx::finish`] calls this). By default
+    /// they return to the process's [`pool`] — whether a node here computed
+    /// them, a channel link moved them or the wire decode filled them —
+    /// where every node of the process draws its next buffers; sound
+    /// because whoever takes a pooled buffer writes every cell before
+    /// anything reads it.
     fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
-        let _ = (server, outputs);
+        let _ = server;
+        pool::recycle_vecs(outputs);
     }
 }
 
@@ -1760,6 +1688,7 @@ impl ServerExec for InMemoryExec<'_> {
             worst = worst.max(t0.elapsed());
             replies.push(forward_wide(self.announcer, *s, reply, &mut round_seq)?);
         }
+        recycle_cmds(cmds);
         Ok(RoundOutcome::plain(replies, worst))
     }
 
@@ -1771,10 +1700,14 @@ impl ServerExec for InMemoryExec<'_> {
     ) -> Result<(AnnouncerReply, Duration)> {
         self.announcer.announce(cmd, seq, threads)
     }
+}
 
-    fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
-        if let Some(node) = self.nodes.get(server) {
-            node.reclaim(outputs);
+/// Hand the row buffers of commands a backend is done with — a batch's `z`
+/// columns — back to the pool.
+pub(crate) fn recycle_cmds(cmds: Vec<(usize, ServerCmd)>) {
+    for (_, cmd) in cmds {
+        if let ServerCmd::Run(batch) = cmd {
+            pool::recycle_vecs(batch.zs);
         }
     }
 }

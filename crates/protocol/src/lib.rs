@@ -42,6 +42,7 @@ pub mod metrics;
 pub(crate) mod multiattr;
 pub mod params;
 pub mod plans;
+pub mod pool;
 pub mod psi;
 pub mod psu;
 pub mod shard;

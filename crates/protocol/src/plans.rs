@@ -23,6 +23,7 @@ use crate::max::{self, MaxCell};
 use crate::median::{self, MedianCell};
 use crate::multiattr;
 use crate::params::{OwnerParams, SHAMIR_SERVERS};
+use crate::pool;
 use crate::psi;
 use crate::psu;
 use crate::sum;
@@ -288,7 +289,11 @@ impl Operation for SumVerified {
                     }
                 };
                 let mut prg = Prg::from_seed(seed);
-                op.field.share_blocks(op.b, SHAMIR_SERVERS, &mut prg, z)
+                let mut shares: Vec<Vec<u64>> = (0..SHAMIR_SERVERS)
+                    .map(|_| pool::take_empty(op.b))
+                    .collect();
+                op.field.share_blocks(op.b, &mut shares, &mut prg, z);
+                shares
             };
             let z_shares = share(&outcome.members, self.seed);
             let zp = op.pf_db1.apply(&outcome.members);

@@ -53,8 +53,8 @@ fn check_buffers(table: &[u64], out: &[u64], sp: &ServerParams) -> Result<()> {
 ///
 /// `owner_shares[j]` is owner j's additive share vector held by this
 /// server. The exponentiation is a lookup in the caller-cached power table
-/// `g^0..g^(δ−1)` mod η′ ([`ServerParams::power_table`]) — the arena path
-/// the engine reuses across rounds, performing zero heap allocations per
+/// `g^0..g^(δ−1)` mod η′ ([`ServerParams::power_table`]) — the pooled-buffer
+/// path the engine reuses across rounds, performing zero heap allocations per
 /// call.
 pub fn server_psi_round_into(
     owner_shares: &[&[u64]],
@@ -546,7 +546,7 @@ pub(crate) mod tests {
         let s1_in: Vec<&[u64]> = f.uploads.iter().map(|u| u.shares[0].as_slice()).collect();
         let reference = psi_round(&s1_in, sp, 1).unwrap();
         let table = sp.power_table();
-        // A reused arena buffer arrives full of stale values; the into
+        // A reused pooled buffer arrives full of stale values; the into
         // variant must overwrite every cell.
         let mut out = vec![u64::MAX; sp.b];
         server_psi_round_into(&s1_in, sp, &table, &mut out, 1).unwrap();

@@ -44,8 +44,8 @@ pub fn blinding_for(sp: &ServerParams) -> Vec<u64> {
 /// slice: both servers derive the identical `rand[]` stream from
 /// `sp.psu_prg_seed` ([`blinding_for`]`(sp)`, which `rand` must be — the
 /// protocol depends on both servers using it) and neither communicates
-/// with the other. Writes into a caller-owned buffer — the arena path the
-/// engine reuses across rounds, performing zero heap allocations per call.
+/// with the other. Writes into a caller-owned buffer — the pooled-buffer path
+/// the engine reuses across rounds, performing zero heap allocations per call.
 pub fn server_psu_round_into(
     owner_shares: &[&[u64]],
     rand: &[u64],

@@ -42,14 +42,16 @@
 //! drift.
 
 use crate::engine::{
-    forward_wide, refused, run_round, Announcer, AnnouncerCmd, AnnouncerReply, BatchQuery, Column,
-    RoundOutcome, ServerCmd, ServerExec, ServerNode, ServerReply,
+    forward_wide, recycle_cmds, refused, run_round, Announcer, AnnouncerCmd, AnnouncerReply,
+    BatchQuery, Column, RoundOutcome, ServerCmd, ServerExec, ServerNode, ServerReply,
 };
 use crate::error::{ProtocolError, Result};
 use crate::malicious::Tamper;
 use crate::metrics::{Counter, Counts};
 use crate::params::ServerParams;
+use crate::pool;
 use prism_core::Permutation;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// One shard node's part of an upload: its index, the local row its rows
@@ -173,14 +175,17 @@ impl ShardPlan {
     /// Split a batched query into one sub-batch per (remote) shard — what
     /// `prism_net::router` ships down its shard links; in-process domains
     /// borrow `z` per row block instead. Items are identical, auxiliary
-    /// `z` vectors are row-sliced. Errors if any `z`
+    /// `z` vectors are row-sliced and moved out of `batch`, which keeps its
+    /// shape for [`merge_shard_outputs`]: the first shard's slice, which
+    /// starts every `z`, is the `z` buffer itself, truncated, and the other
+    /// shards' are pooled copies. Errors, leaving `batch` whole, if any `z`
     /// does not cover the domain — or, for a range-scoped batch, the
     /// range (the monolithic node rejects the same request with the same
     /// error class). A range-scoped batch yields one sub-batch per shard
     /// with each shard's overlap of the range (possibly empty — shards
     /// outside the range evaluate nothing and reply empty rows), so the
     /// fan-out structure is identical for scoped and whole-domain rounds.
-    pub fn split_batch(&self, batch: &BatchQuery) -> Result<Vec<BatchQuery>> {
+    pub fn split_batch(&self, batch: &mut BatchQuery) -> Result<Vec<BatchQuery>> {
         let expect = match batch.range {
             None => self.b,
             Some((_, len)) => len as usize,
@@ -194,44 +199,43 @@ impl ShardPlan {
                 )));
             }
         }
-        Ok(self
-            .specs
-            .iter()
-            .map(|s| match batch.range {
-                None => BatchQuery {
-                    zs: batch
-                        .zs
-                        .iter()
-                        .map(|z| z[s.start..s.start + s.len].to_vec())
-                        .collect(),
+        // Each shard's sub-batch, beside the `z` cells it takes.
+        let mut subs: Vec<(Range<usize>, BatchQuery)> = (self.specs.iter())
+            .map(|s| {
+                let (cells, range) = match batch.range {
+                    None => (s.start..s.start + s.len, None),
+                    Some((gs, glen)) => {
+                        let (gs, glen) = (gs as usize, glen as usize);
+                        let lo = gs.max(s.start);
+                        let hi = (gs + glen).min(s.start + s.len);
+                        let (lo, len) = if lo < hi { (lo, hi - lo) } else { (s.start, 0) };
+                        // A shard fully outside the range gets an empty
+                        // sub-range anchored at its own start; its z slice
+                        // is empty, and the clamp keeps the slice
+                        // arithmetic in bounds whether the shard lies
+                        // before or after the range.
+                        let zlo = lo.saturating_sub(gs).min(glen);
+                        (zlo..zlo + len, Some((lo as u64, len as u64)))
+                    }
+                };
+                let sub = BatchQuery {
+                    zs: Vec::with_capacity(batch.zs.len()),
                     items: batch.items.clone(),
                     threads: batch.threads,
-                    range: None,
-                },
-                Some((gs, glen)) => {
-                    let (gs, glen) = (gs as usize, glen as usize);
-                    let lo = gs.max(s.start);
-                    let hi = (gs + glen).min(s.start + s.len);
-                    let (lo, len) = if lo < hi { (lo, hi - lo) } else { (s.start, 0) };
-                    // A shard fully outside the range gets an empty
-                    // sub-range anchored at its own start; its z slice is
-                    // empty, and the clamp keeps the slice arithmetic in
-                    // bounds whether the shard lies before or after the
-                    // range.
-                    let zlo = lo.saturating_sub(gs).min(glen);
-                    BatchQuery {
-                        zs: batch
-                            .zs
-                            .iter()
-                            .map(|z| z[zlo..zlo + len].to_vec())
-                            .collect(),
-                        items: batch.items.clone(),
-                        threads: batch.threads,
-                        range: Some((lo as u64, len as u64)),
-                    }
-                }
+                    range,
+                };
+                (cells, sub)
             })
-            .collect())
+            .collect();
+        for mut z in std::mem::take(&mut batch.zs) {
+            for (cells, sub) in subs.iter_mut().skip(1) {
+                sub.zs.push(pool::copy_of(&z[cells.clone()]));
+            }
+            // The first shard starts at row 0, so its cells start `z`.
+            z.truncate(subs[0].0.len());
+            subs[0].1.zs.push(z);
+        }
+        Ok(subs.into_iter().map(|(_, sub)| sub).collect())
     }
 
     /// Re-plan the same domain over one fewer shard: the balanced
@@ -270,7 +274,8 @@ pub fn shard_server_params(sp: &ServerParams, spec: &ShardSpec) -> ServerParams 
 ///
 /// `per_shard[s][i]` is shard `s`'s output for batch item `i`. Shards are
 /// untrusted transport-wise (a wire deployment may run them as separate
-/// processes), so shapes are validated, never indexed blindly.
+/// processes), so shapes are validated, never indexed blindly. The merged
+/// rows land in pooled buffers; the caller recycles the shards' own.
 pub fn merge_shard_outputs(
     per_shard: &[Vec<Vec<u64>>],
     batch: &BatchQuery,
@@ -290,20 +295,21 @@ pub fn merge_shard_outputs(
     };
     let mut merged = Vec::with_capacity(batch.items.len());
     for (i, item) in batch.items.iter().enumerate() {
-        let mut full = Vec::with_capacity(expect);
-        for outs in per_shard {
-            full.extend_from_slice(&outs[i]);
-        }
-        if full.len() != expect {
+        if per_shard.iter().map(|outs| outs[i].len()).sum::<usize>() != expect {
             return Err(ProtocolError::MalformedResponse(
                 "shard rows do not reassemble to the domain length",
             ));
         }
+        let mut full = pool::take_empty(expect);
+        for outs in per_shard {
+            full.extend_from_slice(&outs[i]);
+        }
         tamper.apply(&mut full);
         merged.push(match item.op.finish_perm(domain)? {
             Some(p) => {
-                let mut permuted = vec![0; expect];
+                let mut permuted = pool::take(expect);
                 p.apply_into(&full, &mut permuted);
+                pool::recycle_vec(full);
                 permuted
             }
             None => full,
@@ -604,14 +610,6 @@ impl ShardedNode {
             )),
         }
     }
-
-    /// Take back the vectors of a [`ServerReply::Vectors`] this domain
-    /// answered (see [`ServerNode::reclaim`]): they return to the shard
-    /// node whose arena the domain's rounds draw their domain-length reply
-    /// buffers from.
-    pub fn reclaim(&self, outputs: Vec<Vec<u64>>) {
-        self.shards[0].reclaim(outputs);
-    }
 }
 
 /// [`ServerExec`] over sharded domains living in this process: the
@@ -654,6 +652,7 @@ impl ServerExec for ShardedExec<'_> {
             worst = worst.max(t0.elapsed());
             replies.push(forward_wide(self.announcer, *s, reply, &mut round_seq)?);
         }
+        recycle_cmds(cmds);
         Ok(RoundOutcome {
             counts,
             ..RoundOutcome::plain(replies, worst)
@@ -667,12 +666,6 @@ impl ServerExec for ShardedExec<'_> {
         threads: usize,
     ) -> Result<(AnnouncerReply, Duration)> {
         self.announcer.announce(cmd, seq, threads)
-    }
-
-    fn reclaim(&self, server: usize, outputs: Vec<Vec<u64>>) {
-        if let Some(node) = self.nodes.get(server) {
-            node.reclaim(outputs);
-        }
     }
 }
 
@@ -737,13 +730,13 @@ mod tests {
     #[test]
     fn split_batch_slices_z_by_rows() {
         let plan = ShardPlan::new(6, 3);
-        let batch = BatchQuery {
+        let mut batch = BatchQuery {
             zs: vec![(0..6).collect()],
             items: vec![BatchItem::with_z(QueryOp::Sum(0), 0)],
             threads: 2,
             range: None,
         };
-        let subs = plan.split_batch(&batch).unwrap();
+        let subs = plan.split_batch(&mut batch).unwrap();
         assert_eq!(subs.len(), 3);
         assert_eq!(subs[0].zs[0], vec![0, 1]);
         assert_eq!(subs[2].zs[0], vec![4, 5]);
@@ -754,13 +747,13 @@ mod tests {
     #[test]
     fn split_batch_intersects_ranges() {
         let plan = ShardPlan::new(6, 3);
-        let batch = BatchQuery {
+        let mut batch = BatchQuery {
             zs: vec![vec![30, 40, 50]],
             items: vec![BatchItem::with_z(QueryOp::Sum(0), 0)],
             threads: 1,
             range: Some((1, 3)),
         };
-        let subs = plan.split_batch(&batch).unwrap();
+        let subs = plan.split_batch(&mut batch).unwrap();
         assert_eq!(subs.len(), 3);
         // Shard 0 owns rows [0,2): overlap is row 1 only.
         assert_eq!(subs[0].range, Some((1, 1)));
@@ -773,13 +766,13 @@ mod tests {
         assert_eq!(subs[2].range, Some((4, 0)));
         assert!(subs[2].zs[0].is_empty());
         // A z vector must cover the range, not the domain.
-        let bad = BatchQuery {
+        let mut bad = BatchQuery {
             zs: vec![vec![1, 2]],
             items: vec![BatchItem::with_z(QueryOp::Sum(0), 0)],
             threads: 1,
             range: Some((1, 3)),
         };
-        assert!(plan.split_batch(&bad).is_err());
+        assert!(plan.split_batch(&mut bad).is_err());
     }
 
     #[test]
@@ -789,13 +782,13 @@ mod tests {
         // is far below the range start — the slice arithmetic must not
         // underflow) and the z vector only covers the window.
         let plan = ShardPlan::new(6, 3).append(2, true);
-        let batch = BatchQuery {
+        let mut batch = BatchQuery {
             zs: vec![vec![70, 80]],
             items: vec![BatchItem::with_z(QueryOp::Sum(0), 0)],
             threads: 1,
             range: Some((6, 2)),
         };
-        let subs = plan.split_batch(&batch).unwrap();
+        let subs = plan.split_batch(&mut batch).unwrap();
         assert_eq!(subs.len(), 4);
         for sub in &subs[..3] {
             // Shards before the window: empty sub-range at their own
@@ -892,13 +885,13 @@ mod tests {
     #[test]
     fn split_batch_rejects_short_z() {
         let plan = ShardPlan::new(6, 2);
-        let batch = BatchQuery {
+        let mut batch = BatchQuery {
             zs: vec![vec![1, 2, 3]],
             items: vec![BatchItem::with_z(QueryOp::Sum(0), 0)],
             threads: 1,
             range: None,
         };
-        assert!(plan.split_batch(&batch).is_err());
+        assert!(plan.split_batch(&mut batch).is_err());
     }
 
     #[test]

@@ -33,6 +33,7 @@
 use crate::chunk::fill_chunks;
 use crate::error::{check_cells, ProtocolError, Result};
 use crate::params::{OwnerParams, ServerParams, SHAMIR_SERVERS};
+use crate::pool;
 use crate::psi::{self, check_shape};
 use prism_core::arith::{mul_assign_mod, mul_into_mod, sum_columns_mod, Modulus};
 use prism_core::Prg;
@@ -42,8 +43,8 @@ use prism_core::Prg;
 /// `payload_shares[j][i]` is owner j's Shamir `y`-value for cell i at this
 /// server's evaluation point; `z_shares[i]` is the indicator share at the
 /// same point. Writes the degree-2 product share per cell into the
-/// caller-owned `out` — the arena path the engine reuses across rounds,
-/// performing zero heap allocations per call.
+/// caller-owned `out` — the pooled-buffer path the engine reuses across
+/// rounds, performing zero heap allocations per call.
 pub fn server_sum_round_into(
     payload_shares: &[&[u64]],
     z_shares: &[u64],
@@ -107,7 +108,11 @@ pub fn owner_share_z(
             *z = u64::from(eta.mul(x, y) == 1);
         }
     };
-    Ok(op.field.share_blocks(op.b, SHAMIR_SERVERS, prg, z))
+    let mut shares: Vec<Vec<u64>> = (0..SHAMIR_SERVERS)
+        .map(|_| pool::take_empty(op.b))
+        .collect();
+    op.field.share_blocks(op.b, &mut shares, prg, z);
+    Ok(shares)
 }
 
 /// All three servers' outputs for one item must cover the owner's domain.

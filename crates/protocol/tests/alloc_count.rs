@@ -13,7 +13,7 @@
 //! are pinned by them: a whole query may request what it returns (plus,
 //! for the aggregations, the three `z`-share columns it sends, and for
 //! verified PSI one narrow table) and a few KB of bookkeeping — the reply
-//! vectors come out of the nodes' arenas and go back. A `to_vec`, a
+//! vectors come out of the row-buffer pool and go back. A `to_vec`, a
 //! zero-fill-then-overwrite or an intermediate vector reintroduced on the
 //! owner side is at least one more domain-length buffer, and fails here.
 //!
@@ -158,7 +158,7 @@ fn warm_hot_paths_stay_allocation_free() {
             "warm ServerNode::execute allocated {node_allocs} times per query; \
              expected a small constant (reply vector + bookkeeping)"
         );
-        // The permuted ops stage through the arena: same bound.
+        // The permuted ops stage through the pool: same bound.
         let count_batch = ServerCmd::Run(BatchQuery {
             zs: vec![],
             items: vec![BatchItem::plain(QueryOp::Count)],

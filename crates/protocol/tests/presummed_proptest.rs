@@ -21,7 +21,7 @@ use prism_protocol::engine::{
 use prism_protocol::malicious::Tamper;
 use prism_protocol::params::{Initiator, ServerParams, SystemConfig};
 use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardSpec};
-use prism_protocol::{psi, psu, sum, ProtocolError, ShardedNode};
+use prism_protocol::{pool, psi, psu, sum, ProtocolError, ShardedNode};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -302,7 +302,7 @@ impl Pair {
                 let subs = self
                     .node
                     .plan()
-                    .split_batch(&batch)
+                    .split_batch(&mut batch.clone())
                     .expect("z covers the scope");
                 let want = self
                     .node
@@ -321,10 +321,11 @@ impl Pair {
                 match (got, want) {
                     (Ok(g), Ok(w)) => {
                         assert_eq!(g, w, "{op:?} {scope:?} {ctx}");
-                        // The reply goes home, so the next round — another
-                        // operation, the other scope — writes into it as
-                        // it is (poisoned, in a debug build).
-                        self.node.reclaim(vec![g]);
+                        // The reply goes back to the pool, so the next
+                        // round — another operation, the other scope —
+                        // writes into it as it is (poisoned, in a debug
+                        // build).
+                        pool::recycle_vec(g);
                     }
                     (
                         Err(ProtocolError::ParameterMismatch(_)),
@@ -605,7 +606,7 @@ fn reply_buffers_that_came_home_never_show_through() {
         for pass in 0..3 {
             let got = run(&pair, trio.to_vec()).expect("three items");
             assert_eq!(got, want, "{ctx}, pass {pass} over returned buffers");
-            pair.node.reclaim(got);
+            pool::recycle_vecs(got);
         }
         pair.check((0, DOMAIN as u64), threads, &mut prg, &ctx);
 

@@ -77,7 +77,7 @@ proptest! {
         glen in 0u64..=80,
     ) {
         let plan = ShardPlan::new(b, k);
-        let subs = plan.split_batch(&batch(glen as usize, Some((gs, glen)))).unwrap();
+        let subs = plan.split_batch(&mut batch(glen as usize, Some((gs, glen)))).unwrap();
         prop_assert_eq!(subs.len(), plan.shard_count());
         let covered: usize = subs.iter().map(|s| s.zs[0].len()).sum();
         let clamped = (gs + glen).min(b as u64).saturating_sub(gs.min(b as u64)) as usize;
@@ -118,7 +118,7 @@ proptest! {
             prop_assert_eq!(shrunk.shard_count(), b - 1);
         }
 
-        let subs = plan.split_batch(&batch(glen as usize, Some((gs, glen)))).unwrap();
+        let subs = plan.split_batch(&mut batch(glen as usize, Some((gs, glen)))).unwrap();
         prop_assert_eq!(subs.len(), b);
         for sub in &subs {
             prop_assert!(sub.zs[0].len() <= 1, "a single-row shard sees at most one cell");

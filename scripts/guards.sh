@@ -154,7 +154,31 @@ sleep_free() {
     ! git grep -n 'sleep(' -- crates/net/tests examples/distributed_deployment.rs
 }
 
-GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place sleep-free"
+# One row-buffer pool, and messages that move instead of being copied:
+# `prism_protocol::pool` is the process's only pool of row buffers, an
+# in-process link hands the receiver the sender's own message, and non-test
+# code in `crates/net/src` sends only messages it is done with, owned
+# (`Link::send_owned`; the borrowed `Link::send` clones on a channel link).
+# Fails if `received_copy` or a `pooled_copy`/`pooled_copies` helper comes
+# back, on a `static` holding row buffers (a `Vec<Vec<u64>>` or a `…Pool`
+# type) or a mutexed list of them (a per-node arena, `Mutex<Vec<Vec<u64>>>`)
+# in a crate's `src` outside `crates/protocol/src/pool.rs`, or on a
+# borrowed send (`.send(&…)`, `send_raw(&…)`) above the tests of a file in
+# `crates/net/src`.
+one_pool() {
+    ! git grep -nE 'received_copy|pooled_cop(y|ies)' -- 'crates/*/src/**' \
+        'crates/*/tests/**' src tests examples || return 1
+    ! git grep -nE 'static [A-Z_0-9]+ *:.*(Vec<Vec<u64>>|Pool[^A-Za-z0-9_])|Mutex<Vec<Vec<u64>>>' -- \
+        'crates/*/src/**' src | grep -v '^crates/protocol/src/pool.rs:' || return 1
+    status=0
+    for f in $(git ls-files 'crates/net/src/*.rs'); do
+        sed '/^#\[cfg(test)\]/q' "$f" | grep -nE '\.send(_raw)?\(&' |
+            sed "s|^|$f:|" | grep . && status=1
+    done
+    return "$status"
+}
+
+GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place sleep-free one-pool"
 
 run() {
     case "$1" in
@@ -168,6 +192,7 @@ run() {
         one-metrics) one_metrics ;;
         append-in-place) append_in_place ;;
         sleep-free) sleep_free ;;
+        one-pool) one_pool ;;
         *)
             echo "usage: scripts/guards.sh <all | $(echo "$GUARDS" | tr ' ' '|')>" >&2
             exit 2
