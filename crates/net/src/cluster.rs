@@ -41,9 +41,9 @@
 
 use crate::mux::{Admission, MuxLink, QueryId};
 use crate::registry::{channel_links, tcp_links, ClusterListener, NodeRegistry};
-use crate::router::{refuse_unserved, reply};
+use crate::router::{recv_admitted, reply};
 use crate::transport::{Link, LinkStats, NetError};
-use crate::wire::{Column, Message};
+use crate::wire::{Column, Edges, Message};
 use prism_core::Permutation;
 use prism_protocol::cache::{CachedExec, PsiRoundCache};
 use prism_protocol::driver::Deployment;
@@ -79,31 +79,36 @@ use std::time::{Duration, Instant};
 /// earlier drain finds them already staged and drains nothing. Announce
 /// requests themselves are served in control-link order; the reply
 /// carries the request's query tag.
+///
+/// **Admission.** The control link admits the owner → announcer and
+/// test-control edges, each upload link the server → announcer edge; a
+/// message of another edge is refused ([`crate::router::admit`]).
 pub(crate) fn announcer_loop(
     params: AnnouncerParams,
     owner_link: Arc<dyn Link>,
     server_links: Vec<Box<dyn Link>>,
 ) -> Result<(), NetError> {
+    let edges = Edges::OWNER_ANNOUNCER | Edges::TEST_ANNOUNCER;
     let mut announcer = Announcer::new(params);
     loop {
-        let (tag, msg) = owner_link.recv()?.untag();
+        let (tag, msg) = recv_admitted(owner_link.as_ref(), edges)?;
         match msg {
             Message::AnnounceRun { cmd, seq, threads } => {
                 let mut staged = true;
                 for (i, link) in server_links.iter().enumerate() {
                     while staged && !announcer.staged(i, seq) {
-                        match link.recv()? {
-                            Message::WideUpload {
-                                server,
-                                seq: upload_seq,
-                                shares,
-                            } if server as usize == i => {
-                                staged &= announcer.deposit(i, upload_seq, shares).is_ok();
-                            }
-                            _ => {
-                                staged = false; // crossed or malformed
-                            }
-                        }
+                        let (_, upload) = recv_admitted(link.as_ref(), Edges::SERVER_ANNOUNCER)?;
+                        let Message::WideUpload {
+                            server,
+                            seq: upload_seq,
+                            shares,
+                        } = upload
+                        else {
+                            unreachable!("the server → announcer edge carries only uploads");
+                        };
+                        // An upload from the other server is crossed.
+                        staged = server as usize == i
+                            && announcer.deposit(i, upload_seq, shares).is_ok();
                     }
                 }
                 let result = if staged {
@@ -124,7 +129,31 @@ pub(crate) fn announcer_loop(
                 reply(owner_link.as_ref(), tag, Message::Pong { seq })?;
             }
             Message::Shutdown => return Ok(()),
-            other => refuse_unserved(owner_link.as_ref(), tag, &other)?,
+            Message::RunBatch(_)
+            | Message::Outputs(_)
+            | Message::SetTamper(_)
+            | Message::Ack
+            | Message::BulkUpload { .. }
+            | Message::ShardRun { .. }
+            | Message::ShardOutputs { .. }
+            | Message::MaxCombine { .. }
+            | Message::AssembleFpos { .. }
+            | Message::Fpos(_)
+            | Message::WideForwarded { .. }
+            | Message::WideUpload { .. }
+            | Message::AnnounceReply(_)
+            | Message::Tagged { .. }
+            | Message::Register { .. }
+            | Message::RegisterAck { .. }
+            | Message::Pong { .. }
+            | Message::Assign { .. }
+            | Message::NodeDown { .. }
+            | Message::DeltaUpload { .. }
+            | Message::RangeVersionProbe
+            | Message::Versions(_)
+            | Message::FoldUpload { .. }
+            | Message::Refused(_)
+            | Message::Replay { .. } => unreachable!("not carried on {edges}: refused on receipt"),
         }
     }
 }

@@ -77,9 +77,9 @@
 
 use crate::cluster::{announcer_loop, EdgeMeters, NetCluster};
 use crate::mux::MuxLink;
-use crate::router::{domain_loop, node_loop, DomainState, WorkerSlot};
+use crate::router::{admit, domain_loop, node_loop, DomainState, WorkerSlot};
 use crate::transport::{channel_pair, Link, LinkStats, NetError, TcpLink};
-use crate::wire::{Message, NodeRole};
+use crate::wire::{Edges, Message, NodeRole};
 use parking_lot::{Mutex, RwLock};
 use prism_protocol::cache::PsiRoundCache;
 use prism_protocol::engine::ReplayLog;
@@ -967,16 +967,17 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
     if link.set_read_timeout(Some(deadline)).is_err() {
         return;
     }
-    let msg = match link.recv() {
-        Ok(m) => m,
-        Err(_) => return, // includes the stop()-wake dummy dial
+    // Anything but a registration is refused (if tagged) and the link
+    // closed; a failed read includes the stop()-wake dummy dial.
+    let first = link.recv();
+    let Ok(Some((_, Message::Register { role, domain }))) =
+        first.and_then(|msg| admit(link.as_ref(), Edges::TO_REGISTRY, msg))
+    else {
+        return;
     };
     if link.set_read_timeout(None).is_err() {
         return;
     }
-    let Message::Register { role, domain, .. } = msg else {
-        return;
-    };
     let d = domain as usize;
     let fresh_node = || inner.next_node.fetch_add(1, Ordering::Relaxed);
     match role {
@@ -1049,7 +1050,7 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
                         inner.note_attach();
                     }
                 }
-                _ => {
+                Some(Some(_)) | None => {
                     drop(slots);
                     reject(&link);
                 }
@@ -1891,5 +1892,64 @@ mod tests {
             .expect("a place and a slot are free");
         assert_eq!(slot_nodes(&listener), [worker.node_id()]);
         teardown(listener, vec![worker]);
+    }
+
+    /// The attach handshake refuses a first message other than `Register`
+    /// (if tagged) and closes the connection, taking no slot, within
+    /// `DEADLINE` — for every tag of the table, fields decoded from the
+    /// soup where they decode (`router::tests::table_samples`).
+    fn attach_refuses_or_closes(soup: &[u8]) {
+        use std::io::ErrorKind;
+        const DEADLINE: Duration = Duration::from_secs(10);
+        let (listener, _) = listener(1, 1);
+        let side = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let samples = crate::router::tests::table_samples(soup);
+        let foreign = samples.iter().filter(|m| !Edges::TO_REGISTRY.carries(m));
+        for (msg, tagged) in foreign.flat_map(|m| [(m, true), (m, false)]) {
+            let tag = msg.wire_tag();
+            let client = TcpStream::connect(side.local_addr().expect("addr")).expect("dial");
+            let client = TcpLink::new(client).expect("link");
+            client.set_read_timeout(Some(DEADLINE)).expect("timeout");
+            let (accepted, _) = side.accept().expect("accept");
+            let inner = Arc::clone(&listener.inner);
+            let place = Handshake::begin(&inner).expect("under the cap");
+            let (done, handshake) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                handle_attach(&inner, accepted, place);
+                let _ = done.send(());
+            });
+            if tagged {
+                client.send(&msg.clone().tagged(7)).expect("send");
+                match client.recv().map(Message::untag) {
+                    Ok((Some(7), Message::Refused(why))) => {
+                        assert!(why.contains(&format!("tag {tag} ")), "{why}")
+                    }
+                    other => panic!("attach: tag {tag} got {other:?}"),
+                }
+            } else {
+                client.send(msg).expect("send");
+            }
+            match client.recv() {
+                Err(NetError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof => {}
+                other => panic!("attach: tag {tag} (tagged: {tagged}) left {other:?}"),
+            }
+            let finished = handshake.recv_timeout(DEADLINE);
+            assert!(finished.is_ok(), "attach: no return, or a panic");
+        }
+        assert!(slot_nodes(&listener).is_empty());
+        teardown(listener, Vec::new());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+        /// No foreign first message is met with silence at the attach
+        /// endpoint ([`attach_refuses_or_closes`]).
+        #[test]
+        fn the_attach_handshake_refuses_or_closes_on_every_foreign_tag(
+            soup in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            attach_refuses_or_closes(&soup);
+        }
     }
 }

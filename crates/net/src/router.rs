@@ -20,7 +20,7 @@ use crate::executor::RoundExecutor;
 use crate::mux::{MuxLink, Pending};
 use crate::registry::Health;
 use crate::transport::{Link, NetError};
-use crate::wire::{recycle_vecs, Column, Message};
+use crate::wire::{Column, Edges, Message};
 use parking_lot::RwLock;
 use prism_core::Permutation;
 use prism_protocol::engine::{BatchQuery, ReplayLog, ServerCmd, ServerNode, ServerReply};
@@ -40,20 +40,40 @@ pub(crate) fn reply(link: &dyn Link, tag: Option<u64>, msg: Message) -> Result<(
     link.send_owned(enveloped(tag, msg))
 }
 
-/// Answer a message this loop does not serve: a tagged request gets
-/// [`Message::Refused`] naming its wire tag, so the query waiting on it
-/// fails instead of waiting forever; an untagged one is dropped.
-pub(crate) fn refuse_unserved(
+/// Admit a message received on `link`, split from its query tag, if one
+/// of `edges` carries it. A tagged message none of them carries is
+/// answered with [`Message::Refused`] naming its wire tag and the edges —
+/// the query waiting on it fails instead of waiting forever — and comes
+/// back as `None`; an untagged one is [`NetError::Unadmitted`], which ends
+/// the loop serving the link. Nothing is dropped in silence.
+pub(crate) fn admit(
     link: &dyn Link,
-    tag: Option<u64>,
-    msg: &Message,
-) -> Result<(), NetError> {
+    edges: Edges,
+    received: Message,
+) -> Result<Option<(Option<u64>, Message)>, NetError> {
+    let (tag, msg) = received.untag();
+    if edges.carries(&msg) {
+        return Ok(Some((tag, msg)));
+    }
+    let unadmitted = NetError::Unadmitted {
+        tag: msg.wire_tag(),
+        edges,
+    };
     match tag {
-        Some(_) => {
-            let why = format!("message tag {} is not served here", msg.wire_tag());
-            reply(link, tag, Message::Refused(why))
+        Some(_) => reply(link, tag, Message::Refused(unadmitted.to_string())).map(|()| None),
+        None => Err(unadmitted),
+    }
+}
+
+/// The next message on `link` that one of `edges` carries ([`admit`]).
+pub(crate) fn recv_admitted(
+    link: &dyn Link,
+    edges: Edges,
+) -> Result<(Option<u64>, Message), NetError> {
+    loop {
+        if let Some(admitted) = admit(link, edges, link.recv()?)? {
+            return Ok(admitted);
         }
-        None => Ok(()),
     }
 }
 
@@ -147,7 +167,7 @@ fn run_batch_on(node: &ServerNode, batch: BatchQuery) -> Vec<Vec<u64>> {
     // The z buffers are dead once the kernels ran; hand them to the pool
     // the next round's buffers come from.
     if let ServerCmd::Run(batch) = cmd {
-        recycle_vecs(batch.zs);
+        pool::recycle_vecs(batch.zs);
     }
     outs
 }
@@ -228,6 +248,11 @@ fn receipt(done: Result<(), ProtocolError>) -> Message {
 /// control, assignments) take the write lock inline on the serving
 /// thread — the link's receive order is the linearization point.
 /// `Shutdown` waits for every round in flight, then retires the workers.
+///
+/// **Admission.** A whole domain behind the owner link admits the owner
+/// → domain and test-control edges; a row range admits what its router
+/// and the registry send it. So no owner can `Assign` a store away, and a
+/// message of another edge is refused ([`admit`]).
 pub(crate) fn node_loop(
     domain_params: ServerParams,
     link: Arc<dyn Link>,
@@ -256,10 +281,14 @@ pub(crate) fn node_loop(
             ..template.clone()
         },
     })));
+    let edges = match spec0 {
+        None => Edges::OWNER_DOMAIN | Edges::TEST_SERVER,
+        Some(_) => Edges::ROUTER_WORKER | Edges::REGISTRY_WORKER,
+    };
     let mut version_base = 0u64;
     let rounds = RoundExecutor::new();
     loop {
-        let (tag, msg) = link.recv()?.untag();
+        let (tag, msg) = recv_admitted(link.as_ref(), edges)?;
         match msg {
             // Every upload is applied whole or refused whole; a refusal
             // leaves the store as it was and answers with its reason.
@@ -366,7 +395,22 @@ pub(crate) fn node_loop(
                 rounds.shutdown();
                 return Ok(());
             }
-            other => refuse_unserved(link.as_ref(), tag, &other)?,
+            Message::Outputs(_)
+            | Message::Ack
+            | Message::ShardOutputs { .. }
+            | Message::Fpos(_)
+            | Message::WideForwarded { .. }
+            | Message::WideUpload { .. }
+            | Message::AnnounceRun { .. }
+            | Message::AnnounceReply(_)
+            | Message::SetAnnouncerTamper(_)
+            | Message::Tagged { .. }
+            | Message::Register { .. }
+            | Message::RegisterAck { .. }
+            | Message::Pong { .. }
+            | Message::NodeDown { .. }
+            | Message::Versions(_)
+            | Message::Refused(_) => unreachable!("not carried on {edges}: refused on receipt"),
         }
     }
 }
@@ -713,7 +757,7 @@ fn route_batch(
     let merged = merge_shard_outputs(&per_shard, &batch, params, tamper);
     // The shard rows were copied into the merged reply; their buffers go
     // back to the pool.
-    recycle_vecs(per_shard.into_iter().flatten());
+    pool::recycle_vecs(per_shard.into_iter().flatten());
     merged.map_err(|_| RouteFail::Malformed)
 }
 
@@ -884,11 +928,15 @@ fn serve_route(
 /// stay inline on the serving thread: the owner link's receive order is
 /// their linearization point. The domain tamper is snapshotted at
 /// dispatch for the same reason.
+///
+/// **Admission.** The router admits the owner → domain and test-control
+/// edges; a message of another edge is refused ([`admit`]).
 pub(crate) fn domain_loop(
     owner_link: Arc<dyn Link>,
     shared: Arc<RwLock<DomainState>>,
     announcer: Option<Arc<dyn Link>>,
 ) -> Result<(), NetError> {
+    let edges = Edges::OWNER_DOMAIN | Edges::TEST_SERVER;
     let wide_node = Arc::new(RwLock::new(ServerNode::new(ServerParams {
         b: 0,
         pf_s1: Permutation::identity(0),
@@ -905,7 +953,7 @@ pub(crate) fn domain_loop(
     // Uploads hold the write lock across their fan: a query round never
     // sees half of one, and the log records only what the workers took.
     loop {
-        let (tag, msg) = owner_link.recv()?.untag();
+        let (tag, msg) = recv_admitted(owner_link.as_ref(), edges)?;
         match msg {
             Message::BulkUpload { owner, columns } => {
                 let id = corr.fetch_add(1, Ordering::Relaxed);
@@ -1015,25 +1063,9 @@ pub(crate) fn domain_loop(
                 });
             }
             Message::RangeVersionProbe => {
-                // Stamps come from each range's primary (replica fallback
-                // on link failure only), already in global row
-                // coordinates; range order is global row order, matching
-                // the in-process `ShardedNode`. Replica stamps may differ
-                // (their rebuild histories fold different
-                // `version_base`s), which is safe: a promotion dirties
-                // the domain and entries cut against the old primary
-                // re-probe — they only revive if the new primary agrees.
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 serve_route(&rounds, &shared, &owner_link, tag, move |st| {
-                    let probe = |_, _| Message::RangeVersionProbe;
-                    // A holder answering anything but stamps is reported
-                    // like the loss of its range.
-                    let stamps = |r: usize, reply| match reply {
-                        Message::Versions(v) => Ok(v),
-                        _ => Err(RouteFail::Down(r as u64)),
-                    };
-                    let per_range = fan_ranges(&st.holder_links(), id, probe, stamps)?;
-                    Ok(Message::Versions(per_range.concat()))
+                    probe_ranges(st, id)
                 });
             }
             Message::MaxCombine {
@@ -1057,18 +1089,58 @@ pub(crate) fn domain_loop(
                 }
                 return Ok(());
             }
-            other => refuse_unserved(owner_link.as_ref(), tag, &other)?,
+            Message::Replay { .. }
+            | Message::Outputs(_)
+            | Message::ShardRun { .. }
+            | Message::ShardOutputs { .. }
+            | Message::Ack
+            | Message::Fpos(_)
+            | Message::WideForwarded { .. }
+            | Message::WideUpload { .. }
+            | Message::AnnounceRun { .. }
+            | Message::AnnounceReply(_)
+            | Message::SetAnnouncerTamper(_)
+            | Message::Tagged { .. }
+            | Message::Register { .. }
+            | Message::RegisterAck { .. }
+            | Message::Ping { .. }
+            | Message::Pong { .. }
+            | Message::Assign { .. }
+            | Message::NodeDown { .. }
+            | Message::Versions(_)
+            | Message::Refused(_) => unreachable!("not carried on {edges}: refused on receipt"),
         }
     }
 }
 
+/// Every range's version stamps, from its primary (replica fallback on
+/// link failure only), already in global row coordinates; range order is
+/// global row order, matching the in-process `ShardedNode`. Replica
+/// stamps may differ (their rebuild histories fold different
+/// `version_base`s), which is safe: a promotion dirties the domain and
+/// entries cut against the old primary re-probe — they only revive if the
+/// new primary agrees.
+fn probe_ranges(st: &DomainState, corr: u64) -> Result<Message, RouteFail> {
+    let probe = |_, _| Message::RangeVersionProbe;
+    // A holder answering anything but stamps is reported like the loss of
+    // its range.
+    let stamps = |r: usize, reply| match reply {
+        Message::Versions(v) => Ok(v),
+        _ => Err(RouteFail::Down(r as u64)),
+    };
+    let per_range = fan_ranges(&st.holder_links(), corr, probe, stamps)?;
+    Ok(Message::Versions(per_range.concat()))
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::cluster::announcer_loop;
     use crate::transport::channel_pair;
-    use crate::wire::Op;
+    use crate::wire::{Op, TAGS};
     use prism_protocol::engine::BatchItem;
-    use prism_protocol::params::{Initiator, SystemConfig};
+    use prism_protocol::params::{Initiator, Setup, SystemConfig, ADDITIVE_SERVERS};
+    use std::time::Duration;
 
     /// A fixed-membership domain (what a fixed roster builds)
     /// whose worker link died answers the owner with the typed
@@ -1168,10 +1240,10 @@ mod tests {
         node.join().unwrap().expect("node exits cleanly");
     }
 
-    /// A tagged request of a kind a loop does not serve is refused, naming
+    /// A tagged request of a kind a loop does not admit is refused, naming
     /// its wire tag, instead of dropped: the query waiting on it fails
-    /// rather than waits forever. An untagged one is still dropped, and
-    /// the loop serves on.
+    /// rather than waits forever, and the loop serves on. An untagged one
+    /// ends the loop with the typed error, and its peer sees the link close.
     #[test]
     fn a_tagged_request_a_loop_does_not_serve_is_refused() {
         let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(5)).setup();
@@ -1186,7 +1258,8 @@ mod tests {
         });
         let (routed, router_end) = channel_pair();
         let shared = Arc::new(RwLock::new(domain));
-        let router = std::thread::spawn(move || domain_loop(Arc::new(router_end), shared, None));
+        let routing = Arc::clone(&shared);
+        let router = std::thread::spawn(move || domain_loop(Arc::new(router_end), routing, None));
         let (direct, node_end) = channel_pair();
         let node = std::thread::spawn(move || {
             node_loop(params, Arc::new(node_end), None, Tamper::Honest, None)
@@ -1208,13 +1281,71 @@ mod tests {
                     panic!("expected a refusal naming tag {tag} within {DEADLINE:?}, got {other:?}")
                 }
             }
-            link.send_owned(Message::Ack).unwrap();
             let answer = mux.request(8, Message::RangeVersionProbe).unwrap();
             assert!(matches!(answer, Message::Versions(_)), "{answer:?}");
-            link.send_owned(Message::Shutdown).unwrap();
+            link.send_owned(Message::Ack).unwrap();
         }
-        router.join().unwrap().expect("router exits cleanly");
+        for ended in [router.join().unwrap(), node.join().unwrap()] {
+            assert!(
+                matches!(ended, Err(NetError::Unadmitted { tag: 4, .. })),
+                "{ended:?}"
+            );
+        }
+        assert!(routed.recv().is_err() && direct.recv().is_err());
+        // The router's worker outlives it: stop it directly.
+        shared.read().workers[0]
+            .link
+            .send_raw(Message::Shutdown)
+            .unwrap();
         worker.join().unwrap().expect("worker exits cleanly");
+    }
+
+    /// An owner cannot reset a router-less domain's store: `Assign` rides
+    /// the registry → worker edge, so the node behind the owner link
+    /// refuses it, and its range stamps and a PSI round's answer stay
+    /// what they were.
+    #[test]
+    fn an_owner_cannot_assign_a_routerless_store_away() {
+        let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(5)).setup();
+        let params = setup.unwrap().servers[0].clone();
+        let b = params.b;
+        assert_eq!(b, 8);
+        let (owner, node_end) = channel_pair();
+        let node = std::thread::spawn(move || {
+            node_loop(params, Arc::new(node_end), None, Tamper::Honest, None)
+        });
+        let owner = MuxLink::new(Arc::new(owner));
+        for o in 0..2 {
+            let columns = vec![(Column::Ok, vec![1; b])];
+            let put = Message::BulkUpload { owner: o, columns };
+            assert_eq!(owner.request(u64::from(o), put).unwrap(), Message::Ack);
+        }
+        let psi = || {
+            Message::RunBatch(BatchQuery {
+                items: vec![BatchItem::plain(Op::Psi)],
+                threads: 1,
+                ..BatchQuery::default()
+            })
+        };
+        let stamps = owner.request(2, Message::RangeVersionProbe).unwrap();
+        let answer = owner.request(3, psi()).unwrap();
+        assert!(
+            matches!(&answer, Message::Outputs(o) if o.len() == 1 && o[0].len() == b),
+            "{answer:?}"
+        );
+
+        let assign = Message::Assign {
+            start: 0,
+            len: b as u64,
+        };
+        let refusal = owner.request(4, assign).unwrap();
+        assert!(matches!(refusal, Message::Refused(_)), "{refusal:?}");
+        assert_eq!(
+            owner.request(5, Message::RangeVersionProbe).unwrap(),
+            stamps
+        );
+        assert_eq!(owner.request(6, psi()).unwrap(), answer);
+        owner.send_raw(Message::Shutdown).unwrap();
         node.join().unwrap().expect("node exits cleanly");
     }
 
@@ -1229,9 +1360,22 @@ mod tests {
         let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(5)).setup();
         let params = setup.unwrap().servers[0].clone();
         let ring = Column::Ok.ring(params.delta, params.field.p);
+        // A restore rides the registry → worker edge: a row range's node,
+        // here one over the whole domain.
+        let whole = ShardSpec {
+            index: 0,
+            start: 0,
+            len: params.b,
+        };
         let (owner, node_end) = channel_pair();
         let node = std::thread::spawn(move || {
-            node_loop(params, Arc::new(node_end), None, Tamper::Honest, None)
+            node_loop(
+                params,
+                Arc::new(node_end),
+                Some(whole),
+                Tamper::Honest,
+                None,
+            )
         });
         let ask = |msg: Message| {
             owner.send(&msg).unwrap();
@@ -1288,5 +1432,213 @@ mod tests {
         assert_eq!(ask(fold(3)), Message::Ack);
         owner.send(&Message::Shutdown).unwrap();
         node.join().unwrap().expect("node exits cleanly");
+    }
+
+    /// How long a loop may take to refuse a message or close its link: an
+    /// answer takes microseconds, and silence never ends.
+    const DEADLINE: Duration = Duration::from_secs(10);
+
+    /// A serving loop under test.
+    #[derive(Clone, Copy, Debug)]
+    enum Served {
+        /// `node_loop` holding a whole domain, behind the owner link.
+        Front,
+        /// `node_loop` holding a row range, behind a router.
+        Worker,
+        /// `domain_loop` over one worker.
+        Router,
+        /// `announcer_loop`'s control link.
+        Announcer,
+    }
+
+    /// Where a loop's result arrives; it disconnects instead if the loop
+    /// panics.
+    type Exit = std::sync::mpsc::Receiver<Result<(), NetError>>;
+
+    /// `f` on a thread of its own, reporting to its [`Exit`].
+    fn spawn_reporting(f: impl FnOnce() -> Result<(), NetError> + Send + 'static) -> Exit {
+        let (done, exit) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(f());
+        });
+        exit
+    }
+
+    /// One running loop: the peer's end of its link, the edges it must
+    /// admit, and its exit.
+    struct Running {
+        peer: Arc<dyn Link>,
+        edges: Edges,
+        exit: Exit,
+        /// A router's domain and its worker's exit: the worker outlives an
+        /// ended router.
+        domain: Option<(Arc<RwLock<DomainState>>, Exit)>,
+        /// The servers' ends of the announcer's upload links, held open.
+        _uploads: Vec<Box<dyn Link>>,
+    }
+
+    impl Running {
+        fn start(served: Served, setup: &Setup) -> Running {
+            let params = setup.servers[0].clone();
+            let whole = ShardSpec {
+                index: 0,
+                start: 0,
+                len: params.b,
+            };
+            let (peer, end) = channel_pair();
+            let end: Arc<dyn Link> = Arc::new(end);
+            let (mut domain, mut uploads) = (None, Vec::new());
+            let tamper = Tamper::Honest;
+            let (edges, exit) = match served {
+                Served::Front => (
+                    Edges::OWNER_DOMAIN | Edges::TEST_SERVER,
+                    spawn_reporting(move || node_loop(params, end, None, tamper, None)),
+                ),
+                Served::Worker => (
+                    Edges::ROUTER_WORKER | Edges::REGISTRY_WORKER,
+                    spawn_reporting(move || node_loop(params, end, Some(whole), tamper, None)),
+                ),
+                Served::Router => {
+                    let mut st = DomainState::new(params.clone(), 1, 1);
+                    let (to_worker, worker_end) = channel_pair();
+                    let slot = WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_worker), 0, None);
+                    st.workers.push(slot);
+                    let worker_end: Arc<dyn Link> = Arc::new(worker_end);
+                    let worker = spawn_reporting(move || {
+                        node_loop(params, worker_end, Some(whole), tamper, None)
+                    });
+                    let shared = Arc::new(RwLock::new(st));
+                    domain = Some((Arc::clone(&shared), worker));
+                    (
+                        Edges::OWNER_DOMAIN | Edges::TEST_SERVER,
+                        spawn_reporting(move || domain_loop(end, shared, None)),
+                    )
+                }
+                Served::Announcer => {
+                    let mut server_ends: Vec<Box<dyn Link>> = Vec::new();
+                    for _ in 0..ADDITIVE_SERVERS {
+                        let (server, announcer) = channel_pair();
+                        uploads.push(Box::new(server) as Box<dyn Link>);
+                        server_ends.push(Box::new(announcer));
+                    }
+                    let params = setup.announcer.clone();
+                    (
+                        Edges::OWNER_ANNOUNCER | Edges::TEST_ANNOUNCER,
+                        spawn_reporting(move || announcer_loop(params, end, server_ends)),
+                    )
+                }
+            };
+            Running {
+                peer: Arc::new(peer),
+                edges,
+                exit,
+                domain,
+                _uploads: uploads,
+            }
+        }
+
+        /// Wait for the loop's exit, and for a router's worker's: a router
+        /// that shut down stopped it, one that ended did not.
+        fn ended(self) -> Result<(), NetError> {
+            let exit = self.exit.recv_timeout(DEADLINE);
+            if let Some((shared, worker)) = self.domain {
+                let _ = shared.read().workers[0].link.send_raw(Message::Shutdown);
+                let stopped = worker.recv_timeout(DEADLINE);
+                assert!(matches!(stopped, Ok(Ok(()))), "worker: {stopped:?}");
+            }
+            exit.expect("the loop ended within the deadline, without a panic")
+        }
+    }
+
+    /// One message per tag of the table, its fields decoded from `soup`
+    /// where they decode, else zeros — all but the envelope, which is what
+    /// a tagged send of any of them is.
+    pub(crate) fn table_samples(soup: &[u8]) -> Vec<Message> {
+        let samples: Vec<Message> = (TAGS.iter())
+            .filter_map(|&tag| {
+                let with = |body: &[u8]| Message::decode(&[&[tag][..], body].concat());
+                with(soup).or_else(|_| with(&[0; 64])).ok()
+            })
+            .filter(|m| !matches!(m, Message::Tagged { .. }))
+            .collect();
+        assert_eq!(samples.len(), TAGS.len() - 1, "a tag without a sample");
+        samples
+    }
+
+    /// Every tag of the table a loop does not admit, tagged and untagged.
+    fn refuses_or_closes(served: Served, setup: &Setup, samples: &[Message]) {
+        let b = setup.servers[0].b;
+        let running = Running::start(served, setup);
+        let foreign: Vec<&Message> = (samples.iter())
+            .filter(|m| !running.edges.carries(m))
+            .collect();
+        assert!(!foreign.is_empty(), "{served:?}");
+
+        // Tagged: a refusal naming the tag, and the loop serves on with
+        // its store unchanged.
+        let mux = MuxLink::new(Arc::clone(&running.peer));
+        let stamps = (!matches!(served, Served::Announcer)).then(|| {
+            let columns = vec![(Column::Ok, vec![1; b])];
+            let put = Message::BulkUpload { owner: 0, columns };
+            assert_eq!(mux.request(0, put).expect("put"), Message::Ack);
+            mux.request(1, Message::RangeVersionProbe).expect("probe")
+        });
+        for (q, msg) in (2..).zip(&foreign) {
+            let tag = msg.wire_tag();
+            let pending = mux.begin(q).expect("begin");
+            mux.send(q, (*msg).clone()).expect("send");
+            match pending.recv_timeout(DEADLINE) {
+                Ok(Message::Refused(why)) => {
+                    assert!(why.contains(&format!("tag {tag} ")), "{served:?}: {why}")
+                }
+                other => panic!("{served:?}: tag {tag} got {other:?} within {DEADLINE:?}"),
+            }
+        }
+        if let Some(stamps) = stamps {
+            let after = mux.request(u64::MAX, Message::RangeVersionProbe);
+            assert_eq!(after.expect("probe"), stamps, "{served:?}");
+        }
+        mux.send_raw(Message::Shutdown).expect("shutdown");
+        running.ended().expect("a clean exit");
+
+        // Untagged: the loop ends with the typed error and the link
+        // closes.
+        for msg in foreign {
+            let tag = msg.wire_tag();
+            let running = Running::start(served, setup);
+            running.peer.send(msg).expect("send");
+            let peer = Arc::clone(&running.peer);
+            let edges = running.edges;
+            match running.ended() {
+                Err(NetError::Unadmitted { tag: t, edges: e }) if (t, e) == (tag, edges) => {}
+                other => panic!("{served:?}: untagged tag {tag} ended with {other:?}"),
+            }
+            assert!(peer.recv().is_err(), "{served:?}: the link stayed open");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(4))]
+
+        /// No foreign tag is met with silence: each loop — a node in front
+        /// of a domain and behind a router, the router, the announcer's
+        /// control link — refuses each tag of the table it does not admit
+        /// with a typed refusal, when tagged, or ends and closes its link,
+        /// when not, within `DEADLINE`, without a panic and with its store
+        /// unchanged. The foreign set is derived from the table, so a new
+        /// message cannot skip it; the attach handshake has its own
+        /// (`registry::tests`).
+        #[test]
+        fn every_loop_refuses_or_closes_on_every_foreign_tag(
+            soup in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(1))
+                .setup()
+                .expect("setup");
+            let samples = table_samples(&soup);
+            for served in [Served::Front, Served::Worker, Served::Router, Served::Announcer] {
+                refuses_or_closes(served, &setup, &samples);
+            }
+        }
     }
 }

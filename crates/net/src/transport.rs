@@ -7,7 +7,7 @@
 //! metering, so experiments can swap transports without touching protocol
 //! code.
 
-use crate::wire::{Message, WireError};
+use crate::wire::{Edges, Message, WireError};
 use bytes::{Buf, BufMut, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -37,6 +37,15 @@ pub enum NetError {
     },
     /// A bounded wait (keep-alive probe, registry attach) expired.
     Timeout,
+    /// An untagged message arrived on a link that none of its edges
+    /// carries; the loop serving the link ends with this error. (A tagged
+    /// one is answered with its text as a [`Message::Refused`].)
+    Unadmitted {
+        /// The message's wire tag.
+        tag: u8,
+        /// The edges the serving loop admits.
+        edges: Edges,
+    },
     /// A peer announced a frame longer than [`TcpLink`] accepts; nothing
     /// was allocated or read for it.
     FrameTooLarge {
@@ -81,6 +90,9 @@ impl std::fmt::Display for NetError {
             NetError::Mux(why) => write!(f, "multiplexer error: {why}"),
             NetError::NodeDown { node } => write!(f, "node down: {node}"),
             NetError::Timeout => write!(f, "timed out"),
+            NetError::Unadmitted { tag, edges } => {
+                write!(f, "message tag {tag} is not carried on {edges}")
+            }
             NetError::UploadRefused(why) => write!(f, "upload refused: {why}"),
             NetError::FrameTooLarge { len } => write!(
                 f,

@@ -1,10 +1,17 @@
 //! Wire format: a small, explicit binary encoding for PRISM's messages.
 //!
 //! No general serialization framework is used on the wire — every message
-//! the protocol can send is enumerated here with a hand-written encoding
-//! (tag byte + length-prefixed fields), so the byte counts the transports
-//! meter are exact and the format is trivially stable across versions of
-//! any third-party crate.
+//! the protocol can send is enumerated here with its encoding (tag byte +
+//! length-prefixed fields), so the byte counts the transports meter are
+//! exact and the format is trivially stable across versions of any
+//! third-party crate.
+//!
+//! Every message is declared once, in the table [`Message`] is generated
+//! from: its tag byte, its fields in wire order, what a sender does with
+//! its row buffers, and the [`Edges`] of the topology that carry it. The
+//! encoder, the decoder, the exact length, the in-place decodability
+//! check, the tag and the admission edges are all derived from that one
+//! table, over one codec per field type.
 //!
 //! The payload *types* come from `prism_protocol::engine` — the wire
 //! carries the engine's own [`Column`], [`Op`] and [`BatchQuery`] values,
@@ -20,6 +27,7 @@ use prism_protocol::malicious::{AnnouncerTamper, Tamper};
 use prism_protocol::max::{BlindedMaxUpload, MaxAnnouncement};
 use prism_protocol::median::MedianAnnouncement;
 use prism_protocol::pool;
+use std::sync::OnceLock;
 
 pub use prism_protocol::engine::Column;
 pub use prism_protocol::engine::QueryOp as Op;
@@ -62,150 +70,80 @@ pub enum NodeRole {
     AnnouncerUpload,
 }
 
-fn need(buf: &mut &[u8]) -> Result<u8, WireError> {
-    if !buf.has_remaining() {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u8())
+/// A set of the deployment's edges — the kinds of link, named by who
+/// sends on them. Each message's row of the message table names the
+/// edges that carry it, and each serving loop admits only its own: a
+/// message none of them carries is refused, naming only its tag and the
+/// edges ([`crate::NetError::Unadmitted`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Edges(u8);
+
+macro_rules! edges {
+    ($($(#[$doc:meta])* $name:ident = $bit:literal, $label:literal;)*) => {
+        impl Edges {
+            $($(#[$doc])* pub(crate) const $name: Edges = Edges(1 << $bit);)*
+            const LABELS: [(Edges, &'static str); 8] = [$((Edges::$name, $label)),*];
+        }
+    };
 }
 
-fn need_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
-    if buf.remaining() < 4 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u32_le())
+edges! {
+    /// An owner's link to a server domain: its router, or the one node of
+    /// a router-less domain.
+    OWNER_DOMAIN = 0, "owner → domain";
+    /// A domain router's link to each of its shard workers.
+    ROUTER_WORKER = 1, "router → worker";
+    /// The registry's heal and keep-alive traffic to a worker, over the
+    /// link the worker's router uses.
+    REGISTRY_WORKER = 2, "registry → worker";
+    /// A dialed connection's first message, to the registry's attach
+    /// endpoint.
+    TO_REGISTRY = 3, "→ registry";
+    /// An additive server's wide-round uploads, on its own link to the
+    /// announcer.
+    SERVER_ANNOUNCER = 4, "server → announcer";
+    /// The announcer's control link (the registry's keep-alive shares it).
+    OWNER_ANNOUNCER = 5, "owner → announcer";
+    /// A test's tamper control of a server, over the owner edge.
+    TEST_SERVER = 6, "test control → server";
+    /// A test's tamper control of the announcer, over its control link.
+    TEST_ANNOUNCER = 7, "test control → announcer";
 }
 
-fn need_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
-    }
-    Ok(buf.get_u64_le())
-}
-
-fn encode_column(column: &Column, buf: &mut impl Sink) {
-    match column {
-        Column::Ok => buf.put_u8(0),
-        Column::VOk => buf.put_u8(1),
-        Column::OkDb1 => buf.put_u8(2),
-        Column::OkDb2 => buf.put_u8(3),
-        Column::Agg(a) => {
-            buf.put_u8(4);
-            buf.put_u8(*a);
-        }
-        Column::VAgg(a) => {
-            buf.put_u8(5);
-            buf.put_u8(*a);
-        }
-        Column::AOk => buf.put_u8(6),
-    }
-}
-
-fn decode_column(buf: &mut &[u8]) -> Result<Column, WireError> {
-    Ok(match need(buf)? {
-        0 => Column::Ok,
-        1 => Column::VOk,
-        2 => Column::OkDb1,
-        3 => Column::OkDb2,
-        4 => Column::Agg(need(buf)?),
-        5 => Column::VAgg(need(buf)?),
-        6 => Column::AOk,
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-fn encode_op(op: &Op, buf: &mut impl Sink) {
-    match op {
-        Op::Psi => buf.put_u8(0),
-        Op::PsiVerify => buf.put_u8(1),
-        Op::Psu => buf.put_u8(2),
-        Op::PsuVerify(c) => {
-            buf.put_u8(3);
-            buf.put_u8(*c);
-        }
-        Op::Count => buf.put_u8(4),
-        Op::CountVerify(c) => {
-            buf.put_u8(5);
-            buf.put_u8(*c);
-        }
-        Op::Sum(a) => {
-            buf.put_u8(6);
-            buf.put_u8(*a);
-        }
-        Op::SumVerify(a) => {
-            buf.put_u8(7);
-            buf.put_u8(*a);
-        }
-        Op::SumCounts => buf.put_u8(8),
-        Op::CountVerifyComplement => buf.put_u8(9),
+impl Edges {
+    /// Whether one of these edges carries `msg`.
+    pub(crate) fn carries(self, msg: &Message) -> bool {
+        self.0 & msg.edges().0 != 0
     }
 }
 
-fn decode_op(buf: &mut &[u8]) -> Result<Op, WireError> {
-    Ok(match need(buf)? {
-        0 => Op::Psi,
-        1 => Op::PsiVerify,
-        2 => Op::Psu,
-        3 => Op::PsuVerify(need(buf)?),
-        4 => Op::Count,
-        5 => Op::CountVerify(need(buf)?),
-        6 => Op::Sum(need(buf)?),
-        7 => Op::SumVerify(need(buf)?),
-        8 => Op::SumCounts,
-        9 => Op::CountVerifyComplement,
-        t => return Err(WireError::BadTag(t)),
-    })
+impl std::ops::BitOr for Edges {
+    type Output = Edges;
+
+    fn bitor(self, other: Edges) -> Edges {
+        Edges(self.0 | other.0)
+    }
 }
 
-fn encode_tamper(t: &Tamper, buf: &mut impl Sink) {
-    match *t {
-        Tamper::Honest => buf.put_u8(0),
-        Tamper::SkipReplay { src } => {
-            buf.put_u8(1);
-            buf.put_u64_le(src as u64);
-        }
-        Tamper::ReplaceCell { src, dst } => {
-            buf.put_u8(2);
-            buf.put_u64_le(src as u64);
-            buf.put_u64_le(dst as u64);
-        }
-        Tamper::InjectFake { cell, seed } => {
-            buf.put_u8(3);
-            buf.put_u64_le(cell as u64);
-            buf.put_u64_le(seed);
-        }
-        Tamper::TruncateFrom { from } => {
-            buf.put_u8(4);
-            buf.put_u64_le(from as u64);
+impl std::fmt::Display for Edges {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut labels = (Edges::LABELS.iter())
+            .filter(|(edge, _)| self.0 & edge.0 != 0)
+            .map(|(_, label)| label);
+        match labels.next() {
+            None => write!(f, "no edge"),
+            Some(first) => {
+                write!(f, "the {first}")?;
+                labels.try_for_each(|label| write!(f, " or {label}"))?;
+                write!(f, " edge")
+            }
         }
     }
 }
 
-fn decode_tamper(buf: &mut &[u8]) -> Result<Tamper, WireError> {
-    Ok(match need(buf)? {
-        0 => Tamper::Honest,
-        1 => Tamper::SkipReplay {
-            src: need_u64(buf)? as usize,
-        },
-        2 => Tamper::ReplaceCell {
-            src: need_u64(buf)? as usize,
-            dst: need_u64(buf)? as usize,
-        },
-        3 => Tamper::InjectFake {
-            cell: need_u64(buf)? as usize,
-            seed: need_u64(buf)?,
-        },
-        4 => Tamper::TruncateFrom {
-            from: need_u64(buf)? as usize,
-        },
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-/// Where the one encoder writes: a frame buffer; [`Count`], which only
+/// Where the one encoder writes: a frame buffer, or [`Count`], which only
 /// adds up the bytes — how [`Message::encoded_len`] is derived, so a
-/// message's length is spelled once, by the code that writes it; or
-/// [`FirstByte`], which keeps only the tag ([`Message::wire_tag`]).
+/// message's length is spelled once, by the code that writes it.
 trait Sink: BufMut {
     /// Append `data`'s values little-endian (no length prefix).
     fn put_u64s(&mut self, data: &[u64]);
@@ -246,448 +184,506 @@ impl Sink for Count {
     }
 }
 
-/// A [`Sink`] that keeps only the first byte it is given.
-struct FirstByte(Option<u8>);
+/// One codec per field type: how a value is written, read back and
+/// checked, and what a sender does with it once it is written.
+trait Wire: Sized {
+    /// The fewest bytes an encoding takes. A list's count is checked
+    /// against it, and the bytes the frame has left, before anything is
+    /// allocated for the list.
+    const MIN_LEN: usize = 1;
+    /// Append the encoding.
+    fn put(&self, buf: &mut impl Sink);
+    /// Read one value, advancing `buf` past it.
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError>;
+    /// [`Wire::get`]'s verdict on a value it could hold but would refuse
+    /// to decode, without the bytes.
+    fn check(&self) -> Result<(), WireError> {
+        Ok(())
+    }
+    /// Hand the value's row buffers to the pool (anything else is freed).
+    fn to_pool(self) {}
+}
 
-impl BufMut for FirstByte {
-    fn put_slice(&mut self, src: &[u8]) {
-        if self.0.is_none() {
-            self.0 = src.first().copied();
+/// The fixed-width integers: the only reads of a frame's bytes, each
+/// behind its length check.
+macro_rules! wire_ints {
+    ($($int:ty: $put:ident, $get:ident;)*) => {$(
+        impl Wire for $int {
+            const MIN_LEN: usize = std::mem::size_of::<$int>();
+
+            fn put(&self, buf: &mut impl Sink) {
+                buf.$put(*self);
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+                if buf.remaining() < Self::MIN_LEN {
+                    return Err(WireError::Truncated);
+                }
+                Ok(buf.$get())
+            }
+        }
+    )*};
+}
+
+wire_ints! {
+    u8: put_u8, get_u8;
+    u32: put_u32_le, get_u32_le;
+    u64: put_u64_le, get_u64_le;
+}
+
+/// Row counts and cell indices travel as `u64`.
+impl Wire for usize {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, buf: &mut impl Sink) {
+        (*self as u64).put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(u64::get(buf)? as usize)
+    }
+}
+
+/// One byte, `0` or `1`: any other is refused, so a flag has one
+/// encoding.
+impl Wire for bool {
+    fn put(&self, buf: &mut impl Sink) {
+        u8::from(*self).put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        match u8::get(buf)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            t => Err(WireError::BadTag(t)),
         }
     }
 }
 
-impl Sink for FirstByte {
-    fn put_u64s(&mut self, _: &[u64]) {}
-}
-
-fn put_vec(buf: &mut impl Sink, data: &[u64]) {
-    buf.put_u64_le(data.len() as u64);
-    buf.put_u64s(data);
-}
-
-/// The row-buffer pool the decoder draws from lives in
-/// [`prism_protocol::pool`], shared with every other layer of the process.
-pub use prism_protocol::pool::{
-    recycle_vec, recycle_vecs, vec_pool_stats, VEC_POOL_MAX_BUFFER_BYTES, VEC_POOL_MAX_TOTAL_BYTES,
-};
-
-fn get_vec(buf: &mut &[u8]) -> Result<Vec<u64>, WireError> {
-    if buf.remaining() < 8 {
-        return Err(WireError::Truncated);
+/// A presence flag, then the value if present.
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, buf: &mut impl Sink) {
+        self.is_some().put(buf);
+        if let Some(value) = self {
+            value.put(buf);
+        }
     }
-    let len = buf.get_u64_le() as usize;
-    let nbytes = len.saturating_mul(8);
-    if buf.remaining() < nbytes {
-        return Err(WireError::Truncated);
-    }
-    // Length is validated above, so the payload can be split off as one
-    // borrowed slice and bulk-converted — no per-element cursor stepping,
-    // and the target buffer comes from the recycle pool when warm.
-    let (rows, rest) = buf.split_at(nbytes);
-    let mut out = pool::take_empty(len);
-    out.extend(
-        rows.chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
-    );
-    *buf = rest;
-    Ok(out)
-}
 
-fn put_vecs(buf: &mut impl Sink, data: &[Vec<u64>]) {
-    buf.put_u32_le(data.len() as u32);
-    for v in data {
-        put_vec(buf, v);
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Ok(match bool::get(buf)? {
+            true => Some(T::get(buf)?),
+            false => None,
+        })
     }
 }
 
-fn get_vecs(buf: &mut &[u8]) -> Result<Vec<Vec<u64>>, WireError> {
-    let n = need_u32(buf)? as usize;
-    let mut out = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        out.push(get_vec(buf)?);
+/// Pairs and triples: their items in order.
+macro_rules! wire_tuples {
+    ($(($($item:ident $at:tt),+))*) => {$(
+        impl<$($item: Wire),+> Wire for ($($item,)+) {
+            const MIN_LEN: usize = 0 $(+ $item::MIN_LEN)+;
+
+            fn put(&self, buf: &mut impl Sink) {
+                $(self.$at.put(buf);)+
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(($($item::get(buf)?,)+))
+            }
+
+            fn check(&self) -> Result<(), WireError> {
+                $(self.$at.check()?;)+
+                Ok(())
+            }
+
+            fn to_pool(self) {
+                $(self.$at.to_pool();)+
+            }
+        }
+    )*};
+}
+
+wire_tuples! { (A 0, B 1) (A 0, B 1, C 2) }
+
+/// A row vector: its `u64` length, then its values — written a 4 KiB
+/// block at a time, and read under one bounds check into a buffer from
+/// the pool.
+impl Wire for Vec<u64> {
+    const MIN_LEN: usize = 8;
+
+    fn put(&self, buf: &mut impl Sink) {
+        self.len().put(buf);
+        buf.put_u64s(self);
     }
-    Ok(out)
+
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let len = usize::get(buf)?;
+        let nbytes = len.saturating_mul(8);
+        if buf.remaining() < nbytes {
+            return Err(WireError::Truncated);
+        }
+        let (rows, rest) = buf.split_at(nbytes);
+        let mut out = pool::take_empty(len);
+        out.extend(
+            rows.chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+        );
+        *buf = rest;
+        Ok(out)
+    }
+
+    fn to_pool(self) {
+        pool::recycle_vec(self);
+    }
+}
+
+/// Lists: a count (`u32`, or `u64` for an announcement's index shares),
+/// then the items.
+macro_rules! wire_lists {
+    ($($count:ty: $($item:ty),+;)*) => {$($(
+        impl Wire for Vec<$item> {
+            const MIN_LEN: usize = <$count as Wire>::MIN_LEN;
+
+            fn put(&self, buf: &mut impl Sink) {
+                (self.len() as $count).put(buf);
+                self.iter().for_each(|item| item.put(buf));
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+                let n = <$count as Wire>::get(buf)? as usize;
+                // A count the frame cannot carry is refused before any
+                // allocation.
+                if buf.remaining() < n.saturating_mul(<$item as Wire>::MIN_LEN) {
+                    return Err(WireError::Truncated);
+                }
+                (0..n).try_fold(Vec::with_capacity(n), |mut items, _| {
+                    items.push(<$item as Wire>::get(buf)?);
+                    Ok(items)
+                })
+            }
+
+            fn check(&self) -> Result<(), WireError> {
+                self.iter().try_for_each(Wire::check)
+            }
+
+            fn to_pool(self) {
+                self.into_iter().for_each(Wire::to_pool);
+            }
+        }
+    )+)*};
+}
+
+wire_lists! {
+    u32: Vec<u64>, (Column, Vec<u64>), ColumnCut, Held, BatchItem, BlindedMaxUpload,
+        MaxAnnouncement, u32, (u64, u64, u64);
+    u64: (u64, u64);
+}
+
+/// A refusal's reason: UTF-8 bytes behind a `u32` length.
+impl Wire for String {
+    const MIN_LEN: usize = 4;
+
+    fn put(&self, buf: &mut impl Sink) {
+        (self.len() as u32).put(buf);
+        buf.put_slice(self.as_bytes());
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let n = u32::get(buf)? as usize;
+        let bytes = buf.get(..n).ok_or(WireError::Truncated)?;
+        let text = std::str::from_utf8(bytes)
+            .map_err(|_| WireError::Malformed("refusal reason is not UTF-8"))?
+            .to_owned();
+        buf.advance(n);
+        Ok(text)
+    }
 }
 
 /// Wide matrices ship as `width ‖ limbs`; the row count is implied
 /// (`limbs / width`), so the decoder *checks* divisibility rather than
 /// trusting a redundant field.
-fn put_widevec(buf: &mut impl Sink, wv: &WideVec) {
-    buf.put_u32_le(wv.width as u32);
-    put_vec(buf, &wv.data);
-}
+impl Wire for WideVec {
+    const MIN_LEN: usize = 12;
 
-fn get_widevec(buf: &mut &[u8]) -> Result<WideVec, WireError> {
-    let width = need_u32(buf)? as usize;
-    let data = get_vec(buf)?;
-    check_widevec(width, data.len())?;
-    Ok(WideVec { width, data })
-}
-
-/// The wide-matrix length invariant the decoder enforces.
-fn check_widevec(width: usize, limbs: usize) -> Result<(), WireError> {
-    if width == 0 && limbs != 0 {
-        return Err(WireError::Malformed("wide matrix with zero width"));
+    fn put(&self, buf: &mut impl Sink) {
+        (self.width as u32).put(buf);
+        self.data.put(buf);
     }
-    if width != 0 && limbs % width != 0 {
-        return Err(WireError::Malformed(
-            "wide matrix limb count not a multiple of its width",
-        ));
-    }
-    Ok(())
-}
 
-/// [`check_widevec`] over both of an announcement's matrices.
-fn check_announcement(a: &MaxAnnouncement) -> Result<(), WireError> {
-    check_widevec(a.max_shares_1.width, a.max_shares_1.data.len())?;
-    check_widevec(a.max_shares_2.width, a.max_shares_2.data.len())
-}
-
-fn put_announcement(buf: &mut impl Sink, a: &MaxAnnouncement) {
-    put_widevec(buf, &a.max_shares_1);
-    put_widevec(buf, &a.max_shares_2);
-    buf.put_u64_le(a.index_shares.len() as u64);
-    for &(x, y) in &a.index_shares {
-        buf.put_u64_le(x);
-        buf.put_u64_le(y);
-    }
-}
-
-fn get_announcement(buf: &mut &[u8]) -> Result<MaxAnnouncement, WireError> {
-    let max_shares_1 = get_widevec(buf)?;
-    let max_shares_2 = get_widevec(buf)?;
-    let n = need_u64(buf)? as usize;
-    if buf.remaining() < n.saturating_mul(16) {
-        return Err(WireError::Truncated);
-    }
-    let mut index_shares = Vec::with_capacity(n);
-    for _ in 0..n {
-        index_shares.push((need_u64(buf)?, need_u64(buf)?));
-    }
-    Ok(MaxAnnouncement {
-        max_shares_1,
-        max_shares_2,
-        index_shares,
-    })
-}
-
-fn encode_announcer_reply(reply: &AnnouncerReply, buf: &mut impl Sink) {
-    match reply {
-        AnnouncerReply::Max(a) => {
-            buf.put_u8(0);
-            put_announcement(buf, a);
-        }
-        AnnouncerReply::Median(m) => {
-            buf.put_u8(1);
-            buf.put_u32_le(m.middles.len() as u32);
-            for a in &m.middles {
-                put_announcement(buf, a);
-            }
-        }
-    }
-}
-
-fn decode_announcer_reply(buf: &mut &[u8]) -> Result<AnnouncerReply, WireError> {
-    Ok(match need(buf)? {
-        0 => AnnouncerReply::Max(get_announcement(buf)?),
-        1 => {
-            let n = need_u32(buf)? as usize;
-            let mut middles = Vec::with_capacity(n.min(16));
-            for _ in 0..n {
-                middles.push(get_announcement(buf)?);
-            }
-            AnnouncerReply::Median(MedianAnnouncement { middles })
-        }
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-fn encode_announcer_tamper(t: &AnnouncerTamper, buf: &mut impl Sink) {
-    match *t {
-        AnnouncerTamper::Honest => buf.put_u8(0),
-        AnnouncerTamper::AnnounceSlot(slot) => {
-            buf.put_u8(1);
-            buf.put_u64_le(slot as u64);
-        }
-        AnnouncerTamper::FakeValue { seed } => {
-            buf.put_u8(2);
-            buf.put_u64_le(seed);
-        }
-    }
-}
-
-fn decode_announcer_tamper(buf: &mut &[u8]) -> Result<AnnouncerTamper, WireError> {
-    Ok(match need(buf)? {
-        0 => AnnouncerTamper::Honest,
-        1 => AnnouncerTamper::AnnounceSlot(need_u64(buf)? as usize),
-        2 => AnnouncerTamper::FakeValue {
-            seed: need_u64(buf)?,
-        },
-        t => return Err(WireError::BadTag(t)),
-    })
-}
-
-/// Permutation extensions ship as raw destination maps (`u32` per row,
-/// length-prefixed) — the receiving node validates them through
-/// `Permutation::from_map`, so the wire only carries bytes.
-fn put_map(buf: &mut impl Sink, map: &[u32]) {
-    buf.put_u32_le(map.len() as u32);
-    for &d in map {
-        buf.put_u32_le(d);
-    }
-}
-
-fn get_map(buf: &mut &[u8]) -> Result<Vec<u32>, WireError> {
-    let n = need_u32(buf)? as usize;
-    if buf.remaining() < n.saturating_mul(4) {
-        return Err(WireError::Truncated);
-    }
-    (0..n).map(|_| need_u32(buf)).collect()
-}
-
-/// An upload's `(column, shares)` list: count, then each column tag and
-/// its length-prefixed values.
-fn put_columns(buf: &mut impl Sink, columns: &[(Column, Vec<u64>)]) {
-    buf.put_u32_le(columns.len() as u32);
-    for (column, data) in columns {
-        encode_column(column, buf);
-        put_vec(buf, data);
-    }
-}
-
-fn get_columns(buf: &mut &[u8]) -> Result<Vec<(Column, Vec<u64>)>, WireError> {
-    let n = need_u32(buf)? as usize;
-    let mut columns = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let column = decode_column(buf)?;
-        columns.push((column, get_vec(buf)?));
-    }
-    Ok(columns)
-}
-
-/// A restore's column cuts: count, then each column tag, its
-/// length-prefixed slice of the sum, and its `u32`-counted owner records
-/// (`rows`, `epoch`: two `u64`s each).
-fn put_cuts(buf: &mut impl Sink, cuts: &[ColumnCut]) {
-    buf.put_u32_le(cuts.len() as u32);
-    for cut in cuts {
-        encode_column(&cut.column, buf);
-        put_vec(buf, &cut.summed);
-        buf.put_u32_le(cut.held.len() as u32);
-        for held in &cut.held {
-            buf.put_u64_le(held.rows as u64);
-            buf.put_u64_le(held.epoch);
-        }
-    }
-}
-
-fn get_cuts(buf: &mut &[u8]) -> Result<Vec<ColumnCut>, WireError> {
-    let n = need_u32(buf)? as usize;
-    let mut cuts = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let column = decode_column(buf)?;
-        let summed = get_vec(buf)?;
-        // A count the frame cannot carry is refused before any allocation.
-        let owners = need_u32(buf)? as usize;
-        if buf.remaining() < owners.saturating_mul(16) {
-            return Err(WireError::Truncated);
-        }
-        let mut held = Vec::with_capacity(owners);
-        for _ in 0..owners {
-            let rows = need_u64(buf)? as usize;
-            held.push(Held {
-                rows,
-                epoch: need_u64(buf)?,
-            });
-        }
-        cuts.push(ColumnCut {
-            column,
-            summed,
-            held,
-        });
-    }
-    Ok(cuts)
-}
-
-/// A refusal's reason: UTF-8 bytes behind a `u32` length.
-fn put_text(buf: &mut impl Sink, text: &str) {
-    buf.put_u32_le(text.len() as u32);
-    buf.put_slice(text.as_bytes());
-}
-
-fn get_text(buf: &mut &[u8]) -> Result<String, WireError> {
-    let n = need_u32(buf)? as usize;
-    let bytes = buf.get(..n).ok_or(WireError::Truncated)?;
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| WireError::Malformed("refusal reason is not UTF-8"))?
-        .to_owned();
-    buf.advance(n);
-    Ok(text)
-}
-
-fn encode_batch(batch: &BatchQuery, buf: &mut impl Sink) {
-    buf.put_u32_le(batch.threads);
-    match batch.range {
-        None => buf.put_u8(0),
-        Some((start, len)) => {
-            buf.put_u8(1);
-            buf.put_u64_le(start);
-            buf.put_u64_le(len);
-        }
-    }
-    put_vecs(buf, &batch.zs);
-    buf.put_u32_le(batch.items.len() as u32);
-    for item in &batch.items {
-        encode_op(&item.op, buf);
-        match item.z {
-            None => buf.put_u8(0),
-            Some(i) => {
-                buf.put_u8(1);
-                buf.put_u8(i);
-            }
-        }
-    }
-}
-
-fn decode_batch(buf: &mut &[u8]) -> Result<BatchQuery, WireError> {
-    let threads = need_u32(buf)?;
-    let range = match need(buf)? {
-        0 => None,
-        1 => Some((need_u64(buf)?, need_u64(buf)?)),
-        t => return Err(WireError::BadTag(t)),
-    };
-    let zs = get_vecs(buf)?;
-    let n = need_u32(buf)? as usize;
-    let mut items = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let op = decode_op(buf)?;
-        let z = match need(buf)? {
-            0 => None,
-            1 => Some(need(buf)?),
-            t => return Err(WireError::BadTag(t)),
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        let width = u32::get(buf)? as usize;
+        let wide = WideVec {
+            width,
+            data: Wire::get(buf)?,
         };
-        items.push(BatchItem { op, z });
+        wide.check()?;
+        Ok(wide)
     }
-    Ok(BatchQuery {
-        zs,
-        items,
-        threads,
-        range,
-    })
+
+    fn check(&self) -> Result<(), WireError> {
+        match (self.width, self.data.len()) {
+            (0, 0) => Ok(()),
+            (0, _) => Err(WireError::Malformed("wide matrix with zero width")),
+            (width, limbs) if limbs % width != 0 => Err(WireError::Malformed(
+                "wide matrix limb count not a multiple of its width",
+            )),
+            _ => Ok(()),
+        }
+    }
 }
 
-/// Every message that can cross a PRISM link.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Message {
+/// Records: their fields in wire order.
+macro_rules! wire_structs {
+    ($($name:ident { $($field:ident: $ty:ty),+ })*) => {$(
+        impl Wire for $name {
+            const MIN_LEN: usize = 0 $(+ <$ty as Wire>::MIN_LEN)+;
+
+            fn put(&self, buf: &mut impl Sink) {
+                $(self.$field.put(buf);)+
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+                Ok($name { $($field: <$ty as Wire>::get(buf)?),+ })
+            }
+
+            fn check(&self) -> Result<(), WireError> {
+                $(self.$field.check()?;)+
+                Ok(())
+            }
+
+            fn to_pool(self) {
+                $(self.$field.to_pool();)+
+            }
+        }
+    )*};
+}
+
+wire_structs! {
+    BatchQuery { threads: u32, range: Option<(u64, u64)>, zs: Vec<Vec<u64>>, items: Vec<BatchItem> }
+    BatchItem { op: Op, z: Option<u8> }
+    ColumnCut { column: Column, summed: Vec<u64>, held: Vec<Held> }
+    Held { rows: usize, epoch: u64 }
+    BlindedMaxUpload { shares: WideVec }
+    MaxAnnouncement {
+        max_shares_1: WideVec,
+        max_shares_2: WideVec,
+        index_shares: Vec<(u64, u64)>
+    }
+    MedianAnnouncement { middles: Vec<MaxAnnouncement> }
+}
+
+/// Tagged unions: a tag byte, then the variant's fields in wire order.
+/// Each row is `tag => Variant`, with `(binding: Type)` for a tuple
+/// variant's one field or `{ field: Type, … }` for a struct variant's.
+macro_rules! wire_enums {
+    ($($name:ident {
+        $($tag:literal => $variant:ident
+            $(($one:ident: $one_ty:ty))?
+            $({ $($field:ident: $ty:ty),+ })?),+ $(,)?
+    })*) => {$(
+        impl Wire for $name {
+            fn put(&self, buf: &mut impl Sink) {
+                match self {
+                    $($name::$variant $(($one))? $({ $($field),+ })? => {
+                        buf.put_u8($tag);
+                        $($one.put(buf);)?
+                        $($($field.put(buf);)+)?
+                    })+
+                }
+            }
+
+            fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+                Ok(match u8::get(buf)? {
+                    $($tag => $name::$variant
+                        $((<$one_ty as Wire>::get(buf)?))?
+                        $({ $($field: <$ty as Wire>::get(buf)?),+ })?,)+
+                    t => return Err(WireError::BadTag(t)),
+                })
+            }
+
+            fn check(&self) -> Result<(), WireError> {
+                match self {
+                    $($name::$variant $(($one))? $({ $($field),+ })? => {
+                        $($one.check()?;)?
+                        $($($field.check()?;)+)?
+                        Ok(())
+                    })+
+                }
+            }
+        }
+    )*};
+}
+
+wire_enums! {
+    Column { 0 => Ok, 1 => VOk, 2 => OkDb1, 3 => OkDb2, 4 => Agg(attr: u8), 5 => VAgg(attr: u8), 6 => AOk }
+    Op {
+        0 => Psi, 1 => PsiVerify, 2 => Psu, 3 => PsuVerify(copy: u8), 4 => Count,
+        5 => CountVerify(copy: u8), 6 => Sum(attr: u8), 7 => SumVerify(attr: u8), 8 => SumCounts,
+        9 => CountVerifyComplement,
+    }
+    Tamper {
+        0 => Honest,
+        1 => SkipReplay { src: usize },
+        2 => ReplaceCell { src: usize, dst: usize },
+        3 => InjectFake { cell: usize, seed: u64 },
+        4 => TruncateFrom { from: usize },
+    }
+    AnnouncerTamper { 0 => Honest, 1 => AnnounceSlot(slot: usize), 2 => FakeValue { seed: u64 } }
+    AnnouncerCmd { 0 => FindMax, 1 => FindMedian }
+    AnnouncerReply { 0 => Max(max: MaxAnnouncement), 1 => Median(median: MedianAnnouncement) }
+    NodeRole { 0 => ShardWorker, 1 => AnnouncerCtl, 2 => AnnouncerUpload }
+}
+
+/// What a sender does with a message once its bytes are written:
+/// `pooled` hands the row buffers in its fields to the pool, `freed`
+/// drops them.
+macro_rules! after_send {
+    (pooled $($field:ident)*) => {{ $($field.to_pool();)* }};
+    (freed $($field:ident)*) => {{ $(let _ = $field;)* }};
+}
+
+/// The message table. Each row is `tag => Variant` and its fields in wire
+/// order (as for [`wire_enums`]), what a sender does with its buffers
+/// ([`after_send`]), and the edges that carry it — none for a reply,
+/// which only the requester's own wait admits.
+macro_rules! messages {
+    ($(
+        $(#[$doc:meta])*
+        $tag:literal => $variant:ident
+            $(($one:ident: $one_ty:ty))?
+            $({ $($(#[$field_doc:meta])* $field:ident: $ty:ty),+ $(,)? })?
+            $buffers:ident [$($edge:ident),*],
+    )*) => {
+        /// Every message that can cross a PRISM link.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Message {
+            $($(#[$doc])* $variant $(($one_ty))? $({ $($(#[$field_doc])* $field: $ty),+ })?,)*
+        }
+
+        wire_enums! {
+            Message { $($tag => $variant $(($one: $one_ty))? $({ $($field: $ty),+ })?),* }
+        }
+
+        /// Every tag the message table assigns, in table order. Any other
+        /// byte — the retired 0, 17 and 18 included — decodes as
+        /// [`WireError::BadTag`].
+        pub const TAGS: &[u8] = &[$($tag),*];
+
+        impl Message {
+            /// The edges that carry this message; none for a reply.
+            pub(crate) fn edges(&self) -> Edges {
+                match self {
+                    $(Message::$variant { .. } => Edges(0 $(| Edges::$edge.0)*),)*
+                }
+            }
+
+            /// The tag byte that opens the message's encoding.
+            pub(crate) fn wire_tag(&self) -> u8 {
+                match self {
+                    $(Message::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Hand the message's row buffers — a batch's `z`s, its
+            /// outputs, an upload's columns, a restore's sums — to the
+            /// pool: what a link does with a message it was given to send
+            /// once the bytes are written. A wide round's matrices and
+            /// claim tables are freed instead: the max and median kernels
+            /// allocate their own, so only a decoder would ever draw them
+            /// back, and pooled they would pile up beside the row buffers.
+            pub(crate) fn recycle(self) {
+                match self {
+                    $(Message::$variant $(($one))? $({ $($field),+ })? => {
+                        after_send!($buffers $($one)? $($($field)+)?)
+                    })*
+                }
+            }
+        }
+    };
+}
+
+messages! {
+    /// Phase 2: evaluate a batch of stored-column operations in one
+    /// round-trip (the engine's [`BatchQuery`], verbatim).
+    1 => RunBatch(batch: BatchQuery) pooled [OWNER_DOMAIN],
+    /// Phase 3: a server's per-item outputs for one [`Message::RunBatch`].
+    2 => Outputs(outputs: Vec<Vec<u64>>) pooled [],
+    /// Attach a tampering behaviour to the receiving server (tests: the
+    /// failure-injection matrix runs over the wire too).
+    3 => SetTamper(tamper: Tamper) freed [TEST_SERVER],
+    /// Acknowledgement (upload / tamper receipt). Also the announcer's
+    /// failure marker: an [`Message::AnnounceRun`] that cannot produce an
+    /// announcement (missing/crossed uploads, mismatched matrices) is
+    /// answered with `Ack`, which the owner surfaces as a protocol error.
+    4 => Ack freed [],
+    /// Orderly shutdown.
+    5 => Shutdown freed [OWNER_DOMAIN, ROUTER_WORKER, OWNER_ANNOUNCER],
     /// Phase 1: put any number of one owner's share columns at one server
     /// in a single round-trip (the upload-side mirror of
     /// [`Message::RunBatch`]) — usually the owner's whole per-server
     /// table. Answered with [`Message::Ack`], or [`Message::Refused`]
     /// when the owner already holds rows of a column.
-    BulkUpload {
+    6 => BulkUpload {
         /// Owner index.
         owner: u32,
         /// `(column, share values)` pairs, stored in order.
         columns: Vec<(Column, Vec<u64>)>,
-    },
-    /// Registry → worker, during a heal: restore the worker's whole row
-    /// range into its freshly rebuilt store in one write
-    /// (`ServerNode::restore`) — per column, the range's slice of the
-    /// owners' sum and each owner's rows and fold epoch, so an update
-    /// already folded in is refused if it arrives again. Answered with
-    /// [`Message::Ack`], or [`Message::Refused`] when the store was
-    /// written before or a column is malformed.
-    Replay {
-        /// The range's cut of every stored column kind.
-        columns: Vec<ColumnCut>,
-    },
-    /// Update: add one owner's whole-column difference shares at `epoch`,
-    /// which must be past each column's last. Answered with
-    /// [`Message::Ack`], or [`Message::Refused`] for a stale or repeated
-    /// epoch.
-    FoldUpload {
-        /// Owner index.
-        owner: u32,
-        /// The update's epoch.
-        epoch: u64,
-        /// `(column, difference shares)` pairs, folded all or nothing.
-        columns: Vec<(Column, Vec<u64>)>,
-    },
-    /// A server's answer to an upload it did not apply — its store is
-    /// unchanged — with the reason. The owner surfaces it as
-    /// [`crate::NetError::UploadRefused`].
-    Refused(String),
-    /// Phase 2: evaluate a batch of stored-column operations in one
-    /// round-trip (the engine's [`BatchQuery`], verbatim).
-    RunBatch(BatchQuery),
-    /// Phase 3: a server's per-item outputs for one [`Message::RunBatch`].
-    Outputs(Vec<Vec<u64>>),
+    } pooled [OWNER_DOMAIN, ROUTER_WORKER],
     /// Shard envelope, domain router → shard worker: evaluate a row-range
     /// sub-batch. The shard index is echoed in the reply so the router
     /// detects crossed links before merging rows.
-    ShardRun {
+    7 => ShardRun {
         /// Row-range shard index within the domain.
         shard: u32,
         /// The row-sliced sub-batch.
         batch: BatchQuery,
-    },
+    } pooled [ROUTER_WORKER],
     /// Shard envelope, worker → router: per-item outputs for one
     /// [`Message::ShardRun`], tagged with the answering shard.
-    ShardOutputs {
+    8 => ShardOutputs {
         /// Echoed shard index.
         shard: u32,
         /// Per-item row-range outputs.
         outputs: Vec<Vec<u64>>,
-    },
-    /// Attach a tampering behaviour to the receiving server (tests: the
-    /// failure-injection matrix runs over the wire too).
-    SetTamper(Tamper),
-    /// Acknowledgement (upload / tamper receipt). Also the announcer's
-    /// failure marker: an [`Message::AnnounceRun`] that cannot produce an
-    /// announcement (missing/crossed uploads, mismatched matrices) is
-    /// answered with `Ack`, which the owner surfaces as a protocol error.
-    Ack,
-    /// Orderly shutdown.
-    Shutdown,
+    } pooled [],
     /// Max/median round 2, owner → additive server: the owners' blinded
     /// wide uploads ([`ServerCmd::MaxCombine`](prism_protocol::engine::ServerCmd)
     /// verbatim). The server's combined matrix travels on its *own*
     /// server→announcer link — never back through the owner — and the
     /// owner receives only a [`Message::WideForwarded`] receipt.
-    MaxCombine {
-        /// One blinded upload per owner, in owner order.
-        uploads: Vec<BlindedMaxUpload>,
-        /// Worker threads the server should use.
-        threads: u32,
+    9 => MaxCombine {
         /// Wide-round sequence number (echoed in the `WideUpload` and the
         /// `WideForwarded` receipt, and quoted by the `AnnounceRun`) — what
         /// lets the announcer refuse stale or crossed uploads.
         seq: u64,
-    },
+        /// Worker threads the server should use.
+        threads: u32,
+        /// One blinded upload per owner, in owner order.
+        uploads: Vec<BlindedMaxUpload>,
+    } freed [OWNER_DOMAIN],
     /// Max round 3, owner → additive server: per-owner claim shares.
-    AssembleFpos {
+    10 => AssembleFpos {
         /// One claim vector per owner, in owner order.
         claims: Vec<Vec<u64>>,
-    },
+    } freed [OWNER_DOMAIN],
     /// Reply to [`Message::AssembleFpos`]: the claim-share table relayed
     /// owner-major — one column of `cells` shares per owner, in owner
     /// order.
-    Fpos(Vec<Vec<u64>>),
+    11 => Fpos(table: Vec<Vec<u64>>) freed [],
     /// Reply to [`Message::MaxCombine`]: the shape of the matrix the
     /// server forwarded to the announcer (`rows == 0` marks failure).
-    WideForwarded {
+    12 => WideForwarded {
         /// Rows of the forwarded matrix (`cells × m`).
         rows: u64,
         /// Limb width of the forwarded matrix.
         width: u32,
         /// Echoed wide-round sequence number.
         seq: u64,
-    },
+    } freed [],
     /// Additive server → announcer: the `PF`-permuted combined share
     /// matrix for the pending announcement, tagged with the sender so the
     /// announcer can detect crossed links.
-    WideUpload {
+    13 => WideUpload {
         /// Sending server (0 or 1).
         server: u32,
         /// Echoed wide-round sequence number (the announcer discards
@@ -695,21 +691,25 @@ pub enum Message {
         seq: u64,
         /// The combined `cells × m`-row share matrix.
         shares: WideVec,
-    },
+    } freed [SERVER_ANNOUNCER],
     /// Owner → announcer: act on the two staged server uploads.
-    AnnounceRun {
+    14 => AnnounceRun {
         /// What to announce (max or median).
         cmd: AnnouncerCmd,
         /// The wide round whose uploads to act on.
         seq: u64,
         /// Worker threads the announcer should use.
         threads: u32,
-    },
+    } freed [OWNER_ANNOUNCER],
     /// Announcer → owner: the announcement.
-    AnnounceReply(AnnouncerReply),
+    15 => AnnounceReply(reply: AnnouncerReply) freed [],
     /// Attach a tampering behaviour to the announcer (tests), over the
     /// owner↔announcer control link.
-    SetAnnouncerTamper(AnnouncerTamper),
+    16 => SetAnnouncerTamper(tamper: AnnouncerTamper) freed [TEST_ANNOUNCER],
+    // 17/18 carried the retired whole-store `VersionProbe`/`Version` pair
+    // (subsumed by 27/28), and 0 the retired single-column `Upload` (a
+    // one-column `BulkUpload` says the same). Reserved: never reassigned,
+    // so an old peer's message is a `BadTag`, not a misread.
     /// Query-tagged envelope: any message, stamped with the query it
     /// belongs to. The multiplexer (`crate::mux`) wraps every request of
     /// a concurrent query in one of these; the serving loop echoes the
@@ -718,26 +718,26 @@ pub enum Message {
     /// without ever pairing a reply with the wrong round. Envelopes
     /// never nest: a `Tagged` inside a `Tagged` is rejected as
     /// malformed.
-    Tagged {
+    19 => Tagged {
         /// The owning query's identifier (unique per cluster lifetime).
         query: u64,
         /// The payload message, verbatim.
         inner: Box<Message>,
-    },
+    } pooled [],
     /// Node → registry: first message on a freshly dialed connection,
     /// announcing what this connection is. The control plane's remote
     /// attach: workers and the announcer join a running cluster by
     /// address instead of being wired in at construction time.
-    Register {
+    20 => Register {
         /// What the connection carries.
         role: NodeRole,
         /// Which server domain (0..3) the node belongs to / uploads from.
         domain: u32,
-    },
+    } freed [TO_REGISTRY],
     /// Registry → node: the verdict on a [`Message::Register`], carrying
     /// the node id the registry will know it by and its initial row-range
     /// assignment.
-    RegisterAck {
+    21 => RegisterAck {
         /// Whether the registration was accepted.
         accepted: bool,
         /// Registry-assigned node id (stable for the node's lifetime).
@@ -746,34 +746,34 @@ pub enum Message {
         start: u64,
         /// Row count of the assigned shard range.
         len: u64,
-    },
+    } freed [],
     /// Registry → node: keep-alive probe.
-    Ping {
+    22 => Ping {
         /// Probe sequence number, echoed in the [`Message::Pong`].
         seq: u64,
-    },
+    } freed [REGISTRY_WORKER, OWNER_ANNOUNCER],
     /// Node → registry: keep-alive answer.
-    Pong {
+    23 => Pong {
         /// Echoed probe sequence number.
         seq: u64,
-    },
+    } freed [],
     /// Registry → worker, during a heal: reset the worker to an empty
     /// store over this shard row range (the upload log's replay follows)
     /// and answer with [`Message::Ack`].
-    Assign {
+    24 => Assign {
         /// First domain row of the range.
         start: u64,
         /// Row count of the range.
         len: u64,
-    },
+    } freed [REGISTRY_WORKER],
     /// Router → owner: a routed round failed because a shard worker's
     /// link is dead. Distinct from a tamper-shaped wrong answer — the
     /// owner maps this to [`crate::NetError::NodeDown`] so crash and
     /// corruption stay distinguishable.
-    NodeDown {
+    25 => NodeDown {
         /// Index of the dead worker within its domain.
         node: u64,
-    },
+    } freed [],
     /// Phase 1, incremental: append rows `[start, start + added)` to an
     /// owner's outsourced columns without re-uploading the prefix. When
     /// the delta grows the domain (`start == b`), the permutation
@@ -781,7 +781,7 @@ pub enum Message {
     /// finish permutations (empty maps mean identity blocks); existing
     /// rows, shard assignments and `row_offset`s are untouched, so only
     /// the appended range's version stamp moves.
-    DeltaUpload {
+    26 => DeltaUpload {
         /// Owner index.
         owner: u32,
         /// First global row of the appended range.
@@ -794,18 +794,79 @@ pub enum Message {
         /// `PF_s2` extension block as a raw destination map (empty =
         /// identity over the appended rows).
         pf_s2_ext: Vec<u32>,
-    },
+    } pooled [OWNER_DOMAIN, ROUTER_WORKER],
     /// Owner → server: probe the store's per-range version stamps
     /// ([`ServerCmd::RangeVersions`](prism_protocol::engine::ServerCmd)
     /// verbatim) — what the round cache validates range-scoped entries
     /// with. A sharded domain's router concatenates its workers' stamps
     /// in global row order.
-    RangeVersionProbe,
+    27 => RangeVersionProbe freed [OWNER_DOMAIN, ROUTER_WORKER],
     /// Server → owner: the store's `(start, len, version)` range stamps
     /// in global row coordinates, answering a
     /// [`Message::RangeVersionProbe`].
-    Versions(Vec<(u64, u64, u64)>),
+    28 => Versions(stamps: Vec<(u64, u64, u64)>) freed [],
+    /// Update: add one owner's whole-column difference shares at `epoch`,
+    /// which must be past each column's last. Answered with
+    /// [`Message::Ack`], or [`Message::Refused`] for a stale or repeated
+    /// epoch.
+    29 => FoldUpload {
+        /// Owner index.
+        owner: u32,
+        /// The update's epoch.
+        epoch: u64,
+        /// `(column, difference shares)` pairs, folded all or nothing.
+        columns: Vec<(Column, Vec<u64>)>,
+    } pooled [OWNER_DOMAIN, ROUTER_WORKER],
+    /// A server's answer to a request it did not apply — its store is
+    /// unchanged — with the reason. The owner surfaces a refused upload
+    /// as [`crate::NetError::UploadRefused`].
+    30 => Refused(why: String) freed [],
+    /// Registry → worker, during a heal: restore the worker's whole row
+    /// range into its freshly rebuilt store in one write
+    /// (`ServerNode::restore`) — per column, the range's slice of the
+    /// owners' sum and each owner's rows and fold epoch, so an update
+    /// already folded in is refused if it arrives again. Answered with
+    /// [`Message::Ack`], or [`Message::Refused`] when the store was
+    /// written before or a column is malformed.
+    31 => Replay {
+        /// The range's cut of every stored column kind.
+        columns: Vec<ColumnCut>,
+    } pooled [REGISTRY_WORKER],
 }
+
+/// The query envelope's payload: any message but another envelope.
+impl Wire for Box<Message> {
+    fn put(&self, buf: &mut impl Sink) {
+        // The payload writes directly into the envelope's buffer — no
+        // intermediate encode-then-copy.
+        (**self).put(buf);
+    }
+
+    fn get(buf: &mut &[u8]) -> Result<Self, WireError> {
+        // The envelope's own tag, read off the table once. A nested
+        // envelope is refused before its payload is read, so no frame can
+        // nest envelopes as deep as its length allows.
+        static ENVELOPE: OnceLock<u8> = OnceLock::new();
+        let envelope = *ENVELOPE.get_or_init(|| Message::Ack.tagged(0).wire_tag());
+        if buf.first() == Some(&envelope) {
+            return Err(NESTED);
+        }
+        Ok(Box::new(Message::get(buf)?))
+    }
+
+    fn check(&self) -> Result<(), WireError> {
+        if matches!(**self, Message::Tagged { .. }) {
+            return Err(NESTED);
+        }
+        (**self).check()
+    }
+
+    fn to_pool(self) {
+        (*self).recycle();
+    }
+}
+
+const NESTED: WireError = WireError::Malformed("nested query-tagged envelope");
 
 impl Message {
     /// Exact number of bytes [`Message::encode`] will produce: the
@@ -813,7 +874,7 @@ impl Message {
     /// multiplication each and nothing is serialized.
     pub fn encoded_len(&self) -> usize {
         let mut count = Count(0);
-        self.write_to(&mut count);
+        self.put(&mut count);
         count.0
     }
 
@@ -834,325 +895,12 @@ impl Message {
             !matches!(self, Message::Tagged { inner, .. } if matches!(**inner, Message::Tagged { .. })),
             "query envelopes never nest"
         );
-        self.write_to(buf);
-    }
-
-    fn write_to(&self, buf: &mut impl Sink) {
-        match self {
-            Message::RunBatch(batch) => {
-                buf.put_u8(1);
-                encode_batch(batch, buf);
-            }
-            Message::Outputs(outs) => {
-                buf.put_u8(2);
-                put_vecs(buf, outs);
-            }
-            Message::SetTamper(t) => {
-                buf.put_u8(3);
-                encode_tamper(t, buf);
-            }
-            Message::Ack => buf.put_u8(4),
-            Message::Shutdown => buf.put_u8(5),
-            Message::BulkUpload { owner, columns } => {
-                buf.put_u8(6);
-                buf.put_u32_le(*owner);
-                put_columns(buf, columns);
-            }
-            Message::Replay { columns } => {
-                buf.put_u8(31);
-                put_cuts(buf, columns);
-            }
-            Message::FoldUpload {
-                owner,
-                epoch,
-                columns,
-            } => {
-                buf.put_u8(29);
-                buf.put_u32_le(*owner);
-                buf.put_u64_le(*epoch);
-                put_columns(buf, columns);
-            }
-            Message::Refused(why) => {
-                buf.put_u8(30);
-                put_text(buf, why);
-            }
-            Message::ShardRun { shard, batch } => {
-                buf.put_u8(7);
-                buf.put_u32_le(*shard);
-                encode_batch(batch, buf);
-            }
-            Message::ShardOutputs { shard, outputs } => {
-                buf.put_u8(8);
-                buf.put_u32_le(*shard);
-                put_vecs(buf, outputs);
-            }
-            Message::MaxCombine {
-                uploads,
-                threads,
-                seq,
-            } => {
-                buf.put_u8(9);
-                buf.put_u64_le(*seq);
-                buf.put_u32_le(*threads);
-                buf.put_u32_le(uploads.len() as u32);
-                for u in uploads {
-                    put_widevec(buf, &u.shares);
-                }
-            }
-            Message::AssembleFpos { claims } => {
-                buf.put_u8(10);
-                put_vecs(buf, claims);
-            }
-            Message::Fpos(rows) => {
-                buf.put_u8(11);
-                put_vecs(buf, rows);
-            }
-            Message::WideForwarded { rows, width, seq } => {
-                buf.put_u8(12);
-                buf.put_u64_le(*rows);
-                buf.put_u32_le(*width);
-                buf.put_u64_le(*seq);
-            }
-            Message::WideUpload {
-                server,
-                seq,
-                shares,
-            } => {
-                buf.put_u8(13);
-                buf.put_u32_le(*server);
-                buf.put_u64_le(*seq);
-                put_widevec(buf, shares);
-            }
-            Message::AnnounceRun { cmd, seq, threads } => {
-                buf.put_u8(14);
-                buf.put_u8(match cmd {
-                    AnnouncerCmd::FindMax => 0,
-                    AnnouncerCmd::FindMedian => 1,
-                });
-                buf.put_u64_le(*seq);
-                buf.put_u32_le(*threads);
-            }
-            Message::AnnounceReply(reply) => {
-                buf.put_u8(15);
-                encode_announcer_reply(reply, buf);
-            }
-            Message::SetAnnouncerTamper(t) => {
-                buf.put_u8(16);
-                encode_announcer_tamper(t, buf);
-            }
-            Message::Tagged { query, inner } => {
-                buf.put_u8(19);
-                buf.put_u64_le(*query);
-                // The payload writes directly into the envelope's buffer —
-                // no intermediate encode-then-copy.
-                inner.write_to(buf);
-            }
-            Message::Register { role, domain } => {
-                buf.put_u8(20);
-                buf.put_u8(match role {
-                    NodeRole::ShardWorker => 0,
-                    NodeRole::AnnouncerCtl => 1,
-                    NodeRole::AnnouncerUpload => 2,
-                });
-                buf.put_u32_le(*domain);
-            }
-            Message::RegisterAck {
-                accepted,
-                node,
-                start,
-                len,
-            } => {
-                buf.put_u8(21);
-                buf.put_u8(u8::from(*accepted));
-                buf.put_u64_le(*node);
-                buf.put_u64_le(*start);
-                buf.put_u64_le(*len);
-            }
-            Message::Ping { seq } => {
-                buf.put_u8(22);
-                buf.put_u64_le(*seq);
-            }
-            Message::Pong { seq } => {
-                buf.put_u8(23);
-                buf.put_u64_le(*seq);
-            }
-            Message::Assign { start, len } => {
-                buf.put_u8(24);
-                buf.put_u64_le(*start);
-                buf.put_u64_le(*len);
-            }
-            Message::NodeDown { node } => {
-                buf.put_u8(25);
-                buf.put_u64_le(*node);
-            }
-            Message::DeltaUpload {
-                owner,
-                start,
-                columns,
-                pf_s1_ext,
-                pf_s2_ext,
-            } => {
-                buf.put_u8(26);
-                buf.put_u32_le(*owner);
-                buf.put_u64_le(*start);
-                put_columns(buf, columns);
-                put_map(buf, pf_s1_ext);
-                put_map(buf, pf_s2_ext);
-            }
-            Message::RangeVersionProbe => buf.put_u8(27),
-            Message::Versions(stamps) => {
-                buf.put_u8(28);
-                buf.put_u32_le(stamps.len() as u32);
-                for &(start, len, version) in stamps {
-                    buf.put_u64_le(start);
-                    buf.put_u64_le(len);
-                    buf.put_u64_le(version);
-                }
-            }
-        }
+        self.put(buf);
     }
 
     /// Decode from bytes.
     pub fn decode(mut buf: &[u8]) -> Result<Message, WireError> {
-        let buf = &mut buf;
-        Ok(match need(buf)? {
-            // 0 carried the retired single-column `Upload` (a one-column
-            // `BulkUpload` says the same). Reserved like 17/18 below.
-            1 => Message::RunBatch(decode_batch(buf)?),
-            2 => Message::Outputs(get_vecs(buf)?),
-            3 => Message::SetTamper(decode_tamper(buf)?),
-            4 => Message::Ack,
-            5 => Message::Shutdown,
-            6 => Message::BulkUpload {
-                owner: need_u32(buf)?,
-                columns: get_columns(buf)?,
-            },
-            7 => Message::ShardRun {
-                shard: need_u32(buf)?,
-                batch: decode_batch(buf)?,
-            },
-            8 => Message::ShardOutputs {
-                shard: need_u32(buf)?,
-                outputs: get_vecs(buf)?,
-            },
-            9 => {
-                let seq = need_u64(buf)?;
-                let threads = need_u32(buf)?;
-                let n = need_u32(buf)? as usize;
-                let mut uploads = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    uploads.push(BlindedMaxUpload {
-                        shares: get_widevec(buf)?,
-                    });
-                }
-                Message::MaxCombine {
-                    uploads,
-                    threads,
-                    seq,
-                }
-            }
-            10 => Message::AssembleFpos {
-                claims: get_vecs(buf)?,
-            },
-            11 => Message::Fpos(get_vecs(buf)?),
-            12 => Message::WideForwarded {
-                rows: need_u64(buf)?,
-                width: need_u32(buf)?,
-                seq: need_u64(buf)?,
-            },
-            13 => Message::WideUpload {
-                server: need_u32(buf)?,
-                seq: need_u64(buf)?,
-                shares: get_widevec(buf)?,
-            },
-            14 => {
-                let cmd = match need(buf)? {
-                    0 => AnnouncerCmd::FindMax,
-                    1 => AnnouncerCmd::FindMedian,
-                    t => return Err(WireError::BadTag(t)),
-                };
-                Message::AnnounceRun {
-                    cmd,
-                    seq: need_u64(buf)?,
-                    threads: need_u32(buf)?,
-                }
-            }
-            15 => Message::AnnounceReply(decode_announcer_reply(buf)?),
-            16 => Message::SetAnnouncerTamper(decode_announcer_tamper(buf)?),
-            // 17/18 carried the retired whole-store `VersionProbe`/`Version`
-            // pair (subsumed by 27/28). Reserved: never reassigned, so an
-            // old peer's probe is a `BadTag`, not a misread.
-            19 => {
-                let query = need_u64(buf)?;
-                if buf.first() == Some(&19) {
-                    return Err(WireError::Malformed("nested query-tagged envelope"));
-                }
-                Message::Tagged {
-                    query,
-                    inner: Box::new(Message::decode(buf)?),
-                }
-            }
-            20 => {
-                let role = match need(buf)? {
-                    0 => NodeRole::ShardWorker,
-                    1 => NodeRole::AnnouncerCtl,
-                    2 => NodeRole::AnnouncerUpload,
-                    t => return Err(WireError::BadTag(t)),
-                };
-                Message::Register {
-                    role,
-                    domain: need_u32(buf)?,
-                }
-            }
-            21 => Message::RegisterAck {
-                accepted: need(buf)? != 0,
-                node: need_u64(buf)?,
-                start: need_u64(buf)?,
-                len: need_u64(buf)?,
-            },
-            22 => Message::Ping {
-                seq: need_u64(buf)?,
-            },
-            23 => Message::Pong {
-                seq: need_u64(buf)?,
-            },
-            24 => Message::Assign {
-                start: need_u64(buf)?,
-                len: need_u64(buf)?,
-            },
-            25 => Message::NodeDown {
-                node: need_u64(buf)?,
-            },
-            26 => Message::DeltaUpload {
-                owner: need_u32(buf)?,
-                start: need_u64(buf)?,
-                columns: get_columns(buf)?,
-                pf_s1_ext: get_map(buf)?,
-                pf_s2_ext: get_map(buf)?,
-            },
-            27 => Message::RangeVersionProbe,
-            28 => {
-                let n = need_u32(buf)? as usize;
-                if buf.remaining() < n.saturating_mul(24) {
-                    return Err(WireError::Truncated);
-                }
-                let mut stamps = Vec::with_capacity(n);
-                for _ in 0..n {
-                    stamps.push((need_u64(buf)?, need_u64(buf)?, need_u64(buf)?));
-                }
-                Message::Versions(stamps)
-            }
-            29 => Message::FoldUpload {
-                owner: need_u32(buf)?,
-                epoch: need_u64(buf)?,
-                columns: get_columns(buf)?,
-            },
-            30 => Message::Refused(get_text(buf)?),
-            31 => Message::Replay {
-                columns: get_cuts(buf)?,
-            },
-            t => return Err(WireError::BadTag(t)),
-        })
+        Message::get(&mut buf)
     }
 
     /// The decoder's verdict on this message's encoding, without the
@@ -1161,51 +909,7 @@ impl Message {
     /// that is not a whole number of rows. In-process links check this in
     /// place and hand the message itself over.
     pub(crate) fn check_decodable(&self) -> Result<(), WireError> {
-        match self {
-            Message::Tagged { inner, .. } if matches!(**inner, Message::Tagged { .. }) => {
-                Err(WireError::Malformed("nested query-tagged envelope"))
-            }
-            Message::Tagged { inner, .. } => inner.check_decodable(),
-            Message::MaxCombine { uploads, .. } => (uploads.iter())
-                .try_for_each(|u| check_widevec(u.shares.width, u.shares.data.len())),
-            Message::WideUpload { shares, .. } => check_widevec(shares.width, shares.data.len()),
-            Message::AnnounceReply(AnnouncerReply::Max(a)) => check_announcement(a),
-            Message::AnnounceReply(AnnouncerReply::Median(m)) => {
-                m.middles.iter().try_for_each(check_announcement)
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Hand the message's row buffers — a batch's `z`s, its outputs, an
-    /// upload's columns — to the pool: what a link does with a message it
-    /// was given to send once the bytes are written. A wide round's
-    /// matrices and claim tables are freed instead: the max and median
-    /// kernels allocate their own, so only a decoder would ever draw them
-    /// back, and pooled they would pile up beside the row buffers.
-    pub(crate) fn recycle(self) {
-        match self {
-            Message::BulkUpload { columns, .. }
-            | Message::FoldUpload { columns, .. }
-            | Message::DeltaUpload { columns, .. } => {
-                recycle_vecs(columns.into_iter().map(|(_, data)| data))
-            }
-            Message::Replay { columns } => recycle_vecs(columns.into_iter().map(|c| c.summed)),
-            Message::RunBatch(batch) | Message::ShardRun { batch, .. } => recycle_vecs(batch.zs),
-            Message::Outputs(rows) | Message::ShardOutputs { outputs: rows, .. } => {
-                recycle_vecs(rows)
-            }
-            Message::Tagged { inner, .. } => inner.recycle(),
-            _ => {}
-        }
-    }
-
-    /// The tag byte that opens the message's encoding, without encoding
-    /// the rest.
-    pub(crate) fn wire_tag(&self) -> u8 {
-        let mut first = FirstByte(None);
-        self.write_to(&mut first);
-        first.0.unwrap_or_default()
+        self.check()
     }
 
     /// Wrap `self` in a query envelope (convenience for the serving loops
@@ -1431,6 +1135,20 @@ mod tests {
         roundtrip(Message::Pong { seq: 41 });
         roundtrip(Message::Assign { start: 10, len: 90 });
         roundtrip(Message::NodeDown { node: 3 });
+    }
+
+    #[test]
+    fn a_flag_has_one_encoding() {
+        let mut ack = Message::RegisterAck {
+            accepted: true,
+            node: 1,
+            start: 2,
+            len: 3,
+        }
+        .encode()
+        .to_vec();
+        ack[1] = 2;
+        assert_eq!(Message::decode(&ack), Err(WireError::BadTag(2)));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The serving loops decode a fresh `Vec<u64>` per row vector on every
 //! round and drop it after the kernel ran — with the decode-side buffer
-//! pool (`wire::recycle_vec`), a warmed-up server instead reuses those
+//! pool (`prism_protocol::pool`), a warmed-up server instead reuses those
 //! buffers, so a steady-state decode touches the allocator only for O(1)
 //! bookkeeping (the outer vector and the message enum), never O(rows)
 //! or O(columns × rows). A counting global allocator pins that bound so
@@ -28,11 +28,11 @@
 //! can allocate mid-measurement; each measurement takes the minimum over
 //! several reps to shrug off stray harness allocations.
 
-use prism_net::wire::recycle_vecs;
 use prism_net::{Column, Message, NetCluster};
 use prism_protocol::driver::{Cluster, ClusterConfig, OwnerInput};
 use prism_protocol::malicious::Tamper;
 use prism_protocol::plans::{self, QueryBatch};
+use prism_protocol::pool::recycle_vecs;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -353,7 +353,7 @@ fn warm_decode_draws_row_buffers_from_the_pool() {
     // buffer count, so a burst of huge frames cannot pin unbounded
     // memory behind the 64-slot limit.
     {
-        use prism_net::wire::{
+        use prism_protocol::pool::{
             recycle_vec, vec_pool_stats, VEC_POOL_MAX_BUFFER_BYTES, VEC_POOL_MAX_TOTAL_BYTES,
         };
 

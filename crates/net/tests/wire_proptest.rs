@@ -3,17 +3,19 @@
 //! streaming-append messages (`DeltaUpload`/`RangeVersionProbe`/
 //! `Versions`), the tamper-injection control messages, and the
 //! wide-share announcer envelopes (`MaxCombine`/`WideUpload`/
-//! `AnnounceRun`/`AnnounceReply`) — round-trips through encode → decode
-//! unchanged, every strict prefix of an encoding is rejected (all fields
-//! are length-prefixed or fixed-width, so truncation can never decode
-//! successfully), and arbitrary byte soup either fails to decode or
-//! decodes canonically (re-encoding reproduces the consumed prefix). A
-//! channel link, which hands messages over without the codec, delivers
-//! exactly what the codec would have, and a TCP link fed hostile frame
-//! lengths answers with the decoded message or a typed error.
+//! `AnnounceRun`/`AnnounceReply`) and the control plane's
+//! `Register`/`RegisterAck`/`Ping`/`Pong`/`NodeDown` — round-trips
+//! through encode → decode unchanged, every strict prefix of an encoding
+//! is rejected (all fields are length-prefixed or fixed-width, so
+//! truncation can never decode successfully), and arbitrary byte soup
+//! either fails to decode or decodes canonically (re-encoding reproduces
+//! the consumed prefix). A channel link, which hands messages over
+//! without the codec, delivers exactly what the codec would have, and a
+//! TCP link fed hostile frame lengths answers with the decoded message or
+//! a typed error.
 
 use prism_core::wide::WideVec;
-use prism_net::wire::{Column, Message, Op, WireError};
+use prism_net::wire::{Column, Message, NodeRole, Op, WireError, TAGS};
 use prism_net::{channel_pair, Link, NetError, TcpLink};
 use prism_protocol::engine::{
     AnnouncerCmd, AnnouncerReply, BatchItem, BatchQuery, ColumnCut, Held,
@@ -23,6 +25,7 @@ use prism_protocol::max::{BlindedMaxUpload, MaxAnnouncement};
 use prism_protocol::median::MedianAnnouncement;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 
@@ -138,7 +141,7 @@ fn build_message(
         // Exercise both the full-domain and the window-scoped encoding.
         range: (t_sel % 2 == 1).then_some((tx, ty)),
     };
-    match sel % 24 {
+    match sel % ARMS {
         0 => Message::BulkUpload {
             owner,
             columns: vec![(arb_column(col_sel, attr), data)],
@@ -265,7 +268,47 @@ fn build_message(
                 .collect(),
         ),
         22 => Message::Assign { start: tx, len: ty },
+        23 => Message::Register {
+            role: [
+                NodeRole::ShardWorker,
+                NodeRole::AnnouncerCtl,
+                NodeRole::AnnouncerUpload,
+            ][t_sel as usize % 3],
+            domain: owner,
+        },
+        24 => Message::RegisterAck {
+            accepted: t_sel % 2 == 1,
+            node: tx,
+            start: ty,
+            len: tx ^ ty,
+        },
+        25 => Message::Ping { seq: tx },
+        26 => Message::Pong { seq: ty },
+        27 => Message::NodeDown { node: tx },
         _ => Message::Shutdown,
+    }
+}
+
+/// Arms of [`build_message`]'s `sel`: one per tag of the message table
+/// but the query envelope's, which `tagged` builds around them.
+const ARMS: u8 = 29;
+
+/// The generator reaches every row of the message table: its arms and the
+/// query envelope put exactly the table's tags on the wire, and the
+/// retired tags 0, 17 and 18 stay outside it, refused as `BadTag`.
+#[test]
+fn the_generator_covers_every_tag_of_the_table() {
+    let mut generated: BTreeSet<u8> = (0..ARMS)
+        .map(|sel| {
+            let msg = build_message(sel, 1, 0, 0, vec![], vec![], vec![], 1, 0, 0, 0);
+            msg.encode()[0]
+        })
+        .collect();
+    generated.insert(Message::Ack.tagged(0).encode()[0]);
+    assert_eq!(generated, TAGS.iter().copied().collect::<BTreeSet<u8>>());
+    for retired in [0u8, 17, 18] {
+        assert!(!TAGS.contains(&retired));
+        assert_eq!(Message::decode(&[retired]), Err(WireError::BadTag(retired)));
     }
 }
 

@@ -178,7 +178,31 @@ one_pool() {
     return "$status"
 }
 
-GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place sleep-free one-pool"
+# One message table: `crates/net/src/wire.rs` declares each message's tag,
+# fields, buffers and edges once and generates the codec from it. Fails if
+# its code above the tests pairs a variant with a tag byte by hand
+# (`N => Message::…`, `Message::… => N`, a `put_u8(N)`), or reads a
+# frame's bytes past the checked integer codecs (a bare `.get_u8(`,
+# `.get_u32_le(`, `.get_u64_le(`). Every serving loop admits only its own
+# edges (`router::recv_admitted`): also fails on an `other =>` or `_ =>`
+# arm in `node_loop`, `domain_loop`, `announcer_loop` or `handle_attach`,
+# which would serve or drop whatever else arrives.
+one_message_table() {
+    ! sed '/^#\[cfg(test)\]/q' crates/net/src/wire.rs | grep -nE \
+        '^[[:space:]]*[0-9]+[[:space:]]*=>.*Message|Message::[A-Za-z]+.*=>[[:space:]]*[0-9]|put_u8\([0-9]|\.get_u(8|16|32|64)(_le)?\(' |
+        sed 's|^|crates/net/src/wire.rs:|' | grep . || return 1
+    status=0
+    for site in router:node_loop router:domain_loop cluster:announcer_loop registry:handle_attach; do
+        f=crates/net/src/${site%%:*}.rs
+        awk -v fn="fn ${site#*:}\\(" -v f="$f" '
+            $0 ~ fn { inside = 1 }
+            inside && /(^|[^[:alnum:]_])(other|_)[[:space:]]*=>/ { print f ":" NR ":" $0 }
+            inside && /^}/ { inside = 0 }' "$f" | grep . && status=1
+    done
+    return "$status"
+}
+
+GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place sleep-free one-pool one-message-table"
 
 run() {
     case "$1" in
@@ -193,6 +217,7 @@ run() {
         append-in-place) append_in_place ;;
         sleep-free) sleep_free ;;
         one-pool) one_pool ;;
+        one-message-table) one_message_table ;;
         *)
             echo "usage: scripts/guards.sh <all | $(echo "$GUARDS" | tr ' ' '|')>" >&2
             exit 2
