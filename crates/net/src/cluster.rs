@@ -920,19 +920,19 @@ impl NetCluster {
         }
     }
 
-    /// Orderly shutdown; joins router, worker, and announcer threads.
+    /// Orderly shutdown: sends `Shutdown` on every link and joins every
+    /// router, worker and announcer thread, whatever fails on the way,
+    /// then answers the first failure.
     pub fn shutdown(mut self) -> Result<(), NetError> {
         // Stop the keep-alive prober and attach dispatcher first so
         // teardown-closed links are not mistaken for node deaths.
         self.registry.stop();
-        for link in &self.links {
-            link.send_raw(Message::Shutdown)?;
-        }
-        self.announcer_link.send_raw(Message::Shutdown)?;
-        for h in self.handles.drain(..) {
-            h.join().map_err(|_| NetError::Disconnected)??;
-        }
-        Ok(())
+        let links = self.links.iter().chain([&self.announcer_link]);
+        let sent: Vec<_> = links.map(|l| l.send_raw(Message::Shutdown)).collect();
+        let joined: Vec<_> = (self.handles.drain(..))
+            .map(|h| h.join().map_err(|_| NetError::Disconnected)?)
+            .collect();
+        sent.into_iter().chain(joined).collect()
     }
 }
 

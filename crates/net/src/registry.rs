@@ -718,7 +718,7 @@ impl ClusterListener {
         let mut this = ClusterListener::empty(setup, shards, cfg, addr, channel_links);
         for domain in &this.inner.domains {
             let mut st = domain.write();
-            st.log = Some(ReplayLog::new(&st.params));
+            st.log = Some(ReplayLog::new(st.domain.params()));
         }
         let inner = Arc::clone(&this.inner);
         this.dispatcher = Some(std::thread::spawn(move || dispatcher_loop(inner, listener)));
@@ -743,7 +743,7 @@ impl ClusterListener {
         for (d, shared) in inner.domains.iter().enumerate() {
             let (specs, routerless) = {
                 let st = shared.read();
-                (st.plan.specs().to_vec(), st.routerless())
+                (st.domain.plan().specs().to_vec(), st.routerless())
             };
             let announcer = inner.announcer_uploads.lock().get(d).cloned().flatten();
             for spec in specs {
@@ -833,7 +833,10 @@ impl ClusterListener {
             let (inner, announcer) = (Arc::clone(&inner), Arc::clone(&announcer_link));
             std::thread::spawn(move || prober_loop(inner, announcer))
         });
-        let shards = inner.domains.iter().map(|d| d.read().plan.shard_count());
+        let shards = inner
+            .domains
+            .iter()
+            .map(|d| d.read().domain.plan().shard_count());
         let shards = shards.max().unwrap_or(1);
         let registry = NodeRegistry {
             inner,
@@ -985,7 +988,8 @@ fn handle_attach(inner: &Arc<RegistryInner>, stream: TcpStream, place: Handshake
             // Ack with a provisional whole-domain range as the slot is
             // taken; the re-fan below assigns the real range before any
             // query can route here.
-            let ack = |node, st: &DomainState| register_ack(&link, Some(node), st.params.b);
+            let ack =
+                |node, st: &DomainState| register_ack(&link, Some(node), st.domain.params().b);
             let Some(worker) = take_slot(inner, d, Arc::clone(&link) as _, 0, ack) else {
                 // A full domain (or an ack that could not be sent).
                 return reject(&link);
@@ -1079,9 +1083,9 @@ fn refan(inner: &Arc<RegistryInner>, d: usize) -> usize {
             inner.log(ControlEvent::DomainOffline(d));
             return 0;
         }
-        let ranges = ShardPlan::ranges_for(st.workers.len(), st.rf, st.params.b);
-        st.plan = ShardPlan::new(st.params.b, ranges);
-        for (r, holders) in st.plan.replica_sets(st.workers.len()).iter().enumerate() {
+        let ranges = ShardPlan::ranges_for(st.workers.len(), st.rf, st.domain.params().b);
+        st.domain.replan(ranges);
+        for (r, holders) in (st.domain.plan().replica_sets(st.workers.len()).iter()).enumerate() {
             for &w in holders {
                 st.workers[w].range = r;
             }
@@ -1138,7 +1142,7 @@ fn heal_fan(
     let corr = inner.fresh_corr();
     let mut pendings = Vec::with_capacity(st.workers.len());
     for (i, slot) in st.workers.iter().enumerate() {
-        let msg = mk(&st.plan.specs()[slot.range]);
+        let msg = mk(&st.domain.plan().specs()[slot.range]);
         let p = slot.link.begin(corr).map_err(|_| i)?;
         slot.link.send(corr, msg).map_err(|_| i)?;
         pendings.push((i, p));
@@ -1529,7 +1533,7 @@ mod tests {
         let (mut nodes, mut meters) = (Vec::new(), Vec::new());
         for w in 0..4 {
             let range = w % 2;
-            let spec = inner.domains[0].read().plan.specs()[range];
+            let spec = inner.domains[0].read().domain.plan().specs()[range];
             let (router_side, worker_side) = channel_links().expect("a channel pair");
             meters.push([router_side.stats(), worker_side.stats()]);
             let link = Arc::from(worker_side);

@@ -20,7 +20,7 @@ use crate::executor::RoundExecutor;
 use crate::mux::{MuxLink, Pending};
 use crate::registry::Health;
 use crate::transport::{Link, NetError};
-use crate::wire::{Column, Edges, Message};
+use crate::wire::{Edges, Message};
 use parking_lot::RwLock;
 use prism_core::Permutation;
 use prism_protocol::engine::{BatchQuery, ReplayLog, ServerCmd, ServerNode, ServerReply};
@@ -28,7 +28,7 @@ use prism_protocol::malicious::Tamper;
 use prism_protocol::metrics::Metrics;
 use prism_protocol::params::ServerParams;
 use prism_protocol::pool;
-use prism_protocol::shard::{merge_shard_outputs, shard_server_params, ShardPlan, ShardSpec};
+use prism_protocol::shard::{merge_shard_outputs, shard_server_params, Columns, Domain, ShardSpec};
 use prism_protocol::ProtocolError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -460,14 +460,15 @@ impl WorkerSlot {
 /// runs entirely before or entirely after a heal — never against a
 /// half-replayed store.
 pub(crate) struct DomainState {
-    pub(crate) params: ServerParams,
+    /// The domain's parameters and row plan, and the rules every upload
+    /// is cut, fold-checked and grown by.
+    pub(crate) domain: Domain,
     /// Configured worker ceiling (`ranges × rf`); attaches beyond it
     /// are rejected.
     pub(crate) target: usize,
     /// Replication factor each row range is stored at (when enough
     /// workers are attached).
     pub(crate) rf: usize,
-    pub(crate) plan: ShardPlan,
     pub(crate) workers: Vec<WorkerSlot>,
     /// What the workers hold, for a heal to restore (elastic domains
     /// only: a fixed roster never heals). The router checks each upload
@@ -481,13 +482,12 @@ impl DomainState {
     /// A domain of (up to) `ranges` row ranges stored `rf` times each,
     /// with no workers yet.
     pub(crate) fn new(params: ServerParams, ranges: usize, rf: usize) -> DomainState {
-        let plan = ShardPlan::new(params.b, ranges);
+        let domain = Domain::new(params, ranges);
         DomainState {
-            target: plan.shard_count() * rf,
+            target: domain.plan().shard_count() * rf,
             rf,
-            plan,
+            domain,
             workers: Vec::new(),
-            params,
             log: None,
         }
     }
@@ -507,38 +507,37 @@ impl DomainState {
     /// replay log). Its one node then holds the whole domain, sits
     /// straight behind the owner link and fronts the announcer edge.
     pub(crate) fn routerless(&self) -> bool {
-        self.log.is_none() && self.rf == 1 && self.plan.shard_count() == 1
+        self.log.is_none() && self.rf == 1 && self.domain.plan().shard_count() == 1
     }
 
     /// Refuses, as [`AckFail::Refused`], an upload the domain's replay log
-    /// (if it keeps one) would not take over the current `b` rows: the
-    /// log sees the whole domain, so it also catches a gap or overlap
-    /// across a range boundary that no single worker can see. A domain
-    /// with no worker left is down first, as [`fan_acked`] reports it.
+    /// would not take over the current `b` rows, checking `logged` — the
+    /// log's copy of it, kept iff the domain keeps a log: the log sees the
+    /// whole domain, so it also catches a gap or overlap across a range
+    /// boundary that no single worker can see. A domain with no worker
+    /// left is down first, as [`fan_acked`] reports it.
     fn check_log(
         &self,
-        check: impl FnOnce(&ReplayLog, usize) -> Result<(), ProtocolError>,
+        logged: Option<&Columns>,
+        check: impl FnOnce(&ReplayLog, &Columns, usize) -> Result<(), ProtocolError>,
     ) -> Result<(), AckFail> {
-        match &self.log {
-            Some(_) if self.workers.is_empty() => Err(AckFail::Down(NO_WORKERS)),
-            Some(log) => check(log, self.params.b).map_err(|e| match e {
-                ProtocolError::UploadRefused(why) => AckFail::Refused(why),
-                other => AckFail::Refused(other.to_string()),
-            }),
-            None => Ok(()),
+        match (&self.log, logged) {
+            (Some(_), _) if self.workers.is_empty() => Err(AckFail::Down(NO_WORKERS)),
+            (Some(log), Some(columns)) => Ok(check(log, columns, self.domain.params().b)?),
+            _ => Ok(()),
         }
     }
 
     /// True iff every range of the current plan still has at least one
     /// holder — the promotion precondition: no row range was lost.
     pub(crate) fn covered(&self) -> bool {
-        (0..self.plan.shard_count()).all(|r| self.holders_of(r).next().is_some())
+        (0..self.domain.plan().shard_count()).all(|r| self.holders_of(r).next().is_some())
     }
 
     /// Per-range holder *links*, primary first — the fan-out a route
     /// task snapshots under the read lock.
     fn holder_links(&self) -> Vec<Vec<Arc<MuxLink>>> {
-        (0..self.plan.shard_count())
+        (0..self.domain.plan().shard_count())
             .map(|r| {
                 self.holders_of(r)
                     .map(|i| Arc::clone(&self.workers[i].link))
@@ -559,6 +558,16 @@ const NO_WORKERS: u64 = u64::MAX;
 enum AckFail {
     Down(u64),
     Refused(String),
+}
+
+/// A refusal by the domain's rules, its replay log or a worker's node.
+impl From<ProtocolError> for AckFail {
+    fn from(e: ProtocolError) -> AckFail {
+        match e {
+            ProtocolError::UploadRefused(why) => AckFail::Refused(why),
+            other => AckFail::Refused(other.to_string()),
+        }
+    }
 }
 
 impl AckFail {
@@ -582,7 +591,7 @@ fn ack_of(reply: Result<Message, NetError>) -> Result<bool, AckFail> {
 }
 
 /// Fan an acked upload to **every holder** of every range: `wrap` of the
-/// range's cut of the columns ([`cut_columns`]), moved to the range's last
+/// range's cut of the columns ([`Domain::cut`]), moved to the range's last
 /// holder and cloned for the ones before it. The fan is tolerant
 /// per range: a holder whose link fails mid-upload is survivable as
 /// long as *some* holder of that range acked — link death is sticky, so
@@ -593,8 +602,8 @@ fn ack_of(reply: Result<Message, NetError>) -> Result<bool, AckFail> {
 fn fan_acked(
     st: &DomainState,
     corr: u64,
-    mut cuts: Vec<Vec<(Column, Vec<u64>)>>,
-    wrap: impl Fn(Vec<(Column, Vec<u64>)>) -> Message,
+    mut cuts: Vec<Columns>,
+    wrap: impl Fn(Columns) -> Message,
 ) -> Result<(), AckFail> {
     if st.workers.is_empty() {
         return Err(AckFail::Down(NO_WORKERS));
@@ -616,7 +625,7 @@ fn fan_acked(
             Err(_) => failed = i as u64,
         }
     }
-    let mut acked = vec![false; st.plan.shard_count()];
+    let mut acked = vec![false; st.domain.plan().shard_count()];
     let mut refused = None;
     for (i, p) in pendings {
         match ack_of(p.recv()) {
@@ -633,43 +642,6 @@ fn fan_acked(
         .all(|&a| a)
         .then_some(())
         .ok_or(AckFail::Down(failed))
-}
-
-/// Per range of `specs`, the rows of `columns` (global rows from 0) it
-/// holds, leaving out a column that does not reach it. The first range
-/// starts at row 0, so it keeps each column's own buffer, truncated; the
-/// others get pooled copies.
-fn cut_columns(
-    columns: Vec<(Column, Vec<u64>)>,
-    specs: &[ShardSpec],
-) -> Vec<Vec<(Column, Vec<u64>)>> {
-    let mut cuts = vec![Vec::new(); specs.len()];
-    for (c, mut data) in columns {
-        for (cut, spec) in cuts.iter_mut().zip(specs).skip(1) {
-            match data.get(spec.start..(spec.start + spec.len).min(data.len())) {
-                Some(part) if !part.is_empty() => cut.push((c, pool::copy_of(part))),
-                _ => {}
-            }
-        }
-        data.truncate(specs[0].len);
-        if !data.is_empty() {
-            cuts[0].push((c, data));
-        }
-    }
-    cuts
-}
-
-/// Refuses a whole-column upload with an empty column or one longer than
-/// the domain: a worker only sees its slice, so the router checks the
-/// rest.
-fn check_columns(columns: &[(Column, Vec<u64>)], b: usize) -> Result<(), AckFail> {
-    match columns.iter().find(|(_, d)| d.is_empty() || d.len() > b) {
-        Some((column, data)) => Err(AckFail::Refused(format!(
-            "{column:?} carries {} rows; the domain has {b}",
-            data.len()
-        ))),
-        None => Ok(()),
-    }
 }
 
 /// Outcome of a failed route: a link-level loss of every holder of one
@@ -730,14 +702,13 @@ fn fan_ranges<T>(
 /// the shard rows. A sub-batch is cloned only while a standby remains to
 /// retry it on; the last (at `rf = 1`, the only) holder gets it moved.
 fn route_batch(
-    plan: &ShardPlan,
-    params: &ServerParams,
+    domain: &Domain,
     tamper: &Tamper,
     mut batch: BatchQuery,
     holders: &[Vec<Arc<MuxLink>>],
     corr: u64,
 ) -> Result<Vec<Vec<u64>>, RouteFail> {
-    let mut subs = plan
+    let mut subs = (domain.plan())
         .split_batch(&mut batch)
         .map_err(|_| RouteFail::Malformed)?;
     let sub_batch = |r: usize, last: bool| {
@@ -754,99 +725,32 @@ fn route_batch(
         // Crossed or malformed reply from a live holder: tamper-shaped.
         _ => Err(RouteFail::Malformed),
     })?;
-    let merged = merge_shard_outputs(&per_shard, &batch, params, tamper);
+    let merged = merge_shard_outputs(&per_shard, &batch, domain.params(), tamper);
     // The shard rows were copied into the merged reply; their buffers go
     // back to the pool.
     pool::recycle_vecs(per_shard.into_iter().flatten());
     merged.map_err(|_| RouteFail::Malformed)
 }
 
-/// What a growing delta replaced in the domain state, to put back if the
-/// workers refuse it: the plan before the growth, whose length is the one
-/// the finish permutations are truncated back to.
-struct Ungrow {
-    plan: ShardPlan,
-}
-
-/// Validate a delta upload against the domain and, on growth, extend the
-/// shared plan and parameters by it. Returns the tail range the rows
-/// belong to and, after growth, what [`ungrow`] restores; a refusal for an
-/// empty or malformed delta (bad extension maps, a gap, a re-touch that
-/// does not end at the domain boundary).
-fn grow_domain(
-    st: &mut DomainState,
-    start: usize,
-    added: usize,
-    ext: Result<Option<(Permutation, Permutation)>, String>,
-) -> Result<(ShardSpec, Option<Ungrow>), String> {
-    let b = st.params.b;
-    let mut undo = None;
-    if added == 0 {
-        return Err("delta upload carries no rows".into());
-    }
-    if start == b {
-        // Growth: the router holds the domain's real finish
-        // permutations, so the extension blocks extend them here, in
-        // place; the worker set is fixed for the duration (write lock),
-        // so the last range always extends.
-        let (e1, e2) = ext?.unwrap_or_else(|| {
-            let identity = Permutation::identity(added);
-            (identity.clone(), identity)
-        });
-        if e1.len() != added || e2.len() != added {
-            return Err(format!(
-                "permutation extension covers {} rows, delta has {added}",
-                e1.len()
-            ));
-        }
-        let plan = st.plan.append(added, false);
-        undo = Some(Ungrow {
-            plan: std::mem::replace(&mut st.plan, plan),
-        });
-        st.params.pf_s1.extend_block(&e1);
-        st.params.pf_s2.extend_block(&e2);
-        st.params.b += added;
-    } else if start + added != b {
-        return Err(format!(
-            "delta rows [{start}, +{added}) neither append at the domain end {b} nor \
-             rewrite its latest epoch"
-        ));
-    }
-    let tail = *st.plan.specs().last().expect("plans are never empty");
-    if tail.start > start {
-        ungrow(st, undo);
-        return Err(format!(
-            "delta rows from {start} cross into an earlier range"
-        ));
-    }
-    Ok((tail, undo))
-}
-
-/// Put back what [`grow_domain`] grew (nothing for a latest-epoch write).
-fn ungrow(st: &mut DomainState, undo: Option<Ungrow>) {
-    if let Some(Ungrow { plan }) = undo {
-        let b = plan.domain();
-        st.params.pf_s1.truncate_block(b);
-        st.params.pf_s2.truncate_block(b);
-        (st.params.b, st.plan) = (b, plan);
-    }
-}
-
-/// Forward a delta upload (global row `start`) to every holder of the
-/// tail range `spec`, in that range's local coordinates and without the
-/// permutation extensions — workers extend by identity. The last holder
-/// gets the columns moved, not cloned. Like [`fan_acked`], one surviving
-/// ack suffices: a holder whose link failed is sticky-dead and will be
-/// reaped, never promoted into serving stale rows.
+/// Forward a delta upload (global row `start`) to every holder among
+/// `workers` of the tail range `spec`, in that range's local coordinates
+/// and without the permutation extensions — workers extend by identity.
+/// The last holder gets the columns moved, not cloned. Like
+/// [`fan_acked`], one surviving ack suffices: a holder whose link failed
+/// is sticky-dead and will be reaped, never promoted into serving stale
+/// rows.
 fn fan_delta(
-    st: &DomainState,
+    workers: &[WorkerSlot],
     corr: u64,
     spec: ShardSpec,
     owner: u32,
     start: usize,
-    mut columns: Vec<(Column, Vec<u64>)>,
+    mut columns: Columns,
 ) -> Result<(), AckFail> {
-    let holders: Vec<usize> = st.holders_of(spec.index).collect();
+    let holders: Vec<usize> = (workers.iter().enumerate())
+        .filter(|(_, w)| w.range == spec.index)
+        .map(|(i, _)| i)
+        .collect();
     let (mut acked, mut failed) = (false, NO_WORKERS);
     for (n, &i) in holders.iter().enumerate() {
         let columns = if n + 1 < holders.len() {
@@ -861,7 +765,7 @@ fn fan_delta(
             pf_s1_ext: Vec::new(),
             pf_s2_ext: Vec::new(),
         };
-        match ack_of(st.workers[i].link.request(corr, fwd))? {
+        match ack_of(workers[i].link.request(corr, fwd))? {
             true => acked = true,
             false => failed = i as u64,
         }
@@ -907,7 +811,13 @@ fn serve_route(
 /// is read from `shared` on every message, so a heal between two rounds
 /// re-routes the second. A worker-link failure answers the owner with
 /// [`Message::NodeDown`] (crash, not tamper) and keeps the router alive.
-/// Forwards `Shutdown` to the workers before exiting.
+/// However the loop ends — `Shutdown`, a lost owner link or an
+/// unadmitted message — it waits for its rounds in flight, then tells the
+/// workers to exit.
+///
+/// Every upload is cut, fold-checked and grown by the domain's rules
+/// ([`Domain`]), checked against the replay log if the domain keeps one,
+/// and fanned to the holders of the ranges it reaches.
 ///
 /// Wide (max/median) rounds never fan out: they are parameter-only — the
 /// owner-slot permutation `PF` and the wide width are identical on every
@@ -941,7 +851,7 @@ pub(crate) fn domain_loop(
         b: 0,
         pf_s1: Permutation::identity(0),
         pf_s2: Permutation::identity(0),
-        ..shared.read().params.clone()
+        ..shared.read().domain.params().clone()
     })));
     let tamper = Arc::new(RwLock::new(Tamper::Honest));
     let corr = AtomicU64::new(1 << 63);
@@ -952,18 +862,17 @@ pub(crate) fn domain_loop(
     };
     // Uploads hold the write lock across their fan: a query round never
     // sees half of one, and the log records only what the workers took.
-    loop {
+    let served = || loop {
         let (tag, msg) = recv_admitted(owner_link.as_ref(), edges)?;
         match msg {
             Message::BulkUpload { owner, columns } => {
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 let mut st = shared.write();
-                let outcome = check_columns(&columns, st.params.b).and_then(|()| {
-                    st.check_log(|log, b| log.check_put(owner as usize, 0, &columns, b))
-                });
                 let logged = st.log.is_some().then(|| columns.clone());
-                let outcome = outcome.and_then(|()| {
-                    let cuts = cut_columns(columns, st.plan.specs());
+                let outcome = (st.domain.cut(0, columns).map_err(AckFail::from)).and_then(|cuts| {
+                    st.check_log(logged.as_ref(), |log, columns, b| {
+                        log.check_put(owner as usize, 0, columns, b)
+                    })?;
                     fan_acked(&st, id, cuts, |columns| Message::BulkUpload {
                         owner,
                         columns,
@@ -982,26 +891,19 @@ pub(crate) fn domain_loop(
             } => {
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 let mut st = shared.write();
-                let b = st.params.b;
-                let outcome = match columns.iter().find(|(_, d)| d.len() != b) {
-                    Some((column, d)) => Err(AckFail::Refused(format!(
-                        "a fold of {} rows of {column:?} must cover the {b}-row domain",
-                        d.len()
-                    ))),
-                    None => {
-                        st.check_log(|log, b| log.check_fold(owner as usize, epoch, &columns, b))
-                    }
-                };
                 let logged = st.log.is_some().then(|| columns.clone());
-                let outcome = outcome.and_then(|()| {
-                    let cuts = cut_columns(columns, st.plan.specs());
-                    let wrap = |columns| Message::FoldUpload {
-                        owner,
-                        epoch,
-                        columns,
-                    };
-                    fan_acked(&st, id, cuts, wrap)
-                });
+                let outcome =
+                    (st.domain.cut_fold(columns).map_err(AckFail::from)).and_then(|cuts| {
+                        st.check_log(logged.as_ref(), |log, columns, b| {
+                            log.check_fold(owner as usize, epoch, columns, b)
+                        })?;
+                        let wrap = |columns| Message::FoldUpload {
+                            owner,
+                            epoch,
+                            columns,
+                        };
+                        fan_acked(&st, id, cuts, wrap)
+                    });
                 if let (Ok(()), Some(log), Some(columns)) = (&outcome, &mut st.log, logged) {
                     log.fold(owner as usize, epoch, columns);
                 }
@@ -1016,37 +918,31 @@ pub(crate) fn domain_loop(
                 pf_s2_ext,
             } => {
                 let start = start as usize;
-                let added = columns.first().map(|(_, d)| d.len()).unwrap_or(0);
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 // Growth mutates the shared plan/params the heal and every
                 // route read; a refused delta puts them back.
-                let mut st = shared.write();
-                let outcome = if st.workers.is_empty() {
-                    Err(AckFail::Down(NO_WORKERS))
-                } else {
-                    let ext = decode_perm_ext(pf_s1_ext, pf_s2_ext);
-                    match grow_domain(&mut st, start, added, ext) {
-                        Err(why) => Err(AckFail::Refused(why)),
-                        Ok((spec, undo)) => {
-                            let logged = st.log.is_some().then(|| columns.clone());
-                            let fanned = st
-                                .check_log(|log, b| {
-                                    log.check_put(owner as usize, start, &columns, b)
-                                })
-                                .and_then(|()| fan_delta(&st, id, spec, owner, start, columns));
-                            if fanned.is_err() {
-                                ungrow(&mut st, undo);
-                            }
-                            if let (Ok(()), Some(log), Some(columns)) =
-                                (&fanned, &mut st.log, logged)
-                            {
-                                log.put(owner as usize, start, columns);
-                            }
-                            fanned
-                        }
+                let mut guard = shared.write();
+                let st = &mut *guard;
+                let logged = st.log.is_some().then(|| columns.clone());
+                let outcome = match decode_perm_ext(pf_s1_ext, pf_s2_ext) {
+                    _ if st.workers.is_empty() => Err(AckFail::Down(NO_WORKERS)),
+                    Err(why) => Err(AckFail::Refused(why)),
+                    Ok(ext) => {
+                        let (log, workers) = (&st.log, &st.workers);
+                        let ext = ext.as_ref().map(|(e1, e2)| (e1, e2));
+                        st.domain
+                            .delta(start, columns, ext, |grown, tail, columns| {
+                                if let Some(log) = log {
+                                    log.check_put(owner as usize, start, &columns, grown.b)?;
+                                }
+                                fan_delta(workers, id, tail, owner, start, columns)
+                            })
                     }
                 };
-                drop(st);
+                if let (Ok(()), Some(log), Some(columns)) = (&outcome, &mut st.log, logged) {
+                    log.put(owner as usize, start, columns);
+                }
+                drop(guard);
                 acked(tag, outcome)?;
             }
             Message::SetTamper(t) => {
@@ -1058,8 +954,7 @@ pub(crate) fn domain_loop(
                 let id = corr.fetch_add(1, Ordering::Relaxed);
                 serve_route(&rounds, &shared, &owner_link, tag, move |st| {
                     let holders = st.holder_links();
-                    route_batch(&st.plan, &st.params, &tamper_now, batch, &holders, id)
-                        .map(Message::Outputs)
+                    route_batch(&st.domain, &tamper_now, batch, &holders, id).map(Message::Outputs)
                 });
             }
             Message::RangeVersionProbe => {
@@ -1080,15 +975,7 @@ pub(crate) fn domain_loop(
                 let cmd = ServerCmd::AssembleFpos { claims };
                 serve_wide(&rounds, &wide_node, cmd, 0, tag, &owner_link, &announcer);
             }
-            Message::Shutdown => {
-                // Route tasks still in flight need their shard replies;
-                // wait for them before telling the workers to exit.
-                rounds.shutdown();
-                for w in shared.read().workers.iter() {
-                    let _ = w.link.send_raw(Message::Shutdown);
-                }
-                return Ok(());
-            }
+            Message::Shutdown => return Ok(()),
             Message::Replay { .. }
             | Message::Outputs(_)
             | Message::ShardRun { .. }
@@ -1110,7 +997,15 @@ pub(crate) fn domain_loop(
             | Message::Versions(_)
             | Message::Refused(_) => unreachable!("not carried on {edges}: refused on receipt"),
         }
+    };
+    let ended = served();
+    // Route tasks still in flight need their shard replies: wait for them
+    // before telling the workers to exit.
+    rounds.shutdown();
+    for w in shared.read().workers.iter() {
+        let _ = w.link.send_raw(Message::Shutdown);
     }
+    ended
 }
 
 /// Every range's version stamps, from its primary (replica fallback on
@@ -1137,7 +1032,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::cluster::announcer_loop;
     use crate::transport::channel_pair;
-    use crate::wire::{Op, TAGS};
+    use crate::wire::{Column, Op, TAGS};
     use prism_protocol::engine::BatchItem;
     use prism_protocol::params::{Initiator, Setup, SystemConfig, ADDITIVE_SERVERS};
     use std::time::Duration;
@@ -1158,7 +1053,7 @@ pub(crate) mod tests {
             WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_w0), 0, None),
             WorkerSlot::new(1, "d0/w1".into(), Arc::new(to_w1), 1, None),
         ];
-        let (spec0, b) = (domain.plan.specs()[0], params.b);
+        let (spec0, b) = (domain.domain.plan().specs()[0], params.b);
         let worker = std::thread::spawn(move || {
             node_loop(params, Arc::new(w0), Some(spec0), Tamper::Honest, None)
         });
@@ -1201,7 +1096,7 @@ pub(crate) mod tests {
         let mut domain = DomainState::new(params.clone(), 1, 1);
         let (to_w0, w0) = channel_pair();
         domain.workers = vec![WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_w0), 0, None)];
-        let spec0 = domain.plan.specs()[0];
+        let spec0 = domain.domain.plan().specs()[0];
         let p = params.clone();
         let worker = std::thread::spawn(move || {
             node_loop(p, Arc::new(w0), Some(spec0), Tamper::Honest, None)
@@ -1244,6 +1139,7 @@ pub(crate) mod tests {
     /// its wire tag, instead of dropped: the query waiting on it fails
     /// rather than waits forever, and the loop serves on. An untagged one
     /// ends the loop with the typed error, and its peer sees the link close.
+    /// A router that ends so still stops its worker.
     #[test]
     fn a_tagged_request_a_loop_does_not_serve_is_refused() {
         let setup = Initiator::new(SystemConfig::new(2, 8).with_seed(5)).setup();
@@ -1251,15 +1147,13 @@ pub(crate) mod tests {
         let mut domain = DomainState::new(params.clone(), 1, 1);
         let (to_w0, w0) = channel_pair();
         domain.workers = vec![WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_w0), 0, None)];
-        let spec0 = domain.plan.specs()[0];
+        let spec0 = domain.domain.plan().specs()[0];
         let p = params.clone();
-        let worker = std::thread::spawn(move || {
-            node_loop(p, Arc::new(w0), Some(spec0), Tamper::Honest, None)
-        });
+        let worker =
+            spawn_reporting(move || node_loop(p, Arc::new(w0), Some(spec0), Tamper::Honest, None));
         let (routed, router_end) = channel_pair();
         let shared = Arc::new(RwLock::new(domain));
-        let routing = Arc::clone(&shared);
-        let router = std::thread::spawn(move || domain_loop(Arc::new(router_end), routing, None));
+        let router = std::thread::spawn(move || domain_loop(Arc::new(router_end), shared, None));
         let (direct, node_end) = channel_pair();
         let node = std::thread::spawn(move || {
             node_loop(params, Arc::new(node_end), None, Tamper::Honest, None)
@@ -1292,12 +1186,11 @@ pub(crate) mod tests {
             );
         }
         assert!(routed.recv().is_err() && direct.recv().is_err());
-        // The router's worker outlives it: stop it directly.
-        shared.read().workers[0]
-            .link
-            .send_raw(Message::Shutdown)
-            .unwrap();
-        worker.join().unwrap().expect("worker exits cleanly");
+        let stopped = worker.recv_timeout(DEADLINE);
+        assert!(
+            matches!(stopped, Ok(Ok(()))),
+            "the ended router's worker: {stopped:?} within {DEADLINE:?}"
+        );
     }
 
     /// An owner cannot reset a router-less domain's store: `Assign` rides
@@ -1470,9 +1363,8 @@ pub(crate) mod tests {
         peer: Arc<dyn Link>,
         edges: Edges,
         exit: Exit,
-        /// A router's domain and its worker's exit: the worker outlives an
-        /// ended router.
-        domain: Option<(Arc<RwLock<DomainState>>, Exit)>,
+        /// A router's worker's exit.
+        worker: Option<Exit>,
         /// The servers' ends of the announcer's upload links, held open.
         _uploads: Vec<Box<dyn Link>>,
     }
@@ -1487,7 +1379,7 @@ pub(crate) mod tests {
             };
             let (peer, end) = channel_pair();
             let end: Arc<dyn Link> = Arc::new(end);
-            let (mut domain, mut uploads) = (None, Vec::new());
+            let (mut worker, mut uploads) = (None, Vec::new());
             let tamper = Tamper::Honest;
             let (edges, exit) = match served {
                 Served::Front => (
@@ -1504,11 +1396,10 @@ pub(crate) mod tests {
                     let slot = WorkerSlot::new(0, "d0/w0".into(), Arc::new(to_worker), 0, None);
                     st.workers.push(slot);
                     let worker_end: Arc<dyn Link> = Arc::new(worker_end);
-                    let worker = spawn_reporting(move || {
+                    worker = Some(spawn_reporting(move || {
                         node_loop(params, worker_end, Some(whole), tamper, None)
-                    });
+                    }));
                     let shared = Arc::new(RwLock::new(st));
-                    domain = Some((Arc::clone(&shared), worker));
                     (
                         Edges::OWNER_DOMAIN | Edges::TEST_SERVER,
                         spawn_reporting(move || domain_loop(end, shared, None)),
@@ -1532,17 +1423,16 @@ pub(crate) mod tests {
                 peer: Arc::new(peer),
                 edges,
                 exit,
-                domain,
+                worker,
                 _uploads: uploads,
             }
         }
 
         /// Wait for the loop's exit, and for a router's worker's: a router
-        /// that shut down stopped it, one that ended did not.
+        /// stops it however the router ends.
         fn ended(self) -> Result<(), NetError> {
             let exit = self.exit.recv_timeout(DEADLINE);
-            if let Some((shared, worker)) = self.domain {
-                let _ = shared.read().workers[0].link.send_raw(Message::Shutdown);
+            if let Some(worker) = self.worker {
                 let stopped = worker.recv_timeout(DEADLINE);
                 assert!(matches!(stopped, Ok(Ok(()))), "worker: {stopped:?}");
             }

@@ -3,10 +3,12 @@
 //! fold, a second put, a re-sent append epoch and a delta whose
 //! permutation extension does not fit it each come back as the typed
 //! `UploadRefused` — and the cluster answers every operation afterwards
-//! exactly as one that never received them. So does a growing delta
-//! whose columns disagree in length: a router grows its domain for it,
-//! the workers refuse it, and the router truncates its finish
-//! permutations back before the next append grows them again.
+//! exactly as one that never received them. So do a growing delta whose
+//! columns disagree in length, which the domain's delta rule refuses
+//! before it grows anything, and a growing delta of columns its owner
+//! never put: the domain grows for it, the node or the workers refuse it,
+//! and the domain truncates its finish permutations back before the next
+//! append grows them again.
 
 use prism_net::{Column, NetCluster, NetError};
 use prism_protocol::driver::{Cluster, ClusterConfig, Deployment, OwnerInput};
@@ -84,17 +86,24 @@ fn refused_uploads_are_typed_errors_and_change_nothing() {
         ];
         for (link, mut net) in wires {
             let ctx = format!("{link}, shards = {shards}");
-            // A ragged growing delta: a router takes the growth from its
-            // first column, and its workers refuse the second.
+            // A ragged growing delta, refused by the delta rule, and one of
+            // columns owner 0 never put (nothing is stored yet), which the
+            // domain grows for and its node or workers refuse.
             let current = net.setup().clone();
             net.adopt_setup(current.grow(ADDED, 1, 5).unwrap());
             let ragged = vec![
                 (Column::Ok, vec![0; ADDED]),
                 (Column::OkDb1, vec![0; ADDED + 1]),
             ];
-            match net.delta_upload(0, 0, DOMAIN, ragged) {
-                Err(NetError::UploadRefused(why)) => assert!(!why.is_empty()),
-                other => panic!("{ctx}: a ragged growing delta answered {other:?}"),
+            let never_put = vec![
+                (Column::Ok, vec![0; ADDED]),
+                (Column::OkDb1, vec![0; ADDED]),
+            ];
+            for (what, delta) in [("a ragged", ragged), ("a never-put", never_put)] {
+                match net.delta_upload(0, 0, DOMAIN, delta) {
+                    Err(NetError::UploadRefused(why)) => assert!(!why.is_empty()),
+                    other => panic!("{ctx}: {what} growing delta answered {other:?}"),
+                }
             }
             net.adopt_setup(current);
             // Both clusters take the same update and append.

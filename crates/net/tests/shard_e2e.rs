@@ -186,12 +186,15 @@ fn one_facade_answers_identically_on_every_deployment() {
     assert_eq!(framed.collect::<Vec<_>>(), *tcp);
 }
 
-/// One router reached two ways: a fixed roster and the attach listener
-/// (rf = 1, the same row ranges), outsourced to identically and grown by
-/// one append, answer every operation bit-identically, in the same number
-/// of rounds and shard dispatches — before and after the append. Both
-/// count their shards from the domain plan, which clamps a request for
-/// more ranges than the domain has rows.
+/// One router reached two ways — a fixed roster and the attach listener
+/// (rf = 1, the same row ranges) — and the in-process sharded domain
+/// (`Cluster::build` at the same shard count), outsourced to identically
+/// and grown by one append, answer every operation bit-identically, in
+/// the same number of rounds and shard dispatches — before and after the
+/// append. All three count their shards from the domain plan, which
+/// clamps a request for more ranges than the domain has rows, and grow
+/// by extending its last range, even by an append of more rows than a
+/// range holds.
 #[test]
 fn static_and_attached_topologies_agree() {
     let delta = vec![
@@ -233,13 +236,17 @@ fn topologies_agree(
     assert_eq!(fixed.shards(), attached.shards());
     let over = |net| Cluster::over(net, &inputs(rows), cfg.clone()).unwrap();
     let mut clusters = [fixed, attached].map(over);
+    let mut in_process = Cluster::build(&inputs(rows), cfg.clone().with_shards(shards)).unwrap();
     assert_eq!(surface(&clusters[0]), surface(&clusters[1]));
+    assert_eq!(surface(&clusters[0]), surface(&in_process));
 
     for c in clusters.iter_mut() {
         c.append(ADDED, &inputs(delta)).unwrap();
     }
+    in_process.append(ADDED, &inputs(delta)).unwrap();
     let after = surface(&clusters[0]);
     assert_eq!(after, surface(&clusters[1]));
+    assert_eq!(after, surface(&in_process));
     assert!(after.iter().all(|(_, rounds, _)| *rounds > 0));
 
     clusters.into_iter().for_each(shut_down);

@@ -29,6 +29,7 @@ use crate::max::{self, BlindedMaxUpload, MaxAnnouncement};
 use crate::median::{self, MedianAnnouncement};
 use crate::metrics::{Counter, Counts, QueryTrace, Stage};
 use crate::params::{AnnouncerParams, OwnerParams, ServerParams, SHAMIR_SERVERS};
+use crate::shard::Domain;
 use crate::{chunk, pool, psi, psu, sum};
 use prism_core::arith::fold_canonical_mod;
 use prism_core::wide::WideVec;
@@ -943,7 +944,9 @@ pub(crate) fn refused(why: String) -> ProtocolError {
 /// between transports.
 #[derive(Debug)]
 pub struct ServerNode {
-    params: ServerParams,
+    /// The node's parameters under the domain write rules, over one
+    /// range: a delta grows them as it grows every domain.
+    domain: Domain,
     store: ColumnStore,
     tamper: Tamper,
     /// This node's slice of the PSU blinding stream, computed once per
@@ -961,7 +964,7 @@ impl ServerNode {
     pub fn new(params: ServerParams) -> ServerNode {
         ServerNode {
             store: ColumnStore::new(&params),
-            params,
+            domain: Domain::new(params, 1),
             tamper: Tamper::Honest,
             psu_rand: std::sync::OnceLock::new(),
             power_table: std::sync::OnceLock::new(),
@@ -970,16 +973,16 @@ impl ServerNode {
 
     fn psu_rand(&self) -> &[u64] {
         self.psu_rand
-            .get_or_init(|| psu::blinding_for(&self.params))
+            .get_or_init(|| psu::blinding_for(self.params()))
     }
 
     fn power_table(&self) -> &[u64] {
-        self.power_table.get_or_init(|| self.params.power_table())
+        self.power_table.get_or_init(|| self.params().power_table())
     }
 
     /// This node's role parameters.
     pub fn params(&self) -> &ServerParams {
-        &self.params
+        self.domain.params()
     }
 
     /// Attach a tampering behaviour (tests). Applied to the output of
@@ -1022,7 +1025,7 @@ impl ServerNode {
         start: usize,
         columns: &[(Column, Vec<u64>)],
     ) -> Result<()> {
-        self.store.check_put(owner, start, columns, self.params.b)
+        self.store.check_put(owner, start, columns, self.params().b)
     }
 
     /// Refuses what [`ServerNode::fold`] would refuse, changing nothing.
@@ -1032,7 +1035,8 @@ impl ServerNode {
         epoch: u64,
         columns: &[(Column, Vec<u64>)],
     ) -> Result<()> {
-        self.store.check_fold(owner, epoch, columns, self.params.b)
+        self.store
+            .check_fold(owner, epoch, columns, self.params().b)
     }
 
     /// Put `owner`'s shares of every listed column at local row `start`:
@@ -1049,7 +1053,7 @@ impl ServerNode {
     ) -> Result<()> {
         self.check_put(owner, start, &columns)?;
         self.store.put(owner, start, columns);
-        self.store.bump_all(self.params.b);
+        self.store.bump_all(self.params().b);
         Ok(())
     }
 
@@ -1065,7 +1069,7 @@ impl ServerNode {
     ) -> Result<()> {
         self.check_fold(owner, epoch, &columns)?;
         self.store.fold(owner, epoch, columns);
-        self.store.bump_all(self.params.b);
+        self.store.bump_all(self.params().b);
         Ok(())
     }
 
@@ -1078,14 +1082,16 @@ impl ServerNode {
     /// is malformed (see `ColumnStore::restore`). Bumps every version
     /// stamp.
     pub fn restore(&mut self, columns: Vec<ColumnCut>) -> Result<()> {
-        self.store.restore(columns, self.params.b)?;
-        self.store.bump_all(self.params.b);
+        let b = self.params().b;
+        self.store.restore(columns, b)?;
+        self.store.bump_all(b);
         Ok(())
     }
 
     /// Append one owner's delta segment (all its columns share one
     /// appended row range) starting at **local** row `start` — a put of
-    /// rows `[start, start + len)`, refused (store and domain unchanged)
+    /// rows `[start, start + len)`, taken by the domain's [delta
+    /// rule](Domain::delta) and refused (store and domain unchanged)
     /// unless it extends the rows the owner holds of every column.
     ///
     /// The first delta reaching past the current domain end grows the
@@ -1104,55 +1110,21 @@ impl ServerNode {
         columns: Vec<(Column, Vec<u64>)>,
         perm_ext: Option<(&Permutation, &Permutation)>,
     ) -> Result<()> {
-        let added = columns.first().map_or(0, |(_, data)| data.len());
-        if added == 0 || columns.iter().any(|(_, d)| d.len() != added) {
-            return Err(refused(
-                "delta upload columns must share one non-empty appended range".into(),
-            ));
-        }
-        let (b, end) = (self.params.b, start.saturating_add(added));
-        let mut grown = None;
-        if end > b {
-            // First delta of a new epoch: grow the domain. Appends must be
-            // contiguous — a gap would desynchronize the PSU blinding
-            // stream's global cell order.
-            if start != b {
-                return Err(refused(format!(
-                    "delta upload at rows [{start}, {end}) must append at the domain end {b}"
-                )));
-            }
-            grown = Some(match perm_ext {
-                Some((e1, e2)) if e1.len() != added || e2.len() != added => {
-                    return Err(refused(format!(
-                        "permutation extension blocks must cover the appended range \
-                         ({added} rows, got {} and {})",
-                        e1.len(),
-                        e2.len()
-                    )));
+        let b = self.params().b;
+        let (store, psu_rand) = (&mut self.store, &mut self.psu_rand);
+        self.domain
+            .delta(start, columns, perm_ext, |grown, _, columns| {
+                store.check_put(owner, start, &columns, grown.b)?;
+                store.put(owner, start, columns);
+                // The rows end at the domain end, grown or not.
+                store.bump_range(start as u64, (grown.b - start) as u64);
+                if grown.b != b {
+                    // The blinding slice covers [row_offset, row_offset + b)
+                    // and must be re-drawn at the new length.
+                    *psu_rand = std::sync::OnceLock::new();
                 }
-                Some((e1, e2)) => (e1.clone(), e2.clone()),
-                None => {
-                    let identity = Permutation::identity(added);
-                    (identity.clone(), identity)
-                }
-            });
-        } else if end != b {
-            return Err(refused(format!(
-                "delta upload rows [{start}, {end}) do not match the latest epoch (domain end {b})"
-            )));
-        }
-        self.store.check_put(owner, start, &columns, end)?;
-        if let Some((e1, e2)) = grown {
-            self.params.pf_s1.extend_block(&e1);
-            self.params.pf_s2.extend_block(&e2);
-            self.params.b = end;
-            // The blinding slice covers [row_offset, row_offset + b) and
-            // must be re-drawn at the new length.
-            self.psu_rand = std::sync::OnceLock::new();
-        }
-        self.store.put(owner, start, columns);
-        self.store.bump_range(start as u64, added as u64);
-        Ok(())
+                Ok(())
+            })
     }
 
     /// The node's monotonic store version (see `ColumnStore::version`).
@@ -1163,7 +1135,7 @@ impl ServerNode {
     /// The node's per-range version stamps in **global** row coordinates
     /// (the store's local epochs shifted by this node's `row_offset`).
     pub fn range_versions(&self) -> Vec<RangeVersion> {
-        let off = self.params.row_offset as u64;
+        let off = self.params().row_offset as u64;
         self.store
             .range_versions()
             .iter()
@@ -1188,7 +1160,7 @@ impl ServerNode {
         whole: bool,
         out: &mut [u64],
     ) -> Result<()> {
-        let sp = &self.params;
+        let sp = self.params();
         let rows = lo..lo + out.len();
         let summed = self
             .store
@@ -1221,16 +1193,16 @@ impl ServerNode {
         match cmd {
             ServerCmd::Run(batch) => Ok(ServerReply::Vectors(run_round(
                 std::slice::from_ref(self),
-                &self.params,
+                self.params(),
                 &self.tamper,
                 batch,
             )?)),
             ServerCmd::MaxCombine { uploads, threads } => Ok(ServerReply::Wide(
-                max::server_max_round_threads(uploads, &self.params, (*threads).max(1) as usize)?,
+                max::server_max_round_threads(uploads, self.params(), (*threads).max(1) as usize)?,
             )),
             ServerCmd::AssembleFpos { claims } => Ok(ServerReply::Fpos(max::server_assemble_fpos(
                 claims,
-                &self.params,
+                self.params(),
             )?)),
             ServerCmd::RangeVersions => Ok(ServerReply::Versions(self.range_versions())),
         }
@@ -1330,7 +1302,7 @@ pub(crate) fn run_round(
     let mut rest: Vec<&mut [u64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
     let mut at = 0;
     for (node, held) in nodes.iter().enumerate() {
-        let np = &held.params;
+        let np = held.params();
         let lo = start.max(np.row_offset);
         let hi = (start + len).min(np.row_offset + np.b);
         let (lo, n) = if lo < hi {
@@ -1610,13 +1582,13 @@ impl Announcer {
             AnnouncerCmd::FindMax => AnnouncerReply::Max(max::announcer_find_max_threads(
                 &from_s1,
                 &from_s2,
-                &self.params,
+                self.params(),
                 threads,
             )?),
             AnnouncerCmd::FindMedian => AnnouncerReply::Median(median::announcer_find_median(
                 &from_s1,
                 &from_s2,
-                &self.params,
+                self.params(),
             )?),
         };
         if !self.tamper.is_honest() {
@@ -2247,7 +2219,7 @@ mod tests {
             log.check_put(0, b, &appended, b + added).unwrap();
             log.put(0, b, appended);
 
-            let grown = plan.append(added, false);
+            let grown = plan.append(added);
             for (original, spec) in originals.iter_mut().zip(grown.specs()) {
                 let ctx = format!("{ranges} ranges, range {spec:?}");
                 let mut restored = ServerNode::new(shard_server_params(sp, spec));

@@ -9,6 +9,11 @@
 //! * [`ShardPlan`] is the row partition: contiguous ranges covering
 //!   `0..b`, the same for every column and every owner, so a global row
 //!   index means the same row at every layer.
+//! * [`Domain`] is a domain's rulebook for writes — its parameters and
+//!   its plan, with the cut, the fold check, the delta rule and growth
+//!   (with its undo) each written once. [`ServerNode`], [`ShardedNode`]
+//!   and the wire router (`prism_net::router`) all write through one, so
+//!   no deployment takes what another refuses.
 //! * [`shard_server_params`] derives a shard node's [`ServerParams`]:
 //!   `b` shrinks to the range length, `row_offset` keeps positional
 //!   streams (the PSU blinding PRG) aligned with the global cell order,
@@ -54,9 +59,8 @@ use prism_core::Permutation;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-/// One shard node's part of an upload: its index, the local row its rows
-/// start at, and its rows of every column that reaches it.
-type ShardPart = (usize, usize, Vec<(Column, Vec<u64>)>);
+/// Rows of share columns: what every upload carries.
+pub type Columns = Vec<(Column, Vec<u64>)>;
 
 /// One row-range shard: global rows `[start, start + len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -118,26 +122,13 @@ impl ShardPlan {
     }
 
     /// Grow the plan for a delta upload appending `added` rows at the
-    /// domain end: either the last shard's range extends (`open_new =
-    /// false` — what fixed-worker deployments must do) or a fresh shard
-    /// spec covering exactly the appended range opens (`open_new = true`).
-    /// Every existing spec keeps its `start` — and therefore every
-    /// existing shard node keeps its `row_offset` — so the PSU blinding
-    /// stream stays globally aligned without re-uploading a single row.
-    /// A zero-row append never opens a shard: every spec in a plan is
-    /// non-empty by construction, and an empty trailing shard would be a
-    /// node holding nothing.
-    pub fn append(&self, added: usize, open_new: bool) -> ShardPlan {
+    /// domain end: the last range extends. Every spec keeps its `start` —
+    /// and therefore every shard node keeps its `row_offset` — so the PSU
+    /// blinding stream stays globally aligned without re-uploading a
+    /// single row, and a fixed set of workers can hold the grown domain.
+    pub fn append(&self, added: usize) -> ShardPlan {
         let mut specs = self.specs.clone();
-        if open_new && added > 0 {
-            specs.push(ShardSpec {
-                index: specs.len(),
-                start: self.b,
-                len: added,
-            });
-        } else {
-            specs.last_mut().expect("plans are never empty").len += added;
-        }
+        specs.last_mut().expect("plans are never empty").len += added;
         ShardPlan {
             b: self.b + added,
             specs,
@@ -264,6 +255,157 @@ pub fn shard_server_params(sp: &ServerParams, spec: &ShardSpec) -> ServerParams 
     s
 }
 
+/// One server domain's write rules: its parameters — the domain length
+/// `b` and the finish permutations — and its row plan. A [`ServerNode`]
+/// holds one over a single range, a [`ShardedNode`] one over its shard
+/// nodes' ranges and the wire router one over its workers' ranges; each
+/// cuts, fold-checks and grows through it. What stays per deployment is
+/// how the cut reaches the ranges and who checks the rows an owner holds.
+#[derive(Debug)]
+pub struct Domain {
+    params: ServerParams,
+    plan: ShardPlan,
+}
+
+impl Domain {
+    /// The domain `params` describes, split into (up to) `ranges` row
+    /// ranges.
+    pub fn new(params: ServerParams, ranges: usize) -> Domain {
+        let plan = ShardPlan::new(params.b, ranges);
+        Domain { params, plan }
+    }
+
+    /// The domain's role parameters.
+    pub fn params(&self) -> &ServerParams {
+        &self.params
+    }
+
+    /// The row partition.
+    pub fn plan(&self) -> &ShardPlan {
+        &self.plan
+    }
+
+    /// Re-split the domain into (up to) `ranges` balanced row ranges.
+    pub fn replan(&mut self, ranges: usize) {
+        self.plan = ShardPlan::new(self.params.b, ranges);
+    }
+
+    /// The cut: `columns`, rows from global row `start` on, split by the
+    /// row plan into each range's rows of every column that reaches it
+    /// (indexed like the plan's specs). Refused unless every column is
+    /// non-empty and inside the domain. The first range a column reaches
+    /// keeps the column's own buffer, truncated; the others get pooled
+    /// copies.
+    pub fn cut(&self, start: usize, columns: Columns) -> Result<Vec<Columns>> {
+        let b = self.params.b;
+        if let Some((column, data)) =
+            (columns.iter()).find(|(_, d)| d.is_empty() || start.saturating_add(d.len()) > b)
+        {
+            return Err(refused(format!(
+                "{column:?} rows [{start}, +{}) are empty or run past the {b}-row domain",
+                data.len()
+            )));
+        }
+        let specs = self.plan.specs();
+        let mut cuts = vec![Vec::new(); specs.len()];
+        for (column, mut data) in columns {
+            let end = start + data.len();
+            let mut reached = (specs.iter()).filter(|s| s.start < end && start < s.start + s.len);
+            let first = *reached
+                .next()
+                .expect("rows inside the domain reach a range");
+            for s in reached {
+                let rows = s.start - start..(s.start + s.len).min(end) - start;
+                cuts[s.index].push((column, pool::copy_of(&data[rows])));
+            }
+            data.truncate(first.start + first.len - start);
+            cuts[first.index].push((column, data));
+        }
+        Ok(cuts)
+    }
+
+    /// The fold check, then the [cut](Domain::cut): a fold's difference
+    /// covers the whole domain.
+    pub fn cut_fold(&self, columns: Columns) -> Result<Vec<Columns>> {
+        let b = self.params.b;
+        if let Some((column, data)) = columns.iter().find(|(_, d)| d.len() != b) {
+            return Err(refused(format!(
+                "a fold of {} rows of {column:?} must cover the {b}-row domain",
+                data.len()
+            )));
+        }
+        self.cut(0, columns)
+    }
+
+    /// The delta rule, and growth with its undo: `columns`, rows from
+    /// global row `start` on, either append at the domain end `b` or
+    /// rewrite the latest epoch (end at `b` inside the tail range), and
+    /// all have the same, non-zero length. An append grows the domain —
+    /// the finish permutations block-diagonally by `ext` (identity blocks
+    /// when `None`), which must cover exactly the added rows, then `b`
+    /// and the plan's tail range — before `apply(params, tail, columns)`
+    /// stores the rows in the tail range; if `apply` refuses them, all
+    /// three shrink back. Nothing else in a server grows a domain.
+    pub fn delta<E: From<ProtocolError>>(
+        &mut self,
+        start: usize,
+        columns: Columns,
+        ext: Option<(&Permutation, &Permutation)>,
+        apply: impl FnOnce(&ServerParams, ShardSpec, Columns) -> std::result::Result<(), E>,
+    ) -> std::result::Result<(), E> {
+        let b = self.params.b;
+        let added = columns.first().map_or(0, |(_, data)| data.len());
+        if added == 0 || columns.iter().any(|(_, d)| d.len() != added) {
+            return Err(refused(
+                "delta upload columns must share one non-empty appended range".into(),
+            )
+            .into());
+        }
+        let tail = *self.plan.specs().last().expect("plans are never empty");
+        if start != b && (start.saturating_add(added) != b || start < tail.start) {
+            return Err(refused(format!(
+                "delta rows [{start}, +{added}) neither append at the domain end {b} nor \
+                 rewrite its latest epoch inside the tail range"
+            ))
+            .into());
+        }
+        if start != b {
+            return apply(&self.params, tail, columns);
+        }
+        let identity;
+        let (e1, e2) = match ext {
+            Some(ext) => ext,
+            None => {
+                identity = Permutation::identity(added);
+                (&identity, &identity)
+            }
+        };
+        if e1.len() != added || e2.len() != added {
+            return Err(refused(format!(
+                "permutation extension blocks must cover the appended range ({added} rows, \
+                 got {} and {})",
+                e1.len(),
+                e2.len()
+            ))
+            .into());
+        }
+        self.params.pf_s1.extend_block(e1);
+        self.params.pf_s2.extend_block(e2);
+        self.params.b += added;
+        let grown = self.plan.append(added);
+        let plan = std::mem::replace(&mut self.plan, grown);
+        let tail = *self.plan.specs().last().expect("plans are never empty");
+        let applied = apply(&self.params, tail, columns);
+        if applied.is_err() {
+            self.params.pf_s1.truncate_block(b);
+            self.params.pf_s2.truncate_block(b);
+            self.params.b = b;
+            self.plan = plan;
+        }
+        applied
+    }
+}
+
 /// Merge remote shards' batch outputs (the router's half of
 /// [`ShardPlan::split_batch`]) into the single per-server reply the
 /// plans expect: concatenate each item's shard rows back into global row
@@ -332,37 +474,33 @@ pub fn merge_shard_outputs(
 /// no stored columns — and run on shard 0's node verbatim.
 #[derive(Debug)]
 pub struct ShardedNode {
-    params: ServerParams,
+    domain: Domain,
     tamper: Tamper,
-    plan: ShardPlan,
     shards: Vec<ServerNode>,
 }
 
 impl ShardedNode {
     /// A domain with empty storage split into `shards` row ranges.
     pub fn new(params: ServerParams, shards: usize) -> ShardedNode {
-        let plan = ShardPlan::new(params.b, shards);
-        let nodes = plan
-            .specs()
-            .iter()
-            .map(|spec| ServerNode::new(shard_server_params(&params, spec)))
+        let domain = Domain::new(params, shards);
+        let shards = (domain.plan.specs().iter())
+            .map(|spec| ServerNode::new(shard_server_params(&domain.params, spec)))
             .collect();
         ShardedNode {
-            params,
+            domain,
             tamper: Tamper::Honest,
-            plan,
-            shards: nodes,
+            shards,
         }
     }
 
     /// This domain's (unsharded) role parameters.
     pub fn params(&self) -> &ServerParams {
-        &self.params
+        self.domain.params()
     }
 
     /// The row partition.
     pub fn plan(&self) -> &ShardPlan {
-        &self.plan
+        self.domain.plan()
     }
 
     /// Number of shard nodes.
@@ -385,14 +523,12 @@ impl ShardedNode {
     }
 
     /// Delta upload: append `columns` rows `[start, start + added)` to an
-    /// owner's outsourced columns. Growth (`start == b`) extends the
-    /// domain's finish permutations block-diagonally with `perm_ext`
-    /// (identity blocks when `None`) and re-plans the row partition —
-    /// opening a fresh shard when the delta is at least an average
-    /// shard's worth of rows, else extending the last shard — without
-    /// moving any existing shard's `row_offset`. A re-touch of the
-    /// latest epoch (`start + added == b`) routes straight to the owning
-    /// shard. Either way only the touched shard's range version moves —
+    /// owner's outsourced columns, by the domain's [delta
+    /// rule](Domain::delta). Growth (`start == b`) extends the domain's
+    /// finish permutations block-diagonally with `perm_ext` (identity
+    /// blocks when `None`) and the last shard's range, without moving any
+    /// shard's `row_offset`; a re-touch of the latest epoch lands in the
+    /// last shard too. Either way only that shard's range version moves —
     /// and only that shard's owner sums: the shard node puts the appended
     /// rows into each carried column's `Σ_j`; every other shard's sums
     /// stay as they are. A delta the shard refuses (a re-sent epoch, an
@@ -401,69 +537,15 @@ impl ShardedNode {
         &mut self,
         owner: usize,
         start: usize,
-        columns: Vec<(Column, Vec<u64>)>,
+        columns: Columns,
         perm_ext: Option<(&Permutation, &Permutation)>,
     ) -> Result<()> {
-        let added = columns.first().map_or(0, |(_, data)| data.len());
-        if added == 0 {
-            return Err(refused("delta upload carries no rows".into()));
-        }
         self.check_extends(owner, start, &columns)?;
-        let (b, end) = (self.params.b, start.saturating_add(added));
-        if end <= b {
-            if end != b {
-                return Err(refused(format!(
-                    "delta upload may only touch the latest epoch: start {start}, domain {b}"
-                )));
-            }
-            let spec = *self
-                .plan
-                .specs()
-                .iter()
-                .find(|s| s.start <= start && end <= s.start + s.len)
-                .ok_or_else(|| {
-                    refused(format!(
-                        "delta range [{start}, {end}) crosses a shard boundary"
-                    ))
-                })?;
-            return self.shards[spec.index].delta_upload(owner, start - spec.start, columns, None);
-        }
-        if start != b {
-            return Err(refused(format!(
-                "delta upload must append contiguously: start {start}, domain {b}"
-            )));
-        }
-        let (e1, e2) = match perm_ext {
-            Some((e1, e2)) => (e1.clone(), e2.clone()),
-            None => {
-                let identity = Permutation::identity(added);
-                (identity.clone(), identity)
-            }
-        };
-        if e1.len() != added || e2.len() != added {
-            return Err(refused(format!(
-                "permutation extension covers {} rows, delta has {added}",
-                e1.len()
-            )));
-        }
-        // The tail shard (or a fresh one) takes the rows first; the domain
-        // grows only once it has.
-        let open_new = added * self.plan.shard_count() >= b;
-        let plan = self.plan.append(added, open_new);
-        let spec = *plan.specs().last().expect("plans are never empty");
-        if open_new {
-            let mut node = ServerNode::new(shard_server_params(&self.params, &spec));
-            node.delta_upload(owner, 0, columns, None)?;
-            self.shards.push(node);
-        } else {
-            let tail = &mut self.shards[spec.index];
-            tail.delta_upload(owner, start - spec.start, columns, None)?;
-        }
-        self.params.pf_s1.extend_block(&e1);
-        self.params.pf_s2.extend_block(&e2);
-        self.params.b = end;
-        self.plan = plan;
-        Ok(())
+        let shards = &mut self.shards;
+        self.domain
+            .delta(start, columns, perm_ext, |_, tail, columns| {
+                shards[tail.index].delta_upload(owner, start - tail.start, columns, None)
+            })
     }
 
     /// Phase 1: put one owner's whole share column (see
@@ -504,50 +586,18 @@ impl ShardedNode {
         Ok(())
     }
 
-    /// `columns` (rows from global row `start` on, each inside the domain)
-    /// cut by the row plan: per shard its local start and its rows of
-    /// every column that reaches it.
-    fn cut(&self, start: usize, columns: Vec<(Column, Vec<u64>)>) -> Result<Vec<ShardPart>> {
-        let b = self.params.b;
-        if let Some((column, data)) = columns
-            .iter()
-            .find(|(_, d)| d.is_empty() || start.saturating_add(d.len()) > b)
-        {
-            return Err(refused(format!(
-                "{column:?} rows [{start}, +{}) are empty or run past the {b}-row domain",
-                data.len()
-            )));
-        }
-        let mut parts: Vec<ShardPart> = Vec::new();
-        for spec in self.plan.specs() {
-            let local = start.max(spec.start);
-            let cols: Vec<(Column, Vec<u64>)> = columns
-                .iter()
-                .filter_map(|(c, d)| {
-                    let hi = (start + d.len()).min(spec.start + spec.len);
-                    (local < hi).then(|| (*c, d[local - start..hi - start].to_vec()))
-                })
-                .collect();
-            if !cols.is_empty() {
-                parts.push((spec.index, local - spec.start, cols));
-            }
-        }
-        Ok(parts)
-    }
-
     /// Put `owner`'s shares of the listed columns at global row `start`,
-    /// each shard node taking its rows of them into its own owner sum (see
-    /// [`ServerNode::put`]), so the domain's `Σ_j` is the concatenation of
-    /// the shards' and no query ever adds across owners. All or nothing
-    /// over every shard.
-    pub fn put(
-        &mut self,
-        owner: usize,
-        start: usize,
-        columns: Vec<(Column, Vec<u64>)>,
-    ) -> Result<()> {
+    /// [cut](Domain::cut) by the row plan, each shard node taking its rows
+    /// of them into its own owner sum (see [`ServerNode::put`]), so the
+    /// domain's `Σ_j` is the concatenation of the shards' and no query
+    /// ever adds across owners. All or nothing over every shard.
+    pub fn put(&mut self, owner: usize, start: usize, columns: Columns) -> Result<()> {
         self.check_extends(owner, start, &columns)?;
-        let parts = self.cut(start, columns)?;
+        let cuts = self.domain.cut(start, columns)?;
+        let parts: Vec<(usize, usize, Columns)> = (self.domain.plan.specs().iter().zip(cuts))
+            .filter(|(_, cols)| !cols.is_empty())
+            .map(|(spec, cols)| (spec.index, start.saturating_sub(spec.start), cols))
+            .collect();
         for (shard, local, cols) in &parts {
             self.shards[*shard].check_put(owner, *local, cols)?;
         }
@@ -558,27 +608,20 @@ impl ShardedNode {
     }
 
     /// Update: add `owner`'s whole-domain difference shares of the listed
-    /// columns at `epoch`, each shard node taking its rows (see
-    /// [`ServerNode::fold`]). All or nothing over every shard.
-    pub fn fold(
-        &mut self,
-        owner: usize,
-        epoch: u64,
-        columns: Vec<(Column, Vec<u64>)>,
-    ) -> Result<()> {
-        let b = self.params.b;
-        if let Some((column, data)) = columns.iter().find(|(_, d)| d.len() != b) {
-            return Err(refused(format!(
-                "a fold of {} rows of {column:?} must cover the {b}-row domain",
-                data.len()
-            )));
+    /// columns at `epoch`, [fold-checked and cut](Domain::cut_fold) by the
+    /// domain, each shard node taking its rows (see [`ServerNode::fold`]).
+    /// All or nothing over every shard.
+    pub fn fold(&mut self, owner: usize, epoch: u64, columns: Columns) -> Result<()> {
+        let cuts = self.domain.cut_fold(columns)?;
+        for (node, cols) in self.shards.iter().zip(&cuts) {
+            if !cols.is_empty() {
+                node.check_fold(owner, epoch, cols)?;
+            }
         }
-        let parts = self.cut(0, columns)?;
-        for (shard, _, cols) in &parts {
-            self.shards[*shard].check_fold(owner, epoch, cols)?;
-        }
-        for (shard, _, cols) in parts {
-            self.shards[shard].fold(owner, epoch, cols)?;
+        for (node, cols) in self.shards.iter_mut().zip(cuts) {
+            if !cols.is_empty() {
+                node.fold(owner, epoch, cols)?;
+            }
         }
         Ok(())
     }
@@ -589,7 +632,7 @@ impl ShardedNode {
         match cmd {
             ServerCmd::Run(batch) => Ok(ServerReply::Vectors(run_round(
                 &self.shards,
-                &self.params,
+                self.domain.params(),
                 &self.tamper,
                 batch,
             )?)),
@@ -781,7 +824,7 @@ mod tests {
         // so earlier shards lie entirely before the range (their start
         // is far below the range start — the slice arithmetic must not
         // underflow) and the z vector only covers the window.
-        let plan = ShardPlan::new(6, 3).append(2, true);
+        let plan = ShardPlan::new(6, 3).append(2);
         let mut batch = BatchQuery {
             zs: vec![vec![70, 80]],
             items: vec![BatchItem::with_z(QueryOp::Sum(0), 0)],
@@ -789,21 +832,21 @@ mod tests {
             range: Some((6, 2)),
         };
         let subs = plan.split_batch(&mut batch).unwrap();
-        assert_eq!(subs.len(), 4);
-        for sub in &subs[..3] {
+        assert_eq!(subs.len(), 3);
+        for sub in &subs[..2] {
             // Shards before the window: empty sub-range at their own
             // start, nothing to evaluate.
             assert_eq!(sub.range.unwrap().1, 0);
             assert!(sub.zs[0].is_empty());
         }
-        assert_eq!(subs[3].range, Some((6, 2)));
-        assert_eq!(subs[3].zs[0], vec![70, 80]);
+        assert_eq!(subs[2].range, Some((6, 2)));
+        assert_eq!(subs[2].zs[0], vec![70, 80]);
     }
 
     #[test]
     fn append_preserves_starts_and_covers_domain() {
         let plan = ShardPlan::new(10, 3);
-        let extended = plan.append(4, false);
+        let extended = plan.append(4);
         assert_eq!(extended.domain(), 14);
         assert_eq!(extended.shard_count(), 3);
         for (old, new) in plan.specs().iter().zip(extended.specs()) {
@@ -813,19 +856,6 @@ mod tests {
             extended.specs().last().unwrap().len,
             plan.specs().last().unwrap().len + 4
         );
-        let opened = plan.append(4, true);
-        assert_eq!(opened.domain(), 14);
-        assert_eq!(opened.shard_count(), 4);
-        assert_eq!(
-            opened.specs()[3],
-            ShardSpec {
-                index: 3,
-                start: 10,
-                len: 4
-            }
-        );
-        let covered: usize = opened.specs().iter().map(|s| s.len).sum();
-        assert_eq!(covered, 14);
     }
 
     #[test]
@@ -873,13 +903,10 @@ mod tests {
 
     #[test]
     fn append_zero_rows_never_opens_an_empty_shard() {
-        let plan = ShardPlan::new(10, 3);
-        for open_new in [false, true] {
-            let same = plan.append(0, open_new);
-            assert_eq!(same.domain(), 10);
-            assert_eq!(same.shard_count(), 3);
-            assert!(same.specs().iter().all(|s| s.len > 0));
-        }
+        let same = ShardPlan::new(10, 3).append(0);
+        assert_eq!(same.domain(), 10);
+        assert_eq!(same.shard_count(), 3);
+        assert!(same.specs().iter().all(|s| s.len > 0));
     }
 
     #[test]

@@ -39,17 +39,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// `append` keeps every existing start (the PSU blinding alignment
-    /// guarantee) and never opens an empty shard — a zero-row append
-    /// with `open_new = true` must leave the plan's shape unchanged.
+    /// guarantee) and never opens a shard: the last range extends, and a
+    /// zero-row append leaves the plan's shape unchanged.
     #[test]
     fn append_edges_preserve_the_partition(
         b in 1usize..=48,
         k in 1usize..=48,
         added in 0usize..=16,
-        open_new: bool,
     ) {
         let plan = ShardPlan::new(b, k);
-        let grown = plan.append(added, open_new);
+        let grown = plan.append(added);
         assert_partition(&grown, b + added);
         for (old, new) in plan.specs().iter().zip(grown.specs()) {
             prop_assert_eq!(old.start, new.start, "append may never move a start");
@@ -61,8 +60,7 @@ proptest! {
                 "a zero-row append must not open a shard"
             );
         }
-        let expect = plan.shard_count() + usize::from(open_new && added > 0);
-        prop_assert_eq!(grown.shard_count(), expect);
+        prop_assert_eq!(grown.shard_count(), plan.shard_count());
     }
 
     /// A range-scoped batch splits into exactly one sub-batch per shard
@@ -124,8 +122,8 @@ proptest! {
             prop_assert!(sub.zs[0].len() <= 1, "a single-row shard sees at most one cell");
         }
 
-        let grown = plan.append(1, true);
+        let grown = plan.append(1);
         assert_partition(&grown, b + 1);
-        prop_assert_eq!(grown.specs().last().unwrap().len, 1);
+        prop_assert_eq!(grown.specs().last().unwrap().len, 2);
     }
 }

@@ -89,42 +89,6 @@ impl ServerStore {
         Self::column_path(dir, name).exists()
     }
 
-    fn manifest_path(dir: &Path) -> PathBuf {
-        dir.join("ranges.mf")
-    }
-
-    /// Persist the `(start, len, version)` range stamps, one per line.
-    fn write_manifest(dir: &Path, ranges: &[(u64, u64, u64)]) -> Result<(), StoreError> {
-        let mut out = String::new();
-        for (s, l, v) in ranges {
-            out.push_str(&format!("{s} {l} {v}\n"));
-        }
-        fs::write(Self::manifest_path(dir), out)?;
-        Ok(())
-    }
-
-    fn read_manifest(dir: &Path) -> Result<Vec<(u64, u64, u64)>, StoreError> {
-        let path = Self::manifest_path(dir);
-        if !path.exists() {
-            return Ok(Vec::new());
-        }
-        let text = fs::read_to_string(path)?;
-        let mut ranges = Vec::new();
-        for line in text.lines() {
-            let bad = || StoreError::Inconsistent(format!("bad range manifest line: {line}"));
-            let mut it = line.split_whitespace();
-            match (it.next(), it.next(), it.next()) {
-                (Some(s), Some(l), Some(v)) => ranges.push((
-                    s.parse::<u64>().map_err(|_| bad())?,
-                    l.parse::<u64>().map_err(|_| bad())?,
-                    v.parse::<u64>().map_err(|_| bad())?,
-                )),
-                _ => return Err(bad()),
-            }
-        }
-        Ok(ranges)
-    }
-
     /// Persist one owner's table (Phase 1 of the deployment).
     pub fn put(&self, owner: usize, table: &SharedTable) -> Result<(), StoreError> {
         table.check().map_err(StoreError::Inconsistent)?;
@@ -143,65 +107,7 @@ impl ServerStore {
         for (i, col) in table.v_agg.iter().enumerate() {
             Self::write_column(&dir, &format!("v{}", AGG_COLUMNS[i]), col)?;
         }
-        Self::write_manifest(&dir, &[(0, table.ok.len() as u64, 1)])
-    }
-
-    /// Append `delta` rows to one owner's persisted table (a streaming
-    /// delta upload): every column the stored table has must be present
-    /// in the delta with the same row count. The per-owner range
-    /// manifest gains a fresh stamp for the appended range only — the
-    /// on-disk mirror of the servers' per-range version vectors, so a
-    /// restarted server can answer range-version probes without
-    /// replaying its upload history.
-    pub fn append(&self, owner: usize, delta: &SharedTable) -> Result<(), StoreError> {
-        delta.check().map_err(StoreError::Inconsistent)?;
-        let added = delta.ok.len() as u64;
-        if added == 0 {
-            return Err(StoreError::Inconsistent("delta appends no rows".into()));
-        }
-        let dir = self.owner_dir(owner);
-        let (current, _) = self.fetch(owner)?;
-        if current.attributes() != delta.attributes()
-            || current.v_ok.is_empty() != delta.v_ok.is_empty()
-            || current.a_ok.is_empty() != delta.a_ok.is_empty()
-        {
-            return Err(StoreError::Inconsistent(
-                "delta column set differs from the stored table".into(),
-            ));
-        }
-        let start = current.ok.len() as u64;
-        let extend = |name: &str, old: &[u64], new: &[u64]| -> Result<(), StoreError> {
-            let mut all = old.to_vec();
-            all.extend_from_slice(new);
-            Self::write_column(&dir, name, &all)
-        };
-        extend("OK", &current.ok, &delta.ok)?;
-        if !delta.v_ok.is_empty() {
-            extend("vOK", &current.v_ok, &delta.v_ok)?;
-        }
-        if !delta.a_ok.is_empty() {
-            extend("aOK", &current.a_ok, &delta.a_ok)?;
-        }
-        for (i, col) in delta.agg.iter().enumerate() {
-            extend(AGG_COLUMNS[i], &current.agg[i], col)?;
-        }
-        for (i, col) in delta.v_agg.iter().enumerate() {
-            extend(&format!("v{}", AGG_COLUMNS[i]), &current.v_agg[i], col)?;
-        }
-        let mut ranges = Self::read_manifest(&dir)?;
-        if ranges.is_empty() {
-            // Pre-manifest store: the existing rows are one base range.
-            ranges.push((0, start, 1));
-        }
-        let next = ranges.iter().map(|&(_, _, v)| v).max().unwrap_or(0) + 1;
-        ranges.push((start, added, next));
-        Self::write_manifest(&dir, &ranges)
-    }
-
-    /// One owner's `(start, len, version)` range stamps: the base range
-    /// from Phase 1 plus one stamp per append, monotonically versioned.
-    pub fn ranges(&self, owner: usize) -> Result<Vec<(u64, u64, u64)>, StoreError> {
-        Self::read_manifest(&self.owner_dir(owner))
+        Ok(())
     }
 
     /// Load one owner's full table, reporting the fetch wall time.
@@ -246,21 +152,6 @@ impl ServerStore {
         let t0 = Instant::now();
         let col = Self::read_column(&self.owner_dir(owner), "OK")?;
         Ok((col, t0.elapsed()))
-    }
-
-    /// Owners present in this store (sorted).
-    pub fn owners(&self) -> Result<Vec<usize>, StoreError> {
-        let mut owners = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let entry = entry?;
-            if let Some(rest) = entry.file_name().to_string_lossy().strip_prefix("owner_") {
-                if let Ok(idx) = rest.parse::<usize>() {
-                    owners.push(idx);
-                }
-            }
-        }
-        owners.sort_unstable();
-        Ok(owners)
     }
 
     /// Total bytes on disk under this store.
@@ -323,15 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn multiple_owners_enumerated() {
-        let store = ServerStore::open(tmpdir("owners")).unwrap();
-        for j in [0usize, 2, 5] {
-            store.put(j, &sample_table(8, 1)).unwrap();
-        }
-        assert_eq!(store.owners().unwrap(), vec![0, 2, 5]);
-    }
-
-    #[test]
     fn missing_owner_errors() {
         let store = ServerStore::open(tmpdir("missing")).unwrap();
         assert!(store.fetch(9).is_err());
@@ -370,41 +252,6 @@ mod tests {
         store.put(1, &sample_table(4096, 4)).unwrap();
         let big = store.disk_bytes().unwrap();
         assert!(big > small);
-    }
-
-    #[test]
-    fn append_extends_columns_and_stamps_only_the_new_range() {
-        let store = ServerStore::open(tmpdir("append")).unwrap();
-        let base = sample_table(16, 2);
-        store.put(0, &base).unwrap();
-        assert_eq!(store.ranges(0).unwrap(), vec![(0, 16, 1)]);
-        let delta = sample_table(4, 2);
-        store.append(0, &delta).unwrap();
-        let (loaded, _) = store.fetch(0).unwrap();
-        assert_eq!(loaded.ok.len(), 20);
-        assert_eq!(&loaded.ok[16..], &delta.ok[..]);
-        assert_eq!(&loaded.agg[1][16..], &delta.agg[1][..]);
-        // The base range's stamp is untouched; the appended range gets a
-        // fresh monotonic version.
-        assert_eq!(store.ranges(0).unwrap(), vec![(0, 16, 1), (16, 4, 2)]);
-        store.append(0, &sample_table(2, 2)).unwrap();
-        assert_eq!(
-            store.ranges(0).unwrap(),
-            vec![(0, 16, 1), (16, 4, 2), (20, 2, 3)]
-        );
-    }
-
-    #[test]
-    fn append_rejects_mismatched_column_sets() {
-        let store = ServerStore::open(tmpdir("badappend")).unwrap();
-        store.put(0, &sample_table(8, 2)).unwrap();
-        // Wrong attribute count.
-        assert!(matches!(
-            store.append(0, &sample_table(4, 1)).unwrap_err(),
-            StoreError::Inconsistent(_)
-        ));
-        // Empty delta.
-        assert!(store.append(0, &sample_table(0, 2)).is_err());
     }
 
     #[test]

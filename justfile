@@ -2,7 +2,7 @@
 # Everything works fully offline: external deps are vendored under vendor/.
 
 # Run the standard verification suite (what CI runs).
-ci: fmt-check clippy phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place sleep-free one-pool one-message-table build test test-release doc
+ci: fmt-check clippy phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place sleep-free one-pool one-message-table one-domain-rule build test test-release doc
 
 # Build every workspace target in release mode.
 build:
@@ -39,8 +39,8 @@ clippy:
 # The "exists once" guards (Phase 1, the server-round fan-out, the owner
 # facade, the F-table, the round executor, one stored column per kind,
 # the bring-up path, the counter vocabulary, in-place appends, sleep-free
-# heal waits, one row-buffer pool, one message table); scripts/guards.sh
-# says what each one keeps single.
+# heal waits, one row-buffer pool, one message table, one domain
+# rulebook); scripts/guards.sh says what each one keeps single.
 phase1-once:
     scripts/guards.sh phase1-once
 
@@ -76,6 +76,9 @@ one-pool:
 
 one-message-table:
     scripts/guards.sh one-message-table
+
+one-domain-rule:
+    scripts/guards.sh one-domain-rule
 
 # Non-test vs test Rust line counts per crate (vendor/ and
 # examples/benchmark/ excluded), the one table simplicity PRs quote. In a

@@ -202,7 +202,35 @@ one_message_table() {
     return "$status"
 }
 
-GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place sleep-free one-pool one-message-table"
+# One domain rulebook: `prism_protocol::shard::Domain` cuts, fold-checks
+# and grows every server domain — a `ServerNode`, a `ShardedNode` and the
+# wire router alike. Fails on an `extend_block(` or `truncate_block(` in
+# `crates/*/src` outside the one growth site (`Domain::delta` in
+# `shard.rs`), the owner side's `Setup::grow` in `params.rs` and `perm.rs`,
+# which defines them; on a `fn cut_columns`, `fn check_columns`,
+# `fn grow_domain` or `fn ungrow` back in `router.rs`; and on an
+# `open_new` in `shard.rs` (every deployment grows its last range).
+one_domain_rule() {
+    status=0
+    for f in $(git grep -lE '(extend|truncate)_block\(' -- 'crates/*/src/**' \
+        ':!crates/core/src/perm.rs'); do
+        case "$f" in
+            crates/protocol/src/shard.rs) site='fn delta<' ;;
+            crates/protocol/src/params.rs) site='fn grow\(' ;;
+            *) site='' ;;
+        esac
+        awk -v site="$site" -v f="$f" '
+            site != "" && $0 ~ site { inside = 1; match($0, /^[[:space:]]*/); end = substr($0, 1, RLENGTH) "}" }
+            !inside && /(extend|truncate)_block\(/ { print f ":" NR ":" $0 }
+            inside && $0 == end { inside = 0 }' "$f" | grep . && status=1
+    done
+    ! git grep -nE 'fn (cut_columns|check_columns|grow_domain|ungrow)[^[:alnum:]_]' -- \
+        crates/net/src/router.rs || return 1
+    ! git grep -n 'open_new' -- crates/protocol/src/shard.rs || return 1
+    return "$status"
+}
+
+GUARDS="phase1-once one-fanout one-facade poly-table-once one-executor one-column-per-kind one-bringup one-metrics append-in-place sleep-free one-pool one-message-table one-domain-rule"
 
 run() {
     case "$1" in
@@ -218,6 +246,7 @@ run() {
         sleep-free) sleep_free ;;
         one-pool) one_pool ;;
         one-message-table) one_message_table ;;
+        one-domain-rule) one_domain_rule ;;
         *)
             echo "usage: scripts/guards.sh <all | $(echo "$GUARDS" | tr ' ' '|')>" >&2
             exit 2
