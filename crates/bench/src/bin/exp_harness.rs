@@ -1,7 +1,7 @@
 //! `exp_harness` — regenerate the paper's tables and figures.
 //!
 //! ```text
-//! exp_harness [exp1|table12|exp2|exp3|exp4|table13|sharegen|all]*
+//! exp_harness [exp1|table12|exp2|exp3|exp4|table13|sharegen|stages|all]*
 //!             [--scale small|medium|full] [--seed N]
 //! ```
 //!
@@ -15,14 +15,14 @@
 
 #![forbid(unsafe_code)]
 
-use prism_bench::{exp1, exp2, exp3, exp4, sharegen, table13};
+use prism_bench::{exp1, exp2, exp3, exp4, sharegen, stages, table13};
 use prism_workload::configs::{self, Scale};
 
 type Section = (&'static str, fn(Scale, u64));
 
 /// Every section the harness knows, in the order `all` runs them: the
 /// one table behind argument validation, `--help` and dispatch.
-const SECTIONS: [Section; 7] = [
+const SECTIONS: [Section; 8] = [
     ("exp1", |scale, seed| {
         let cfg = configs::exp1(scale);
         let rows = exp1::run(&cfg.domains, &cfg.threads, cfg.owners, seed);
@@ -59,6 +59,21 @@ const SECTIONS: [Section; 7] = [
         let domains = configs::ok_domains(scale);
         let rows = sharegen::run(&domains, 10, seed);
         sharegen::print(&rows);
+    }),
+    ("stages", |scale, seed| {
+        // `tcp_wide_serial`'s shape at small; fewer queries as cells grow.
+        let (cells, queries) = match scale {
+            Scale::Small => (100_000, 150),
+            Scale::Medium => (1_000_000, 50),
+            Scale::Full => (5_000_000, 20),
+        };
+        match stages::run(cells, queries / 5, queries, seed) {
+            Ok(rows) => stages::print(&rows, cells),
+            Err(e) => {
+                eprintln!("stages: {e}");
+                std::process::exit(1);
+            }
+        }
     }),
 ];
 

@@ -11,6 +11,7 @@
 //! | [`exp4`] | Figure 5 (bucketization) |
 //! | [`table13`] | Table 13 (baseline comparison) |
 //! | [`sharegen`] | §8.1 share-generation times |
+//! | [`stages`] | where a query's time goes: in process, channel links, loopback TCP |
 //!
 //! The `exp_harness` binary drives them at `--scale small|medium|full`.
 //! Everything beyond the paper's evaluation (sharding, caching, streaming
@@ -28,4 +29,5 @@ pub mod exp3;
 pub mod exp4;
 pub mod report;
 pub mod sharegen;
+pub mod stages;
 pub mod table13;

@@ -36,7 +36,7 @@ fn refuses_what_it_does_not_know() {
         assert!(out.stdout.is_empty(), "{args:?} printed before refusing");
         assert!(stderr.contains(problem), "{args:?}: {stderr}");
         assert!(
-            stderr.contains("exp1|table12|exp2|exp3|exp4|table13|sharegen|all"),
+            stderr.contains("exp1|table12|exp2|exp3|exp4|table13|sharegen|stages|all"),
             "{args:?} must list the valid sections: {stderr}"
         );
     }

@@ -10,7 +10,7 @@
 use crate::codec::{decode_column, encode_column, CodecError};
 use crate::table11::{SharedTable, AGG_COLUMNS};
 use std::fs;
-use std::io::{self, Read, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -73,16 +73,12 @@ impl ServerStore {
     }
 
     fn write_column(dir: &Path, name: &str, values: &[u64]) -> Result<(), StoreError> {
-        let bytes = encode_column(values);
-        let mut f = fs::File::create(Self::column_path(dir, name))?;
-        f.write_all(&bytes)?;
+        fs::write(Self::column_path(dir, name), encode_column(values))?;
         Ok(())
     }
 
     fn read_column(dir: &Path, name: &str) -> Result<Vec<u64>, StoreError> {
-        let mut buf = Vec::new();
-        fs::File::open(Self::column_path(dir, name))?.read_to_end(&mut buf)?;
-        Ok(decode_column(&buf)?)
+        Ok(decode_column(&fs::read(Self::column_path(dir, name))?)?)
     }
 
     fn column_exists(dir: &Path, name: &str) -> bool {

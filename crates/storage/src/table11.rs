@@ -58,35 +58,6 @@ impl SharedTable {
             + self.v_agg.iter().map(Vec::len).sum::<usize>()
     }
 
-    /// Split this table into row-range shard tables: shard `i` receives
-    /// rows `[start_i, start_i + len_i)` of every populated column (empty
-    /// columns stay empty everywhere — the third server holds no additive
-    /// columns in any shard). `ranges` are `(start, len)` pairs, as
-    /// produced by `prism_protocol::shard::ShardPlan`; out-of-range
-    /// requests yield short or empty shard columns rather than panicking,
-    /// matching the query-time shape checks downstream.
-    pub fn split_rows(&self, ranges: &[(usize, usize)]) -> Vec<SharedTable> {
-        let slice = |col: &[u64], &(start, len): &(usize, usize)| -> Vec<u64> {
-            if col.is_empty() {
-                return Vec::new();
-            }
-            col.get(start..start + len)
-                .or_else(|| col.get(start..))
-                .unwrap_or(&[])
-                .to_vec()
-        };
-        ranges
-            .iter()
-            .map(|range| SharedTable {
-                ok: slice(&self.ok, range),
-                agg: self.agg.iter().map(|c| slice(c, range)).collect(),
-                v_ok: slice(&self.v_ok, range),
-                v_agg: self.v_agg.iter().map(|c| slice(c, range)).collect(),
-                a_ok: slice(&self.a_ok, range),
-            })
-            .collect()
-    }
-
     /// Validate internal consistency (all populated columns same length).
     ///
     /// The anchor length is the first non-empty column — the third server
@@ -98,14 +69,6 @@ impl SharedTable {
             .chain(self.v_agg.iter().map(Vec::len))
             .find(|&l| l > 0)
             .unwrap_or(0);
-        let ok_len_anchor = |name: &str, v: &[u64]| {
-            if !v.is_empty() && v.len() != b {
-                Err(format!("column {name} has length {} != {b}", v.len()))
-            } else {
-                Ok(())
-            }
-        };
-        ok_len_anchor("OK", &self.ok)?;
         let ok_len = |name: &str, v: &[u64]| {
             if !v.is_empty() && v.len() != b {
                 Err(format!("column {name} has length {} != {b}", v.len()))
@@ -113,6 +76,7 @@ impl SharedTable {
                 Ok(())
             }
         };
+        ok_len("OK", &self.ok)?;
         ok_len("vOK", &self.v_ok)?;
         ok_len("aOK", &self.a_ok)?;
         for (i, c) in self.agg.iter().enumerate() {
@@ -170,41 +134,5 @@ mod tests {
         let t = SharedTable::default();
         assert!(t.is_empty());
         assert!(t.check().is_ok());
-    }
-
-    #[test]
-    fn split_rows_partitions_every_column() {
-        let t = SharedTable {
-            ok: (0..10).collect(),
-            agg: vec![(100..110).collect()],
-            v_ok: (200..210).collect(),
-            v_agg: vec![(300..310).collect()],
-            a_ok: (400..410).collect(),
-        };
-        let shards = t.split_rows(&[(0, 4), (4, 4), (8, 2)]);
-        assert_eq!(shards.len(), 3);
-        for s in &shards {
-            assert!(s.check().is_ok());
-        }
-        assert_eq!(shards[0].ok, vec![0, 1, 2, 3]);
-        assert_eq!(shards[2].ok, vec![8, 9]);
-        assert_eq!(shards[1].agg[0], vec![104, 105, 106, 107]);
-        assert_eq!(shards[2].v_agg[0], vec![308, 309]);
-        // Concatenating shard columns reassembles the source table.
-        let rejoined: Vec<u64> = shards.iter().flat_map(|s| s.a_ok.clone()).collect();
-        assert_eq!(rejoined, t.a_ok);
-    }
-
-    #[test]
-    fn split_rows_keeps_absent_columns_absent() {
-        // The third server's tables have no additive columns.
-        let t = SharedTable {
-            agg: vec![vec![7; 6]],
-            a_ok: vec![8; 6],
-            ..Default::default()
-        };
-        let shards = t.split_rows(&[(0, 3), (3, 3)]);
-        assert!(shards.iter().all(|s| s.ok.is_empty() && s.v_ok.is_empty()));
-        assert!(shards.iter().all(|s| s.agg[0].len() == 3));
     }
 }

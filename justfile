@@ -20,8 +20,10 @@ test:
 # a 2^19-cell round and compares it with the serial one) run here too.
 # `prism_net` too: the benchmark and every deployment run release builds,
 # and its chaos-timing and mux-interleaving suites are timing-sensitive.
+# `prism_storage` too: a corrupt column header fails differently in the two
+# profiles, and the codec's block loops only matter optimised.
 test-release:
-    cargo test --release -q -p prism_core -p prism_protocol -p prism_net
+    cargo test --release -q -p prism_core -p prism_protocol -p prism_net -p prism_storage
 
 # Formatting gate.
 fmt-check:
